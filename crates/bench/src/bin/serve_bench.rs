@@ -17,7 +17,9 @@
 //!
 //! f32 outputs are asserted **bitwise identical** across all four — the
 //! serving layer's parity invariant — so the speedups are pure
-//! scheduling/caching effects.
+//! scheduling/caching effects. The speedups themselves are wall-clock
+//! ratios and are only reported; the bench fails on the deterministic
+//! claims alone (parity, batch counts, hit rates).
 //!
 //! On top of that, the same stream runs through each `QuantConfig`
 //! (f32 / bf16 / int8): per config the bench measures cold and warm
@@ -193,10 +195,10 @@ fn main() {
     // 1 + 2: batching effect, cache out of the picture (f32).
     let bs1 = make(server_cfg(1, 0, QuantConfig::F32));
     let (out_bs1, s_bs1) = drive(&bs1, &stream);
-    bs1.emit_trace_window();
+    let bs1_rec = bs1.emit_trace_window();
     let micro = make(server_cfg(32, 0, QuantConfig::F32));
     let (out_micro, s_micro) = drive(&micro, &stream);
-    micro.emit_trace_window();
+    let micro_rec = micro.emit_trace_window();
 
     // 3 + 4: cache effect, batching held fixed (f32).
     let cached = make(server_cfg(32, 64 << 20, QuantConfig::F32));
@@ -211,8 +213,22 @@ fn main() {
             && bitwise_eq(&out_bs1, &out_warm),
         "serving outputs must be bitwise identical across batching and cache configs"
     );
+    // The two speedups are wall-clock ratios: printed and recorded,
+    // never a verdict. What is gated is what they are ratios *of* —
+    // micro-batching runs the stream in fewer batches, and the replay
+    // on a warmed cache computes nothing.
     let batch_speedup = s_bs1 / s_micro;
     let warm_speedup = s_cold / s_warm;
+    assert!(
+        micro_rec.batches < bs1_rec.batches,
+        "micro-batching must coalesce: {} batches vs {} at batch_size=1",
+        micro_rec.batches,
+        bs1_rec.batches
+    );
+    assert_eq!(
+        warm_rec.cache_misses, 0,
+        "the replayed stream must be answered from the warmed cache alone"
+    );
     let hit_rate =
         warm_rec.cache_hits as f64 / (warm_rec.cache_hits + warm_rec.cache_misses).max(1) as f64;
 
@@ -398,14 +414,6 @@ fn main() {
          bf16 hit rate {tight_bf16:.4} vs f32 {tight_f32:.4}; outputs bitwise \
          identical per config; wrote BENCH_serve.json",
         hit_rate * 100.0
-    );
-    assert!(
-        batch_speedup > 1.0,
-        "micro-batching must beat batch_size=1 (got {batch_speedup:.3}x)"
-    );
-    assert!(
-        warm_speedup > 1.0,
-        "a warm cache must beat a cold one on a repeated stream (got {warm_speedup:.3}x)"
     );
     obs::finish_trace();
 }

@@ -469,15 +469,21 @@ mod tests {
         assert_eq!(naive.num_instances(), pruned.num_instances());
     }
 
+    /// The fusion argument (§4.2) is about bytes, not a stopwatch: the
+    /// sparse GCN aggregation materializes one feature row per edge
+    /// before scattering, the fused one streams them and materializes
+    /// none — for the same output bits.
     #[test]
-    fn flexgraph_is_fastest_on_gcn() {
+    fn fusion_materializes_no_per_edge_rows_on_gcn() {
         let ds = community(2_000, 4, 16, 4, 64, 8);
         let b = MemoryBudget::unlimited();
-        let flex = run_epoch(System::FlexGraph, ModelKind::Gcn, &ds, &b).unwrap();
-        let pyt = run_epoch(System::PyTorchLike, ModelKind::Gcn, &ds, &b).unwrap();
-        assert!(
-            flex < pyt,
-            "feature fusion must beat sparse materialization: {flex:?} vs {pyt:?}"
+        let sparse = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, false, &b).unwrap();
+        let fused = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, true, &b).unwrap();
+        assert_eq!(
+            sparse.peak_transient_bytes,
+            materialized_bytes(ds.graph.num_edges(), ds.feature_dim())
         );
+        assert_eq!(fused.peak_transient_bytes, 0);
+        assert_eq!(fused.features.data(), sparse.features.data());
     }
 }

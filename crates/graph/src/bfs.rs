@@ -7,6 +7,7 @@
 
 use crate::csr::{Graph, VertexId};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 /// Vertices in BFS order from `seed`, restricted to `allowed` (when
 /// given). Unreachable vertices are omitted.
@@ -34,6 +35,7 @@ pub fn bfs_order(g: &Graph, seed: VertexId, allowed: Option<&[bool]>) -> Vec<Ver
 }
 
 /// Hop distance from `seed` to every vertex (`u32::MAX` = unreachable).
+/// A whole-graph BFS; the hop-shell walk below is tested against it.
 pub fn hop_distances(g: &Graph, seed: VertexId) -> Vec<u32> {
     let n = g.num_vertices();
     let mut dist = vec![u32::MAX; n];
@@ -52,17 +54,117 @@ pub fn hop_distances(g: &Graph, seed: VertexId) -> Vec<u32> {
     dist
 }
 
-/// The vertices at exactly hop distance `1..=k` from `seed`, one shell per
-/// hop (JK-Net's k "neighbors").
-pub fn hop_shells(g: &Graph, seed: VertexId, k: usize) -> Vec<Vec<VertexId>> {
-    let dist = hop_distances(g, seed);
-    let mut shells = vec![Vec::new(); k];
-    for (v, &d) in dist.iter().enumerate() {
-        if d >= 1 && (d as usize) <= k {
-            shells[d as usize - 1].push(v as VertexId);
-        }
+/// The adjacency the hop-shell walk runs over: one vertex's
+/// out-neighbours, fallibly. The in-RAM [`Graph`] cannot fail
+/// (`Error = Infallible`); a paged store fails with its own error, and
+/// the walk passes that error through.
+pub trait OutAdjacency {
+    /// What a neighbour lookup can fail with.
+    type Error;
+
+    /// Number of vertices; ids handed to `visit` are below it.
+    fn num_vertices(&self) -> usize;
+
+    /// Calls `visit` on every out-neighbour of `v`.
+    fn for_each_out(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), Self::Error>;
+}
+
+impl OutAdjacency for Graph {
+    type Error = Infallible;
+
+    fn num_vertices(&self) -> usize {
+        Graph::num_vertices(self)
     }
-    shells
+
+    fn for_each_out(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), Infallible> {
+        self.out_neighbors(v).iter().copied().for_each(visit);
+        Ok(())
+    }
+}
+
+/// Reusable state of the hop-shell walk, so that selecting for a batch
+/// of roots allocates and clears nothing of size |V| per root.
+///
+/// `stamp[v] == epoch` means the current walk has reached `v`; starting
+/// a walk bumps `epoch`, which un-visits every vertex at once. The
+/// array (4·|V| bytes) is allocated on first use and zeroed again only
+/// when the 32-bit epoch wraps.
+#[derive(Default)]
+pub struct HopScratch {
+    stamp: Vec<u32>,
+    epoch: u32,
+    edges_scanned: u64,
+}
+
+impl HopScratch {
+    /// An empty scratch; it sizes itself to the first graph it walks.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adjacency entries read by every walk so far — the walk's work,
+    /// which is bounded by the degrees inside the `(k-1)`-hop ball of
+    /// the seed, not by the graph.
+    pub fn edges_scanned(&self) -> u64 {
+        self.edges_scanned
+    }
+
+    /// The vertices at exactly hop distance `1..=k` from `seed`: `k`
+    /// shells, each in ascending id order, empty once the reachable set
+    /// is exhausted. A frontier walk that stops after `k` levels.
+    ///
+    /// A seed outside the graph is left to `g` to reject.
+    pub fn shells<A: OutAdjacency>(
+        &mut self,
+        g: &A,
+        seed: VertexId,
+        k: usize,
+    ) -> Result<Vec<Vec<VertexId>>, A::Error> {
+        let n = g.num_vertices();
+        if self.stamp.len() < n {
+            self.stamp = vec![0; n];
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        if let Some(s) = self.stamp.get_mut(seed as usize) {
+            *s = epoch;
+        }
+        let mut shells: Vec<Vec<VertexId>> = Vec::with_capacity(k);
+        for depth in 0..k {
+            // Each sorted shell is the next level's frontier.
+            let frontier = match depth {
+                0 => std::slice::from_ref(&seed),
+                _ => &shells[depth - 1][..],
+            };
+            let mut next = Vec::new();
+            for &v in frontier {
+                g.for_each_out(v, |u| {
+                    self.edges_scanned += 1;
+                    let s = &mut self.stamp[u as usize];
+                    if *s != epoch {
+                        *s = epoch;
+                        next.push(u);
+                    }
+                })?;
+            }
+            next.sort_unstable();
+            shells.push(next);
+        }
+        Ok(shells)
+    }
+}
+
+/// The vertices at exactly hop distance `1..=k` from `seed`, one shell per
+/// hop (JK-Net's k "neighbors"), each in ascending id order. Callers
+/// selecting for many roots reuse one [`HopScratch`] instead.
+pub fn hop_shells(g: &Graph, seed: VertexId, k: usize) -> Vec<Vec<VertexId>> {
+    HopScratch::new()
+        .shells(g, seed, k)
+        .unwrap_or_else(|e| match e {})
 }
 
 /// All vertices within `k` hops of any seed (including the seeds), the
@@ -97,7 +199,9 @@ pub fn k_hop_closure(g: &Graph, seeds: &[VertexId], k: usize) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::{graph_from_edges, sample_graph};
+    use crate::csr::{graph_from_edges, sample_graph, GraphBuilder};
+    use crate::gen;
+    use proptest::prelude::*;
 
     fn path_graph() -> Graph {
         graph_from_edges(
@@ -162,6 +266,109 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), len);
+    }
+
+    /// The oracle: shells read off the whole-graph distance array, in
+    /// vertex order — what `hop_shells` was before it became a bounded
+    /// walk.
+    fn shells_from_distances(g: &Graph, seed: VertexId, k: usize) -> Vec<Vec<VertexId>> {
+        let mut shells = vec![Vec::new(); k];
+        for (v, &d) in hop_distances(g, seed).iter().enumerate() {
+            if d >= 1 && (d as usize) <= k {
+                shells[d as usize - 1].push(v as VertexId);
+            }
+        }
+        shells
+    }
+
+    /// `g` with a self-loop added on every third vertex.
+    fn with_self_loops(g: &Graph) -> Graph {
+        let mut b = GraphBuilder::new(g.num_vertices());
+        for (s, d) in g.edges() {
+            b.add_edge(s, d);
+        }
+        for v in (0..g.num_vertices() as VertexId).step_by(3) {
+            b.add_edge(v, v);
+        }
+        b.build()
+    }
+
+    /// Every root of `g`, every `k` in `0..=4`, through one scratch.
+    fn assert_matches_oracle(g: &Graph, scratch: &mut HopScratch) {
+        for seed in 0..g.num_vertices() as VertexId {
+            for k in 0..=4 {
+                let got = scratch.shells(g, seed, k).unwrap();
+                assert_eq!(got, shells_from_distances(g, seed, k), "seed {seed} k {k}");
+                assert_eq!(hop_shells(g, seed, k), got);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// R-MAT graphs have isolated vertices (empty shells from the
+        /// first hop on), hubs, and at these sizes an eccentricity below
+        /// 4, so trailing empty shells are exercised too.
+        #[test]
+        fn hop_shells_match_distances_on_rmat(
+            scale in 3u32..7,
+            edge_factor in 1usize..4,
+            seed in 0u64..1000,
+        ) {
+            let g = gen::rmat(scale, edge_factor, 2, 2, seed, "t").graph;
+            let mut scratch = HopScratch::new();
+            assert_matches_oracle(&g, &mut scratch);
+            assert_matches_oracle(&with_self_loops(&g), &mut scratch);
+        }
+
+        #[test]
+        fn hop_shells_match_distances_on_community(
+            n in 8usize..60,
+            intra in 1usize..4,
+            inter in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let g = gen::community(n, 2, intra, inter, 2, seed).graph;
+            assert_matches_oracle(&g, &mut HopScratch::new());
+        }
+    }
+
+    #[test]
+    fn scratch_survives_epoch_wrap_around() {
+        let g = gen::community(40, 2, 3, 1, 2, 7).graph;
+        let mut scratch = HopScratch::new();
+        scratch.shells(&g, 0, 2).unwrap();
+        // Two walks before the wrap, the wrap itself, and walks after:
+        // stamps written at the old epochs must never read as visited.
+        scratch.epoch = u32::MAX - 2;
+        assert_matches_oracle(&g, &mut scratch);
+        assert!(scratch.epoch < u32::MAX - 2, "the epoch wrapped");
+    }
+
+    #[test]
+    fn walk_scans_only_the_ball_not_the_graph() {
+        // A 100 000-vertex ring: every vertex has degree 2.
+        let n = 100_000u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n {
+            b.add_undirected(v, (v + 1) % n);
+        }
+        let g = b.build();
+        let (seed, k) = (n / 2, 2);
+        let mut scratch = HopScratch::new();
+        let shells = scratch.shells(&g, seed, k).unwrap();
+        assert_eq!(
+            shells,
+            vec![vec![seed - 1, seed + 1], vec![seed - 2, seed + 2]]
+        );
+        // The walk expands the seed and shells 1..k-1: the (k-1)-ball.
+        let ball_degrees: usize = std::iter::once(seed)
+            .chain(shells[..k - 1].iter().flatten().copied())
+            .map(|v| g.out_degree(v))
+            .sum();
+        assert!(scratch.edges_scanned() <= ball_degrees as u64);
+        assert_eq!(scratch.edges_scanned(), 6);
     }
 
     #[test]

@@ -14,8 +14,15 @@ use std::sync::{Arc, OnceLock};
 pub type VertexId = u32;
 
 /// An immutable directed graph in dual CSR/CSC representation.
+///
+/// The arrays sit behind one `Arc`: the adjacency never changes, so a
+/// clone — every server, tenant and replica takes one of the graph it
+/// serves — shares them (and the cached scatter plan) instead of
+/// copying O(V + E) bytes.
 #[derive(Clone)]
-pub struct Graph {
+pub struct Graph(Arc<Adjacency>);
+
+struct Adjacency {
     /// CSR offsets: out-edges of `v` are `out_dst[out_off[v]..out_off[v+1]]`.
     out_off: Vec<usize>,
     out_dst: Vec<VertexId>,
@@ -42,24 +49,24 @@ impl fmt::Debug for Graph {
 impl Graph {
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.out_off.len() - 1
+        self.0.out_off.len() - 1
     }
 
     /// Number of directed edges.
     pub fn num_edges(&self) -> usize {
-        self.out_dst.len()
+        self.0.out_dst.len()
     }
 
     /// Out-neighbors of `v`.
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
         let v = v as usize;
-        &self.out_dst[self.out_off[v]..self.out_off[v + 1]]
+        &self.0.out_dst[self.0.out_off[v]..self.0.out_off[v + 1]]
     }
 
     /// In-neighbors of `v`.
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
         let v = v as usize;
-        &self.in_src[self.in_off[v]..self.in_off[v + 1]]
+        &self.0.in_src[self.0.in_off[v]..self.0.in_off[v + 1]]
     }
 
     /// Out-degree of `v`.
@@ -95,19 +102,19 @@ impl Graph {
     /// The CSR offset array: out-edges of `v` occupy edge indices
     /// `out_offsets()[v]..out_offsets()[v+1]` in CSR order.
     pub fn out_offsets(&self) -> &[usize] {
-        &self.out_off
+        &self.0.out_off
     }
 
     /// The CSC offset array: in-edges of `v` occupy
     /// `in_sources()[in_offsets()[v]..in_offsets()[v+1]]`. This is the
     /// destination-major layout feature fusion consumes directly.
     pub fn in_offsets(&self) -> &[usize] {
-        &self.in_off
+        &self.0.in_off
     }
 
     /// The CSC source array (see [`Graph::in_offsets`]).
     pub fn in_sources(&self) -> &[VertexId] {
-        &self.in_src
+        &self.0.in_src
     }
 
     /// Cached scatter plan over the in-edge COO: edge `e` (in
@@ -115,7 +122,8 @@ impl Graph {
     /// once on first use and reused by every layer/epoch of sparse
     /// scatter aggregation over this graph.
     pub fn in_scatter_plan(&self) -> Arc<ScatterPlan> {
-        self.in_plan
+        self.0
+            .in_plan
             .get_or_init(|| {
                 let (dst, _) = self.coo_in();
                 Arc::new(ScatterPlan::new(&dst, self.num_vertices()))
@@ -125,10 +133,10 @@ impl Graph {
 
     /// Approximate heap bytes of the adjacency arrays (memory harnesses).
     pub fn heap_bytes(&self) -> usize {
-        self.out_off.len() * std::mem::size_of::<usize>()
-            + self.in_off.len() * std::mem::size_of::<usize>()
-            + self.out_dst.len() * std::mem::size_of::<VertexId>()
-            + self.in_src.len() * std::mem::size_of::<VertexId>()
+        self.0.out_off.len() * std::mem::size_of::<usize>()
+            + self.0.in_off.len() * std::mem::size_of::<usize>()
+            + self.0.out_dst.len() * std::mem::size_of::<VertexId>()
+            + self.0.in_src.len() * std::mem::size_of::<VertexId>()
     }
 
     /// Maximum out-degree (skew diagnostics).
@@ -219,13 +227,13 @@ impl GraphBuilder {
             in_src[in_cursor[d as usize]] = s;
             in_cursor[d as usize] += 1;
         }
-        Graph {
+        Graph(Arc::new(Adjacency {
             out_off,
             out_dst,
             in_off,
             in_src,
             in_plan: OnceLock::new(),
-        }
+        }))
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::schema::SchemaTree;
 use crate::storage::Hdg;
-use flexgraph_graph::bfs::hop_shells;
+use flexgraph_graph::bfs::{HopScratch, OutAdjacency};
 use flexgraph_graph::metapath::{find_instances, Metapath};
 use flexgraph_graph::walk::{importance_neighbors_all, WalkConfig};
 use flexgraph_graph::{Graph, TypedGraph, VertexId};
@@ -245,23 +245,59 @@ pub fn from_hop_shells_capped(
     cap: usize,
     seed: u64,
 ) -> Hdg {
+    let records = select_hop_shells(g, &roots, k, cap, seed).unwrap_or_else(|e| match e {});
+    hdg_from_hop_shell_records(roots, k, records)
+}
+
+/// The capped hop-shell NeighborSelection for a batch of roots, over any
+/// adjacency: the records [`from_hop_shells_capped`] builds its HDG
+/// from, in its push order (roots in the given order, shells ascending,
+/// empty shells omitted). One walk scratch serves the whole batch, so
+/// the cost is the roots' k-hop balls, not the graph.
+///
+/// Callers that need the selection for more than the build — serve
+/// prices admission from it — select once, then
+/// [`hdg_from_hop_shell_records`].
+pub fn select_hop_shells<A: OutAdjacency>(
+    g: &A,
+    roots: &[VertexId],
+    k: usize,
+    cap: usize,
+    seed: u64,
+) -> Result<Vec<NeighborRecord>, A::Error> {
+    let mut scratch = HopScratch::new();
+    let mut records = Vec::new();
+    for &root in roots {
+        let of_root = hop_shell_records_in(&mut scratch, g, root, k, cap, seed)?;
+        records.extend(
+            of_root
+                .into_iter()
+                .map(|(nei_type, leaves)| NeighborRecord {
+                    root,
+                    nei_type,
+                    leaves,
+                }),
+        );
+    }
+    Ok(records)
+}
+
+/// Freezes a [`select_hop_shells`] selection for `roots` into its HDG.
+pub fn hdg_from_hop_shell_records(
+    roots: Vec<VertexId>,
+    k: usize,
+    records: Vec<NeighborRecord>,
+) -> Hdg {
     let names: Vec<String> = (1..=k).map(|i| format!("hop{i}")).collect();
-    let mut b = HdgBuilder::new(SchemaTree::new(names), roots.clone());
-    for &v in &roots {
-        for (t, rec) in hop_shell_records(g, v, k, cap, seed) {
-            b.push(NeighborRecord {
-                root: v,
-                nei_type: t,
-                leaves: rec,
-            });
-        }
+    let mut b = HdgBuilder::new(SchemaTree::new(names), roots);
+    for rec in records {
+        b.push(rec);
     }
     b.build()
 }
 
 /// The capped hop-shell selection for one root: `(type, leaves)` pairs
-/// in ascending shell order, empty shells omitted. Exposed so the serve
-/// layer can size a batch's admission check before building the HDG.
+/// in ascending shell order, empty shells omitted.
 pub fn hop_shell_records(
     g: &Graph,
     root: VertexId,
@@ -269,15 +305,29 @@ pub fn hop_shell_records(
     cap: usize,
     seed: u64,
 ) -> Vec<(u16, Vec<VertexId>)> {
+    hop_shell_records_in(&mut HopScratch::new(), g, root, k, cap, seed)
+        .unwrap_or_else(|e| match e {})
+}
+
+/// [`hop_shell_records`] over any adjacency, walking in a caller-held
+/// scratch.
+pub fn hop_shell_records_in<A: OutAdjacency>(
+    scratch: &mut HopScratch,
+    g: &A,
+    root: VertexId,
+    k: usize,
+    cap: usize,
+    seed: u64,
+) -> Result<Vec<(u16, Vec<VertexId>)>, A::Error> {
     let mut out = Vec::new();
-    for (t, mut shell) in hop_shells(g, root, k).into_iter().enumerate() {
+    for (t, mut shell) in scratch.shells(g, root, k)?.into_iter().enumerate() {
         if shell.is_empty() {
             continue;
         }
         cap_shell(&mut shell, root, cap, seed);
         out.push((t as u16, shell));
     }
-    out
+    Ok(out)
 }
 
 /// Applies the sampling cap to one hop shell in place: members are
@@ -286,14 +336,26 @@ pub fn hop_shell_records(
 /// ascending vertex order. `cap = 0` (or a shell already within the
 /// cap) is a no-op.
 ///
-/// This is a pure function of its arguments, shared by the in-RAM
-/// builder above and the paged store's out-of-core hop-shell builder —
-/// both paths therefore select *identical* leaves for any root, which
-/// the out-of-core ↔ in-RAM bitwise-parity guarantee rests on.
+/// This is a pure function of its arguments and the only sampler any
+/// hop-shell builder uses, in RAM or over the paged store — both
+/// therefore select *identical* leaves for any root, which the
+/// out-of-core ↔ in-RAM bitwise-parity guarantee rests on.
 pub fn cap_shell(shell: &mut Vec<VertexId>, root: VertexId, cap: usize, seed: u64) {
+    cap_shell_by(shell, cap, |u| {
+        mix64(seed ^ mix64((root as u64) << 32 | u as u64))
+    });
+}
+
+/// [`cap_shell`] for any rank function; equal ranks fall back to the id.
+fn cap_shell_by(shell: &mut Vec<VertexId>, cap: usize, rank: impl Fn(VertexId) -> u64) {
     if cap > 0 && shell.len() > cap {
-        shell.sort_unstable_by_key(|&u| (mix64(seed ^ mix64((root as u64) << 32 | u as u64)), u));
-        shell.truncate(cap);
+        // Each member is ranked once. The `(rank, id)` keys are
+        // distinct, so the `cap` smallest are one well-defined set and
+        // a partial selection finds the survivors a full sort would.
+        let mut keyed: Vec<(u64, VertexId)> = shell.iter().map(|&u| (rank(u), u)).collect();
+        keyed.select_nth_unstable(cap - 1);
+        shell.clear();
+        shell.extend(keyed[..cap].iter().map(|&(_, u)| u));
         shell.sort_unstable();
     }
 }
@@ -304,6 +366,7 @@ mod tests {
     use flexgraph_graph::csr::sample_graph;
     use flexgraph_graph::hetero::sample_typed_graph;
     use flexgraph_graph::metapath::paper_metapaths;
+    use proptest::prelude::*;
 
     #[test]
     fn direct_neighbors_match_graph_degrees() {
@@ -422,6 +485,50 @@ mod tests {
         let uncapped = from_hop_shells_capped(&g, (0..9).collect(), 2, 0, 42);
         let plain = from_hop_shells(&g, (0..9).collect(), 2);
         assert_eq!(uncapped.leaf_sources(), plain.leaf_sources());
+    }
+
+    /// The definition `cap_shell_by` must keep computing: sort the whole
+    /// shell by `(rank, id)`, keep the first `cap`, re-sort by id.
+    fn cap_by_full_sort(shell: &mut Vec<VertexId>, cap: usize, rank: impl Fn(VertexId) -> u64) {
+        if cap > 0 && shell.len() > cap {
+            shell.sort_unstable_by_key(|&u| (rank(u), u));
+            shell.truncate(cap);
+            shell.sort_unstable();
+        }
+    }
+
+    proptest! {
+        /// Caps 0, 1, below, at and past the shell length. `ties` folds
+        /// the hash onto that many ranks, so the id fallback decides;
+        /// 0 leaves the hash whole, which is `cap_shell` itself.
+        #[test]
+        fn cap_shell_keeps_the_full_sorts_survivors(
+            members in proptest::collection::vec(0u32..5000, 0..80),
+            cap in 0usize..90,
+            root in 0u32..5000,
+            seed in 0u64..1_000_000,
+            ties in prop_oneof![Just(0u64), Just(1u64), Just(3u64)],
+        ) {
+            let mut shell = members;
+            shell.sort_unstable();
+            shell.dedup();
+            let rank = |u: VertexId| {
+                let hash = mix64(seed ^ mix64((root as u64) << 32 | u as u64));
+                if ties == 0 { hash } else { hash % ties }
+            };
+            for cap in [cap, 0, 1, shell.len(), shell.len() + 1] {
+                let mut want = shell.clone();
+                cap_by_full_sort(&mut want, cap, rank);
+                let mut got = shell.clone();
+                cap_shell_by(&mut got, cap, rank);
+                prop_assert_eq!(&got, &want, "cap {}", cap);
+                if ties == 0 {
+                    let mut public = shell.clone();
+                    cap_shell(&mut public, root, cap, seed);
+                    prop_assert_eq!(&public, &want, "cap_shell, cap {}", cap);
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! as MAGNN and P-GNN.
 
 use crate::train::Model;
-use flexgraph_graph::bfs::hop_shells;
+use flexgraph_graph::bfs::HopScratch;
 use flexgraph_graph::gen::Dataset;
 use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet};
 use std::sync::Arc;
@@ -64,7 +64,8 @@ impl JkNet {
 
 impl Model for JkNet {
     fn selection(&mut self, ds: &Dataset, _epoch: u64) {
-        // Shells are deterministic: build once (BFS per root).
+        // Shells are deterministic: build once — a k-level walk per
+        // root, all in one scratch.
         if self.built {
             return;
         }
@@ -72,8 +73,12 @@ impl Model for JkNet {
         let mut off = Vec::with_capacity(n * self.hops + 1);
         let mut src: Vec<u32> = Vec::new();
         off.push(0usize);
+        let mut scratch = HopScratch::new();
         for v in 0..n as u32 {
-            for shell in hop_shells(&ds.graph, v, self.hops) {
+            let shells = scratch
+                .shells(&ds.graph, v, self.hops)
+                .unwrap_or_else(|e| match e {});
+            for shell in shells {
                 src.extend(shell);
                 off.push(src.len());
             }
@@ -105,6 +110,7 @@ impl Model for JkNet {
 mod tests {
     use super::*;
     use crate::train::{TrainConfig, Trainer};
+    use flexgraph_graph::bfs::hop_shells;
     use flexgraph_graph::gen::community;
 
     #[test]

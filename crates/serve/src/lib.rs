@@ -25,7 +25,8 @@
 //!   reclaims their bytes.
 //! * [`server`] — ties them together: per-batch k-hop
 //!   NeighborSelection with sampling caps
-//!   ([`flexgraph_hdg::build::from_hop_shells_capped`]) feeding
+//!   ([`flexgraph_hdg::build::select_hop_shells`], walked once per
+//!   batch and read by both admission and the HDG build) feeding
 //!   [`flexgraph_engine::hybrid`], admission control via
 //!   [`flexgraph_engine::MemoryBudget`] with structured [`ServeError`]
 //!   rejections, and `obs` serve-trace emission.

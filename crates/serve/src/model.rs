@@ -18,12 +18,13 @@
 
 use crate::ServeError;
 use flexgraph_engine::hybrid::{
-    hierarchical_aggregate, hierarchical_aggregate_quant, AggrOp, AggrPlan, LeafFeats, Strategy,
+    hierarchical_aggregate_quant, AggrOp, AggrPlan, LeafFeats, Strategy,
 };
 use flexgraph_engine::{admission_bytes, planned_admission_bytes, MemoryBudget};
 use flexgraph_graph::hll::ReachSketches;
 use flexgraph_graph::Graph;
-use flexgraph_hdg::build::{from_hop_shells_capped, hop_shell_records};
+use flexgraph_hdg::build::{hdg_from_hop_shell_records, select_hop_shells};
+use flexgraph_hdg::NeighborRecord;
 use flexgraph_models::checkpoint;
 use flexgraph_tensor::quant::{matmul_bf16, matmul_i8, round_bf16_inplace};
 use flexgraph_tensor::{
@@ -273,38 +274,62 @@ impl ModelSnapshot {
     }
 }
 
+/// The capped k-hop NeighborSelection of one batch — walked once, then
+/// read twice: [`price`] sizes admission from these records and
+/// [`aggregate_selected`] builds the HDG from the same ones.
+fn select(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> Vec<NeighborRecord> {
+    select_hop_shells(g, roots, cfg.hops, cfg.cap, cfg.seed).unwrap_or_else(|e| match e {})
+}
+
+/// Transient bytes a selection materializes: its closure (roots plus
+/// distinct leaves) and its leaf edges, in the engine's own
+/// [`admission_bytes`] arithmetic.
+fn price(cfg: &ServeModelConfig, roots: &[u32], records: &[NeighborRecord]) -> usize {
+    let mut closure: Vec<u32> = roots.to_vec();
+    let mut edges = 0usize;
+    for rec in records {
+        edges += rec.leaves.len();
+        closure.extend_from_slice(&rec.leaves);
+    }
+    closure.sort_unstable();
+    closure.dedup();
+    admission_bytes(closure.len(), edges, cfg.in_dim)
+}
+
 /// Transient bytes the capped k-hop selection of `roots` would
 /// materialize — the hop-shell closure sized with the engine's own
 /// [`admission_bytes`] arithmetic, so serve backpressure and engine
-/// OOM accounting can never disagree. Sized from
-/// [`hop_shell_records`] *before* any HDG is built.
+/// OOM accounting can never disagree. Exact: it walks the selection
+/// (one depth-bounded walk per root, the cost of the roots' k-hop
+/// balls) and prices it exactly as [`aggregate_roots`] prices the
+/// selection it is about to build from.
 pub fn selection_admission_bytes(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> usize {
-    let mut closure: std::collections::HashSet<u32> = roots.iter().copied().collect();
-    let mut edges = 0usize;
-    for &r in roots {
-        for (_, leaves) in hop_shell_records(g, r, cfg.hops, cfg.cap, cfg.seed) {
-            edges += leaves.len();
-            closure.extend(leaves);
-        }
-    }
-    admission_bytes(closure.len(), edges, cfg.in_dim)
+    price(cfg, roots, &select(g, cfg, roots))
 }
 
 /// HyperLogLog admission planner: prices a batch's capped k-hop
 /// selection **without walking the graph**.
 ///
-/// [`selection_admission_bytes`] runs one BFS per root per request —
-/// exact, but the planning cost scales with exactly the neighborhood
-/// explosion admission control exists to police. This planner builds
-/// per-vertex hop-ball sketches ([`ReachSketches`]) once at server
-/// startup; pricing a batch is then a handful of register merges. Shell
-/// sizes fall out of ball differences, the per-shell sampling `cap` is
-/// applied to the *estimated* shell exactly as `hop_shell_records`
-/// applies it to the real one, and the distinct-closure estimate takes
-/// the tighter of the per-root capped sum and the merged-ball union
-/// estimate. Counts are near-exact in the linear-counting regime, so
-/// planned prices agree with the exact arithmetic to within the sketch
-/// error (≲ 5% on serving-scale batches).
+/// Exact admission ([`selection_admission_bytes`], and the check inside
+/// [`aggregate_roots`]) costs one depth-bounded walk per root — the
+/// walk the HDG build needs anyway and shares, so admitting a batch
+/// that is then served costs nothing extra. What exact admission cannot
+/// do is say no *before* walking: a shell is capped only after it has
+/// been enumerated, so on a power-law graph an over-budget batch is
+/// rejected only once its uncapped `hops`-ball has been visited. This
+/// planner is for that case. It builds per-vertex hop-ball sketches
+/// ([`ReachSketches`]) once at server startup; pricing a batch is then
+/// a handful of register merges, and a rejected batch reads no
+/// adjacency at all.
+///
+/// Shell sizes fall out of ball differences, the per-shell sampling
+/// `cap` is applied to the *estimated* shell exactly as
+/// `hop_shell_records` applies it to the real one, and the
+/// distinct-closure estimate takes the tighter of the per-root capped
+/// sum and the merged-ball union estimate. Counts are near-exact in the
+/// linear-counting regime, so planned prices agree with the exact
+/// arithmetic to within the sketch error (≲ 5% on serving-scale
+/// batches).
 pub struct AdmissionPlanner {
     sketches: ReachSketches,
     hops: usize,
@@ -362,13 +387,35 @@ impl AdmissionPlanner {
     }
 }
 
+/// The one body behind every `aggregate_roots*` entry: select → price →
+/// admit → build HDG → aggregate, over a single selection. `admit`
+/// says whether this call owns the exact admission check or a caller
+/// already admitted the batch.
+fn aggregate_selected(
+    g: &Graph,
+    feats: LeafFeats<'_>,
+    cfg: &ServeModelConfig,
+    roots: &[u32],
+    budget: &MemoryBudget,
+    admit: bool,
+) -> Result<Tensor, ServeError> {
+    let records = select(g, cfg, roots);
+    if admit {
+        budget.check(price(cfg, roots, &records))?;
+    }
+    let hdg = hdg_from_hop_shell_records(roots.to_vec(), cfg.hops, records);
+    let plan = AggrPlan::flat(cfg.op);
+    let res = hierarchical_aggregate_quant(&hdg, feats, &plan, Strategy::Ha, budget)?;
+    Ok(res.features)
+}
+
 /// Capped k-hop aggregation for a set of roots: one `(dim)` row per
 /// root, in `roots` order, admission-checked against `budget` up
 /// front (the fused Ha path materializes almost nothing, so the
-/// explicit [`selection_admission_bytes`] check is what actually
-/// enforces the budget). Per-root bitwise independent — see the crate
-/// docs — so this is both the batch path and (with one root) the
-/// reference path.
+/// explicit check — [`selection_admission_bytes`]' arithmetic on the
+/// selection this call builds from — is what actually enforces the
+/// budget). Per-root bitwise independent — see the crate docs — so this
+/// is both the batch path and (with one root) the reference path.
 pub fn aggregate_roots(
     g: &Graph,
     feats: &Tensor,
@@ -376,14 +423,13 @@ pub fn aggregate_roots(
     roots: &[u32],
     budget: &MemoryBudget,
 ) -> Result<Tensor, ServeError> {
-    budget.check(selection_admission_bytes(g, cfg, roots))?;
-    aggregate_roots_preadmitted(g, feats, cfg, roots, budget)
+    aggregate_selected(g, LeafFeats::F32(feats), cfg, roots, budget, true)
 }
 
 /// [`aggregate_roots`] minus the up-front exact selection sizing, for
 /// callers that already admitted the batch (the server's
 /// [`AdmissionPlanner`] path, which prices the selection from sketches
-/// instead of walking it). The engine's own per-step budget checks
+/// before anything is walked). The engine's own per-step budget checks
 /// still run inside the aggregation.
 pub fn aggregate_roots_preadmitted(
     g: &Graph,
@@ -392,10 +438,7 @@ pub fn aggregate_roots_preadmitted(
     roots: &[u32],
     budget: &MemoryBudget,
 ) -> Result<Tensor, ServeError> {
-    let hdg = from_hop_shells_capped(g, roots.to_vec(), cfg.hops, cfg.cap, cfg.seed);
-    let plan = AggrPlan::flat(cfg.op);
-    let res = hierarchical_aggregate(&hdg, feats, &plan, Strategy::Ha, budget)?;
-    Ok(res.features)
+    aggregate_selected(g, LeafFeats::F32(feats), cfg, roots, budget, false)
 }
 
 /// [`aggregate_roots`] over the serving tier's quantized feature store:
@@ -408,8 +451,7 @@ pub fn aggregate_roots_quant(
     roots: &[u32],
     budget: &MemoryBudget,
 ) -> Result<Tensor, ServeError> {
-    budget.check(selection_admission_bytes(g, cfg, roots))?;
-    aggregate_roots_preadmitted_quant(g, feats, cfg, roots, budget)
+    aggregate_selected(g, feats.as_leaf(), cfg, roots, budget, true)
 }
 
 /// [`aggregate_roots_preadmitted`] over the quantized feature store.
@@ -420,10 +462,7 @@ pub fn aggregate_roots_preadmitted_quant(
     roots: &[u32],
     budget: &MemoryBudget,
 ) -> Result<Tensor, ServeError> {
-    let hdg = from_hop_shells_capped(g, roots.to_vec(), cfg.hops, cfg.cap, cfg.seed);
-    let plan = AggrPlan::flat(cfg.op);
-    let res = hierarchical_aggregate_quant(&hdg, feats.as_leaf(), &plan, Strategy::Ha, budget)?;
-    Ok(res.features)
+    aggregate_selected(g, feats.as_leaf(), cfg, roots, budget, false)
 }
 
 /// Rounds every element of `t` through bf16 when `quant` stores rows at
@@ -545,6 +584,7 @@ pub fn serve_one_quant(
 mod tests {
     use super::*;
     use flexgraph_graph::gen::community;
+    use flexgraph_hdg::build::hop_shell_records;
     use flexgraph_models::checkpoint::CheckpointError;
 
     fn cfg(ds_dim: usize, classes: usize) -> ServeModelConfig {
@@ -661,6 +701,68 @@ mod tests {
             b.data(),
             "admission check must not change outputs"
         );
+    }
+
+    /// `selection_admission_bytes` as it was when it walked each root
+    /// on its own and counted the closure in a hash set.
+    fn price_root_by_root(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> usize {
+        let mut closure: std::collections::HashSet<u32> = roots.iter().copied().collect();
+        let mut edges = 0usize;
+        for &r in roots {
+            for (_, leaves) in hop_shell_records(g, r, cfg.hops, cfg.cap, cfg.seed) {
+                edges += leaves.len();
+                closure.extend(leaves);
+            }
+        }
+        admission_bytes(closure.len(), edges, cfg.in_dim)
+    }
+
+    /// The check inside `aggregate_roots` prices the selection it
+    /// builds from; the stand-alone probe re-walks it. Under a finite
+    /// budget they must agree batch for batch: the same ones shed, with
+    /// the probe's byte count as `needed`, the rest served.
+    #[test]
+    fn finite_budget_sheds_exactly_what_the_probe_prices_over() {
+        let ds = community(120, 3, 4, 1, 8, 5);
+        let scfg = cfg(ds.feature_dim(), 4);
+        let n = ds.graph.num_vertices() as u32;
+        let batches: Vec<Vec<u32>> = (0..24u32)
+            .map(|b| (0..=b % 6).map(|i| (b * 17 + i * 29) % n).collect())
+            .collect();
+        let mut prices: Vec<usize> = batches
+            .iter()
+            .map(|roots| selection_admission_bytes(&ds.graph, &scfg, roots))
+            .collect();
+        prices.sort_unstable();
+        let budget = MemoryBudget {
+            bytes: prices[prices.len() / 2],
+        };
+        let mut shed = 0;
+        for roots in &batches {
+            let price = selection_admission_bytes(&ds.graph, &scfg, roots);
+            assert_eq!(price, price_root_by_root(&ds.graph, &scfg, roots));
+            let got = aggregate_roots(&ds.graph, &ds.features, &scfg, roots, &budget);
+            if price > budget.bytes {
+                shed += 1;
+                match got {
+                    Err(ServeError::AdmissionDenied { needed, budget: b }) => {
+                        assert_eq!((needed, b), (price, budget.bytes), "roots {roots:?}");
+                    }
+                    other => panic!("roots {roots:?}: expected a shed batch, got {other:?}"),
+                }
+            } else {
+                let want = aggregate_roots_preadmitted(
+                    &ds.graph,
+                    &ds.features,
+                    &scfg,
+                    roots,
+                    &MemoryBudget::unlimited(),
+                )
+                .unwrap();
+                assert_eq!(got.unwrap().data(), want.data(), "roots {roots:?}");
+            }
+        }
+        assert!(shed > 0 && shed < batches.len(), "both outcomes exercised");
     }
 
     #[test]

@@ -132,11 +132,12 @@ pub fn execute_pinned(
     drop(c);
 
     // Phase 2 — compute. Admission control: budgeted contexts price the
-    // selection from the HLL planner's sketches (no BFS on the
-    // admission path) and then aggregate pre-admitted; unlimited ones
-    // take the exact aggregate_roots path unchanged. The engine's own
-    // per-step budget checks run either way; any rejection sheds the
-    // whole batch.
+    // selection from the HLL planner's sketches (a batch the planner
+    // rejects walks nothing) and then aggregate pre-admitted; unlimited
+    // ones take the exact aggregate_roots path, whose check prices the
+    // very selection the HDG is then built from. Either way a batch is
+    // selected once. The engine's own per-step budget checks run in
+    // both; any rejection sheds the whole batch.
     let execute = || -> Result<Vec<Vec<f32>>, ServeError> {
         let mut fresh = if need_agg.is_empty() {
             Tensor::zeros(0, m.in_dim)
@@ -455,9 +456,10 @@ impl Server {
     }
 
     /// Transient bytes a batch would materialize — see
-    /// [`selection_admission_bytes`]. This is the exact (BFS-walked)
-    /// arithmetic; budgeted servers admit batches against the sketch
-    /// estimate instead ([`Server::planned_batch_admission_bytes`]).
+    /// [`selection_admission_bytes`]. This is the exact arithmetic (it
+    /// walks each root's capped k-hop selection); budgeted servers
+    /// admit batches against the sketch estimate instead
+    /// ([`Server::planned_batch_admission_bytes`]).
     pub fn batch_admission_bytes(&self, roots: &[u32]) -> usize {
         selection_admission_bytes(&self.graph, &self.cfg.model, roots)
     }

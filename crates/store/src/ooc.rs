@@ -1,18 +1,18 @@
 //! Out-of-core HDG construction and the partitioned forward driver.
 //!
-//! Both builders mirror their in-RAM twins in `hdg::build` record for
-//! record — same schema, same push order, same leaf order — so on any
+//! Both builders produce, record for record, what `hdg::build` produces
+//! in RAM — same schema, same push order, same leaf order — so on any
 //! graph that fits both ways the HDGs (and therefore every aggregation
 //! over them) are bitwise identical:
 //!
 //! * [`hdg_from_direct_neighbors`] reads each root's paged in-sources
 //!   in stored (ascending) order, exactly as `from_direct_neighbors`
 //!   iterates `g.in_neighbors(v)`.
-//! * [`hdg_from_hop_shells_capped`] runs a frontier BFS over paged
-//!   out-neighbors; each shell is the exact-hop-distance set sorted
-//!   ascending (how `bfs::hop_shells` emits it, since it scans the
-//!   distance array in vertex order) and capping is the *shared*
-//!   [`flexgraph_hdg::build::cap_shell`] hash selection.
+//! * [`hdg_from_hop_shells_capped`] *is* the in-RAM selection: the walk
+//!   (`bfs::HopScratch::shells`) and the capped selection
+//!   (`hdg::build::select_hop_shells`) are generic over
+//!   `bfs::OutAdjacency`, which [`PagedGraph`] implements by reading
+//!   out-neighbors from pinned segments.
 //!
 //! [`forward_out_of_core`] then runs an engine forward pass one root
 //! partition at a time: build the partition's HDG against the store,
@@ -26,8 +26,9 @@
 use crate::err::StoreError;
 use crate::paged::PagedGraph;
 use flexgraph_engine::{hierarchical_aggregate, AggrPlan, AggrResult, MemoryBudget, Strategy};
+use flexgraph_graph::bfs::HopScratch;
 use flexgraph_graph::csr::VertexId;
-use flexgraph_hdg::build::cap_shell;
+use flexgraph_hdg::build::{hop_shell_records_in, select_hop_shells};
 use flexgraph_hdg::{Hdg, HdgBuilder, NeighborRecord, SchemaTree};
 use flexgraph_tensor::Tensor;
 
@@ -49,36 +50,20 @@ pub enum Neighborhood {
 }
 
 /// Exact-hop-distance shells `1..=k` from `root`, each sorted
-/// ascending — the paged equivalent of `bfs::hop_shells`, via a
-/// frontier BFS whose memory is the visited closure, not the graph.
+/// ascending — `bfs::hop_shells` over the paged store: the same
+/// depth-bounded frontier walk, reading out-neighbors from pinned
+/// segments.
 pub fn paged_hop_shells(
     pg: &PagedGraph,
     root: VertexId,
     k: usize,
 ) -> Result<Vec<Vec<VertexId>>, StoreError> {
-    let mut shells = Vec::with_capacity(k);
-    let mut visited = std::collections::HashSet::new();
-    visited.insert(root);
-    let mut frontier = vec![root];
-    for _ in 0..k {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            for u in pg.out_neighbors(v)? {
-                if visited.insert(u) {
-                    next.push(u);
-                }
-            }
-        }
-        next.sort_unstable();
-        frontier = next.clone();
-        shells.push(next);
-    }
-    Ok(shells)
+    HopScratch::new().shells(pg, root, k)
 }
 
 /// The capped hop-shell selection for one root against the paged store:
-/// `(type, leaves)` pairs, empty shells omitted — record-identical to
-/// `hdg::build::hop_shell_records` on the same graph.
+/// `(type, leaves)` pairs, empty shells omitted —
+/// `hdg::build::hop_shell_records` over the paged store.
 pub fn paged_hop_shell_records(
     pg: &PagedGraph,
     root: VertexId,
@@ -86,44 +71,29 @@ pub fn paged_hop_shell_records(
     cap: usize,
     seed: u64,
 ) -> Result<Vec<(u16, Vec<VertexId>)>, StoreError> {
-    let mut out = Vec::new();
-    for (t, mut shell) in paged_hop_shells(pg, root, k)?.into_iter().enumerate() {
-        if shell.is_empty() {
-            continue;
-        }
-        cap_shell(&mut shell, root, cap, seed);
-        out.push((t as u16, shell));
-    }
-    Ok(out)
+    hop_shell_records_in(&mut HopScratch::new(), pg, root, k, cap, seed)
 }
 
-/// Per-root neighbor records for `nbr`, in the in-RAM builders' push
+/// Neighbor records of `roots` for `nbr`, in the in-RAM builders' push
 /// order.
 fn neighbor_records(
     pg: &PagedGraph,
-    root: VertexId,
+    roots: &[VertexId],
     nbr: &Neighborhood,
 ) -> Result<Vec<NeighborRecord>, StoreError> {
     match *nbr {
-        Neighborhood::Direct => Ok(pg
-            .in_neighbors(root)?
-            .into_iter()
-            .map(|u| NeighborRecord {
-                root,
-                nei_type: 0,
-                leaves: vec![u],
-            })
-            .collect()),
-        Neighborhood::HopShells { k, cap, seed } => {
-            Ok(paged_hop_shell_records(pg, root, k, cap, seed)?
-                .into_iter()
-                .map(|(t, leaves)| NeighborRecord {
+        Neighborhood::Direct => {
+            let mut records = Vec::new();
+            for &root in roots {
+                records.extend(pg.in_neighbors(root)?.into_iter().map(|u| NeighborRecord {
                     root,
-                    nei_type: t,
-                    leaves,
-                })
-                .collect())
+                    nei_type: 0,
+                    leaves: vec![u],
+                }));
+            }
+            Ok(records)
         }
+        Neighborhood::HopShells { k, cap, seed } => select_hop_shells(pg, roots, k, cap, seed),
     }
 }
 
@@ -160,11 +130,10 @@ pub fn hdg_for(
     roots: Vec<VertexId>,
     nbr: &Neighborhood,
 ) -> Result<Hdg, StoreError> {
-    let mut b = HdgBuilder::new(schema_for(nbr), roots.clone());
-    for &v in &roots {
-        for rec in neighbor_records(pg, v, nbr)? {
-            b.push(rec);
-        }
+    let records = neighbor_records(pg, &roots, nbr)?;
+    let mut b = HdgBuilder::new(schema_for(nbr), roots);
+    for rec in records {
+        b.push(rec);
     }
     Ok(b.build())
 }
@@ -187,10 +156,7 @@ fn partition_hdg(
     roots: &[VertexId],
     nbr: &Neighborhood,
 ) -> Result<PartitionHdg, StoreError> {
-    let mut records = Vec::new();
-    for &v in roots {
-        records.extend(neighbor_records(pg, v, nbr)?);
-    }
+    let records = neighbor_records(pg, roots, nbr)?;
     let mut needed: Vec<VertexId> = records
         .iter()
         .flat_map(|r| r.leaves.iter().copied())

@@ -6,6 +6,7 @@ use crate::cache::{PageCache, PinnedSegment};
 use crate::err::StoreError;
 use crate::file::StoreReader;
 use flexgraph_engine::MemoryBudget;
+use flexgraph_graph::bfs::OutAdjacency;
 use flexgraph_graph::csr::{Graph, GraphBuilder, VertexId};
 use flexgraph_obs::PageCacheRecord;
 use std::path::Path;
@@ -103,6 +104,25 @@ impl PagedGraph {
             }
         }
         Ok(b.build())
+    }
+}
+
+impl OutAdjacency for PagedGraph {
+    type Error = StoreError;
+
+    fn num_vertices(&self) -> usize {
+        PagedGraph::num_vertices(self)
+    }
+
+    /// Reads `v`'s out-neighbors in place from its pinned segment — one
+    /// cache fetch, no copy.
+    fn for_each_out(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), StoreError> {
+        self.segment_for(v)?
+            .out_neighbors(v)
+            .iter()
+            .copied()
+            .for_each(visit);
+        Ok(())
     }
 }
 
