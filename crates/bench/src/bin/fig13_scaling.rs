@@ -3,7 +3,7 @@
 //! DistDGL-like), PinSage (FlexGraph vs DistDGL-like vs Euler-like) and
 //! MAGNN (FlexGraph only — no baseline expresses it).
 
-use flexgraph::dist::{make_shards, simulated_epoch, DistConfig, DistMode};
+use flexgraph::dist::{make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::engine::hybrid::{AggrOp, AggrPlan, Strategy};
 use flexgraph::graph::gen::reddit_like;
 use flexgraph::graph::partition::hash_partition;
@@ -14,7 +14,6 @@ use flexgraph_bench::workloads::pinsage_walk;
 use flexgraph_bench::{
     bench_scale, magnn_metapaths, secs, with_synthetic_types, MAGNN_INSTANCE_CAP,
 };
-use std::sync::Arc;
 
 fn run(
     ds: &Dataset,
@@ -25,13 +24,9 @@ fn run(
     build: &dyn Fn(&[VertexId]) -> Hdg,
 ) -> String {
     let part = hash_partition(&ds.graph, k);
-    let mut shards = make_shards(ds.graph.num_vertices(), &ds.features, &part, |roots| {
+    let shards = make_shards(ds.graph.num_vertices(), &ds.features, &part, |roots| {
         build(roots)
     });
-    let g = Arc::new(ds.graph.clone());
-    for s in &mut shards {
-        s.graph = Some(g.clone());
-    }
     let cfg = DistConfig {
         mode,
         leaf_op,
@@ -41,11 +36,11 @@ fn run(
         update_weight: Some(Tensor::eye(ds.feature_dim()).scale(0.1)),
         ..DistConfig::default()
     };
-    // Discrete-event simulation: per-worker compute measured in
-    // isolation + the modeled wire time (this host has a single core, so
-    // threaded wall time cannot express multi-machine scaling).
-    let rep = simulated_epoch(&ds.graph, &shards, &cfg);
-    secs(rep.epoch)
+    // Virtual time: charged per-worker compute units + the modeled wire
+    // (threaded wall time on a small host cannot express multi-machine
+    // scaling).
+    let net = NetProfile::from_cost_model(&cfg.cost_model);
+    secs(virtual_epoch(&ds.graph, &shards, &cfg, &net).virtual_time)
 }
 
 fn main() {

@@ -32,6 +32,7 @@
 use crate::chaos::{splitmix64, ChaosSchedule};
 use crate::clock;
 use crate::fabric::{CommError, RetryPolicy};
+use crate::worker::{SimTask, TaskStep, WorkerCtx};
 use bytes::Bytes;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -301,37 +302,6 @@ pub struct VMessage {
     pub at: Vt,
     /// Payload bytes.
     pub payload: Bytes,
-}
-
-/// What a task wants from the scheduler after a `step`.
-///
-/// A task returning [`TaskStep::Recv`] is parked until a matching
-/// message lands in its inbox, then stepped again — it must re-enter the
-/// state that called [`TaskCtx::try_recv`] and retry. A task returning
-/// [`TaskStep::Barrier`] must *first* advance its own state past the
-/// barrier: when released, its next step resumes there.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskStep {
-    /// Park until a message with `tag` from `from` is available.
-    Recv {
-        /// Sender rank to wait on.
-        from: usize,
-        /// Tag to wait on.
-        tag: u32,
-    },
-    /// Park until every worker reaches the barrier.
-    Barrier,
-    /// The task is finished (successfully or not); never stepped again.
-    Done,
-}
-
-/// A cooperative worker task: a state machine stepped by the scheduler.
-pub trait SimTask {
-    /// Runs until the task must block or finishes, returning what to
-    /// wait on. Called again when the wait is satisfied — or when a
-    /// failure is latched, which the task must check via
-    /// [`TaskCtx::failed`] at entry.
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep;
 }
 
 /// Configuration of a virtual cluster.
@@ -715,38 +685,30 @@ impl VirtualCluster {
     }
 }
 
-/// A task's window into the cluster while being stepped: its local
-/// virtual clock, compute charging, and the fabric send/receive surface.
+/// A task's window into the cluster while being stepped: the
+/// [`WorkerCtx`] surface on scheduled events and the task's local
+/// virtual clock.
 pub struct TaskCtx<'a> {
     rank: usize,
     cluster: &'a mut VirtualCluster,
 }
 
-impl TaskCtx<'_> {
-    /// This task's rank.
-    pub fn rank(&self) -> usize {
+impl WorkerCtx for TaskCtx<'_> {
+    fn rank(&self) -> usize {
         self.rank
     }
 
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
+    fn num_workers(&self) -> usize {
         self.cluster.k
     }
 
-    /// This task's local virtual time.
-    pub fn now(&self) -> Vt {
-        self.cluster.local_vt[self.rank]
-    }
-
-    /// This task's straggler compute multiplier (1.0 unless straggling).
-    pub fn compute_factor(&self) -> f64 {
+    fn compute_factor(&self) -> f64 {
         self.cluster.compute_mult[self.rank]
     }
 
     /// Advances the local clock by `units` of modeled compute, scaled by
-    /// the profile's rate and this worker's straggler factor. Returns
-    /// the charged nanoseconds.
-    pub fn charge(&mut self, units: u64) -> u64 {
+    /// the profile's rate and this worker's straggler factor.
+    fn charge(&mut self, units: u64) -> u64 {
         let ns = (units as f64
             * self.cluster.cfg.net.compute_ns_per_unit
             * self.cluster.compute_mult[self.rank]) as u64;
@@ -755,17 +717,15 @@ impl TaskCtx<'_> {
         ns
     }
 
-    /// The latched failure, if a peer crash has been detected.
-    pub fn failed(&self) -> Option<CommError> {
+    fn failed(&self) -> Option<CommError> {
         self.cluster.failed[self.rank].clone()
     }
 
-    /// Sends `payload` to `to` with `tag`, reliably: chaos drops are
-    /// collapsed into retransmission delays, so delivery is guaranteed
-    /// unless a crash intervenes. Returns [`CommError::Crashed`] when
-    /// this send hits the schedule's crash point, and the latched error
-    /// after a peer failure.
-    pub fn send(&mut self, to: usize, tag: u32, payload: Bytes) -> Result<(), CommError> {
+    /// Chaos drops are collapsed into retransmission delays, so delivery
+    /// is guaranteed unless a crash intervenes. Returns
+    /// [`CommError::Crashed`] when this send hits the schedule's crash
+    /// point, and the latched error after a peer failure.
+    fn send(&mut self, to: usize, tag: u32, payload: Bytes) -> Result<(), CommError> {
         let me = self.rank;
         if self.cluster.crashed[me] {
             return Err(CommError::Crashed);
@@ -784,16 +744,14 @@ impl TaskCtx<'_> {
         Ok(())
     }
 
-    /// Non-blocking receive of the next message with `tag` from `from`,
-    /// in per-link send order. `None` means the caller should park by
-    /// returning [`TaskStep::Recv`] with the same coordinates. Consuming
-    /// a message advances the local clock to its delivery time.
-    pub fn try_recv(&mut self, from: usize, tag: u32) -> Option<VMessage> {
+    /// Consuming a message advances the local clock to its delivery
+    /// time.
+    fn try_recv(&mut self, from: usize, tag: u32) -> Option<Bytes> {
         let me = self.rank;
         let q = self.cluster.inbox[me].get_mut(&(from, tag))?;
         let msg = q.pop_front()?;
         self.cluster.local_vt[me] = self.cluster.local_vt[me].max(msg.at);
-        Some(msg)
+        Some(msg.payload)
     }
 }
 
@@ -841,11 +799,12 @@ mod tests {
     /// from the previous — a ring that exercises send, park, and wake.
     struct Ring {
         state: u8,
-        got: Option<u64>,
+        /// The received payload byte: the sender's rank.
+        got: Option<u8>,
     }
 
     impl SimTask for Ring {
-        fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
+        fn step<C: WorkerCtx>(&mut self, ctx: &mut C) -> TaskStep {
             let k = ctx.num_workers();
             let me = ctx.rank();
             if ctx.failed().is_some() {
@@ -864,8 +823,8 @@ mod tests {
                         self.state = 1;
                     }
                     1 => match ctx.try_recv((me + k - 1) % k, 7) {
-                        Some(m) => {
-                            self.got = Some(m.seq);
+                        Some(payload) => {
+                            self.got = Some(payload[0]);
                             self.state = 2;
                         }
                         None => {
@@ -897,7 +856,8 @@ mod tests {
     fn ring_delivers_and_logs_deterministically() {
         let cfg = SimConfig::default();
         let (a, tasks) = run_ring(5, cfg.clone());
-        assert!(tasks.iter().all(|t| t.got == Some(1)));
+        let from: Vec<Option<u8>> = tasks.iter().map(|t| t.got).collect();
+        assert_eq!(from, [Some(4), Some(0), Some(1), Some(2), Some(3)]);
         assert_eq!(a.stats().messages, 5);
         let (b, _) = run_ring(5, cfg);
         assert_eq!(a.log_bytes(), b.log_bytes());
@@ -938,7 +898,8 @@ mod tests {
             ..Default::default()
         };
         let (cluster, tasks) = run_ring(3, cfg);
-        assert!(tasks.iter().all(|t| t.got == Some(1)));
+        let from: Vec<Option<u8>> = tasks.iter().map(|t| t.got).collect();
+        assert_eq!(from, [Some(2), Some(0), Some(1)], "each payload once");
         assert_eq!(cluster.stats().dups_injected, 3);
         assert_eq!(cluster.stats().redeliveries, 3);
     }
@@ -987,14 +948,14 @@ mod tests {
         assert!(cluster.stats().drops_injected >= 2);
     }
 
-    /// Tasks that meet at a barrier; rank 0 computes longer first.
+    /// Tasks that meet at a barrier and finish on release; rank 0
+    /// computes longer first.
     struct BarrierTask {
         state: u8,
-        release_vt: Vt,
     }
 
     impl SimTask for BarrierTask {
-        fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
+        fn step<C: WorkerCtx>(&mut self, ctx: &mut C) -> TaskStep {
             match self.state {
                 0 => {
                     if ctx.rank() == 0 {
@@ -1003,25 +964,17 @@ mod tests {
                     self.state = 1;
                     TaskStep::Barrier
                 }
-                _ => {
-                    self.release_vt = ctx.now();
-                    TaskStep::Done
-                }
+                _ => TaskStep::Done,
             }
         }
     }
 
     #[test]
     fn barrier_releases_everyone_at_the_slowest_entry() {
-        let mut tasks: Vec<BarrierTask> = (0..3)
-            .map(|_| BarrierTask {
-                state: 0,
-                release_vt: 0,
-            })
-            .collect();
+        let mut tasks: Vec<BarrierTask> = (0..3).map(|_| BarrierTask { state: 0 }).collect();
         let mut cluster = VirtualCluster::new(3, SimConfig::default());
         cluster.run(&mut tasks);
-        let vts: Vec<Vt> = tasks.iter().map(|t| t.release_vt).collect();
+        let vts: Vec<Vt> = (0..3).map(|r| cluster.task_vt(r)).collect();
         assert!(vts.iter().all(|&v| v == vts[0]), "common release: {vts:?}");
         assert!(vts[0] >= 1_000_000, "slowest entry dominates");
     }

@@ -24,7 +24,8 @@
 //! For cluster sizes beyond the host's core count, [`det`] provides a
 //! deterministic virtual-time discrete-event runtime with the same
 //! send/recv/barrier surface on cooperative tasks instead of threads;
-//! [`clock`] holds the timeout shapes both transports share.
+//! [`clock`] holds the timeout shapes both transports share, and
+//! [`worker`] the seam that lets one worker step machine run on either.
 
 pub mod chaos;
 pub mod clock;
@@ -32,6 +33,7 @@ pub mod codec;
 pub mod det;
 pub mod fabric;
 pub mod stats;
+pub mod worker;
 
 pub use chaos::{ChaosSchedule, CrashPoint};
 pub use codec::{
@@ -40,8 +42,9 @@ pub use codec::{
     ServeFrameError,
 };
 pub use det::{
-    fnv1a, EventWheel, FlakyRack, LinkSpec, NetProfile, SimConfig, SimTask, Straggler, TaskCtx,
-    TaskStep, VMessage, VirtualCluster, VirtualStats, Vt,
+    fnv1a, EventWheel, FlakyRack, LinkSpec, NetProfile, SimConfig, Straggler, TaskCtx, VMessage,
+    VirtualCluster, VirtualStats, Vt,
 };
 pub use fabric::{CommError, Fabric, Message, RetryPolicy, WorkerComm};
 pub use stats::{CommStats, CostModel, StatsSnapshot};
+pub use worker::{drive_blocking, SimTask, TaskStep, WorkerCtx};

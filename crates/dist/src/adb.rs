@@ -94,20 +94,6 @@ impl AdbController {
         added
     }
 
-    /// Records one simulated epoch's running log. The virtual runtime
-    /// attributes the same per-root cost units as the threaded one
-    /// (scaled by injected straggler factors), so the §6 loop closes on
-    /// simulated clusters far larger than the host: sweep → ingest →
-    /// rebalance, all in virtual time.
-    pub fn record_sim_epoch(
-        &mut self,
-        hdg: &Hdg,
-        dim: usize,
-        rep: &crate::sim::SimReport,
-    ) -> usize {
-        self.record_measured_epoch(hdg, dim, &rep.telemetry)
-    }
-
     /// Number of samples accumulated.
     pub fn num_samples(&self) -> usize {
         self.samples.len()

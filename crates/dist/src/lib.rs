@@ -20,10 +20,16 @@
 //!   per-vertex rows) overlapped with local aggregation while messages
 //!   are in flight.
 //!
-//! [`shard`] carves per-worker shards out of a dataset + partitioning;
-//! [`trainer`] runs distributed aggregation epochs over the
-//! [`flexgraph_comm`] fabric and reports wall time plus traffic, which
-//! is what the Figure 13 / 15 harnesses measure.
+//! [`shard`] carves per-worker shards out of a dataset + partitioning.
+//! The worker itself — FlexGraph's and the mini-batch baselines' — is
+//! written once, as a step machine over [`flexgraph_comm::WorkerCtx`]
+//! (the private `worker` module), and has two drivers: [`trainer`] runs
+//! one task per OS thread over the [`flexgraph_comm`] fabric and holds
+//! the epoch body both backends share (recovery, assembly, telemetry);
+//! [`sim`] runs a whole cluster of tasks on the deterministic
+//! virtual-time runtime. [`runtime`] names that choice as a trait for
+//! harnesses. Either way an epoch reports time plus traffic, which is
+//! what the Figure 13 / 15 harnesses measure.
 
 pub mod adb;
 pub mod balance;
@@ -32,6 +38,7 @@ pub mod runtime;
 pub mod shard;
 pub mod sim;
 pub mod trainer;
+mod worker;
 
 pub use adb::AdbController;
 pub use balance::{
@@ -42,5 +49,5 @@ pub use balance::{
 pub use pipeline::{build_leaf_sync, LeafSync, SlotLevel};
 pub use runtime::{EpochRuntime, ThreadedRuntime, VirtualRuntime};
 pub use shard::{make_shards, make_shards_paged, Shard};
-pub use sim::{simulated_epoch, virtual_epoch, SimReport, VirtualEpochReport};
+pub use sim::{virtual_epoch, VirtualEpochReport};
 pub use trainer::{distributed_epoch, DistConfig, DistMode, EpochReport};

@@ -14,11 +14,15 @@
 //!   arriving partials in. Only valid for commutative reductions — for
 //!   non-commutative UDFs FlexGraph still benefits from the message
 //!   batching (§5), which both modes here share (one message per peer).
+//!
+//! This module holds what both modes are planned from — the per-worker
+//! [`LeafSync`] and the wire-form encoders and folds; the step machine
+//! that executes them is the `worker` module.
 
 use crate::shard::Shard;
-use flexgraph_comm::{decode_rows_with, encode_flat_rows, encode_rows, CommError, WorkerComm};
+use flexgraph_comm::{decode_rows_with, encode_flat_rows};
 use flexgraph_graph::VertexId;
-use flexgraph_tensor::{scatter_add_gathered_into, ScatterPlan, Tensor};
+use flexgraph_tensor::{ScatterPlan, Tensor};
 use std::sync::Arc;
 
 /// The granularity of the first reduction level.
@@ -190,83 +194,6 @@ fn count_distinct(iter: impl Iterator<Item = u32>) -> usize {
     n
 }
 
-/// Pipelined leaf aggregation for one worker: send per-slot partial
-/// sums, aggregate local leaves while partials fly, fold in arrivals.
-/// Returns the `(num_slots, dim)` slot features (summed; divide by
-/// `slot_counts` afterwards for Mean).
-pub fn leaf_level_pipelined(
-    sync: &LeafSync,
-    local_feats: &Tensor,
-    comm: &mut WorkerComm,
-    tag: u32,
-    shard: &Shard,
-) -> Result<Tensor, CommError> {
-    let d = local_feats.cols();
-    let k = comm.num_workers();
-    let me = comm.rank();
-    flexgraph_obs::set_pipelined(true);
-
-    // (1) Sender side: one combined (partially aggregated) row per
-    // remote slot when that compresses, else deduplicated raw rows —
-    // either way a single batched message per peer (§5).
-    let send_timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::LeafSend);
-    let mut sent_bytes = 0u64;
-    for p in 0..k {
-        if p == me {
-            continue;
-        }
-        let payload = if sync.partial_to[p] {
-            encode_partials(sync, local_feats, p, d)
-        } else {
-            encode_raw_rows(sync, local_feats, shard, p, d)
-        };
-        sent_bytes += payload.len() as u64;
-        flexgraph_obs::record_send(payload.len() as u64, sync.partial_to[p]);
-        comm.send(p, tag, payload)?;
-    }
-    send_timer.stop(sent_bytes);
-
-    // (2) Local aggregation overlaps with the in-flight messages —
-    // executed as a slot-owned parallel fold through the cached plan.
-    let local_timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::LeafLocal);
-    let mut slots = Tensor::zeros(sync.num_slots, d);
-    scatter_add_gathered_into(&mut slots, local_feats, &sync.local_rows, &sync.local_plan);
-    local_timer.stop(sync.local_rows.len() as u64 * d as u64);
-
-    // (3) Fold in arrivals in *rank order* (streamed; no per-row
-    // allocation). f32 addition is not associative, so folding in
-    // arrival order would make the result depend on wire timing; the
-    // directed receive pins the fold order and keeps epoch outputs
-    // bitwise identical under any chaos schedule. The overlap is
-    // preserved — all messages were sent before the local fold started.
-    let fold_timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::LeafFold);
-    let mut fold_entries = 0u64;
-    let num_vertices = shard.owner.len();
-    for p in 0..k {
-        if p == me {
-            continue;
-        }
-        let msg = comm.recv_tag_from(p, tag)?;
-        if sync.partial_from[p] {
-            let mut rows = 0u64;
-            let dim = decode_rows_with(&msg.payload, |i, row| {
-                rows += 1;
-                let dst = slots.row_mut(i as usize);
-                for (o, &x) in dst.iter_mut().zip(row) {
-                    *o += x;
-                }
-            });
-            debug_assert_eq!(dim, d);
-            fold_entries += rows;
-        } else {
-            fold_raw_rows(sync, &mut slots, &msg.payload, p, d, num_vertices);
-            fold_entries += sync.remote_edges_by_owner[p].len() as u64;
-        }
-    }
-    fold_timer.stop(fold_entries * d as u64);
-    Ok(slots)
-}
-
 /// Encodes per-slot partial sums for peer `p` into one message.
 pub(crate) fn encode_partials(
     sync: &LeafSync,
@@ -340,82 +267,6 @@ pub(crate) fn fold_raw_rows(
     }
 }
 
-/// Unpipelined leaf aggregation: ship raw rows, wait for *all* of them,
-/// then aggregate (the dataflow baseline of §5/§7.7).
-pub fn leaf_level_unpipelined(
-    sync: &LeafSync,
-    local_feats: &Tensor,
-    comm: &mut WorkerComm,
-    tag: u32,
-    shard: &Shard,
-) -> Result<Tensor, CommError> {
-    let d = local_feats.cols();
-    let k = comm.num_workers();
-    let me = comm.rank();
-
-    // Ship raw rows: the distinct local vertices each peer depends on.
-    let send_timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::LeafSend);
-    let mut sent_bytes = 0u64;
-    for p in 0..k {
-        if p == me {
-            continue;
-        }
-        let mut rows: Vec<(u32, &[f32])> = Vec::new();
-        let mut last: Option<u32> = None;
-        let mut distinct: Vec<u32> = sync.serve[p].iter().map(|&(_, row)| row).collect();
-        distinct.sort_unstable();
-        for row in distinct {
-            if last != Some(row) {
-                // Key raw rows by *global vertex id* so the receiver can
-                // resolve them against its remote-edge list.
-                let v = shard.roots[row as usize];
-                rows.push((v, local_feats.row(row as usize)));
-                last = Some(row);
-            }
-        }
-        let payload = encode_rows(d, &rows);
-        sent_bytes += payload.len() as u64;
-        flexgraph_obs::record_send(payload.len() as u64, false);
-        comm.send(p, tag, payload)?;
-    }
-    send_timer.stop(sent_bytes);
-
-    // Dataflow semantics: all remote features must arrive before the
-    // Aggregate operation starts. Rows land in one flat table keyed by
-    // a dense vertex → offset array. (Arrival order only affects the
-    // table layout, not the fold order — that follows `remote_edges` —
-    // so any-source receive is already bitwise deterministic here.)
-    let mut remote_off = vec![u32::MAX; shard.owner.len()];
-    let mut remote_flat: Vec<f32> = Vec::new();
-    for _ in 0..k - 1 {
-        let msg = comm.recv_tag(tag)?;
-        let dim = decode_rows_with(&msg.payload, |v, row| {
-            remote_off[v as usize] = remote_flat.len() as u32;
-            remote_flat.extend_from_slice(row);
-        });
-        debug_assert_eq!(dim, d);
-    }
-
-    // Aggregate everything at once; the local part runs as the same
-    // planned slot-owned fold the pipelined mode uses.
-    let local_timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::LeafLocal);
-    let mut slots = Tensor::zeros(sync.num_slots, d);
-    scatter_add_gathered_into(&mut slots, local_feats, &sync.local_rows, &sync.local_plan);
-    local_timer.stop(sync.local_rows.len() as u64 * d as u64);
-    let fold_timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::LeafFold);
-    for &(i, leaf) in &sync.remote_edges {
-        let off = remote_off[leaf as usize];
-        debug_assert_ne!(off, u32::MAX, "peer shipped every depended-on row");
-        let row = &remote_flat[off as usize..off as usize + d];
-        let dst = slots.row_mut(i as usize);
-        for (o, &x) in dst.iter_mut().zip(row) {
-            *o += x;
-        }
-    }
-    fold_timer.stop(sync.remote_edges.len() as u64 * d as u64);
-    Ok(slots)
-}
-
 /// Divides summed slot features by the per-slot leaf counts (Mean
 /// finalization; slots with no leaves stay zero).
 pub fn finalize_mean(inst: &mut Tensor, counts: &[u32]) {
@@ -433,14 +284,17 @@ pub fn finalize_mean(inst: &mut Tensor, counts: &[u32]) {
 mod tests {
     use super::*;
     use crate::shard::make_shards;
-    use flexgraph_comm::{CostModel, Fabric};
+    use crate::trainer::{threaded_attempt, DistConfig, DistMode};
+    use crate::worker::EpochTask;
+    use flexgraph_comm::ChaosSchedule;
     use flexgraph_graph::csr::sample_graph;
     use flexgraph_graph::partition::hash_partition;
     use flexgraph_hdg::build::from_direct_neighbors;
     use flexgraph_tensor::fusion::{segment_reduce, Reduce};
 
-    /// Runs both modes over the sample graph with k workers and checks
-    /// them against the single-machine fused reference.
+    /// Drives the worker task over a fabric in both leaf-sync modes on
+    /// the sample graph with k workers and checks each shard's output
+    /// against the single-machine fused reference.
     fn check_modes(k: usize) {
         let g = sample_graph();
         let n = 9;
@@ -455,40 +309,26 @@ mod tests {
         // Single-machine reference: fused sum per root over in-edges.
         let reference = segment_reduce(&feats, g.in_offsets(), g.in_sources(), Reduce::Sum);
 
-        for pipelined in [true, false] {
-            let (_fabric, comms) = Fabric::new(k, CostModel::accounting_only());
-            let outputs: Vec<(usize, Tensor)> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = comms
-                    .into_iter()
-                    .map(|mut comm| {
-                        let shard = &shards[comm.rank()];
-                        let plan = &plans[comm.rank()];
-                        s.spawn(move |_| {
-                            let slots = if pipelined {
-                                leaf_level_pipelined(plan, &shard.feats, &mut comm, 1, shard)
-                            } else {
-                                leaf_level_unpipelined(plan, &shard.feats, &mut comm, 1, shard)
-                            }
-                            .unwrap();
-                            (comm.rank(), slots)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .unwrap();
+        for pipeline in [true, false] {
+            let cfg = DistConfig {
+                mode: DistMode::FlexGraph { pipeline },
+                ..DistConfig::default()
+            };
+            let mut tasks = EpochTask::fleet(&g, &shards, &plans, &cfg, 0);
+            threaded_attempt(&mut tasks, ChaosSchedule::default(), &cfg);
 
-            for (rank, slots) in outputs {
-                let shard = &shards[rank];
-                // Flat HDG with a single type: slots ARE the roots.
-                assert_eq!(plans[rank].level, SlotLevel::Groups);
+            for ((shard, plan), task) in shards.iter().zip(&plans).zip(&tasks) {
+                // Flat HDG with a single type under a flat Sum plan:
+                // slots ARE the roots, and the upper levels are identity.
+                assert_eq!(plan.level, SlotLevel::Groups);
+                let out = task.result().as_ref().expect("fault-free");
                 for (r, &v) in shard.roots.iter().enumerate() {
                     let want = reference.row(v as usize);
-                    let got = slots.row(r);
+                    let got = out.row(r);
                     for (a, b) in got.iter().zip(want) {
                         assert!(
                             (a - b).abs() < 1e-4,
-                            "pipelined={pipelined} root {v}: {got:?} vs {want:?}"
+                            "pipeline={pipeline} root {v}: {got:?} vs {want:?}"
                         );
                     }
                 }
@@ -504,62 +344,6 @@ mod tests {
     #[test]
     fn both_modes_match_single_machine_k4() {
         check_modes(4);
-    }
-
-    #[test]
-    fn pipelining_overlaps_local_work_with_wire_time() {
-        // The paper's §7.7 effect: with real wire latency, the pipelined
-        // mode hides local aggregation behind the in-flight partials,
-        // while the unpipelined mode pays wire + work sequentially.
-        let ds = flexgraph_graph::gen::community(3000, 4, 10, 3, 64, 3);
-        let g = ds.graph.clone();
-        let n = g.num_vertices();
-        let feats = ds.features.clone();
-        let part = hash_partition(&g, 2);
-        let shards = make_shards(n, &feats, &part, |roots| {
-            from_direct_neighbors(&g, roots.to_vec())
-        });
-        let plans = build_leaf_sync(&shards);
-
-        // 25 ms per message: wire time dominates thread-timing noise.
-        let model = CostModel {
-            alpha_us: 25_000.0,
-            bytes_per_us: 1e9,
-            simulate_delay: true,
-        };
-        let run = |pipelined: bool| -> std::time::Duration {
-            let (_fabric, comms) = Fabric::new(2, model);
-            let times: Vec<std::time::Duration> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = comms
-                    .into_iter()
-                    .map(|mut comm| {
-                        let shard = &shards[comm.rank()];
-                        let plan = &plans[comm.rank()];
-                        s.spawn(move |_| {
-                            let t0 = std::time::Instant::now();
-                            if pipelined {
-                                leaf_level_pipelined(plan, &shard.feats, &mut comm, 1, shard)
-                                    .unwrap();
-                            } else {
-                                leaf_level_unpipelined(plan, &shard.feats, &mut comm, 1, shard)
-                                    .unwrap();
-                            }
-                            t0.elapsed()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .unwrap();
-            times.into_iter().max().unwrap()
-        };
-
-        let piped = run(true);
-        let raw = run(false);
-        assert!(
-            piped < raw,
-            "overlap must shorten the epoch: pipelined {piped:?} vs raw {raw:?}"
-        );
     }
 
     #[test]

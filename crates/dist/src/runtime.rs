@@ -1,21 +1,21 @@
 //! Pluggable epoch execution backends.
 //!
-//! The trainer's algorithms are runtime-agnostic: an epoch is "k workers
-//! aggregate, synchronize leaves, and report". [`EpochRuntime`] names
-//! that seam so harnesses (benches, sweeps, tests) can run the same
-//! experiment on either backend:
+//! There is one distributed worker (`dist::worker`) and two drivers for
+//! it. [`EpochRuntime`] names that seam so harnesses (benches, sweeps,
+//! tests) can run the same experiment on either:
 //!
-//! * [`ThreadedRuntime`] — real OS threads over the crossbeam fabric
-//!   ([`distributed_epoch`]); wall times are genuine, worker count is
-//!   bounded by the host.
-//! * [`VirtualRuntime`] — cooperative tasks on the deterministic
-//!   discrete-event scheduler ([`crate::sim::virtual_epoch`]); wall
-//!   times are virtual (modeled from the [`NetProfile`]), worker count
-//!   is bounded only by memory, and runs replay byte-identically.
+//! * [`ThreadedRuntime`] — one OS thread per worker over the crossbeam
+//!   fabric ([`distributed_epoch`]); wall times are genuine, worker
+//!   count is bounded by the host.
+//! * [`VirtualRuntime`] — the workers stepped cooperatively by the
+//!   deterministic discrete-event scheduler
+//!   ([`crate::sim::virtual_epoch`]); wall times are virtual (modeled
+//!   from the [`NetProfile`]), worker count is bounded only by memory,
+//!   and runs replay byte-identically.
 //!
-//! Fault-free, both produce bitwise-identical features — so a sweep can
-//! validate at small `k` on threads and extrapolate at `k = 1024`
-//! virtually.
+//! Both produce bitwise-identical features and the same deterministic
+//! telemetry — so a sweep can validate at small `k` on threads and
+//! extrapolate at `k = 1024` virtually.
 
 use crate::shard::Shard;
 use crate::sim::virtual_epoch;

@@ -6,7 +6,7 @@
 //! vertices its partition owns, and every cross-partition feature access
 //! goes through the comm fabric.
 
-use flexgraph_graph::{Graph, Partitioning, VertexId};
+use flexgraph_graph::{Partitioning, VertexId};
 use flexgraph_hdg::Hdg;
 use flexgraph_store::ooc::{hdg_for, Neighborhood};
 use flexgraph_store::{PagedGraph, StoreError};
@@ -30,10 +30,6 @@ pub struct Shard {
     pub owner: Arc<Vec<u32>>,
     /// Owned vertex → local feature row.
     pub local_row: HashMap<VertexId, u32>,
-    /// The replicated input graph (read-only; needed by execution modes
-    /// that expand neighborhoods at run time, e.g. DistDGL-like k-hop
-    /// closures).
-    pub graph: Option<Arc<Graph>>,
 }
 
 impl Shard {
@@ -75,7 +71,6 @@ pub fn make_shards(
                 feats: local,
                 owner: owner.clone(),
                 local_row,
-                graph: None,
             }
         })
         .collect()
@@ -89,10 +84,6 @@ pub fn make_shards(
 /// roots, same HDG arrays, same feature rows), since the paged HDG
 /// builders are record-identical to `hdg::build` — the property the
 /// `paged_store_parity` suite pins.
-///
-/// `graph` is left `None`: execution modes that need run-time
-/// neighborhood expansion should query the store instead of a
-/// replicated in-RAM graph.
 pub fn make_shards_paged(
     pg: &PagedGraph,
     part: &Partitioning,
@@ -126,7 +117,6 @@ pub fn make_shards_paged(
                 feats: local,
                 owner: owner.clone(),
                 local_row,
-                graph: None,
             })
         })
         .collect()
@@ -192,7 +182,6 @@ mod tests {
             assert_eq!(a.hdg.inst_offsets(), b.hdg.inst_offsets());
             assert_eq!(a.hdg.group_offsets(), b.hdg.group_offsets());
             assert_eq!(a.owner, b.owner);
-            assert!(b.graph.is_none());
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,12 +1,11 @@
-//! Virtual-time simulation of distributed epochs.
+//! The virtual-time backend of distributed epochs.
 //!
-//! The threaded runtime ([`crate::trainer::distributed_epoch`]) executes
-//! workers as real threads, which caps simulated cluster sizes at the
-//! host's core count and makes every timing curve hostage to the OS
-//! scheduler. This module runs the *same worker algorithms* — literally
-//! the same encode/fold/aggregate helpers — as cooperative state-machine
-//! tasks on the deterministic discrete-event runtime
-//! ([`flexgraph_comm::det`]):
+//! The threaded backend ([`crate::trainer::distributed_epoch`]) gives
+//! every worker an OS thread, which caps cluster sizes at the host's
+//! core count and makes every timing curve hostage to the OS scheduler.
+//! [`virtual_epoch`] drives the *same* [`crate::worker`] tasks from the
+//! deterministic discrete-event runtime ([`flexgraph_comm::det`])
+//! instead:
 //!
 //! * a thousand workers fit on one core, because "waiting" for the
 //!   virtual wire costs no wall time;
@@ -15,63 +14,32 @@
 //!   shapes (Figures 13/15) appear even on a single-core host;
 //! * the whole epoch is deterministic: the same seed replays the same
 //!   event sequence byte for byte, at any `FLEXGRAPH_THREADS`;
-//! * fault-free outputs are **bitwise identical** to the threaded
-//!   runtime's, because sends, folds, and upper-level aggregation run in
-//!   exactly the order the threaded workers pin them to.
+//! * outputs and deterministic telemetry equal the threaded backend's
+//!   bit for bit, because it is one worker under two drivers.
 //!
-//! [`virtual_epoch`] mirrors the threaded trainer's recovery loop: a
-//! scheduled crash fails the attempt, the epoch is re-driven crash-free
-//! on a fresh virtual cluster, and the recovered output is bitwise
-//! identical to a fault-free run. [`simulated_epoch`] keeps the legacy
-//! analytic-sim surface, delegating to the virtual runtime with a
-//! uniform [`NetProfile`] derived from the configured cost model.
+//! Recovery is the shared loop of [`crate::trainer`]: a scheduled crash
+//! fails the attempt, the epoch is re-driven crash-free on a fresh
+//! virtual cluster, and the recovered output is bitwise identical to a
+//! fault-free run. For the uniform network a threaded [`CostModel`]
+//! describes, pass `&NetProfile::from_cost_model(&cfg.cost_model)`.
+//!
+//! [`CostModel`]: flexgraph_comm::CostModel
 
-use crate::pipeline::{build_leaf_sync, encode_partials, encode_raw_rows, fold_raw_rows, LeafSync};
 use crate::shard::Shard;
-use crate::trainer::{finish_upper_levels, DistConfig, DistMode, EpochReport};
+use crate::trainer::{run_epoch, Attempt, DistConfig, EpochReport};
 use flexgraph_comm::det::fnv1a;
-use flexgraph_comm::{
-    decode_rows, decode_rows_with, encode_rows, ChaosSchedule, CommError, NetProfile, SimConfig,
-    SimTask, TaskCtx, TaskStep, VirtualCluster, VirtualStats,
-};
-use flexgraph_graph::bfs::k_hop_closure;
-use flexgraph_graph::{Graph, VertexId};
-use flexgraph_obs::{FabricCounters, PartitionRecord, Stage, TraceEpoch};
-use flexgraph_tensor::scatter::scatter_add;
-use flexgraph_tensor::{scatter_add_gathered_into, Tensor};
-use std::collections::HashMap;
+use flexgraph_comm::{NetProfile, SimConfig, VirtualCluster};
+use flexgraph_graph::Graph;
+use flexgraph_obs::FabricCounters;
 use std::time::Duration;
-
-/// Tag of the leaf-level messages (same as the threaded worker's).
-const LEAF_TAG: u32 = 1;
-/// Tag of the mini-batch round-count agreement exchange.
-const ROUNDS_TAG: u32 = 5;
-
-/// Result of a simulated epoch.
-pub struct SimReport {
-    /// Assembled `(num_vertices, d_out)` per-root results (bitwise
-    /// identical to the threaded runtime's output when fault-free).
-    pub features: Tensor,
-    /// Virtual epoch duration: the slowest worker's virtual clock.
-    pub epoch: Duration,
-    /// Sum of per-worker charged virtual compute (diagnostics).
-    pub total_compute: Duration,
-    /// Total bytes that crossed the virtual wire.
-    pub comm_bytes: u64,
-    /// Total messages.
-    pub comm_messages: u64,
-    /// The merged epoch telemetry (stage samples with deterministic
-    /// virtual wall times, per-root costs scaled by straggler factors,
-    /// fabric counters, and the virtual duration) — what
-    /// `AdbController::record_sim_epoch` consumes.
-    pub telemetry: TraceEpoch,
-}
 
 /// Result of one [`virtual_epoch`]: the threaded-shaped report plus the
 /// virtual-runtime extras (event log, digests, virtual clocks).
 pub struct VirtualEpochReport {
     /// The epoch's measurements in the threaded report shape; `wall`
-    /// carries the *virtual* epoch duration.
+    /// carries the *virtual* epoch duration, and the telemetry's stage
+    /// nanoseconds and per-root costs are modeled (scaled by straggler
+    /// factors).
     pub report: EpochReport,
     /// Virtual epoch duration (slowest worker's virtual clock).
     pub virtual_time: Duration,
@@ -85,29 +53,9 @@ pub struct VirtualEpochReport {
     pub log_digest: (u64, u64),
 }
 
-/// Runs a simulated distributed epoch on the virtual runtime with a
-/// uniform network derived from `cfg.cost_model` (see module docs).
-pub fn simulated_epoch(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> SimReport {
-    let net = NetProfile::from_cost_model(&cfg.cost_model);
-    let v = virtual_epoch(graph, shards, cfg, &net);
-    SimReport {
-        features: v.report.features,
-        epoch: v.virtual_time,
-        total_compute: v.total_compute,
-        comm_bytes: v.report.comm_bytes,
-        comm_messages: v.report.comm_messages,
-        telemetry: v.report.telemetry,
-    }
-}
-
-/// Runs one distributed epoch on the deterministic virtual runtime.
-///
-/// Mirrors the threaded trainer end to end: entry barrier, the mode's
-/// worker algorithm (reusing the exact pipeline helpers, so fault-free
-/// outputs are bitwise identical), per-root cost attribution (scaled by
-/// straggler compute factors so measured-cost balancing sees injected
-/// skew), telemetry merge in rank order, and the crash-recovery re-drive
-/// loop with accumulated fault counters.
+/// Runs one distributed epoch on the deterministic virtual runtime: a
+/// fresh [`VirtualCluster`] per attempt, under the recovery loop
+/// [`crate::trainer::distributed_epoch`] documents.
 ///
 /// # Panics
 ///
@@ -119,783 +67,39 @@ pub fn virtual_epoch(
     cfg: &DistConfig,
     net: &NetProfile,
 ) -> VirtualEpochReport {
-    let k = shards.len();
-    let n = graph.num_vertices();
-    let syncs = build_leaf_sync(shards);
-    let epoch_id = flexgraph_obs::next_epoch();
-
-    let mut recoveries = 0u32;
-    let mut acc = VirtualStats::default();
     let mut event_log = String::new();
-
-    loop {
-        // The crash is a one-shot fault: re-driven epochs keep the
-        // message-level chaos but the worker stays up (same policy as
-        // the threaded trainer).
-        let chaos = match cfg.chaos {
-            Some(c) if recoveries == 0 => c,
-            Some(c) => c.without_crash(),
-            None => ChaosSchedule::default(),
-        };
+    let mut total_compute = Duration::ZERO;
+    let report = run_epoch(graph, shards, cfg, |tasks, chaos| {
         let sim_cfg = SimConfig {
             net: net.clone(),
             retry: cfg.retry,
             chaos,
         };
-        let mut cluster = VirtualCluster::new(k, sim_cfg);
-        let mut tasks: Vec<EpochTask> = (0..k)
-            .map(|r| EpochTask::new(&shards[r], &syncs[r], cfg, epoch_id))
-            .collect();
-        cluster.run(&mut tasks);
-
-        let s = *cluster.stats();
-        acc.messages += s.messages;
-        acc.bytes += s.bytes;
-        acc.modeled_ns += s.modeled_ns;
-        acc.retries += s.retries;
-        acc.drops_injected += s.drops_injected;
-        acc.dups_injected += s.dups_injected;
-        acc.redeliveries += s.redeliveries;
+        let mut cluster = VirtualCluster::new(tasks.len(), sim_cfg);
+        cluster.run(tasks);
         event_log.push_str(&cluster.take_log());
-
-        let failures: Vec<(usize, CommError)> = tasks
-            .iter()
-            .enumerate()
-            .filter_map(|(r, t)| t.result().as_ref().err().map(|e| (r, e.clone())))
-            .collect();
-        if !failures.is_empty() {
-            recoveries += 1;
-            assert!(
-                recoveries <= cfg.max_recoveries,
-                "epoch unrecoverable after {} re-drives: {failures:?}",
-                recoveries - 1
-            );
-            continue;
+        total_compute = Duration::from_nanos(cluster.total_compute_ns());
+        let stats = cluster.stats();
+        Attempt {
+            fabric: FabricCounters {
+                bytes: stats.bytes,
+                messages: stats.messages,
+                retries: stats.retries,
+                drops_injected: stats.drops_injected,
+                redeliveries: stats.redeliveries,
+            },
+            modeled_us: stats.modeled_ns as f64 / 1_000.0,
+            wall: Duration::from_nanos(cluster.epoch_vt()),
+            virtual_ns: cluster.epoch_vt(),
         }
-
-        let virtual_time = Duration::from_nanos(cluster.epoch_vt());
-        let total_compute = Duration::from_nanos(cluster.total_compute_ns());
-        let d_out = tasks[0].result().as_ref().expect("no failures").cols();
-        let mut features = Tensor::zeros(n, d_out);
-        let mut telemetry = TraceEpoch::new(epoch_id);
-        for (rank, task) in tasks.into_iter().enumerate() {
-            let (out, rec) = task.into_parts();
-            let out = out.expect("no failures");
-            for (i, &v) in shards[rank].roots.iter().enumerate() {
-                features.row_mut(v as usize).copy_from_slice(out.row(i));
-            }
-            telemetry.absorb(rec);
-        }
-        // Traffic of the successful attempt is deterministic; the
-        // fault-path counters carry the totals across all attempts.
-        telemetry.fabric = FabricCounters {
-            bytes: s.bytes,
-            messages: s.messages,
-            retries: acc.retries,
-            drops_injected: acc.drops_injected,
-            redeliveries: acc.redeliveries,
-        };
-        telemetry.virtual_ns = cluster.epoch_vt();
-        flexgraph_obs::emit_epoch(&telemetry);
-
-        let log_digest = (event_log.len() as u64, fnv1a(event_log.as_bytes()));
-        let report = EpochReport {
-            features,
-            wall: virtual_time,
-            comm_bytes: acc.bytes,
-            comm_messages: acc.messages,
-            modeled_comm_us: acc.modeled_ns as f64 / 1_000.0,
-            retries: acc.retries,
-            drops_injected: acc.drops_injected,
-            redeliveries: acc.redeliveries,
-            recoveries,
-            telemetry,
-        };
-        return VirtualEpochReport {
-            report,
-            virtual_time,
-            total_compute,
-            event_log,
-            log_digest,
-        };
-    }
-}
-
-/// Adds one stage sample (`invocations += 1`) with deterministic virtual
-/// wall nanoseconds.
-fn record_stage(rec: &mut PartitionRecord, stage: Stage, work: u64, wall_ns: u64) {
-    let s = rec.stage_mut(stage);
-    s.invocations += 1;
-    s.work += work;
-    s.wall_ns += wall_ns;
-}
-
-/// Virtual analogue of the trainer's root-cost attribution, written
-/// straight into the task's record (the thread-local probe is inactive
-/// inside the scheduler) and scaled by the straggler compute factor so
-/// measured-cost balancing sees injected skew.
-fn attribute_root_costs_scaled(
-    shard: &Shard,
-    sync: &LeafSync,
-    factor: f64,
-    rec: &mut PartitionRecord,
-) {
-    let d = shard.feats.cols() as u64;
-    let t = shard.hdg.num_types() as u64;
-    for r in 0..shard.hdg.num_roots() {
-        let lo = sync.root_slot_off[r];
-        let hi = sync.root_slot_off[r + 1];
-        let leaf_entries: u64 = sync.slot_counts[lo..hi].iter().map(|&c| c as u64).sum();
-        let instances = shard.hdg.instances_of_root(r) as u64;
-        let units = 5 + (leaf_entries + instances + t) * d;
-        rec.add_root_cost(shard.roots[r], (units as f64 * factor) as u64);
-    }
-}
-
-/// One worker task of either execution mode.
-#[allow(clippy::large_enum_variant)]
-enum EpochTask<'a> {
-    Flex(FlexTask<'a>),
-    Mini(MiniTask<'a>),
-}
-
-impl<'a> EpochTask<'a> {
-    fn new(shard: &'a Shard, sync: &'a LeafSync, cfg: &'a DistConfig, epoch_id: u64) -> Self {
-        match cfg.mode {
-            DistMode::FlexGraph { pipeline } => {
-                Self::Flex(FlexTask::new(shard, sync, cfg, pipeline, epoch_id))
-            }
-            DistMode::EulerLike { batch_size } => {
-                Self::Mini(MiniTask::new(shard, sync, cfg, batch_size, None, epoch_id))
-            }
-            DistMode::DistDglLike { batch_size, hops } => Self::Mini(MiniTask::new(
-                shard,
-                sync,
-                cfg,
-                batch_size,
-                Some(hops),
-                epoch_id,
-            )),
-        }
-    }
-
-    /// The finished task's outcome (valid after `VirtualCluster::run`).
-    fn result(&self) -> &Result<Tensor, CommError> {
-        match self {
-            Self::Flex(t) => t.out.as_ref().expect("task finished"),
-            Self::Mini(t) => t.out.as_ref().expect("task finished"),
-        }
-    }
-
-    fn into_parts(self) -> (Result<Tensor, CommError>, PartitionRecord) {
-        match self {
-            Self::Flex(t) => (t.out.expect("task finished"), t.rec),
-            Self::Mini(t) => (t.out.expect("task finished"), t.rec),
-        }
-    }
-}
-
-impl SimTask for EpochTask<'_> {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
-        match self {
-            Self::Flex(t) => t.step(ctx),
-            Self::Mini(t) => t.step(ctx),
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum FlexState {
-    Entry,
-    Send,
-    Fold { p: usize },
-    Finish,
-}
-
-/// The FlexGraph worker as a cooperative state machine: the exact
-/// send/fold sequence of `leaf_level_pipelined` / `leaf_level_unpipelined`
-/// (same helpers, same rank order — bitwise-identical outputs), with
-/// compute charged in the stages' deterministic work units.
-struct FlexTask<'a> {
-    shard: &'a Shard,
-    sync: &'a LeafSync,
-    cfg: &'a DistConfig,
-    pipeline: bool,
-    state: FlexState,
-    slots: Option<Tensor>,
-    /// Unpipelined receive table: dense vertex → payload offset.
-    remote_off: Vec<u32>,
-    remote_flat: Vec<f32>,
-    fold_entries: u64,
-    fold_ns: u64,
-    rec: PartitionRecord,
-    out: Option<Result<Tensor, CommError>>,
-}
-
-impl<'a> FlexTask<'a> {
-    fn new(
-        shard: &'a Shard,
-        sync: &'a LeafSync,
-        cfg: &'a DistConfig,
-        pipeline: bool,
-        epoch_id: u64,
-    ) -> Self {
-        let mut rec = PartitionRecord::new(epoch_id, shard.rank as u32);
-        rec.pipelined = pipeline;
-        Self {
-            shard,
-            sync,
-            cfg,
-            pipeline,
-            state: FlexState::Entry,
-            slots: None,
-            remote_off: Vec::new(),
-            remote_flat: Vec::new(),
-            fold_entries: 0,
-            fold_ns: 0,
-            rec,
-            out: None,
-        }
-    }
-
-    fn fail(&mut self, e: CommError) -> TaskStep {
-        self.out = Some(Err(e));
-        TaskStep::Done
-    }
-}
-
-impl SimTask for FlexTask<'_> {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
-        // A latched peer failure aborts the attempt wherever the task
-        // was parked (the wake after a latch fires only once — never
-        // re-park past this point).
-        if let Some(e) = ctx.failed() {
-            if self.out.is_none() {
-                self.out = Some(Err(e));
-            }
-            return TaskStep::Done;
-        }
-        let k = ctx.num_workers();
-        let me = ctx.rank();
-        let d = self.shard.feats.cols();
-        loop {
-            match self.state {
-                FlexState::Entry => {
-                    self.state = FlexState::Send;
-                    return TaskStep::Barrier;
-                }
-                FlexState::Send => {
-                    let mut sent_bytes = 0u64;
-                    let mut send_ns = 0u64;
-                    for p in 0..k {
-                        if p == me {
-                            continue;
-                        }
-                        // The pipelined sender picks the cheaper wire
-                        // form per peer; the unpipelined baseline always
-                        // ships raw rows.
-                        let partial = self.pipeline && self.sync.partial_to[p];
-                        let payload = if partial {
-                            encode_partials(self.sync, &self.shard.feats, p, d)
-                        } else {
-                            encode_raw_rows(self.sync, &self.shard.feats, self.shard, p, d)
-                        };
-                        let len = payload.len() as u64;
-                        sent_bytes += len;
-                        send_ns += ctx.charge(len);
-                        self.rec.comm.messages += 1;
-                        self.rec.comm.bytes += len;
-                        if partial {
-                            self.rec.comm.partial_msgs += 1;
-                        } else {
-                            self.rec.comm.raw_msgs += 1;
-                        }
-                        if let Err(e) = ctx.send(p, LEAF_TAG, payload) {
-                            return self.fail(e);
-                        }
-                    }
-                    record_stage(&mut self.rec, Stage::LeafSend, sent_bytes, send_ns);
-                    if self.pipeline {
-                        // Local planned fold overlaps the in-flight
-                        // partials — charged before any receive parks.
-                        let mut slots = Tensor::zeros(self.sync.num_slots, d);
-                        scatter_add_gathered_into(
-                            &mut slots,
-                            &self.shard.feats,
-                            &self.sync.local_rows,
-                            &self.sync.local_plan,
-                        );
-                        let work = self.sync.local_rows.len() as u64 * d as u64;
-                        let ns = ctx.charge(work);
-                        record_stage(&mut self.rec, Stage::LeafLocal, work, ns);
-                        self.slots = Some(slots);
-                    } else {
-                        self.remote_off = vec![u32::MAX; self.shard.owner.len()];
-                    }
-                    self.state = FlexState::Fold { p: 0 };
-                }
-                FlexState::Fold { p } if p >= k => {
-                    if self.pipeline {
-                        record_stage(
-                            &mut self.rec,
-                            Stage::LeafFold,
-                            self.fold_entries * d as u64,
-                            self.fold_ns,
-                        );
-                    } else {
-                        // Dataflow semantics: aggregate only after every
-                        // remote row has arrived.
-                        let mut slots = Tensor::zeros(self.sync.num_slots, d);
-                        scatter_add_gathered_into(
-                            &mut slots,
-                            &self.shard.feats,
-                            &self.sync.local_rows,
-                            &self.sync.local_plan,
-                        );
-                        let lwork = self.sync.local_rows.len() as u64 * d as u64;
-                        let lns = ctx.charge(lwork);
-                        record_stage(&mut self.rec, Stage::LeafLocal, lwork, lns);
-                        for &(i, leaf) in &self.sync.remote_edges {
-                            let off = self.remote_off[leaf as usize];
-                            debug_assert_ne!(off, u32::MAX, "peer shipped every depended-on row");
-                            let dst = slots.row_mut(i as usize);
-                            let src = &self.remote_flat[off as usize..off as usize + d];
-                            for (o, &x) in dst.iter_mut().zip(src) {
-                                *o += x;
-                            }
-                        }
-                        let fwork = self.sync.remote_edges.len() as u64 * d as u64;
-                        let fns = ctx.charge(fwork);
-                        record_stage(&mut self.rec, Stage::LeafFold, fwork, fns);
-                        self.slots = Some(slots);
-                    }
-                    self.state = FlexState::Finish;
-                }
-                FlexState::Fold { p } if p == me => {
-                    self.state = FlexState::Fold { p: p + 1 };
-                }
-                FlexState::Fold { p } => {
-                    let Some(msg) = ctx.try_recv(p, LEAF_TAG) else {
-                        return TaskStep::Recv {
-                            from: p,
-                            tag: LEAF_TAG,
-                        };
-                    };
-                    if self.pipeline {
-                        // Fold in rank order — the same pinned order the
-                        // threaded worker uses for bitwise determinism.
-                        let slots = self.slots.as_mut().expect("local fold done");
-                        if self.sync.partial_from[p] {
-                            let mut rows = 0u64;
-                            let dim = decode_rows_with(&msg.payload, |i, row| {
-                                rows += 1;
-                                let dst = slots.row_mut(i as usize);
-                                for (o, &x) in dst.iter_mut().zip(row) {
-                                    *o += x;
-                                }
-                            });
-                            debug_assert_eq!(dim, d);
-                            self.fold_entries += rows;
-                            self.fold_ns += ctx.charge(rows * d as u64);
-                        } else {
-                            fold_raw_rows(
-                                self.sync,
-                                slots,
-                                &msg.payload,
-                                p,
-                                d,
-                                self.shard.owner.len(),
-                            );
-                            let entries = self.sync.remote_edges_by_owner[p].len() as u64;
-                            self.fold_entries += entries;
-                            self.fold_ns += ctx.charge(entries * d as u64);
-                        }
-                    } else {
-                        // Table fill only; the fold happens after the
-                        // last arrival (and its order follows
-                        // `remote_edges`, so receive order is moot).
-                        let dim = decode_rows_with(&msg.payload, |v, row| {
-                            self.remote_off[v as usize] = self.remote_flat.len() as u32;
-                            self.remote_flat.extend_from_slice(row);
-                        });
-                        debug_assert_eq!(dim, d);
-                    }
-                    self.state = FlexState::Fold { p: p + 1 };
-                }
-                FlexState::Finish => {
-                    let slots = self.slots.take().expect("leaf level complete");
-                    let upper_work = (self.sync.num_slots
-                        + self.shard.hdg.num_instances()
-                        + self.shard.hdg.num_roots()) as u64
-                        * d as u64;
-                    let out = finish_upper_levels(
-                        self.shard,
-                        self.sync,
-                        slots,
-                        self.cfg.leaf_op,
-                        &self.cfg.plan,
-                        self.cfg.strategy,
-                    );
-                    let ns = ctx.charge(upper_work);
-                    record_stage(&mut self.rec, Stage::Upper, upper_work, ns);
-                    let out = match &self.cfg.update_weight {
-                        Some(w) => {
-                            let work = out.rows() as u64 * out.cols() as u64 * w.cols() as u64;
-                            let mut o = out.matmul(w);
-                            o.relu_inplace();
-                            let ns = ctx.charge(work);
-                            record_stage(&mut self.rec, Stage::Update, work, ns);
-                            o
-                        }
-                        None => out,
-                    };
-                    attribute_root_costs_scaled(
-                        self.shard,
-                        self.sync,
-                        ctx.compute_factor(),
-                        &mut self.rec,
-                    );
-                    self.out = Some(Ok(out));
-                    return TaskStep::Done;
-                }
-            }
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum MiniState {
-    Entry,
-    SyncSend,
-    SyncRecv { p: usize },
-    RoundStart { round: usize },
-    ServeRecv { round: usize, p: usize },
-    RespRecv { round: usize, p: usize },
-    Finish,
-}
-
-/// The mini-batch worker (Euler-like / DistDGL-like) as a cooperative
-/// state machine: round-count agreement, then per-round request → serve
-/// → response → aggregate, mirroring `minibatch_worker_epoch` exactly.
-/// Receives are rank-ordered where the threaded worker accepts any
-/// source — safe, because serving is per-request and the response table
-/// is keyed by vertex, so arrival order never reaches the arithmetic.
-struct MiniTask<'a> {
-    shard: &'a Shard,
-    sync: &'a LeafSync,
-    cfg: &'a DistConfig,
-    batch_size: usize,
-    hops: Option<usize>,
-    state: MiniState,
-    rounds: usize,
-    slots: Option<Tensor>,
-    responses: HashMap<u32, Vec<f32>>,
-    served_bytes: u64,
-    serve_ns: u64,
-    rec: PartitionRecord,
-    out: Option<Result<Tensor, CommError>>,
-}
-
-impl<'a> MiniTask<'a> {
-    fn new(
-        shard: &'a Shard,
-        sync: &'a LeafSync,
-        cfg: &'a DistConfig,
-        batch_size: usize,
-        hops: Option<usize>,
-        epoch_id: u64,
-    ) -> Self {
-        Self {
-            shard,
-            sync,
-            cfg,
-            batch_size,
-            hops,
-            state: MiniState::Entry,
-            rounds: 0,
-            slots: None,
-            responses: HashMap::new(),
-            served_bytes: 0,
-            serve_ns: 0,
-            rec: PartitionRecord::new(epoch_id, shard.rank as u32),
-            out: None,
-        }
-    }
-
-    fn fail(&mut self, e: CommError) -> TaskStep {
-        self.out = Some(Err(e));
-        TaskStep::Done
-    }
-
-    /// Slot range of one batch's roots.
-    fn batch_slots(&self, round: usize) -> (usize, usize, usize, usize) {
-        let n_roots = self.shard.roots.len();
-        let lo_root = round * self.batch_size;
-        let hi_root = ((round + 1) * self.batch_size).min(n_roots);
-        if lo_root >= hi_root {
-            return (lo_root, lo_root, 0, 0);
-        }
-        (
-            lo_root,
-            hi_root,
-            self.sync.root_slot_off[lo_root],
-            self.sync.root_slot_off[hi_root],
-        )
-    }
-}
-
-impl SimTask for MiniTask<'_> {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskStep {
-        if let Some(e) = ctx.failed() {
-            if self.out.is_none() {
-                self.out = Some(Err(e));
-            }
-            return TaskStep::Done;
-        }
-        let k = ctx.num_workers();
-        let me = ctx.rank();
-        let d = self.shard.feats.cols();
-        let n_roots = self.shard.roots.len();
-        loop {
-            match self.state {
-                MiniState::Entry => {
-                    self.state = MiniState::SyncSend;
-                    return TaskStep::Barrier;
-                }
-                MiniState::SyncSend => {
-                    // All workers must run the same number of rounds.
-                    self.rounds = n_roots.div_ceil(self.batch_size.max(1));
-                    let payload = encode_rows(0, &[(self.rounds as u32, [].as_slice())]);
-                    for p in 0..k {
-                        if p == me {
-                            continue;
-                        }
-                        if let Err(e) = ctx.send(p, ROUNDS_TAG, payload.clone()) {
-                            return self.fail(e);
-                        }
-                    }
-                    self.state = MiniState::SyncRecv { p: 0 };
-                }
-                MiniState::SyncRecv { p } if p >= k => {
-                    // Local leaf edges need no fetch: aggregate up front,
-                    // serially (mirroring the threaded worker, which
-                    // keeps outputs bitwise comparable).
-                    let mut slots = Tensor::zeros(self.sync.num_slots, d);
-                    for &(i, row) in &self.sync.local_edges {
-                        let dst = slots.row_mut(i as usize);
-                        for (o, &x) in dst.iter_mut().zip(self.shard.feats.row(row as usize)) {
-                            *o += x;
-                        }
-                    }
-                    let work = self.sync.local_edges.len() as u64 * d as u64;
-                    let ns = ctx.charge(work);
-                    record_stage(&mut self.rec, Stage::LeafLocal, work, ns);
-                    self.slots = Some(slots);
-                    self.state = MiniState::RoundStart { round: 0 };
-                }
-                MiniState::SyncRecv { p } if p == me => {
-                    self.state = MiniState::SyncRecv { p: p + 1 };
-                }
-                MiniState::SyncRecv { p } => {
-                    let Some(msg) = ctx.try_recv(p, ROUNDS_TAG) else {
-                        return TaskStep::Recv {
-                            from: p,
-                            tag: ROUNDS_TAG,
-                        };
-                    };
-                    let (_, rows) = decode_rows(msg.payload);
-                    self.rounds = self.rounds.max(rows[0].0 as usize);
-                    self.state = MiniState::SyncRecv { p: p + 1 };
-                }
-                MiniState::RoundStart { round } if round >= self.rounds => {
-                    self.state = MiniState::Finish;
-                }
-                MiniState::RoundStart { round } => {
-                    self.responses.clear();
-                    let (lo_root, hi_root, lo_s, hi_s) = self.batch_slots(round);
-                    let mut needed: Vec<VertexId> = if lo_root < hi_root {
-                        match self.hops {
-                            None => self
-                                .sync
-                                .remote_edges
-                                .iter()
-                                .filter(|&&(i, _)| (i as usize) >= lo_s && (i as usize) < hi_s)
-                                .map(|&(_, v)| v)
-                                .collect(),
-                            Some(h) => {
-                                let batch: Vec<VertexId> =
-                                    self.shard.roots[lo_root..hi_root].to_vec();
-                                let graph = self.shard.graph.as_deref().expect(
-                                    "DistDGL-like mode needs shards built with a graph reference",
-                                );
-                                k_hop_closure(graph, &batch, h)
-                                    .into_iter()
-                                    .filter(|&v| self.shard.owner[v as usize] as usize != me)
-                                    .collect()
-                            }
-                        }
-                    } else {
-                        Vec::new()
-                    };
-                    needed.sort_unstable();
-                    needed.dedup();
-                    ctx.charge((hi_root - lo_root) as u64 + needed.len() as u64);
-
-                    let mut by_owner: Vec<Vec<u32>> = vec![Vec::new(); k];
-                    for v in needed {
-                        by_owner[self.shard.owner[v as usize] as usize].push(v);
-                    }
-                    let req_tag = 10 + round as u32 * 2;
-                    for (p, ids) in by_owner.iter().enumerate() {
-                        if p == me {
-                            continue;
-                        }
-                        let rows: Vec<(u32, &[f32])> =
-                            ids.iter().map(|&v| (v, [].as_slice())).collect();
-                        let payload = encode_rows(0, &rows);
-                        self.rec.comm.messages += 1;
-                        self.rec.comm.bytes += payload.len() as u64;
-                        self.rec.comm.raw_msgs += 1;
-                        if let Err(e) = ctx.send(p, req_tag, payload) {
-                            return self.fail(e);
-                        }
-                    }
-                    self.state = MiniState::ServeRecv { round, p: 0 };
-                }
-                MiniState::ServeRecv { round, p } if p >= k => {
-                    record_stage(
-                        &mut self.rec,
-                        Stage::Serve,
-                        self.served_bytes,
-                        self.serve_ns,
-                    );
-                    self.served_bytes = 0;
-                    self.serve_ns = 0;
-                    self.state = MiniState::RespRecv { round, p: 0 };
-                }
-                MiniState::ServeRecv { round, p } if p == me => {
-                    self.state = MiniState::ServeRecv { round, p: p + 1 };
-                }
-                MiniState::ServeRecv { round, p } => {
-                    let req_tag = 10 + round as u32 * 2;
-                    let Some(msg) = ctx.try_recv(p, req_tag) else {
-                        return TaskStep::Recv {
-                            from: p,
-                            tag: req_tag,
-                        };
-                    };
-                    let (_, ids) = decode_rows(msg.payload);
-                    let rows: Vec<(u32, Vec<f32>)> = ids
-                        .into_iter()
-                        .map(|(v, _)| {
-                            let r = self.shard.row_of(v);
-                            (v, self.shard.feats.row(r as usize).to_vec())
-                        })
-                        .collect();
-                    let refs: Vec<(u32, &[f32])> =
-                        rows.iter().map(|(v, r)| (*v, r.as_slice())).collect();
-                    let payload = encode_rows(d, &refs);
-                    let len = payload.len() as u64;
-                    self.served_bytes += len;
-                    self.serve_ns += ctx.charge(len);
-                    self.rec.comm.messages += 1;
-                    self.rec.comm.bytes += len;
-                    self.rec.comm.raw_msgs += 1;
-                    if let Err(e) = ctx.send(p, req_tag + 1, payload) {
-                        return self.fail(e);
-                    }
-                    self.state = MiniState::ServeRecv { round, p: p + 1 };
-                }
-                MiniState::RespRecv { round, p } if p >= k => {
-                    // Sparse (materializing) aggregation of the batch's
-                    // remote edges — the baseline execution shape.
-                    let (lo_root, hi_root, lo_s, hi_s) = self.batch_slots(round);
-                    if lo_root < hi_root {
-                        let edges: Vec<(u32, VertexId)> = self
-                            .sync
-                            .remote_edges
-                            .iter()
-                            .filter(|&&(i, _)| (i as usize) >= lo_s && (i as usize) < hi_s)
-                            .copied()
-                            .collect();
-                        if !edges.is_empty() {
-                            let mut messages = Tensor::zeros(edges.len(), d);
-                            let mut dst = Vec::with_capacity(edges.len());
-                            for (e, &(i, v)) in edges.iter().enumerate() {
-                                let row = self
-                                    .responses
-                                    .get(&v)
-                                    .expect("closure fetch covers every leaf dependency");
-                                messages.row_mut(e).copy_from_slice(row);
-                                dst.push(i);
-                            }
-                            let partial = scatter_add(&messages, &dst, self.sync.num_slots);
-                            self.slots
-                                .as_mut()
-                                .expect("slots ready")
-                                .add_assign(&partial);
-                            ctx.charge(edges.len() as u64 * d as u64);
-                        }
-                    }
-                    self.state = MiniState::RoundStart { round: round + 1 };
-                }
-                MiniState::RespRecv { round, p } if p == me => {
-                    self.state = MiniState::RespRecv { round, p: p + 1 };
-                }
-                MiniState::RespRecv { round, p } => {
-                    let resp_tag = 10 + round as u32 * 2 + 1;
-                    let Some(msg) = ctx.try_recv(p, resp_tag) else {
-                        return TaskStep::Recv {
-                            from: p,
-                            tag: resp_tag,
-                        };
-                    };
-                    let (_, rows) = decode_rows(msg.payload);
-                    for (v, row) in rows {
-                        self.responses.insert(v, row);
-                    }
-                    self.state = MiniState::RespRecv { round, p: p + 1 };
-                }
-                MiniState::Finish => {
-                    let slots = self.slots.take().expect("rounds complete");
-                    let upper_work = (self.sync.num_slots
-                        + self.shard.hdg.num_instances()
-                        + self.shard.hdg.num_roots()) as u64
-                        * d as u64;
-                    // Upper levels with sparse ops (the baseline has no
-                    // hybrid executor) — same as the threaded worker.
-                    let out = finish_upper_levels(
-                        self.shard,
-                        self.sync,
-                        slots,
-                        self.cfg.leaf_op,
-                        &self.cfg.plan,
-                        flexgraph_engine::hybrid::Strategy::Sa,
-                    );
-                    let ns = ctx.charge(upper_work);
-                    record_stage(&mut self.rec, Stage::Upper, upper_work, ns);
-                    let out = match &self.cfg.update_weight {
-                        Some(w) => {
-                            let work = out.rows() as u64 * out.cols() as u64 * w.cols() as u64;
-                            let mut o = out.matmul(w);
-                            o.relu_inplace();
-                            let ns = ctx.charge(work);
-                            record_stage(&mut self.rec, Stage::Update, work, ns);
-                            o
-                        }
-                        None => out,
-                    };
-                    attribute_root_costs_scaled(
-                        self.shard,
-                        self.sync,
-                        ctx.compute_factor(),
-                        &mut self.rec,
-                    );
-                    self.out = Some(Ok(out));
-                    return TaskStep::Done;
-                }
-            }
-        }
+    });
+    let log_digest = (event_log.len() as u64, fnv1a(event_log.as_bytes()));
+    VirtualEpochReport {
+        virtual_time: report.wall,
+        report,
+        total_compute,
+        event_log,
+        log_digest,
     }
 }
 
@@ -904,23 +108,32 @@ mod tests {
     use super::*;
     use crate::shard::make_shards;
     use crate::trainer::distributed_epoch;
-    use flexgraph_comm::{CostModel, CrashPoint, FlakyRack, Straggler};
+    use crate::trainer::DistMode;
+    use flexgraph_comm::{ChaosSchedule, CostModel, CrashPoint, FlakyRack, Straggler};
     use flexgraph_engine::hybrid::{AggrOp, AggrPlan};
     use flexgraph_graph::gen::community;
     use flexgraph_graph::partition::hash_partition;
     use flexgraph_hdg::build::from_direct_neighbors;
+    use flexgraph_obs::Stage;
+    use flexgraph_tensor::Tensor;
 
     fn setup(k: usize) -> (Graph, Tensor, Vec<Shard>) {
         let ds = community(150, 3, 5, 2, 6, 77);
         let part = hash_partition(&ds.graph, k);
-        let mut shards = make_shards(150, &ds.features, &part, |roots| {
+        let shards = make_shards(150, &ds.features, &part, |roots| {
             from_direct_neighbors(&ds.graph, roots.to_vec())
         });
-        let g = std::sync::Arc::new(ds.graph.clone());
-        for s in &mut shards {
-            s.graph = Some(g.clone());
-        }
         (ds.graph, ds.features, shards)
+    }
+
+    /// A virtual epoch over the uniform network `cfg.cost_model` models.
+    fn uniform_epoch(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> VirtualEpochReport {
+        virtual_epoch(
+            graph,
+            shards,
+            cfg,
+            &NetProfile::from_cost_model(&cfg.cost_model),
+        )
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -945,14 +158,13 @@ mod tests {
                 mode,
                 ..DistConfig::default()
             };
-            let sim = simulated_epoch(&graph, &shards, &cfg);
+            let sim = uniform_epoch(&graph, &shards, &cfg).report;
             let real = distributed_epoch(&graph, &shards, &cfg);
             assert!(
                 sim.features.max_abs_diff(&real.features) < 1e-4,
                 "{mode:?}: simulation must compute the same features"
             );
-            // The virtual tasks run the exact helper sequence the
-            // threaded workers pin, so fault-free parity is bitwise.
+            // One worker under two drivers: fault-free parity is bitwise.
             assert_eq!(
                 bits(&sim.features),
                 bits(&real.features),
@@ -973,7 +185,7 @@ mod tests {
             update_weight: Some(Tensor::eye(6).scale(0.5)),
             ..DistConfig::default()
         };
-        let sim = simulated_epoch(&graph, &shards, &cfg);
+        let sim = uniform_epoch(&graph, &shards, &cfg).report;
         let real = distributed_epoch(&graph, &shards, &cfg);
         assert!(sim.features.max_abs_diff(&real.features) < 1e-4);
         assert_eq!(bits(&sim.features), bits(&real.features));
@@ -997,8 +209,8 @@ mod tests {
             cost_model: model,
             ..DistConfig::default()
         };
-        let tp = simulated_epoch(&graph, &shards, &piped).epoch;
-        let tr = simulated_epoch(&graph, &shards, &raw).epoch;
+        let tp = uniform_epoch(&graph, &shards, &piped).virtual_time;
+        let tr = uniform_epoch(&graph, &shards, &raw).virtual_time;
         assert!(
             tp <= tr + Duration::from_micros(200),
             "pipelined {tp:?} must not exceed unpipelined {tr:?}"
@@ -1009,7 +221,7 @@ mod tests {
     fn single_worker_has_no_comm() {
         let (graph, _f, shards) = setup(1);
         let cfg = DistConfig::default();
-        let sim = simulated_epoch(&graph, &shards, &cfg);
+        let sim = uniform_epoch(&graph, &shards, &cfg).report;
         assert_eq!(sim.comm_bytes, 0);
         assert_eq!(sim.comm_messages, 0);
     }
@@ -1028,8 +240,8 @@ mod tests {
             },
             ..DistConfig::default()
         };
-        let be = simulated_epoch(&graph, &shards, &euler).comm_bytes;
-        let bd = simulated_epoch(&graph, &shards, &distd).comm_bytes;
+        let be = uniform_epoch(&graph, &shards, &euler).report.comm_bytes;
+        let bd = uniform_epoch(&graph, &shards, &distd).report.comm_bytes;
         assert!(bd > be, "closure fetch {bd} must exceed dep fetch {be}");
     }
 

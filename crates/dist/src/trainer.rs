@@ -1,8 +1,8 @@
-//! Distributed aggregation epochs over the simulated cluster.
+//! Distributed aggregation epochs: the shared epoch body and its
+//! threaded backend.
 //!
-//! [`distributed_epoch`] runs one epoch of the *Aggregation (+ Update)*
-//! work across `k` worker threads connected by the comm fabric, under one
-//! of three execution modes:
+//! An epoch runs one [`crate::worker`] task per shard under one of three
+//! execution modes:
 //!
 //! * [`DistMode::FlexGraph`] — leaf-level partial aggregation (pipelined
 //!   or not) followed by local hybrid aggregation of the upper levels,
@@ -13,28 +13,24 @@
 //!   features of each batch's full *k-hop closure* (DistDGL's
 //!   neighborhood expansion), then aggregate with sparse ops.
 //!
-//! The report carries wall time (max across workers), fabric traffic and
-//! the assembled per-root features — everything Figures 13/15 plot.
+//! [`run_epoch`] owns everything that does not depend on how the tasks
+//! are driven — crash recovery, fault-counter accumulation, feature
+//! assembly, telemetry — and asks a backend for one *attempt* at a time.
+//! [`distributed_epoch`] is the threaded backend: one OS thread per
+//! task over a fresh [`Fabric`]. ([`crate::sim::virtual_epoch`] is the
+//! other.) The report carries wall time (max across workers), fabric
+//! traffic and the assembled per-root features — everything Figures
+//! 13/15 plot.
 
-use crate::pipeline::{
-    build_leaf_sync, finalize_mean, leaf_level_pipelined, leaf_level_unpipelined, LeafSync,
-    SlotLevel,
-};
+use crate::pipeline::build_leaf_sync;
 use crate::shard::Shard;
-use flexgraph_comm::{
-    decode_rows, encode_rows, ChaosSchedule, CommError, CostModel, Fabric, RetryPolicy, WorkerComm,
-};
-use flexgraph_engine::hybrid::{
-    aggregate_from_groups, aggregate_from_instances, AggrOp, AggrPlan, Strategy,
-};
-use flexgraph_engine::MemoryBudget;
-use flexgraph_graph::bfs::k_hop_closure;
-use flexgraph_graph::{Graph, VertexId};
-use flexgraph_obs::{FabricCounters, PartitionRecord, TraceEpoch};
-use flexgraph_tensor::scatter::scatter_add;
+use crate::worker::EpochTask;
+use flexgraph_comm::{drive_blocking, ChaosSchedule, CommError, CostModel, Fabric, RetryPolicy};
+use flexgraph_engine::hybrid::{AggrOp, AggrPlan, Strategy};
+use flexgraph_graph::Graph;
+use flexgraph_obs::{FabricCounters, TraceEpoch};
 use flexgraph_tensor::Tensor;
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Distributed execution mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,7 +100,8 @@ impl Default for DistConfig {
 pub struct EpochReport {
     /// Assembled `(num_vertices, d_out)` per-root results.
     pub features: Tensor,
-    /// Slowest worker's epoch wall time.
+    /// Slowest worker's epoch time: wall time from the entry barrier's
+    /// release on threads, the virtual clock on the virtual runtime.
     pub wall: Duration,
     /// Total payload bytes over the fabric.
     pub comm_bytes: u64,
@@ -128,113 +125,51 @@ pub struct EpochReport {
     pub telemetry: TraceEpoch,
 }
 
-/// Runs one distributed epoch over the shards. `graph` is the replicated
-/// structure (used by the DistDGL-like closure expansion); `num_vertices`
-/// must equal its vertex count.
-///
-/// Fault tolerance: shards are immutable during an epoch, so the shard
-/// state *is* the epoch-start snapshot. When a worker fails (a scheduled
-/// crash, or a peer declared unreachable), every worker unwinds with a
-/// structured [`CommError`], the epoch's partial output is discarded,
-/// and the whole epoch is re-driven on a fresh fabric with the crash
-/// removed from the schedule — at most [`DistConfig::max_recoveries`]
-/// times. Because the fabric delivers exactly-once in deterministic
-/// per-link order and the leaf folds run in rank order, the recovered
-/// epoch's output is bitwise identical to a fault-free run.
-///
-/// # Panics
-///
-/// Panics when the epoch still fails after `max_recoveries` re-drives.
-pub fn distributed_epoch(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> EpochReport {
-    let k = shards.len();
-    let n = graph.num_vertices();
-    let sync_plans = build_leaf_sync(shards);
-    let epoch_id = flexgraph_obs::next_epoch();
+/// What a backend reports for one attempt at an epoch. The per-worker
+/// outcomes and records stay in the tasks it was handed.
+pub(crate) struct Attempt {
+    /// Traffic and fault counters of this attempt.
+    pub fabric: FabricCounters,
+    /// Modeled wire time summed over this attempt's messages, µs.
+    pub modeled_us: f64,
+    /// The slowest worker's epoch time (see [`EpochReport::wall`]).
+    pub wall: Duration,
+    /// The same span on the virtual clock; `0` on the threaded backend.
+    pub virtual_ns: u64,
+}
 
+/// One epoch on whichever backend `attempt` drives the tasks with: the
+/// recovery loop (documented on [`distributed_epoch`]), rank-order
+/// assembly, and the epoch's telemetry.
+pub(crate) fn run_epoch(
+    graph: &Graph,
+    shards: &[Shard],
+    cfg: &DistConfig,
+    mut attempt: impl FnMut(&mut [EpochTask<'_>], ChaosSchedule) -> Attempt,
+) -> EpochReport {
+    let syncs = build_leaf_sync(shards);
+    let epoch_id = flexgraph_obs::next_epoch();
     let mut recoveries = 0u32;
-    let (mut acc_bytes, mut acc_messages) = (0u64, 0u64);
-    let mut acc_modeled_us = 0f64;
-    let (mut acc_retries, mut acc_drops, mut acc_redeliveries) = (0u64, 0u64, 0u64);
+    let mut total = FabricCounters::default();
+    let mut modeled_comm_us = 0f64;
 
     loop {
-        let (fabric, comms) = Fabric::with_retry(k, cfg.cost_model, cfg.retry);
-        if let Some(chaos) = cfg.chaos {
-            // The crash is a one-shot fault: the re-driven epoch keeps
-            // the message-level chaos but the worker stays up.
-            let sched = if recoveries == 0 {
-                chaos
-            } else {
-                chaos.without_crash()
-            };
-            fabric.set_chaos(sched);
-        }
+        // The crash is a one-shot fault: a re-driven epoch keeps the
+        // message-level chaos but the worker stays up.
+        let chaos = match cfg.chaos {
+            Some(c) if recoveries == 0 => c,
+            Some(c) => c.without_crash(),
+            None => ChaosSchedule::default(),
+        };
+        let mut tasks = EpochTask::fleet(graph, shards, &syncs, cfg, epoch_id);
+        let a = attempt(&mut tasks, chaos);
+        total.merge(&a.fabric);
+        modeled_comm_us += a.modeled_us;
 
-        type WorkerResult = (
-            usize,
-            Result<Tensor, CommError>,
-            Duration,
-            Option<PartitionRecord>,
-        );
-        let results: Vec<WorkerResult> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|mut comm| {
-                    let shard = &shards[comm.rank()];
-                    let sync = &sync_plans[comm.rank()];
-                    let cfg = cfg.clone();
-                    s.spawn(move |_| {
-                        let started = comm.barrier();
-                        // Each attempt gets a fresh probe; records of
-                        // failed attempts are discarded with the attempt.
-                        flexgraph_obs::probe_begin(epoch_id, comm.rank() as u32);
-                        let t0 = Instant::now();
-                        let out = started.and_then(|()| match cfg.mode {
-                            DistMode::FlexGraph { pipeline } => {
-                                flexgraph_worker_epoch(shard, sync, &mut comm, &cfg, pipeline)
-                            }
-                            DistMode::EulerLike { batch_size } => minibatch_worker_epoch(
-                                shard, sync, &mut comm, &cfg, batch_size, None,
-                            ),
-                            DistMode::DistDglLike { batch_size, hops } => minibatch_worker_epoch(
-                                shard,
-                                sync,
-                                &mut comm,
-                                &cfg,
-                                batch_size,
-                                Some(hops),
-                            ),
-                        });
-                        let elapsed = t0.elapsed();
-                        if out.is_ok() {
-                            attribute_root_costs(shard, sync);
-                        }
-                        let record = flexgraph_obs::probe_end();
-                        if out.is_ok() {
-                            // Exit barrier: keeps this worker pumping
-                            // acks/retransmits until every peer has
-                            // finished. Its error (a peer died after
-                            // we finished) is subsumed by that peer's
-                            // own failure, which forces the re-drive.
-                            let _ = comm.barrier();
-                        }
-                        (comm.rank(), out, elapsed, record)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("worker panicked");
-
-        acc_bytes += fabric.stats().bytes();
-        acc_messages += fabric.stats().messages();
-        acc_modeled_us += fabric.stats().modeled_us();
-        acc_retries += fabric.stats().retries();
-        acc_drops += fabric.stats().drops_injected();
-        acc_redeliveries += fabric.stats().redeliveries();
-
-        let failures: Vec<(usize, CommError)> = results
+        let failures: Vec<(usize, &CommError)> = tasks
             .iter()
-            .filter_map(|(rank, out, _, _)| out.as_ref().err().map(|e| (*rank, e.clone())))
+            .enumerate()
+            .filter_map(|(rank, t)| t.result().as_ref().err().map(|e| (rank, e)))
             .collect();
         if !failures.is_empty() {
             recoveries += 1;
@@ -247,300 +182,103 @@ pub fn distributed_epoch(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> E
         }
 
         // Assemble per-root outputs into the global order, and merge the
-        // workers' telemetry records into the epoch's running log.
-        let mut wall = Duration::ZERO;
-        let mut d_out = 0;
-        for (_, out, elapsed, _) in &results {
-            wall = wall.max(*elapsed);
-            d_out = out.as_ref().expect("no failures").cols();
-        }
-        let mut features = Tensor::zeros(n, d_out);
+        // workers' records into the epoch's running log, in rank order.
+        let d_out = tasks[0].result().as_ref().expect("no failures").cols();
+        let mut features = Tensor::zeros(graph.num_vertices(), d_out);
         let mut telemetry = TraceEpoch::new(epoch_id);
-        for (rank, out, _, record) in results {
+        for (shard, task) in shards.iter().zip(tasks) {
+            let (out, record) = task.into_parts();
             let out = out.expect("no failures");
-            for (i, &v) in shards[rank].roots.iter().enumerate() {
+            for (i, &v) in shard.roots.iter().enumerate() {
                 features.row_mut(v as usize).copy_from_slice(out.row(i));
             }
-            if let Some(rec) = record {
-                telemetry.absorb(rec);
-            }
+            telemetry.absorb(record);
         }
-        // Fabric traffic of the successful attempt is deterministic; the
-        // fault-path counters carry the accumulated totals across all
-        // attempts (debug-only in traces).
+        // Traffic of the successful attempt is deterministic; the
+        // fault-path counters carry the totals across all attempts
+        // (debug-only in traces).
         telemetry.fabric = FabricCounters {
-            bytes: fabric.stats().bytes(),
-            messages: fabric.stats().messages(),
-            retries: acc_retries,
-            drops_injected: acc_drops,
-            redeliveries: acc_redeliveries,
+            bytes: a.fabric.bytes,
+            messages: a.fabric.messages,
+            ..total
         };
+        telemetry.virtual_ns = a.virtual_ns;
         flexgraph_obs::emit_epoch(&telemetry);
 
         return EpochReport {
             features,
-            wall,
-            comm_bytes: acc_bytes,
-            comm_messages: acc_messages,
-            modeled_comm_us: acc_modeled_us,
-            retries: acc_retries,
-            drops_injected: acc_drops,
-            redeliveries: acc_redeliveries,
+            wall: a.wall,
+            comm_bytes: total.bytes,
+            comm_messages: total.messages,
+            modeled_comm_us,
+            retries: total.retries,
+            drops_injected: total.drops_injected,
+            redeliveries: total.redeliveries,
             recoveries,
             telemetry,
         };
     }
 }
 
-/// Attributes deterministic per-root cost units into the active probe:
-/// `5 + (leaf_entries + instances + types) × dim` per root, where
-/// `leaf_entries` is the executed plan's slot-count segment for the root
-/// (the ScatterPlan fold sizes), mirroring the shape of the balancer's
-/// polynomial metric variables (§6). Keyed by *global* vertex id so the
-/// merged epoch record covers the whole graph.
-fn attribute_root_costs(shard: &Shard, sync: &LeafSync) {
-    if !flexgraph_obs::probe_active() {
-        return;
-    }
-    let d = shard.feats.cols() as u64;
-    let t = shard.hdg.num_types() as u64;
-    for r in 0..shard.hdg.num_roots() {
-        let lo = sync.root_slot_off[r];
-        let hi = sync.root_slot_off[r + 1];
-        let leaf_entries: u64 = sync.slot_counts[lo..hi].iter().map(|&c| c as u64).sum();
-        let instances = shard.hdg.instances_of_root(r) as u64;
-        let units = 5 + (leaf_entries + instances + t) * d;
-        flexgraph_obs::record_root_cost(shard.roots[r], units);
-    }
-}
-
-fn apply_update(agg: Tensor, cfg: &DistConfig) -> Tensor {
-    match &cfg.update_weight {
-        Some(w) => {
-            let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Update);
-            let work = agg.rows() as u64 * agg.cols() as u64 * w.cols() as u64;
-            let mut out = agg.matmul(w);
-            out.relu_inplace();
-            timer.stop(work);
-            out
-        }
-        None => agg,
-    }
-}
-
-/// Completes the levels above the slots, dispatching on the slot level.
-pub(crate) fn finish_upper_levels(
-    shard: &Shard,
-    sync: &LeafSync,
-    mut slots: Tensor,
-    leaf_op: AggrOp,
-    plan: &AggrPlan,
-    strategy: Strategy,
-) -> Tensor {
-    if leaf_op == AggrOp::Mean {
-        finalize_mean(&mut slots, &sync.slot_counts);
-    }
-    let upper = match sync.level {
-        SlotLevel::Instances => aggregate_from_instances(
-            &shard.hdg,
-            &slots,
-            plan,
-            strategy,
-            &MemoryBudget::unlimited(),
-        ),
-        SlotLevel::Groups => aggregate_from_groups(
-            &shard.hdg,
-            slots,
-            plan,
-            strategy,
-            &MemoryBudget::unlimited(),
-        ),
-    }
-    .expect("unbudgeted upper-level aggregation cannot fail");
-    upper.features
-}
-
-fn flexgraph_worker_epoch(
-    shard: &Shard,
-    sync: &LeafSync,
-    comm: &mut WorkerComm,
-    cfg: &DistConfig,
-    pipeline: bool,
-) -> Result<Tensor, CommError> {
-    let slots = if pipeline {
-        leaf_level_pipelined(sync, &shard.feats, comm, 1, shard)?
-    } else {
-        leaf_level_unpipelined(sync, &shard.feats, comm, 1, shard)?
-    };
-    let out = finish_upper_levels(shard, sync, slots, cfg.leaf_op, &cfg.plan, cfg.strategy);
-    Ok(apply_update(out, cfg))
-}
-
-/// The shared mini-batch worker loop. `hops = None` fetches only the
-/// leaf dependencies of each batch (Euler-like); `hops = Some(h)` fetches
-/// the batch's full h-hop closure (DistDGL-like).
-fn minibatch_worker_epoch(
-    shard: &Shard,
-    sync: &LeafSync,
-    comm: &mut WorkerComm,
-    cfg: &DistConfig,
-    batch_size: usize,
-    hops: Option<usize>,
-) -> Result<Tensor, CommError> {
-    let k = comm.num_workers();
-    let me = comm.rank();
-    let d = shard.feats.cols();
-    let n_roots = shard.roots.len();
-
-    // All workers must run the same number of request/response rounds.
-    let my_rounds = n_roots.div_ceil(batch_size.max(1));
-    let rounds = sync_round_count(comm, my_rounds)?;
-
-    let mut slots = Tensor::zeros(sync.num_slots, d);
-    // Local leaf edges can be aggregated up front (they need no fetch).
-    for &(i, row) in &sync.local_edges {
-        let dst = slots.row_mut(i as usize);
-        for (o, &x) in dst.iter_mut().zip(shard.feats.row(row as usize)) {
-            *o += x;
-        }
-    }
-
-    for round in 0..rounds {
-        let lo_root = round * batch_size;
-        let hi_root = ((round + 1) * batch_size).min(n_roots);
-
-        // Which remote vertices does this batch need?
-        let mut needed: Vec<VertexId> = if lo_root < hi_root {
-            match hops {
-                None => {
-                    // Slot range of the batch roots.
-                    let lo_s = sync.root_slot_off[lo_root];
-                    let hi_s = sync.root_slot_off[hi_root];
-                    sync.remote_edges
-                        .iter()
-                        .filter(|&&(i, _)| (i as usize) >= lo_s && (i as usize) < hi_s)
-                        .map(|&(_, v)| v)
-                        .collect()
-                }
-                Some(h) => {
-                    let batch: Vec<VertexId> = shard.roots[lo_root..hi_root].to_vec();
-                    // Full closure expansion — the DistDGL blow-up.
-                    let graph = shard_graph(shard);
-                    k_hop_closure(graph, &batch, h)
-                        .into_iter()
-                        .filter(|&v| shard.owner[v as usize] as usize != me)
-                        .collect()
-                }
-            }
-        } else {
-            Vec::new()
-        };
-        needed.sort_unstable();
-        needed.dedup();
-
-        // Round-trip: send per-owner request lists, answer peers, collect
-        // responses — all *before* aggregating (no overlap).
-        let mut by_owner: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for v in needed {
-            by_owner[shard.owner[v as usize] as usize].push(v);
-        }
-        let req_tag = 10 + round as u32 * 2;
-        let resp_tag = req_tag + 1;
-        for (p, ids) in by_owner.iter().enumerate() {
-            if p == me {
-                continue;
-            }
-            let rows: Vec<(u32, &[f32])> = ids.iter().map(|&v| (v, [].as_slice())).collect();
-            let payload = encode_rows(0, &rows);
-            flexgraph_obs::record_send(payload.len() as u64, false);
-            comm.send(p, req_tag, payload)?;
-        }
-        // Serve incoming requests.
-        let serve_timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Serve);
-        let mut served_bytes = 0u64;
-        let mut responses: HashMap<u32, Vec<f32>> = HashMap::new();
-        for _ in 0..k - 1 {
-            let msg = comm.recv_tag(req_tag)?;
-            let (_, ids) = decode_rows(msg.payload);
-            let rows: Vec<(u32, Vec<f32>)> = ids
-                .into_iter()
-                .map(|(v, _)| (v, shard.feats.row(shard.row_of(v) as usize).to_vec()))
-                .collect();
-            let refs: Vec<(u32, &[f32])> = rows.iter().map(|(v, r)| (*v, r.as_slice())).collect();
-            let payload = encode_rows(d, &refs);
-            served_bytes += payload.len() as u64;
-            flexgraph_obs::record_send(payload.len() as u64, false);
-            comm.send(msg.from, resp_tag, payload)?;
-        }
-        serve_timer.stop(served_bytes);
-        for _ in 0..k - 1 {
-            let msg = comm.recv_tag(resp_tag)?;
-            let (_, rows) = decode_rows(msg.payload);
-            for (v, row) in rows {
-                responses.insert(v, row);
-            }
-        }
-
-        // Sparse (materializing) aggregation of the batch's remote edges.
-        if lo_root < hi_root {
-            let lo_s = sync.root_slot_off[lo_root];
-            let hi_s = sync.root_slot_off[hi_root];
-            let edges: Vec<(u32, VertexId)> = sync
-                .remote_edges
-                .iter()
-                .filter(|&&(i, _)| (i as usize) >= lo_s && (i as usize) < hi_s)
-                .copied()
-                .collect();
-            if !edges.is_empty() {
-                // Materialize messages (one row per edge), then scatter —
-                // the baseline execution shape.
-                let mut messages = Tensor::zeros(edges.len(), d);
-                let mut dst = Vec::with_capacity(edges.len());
-                for (e, &(i, v)) in edges.iter().enumerate() {
-                    let row = responses
-                        .get(&v)
-                        .expect("closure fetch covers every leaf dependency");
-                    messages.row_mut(e).copy_from_slice(row);
-                    dst.push(i);
-                }
-                let partial = scatter_add(&messages, &dst, sync.num_slots);
-                slots.add_assign(&partial);
-            }
-        }
-    }
-
-    // Upper levels with sparse ops (the baseline has no hybrid executor).
-    let out = finish_upper_levels(shard, sync, slots, cfg.leaf_op, &cfg.plan, Strategy::Sa);
-    Ok(apply_update(out, cfg))
-}
-
-/// Agrees on `max(rounds)` across workers via a tiny all-to-all.
-fn sync_round_count(comm: &mut WorkerComm, mine: usize) -> Result<usize, CommError> {
-    let k = comm.num_workers();
-    let payload = encode_rows(0, &[(mine as u32, [].as_slice())]);
-    let outgoing = vec![payload; k];
-    let got = comm.exchange(5, outgoing)?;
-    let mut max = mine;
-    for (_, bytes) in got {
-        let (_, rows) = decode_rows(bytes);
-        max = max.max(rows[0].0 as usize);
-    }
-    Ok(max)
-}
-
-/// The replicated graph reference carried per shard.
+/// Runs one distributed epoch over the shards on OS threads. `graph` is
+/// the replicated structure (used by the DistDGL-like closure
+/// expansion); the shards must partition its vertices.
 ///
-/// Shards do not own the graph (it is replicated, read-only); workers
-/// reach it through this accessor, which the DistDGL-like expansion
-/// needs. Implemented as a thread-local pass-through set by
-/// [`distributed_epoch`].
-fn shard_graph(shard: &Shard) -> &Graph {
-    // The graph is stored alongside the shard by `make_shards_with_graph`;
-    // see `Shard::graph`.
-    shard
-        .graph
-        .as_deref()
-        .expect("DistDGL-like mode needs shards built with a graph reference")
+/// Fault tolerance: shards are immutable during an epoch, so the shard
+/// state *is* the epoch-start snapshot. When a worker fails (a scheduled
+/// crash, or a peer declared unreachable), every worker finishes with a
+/// structured [`CommError`], the attempt's partial output and records
+/// are discarded, and the whole epoch is re-driven on a fresh fabric
+/// with the crash removed from the schedule — at most
+/// [`DistConfig::max_recoveries`] times. Because the fabric delivers
+/// exactly-once in deterministic per-link order and the leaf folds run
+/// in rank order, the recovered epoch's output is bitwise identical to a
+/// fault-free run.
+///
+/// # Panics
+///
+/// Panics when the epoch still fails after `max_recoveries` re-drives.
+pub fn distributed_epoch(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> EpochReport {
+    run_epoch(graph, shards, cfg, |tasks, chaos| {
+        threaded_attempt(tasks, chaos, cfg)
+    })
+}
+
+/// One attempt on a fresh fabric: a thread per task, each blocking in
+/// its own `WorkerComm` wherever the task parks.
+pub(crate) fn threaded_attempt(
+    tasks: &mut [EpochTask<'_>],
+    chaos: ChaosSchedule,
+    cfg: &DistConfig,
+) -> Attempt {
+    let (fabric, comms) = Fabric::with_retry(tasks.len(), cfg.cost_model, cfg.retry);
+    fabric.set_chaos(chaos);
+    let wall = crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = tasks
+            .iter_mut()
+            .zip(comms)
+            .map(|(task, mut comm)| s.spawn(move |_| drive_blocking(task, &mut comm)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .max()
+    })
+    .expect("worker panicked")
+    .expect("at least one worker");
+    let stats = fabric.stats();
+    Attempt {
+        fabric: FabricCounters {
+            bytes: stats.bytes(),
+            messages: stats.messages(),
+            retries: stats.retries(),
+            drops_injected: stats.drops_injected(),
+            redeliveries: stats.redeliveries(),
+        },
+        modeled_us: stats.modeled_us(),
+        wall,
+        virtual_ns: 0,
+    }
 }
 
 #[cfg(test)]
@@ -555,13 +293,9 @@ mod tests {
     fn setup(k: usize) -> (flexgraph_graph::Graph, Tensor, Vec<Shard>) {
         let ds = community(120, 4, 5, 2, 6, 42);
         let part = hash_partition(&ds.graph, k);
-        let mut shards = make_shards(120, &ds.features, &part, |roots| {
+        let shards = make_shards(120, &ds.features, &part, |roots| {
             from_direct_neighbors(&ds.graph, roots.to_vec())
         });
-        let g = std::sync::Arc::new(ds.graph.clone());
-        for s in &mut shards {
-            s.graph = Some(g.clone());
-        }
         (ds.graph, ds.features, shards)
     }
 
@@ -645,6 +379,41 @@ mod tests {
                 "{mode:?} mean mismatch"
             );
         }
+    }
+
+    /// The blocking driver's failure path: the crashed worker and every
+    /// peer finish with an error instead of hanging, and the epoch body
+    /// re-drives exactly once to the fault-free bits.
+    #[test]
+    fn scheduled_crash_fails_every_worker_and_is_redriven_once() {
+        let (graph, _f, shards) = setup(3);
+        let crash = ChaosSchedule {
+            crash: Some(flexgraph_comm::CrashPoint {
+                rank: 1,
+                at_send: 1,
+            }),
+            ..ChaosSchedule::default()
+        };
+        let clean = DistConfig {
+            retry: RetryPolicy::snappy(),
+            ..DistConfig::default()
+        };
+        let syncs = build_leaf_sync(&shards);
+        let mut tasks = EpochTask::fleet(&graph, &shards, &syncs, &clean, 0);
+        threaded_attempt(&mut tasks, crash, &clean);
+        assert_eq!(tasks[1].result(), &Err(CommError::Crashed));
+        for (rank, task) in tasks.iter().enumerate() {
+            assert!(task.result().is_err(), "rank {rank} must see the failure");
+        }
+
+        let crashing = DistConfig {
+            chaos: Some(crash),
+            ..clean.clone()
+        };
+        let want = distributed_epoch(&graph, &shards, &clean);
+        let got = distributed_epoch(&graph, &shards, &crashing);
+        assert_eq!(got.recoveries, 1);
+        assert_eq!(got.features, want.features);
     }
 
     #[test]

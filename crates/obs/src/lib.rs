@@ -7,15 +7,15 @@
 //!
 //! # Design
 //!
-//! * **Thread-local probes.** Instrumented code (`engine`, `dist`,
-//!   `models`) calls [`record_stage`] / [`record_send`] /
-//!   [`record_root_cost`] unconditionally. Those are near-free no-ops
-//!   unless the current thread has a probe installed via
-//!   [`probe_begin`] — which `dist::trainer` does for each worker
-//!   thread of an epoch, harvesting the [`PartitionRecord`] with
-//!   [`probe_end`]. No function signatures change and the disabled-path
-//!   cost is one thread-local `Option` check (<1% on the dense/scatter
-//!   baselines, see DESIGN.md §8).
+//! * **Thread-local probes.** Instrumented code that has no record of
+//!   its own to write into (`engine`, `models`) calls [`record_stage`] /
+//!   [`StageTimer`] unconditionally. Those are near-free no-ops unless
+//!   the current thread has a probe installed via [`probe_begin`],
+//!   harvested as a [`PartitionRecord`] with [`probe_end`]. No function
+//!   signatures change and the disabled-path cost is one thread-local
+//!   `Option` check (<1% on the dense/scatter baselines, see DESIGN.md
+//!   §8). The distributed worker owns its [`PartitionRecord`] and writes
+//!   it directly.
 //! * **Deterministic traces.** `FLEXGRAPH_TRACE=path` opens a trace
 //!   session. Trace records carry *virtual* timestamps (a record
 //!   counter) and only deterministic fields — work units, invocation
@@ -77,43 +77,6 @@ pub fn record_stage(stage: Stage, work: u64, wall_ns: u64) {
             s.invocations += 1;
             s.work += work;
             s.wall_ns += wall_ns;
-        }
-    });
-}
-
-/// Accounts one sent message of `bytes` payload bytes; `partial` marks
-/// sender-side partial aggregates (vs raw feature rows). No-op without
-/// a probe.
-pub fn record_send(bytes: u64, partial: bool) {
-    PROBE.with(|p| {
-        if let Some(rec) = p.borrow_mut().as_mut() {
-            rec.comm.messages += 1;
-            rec.comm.bytes += bytes;
-            if partial {
-                rec.comm.partial_msgs += 1;
-            } else {
-                rec.comm.raw_msgs += 1;
-            }
-        }
-    });
-}
-
-/// Attributes `units` deterministic cost units to global root vertex
-/// `v`. No-op without a probe.
-pub fn record_root_cost(v: u32, units: u64) {
-    PROBE.with(|p| {
-        if let Some(rec) = p.borrow_mut().as_mut() {
-            rec.add_root_cost(v, units);
-        }
-    });
-}
-
-/// Marks the current epoch's leaf level as pipelined. No-op without a
-/// probe.
-pub fn set_pipelined(on: bool) {
-    PROBE.with(|p| {
-        if let Some(rec) = p.borrow_mut().as_mut() {
-            rec.pipelined |= on;
         }
     });
 }
@@ -336,30 +299,18 @@ mod tests {
         assert!(probe_end().is_none());
         // Disabled-path calls are no-ops.
         record_stage(Stage::Upper, 10, 10);
-        record_send(64, true);
-        record_root_cost(1, 5);
-        set_pipelined(true);
         assert!(probe_end().is_none());
 
         probe_begin(4, 2);
         assert!(probe_active());
         record_stage(Stage::Upper, 10, 100);
         record_stage(Stage::Upper, 5, 50);
-        record_send(64, true);
-        record_send(32, false);
-        record_root_cost(9, 7);
-        set_pipelined(true);
         let rec = probe_end().expect("probe installed");
         assert!(!probe_active());
         assert_eq!((rec.epoch, rec.partition), (4, 2));
-        assert!(rec.pipelined);
         assert_eq!(rec.stage(Stage::Upper).invocations, 2);
         assert_eq!(rec.stage(Stage::Upper).work, 15);
         assert_eq!(rec.stage(Stage::Upper).wall_ns, 150);
-        assert_eq!(rec.comm.messages, 2);
-        assert_eq!(rec.comm.bytes, 96);
-        assert_eq!(rec.comm.partial_msgs, 1);
-        assert_eq!(rec.roots[&9], 7);
     }
 
     #[test]

@@ -27,15 +27,9 @@ fn dataset() -> Dataset {
 
 fn shards(ds: &Dataset) -> Vec<Shard> {
     let part = hash_partition(&ds.graph, K);
-    let mut shards = make_shards(N, &ds.features, &part, |r| {
+    make_shards(N, &ds.features, &part, |r| {
         from_direct_neighbors(&ds.graph, r.to_vec())
-    });
-    // The DistDGL-like mode expands closures against the full structure.
-    let g = std::sync::Arc::new(ds.graph.clone());
-    for s in &mut shards {
-        s.graph = Some(g.clone());
-    }
-    shards
+    })
 }
 
 /// One of the four execution modes, cycled per seed so the whole matrix
@@ -162,7 +156,6 @@ fn crashed_worker_recovers_to_bitwise_identical_output() {
             chaos: Some(chaos),
             ..clean
         };
-        let t0 = std::time::Instant::now();
         let got = distributed_epoch(&ds.graph, &sh, &cfg);
         assert!(
             got.recoveries >= 1,
@@ -172,14 +165,6 @@ fn crashed_worker_recovers_to_bitwise_identical_output() {
             &got.features,
             &want.features,
             &format!("crash seed {seed} mode {mode:?}"),
-        );
-        // Failure detection is timeout-bounded, not hang-prone: the
-        // whole crash + abort + re-drive cycle stays well under the
-        // snappy policy's worst case.
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(30),
-            "seed {seed}: recovery took {:?}",
-            t0.elapsed()
         );
     }
 }

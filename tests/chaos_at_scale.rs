@@ -22,14 +22,9 @@ use flexgraph::prelude::*;
 fn shards_for(ds: &Dataset, k: usize) -> Vec<Shard> {
     let n = ds.graph.num_vertices();
     let part = hash_partition(&ds.graph, k);
-    let mut shards = make_shards(n, &ds.features, &part, |r| {
+    make_shards(n, &ds.features, &part, |r| {
         from_direct_neighbors(&ds.graph, r.to_vec())
-    });
-    let g = std::sync::Arc::new(ds.graph.clone());
-    for s in &mut shards {
-        s.graph = Some(g.clone());
-    }
-    shards
+    })
 }
 
 fn mode_for(seed: u64) -> DistMode {
@@ -182,7 +177,7 @@ fn crash_recovery_converges_at_256_workers() {
         ..DistConfig::default()
     };
     let want = virtual_epoch(&ds.graph, &sh, &clean, &net);
-    let t0 = std::time::Instant::now();
+    let clean_events = want.event_log.lines().count();
     for seed in seeds(40..43) {
         let cfg = DistConfig {
             chaos: Some(ChaosSchedule {
@@ -210,15 +205,16 @@ fn crash_recovery_converges_at_256_workers() {
             &want.report.features,
             &format!("crash seed {seed}"),
         );
+        // Recovery at 256 workers is one bounded replay, not a stall:
+        // the lost attempt schedules no more than a clean epoch's
+        // events plus one crash and K - 1 failure notices, and the
+        // re-drive is the clean epoch again.
+        let events = got.event_log.lines().count();
+        assert!(
+            events <= 3 * clean_events,
+            "seed {seed}: {events} scheduler events vs {clean_events} fault-free"
+        );
     }
-    // Recovery at 256 workers is an in-memory replay, not a timeout
-    // stall: the whole 3-crash sweep stays far below the threaded
-    // suite's single-crash budget.
-    assert!(
-        t0.elapsed() < std::time::Duration::from_secs(60),
-        "recovery sweep took {:?}",
-        t0.elapsed()
-    );
 }
 
 /// Straggler and flaky-rack profiles stretch virtual time but never

@@ -2,7 +2,7 @@
 //! graphs, degenerate topologies, and budget boundaries.
 
 use flexgraph::comm::{ChaosSchedule, CostModel};
-use flexgraph::dist::{distributed_epoch, make_shards, simulated_epoch, DistConfig, DistMode};
+use flexgraph::dist::{distributed_epoch, make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
 use flexgraph::engine::MemoryBudget;
 use flexgraph::graph::csr::graph_from_edges;
@@ -137,13 +137,9 @@ fn more_workers_than_meaningful_partitions() {
 fn simulation_and_threaded_runtime_agree_on_every_mode() {
     let ds = community(100, 2, 4, 2, 5, 93);
     let part = hash_partition(&ds.graph, 4);
-    let mut shards = make_shards(100, &ds.features, &part, |r| {
+    let shards = make_shards(100, &ds.features, &part, |r| {
         from_direct_neighbors(&ds.graph, r.to_vec())
     });
-    let g = std::sync::Arc::new(ds.graph.clone());
-    for s in &mut shards {
-        s.graph = Some(g.clone());
-    }
     for mode in [
         DistMode::FlexGraph { pipeline: true },
         DistMode::FlexGraph { pipeline: false },
@@ -158,7 +154,8 @@ fn simulation_and_threaded_runtime_agree_on_every_mode() {
             ..DistConfig::default()
         };
         let a = distributed_epoch(&ds.graph, &shards, &cfg);
-        let b = simulated_epoch(&ds.graph, &shards, &cfg);
+        let net = NetProfile::from_cost_model(&cfg.cost_model);
+        let b = virtual_epoch(&ds.graph, &shards, &cfg, &net).report;
         assert!(
             a.features.max_abs_diff(&b.features) < 1e-4,
             "{mode:?}: threaded and simulated runtimes must agree"
