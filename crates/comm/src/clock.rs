@@ -39,6 +39,9 @@ pub fn tick_of(retry: &RetryPolicy) -> Duration {
 pub fn detection_budget(retry: &RetryPolicy) -> Duration {
     let mut total = retry.base_timeout;
     for attempts in 1..retry.max_attempts {
+        if total >= retry.patience {
+            break;
+        }
         total += backoff_for(*retry, attempts);
     }
     total.min(retry.patience)
@@ -106,6 +109,13 @@ mod tests {
             ..retry
         };
         assert_eq!(detection_budget(&impatient), Duration::from_millis(25));
+        // An unbounded attempt budget is bounded by the patience alone
+        // (and the sum stops there, not after 2^32 terms).
+        let unbounded = RetryPolicy {
+            max_attempts: u32::MAX,
+            ..retry
+        };
+        assert_eq!(detection_budget(&unbounded), Duration::from_secs(5));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! Encoding and decoding sit on the critical path of every distributed
 //! epoch (each worker moves feature-matrix-sized payloads), so both have
-//! bulk paths: rows are serialized with a single byte-cast copy, and
+//! bulk paths: [`RowWriter`] serializes each row with a single byte-cast
+//! copy into a buffer sized once and frozen without a copy, and
 //! [`decode_rows_with`] streams borrowed row slices without per-row
 //! allocation.
 
@@ -21,53 +22,99 @@ fn f32_bytes(row: &[f32]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u8>(), row.len() * 4) }
 }
 
+/// Writes one row message straight into its exact-size wire buffer, for
+/// senders that know the row count up front (the leaf-sync plan does):
+/// header first, then each row once, with sender-side partial
+/// aggregation accumulating *in the wire buffer* instead of in a staging
+/// matrix. [`RowWriter::finish`] hands the buffer over without a copy.
+pub struct RowWriter {
+    buf: Vec<u8>,
+    dim: usize,
+    /// Byte length of the finished message.
+    wire_len: usize,
+}
+
+impl RowWriter {
+    /// Starts a message of exactly `rows` rows of `dim` floats.
+    pub fn with_rows(dim: usize, rows: usize) -> Self {
+        let wire_len = 8 + rows * (4 + dim * 4);
+        let mut buf = Vec::with_capacity(wire_len);
+        buf.extend_from_slice(&(rows as u32).to_le_bytes());
+        buf.extend_from_slice(&(dim as u32).to_le_bytes());
+        Self { buf, dim, wire_len }
+    }
+
+    /// Appends the row `(id, row)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != dim`.
+    pub fn push(&mut self, id: u32, row: &[f32]) {
+        assert_eq!(row.len(), self.dim, "row width mismatch in RowWriter");
+        self.buf.extend_from_slice(&id.to_le_bytes());
+        if cfg!(target_endian = "little") {
+            self.buf.extend_from_slice(f32_bytes(row));
+        } else {
+            for &x in row {
+                self.buf.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+    }
+
+    /// Adds `row` element-wise into the row pushed last, where it lies
+    /// in the wire buffer (f32 ⇄ LE bytes is exact, so the sums equal
+    /// accumulating in an `f32` matrix and encoding afterwards).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != dim` or no row has been pushed.
+    pub fn add_to_last(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.dim, "row width mismatch in RowWriter");
+        assert!(self.buf.len() > 8, "add_to_last before the first push");
+        let at = self.buf.len() - self.dim * 4;
+        for (cell, &x) in self.buf[at..].chunks_exact_mut(4).zip(row) {
+            let sum = f32::from_le_bytes([cell[0], cell[1], cell[2], cell[3]]) + x;
+            cell.copy_from_slice(&sum.to_le_bytes());
+        }
+    }
+
+    /// The finished message.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly the promised number of rows was pushed.
+    pub fn finish(self) -> Bytes {
+        assert_eq!(self.buf.len(), self.wire_len, "row count mismatch");
+        Bytes::from(self.buf)
+    }
+}
+
 /// Encodes `(id, row)` pairs; every row must have length `dim`.
 ///
 /// # Panics
 ///
 /// Panics if any row's length differs from `dim`.
 pub fn encode_rows(dim: usize, rows: &[(u32, &[f32])]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + rows.len() * (4 + dim * 4));
-    buf.put_u32_le(rows.len() as u32);
-    buf.put_u32_le(dim as u32);
+    let mut w = RowWriter::with_rows(dim, rows.len());
     for (id, row) in rows {
-        assert_eq!(row.len(), dim, "row width mismatch in encode_rows");
-        buf.put_u32_le(*id);
-        if cfg!(target_endian = "little") {
-            buf.put_slice(f32_bytes(row));
-        } else {
-            for &x in *row {
-                buf.put_f32_le(x);
-            }
-        }
+        w.push(*id, row);
     }
-    buf.freeze()
+    w.finish()
 }
 
 /// Encodes rows stored as one flat buffer (`ids.len()` rows of `dim`
-/// contiguous floats) — the zero-allocation sender path for partial
-/// aggregation.
+/// contiguous floats).
 ///
 /// # Panics
 ///
 /// Panics when `flat.len() != ids.len() * dim`.
 pub fn encode_flat_rows(dim: usize, ids: &[u32], flat: &[f32]) -> Bytes {
     assert_eq!(flat.len(), ids.len() * dim, "flat buffer size mismatch");
-    let mut buf = BytesMut::with_capacity(8 + ids.len() * (4 + dim * 4));
-    buf.put_u32_le(ids.len() as u32);
-    buf.put_u32_le(dim as u32);
+    let mut w = RowWriter::with_rows(dim, ids.len());
     for (i, &id) in ids.iter().enumerate() {
-        buf.put_u32_le(id);
-        let row = &flat[i * dim..(i + 1) * dim];
-        if cfg!(target_endian = "little") {
-            buf.put_slice(f32_bytes(row));
-        } else {
-            for &x in row {
-                buf.put_f32_le(x);
-            }
-        }
+        w.push(id, &flat[i * dim..(i + 1) * dim]);
     }
-    buf.freeze()
+    w.finish()
 }
 
 /// A structured decode failure. Malformed frames — truncated, bit-flipped

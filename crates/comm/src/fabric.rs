@@ -702,12 +702,24 @@ mod tests {
     use super::*;
     use crate::stats::CostModel;
 
+    /// The policy of every test here that checks *delivery* (drops,
+    /// duplicates, reordering, barriers) rather than failure detection:
+    /// `snappy()`'s short retransmission timer, with an attempt and
+    /// patience budget a busy one-core box cannot run out.
+    fn patient() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: u32::MAX,
+            patience: Duration::from_secs(600),
+            ..RetryPolicy::snappy()
+        }
+    }
+
     fn spawn_workers<F, R>(k: usize, model: CostModel, f: F) -> (Fabric, Vec<R>)
     where
         F: Fn(WorkerComm) -> R + Sync,
         R: Send,
     {
-        let (fabric, workers) = Fabric::with_retry(k, model, RetryPolicy::snappy());
+        let (fabric, workers) = Fabric::with_retry(k, model, patient());
         let results = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = workers.into_iter().map(|w| s.spawn(|_| f(w))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -726,7 +738,7 @@ mod tests {
         F: Fn(WorkerComm) -> R + Sync,
         R: Send,
     {
-        let (fabric, workers) = Fabric::with_retry(k, model, RetryPolicy::snappy());
+        let (fabric, workers) = Fabric::with_retry(k, model, patient());
         fabric.set_chaos(chaos);
         let results = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = workers.into_iter().map(|w| s.spawn(|_| f(w))).collect();
@@ -989,8 +1001,7 @@ mod tests {
     #[test]
     fn chaos_schedule_swaps_only_at_barriers() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let (fabric, workers) =
-            Fabric::with_retry(2, CostModel::accounting_only(), RetryPolicy::snappy());
+        let (fabric, workers) = Fabric::with_retry(2, CostModel::accounting_only(), patient());
         let installed = AtomicBool::new(false);
         let fabric_ref = &fabric;
         let installed_ref = &installed;
@@ -1001,7 +1012,7 @@ mod tests {
             let h0 = s.spawn(move |_| {
                 // First send adopts the (empty) schedule.
                 w0.send(1, 1, Bytes::from_static(b"a")).unwrap();
-                let tick = clock::tick_of(&RetryPolicy::snappy());
+                let tick = clock::tick_of(&patient());
                 while !installed_ref.load(Ordering::Acquire) {
                     std::thread::sleep(tick);
                 }

@@ -20,7 +20,8 @@
 //!   per-vertex rows) overlapped with local aggregation while messages
 //!   are in flight.
 //!
-//! [`shard`] carves per-worker shards out of a dataset + partitioning.
+//! [`shard`] carves per-worker shards out of a dataset + partitioning;
+//! the shards of one carving are a set that carries its leaf-sync plans.
 //! The worker itself — FlexGraph's and the mini-batch baselines' — is
 //! written once, as a step machine over [`flexgraph_comm::WorkerCtx`]
 //! (the private `worker` module), and has two drivers: [`trainer`] runs
@@ -48,6 +49,6 @@ pub use balance::{
 };
 pub use pipeline::{build_leaf_sync, LeafSync, SlotLevel};
 pub use runtime::{EpochRuntime, ThreadedRuntime, VirtualRuntime};
-pub use shard::{make_shards, make_shards_paged, Shard};
+pub use shard::{leaf_sync_plans, make_shards, make_shards_paged, Shard};
 pub use sim::{virtual_epoch, VirtualEpochReport};
 pub use trainer::{distributed_epoch, DistConfig, DistMode, EpochReport};

@@ -5,14 +5,23 @@
 //! sharded by vertex ownership: each worker holds the feature rows of the
 //! vertices its partition owns, and every cross-partition feature access
 //! goes through the comm fabric.
+//!
+//! The shards of one [`make_shards`] / [`make_shards_paged`] call are a
+//! **set**: they share the ownership map, the vertex → feature-row table
+//! and one cell holding the set's [`LeafSync`] plans. The plans depend
+//! only on the HDGs and the ownership map, so they are built once — by
+//! the first epoch that runs on the set ([`leaf_sync_plans`]) — and every
+//! later layer and epoch reads them. A new NeighborSelection or an ADB
+//! migration carves a new set, which is the only invalidation there is.
 
+use crate::pipeline::{build_leaf_sync, LeafSync};
 use flexgraph_graph::{Partitioning, VertexId};
 use flexgraph_hdg::Hdg;
 use flexgraph_store::ooc::{hdg_for, Neighborhood};
 use flexgraph_store::{PagedGraph, StoreError};
 use flexgraph_tensor::Tensor;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::convert::Infallible;
+use std::sync::{Arc, OnceLock};
 
 /// One worker's slice of the problem.
 #[derive(Clone)]
@@ -28,15 +37,93 @@ pub struct Shard {
     pub feats: Tensor,
     /// Global vertex → owning worker map (shared, read-only).
     pub owner: Arc<Vec<u32>>,
-    /// Owned vertex → local feature row.
-    pub local_row: HashMap<VertexId, u32>,
+    /// Global vertex → feature row on its owner (shared, read-only).
+    row_on_owner: Arc<Vec<u32>>,
+    /// What the shards of one carving share; clones keep sharing it.
+    set: Arc<ShardSet>,
+}
+
+/// Size and lazily built leaf-sync plans of one shard set.
+struct ShardSet {
+    k: usize,
+    plans: OnceLock<Vec<LeafSync>>,
 }
 
 impl Shard {
     /// Local feature row index of an owned vertex.
     pub fn row_of(&self, v: VertexId) -> u32 {
-        self.local_row[&v]
+        debug_assert_eq!(self.owner[v as usize] as usize, self.rank, "not owned");
+        self.row_on_owner[v as usize]
     }
+
+    /// Feature row of `v` on whichever worker owns it.
+    pub(crate) fn row_on_owner(&self, v: VertexId) -> u32 {
+        self.row_on_owner[v as usize]
+    }
+}
+
+/// The leaf-sync plans of a shard set, one per rank: built by the first
+/// call on the set with [`build_leaf_sync`], the same allocation ever
+/// after (also through clones of the shards).
+///
+/// # Panics
+///
+/// Panics unless `shards` is the whole set of one [`make_shards`] /
+/// [`make_shards_paged`] call in rank order — a sub-slice, a reordered
+/// slice or a mix of two carvings has no plan of its own, and there is
+/// deliberately no rebuild path behind this one.
+pub fn leaf_sync_plans(shards: &[Shard]) -> &[LeafSync] {
+    let set = &shards.first().expect("at least one shard").set;
+    let whole = shards.len() == set.k
+        && shards
+            .iter()
+            .enumerate()
+            .all(|(i, s)| s.rank == i && Arc::ptr_eq(&s.set, set));
+    assert!(
+        whole,
+        "an epoch runs on the whole shard set of one make_shards call, in rank order \
+         (got ranks {:?} where the first shard's set has {} shards)",
+        shards.iter().map(|s| s.rank).collect::<Vec<_>>(),
+        set.k
+    );
+    set.plans.get_or_init(|| build_leaf_sync(shards))
+}
+
+/// Carves one shard per part of `part`; `build` returns the HDG and the
+/// feature rows of a root set.
+fn carve<E>(
+    part: &Partitioning,
+    mut build: impl FnMut(&[VertexId]) -> Result<(Hdg, Tensor), E>,
+) -> Result<Vec<Shard>, E> {
+    let owner: Arc<Vec<u32>> = Arc::new(part.assignment.clone());
+    let members = part.members();
+    let mut rows = vec![0u32; owner.len()];
+    for roots in &members {
+        for (i, &v) in roots.iter().enumerate() {
+            rows[v as usize] = i as u32;
+        }
+    }
+    let row_on_owner = Arc::new(rows);
+    let set = Arc::new(ShardSet {
+        k: members.len(),
+        plans: OnceLock::new(),
+    });
+    members
+        .into_iter()
+        .enumerate()
+        .map(|(rank, roots)| {
+            let (hdg, feats) = build(&roots)?;
+            Ok(Shard {
+                rank,
+                roots,
+                hdg: Arc::new(hdg),
+                feats,
+                owner: owner.clone(),
+                row_on_owner: row_on_owner.clone(),
+                set: set.clone(),
+            })
+        })
+        .collect()
 }
 
 /// Carves shards out of a dataset: one per part of `part`, with HDGs
@@ -52,28 +139,15 @@ pub fn make_shards(
         num_vertices,
         "partitioning covers all vertices"
     );
-    let owner: Arc<Vec<u32>> = Arc::new(part.assignment.clone());
-    part.members()
-        .into_iter()
-        .enumerate()
-        .map(|(rank, roots)| {
-            let hdg = Arc::new(build_hdg(&roots));
-            let mut local = Tensor::zeros(roots.len(), feats.cols());
-            let mut local_row = HashMap::with_capacity(roots.len());
-            for (i, &v) in roots.iter().enumerate() {
-                local.row_mut(i).copy_from_slice(feats.row(v as usize));
-                local_row.insert(v, i as u32);
-            }
-            Shard {
-                rank,
-                roots,
-                hdg,
-                feats: local,
-                owner: owner.clone(),
-                local_row,
-            }
-        })
-        .collect()
+    carve(part, |roots| {
+        let hdg = build_hdg(roots);
+        let mut local = Tensor::zeros(roots.len(), feats.cols());
+        for (i, &v) in roots.iter().enumerate() {
+            local.row_mut(i).copy_from_slice(feats.row(v as usize));
+        }
+        Ok::<_, Infallible>((hdg, local))
+    })
+    .unwrap_or_else(|never| match never {})
 }
 
 /// Carves shards out of a **paged** (out-of-core) graph: the structure
@@ -96,30 +170,16 @@ pub fn make_shards_paged(
         pg.num_vertices(),
         "partitioning covers all vertices"
     );
-    let owner: Arc<Vec<u32>> = Arc::new(part.assignment.clone());
-    part.members()
-        .into_iter()
-        .enumerate()
-        .map(|(rank, roots)| {
-            let hdg = Arc::new(hdg_for(pg, roots.clone(), nbr)?);
-            let mut local = Tensor::zeros(roots.len(), dim);
-            let mut local_row = HashMap::with_capacity(roots.len());
-            for (i, &v) in roots.iter().enumerate() {
-                let row = feat_fn(v);
-                assert_eq!(row.len(), dim, "feat_fn returned a wrong-width row");
-                local.row_mut(i).copy_from_slice(&row);
-                local_row.insert(v, i as u32);
-            }
-            Ok(Shard {
-                rank,
-                roots,
-                hdg,
-                feats: local,
-                owner: owner.clone(),
-                local_row,
-            })
-        })
-        .collect()
+    carve(part, |roots| {
+        let hdg = hdg_for(pg, roots.to_vec(), nbr)?;
+        let mut local = Tensor::zeros(roots.len(), dim);
+        for (i, &v) in roots.iter().enumerate() {
+            let row = feat_fn(v);
+            assert_eq!(row.len(), dim, "feat_fn returned a wrong-width row");
+            local.row_mut(i).copy_from_slice(&row);
+        }
+        Ok((hdg, local))
+    })
 }
 
 #[cfg(test)]

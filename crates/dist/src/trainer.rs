@@ -16,14 +16,18 @@
 //! [`run_epoch`] owns everything that does not depend on how the tasks
 //! are driven — crash recovery, fault-counter accumulation, feature
 //! assembly, telemetry — and asks a backend for one *attempt* at a time.
+//! What it does **not** own is planning: the leaf-sync plans are the
+//! shard set's ([`crate::shard::leaf_sync_plans`]), built by the first
+//! epoch on a `make_shards` output and read by every later one, so an
+//! epoch pays for the epoch only — and takes the whole set in rank
+//! order, or panics.
 //! [`distributed_epoch`] is the threaded backend: one OS thread per
 //! task over a fresh [`Fabric`]. ([`crate::sim::virtual_epoch`] is the
 //! other.) The report carries wall time (max across workers), fabric
 //! traffic and the assembled per-root features — everything Figures
 //! 13/15 plot.
 
-use crate::pipeline::build_leaf_sync;
-use crate::shard::Shard;
+use crate::shard::{leaf_sync_plans, Shard};
 use crate::worker::EpochTask;
 use flexgraph_comm::{drive_blocking, ChaosSchedule, CommError, CostModel, Fabric, RetryPolicy};
 use flexgraph_engine::hybrid::{AggrOp, AggrPlan, Strategy};
@@ -140,14 +144,16 @@ pub(crate) struct Attempt {
 
 /// One epoch on whichever backend `attempt` drives the tasks with: the
 /// recovery loop (documented on [`distributed_epoch`]), rank-order
-/// assembly, and the epoch's telemetry.
+/// assembly, and the epoch's telemetry. The leaf-sync plans are the
+/// shard set's own ([`leaf_sync_plans`]: built by the set's first epoch,
+/// read by every later one), so `shards` must be a whole set.
 pub(crate) fn run_epoch(
     graph: &Graph,
     shards: &[Shard],
     cfg: &DistConfig,
     mut attempt: impl FnMut(&mut [EpochTask<'_>], ChaosSchedule) -> Attempt,
 ) -> EpochReport {
-    let syncs = build_leaf_sync(shards);
+    let syncs = leaf_sync_plans(shards);
     let epoch_id = flexgraph_obs::next_epoch();
     let mut recoveries = 0u32;
     let mut total = FabricCounters::default();
@@ -161,7 +167,7 @@ pub(crate) fn run_epoch(
             Some(c) => c.without_crash(),
             None => ChaosSchedule::default(),
         };
-        let mut tasks = EpochTask::fleet(graph, shards, &syncs, cfg, epoch_id);
+        let mut tasks = EpochTask::fleet(graph, shards, syncs, cfg, epoch_id);
         let a = attempt(&mut tasks, chaos);
         total.merge(&a.fabric);
         modeled_comm_us += a.modeled_us;
@@ -222,7 +228,8 @@ pub(crate) fn run_epoch(
 
 /// Runs one distributed epoch over the shards on OS threads. `graph` is
 /// the replicated structure (used by the DistDGL-like closure
-/// expansion); the shards must partition its vertices.
+/// expansion); `shards` is the whole output of one `make_shards` call
+/// over a partitioning of its vertices.
 ///
 /// Fault tolerance: shards are immutable during an epoch, so the shard
 /// state *is* the epoch-start snapshot. When a worker fails (a scheduled
@@ -237,7 +244,9 @@ pub(crate) fn run_epoch(
 ///
 /// # Panics
 ///
-/// Panics when the epoch still fails after `max_recoveries` re-drives.
+/// Panics when the epoch still fails after `max_recoveries` re-drives,
+/// and when `shards` is not a whole shard set in rank order (see
+/// [`leaf_sync_plans`]).
 pub fn distributed_epoch(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> EpochReport {
     run_epoch(graph, shards, cfg, |tasks, chaos| {
         threaded_attempt(tasks, chaos, cfg)
@@ -398,8 +407,8 @@ mod tests {
             retry: RetryPolicy::snappy(),
             ..DistConfig::default()
         };
-        let syncs = build_leaf_sync(&shards);
-        let mut tasks = EpochTask::fleet(&graph, &shards, &syncs, &clean, 0);
+        let syncs = leaf_sync_plans(&shards);
+        let mut tasks = EpochTask::fleet(&graph, &shards, syncs, &clean, 0);
         threaded_attempt(&mut tasks, crash, &clean);
         assert_eq!(tasks[1].result(), &Err(CommError::Crashed));
         for (rank, task) in tasks.iter().enumerate() {

@@ -262,7 +262,9 @@ struct FlexTask {
     pipeline: bool,
     state: FlexState,
     slots: Option<Tensor>,
-    /// Unpipelined receive table: dense vertex → payload offset.
+    /// Receive table for raw rows: dense vertex → offset in
+    /// `remote_flat`. Unpipelined, it collects every peer's rows for the
+    /// fold after the last arrival; pipelined, it is per-message scratch.
     remote_off: Vec<u32>,
     remote_flat: Vec<f32>,
     fold_entries: u64,
@@ -305,7 +307,7 @@ impl FlexTask {
                         let payload = if partial {
                             encode_partials(sync, &shard.feats, p, d)
                         } else {
-                            encode_raw_rows(sync, &shard.feats, shard, p, d)
+                            encode_raw_rows(sync, &shard.feats, &shard.roots, p, d)
                         };
                         let len = payload.len() as u64;
                         sent_bytes += len;
@@ -373,7 +375,15 @@ impl FlexTask {
                             debug_assert_eq!(dim, d);
                             rows
                         } else {
-                            fold_raw_rows(sync, slots, &payload, p, d, shard.owner.len());
+                            fold_raw_rows(
+                                sync,
+                                slots,
+                                &payload,
+                                p,
+                                &mut self.remote_off,
+                                &mut self.remote_flat,
+                                shard.owner.len(),
+                            );
                             sync.remote_edges_by_owner[p].len() as u64
                         };
                         self.fold_entries += entries;
@@ -411,7 +421,7 @@ enum MiniState {
 
 /// The mini-batch worker: `hops = None` fetches only the leaf
 /// dependencies of each batch (Euler-like); `hops = Some(h)` fetches the
-/// batch's full h-hop closure (DistDGL-like). Nothing overlaps: each
+/// batch's full h-hop closure as well (DistDGL-like). Nothing overlaps: each
 /// round trips request → serve → response before it aggregates.
 struct MiniTask {
     batch_size: usize,
@@ -521,14 +531,16 @@ impl MiniTask {
                     self.responses.clear();
                     // Which remote vertices does this batch need?
                     let (roots, edges) = self.batch(w, round);
-                    let mut needed: Vec<VertexId> = match self.hops {
-                        None => edges.map(|(_, v)| v).collect(),
-                        // Full closure expansion — the DistDGL blow-up.
-                        Some(h) => k_hop_closure(w.graph, &shard.roots[roots.clone()], h)
-                            .into_iter()
-                            .filter(|&v| shard.owner[v as usize] as usize != me)
-                            .collect(),
-                    };
+                    let mut needed: Vec<VertexId> = edges.map(|(_, v)| v).collect();
+                    if let Some(h) = self.hops {
+                        // Full closure expansion — the DistDGL blow-up —
+                        // on top of the leaf dependencies: selected
+                        // leaves (importance walks) can lie outside the
+                        // h-hop ball; direct neighbours never do.
+                        let closure = k_hop_closure(w.graph, &shard.roots[roots.clone()], h);
+                        let remote = |v: &VertexId| shard.owner[*v as usize] as usize != me;
+                        needed.extend(closure.into_iter().filter(remote));
+                    }
                     needed.sort_unstable();
                     needed.dedup();
                     ctx.charge((roots.len() + needed.len()) as u64);
@@ -592,7 +604,7 @@ impl MiniTask {
                             let row = self
                                 .responses
                                 .get(&v)
-                                .expect("closure fetch covers every leaf dependency");
+                                .expect("the round fetched every leaf dependency");
                             messages.row_mut(e).copy_from_slice(row);
                             dst.push(i);
                         }

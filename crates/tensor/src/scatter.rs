@@ -125,7 +125,7 @@ fn scatter_edge_scan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan,
 /// original edge order within each destination. Building is `O(E +
 /// out_rows)`; once built, a plan serves every scatter kernel, the
 /// autograd backward, and the distributed partial-aggregation fold.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ScatterPlan {
     out_rows: usize,
     index: Vec<u32>,
