@@ -3,11 +3,13 @@
 //! NeighborSelection finds metapath instances (Figure 5's `magann_nbr`)
 //! once for the whole training run — the HDGs never change across epochs
 //! (§3.2). Aggregation is hierarchical: instance features are the mean
-//! of their member vertices (fused), metapath-type features the mean of
-//! their instances (sparse segment), and the neighborhood representation
-//! the dense block-mean over types (Figure 10). Update is
-//! `ReLU(W · a)` (Figure 7's MAGNNLayer uses only the neighborhood
-//! representation).
+//! of their member vertices (fused), metapath-type features the
+//! attention-weighted sum of their instances — Figure 7's
+//! `scatter_softmax`, recorded as one fused softmax-pool op — or, with
+//! [`Magnn::attention`] off, their plain segment mean, and the
+//! neighborhood representation the dense block-mean over types (Figure
+//! 10). Update is `ReLU(W · a)` (Figure 7's MAGNNLayer uses only the
+//! neighborhood representation).
 
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
@@ -77,12 +79,11 @@ impl Magnn {
         // leaves → instances (fused mean)…
         let inst = g.segment_reduce(h, self.inst_off.clone(), self.leaf_src.clone(), true);
         // …instances → metapath types: attention-weighted sum (Figure
-        // 7's scatter_softmax) or a plain segment mean…
+        // 7's scatter_softmax → mul → scatter_add, fused into one op) or
+        // a plain segment mean…
         let groups = if self.attention {
             let plan = self.group_plan.clone().expect("selection ran");
-            let weights = g.scatter_softmax_with_plan(inst, plan.clone());
-            let weighted = g.mul(weights, inst);
-            g.scatter_add_with_plan(weighted, plan)
+            g.scatter_softmax_pool_with_plan(inst, plan)
         } else {
             g.segment_reduce(inst, self.group_off.clone(), self.inst_ranks.clone(), true)
         };
@@ -175,6 +176,77 @@ mod tests {
             "got {}",
             stats.last().unwrap().accuracy
         );
+    }
+
+    /// The instance → type level the way Figure 7's UDF list spells it:
+    /// three tape ops for attention, a sparse `scatter_mean` otherwise.
+    struct Unfused(Magnn);
+
+    impl Unfused {
+        fn layer(&self, g: &mut Graph, h: NodeId, w: NodeId, relu: bool) -> NodeId {
+            let m = &self.0;
+            let inst = g.segment_reduce(h, m.inst_off.clone(), m.leaf_src.clone(), true);
+            let plan = m.group_plan.clone().expect("selection ran");
+            let groups = if m.attention {
+                let weights = g.scatter_softmax_with_plan(inst, plan.clone());
+                let weighted = g.mul(weights, inst);
+                g.scatter_add_with_plan(weighted, plan)
+            } else {
+                g.scatter_mean_with_plan(inst, plan)
+            };
+            let a = g.mean_row_blocks(groups, m.num_types);
+            let out = g.matmul(a, w);
+            if relu {
+                g.relu(out)
+            } else {
+                out
+            }
+        }
+    }
+
+    impl Model for Unfused {
+        fn selection(&mut self, ds: &Dataset, epoch: u64) {
+            self.0.selection(ds, epoch);
+        }
+
+        fn forward(&self, g: &mut Graph, feats: NodeId, params: &ParamSet) -> NodeId {
+            let w1 = g.param(params.value(self.0.w1).clone(), self.0.w1);
+            let w2 = g.param(params.value(self.0.w2).clone(), self.0.w2);
+            let h1 = self.layer(g, feats, w1, true);
+            self.layer(g, h1, w2, false)
+        }
+
+        fn init_params(&mut self, params: &mut ParamSet, rng: &mut rand::rngs::StdRng) {
+            self.0.init_params(params, rng);
+        }
+
+        fn name(&self) -> &'static str {
+            "MAGNN (unfused)"
+        }
+    }
+
+    #[test]
+    fn fused_attention_trains_to_the_same_loss_bits_as_the_three_op_chain() {
+        let ds = hetero_imdb(200, 3, 3, 16, 4);
+        for attention in [true, false] {
+            let model = || {
+                let mut m = Magnn::new(16, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 12);
+                m.attention = attention;
+                m
+            };
+            let cfg = TrainConfig {
+                epochs: 5,
+                lr: 0.01,
+                seed: 7,
+            };
+            let bits = |stats: Vec<crate::EpochStats>| -> Vec<u32> {
+                stats.iter().map(|s| s.loss.to_bits()).collect()
+            };
+            let fused = bits(Trainer::new(model(), cfg).run(&ds));
+            let unfused = bits(Trainer::new(Unfused(model()), cfg).run(&ds));
+            assert_eq!(fused, unfused, "attention = {attention}");
+            assert!(f32::from_bits(fused[4]) < f32::from_bits(fused[0]));
+        }
     }
 
     #[test]

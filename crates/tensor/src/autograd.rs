@@ -8,17 +8,46 @@
 //!
 //! The operation set is exactly what FlexGraph's models need: dense NN ops
 //! (matmul, bias, relu, concat, elementwise), the sparse aggregation ops
-//! (gather / scatter-add / scatter-mean), the dense schema-level block
-//! reductions of the paper's Figure 10, and a fused softmax cross-entropy
-//! loss.
+//! (gather / scatter-add / scatter-mean / scatter-softmax and the fused
+//! softmax pooling of MAGNN's attention level), the dense schema-level
+//! block reductions of the paper's Figure 10, and a fused softmax
+//! cross-entropy loss.
+//!
+//! # Which nodes get a gradient, and for how long
+//!
+//! A node *needs a gradient* if it is a [`Graph::param`], or an operation
+//! with an input that does; a [`Graph::leaf`] never does. Backward skips
+//! nodes that do not, and computes no contribution for an input that does
+//! not (the `dC·Bᵀ` of a matmul whose left operand is the feature matrix,
+//! the scatter of a leaf-fed segment reduction). An interior node's
+//! gradient lives only until it has been propagated to the node's inputs:
+//! it is handed to the last input that can take it as is, or returned to
+//! the free list. After [`Graph::backward`] only parameter nodes hold a
+//! gradient, so [`Graph::grad`] answers `Some` for those alone.
+//!
+//! # Buffer reuse
+//!
+//! Every value, gradient and transpose the tape creates is drawn from an
+//! exact-length free list the tape owns, and goes back to it when released
+//! or when the tape drops. A static HDG makes every epoch's tape the same
+//! sequence of shapes, so the list is handed from one tape to the next: a
+//! dropping tape parks it in a thread-local, and the next [`Graph::new`]
+//! on that thread adopts it. A buffer the adopting pass never draws is
+//! freed when that pass drops, so what is retained is bounded by one pass
+//! — a model whose shapes change every epoch cannot accumulate buffers.
+//! A drawn buffer holds stale values: the tape hands it either to an
+//! `_into` kernel that overwrites its output entirely, or — for the
+//! accumulating kernels (matmul, the scatter and segment sums) — zeroes
+//! it first, so which buffer a draw returns never shows in a result.
 
-use crate::fusion::{segment_reduce, segment_reduce_backward, Reduce};
+use crate::fusion::{segment_reduce_backward_into, segment_reduce_into, Reduce};
 use crate::scatter::{
-    gather_rows, scatter_add_with_plan, scatter_mean_with_plan, scatter_softmax_with_plan,
-    ScatterPlan,
+    gather_rows_into, scatter_add_with_plan_into, scatter_mean_with_plan_into,
+    scatter_softmax_backward_into, scatter_softmax_pool_backward_into,
+    scatter_softmax_pool_with_plan_into, scatter_softmax_with_plan_into, ScatterPlan,
 };
 use crate::tensor::Tensor;
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Handle to a node on the tape.
@@ -59,6 +88,17 @@ enum Op {
     ScatterMean(NodeId, Arc<ScatterPlan>),
     /// Per-group softmax over rows sharing a destination index.
     ScatterSoftmax(NodeId, Arc<ScatterPlan>),
+    /// Fused per-group softmax pooling; `weights` are the normalised
+    /// softmax weights of the forward pass, the only edge-shaped
+    /// intermediate the op keeps (backward needs no `exp`).
+    ScatterSoftmaxPool {
+        /// Edge-shaped input rows.
+        a: NodeId,
+        /// Destination grouping of the rows.
+        plan: Arc<ScatterPlan>,
+        /// `softmax_seg(a)`, shaped like `a`.
+        weights: Tensor,
+    },
     /// Fused segment reduce (feature fusion): `Arc`'d index arrays avoid
     /// copying edge-scale data onto the tape.
     SegmentReduce {
@@ -82,37 +122,184 @@ enum Op {
     MeanAll(NodeId),
 }
 
+impl Op {
+    /// The tape nodes this operation read.
+    fn inputs(&self) -> [Option<NodeId>; 2] {
+        match self {
+            Op::Leaf | Op::Param { .. } => [None, None],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddBias(a, b)
+            | Op::Mul(a, b)
+            | Op::ConcatCols(a, b) => [Some(*a), Some(*b)],
+            Op::Scale(a, _)
+            | Op::Relu(a)
+            | Op::Sigmoid(a)
+            | Op::Gather(a, _)
+            | Op::ScatterAdd(a, _)
+            | Op::ScatterMean(a, _)
+            | Op::ScatterSoftmax(a, _)
+            | Op::ScatterSoftmaxPool { a, .. }
+            | Op::SegmentReduce { a, .. }
+            | Op::MeanRowBlocks(a, _)
+            | Op::SumRowBlocks(a, _)
+            | Op::CrossEntropy(a, _)
+            | Op::MeanAll(a) => [Some(*a), None],
+        }
+    }
+}
+
 struct Node {
     value: Tensor,
     grad: Option<Tensor>,
     op: Op,
+    /// Whether backward must produce a gradient for this node: it is a
+    /// parameter, or an operation with an input that needs one.
+    needs_grad: bool,
+}
+
+thread_local! {
+    /// The buffers of the last tape dropped on this thread, waiting for
+    /// the next [`Graph::new`] to adopt them.
+    static PARKED: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Exact-length free list of `f32` buffers (see the module docs).
+#[derive(Default)]
+struct FreeList {
+    /// Buffers this pass has released.
+    released: Vec<Vec<f32>>,
+    /// Buffers adopted from the previous pass and not drawn so far;
+    /// whatever is still here when the tape drops is freed.
+    inherited: Vec<Vec<f32>>,
+    /// Draws the list could not serve (the allocator did).
+    misses: usize,
+}
+
+impl FreeList {
+    /// A `rows × cols` tensor with unspecified contents.
+    fn draw(&mut self, rows: usize, cols: usize) -> Tensor {
+        let len = rows * cols;
+        let take = |list: &mut Vec<Vec<f32>>| {
+            let i = list.iter().rposition(|b| b.len() == len)?;
+            Some(list.swap_remove(i))
+        };
+        let buf = take(&mut self.released)
+            .or_else(|| take(&mut self.inherited))
+            .unwrap_or_else(|| {
+                self.misses += 1;
+                vec![0.0; len]
+            });
+        Tensor::from_vec(rows, cols, buf)
+    }
+
+    /// A zeroed `rows × cols` tensor, for the accumulating kernels.
+    fn draw_zeroed(&mut self, rows: usize, cols: usize) -> Tensor {
+        let mut t = self.draw(rows, cols);
+        t.data_mut().fill(0.0);
+        t
+    }
+
+    fn release(&mut self, t: Tensor) {
+        self.released.push(t.into_vec());
+    }
+}
+
+/// Transposes computed during backward, one slot per node. A node
+/// feeding several matmuls (shared weights, multi-head inputs) is
+/// transposed once per pass instead of once per consumer; values on the
+/// tape are immutable after [`Graph::push`], so a filled slot never
+/// goes stale within the pass.
+#[derive(Default)]
+struct TransposeSlots(Vec<Option<Tensor>>);
+
+impl TransposeSlots {
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
 }
 
 /// A single forward/backward tape.
-#[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// Transposes computed during backward, keyed by node index. A node
-    /// feeding several matmuls (shared weights, multi-head inputs) is
-    /// transposed once per pass instead of once per consumer; values on
-    /// the tape are immutable after [`Graph::push`], so entries never go
-    /// stale within the pass.
-    tcache: HashMap<usize, Arc<Tensor>>,
+    tcache: TransposeSlots,
+    pool: FreeList,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Drop for Graph {
+    /// Parks every buffer this tape holds for the next tape on this
+    /// thread; adopted buffers it never drew are freed with it.
+    fn drop(&mut self) {
+        let mut parked = std::mem::take(&mut self.pool.released);
+        for node in self.nodes.drain(..) {
+            parked.push(node.value.into_vec());
+            parked.extend(node.grad.map(Tensor::into_vec));
+            if let Op::ScatterSoftmaxPool { weights, .. } = node.op {
+                parked.push(weights.into_vec());
+            }
+        }
+        parked.extend(self.tcache.0.drain(..).flatten().map(Tensor::into_vec));
+        // The thread-local is gone while the thread itself is exiting;
+        // the buffers are then simply freed.
+        let _ = PARKED.try_with(|p| p.replace(parked));
+    }
 }
 
 impl Graph {
-    /// Creates an empty tape.
+    /// Creates an empty tape, adopting the free list the previous tape
+    /// on this thread left behind.
     pub fn new() -> Self {
-        Self::default()
+        Graph {
+            nodes: Vec::new(),
+            tcache: TransposeSlots::default(),
+            pool: FreeList {
+                inherited: PARKED.try_with(RefCell::take).unwrap_or_default(),
+                ..FreeList::default()
+            },
+        }
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> NodeId {
+        let needs_grad = matches!(op, Op::Param { .. })
+            || op.inputs().into_iter().flatten().any(|id| self.needs(id));
         self.nodes.push(Node {
             value,
             grad: None,
             op,
+            needs_grad,
         });
         NodeId(self.nodes.len() - 1)
+    }
+
+    fn needs(&self, id: NodeId) -> bool {
+        self.nodes[id.0].needs_grad
+    }
+
+    /// A pooled tensor shaped like node `id`'s value, contents
+    /// unspecified.
+    fn draw_like(&mut self, id: NodeId) -> Tensor {
+        let (rows, cols) = self.value(id).shape();
+        self.pool.draw(rows, cols)
+    }
+
+    /// [`Graph::draw_like`], zeroed.
+    fn zeros_like(&mut self, id: NodeId) -> Tensor {
+        let (rows, cols) = self.value(id).shape();
+        self.pool.draw_zeroed(rows, cols)
+    }
+
+    /// A pooled `1×1` tensor holding `x`.
+    fn scalar(&mut self, x: f32) -> Tensor {
+        let mut t = self.pool.draw(1, 1);
+        t.set(0, 0, x);
+        t
     }
 
     /// Registers an input tensor that does not require gradients.
@@ -130,57 +317,73 @@ impl Graph {
         &self.nodes[id.0].value
     }
 
-    /// The gradient of a node, if backward has reached it.
+    /// The gradient of a parameter node, once backward has reached it.
+    /// Interior nodes give their gradient up as soon as it has been
+    /// propagated, and leaves never receive one: both answer `None`.
     pub fn grad(&self, id: NodeId) -> Option<&Tensor> {
         self.nodes[id.0].grad.as_ref()
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).matmul(self.value(b));
+        let (rows, cols) = (self.value(a).rows(), self.value(b).cols());
+        let mut v = self.pool.draw_zeroed(rows, cols);
+        self.value(a).matmul_into(self.value(b), &mut v);
         self.push(v, Op::MatMul(a, b))
     }
 
     /// Elementwise sum.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).add(self.value(b));
+        let mut v = self.draw_like(a);
+        self.value(a).zip_into(self.value(b), &mut v, |x, y| x + y);
         self.push(v, Op::Add(a, b))
     }
 
     /// Adds a `1×d` bias row to every row of `a`.
     pub fn add_bias(&mut self, a: NodeId, bias: NodeId) -> NodeId {
-        let v = self.value(a).add_row_broadcast(self.value(bias));
+        let mut v = self.draw_like(a);
+        self.value(a)
+            .add_row_broadcast_into(self.value(bias), &mut v);
         self.push(v, Op::AddBias(a, bias))
     }
 
     /// Elementwise product.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).mul(self.value(b));
+        let mut v = self.draw_like(a);
+        self.value(a).zip_into(self.value(b), &mut v, |x, y| x * y);
         self.push(v, Op::Mul(a, b))
     }
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
-        let v = self.value(a).scale(s);
+        let mut v = self.draw_like(a);
+        self.value(a).map_into(&mut v, |x| x * s);
         self.push(v, Op::Scale(a, s))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).relu();
+        let mut v = self.draw_like(a);
+        self.value(a).map_into(&mut v, |x| x.max(0.0));
         self.push(v, Op::Relu(a))
     }
 
     /// Logistic sigmoid (used by gated aggregations, e.g. G-GCN's edge
     /// gates).
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let mut v = self.draw_like(a);
+        self.value(a).map_into(&mut v, |x| 1.0 / (1.0 + (-x).exp()));
         self.push(v, Op::Sigmoid(a))
     }
 
     /// Horizontal concatenation `[a | b]`.
     pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).concat_cols(self.value(b));
+        let (rows, cols) = (
+            self.value(a).rows(),
+            self.value(a).cols() + self.value(b).cols(),
+        );
+        let mut v = self.pool.draw(rows, cols);
+        self.value(a).concat_cols_into(self.value(b), &mut v);
         self.push(v, Op::ConcatCols(a, b))
     }
 
@@ -201,7 +404,9 @@ impl Graph {
             plan.out_rows(),
             "gather plan must cover the source rows"
         );
-        let v = gather_rows(self.value(a), plan.index());
+        let cols = self.value(a).cols();
+        let mut v = self.pool.draw(plan.num_edges(), cols);
+        gather_rows_into(&mut v, self.value(a), plan.index());
         self.push(v, Op::Gather(a, plan))
     }
 
@@ -212,7 +417,9 @@ impl Graph {
 
     /// [`Graph::scatter_add`] reusing a cached plan.
     pub fn scatter_add_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
-        let v = scatter_add_with_plan(self.value(a), &plan);
+        let cols = self.value(a).cols();
+        let mut v = self.pool.draw_zeroed(plan.out_rows(), cols);
+        scatter_add_with_plan_into(&mut v, self.value(a), &plan);
         self.push(v, Op::ScatterAdd(a, plan))
     }
 
@@ -223,7 +430,9 @@ impl Graph {
 
     /// [`Graph::scatter_mean`] reusing a cached plan.
     pub fn scatter_mean_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
-        let v = scatter_mean_with_plan(self.value(a), &plan);
+        let cols = self.value(a).cols();
+        let mut v = self.pool.draw_zeroed(plan.out_rows(), cols);
+        scatter_mean_with_plan_into(&mut v, self.value(a), &plan);
         self.push(v, Op::ScatterMean(a, plan))
     }
 
@@ -237,8 +446,23 @@ impl Graph {
 
     /// [`Graph::scatter_softmax`] reusing a cached plan.
     pub fn scatter_softmax_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
-        let v = scatter_softmax_with_plan(self.value(a), &plan);
+        let mut v = self.draw_like(a);
+        scatter_softmax_with_plan_into(&mut v, self.value(a), &plan);
         self.push(v, Op::ScatterSoftmax(a, plan))
+    }
+
+    /// Differentiable fused attention pooling: destination `d` receives
+    /// `Σ softmax_seg(a)_e ⊙ a_e` over the rows `e` of its plan segment.
+    /// Bit-identical, value and gradient, to [`Graph::scatter_softmax`]
+    /// → [`Graph::mul`] by `a` → [`Graph::scatter_add`] on the same
+    /// plan, in one pass per segment and one edge-shaped intermediate
+    /// (the weights) instead of three.
+    pub fn scatter_softmax_pool_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
+        let cols = self.value(a).cols();
+        let mut v = self.pool.draw(plan.out_rows(), cols);
+        let mut weights = self.draw_like(a);
+        scatter_softmax_pool_with_plan_into(&mut v, &mut weights, self.value(a), &plan);
+        self.push(v, Op::ScatterSoftmaxPool { a, plan, weights })
     }
 
     /// Differentiable *fused* segment reduction (feature fusion, paper
@@ -252,7 +476,9 @@ impl Graph {
         mean: bool,
     ) -> NodeId {
         let kind = if mean { Reduce::Mean } else { Reduce::Sum };
-        let v = segment_reduce(self.value(a), &offsets, &src, kind);
+        let cols = self.value(a).cols();
+        let mut v = self.pool.draw_zeroed(offsets.len().saturating_sub(1), cols);
+        segment_reduce_into(&mut v, self.value(a), &offsets, &src, kind);
         self.push(
             v,
             Op::SegmentReduce {
@@ -267,33 +493,46 @@ impl Graph {
     /// Mean over consecutive row blocks of size `block`: `(n·block, d) →
     /// (n, d)`. This is the reshape-then-reduce dense op of Figure 10.
     pub fn mean_row_blocks(&mut self, a: NodeId, block: usize) -> NodeId {
-        let v = reduce_row_blocks(self.value(a), block, true);
+        let v = self.row_blocks(a, block, true);
         self.push(v, Op::MeanRowBlocks(a, block))
     }
 
     /// Sum over consecutive row blocks of size `block`.
     pub fn sum_row_blocks(&mut self, a: NodeId, block: usize) -> NodeId {
-        let v = reduce_row_blocks(self.value(a), block, false);
+        let v = self.row_blocks(a, block, false);
         self.push(v, Op::SumRowBlocks(a, block))
+    }
+
+    fn row_blocks(&mut self, a: NodeId, block: usize, mean: bool) -> Tensor {
+        assert!(block > 0, "block size must be positive");
+        let (rows, cols) = self.value(a).shape();
+        let mut v = self.pool.draw_zeroed(rows / block, cols);
+        reduce_row_blocks_into(&mut v, self.value(a), block, mean);
+        v
     }
 
     /// Fused softmax cross-entropy, averaged over rows. `targets[i]` is the
     /// class index of row `i`. Produces a `1×1` scalar node.
     pub fn cross_entropy(&mut self, logits: NodeId, targets: &[usize]) -> NodeId {
-        let l = self.value(logits);
-        assert_eq!(l.rows(), targets.len(), "one target per logits row");
-        let sm = l.softmax_rows();
+        assert_eq!(
+            self.value(logits).rows(),
+            targets.len(),
+            "one target per logits row"
+        );
+        let mut sm = self.draw_like(logits);
+        self.value(logits).softmax_rows_into(&mut sm);
         let mut loss = 0.0f64;
         for (r, &t) in targets.iter().enumerate() {
             loss -= (sm.get(r, t).max(1e-12) as f64).ln();
         }
-        let v = Tensor::from_vec(1, 1, vec![(loss / targets.len() as f64) as f32]);
+        self.pool.release(sm);
+        let v = self.scalar((loss / targets.len() as f64) as f32);
         self.push(v, Op::CrossEntropy(logits, targets.to_vec()))
     }
 
     /// Mean of all elements, as a `1×1` scalar node.
     pub fn mean_all(&mut self, a: NodeId) -> NodeId {
-        let v = Tensor::from_vec(1, 1, vec![self.value(a).mean()]);
+        let v = self.scalar(self.value(a).mean());
         self.push(v, Op::MeanAll(a))
     }
 
@@ -304,127 +543,194 @@ impl Graph {
             (1, 1),
             "backward starts from a scalar loss"
         );
-        self.nodes[root.0].grad = Some(Tensor::ones(1, 1));
+        if !self.needs(root) {
+            return; // No parameter feeds the loss.
+        }
+        let one = self.scalar(1.0);
+        self.nodes[root.0].grad = Some(one);
         for i in (0..=root.0).rev() {
-            let Some(grad) = self.nodes[i].grad.take() else {
+            if matches!(self.nodes[i].op, Op::Leaf | Op::Param { .. }) {
                 continue;
-            };
-            self.accumulate_parents(i, &grad);
-            self.nodes[i].grad = Some(grad);
+            }
+            if let Some(grad) = self.nodes[i].grad.take() {
+                self.propagate(i, grad);
+            }
         }
     }
 
-    /// The transpose of node `id`'s value, computed at most once per
-    /// pass.
-    fn cached_transpose(&mut self, id: NodeId) -> Arc<Tensor> {
-        if let Some(t) = self.tcache.get(&id.0) {
-            return Arc::clone(t);
+    /// Fills node `id`'s transpose slot, at most once per pass.
+    fn ensure_transpose(&mut self, id: NodeId) {
+        if self.tcache.0.len() < self.nodes.len() {
+            self.tcache.0.resize_with(self.nodes.len(), || None);
         }
-        let t = Arc::new(self.nodes[id.0].value.transpose());
-        self.tcache.insert(id.0, Arc::clone(&t));
-        t
+        if self.tcache.0[id.0].is_none() {
+            let (rows, cols) = self.value(id).shape();
+            let mut t = self.pool.draw(cols, rows);
+            self.value(id).transpose_into(&mut t);
+            self.tcache.0[id.0] = Some(t);
+        }
     }
 
-    /// Adds `g` into the pending gradient of `id`.
-    fn add_grad(&mut self, id: NodeId, g: Tensor) {
+    /// Adds the owned contribution `g` to the pending gradient of `id`:
+    /// moved into an empty slot, else accumulated and released.
+    fn give(&mut self, id: NodeId, g: Tensor) {
+        debug_assert!(self.needs(id), "contribution computed for a dead input");
         match &mut self.nodes[id.0].grad {
-            Some(acc) => acc.add_assign(&g),
+            Some(acc) => {
+                acc.add_assign(&g);
+                self.pool.release(g);
+            }
             slot @ None => *slot = Some(g),
         }
     }
 
-    fn accumulate_parents(&mut self, i: usize, grad: &Tensor) {
+    /// [`Graph::give`] for a contribution the caller still needs.
+    fn give_copy(&mut self, id: NodeId, g: &Tensor) {
+        if let Some(acc) = &mut self.nodes[id.0].grad {
+            acc.add_assign(g);
+        } else {
+            let mut copy = self.pool.draw(g.rows(), g.cols());
+            copy.data_mut().copy_from_slice(g.data());
+            self.give(id, copy);
+        }
+    }
+
+    /// Propagates node `i`'s finished gradient to the inputs that need
+    /// one, then lets go of it.
+    fn propagate(&mut self, i: usize, mut grad: Tensor) {
         // `op` is moved out temporarily so we can mutate `self` while
         // reading the recorded inputs.
         let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
-        match &op {
-            Op::Leaf | Op::Param { .. } => {}
+        // Each arm yields `grad` back unless it moved it into an input.
+        // A one-input op only gets here if that input needs a gradient.
+        let leftover = match &op {
+            Op::Leaf | Op::Param { .. } => Some(grad),
             Op::MatMul(a, b) => {
                 // dA = dC·Bᵀ, dB = Aᵀ·dC, with both transposes cached
-                // across the pass (see `tcache`).
-                let bt = self.cached_transpose(*b);
-                let at = self.cached_transpose(*a);
-                let ga = grad.matmul(&bt);
-                let gb = at.matmul(grad);
-                self.add_grad(*a, ga);
-                self.add_grad(*b, gb);
+                // across the pass (see `TransposeSlots`).
+                if self.needs(*a) {
+                    self.ensure_transpose(*b);
+                    let mut ga = self.zeros_like(*a);
+                    let bt = self.tcache.0[b.0].as_ref().expect("slot just filled");
+                    grad.matmul_into(bt, &mut ga);
+                    self.give(*a, ga);
+                }
+                if self.needs(*b) {
+                    self.ensure_transpose(*a);
+                    let mut gb = self.zeros_like(*b);
+                    let at = self.tcache.0[a.0].as_ref().expect("slot just filled");
+                    at.matmul_into(&grad, &mut gb);
+                    self.give(*b, gb);
+                }
+                Some(grad)
             }
             Op::Add(a, b) => {
-                self.add_grad(*a, grad.clone());
-                self.add_grad(*b, grad.clone());
+                // Both adjoints are `grad` itself: the last input that
+                // needs one takes the buffer.
+                if self.needs(*a) && self.needs(*b) {
+                    self.give_copy(*a, &grad);
+                }
+                let last = if self.needs(*b) { *b } else { *a };
+                self.give(last, grad);
+                None
             }
             Op::AddBias(a, bias) => {
-                self.add_grad(*a, grad.clone());
-                self.add_grad(*bias, grad.sum_rows());
+                let gb = self.needs(*bias).then(|| {
+                    let mut gb = self.zeros_like(*bias);
+                    grad.sum_rows_into(&mut gb);
+                    gb
+                });
+                let leftover = if self.needs(*a) {
+                    self.give(*a, grad);
+                    None
+                } else {
+                    Some(grad)
+                };
+                if let Some(gb) = gb {
+                    self.give(*bias, gb);
+                }
+                leftover
             }
             Op::Mul(a, b) => {
-                let ga = grad.mul(self.value(*b));
-                let gb = grad.mul(self.value(*a));
-                self.add_grad(*a, ga);
-                self.add_grad(*b, gb);
+                if self.needs(*a) {
+                    let mut ga = self.draw_like(*a);
+                    grad.zip_into(self.value(*b), &mut ga, |g, y| g * y);
+                    self.give(*a, ga);
+                }
+                if self.needs(*b) {
+                    grad.zip_inplace(self.value(*a), |g, x| g * x);
+                    self.give(*b, grad);
+                    None
+                } else {
+                    Some(grad)
+                }
             }
             Op::Scale(a, s) => {
-                self.add_grad(*a, grad.scale(*s));
+                grad.map_inplace(|g| g * *s);
+                self.give(*a, grad);
+                None
             }
             Op::Relu(a) => {
-                let mask = self.value(*a).map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                self.add_grad(*a, grad.mul(&mask));
+                grad.zip_inplace(self.value(*a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 });
+                self.give(*a, grad);
+                None
             }
             Op::Sigmoid(a) => {
                 // d/dx σ(x) = σ(x)·(1 − σ(x)), read from the forward value.
-                let s = self.value(NodeId(i));
-                let dm = s.map(|y| y * (1.0 - y));
-                self.add_grad(*a, grad.mul(&dm));
+                grad.zip_inplace(&self.nodes[i].value, |g, y| g * (y * (1.0 - y)));
+                self.give(*a, grad);
+                None
             }
             Op::ConcatCols(a, b) => {
-                let ca = self.value(*a).cols();
-                let cb = self.value(*b).cols();
-                let mut ga = Tensor::zeros(grad.rows(), ca);
-                let mut gb = Tensor::zeros(grad.rows(), cb);
-                for r in 0..grad.rows() {
-                    ga.row_mut(r).copy_from_slice(&grad.row(r)[..ca]);
-                    gb.row_mut(r).copy_from_slice(&grad.row(r)[ca..]);
+                let mut start = 0;
+                for id in [*a, *b] {
+                    if self.needs(id) {
+                        let mut g = self.draw_like(id);
+                        grad.slice_cols_into(start, &mut g);
+                        self.give(id, g);
+                    }
+                    start += self.value(id).cols();
                 }
-                self.add_grad(*a, ga);
-                self.add_grad(*b, gb);
+                Some(grad)
             }
             Op::Gather(a, plan) => {
                 // Adjoint of gather is scatter-add back to the source rows;
                 // the forward plan (index over `a`'s rows) is exactly the
                 // backward scatter's plan.
-                self.add_grad(*a, scatter_add_with_plan(grad, plan));
+                let mut g = self.zeros_like(*a);
+                scatter_add_with_plan_into(&mut g, &grad, plan);
+                self.give(*a, g);
+                Some(grad)
             }
             Op::ScatterAdd(a, plan) => {
                 // Adjoint of scatter-add is gather from the destinations.
-                self.add_grad(*a, gather_rows(grad, plan.index()));
+                let mut g = self.draw_like(*a);
+                gather_rows_into(&mut g, &grad, plan.index());
+                self.give(*a, g);
+                Some(grad)
             }
             Op::ScatterMean(a, plan) => {
-                let mut g = gather_rows(grad, plan.index());
+                let mut g = self.draw_like(*a);
                 for (r, &dst) in plan.index().iter().enumerate() {
                     let c = plan.count(dst as usize).max(1) as f32;
-                    for x in g.row_mut(r) {
-                        *x /= c;
+                    for (o, &x) in g.row_mut(r).iter_mut().zip(grad.row(dst as usize)) {
+                        *o = x / c;
                     }
                 }
-                self.add_grad(*a, g);
+                self.give(*a, g);
+                Some(grad)
             }
             Op::ScatterSoftmax(a, plan) => {
-                // Per-group softmax Jacobian: with s = softmax(x) within a
-                // group, dx[i] = s[i] · (g[i] − Σ_j g[j]·s[j]) where the
-                // sum runs over the group.
-                let s = self.value(NodeId(i)).clone();
-                let weighted = grad.mul(&s);
-                let group_sums = scatter_add_with_plan(&weighted, plan);
-                let mut gin = grad.clone();
-                for (r, &dst) in plan.index().iter().enumerate() {
-                    let gs: Vec<f32> = group_sums.row(dst as usize).to_vec();
-                    let srow: Vec<f32> = s.row(r).to_vec();
-                    let row = gin.row_mut(r);
-                    for ((x, &sv), &gsum) in row.iter_mut().zip(&srow).zip(&gs) {
-                        *x = sv * (*x - gsum);
-                    }
-                }
-                self.add_grad(*a, gin);
+                let mut g = self.draw_like(*a);
+                scatter_softmax_backward_into(&mut g, &grad, &self.nodes[i].value, plan);
+                self.give(*a, g);
+                Some(grad)
+            }
+            Op::ScatterSoftmaxPool { a, plan, weights } => {
+                let mut g = self.draw_like(*a);
+                scatter_softmax_pool_backward_into(&mut g, &grad, self.value(*a), weights, plan);
+                self.give(*a, g);
+                Some(grad)
             }
             Op::SegmentReduce {
                 a,
@@ -432,36 +738,46 @@ impl Graph {
                 src,
                 mean,
             } => {
-                let rows = self.value(*a).rows();
-                let g = segment_reduce_backward(grad, offsets, src, rows, *mean);
-                self.add_grad(*a, g);
+                let mut g = self.zeros_like(*a);
+                segment_reduce_backward_into(&mut g, &grad, offsets, src, *mean);
+                self.give(*a, g);
+                Some(grad)
             }
-            Op::MeanRowBlocks(a, block) => {
-                self.add_grad(*a, expand_row_blocks(grad, *block, 1.0 / *block as f32));
-            }
-            Op::SumRowBlocks(a, block) => {
-                self.add_grad(*a, expand_row_blocks(grad, *block, 1.0));
+            Op::MeanRowBlocks(a, block) | Op::SumRowBlocks(a, block) => {
+                let mean = matches!(op, Op::MeanRowBlocks(..));
+                let scale = if mean { 1.0 / *block as f32 } else { 1.0 };
+                let mut g = self.draw_like(*a);
+                expand_row_blocks_into(&mut g, &grad, *block, scale);
+                self.give(*a, g);
+                Some(grad)
             }
             Op::CrossEntropy(logits, targets) => {
                 // d/dlogits of mean CE = (softmax - onehot) / n, scaled by
                 // the incoming scalar gradient.
                 let g0 = grad.get(0, 0);
-                let mut sm = self.value(*logits).softmax_rows();
+                let mut sm = self.draw_like(*logits);
+                self.value(*logits).softmax_rows_into(&mut sm);
                 let n = targets.len() as f32;
                 for (r, &t) in targets.iter().enumerate() {
                     let v = sm.get(r, t) - 1.0;
                     sm.set(r, t, v);
                 }
                 sm.map_inplace(|x| x * g0 / n);
-                self.add_grad(*logits, sm);
+                self.give(*logits, sm);
+                Some(grad)
             }
             Op::MeanAll(a) => {
-                let (r, c) = self.value(*a).shape();
-                let g = grad.get(0, 0) / (r * c) as f32;
-                self.add_grad(*a, Tensor::full(r, c, g));
+                let mut g = self.draw_like(*a);
+                let share = grad.get(0, 0) / g.len() as f32;
+                g.data_mut().fill(share);
+                self.give(*a, g);
+                Some(grad)
             }
-        }
+        };
         self.nodes[i].op = op;
+        if let Some(grad) = leftover {
+            self.pool.release(grad);
+        }
     }
 
     /// Adds every parameter node's gradient into `sink[slot]`.
@@ -496,10 +812,19 @@ impl Graph {
 /// middle axis, with no data movement before the reduction.
 pub fn reduce_row_blocks(t: &Tensor, block: usize, mean: bool) -> Tensor {
     assert!(block > 0, "block size must be positive");
+    let mut out = Tensor::zeros(t.rows() / block, t.cols());
+    reduce_row_blocks_into(&mut out, t, block, mean);
+    out
+}
+
+/// [`reduce_row_blocks`] into a caller-provided, zeroed `(t.rows() /
+/// block) × t.cols()` `out`.
+pub fn reduce_row_blocks_into(out: &mut Tensor, t: &Tensor, block: usize, mean: bool) {
+    assert!(block > 0, "block size must be positive");
     assert_eq!(t.rows() % block, 0, "rows must divide into blocks");
     let n = t.rows() / block;
     let d = t.cols();
-    let mut out = Tensor::zeros(n, d);
+    assert_eq!(out.shape(), (n, d), "row-block output shape");
     let inv = 1.0 / block as f32;
     crate::par::parallel_for(n, out.data_mut(), d, |g0, chunk| {
         for (gi, orow) in chunk.chunks_mut(d).enumerate() {
@@ -516,14 +841,16 @@ pub fn reduce_row_blocks(t: &Tensor, block: usize, mean: bool) -> Tensor {
             }
         }
     });
-    out
 }
 
-/// Adjoint of [`reduce_row_blocks`]: replicates each row `block` times,
-/// scaled by `scale`.
-fn expand_row_blocks(g: &Tensor, block: usize, scale: f32) -> Tensor {
-    let d = g.cols();
-    let mut out = Tensor::zeros(g.rows() * block, d);
+/// Adjoint of [`reduce_row_blocks`]: replicates each row of `g` `block`
+/// times into `out`, scaled by `scale`.
+fn expand_row_blocks_into(out: &mut Tensor, g: &Tensor, block: usize, scale: f32) {
+    assert_eq!(
+        out.shape(),
+        (g.rows() * block, g.cols()),
+        "row-block gradient shape"
+    );
     for r in 0..g.rows() {
         for b in 0..block {
             let row = out.row_mut(r * block + b);
@@ -532,7 +859,6 @@ fn expand_row_blocks(g: &Tensor, block: usize, scale: f32) -> Tensor {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -795,6 +1121,23 @@ mod tests {
     }
 
     #[test]
+    fn grad_scatter_softmax_pool() {
+        let plan = Arc::new(ScatterPlan::new(&[0, 0, 1], 2));
+        finite_diff_check(
+            sample_input(),
+            move |g, x| {
+                let pooled = g.scatter_softmax_pool_with_plan(x, plan.clone());
+                // Weighted read-out so the loss depends on every column
+                // of both groups differently.
+                let w = g.leaf(Tensor::from_rows(&[&[1.0, -2.0, 0.5], &[0.3, 1.1, -0.7]]));
+                let m = g.mul(pooled, w);
+                g.mean_all(m)
+            },
+            1e-2,
+        );
+    }
+
+    #[test]
     fn scatter_softmax_singleton_group_has_zero_gradient() {
         // A singleton group's softmax is constant 1, so gradients must
         // vanish there.
@@ -877,6 +1220,111 @@ mod tests {
             },
             1e-2,
         );
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `x → segment_reduce → add → matmul(w)` with `x` a leaf or a
+    /// parameter; returns the tape and its `(x, w)` nodes after backward.
+    fn gcn_like_tape(x: Tensor, w: Tensor, x_is_param: bool) -> (Graph, NodeId, NodeId) {
+        let rows = x.rows();
+        let mut g = Graph::new();
+        let xn = if x_is_param { g.param(x, 1) } else { g.leaf(x) };
+        let wn = g.param(w, 0);
+        let offsets = Arc::new((0..=rows).collect::<Vec<usize>>());
+        let src = Arc::new((0..rows as u32).rev().collect::<Vec<u32>>());
+        let a = g.segment_reduce(xn, offsets, src, false);
+        let s = g.add(xn, a);
+        let y = g.matmul(s, wn);
+        let targets: Vec<usize> = (0..rows).map(|r| r % 2).collect();
+        let loss = g.cross_entropy(y, &targets);
+        g.backward(loss);
+        (g, xn, wn)
+    }
+
+    fn weights() -> Tensor {
+        Tensor::from_rows(&[&[0.2, -0.5], &[1.0, 0.3], &[-0.8, 0.6]])
+    }
+
+    #[test]
+    fn leaves_get_no_gradient_and_parameters_the_same_bits() {
+        let (with_leaf, x, w) = gcn_like_tape(sample_input(), weights(), false);
+        assert!(with_leaf.grad(x).is_none(), "a leaf needs no gradient");
+        let (with_param, xp, wp) = gcn_like_tape(sample_input(), weights(), true);
+        assert!(with_param.grad(xp).is_some());
+        assert_eq!(
+            bits(with_leaf.grad(w).unwrap()),
+            bits(with_param.grad(wp).unwrap())
+        );
+        // Interior gradients are gone once propagated.
+        assert!(
+            (0..with_param.len()).all(|i| with_param.nodes[i].grad.is_none()
+                || matches!(with_param.nodes[i].op, Op::Param { .. }))
+        );
+    }
+
+    #[test]
+    fn a_second_tape_of_the_same_shape_allocates_nothing() {
+        // Whatever an earlier test on this thread parked is not ours.
+        PARKED.with(|p| p.borrow_mut().clear());
+        let (first, _, w) = gcn_like_tape(sample_input(), weights(), false);
+        let want = bits(first.grad(w).unwrap());
+        assert!(first.pool.misses > 0);
+        drop(first);
+        let (second, _, w) = gcn_like_tape(sample_input(), weights(), false);
+        assert_eq!(second.pool.misses, 0, "every draw came off the free list");
+        assert_eq!(bits(second.grad(w).unwrap()), want);
+        drop(second);
+
+        // A third tape with other shapes is still right, and what it
+        // parks is only what it held: no buffer of the old shapes stays.
+        let x = Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.25], &[1.5, 0.75], &[-0.5, 1.0]]);
+        let w4 = Tensor::from_rows(&[&[0.3, -0.2, 0.9, 0.1, -0.4], &[0.7, 0.6, -0.1, 0.2, 0.8]]);
+        let fresh = std::thread::scope(|s| {
+            // A new thread has an empty parking spot: the reference run.
+            s.spawn(|| {
+                let (g, _, w) = gcn_like_tape(x.clone(), w4.clone(), false);
+                bits(g.grad(w).unwrap())
+            })
+            .join()
+            .expect("reference tape")
+        });
+        let (third, _, w) = gcn_like_tape(x, w4, false);
+        assert!(third.pool.misses > 0);
+        assert_eq!(bits(third.grad(w).unwrap()), fresh);
+        drop(third);
+        let parked: Vec<usize> = PARKED.with(|p| p.borrow().iter().map(Vec::len).collect());
+        // Lengths the 4×2 / 2×5 tape holds: x and its sums (8), w and
+        // its transpose-side products (10), logits (20), scalars (1).
+        assert!(
+            parked.iter().all(|len| [8, 10, 20, 1].contains(len)),
+            "stale buffers survived: {parked:?}"
+        );
+    }
+
+    #[test]
+    fn two_live_tapes_share_no_buffer() {
+        let (solo, _, w) = gcn_like_tape(sample_input(), weights(), false);
+        let want = bits(solo.grad(w).unwrap());
+        drop(solo);
+        // `a` adopts the parked list; `b`, built while `a` lives, must
+        // not see any of it.
+        let (a, _, wa) = gcn_like_tape(sample_input(), weights(), false);
+        let (b, _, wb) = gcn_like_tape(sample_input().scale(2.0), weights(), false);
+        assert_eq!(a.pool.misses, 0);
+        let ptrs = |g: &Graph| -> Vec<*const f32> {
+            g.nodes
+                .iter()
+                .flat_map(|n| std::iter::once(&n.value).chain(n.grad.as_ref()))
+                .map(|t| t.data().as_ptr())
+                .collect()
+        };
+        let (pa, pb) = (ptrs(&a), ptrs(&b));
+        assert!(pa.iter().all(|p| !pb.contains(p)));
+        assert_eq!(bits(a.grad(wa).unwrap()), want);
+        assert_ne!(bits(b.grad(wb).unwrap()), want);
     }
 
     #[test]

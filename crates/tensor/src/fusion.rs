@@ -176,11 +176,23 @@ pub(crate) fn segment_apply_into<F>(
 /// Fused segment reduction: output row `i` reduces
 /// `feats[src[offsets[i]..offsets[i+1]]]` without materializing them.
 pub fn segment_reduce(feats: &Tensor, offsets: &[usize], src: &[u32], kind: Reduce) -> Tensor {
-    check(feats, offsets, src);
-    let n = offsets.len() - 1;
-    let mut out = Tensor::zeros(n, feats.cols());
-    segment_apply_into(&mut out, offsets, kind, feats, |e| src[e] as usize);
+    let mut out = Tensor::zeros(offsets.len().saturating_sub(1), feats.cols());
+    segment_reduce_into(&mut out, feats, offsets, src, kind);
     out
+}
+
+/// [`segment_reduce`] into a caller-provided, zeroed `(offsets.len() -
+/// 1) × feats.cols()` `out` (`Sum` accumulates into what it holds).
+pub fn segment_reduce_into(
+    out: &mut Tensor,
+    feats: &Tensor,
+    offsets: &[usize],
+    src: &[u32],
+    kind: Reduce,
+) {
+    check(feats, offsets, src);
+    assert_eq!(out.rows(), offsets.len() - 1, "one output row per segment");
+    segment_apply_into(out, offsets, kind, feats, |e| src[e] as usize);
 }
 
 /// Single-threaded fused segment reduction (Sum only).
@@ -217,8 +229,21 @@ pub fn segment_reduce_backward(
     src_rows: usize,
     mean: bool,
 ) -> Tensor {
-    let d = grad_out.cols();
-    let mut grad_in = Tensor::zeros(src_rows, d);
+    let mut grad_in = Tensor::zeros(src_rows, grad_out.cols());
+    segment_reduce_backward_into(&mut grad_in, grad_out, offsets, src, mean);
+    grad_in
+}
+
+/// Accumulating form of [`segment_reduce_backward`]: adds into a
+/// caller-provided `src_rows × grad_out.cols()` `grad_in`.
+pub fn segment_reduce_backward_into(
+    grad_in: &mut Tensor,
+    grad_out: &Tensor,
+    offsets: &[usize],
+    src: &[u32],
+    mean: bool,
+) {
+    assert_eq!(grad_in.cols(), grad_out.cols(), "gradient width mismatch");
     for seg in 0..offsets.len() - 1 {
         let lo = offsets[seg];
         let hi = offsets[seg + 1];
@@ -226,15 +251,13 @@ pub fn segment_reduce_backward(
             continue;
         }
         let scale = if mean { 1.0 / (hi - lo) as f32 } else { 1.0 };
-        let grow: Vec<f32> = grad_out.row(seg).to_vec();
+        let grow = grad_out.row(seg);
         for &s in &src[lo..hi] {
-            let irow = grad_in.row_mut(s as usize);
-            for (o, &g) in irow.iter_mut().zip(&grow) {
+            for (o, &g) in grad_in.row_mut(s as usize).iter_mut().zip(grow) {
                 *o += g * scale;
             }
         }
     }
-    grad_in
 }
 
 /// Peak transient bytes a *sparse* (materializing) execution of the same

@@ -243,18 +243,38 @@ fn scatter_reduce_with_plan(out: &mut Tensor, values: &Tensor, plan: &ScatterPla
 
 /// Planned [`scatter_add`]: sums value rows per destination segment.
 pub fn scatter_add_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
-    plan.check_values(values);
     let mut out = Tensor::zeros(plan.out_rows, values.cols());
-    scatter_reduce_with_plan(&mut out, values, plan, Reduce::Sum);
+    scatter_add_with_plan_into(&mut out, values, plan);
     out
+}
+
+/// Accumulating form of [`scatter_add_with_plan`]: adds into a
+/// caller-provided `out_rows × values.cols()` `out`.
+pub fn scatter_add_with_plan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan) {
+    scatter_checked_with_plan(out, values, plan, Reduce::Sum);
 }
 
 /// Planned [`scatter_mean`].
 pub fn scatter_mean_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
-    plan.check_values(values);
     let mut out = Tensor::zeros(plan.out_rows, values.cols());
-    scatter_reduce_with_plan(&mut out, values, plan, Reduce::Mean);
+    scatter_mean_with_plan_into(&mut out, values, plan);
     out
+}
+
+/// [`scatter_mean_with_plan`] into a caller-provided, zeroed `out`.
+pub fn scatter_mean_with_plan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan) {
+    scatter_checked_with_plan(out, values, plan, Reduce::Mean);
+}
+
+/// Checks shapes and runs one planned reduction into a zeroed `out`.
+fn scatter_checked_with_plan(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan, kind: Reduce) {
+    plan.check_values(values);
+    assert_eq!(
+        out.shape(),
+        (plan.out_rows, values.cols()),
+        "scatter output shape"
+    );
+    scatter_reduce_with_plan(out, values, plan, kind);
 }
 
 /// Planned [`scatter_max`].
@@ -273,9 +293,8 @@ fn scatter_extreme_with_plan(
     kind: Reduce,
     init: f32,
 ) -> Tensor {
-    plan.check_values(values);
     let mut out = Tensor::zeros(plan.out_rows, values.cols());
-    scatter_reduce_with_plan(&mut out, values, plan, kind);
+    scatter_checked_with_plan(&mut out, values, plan, kind);
     // The serial reference folds from a ±∞ sentinel and rewrites any
     // surviving sentinel to zero; replicate that so results match
     // elementwise even for infinite inputs. (Empty destinations are
@@ -317,23 +336,71 @@ pub fn scatter_add_gathered_into(
 }
 
 /// Planned [`scatter_softmax`].
-///
-/// The output is edge-shaped (one row per value row), so this kernel
-/// parallelizes over destination segments and writes each edge row
-/// through a shared pointer: safe because `perm` partitions the edge
-/// set — exactly one destination (hence one thread) owns each edge row.
 pub fn scatter_softmax_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
+    let mut out = Tensor::zeros(values.rows(), values.cols());
+    scatter_softmax_with_plan_into(&mut out, values, plan);
+    out
+}
+
+/// [`scatter_softmax_with_plan`] into a caller-provided `out` shaped
+/// like `values`, which is overwritten.
+pub fn scatter_softmax_with_plan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan) {
+    softmax_segments(out, None, values, plan);
+}
+
+/// Fused attention pooling (the instance → metapath-type level of the
+/// paper's MAGNN, Figure 7): `pooled[d] = Σ_{e ∈ seg(d)} softmax_seg(x)_e
+/// ⊙ x_e`, together with the normalised weights the backward needs.
+///
+/// One destination-owned pass per segment performs exactly the
+/// operations, in exactly the order, of [`scatter_softmax_with_plan`] →
+/// elementwise product → [`scatter_add_with_plan`], so `pooled` is
+/// bit-identical to that chain — without writing and re-reading the
+/// edge-shaped product, and with each group's rows still in cache when
+/// they are weighted.
+///
+/// Writes into caller-provided `pooled` (`out_rows × d`) and `weights`
+/// (shaped like `values`); both are overwritten.
+pub fn scatter_softmax_pool_with_plan_into(
+    pooled: &mut Tensor,
+    weights: &mut Tensor,
+    values: &Tensor,
+    plan: &ScatterPlan,
+) {
+    assert_eq!(
+        pooled.shape(),
+        (plan.out_rows, values.cols()),
+        "pooled output shape"
+    );
+    softmax_segments(weights, Some(pooled), values, plan);
+}
+
+/// The per-segment softmax behind both kernels above; with `pooled`
+/// it also accumulates each segment's weighted rows, from zero, in
+/// plan (= original edge) order.
+///
+/// `weights` is edge-shaped, so the kernel parallelizes over
+/// destination segments and writes each edge row through a shared
+/// pointer: safe because `perm` partitions the edge set — exactly one
+/// destination (hence one thread) owns each edge row.
+fn softmax_segments(
+    weights: &mut Tensor,
+    mut pooled: Option<&mut Tensor>,
+    values: &Tensor,
+    plan: &ScatterPlan,
+) {
     plan.check_values(values);
+    assert_eq!(weights.shape(), values.shape(), "softmax output shape");
     let d = values.cols();
-    let mut out = Tensor::zeros(values.rows(), d);
-    if d == 0 || values.rows() == 0 {
-        return out;
+    if let Some(p) = pooled.as_deref_mut() {
+        p.data_mut().fill(0.0); // Empty destinations stay zero.
     }
-    let shared = SharedRows {
-        ptr: out.data_mut().as_mut_ptr(),
-        cols: d,
-    };
-    let process = |range: std::ops::Range<usize>| {
+    if d == 0 || values.rows() == 0 {
+        return;
+    }
+    let shared = SharedRows::new(weights);
+    let pooled = pooled.map(SharedRows::new);
+    for_destination_ranges(plan, d, |range| {
         let mut maxes = vec![0.0f32; d];
         let mut sums = vec![0.0f32; d];
         for dst in range {
@@ -373,24 +440,139 @@ pub fn scatter_softmax_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor 
                     *z += *o;
                 }
             }
-            // Normalize.
+            // SAFETY: destination row `dst` is in this thread's range.
+            let mut acc = pooled.as_ref().map(|p| unsafe { p.row(dst) });
+            // Normalize, and pool the weighted rows while they are hot.
             for &e in seg {
-                // SAFETY: as above.
+                // SAFETY: as for the exponentials above.
                 let row = unsafe { shared.row(e as usize) };
                 for (x, &z) in row.iter_mut().zip(sums.iter()) {
                     if z > 0.0 {
                         *x /= z;
                     }
                 }
+                if let Some(acc) = acc.as_deref_mut() {
+                    for ((a, &w), &v) in acc.iter_mut().zip(row.iter()).zip(values.row(e as usize))
+                    {
+                        *a += w * v;
+                    }
+                }
             }
         }
-    };
+    });
+}
+
+/// Adjoint of [`scatter_softmax_with_plan`]: with `s` the forward
+/// output and `g` the gradient arriving at it (both edge-shaped),
+/// `grad_in[e] = s[e] ⊙ (g[e] − Σ_{j ∈ seg} g[j] ⊙ s[j])`, the sum
+/// running from zero in plan order. Overwrites `grad_in`.
+pub fn scatter_softmax_backward_into(
+    grad_in: &mut Tensor,
+    grad_out: &Tensor,
+    s: &Tensor,
+    plan: &ScatterPlan,
+) {
+    plan.check_values(s);
+    assert_eq!(grad_out.shape(), s.shape(), "softmax gradient shape");
+    assert_eq!(grad_in.shape(), s.shape(), "softmax input-gradient shape");
+    let d = s.cols();
+    if d == 0 || s.rows() == 0 {
+        return;
+    }
+    let shared = SharedRows::new(grad_in);
+    for_destination_ranges(plan, d, |range| {
+        let mut sums = vec![0.0f32; d];
+        for dst in range {
+            let seg = plan.segment(dst);
+            sums.fill(0.0);
+            for &e in seg {
+                let (g, s) = (grad_out.row(e as usize), s.row(e as usize));
+                for ((z, &g), &s) in sums.iter_mut().zip(g).zip(s) {
+                    *z += g * s;
+                }
+            }
+            for &e in seg {
+                // SAFETY: `perm` partitions the edge rows among
+                // destinations and destinations among threads, so this
+                // row is written by this thread only.
+                let row = unsafe { shared.row(e as usize) };
+                let (g, s) = (grad_out.row(e as usize), s.row(e as usize));
+                for (((x, &g), &s), &z) in row.iter_mut().zip(g).zip(s).zip(sums.iter()) {
+                    *x = s * (g - z);
+                }
+            }
+        }
+    });
+}
+
+/// Adjoint of [`scatter_softmax_pool_with_plan_into`] with respect to
+/// `values`: with `g = grad_out[d]` the gradient of destination `d`,
+/// `x` its segment's input rows and `s` their forward weights,
+/// `grad_in[e] = g ⊙ s_e + s_e ⊙ (g ⊙ x_e − Σ_j (g ⊙ x_j) ⊙ s_j)` —
+/// the association of the unfused chain's `Mul`-then-softmax backward,
+/// so the result is bit-identical to it, with no `exp`. Overwrites
+/// `grad_in`.
+pub fn scatter_softmax_pool_backward_into(
+    grad_in: &mut Tensor,
+    grad_out: &Tensor,
+    values: &Tensor,
+    weights: &Tensor,
+    plan: &ScatterPlan,
+) {
+    plan.check_values(values);
+    assert_eq!(weights.shape(), values.shape(), "pool weights shape");
+    assert_eq!(grad_in.shape(), values.shape(), "pool input-gradient shape");
+    assert_eq!(
+        grad_out.shape(),
+        (plan.out_rows, values.cols()),
+        "pool gradient shape"
+    );
+    let d = values.cols();
+    if d == 0 || values.rows() == 0 {
+        return;
+    }
+    let shared = SharedRows::new(grad_in);
+    for_destination_ranges(plan, d, |range| {
+        let mut sums = vec![0.0f32; d];
+        for dst in range {
+            let seg = plan.segment(dst);
+            let g = grad_out.row(dst);
+            sums.fill(0.0);
+            for &e in seg {
+                let (x, s) = (values.row(e as usize), weights.row(e as usize));
+                for (((z, &g), &x), &s) in sums.iter_mut().zip(g).zip(x).zip(s) {
+                    *z += (g * x) * s;
+                }
+            }
+            for &e in seg {
+                // SAFETY: `perm` partitions the edge rows among
+                // destinations and destinations among threads, so this
+                // row is written by this thread only.
+                let row = unsafe { shared.row(e as usize) };
+                let (x, s) = (values.row(e as usize), weights.row(e as usize));
+                for ((((o, &g), &x), &s), &z) in
+                    row.iter_mut().zip(g).zip(x).zip(s).zip(sums.iter())
+                {
+                    *o = g * s + s * (g * x - z);
+                }
+            }
+        }
+    });
+}
+
+/// Runs `process` over destination ranges of `plan`: the whole range
+/// inline for small work or one thread, disjoint sub-ranges on the pool
+/// otherwise.
+fn for_destination_ranges(
+    plan: &ScatterPlan,
+    d: usize,
+    process: impl Fn(std::ops::Range<usize>) + Sync,
+) {
     if num_threads() <= 1 || plan.num_edges().saturating_mul(d) < PAR_CUTOFF {
         process(0..plan.out_rows);
     } else {
         parallel_ranges(plan.out_rows, 1, process);
     }
-    out
 }
 
 /// Shared mutable row view for kernels whose write pattern is a
@@ -400,9 +582,20 @@ struct SharedRows {
     cols: usize,
 }
 
+// SAFETY: the pointer is only dereferenced through `row`, whose callers
+// guarantee that no two threads touch the same row.
 unsafe impl Sync for SharedRows {}
 
 impl SharedRows {
+    /// Borrows `t` exclusively for the lifetime of the kernel call that
+    /// creates the view.
+    fn new(t: &mut Tensor) -> Self {
+        SharedRows {
+            cols: t.cols(),
+            ptr: t.data_mut().as_mut_ptr(),
+        }
+    }
+
     /// # Safety
     /// The caller must guarantee no two threads touch the same `r`.
     #[allow(clippy::mut_from_ref)]
@@ -472,17 +665,24 @@ pub fn index_counts(index: &[u32], out_rows: usize) -> Vec<u32> {
 /// the memory-explosion path the paper's feature fusion removes. Parallel
 /// over output rows (each thread copies a disjoint row range).
 pub fn gather_rows(src: &Tensor, idx: &[u32]) -> Tensor {
+    let mut out = Tensor::zeros(idx.len(), src.cols());
+    gather_rows_into(&mut out, src, idx);
+    out
+}
+
+/// [`gather_rows`] into a caller-provided `idx.len() × src.cols()`
+/// `out`, which is overwritten.
+pub fn gather_rows_into(out: &mut Tensor, src: &Tensor, idx: &[u32]) {
     let d = src.cols();
-    let mut out = Tensor::zeros(idx.len(), d);
+    assert_eq!(out.shape(), (idx.len(), d), "gather output shape");
     if d == 0 {
-        return out;
+        return;
     }
     parallel_for(idx.len(), out.data_mut(), d, |r0, chunk| {
         for (i, orow) in chunk.chunks_mut(d).enumerate() {
             orow.copy_from_slice(src.row(idx[r0 + i] as usize));
         }
     });
-    out
 }
 
 // ---------------------------------------------------------------------

@@ -206,10 +206,17 @@ impl Tensor {
 
     /// Elementwise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+        let mut out = Self::zeros(self.rows, self.cols);
+        self.map_into(&mut out, f);
+        out
+    }
+
+    /// [`Tensor::map`] into a caller-provided `out` of the same shape,
+    /// which is overwritten.
+    pub fn map_into(&self, out: &mut Self, f: impl Fn(f32) -> f32) {
+        assert_eq!(self.shape(), out.shape(), "shape mismatch in map_into");
+        for (o, &x) in out.data.iter_mut().zip(&self.data) {
+            *o = f(x);
         }
     }
 
@@ -221,20 +228,33 @@ impl Tensor {
     }
 
     fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        let mut out = Self::zeros(self.rows, self.cols);
+        self.zip_into(other, &mut out, f);
+        out
+    }
+
+    /// Elementwise `out = f(self, other)` over three equal shapes.
+    pub fn zip_into(&self, other: &Self, out: &mut Self, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(
             self.shape(),
             other.shape(),
             "shape mismatch in elementwise op"
         );
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+        assert_eq!(self.shape(), out.shape(), "shape mismatch in zip_into");
+        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
+            *o = f(a, b);
+        }
+    }
+
+    /// Elementwise in-place `self = f(self, other)`.
+    pub fn zip_inplace(&mut self, other: &Self, f: impl Fn(f32, f32) -> f32) {
+        assert_eq!(
+            self.shape(),
+            other.shape(),
+            "shape mismatch in elementwise op"
+        );
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
         }
     }
 
@@ -255,18 +275,12 @@ impl Tensor {
 
     /// In-place elementwise accumulate: `self += other`.
     pub fn add_assign(&mut self, other: &Self) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in add_assign");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        self.zip_inplace(other, |a, b| a + b);
     }
 
     /// In-place scaled accumulate: `self += alpha * other`.
     pub fn axpy(&mut self, alpha: f32, other: &Self) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in axpy");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
+        self.zip_inplace(other, |a, b| a + alpha * b);
     }
 
     /// Scalar multiply into a new tensor.
@@ -276,23 +290,30 @@ impl Tensor {
 
     /// Adds `bias` (a `1×cols` tensor) to every row.
     pub fn add_row_broadcast(&self, bias: &Self) -> Self {
+        let mut out = Self::zeros(self.rows, self.cols);
+        self.add_row_broadcast_into(bias, &mut out);
+        out
+    }
+
+    /// [`Tensor::add_row_broadcast`] into `out` (same shape as `self`).
+    pub fn add_row_broadcast_into(&self, bias: &Self, out: &mut Self) {
         assert_eq!(bias.rows, 1, "bias must be a single row");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
-            for (x, &b) in row.iter_mut().zip(&bias.data) {
-                *x += b;
+        assert_eq!(
+            self.shape(),
+            out.shape(),
+            "shape mismatch in add_row_broadcast"
+        );
+        for r in 0..self.rows {
+            for ((o, &x), &b) in out.row_mut(r).iter_mut().zip(self.row(r)).zip(&bias.data) {
+                *o = x + b;
             }
         }
-        out
     }
 
     /// Rectified linear unit, into a new tensor.
     pub fn relu(&self) -> Self {
-        let mut out = self.clone();
-        out.relu_inplace();
-        out
+        self.map(|x| x.max(0.0))
     }
 
     /// In-place rectified linear unit: `x = max(x, 0)` elementwise.
@@ -325,19 +346,28 @@ impl Tensor {
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Self) -> Self {
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// Accumulating form of [`Tensor::matmul`]: `out += self · other`
+    /// for a caller-provided `self.rows × other.cols` `out` (zeroed, for
+    /// the plain product).
+    pub fn matmul_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, other.rows,
             "matmul inner dims: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(m, n);
+        assert_eq!(out.shape(), (m, n), "matmul output shape");
         if m == 0 || k == 0 || n == 0 {
-            return out;
+            return;
         }
         if 2 * m * k * n < MATMUL_TILE_CUTOFF {
             matmul_rows_serial(&self.data, &other.data, &mut out.data, k, n, 0..m);
-            return out;
+            return;
         }
 
         let a = &self.data;
@@ -396,7 +426,6 @@ impl Tensor {
                 b0 = b1;
             }
         });
-        out
     }
 
     /// Reference matrix product: the seed's single-threaded triple loop
@@ -429,13 +458,17 @@ impl Tensor {
     /// (under [`TRANSPOSE_TILE_CUTOFF`] elements) take the unblocked
     /// loop.
     pub fn transpose(&self) -> Self {
+        let mut out = Tensor::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::transpose`] into a caller-provided `cols × rows` `out`.
+    pub fn transpose_into(&self, out: &mut Self) {
         let (rows, cols) = (self.rows, self.cols);
+        assert_eq!(out.shape(), (cols, rows), "transpose output shape");
         if rows * cols < TRANSPOSE_TILE_CUTOFF {
-            return self.transpose_naive();
-        }
-        let mut out = Tensor::zeros(cols, rows);
-        if rows == 0 || cols == 0 {
-            return out;
+            return self.transpose_naive_into(out);
         }
         let src = &self.data;
         parallel_for(cols, out.data.as_mut_slice(), rows, |c0, chunk| {
@@ -454,35 +487,55 @@ impl Tensor {
                 }
             }
         });
-        out
     }
 
     /// Reference transpose: the seed's unblocked double loop. Kept for
     /// the `dense_baseline` bench's naive-vs-tiled comparison.
     pub fn transpose_naive(&self) -> Self {
         let mut out = Tensor::zeros(self.cols, self.rows);
+        self.transpose_naive_into(&mut out);
+        out
+    }
+
+    fn transpose_naive_into(&self, out: &mut Self) {
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Horizontal concatenation `[self | other]` (equal row counts).
-    /// Allocates the exact output size once.
     pub fn concat_cols(&self, other: &Self) -> Self {
+        let mut out = Tensor::zeros(self.rows, self.cols + other.cols);
+        self.concat_cols_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::concat_cols`] into a caller-provided `out`.
+    pub fn concat_cols_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(self.rows, other.rows, "concat_cols needs equal row counts");
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
+        assert_eq!(
+            out.shape(),
+            (self.rows, self.cols + other.cols),
+            "concat_cols output shape"
+        );
         for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(other.row(r));
+            let (left, right) = out.row_mut(r).split_at_mut(self.cols);
+            left.copy_from_slice(self.row(r));
+            right.copy_from_slice(other.row(r));
         }
-        Self {
-            rows: self.rows,
-            cols,
-            data,
+    }
+
+    /// Copies columns `start..start + out.cols()` of every row into
+    /// `out` (one side of the inverse of [`Tensor::concat_cols`]).
+    pub fn slice_cols_into(&self, start: usize, out: &mut Self) {
+        assert_eq!(out.rows, self.rows, "slice_cols needs equal row counts");
+        assert!(start + out.cols <= self.cols, "column slice out of range");
+        for r in 0..self.rows {
+            let cols = out.cols;
+            out.row_mut(r)
+                .copy_from_slice(&self.row(r)[start..start + cols]);
         }
     }
 
@@ -519,12 +572,19 @@ impl Tensor {
     /// bias gradient).
     pub fn sum_rows(&self) -> Self {
         let mut out = Tensor::zeros(1, self.cols);
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// Accumulating form of [`Tensor::sum_rows`]: adds every row into
+    /// the caller-provided `1×cols` `out`.
+    pub fn sum_rows_into(&self, out: &mut Self) {
+        assert_eq!(out.shape(), (1, self.cols), "sum_rows output shape");
         for r in 0..self.rows {
             for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
-        out
     }
 
     /// Row-wise sum, producing an `rows×1` tensor (used as an attention
@@ -577,20 +637,28 @@ impl Tensor {
 
     /// Row-wise softmax into a new tensor (numerically stabilized).
     pub fn softmax_rows(&self) -> Self {
-        let mut out = self.clone();
-        for r in 0..out.rows {
+        let mut out = Tensor::zeros(self.rows, self.cols);
+        self.softmax_rows_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::softmax_rows`] into a caller-provided `out` of the
+    /// same shape.
+    pub fn softmax_rows_into(&self, out: &mut Self) {
+        assert_eq!(self.shape(), out.shape(), "shape mismatch in softmax_rows");
+        for r in 0..self.rows {
+            let src = self.row(r);
             let row = out.row_mut(r);
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let m = src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut z = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - m).exp();
+            for (x, &s) in row.iter_mut().zip(src) {
+                *x = (s - m).exp();
                 z += *x;
             }
             for x in row.iter_mut() {
                 *x /= z;
             }
         }
-        out
     }
 
     /// Heap bytes held by the tensor buffer (used by the memory harnesses).
