@@ -6,6 +6,10 @@
 //! the model down-weight uninformative neighbors; structurally it is
 //! still direct-neighbor flat aggregation, so NeighborSelection is the
 //! input graph.
+//!
+//! Unlike GCN's and GIN's, this aggregation is not recorded once per
+//! selection (`crate::memo`): the gate `w_g` is a parameter, so even
+//! layer 1's sum over the feature matrix changes with every step.
 
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;

@@ -3,8 +3,11 @@
 //!
 //! Each layer computes `h' = MLP((1 + ε) · h + Σ_{u∈N(v)} h_u)` with a
 //! learnable scalar ε and a two-layer MLP. Like GCN, NeighborSelection
-//! is the input graph itself and aggregation is a flat fused sum.
+//! is the input graph itself and aggregation is a flat fused sum — the
+//! parameter-free part of the layer (ε belongs to Update), so over the
+//! feature matrix it is recorded once (`crate::memo`).
 
+use crate::memo::InputAggregate;
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
 use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, Tensor};
@@ -15,6 +18,8 @@ pub struct Gin {
     hidden: usize,
     in_off: Arc<Vec<usize>>,
     in_src: Arc<Vec<u32>>,
+    /// Layer 1's aggregate over the feature leaf.
+    pub(crate) input: InputAggregate,
     /// Parameter slots: per layer `(eps, w1, w2)`.
     slots: Vec<(usize, usize, usize)>,
     dims: (usize, usize),
@@ -27,22 +32,26 @@ impl Gin {
             hidden,
             in_off: Arc::new(Vec::new()),
             in_src: Arc::new(Vec::new()),
+            input: InputAggregate::default(),
             slots: Vec::new(),
             dims: (in_dim, classes),
         }
     }
 
-    fn layer(
+    /// Aggregation: flat fused sum over direct neighbors.
+    fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
+        g.segment_reduce(h, self.in_off.clone(), self.in_src.clone(), false)
+    }
+
+    /// Update: `MLP((1 + ε) ⊙ h + a)`.
+    fn update(
         &self,
         g: &mut Graph,
         h: NodeId,
-        eps: NodeId,
-        w1: NodeId,
-        w2: NodeId,
+        a: NodeId,
+        (eps, w1, w2): (NodeId, NodeId, NodeId),
         relu_out: bool,
     ) -> NodeId {
-        // Flat fused sum over direct neighbors.
-        let a = g.segment_reduce(h, self.in_off.clone(), self.in_src.clone(), false);
         // (1 + ε) ⊙ h + a, with ε a learnable 1×d row (the per-feature
         // generalization of GIN's scalar ε). The row is broadcast to h's
         // shape by adding it onto a zero tensor, then applied
@@ -79,6 +88,7 @@ impl Model for Gin {
         if self.in_off.is_empty() {
             self.in_off = Arc::new(ds.graph.in_offsets().to_vec());
             self.in_src = Arc::new(ds.graph.in_sources().to_vec());
+            self.input.clear();
         }
     }
 
@@ -88,7 +98,12 @@ impl Model for Gin {
             let en = g.param(params.value(e).clone(), e);
             let w1n = g.param(params.value(w1).clone(), w1);
             let w2n = g.param(params.value(w2).clone(), w2);
-            h = self.layer(g, h, en, w1n, w2n, li + 1 < self.slots.len());
+            let a = if li == 0 {
+                self.input.record(g, h, |g, h| self.aggregate(g, h))
+            } else {
+                self.aggregate(g, h)
+            };
+            h = self.update(g, h, a, (en, w1n, w2n), li + 1 < self.slots.len());
         }
         h
     }

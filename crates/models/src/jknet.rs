@@ -4,6 +4,7 @@
 //! shell features — expressed through the same hierarchical HDG pattern
 //! as MAGNN and P-GNN.
 
+use crate::memo::InputAggregate;
 use crate::train::Model;
 use flexgraph_graph::bfs::HopScratch;
 use flexgraph_graph::gen::Dataset;
@@ -19,6 +20,8 @@ pub struct JkNet {
     /// Per-(root, shell) segment offsets over the flattened shells.
     off: Arc<Vec<usize>>,
     src: Arc<Vec<u32>>,
+    /// Layer 1's aggregate over the feature leaf.
+    pub(crate) input: InputAggregate,
     w1: usize,
     w2: usize,
     dims: (usize, usize),
@@ -34,6 +37,7 @@ impl JkNet {
             built: false,
             off: Arc::new(Vec::new()),
             src: Arc::new(Vec::new()),
+            input: InputAggregate::default(),
             w1: usize::MAX,
             w2: usize::MAX,
             dims: (in_dim, classes),
@@ -46,13 +50,19 @@ impl JkNet {
         (&self.off, &self.src)
     }
 
-    fn layer(&self, g: &mut Graph, h: NodeId, w: NodeId, relu: bool) -> NodeId {
+    /// Aggregation: `[h ‖ a]`, parameter-free — over the feature leaf
+    /// it is recorded once (`crate::memo`).
+    fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
         // Shell level: mean per (root, hop-shell).
         let shells = g.segment_reduce(h, self.off.clone(), self.src.clone(), true);
         // Schema level: dense block-mean over the k shells (the
         // "jumping knowledge" combination, here mean-pooled).
         let a = g.mean_row_blocks(shells, self.hops);
-        let cat = g.concat_cols(h, a);
+        g.concat_cols(h, a)
+    }
+
+    /// Update: ReLU(W * [h ‖ a]).
+    fn update(&self, g: &mut Graph, cat: NodeId, w: NodeId, relu: bool) -> NodeId {
         let out = g.matmul(cat, w);
         if relu {
             g.relu(out)
@@ -85,14 +95,17 @@ impl Model for JkNet {
         }
         self.off = Arc::new(off);
         self.src = Arc::new(src);
+        self.input.clear();
         self.built = true;
     }
 
     fn forward(&self, g: &mut Graph, feats: NodeId, params: &ParamSet) -> NodeId {
         let w1 = g.param(params.value(self.w1).clone(), self.w1);
         let w2 = g.param(params.value(self.w2).clone(), self.w2);
-        let h1 = self.layer(g, feats, w1, true);
-        self.layer(g, h1, w2, false)
+        let c1 = self.input.record(g, feats, |g, h| self.aggregate(g, h));
+        let h1 = self.update(g, c1, w1, true);
+        let c2 = self.aggregate(g, h1);
+        self.update(g, c2, w2, false)
     }
 
     fn init_params(&mut self, params: &mut ParamSet, rng: &mut rand::rngs::StdRng) {

@@ -27,6 +27,7 @@ pub mod gin;
 pub mod golden;
 pub mod jknet;
 pub mod magnn;
+mod memo;
 pub mod pgnn;
 pub mod pinsage;
 pub mod train;

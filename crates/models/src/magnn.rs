@@ -10,7 +10,14 @@
 //! neighborhood representation the dense block-mean over types (Figure
 //! 10). Update is `ReLU(W · a)` (Figure 7's MAGNNLayer uses only the
 //! neighborhood representation).
+//!
+//! The Aggregation stage has no parameter, so layer 1's — leaves →
+//! instances → types → root over the feature matrix, the two
+//! instance-sized tensors of the epoch — is the same every epoch: it is
+//! recorded by the first `forward` after selection and is a leaf from
+//! then on (`crate::memo`).
 
+use crate::memo::InputAggregate;
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
 use flexgraph_graph::metapath::Metapath;
@@ -39,6 +46,8 @@ pub struct Magnn {
     group_plan: Option<Arc<ScatterPlan>>,
     num_groups: usize,
     num_types: usize,
+    /// Layer 1's aggregate over the feature leaf.
+    pub(crate) input: InputAggregate,
     w1: usize,
     w2: usize,
     dims: (usize, usize),
@@ -68,15 +77,17 @@ impl Magnn {
             group_plan: None,
             num_groups: 0,
             num_types,
+            input: InputAggregate::default(),
             w1: usize::MAX,
             w2: usize::MAX,
             dims: (in_dim, classes),
         }
     }
 
-    fn layer(&self, g: &mut Graph, h: NodeId, w: NodeId, relu: bool) -> NodeId {
-        // Hierarchical aggregation, bottom-up (§3.2 Figure 6):
-        // leaves → instances (fused mean)…
+    /// Hierarchical aggregation, bottom-up (§3.2 Figure 6); reads `h`
+    /// and the HDG only.
+    fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
+        // Leaves → instances (fused mean)…
         let inst = g.segment_reduce(h, self.inst_off.clone(), self.leaf_src.clone(), true);
         // …instances → metapath types: attention-weighted sum (Figure
         // 7's scatter_softmax → mul → scatter_add, fused into one op) or
@@ -88,8 +99,11 @@ impl Magnn {
             g.segment_reduce(inst, self.group_off.clone(), self.inst_ranks.clone(), true)
         };
         // …types → root (dense reshape + block mean, Figure 10).
-        let a = g.mean_row_blocks(groups, self.num_types);
-        // Update: ReLU(W * a).
+        g.mean_row_blocks(groups, self.num_types)
+    }
+
+    /// Update: ReLU(W * a).
+    fn update(&self, g: &mut Graph, a: NodeId, w: NodeId, relu: bool) -> NodeId {
         let out = g.matmul(a, w);
         if relu {
             g.relu(out)
@@ -114,14 +128,17 @@ impl Model for Magnn {
         self.inst_ranks = Arc::new((0..hdg.num_instances() as u32).collect());
         self.group_plan = Some(hdg.group_scatter_plan());
         self.num_groups = hdg.num_groups();
+        self.input.clear();
         self.built = true;
     }
 
     fn forward(&self, g: &mut Graph, feats: NodeId, params: &ParamSet) -> NodeId {
         let w1 = g.param(params.value(self.w1).clone(), self.w1);
         let w2 = g.param(params.value(self.w2).clone(), self.w2);
-        let h1 = self.layer(g, feats, w1, true);
-        self.layer(g, h1, w2, false)
+        let a1 = self.input.record(g, feats, |g, h| self.aggregate(g, h));
+        let h1 = self.update(g, a1, w1, true);
+        let a2 = self.aggregate(g, h1);
+        self.update(g, a2, w2, false)
     }
 
     fn init_params(&mut self, params: &mut ParamSet, rng: &mut rand::rngs::StdRng) {
@@ -258,6 +275,47 @@ mod tests {
         m.selection(&ds, 1);
         m.selection(&ds, 7);
         assert!(Arc::ptr_eq(&off, &m.inst_off), "HDGs cached across epochs");
+    }
+
+    /// One selection + forward + backward, no optimizer step.
+    fn tape(tr: &mut Trainer<Magnn>, ds: &Dataset) -> (Graph, NodeId) {
+        let (mut g, logits, _) = tr.forward_pass(ds, 0);
+        let loss = g.cross_entropy(logits, &ds.labels);
+        g.backward(loss);
+        (g, logits)
+    }
+
+    #[test]
+    fn after_the_first_forward_layer_one_aggregation_is_one_leaf() {
+        let ds = hetero_imdb(200, 3, 3, 16, 4);
+        let model = Magnn::new(16, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 12);
+        let mut tr = Trainer::new(model, TrainConfig::default());
+        let (first, logits) = tape(&mut tr, &ds);
+        let (len, want) = (first.len(), first.value(logits).clone());
+        drop(first);
+        for pass in 2..=3 {
+            let (g, logits) = tape(&mut tr, &ds);
+            // segment_reduce, softmax-pool and mean_row_blocks — the two
+            // instance-sized tensors of layer 1 among them — gave way to
+            // one leaf, with the same logits (no step ran in between)…
+            assert_eq!(len - g.len(), 3 - 1, "pass {pass}");
+            assert_eq!(g.value(logits), &want, "pass {pass}");
+            // …whose buffer came off the free list, like every other.
+            assert_eq!(g.free_list_misses(), 0, "pass {pass}");
+        }
+    }
+
+    #[test]
+    fn a_rebuilt_selection_records_the_aggregate_again() {
+        let ds = hetero_imdb(100, 2, 2, 8, 1);
+        let model = Magnn::new(8, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 10);
+        let mut tr = Trainer::new(model, TrainConfig::default());
+        let recorded = tape(&mut tr, &ds).0.len();
+        let memoised = tape(&mut tr, &ds).0.len();
+        assert!(memoised < recorded);
+        tr.model.built = false; // The next selection builds its HDGs anew.
+        assert_eq!(tape(&mut tr, &ds).0.len(), recorded);
+        assert_eq!(tape(&mut tr, &ds).0.len(), memoised);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! `k` anchor-set features into the neighborhood representation — the
 //! same bottom-up pattern as MAGNN, so the HDGs have three levels.
 
+use crate::memo::InputAggregate;
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
 use flexgraph_graph::VertexId;
@@ -24,6 +25,8 @@ pub struct Pgnn {
     /// Per-(root, set) segment offsets over the flattened anchor lists.
     off: Arc<Vec<usize>>,
     src: Arc<Vec<u32>>,
+    /// Layer 1's aggregate over the feature leaf.
+    pub(crate) input: InputAggregate,
     w1: usize,
     w2: usize,
     dims: (usize, usize),
@@ -51,21 +54,28 @@ impl Pgnn {
             built: false,
             off: Arc::new(Vec::new()),
             src: Arc::new(Vec::new()),
+            input: InputAggregate::default(),
             w1: usize::MAX,
             w2: usize::MAX,
             dims: (in_dim, classes),
         }
     }
 
-    fn layer(&self, g: &mut Graph, h: NodeId, w: NodeId, relu: bool) -> NodeId {
+    /// Aggregation: `[h ‖ a]`, the vertex's own feature beside the
+    /// anchor view; parameter-free — over the feature leaf it is
+    /// recorded once (`crate::memo`).
+    fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
         // Anchor-set level: mean per (root, set) — the sets are shared,
         // but each root owns its instance in the HDG; the segment layout
         // encodes exactly that.
         let sets = g.segment_reduce(h, self.off.clone(), self.src.clone(), true);
         // Schema level: dense block-mean over the k sets per root.
         let a = g.mean_row_blocks(sets, self.num_anchor_sets);
-        // Update combines the vertex's own feature with the anchor view.
-        let cat = g.concat_cols(h, a);
+        g.concat_cols(h, a)
+    }
+
+    /// Update: ReLU(W * [h ‖ a]).
+    fn update(&self, g: &mut Graph, cat: NodeId, w: NodeId, relu: bool) -> NodeId {
         let out = g.matmul(cat, w);
         if relu {
             g.relu(out)
@@ -102,14 +112,17 @@ impl Model for Pgnn {
         }
         self.off = Arc::new(off);
         self.src = Arc::new(src);
+        self.input.clear();
         self.built = true;
     }
 
     fn forward(&self, g: &mut Graph, feats: NodeId, params: &ParamSet) -> NodeId {
         let w1 = g.param(params.value(self.w1).clone(), self.w1);
         let w2 = g.param(params.value(self.w2).clone(), self.w2);
-        let h1 = self.layer(g, feats, w1, true);
-        self.layer(g, h1, w2, false)
+        let c1 = self.input.record(g, feats, |g, h| self.aggregate(g, h));
+        let h1 = self.update(g, c1, w1, true);
+        let c2 = self.aggregate(g, h1);
+        self.update(g, c2, w2, false)
     }
 
     fn init_params(&mut self, params: &mut ParamSet, rng: &mut rand::rngs::StdRng) {

@@ -4,6 +4,11 @@
 //! visited vertices over random walks, re-run per epoch (the HDGs are
 //! stochastic). Aggregation is a flat sum over the selected neighbors;
 //! Update is `ReLU(W · [h | a])` (Figure 7's PinSageLayer concatenates).
+//!
+//! Layer 1's aggregate is *not* kept across epochs the way the
+//! static-selection models keep theirs (`crate::memo`): it is
+//! parameter-free here too, but the neighbor lists it sums over are new
+//! every epoch, so there is nothing to reuse.
 
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;

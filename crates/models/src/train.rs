@@ -26,6 +26,12 @@ pub trait Model {
     fn selection(&mut self, ds: &Dataset, epoch: u64);
 
     /// Records the forward pass onto the tape; returns the logits node.
+    ///
+    /// `feats` is a leaf holding the feature matrix of the dataset last
+    /// passed to [`Model::selection`]: the HDGs a model caches, and the
+    /// layer-1 aggregate a static-selection model records once per
+    /// selection, are only valid for that dataset. A model instance is
+    /// bound to one dataset for its whole life.
     fn forward(&self, g: &mut Graph, feats: NodeId, params: &ParamSet) -> NodeId;
 
     /// Registers this model's parameters (called once by the trainer).
@@ -94,21 +100,29 @@ impl<M: Model> Trainer<M> {
         }
     }
 
-    /// Runs one full epoch (selection → forward → loss → backward →
-    /// step) and reports measurements.
-    pub fn epoch(&mut self, ds: &Dataset, epoch: u64) -> EpochStats {
+    /// NeighborSelection for `epoch`, then the forward pass on a fresh
+    /// tape over the feature leaf: the tape, its logits node, and the
+    /// selection's wall time.
+    pub(crate) fn forward_pass(&mut self, ds: &Dataset, epoch: u64) -> (Graph, NodeId, Duration) {
         let t0 = Instant::now();
         self.model.selection(ds, epoch);
         let selection = t0.elapsed();
         record_obs(Stage::Selection, ds.graph.num_edges() as u64, selection);
 
-        let t1 = Instant::now();
         let mut g = Graph::new();
         let feats = g.leaf(ds.features.clone());
         let logits = self.model.forward(&mut g, feats, &self.params);
+        (g, logits, selection)
+    }
+
+    /// Runs one full epoch (selection → forward → loss → backward →
+    /// step) and reports measurements.
+    pub fn epoch(&mut self, ds: &Dataset, epoch: u64) -> EpochStats {
+        let t0 = Instant::now();
+        let (mut g, logits, selection) = self.forward_pass(ds, epoch);
         let loss_node = g.cross_entropy(logits, &ds.labels);
         g.backward(loss_node);
-        let aggregation = t1.elapsed();
+        let aggregation = t0.elapsed() - selection;
 
         let t2 = Instant::now();
         self.params.zero_grads();
@@ -143,19 +157,12 @@ impl<M: Model> Trainer<M> {
     /// the training vertices.
     pub fn epoch_masked(&mut self, ds: &Dataset, epoch: u64, train_idx: &[u32]) -> EpochStats {
         let t0 = Instant::now();
-        self.model.selection(ds, epoch);
-        let selection = t0.elapsed();
-        record_obs(Stage::Selection, ds.graph.num_edges() as u64, selection);
-
-        let t1 = Instant::now();
-        let mut g = Graph::new();
-        let feats = g.leaf(ds.features.clone());
-        let logits = self.model.forward(&mut g, feats, &self.params);
+        let (mut g, logits, selection) = self.forward_pass(ds, epoch);
         let masked_logits = g.gather(logits, train_idx);
         let masked_labels: Vec<usize> = train_idx.iter().map(|&i| ds.labels[i as usize]).collect();
         let loss_node = g.cross_entropy(masked_logits, &masked_labels);
         g.backward(loss_node);
-        let aggregation = t1.elapsed();
+        let aggregation = t0.elapsed() - selection;
 
         let t2 = Instant::now();
         self.params.zero_grads();
@@ -188,10 +195,7 @@ impl<M: Model> Trainer<M> {
 
     /// Forward-only inference: logits for the current parameters.
     pub fn infer(&mut self, ds: &Dataset) -> Tensor {
-        self.model.selection(ds, u64::MAX);
-        let mut g = Graph::new();
-        let feats = g.leaf(ds.features.clone());
-        let logits = self.model.forward(&mut g, feats, &self.params);
+        let (g, logits, _) = self.forward_pass(ds, u64::MAX);
         g.value(logits).clone()
     }
 

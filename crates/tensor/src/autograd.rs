@@ -27,9 +27,12 @@
 //!
 //! # Buffer reuse
 //!
-//! Every value, gradient and transpose the tape creates is drawn from an
-//! exact-length free list the tape owns, and goes back to it when released
-//! or when the tape drops. A static HDG makes every epoch's tape the same
+//! Every value, gradient and transpose the tape creates — and the two
+//! tensors an op keeps for its own backward, the softmax-pool weights and
+//! the cross-entropy's probabilities — is drawn from an exact-length free
+//! list the tape owns, and goes back to it when released or when the tape
+//! drops. So is the copy [`Graph::leaf_copy`] makes of a tensor that
+//! outlives the tape. A static HDG makes every epoch's tape the same
 //! sequence of shapes, so the list is handed from one tape to the next: a
 //! dropping tape parks it in a thread-local, and the next [`Graph::new`]
 //! on that thread adopts it. A buffer the adopting pass never draws is
@@ -46,6 +49,7 @@ use crate::scatter::{
     scatter_softmax_backward_into, scatter_softmax_pool_backward_into,
     scatter_softmax_pool_with_plan_into, scatter_softmax_with_plan_into, ScatterPlan,
 };
+use crate::simd;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -116,8 +120,17 @@ enum Op {
     MeanRowBlocks(NodeId, usize),
     /// Sum over consecutive row blocks of size `block`.
     SumRowBlocks(NodeId, usize),
-    /// Fused mean softmax cross-entropy against integer class targets.
-    CrossEntropy(NodeId, Vec<usize>),
+    /// Fused mean softmax cross-entropy against integer class targets;
+    /// `probs` are the forward pass's row softmax, which backward turns
+    /// into the logits' gradient in place (no second `exp` pass).
+    CrossEntropy {
+        /// Pre-softmax scores, one row per target.
+        logits: NodeId,
+        /// Class index of each row.
+        targets: Vec<usize>,
+        /// `softmax_rows(logits)`, until backward takes it.
+        probs: Option<Tensor>,
+    },
     /// Mean of all elements (scalar output).
     MeanAll(NodeId),
 }
@@ -143,7 +156,7 @@ impl Op {
             | Op::SegmentReduce { a, .. }
             | Op::MeanRowBlocks(a, _)
             | Op::SumRowBlocks(a, _)
-            | Op::CrossEntropy(a, _)
+            | Op::CrossEntropy { logits: a, .. }
             | Op::MeanAll(a) => [Some(*a), None],
         }
     }
@@ -200,6 +213,13 @@ impl FreeList {
         t
     }
 
+    /// A pooled copy of `t`.
+    fn copy_of(&mut self, t: &Tensor) -> Tensor {
+        let mut copy = self.draw(t.rows(), t.cols());
+        copy.data_mut().copy_from_slice(t.data());
+        copy
+    }
+
     fn release(&mut self, t: Tensor) {
         self.released.push(t.into_vec());
     }
@@ -241,8 +261,12 @@ impl Drop for Graph {
         for node in self.nodes.drain(..) {
             parked.push(node.value.into_vec());
             parked.extend(node.grad.map(Tensor::into_vec));
-            if let Op::ScatterSoftmaxPool { weights, .. } = node.op {
-                parked.push(weights.into_vec());
+            if let Op::ScatterSoftmaxPool { weights: kept, .. }
+            | Op::CrossEntropy {
+                probs: Some(kept), ..
+            } = node.op
+            {
+                parked.push(kept.into_vec());
             }
         }
         parked.extend(self.tcache.0.drain(..).flatten().map(Tensor::into_vec));
@@ -305,6 +329,14 @@ impl Graph {
     /// Registers an input tensor that does not require gradients.
     pub fn leaf(&mut self, value: Tensor) -> NodeId {
         self.push(value, Op::Leaf)
+    }
+
+    /// [`Graph::leaf`] of a copy of `value`, made in a buffer off the
+    /// free list: how a tensor that outlives the tape (an aggregate
+    /// memoised across epochs) gets onto it without an allocation.
+    pub fn leaf_copy(&mut self, value: &Tensor) -> NodeId {
+        let copy = self.pool.copy_of(value);
+        self.push(copy, Op::Leaf)
     }
 
     /// Registers a trainable parameter living in external `slot`.
@@ -372,7 +404,8 @@ impl Graph {
     /// gates).
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
         let mut v = self.draw_like(a);
-        self.value(a).map_into(&mut v, |x| 1.0 / (1.0 + (-x).exp()));
+        self.value(a)
+            .map_into(&mut v, |x| 1.0 / (1.0 + simd::exp(-x)));
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -519,15 +552,21 @@ impl Graph {
             targets.len(),
             "one target per logits row"
         );
-        let mut sm = self.draw_like(logits);
-        self.value(logits).softmax_rows_into(&mut sm);
+        let mut probs = self.draw_like(logits);
+        self.value(logits).softmax_rows_into(&mut probs);
         let mut loss = 0.0f64;
         for (r, &t) in targets.iter().enumerate() {
-            loss -= (sm.get(r, t).max(1e-12) as f64).ln();
+            loss -= (probs.get(r, t).max(1e-12) as f64).ln();
         }
-        self.pool.release(sm);
         let v = self.scalar((loss / targets.len() as f64) as f32);
-        self.push(v, Op::CrossEntropy(logits, targets.to_vec()))
+        self.push(
+            v,
+            Op::CrossEntropy {
+                logits,
+                targets: targets.to_vec(),
+                probs: Some(probs),
+            },
+        )
     }
 
     /// Mean of all elements, as a `1×1` scalar node.
@@ -589,8 +628,7 @@ impl Graph {
         if let Some(acc) = &mut self.nodes[id.0].grad {
             acc.add_assign(g);
         } else {
-            let mut copy = self.pool.draw(g.rows(), g.cols());
-            copy.data_mut().copy_from_slice(g.data());
+            let copy = self.pool.copy_of(g);
             self.give(id, copy);
         }
     }
@@ -600,10 +638,11 @@ impl Graph {
     fn propagate(&mut self, i: usize, mut grad: Tensor) {
         // `op` is moved out temporarily so we can mutate `self` while
         // reading the recorded inputs.
-        let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
+        let mut op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
+        let block_mean = matches!(op, Op::MeanRowBlocks(..));
         // Each arm yields `grad` back unless it moved it into an input.
         // A one-input op only gets here if that input needs a gradient.
-        let leftover = match &op {
+        let leftover = match &mut op {
             Op::Leaf | Op::Param { .. } => Some(grad),
             Op::MatMul(a, b) => {
                 // dA = dC·Bᵀ, dB = Aᵀ·dC, with both transposes cached
@@ -744,19 +783,22 @@ impl Graph {
                 Some(grad)
             }
             Op::MeanRowBlocks(a, block) | Op::SumRowBlocks(a, block) => {
-                let mean = matches!(op, Op::MeanRowBlocks(..));
-                let scale = if mean { 1.0 / *block as f32 } else { 1.0 };
+                let scale = if block_mean { 1.0 / *block as f32 } else { 1.0 };
                 let mut g = self.draw_like(*a);
                 expand_row_blocks_into(&mut g, &grad, *block, scale);
                 self.give(*a, g);
                 Some(grad)
             }
-            Op::CrossEntropy(logits, targets) => {
+            Op::CrossEntropy {
+                logits,
+                targets,
+                probs,
+            } => {
                 // d/dlogits of mean CE = (softmax - onehot) / n, scaled by
-                // the incoming scalar gradient.
+                // the incoming scalar gradient; the forward's softmax
+                // becomes that gradient in place.
                 let g0 = grad.get(0, 0);
-                let mut sm = self.draw_like(*logits);
-                self.value(*logits).softmax_rows_into(&mut sm);
+                let mut sm = probs.take().expect("backward runs once per tape");
                 let n = targets.len() as f32;
                 for (r, &t) in targets.iter().enumerate() {
                     let v = sm.get(r, t) - 1.0;
@@ -802,6 +844,13 @@ impl Graph {
     /// Whether the tape is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Buffers this tape had to get from the allocator because its free
+    /// list held none of the right length (diagnostics): zero for a tape
+    /// whose shapes the previous tape on this thread already drew.
+    pub fn free_list_misses(&self) -> usize {
+        self.pool.misses
     }
 }
 

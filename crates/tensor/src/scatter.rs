@@ -430,15 +430,8 @@ fn softmax_segments(
                 // across threads, so this row is written by this thread
                 // only.
                 let row = unsafe { shared.row(e as usize) };
-                let src = values.row(e as usize);
-                for ((o, &s), (&m, z)) in row
-                    .iter_mut()
-                    .zip(src)
-                    .zip(maxes.iter().zip(sums.iter_mut()))
-                {
-                    *o = (s - m).exp();
-                    *z += *o;
-                }
+                simd::exp_sub_into(row, values.row(e as usize), &maxes);
+                simd::add_assign(&mut sums, row);
             }
             // SAFETY: destination row `dst` is in this thread's range.
             let mut acc = pooled.as_ref().map(|p| unsafe { p.row(dst) });
@@ -784,7 +777,7 @@ pub fn scatter_softmax_serial(values: &Tensor, index: &[u32], out_rows: usize) -
         let src = values.row(i);
         let out = exp.row_mut(i);
         for ((o, &s), &mx) in out.iter_mut().zip(src).zip(m) {
-            *o = (s - mx).exp();
+            *o = simd::exp(s - mx);
         }
     }
     let sums = scatter_add_serial(&exp, index, out_rows);

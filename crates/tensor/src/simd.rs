@@ -24,6 +24,44 @@
 //!   accumulator on either path, and the accumulator itself never
 //!   becomes NaN from the `±∞` sentinel initialization).
 //!
+//! # `exp`
+//!
+//! [`exp`] is the only exponential in the tree: every softmax (the
+//! planned segment kernels and their serial oracle, the row softmax
+//! under the cross-entropy) and the sigmoid call it, so any two of them
+//! agree bit for bit by construction. It is one scalar, branch-free
+//! definition — no intrinsic twin — which the compiler turns into 8-lane
+//! code wherever a loop calls it, on whichever backend is compiled in:
+//!
+//! * `n = round(x / ln 2)` by adding `1.5·2²³` (the sum's low mantissa
+//!   bits *are* `n`) and subtracting it again;
+//! * `r = x − n·ln 2` in two Cody–Waite steps (`ln 2` split into a
+//!   9-bit head, whose product with `n` is exact, and a tail), so
+//!   `|r| ≤ ½ ln 2` carries no cancellation error;
+//! * `e^r ≈ 1 + r + r²·q(r)`, `q` a degree-4 near-minimax fit (relative
+//!   error 3·10⁻⁹ before rounding), evaluated by Horner's rule with a
+//!   separate multiply and add at every step — never FMA;
+//! * `2ⁿ` applied by adding `n`, taken from the rounded sum's bits and
+//!   shifted into place, to the exponent field of that value. There is
+//!   no float → integer conversion anywhere (an `as i32` is what keeps
+//!   LLVM from vectorising the textbook form), and `n = 128` needs no
+//!   special case.
+//!
+//! Every step is an IEEE add, multiply, shift or select on one element,
+//! so a vector lane computes exactly what the scalar tail and a lone
+//! call compute: the AVX2 and the scalar backend return the same bits,
+//! which `tests/simd_parity.rs` pins as constants.
+//!
+//! Contract (tested there): `exp(±0) = 1` exactly — a singleton softmax
+//! group gets weight exactly 1; `exp(−∞) = +0`, `exp(+∞) = +∞`, NaN →
+//! NaN; every input below `ln(f32::MIN_POSITIVE)` returns `+0`, so no
+//! output is ever denormal and no result depends on the FTZ/DAZ mode;
+//! inputs above `ln(f32::MAX)` return `+∞`; the function is monotone
+//! non-decreasing; and it is within 2 ulp of the correctly rounded
+//! result wherever that is normal (measured over all 2.24·10⁹ such
+//! inputs: at most 1 ulp, 99.2 % correctly rounded, no monotonicity
+//! violation).
+//!
 //! # Backend selection
 //!
 //! The vector backend is chosen at **compile time**: when the target
@@ -122,6 +160,63 @@ pub mod scalar {
             if v < *o {
                 *o = v;
             }
+        }
+    }
+
+    /// `1.5·2²³`: adding it to `|v| < 2²²` rounds `v` to an integer
+    /// (ties to even) and leaves that integer in the low mantissa bits.
+    const ROUND: f32 = 12_582_912.0;
+    /// `ln 2` as a 9-bit head (`n · LN2_HI` is exact for `|n| < 2¹⁵`)…
+    const LN2_HI: f32 = 355.0 / 512.0;
+    /// …and the tail `ln 2 − LN2_HI`.
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    /// Smallest input with a normal result: the `f32` just above
+    /// `ln(f32::MIN_POSITIVE)`.
+    const EXP_LO: f32 = -87.336_54;
+    /// Largest input with a finite result: the `f32` just below
+    /// `ln(f32::MAX)`.
+    const EXP_HI: f32 = 88.722_83;
+    /// `q` of `e^r ≈ 1 + r + r²·q(r)` on `|r| ≤ ½ ln 2`, highest degree
+    /// first: a near-minimax fit of the relative error (Lawson's
+    /// reweighted least squares over 400 Chebyshev nodes).
+    const EXP_Q: [f32; 5] = [
+        1.381_453_8e-3,
+        8.368_745e-3,
+        4.166_839e-2,
+        1.666_652_1e-1,
+        4.999_999_4e-1,
+    ];
+
+    /// `e^x` (see the module docs for the algorithm and its contract).
+    #[inline(always)]
+    pub fn exp(x: f32) -> f32 {
+        let t = x * std::f32::consts::LOG2_E + ROUND;
+        let n = t - ROUND;
+        let r = (x - n * LN2_HI) - n * LN2_LO;
+        let [c6, c5, c4, c3, c2] = EXP_Q;
+        let q = (((c6 * r + c5) * r + c4) * r + c3) * r + c2;
+        let p = q * (r * r) + r + 1.0;
+        // `p` lies in [0.70, 1.42] and `n` in [-126, 128] for every input
+        // the selects below let through, so the exponent field neither
+        // borrows nor carries.
+        let y = f32::from_bits(p.to_bits().wrapping_add(t.to_bits() << 23));
+        let y = if x < EXP_LO { 0.0 } else { y };
+        // Written so that NaN takes the second arm and stays NaN.
+        if x <= EXP_HI {
+            y
+        } else {
+            x + f32::INFINITY
+        }
+    }
+
+    /// `out[i] = exp(x[i] - m[i])` elementwise — the stabilised
+    /// exponentials of one softmax row against its column maxima.
+    #[inline]
+    pub fn exp_sub_into(out: &mut [f32], x: &[f32], m: &[f32]) {
+        debug_assert_eq!(out.len(), x.len());
+        debug_assert_eq!(out.len(), m.len());
+        for ((o, &v), &m) in out.iter_mut().zip(x).zip(m) {
+            *o = exp(v - m);
         }
     }
 }
@@ -245,6 +340,8 @@ mod avx2 {
 pub use avx2::{add_assign, max_assign, min_assign, mul_add_assign, scale_assign};
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
 pub use scalar::{add_assign, max_assign, min_assign, mul_add_assign, scale_assign};
+// One definition serves both backends (see the module docs).
+pub use scalar::{exp, exp_sub_into};
 
 #[cfg(test)]
 mod tests {

@@ -652,7 +652,7 @@ impl Tensor {
             let m = src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut z = 0.0;
             for (x, &s) in row.iter_mut().zip(src) {
-                *x = (s - m).exp();
+                *x = simd::exp(s - m);
                 z += *x;
             }
             for x in row.iter_mut() {
