@@ -97,6 +97,13 @@ impl ChaosSchedule {
         *self == Self::default()
     }
 
+    /// Whether `rank`, `data_sends` application sends in, dies on its
+    /// next one: the [`CrashPoint`] arming rule of both transports.
+    pub fn crashes_at(&self, rank: usize, data_sends: u64) -> bool {
+        self.crash
+            .is_some_and(|c| c.rank == rank && data_sends + 1 >= c.at_send.max(1))
+    }
+
     /// The fault verdict for transmission `attempt` (0 = first) of the
     /// packet `seq` on link `src -> dst`. Pure in all arguments.
     pub(crate) fn decide(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> Decision {

@@ -20,7 +20,10 @@
 //!   events, folds a seeded [`ChaosSchedule`] in as events (drops become
 //!   modeled retransmission delays, duplicates a second delivery,
 //!   crashes a cascade of peer-failure events), and appends a
-//!   deterministic event log.
+//!   deterministic event log. Each wire arrival is priced on its own,
+//!   so arrivals can overtake one another; the link's `link::LinkRecv`
+//!   (the receive half shared with [`crate::fabric`]) hands them over
+//!   once each and in send order, an early one when its gap fills.
 //!
 //! Determinism contract: given the same tasks, profile, retry policy,
 //! and chaos seed, the sequence of scheduler decisions — and therefore
@@ -32,10 +35,11 @@
 use crate::chaos::{splitmix64, ChaosSchedule};
 use crate::clock;
 use crate::fabric::{CommError, RetryPolicy};
+use crate::link::LinkRecv;
 use crate::worker::{SimTask, TaskStep, WorkerCtx};
 use bytes::Bytes;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt::Write as _;
 
 /// Virtual time, in nanoseconds since cluster start.
@@ -298,7 +302,8 @@ pub struct VMessage {
     pub tag: u32,
     /// Per-link sequence number.
     pub seq: u64,
-    /// Virtual delivery time.
+    /// Virtual delivery time: the wire arrival, or that of the earlier
+    /// message of the link it had to wait for.
     pub at: Vt,
     /// Payload bytes.
     pub payload: Bytes,
@@ -372,9 +377,8 @@ pub struct VirtualCluster {
     runq: VecDeque<usize>,
     /// Next per-link sequence number, indexed `[src][dst]`.
     next_seq: Vec<Vec<u64>>,
-    /// Receive-side dedup sets, allocated only when the chaos schedule
-    /// can actually duplicate.
-    dedup: Option<Vec<HashSet<(usize, u64)>>>,
+    /// Receive half of every link, at `dst * k + src`.
+    links: Vec<LinkRecv<VMessage>>,
     /// Latched failure per task (peer crash detection).
     failed: Vec<Option<CommError>>,
     data_sends: Vec<u64>,
@@ -403,7 +407,6 @@ impl VirtualCluster {
     /// A cluster of `k` workers at virtual time zero.
     pub fn new(k: usize, cfg: SimConfig) -> Self {
         assert!(k >= 1, "need at least one worker");
-        let dedup = (!cfg.chaos.is_noop()).then(|| (0..k).map(|_| HashSet::new()).collect());
         let compute_mult = (0..k).map(|r| cfg.net.compute_factor(r)).collect();
         Self {
             k,
@@ -415,7 +418,7 @@ impl VirtualCluster {
             state: vec![TaskState::Runnable; k],
             runq: VecDeque::new(),
             next_seq: (0..k).map(|_| vec![0; k]).collect(),
-            dedup,
+            links: (0..k * k).map(|_| LinkRecv::default()).collect(),
             failed: vec![None; k],
             data_sends: vec![0; k],
             crashed: vec![false; k],
@@ -554,29 +557,30 @@ impl VirtualCluster {
     fn dispatch(&mut self, ev: NetEvent, vt: Vt) {
         match ev {
             NetEvent::Deliver { dst, msg } => {
-                if let Some(dedup) = &mut self.dedup {
-                    if !dedup[dst].insert((msg.from, msg.seq)) {
-                        self.stats.redeliveries += 1;
-                        let _ = writeln!(self.log, "X {vt} {} {dst} {}", msg.from, msg.seq);
-                        return;
+                // The wire arrival is logged here; the inbox gets what
+                // this arrival puts in send order, receivable from now.
+                let (from, seq) = (msg.from, msg.seq);
+                let fresh = self.links[dst * self.k + from].accept(seq, msg, |mut msg| {
+                    if self.crashed[dst] {
+                        return; // Delivered to a dead worker: lost.
                     }
+                    msg.at = vt;
+                    let (from, tag) = (msg.from, msg.tag);
+                    self.inbox[dst]
+                        .entry((from, tag))
+                        .or_default()
+                        .push_back(msg);
+                    if self.state[dst] == (TaskState::Waiting { from, tag }) {
+                        self.state[dst] = TaskState::Runnable;
+                        self.local_vt[dst] = self.local_vt[dst].max(vt);
+                        self.runq.push_back(dst);
+                    }
+                });
+                if !fresh {
+                    self.stats.redeliveries += 1;
                 }
-                let _ = writeln!(self.log, "D {vt} {} {dst} {}", msg.from, msg.seq);
-                if self.crashed[dst] {
-                    return; // Delivered to a dead worker: lost.
-                }
-                let key = (msg.from, msg.tag);
-                let wake = self.state[dst]
-                    == TaskState::Waiting {
-                        from: msg.from,
-                        tag: msg.tag,
-                    };
-                self.inbox[dst].entry(key).or_default().push_back(msg);
-                if wake {
-                    self.state[dst] = TaskState::Runnable;
-                    self.local_vt[dst] = self.local_vt[dst].max(vt);
-                    self.runq.push_back(dst);
-                }
+                let mark = if fresh { 'D' } else { 'X' };
+                let _ = writeln!(self.log, "{mark} {vt} {from} {dst} {seq}");
             }
             NetEvent::Failure { dst, culprit } => {
                 if self.state[dst] == TaskState::Finished || self.failed[dst].is_some() {
@@ -733,19 +737,18 @@ impl WorkerCtx for TaskCtx<'_> {
         if let Some(e) = &self.cluster.failed[me] {
             return Err(e.clone());
         }
-        if let Some(c) = self.cluster.cfg.chaos.crash {
-            if c.rank == me && self.cluster.data_sends[me] + 1 >= c.at_send.max(1) {
-                self.cluster.crash(me);
-                return Err(CommError::Crashed);
-            }
+        let sent = self.cluster.data_sends[me];
+        if self.cluster.cfg.chaos.crashes_at(me, sent) {
+            self.cluster.crash(me);
+            return Err(CommError::Crashed);
         }
         self.cluster.data_sends[me] += 1;
         self.cluster.send_from(me, to, tag, payload);
         Ok(())
     }
 
-    /// Consuming a message advances the local clock to its delivery
-    /// time.
+    /// The oldest unconsumed payload of the link with this tag;
+    /// consuming it advances the local clock to its delivery time.
     fn try_recv(&mut self, from: usize, tag: u32) -> Option<Bytes> {
         let me = self.rank;
         let q = self.cluster.inbox[me].get_mut(&(from, tag))?;

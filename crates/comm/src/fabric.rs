@@ -7,9 +7,12 @@
 //! sequence number and stays in the sender's retransmission buffer until
 //! the receiver acknowledges it. Retransmission fires on a timeout with
 //! capped exponential backoff ([`RetryPolicy`]); receivers acknowledge
-//! every arrival, deduplicate by `(sender, seq)`, and park out-of-order
-//! arrivals, so any schedule of drops, duplicates, reorders, and delays
-//! still delivers every payload exactly once to the application. Fault
+//! every arrival and pass it through the link's `link::LinkRecv` (the
+//! receive half shared with [`crate::det`]), which discards duplicates
+//! and parks early arrivals until the gap before them fills, so any
+//! schedule of drops, duplicates, reorders, and delays still delivers
+//! every payload exactly once and in send order to the application
+//! (barrier traffic included: nothing overtakes a barrier). Fault
 //! decisions are pure functions of `(seed, src, dst, seq, attempt)` —
 //! never of shared mutable counters — so a seed reproduces the same
 //! fault pattern on every run. Acknowledgements and aborts ride outside
@@ -36,11 +39,12 @@
 
 use crate::chaos::ChaosSchedule;
 use crate::clock::{self, backoff_for, wait_until};
+use crate::link::LinkRecv;
 use crate::stats::{CommStats, CostModel};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -211,8 +215,7 @@ impl Fabric {
                 next_seq: vec![0; k],
                 unacked: (0..k).map(|_| BTreeMap::new()).collect(),
                 held: vec![Vec::new(); k],
-                seen_upto: vec![0; k],
-                seen_ahead: (0..k).map(|_| HashSet::new()).collect(),
+                links: (0..k).map(|_| LinkRecv::default()).collect(),
                 barrier_gen: 0,
                 data_sends: 0,
                 crashed: false,
@@ -240,8 +243,8 @@ pub struct WorkerComm {
     k: usize,
     senders: Vec<Sender<Packet>>,
     receiver: Receiver<Packet>,
-    /// Delivered-but-unclaimed messages parked until their tag is asked
-    /// for.
+    /// Delivered-but-unclaimed messages, each link's in send order,
+    /// waiting for their tag to be asked for.
     pending: Vec<Message>,
     shared: Arc<Shared>,
     /// This worker's adopted schedule; refreshed only at barriers.
@@ -252,10 +255,8 @@ pub struct WorkerComm {
     unacked: Vec<BTreeMap<u64, Unacked>>,
     /// Per-destination packets held back by the reorder fault.
     held: Vec<Vec<Packet>>,
-    /// Highest contiguously-received seq per source.
-    seen_upto: Vec<u64>,
-    /// Received seqs ahead of the contiguous frontier, per source.
-    seen_ahead: Vec<HashSet<u64>>,
+    /// Receive half of the link from each source.
+    links: Vec<LinkRecv<Message>>,
     barrier_gen: u64,
     /// Application (non-control) sends attempted, for [`CrashPoint`].
     data_sends: u64,
@@ -299,19 +300,12 @@ impl WorkerComm {
         payload: Bytes,
         control: bool,
     ) -> Result<(), CommError> {
-        if self.crashed {
-            return Err(CommError::Crashed);
-        }
-        if let Some(by) = self.aborted {
-            return Err(CommError::Aborted { by });
-        }
+        self.check_latched()?;
         let chaos = self.chaos_snapshot();
         if !control {
-            if let Some(c) = chaos.crash {
-                if c.rank == self.rank && self.data_sends + 1 >= c.at_send.max(1) {
-                    self.crashed = true;
-                    return Err(CommError::Crashed);
-                }
+            if chaos.crashes_at(self.rank, self.data_sends) {
+                self.crashed = true;
+                return Err(CommError::Crashed);
             }
             self.data_sends += 1;
         }
@@ -360,6 +354,16 @@ impl WorkerComm {
         Ok(())
     }
 
+    /// The latched end of this worker's attempt, if any: its own crash,
+    /// or a peer's abort.
+    fn check_latched(&self) -> Result<(), CommError> {
+        match (self.crashed, self.aborted) {
+            (true, _) => Err(CommError::Crashed),
+            (false, Some(by)) => Err(CommError::Aborted { by }),
+            (false, None) => Ok(()),
+        }
+    }
+
     /// Best-effort raw transmit: a crashed or finished peer may have
     /// dropped its receiver; that failure surfaces through timeouts.
     fn transmit(&self, to: usize, pkt: Packet) {
@@ -385,7 +389,8 @@ impl WorkerComm {
         self.chaos.clone().expect("just installed")
     }
 
-    /// Ingests one wire packet: acks data, dedups, latches aborts.
+    /// Ingests one wire packet: acks data, releases what is now in
+    /// order to `pending`, latches aborts.
     fn process_packet(&mut self, pkt: Packet) -> Result<(), CommError> {
         let from = pkt.from;
         match pkt.frame {
@@ -409,36 +414,17 @@ impl WorkerComm {
                         frame: Frame::Ack { seq },
                     },
                 );
-                if self.already_seen(from, seq) {
-                    self.shared.stats.record_redelivery();
-                    return Ok(());
-                }
-                self.mark_seen(from, seq);
-                self.pending.push(Message {
+                let msg = Message {
                     from,
                     tag,
                     payload,
                     deliver_at: pkt.deliver_at,
-                });
+                };
+                if !self.links[from].accept(seq, msg, |m| self.pending.push(m)) {
+                    self.shared.stats.record_redelivery();
+                }
                 Ok(())
             }
-        }
-    }
-
-    fn already_seen(&self, from: usize, seq: u64) -> bool {
-        seq <= self.seen_upto[from] || self.seen_ahead[from].contains(&seq)
-    }
-
-    fn mark_seen(&mut self, from: usize, seq: u64) {
-        if seq == self.seen_upto[from] + 1 {
-            self.seen_upto[from] = seq;
-            // Advance the contiguous frontier through anything that
-            // arrived early.
-            while self.seen_ahead[from].remove(&(self.seen_upto[from] + 1)) {
-                self.seen_upto[from] += 1;
-            }
-        } else {
-            self.seen_ahead[from].insert(seq);
         }
     }
 
@@ -517,51 +503,56 @@ impl WorkerComm {
     }
 
     /// Receives the next message carrying `tag` (from `from`, when
-    /// given), blocking until its modeled delivery time while pumping
-    /// acks and retransmissions. Messages with other tags are parked.
+    /// given) — the oldest such message of each link first — blocking
+    /// until its modeled delivery time while pumping acks and
+    /// retransmissions. Messages with other tags are parked.
     fn recv_match(&mut self, from: Option<usize>, tag: u32) -> Result<Message, CommError> {
-        if self.crashed {
-            return Err(CommError::Crashed);
-        }
-        if let Some(by) = self.aborted {
-            return Err(CommError::Aborted { by });
-        }
+        self.check_latched()?;
         // Entering a blocking wait: release anything held back by the
         // reorder fault so it cannot be withheld indefinitely.
         self.flush_all_held();
-        let retry = self.shared.retry;
-        let deadline = Instant::now() + retry.patience;
-        let tick = clock::tick_of(&retry);
+        let deadline = Instant::now() + self.shared.retry.patience;
         loop {
             if let Some(pos) = self
                 .pending
                 .iter()
                 .position(|m| m.tag == tag && from.is_none_or(|f| m.from == f))
             {
-                let msg = self.pending.swap_remove(pos);
+                // `remove`, not `swap_remove`: what stays keeps its order.
+                let msg = self.pending.remove(pos);
                 wait_until(msg.deliver_at);
                 return Ok(msg);
             }
-            // Block exactly until the next thing that could need us: an
-            // arriving packet, the next due retransmission, or the
-            // patience expiry — never a fixed sleep longer than one tick.
-            let wait = clock::next_wait(Instant::now(), deadline, self.earliest_retry(), tick);
-            match self.receiver.recv_timeout(wait) {
-                Ok(pkt) => self.process_packet(pkt)?,
-                Err(RecvTimeoutError::Timeout) => {}
-                // Can't happen (we hold a clone of our own sender), but
-                // don't busy-spin if it somehow does.
-                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
-            }
-            self.pump_retries()?;
-            if Instant::now() > deadline {
-                self.broadcast_abort();
+            if !self.pump(deadline)? {
                 return Err(match from {
                     Some(rank) => CommError::PeerUnreachable { rank },
                     None => CommError::RecvTimeout { tag },
                 });
             }
         }
+    }
+
+    /// One turn of a blocking wait: blocks exactly until the next thing
+    /// that could need us — an arriving packet (ingested), the next due
+    /// retransmission (sent), or `deadline` — never a fixed sleep longer
+    /// than one tick. `Ok(false)` once the deadline has passed, with the
+    /// abort already broadcast.
+    fn pump(&mut self, deadline: Instant) -> Result<bool, CommError> {
+        let tick = clock::tick_of(&self.shared.retry);
+        let wait = clock::next_wait(Instant::now(), deadline, self.earliest_retry(), tick);
+        match self.receiver.recv_timeout(wait) {
+            Ok(pkt) => self.process_packet(pkt)?,
+            Err(RecvTimeoutError::Timeout) => {}
+            // Can't happen (we hold a clone of our own sender), but
+            // don't busy-spin if it somehow does.
+            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
+        }
+        self.pump_retries()?;
+        let in_time = Instant::now() <= deadline;
+        if !in_time {
+            self.broadcast_abort();
+        }
+        Ok(in_time)
     }
 
     /// Receives the next message carrying `tag` from any source.
@@ -576,29 +567,13 @@ impl WorkerComm {
         self.recv_match(Some(from), tag)
     }
 
-    /// Non-blocking probe: whether a message with `tag` has *arrived*
-    /// (its wire time may still be pending).
-    pub fn has_tag(&mut self, tag: u32) -> bool {
-        while let Ok(pkt) = self.receiver.try_recv() {
-            // An abort latches into state and surfaces on the next
-            // blocking call; probing stays infallible.
-            let _ = self.process_packet(pkt);
-        }
-        self.pending.iter().any(|m| m.tag == tag)
-    }
-
     /// Blocks until every worker reaches the barrier, by exchanging
     /// reliable empty messages on a reserved per-generation tag. Doubles
     /// as the failure detector (a missing peer turns into
     /// [`CommError::PeerUnreachable`] after the retry budget) and as the
     /// adoption point for schedules published via [`Fabric::set_chaos`].
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        if self.crashed {
-            return Err(CommError::Crashed);
-        }
-        if let Some(by) = self.aborted {
-            return Err(CommError::Aborted { by });
-        }
+        self.check_latched()?;
         self.barrier_gen += 1;
         let tag = BARRIER_TAG_BASE | (self.barrier_gen as u32 & 0xFFFF);
         for p in 0..self.k {
@@ -627,24 +602,9 @@ impl WorkerComm {
     /// receive or drain loop, so this terminates without a distributed
     /// cycle: acknowledging never requires anything in return.
     fn drain_unacked(&mut self) -> Result<(), CommError> {
-        let retry = self.shared.retry;
-        let deadline = Instant::now() + retry.patience;
-        let tick = clock::tick_of(&retry);
-        while self.unacked.iter().any(|m| !m.is_empty()) {
-            let wait = clock::next_wait(Instant::now(), deadline, self.earliest_retry(), tick);
-            match self.receiver.recv_timeout(wait) {
-                Ok(pkt) => self.process_packet(pkt)?,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
-            }
-            self.pump_retries()?;
-            if Instant::now() > deadline {
-                self.broadcast_abort();
-                let rank = self
-                    .unacked
-                    .iter()
-                    .position(|m| !m.is_empty())
-                    .expect("checked by the loop condition");
+        let deadline = Instant::now() + self.shared.retry.patience;
+        while let Some(rank) = self.unacked.iter().position(|m| !m.is_empty()) {
+            if !self.pump(deadline)? {
                 return Err(CommError::PeerUnreachable { rank });
             }
         }
@@ -719,18 +679,13 @@ mod tests {
         F: Fn(WorkerComm) -> R + Sync,
         R: Send,
     {
-        let (fabric, workers) = Fabric::with_retry(k, model, patient());
-        let results = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = workers.into_iter().map(|w| s.spawn(|_| f(w))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
-        (fabric, results)
+        spawn_with_chaos(k, model, patient(), ChaosSchedule::default(), f)
     }
 
     fn spawn_with_chaos<F, R>(
         k: usize,
         model: CostModel,
+        retry: RetryPolicy,
         chaos: ChaosSchedule,
         f: F,
     ) -> (Fabric, Vec<R>)
@@ -738,7 +693,7 @@ mod tests {
         F: Fn(WorkerComm) -> R + Sync,
         R: Send,
     {
-        let (fabric, workers) = Fabric::with_retry(k, model, patient());
+        let (fabric, workers) = Fabric::with_retry(k, model, retry);
         fabric.set_chaos(chaos);
         let results = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = workers.into_iter().map(|w| s.spawn(|_| f(w))).collect();
@@ -856,18 +811,32 @@ mod tests {
 
     #[test]
     fn duplicate_chaos_is_deduplicated_by_transport() {
+        // Every second packet of a link is duplicated: the entry
+        // barrier's is the first, the exchange's the second, the exit
+        // barrier's the third — so exactly the two payloads are.
         let chaos = ChaosSchedule {
             seed: 1,
-            duplicate_every: 1,
+            duplicate_every: 2,
             ..Default::default()
         };
-        let (fabric, _) = spawn_with_chaos(2, CostModel::accounting_only(), chaos, |mut w| {
+        // Nothing is dropped, so nothing needs retransmitting: with the
+        // timer out of reach, a descheduled receiver cannot provoke a
+        // retransmit that would count as a third redelivery.
+        let retry = RetryPolicy {
+            base_timeout: Duration::from_secs(1),
+            ..patient()
+        };
+        let model = CostModel::accounting_only();
+        let (fabric, _) = spawn_with_chaos(2, model, retry, chaos, |mut w| {
+            w.barrier().unwrap();
             let out = vec![Bytes::from_static(b"p"); 2];
             let got = w.exchange(3, out).unwrap();
             assert_eq!(got.len(), 1, "duplicates must collapse");
-            // Drain the already-enqueued duplicate so the
-            // redelivery counter below is deterministic.
-            assert!(!w.has_tag(3), "duplicate discarded, not surfaced");
+            // The channel is FIFO: the peer's duplicate precedes its
+            // barrier message, so once the barrier has passed the
+            // duplicate has been ingested and counted.
+            w.barrier().unwrap();
+            assert!(w.pending.is_empty(), "duplicate discarded, not surfaced");
         });
         // Each logical message counted once; both duplicates recorded.
         assert_eq!(fabric.stats().messages(), 2);
@@ -884,14 +853,18 @@ mod tests {
             drop_every: 1,
             ..Default::default()
         };
-        let (fabric, results) =
-            spawn_with_chaos(3, CostModel::accounting_only(), chaos, |mut w| {
-                let rank = w.rank() as u8;
-                let out: Vec<Bytes> = (0..3).map(|_| Bytes::copy_from_slice(&[rank])).collect();
-                let mut got = w.exchange(4, out).unwrap();
-                got.sort_by_key(|(from, _)| *from);
-                got.into_iter().map(|(_, p)| p[0]).collect::<Vec<u8>>()
-            });
+        let model = CostModel::accounting_only();
+        let (fabric, results) = spawn_with_chaos(3, model, patient(), chaos, |mut w| {
+            let rank = w.rank() as u8;
+            let out: Vec<Bytes> = (0..3).map(|_| Bytes::copy_from_slice(&[rank])).collect();
+            let mut got = w.exchange(4, out).unwrap();
+            // Having heard from everyone is not having been heard: only
+            // a barrier keeps this worker retransmitting until its own
+            // dropped payloads are acknowledged.
+            w.barrier().unwrap();
+            got.sort_by_key(|(from, _)| *from);
+            got.into_iter().map(|(_, p)| p[0]).collect::<Vec<u8>>()
+        });
         for (rank, got) in results.iter().enumerate() {
             let want: Vec<u8> = (0..3u8).filter(|&p| p as usize != rank).collect();
             assert_eq!(*got, want);
@@ -909,7 +882,8 @@ mod tests {
             reorder_window: 3,
             ..Default::default()
         };
-        let (_f, results) = spawn_with_chaos(2, CostModel::accounting_only(), chaos, |mut w| {
+        let model = CostModel::accounting_only();
+        let (_f, results) = spawn_with_chaos(2, model, patient(), chaos, |mut w| {
             if w.rank() == 0 {
                 for i in 0..6u8 {
                     w.send(1, 11, Bytes::copy_from_slice(&[i])).unwrap();
@@ -925,11 +899,9 @@ mod tests {
                 got
             }
         });
-        // recv_tag takes messages in arrival order, but each payload must
-        // arrive exactly once despite the holdback shuffling the wire.
-        let mut sorted = results[1].clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5]);
+        // The holdback shuffles the wire; the link's receive half puts
+        // it back: each payload once, in the order it was sent.
+        assert_eq!(results[1], vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! The fabric is fault-tolerant, standing in for the fault-tolerance
 //! module of the paper's architecture diagram (Figure 12): every payload
 //! is sequenced, acknowledged, and retransmitted with capped exponential
-//! backoff, receivers deduplicate, and a seeded [`ChaosSchedule`] can
+//! backoff, receivers deduplicate and restore send order, and a seeded
+//! [`ChaosSchedule`] can
 //! deterministically inject drops, duplicates, reorders, delays, and
 //! single-worker crashes — the substrate `tests/chaos.rs` uses to prove
 //! bitwise-identical epoch outputs under any fault schedule.
@@ -32,6 +33,7 @@ pub mod clock;
 pub mod codec;
 pub mod det;
 pub mod fabric;
+mod link;
 pub mod stats;
 pub mod worker;
 

@@ -11,6 +11,9 @@
 //! * [`drive_blocking`] steps one task on its own OS thread over a
 //!   [`WorkerComm`], blocking in the fabric where the scheduler would
 //!   park — compute is *measured* nanoseconds.
+//!
+//! Under either, a link delivers its payloads exactly once and in send
+//! order (one receive half, `link::LinkRecv`, serves both transports).
 
 use crate::fabric::{CommError, Message, WorkerComm};
 use bytes::Bytes;
@@ -49,8 +52,10 @@ pub trait WorkerCtx {
     /// attempt: the task records it and returns [`TaskStep::Done`].
     fn send(&mut self, to: usize, tag: u32, payload: Bytes) -> Result<(), CommError>;
     /// Non-blocking receive of the next payload with `tag` from `from`,
-    /// in per-link send order. `None` means the caller should park by
-    /// returning [`TaskStep::Recv`] with the same coordinates.
+    /// in per-link send order (nothing is handed over before everything
+    /// sent earlier on the link, under any tag, has arrived). `None`
+    /// means the caller should park by returning [`TaskStep::Recv`] with
+    /// the same coordinates.
     fn try_recv(&mut self, from: usize, tag: u32) -> Option<Bytes>;
     /// The latched failure, if this attempt is lost. Checked at the top
     /// of every step; once set the task must finish without parking.

@@ -11,7 +11,7 @@ use crate::balance::{
     choose_plan, fit_cost_function, generate_plans, induced_graph, merged_dependency_estimates,
     root_dependency_sketches, root_products, CostSample,
 };
-use flexgraph_graph::{Graph, Partitioning, VertexId};
+use flexgraph_graph::{Graph, Partitioning};
 use flexgraph_hdg::Hdg;
 use flexgraph_obs::TraceEpoch;
 
@@ -75,7 +75,7 @@ impl AdbController {
     /// pairing its metric products with the measured cost units; roots
     /// the epoch never touched are skipped. This is the paper's actual
     /// §6 loop (sample logs → fit → rebalance), as opposed to
-    /// [`default_cost_proxy`] which fabricates the costs analytically.
+    /// [`Self::record_epoch`] on costs the caller made up.
     ///
     /// Returns how many root samples were ingested.
     pub fn record_measured_epoch(&mut self, hdg: &Hdg, dim: usize, trace: &TraceEpoch) -> usize {
@@ -171,27 +171,20 @@ impl AdbController {
     }
 }
 
-/// Convenience: the per-root cost proxy used when no measured timings are
-/// available — proportional to the aggregation work each root causes
-/// (leaf entries × feature dim), plus a fixed per-root term.
-pub fn default_cost_proxy(hdg: &Hdg, dim: usize) -> Vec<f64> {
-    (0..hdg.num_roots())
-        .map(|r| 5.0 + (hdg.leaves_of_root(r) * dim) as f64)
-        .collect()
-}
-
-/// Applies a partitioning's member lists to root sets (used after
-/// rebalancing to rebuild shards).
-pub fn member_roots(part: &Partitioning) -> Vec<Vec<VertexId>> {
-    part.members()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flexgraph_graph::gen::rmat;
     use flexgraph_graph::partition::lp_partition;
     use flexgraph_hdg::build::from_direct_neighbors;
+
+    /// A closed-form stand-in for measured per-root costs: leaf entries
+    /// × feature dim, plus a fixed per-root term.
+    fn default_cost_proxy(hdg: &Hdg, dim: usize) -> Vec<f64> {
+        (0..hdg.num_roots())
+            .map(|r| 5.0 + (hdg.leaves_of_root(r) * dim) as f64)
+            .collect()
+    }
 
     #[test]
     fn controller_rebalances_skewed_partitions() {

@@ -135,14 +135,18 @@ fn applied_plan_has_the_smallest_induced_cut() {
 #[test]
 fn measured_and_proxy_costs_agree_on_ranking() {
     // The deterministic work units are an affine function of the same
-    // per-root structure the proxy uses, so both must rank partitions
+    // per-root structure a closed-form proxy (leaf entries × feature dim
+    // plus a per-root constant) uses, so both must rank partitions
     // identically even though their scales differ.
     let ds = rmat(9, 6, 3, 8, 99, "adb-rank");
     let n = ds.graph.num_vertices();
     let part = skewed_partitioning(n);
     let (trace, hdg) = measure_epoch(&ds, &part);
     let measured = measured_costs(&trace, n);
-    let proxy = flexgraph_dist::adb::default_cost_proxy(&hdg, ds.feature_dim());
+    let dim = ds.feature_dim();
+    let proxy: Vec<f64> = (0..hdg.num_roots())
+        .map(|r| 5.0 + (hdg.leaves_of_root(r) * dim) as f64)
+        .collect();
 
     let load = |costs: &[f64]| {
         let mut l = vec![0.0f64; K];

@@ -39,10 +39,10 @@
 //!   embedding cache across replica workers, with provably minimal
 //!   key movement on replica add/remove.
 //! * [`replica`] — the replicated tier: a router-driving rank 0 plus
-//!   replica workers over `flexgraph_comm`, with version-pinned
-//!   request routing, crash recovery by fleet respawn, and a
-//!   chaos-proven exactly-once response guarantee
-//!   (`tests/replica_chaos.rs`).
+//!   replica workers, step machines on `flexgraph_comm`'s virtual
+//!   cluster, with version-pinned request routing, crash recovery by a
+//!   fresh cluster over the survivors, and a chaos-proven exactly-once
+//!   response guarantee (`tests/replica_chaos.rs`).
 //!
 //! The load-bearing invariant, asserted by
 //! `tests/serve_parity.rs`: a served batch's outputs are **bitwise

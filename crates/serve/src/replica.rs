@@ -1,19 +1,21 @@
 //! The replicated serving tier (ISSUE 9): a [`Router`] front-end
-//! driving a fleet of replica workers over [`flexgraph_comm::Fabric`],
-//! with the versioned embedding cache consistent-hash sharded across
-//! replicas by [`ShardMap`].
+//! driving a fleet of replica workers, with the versioned embedding
+//! cache consistent-hash sharded across replicas by [`ShardMap`]. Driver
+//! and replicas are [`SimTask`] step machines on the worker seam, run
+//! on a [`VirtualCluster`]: no threads, no timers, and a run is a pure
+//! function of its inputs.
 //!
 //! # Topology
 //!
-//! Fabric rank 0 is the **driver**: it owns the router (admission,
-//! quotas, micro-batching, trace windows) and never crashes. Ranks
-//! `1..=R` are **replica workers**, each a thread holding every
-//! tenant's immutable serving context ([`PinnedContext`] inputs), the
-//! full snapshot chain, and a shard-local embedding cache. The driver
-//! closes batches via [`Router::close_due`] — pinning the checkpoint
-//! version and the per-request latency *at close time* — then splits
-//! each batch by `ShardMap::owner_of(key_of(tenant, vertex))` and ships
-//! one [`ServeFrame::Exec`] per involved replica.
+//! Rank 0 is the **driver**: it owns the router (admission, quotas,
+//! micro-batching, trace windows), walks the op list, and never
+//! crashes. Ranks `1..=R` are **replica workers**, each holding every
+//! tenant's [`PinnedContext`], the full snapshot chain, and a
+//! shard-local embedding cache. The driver closes batches via
+//! [`Router::close_due`] — pinning the checkpoint version and the
+//! per-request latency *at close time* — then, one batch at a time,
+//! splits it by `ShardMap::owner_of(key_of(tenant, vertex))`, ships one
+//! [`ServeFrame::Exec`] per involved replica and parks for the replies.
 //!
 //! # The no-lost-response guarantee
 //!
@@ -22,18 +24,20 @@
 //! snapshot, for any [`ChaosSchedule`] — `tests/replica_chaos.rs`
 //! proves it over seeds × {crash, delay, reorder}. The argument:
 //!
-//! * *At-least-once*: the driver tracks an `answered` map per batch and
-//!   re-drives only unanswered requests. A replica crash surfaces as
-//!   [`CommError::PeerUnreachable`] on the driver; [`run_tier`] then
-//!   joins the old fleet (survivors unwind via the transport's abort
-//!   broadcast), removes the crashed replica from the shard map, spawns
-//!   a **fresh** fabric over the survivors (the PR 2 recovery idiom),
-//!   replays the swap history so new fleets hold every version, and
-//!   retries.
-//! * *At-most-once*: within a fabric the transport dedups retransmits
-//!   and delivers per-link FIFO; across fabrics nothing survives — the
-//!   only state carried over is the `answered` map itself, and the
-//!   driver never re-sends an answered request id.
+//! * *At-least-once*: the driver keeps an `answered` map for the batch
+//!   in flight and re-drives only unanswered requests. A replica crash
+//!   latches [`CommError::PeerUnreachable`] on every survivor, each
+//!   finishes, and [`run_tier`] removes exactly the named replica from
+//!   the shard map and builds a **fresh** cluster of fresh replica
+//!   tasks over the survivors (the PR 2 recovery idiom). The driver
+//!   outlives the cluster: its first step on the new one replays the
+//!   swap history, so the new replicas hold every version, and
+//!   re-dispatches the batch in flight.
+//! * *At-most-once*: within a cluster the transport hands each link's
+//!   payloads over exactly once and in send order, so a `Swap` is
+//!   installed before any `Exec` sent after it however the wire
+//!   reorders or retransmits; across clusters nothing survives but the
+//!   `answered` map, and the driver never re-sends an answered id.
 //! * *Bitwise*: replicas run [`execute_pinned`] — the same code path a
 //!   local [`crate::Server`] runs — against the pinned snapshot, and
 //!   per-root independence (the PR 6 parity invariant) makes the bytes
@@ -41,40 +45,40 @@
 //!   are fixed at batch close, so they are invariant to replica count,
 //!   fault schedule, and retransmission timing.
 //!
+//! A replica-side invariant violation (missing version, rejected
+//! checkpoint) panics the caller: nothing can mistake it for a crash.
+//!
 //! # Version-pinned routing
 //!
 //! A rolling swap never mixes versions: the version rides in the
 //! `Exec` frame, replicas execute against exactly that snapshot (they
 //! keep the whole chain), and the driver asserts every `Rows` response
-//! echoes the pinned version. A batch closed before a swap therefore
-//! computes on the old version even if it executes after the swap
-//! lands — same as the `Arc`-pinning contract of the single-process
-//! server.
+//! echoes it. A batch closed before a swap therefore computes on the
+//! old version even if it executes after the swap lands — the
+//! `Arc`-pinning contract of the single-process server.
 //!
 //! # What is (and is not) byte-stable
 //!
-//! The [`TierRun::transcript`] — admission events in op order plus all
-//! responses sorted by `(tenant, request id)` — is byte-identical
-//! across `FLEXGRAPH_THREADS`, replica counts, and chaos seeds for a
-//! fixed workload. Cache-hit flags and window cache counters are
-//! **excluded**: hit patterns are shard-local, so they legitimately
-//! vary with replica count and crash timing. They are still reported
-//! (per-response `cache_hit`, per-tenant windows) for observability.
+//! The [`TierRun::transcript`] is byte-identical across
+//! `FLEXGRAPH_THREADS`, replica counts, and chaos seeds for a fixed
+//! workload. Cache-hit flags and window cache counters are **excluded**
+//! from it: hit patterns are shard-local, so they legitimately vary with
+//! replica count and crash timing — though not between two runs of one
+//! configuration.
 
 use crate::router::{ClosedBatch, Router, TenantId, TenantQuota};
 use crate::server::{execute_pinned, PinnedContext, Server, ServerConfig};
-use crate::{AdmissionPlanner, ModelSnapshot, ServeError, ServeFeats};
+use crate::{AdmissionPlanner, ModelSnapshot, ServeError, ServeFeats, ShardMap};
+use bytes::Bytes;
 use flexgraph_comm::{
-    decode_serve_frame, ChaosSchedule, CommError, CostModel, Fabric, RetryPolicy, ServeFrame,
-    WorkerComm,
+    decode_serve_frame, ChaosSchedule, CommError, NetProfile, RetryPolicy, ServeFrame, SimConfig,
+    SimTask, TaskStep, VirtualCluster, WorkerCtx,
 };
-use flexgraph_engine::MemoryBudget;
 use flexgraph_graph::Graph;
 use flexgraph_obs::TenantServeRecord;
 use flexgraph_tensor::{QuantConfig, Tensor};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Mutex;
 
 /// Driver → replica control frames.
 const TAG_CTRL: u32 = 0x5E01;
@@ -129,7 +133,7 @@ pub enum TierOp {
 /// Tier deployment knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TierConfig {
-    /// Number of replica workers (fabric ranks `1..=replicas`).
+    /// Number of replica workers (cluster ranks `1..=replicas`).
     pub replicas: usize,
     /// Consistent-hash ring slots.
     pub slots: usize,
@@ -137,7 +141,7 @@ pub struct TierConfig {
     pub shard_seed: u64,
     /// Transport retry/failure-detection policy.
     pub retry: RetryPolicy,
-    /// Fault schedule for the *first* fabric; recovery fleets run
+    /// Fault schedule for the *first* cluster; recovery fleets run
     /// `chaos.without_crash()` (the PR 2 idiom — one crash per
     /// schedule, delays/reorders persist).
     pub chaos: ChaosSchedule,
@@ -202,379 +206,241 @@ pub fn swap_bytes_for(model: &crate::ServeModelConfig, seed: u64) -> Vec<u8> {
     flexgraph_models::checkpoint::save(ModelSnapshot::init(model, seed).params())
 }
 
-/// The immutable per-tenant serving context shared with every replica
-/// thread.
-struct TenantRuntime {
-    graph: Graph,
-    feats: ServeFeats,
-    model: crate::ServeModelConfig,
-    quant: QuantConfig,
-    budget: MemoryBudget,
-    cache_bytes: usize,
-    init_seed: u64,
-    planner: Option<AdmissionPlanner>,
+/// What all replicas share of one tenant beyond its [`TierTenant`],
+/// derived once per run: the quantized feature store and the admission
+/// planner.
+type TenantShared = (ServeFeats, Option<AdmissionPlanner>);
+
+/// One tenant as a replica holds it: the serving context, the snapshot
+/// chain (every installed version) and the shard-local cache.
+struct ReplicaTenant<'a> {
+    ctx: PinnedContext<'a>,
+    chain: BTreeMap<u64, ModelSnapshot>,
+    cache: Mutex<crate::EmbeddingCache>,
 }
 
-impl TenantRuntime {
-    fn ctx(&self) -> PinnedContext<'_> {
-        PinnedContext {
-            graph: &self.graph,
-            feats: &self.feats,
-            model: &self.model,
-            quant: self.quant,
-            planner: self.planner.as_ref(),
-            budget: &self.budget,
-        }
-    }
+/// A replica worker: serves `Exec` / `Swap` frames from rank 0 until a
+/// `Shutdown` frame, its scheduled crash, or a latched peer failure.
+struct Replica<'a>(BTreeMap<TenantId, ReplicaTenant<'a>>);
 
-    fn cache(&self) -> Mutex<crate::EmbeddingCache> {
-        let mode = if self.quant == QuantConfig::F32 {
-            crate::CacheMode::F32
-        } else {
-            crate::CacheMode::Bf16
+impl<'a> Replica<'a> {
+    fn new(tenants: &'a [TierTenant], shared: &'a [TenantShared]) -> Self {
+        let fresh = |(t, (feats, planner)): (&'a TierTenant, &'a TenantShared)| {
+            let server = &t.server;
+            let base = ModelSnapshot::init_quant(&server.model, t.init_seed, server.quant);
+            let mode = if server.quant == QuantConfig::F32 {
+                crate::CacheMode::F32
+            } else {
+                crate::CacheMode::Bf16
+            };
+            let ctx = PinnedContext {
+                graph: &t.graph,
+                feats,
+                model: &server.model,
+                quant: server.quant,
+                planner: planner.as_ref(),
+                budget: &server.budget,
+            };
+            let cache = Mutex::new(crate::EmbeddingCache::with_mode(server.cache_bytes, mode));
+            let chain = BTreeMap::from([(base.version(), base)]);
+            (t.tenant, ReplicaTenant { ctx, chain, cache })
         };
-        Mutex::new(crate::EmbeddingCache::with_mode(self.cache_bytes, mode))
+        Self(tenants.iter().zip(shared).map(fresh).collect())
     }
-}
 
-type SharedRuntimes = Arc<BTreeMap<TenantId, TenantRuntime>>;
-
-/// One spawned fabric generation: the driver's comm endpoint, the
-/// replica threads, and the replica-id → fabric-rank labelling.
-struct Fleet {
-    driver: WorkerComm,
-    handles: Vec<JoinHandle<()>>,
-    rank_of: BTreeMap<u64, usize>,
-    _fabric: Fabric,
-}
-
-/// The replica worker loop: serve `Exec`/`Swap` frames until a
-/// `Shutdown` frame or any transport error (crash, abort) unwinds it.
-fn replica_main(mut comm: WorkerComm, shared: SharedRuntimes) {
-    if comm.barrier().is_err() {
-        return;
-    }
-    // Per-tenant snapshot chains (every installed version) and
-    // shard-local caches.
-    let mut snaps: BTreeMap<TenantId, BTreeMap<u64, Arc<ModelSnapshot>>> = BTreeMap::new();
-    let mut caches: BTreeMap<TenantId, Mutex<crate::EmbeddingCache>> = BTreeMap::new();
-    for (&tenant, rt) in shared.iter() {
-        let base = ModelSnapshot::init_quant(&rt.model, rt.init_seed, rt.quant);
-        snaps.insert(tenant, BTreeMap::from([(base.version(), Arc::new(base))]));
-        caches.insert(tenant, rt.cache());
-    }
-    loop {
-        let msg = match comm.recv_tag_from(0, TAG_CTRL) {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        match decode_serve_frame(&msg.payload) {
-            ServeFrame::Shutdown => return,
-            ServeFrame::Swap {
-                tenant,
-                version,
-                checkpoint,
-            } => {
-                let chain = snaps.get_mut(&tenant).expect("unknown tenant in swap");
-                let prev = chain
-                    .get(&(version - 1))
-                    .expect("swap base version not installed");
-                let next = prev
-                    .with_checkpoint(&checkpoint)
-                    .expect("replica rejected checkpoint");
-                assert_eq!(next.version(), version, "swap version drift");
-                chain.insert(version, Arc::new(next));
-            }
-            ServeFrame::Exec {
-                round,
-                tenant,
-                version,
-                requests,
-            } => {
-                let rt = shared.get(&tenant).expect("unknown tenant in exec");
-                let snap = snaps[&tenant]
-                    .get(&version)
-                    .expect("pinned version not installed")
-                    .clone();
-                let cache = caches.get(&tenant).expect("tenant cache");
-                let vertices: Vec<u32> = requests.iter().map(|&(_, v)| v).collect();
-                let exec = execute_pinned(&rt.ctx(), &snap, cache, &vertices);
-                let reply = match exec.outcome {
-                    Ok(rows) => ServeFrame::Rows {
-                        round,
-                        tenant,
-                        version,
-                        dim: rt.model.classes,
-                        rows: requests
-                            .iter()
-                            .zip(rows.outputs)
-                            .zip(rows.cache_hit)
-                            .map(|((&(id, _), out), hit)| (id, hit, out))
-                            .collect(),
-                        cache_hits: exec.cache_hits,
-                        cache_misses: exec.cache_misses,
-                    },
-                    Err(ServeError::AdmissionDenied { needed, budget }) => ServeFrame::Shed {
-                        round,
-                        tenant,
-                        needed: needed as u64,
-                        budget: budget as u64,
-                    },
-                    Err(e) => panic!("replica execution failed: {e}"),
+    fn step<C: WorkerCtx>(&mut self, ctx: &mut C) -> TaskStep {
+        // A latched failure means the driver is giving this fleet up.
+        while ctx.failed().is_none() {
+            let Some(frame) = ctx.try_recv(0, TAG_CTRL) else {
+                return TaskStep::Recv {
+                    from: 0,
+                    tag: TAG_CTRL,
                 };
-                if comm.send(0, TAG_RESP, reply.encode()).is_err() {
-                    return;
+            };
+            match decode_serve_frame(&frame) {
+                ServeFrame::Shutdown => break,
+                ServeFrame::Swap {
+                    tenant,
+                    version,
+                    checkpoint,
+                } => {
+                    let chain = &mut self.0.get_mut(&tenant).expect("unknown tenant").chain;
+                    let prev = chain
+                        .get(&(version - 1))
+                        .expect("swap base version not installed");
+                    let next = prev
+                        .with_checkpoint(&checkpoint)
+                        .expect("replica rejected checkpoint");
+                    assert_eq!(next.version(), version, "swap version drift");
+                    chain.insert(version, next);
+                }
+                ServeFrame::Exec {
+                    round,
+                    tenant,
+                    version,
+                    requests,
+                } => {
+                    let t = self.0.get(&tenant).expect("unknown tenant");
+                    let snap = t.chain.get(&version).expect("pinned version not installed");
+                    let vertices: Vec<u32> = requests.iter().map(|&(_, v)| v).collect();
+                    let exec = execute_pinned(&t.ctx, snap, &t.cache, &vertices);
+                    let reply = match exec.outcome {
+                        Ok(rows) => ServeFrame::Rows {
+                            round,
+                            tenant,
+                            version,
+                            dim: t.ctx.model.classes,
+                            rows: requests
+                                .iter()
+                                .zip(rows.outputs)
+                                .zip(rows.cache_hit)
+                                .map(|((&(id, _), out), hit)| (id, hit, out))
+                                .collect(),
+                            cache_hits: exec.cache_hits,
+                            cache_misses: exec.cache_misses,
+                        },
+                        Err(ServeError::AdmissionDenied { needed, budget }) => ServeFrame::Shed {
+                            round,
+                            tenant,
+                            needed: needed as u64,
+                            budget: budget as u64,
+                        },
+                        Err(e) => panic!("replica execution failed: {e}"),
+                    };
+                    if ctx.send(0, TAG_RESP, reply.encode()).is_err() {
+                        break; // This replica's scheduled crash.
+                    }
+                }
+                other => panic!("unexpected control frame: {other:?}"),
+            }
+        }
+        TaskStep::Done
+    }
+}
+
+/// Sends `frame` to every replica of the cluster `ctx` belongs to.
+fn broadcast<C: WorkerCtx>(ctx: &mut C, frame: &Bytes) -> Result<(), CommError> {
+    (1..ctx.num_workers()).try_for_each(|rank| ctx.send(rank, TAG_CTRL, frame.clone()))
+}
+
+/// The one batch the driver has out with the replicas.
+struct InFlight {
+    batch: ClosedBatch,
+    /// Rows received so far, by request id — the only state a recovery
+    /// carries over.
+    answered: BTreeMap<u64, (bool, Vec<f32>)>,
+    hits: u64,
+    misses: u64,
+    shed: Option<(u64, u64)>,
+    /// Ranks that still owe the current round's reply, in ascending
+    /// replica id.
+    awaiting: VecDeque<usize>,
+}
+
+impl InFlight {
+    /// Ships every unanswered request to its shard owner as a new
+    /// round and notes who owes a reply.
+    fn dispatch<C: WorkerCtx>(
+        &mut self,
+        ctx: &mut C,
+        shard: &ShardMap,
+        live: &[u64],
+        round: &mut u64,
+    ) -> Result<(), CommError> {
+        *round += 1;
+        let mut by_owner: BTreeMap<u64, Vec<(u64, u32)>> = BTreeMap::new();
+        for r in &self.batch.requests {
+            if !self.answered.contains_key(&r.id) {
+                let owner = shard.owner_of(ShardMap::key_of(self.batch.tenant, r.vertex));
+                by_owner.entry(owner).or_default().push((r.id, r.vertex));
+            }
+        }
+        self.awaiting.clear();
+        for (owner, requests) in by_owner {
+            let rank = 1 + live.binary_search(&owner).expect("owner is live");
+            let frame = ServeFrame::Exec {
+                round: *round,
+                tenant: self.batch.tenant,
+                version: self.batch.version,
+                requests,
+            };
+            ctx.send(rank, TAG_CTRL, frame.encode())?;
+            self.awaiting.push_back(rank);
+        }
+        Ok(())
+    }
+
+    /// Folds one replica's reply to `round` into the batch.
+    fn absorb(&mut self, reply: &Bytes, round: u64) {
+        match decode_serve_frame(reply) {
+            ServeFrame::Rows {
+                round: r,
+                tenant,
+                version,
+                dim: _,
+                rows,
+                cache_hits,
+                cache_misses,
+            } => {
+                assert_eq!(r, round, "stale response round");
+                assert_eq!(tenant, self.batch.tenant, "cross-tenant response");
+                // The no-version-mixing check: every response of a
+                // batch carries the version pinned at close.
+                assert_eq!(version, self.batch.version, "version-mixed response");
+                self.hits += cache_hits;
+                self.misses += cache_misses;
+                for (id, hit, out) in rows {
+                    let dup = self.answered.insert(id, (hit, out));
+                    assert!(dup.is_none(), "duplicate response for request {id}");
                 }
             }
-            other => panic!("unexpected control frame: {other:?}"),
+            ServeFrame::Shed {
+                round: r,
+                needed,
+                budget,
+                ..
+            } => {
+                assert_eq!(r, round, "stale shed round");
+                // The remaining replicas are still drained, so no stale
+                // response lingers for the next round.
+                self.shed = Some((needed, budget));
+            }
+            other => panic!("unexpected response frame: {other:?}"),
         }
     }
 }
 
-/// Driver-side state of the tier run.
-struct Driver {
-    shared: SharedRuntimes,
+/// The driver (rank 0): everything of a tier run that outlives a
+/// cluster — the router, the op cursor, the closed-but-undispatched
+/// batches, the batch in flight, the swap history and the transcript.
+struct Driver<'a> {
     router: Router,
+    ops: std::slice::Iter<'a, TierOp>,
+    due: VecDeque<ClosedBatch>,
+    in_flight: Option<InFlight>,
+    /// Whether the end-of-workload `close_all` has happened.
+    flushed: bool,
+    /// Live replica ids, ascending; `live[i]` runs at rank `i + 1`.
     live: Vec<u64>,
-    shard: crate::ShardMap,
-    chaos: ChaosSchedule,
-    retry: RetryPolicy,
-    max_recoveries: usize,
-    fleet: Option<Fleet>,
-    /// Every applied swap, in order: `(tenant, version, bytes)` —
-    /// replayed into each fresh fleet so recovery replicas hold the
-    /// full chain.
-    swap_history: Vec<(TenantId, u64, Vec<u8>)>,
+    shard: ShardMap,
+    /// Every applied swap as its encoded `Swap` frame, in order —
+    /// replayed into each fresh fleet so its replicas hold the full
+    /// chain.
+    swap_history: Vec<Bytes>,
+    /// Whether the current cluster has been brought up to date (swap
+    /// history replayed, batch in flight re-dispatched).
+    joined: bool,
     round: u64,
-    recoveries: usize,
+    /// The failure that ended the current cluster, for [`run_tier`].
+    lost: Option<CommError>,
     events: Vec<String>,
     responses: Vec<TierResponse>,
 }
 
-impl Driver {
-    /// Spawns a fresh fabric over the current survivor set and replays
-    /// the swap history into it.
-    fn spawn_fleet(&mut self) -> Result<(), CommError> {
-        let (fabric, mut comms) = Fabric::with_retry(
-            self.live.len() + 1,
-            CostModel::accounting_only(),
-            self.retry,
-        );
-        fabric.set_chaos(self.chaos);
-        let driver = comms.remove(0);
-        let handles = comms
-            .into_iter()
-            .map(|comm| {
-                let shared = self.shared.clone();
-                std::thread::spawn(move || replica_main(comm, shared))
-            })
-            .collect();
-        let rank_of = self
-            .live
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i + 1))
-            .collect();
-        let mut fleet = Fleet {
-            driver,
-            handles,
-            rank_of,
-            _fabric: fabric,
-        };
-        fleet.driver.barrier()?;
-        for (tenant, version, bytes) in &self.swap_history {
-            let frame = ServeFrame::Swap {
-                tenant: *tenant,
-                version: *version,
-                checkpoint: bytes.clone(),
-            };
-            for rank in 1..=self.live.len() {
-                fleet.driver.send(rank, TAG_CTRL, frame.encode())?;
-            }
-        }
-        self.fleet = Some(fleet);
-        Ok(())
-    }
-
-    /// The fabric rank of the replica a transport error implicates.
-    fn crashed_rank(&self, err: &CommError) -> usize {
-        match err {
-            CommError::PeerUnreachable { rank } if *rank >= 1 => *rank,
-            _ => match self.chaos.crash {
-                Some(cp) if cp.rank >= 1 && cp.rank <= self.live.len() => cp.rank,
-                _ => panic!("cannot identify crashed replica from {err}"),
-            },
-        }
-    }
-
-    /// Tears down the current fleet, removes the crashed replica from
-    /// the shard map, and disarms the chaos crash for the next fleet.
-    fn recover(&mut self, err: &CommError) {
-        self.recoveries += 1;
-        assert!(
-            self.recoveries <= self.max_recoveries,
-            "replica recovery budget exhausted ({err})"
-        );
-        let rank = self.crashed_rank(err);
-        let crashed = self.live[rank - 1];
-        if let Some(fleet) = self.fleet.take() {
-            // Dropping the driver endpoint after its abort broadcast
-            // lets survivors unwind from their blocking recv.
-            drop(fleet.driver);
-            for h in fleet.handles {
-                let _ = h.join();
-            }
-        }
-        self.live.retain(|&id| id != crashed);
-        assert!(!self.live.is_empty(), "every replica crashed");
-        self.shard.remove_replica(crashed);
-        self.chaos = self.chaos.without_crash();
-    }
-
-    /// One dispatch attempt over the current fleet: ship every
-    /// unanswered request to its shard owner, collect one response per
-    /// involved replica (ascending replica id), and record rows into
-    /// `answered`. Any transport error aborts the attempt for recovery.
-    #[allow(clippy::too_many_arguments)]
-    fn try_dispatch(
-        &mut self,
-        batch: &ClosedBatch,
-        answered: &mut BTreeMap<u64, (bool, Vec<f32>)>,
-        hits: &mut u64,
-        misses: &mut u64,
-        shed: &mut Option<(u64, u64)>,
-    ) -> Result<(), CommError> {
-        let mut by_owner: BTreeMap<u64, Vec<(u64, u32)>> = BTreeMap::new();
-        for r in &batch.requests {
-            if answered.contains_key(&r.id) {
-                continue;
-            }
-            let owner = self
-                .shard
-                .owner_of(crate::ShardMap::key_of(batch.tenant, r.vertex));
-            by_owner.entry(owner).or_default().push((r.id, r.vertex));
-        }
-        if by_owner.is_empty() {
-            return Ok(());
-        }
-        self.round += 1;
-        let round = self.round;
-        let fleet = self.fleet.as_mut().expect("fleet spawned");
-        for (owner, reqs) in &by_owner {
-            let frame = ServeFrame::Exec {
-                round,
-                tenant: batch.tenant,
-                version: batch.version,
-                requests: reqs.clone(),
-            };
-            fleet
-                .driver
-                .send(fleet.rank_of[owner], TAG_CTRL, frame.encode())?;
-        }
-        for owner in by_owner.keys() {
-            let msg = fleet.driver.recv_tag_from(fleet.rank_of[owner], TAG_RESP)?;
-            match decode_serve_frame(&msg.payload) {
-                ServeFrame::Rows {
-                    round: r,
-                    tenant,
-                    version,
-                    dim: _,
-                    rows,
-                    cache_hits,
-                    cache_misses,
-                } => {
-                    assert_eq!(r, round, "stale response round");
-                    assert_eq!(tenant, batch.tenant, "cross-tenant response");
-                    // The no-version-mixing check: every response of a
-                    // batch carries the version pinned at close.
-                    assert_eq!(version, batch.version, "version-mixed response");
-                    *hits += cache_hits;
-                    *misses += cache_misses;
-                    for (id, hit, out) in rows {
-                        let dup = answered.insert(id, (hit, out));
-                        assert!(dup.is_none(), "duplicate response for request {id}");
-                    }
-                }
-                ServeFrame::Shed {
-                    round: r,
-                    needed,
-                    budget,
-                    ..
-                } => {
-                    assert_eq!(r, round, "stale shed round");
-                    // Keep draining the remaining replicas so no stale
-                    // response lingers for the next round.
-                    *shed = Some((needed, budget));
-                }
-                other => panic!("unexpected response frame: {other:?}"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Dispatches one closed batch to completion: retries across
-    /// replica crashes until every request is answered exactly once
-    /// (or the batch is shed), then accounts the tenant's window.
-    fn dispatch(&mut self, batch: ClosedBatch) {
-        if batch.requests.is_empty() {
-            return;
-        }
-        let latencies: Vec<u64> = batch
-            .requests
-            .iter()
-            .map(|r| batch.close_vt - r.submitted_vt)
-            .collect();
-        let mut answered: BTreeMap<u64, (bool, Vec<f32>)> = BTreeMap::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut shed: Option<(u64, u64)> = None;
-        loop {
-            let attempt = if self.fleet.is_none() {
-                self.spawn_fleet()
-            } else {
-                Ok(())
-            }
-            .and_then(|()| {
-                self.try_dispatch(&batch, &mut answered, &mut hits, &mut misses, &mut shed)
-            });
-            match attempt {
-                Ok(()) => break,
-                Err(e) => self.recover(&e),
-            }
-        }
-        if let Some((needed, budget)) = shed {
-            self.router
-                .note_remote_shed(batch.tenant, batch.requests.len())
-                .expect("tenant attached");
-            self.events.push(format!(
-                "{{\"k\":\"mtd\",\"tenant\":{},\"n\":{},\"needed\":{needed},\"budget\":{budget}}}",
-                batch.tenant,
-                batch.requests.len()
-            ));
-            return;
-        }
-        self.router
-            .note_remote_batch(batch.tenant, batch.requests.len(), hits, misses, &latencies)
-            .expect("tenant attached");
-        for (r, &latency_vt) in batch.requests.iter().zip(&latencies) {
-            let (cache_hit, output) = answered
-                .remove(&r.id)
-                .expect("admitted request lost its response");
-            self.responses.push(TierResponse {
-                tenant: batch.tenant,
-                request_id: r.id,
-                vertex: r.vertex,
-                model_version: batch.version,
-                output,
-                latency_vt,
-                cache_hit,
-            });
-        }
-        assert!(answered.is_empty(), "orphan responses in batch");
-    }
-
-    /// Applies one workload op and pumps every batch it made due.
-    fn apply(&mut self, op: &TierOp) {
+impl Driver<'_> {
+    /// Applies one workload op to the router; a swap returns the frame
+    /// to roll across the fleet.
+    fn apply(&mut self, op: &TierOp) -> Option<Bytes> {
         match *op {
             TierOp::Submit { tenant, vertex } => match self.router.submit(tenant, vertex) {
                 Ok(_) => {}
@@ -601,59 +467,156 @@ impl Driver {
                     .router
                     .with_server(tenant, |s| s.config().model)
                     .expect("tenant attached");
-                let bytes = swap_bytes_for(&model, checkpoint_seed);
+                let checkpoint = swap_bytes_for(&model, checkpoint_seed);
                 let version = self
                     .router
-                    .swap_checkpoint(tenant, &bytes)
+                    .swap_checkpoint(tenant, &checkpoint)
                     .expect("driver swap");
-                self.swap_history.push((tenant, version, bytes.clone()));
                 self.events.push(format!(
                     "{{\"k\":\"mts\",\"tenant\":{tenant},\"ver\":{version}}}"
                 ));
-                // Roll the swap across the current fleet; a failure
-                // here recovers, and the fresh fleet replays history
-                // (which already includes this swap).
-                if self.fleet.is_some() {
-                    let frame = ServeFrame::Swap {
-                        tenant,
-                        version,
-                        checkpoint: bytes,
-                    };
-                    let send_all = |fleet: &mut Fleet, live: usize| -> Result<(), CommError> {
-                        for rank in 1..=live {
-                            fleet.driver.send(rank, TAG_CTRL, frame.encode())?;
-                        }
-                        Ok(())
-                    };
-                    let live = self.live.len();
-                    if let Err(e) = send_all(self.fleet.as_mut().expect("fleet"), live) {
-                        self.recover(&e);
-                    }
+                let frame = ServeFrame::Swap {
+                    tenant,
+                    version,
+                    checkpoint,
                 }
+                .encode();
+                self.swap_history.push(frame.clone());
+                return Some(frame);
             }
         }
-        let due = self.router.close_due();
-        for batch in due {
-            self.dispatch(batch);
+        None
+    }
+
+    /// Accounts a fully answered (or shed) batch: the tenant's window,
+    /// the transcript event or the responses.
+    fn complete(&mut self, mut flight: InFlight) {
+        let batch = &flight.batch;
+        if let Some((needed, budget)) = flight.shed {
+            self.router
+                .note_remote_shed(batch.tenant, batch.requests.len())
+                .expect("tenant attached");
+            self.events.push(format!(
+                "{{\"k\":\"mtd\",\"tenant\":{},\"n\":{},\"needed\":{needed},\"budget\":{budget}}}",
+                batch.tenant,
+                batch.requests.len()
+            ));
+            return;
+        }
+        let latencies: Vec<u64> = batch
+            .requests
+            .iter()
+            .map(|r| batch.close_vt - r.submitted_vt)
+            .collect();
+        let (n, hits, misses) = (batch.requests.len(), flight.hits, flight.misses);
+        self.router
+            .note_remote_batch(batch.tenant, n, hits, misses, &latencies)
+            .expect("tenant attached");
+        for (r, &latency_vt) in batch.requests.iter().zip(&latencies) {
+            let (cache_hit, output) = flight
+                .answered
+                .remove(&r.id)
+                .expect("admitted request lost its response");
+            self.responses.push(TierResponse {
+                tenant: batch.tenant,
+                request_id: r.id,
+                vertex: r.vertex,
+                model_version: batch.version,
+                output,
+                latency_vt,
+                cache_hit,
+            });
+        }
+        assert!(flight.answered.is_empty(), "orphan responses in batch");
+    }
+
+    /// Runs the workload until the driver must park for a reply, the
+    /// cluster is lost (`Err`), or everything is answered (`Done`):
+    /// batches go out one at a time, each to completion, in the order
+    /// the ops made them due.
+    fn run<C: WorkerCtx>(&mut self, ctx: &mut C) -> Result<TaskStep, CommError> {
+        if let Some(e) = ctx.failed() {
+            return Err(e);
+        }
+        if !std::mem::replace(&mut self.joined, true) {
+            for frame in &self.swap_history {
+                broadcast(ctx, frame)?;
+            }
+            if let Some(flight) = &mut self.in_flight {
+                flight.dispatch(ctx, &self.shard, &self.live, &mut self.round)?;
+            }
+        }
+        loop {
+            if let Some(flight) = &mut self.in_flight {
+                while let Some(&rank) = flight.awaiting.front() {
+                    let Some(reply) = ctx.try_recv(rank, TAG_RESP) else {
+                        return Ok(TaskStep::Recv {
+                            from: rank,
+                            tag: TAG_RESP,
+                        });
+                    };
+                    flight.awaiting.pop_front();
+                    flight.absorb(&reply, self.round);
+                }
+                let done = self.in_flight.take().expect("checked above");
+                self.complete(done);
+            } else if let Some(batch) = self.due.pop_front() {
+                if !batch.requests.is_empty() {
+                    let flight = self.in_flight.insert(InFlight {
+                        batch,
+                        answered: BTreeMap::new(),
+                        hits: 0,
+                        misses: 0,
+                        shed: None,
+                        awaiting: VecDeque::new(),
+                    });
+                    flight.dispatch(ctx, &self.shard, &self.live, &mut self.round)?;
+                }
+            } else if let Some(op) = self.ops.next() {
+                let rollout = self.apply(op);
+                self.due.extend(self.router.close_due());
+                if let Some(frame) = rollout {
+                    // A failure here recovers like any other: the fresh
+                    // fleet is replayed the history, this swap included.
+                    broadcast(ctx, &frame)?;
+                }
+            } else if !std::mem::replace(&mut self.flushed, true) {
+                self.due.extend(self.router.close_all());
+            } else {
+                broadcast(ctx, &ServeFrame::Shutdown.encode())?;
+                return Ok(TaskStep::Done);
+            }
         }
     }
 
-    /// Orderly shutdown: flush remaining batches, stop replicas, join.
-    fn finish(&mut self) {
-        let rest = self.router.close_all();
-        for batch in rest {
-            self.dispatch(batch);
-        }
-        if let Some(mut fleet) = self.fleet.take() {
-            for rank in 1..=self.live.len() {
-                let _ = fleet
-                    .driver
-                    .send(rank, TAG_CTRL, ServeFrame::Shutdown.encode());
-            }
-            drop(fleet.driver);
-            for h in fleet.handles {
-                let _ = h.join();
-            }
+    /// Removes the replica `err` names from the fleet and the shard map.
+    fn lose(&mut self, err: &CommError) {
+        let rank = match err {
+            CommError::PeerUnreachable { rank } if *rank >= 1 => *rank,
+            _ => panic!("cannot identify crashed replica from {err}"),
+        };
+        let crashed = self.live.remove(rank - 1);
+        assert!(!self.live.is_empty(), "every replica crashed");
+        self.shard.remove_replica(crashed);
+        self.joined = false;
+    }
+}
+
+/// The tier's two step machines behind one type, so a cluster can hold
+/// them in a slice. The driver is borrowed: it outlives the cluster.
+enum Node<'d, 'a> {
+    Driver(&'d mut Driver<'a>),
+    Replica(Replica<'a>),
+}
+
+impl SimTask for Node<'_, '_> {
+    fn step<C: WorkerCtx>(&mut self, ctx: &mut C) -> TaskStep {
+        match self {
+            Node::Driver(d) => d.run(ctx).unwrap_or_else(|e| {
+                d.lost = Some(e);
+                TaskStep::Done
+            }),
+            Node::Replica(r) => r.step(ctx),
         }
     }
 }
@@ -661,16 +624,18 @@ impl Driver {
 /// Runs a deterministic multi-tenant workload against a replicated
 /// tier, returning the sorted responses, the canonical transcript, the
 /// per-tenant trace windows, and the number of replica crashes
-/// survived.
+/// survived. Each fleet generation is a fresh [`VirtualCluster`] on a
+/// constant network profile; the run reads no clock and spawns nothing.
 ///
 /// # Panics
 ///
 /// Panics on wiring bugs (unknown tenants in ops, replica-side
-/// execution failures) and on exhausting `cfg.max_recoveries`.
+/// invariant violations or execution failures) and on exhausting
+/// `cfg.max_recoveries`.
 pub fn run_tier(tenants: &[TierTenant], ops: &[TierOp], cfg: &TierConfig) -> TierRun {
     assert!(cfg.replicas >= 1, "tier needs at least one replica");
     let router = Router::new();
-    let mut shared = BTreeMap::new();
+    let mut shared: Vec<TenantShared> = Vec::new();
     for t in tenants {
         let snapshot = ModelSnapshot::init_quant(&t.server.model, t.init_seed, t.server.quant);
         router
@@ -682,41 +647,48 @@ pub fn run_tier(tenants: &[TierTenant], ops: &[TierOp], cfg: &TierConfig) -> Tie
             .expect("unique tenant ids");
         let planner = (t.server.budget.bytes != usize::MAX)
             .then(|| AdmissionPlanner::new(&t.graph, &t.server.model));
-        shared.insert(
-            t.tenant,
-            TenantRuntime {
-                graph: t.graph.clone(),
-                feats: ServeFeats::new(t.feats.clone(), t.server.quant),
-                model: t.server.model,
-                quant: t.server.quant,
-                budget: t.server.budget,
-                cache_bytes: t.server.cache_bytes,
-                init_seed: t.init_seed,
-                planner,
-            },
-        );
+        shared.push((ServeFeats::new(t.feats.clone(), t.server.quant), planner));
     }
     let live: Vec<u64> = (1..=cfg.replicas as u64).collect();
-    let shard = crate::ShardMap::new(cfg.shard_seed, cfg.slots, &live);
     let mut driver = Driver {
-        shared: Arc::new(shared),
         router,
+        ops: ops.iter(),
+        due: VecDeque::new(),
+        in_flight: None,
+        flushed: false,
+        shard: ShardMap::new(cfg.shard_seed, cfg.slots, &live),
         live,
-        shard,
-        chaos: cfg.chaos,
-        retry: cfg.retry,
-        max_recoveries: cfg.max_recoveries,
-        fleet: None,
         swap_history: Vec::new(),
+        joined: false,
         round: 0,
-        recoveries: 0,
+        lost: None,
         events: Vec::new(),
         responses: Vec::new(),
     };
-    for op in ops {
-        driver.apply(op);
+    let mut chaos = cfg.chaos;
+    let mut recoveries = 0;
+    loop {
+        let replicas = driver.live.len();
+        let mut nodes = vec![Node::Driver(&mut driver)];
+        nodes.extend((0..replicas).map(|_| Node::Replica(Replica::new(tenants, &shared))));
+        let sim = SimConfig {
+            net: NetProfile::default(),
+            retry: cfg.retry,
+            chaos,
+        };
+        VirtualCluster::new(nodes.len(), sim).run(&mut nodes);
+        drop(nodes);
+        let Some(err) = driver.lost.take() else {
+            break;
+        };
+        recoveries += 1;
+        assert!(
+            recoveries <= cfg.max_recoveries,
+            "replica recovery budget exhausted ({err})"
+        );
+        driver.lose(&err);
+        chaos = chaos.without_crash();
     }
-    driver.finish();
 
     driver.responses.sort_by_key(|r| (r.tenant, r.request_id));
     let mut transcript = driver.events;
@@ -737,7 +709,7 @@ pub fn run_tier(tenants: &[TierTenant], ops: &[TierOp], cfg: &TierConfig) -> Tie
         responses: driver.responses,
         transcript,
         windows,
-        recoveries: driver.recoveries,
+        recoveries,
     }
 }
 

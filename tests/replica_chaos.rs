@@ -11,14 +11,21 @@
 //! version-pinning structurally; transcript equality pins the bytes.)
 //!
 //! The reference transcript is additionally checked against
-//! single-process `serve_one` on the pinned snapshots, and against a
+//! single-process `serve_one` on the pinned snapshots, against a
 //! 3-replica deployment — so the guarantee composes across fault
-//! schedules *and* replica counts.
+//! schedules *and* replica counts — and against the `(len, fnv1a)` of
+//! the bytes the threaded tier produced before it moved onto the
+//! virtual cluster (ISSUE 18).
+//!
+//! The tier runs in virtual time, so a leg is also exact about *how* it
+//! got there: message-level chaos never costs a recovery, a crash
+//! schedule at most one, and two runs of one configuration agree on
+//! every window counter.
 //!
 //! Reproduce one failing seed with
 //! `FLEXGRAPH_CHAOS_SEED=<seed> cargo test --test replica_chaos`.
 
-use flexgraph::comm::{ChaosSchedule, CrashPoint, RetryPolicy};
+use flexgraph::comm::{fnv1a, ChaosSchedule, CrashPoint, RetryPolicy};
 use flexgraph::serve::{
     run_tier, swap_bytes_for, BatcherConfig, ModelSnapshot, QuantConfig, ServeFeats,
     ServeModelConfig, ServerConfig, TenantQuota, TierConfig, TierOp, TierRun, TierTenant,
@@ -168,6 +175,14 @@ fn reference() -> TierRun {
         &config(ChaosSchedule::default(), REPLICAS),
     );
     assert_eq!(run.responses.len(), 30, "every admitted request answered");
+    // The bytes of the threaded tier's fault-free transcript at the
+    // commit before ISSUE 18, one `\n` after each line.
+    let bytes = run.transcript.join("\n") + "\n";
+    assert_eq!(
+        (bytes.len(), fnv1a(bytes.as_bytes())),
+        (3038, 0xf86a_d810_4cf9_9c03),
+        "reference transcript moved"
+    );
     for t in &ts {
         let mut snaps = vec![ModelSnapshot::init_quant(
             &t.server.model,
@@ -216,6 +231,19 @@ fn chaos_never_loses_duplicates_or_version_mixes_a_response() {
                 run.transcript, want.transcript,
                 "transcript diverged under {class} chaos, seed {seed} \
                  (reproduce with FLEXGRAPH_CHAOS_SEED={seed})"
+            );
+            if class == "crash" {
+                assert!(run.recoveries <= 1, "seed {seed}: one crash, one recovery");
+            } else {
+                assert_eq!(
+                    run.recoveries, 0,
+                    "{class} chaos, seed {seed}: no replica crashed, none may be given up"
+                );
+            }
+            let again = run_tier(&ts, &ops, &config(chaos, REPLICAS));
+            assert_eq!(
+                again.windows, run.windows,
+                "{class} chaos, seed {seed}: windows differ between two runs"
             );
             crashes_survived += run.recoveries;
         }
