@@ -12,9 +12,9 @@
 //!
 //! Liveness is guaranteed by construction: drop decisions only apply to a
 //! packet's first two transmissions (`attempt <= 1`); from the third
-//! attempt on, the packet always goes through, so the reliable-delivery
-//! layer in [`crate::fabric`] converges after a bounded number of
-//! retries.
+//! attempt on, the packet always goes through, so
+//! [`crate::link::plan_send`] — where both transports turn a packet's
+//! verdicts into what sending it costs — stops after at most two losses.
 
 /// Where a simulated worker process dies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,16 +60,21 @@ pub struct ChaosSchedule {
 
 /// Per-transmission verdict computed by [`ChaosSchedule::decide`].
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Decision {
+pub struct Decision {
+    /// The transmission is lost.
     pub drop: bool,
+    /// A second copy follows it (first transmissions only).
     pub duplicate: bool,
+    /// It is held back so later sends overtake it (first transmissions
+    /// only).
     pub hold: bool,
+    /// Extra wire delay, in microseconds.
     pub delay_us: f64,
 }
 
 impl ChaosSchedule {
     /// A mixed schedule exercising every fault class at once (no crash);
-    /// used by the chaos-overhead bench and stress tests.
+    /// used by the stress tests.
     pub fn stress(seed: u64) -> Self {
         Self {
             seed,
@@ -106,7 +111,7 @@ impl ChaosSchedule {
 
     /// The fault verdict for transmission `attempt` (0 = first) of the
     /// packet `seq` on link `src -> dst`. Pure in all arguments.
-    pub(crate) fn decide(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> Decision {
+    pub fn decide(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> Decision {
         let mut h = splitmix64(
             self.seed
                 ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -2,12 +2,13 @@
 //!
 //! The real-thread fabric ([`crate::fabric`]) and the virtual-time
 //! runtime ([`crate::det`]) must agree on *when* things happen after a
-//! fault: when the first retransmission fires, how the backoff grows,
-//! and how long a sender keeps trying before its peer is declared dead.
-//! Keeping those three shapes here — and nowhere else — is what lets the
-//! discrete-event simulation schedule a failure-detection event at the
-//! same (virtual) offset the threaded fabric would discover it at (wall
-//! time), instead of each transport growing its own drift-prone copy.
+//! fault: how the retransmission backoff grows
+//! ([`crate::link::plan_send`] sums it into a delivery time for both),
+//! and how long after a crash the survivors learn of it. Keeping those
+//! shapes here — and nowhere else — is what makes a peer failure due at
+//! the same offset on the event wheel (virtual time) and on threads
+//! (wall time), instead of each transport growing its own drift-prone
+//! copy.
 
 use crate::fabric::RetryPolicy;
 use std::time::{Duration, Instant};
@@ -23,19 +24,12 @@ pub fn backoff_for(retry: RetryPolicy, attempts: u32) -> Duration {
     )
 }
 
-/// The polling granularity of a blocking receive loop: a quarter of the
-/// base retransmission timeout, floored at 1 ms so tight policies do not
-/// busy-spin.
-pub fn tick_of(retry: &RetryPolicy) -> Duration {
-    std::cmp::max(retry.base_timeout / 4, Duration::from_millis(1))
-}
-
 /// The span from a message's first transmission to the moment its
 /// sender exhausts [`RetryPolicy::max_attempts`] — the sum of every
-/// inter-attempt backoff, capped by the receive patience. The virtual
-/// runtime schedules peer-failure events exactly this far after a
-/// crash; the threaded fabric converges on the same bound through its
-/// retransmission loop.
+/// inter-attempt backoff, capped by the receive patience. Both
+/// transports make a crash known to the survivors exactly this far
+/// after it: the virtual runtime as peer-failure events, the threaded
+/// fabric as the `Down` frame's delivery time.
 pub fn detection_budget(retry: &RetryPolicy) -> Duration {
     let mut total = retry.base_timeout;
     for attempts in 1..retry.max_attempts {
@@ -45,27 +39,6 @@ pub fn detection_budget(retry: &RetryPolicy) -> Duration {
         total += backoff_for(*retry, attempts);
     }
     total.min(retry.patience)
-}
-
-/// How long a tick-driven receive loop should block next: until the
-/// earliest pending deadline (the next due retransmission, or the
-/// patience expiry), never longer than one tick, and never zero (a
-/// short floor keeps an already-due deadline from degenerating into a
-/// busy spin).
-pub fn next_wait(
-    now: Instant,
-    deadline: Instant,
-    next_retry: Option<Instant>,
-    tick: Duration,
-) -> Duration {
-    let mut until = deadline;
-    if let Some(r) = next_retry {
-        until = until.min(r);
-    }
-    until
-        .saturating_duration_since(now)
-        .min(tick)
-        .max(Duration::from_micros(50))
 }
 
 /// Sleeps until `t` (no-op when already past).
@@ -116,25 +89,5 @@ mod tests {
             ..retry
         };
         assert_eq!(detection_budget(&unbounded), Duration::from_secs(5));
-    }
-
-    #[test]
-    fn next_wait_tracks_earliest_deadline_within_one_tick() {
-        let now = Instant::now();
-        let tick = Duration::from_millis(10);
-        let far = now + Duration::from_secs(5);
-        // Nothing due soon: one full tick.
-        assert_eq!(next_wait(now, far, None, tick), tick);
-        // A retransmission due in 3 ms trims the wait to it.
-        let retry_at = now + Duration::from_millis(3);
-        assert_eq!(
-            next_wait(now, far, Some(retry_at), tick),
-            Duration::from_millis(3)
-        );
-        // Already-due deadlines floor at a non-zero wait (no busy spin).
-        assert_eq!(
-            next_wait(now + Duration::from_millis(5), far, Some(retry_at), tick),
-            Duration::from_micros(50)
-        );
     }
 }

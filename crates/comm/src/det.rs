@@ -35,7 +35,7 @@
 use crate::chaos::{splitmix64, ChaosSchedule};
 use crate::clock;
 use crate::fabric::{CommError, RetryPolicy};
-use crate::link::LinkRecv;
+use crate::link::{self, LinkRecv};
 use crate::worker::{SimTask, TaskStep, WorkerCtx};
 use bytes::Bytes;
 use std::cmp::Reverse;
@@ -603,36 +603,23 @@ impl VirtualCluster {
         }
     }
 
-    /// Collapses the reliable-transport retry loop into a single
-    /// delivery time: walks the pure chaos/flaky verdicts attempt by
-    /// attempt, accumulating the backoffs the threaded fabric would
-    /// have slept, until a transmission survives.
+    /// Schedules one delivery per send: [`link::plan_send`] folds the
+    /// chaos and flaky-rack verdicts into how many transmissions are
+    /// lost and how long the retransmit timers take to get past them.
     fn send_from(&mut self, src: usize, to: usize, tag: u32, payload: Bytes) {
         self.next_seq[src][to] += 1;
         let seq = self.next_seq[src][to];
         let bytes = payload.len();
         let t0 = self.local_vt[src];
-        let chaos = self.cfg.chaos;
-        let retry = self.cfg.retry;
         let wire = self.cfg.net.wire_ns(src, to, bytes);
 
-        let mut attempt = 0u32;
-        let mut xmit_at = t0;
-        let decision = loop {
-            let d = chaos.decide(src, to, seq, attempt);
-            let flaky = self.cfg.net.flaky_drop(src, to, seq, attempt);
-            if !(d.drop || flaky) {
-                break d;
-            }
-            self.stats.drops_injected += 1;
-            self.stats.retries += 1;
-            xmit_at += if attempt == 0 {
-                retry.base_timeout.as_nanos() as u64
-            } else {
-                clock::backoff_for(retry, attempt).as_nanos() as u64
-            };
-            attempt += 1;
-        };
+        let plan = link::plan_send(&self.cfg.chaos, self.cfg.retry, (src, to, seq), |attempt| {
+            self.cfg.net.flaky_drop(src, to, seq, attempt)
+        });
+        self.stats.drops_injected += u64::from(plan.dropped);
+        self.stats.retries += u64::from(plan.dropped);
+        let xmit_at = t0 + plan.retry_wait.as_nanos() as u64;
+        let decision = plan.verdict;
         let mut delay_ns = (decision.delay_us * 1_000.0) as u64;
         if decision.hold {
             // The reorder fault holds a first transmission back until
@@ -645,7 +632,8 @@ impl VirtualCluster {
         self.stats.messages += 1;
         self.stats.bytes += bytes as u64;
         self.stats.modeled_ns += wire + delay_ns;
-        let _ = writeln!(self.log, "S {t0} {src} {to} {seq} {bytes} {}", attempt + 1);
+        let sent = plan.dropped + 1;
+        let _ = writeln!(self.log, "S {t0} {src} {to} {seq} {bytes} {sent}");
 
         let msg = VMessage {
             from: src,
@@ -667,9 +655,8 @@ impl VirtualCluster {
 
     /// Marks `rank` crashed and schedules the peer-failure cascade: every
     /// other unfinished worker learns of the death one detection budget
-    /// later (the same budget the threaded fabric's retry loop spends
-    /// before declaring a peer unreachable — see
-    /// [`clock::detection_budget`]).
+    /// later (the offset the threaded fabric's `Down` frame is due at —
+    /// see [`clock::detection_budget`]).
     fn crash(&mut self, rank: usize) {
         self.crashed[rank] = true;
         let vt = self.local_vt[rank];

@@ -1,36 +1,36 @@
-//! The worker fabric: reliable channels, message-based barriers, tagged
-//! receive, all-to-all — hardened against a seeded [`ChaosSchedule`].
+//! The worker fabric: sequenced channels, message-based barriers,
+//! tagged receive, all-to-all — under a seeded [`ChaosSchedule`].
 //!
-//! # Reliable delivery
+//! # Delivery
 //!
-//! Every payload [`WorkerComm::send`] ships carries a per-destination
-//! sequence number and stays in the sender's retransmission buffer until
-//! the receiver acknowledges it. Retransmission fires on a timeout with
-//! capped exponential backoff ([`RetryPolicy`]); receivers acknowledge
-//! every arrival and pass it through the link's `link::LinkRecv` (the
-//! receive half shared with [`crate::det`]), which discards duplicates
-//! and parks early arrivals until the gap before them fills, so any
-//! schedule of drops, duplicates, reorders, and delays still delivers
-//! every payload exactly once and in send order to the application
-//! (barrier traffic included: nothing overtakes a barrier). Fault
-//! decisions are pure functions of `(seed, src, dst, seq, attempt)` —
-//! never of shared mutable counters — so a seed reproduces the same
-//! fault pattern on every run. Acknowledgements and aborts ride outside
-//! the sequenced stream and are never chaos-injected (a lost ack is
-//! indistinguishable from a lost message and is healed the same way: the
-//! sender retransmits, the receiver re-acks).
+//! The paper's workers sit behind an MPI controller: a reliable,
+//! non-overtaking transport. A crossbeam channel loses nothing, so the
+//! only loss here is the one a [`ChaosSchedule`] injects — a pure
+//! function of `(seed, src, dst, seq, attempt)`, never of shared mutable
+//! counters. [`WorkerComm::send`] asks `link::plan_send` (the send half
+//! shared with [`crate::det`]) how many transmissions the schedule loses
+//! and how long a [`RetryPolicy`]'s retransmit timers take to get past
+//! them, counts those drops and retries — a function of the seed — and
+//! puts the payload on the channel once, stamped with the time it
+//! becomes receivable. Duplicates and the reorder holdback stay physical
+//! (two packets; a per-destination stash), and every arrival passes
+//! through `link::LinkRecv` (the receive half, also shared), which
+//! discards duplicates and parks early arrivals until the gap before
+//! them fills: any schedule delivers every payload exactly once and in
+//! send order (barrier traffic included: nothing overtakes a barrier).
 //!
 //! # Barriers and failure detection
 //!
-//! Barriers are message-based — a reliable empty payload per peer on a
-//! reserved tag — and double as the failure detector: a worker that hit
-//! its schedule's [`CrashPoint`] stops sending, its peers' retransmits
-//! go unacknowledged, and once the attempt budget or receive patience is
-//! exhausted the waiting worker returns a structured [`CommError`]
-//! instead of hanging. The first worker to detect a failure broadcasts
-//! an abort so the whole fleet unwinds within roughly one timeout,
-//! letting `dist::trainer` re-drive the epoch from its epoch-start
-//! checkpoint.
+//! Barriers are message-based — an empty payload per peer on a reserved
+//! tag. A worker that hits its schedule's [`CrashPoint`] stops, and each
+//! peer finds a `Down` frame due one [`clock::detection_budget`] later —
+//! the offset [`crate::det`] schedules its failure events at — which
+//! latches [`CommError::PeerUnreachable`]. Independently of any
+//! schedule, every blocking receive is bounded by
+//! [`RetryPolicy::patience`]: a worker that outwaits it returns a
+//! structured [`CommError`] instead of hanging and broadcasts an abort,
+//! so the whole fleet unwinds and `dist::trainer` can re-drive the epoch
+//! from its epoch-start checkpoint.
 //!
 //! A schedule installed with [`Fabric::set_chaos`] is published as an
 //! immutable `Arc` and adopted by each worker only at barrier points (or
@@ -38,13 +38,12 @@
 //! message batch.
 
 use crate::chaos::ChaosSchedule;
-use crate::clock::{self, backoff_for, wait_until};
-use crate::link::LinkRecv;
+use crate::clock::{self, wait_until};
+use crate::link::{self, LinkRecv};
 use crate::stats::{CommStats, CostModel};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,8 +56,8 @@ const BARRIER_TAG_BASE: u32 = 0xFFFF_0000;
 pub enum CommError {
     /// This worker reached its scheduled [`CrashPoint`] and must stop.
     Crashed,
-    /// Retransmissions to `rank` exhausted the retry budget, or a
-    /// directed receive from `rank` outlived the receive patience.
+    /// Peer `rank` crashed, or a directed receive from `rank` outlived
+    /// the receive patience.
     PeerUnreachable {
         /// The unresponsive peer.
         rank: usize,
@@ -88,10 +87,12 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// Retransmission and failure-detection knobs.
+/// Retransmission and failure-detection timing: what both transports
+/// model a sender's timers with (`link::plan_send`,
+/// [`clock::detection_budget`]). Only `patience` is a real wait.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Time before the first retransmission of an unacked message; also
+    /// Time before the first retransmission of a dropped message; also
     /// the unit the exponential backoff doubles from.
     pub base_timeout: Duration,
     /// Cap on the backoff between retransmissions.
@@ -142,26 +143,21 @@ pub struct Message {
 /// Wire frames. Only `Data` is sequenced and chaos-injected.
 #[derive(Clone, Debug)]
 enum Frame {
-    Data { seq: u64, tag: u32, payload: Bytes },
-    Ack { seq: u64 },
+    Data {
+        seq: u64,
+        msg: Message,
+    },
+    /// The sender hit its crash point; its peers know at `due`.
+    Down {
+        due: Instant,
+    },
     Abort,
 }
 
 /// One transmission on the simulated wire.
-#[derive(Clone, Debug)]
 struct Packet {
     from: usize,
-    deliver_at: Instant,
     frame: Frame,
-}
-
-/// An unacknowledged send awaiting its ack or next retransmission.
-struct Unacked {
-    tag: u32,
-    payload: Bytes,
-    /// Transmissions made so far (>= 1 once buffered).
-    attempts: u32,
-    next_retry: Instant,
 }
 
 struct Shared {
@@ -213,13 +209,11 @@ impl Fabric {
                 shared: shared.clone(),
                 chaos: None,
                 next_seq: vec![0; k],
-                unacked: (0..k).map(|_| BTreeMap::new()).collect(),
                 held: vec![Vec::new(); k],
                 links: (0..k).map(|_| LinkRecv::default()).collect(),
                 barrier_gen: 0,
                 data_sends: 0,
-                crashed: false,
-                aborted: None,
+                latched: None,
             })
             .collect();
         (Self { shared }, workers)
@@ -251,17 +245,16 @@ pub struct WorkerComm {
     chaos: Option<Arc<ChaosSchedule>>,
     /// Next sequence number per destination (1-based; 0 = none sent).
     next_seq: Vec<u64>,
-    /// Per-destination sends awaiting acknowledgement, keyed by seq.
-    unacked: Vec<BTreeMap<u64, Unacked>>,
-    /// Per-destination packets held back by the reorder fault.
-    held: Vec<Vec<Packet>>,
+    /// Per-destination frames held back by the reorder fault.
+    held: Vec<Vec<Frame>>,
     /// Receive half of the link from each source.
     links: Vec<LinkRecv<Message>>,
     barrier_gen: u64,
     /// Application (non-control) sends attempted, for [`CrashPoint`].
     data_sends: u64,
-    crashed: bool,
-    aborted: Option<usize>,
+    /// What ended this worker's attempt, once something has: its own
+    /// crash, a peer's, or a peer's abort. Every later call returns it.
+    latched: Option<CommError>,
 }
 
 impl WorkerComm {
@@ -275,15 +268,14 @@ impl WorkerComm {
         self.k
     }
 
-    /// Sends `payload` to worker `to` with application `tag`, reliably:
-    /// the message is buffered until acknowledged and retransmitted per
-    /// the fabric's [`RetryPolicy`].
+    /// Sends `payload` to worker `to` with application `tag`. Whatever
+    /// the chaos schedule does to it, `to` receives it exactly once and
+    /// in send order.
     ///
     /// The sender returns immediately (delivery is delayed by the cost
     /// model's wire time when `simulate_delay` is on, so payloads are
     /// genuinely "in flight" — the property pipeline processing overlaps
-    /// against). Errors surface lazily: an exhausted retry budget is
-    /// reported by whichever blocking call is pumping at the time.
+    /// against).
     ///
     /// # Panics
     ///
@@ -300,79 +292,80 @@ impl WorkerComm {
         payload: Bytes,
         control: bool,
     ) -> Result<(), CommError> {
-        self.check_latched()?;
-        let chaos = self.chaos_snapshot();
+        let chaos = self.begin()?;
         if !control {
             if chaos.crashes_at(self.rank, self.data_sends) {
-                self.crashed = true;
-                return Err(CommError::Crashed);
+                let due = Instant::now() + clock::detection_budget(&self.shared.retry);
+                self.broadcast(Frame::Down { due });
+                return Err(self.latched.insert(CommError::Crashed).clone());
             }
             self.data_sends += 1;
         }
         self.next_seq[to] += 1;
         let seq = self.next_seq[to];
-        let d = chaos.decide(self.rank, to, seq, 0);
-        let wire_us = self.shared.model.wire_us(payload.len());
+        let plan = link::plan_send(&chaos, self.shared.retry, (self.rank, to, seq), |_| false);
+        let d = plan.verdict;
+        let stats = &self.shared.stats;
+        let model = self.shared.model;
+        let wire_us = model.wire_us(payload.len());
         if control {
-            self.shared.stats.record_control();
+            stats.record_control();
         } else {
-            self.shared
-                .stats
-                .record(payload.len(), wire_us + d.delay_us);
+            stats.record(payload.len(), wire_us + d.delay_us);
         }
-        self.unacked[to].insert(
-            seq,
-            Unacked {
-                tag,
-                payload: payload.clone(),
-                attempts: 1,
-                next_retry: Instant::now() + self.shared.retry.base_timeout,
-            },
-        );
-        let pkt = Packet {
+        for _ in 0..plan.dropped {
+            stats.record_drop_injected();
+            stats.record_retry();
+        }
+        // Receivable once the retransmit timers have got a transmission
+        // through and it has crossed the wire: chaos delay always, wire
+        // time only when the model simulates delay.
+        let flight_us = d.delay_us + if model.simulate_delay { wire_us } else { 0.0 };
+        let flight = plan.retry_wait + Duration::from_nanos((flight_us * 1_000.0) as u64);
+        let msg = Message {
             from: self.rank,
-            deliver_at: delivery_instant(self.shared.model, wire_us, d.delay_us),
-            frame: Frame::Data { seq, tag, payload },
+            tag,
+            payload,
+            deliver_at: Instant::now() + flight,
         };
-        if d.drop {
-            self.shared.stats.record_drop_injected();
-            return Ok(());
-        }
+        let frame = Frame::Data { seq, msg };
         if d.hold && self.held[to].len() < chaos.reorder_window {
-            self.held[to].push(pkt);
+            self.held[to].push(frame);
             return Ok(());
         }
-        let dup = d.duplicate.then(|| pkt.clone());
-        self.transmit(to, pkt);
+        let dup = d.duplicate.then(|| frame.clone());
+        self.transmit(to, frame);
         if let Some(dp) = dup {
-            self.shared.stats.record_dup_injected();
+            stats.record_dup_injected();
             self.transmit(to, dp);
         }
         // A normal transmission releases anything held back for this
-        // destination — the held packets now arrive *after* it.
+        // destination — the held frames now arrive *after* it.
         self.flush_held(to);
         Ok(())
     }
 
-    /// The latched end of this worker's attempt, if any: its own crash,
-    /// or a peer's abort.
-    fn check_latched(&self) -> Result<(), CommError> {
-        match (self.crashed, self.aborted) {
-            (true, _) => Err(CommError::Crashed),
-            (false, Some(by)) => Err(CommError::Aborted { by }),
-            (false, None) => Ok(()),
+    /// Opens a fabric operation: the latched end of this worker's
+    /// attempt if there is one, else its schedule — adopted here when
+    /// this is the worker's first operation, whichever kind it is.
+    fn begin(&mut self) -> Result<ChaosSchedule, CommError> {
+        if let Some(e) = &self.latched {
+            return Err(e.clone());
         }
+        let published = &self.shared.chaos;
+        Ok(**self.chaos.get_or_insert_with(|| published.lock().clone()))
     }
 
     /// Best-effort raw transmit: a crashed or finished peer may have
     /// dropped its receiver; that failure surfaces through timeouts.
-    fn transmit(&self, to: usize, pkt: Packet) {
-        let _ = self.senders[to].send(pkt);
+    fn transmit(&self, to: usize, frame: Frame) {
+        let from = self.rank;
+        let _ = self.senders[to].send(Packet { from, frame });
     }
 
     fn flush_held(&mut self, to: usize) {
-        while let Some(pkt) = self.held[to].pop() {
-            self.transmit(to, pkt);
+        while let Some(frame) = self.held[to].pop() {
+            self.transmit(to, frame);
         }
     }
 
@@ -382,132 +375,39 @@ impl WorkerComm {
         }
     }
 
-    fn chaos_snapshot(&mut self) -> Arc<ChaosSchedule> {
-        if self.chaos.is_none() {
-            self.chaos = Some(self.shared.chaos.lock().clone());
+    /// Sends every peer an unsequenced `frame`.
+    fn broadcast(&self, frame: Frame) {
+        for p in (0..self.k).filter(|&p| p != self.rank) {
+            self.transmit(p, frame.clone());
         }
-        self.chaos.clone().expect("just installed")
     }
 
-    /// Ingests one wire packet: acks data, releases what is now in
-    /// order to `pending`, latches aborts.
-    fn process_packet(&mut self, pkt: Packet) -> Result<(), CommError> {
-        let from = pkt.from;
-        match pkt.frame {
-            Frame::Ack { seq } => {
-                self.unacked[from].remove(&seq);
-                Ok(())
-            }
-            Frame::Abort => {
-                self.aborted = Some(from);
-                Err(CommError::Aborted { by: from })
-            }
-            Frame::Data { seq, tag, payload } => {
-                // Always (re-)acknowledge: the previous ack may itself
-                // have been lost in flight while the sender retried.
-                self.shared.stats.record_ack();
-                self.transmit(
-                    from,
-                    Packet {
-                        from: self.rank,
-                        deliver_at: Instant::now(),
-                        frame: Frame::Ack { seq },
-                    },
-                );
-                let msg = Message {
-                    from,
-                    tag,
-                    payload,
-                    deliver_at: pkt.deliver_at,
-                };
+    /// Ingests one wire packet: releases what is now in order to
+    /// `pending`, latches a peer's crash or abort.
+    fn process_packet(&mut self, Packet { from, frame }: Packet) -> Result<(), CommError> {
+        let end = match frame {
+            Frame::Data { seq, msg } => {
                 if !self.links[from].accept(seq, msg, |m| self.pending.push(m)) {
                     self.shared.stats.record_redelivery();
                 }
-                Ok(())
+                return Ok(());
             }
-        }
-    }
-
-    /// The earliest pending retransmission deadline across all peers, if
-    /// any message is unacked — what bounds the next blocking wait.
-    fn earliest_retry(&self) -> Option<Instant> {
-        self.unacked
-            .iter()
-            .flat_map(|m| m.values().map(|u| u.next_retry))
-            .min()
-    }
-
-    /// Retransmits every overdue unacked message; errors once a peer has
-    /// exhausted the attempt budget.
-    fn pump_retries(&mut self) -> Result<(), CommError> {
-        let now = Instant::now();
-        let retry = self.shared.retry;
-        let chaos = self.chaos_snapshot();
-        let mut out: Vec<(usize, Packet)> = Vec::new();
-        let mut exhausted = None;
-        'peers: for p in 0..self.k {
-            for (&seq, u) in self.unacked[p].iter_mut() {
-                if u.next_retry > now {
-                    continue;
-                }
-                if u.attempts >= retry.max_attempts {
-                    exhausted = Some(p);
-                    break 'peers;
-                }
-                let d = chaos.decide(self.rank, p, seq, u.attempts);
-                u.next_retry = now + backoff_for(retry, u.attempts);
-                u.attempts += 1;
-                self.shared.stats.record_retry();
-                if d.drop {
-                    self.shared.stats.record_drop_injected();
-                    continue;
-                }
-                let wire_us = self.shared.model.wire_us(u.payload.len());
-                out.push((
-                    p,
-                    Packet {
-                        from: self.rank,
-                        deliver_at: delivery_instant(self.shared.model, wire_us, d.delay_us),
-                        frame: Frame::Data {
-                            seq,
-                            tag: u.tag,
-                            payload: u.payload.clone(),
-                        },
-                    },
-                ));
+            Frame::Down { due } => {
+                wait_until(due);
+                CommError::PeerUnreachable { rank: from }
             }
-        }
-        for (p, pkt) in out {
-            self.transmit(p, pkt);
-        }
-        if let Some(rank) = exhausted {
-            self.broadcast_abort();
-            return Err(CommError::PeerUnreachable { rank });
-        }
-        Ok(())
-    }
-
-    fn broadcast_abort(&self) {
-        for p in 0..self.k {
-            if p != self.rank {
-                self.transmit(
-                    p,
-                    Packet {
-                        from: self.rank,
-                        deliver_at: Instant::now(),
-                        frame: Frame::Abort,
-                    },
-                );
-            }
-        }
+            Frame::Abort => CommError::Aborted { by: from },
+        };
+        Err(self.latched.insert(end).clone())
     }
 
     /// Receives the next message carrying `tag` (from `from`, when
     /// given) — the oldest such message of each link first — blocking
-    /// until its modeled delivery time while pumping acks and
-    /// retransmissions. Messages with other tags are parked.
+    /// until its modeled delivery time. Messages with other tags are
+    /// parked. The wait is the fabric's only one and is bounded by the
+    /// receive patience; outwaiting it aborts the fleet.
     fn recv_match(&mut self, from: Option<usize>, tag: u32) -> Result<Message, CommError> {
-        self.check_latched()?;
+        self.begin()?;
         // Entering a blocking wait: release anything held back by the
         // reorder fault so it cannot be withheld indefinitely.
         self.flush_all_held();
@@ -523,36 +423,18 @@ impl WorkerComm {
                 wait_until(msg.deliver_at);
                 return Ok(msg);
             }
-            if !self.pump(deadline)? {
-                return Err(match from {
-                    Some(rank) => CommError::PeerUnreachable { rank },
-                    None => CommError::RecvTimeout { tag },
-                });
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.receiver.recv_timeout(left) {
+                Ok(pkt) => self.process_packet(pkt)?,
+                Err(_) => {
+                    self.broadcast(Frame::Abort);
+                    return Err(match from {
+                        Some(rank) => CommError::PeerUnreachable { rank },
+                        None => CommError::RecvTimeout { tag },
+                    });
+                }
             }
         }
-    }
-
-    /// One turn of a blocking wait: blocks exactly until the next thing
-    /// that could need us — an arriving packet (ingested), the next due
-    /// retransmission (sent), or `deadline` — never a fixed sleep longer
-    /// than one tick. `Ok(false)` once the deadline has passed, with the
-    /// abort already broadcast.
-    fn pump(&mut self, deadline: Instant) -> Result<bool, CommError> {
-        let tick = clock::tick_of(&self.shared.retry);
-        let wait = clock::next_wait(Instant::now(), deadline, self.earliest_retry(), tick);
-        match self.receiver.recv_timeout(wait) {
-            Ok(pkt) => self.process_packet(pkt)?,
-            Err(RecvTimeoutError::Timeout) => {}
-            // Can't happen (we hold a clone of our own sender), but
-            // don't busy-spin if it somehow does.
-            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
-        }
-        self.pump_retries()?;
-        let in_time = Instant::now() <= deadline;
-        if !in_time {
-            self.broadcast_abort();
-        }
-        Ok(in_time)
     }
 
     /// Receives the next message carrying `tag` from any source.
@@ -568,12 +450,12 @@ impl WorkerComm {
     }
 
     /// Blocks until every worker reaches the barrier, by exchanging
-    /// reliable empty messages on a reserved per-generation tag. Doubles
-    /// as the failure detector (a missing peer turns into
-    /// [`CommError::PeerUnreachable`] after the retry budget) and as the
-    /// adoption point for schedules published via [`Fabric::set_chaos`].
+    /// empty messages on a reserved per-generation tag. A missing peer
+    /// turns into [`CommError::PeerUnreachable`] (its `Down` frame, or
+    /// the receive patience), and a passed barrier is the adoption point
+    /// for schedules published via [`Fabric::set_chaos`].
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        self.check_latched()?;
+        self.begin()?;
         self.barrier_gen += 1;
         let tag = BARRIER_TAG_BASE | (self.barrier_gen as u32 & 0xFFFF);
         for p in 0..self.k {
@@ -586,28 +468,8 @@ impl WorkerComm {
                 self.recv_match(Some(p), tag)?;
             }
         }
-        // Quiesce before declaring the barrier passed: a worker that
-        // returns from its last barrier and exits while a dropped send
-        // is still unacked would strand the retransmission, leaving the
-        // receiver to burn its whole patience window.
-        self.drain_unacked()?;
         // Everyone is between batches: safe to adopt a new schedule.
         self.chaos = Some(self.shared.chaos.lock().clone());
-        Ok(())
-    }
-
-    /// Blocks until every message this worker has sent is acknowledged,
-    /// processing (and acking) incoming traffic meanwhile. Peers that
-    /// still owe us acks are necessarily parked in their own barrier
-    /// receive or drain loop, so this terminates without a distributed
-    /// cycle: acknowledging never requires anything in return.
-    fn drain_unacked(&mut self) -> Result<(), CommError> {
-        let deadline = Instant::now() + self.shared.retry.patience;
-        while let Some(rank) = self.unacked.iter().position(|m| !m.is_empty()) {
-            if !self.pump(deadline)? {
-                return Err(CommError::PeerUnreachable { rank });
-            }
-        }
         Ok(())
     }
 
@@ -642,18 +504,11 @@ impl WorkerComm {
     }
 }
 
-/// When the packet becomes visible to the receiver: wire time only when
-/// the model simulates delay, chaos delay always.
-fn delivery_instant(model: CostModel, wire_us: f64, chaos_delay_us: f64) -> Instant {
-    let us = if model.simulate_delay {
-        wire_us + chaos_delay_us
-    } else {
-        chaos_delay_us
-    };
-    if us > 0.0 {
-        Instant::now() + Duration::from_nanos((us * 1_000.0) as u64)
-    } else {
-        Instant::now()
+impl Drop for WorkerComm {
+    /// What the reorder fault still holds back goes out with the worker:
+    /// it may make no later send or blocking call to release it.
+    fn drop(&mut self) {
+        self.flush_all_held();
     }
 }
 
@@ -664,11 +519,10 @@ mod tests {
 
     /// The policy of every test here that checks *delivery* (drops,
     /// duplicates, reordering, barriers) rather than failure detection:
-    /// `snappy()`'s short retransmission timer, with an attempt and
-    /// patience budget a busy one-core box cannot run out.
+    /// `snappy()`'s short modeled retransmission timer, with a patience
+    /// a busy one-core box cannot run out.
     fn patient() -> RetryPolicy {
         RetryPolicy {
-            max_attempts: u32::MAX,
             patience: Duration::from_secs(600),
             ..RetryPolicy::snappy()
         }
@@ -708,8 +562,6 @@ mod tests {
         let (_fabric, results) = spawn_workers(2, CostModel::accounting_only(), |mut w| {
             if w.rank() == 0 {
                 w.send(1, 7, Bytes::from_static(b"hello")).unwrap();
-                // Pump until the receiver has our payload (the final
-                // barrier keeps retransmission alive under chaos).
                 w.barrier().unwrap();
                 Vec::new()
             } else {
@@ -760,8 +612,8 @@ mod tests {
                 assert_eq!(payload.as_ref(), &[*from as u8]);
             }
         }
-        // Application traffic only: acks and barriers are accounted as
-        // control, so the figure stays comparable to the paper's counts.
+        // Application traffic only: barriers are accounted as control,
+        // so the figure stays comparable to the paper's counts.
         assert_eq!(fabric.stats().messages(), (k * (k - 1)) as u64);
     }
 
@@ -785,28 +637,41 @@ mod tests {
             bytes_per_us: 1e9,
             simulate_delay: true,
         };
+        // Counted from before either worker exists, so from before the
+        // send: the floor holds however the two threads are scheduled.
+        let t0 = Instant::now();
         let (_f, results) = spawn_workers(2, model, |mut w| {
             if w.rank() == 0 {
-                let t0 = Instant::now();
                 w.send(1, 0, Bytes::from_static(b"x")).unwrap();
-                // Sender must NOT block on the wire.
-                let sent_in = t0.elapsed();
-                w.barrier().unwrap();
-                sent_in
             } else {
-                let t0 = Instant::now();
                 let _ = w.recv_tag(0).unwrap();
-                let got_in = t0.elapsed();
-                w.barrier().unwrap();
-                got_in
             }
+            let took = t0.elapsed();
+            w.barrier().unwrap();
+            took
         });
-        assert!(results[0] < Duration::from_millis(5), "send is async");
         assert!(
             results[1] >= Duration::from_millis(15),
             "delivery waits for wire time, got {:?}",
             results[1]
         );
+
+        // The sender must NOT block on the wire: with an hour of it
+        // ahead, on one thread, `send` returns and the packet is already
+        // on the peer's channel, receivable in an hour.
+        let hour = CostModel {
+            alpha_us: 3.6e9,
+            ..model
+        };
+        let (_f, mut workers) = Fabric::with_retry(2, hour, patient());
+        let w1 = workers.pop().unwrap();
+        let mut w0 = workers.pop().unwrap();
+        let t0 = Instant::now();
+        w0.send(1, 0, Bytes::from_static(b"x")).unwrap();
+        let Ok(Frame::Data { msg, .. }) = w1.receiver.try_recv().map(|pkt| pkt.frame) else {
+            panic!("send is async: the packet is on the wire");
+        };
+        assert!(msg.deliver_at > t0 + Duration::from_secs(1800));
     }
 
     #[test]
@@ -819,15 +684,8 @@ mod tests {
             duplicate_every: 2,
             ..Default::default()
         };
-        // Nothing is dropped, so nothing needs retransmitting: with the
-        // timer out of reach, a descheduled receiver cannot provoke a
-        // retransmit that would count as a third redelivery.
-        let retry = RetryPolicy {
-            base_timeout: Duration::from_secs(1),
-            ..patient()
-        };
         let model = CostModel::accounting_only();
-        let (fabric, _) = spawn_with_chaos(2, model, retry, chaos, |mut w| {
+        let (fabric, _) = spawn_with_chaos(2, model, patient(), chaos, |mut w| {
             w.barrier().unwrap();
             let out = vec![Bytes::from_static(b"p"); 2];
             let got = w.exchange(3, out).unwrap();
@@ -846,8 +704,8 @@ mod tests {
 
     #[test]
     fn dropped_messages_are_retransmitted() {
-        // Drop the first transmission of EVERY packet: nothing arrives
-        // without the retry path.
+        // Drop the first transmission of EVERY packet: each arrives as
+        // its first retransmission.
         let chaos = ChaosSchedule {
             seed: 3,
             drop_every: 1,
@@ -858,9 +716,6 @@ mod tests {
             let rank = w.rank() as u8;
             let out: Vec<Bytes> = (0..3).map(|_| Bytes::copy_from_slice(&[rank])).collect();
             let mut got = w.exchange(4, out).unwrap();
-            // Having heard from everyone is not having been heard: only
-            // a barrier keeps this worker retransmitting until its own
-            // dropped payloads are acknowledged.
             w.barrier().unwrap();
             got.sort_by_key(|(from, _)| *from);
             got.into_iter().map(|(_, p)| p[0]).collect::<Vec<u8>>()
@@ -869,8 +724,9 @@ mod tests {
             let want: Vec<u8> = (0..3u8).filter(|&p| p as usize != rank).collect();
             assert_eq!(*got, want);
         }
-        assert!(fabric.stats().retries() > 0, "drops forced retransmission");
-        assert!(fabric.stats().drops_injected() >= 6);
+        // 6 payloads + 6 barrier messages, each dropped exactly once.
+        assert_eq!(fabric.stats().drops_injected(), 12);
+        assert_eq!(fabric.stats().retries(), 12, "one retransmission per drop");
         assert_eq!(fabric.stats().messages(), 6, "logical count unchanged");
     }
 
@@ -902,6 +758,24 @@ mod tests {
         // The holdback shuffles the wire; the link's receive half puts
         // it back: each payload once, in the order it was sent.
         assert_eq!(results[1], vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn held_packet_outlives_its_sender() {
+        let chaos = ChaosSchedule {
+            seed: 9,
+            reorder_prob: 1.0,
+            reorder_window: 3,
+            ..Default::default()
+        };
+        let (fabric, mut workers) = Fabric::with_retry(2, CostModel::accounting_only(), patient());
+        fabric.set_chaos(chaos);
+        let mut w1 = workers.pop().unwrap();
+        let mut w0 = workers.pop().unwrap();
+        // Held back, and no later send or blocking call releases it.
+        w0.send(1, 11, Bytes::from_static(b"x")).unwrap();
+        drop(w0);
+        assert_eq!(w1.recv_tag(11).unwrap().payload.as_ref(), b"x");
     }
 
     #[test]
@@ -938,7 +812,7 @@ mod tests {
             base_timeout: Duration::from_millis(2),
             max_backoff: Duration::from_millis(10),
             max_attempts: 4,
-            patience: Duration::from_millis(400),
+            ..patient()
         };
         let (fabric, workers) = Fabric::with_retry(2, CostModel::accounting_only(), retry);
         fabric.set_chaos(chaos);
@@ -962,12 +836,27 @@ mod tests {
         })
         .unwrap();
         assert_eq!(results[0], Err(CommError::Crashed));
-        assert!(results[1].is_err(), "survivor must not hang");
+        assert_eq!(results[1], Err(CommError::PeerUnreachable { rank: 0 }));
         assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "detection bounded by patience, took {:?}",
+            t0.elapsed() >= clock::detection_budget(&retry),
+            "the death is known one detection budget after it, not {:?}",
             t0.elapsed()
         );
+
+        // A peer that is merely silent is not waited for forever either:
+        // the receive gives up after its patience and aborts the fleet.
+        let impatient = RetryPolicy {
+            patience: Duration::from_millis(10),
+            ..retry
+        };
+        let (_f, mut workers) = Fabric::with_retry(2, CostModel::accounting_only(), impatient);
+        let mut w1 = workers.pop().unwrap();
+        let mut w0 = workers.pop().unwrap();
+        assert_eq!(
+            w1.recv_tag(1).unwrap_err(),
+            CommError::RecvTimeout { tag: 1 }
+        );
+        assert_eq!(w0.barrier(), Err(CommError::Aborted { by: 1 }));
     }
 
     #[test]
@@ -984,9 +873,8 @@ mod tests {
             let h0 = s.spawn(move |_| {
                 // First send adopts the (empty) schedule.
                 w0.send(1, 1, Bytes::from_static(b"a")).unwrap();
-                let tick = clock::tick_of(&patient());
                 while !installed_ref.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
+                    std::thread::yield_now();
                 }
                 // A schedule installed mid-batch must NOT apply yet.
                 w0.send(1, 1, Bytes::from_static(b"b")).unwrap();

@@ -13,27 +13,31 @@
 //! produce real speedups rather than bookkeeping ones.
 //!
 //! The fabric is fault-tolerant, standing in for the fault-tolerance
-//! module of the paper's architecture diagram (Figure 12): every payload
-//! is sequenced, acknowledged, and retransmitted with capped exponential
-//! backoff, receivers deduplicate and restore send order, and a seeded
-//! [`ChaosSchedule`] can
-//! deterministically inject drops, duplicates, reorders, delays, and
-//! single-worker crashes — the substrate `tests/chaos.rs` uses to prove
-//! bitwise-identical epoch outputs under any fault schedule.
-
+//! module of the paper's architecture diagram (Figure 12): a seeded
+//! [`ChaosSchedule`] can deterministically inject drops, duplicates,
+//! reorders, delays, and single-worker crashes, and whatever it does
+//! every payload is delivered exactly once and in send order, a crash
+//! becomes a structured [`CommError`] on every survivor, and no blocking
+//! call outlives its patience — the substrate `tests/chaos.rs` uses to
+//! prove bitwise-identical epoch outputs under any fault schedule. The
+//! channels themselves lose nothing, so a drop costs what the schedule
+//! says it costs — a sender's retransmit timers, folded into the
+//! packet's delivery time — with no acknowledgement protocol run
+//! against it.
 //!
 //! For cluster sizes beyond the host's core count, [`det`] provides a
 //! deterministic virtual-time discrete-event runtime with the same
 //! send/recv/barrier surface on cooperative tasks instead of threads;
-//! [`clock`] holds the timeout shapes both transports share, and
-//! [`worker`] the seam that lets one worker step machine run on either.
+//! [`link`] is the link model and [`clock`] the timeout shapes both
+//! transports share, and [`worker`] the seam that lets one worker step
+//! machine run on either.
 
 pub mod chaos;
 pub mod clock;
 pub mod codec;
 pub mod det;
 pub mod fabric;
-mod link;
+pub mod link;
 pub mod stats;
 pub mod worker;
 

@@ -1,7 +1,62 @@
-//! The receive half of the link protocol, written once for both
-//! transports.
+//! The link model, written once for both transports: [`plan_send`]
+//! folds a packet's fault verdicts into what sending it costs, and
+//! `LinkRecv` hands arrivals over once each and in send order.
+//!
+//! Neither transport loses anything on its own — a channel and an event
+//! wheel deliver what they are given — so the only loss on a link is the
+//! one a [`ChaosSchedule`] injects, as a pure function of `(seed, src,
+//! dst, seq, attempt)`: which transmission gets through, and how long
+//! the sender's timers take to reach it, is known at send time. The send
+//! half is therefore a function, not an ack / retransmit protocol.
 
+use crate::chaos::{ChaosSchedule, Decision};
+use crate::clock;
+use crate::fabric::RetryPolicy;
 use std::collections::BTreeMap;
+use std::time::Duration;
+
+/// What sending one packet over a faulty link amounts to.
+#[derive(Clone, Copy, Debug)]
+pub struct SendPlan {
+    /// Transmissions lost before one got through: that many injected
+    /// drops, and as many retransmissions.
+    pub dropped: u32,
+    /// The retransmit timers sat out before the surviving transmission
+    /// leaves: `base_timeout` for the first loss, then
+    /// [`clock::backoff_for`]. Zero when nothing was dropped.
+    pub retry_wait: Duration,
+    /// The surviving transmission's verdict (`drop` is false).
+    pub verdict: Decision,
+}
+
+/// Walks the verdicts of packet `seq` on `src -> dst` attempt by attempt
+/// until a transmission survives both `chaos` and `also_drops` (the
+/// transport's own loss model, asked per attempt: the virtual cluster's
+/// flaky racks). Terminates because neither drops a third transmission.
+pub fn plan_send(
+    chaos: &ChaosSchedule,
+    retry: RetryPolicy,
+    (src, dst, seq): (usize, usize, u64),
+    also_drops: impl Fn(u32) -> bool,
+) -> SendPlan {
+    let mut dropped = 0;
+    let mut retry_wait = Duration::ZERO;
+    loop {
+        let verdict = chaos.decide(src, dst, seq, dropped);
+        if !(verdict.drop || also_drops(dropped)) {
+            return SendPlan {
+                dropped,
+                retry_wait,
+                verdict,
+            };
+        }
+        retry_wait += match dropped {
+            0 => retry.base_timeout,
+            n => clock::backoff_for(retry, n),
+        };
+        dropped += 1;
+    }
+}
 
 /// One directed link's receive state: sequenced arrivals in (1-based,
 /// contiguous per link), each payload out exactly once and in send

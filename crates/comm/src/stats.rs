@@ -52,8 +52,8 @@ impl CostModel {
 /// injected drops, and duplicates do not inflate it, so epoch traffic
 /// numbers stay comparable between fault-free and chaos runs. The
 /// fault path is accounted separately: `retries`, `drops_injected`,
-/// `dups_injected`, `redeliveries`, `acks`, and `control_messages`
-/// (barrier/ack protocol traffic).
+/// `dups_injected`, `redeliveries`, and `control_messages` (barrier
+/// traffic).
 #[derive(Default, Debug)]
 pub struct CommStats {
     messages: AtomicU64,
@@ -64,7 +64,6 @@ pub struct CommStats {
     drops_injected: AtomicU64,
     dups_injected: AtomicU64,
     redeliveries: AtomicU64,
-    acks: AtomicU64,
     control_messages: AtomicU64,
 }
 
@@ -83,7 +82,7 @@ impl CommStats {
         self.control_messages.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one retransmission of an unacknowledged message.
+    /// Records one retransmission of a dropped message.
     pub fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -99,14 +98,9 @@ impl CommStats {
     }
 
     /// Records one receive-side discard of an already-seen sequence
-    /// number (from a duplicate or a retransmit racing its ack).
+    /// number (an injected duplicate).
     pub fn record_redelivery(&self) {
         self.redeliveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one acknowledgement sent.
-    pub fn record_ack(&self) {
-        self.acks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total messages sent.
@@ -145,11 +139,6 @@ impl CommStats {
         self.redeliveries.load(Ordering::Relaxed)
     }
 
-    /// Total acknowledgements sent.
-    pub fn acks(&self) -> u64 {
-        self.acks.load(Ordering::Relaxed)
-    }
-
     /// Total protocol-internal (barrier) messages.
     pub fn control_messages(&self) -> u64 {
         self.control_messages.load(Ordering::Relaxed)
@@ -165,7 +154,6 @@ impl CommStats {
             drops_injected: self.drops_injected(),
             dups_injected: self.dups_injected(),
             redeliveries: self.redeliveries(),
-            acks: self.acks(),
             control_messages: self.control_messages(),
         }
     }
@@ -179,7 +167,6 @@ impl CommStats {
         self.drops_injected.store(0, Ordering::Relaxed);
         self.dups_injected.store(0, Ordering::Relaxed);
         self.redeliveries.store(0, Ordering::Relaxed);
-        self.acks.store(0, Ordering::Relaxed);
         self.control_messages.store(0, Ordering::Relaxed);
     }
 }
@@ -200,8 +187,6 @@ pub struct StatsSnapshot {
     pub dups_injected: u64,
     /// Receive-side duplicate discards.
     pub redeliveries: u64,
-    /// Acknowledgements sent.
-    pub acks: u64,
     /// Protocol-internal messages.
     pub control_messages: u64,
 }
@@ -217,7 +202,6 @@ impl StatsSnapshot {
             drops_injected: self.drops_injected.saturating_sub(earlier.drops_injected),
             dups_injected: self.dups_injected.saturating_sub(earlier.dups_injected),
             redeliveries: self.redeliveries.saturating_sub(earlier.redeliveries),
-            acks: self.acks.saturating_sub(earlier.acks),
             control_messages: self
                 .control_messages
                 .saturating_sub(earlier.control_messages),
@@ -262,7 +246,6 @@ mod tests {
         s.record_drop_injected();
         s.record_dup_injected();
         s.record_redelivery();
-        s.record_ack();
         s.record_control();
         assert_eq!(s.messages(), 1, "fault-path events are not messages");
         assert_eq!(s.bytes(), 64);
@@ -270,7 +253,6 @@ mod tests {
         assert_eq!(s.drops_injected(), 1);
         assert_eq!(s.dups_injected(), 1);
         assert_eq!(s.redeliveries(), 1);
-        assert_eq!(s.acks(), 1);
         assert_eq!(s.control_messages(), 1);
         s.reset();
         assert_eq!(s.retries(), 0);

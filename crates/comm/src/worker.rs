@@ -129,10 +129,11 @@ impl WorkerCtx for FabricCtx<'_> {
 /// wherever the task parks. A fabric error is latched and the task is
 /// stepped once more so it can record the failure and finish; nothing
 /// hangs, because every blocking fabric call is patience-bounded. A
-/// task that finished cleanly then waits at an exit barrier, which
-/// keeps this worker acknowledging and retransmitting until every peer
-/// is done (its error — a peer died after we finished — is that
-/// peer's failure to report, not ours).
+/// task that finished cleanly then waits at an exit barrier: the
+/// channel is FIFO, so once it has passed, everything the peers sent
+/// this worker before it — injected duplicates included — has been
+/// taken in and counted (its error — a peer died after we finished — is
+/// that peer's failure to report, not ours).
 ///
 /// Returns the task's wall time up to `Done`, counted from the release
 /// of its first barrier when it has one: workers leave their entry

@@ -1,14 +1,18 @@
 //! Property tests for the message codec: arbitrary payloads round-trip
 //! exactly through both encoders and both decoders, and malformed frames
 //! — truncated prefixes, corrupted bytes, raw garbage — always surface
-//! structured [`DecodeError`]s instead of panicking.
+//! structured [`DecodeError`]s instead of panicking. And one for the
+//! link's send half: `plan_send` against its definition.
 
 use bytes::Bytes;
+use flexgraph_comm::clock::backoff_for;
+use flexgraph_comm::link::plan_send;
 use flexgraph_comm::{
     decode_rows, decode_rows_with, encode_flat_rows, encode_rows, try_decode_rows,
-    try_decode_rows_with,
+    try_decode_rows_with, ChaosSchedule, RetryPolicy,
 };
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn rows_strategy() -> impl Strategy<Value = (usize, Vec<u32>, Vec<f32>)> {
     (0usize..40, 1usize..16).prop_flat_map(|(rows, dim)| {
@@ -113,5 +117,48 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+    }
+
+    /// `plan_send` is the first transmission `decide` lets through, the
+    /// retransmit timers before it summed, and that transmission's
+    /// verdict.
+    #[test]
+    fn plan_send_is_the_first_surviving_attempt(
+        (seed, drop_every, drop_prob) in (0u64..1 << 32, 0u64..4, 0.0f64..1.0),
+        (src, dst, seq) in (0usize..64, 0usize..64, 1u64..10_000),
+        (base_ms, cap_ms, flaky) in (1u64..50, 1u64..100, 0u32..3),
+    ) {
+        let chaos = ChaosSchedule {
+            seed,
+            drop_every,
+            drop_prob,
+            duplicate_every: 2,
+            reorder_prob: 0.5,
+            reorder_window: 2,
+            jitter_us: 100.0,
+            ..ChaosSchedule::default()
+        };
+        let retry = RetryPolicy {
+            base_timeout: Duration::from_millis(base_ms),
+            max_backoff: Duration::from_millis(cap_ms),
+            ..RetryPolicy::default()
+        };
+        // The transport's own loss model: its first `flaky` attempts.
+        let plan = plan_send(&chaos, retry, (src, dst, seq), |a| a < flaky);
+        let first_through = (flaky..)
+            .find(|&a| !chaos.decide(src, dst, seq, a).drop)
+            .unwrap();
+        prop_assert_eq!(plan.dropped, first_through);
+        prop_assert!(plan.dropped <= 2, "nothing drops a third transmission");
+        let mut wait = Duration::ZERO;
+        if plan.dropped > 0 {
+            wait = retry.base_timeout + (1..plan.dropped).map(|a| backoff_for(retry, a)).sum();
+        }
+        prop_assert_eq!(plan.retry_wait, wait);
+        let through = chaos.decide(src, dst, seq, plan.dropped);
+        prop_assert!(!plan.verdict.drop);
+        prop_assert_eq!(plan.verdict.duplicate, through.duplicate);
+        prop_assert_eq!(plan.verdict.hold, through.hold);
+        prop_assert_eq!(plan.verdict.delay_us.to_bits(), through.delay_us.to_bits());
     }
 }

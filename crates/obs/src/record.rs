@@ -129,16 +129,18 @@ impl CommCounters {
 
 /// Fabric-wide counters for one epoch, snapshotted from
 /// `flexgraph_comm::CommStats`. Application traffic (`bytes`,
-/// `messages`) is deterministic; the fault-path counters depend on
-/// timers and chaos schedules and are therefore kept out of the
-/// byte-stable trace fields.
+/// `messages`) is deterministic, and so — since drops are folded into
+/// delivery times on both drivers — are the fault-path counters of a
+/// crash-free schedule; a crashed attempt's, on threads, depend on how
+/// far the survivors got before they learnt of it. They stay out of the
+/// byte-stable trace fields until the trace snapshot is next refreshed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricCounters {
     /// Total payload bytes over the fabric.
     pub bytes: u64,
     /// Total application messages.
     pub messages: u64,
-    /// Retransmissions (timer-dependent: non-deterministic).
+    /// Retransmissions: one per injected drop.
     pub retries: u64,
     /// Chaos-injected drops.
     pub drops_injected: u64,

@@ -14,9 +14,10 @@
 //! * Timestamps are **virtual**: `vt` is a per-session record counter,
 //!   not a clock. Same-seed runs therefore emit byte-identical traces
 //!   under any `FLEXGRAPH_THREADS`.
-//! * Stage entries serialize `[invocations, work]` — wall times and
-//!   fault counters (retries, drops) are excluded because they depend
-//!   on the scheduler and retransmit timers. Setting
+//! * Stage entries serialize `[invocations, work]` — wall times are
+//!   excluded because they depend on the scheduler, and fault counters
+//!   (retries, drops) because a crashed attempt's do (a crash-free
+//!   schedule's are a function of its seed). Setting
 //!   `FLEXGRAPH_TRACE_WALL=1` appends them as extra debug fields and
 //!   forfeits byte-stability (the `meta` line records `"wall":1` so
 //!   consumers can tell).

@@ -2,11 +2,14 @@
 //!
 //! The headline claim: **any** deterministic schedule of message drops,
 //! duplicates, reorders, delays, and single-worker crashes yields
-//! bitwise-identical epoch outputs to the fault-free run. The reliable
-//! delivery layer retransmits and dedups, rank-ordered receives pin the
-//! floating-point fold order, and crash recovery re-drives the epoch
-//! from immutable shard state — so the application-visible result is a
-//! pure function of the inputs, never of the fault schedule.
+//! bitwise-identical epoch outputs to the fault-free run. A link
+//! delivers every payload once and in send order whatever the schedule
+//! does to it (a drop costs modeled retransmission time, nothing else),
+//! rank-ordered receives pin the floating-point fold order, and crash
+//! recovery re-drives the epoch from immutable shard state — so the
+//! application-visible result is a pure function of the inputs, never
+//! of the fault schedule, and the fault counters a pure function of its
+//! seed.
 //!
 //! Every schedule is derived from a seed, so a failure reproduces with
 //! `FLEXGRAPH_CHAOS_SEED=<seed> cargo test --test chaos`.
@@ -190,6 +193,7 @@ fn fault_counters_attribute_injected_faults() {
     let got = distributed_epoch(&ds.graph, &sh, &cfg);
     assert!(got.drops_injected > 0, "drops were scheduled");
     assert!(got.retries > 0, "drops force retransmissions");
+    assert_eq!(got.retries, got.drops_injected, "one per drop, no more");
     assert!(got.redeliveries > 0, "duplicates are absorbed, and counted");
     assert_eq!(got.recoveries, 0);
     // The logical traffic accounting is fault-invariant: retransmits and
@@ -211,6 +215,7 @@ fn chaos_is_reproducible_from_its_seed() {
     let a = distributed_epoch(&ds.graph, &sh, &cfg);
     let b = distributed_epoch(&ds.graph, &sh, &cfg);
     assert_eq!(a.drops_injected, b.drops_injected, "same seed, same faults");
+    assert_eq!(a.retries, b.retries);
     assert_eq!(a.redeliveries, b.redeliveries);
     assert_bitwise_eq(&a.features, &b.features, "replay");
 }
