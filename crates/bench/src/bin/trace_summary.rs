@@ -12,6 +12,24 @@
 use flexgraph::obs::{self, Stage, TraceLine};
 use std::collections::BTreeMap;
 
+/// The `p50` / `p99` bounds of merged serving windows. A parsed record
+/// holds no latency buckets — the wire carries each window's bounds, not
+/// its histogram — so the bounds merge beside the record, by max: the
+/// largest window bound is still a valid `≤` for the union (the median
+/// of a union never exceeds the largest part's median).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct LatBounds {
+    p50: u64,
+    p99: u64,
+}
+
+impl LatBounds {
+    fn merge(&mut self, p50: u64, p99: u64) {
+        self.p50 = self.p50.max(p50);
+        self.p99 = self.p99.max(p99);
+    }
+}
+
 fn main() {
     let path = match std::env::args().nth(1) {
         Some(p) => p,
@@ -28,8 +46,9 @@ fn main() {
                                                                       // Serving windows in trace order, plus the merged totals.
     let mut serve_windows: Vec<(u64, obs::ServeRecord, u64, u64)> = Vec::new();
     let mut serve_total = obs::ServeRecord::default();
+    let mut serve_bounds = LatBounds::default();
     // Per-tenant serving windows (multi-tenant tier), keyed by tenant.
-    let mut tenant_windows: BTreeMap<u64, obs::TenantServeRecord> = BTreeMap::new();
+    let mut tenant_windows: BTreeMap<u64, (obs::TenantServeRecord, LatBounds)> = BTreeMap::new();
     let mut tenant_window_count = 0usize;
     // Page-cache (paged store) records in trace order, plus the merge.
     let mut pgc_lines: Vec<(u64, obs::PageCacheRecord)> = Vec::new();
@@ -59,18 +78,24 @@ fn main() {
                 p99,
             }) => {
                 serve_total.merge(&record);
+                serve_bounds.merge(p50, p99);
                 serve_windows.push((vt, record, p50, p99));
             }
             Ok(TraceLine::PageCache { vt, record }) => {
                 pgc_total.merge(&record);
                 pgc_lines.push((vt, record));
             }
-            Ok(TraceLine::TenantServe { record, .. }) => {
+            Ok(TraceLine::TenantServe {
+                record, p50, p99, ..
+            }) => {
                 tenant_window_count += 1;
                 tenant_windows
                     .entry(record.tenant)
-                    .and_modify(|t| t.merge(&record))
-                    .or_insert(record);
+                    .and_modify(|(total, bounds)| {
+                        total.merge(&record);
+                        bounds.merge(p50, p99);
+                    })
+                    .or_insert((record, LatBounds { p50, p99 }));
             }
             Err(e) => panic!("line {}: schema violation: {e}", i + 1),
         }
@@ -175,12 +200,7 @@ fn main() {
             "total: {} served / {} enqueued ({} rejected), {} batches, \
              cache hit rate {hit_rate:.1}%, mean latency {mean_lat:.1} vt, \
              p50≤{} p99≤{} (merged)",
-            t.served,
-            t.enqueued,
-            t.rejected,
-            t.batches,
-            t.latency.quantile_bound(50),
-            t.latency.quantile_bound(99),
+            t.served, t.enqueued, t.rejected, t.batches, serve_bounds.p50, serve_bounds.p99,
         );
     }
 
@@ -194,7 +214,7 @@ fn main() {
             "{:>7} {:>8} {:>8} {:>8} {:>11} {:>8} {:>9} {:>9}",
             "tenant", "served", "quota_x", "slo_x", "cache(h/m)", "quant", "lat_p50", "lat_p99"
         );
-        for (tenant, t) in &tenant_windows {
+        for (tenant, (t, bounds)) in &tenant_windows {
             println!(
                 "{:>7} {:>8} {:>8} {:>8} {:>11} {:>8} {:>9} {:>9}",
                 tenant,
@@ -203,8 +223,8 @@ fn main() {
                 t.slo_violations,
                 format!("{}/{}", t.serve.cache_hits, t.serve.cache_misses),
                 t.serve.quant,
-                t.serve.latency.quantile_bound(50),
-                t.serve.latency.quantile_bound(99),
+                bounds.p50,
+                bounds.p99,
             );
         }
     }
@@ -271,4 +291,32 @@ fn demo_trace() -> String {
     obs::finish_trace();
     println!("(no trace given — generated a demo trace from a 2-epoch run)");
     path
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merged_quantiles_come_from_the_bounds_the_lines_carry() {
+        let mut total = obs::ServeRecord::default();
+        let mut bounds = LatBounds::default();
+        for (vt, latencies) in [(1, &[2, 3, 3][..]), (2, &[1, 1, 1, 100])] {
+            let mut window = obs::ServeRecord::default();
+            for &l in latencies {
+                window.latency.record(l);
+            }
+            let line = obs::trace::render_serve(vt, &window);
+            let Ok(TraceLine::Serve {
+                record, p50, p99, ..
+            }) = obs::parse_line(&line)
+            else {
+                panic!("not a serve line: {line}");
+            };
+            total.merge(&record);
+            bounds.merge(p50, p99);
+        }
+        assert_eq!(bounds, LatBounds { p50: 3, p99: 100 });
+        assert!(bounds.p50 < total.latency.max);
+    }
 }

@@ -52,5 +52,5 @@ pub use det::{
     VirtualCluster, VirtualStats, Vt,
 };
 pub use fabric::{CommError, Fabric, Message, RetryPolicy, WorkerComm};
-pub use stats::{CommStats, CostModel, StatsSnapshot};
+pub use stats::{CommStats, CostModel};
 pub use worker::{drive_blocking, SimTask, TaskStep, WorkerCtx};

@@ -143,70 +143,6 @@ impl CommStats {
     pub fn control_messages(&self) -> u64 {
         self.control_messages.load(Ordering::Relaxed)
     }
-
-    /// A plain-struct snapshot of all counters, for diffing across an
-    /// epoch boundary (telemetry reads `after - before`).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            messages: self.messages(),
-            bytes: self.bytes(),
-            retries: self.retries(),
-            drops_injected: self.drops_injected(),
-            dups_injected: self.dups_injected(),
-            redeliveries: self.redeliveries(),
-            control_messages: self.control_messages(),
-        }
-    }
-
-    /// Resets all counters (between benchmark phases).
-    pub fn reset(&self) {
-        self.messages.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.modeled_ns.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.drops_injected.store(0, Ordering::Relaxed);
-        self.dups_injected.store(0, Ordering::Relaxed);
-        self.redeliveries.store(0, Ordering::Relaxed);
-        self.control_messages.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time copy of [`CommStats`] counters. Subtracting two
-/// snapshots attributes traffic to the interval between them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Application messages sent.
-    pub messages: u64,
-    /// Application payload bytes sent.
-    pub bytes: u64,
-    /// Retransmissions.
-    pub retries: u64,
-    /// Chaos-injected drops.
-    pub drops_injected: u64,
-    /// Chaos-injected duplicates.
-    pub dups_injected: u64,
-    /// Receive-side duplicate discards.
-    pub redeliveries: u64,
-    /// Protocol-internal messages.
-    pub control_messages: u64,
-}
-
-impl StatsSnapshot {
-    /// Counter deltas since `earlier` (saturating, so a mid-interval
-    /// `reset()` yields zeros instead of wrapping).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            messages: self.messages.saturating_sub(earlier.messages),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
-            retries: self.retries.saturating_sub(earlier.retries),
-            drops_injected: self.drops_injected.saturating_sub(earlier.drops_injected),
-            dups_injected: self.dups_injected.saturating_sub(earlier.dups_injected),
-            redeliveries: self.redeliveries.saturating_sub(earlier.redeliveries),
-            control_messages: self
-                .control_messages
-                .saturating_sub(earlier.control_messages),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,9 +168,6 @@ mod tests {
         assert_eq!(s.messages(), 2);
         assert_eq!(s.bytes(), 400);
         assert!((s.modeled_us() - 12.0).abs() < 1e-6);
-        s.reset();
-        assert_eq!(s.messages(), 0);
-        assert_eq!(s.bytes(), 0);
     }
 
     #[test]
@@ -254,25 +187,6 @@ mod tests {
         assert_eq!(s.dups_injected(), 1);
         assert_eq!(s.redeliveries(), 1);
         assert_eq!(s.control_messages(), 1);
-        s.reset();
-        assert_eq!(s.retries(), 0);
-        assert_eq!(s.control_messages(), 0);
-    }
-
-    #[test]
-    fn snapshot_diffs_attribute_interval_traffic() {
-        let s = CommStats::default();
-        s.record(100, 1.0);
-        let before = s.snapshot();
-        s.record(250, 1.0);
-        s.record_retry();
-        let delta = s.snapshot().since(&before);
-        assert_eq!(delta.messages, 1);
-        assert_eq!(delta.bytes, 250);
-        assert_eq!(delta.retries, 1);
-        // A reset between snapshots saturates to zero, never wraps.
-        s.reset();
-        assert_eq!(s.snapshot().since(&before), StatsSnapshot::default());
     }
 
     #[test]

@@ -110,56 +110,17 @@ pub fn hierarchical_aggregate(
     strategy: Strategy,
     budget: &MemoryBudget,
 ) -> Result<AggrResult, EngineError> {
-    let d = feats.cols();
-    let mut peak = 0usize;
-
-    // Step 1: leaves → instances. Telemetry counts this level's work as
-    // leaf entries × dim; the upper levels account for themselves.
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
-    let leaf_work = hdg.leaf_sources().len() as u64 * d as u64;
-    let inst_feats = match strategy {
-        Strategy::Sa => {
-            // Materialize one row per (leaf, instance) edge, then scatter
-            // — the memory-explosion path of §4.2(1). The scatter plan is
-            // cached on the HDG; only the gathered rows are transient.
-            let src = hdg.leaf_sources();
-            let bytes = materialized_bytes(src.len(), d);
-            peak = peak.max(bytes);
-            budget.check(bytes)?;
-            let gathered = gather_rows(feats, src);
-            apply_scatter(
-                plan.leaf_op,
-                &gathered,
-                &hdg.leaf_scatter_plan(),
-                &mut peak,
-                budget,
-            )?
-        }
-        Strategy::SaFa | Strategy::Ha => {
-            let reduce = plan
-                .leaf_op
-                .as_reduce()
-                .ok_or(EngineError::Unsupported("attention at the leaf level"))?;
-            segment_reduce(feats, hdg.inst_offsets(), hdg.leaf_sources(), reduce)
-        }
-    };
-    timer.stop(leaf_work);
-
-    let upper = aggregate_from_instances(hdg, &inst_feats, plan, strategy, budget)?;
-    Ok(AggrResult {
-        features: upper.features,
-        peak_transient_bytes: peak.max(upper.peak_transient_bytes),
-    })
+    hierarchical_aggregate_quant(hdg, LeafFeats::F32(feats), plan, strategy, budget)
 }
 
-/// Feature storage for the quantized leaf step: only the bottom level
-/// of the hierarchy ever touches the input feature matrix, so
-/// quantizing inference is exactly "swap the leaf gather/reduce for a
-/// half-/quarter-width one" — every level above runs the unchanged f32
-/// code on the (f32) instance features.
+/// Feature storage for the leaf step: only the bottom level of the
+/// hierarchy ever touches the input feature matrix, so quantizing
+/// inference is exactly "swap the leaf gather/reduce for a half-/
+/// quarter-width one" — every level above runs the unchanged f32 code
+/// on the (f32) instance features.
 #[derive(Clone, Copy, Debug)]
 pub enum LeafFeats<'a> {
-    /// Full-precision features (delegates to [`hierarchical_aggregate`]).
+    /// Full-precision features.
     F32(&'a Tensor),
     /// bf16-stored features, widened to f32 as they stream.
     Bf16(&'a Bf16Tensor),
@@ -177,15 +138,14 @@ impl LeafFeats<'_> {
     }
 }
 
-/// [`hierarchical_aggregate`] over quantized feature storage.
+/// [`hierarchical_aggregate`] over any feature storage.
 ///
-/// The leaf step reads rows at reduced width (bf16/int8) and
+/// The leaf step reads rows at their stored width (f32/bf16/int8) and
 /// accumulates in f32 with the same per-destination ascending-edge
-/// chains as the f32 kernels, so the result is bitwise-deterministic
-/// for any `FLEXGRAPH_THREADS` and bitwise-identical to widening /
+/// chains at every width, so the result is bitwise-deterministic for
+/// any `FLEXGRAPH_THREADS` and bitwise-identical to widening /
 /// dequantizing the whole matrix and calling
-/// [`hierarchical_aggregate`]. `LeafFeats::F32` is exactly the f32
-/// path.
+/// [`hierarchical_aggregate`].
 pub fn hierarchical_aggregate_quant(
     hdg: &Hdg,
     feats: LeafFeats<'_>,
@@ -193,27 +153,22 @@ pub fn hierarchical_aggregate_quant(
     strategy: Strategy,
     budget: &MemoryBudget,
 ) -> Result<AggrResult, EngineError> {
-    let feats = match feats {
-        LeafFeats::F32(t) => return hierarchical_aggregate(hdg, t, plan, strategy, budget),
-        quant => quant,
-    };
-    let d = feats.cols();
     let mut peak = 0usize;
 
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
-    let leaf_work = hdg.leaf_sources().len() as u64 * d as u64;
+    // Step 1: leaves → instances.
+    let src = hdg.leaf_sources();
     let inst_feats = match strategy {
         Strategy::Sa => {
-            // Materialize the per-edge rows (widened to f32), then
-            // scatter with the cached plan — same shape as the f32 SA
-            // path, and the transient is still accounted at f32 width
-            // because that is what the gather materializes.
-            let src = hdg.leaf_sources();
-            let bytes = materialized_bytes(src.len(), d);
+            // Materialize one row per (leaf, instance) edge, then scatter
+            // — the memory-explosion path of §4.2(1). The scatter plan is
+            // cached on the HDG; only the gathered rows are transient,
+            // accounted at f32 width because that is what every gather
+            // materializes.
+            let bytes = materialized_bytes(src.len(), feats.cols());
             peak = peak.max(bytes);
             budget.check(bytes)?;
             let gathered = match feats {
-                LeafFeats::F32(_) => unreachable!("handled above"),
+                LeafFeats::F32(t) => gather_rows(t, src),
                 LeafFeats::Bf16(t) => gather_rows_bf16(t, src),
                 LeafFeats::Int8(t) => gather_rows_q8(t, src),
             };
@@ -230,18 +185,14 @@ pub fn hierarchical_aggregate_quant(
                 .leaf_op
                 .as_reduce()
                 .ok_or(EngineError::Unsupported("attention at the leaf level"))?;
+            let offsets = hdg.inst_offsets();
             match feats {
-                LeafFeats::F32(_) => unreachable!("handled above"),
-                LeafFeats::Bf16(t) => {
-                    segment_reduce_bf16(t, hdg.inst_offsets(), hdg.leaf_sources(), reduce)
-                }
-                LeafFeats::Int8(t) => {
-                    segment_reduce_q8(t, hdg.inst_offsets(), hdg.leaf_sources(), reduce)
-                }
+                LeafFeats::F32(t) => segment_reduce(t, offsets, src, reduce),
+                LeafFeats::Bf16(t) => segment_reduce_bf16(t, offsets, src, reduce),
+                LeafFeats::Int8(t) => segment_reduce_q8(t, offsets, src, reduce),
             }
         }
     };
-    timer.stop(leaf_work);
 
     let upper = aggregate_from_instances(hdg, &inst_feats, plan, strategy, budget)?;
     Ok(AggrResult {
@@ -268,7 +219,6 @@ pub fn aggregate_from_instances(
     // (§4.2(2)). The group index the compact storage omits lives inside
     // the HDG's cached scatter plan, materialized once for all layers
     // and epochs rather than per pass.
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
     let group_feats = apply_scatter(
         plan.instance_op,
         inst_feats,
@@ -276,7 +226,6 @@ pub fn aggregate_from_instances(
         &mut peak,
         budget,
     )?;
-    timer.stop(hdg.num_instances() as u64 * inst_feats.cols() as u64);
 
     let upper = aggregate_from_groups(hdg, group_feats, plan, strategy, budget)?;
     Ok(AggrResult {
@@ -298,8 +247,6 @@ pub fn aggregate_from_groups(
 ) -> Result<AggrResult, EngineError> {
     let mut peak = 0usize;
     // Types → root.
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
-    let group_work = hdg.num_groups() as u64 * group_feats.cols() as u64;
     let t = hdg.num_types();
     let features = if t == 1 {
         // Flat schema tree: groups ARE the roots (GCN / PinSage shape).
@@ -323,7 +270,6 @@ pub fn aggregate_from_groups(
             )?,
         }
     };
-    timer.stop(group_work);
 
     Ok(AggrResult {
         features,
@@ -341,9 +287,7 @@ pub fn direct_aggregate(
     fused: bool,
     budget: &MemoryBudget,
 ) -> Result<AggrResult, EngineError> {
-    let timer = flexgraph_obs::StageTimer::start(flexgraph_obs::Stage::Upper);
-    let work = graph.in_sources().len() as u64 * feats.cols() as u64;
-    let result = if fused {
+    if fused {
         let reduce = op
             .as_reduce()
             .ok_or(EngineError::Unsupported("attention in direct aggregation"))?;
@@ -363,11 +307,7 @@ pub fn direct_aggregate(
             features,
             peak_transient_bytes: peak,
         })
-    };
-    if result.is_ok() {
-        timer.stop(work);
     }
-    result
 }
 
 fn apply_scatter(

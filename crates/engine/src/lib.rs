@@ -11,8 +11,9 @@
 //! algorithmically — faithful reimplementations of their execution
 //! strategies:
 //!
-//! * [`nau`] — the three-stage NAU abstraction
-//!   (*NeighborSelection → Aggregation → Update*) and stage timing,
+//! * [`nau`] — stage timing for the three NAU stages
+//!   (*NeighborSelection → Aggregation → Update*); the stages
+//!   themselves are `models::Model`,
 //! * [`hybrid`] — hierarchical aggregation under the SA / SA+FA / HA
 //!   strategies of §7.5,
 //! * [`gas`] — the SAGA-NN (GAS-like) abstraction used by DGL/NeuGraph,
@@ -39,4 +40,4 @@ pub use hybrid::{
 pub use memory::{
     admission_bytes, planned_admission_bytes, segment_residency_bytes, EngineError, MemoryBudget,
 };
-pub use nau::{NeighborSelection, StageTimes};
+pub use nau::StageTimes;

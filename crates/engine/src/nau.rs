@@ -11,50 +11,12 @@
 //!    the neighborhood representation.
 //!
 //! Unlike GAS-like abstractions, NeighborSelection does not have to run
-//! every layer or epoch: its [`Reuse`] policy captures the paper's
-//! observation that PinSage can cache HDGs for an epoch and MAGNN for the
-//! entire training run.
+//! every layer or epoch: PinSage caches HDGs for an epoch, MAGNN for the
+//! whole training run. The stages are written against `models::Model`
+//! (`selection` is stage 1 and owns that reuse decision, `forward`
+//! records stages 2 and 3); this module holds their timing.
 
-use flexgraph_graph::{Graph, TypedGraph, VertexId};
-use flexgraph_hdg::Hdg;
 use std::time::Duration;
-
-/// How long a NeighborSelection result stays valid (§3.2 "Discussion").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Reuse {
-    /// The input graph itself encodes the dependencies; nothing to build
-    /// (DNFA models — GCN).
-    InputGraph,
-    /// Rebuild every epoch (stochastic selection — PinSage's walks).
-    PerEpoch,
-    /// Build once, reuse for the whole training run (deterministic
-    /// selection — MAGNN's metapaths).
-    WholeTraining,
-}
-
-/// Context handed to NeighborSelection UDFs: the (possibly typed) input
-/// graph plus the roots owned by this worker.
-pub struct SelectionContext<'a> {
-    /// The input graph.
-    pub graph: &'a Graph,
-    /// Vertex types, when the dataset is heterogeneous.
-    pub typed: Option<&'a TypedGraph>,
-    /// The root vertices this worker owns.
-    pub roots: Vec<VertexId>,
-    /// Epoch number (lets PerEpoch selections reseed deterministically).
-    pub epoch: u64,
-}
-
-/// The NeighborSelection stage of a model: a neighbor UDF plus its reuse
-/// policy. Implementations correspond to the `nbr_udf`s of Figure 5.
-pub trait NeighborSelection: Send + Sync {
-    /// Builds the HDGs for the given roots, or `None` when the input
-    /// graph should be used directly (the [`Reuse::InputGraph`] case).
-    fn select(&self, ctx: &SelectionContext<'_>) -> Option<Hdg>;
-
-    /// The reuse policy for the produced HDGs.
-    fn reuse(&self) -> Reuse;
-}
 
 /// Wall-time spent in each NAU stage — the breakdown of the paper's
 /// Table 4.
@@ -99,37 +61,6 @@ impl StageTimes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexgraph_hdg::build::from_direct_neighbors;
-
-    /// A selection that mirrors the paper's `gnn_nbr` UDF but forces HDG
-    /// materialization (used by tests; the engine's GCN path normally
-    /// answers `None`).
-    struct DirectSelection;
-
-    impl NeighborSelection for DirectSelection {
-        fn select(&self, ctx: &SelectionContext<'_>) -> Option<Hdg> {
-            Some(from_direct_neighbors(ctx.graph, ctx.roots.clone()))
-        }
-
-        fn reuse(&self) -> Reuse {
-            Reuse::WholeTraining
-        }
-    }
-
-    #[test]
-    fn selection_trait_is_usable() {
-        let g = flexgraph_graph::csr::sample_graph();
-        let ctx = SelectionContext {
-            graph: &g,
-            typed: None,
-            roots: (0..9).collect(),
-            epoch: 0,
-        };
-        let hdg = DirectSelection.select(&ctx).unwrap();
-        assert_eq!(hdg.num_roots(), 9);
-        assert_eq!(DirectSelection.reuse(), Reuse::WholeTraining);
-    }
-
     #[test]
     fn stage_times_shares_sum_to_100() {
         let t = StageTimes {

@@ -2,17 +2,8 @@
 
 use flexgraph_engine::StageTimes;
 use flexgraph_graph::gen::Dataset;
-use flexgraph_obs::Stage;
 use flexgraph_tensor::{Adam, Graph, NodeId, Optimizer, ParamSet, Tensor};
 use std::time::{Duration, Instant};
-
-/// Forwards a stage measurement to the telemetry probe, if one is
-/// installed on this thread (the disabled path is a single check).
-fn record_obs(stage: Stage, work: u64, wall: Duration) {
-    if flexgraph_obs::probe_active() {
-        flexgraph_obs::record_stage(stage, work, wall.as_nanos() as u64);
-    }
-}
 
 /// A NAU-expressed GNN model, trainable end-to-end.
 ///
@@ -107,7 +98,6 @@ impl<M: Model> Trainer<M> {
         let t0 = Instant::now();
         self.model.selection(ds, epoch);
         let selection = t0.elapsed();
-        record_obs(Stage::Selection, ds.graph.num_edges() as u64, selection);
 
         let mut g = Graph::new();
         let feats = g.leaf(ds.features.clone());
@@ -129,7 +119,6 @@ impl<M: Model> Trainer<M> {
         g.collect_grads(self.params.grads_mut());
         self.opt.step(&mut self.params);
         let update = t2.elapsed();
-        record_obs(Stage::Update, self.params.num_scalars() as u64, update);
 
         let loss = g.value(loss_node).get(0, 0);
         let accuracy = accuracy(g.value(logits), &ds.labels);
@@ -169,7 +158,6 @@ impl<M: Model> Trainer<M> {
         g.collect_grads(self.params.grads_mut());
         self.opt.step(&mut self.params);
         let update = t2.elapsed();
-        record_obs(Stage::Update, self.params.num_scalars() as u64, update);
 
         EpochStats {
             loss: g.value(loss_node).get(0, 0),

@@ -7,15 +7,13 @@
 //!
 //! # Design
 //!
-//! * **Thread-local probes.** Instrumented code that has no record of
-//!   its own to write into (`engine`, `models`) calls [`record_stage`] /
-//!   [`StageTimer`] unconditionally. Those are near-free no-ops unless
-//!   the current thread has a probe installed via [`probe_begin`],
-//!   harvested as a [`PartitionRecord`] with [`probe_end`]. No function
-//!   signatures change and the disabled-path cost is one thread-local
-//!   `Option` check (<1% on the dense/scatter baselines, see DESIGN.md
-//!   §8). The distributed worker owns its [`PartitionRecord`] and writes
-//!   it directly.
+//! * **The worker writes its own record.** A distributed worker owns
+//!   the [`PartitionRecord`] of its partition and fills it as it runs
+//!   (`dist::worker`); the serving tier and the paged store do the same
+//!   with [`ServeRecord`] / [`TenantServeRecord`] / [`PageCacheRecord`].
+//!   Nothing is collected behind the caller's back, so code that owns no
+//!   record (`engine`, `models`) is not instrumented and does not depend
+//!   on this crate.
 //! * **Deterministic traces.** `FLEXGRAPH_TRACE=path` opens a trace
 //!   session. Trace records carry *virtual* timestamps (a record
 //!   counter) and only deterministic fields — work units, invocation
@@ -36,77 +34,10 @@ pub use record::{
 };
 pub use trace::{parse_line, TraceLine, TRACE_VERSION};
 
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
-use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Thread-local probe
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static PROBE: RefCell<Option<PartitionRecord>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh probe on the current thread. Subsequent
-/// [`record_stage`]-family calls from this thread accumulate into it
-/// until [`probe_end`]. Replaces (and discards) any previous probe.
-pub fn probe_begin(epoch: u64, partition: u32) {
-    PROBE.with(|p| *p.borrow_mut() = Some(PartitionRecord::new(epoch, partition)));
-}
-
-/// Removes and returns the current thread's probe, if any.
-pub fn probe_end() -> Option<PartitionRecord> {
-    PROBE.with(|p| p.borrow_mut().take())
-}
-
-/// Whether a probe is installed on this thread.
-pub fn probe_active() -> bool {
-    PROBE.with(|p| p.borrow().is_some())
-}
-
-/// Adds one invocation of `stage` with `work` deterministic work units
-/// and `wall_ns` measured nanoseconds. No-op without a probe.
-pub fn record_stage(stage: Stage, work: u64, wall_ns: u64) {
-    PROBE.with(|p| {
-        if let Some(rec) = p.borrow_mut().as_mut() {
-            let s = rec.stage_mut(stage);
-            s.invocations += 1;
-            s.work += work;
-            s.wall_ns += wall_ns;
-        }
-    });
-}
-
-/// Scoped stage timer. [`StageTimer::start`] reads the clock only when
-/// a probe is installed, so the disabled path costs a thread-local
-/// check and nothing else.
-pub struct StageTimer {
-    stage: Stage,
-    started: Option<Instant>,
-}
-
-impl StageTimer {
-    /// Starts timing `stage` (if this thread has a probe).
-    pub fn start(stage: Stage) -> StageTimer {
-        let started = if probe_active() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        StageTimer { stage, started }
-    }
-
-    /// Stops the timer and records one invocation with `work` units.
-    pub fn stop(self, work: u64) {
-        if let Some(t0) = self.started {
-            record_stage(self.stage, work, t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
+use std::sync::{Mutex, Once};
 
 // ---------------------------------------------------------------------------
 // Trace session
@@ -119,9 +50,10 @@ struct Session {
 }
 
 impl Session {
-    fn next_vt(&mut self) -> u64 {
+    /// Writes the line `render` produces for the next virtual timestamp.
+    fn stamped(&mut self, render: impl FnOnce(u64) -> String) {
         self.vt += 1;
-        self.vt
+        self.line(&render(self.vt));
     }
 
     fn line(&mut self, s: &str) {
@@ -204,74 +136,49 @@ pub fn init_env_trace() {
     ensure_env_init();
 }
 
-/// Writes one serving window to the active trace session. No-op when no
-/// session is open.
-pub fn emit_serve(rec: &ServeRecord) {
+/// The frame every emitter shares: when a session is open, lock it, let
+/// `write` stamp its lines, flush.
+fn emit(write: impl FnOnce(&mut Session)) {
     if !trace_active() {
         return;
     }
     let mut guard = SESSION.lock().unwrap();
     let Some(s) = guard.as_mut() else { return };
-    let vt = s.next_vt();
-    let line = trace::render_serve(vt, rec);
-    s.line(&line);
+    write(s);
     if let Some(w) = s.out.as_mut() {
         let _ = w.flush();
     }
+}
+
+/// Writes one serving window to the active trace session. No-op when no
+/// session is open.
+pub fn emit_serve(rec: &ServeRecord) {
+    emit(|s| s.stamped(|vt| trace::render_serve(vt, rec)));
 }
 
 /// Writes one tenant's serving window to the active trace session as a
 /// `tser` line. No-op when no session is open.
 pub fn emit_tenant_serve(rec: &TenantServeRecord) {
-    if !trace_active() {
-        return;
-    }
-    let mut guard = SESSION.lock().unwrap();
-    let Some(s) = guard.as_mut() else { return };
-    let vt = s.next_vt();
-    let line = trace::render_tenant_serve(vt, rec);
-    s.line(&line);
-    if let Some(w) = s.out.as_mut() {
-        let _ = w.flush();
-    }
+    emit(|s| s.stamped(|vt| trace::render_tenant_serve(vt, rec)));
 }
 
 /// Writes one page-cache window from the paged graph store to the
 /// active trace session as a `pgc` line. No-op when no session is open.
 pub fn emit_page_cache(rec: &PageCacheRecord) {
-    if !trace_active() {
-        return;
-    }
-    let mut guard = SESSION.lock().unwrap();
-    let Some(s) = guard.as_mut() else { return };
-    let vt = s.next_vt();
-    let line = trace::render_page_cache(vt, rec);
-    s.line(&line);
-    if let Some(w) = s.out.as_mut() {
-        let _ = w.flush();
-    }
+    emit(|s| s.stamped(|vt| trace::render_page_cache(vt, rec)));
 }
 
 /// Writes one epoch's records to the active trace session (partition
 /// records in rank order, then the epoch summary). No-op when no
 /// session is open.
 pub fn emit_epoch(ep: &TraceEpoch) {
-    if !trace_active() {
-        return;
-    }
-    let mut guard = SESSION.lock().unwrap();
-    let Some(s) = guard.as_mut() else { return };
-    for rec in ep.partitions.values() {
-        let vt = s.next_vt();
-        let line = trace::render_part(vt, rec, s.wall);
-        s.line(&line);
-    }
-    let vt = s.next_vt();
-    let line = trace::render_epoch(vt, ep, s.wall);
-    s.line(&line);
-    if let Some(w) = s.out.as_mut() {
-        let _ = w.flush();
-    }
+    emit(|s| {
+        let wall = s.wall;
+        for rec in ep.partitions.values() {
+            s.stamped(|vt| trace::render_part(vt, rec, wall));
+        }
+        s.stamped(|vt| trace::render_epoch(vt, ep, wall));
+    });
 }
 
 /// Test hook: force-reset env initialization state is impossible with
@@ -281,55 +188,9 @@ pub fn reset_epochs() {
     EPOCH_SEQ.store(0, Ordering::Release);
 }
 
-static OVERHEAD_CHECK: OnceLock<()> = OnceLock::new();
-
-/// One-time marker used by benches to assert the disabled path stays
-/// branch-only; returns true exactly once per process.
-pub fn overhead_marker() -> bool {
-    OVERHEAD_CHECK.set(()).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn probe_lifecycle() {
-        assert!(!probe_active());
-        assert!(probe_end().is_none());
-        // Disabled-path calls are no-ops.
-        record_stage(Stage::Upper, 10, 10);
-        assert!(probe_end().is_none());
-
-        probe_begin(4, 2);
-        assert!(probe_active());
-        record_stage(Stage::Upper, 10, 100);
-        record_stage(Stage::Upper, 5, 50);
-        let rec = probe_end().expect("probe installed");
-        assert!(!probe_active());
-        assert_eq!((rec.epoch, rec.partition), (4, 2));
-        assert_eq!(rec.stage(Stage::Upper).invocations, 2);
-        assert_eq!(rec.stage(Stage::Upper).work, 15);
-        assert_eq!(rec.stage(Stage::Upper).wall_ns, 150);
-    }
-
-    #[test]
-    fn stage_timer_inactive_skips_clock() {
-        let t = StageTimer::start(Stage::Update);
-        assert!(t.started.is_none());
-        t.stop(100); // must not panic or record anywhere
-    }
-
-    #[test]
-    fn stage_timer_records_when_active() {
-        probe_begin(0, 0);
-        let t = StageTimer::start(Stage::Update);
-        assert!(t.started.is_some());
-        t.stop(42);
-        let rec = probe_end().unwrap();
-        assert_eq!(rec.stage(Stage::Update).invocations, 1);
-        assert_eq!(rec.stage(Stage::Update).work, 42);
-    }
 
     #[test]
     fn trace_session_writes_parseable_lines() {
@@ -341,7 +202,6 @@ mod tests {
 
         let mut ep = TraceEpoch::new(0);
         let mut rec = PartitionRecord::new(0, 0);
-        record_stage(Stage::Upper, 1, 1); // no probe on this thread: ignored
         rec.stage_mut(Stage::Upper).invocations = 1;
         rec.stage_mut(Stage::Upper).work = 77;
         ep.absorb(rec);

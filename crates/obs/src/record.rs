@@ -20,14 +20,14 @@
 
 use std::collections::BTreeMap;
 
-/// The instrumented execution stages. `Selection`, `Upper` (Aggregation)
-/// and `Update` are the NAU stages of §3.2; the three `Leaf*` stages
-/// split the distributed leaf level into its pipeline phases (§5), and
-/// `Serve` is the request-serving work of the mini-batch baselines.
+/// The instrumented execution stages of a distributed worker. `Upper`
+/// (Aggregation) and `Update` are NAU stages of §3.2; the three `Leaf*`
+/// stages split the distributed leaf level into its pipeline phases
+/// (§5), and `Serve` is the request-serving work of the mini-batch
+/// baselines. NeighborSelection builds a shard set's HDGs before any
+/// epoch runs (`dist::make_shards`), so no worker records it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// NeighborSelection (HDG construction).
-    Selection,
     /// Encoding + sending leaf partials / raw rows to peers.
     LeafSend,
     /// Local leaf aggregation (overlaps the wire in pipelined mode).
@@ -44,11 +44,10 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (array dimension of [`PartitionRecord::stages`]).
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
     /// All stages, in serialization order.
     pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::Selection,
         Stage::LeafSend,
         Stage::LeafLocal,
         Stage::LeafFold,
@@ -60,7 +59,6 @@ impl Stage {
     /// Stable lowercase name used in the trace schema.
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Selection => "selection",
             Stage::LeafSend => "leaf_send",
             Stage::LeafLocal => "leaf_local",
             Stage::LeafFold => "leaf_fold",
@@ -418,11 +416,6 @@ impl PartitionRecord {
     /// Total work units across stages.
     pub fn work_total(&self) -> u64 {
         self.stages.iter().map(|s| s.work).sum()
-    }
-
-    /// Total measured wall nanoseconds across stages.
-    pub fn wall_total_ns(&self) -> u64 {
-        self.stages.iter().map(|s| s.wall_ns).sum()
     }
 
     /// `(count, total, max)` digest of the per-root costs.

@@ -227,18 +227,20 @@ pub enum TraceLine {
         /// Virtual epoch duration (0 when the epoch ran on real threads).
         virtual_ns: u64,
     },
-    /// One serving window. The bucketed histogram is not serialized —
-    /// `record.latency` carries only `(count, total, max)` after a
-    /// parse — and `p50`/`p99` are the emitter's bucketed quantile
-    /// bounds.
+    /// One serving window. The wire carries `(count, total, max, p50,
+    /// p99)`, not the histogram: `record.latency` holds **no buckets**
+    /// after a parse, so its `quantile_bound` is meaningless (it falls
+    /// through to `max`). `p50`/`p99` are the emitter's bucketed
+    /// quantile bounds — the only quantiles a parsed window has.
     Serve {
         vt: u64,
         record: ServeRecord,
         p50: u64,
         p99: u64,
     },
-    /// One tenant's serving window in a multi-tenant tier. Same
-    /// histogram caveat as `Serve`.
+    /// One tenant's serving window in a multi-tenant tier. As with
+    /// `Serve`, `record.serve.latency` holds no buckets after a parse;
+    /// read `p50`/`p99`.
     TenantServe {
         vt: u64,
         record: TenantServeRecord,
@@ -289,13 +291,13 @@ fn parse_part(p: &mut Parser) -> Result<TraceLine, String> {
     let epoch = p.number()?;
     p.expect(',')?;
     p.named_key("part")?;
-    let part = p.number()?;
+    let part = u32::try_from(p.number()?).map_err(|_| "part exceeds u32".to_string())?;
     p.expect(',')?;
     p.named_key("pipelined")?;
     let pipelined = p.bool01()?;
     p.expect(',')?;
     p.named_key("stages")?;
-    let mut rec = PartitionRecord::new(epoch, part as u32);
+    let mut rec = PartitionRecord::new(epoch, part);
     rec.pipelined = pipelined;
     p.expect('{')?;
     if !p.peek('}') {
@@ -377,20 +379,23 @@ fn parse_epoch(p: &mut Parser) -> Result<TraceLine, String> {
         messages: f[1],
         ..Default::default()
     };
-    let mut virtual_ns = 0;
-    while p.peek(',') {
-        p.expect(',')?;
-        match p.key()?.as_str() {
-            "faults" => {
-                let d = p.fixed_array(3)?;
-                fabric.retries = d[0];
-                fabric.drops_injected = d[1];
-                fabric.redeliveries = d[2];
-            }
-            "vns" => virtual_ns = p.number()?,
-            other => return Err(format!("unknown epoch field {other:?}")),
-        }
+    // The optional tail in writer order, each field at most once:
+    // `faults` in wall mode, `vns` on virtual-time epochs (a zero is
+    // omitted, never written).
+    if p.optional_key("faults") {
+        let d = p.fixed_array(3)?;
+        fabric.retries = d[0];
+        fabric.drops_injected = d[1];
+        fabric.redeliveries = d[2];
     }
+    let virtual_ns = if p.optional_key("vns") {
+        match p.number()? {
+            0 => return Err("vns serialized as zero".into()),
+            ns => ns,
+        }
+    } else {
+        0
+    };
     p.expect('}')?;
     p.end()?;
     Ok(TraceLine::Epoch {
@@ -510,7 +515,7 @@ fn parse_page_cache(p: &mut Parser) -> Result<TraceLine, String> {
     let mem = p.fixed_array(2)?;
     p.expect('}')?;
     p.end()?;
-    if io[1] + io[2] != io[0] {
+    if io[1].checked_add(io[2]) != Some(io[0]) {
         return Err("hits + misses != fetches".into());
     }
     if io[3] > io[2] {
@@ -562,6 +567,17 @@ impl<'a> Parser<'a> {
         let k = self.string()?;
         self.expect(':')?;
         Ok(k)
+    }
+
+    /// Consumes `,"name":` when it is next; otherwise leaves the cursor
+    /// where it is.
+    fn optional_key(&mut self, name: &str) -> bool {
+        let field = format!(",\"{name}\":");
+        let next = self.s[self.i..].starts_with(field.as_bytes());
+        if next {
+            self.i += field.len();
+        }
+        next
     }
 
     /// `"name":` with a required name.
@@ -693,7 +709,7 @@ mod tests {
                 assert!(record.pipelined);
                 assert_eq!(record.stage(Stage::Upper).work, 512);
                 assert_eq!(record.stage(Stage::Upper).wall_ns, 0);
-                assert_eq!(record.stage(Stage::Selection).invocations, 0);
+                assert_eq!(record.stage(Stage::Update).invocations, 0);
                 assert_eq!(record.comm.bytes, 4096);
                 assert_eq!(roots, (2, 128, 100));
             }
@@ -921,6 +937,8 @@ mod tests {
             "{\"k\":\"pgc\",\"vt\":1,\"io\":[10,5,5,0],\"mem\":[0,0]}",
             "{\"k\":\"pgc\",\"vt\":1,\"io\":[10,5,5,0,0],\"mem\":[0]}",
             "{\"k\":\"pgc\",\"vt\":1}",
+            // hits + misses wraps around to fetches.
+            "{\"k\":\"pgc\",\"vt\":1,\"io\":[0,18446744073709551615,1,0,0],\"mem\":[0,0]}",
         ] {
             assert!(parse_line(bad).is_err(), "accepted: {bad}");
         }
@@ -940,6 +958,13 @@ mod tests {
             // Digest total < max is impossible.
             "{\"k\":\"part\",\"vt\":0,\"epoch\":0,\"part\":0,\"pipelined\":0,\"stages\":{},\"comm\":[0,0,0,0],\"roots\":[1,2,3]}",
             "{\"k\":\"epoch\",\"vt\":0,\"epoch\":0,\"parts\":1,\"work\":0,\"fabric\":[0,0]}x",
+            // A rank beyond u32 (`as u32` would read partition 1).
+            "{\"k\":\"part\",\"vt\":0,\"epoch\":0,\"part\":4294967297,\"pipelined\":0,\"stages\":{},\"comm\":[0,0,0,0],\"roots\":[0,0,0]}",
+            // The epoch tail: a key twice, `vns` before `faults`, and a
+            // zero `vns` (the writer omits it).
+            "{\"k\":\"epoch\",\"vt\":0,\"epoch\":0,\"parts\":1,\"work\":0,\"fabric\":[0,0],\"vns\":1,\"vns\":2}",
+            "{\"k\":\"epoch\",\"vt\":0,\"epoch\":0,\"parts\":1,\"work\":0,\"fabric\":[0,0],\"vns\":1,\"faults\":[1,1,1]}",
+            "{\"k\":\"epoch\",\"vt\":0,\"epoch\":0,\"parts\":1,\"work\":0,\"fabric\":[0,0],\"vns\":0}",
         ] {
             assert!(parse_line(bad).is_err(), "accepted malformed line: {bad:?}");
         }

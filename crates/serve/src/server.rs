@@ -15,8 +15,7 @@ use crate::batcher::{BatcherConfig, MicroBatcher, Request};
 use crate::cache::{CacheKey, CacheMode, EmbeddingCache};
 use crate::model::{
     aggregate_roots_preadmitted_quant, aggregate_roots_quant, cache_round_inplace,
-    dense_head_quant, selection_admission_bytes, AdmissionPlanner, ModelSnapshot, ServeFeats,
-    ServeModelConfig,
+    dense_head_quant, AdmissionPlanner, ModelSnapshot, ServeFeats, ServeModelConfig,
 };
 use crate::ServeError;
 use flexgraph_engine::MemoryBudget;
@@ -453,22 +452,6 @@ impl Server {
             .expect("cache lock")
             .invalidate_below(version);
         Ok(version)
-    }
-
-    /// Transient bytes a batch would materialize — see
-    /// [`selection_admission_bytes`]. This is the exact arithmetic (it
-    /// walks each root's capped k-hop selection); budgeted servers
-    /// admit batches against the sketch estimate instead
-    /// ([`Server::planned_batch_admission_bytes`]).
-    pub fn batch_admission_bytes(&self, roots: &[u32]) -> usize {
-        selection_admission_bytes(&self.graph, &self.cfg.model, roots)
-    }
-
-    /// The admission planner's sketch estimate of
-    /// [`Server::batch_admission_bytes`]; `None` on unlimited-budget
-    /// servers, which build no planner.
-    pub fn planned_batch_admission_bytes(&self, roots: &[u32]) -> Option<usize> {
-        self.planner.as_ref().map(|p| p.planned_bytes(roots))
     }
 
     /// Executes one batch against a pinned snapshot. Public so the swap

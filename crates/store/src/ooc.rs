@@ -28,7 +28,7 @@ use crate::paged::PagedGraph;
 use flexgraph_engine::{hierarchical_aggregate, AggrPlan, AggrResult, MemoryBudget, Strategy};
 use flexgraph_graph::bfs::HopScratch;
 use flexgraph_graph::csr::VertexId;
-use flexgraph_hdg::build::{hop_shell_records_in, select_hop_shells};
+use flexgraph_hdg::build::select_hop_shells;
 use flexgraph_hdg::{Hdg, HdgBuilder, NeighborRecord, SchemaTree};
 use flexgraph_tensor::Tensor;
 
@@ -59,19 +59,6 @@ pub fn paged_hop_shells(
     k: usize,
 ) -> Result<Vec<Vec<VertexId>>, StoreError> {
     HopScratch::new().shells(pg, root, k)
-}
-
-/// The capped hop-shell selection for one root against the paged store:
-/// `(type, leaves)` pairs, empty shells omitted —
-/// `hdg::build::hop_shell_records` over the paged store.
-pub fn paged_hop_shell_records(
-    pg: &PagedGraph,
-    root: VertexId,
-    k: usize,
-    cap: usize,
-    seed: u64,
-) -> Result<Vec<(u16, Vec<VertexId>)>, StoreError> {
-    hop_shell_records_in(&mut HopScratch::new(), pg, root, k, cap, seed)
 }
 
 /// Neighbor records of `roots` for `nbr`, in the in-RAM builders' push

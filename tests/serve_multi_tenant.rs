@@ -10,8 +10,8 @@
 //! cache, no cross-tenant perturbation of batching or bits.
 
 use flexgraph_serve::{
-    BatcherConfig, ModelSnapshot, QuantConfig, Response, Router, ServeModelConfig, Server,
-    ServerConfig, TenantQuota,
+    BatcherConfig, ModelSnapshot, QuantConfig, Response, Router, ServeError, ServeModelConfig,
+    Server, ServerConfig, TenantQuota,
 };
 use flexgraph_tensor::set_thread_override;
 use proptest::prelude::*;
@@ -130,6 +130,77 @@ fn run_solo(sc: &Scenario, tenant: usize) -> Vec<Response> {
     }
     out.extend(server.flush().expect("flush"));
     out
+}
+
+/// Hot detach: the detached tenant's queue is drained into exactly the
+/// responses `flush` would have returned (ids, outputs, latencies), its
+/// final window counts them, it is gone afterwards, and the tenant left
+/// behind cannot tell.
+#[test]
+fn detach_drains_the_queue_and_leaves_the_other_tenant_untouched() {
+    // Batches never come due on their own, so everything submitted is
+    // still queued when the detach (or the reference flush) happens.
+    let tenant = |n, graph_seed, quant| TenantScenario {
+        n,
+        graph_seed,
+        hops: 2,
+        cap: 4,
+        max_batch: 64,
+        max_delay: 1000,
+        quant,
+    };
+    let tenants = [
+        tenant(50, 5, QuantConfig::F32),
+        tenant(60, 9, QuantConfig::Bf16),
+    ];
+    let quota = TenantQuota {
+        window_quota: 0,
+        slo_vt: 2,
+    };
+    let queued = |router: &Router| {
+        for (id, t) in tenants.iter().enumerate() {
+            router
+                .attach(id as u64, build_server(t), quota)
+                .expect("fresh tenant id");
+        }
+        for v in [3, 17, 3, 41, 8] {
+            router.submit(0, v).expect("admitted");
+            router.submit(1, v + 1).expect("admitted");
+        }
+        // Three ticks in the queue: every tenant-0 answer breaks the SLO.
+        router.tick(0, 3).expect("attached");
+    };
+    let (detaching, reference) = (Router::new(), Router::new());
+    queued(&detaching);
+    queued(&reference);
+
+    let (drained, window) = detaching.detach(0).expect("attached");
+    let flushed = reference.flush(0).expect("attached");
+    assert_eq!(drained.len(), 5);
+    assert_eq!(drained, flushed);
+    assert_eq!(
+        window,
+        reference.window_stats(0).expect("attached"),
+        "the final window is the one a flush would have left"
+    );
+    assert_eq!((window.tenant, window.slo_vt), (0, 2));
+    assert_eq!((window.serve.enqueued, window.serve.served), (5, 5));
+    assert_eq!(window.serve.latency.count, 5);
+    assert_eq!(window.slo_violations, 5);
+
+    assert_eq!(detaching.tenants(), [1]);
+    assert_eq!(
+        detaching.submit(0, 3),
+        Err(ServeError::UnknownTenant { tenant: 0 })
+    );
+
+    for router in [&detaching, &reference] {
+        router.submit(1, 20).expect("admitted");
+    }
+    let after_detach = detaching.flush(1).expect("attached");
+    let undisturbed = reference.flush(1).expect("attached");
+    assert_eq!(after_detach.len(), 6);
+    assert_eq!(after_detach, undisturbed);
 }
 
 proptest! {
