@@ -10,6 +10,13 @@
 //! is a leaf from then on (`crate::memo`). That first recording is
 //! Aggregation-stage work and stays in `forward`; `selection` only
 //! takes the graph's CSC arrays, which is why its share stays at 0 %.
+//!
+//! Past layer 1 the order of the two stages is chosen by width. The sum
+//! is linear, so the linear part of Update commutes with it:
+//! `(h + a(h)) · W = h·W + a(h·W)`. When `W` narrows, the layer is
+//! recorded multiply-first and Aggregation — forward and backward —
+//! walks the edges at the layer's output width (§4.2's "move fewer
+//! floats through Aggregation"). Equal in ℝ, not in `f32` (DESIGN §5).
 
 use crate::memo::InputAggregate;
 use crate::train::Model;
@@ -60,6 +67,20 @@ impl Gcn {
             out
         }
     }
+
+    /// The output layer (no ReLU): Aggregation runs at the narrower of
+    /// the layer's two widths. A pure function of the shapes — layer 1
+    /// does not come here, its aggregate-first order is what the memo
+    /// keeps.
+    fn output_layer(&self, g: &mut Graph, h: NodeId, w: NodeId) -> NodeId {
+        if g.value(w).cols() < g.value(h).cols() {
+            let hw = g.matmul(h, w);
+            self.aggregate(g, hw)
+        } else {
+            let s = self.aggregate(g, h);
+            self.update(g, s, w, false)
+        }
+    }
 }
 
 impl Model for Gcn {
@@ -78,8 +99,7 @@ impl Model for Gcn {
         let w2 = g.param(params.value(self.w2).clone(), self.w2);
         let s1 = self.input.record(g, feats, |g, h| self.aggregate(g, h));
         let h1 = self.update(g, s1, w1, true);
-        let s2 = self.aggregate(g, h1);
-        self.update(g, s2, w2, false)
+        self.output_layer(g, h1, w2)
     }
 
     fn init_params(&mut self, params: &mut ParamSet, rng: &mut rand::rngs::StdRng) {
@@ -98,6 +118,7 @@ mod tests {
     use super::*;
     use crate::train::{TrainConfig, Trainer};
     use flexgraph_graph::gen::community;
+    use flexgraph_tensor::{set_thread_override, Tensor};
 
     #[test]
     fn gcn_trains_to_high_accuracy_on_separable_communities() {
@@ -138,5 +159,111 @@ mod tests {
         m.selection(&ds, 1);
         m.selection(&ds, 9);
         assert!(Arc::ptr_eq(&off, &m.in_off) && Arc::ptr_eq(&src, &m.in_src));
+    }
+
+    /// Both layers the way Figure 7 spells GCNLayer, sum first then
+    /// multiply: what `forward` recorded at every width before the
+    /// output layer's order followed its shapes.
+    struct AggregateFirst(Gcn);
+
+    impl Model for AggregateFirst {
+        fn selection(&mut self, ds: &Dataset, epoch: u64) {
+            self.0.selection(ds, epoch);
+        }
+
+        fn forward(&self, g: &mut Graph, feats: NodeId, params: &ParamSet) -> NodeId {
+            let m = &self.0;
+            let w1 = g.param(params.value(m.w1).clone(), m.w1);
+            let w2 = g.param(params.value(m.w2).clone(), m.w2);
+            let s1 = m.input.record(g, feats, |g, h| m.aggregate(g, h));
+            let h1 = m.update(g, s1, w1, true);
+            let s2 = m.aggregate(g, h1);
+            m.update(g, s2, w2, false)
+        }
+
+        fn init_params(&mut self, params: &mut ParamSet, rng: &mut rand::rngs::StdRng) {
+            self.0.init_params(params, rng);
+        }
+
+        fn name(&self) -> &'static str {
+            "GCN (aggregate first)"
+        }
+    }
+
+    const CFG: TrainConfig = TrainConfig {
+        epochs: 5,
+        lr: 0.01,
+        seed: 7,
+    };
+
+    /// Hidden 32 → 4 classes: the output layer narrows.
+    fn narrowing() -> (Dataset, impl Fn() -> Gcn) {
+        let ds = community(240, 4, 8, 1, 16, 5);
+        let (in_dim, classes) = (ds.feature_dim(), ds.num_classes);
+        (ds, move || Gcn::new(32, in_dim, classes))
+    }
+
+    #[test]
+    fn multiply_first_agrees_with_aggregate_first_within_rounding() {
+        let (ds, build) = narrowing();
+        let mut reordered = Trainer::new(build(), CFG);
+        let mut oracle = Trainer::new(AggregateFirst(build()), CFG);
+        let (got, want) = (reordered.infer(&ds), oracle.infer(&ds));
+        let scale = want.data().iter().fold(0f32, |m, v| m.max(v.abs()));
+        assert!(got.max_abs_diff(&want) <= 1e-4 * scale, "logits");
+
+        let (got, want) = (reordered.run(&ds), oracle.run(&ds));
+        for (a, b) in got.iter().zip(&want) {
+            assert!((a.loss - b.loss).abs() <= 1e-4, "{} vs {}", a.loss, b.loss);
+        }
+        assert!(got[4].loss < got[0].loss && want[4].loss < want[0].loss);
+    }
+
+    /// Every value on a freshly recorded tape, in recording order. A
+    /// `NodeId` is a position, so a scratch tape of as many leaves mints
+    /// them.
+    fn tape_values<M: Model>(model: M, ds: &Dataset) -> Vec<Tensor> {
+        let (g, _, _) = Trainer::new(model, CFG).forward_pass(ds, 0);
+        let mut mint = Graph::new();
+        (0..g.len())
+            .map(|_| g.value(mint.leaf(Tensor::zeros(0, 0))).clone())
+            .collect()
+    }
+
+    #[test]
+    fn aggregation_runs_at_the_output_width_only_when_the_layer_narrows() {
+        let (ds, build) = narrowing();
+        let (v, classes) = (ds.graph.num_vertices(), ds.num_classes);
+        let shapes = |tape: Vec<Tensor>| -> Vec<_> { tape.iter().map(Tensor::shape).collect() };
+        let reordered = shapes(tape_values(build(), &ds));
+        // feats, w1, w2, layer 1's four nodes, then h1·W, its edge sum
+        // and the add: nothing `V × hidden` after the ReLU.
+        assert_eq!(reordered[6], (v, 32));
+        assert_eq!(reordered[7..], [(v, classes); 3]);
+        let first = shapes(tape_values(AggregateFirst(build()), &ds));
+        assert_eq!(first[7..], [(v, 32), (v, 32), (v, classes)]);
+
+        // Equal widths: node for node the aggregate-first tape.
+        let ds = community(120, 8, 6, 1, 8, 3);
+        assert_eq!((ds.feature_dim(), ds.num_classes), (8, 8));
+        assert_eq!(
+            tape_values(Gcn::new(8, 8, 8), &ds),
+            tape_values(AggregateFirst(Gcn::new(8, 8, 8)), &ds)
+        );
+    }
+
+    #[test]
+    fn multiply_first_loss_bits_do_not_depend_on_the_thread_count() {
+        let (ds, build) = narrowing();
+        let bits = |threads| -> Vec<u32> {
+            set_thread_override(Some(threads));
+            let stats = Trainer::new(build(), CFG).run(&ds);
+            stats.iter().map(|s| s.loss.to_bits()).collect()
+        };
+        let serial = bits(1);
+        for threads in [2, 4] {
+            assert_eq!(bits(threads), serial, "threads = {threads}");
+        }
+        set_thread_override(None);
     }
 }

@@ -235,7 +235,8 @@ pub fn segment_reduce_backward(
 }
 
 /// Accumulating form of [`segment_reduce_backward`]: adds into a
-/// caller-provided `src_rows × grad_out.cols()` `grad_in`.
+/// caller-provided `src_rows × grad_out.cols()` `grad_in`; `grad_out`
+/// has one row per segment.
 pub fn segment_reduce_backward_into(
     grad_in: &mut Tensor,
     grad_out: &Tensor,
@@ -243,6 +244,12 @@ pub fn segment_reduce_backward_into(
     src: &[u32],
     mean: bool,
 ) {
+    check(grad_in, offsets, src);
+    assert_eq!(
+        grad_out.rows(),
+        offsets.len() - 1,
+        "one gradient row per segment"
+    );
     assert_eq!(grad_in.cols(), grad_out.cols(), "gradient width mismatch");
     for seg in 0..offsets.len() - 1 {
         let lo = offsets[seg];
@@ -348,6 +355,27 @@ mod tests {
     #[should_panic(expected = "offsets must cover src")]
     fn mismatched_offsets_panic() {
         let _ = segment_reduce(&feats(), &[0, 1], &[0, 1], Reduce::Sum);
+    }
+
+    #[test]
+    #[should_panic(expected = "one gradient row per segment")]
+    fn backward_rejects_a_gradient_with_the_wrong_row_count() {
+        let grad_out = Tensor::zeros(3, 2);
+        let _ = segment_reduce_backward(&grad_out, &[0, 2, 3], &[0, 1, 1], 3, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "offsets must cover src")]
+    fn backward_rejects_offsets_that_do_not_cover_src() {
+        let grad_out = Tensor::zeros(2, 2);
+        let _ = segment_reduce_backward(&grad_out, &[0, 2, 2], &[0, 1, 1], 3, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "source row 3 out of range")]
+    fn backward_rejects_a_source_row_past_grad_in() {
+        let grad_out = Tensor::zeros(2, 2);
+        let _ = segment_reduce_backward(&grad_out, &[0, 2, 3], &[0, 3, 1], 3, false);
     }
 
     #[test]
