@@ -24,7 +24,9 @@ use flexgraph::engine::minibatch::{minibatch_epoch, MiniBatchConfig};
 use flexgraph::engine::{EngineError, MemoryBudget};
 use flexgraph::graph::gen::Dataset;
 use flexgraph::graph::walk::WalkConfig;
-use flexgraph::hdg::build::{from_importance_walks, from_metapaths, HdgBuilder, NeighborRecord};
+use flexgraph::hdg::build::{
+    from_importance_walks, from_metapaths, from_neighbor_lists, HdgBuilder,
+};
 use flexgraph::hdg::{Hdg, SchemaTree};
 use flexgraph::prelude::StageTimes;
 use flexgraph::tensor::fusion::{
@@ -127,21 +129,6 @@ fn update(h: &Tensor, w: &Tensor) -> Tensor {
     out
 }
 
-/// Builds a flat HDG from precomputed neighbor lists.
-fn hdg_from_lists(n: usize, lists: &[Vec<u32>]) -> Hdg {
-    let mut b = HdgBuilder::new(SchemaTree::flat(), (0..n as u32).collect());
-    for (v, nbrs) in lists.iter().enumerate() {
-        for &u in nbrs {
-            b.push(NeighborRecord {
-                root: v as u32,
-                nei_type: 0,
-                leaves: vec![u],
-            });
-        }
-    }
-    b.build()
-}
-
 /// Estimated transient bytes of a *naive* (unpruned) metapath search:
 /// every 2-hop expansion materialized as a tensor row before type
 /// filtering — the PyTorch-like MAGNN execution that OOMs on the big
@@ -198,11 +185,7 @@ fn naive_find_magnn_instances(ds: &Dataset) -> Hdg {
                 }
                 if typed.vertex_type(u) == mp.types[1] && typed.vertex_type(w) == mp.types[2] {
                     per_root_counts[mi] += 1;
-                    b.push(NeighborRecord {
-                        root: v,
-                        nei_type: mi as u16,
-                        leaves: vec![v, u, w],
-                    });
+                    b.push_at(v as usize, mi as u16, &[v, u, w]);
                 }
             }
         }
@@ -320,7 +303,7 @@ pub fn run_epoch_timed(
             // Selection: random walks simulated through propagation
             // stages — the ≥95 % cost of §7.1.
             let walk = gas_walk_neighbors(g, &pinsage_walk(), 7, budget)?;
-            let hdg = hdg_from_lists(g.num_vertices(), &walk.neighbors);
+            let hdg = from_neighbor_lists((0..g.num_vertices() as u32).collect(), &walk.neighbors);
             let selection = t0.elapsed();
             let plan = AggrPlan::flat(AggrOp::Sum);
             let strategy = if system == System::PyTorchLike {

@@ -155,9 +155,9 @@ pub fn make_shards(
 /// built one shard at a time against it, and feature rows come from the
 /// pure `feat_fn` — nothing graph-sized is ever resident. Shards come
 /// out identical to [`make_shards`] over the rehydrated graph (same
-/// roots, same HDG arrays, same feature rows), since the paged HDG
-/// builders are record-identical to `hdg::build` — the property the
-/// `paged_store_parity` suite pins.
+/// roots, same HDG arrays, same feature rows), since the paged HDGs come
+/// from `hdg::build`'s own selections run against the store — the
+/// property the `paged_store_parity` suite pins.
 pub fn make_shards_paged(
     pg: &PagedGraph,
     part: &Partitioning,

@@ -54,11 +54,11 @@ pub fn hop_distances(g: &Graph, seed: VertexId) -> Vec<u32> {
     dist
 }
 
-/// The adjacency the hop-shell walk runs over: one vertex's
-/// out-neighbours, fallibly. The in-RAM [`Graph`] cannot fail
+/// The adjacency NeighborSelection runs over: one vertex's out- or
+/// in-neighbours, fallibly. The in-RAM [`Graph`] cannot fail
 /// (`Error = Infallible`); a paged store fails with its own error, and
-/// the walk passes that error through.
-pub trait OutAdjacency {
+/// the selection passes that error through.
+pub trait Adjacency {
     /// What a neighbour lookup can fail with.
     type Error;
 
@@ -67,9 +67,12 @@ pub trait OutAdjacency {
 
     /// Calls `visit` on every out-neighbour of `v`.
     fn for_each_out(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), Self::Error>;
+
+    /// Calls `visit` on every in-neighbour of `v`, in stored order.
+    fn for_each_in(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), Self::Error>;
 }
 
-impl OutAdjacency for Graph {
+impl Adjacency for Graph {
     type Error = Infallible;
 
     fn num_vertices(&self) -> usize {
@@ -78,6 +81,11 @@ impl OutAdjacency for Graph {
 
     fn for_each_out(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), Infallible> {
         self.out_neighbors(v).iter().copied().for_each(visit);
+        Ok(())
+    }
+
+    fn for_each_in(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), Infallible> {
+        self.in_neighbors(v).iter().copied().for_each(visit);
         Ok(())
     }
 }
@@ -94,6 +102,10 @@ pub struct HopScratch {
     stamp: Vec<u32>,
     epoch: u32,
     edges_scanned: u64,
+    /// The level being expanded and the one being filled; both keep
+    /// their capacity from walk to walk.
+    frontier: Vec<VertexId>,
+    next: Vec<VertexId>,
 }
 
 impl HopScratch {
@@ -109,17 +121,19 @@ impl HopScratch {
         self.edges_scanned
     }
 
-    /// The vertices at exactly hop distance `1..=k` from `seed`: `k`
-    /// shells, each in ascending id order, empty once the reachable set
-    /// is exhausted. A frontier walk that stops after `k` levels.
+    /// Lends `visit(i, shell)` the vertices at exactly hop distance
+    /// `i + 1` from `seed` for `i` in `0..k`: each shell in ascending id
+    /// order, empty once the reachable set is exhausted. A frontier walk
+    /// that stops after `k` levels, in buffers the scratch keeps.
     ///
     /// A seed outside the graph is left to `g` to reject.
-    pub fn shells<A: OutAdjacency>(
+    pub fn for_each_shell<A: Adjacency>(
         &mut self,
         g: &A,
         seed: VertexId,
         k: usize,
-    ) -> Result<Vec<Vec<VertexId>>, A::Error> {
+        mut visit: impl FnMut(usize, &[VertexId]),
+    ) -> Result<(), A::Error> {
         let n = g.num_vertices();
         if self.stamp.len() < n {
             self.stamp = vec![0; n];
@@ -133,27 +147,37 @@ impl HopScratch {
         if let Some(s) = self.stamp.get_mut(seed as usize) {
             *s = epoch;
         }
-        let mut shells: Vec<Vec<VertexId>> = Vec::with_capacity(k);
+        self.frontier.clear();
+        self.frontier.push(seed);
         for depth in 0..k {
-            // Each sorted shell is the next level's frontier.
-            let frontier = match depth {
-                0 => std::slice::from_ref(&seed),
-                _ => &shells[depth - 1][..],
-            };
-            let mut next = Vec::new();
-            for &v in frontier {
+            self.next.clear();
+            for &v in &self.frontier {
                 g.for_each_out(v, |u| {
                     self.edges_scanned += 1;
                     let s = &mut self.stamp[u as usize];
                     if *s != epoch {
                         *s = epoch;
-                        next.push(u);
+                        self.next.push(u);
                     }
                 })?;
             }
-            next.sort_unstable();
-            shells.push(next);
+            // Each sorted shell is the next level's frontier.
+            self.next.sort_unstable();
+            visit(depth, &self.next);
+            std::mem::swap(&mut self.frontier, &mut self.next);
         }
+        Ok(())
+    }
+
+    /// [`HopScratch::for_each_shell`], collected: `k` owned shells.
+    pub fn shells<A: Adjacency>(
+        &mut self,
+        g: &A,
+        seed: VertexId,
+        k: usize,
+    ) -> Result<Vec<Vec<VertexId>>, A::Error> {
+        let mut shells = Vec::with_capacity(k);
+        self.for_each_shell(g, seed, k, |_, shell| shells.push(shell.to_vec()))?;
         Ok(shells)
     }
 }

@@ -62,46 +62,63 @@ pub fn find_instances(
     max_per_path: usize,
 ) -> Vec<MetapathInstance> {
     let mut out = Vec::new();
+    for_each_instance(g, start, metapaths, max_per_path, |metapath, path| {
+        out.push(MetapathInstance {
+            metapath,
+            vertices: path.to_vec(),
+        })
+    });
+    out
+}
+
+/// [`find_instances`] as a visitor: `visit(metapath, path)` is lent the
+/// search's own stack for each instance, in the order `find_instances`
+/// lists them, so a caller that copies the path elsewhere allocates
+/// nothing per instance.
+pub fn for_each_instance(
+    g: &TypedGraph,
+    start: VertexId,
+    metapaths: &[Metapath],
+    max_per_path: usize,
+    mut visit: impl FnMut(usize, &[VertexId]),
+) {
+    let mut stack = Vec::new();
     for (mi, mp) in metapaths.iter().enumerate() {
         if g.vertex_type(start) != mp.types[0] {
             continue;
         }
-        let mut found = 0usize;
-        let mut stack = vec![start];
-        dfs(g, mp, 1, &mut stack, &mut out, mi, max_per_path, &mut found);
+        let mut left = if max_per_path == 0 {
+            usize::MAX
+        } else {
+            max_per_path
+        };
+        stack.clear();
+        stack.push(start);
+        dfs(g, mp, &mut stack, &mut left, &mut |path| visit(mi, path));
     }
-    out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Extends `stack` (a type-matched prefix of `mp`) to every full
+/// instance, stopping once `left` more have been visited.
 fn dfs(
     g: &TypedGraph,
     mp: &Metapath,
-    depth: usize,
     stack: &mut Vec<VertexId>,
-    out: &mut Vec<MetapathInstance>,
-    metapath: usize,
-    max_per_path: usize,
-    found: &mut usize,
+    left: &mut usize,
+    visit: &mut impl FnMut(&[VertexId]),
 ) {
+    let depth = stack.len();
     if depth == mp.types.len() {
-        out.push(MetapathInstance {
-            metapath,
-            vertices: stack.clone(),
-        });
-        *found += 1;
+        visit(stack);
+        *left -= 1;
         return;
     }
-    if max_per_path != 0 && *found >= max_per_path {
-        return;
-    }
-    let cur = *stack.last().expect("stack holds at least the root");
-    let prev = if stack.len() >= 2 {
-        Some(stack[stack.len() - 2])
-    } else {
-        None
-    };
+    let cur = stack[depth - 1];
+    let prev = depth.checked_sub(2).map(|i| stack[i]);
     for &nbr in g.graph().out_neighbors(cur) {
+        if *left == 0 {
+            return;
+        }
         if Some(nbr) == prev {
             continue; // No immediate backtracking.
         }
@@ -109,11 +126,8 @@ fn dfs(
             continue;
         }
         stack.push(nbr);
-        dfs(g, mp, depth + 1, stack, out, metapath, max_per_path, found);
+        dfs(g, mp, stack, left, visit);
         stack.pop();
-        if max_per_path != 0 && *found >= max_per_path {
-            return;
-        }
     }
 }
 

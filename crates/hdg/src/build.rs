@@ -1,19 +1,39 @@
-//! HDG construction from NeighborSelection records.
+//! HDG construction is one pass: NeighborSelection writes the HDG's
+//! arrays.
 //!
 //! The NeighborSelection stage emits formatted records
-//! `(root, nei = [leaf_0..leaf_n], nei_type)` (paper §4.1); the builder
-//! sorts them into `(root, type)` group order — which is what lets the
-//! in-between destination array be omitted — and freezes the offset
-//! arrays. Convenience constructors cover the selection UDFs of the
-//! paper's Figure 5 (direct neighbors, random-walk importance, metapath
-//! instances) plus the P-GNN / JK-Net extensions sketched in §3.2.
+//! `(root, nei = [leaf_0..leaf_n], nei_type)` (paper §4.1). The builder
+//! stores them the way [`Hdg`] does — one flat `leaf_src`, one
+//! `inst_off`, plus one `u32` group key `rank · T + type` per instance —
+//! so a record is a slice appended to an array, never a heap object.
+//!
+//! * **Rank comes from the caller.** [`HdgBuilder::push_at`] takes the
+//!   root's position in `roots`, which every selection knows because it
+//!   iterates `roots` in order; nothing on the path hashes a vertex id.
+//!   It is also what keeps **duplicate roots** apart: `roots = [7, 3, 7]`
+//!   is three roots with three group ranges, each filled by the
+//!   selection run for that occurrence.
+//! * **The permutation runs only when it has to.** Every selection here
+//!   pushes in `(root, type)` group order — the order that lets the
+//!   in-between destination array be omitted — so [`HdgBuilder::build`]
+//!   counts keys into `group_off` and moves the arrays. Keys that arrive
+//!   out of group order go through a stable counting sort over instance
+//!   ranges first; either way instances of one group keep their push
+//!   order, which serve's bitwise batch parity rests on.
+//!
+//! [`NeighborRecord`] and the by-id [`HdgBuilder::push`] are a
+//! convenience over the same storage for tests and benches. Constructors
+//! cover the selection UDFs of the paper's Figure 5 (direct neighbors,
+//! random-walk importance, metapath instances) plus the P-GNN / JK-Net
+//! extensions sketched in §3.2.
 
 use crate::schema::SchemaTree;
 use crate::storage::Hdg;
-use flexgraph_graph::bfs::{HopScratch, OutAdjacency};
-use flexgraph_graph::metapath::{find_instances, Metapath};
+use flexgraph_graph::bfs::{Adjacency, HopScratch};
+use flexgraph_graph::metapath::{for_each_instance, Metapath};
 use flexgraph_graph::walk::{importance_neighbors_all, WalkConfig};
 use flexgraph_graph::{Graph, TypedGraph, VertexId};
+use std::collections::HashMap;
 
 /// One "neighbor" of one root, as produced by a NeighborSelection UDF.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,96 +46,153 @@ pub struct NeighborRecord {
     pub leaves: Vec<VertexId>,
 }
 
-/// Accumulates [`NeighborRecord`]s and freezes them into an [`Hdg`].
+/// Accumulates neighbor instances in [`Hdg`]'s own layout and freezes
+/// them into one.
 pub struct HdgBuilder {
     schema: SchemaTree,
     root_ids: Vec<VertexId>,
-    /// Local rank of each root id (dense map; roots are usually 0..n).
-    root_rank: std::collections::HashMap<VertexId, usize>,
-    records: Vec<NeighborRecord>,
+    /// Group key `rank · T + type` of each instance, in push order.
+    keys: Vec<u32>,
+    /// Per-instance offsets into `leaf_src`, in push order.
+    inst_off: Vec<usize>,
+    leaf_src: Vec<VertexId>,
+    /// First rank of each root id; filled by the first by-id
+    /// [`HdgBuilder::push`], never touched by [`HdgBuilder::push_at`].
+    rank_of: HashMap<VertexId, usize>,
 }
 
 impl HdgBuilder {
     /// Creates a builder for the given roots (usually every vertex of the
     /// local partition, in ascending id order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `roots × types` group keys do not fit a `u32`.
     pub fn new(schema: SchemaTree, root_ids: Vec<VertexId>) -> Self {
-        let root_rank = root_ids.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let groups = root_ids.len().checked_mul(schema.num_types());
+        assert!(
+            groups.is_some_and(|g| u32::try_from(g).is_ok()),
+            "{} roots × {} types overflow the u32 group key",
+            root_ids.len(),
+            schema.num_types()
+        );
         Self {
             schema,
             root_ids,
-            root_rank,
-            records: Vec::new(),
+            keys: Vec::new(),
+            inst_off: vec![0],
+            leaf_src: Vec::new(),
+            rank_of: HashMap::new(),
         }
     }
 
-    /// Adds one neighbor record.
+    /// Adds one neighbor instance of type `nei_type` under the root at
+    /// position `rank` of the builder's roots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the type is outside the schema tree or the rank outside
+    /// the roots.
+    pub fn push_at(&mut self, rank: usize, nei_type: u16, leaves: &[VertexId]) {
+        self.leaf_src.extend_from_slice(leaves);
+        self.close_instance(rank, nei_type);
+    }
+
+    /// Makes the leaves appended to `leaf_src` since the last instance
+    /// the next one.
+    fn close_instance(&mut self, rank: usize, nei_type: u16) {
+        let t = self.schema.num_types();
+        assert!(
+            (nei_type as usize) < t,
+            "neighbor type {nei_type} outside schema ({t} types)"
+        );
+        assert!(
+            rank < self.root_ids.len(),
+            "root rank {rank} outside this builder's {} roots",
+            self.root_ids.len()
+        );
+        self.keys.push((rank * t + nei_type as usize) as u32);
+        self.inst_off.push(self.leaf_src.len());
+    }
+
+    /// Adds one neighbor record by root id. With duplicate roots the
+    /// record lands on the id's **first** occurrence; a selection that
+    /// must fill every occurrence uses [`HdgBuilder::push_at`].
     ///
     /// # Panics
     ///
     /// Panics if the record's type is outside the schema tree or its root
     /// is not one of the builder's roots.
     pub fn push(&mut self, rec: NeighborRecord) {
-        assert!(
-            (rec.nei_type as usize) < self.schema.num_types(),
-            "neighbor type {} outside schema ({} types)",
-            rec.nei_type,
-            self.schema.num_types()
-        );
-        assert!(
-            self.root_rank.contains_key(&rec.root),
-            "root {} is not owned by this builder",
-            rec.root
-        );
-        self.records.push(rec);
-    }
-
-    /// Number of records so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records were added.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Freezes into the compact storage: orders records by `(root, type)`
-    /// group and builds the offset arrays (top-down construction of
-    /// §4.1). A counting sort over group keys keeps this linear — the
-    /// NeighborSelection stage runs every epoch for stochastic models.
-    pub fn build(self) -> Hdg {
-        let t = self.schema.num_types();
-        let n = self.root_ids.len();
-        let rank = &self.root_rank;
-        let m = self.records.len();
-
-        // One pass: group key per record + group sizes.
-        let mut keys = Vec::with_capacity(m);
-        let mut group_off = vec![0usize; n * t + 1];
-        for r in &self.records {
-            let g = rank[&r.root] * t + r.nei_type as usize;
-            keys.push(g);
-            group_off[g + 1] += 1;
+        if self.rank_of.is_empty() {
+            for (rank, &v) in self.root_ids.iter().enumerate() {
+                self.rank_of.entry(v).or_insert(rank);
+            }
         }
-        for i in 0..n * t {
+        let Some(&rank) = self.rank_of.get(&rec.root) else {
+            panic!("root {} is not owned by this builder", rec.root);
+        };
+        self.push_at(rank, rec.nei_type, &rec.leaves);
+    }
+
+    /// Number of instances so far.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether no instances were added.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Every leaf pushed so far, instance after instance in push order.
+    pub fn leaves(&self) -> &[VertexId] {
+        &self.leaf_src
+    }
+
+    /// [`HdgBuilder::leaves`], mutably — for renaming leaves in place
+    /// (the out-of-core forward maps them onto a partition's rows).
+    pub fn leaves_mut(&mut self) -> &mut [VertexId] {
+        &mut self.leaf_src
+    }
+
+    /// Freezes into the compact storage: counts the group keys into the
+    /// group offsets (top-down construction of §4.1) and hands over the
+    /// arrays. Only if instances arrived out of `(root, type)` order does
+    /// a stable counting sort first move their leaf ranges into it; both
+    /// ways are linear — the NeighborSelection stage runs every epoch for
+    /// stochastic models.
+    pub fn build(self) -> Hdg {
+        let n = self.root_ids.len();
+        let groups = n * self.schema.num_types();
+        let mut group_off = vec![0usize; groups + 1];
+        for &g in &self.keys {
+            group_off[g as usize + 1] += 1;
+        }
+        for i in 0..groups {
             group_off[i + 1] += group_off[i];
         }
 
-        // Counting-sort the record indices into group order.
-        let mut cursor = group_off.clone();
-        let mut order = vec![0u32; m];
-        for (i, &g) in keys.iter().enumerate() {
-            order[cursor[g]] = i as u32;
-            cursor[g] += 1;
-        }
-
-        let total_leaves: usize = self.records.iter().map(|r| r.leaves.len()).sum();
-        let mut inst_off = Vec::with_capacity(m + 1);
-        inst_off.push(0usize);
-        let mut leaf_src = Vec::with_capacity(total_leaves);
-        for &i in &order {
-            leaf_src.extend_from_slice(&self.records[i as usize].leaves);
-            inst_off.push(leaf_src.len());
+        let (mut inst_off, mut leaf_src) = (self.inst_off, self.leaf_src);
+        if self.keys.is_sorted() {
+            inst_off.shrink_to_fit();
+            leaf_src.shrink_to_fit();
+        } else {
+            let mut cursor = group_off.clone();
+            let mut order = vec![0u32; self.keys.len()];
+            for (i, &g) in self.keys.iter().enumerate() {
+                order[cursor[g as usize]] = i as u32;
+                cursor[g as usize] += 1;
+            }
+            let mut sorted_off = Vec::with_capacity(inst_off.len());
+            sorted_off.push(0usize);
+            let mut sorted_src = Vec::with_capacity(leaf_src.len());
+            for &i in &order {
+                let i = i as usize;
+                sorted_src.extend_from_slice(&leaf_src[inst_off[i]..inst_off[i + 1]]);
+                sorted_off.push(sorted_src.len());
+            }
+            (inst_off, leaf_src) = (sorted_off, sorted_src);
         }
 
         Hdg {
@@ -137,31 +214,37 @@ impl HdgBuilder {
 /// for DNFA models the input graph itself serves, so FlexGraph does not
 /// materialize this at run time — it exists for uniformity and tests.
 pub fn from_direct_neighbors(g: &Graph, roots: Vec<VertexId>) -> Hdg {
-    let mut b = HdgBuilder::new(SchemaTree::flat(), roots.clone());
-    for &v in &roots {
-        for &u in g.in_neighbors(v) {
-            b.push(NeighborRecord {
-                root: v,
-                nei_type: 0,
-                leaves: vec![u],
-            });
-        }
+    select_direct_neighbors(g, roots)
+        .unwrap_or_else(|e| match e {})
+        .build()
+}
+
+/// The direct-neighbor selection over any adjacency, in RAM or paged:
+/// the filled builder [`from_direct_neighbors`] freezes.
+pub fn select_direct_neighbors<A: Adjacency>(
+    g: &A,
+    roots: Vec<VertexId>,
+) -> Result<HdgBuilder, A::Error> {
+    let mut b = HdgBuilder::new(SchemaTree::flat(), roots);
+    for rank in 0..b.root_ids.len() {
+        g.for_each_in(b.root_ids[rank], |u| b.push_at(rank, 0, &[u]))?;
     }
-    b.build()
+    Ok(b)
 }
 
 /// PinSage-style HDGs: top-k random-walk-visited vertices, one flat
 /// instance each (the `pinsage_nbr` UDF of Figure 5).
 pub fn from_importance_walks(g: &Graph, roots: Vec<VertexId>, cfg: &WalkConfig, seed: u64) -> Hdg {
-    let all = importance_neighbors_all(g, cfg, seed);
-    let mut b = HdgBuilder::new(SchemaTree::flat(), roots.clone());
-    for &v in &roots {
-        for &u in &all[v as usize] {
-            b.push(NeighborRecord {
-                root: v,
-                nei_type: 0,
-                leaves: vec![u],
-            });
+    from_neighbor_lists(roots, &importance_neighbors_all(g, cfg, seed))
+}
+
+/// Flat HDGs from precomputed selections: root `v`'s neighbors are
+/// `lists[v]`, one single-leaf instance each.
+pub fn from_neighbor_lists(roots: Vec<VertexId>, lists: &[Vec<VertexId>]) -> Hdg {
+    let mut b = HdgBuilder::new(SchemaTree::flat(), roots);
+    for rank in 0..b.root_ids.len() {
+        for &u in &lists[b.root_ids[rank] as usize] {
+            b.push_at(rank, 0, &[u]);
         }
     }
     b.build()
@@ -179,15 +262,11 @@ pub fn from_metapaths(
     let names: Vec<String> = (0..metapaths.len())
         .map(|i| format!("MP{}", i + 1))
         .collect();
-    let mut b = HdgBuilder::new(SchemaTree::new(names), roots.clone());
-    for &v in &roots {
-        for inst in find_instances(g, v, metapaths, max_per_path) {
-            b.push(NeighborRecord {
-                root: v,
-                nei_type: inst.metapath as u16,
-                leaves: inst.vertices,
-            });
-        }
+    let mut b = HdgBuilder::new(SchemaTree::new(names), roots);
+    for rank in 0..b.root_ids.len() {
+        for_each_instance(g, b.root_ids[rank], metapaths, max_per_path, |mi, path| {
+            b.push_at(rank, mi as u16, path)
+        });
     }
     b.build()
 }
@@ -199,15 +278,11 @@ pub fn from_anchor_sets(roots: Vec<VertexId>, anchor_sets: &[Vec<VertexId>]) -> 
     let names: Vec<String> = (0..anchor_sets.len())
         .map(|i| format!("anchor{i}"))
         .collect();
-    let mut b = HdgBuilder::new(SchemaTree::new(names), roots.clone());
-    for &v in &roots {
+    let mut b = HdgBuilder::new(SchemaTree::new(names), roots);
+    for rank in 0..b.root_ids.len() {
         for (t, set) in anchor_sets.iter().enumerate() {
             if !set.is_empty() {
-                b.push(NeighborRecord {
-                    root: v,
-                    nei_type: t as u16,
-                    leaves: set.clone(),
-                });
+                b.push_at(rank, t as u16, set);
             }
         }
     }
@@ -245,118 +320,76 @@ pub fn from_hop_shells_capped(
     cap: usize,
     seed: u64,
 ) -> Hdg {
-    let records = select_hop_shells(g, &roots, k, cap, seed).unwrap_or_else(|e| match e {});
-    hdg_from_hop_shell_records(roots, k, records)
+    select_hop_shells(g, roots, k, cap, seed)
+        .unwrap_or_else(|e| match e {})
+        .build()
 }
 
 /// The capped hop-shell NeighborSelection for a batch of roots, over any
-/// adjacency: the records [`from_hop_shells_capped`] builds its HDG
-/// from, in its push order (roots in the given order, shells ascending,
-/// empty shells omitted). One walk scratch serves the whole batch, so
-/// the cost is the roots' k-hop balls, not the graph.
+/// adjacency: the filled builder [`from_hop_shells_capped`] freezes
+/// (roots in the given order, shells ascending, empty shells omitted).
+/// One walk scratch serves the whole batch, so the cost is the roots'
+/// k-hop balls, not the graph.
 ///
-/// Callers that need the selection for more than the build — serve
-/// prices admission from it — select once, then
-/// [`hdg_from_hop_shell_records`].
-pub fn select_hop_shells<A: OutAdjacency>(
+/// Callers that need the selection for more than the build read
+/// [`HdgBuilder::leaves`] first — serve prices admission from it, the
+/// out-of-core forward renames it onto a partition's rows.
+pub fn select_hop_shells<A: Adjacency>(
     g: &A,
-    roots: &[VertexId],
-    k: usize,
-    cap: usize,
-    seed: u64,
-) -> Result<Vec<NeighborRecord>, A::Error> {
-    let mut scratch = HopScratch::new();
-    let mut records = Vec::new();
-    for &root in roots {
-        let of_root = hop_shell_records_in(&mut scratch, g, root, k, cap, seed)?;
-        records.extend(
-            of_root
-                .into_iter()
-                .map(|(nei_type, leaves)| NeighborRecord {
-                    root,
-                    nei_type,
-                    leaves,
-                }),
-        );
-    }
-    Ok(records)
-}
-
-/// Freezes a [`select_hop_shells`] selection for `roots` into its HDG.
-pub fn hdg_from_hop_shell_records(
     roots: Vec<VertexId>,
     k: usize,
-    records: Vec<NeighborRecord>,
-) -> Hdg {
+    cap: usize,
+    seed: u64,
+) -> Result<HdgBuilder, A::Error> {
     let names: Vec<String> = (1..=k).map(|i| format!("hop{i}")).collect();
     let mut b = HdgBuilder::new(SchemaTree::new(names), roots);
-    for rec in records {
-        b.push(rec);
+    let (mut scratch, mut keyed) = (HopScratch::new(), Vec::new());
+    for rank in 0..b.root_ids.len() {
+        let root = b.root_ids[rank];
+        scratch.for_each_shell(g, root, k, |t, shell| {
+            if !shell.is_empty() {
+                let start = b.leaf_src.len();
+                b.leaf_src.extend_from_slice(shell);
+                cap_tail_by(&mut b.leaf_src, start, cap, &mut keyed, |u| {
+                    shell_rank(seed, root, u)
+                });
+                b.close_instance(rank, t as u16);
+            }
+        })?;
     }
-    b.build()
+    Ok(b)
 }
 
-/// The capped hop-shell selection for one root: `(type, leaves)` pairs
-/// in ascending shell order, empty shells omitted.
-pub fn hop_shell_records(
-    g: &Graph,
-    root: VertexId,
-    k: usize,
-    cap: usize,
-    seed: u64,
-) -> Vec<(u16, Vec<VertexId>)> {
-    hop_shell_records_in(&mut HopScratch::new(), g, root, k, cap, seed)
-        .unwrap_or_else(|e| match e {})
-}
-
-/// [`hop_shell_records`] over any adjacency, walking in a caller-held
-/// scratch.
-pub fn hop_shell_records_in<A: OutAdjacency>(
-    scratch: &mut HopScratch,
-    g: &A,
-    root: VertexId,
-    k: usize,
-    cap: usize,
-    seed: u64,
-) -> Result<Vec<(u16, Vec<VertexId>)>, A::Error> {
-    let mut out = Vec::new();
-    for (t, mut shell) in scratch.shells(g, root, k)?.into_iter().enumerate() {
-        if shell.is_empty() {
-            continue;
-        }
-        cap_shell(&mut shell, root, cap, seed);
-        out.push((t as u16, shell));
-    }
-    Ok(out)
-}
-
-/// Applies the sampling cap to one hop shell in place: members are
-/// ranked by a pure SplitMix64 hash of `(seed, root, member)`, the
-/// `cap` smallest ranks survive, and the survivors are re-sorted into
-/// ascending vertex order. `cap = 0` (or a shell already within the
-/// cap) is a no-op.
-///
-/// This is a pure function of its arguments and the only sampler any
-/// hop-shell builder uses, in RAM or over the paged store — both
+/// Sampling rank of member `u` of one of `root`'s hop shells: a pure
+/// SplitMix64 hash of `(seed, root, member)`, and the only sampler any
+/// hop-shell selection uses, in RAM or over the paged store — both
 /// therefore select *identical* leaves for any root, which the
 /// out-of-core ↔ in-RAM bitwise-parity guarantee rests on.
-pub fn cap_shell(shell: &mut Vec<VertexId>, root: VertexId, cap: usize, seed: u64) {
-    cap_shell_by(shell, cap, |u| {
-        mix64(seed ^ mix64((root as u64) << 32 | u as u64))
-    });
+fn shell_rank(seed: u64, root: VertexId, u: VertexId) -> u64 {
+    mix64(seed ^ mix64((root as u64) << 32 | u as u64))
 }
 
-/// [`cap_shell`] for any rank function; equal ranks fall back to the id.
-fn cap_shell_by(shell: &mut Vec<VertexId>, cap: usize, rank: impl Fn(VertexId) -> u64) {
-    if cap > 0 && shell.len() > cap {
+/// Applies the sampling cap to the hop shell `leaves[start..]` in place:
+/// the `cap` members of smallest `rank` survive (equal ranks fall back
+/// to the id), re-sorted into ascending vertex order. `cap = 0` (or a
+/// shell already within the cap) is a no-op. `keyed` is scratch.
+fn cap_tail_by(
+    leaves: &mut Vec<VertexId>,
+    start: usize,
+    cap: usize,
+    keyed: &mut Vec<(u64, VertexId)>,
+    rank: impl Fn(VertexId) -> u64,
+) {
+    if cap > 0 && leaves.len() - start > cap {
         // Each member is ranked once. The `(rank, id)` keys are
         // distinct, so the `cap` smallest are one well-defined set and
         // a partial selection finds the survivors a full sort would.
-        let mut keyed: Vec<(u64, VertexId)> = shell.iter().map(|&u| (rank(u), u)).collect();
+        keyed.clear();
+        keyed.extend(leaves[start..].iter().map(|&u| (rank(u), u)));
         keyed.select_nth_unstable(cap - 1);
-        shell.clear();
-        shell.extend(keyed[..cap].iter().map(|&(_, u)| u));
-        shell.sort_unstable();
+        leaves.truncate(start);
+        leaves.extend(keyed[..cap].iter().map(|&(_, u)| u));
+        leaves[start..].sort_unstable();
     }
 }
 
@@ -464,8 +497,6 @@ mod tests {
             // A single-root build selects the same leaves in the same
             // order — the serving batch-parity invariant.
             let solo = from_hop_shells_capped(&g, vec![v], 2, 2, 42);
-            let solo_recs = hop_shell_records(&g, v, 2, 2, 42);
-            assert_eq!(solo.num_instances(), solo_recs.len());
             for t in 0..2 {
                 let a: Vec<_> = all
                     .group_instances(v as usize, t)
@@ -487,7 +518,7 @@ mod tests {
         assert_eq!(uncapped.leaf_sources(), plain.leaf_sources());
     }
 
-    /// The definition `cap_shell_by` must keep computing: sort the whole
+    /// The definition `cap_tail_by` must keep computing: sort the whole
     /// shell by `(rank, id)`, keep the first `cap`, re-sort by id.
     fn cap_by_full_sort(shell: &mut Vec<VertexId>, cap: usize, rank: impl Fn(VertexId) -> u64) {
         if cap > 0 && shell.len() > cap {
@@ -500,7 +531,8 @@ mod tests {
     proptest! {
         /// Caps 0, 1, below, at and past the shell length. `ties` folds
         /// the hash onto that many ranks, so the id fallback decides;
-        /// 0 leaves the hash whole, which is `cap_shell` itself.
+        /// 0 leaves the hash whole. The shell is capped as the tail of
+        /// a longer leaf array, which must come through untouched.
         #[test]
         fn cap_shell_keeps_the_full_sorts_survivors(
             members in proptest::collection::vec(0u32..5000, 0..80),
@@ -513,22 +545,76 @@ mod tests {
             shell.sort_unstable();
             shell.dedup();
             let rank = |u: VertexId| {
-                let hash = mix64(seed ^ mix64((root as u64) << 32 | u as u64));
+                let hash = shell_rank(seed, root, u);
                 if ties == 0 { hash } else { hash % ties }
             };
+            let mut keyed = Vec::new();
             for cap in [cap, 0, 1, shell.len(), shell.len() + 1] {
                 let mut want = shell.clone();
                 cap_by_full_sort(&mut want, cap, rank);
                 let mut got = shell.clone();
-                cap_shell_by(&mut got, cap, rank);
+                cap_tail_by(&mut got, 0, cap, &mut keyed, rank);
                 prop_assert_eq!(&got, &want, "cap {}", cap);
-                if ties == 0 {
-                    let mut public = shell.clone();
-                    cap_shell(&mut public, root, cap, seed);
-                    prop_assert_eq!(&public, &want, "cap_shell, cap {}", cap);
-                }
+                let earlier = [root, 9999, 3];
+                let mut tail = earlier.to_vec();
+                tail.extend_from_slice(&shell);
+                cap_tail_by(&mut tail, earlier.len(), cap, &mut keyed, rank);
+                prop_assert_eq!(&tail[..earlier.len()], &earlier);
+                prop_assert_eq!(&tail[earlier.len()..], &want[..], "as a tail, cap {}", cap);
             }
         }
+    }
+
+    /// Every occurrence of a repeated root gets its own selection; the
+    /// builder used to key ranks by vertex id and pile them all onto
+    /// the last one.
+    #[test]
+    fn duplicate_roots_each_get_their_own_instances() {
+        let g = sample_graph();
+        let typed = sample_typed_graph();
+        let roots = vec![0u32, 3, 0];
+        let check = |h: &Hdg| {
+            assert_eq!(h.root_ids(), &roots[..]);
+            assert!(h.instances_of_root(0) > 0);
+            assert_eq!(h.instances_of_root(0), h.instances_of_root(2));
+            assert_eq!(h.root_leaf_sources(0), h.root_leaf_sources(2));
+        };
+        check(&from_direct_neighbors(&g, roots.clone()));
+        check(&from_hop_shells_capped(&g, roots.clone(), 2, 2, 42));
+        check(&from_metapaths(
+            &typed,
+            roots.clone(),
+            &paper_metapaths(),
+            0,
+        ));
+        check(&from_anchor_sets(roots.clone(), &[vec![1, 2], vec![6]]));
+        let lists: Vec<Vec<VertexId>> = (0..9).map(|v| vec![v, (v + 1) % 9]).collect();
+        check(&from_neighbor_lists(roots.clone(), &lists));
+        let direct = from_direct_neighbors(&g, roots.clone());
+        assert_eq!(direct.instances_of_root(0), g.in_degree(0));
+        assert_eq!(direct.instances_of_root(1), g.in_degree(3));
+    }
+
+    /// A by-id push cannot tell the occurrences apart: first one wins.
+    #[test]
+    fn by_id_push_lands_on_the_first_occurrence() {
+        let mut b = HdgBuilder::new(SchemaTree::flat(), vec![7, 3, 7]);
+        b.push(NeighborRecord {
+            root: 7,
+            nei_type: 0,
+            leaves: vec![1, 2],
+        });
+        b.push_at(2, 0, &[5]);
+        let h = b.build();
+        assert_eq!(h.root_leaf_sources(0), &[1, 2]);
+        assert_eq!(h.instances_of_root(1), 0);
+        assert_eq!(h.root_leaf_sources(2), &[5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside this builder's 1 roots")]
+    fn rank_outside_roots_rejected() {
+        HdgBuilder::new(SchemaTree::flat(), vec![0]).push_at(1, 0, &[1]);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use flexgraph_engine::hybrid::{
 use flexgraph_engine::{admission_bytes, planned_admission_bytes, MemoryBudget};
 use flexgraph_graph::hll::ReachSketches;
 use flexgraph_graph::Graph;
-use flexgraph_hdg::build::{hdg_from_hop_shell_records, select_hop_shells};
-use flexgraph_hdg::NeighborRecord;
+use flexgraph_hdg::build::select_hop_shells;
+use flexgraph_hdg::HdgBuilder;
 use flexgraph_models::checkpoint;
 use flexgraph_tensor::quant::{matmul_bf16, matmul_i8, round_bf16_inplace};
 use flexgraph_tensor::{
@@ -275,25 +275,20 @@ impl ModelSnapshot {
 }
 
 /// The capped k-hop NeighborSelection of one batch — walked once, then
-/// read twice: [`price`] sizes admission from these records and
-/// [`aggregate_selected`] builds the HDG from the same ones.
-fn select(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> Vec<NeighborRecord> {
-    select_hop_shells(g, roots, cfg.hops, cfg.cap, cfg.seed).unwrap_or_else(|e| match e {})
+/// read twice: [`price`] sizes admission from its leaves and
+/// [`aggregate_selected`] freezes the same builder into the HDG.
+fn select(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> HdgBuilder {
+    select_hop_shells(g, roots.to_vec(), cfg.hops, cfg.cap, cfg.seed).unwrap_or_else(|e| match e {})
 }
 
 /// Transient bytes a selection materializes: its closure (roots plus
 /// distinct leaves) and its leaf edges, in the engine's own
 /// [`admission_bytes`] arithmetic.
-fn price(cfg: &ServeModelConfig, roots: &[u32], records: &[NeighborRecord]) -> usize {
-    let mut closure: Vec<u32> = roots.to_vec();
-    let mut edges = 0usize;
-    for rec in records {
-        edges += rec.leaves.len();
-        closure.extend_from_slice(&rec.leaves);
-    }
+fn price(cfg: &ServeModelConfig, roots: &[u32], leaves: &[u32]) -> usize {
+    let mut closure = [roots, leaves].concat();
     closure.sort_unstable();
     closure.dedup();
-    admission_bytes(closure.len(), edges, cfg.in_dim)
+    admission_bytes(closure.len(), leaves.len(), cfg.in_dim)
 }
 
 /// Transient bytes the capped k-hop selection of `roots` would
@@ -304,7 +299,7 @@ fn price(cfg: &ServeModelConfig, roots: &[u32], records: &[NeighborRecord]) -> u
 /// balls) and prices it exactly as [`aggregate_roots`] prices the
 /// selection it is about to build from.
 pub fn selection_admission_bytes(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> usize {
-    price(cfg, roots, &select(g, cfg, roots))
+    price(cfg, roots, select(g, cfg, roots).leaves())
 }
 
 /// HyperLogLog admission planner: prices a batch's capped k-hop
@@ -324,7 +319,7 @@ pub fn selection_admission_bytes(g: &Graph, cfg: &ServeModelConfig, roots: &[u32
 ///
 /// Shell sizes fall out of ball differences, the per-shell sampling
 /// `cap` is applied to the *estimated* shell exactly as
-/// `hop_shell_records` applies it to the real one, and the
+/// `select_hop_shells` applies it to the real one, and the
 /// distinct-closure estimate takes the tighter of the per-root capped
 /// sum and the merged-ball union estimate. Counts are near-exact in the
 /// linear-counting regime, so planned prices agree with the exact
@@ -399,11 +394,11 @@ fn aggregate_selected(
     budget: &MemoryBudget,
     admit: bool,
 ) -> Result<Tensor, ServeError> {
-    let records = select(g, cfg, roots);
+    let selection = select(g, cfg, roots);
     if admit {
-        budget.check(price(cfg, roots, &records))?;
+        budget.check(price(cfg, roots, selection.leaves()))?;
     }
-    let hdg = hdg_from_hop_shell_records(roots.to_vec(), cfg.hops, records);
+    let hdg = selection.build();
     let plan = AggrPlan::flat(cfg.op);
     let res = hierarchical_aggregate_quant(&hdg, feats, &plan, Strategy::Ha, budget)?;
     Ok(res.features)
@@ -584,7 +579,7 @@ pub fn serve_one_quant(
 mod tests {
     use super::*;
     use flexgraph_graph::gen::community;
-    use flexgraph_hdg::build::hop_shell_records;
+    use flexgraph_hdg::build::from_hop_shells_capped;
     use flexgraph_models::checkpoint::CheckpointError;
 
     fn cfg(ds_dim: usize, classes: usize) -> ServeModelConfig {
@@ -709,10 +704,9 @@ mod tests {
         let mut closure: std::collections::HashSet<u32> = roots.iter().copied().collect();
         let mut edges = 0usize;
         for &r in roots {
-            for (_, leaves) in hop_shell_records(g, r, cfg.hops, cfg.cap, cfg.seed) {
-                edges += leaves.len();
-                closure.extend(leaves);
-            }
+            let solo = from_hop_shells_capped(g, vec![r], cfg.hops, cfg.cap, cfg.seed);
+            edges += solo.leaf_sources().len();
+            closure.extend(solo.leaf_sources());
         }
         admission_bytes(closure.len(), edges, cfg.in_dim)
     }
@@ -763,6 +757,26 @@ mod tests {
             }
         }
         assert!(shed > 0 && shed < batches.len(), "both outcomes exercised");
+    }
+
+    /// "One row per root, in `roots` order, per-root bitwise
+    /// independent" holds for a repeated root too. The HDG builder used
+    /// to key ranks by vertex id: row 0 came back all zero and row 2
+    /// twice the sum (the server dedups first, so no parity suite saw it).
+    #[test]
+    fn duplicate_roots_get_identical_rows() {
+        let ds = community(200, 4, 4, 1, 8, 3);
+        let scfg = cfg(ds.feature_dim(), 4);
+        let budget = MemoryBudget::unlimited();
+        let agg = |roots: &[u32]| {
+            aggregate_roots(&ds.graph, &ds.features, &scfg, roots, &budget).unwrap()
+        };
+        let (batch, seven, three) = (agg(&[7, 3, 7]), agg(&[7]), agg(&[3]));
+        assert!(seven.row(0).iter().any(|&x| x != 0.0));
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(batch.row(0)), bits(seven.row(0)));
+        assert_eq!(bits(batch.row(1)), bits(three.row(0)));
+        assert_eq!(bits(batch.row(2)), bits(seven.row(0)));
     }
 
     #[test]

@@ -1,18 +1,12 @@
 //! Out-of-core HDG construction and the partitioned forward driver.
 //!
-//! Both builders produce, record for record, what `hdg::build` produces
-//! in RAM — same schema, same push order, same leaf order — so on any
-//! graph that fits both ways the HDGs (and therefore every aggregation
-//! over them) are bitwise identical:
-//!
-//! * [`hdg_from_direct_neighbors`] reads each root's paged in-sources
-//!   in stored (ascending) order, exactly as `from_direct_neighbors`
-//!   iterates `g.in_neighbors(v)`.
-//! * [`hdg_from_hop_shells_capped`] *is* the in-RAM selection: the walk
-//!   (`bfs::HopScratch::shells`) and the capped selection
-//!   (`hdg::build::select_hop_shells`) are generic over
-//!   `bfs::OutAdjacency`, which [`PagedGraph`] implements by reading
-//!   out-neighbors from pinned segments.
+//! Both builders *are* the in-RAM selections: `hdg::build`'s
+//! `select_direct_neighbors` and `select_hop_shells` (and the walk under
+//! the latter, `bfs::HopScratch`) are generic over `bfs::Adjacency`,
+//! which [`PagedGraph`] implements by reading neighbors in place from
+//! pinned segments. Same code, same schema, same push order, same leaf
+//! order — so on any graph that fits both ways the HDGs (and therefore
+//! every aggregation over them) are bitwise identical.
 //!
 //! [`forward_out_of_core`] then runs an engine forward pass one root
 //! partition at a time: build the partition's HDG against the store,
@@ -28,8 +22,8 @@ use crate::paged::PagedGraph;
 use flexgraph_engine::{hierarchical_aggregate, AggrPlan, AggrResult, MemoryBudget, Strategy};
 use flexgraph_graph::bfs::HopScratch;
 use flexgraph_graph::csr::VertexId;
-use flexgraph_hdg::build::select_hop_shells;
-use flexgraph_hdg::{Hdg, HdgBuilder, NeighborRecord, SchemaTree};
+use flexgraph_hdg::build::{select_direct_neighbors, select_hop_shells};
+use flexgraph_hdg::{Hdg, HdgBuilder};
 use flexgraph_tensor::Tensor;
 
 /// Which neighborhood the out-of-core builders materialize per root.
@@ -61,35 +55,16 @@ pub fn paged_hop_shells(
     HopScratch::new().shells(pg, root, k)
 }
 
-/// Neighbor records of `roots` for `nbr`, in the in-RAM builders' push
-/// order.
-fn neighbor_records(
+/// The NeighborSelection of `roots` for `nbr`: the in-RAM selection,
+/// run against the store.
+fn select(
     pg: &PagedGraph,
-    roots: &[VertexId],
+    roots: Vec<VertexId>,
     nbr: &Neighborhood,
-) -> Result<Vec<NeighborRecord>, StoreError> {
+) -> Result<HdgBuilder, StoreError> {
     match *nbr {
-        Neighborhood::Direct => {
-            let mut records = Vec::new();
-            for &root in roots {
-                records.extend(pg.in_neighbors(root)?.into_iter().map(|u| NeighborRecord {
-                    root,
-                    nei_type: 0,
-                    leaves: vec![u],
-                }));
-            }
-            Ok(records)
-        }
+        Neighborhood::Direct => select_direct_neighbors(pg, roots),
         Neighborhood::HopShells { k, cap, seed } => select_hop_shells(pg, roots, k, cap, seed),
-    }
-}
-
-fn schema_for(nbr: &Neighborhood) -> SchemaTree {
-    match *nbr {
-        Neighborhood::Direct => SchemaTree::flat(),
-        Neighborhood::HopShells { k, .. } => {
-            SchemaTree::new((1..=k).map(|i| format!("hop{i}")).collect())
-        }
     }
 }
 
@@ -117,12 +92,7 @@ pub fn hdg_for(
     roots: Vec<VertexId>,
     nbr: &Neighborhood,
 ) -> Result<Hdg, StoreError> {
-    let records = neighbor_records(pg, &roots, nbr)?;
-    let mut b = HdgBuilder::new(schema_for(nbr), roots);
-    for rec in records {
-        b.push(rec);
-    }
-    Ok(b.build())
+    Ok(select(pg, roots, nbr)?.build())
 }
 
 /// One partition's built HDG with leaves remapped onto its private
@@ -143,20 +113,12 @@ fn partition_hdg(
     roots: &[VertexId],
     nbr: &Neighborhood,
 ) -> Result<PartitionHdg, StoreError> {
-    let records = neighbor_records(pg, roots, nbr)?;
-    let mut needed: Vec<VertexId> = records
-        .iter()
-        .flat_map(|r| r.leaves.iter().copied())
-        .collect();
+    let mut b = select(pg, roots.to_vec(), nbr)?;
+    let mut needed = b.leaves().to_vec();
     needed.sort_unstable();
     needed.dedup();
-    let local = |v: VertexId| needed.binary_search(&v).expect("leaf in needed set") as VertexId;
-    let mut b = HdgBuilder::new(schema_for(nbr), roots.to_vec());
-    for mut rec in records {
-        for leaf in &mut rec.leaves {
-            *leaf = local(*leaf);
-        }
-        b.push(rec);
+    for leaf in b.leaves_mut() {
+        *leaf = needed.binary_search(leaf).expect("leaf in needed set") as VertexId;
     }
     Ok(PartitionHdg {
         hdg: b.build(),
@@ -260,6 +222,33 @@ mod tests {
         assert_eq!(got.leaf_sources(), want.leaf_sources());
         assert_eq!(got.inst_offsets(), want.inst_offsets());
         assert_eq!(got.group_offsets(), want.group_offsets());
+    }
+
+    /// A repeated root is selected once per occurrence, in RAM and
+    /// paged alike (one shared constructor, rank from the caller).
+    #[test]
+    fn duplicate_roots_each_get_their_own_instances() {
+        let (ds, pg) = paged_rmat("ooc_dup", 7, 5, 29);
+        let hub = (0..ds.graph.num_vertices() as u32)
+            .max_by_key(|&v| ds.graph.in_degree(v))
+            .unwrap();
+        let roots = vec![hub, 3, hub];
+        for nbr in [
+            Neighborhood::Direct,
+            Neighborhood::HopShells {
+                k: 2,
+                cap: 3,
+                seed: 42,
+            },
+        ] {
+            let got = hdg_for(&pg, roots.clone(), &nbr).unwrap();
+            let solo = hdg_for(&pg, vec![hub], &nbr).unwrap();
+            assert!(solo.num_instances() > 0);
+            for r in [0, 2] {
+                assert_eq!(got.instances_of_root(r), solo.num_instances(), "{nbr:?}");
+                assert_eq!(got.root_leaf_sources(r), solo.leaf_sources(), "{nbr:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::cache::{PageCache, PinnedSegment};
 use crate::err::StoreError;
 use crate::file::StoreReader;
 use flexgraph_engine::MemoryBudget;
-use flexgraph_graph::bfs::OutAdjacency;
+use flexgraph_graph::bfs::Adjacency;
 use flexgraph_graph::csr::{Graph, GraphBuilder, VertexId};
 use flexgraph_obs::PageCacheRecord;
 use std::path::Path;
@@ -71,11 +71,6 @@ impl PagedGraph {
         Ok(self.segment_for(v)?.out_neighbors(v).to_vec())
     }
 
-    /// In-sources of `v`, copied out of the pinned segment.
-    pub fn in_neighbors(&self, v: VertexId) -> Result<Vec<VertexId>, StoreError> {
-        Ok(self.segment_for(v)?.in_sources(v).to_vec())
-    }
-
     /// Page-cache counters with the residency snapshot filled in.
     pub fn cache_stats(&self) -> PageCacheRecord {
         self.cache.stats()
@@ -107,7 +102,7 @@ impl PagedGraph {
     }
 }
 
-impl OutAdjacency for PagedGraph {
+impl Adjacency for PagedGraph {
     type Error = StoreError;
 
     fn num_vertices(&self) -> usize {
@@ -119,6 +114,16 @@ impl OutAdjacency for PagedGraph {
     fn for_each_out(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), StoreError> {
         self.segment_for(v)?
             .out_neighbors(v)
+            .iter()
+            .copied()
+            .for_each(visit);
+        Ok(())
+    }
+
+    /// Reads `v`'s in-sources in place, in stored (ascending) order.
+    fn for_each_in(&self, v: VertexId, visit: impl FnMut(VertexId)) -> Result<(), StoreError> {
+        self.segment_for(v)?
+            .in_sources(v)
             .iter()
             .copied()
             .for_each(visit);
@@ -150,7 +155,9 @@ mod tests {
         assert_eq!(pg.num_edges(), g.num_edges());
         for v in 0..60u32 {
             assert_eq!(pg.out_neighbors(v).unwrap(), g.out_neighbors(v));
-            assert_eq!(pg.in_neighbors(v).unwrap(), g.in_neighbors(v));
+            let mut in_sources = Vec::new();
+            pg.for_each_in(v, |u| in_sources.push(u)).unwrap();
+            assert_eq!(in_sources, g.in_neighbors(v));
         }
         let stats = pg.cache_stats();
         assert_eq!(stats.hits + stats.misses, stats.fetches);
