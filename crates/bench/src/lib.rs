@@ -16,14 +16,33 @@ use flexgraph::graph::metapath::Metapath;
 use flexgraph::prelude::*;
 use std::time::{Duration, Instant};
 
-/// The benchmark scale factor: 1.0 is the documented default; override
-/// with `FLEXGRAPH_BENCH_SCALE` (e.g. `0.125` for smoke runs).
+/// The benchmark scale factor: 0.25 unless `FLEXGRAPH_BENCH_SCALE`
+/// says otherwise (e.g. `0.125` for smoke runs, `1.0` for the documented
+/// shapes). A value [`parse_bench_scale`] rejects ends the process with
+/// its message instead of running a table at mixed scales.
 pub fn bench_scale() -> ScaleFactor {
-    let s = std::env::var("FLEXGRAPH_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.25);
-    ScaleFactor(s)
+    let raw = std::env::var("FLEXGRAPH_BENCH_SCALE").ok();
+    parse_bench_scale(raw.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// `FLEXGRAPH_BENCH_SCALE`'s value (`None` when unset) as a scale
+/// factor. Only a finite number above zero is one: the dataset presets
+/// floor a vertex count that saturates to 0 but read `log2` of the same
+/// factor, so a negative or NaN scale would run some datasets at their
+/// floor and others at full size.
+pub fn parse_bench_scale(raw: Option<&str>) -> Result<ScaleFactor, String> {
+    let Some(raw) = raw else {
+        return Ok(ScaleFactor(0.25));
+    };
+    match raw.trim().parse::<f64>() {
+        Ok(s) if s.is_finite() && s > 0.0 => Ok(ScaleFactor(s)),
+        _ => Err(format!(
+            "FLEXGRAPH_BENCH_SCALE={raw:?} is not a finite number above 0"
+        )),
+    }
 }
 
 /// The three homogeneous evaluation datasets (Reddit / FB91 / Twitter
@@ -148,6 +167,20 @@ mod tests {
         let ds = &homogeneous_datasets()[0];
         let t = with_synthetic_types(ds);
         assert_eq!(t.num_types(), 3);
+    }
+
+    #[test]
+    fn bench_scale_accepts_only_finite_positive_numbers() {
+        assert_eq!(parse_bench_scale(None).unwrap().0, 0.25);
+        assert_eq!(parse_bench_scale(Some("0.125")).unwrap().0, 0.125);
+        assert_eq!(parse_bench_scale(Some(" 2 ")).unwrap().0, 2.0);
+        for bad in ["-1", "0", "-0", "inf", "NaN", "", "quarter", "1/4"] {
+            let e = parse_bench_scale(Some(bad)).unwrap_err();
+            assert!(
+                e.contains("FLEXGRAPH_BENCH_SCALE") && e.contains(&format!("{bad:?}")),
+                "{bad:?}: {e}"
+            );
+        }
     }
 
     #[test]

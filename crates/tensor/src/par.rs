@@ -4,8 +4,9 @@
 //! destination vertices, and its dense update stage is parallel over row
 //! blocks. The paper runs both inside long-lived libgrape-lite worker
 //! threads; the seed implementation here instead spawned fresh crossbeam
-//! scoped threads on *every* kernel call, which `BENCH_scatter.json`
-//! showed costing more than the parallelism recovered at medium scales.
+//! scoped threads on *every* kernel call, which the serial-vs-planned
+//! scatter timings showed costing more than the parallelism recovered at
+//! medium scales.
 //!
 //! This module now owns a process-wide, lazily-initialized pool of worker
 //! threads parked on a condvar. A kernel call packages its work as a set

@@ -32,9 +32,9 @@ const NR: usize = 16;
 /// cache-resident. Rows in a group need not be adjacent (zero rows are
 /// filtered out first); each row's accumulation chain is untouched, so
 /// bitwise identity with the naive kernel is preserved. Tuned by
-/// measurement (`dense_baseline`): 3×16 keeps the 2·NR/8 accumulator
-/// vectors per row plus the shared B vectors inside the 16 AVX2
-/// registers; 4×16 and 6×8 both measured slower.
+/// measurement: 3×16 keeps the 2·NR/8 accumulator vectors per row plus
+/// the shared B vectors inside the 16 AVX2 registers; 4×16 and 6×8
+/// both measured slower.
 const MR: usize = 3;
 /// Flop threshold (`2·m·k·n`) below which matmul skips tiling: packing
 /// and dispatch overheads dominate on the small weight matrices of the
@@ -45,7 +45,7 @@ const MATMUL_TILE_CUTOFF: usize = 2 * 64 * 64 * 64;
 const TB: usize = 32;
 /// Element count below which transpose takes the unblocked loop: the
 /// whole matrix sits in L2 anyway and the blocked loop's bookkeeping
-/// measures slower there (`dense_baseline`, "small" point).
+/// buys nothing there (measured at parity on a 362×181 transpose).
 const TRANSPOSE_TILE_CUTOFF: usize = 128 * 1024;
 
 /// A dense, row-major `f32` matrix.
@@ -430,8 +430,7 @@ impl Tensor {
 
     /// Reference matrix product: the seed's single-threaded triple loop
     /// (row-major, K-major inner, zero-row hoist). Kept as the ground
-    /// truth the tiled [`Tensor::matmul`] is bitwise-compared against
-    /// and the baseline `dense_baseline` measures speedups over.
+    /// truth the tiled [`Tensor::matmul`] is bitwise-compared against.
     pub fn matmul_naive(&self, other: &Self) -> Self {
         assert_eq!(
             self.cols, other.rows,
@@ -489,8 +488,9 @@ impl Tensor {
         });
     }
 
-    /// Reference transpose: the seed's unblocked double loop. Kept for
-    /// the `dense_baseline` bench's naive-vs-tiled comparison.
+    /// Reference transpose: the seed's unblocked double loop. Kept as
+    /// the ground truth the blocked [`Tensor::transpose`] is compared
+    /// against.
     pub fn transpose_naive(&self) -> Self {
         let mut out = Tensor::zeros(self.cols, self.rows);
         self.transpose_naive_into(&mut out);

@@ -1,0 +1,113 @@
+//! Names that must stay absent (or stay at one), checked in tier-1 so a
+//! violation shows up in `cargo test`, not only after a push.
+//!
+//! Each row of [`GATES`] is one gate: where to look, the needle, how
+//! many occurrences are allowed, and why. Needles match as plain,
+//! case-sensitive substrings — stricter than a `grep -w`, which is what
+//! an absence gate wants.
+
+use std::path::{Path, PathBuf};
+use Count::{Names, Text};
+
+/// Where a gate counts its needle.
+enum Count {
+    /// In the text of these files; a directory stands for every file
+    /// under it.
+    Text(&'static [&'static str]),
+    /// In the names of this directory's own entries.
+    Names(&'static str),
+}
+
+const FABRIC: &[&str] = &["crates/comm/src/fabric.rs"];
+const SOURCES: &[&str] = &["crates"];
+const DOCS_AND_SOURCES: &[&str] = &[
+    "crates",
+    "tests",
+    "examples",
+    ".github",
+    ".claude",
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+];
+const ONE_WAIT: &str = "drops are folded into delivery times; the fabric has one wait";
+const NO_ACKS: &str = "the fabric runs no ack/retransmit protocol";
+const NO_PROBE: &str = "records are written by their owners; the probe went in PR 20";
+const ONE_BENCH: &str = "the ledger is the one benchmark; the legacy bins went in PR 25";
+
+const GATES: &[(Count, &str, usize, &str)] = &[
+    (Text(FABRIC), "thread::sleep", 0, ONE_WAIT),
+    (Text(FABRIC), "recv_timeout(", 1, ONE_WAIT),
+    (Text(FABRIC), "Ack", 0, NO_ACKS),
+    (Text(FABRIC), "Unacked", 0, NO_ACKS),
+    (Text(SOURCES), "probe_begin", 0, NO_PROBE),
+    (Text(SOURCES), "StageTimer", 0, NO_PROBE),
+    (Text(SOURCES), "record_stage", 0, NO_PROBE),
+    (Text(SOURCES), "StatsSnapshot", 0, NO_PROBE),
+    (Names("."), "BENCH_", 0, ONE_BENCH),
+    (
+        Text(DOCS_AND_SOURCES),
+        // Split so that this file does not hold the name it bans.
+        concat!("FLEXGRAPH_BENCH_", "STRICT"),
+        0,
+        ONE_BENCH,
+    ),
+];
+
+/// Every file under `path` (or `path` itself).
+fn files(path: &Path, out: &mut Vec<PathBuf>) {
+    if path.is_dir() {
+        for entry in std::fs::read_dir(path).unwrap() {
+            files(&entry.unwrap().path(), out);
+        }
+    } else {
+        out.push(path.to_path_buf());
+    }
+}
+
+#[test]
+fn every_source_gate_holds() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut failures = Vec::new();
+    for (count, needle, allowed, why) in GATES {
+        // (occurrences, where they are)
+        let mut found = (0, Vec::new());
+        match count {
+            Text(paths) => {
+                let mut all = Vec::new();
+                for p in *paths {
+                    files(&root.join(p), &mut all);
+                }
+                for f in all {
+                    // A binary file holds no name.
+                    let Ok(text) = std::fs::read_to_string(&f) else {
+                        continue;
+                    };
+                    let n = text.matches(needle).count();
+                    if n > 0 {
+                        found.0 += n;
+                        let rel = f.strip_prefix(&root).unwrap_or(&f);
+                        found.1.push(format!("{} ({n})", rel.display()));
+                    }
+                }
+            }
+            Names(dir) => {
+                for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                    let name = entry.unwrap().file_name();
+                    if name.to_string_lossy().contains(needle) {
+                        found.0 += 1;
+                        found.1.push(name.to_string_lossy().into_owned());
+                    }
+                }
+            }
+        }
+        if found.0 != *allowed {
+            failures.push(format!(
+                "`{needle}`: {} found, {allowed} allowed ({why}) — in {}",
+                found.0,
+                found.1.join(", ")
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

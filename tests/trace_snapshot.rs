@@ -7,13 +7,16 @@
 //! counts, payload bytes), so trace content is a pure function of the
 //! work performed after `start_trace` — independent of scheduling,
 //! wall-clock, and `FLEXGRAPH_THREADS` (CI runs this file under both
-//! 1 and 4 threads).
+//! 1 and 4 threads). The same holds for serving: one seeded request
+//! stream through a `Server` per `QuantConfig` traces the same bytes
+//! twice, each window labelled with its config.
 
 use flexgraph::dist::{distributed_epoch, make_shards, DistConfig, DistMode};
 use flexgraph::graph::partition::hash_partition;
 use flexgraph::hdg::build::from_direct_neighbors;
 use flexgraph::obs::{self, TraceLine};
 use flexgraph::prelude::*;
+use flexgraph::serve::{BatcherConfig, QuantConfig};
 use std::sync::Mutex;
 
 /// The trace session is process-global; tests that open one must not
@@ -36,6 +39,57 @@ fn traced_training(path: &str, seed: u64) {
     };
     for _ in 0..2 {
         distributed_epoch(&ds.graph, &shards, &cfg);
+    }
+    obs::finish_trace();
+}
+
+/// One seeded skewed request stream (three in four requests from the
+/// first `n / 16` vertices) served twice — cold, then warm — by one
+/// `Server` per `QuantConfig`, each pass traced as one window to `path`.
+fn traced_serving(path: &str) {
+    obs::start_trace(path).expect("trace file");
+    let n = 240u32;
+    let ds = flexgraph::graph::gen::community(n as usize, 4, 6, 2, 16, 29);
+    let mut state = 99u64;
+    let stream: Vec<u32> = (0..2 * n)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = (state >> 33) as u32;
+            if i % 4 == 0 {
+                r % n
+            } else {
+                r % (n / 16)
+            }
+        })
+        .collect();
+    let model = ServeModelConfig {
+        in_dim: ds.feature_dim(),
+        classes: ds.num_classes,
+        ..Default::default()
+    };
+    for quant in [QuantConfig::F32, QuantConfig::Bf16, QuantConfig::Int8] {
+        let cfg = ServerConfig {
+            batcher: BatcherConfig {
+                max_batch: 32,
+                max_delay: 64,
+                queue_cap: stream.len() + 1,
+            },
+            model,
+            quant,
+            ..Default::default()
+        };
+        let snap = ModelSnapshot::init_quant(&model, 13, quant);
+        let server = Server::new(ds.graph.clone(), ds.features.clone(), cfg, snap);
+        for _pass in 0..2 {
+            for &v in &stream {
+                server.submit(v).unwrap();
+                server.poll().unwrap();
+            }
+            server.flush().unwrap();
+            server.emit_trace_window();
+        }
     }
     obs::finish_trace();
 }
@@ -121,6 +175,37 @@ fn every_trace_record_parses_against_the_schema() {
     }
     assert_eq!(epoch_records, 2);
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn serve_traces_are_byte_identical_per_quant_config() {
+    let _guard = SESSION_LOCK.lock().unwrap();
+    let (p1, p2) = (tmp("serve_a"), tmp("serve_b"));
+    traced_serving(&p1);
+    traced_serving(&p2);
+    let text = std::fs::read_to_string(&p1).unwrap();
+    assert_eq!(
+        text.as_bytes(),
+        std::fs::read(&p2).unwrap(),
+        "same-seed serve traces diverged"
+    );
+    let mut quants = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        match obs::parse_line(line)
+            .unwrap_or_else(|e| panic!("line {}: schema violation: {e}\n{line}", i + 1))
+        {
+            TraceLine::Meta { .. } => assert_eq!(i, 0, "meta must be the first record"),
+            TraceLine::Serve { record, .. } => {
+                assert!(record.served > 0 && record.batches > 0);
+                quants.push(record.quant);
+            }
+            other => panic!("a serving trace holds serve windows only, got {other:?}"),
+        }
+    }
+    // Cold + warm window per config, in config order, each labelled.
+    assert_eq!(quants, [0, 0, 1, 1, 2, 2]);
+    let _ = std::fs::remove_file(&p1);
+    let _ = std::fs::remove_file(&p2);
 }
 
 #[test]
