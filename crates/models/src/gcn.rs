@@ -236,12 +236,13 @@ mod tests {
         let (v, classes) = (ds.graph.num_vertices(), ds.num_classes);
         let shapes = |tape: Vec<Tensor>| -> Vec<_> { tape.iter().map(Tensor::shape).collect() };
         let reordered = shapes(tape_values(build(), &ds));
-        // feats, w1, w2, layer 1's four nodes, then h1·W, its edge sum
-        // and the add: nothing `V × hidden` after the ReLU.
-        assert_eq!(reordered[6], (v, 32));
-        assert_eq!(reordered[7..], [(v, classes); 3]);
+        // feats, w1, w2, layer 1's aggregate (collapsed into one leaf),
+        // its matmul and ReLU, then h1·W, its edge sum and the add:
+        // nothing `V × hidden` after the ReLU.
+        assert_eq!(reordered[5], (v, 32));
+        assert_eq!(reordered[6..], [(v, classes); 3]);
         let first = shapes(tape_values(AggregateFirst(build()), &ds));
-        assert_eq!(first[7..], [(v, 32), (v, 32), (v, classes)]);
+        assert_eq!(first[6..], [(v, 32), (v, 32), (v, classes)]);
 
         // Equal widths: node for node the aggregate-first tape.
         let ds = community(120, 8, 6, 1, 8, 3);

@@ -12,10 +12,12 @@
 //! neighborhood representation).
 //!
 //! The Aggregation stage has no parameter, so layer 1's — leaves →
-//! instances → types → root over the feature matrix, the two
-//! instance-sized tensors of the epoch — is the same every epoch: it is
-//! recorded by the first `forward` after selection and is a leaf from
-//! then on (`crate::memo`).
+//! instances → types → root over the feature matrix — is the same every
+//! epoch: the first `forward` after selection runs it and collapses it
+//! into a leaf, and it is a leaf copy from then on (`crate::memo`). Every
+//! pass, the first included, then holds the two instance-sized tensors
+//! of the epoch, both layer 2's: the instance means, and the pool's
+//! softmax weights, which backward rewrites into the means' gradient.
 
 use crate::memo::InputAggregate;
 use crate::train::Model;
@@ -291,16 +293,17 @@ mod tests {
         let model = Magnn::new(16, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 12);
         let mut tr = Trainer::new(model, TrainConfig::default());
         let (first, logits) = tape(&mut tr, &ds);
+        assert!(tr.model.input.is_recorded());
         let (len, want) = (first.len(), first.value(logits).clone());
         drop(first);
         for pass in 2..=3 {
             let (g, logits) = tape(&mut tr, &ds);
-            // segment_reduce, softmax-pool and mean_row_blocks — the two
-            // instance-sized tensors of layer 1 among them — gave way to
-            // one leaf, with the same logits (no step ran in between)…
-            assert_eq!(len - g.len(), 3 - 1, "pass {pass}");
+            // The recording collapsed into the same one leaf that every
+            // later pass copies the memo into, with the same logits (no
+            // step ran in between)…
+            assert_eq!(g.len(), len, "pass {pass}");
             assert_eq!(g.value(logits), &want, "pass {pass}");
-            // …whose buffer came off the free list, like every other.
+            // …in a buffer off the free list, like every other.
             assert_eq!(g.free_list_misses(), 0, "pass {pass}");
         }
     }
@@ -310,12 +313,19 @@ mod tests {
         let ds = hetero_imdb(100, 2, 2, 8, 1);
         let model = Magnn::new(8, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 10);
         let mut tr = Trainer::new(model, TrainConfig::default());
-        let recorded = tape(&mut tr, &ds).0.len();
-        let memoised = tape(&mut tr, &ds).0.len();
-        assert!(memoised < recorded);
-        tr.model.built = false; // The next selection builds its HDGs anew.
-        assert_eq!(tape(&mut tr, &ds).0.len(), recorded);
-        assert_eq!(tape(&mut tr, &ds).0.len(), memoised);
+        tape(&mut tr, &ds); // Records the aggregate.
+        let (memoised, logits) = tape(&mut tr, &ds);
+        let want = memoised.value(logits).clone();
+        drop(memoised);
+        tr.model.built = false; // The next selection builds its HDGs anew…
+        tr.model.selection(&ds, 0);
+        assert!(!tr.model.input.is_recorded(), "…and forgets the aggregate");
+        for pass in ["recorded again", "memoised again"] {
+            let (g, logits) = tape(&mut tr, &ds);
+            assert!(tr.model.input.is_recorded(), "{pass}");
+            assert_eq!(g.value(logits), &want, "{pass}");
+            assert_eq!(g.free_list_misses(), 0, "{pass}");
+        }
     }
 
     #[test]

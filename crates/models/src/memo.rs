@@ -3,12 +3,16 @@
 //! A static-selection model's Aggregation stage has no parameter, so over
 //! the feature leaf it yields the same tensor every epoch — §3.2's "paid
 //! once, reused every epoch", one stage after NeighborSelection. The
-//! first `forward` after a (re)build records the stage on the tape as any
-//! other and keeps a copy of the node's value; every later `forward`
-//! records that copy as a leaf and goes straight to Update. Exact by
-//! construction: it is the tensor the same ops would produce again, and
-//! no node of the skipped sub-tape ever needed a gradient. PinSage
-//! (re-selects every epoch) and G-GCN (parameterised gates) do not use it.
+//! first `forward` after a (re)build runs the stage on the tape, keeps a
+//! copy of its value, and collapses the sub-tape into a leaf of that
+//! value (`Graph::collapse_into_leaf`), so its instance-sized buffers go
+//! back to the free list for layer 2 before the pass draws any more;
+//! every later `forward` records the copy as a leaf and goes straight to
+//! Update. Every pass's tape therefore has the same shape, and the first
+//! peaks where the others do. Exact by construction: it is the tensor
+//! the same ops would produce again, and no node of the collapsed or
+//! skipped sub-tape ever needed a gradient. PinSage (re-selects every
+//! epoch) and G-GCN (parameterised gates) do not use it.
 
 use flexgraph_tensor::{Graph, NodeId, Tensor};
 use std::sync::OnceLock;
@@ -29,9 +33,10 @@ impl InputAggregate {
         self.0.get().is_some()
     }
 
-    /// The node holding `aggregate(g, feats)`: recorded by `aggregate`
-    /// the first time, a leaf copy of that recording's value afterwards
-    /// (in a buffer off the tape's free list).
+    /// The node holding `aggregate(g, feats)`, always a leaf: the first
+    /// time, `aggregate`'s recording collapsed into one (its other
+    /// buffers back on the free list); afterwards a copy of that value,
+    /// in a buffer off the tape's free list.
     ///
     /// # Panics
     ///
@@ -54,10 +59,11 @@ impl InputAggregate {
                 g.leaf_copy(value)
             }
             None => {
+                let mark = g.len();
                 let a = aggregate(g, feats);
                 // A racing recorder computed the same tensor.
                 let _ = self.0.set((shape, g.value(a).clone()));
-                a
+                g.collapse_into_leaf(mark, a)
             }
         }
     }

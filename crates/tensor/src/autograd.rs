@@ -32,12 +32,19 @@
 //! the cross-entropy's probabilities — is drawn from an exact-length free
 //! list the tape owns, and goes back to it when released or when the tape
 //! drops. So is the copy [`Graph::leaf_copy`] makes of a tensor that
-//! outlives the tape. A static HDG makes every epoch's tape the same
-//! sequence of shapes, so the list is handed from one tape to the next: a
-//! dropping tape parks it in a thread-local, and the next [`Graph::new`]
-//! on that thread adopts it. A buffer the adopting pass never draws is
-//! freed when that pass drops, so what is retained is bounded by one pass
-//! — a model whose shapes change every epoch cannot accumulate buffers.
+//! outlives the tape. The two kept tensors are kept only by a node that
+//! needs a gradient, and backward rewrites each into its input's gradient
+//! in place, so neither op draws a second input-sized buffer. A suffix
+//! of the tape that needs no gradient can be collapsed into one leaf
+//! ([`Graph::collapse_into_leaf`]): its other buffers return to the list
+//! mid-pass, for the nodes recorded next.
+//!
+//! A static HDG makes every epoch's tape the same sequence of shapes, so
+//! the list is handed from one tape to the next: a dropping tape parks it
+//! in a thread-local, and the next [`Graph::new`] on that thread adopts
+//! it. A buffer the adopting pass never draws is freed when that pass
+//! drops, so what is retained is bounded by one pass — a model whose
+//! shapes change every epoch cannot accumulate buffers.
 //! A drawn buffer holds stale values: the tape hands it either to an
 //! `_into` kernel that overwrites its output entirely, or — for the
 //! accumulating kernels (matmul, the scatter and segment sums) — zeroes
@@ -94,14 +101,16 @@ enum Op {
     ScatterSoftmax(NodeId, Arc<ScatterPlan>),
     /// Fused per-group softmax pooling; `weights` are the normalised
     /// softmax weights of the forward pass, the only edge-shaped
-    /// intermediate the op keeps (backward needs no `exp`).
+    /// intermediate the op keeps, which backward turns into the input's
+    /// gradient in place (no `exp`, no second edge-shaped buffer).
     ScatterSoftmaxPool {
         /// Edge-shaped input rows.
         a: NodeId,
         /// Destination grouping of the rows.
         plan: Arc<ScatterPlan>,
-        /// `softmax_seg(a)`, shaped like `a`.
-        weights: Tensor,
+        /// `softmax_seg(a)`, shaped like `a`, until backward takes it;
+        /// `None` from the start if the node needs no gradient.
+        weights: Option<Tensor>,
     },
     /// Fused segment reduce (feature fusion): `Arc`'d index arrays avoid
     /// copying edge-scale data onto the tape.
@@ -128,7 +137,8 @@ enum Op {
         logits: NodeId,
         /// Class index of each row.
         targets: Vec<usize>,
-        /// `softmax_rows(logits)`, until backward takes it.
+        /// `softmax_rows(logits)`, until backward takes it; `None` from
+        /// the start if the node needs no gradient.
         probs: Option<Tensor>,
     },
     /// Mean of all elements (scalar output).
@@ -169,6 +179,20 @@ struct Node {
     /// Whether backward must produce a gradient for this node: it is a
     /// parameter, or an operation with an input that needs one.
     needs_grad: bool,
+}
+
+impl Node {
+    /// Every buffer the node holds: its value, its gradient, and the
+    /// tensor its op keeps for backward.
+    fn into_buffers(self) -> impl Iterator<Item = Tensor> {
+        let kept = match self.op {
+            Op::ScatterSoftmaxPool { weights: kept, .. } | Op::CrossEntropy { probs: kept, .. } => {
+                kept
+            }
+            _ => None,
+        };
+        std::iter::once(self.value).chain(self.grad).chain(kept)
+    }
 }
 
 thread_local! {
@@ -258,18 +282,12 @@ impl Drop for Graph {
     /// thread; adopted buffers it never drew are freed with it.
     fn drop(&mut self) {
         let mut parked = std::mem::take(&mut self.pool.released);
-        for node in self.nodes.drain(..) {
-            parked.push(node.value.into_vec());
-            parked.extend(node.grad.map(Tensor::into_vec));
-            if let Op::ScatterSoftmaxPool { weights: kept, .. }
-            | Op::CrossEntropy {
-                probs: Some(kept), ..
-            } = node.op
-            {
-                parked.push(kept.into_vec());
-            }
-        }
-        parked.extend(self.tcache.0.drain(..).flatten().map(Tensor::into_vec));
+        let buffers = self.nodes.drain(..).flat_map(Node::into_buffers);
+        parked.extend(
+            buffers
+                .chain(self.tcache.0.drain(..).flatten())
+                .map(Tensor::into_vec),
+        );
         // The thread-local is gone while the thread itself is exiting;
         // the buffers are then simply freed.
         let _ = PARKED.try_with(|p| p.replace(parked));
@@ -337,6 +355,39 @@ impl Graph {
     pub fn leaf_copy(&mut self, value: &Tensor) -> NodeId {
         let copy = self.pool.copy_of(value);
         self.push(copy, Op::Leaf)
+    }
+
+    /// Collapses everything recorded since `mark` (a [`Graph::len`]
+    /// taken earlier) into one leaf holding `node`'s value, and returns
+    /// that leaf. Backward would have skipped the whole suffix, so the
+    /// tape computes the same gradients without it; every other buffer
+    /// the suffix held — values, and what its ops kept — goes back to the
+    /// free list for the nodes recorded next. Ids of the suffix's nodes
+    /// other than the returned one are invalid afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` was not recorded after `mark`, or if any node
+    /// after `mark` needs a gradient.
+    pub fn collapse_into_leaf(&mut self, mark: usize, node: NodeId) -> NodeId {
+        assert!(
+            (mark..self.nodes.len()).contains(&node.0),
+            "the collapsed node must be recorded after the mark"
+        );
+        assert!(
+            self.nodes[mark..].iter().all(|n| !n.needs_grad),
+            "a collapsed suffix must need no gradient"
+        );
+        let mut suffix = self.nodes.split_off(mark);
+        let mut kept = suffix.swap_remove(node.0 - mark).into_buffers();
+        let value = kept.next().expect("a node's first buffer is its value");
+        for buf in kept.chain(suffix.into_iter().flat_map(Node::into_buffers)) {
+            self.pool.release(buf);
+        }
+        // Backward fills transpose slots only for the operands of a matmul
+        // that needs a gradient, so no slot past `mark` holds a buffer.
+        self.tcache.0.truncate(mark);
+        self.leaf(value)
     }
 
     /// Registers a trainable parameter living in external `slot`.
@@ -489,12 +540,14 @@ impl Graph {
     /// Bit-identical, value and gradient, to [`Graph::scatter_softmax`]
     /// → [`Graph::mul`] by `a` → [`Graph::scatter_add`] on the same
     /// plan, in one pass per segment and one edge-shaped intermediate
-    /// (the weights) instead of three.
+    /// (the weights) instead of three — kept only if backward will run
+    /// through the node, and then rewritten into the input's gradient.
     pub fn scatter_softmax_pool_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
         let cols = self.value(a).cols();
         let mut v = self.pool.draw(plan.out_rows(), cols);
         let mut weights = self.draw_like(a);
         scatter_softmax_pool_with_plan_into(&mut v, &mut weights, self.value(a), &plan);
+        let weights = self.keep_for_backward(a, weights);
         self.push(v, Op::ScatterSoftmaxPool { a, plan, weights })
     }
 
@@ -559,14 +612,26 @@ impl Graph {
             loss -= (probs.get(r, t).max(1e-12) as f64).ln();
         }
         let v = self.scalar((loss / targets.len() as f64) as f32);
+        let probs = self.keep_for_backward(logits, probs);
         self.push(
             v,
             Op::CrossEntropy {
                 logits,
                 targets: targets.to_vec(),
-                probs: Some(probs),
+                probs,
             },
         )
+    }
+
+    /// `kept` if backward will run through a one-input op over `input`;
+    /// otherwise it goes straight back to the free list.
+    fn keep_for_backward(&mut self, input: NodeId, kept: Tensor) -> Option<Tensor> {
+        if self.needs(input) {
+            Some(kept)
+        } else {
+            self.pool.release(kept);
+            None
+        }
     }
 
     /// Mean of all elements, as a `1×1` scalar node.
@@ -766,8 +831,9 @@ impl Graph {
                 Some(grad)
             }
             Op::ScatterSoftmaxPool { a, plan, weights } => {
-                let mut g = self.draw_like(*a);
-                scatter_softmax_pool_backward_into(&mut g, &grad, self.value(*a), weights, plan);
+                // The forward's weights become `a`'s gradient in place.
+                let mut g = weights.take().expect("backward runs once per tape");
+                scatter_softmax_pool_backward_into(&mut g, &grad, self.value(*a), plan);
                 self.give(*a, g);
                 Some(grad)
             }
@@ -1374,6 +1440,76 @@ mod tests {
         assert!(pa.iter().all(|p| !pb.contains(p)));
         assert_eq!(bits(a.grad(wa).unwrap()), want);
         assert_ne!(bits(b.grad(wb).unwrap()), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "a collapsed suffix must need no gradient")]
+    fn collapsing_a_suffix_that_needs_a_gradient_panics() {
+        let mut g = Graph::new();
+        let x = g.leaf(sample_input());
+        let w = g.param(weights(), 0);
+        let mark = g.len();
+        let y = g.matmul(x, w);
+        g.collapse_into_leaf(mark, y);
+    }
+
+    #[test]
+    fn a_collapsed_suffix_is_one_leaf_and_its_buffers_serve_the_next_draws() {
+        let plan = Arc::new(ScatterPlan::new(&[0, 0, 1], 2));
+        let mut g = Graph::new();
+        let x = g.leaf(sample_input());
+        let mark = g.len();
+        let pooled = g.scatter_softmax_pool_with_plan(x, plan.clone());
+        let scaled = g.scale(pooled, 2.0);
+        let (want_pooled, want) = (bits(g.value(pooled)), bits(g.value(scaled)));
+        let misses = g.free_list_misses();
+
+        let leaf = g.collapse_into_leaf(mark, scaled);
+        assert_eq!((leaf, g.len()), (NodeId(mark), mark + 1));
+        assert!(matches!(g.nodes[leaf.0].op, Op::Leaf));
+        assert_eq!(bits(g.value(leaf)), want, "the leaf holds the node's value");
+
+        // The pooled value and the released weights are on the list: the
+        // same op again draws both from it.
+        let again = g.scatter_softmax_pool_with_plan(x, plan);
+        assert_eq!(g.free_list_misses(), misses);
+        assert_eq!(bits(g.value(again)), want_pooled);
+    }
+
+    #[test]
+    fn backward_state_is_kept_only_for_a_backward_that_will_run() {
+        let plan = Arc::new(ScatterPlan::new(&[0, 0, 1], 2));
+        let record = |g: &mut Graph, x: NodeId| {
+            let pooled = g.scatter_softmax_pool_with_plan(x, plan.clone());
+            let loss = g.cross_entropy(pooled, &[2, 0]);
+            let kept = |op: &Op| match op {
+                Op::ScatterSoftmaxPool { weights, .. } => weights.is_some(),
+                Op::CrossEntropy { probs, .. } => probs.is_some(),
+                _ => unreachable!(),
+            };
+            (kept(&g.nodes[pooled.0].op), kept(&g.nodes[loss.0].op), loss)
+        };
+        let mut over_leaf = Graph::new();
+        let x = over_leaf.leaf(sample_input());
+        let (pool_kept, probs_kept, _) = record(&mut over_leaf, x);
+        assert!(!pool_kept && !probs_kept);
+        // Weights (3×3) and probabilities (2×3) went straight back.
+        let released: Vec<usize> = over_leaf.pool.released.iter().map(Vec::len).collect();
+        assert!(released.contains(&9) && released.contains(&6));
+
+        let mut over_param = Graph::new();
+        let x = over_param.param(sample_input(), 0);
+        let (pool_kept, probs_kept, loss) = record(&mut over_param, x);
+        assert!(pool_kept && probs_kept);
+        over_param.backward(loss);
+        // Backward took both, as the gradients of their inputs.
+        assert!(over_param.nodes.iter().all(|n| !matches!(
+            n.op,
+            Op::ScatterSoftmaxPool {
+                weights: Some(_),
+                ..
+            } | Op::CrossEntropy { probs: Some(_), .. }
+        )));
     }
 
     #[test]

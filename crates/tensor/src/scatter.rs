@@ -499,22 +499,22 @@ pub fn scatter_softmax_backward_into(
 }
 
 /// Adjoint of [`scatter_softmax_pool_with_plan_into`] with respect to
-/// `values`: with `g = grad_out[d]` the gradient of destination `d`,
-/// `x` its segment's input rows and `s` their forward weights,
-/// `grad_in[e] = g ⊙ s_e + s_e ⊙ (g ⊙ x_e − Σ_j (g ⊙ x_j) ⊙ s_j)` —
-/// the association of the unfused chain's `Mul`-then-softmax backward,
-/// so the result is bit-identical to it, with no `exp`. Overwrites
-/// `grad_in`.
+/// `values`, computed in place over the forward weights: with `g =
+/// grad_out[d]` the gradient of destination `d`, `x` its segment's input
+/// rows and `s` their forward weights, `weights[e]` becomes
+/// `g ⊙ s_e + s_e ⊙ (g ⊙ x_e − Σ_j (g ⊙ x_j) ⊙ s_j)` — the association
+/// of the unfused chain's `Mul`-then-softmax backward, so the result is
+/// bit-identical to it, with no `exp`. In place is exact: the segment's
+/// sum reads every `s_j` before any row is rewritten, and each element
+/// then reads only its own `s_e`.
 pub fn scatter_softmax_pool_backward_into(
-    grad_in: &mut Tensor,
+    weights: &mut Tensor,
     grad_out: &Tensor,
     values: &Tensor,
-    weights: &Tensor,
     plan: &ScatterPlan,
 ) {
     plan.check_values(values);
     assert_eq!(weights.shape(), values.shape(), "pool weights shape");
-    assert_eq!(grad_in.shape(), values.shape(), "pool input-gradient shape");
     assert_eq!(
         grad_out.shape(),
         (plan.out_rows, values.cols()),
@@ -524,7 +524,7 @@ pub fn scatter_softmax_pool_backward_into(
     if d == 0 || values.rows() == 0 {
         return;
     }
-    let shared = SharedRows::new(grad_in);
+    let shared = SharedRows::new(weights);
     for_destination_ranges(plan, d, |range| {
         let mut sums = vec![0.0f32; d];
         for dst in range {
@@ -532,20 +532,21 @@ pub fn scatter_softmax_pool_backward_into(
             let g = grad_out.row(dst);
             sums.fill(0.0);
             for &e in seg {
-                let (x, s) = (values.row(e as usize), weights.row(e as usize));
-                for (((z, &g), &x), &s) in sums.iter_mut().zip(g).zip(x).zip(s) {
+                // SAFETY: `perm` partitions the edge rows among
+                // destinations and destinations among threads, so this
+                // row is read and written by this thread only.
+                let s = unsafe { shared.row(e as usize) };
+                let x = values.row(e as usize);
+                for (((z, &g), &x), &s) in sums.iter_mut().zip(g).zip(x).zip(s.iter()) {
                     *z += (g * x) * s;
                 }
             }
             for &e in seg {
-                // SAFETY: `perm` partitions the edge rows among
-                // destinations and destinations among threads, so this
-                // row is written by this thread only.
+                // SAFETY: as for the sums above.
                 let row = unsafe { shared.row(e as usize) };
-                let (x, s) = (values.row(e as usize), weights.row(e as usize));
-                for ((((o, &g), &x), &s), &z) in
-                    row.iter_mut().zip(g).zip(x).zip(s).zip(sums.iter())
-                {
+                let x = values.row(e as usize);
+                for (((o, &g), &x), &z) in row.iter_mut().zip(g).zip(x).zip(sums.iter()) {
+                    let s = *o;
                     *o = g * s + s * (g * x - z);
                 }
             }

@@ -34,6 +34,12 @@ const ONE_WAIT: &str = "drops are folded into delivery times; the fabric has one
 const NO_ACKS: &str = "the fabric runs no ack/retransmit protocol";
 const NO_PROBE: &str = "records are written by their owners; the probe went in PR 20";
 const ONE_BENCH: &str = "the ledger is the one benchmark; the legacy bins went in PR 25";
+const CHANNEL_FREE: &[&str] = &[
+    "crates/tensor/Cargo.toml",
+    "crates/graph/Cargo.toml",
+    "crates/engine/Cargo.toml",
+];
+const NO_CROSSBEAM: &str = "only comm, dist and core use crossbeam; tensor::par has its own pool";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(FABRIC), "thread::sleep", 0, ONE_WAIT),
@@ -52,6 +58,7 @@ const GATES: &[(Count, &str, usize, &str)] = &[
         0,
         ONE_BENCH,
     ),
+    (Text(CHANNEL_FREE), "crossbeam", 0, NO_CROSSBEAM),
 ];
 
 /// Every file under `path` (or `path` itself).
