@@ -1,58 +1,9 @@
-//! Figure 14 — effectiveness of hybrid aggregation: Aggregation-stage
-//! time under SA, SA+FA and HA on the FB91 and Twitter stand-ins, for
-//! all three models.
-
-use flexgraph::engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
-use flexgraph::engine::MemoryBudget;
-use flexgraph::graph::gen::{fb_like, twitter_like};
-use flexgraph::hdg::build::{from_direct_neighbors, from_importance_walks};
-use flexgraph::hdg::Hdg;
-use flexgraph::prelude::Dataset;
-use flexgraph_bench::workloads::{magnn_hdg, magnn_plan, pinsage_walk};
-use flexgraph_bench::{bench_scale, secs, time_mean};
-
-fn row(name: &str, hdg: &Hdg, ds: &Dataset, plan: AggrPlan) {
-    let budget = MemoryBudget::unlimited();
-    let mut cells = Vec::new();
-    for strategy in [Strategy::Sa, Strategy::SaFa, Strategy::Ha] {
-        // One warmup pass (cache/allocator effects), then mean of 5.
-        let _ = hierarchical_aggregate(hdg, &ds.features, &plan, strategy, &budget).unwrap();
-        let d = time_mean(5, || {
-            hierarchical_aggregate(hdg, &ds.features, &plan, strategy, &budget).unwrap()
-        });
-        cells.push(secs(d));
-    }
-    println!(
-        "{:<8} {:>9} {:>9} {:>9}",
-        name, cells[0], cells[1], cells[2]
-    );
-}
+//! Figure 14 — Aggregation time under SA, SA+FA and HA.
+//! Prints [`flexgraph_bench::paper::fig14`] at `FLEXGRAPH_BENCH_SCALE`.
 
 fn main() {
-    println!("Figure 14: Aggregation-stage seconds under SA / SA+FA / HA\n");
-    for ds in [fb_like(bench_scale()), twitter_like(bench_scale())] {
-        println!(
-            "--- {} (|V|={}, |E|={}) ---",
-            ds.name,
-            ds.graph.num_vertices(),
-            ds.graph.num_edges()
-        );
-        println!("{:<8} {:>9} {:>9} {:>9}", "Model", "SA", "SA+FA", "HA");
-
-        let n = ds.graph.num_vertices() as u32;
-        let gcn = from_direct_neighbors(&ds.graph, (0..n).collect());
-        row("GCN", &gcn, &ds, AggrPlan::flat(AggrOp::Sum));
-
-        let ps = from_importance_walks(&ds.graph, (0..n).collect(), &pinsage_walk(), 3);
-        row("PinSage", &ps, &ds, AggrPlan::flat(AggrOp::Sum));
-
-        let mg = magnn_hdg(&ds);
-        row("MAGNN", &mg, &ds, magnn_plan());
-        println!();
-    }
-    println!(
-        "expected shapes: feature fusion (SA+FA) gives the bulk of the win over SA; the \
-         dense schema-level op (HA) only helps MAGNN (flat models have no schema level); \
-         paper: HA ≈ 6.7× over SA on average."
+    print!(
+        "{}",
+        flexgraph_bench::paper::fig14(flexgraph_bench::bench_scale())
     );
 }

@@ -1,198 +1,23 @@
-//! Figure 13/15-style cluster sweep on the virtual-time runtime.
+//! Figure 13/15-style cluster sweep on the virtual-time runtime: prints
+//! [`flexgraph_bench::paper::fig15_cluster`] at `FLEXGRAPH_BENCH_SCALE`.
 //!
-//! The threaded fabric tops out at the host's core count; this harness
-//! sweeps the *same* distributed epoch at 64, 256, and 1024 workers on
-//! the discrete-event scheduler. Per worker count it runs three virtual
-//! epochs:
-//!
-//! 1. **range** — the workload-skewed static baseline (contiguous
-//!    ranges of the power-law graph clump the hubs) on a flat cluster;
-//! 2. **adb** — the paper's §6 loop closed from *measured* telemetry:
-//!    epoch 1's per-root cost units feed the ADB controller, which
-//!    fits, rebalances, and the balanced epoch reruns. The speedup
-//!    column is epoch 1 ÷ epoch 2 — workload balancing, isolated;
-//! 3. **straggler tax** — epoch 2's partitioning on an injected-skew
-//!    cluster (racked topology, 4× straggler per rack, one flaky
-//!    rack). Machine skew is invisible to an application-driven cost
-//!    function, so this residual slowdown is what ADB *cannot* remove.
-//!
-//! Every run is deterministic: the printed event-log digests are a pure
-//! function of the sweep inputs, so two invocations must produce
-//! byte-identical stdout (CI diffs them). Set `FLEXGRAPH_EVENT_LOG` to
-//! dump the concatenated scheduler event logs, `FLEXGRAPH_TRACE` for
-//! the JSONL telemetry, and `FLEXGRAPH_CLUSTER_WORKERS` (default
-//! `64,256,1024`) to pick the sweep points.
-
-use flexgraph::comm::{FlakyRack, Straggler};
-use flexgraph::dist::adb::AdbController;
-use flexgraph::dist::{
-    make_shards, measured_partition_loads, virtual_epoch, DistConfig, DistMode, VirtualEpochReport,
-};
-use flexgraph::graph::gen::twitter_like;
-use flexgraph::hdg::build::from_direct_neighbors;
-use flexgraph::prelude::*;
-use flexgraph_bench::{bench_scale, secs};
-use std::fmt::Write as _;
-
-fn worker_counts() -> Vec<usize> {
-    std::env::var("FLEXGRAPH_CLUSTER_WORKERS")
-        .unwrap_or_else(|_| "64,256,1024".to_string())
-        .split(',')
-        .filter_map(|s| s.trim().parse::<usize>().ok())
-        .collect()
-}
-
-/// Heavier per-unit compute than the comm-model default: epoch time is
-/// compute-bound (the paper's regime on 50-dim features), so workload
-/// imbalance — not wire latency — sets the barrier wait.
-const COMPUTE_NS_PER_UNIT: f64 = 25.0;
-
-/// The homogeneous cluster the ADB comparison runs on.
-fn flat_net(k: usize) -> NetProfile {
-    NetProfile {
-        seed: 0xC1_05_7E,
-        rack_size: 32.min(k.max(2)),
-        compute_ns_per_unit: COMPUTE_NS_PER_UNIT,
-        ..NetProfile::default()
-    }
-}
-
-/// The injected-skew cluster: one 4×-compute / 2×-wire straggler per
-/// 32-machine rack, plus one flaky rack adding cross-rack delay.
-fn skewed_net(k: usize) -> NetProfile {
-    let rack_size = 32.min(k.max(2));
-    let stragglers = (0..k)
-        .step_by(rack_size)
-        .map(|base| Straggler {
-            rank: (base + 17) % k,
-            compute_factor: 4.0,
-            link_factor: 2.0,
-        })
-        .collect();
-    NetProfile {
-        stragglers,
-        flaky_racks: vec![FlakyRack {
-            rack: 1,
-            extra_delay_us: 150.0,
-            drop_prob: 0.0,
-        }],
-        ..flat_net(k)
-    }
-}
-
-/// The static baseline: contiguous vertex ranges. On the RMAT
-/// power-law graph low ids are the hubs, so range partitioning is
-/// heavily *workload*-skewed — exactly the imbalance the
-/// application-driven balancer exists to fix.
-fn range_partition(n: usize, k: usize) -> Partitioning {
-    let assignment = (0..n).map(|v| (v * k / n) as u32).collect();
-    Partitioning::new(assignment, k)
-}
-
-fn run_epoch(ds: &Dataset, part: &Partitioning, net: &NetProfile) -> VirtualEpochReport {
-    let shards = make_shards(ds.graph.num_vertices(), &ds.features, part, |r| {
-        from_direct_neighbors(&ds.graph, r.to_vec())
-    });
-    let cfg = DistConfig {
-        mode: DistMode::FlexGraph { pipeline: true },
-        update_weight: Some(Tensor::eye(ds.feature_dim()).scale(0.1)),
-        ..DistConfig::default()
-    };
-    virtual_epoch(&ds.graph, &shards, &cfg, net)
-}
+//! Stdout is a pure function of the inputs, so two invocations print the
+//! same bytes (CI compares them). `FLEXGRAPH_CLUSTER_WORKERS` (default
+//! `64,256,1024`) picks the sweep points, `FLEXGRAPH_EVENT_LOG` names a
+//! file for the concatenated scheduler event logs, and `FLEXGRAPH_TRACE`
+//! one for the JSONL telemetry.
 
 fn main() {
-    flexgraph::obs::init_env_trace();
-    let ds = twitter_like(bench_scale());
-    let n = ds.graph.num_vertices();
-    let dim = ds.feature_dim();
-    let global_hdg = from_direct_neighbors(&ds.graph, (0..n as VertexId).collect());
-
-    println!(
-        "Cluster sweep on the virtual-time runtime — {} ({} vertices, {} edges)",
-        ds.name,
-        n,
-        ds.graph.num_edges()
-    );
-    println!(
-        "{:>7} | {:>9} {:>7} | {:>9} {:>7} {:>6} {:>7} | {:>9} {:>6} | event-log digests",
-        "workers", "range", "imbal", "adb", "imbal", "moved", "speedup", "stragglr", "tax"
-    );
-
-    let mut event_logs = String::new();
-    for k in worker_counts() {
-        assert!(k <= n, "need at least one vertex per worker ({k} > {n})");
-        let t0 = std::time::Instant::now();
-
-        // 1. Workload-skewed baseline on the flat cluster.
-        let part = range_partition(n, k);
-        let base_rep = run_epoch(&ds, &part, &flat_net(k));
-        let base_imbal =
-            Partitioning::imbalance(&measured_partition_loads(&base_rep.report.telemetry, &part));
-
-        // 2. The §6 loop from measured telemetry: fit the observed cost
-        // surface, rebalance, rerun.
-        let mut ctl = AdbController::new();
-        ctl.balance_threshold = 1.05;
-        ctl.max_steps = 12;
-        let ingested = ctl.record_measured_epoch(&global_hdg, dim, &base_rep.report.telemetry);
-        assert_eq!(ingested, n, "every root must attribute a measured cost");
-        let balanced = ctl
-            .maybe_rebalance(&ds.graph, &global_hdg, dim, &part)
-            .unwrap_or_else(|| part.clone());
-        let moved = balanced
-            .assignment
-            .iter()
-            .zip(&part.assignment)
-            .filter(|(a, b)| a != b)
-            .count();
-        let adb_rep = run_epoch(&ds, &balanced, &flat_net(k));
-        let adb_imbal = Partitioning::imbalance(&measured_partition_loads(
-            &adb_rep.report.telemetry,
-            &balanced,
-        ));
-        let speedup = base_rep.virtual_time.as_secs_f64() / adb_rep.virtual_time.as_secs_f64();
-
-        // 3. The balanced partitioning under injected machine skew.
-        let skew_rep = run_epoch(&ds, &balanced, &skewed_net(k));
-        let tax = skew_rep.virtual_time.as_secs_f64() / adb_rep.virtual_time.as_secs_f64();
-
-        let digest = {
-            let (bl, bd) = base_rep.log_digest;
-            let (al, ad) = adb_rep.log_digest;
-            let (sl, sd) = skew_rep.log_digest;
-            format!("{bl}:{bd:016x} {al}:{ad:016x} {sl}:{sd:016x}")
-        };
-        println!(
-            "{:>7} | {:>9} {:>7.3} | {:>9} {:>7.3} {:>6} {:>6.2}x | {:>9} {:>5.2}x | {}",
-            k,
-            secs(base_rep.virtual_time),
-            base_imbal,
-            secs(adb_rep.virtual_time),
-            adb_imbal,
-            moved,
-            speedup,
-            secs(skew_rep.virtual_time),
-            tax,
-            digest
-        );
-        for (label, rep) in [
-            ("range", &base_rep),
-            ("adb", &adb_rep),
-            ("straggler", &skew_rep),
-        ] {
-            let _ = writeln!(event_logs, "== k={k} {label} ==");
-            event_logs.push_str(&rep.event_log);
-        }
-        // The acceptance budget: even the 1024-worker point is a
-        // seconds-scale simulation (stderr so stdout stays
-        // byte-comparable across runs).
-        eprintln!("  [k={k} swept in {:?} wall]", t0.elapsed());
-    }
-
+    let workers: Vec<usize> = std::env::var("FLEXGRAPH_CLUSTER_WORKERS")
+        .unwrap_or_else(|_| "64,256,1024".to_string())
+        .split(',')
+        .filter_map(|s| s.trim().parse().ok())
+        .collect();
+    let (table, event_logs) =
+        flexgraph_bench::paper::fig15_cluster(flexgraph_bench::bench_scale(), &workers);
+    print!("{table}");
     if let Ok(path) = std::env::var("FLEXGRAPH_EVENT_LOG") {
         std::fs::write(&path, &event_logs).expect("write event log");
         eprintln!("  event logs -> {path} ({} bytes)", event_logs.len());
     }
-    flexgraph::obs::finish_trace();
 }

@@ -1,148 +1,9 @@
-//! Figure 15a — workload balancing: Aggregation time of the distributed
-//! epoch under PuLP-like, Hash and ADB partitionings on the Twitter
-//! stand-in with k = 8 workers, for all three models.
-
-use flexgraph::dist::{distributed_epoch, make_shards, virtual_epoch, DistConfig, DistMode};
-use flexgraph::engine::hybrid::{AggrOp, AggrPlan, Strategy};
-use flexgraph::graph::gen::twitter_like;
-use flexgraph::graph::partition::{hash_partition, lp_partition};
-use flexgraph::hdg::build::{from_direct_neighbors, from_importance_walks, from_metapaths};
-use flexgraph::hdg::Hdg;
-use flexgraph::prelude::*;
-use flexgraph_bench::workloads::pinsage_walk;
-use flexgraph_bench::{
-    bench_scale, magnn_metapaths, secs, with_synthetic_types, MAGNN_INSTANCE_CAP,
-};
-
-/// Rebalances `part` with the library's online ADB controller driven by
-/// *measured* running logs (§6): run one instrumented distributed epoch
-/// over the offline partitioning, feed the telemetry's per-root cost
-/// attribution into the controller, fit, generate plans, and apply the
-/// minimum-cut plan until balanced.
-fn adb_rebalance(
-    ds: &Dataset,
-    part: &Partitioning,
-    hdg: &Hdg,
-    plan: AggrPlan,
-    leaf_op: AggrOp,
-    build: &dyn Fn(&[VertexId]) -> Hdg,
-) -> Partitioning {
-    use flexgraph::dist::adb::AdbController;
-    let dim = ds.feature_dim();
-    let mut ctl = AdbController::new();
-    ctl.balance_threshold = 1.05;
-    ctl.max_steps = 12;
-
-    // The measuring epoch: every partition attributes cost units per
-    // root from its executed aggregation plan, keyed by global vertex
-    // id, so the merged trace covers the whole graph.
-    let shards = make_shards(ds.graph.num_vertices(), &ds.features, part, |r| build(r));
-    let cfg = DistConfig {
-        mode: DistMode::FlexGraph { pipeline: true },
-        leaf_op,
-        plan,
-        strategy: Strategy::Ha,
-        cost_model: CostModel::accounting_only(),
-        ..DistConfig::default()
-    };
-    let report = distributed_epoch(&ds.graph, &shards, &cfg);
-    let ingested = ctl.record_measured_epoch(hdg, dim, &report.telemetry);
-    assert_eq!(
-        ingested,
-        hdg.num_roots(),
-        "the measuring epoch must attribute a cost to every root"
-    );
-
-    ctl.maybe_rebalance(&ds.graph, hdg, dim, part)
-        .unwrap_or_else(|| part.clone())
-}
-
-fn epoch_secs(
-    ds: &Dataset,
-    part: &Partitioning,
-    plan: AggrPlan,
-    leaf_op: AggrOp,
-    build: &dyn Fn(&[VertexId]) -> Hdg,
-) -> String {
-    let shards = make_shards(ds.graph.num_vertices(), &ds.features, part, |r| build(r));
-    let cfg = DistConfig {
-        mode: DistMode::FlexGraph { pipeline: true },
-        leaf_op,
-        plan,
-        strategy: Strategy::Ha,
-        // Dataset-scaled NIC (see fig15bc_pipeline).
-        cost_model: CostModel {
-            alpha_us: 100.0,
-            bytes_per_us: 100.0,
-            simulate_delay: false,
-        },
-        update_weight: None,
-        ..DistConfig::default()
-    };
-    let net = NetProfile::from_cost_model(&cfg.cost_model);
-    secs(virtual_epoch(&ds.graph, &shards, &cfg, &net).virtual_time)
-}
+//! Figure 15a — workload balancing under PuLP / Hash / ADB.
+//! Prints [`flexgraph_bench::paper::fig15a`] at `FLEXGRAPH_BENCH_SCALE`.
 
 fn main() {
-    // One compute thread per simulated worker: the workers themselves are
-    // the parallelism, so per-worker kernels must not oversubscribe the
-    // physical cores (set before any kernel initializes the pool).
-    std::env::set_var("FLEXGRAPH_THREADS", "1");
-
-    let ds = twitter_like(bench_scale());
-    let typed = with_synthetic_types(&ds);
-    let k = 8;
-    let n = ds.graph.num_vertices();
-    println!(
-        "Figure 15a: Aggregation seconds under PuLP / Hash / ADB on {} (k = {k})\n",
-        ds.name
-    );
-    println!("{:<8} {:>9} {:>9} {:>9}", "Model", "PuLP", "Hash", "ADB");
-
-    type Builder<'a> = Box<dyn Fn(&[VertexId]) -> Hdg + 'a>;
-    let models: Vec<(&str, AggrPlan, AggrOp, Builder)> = vec![
-        (
-            "GCN",
-            AggrPlan::flat(AggrOp::Sum),
-            AggrOp::Sum,
-            Box::new(|r: &[VertexId]| from_direct_neighbors(&ds.graph, r.to_vec())),
-        ),
-        (
-            "PinSage",
-            AggrPlan::flat(AggrOp::Sum),
-            AggrOp::Sum,
-            Box::new(|r: &[VertexId]| {
-                from_importance_walks(&ds.graph, r.to_vec(), &pinsage_walk(), 13)
-            }),
-        ),
-        (
-            "MAGNN",
-            AggrPlan {
-                leaf_op: AggrOp::Mean,
-                instance_op: AggrOp::Mean,
-                schema_op: AggrOp::Mean,
-            },
-            AggrOp::Mean,
-            Box::new(|r: &[VertexId]| {
-                from_metapaths(&typed, r.to_vec(), &magnn_metapaths(), MAGNN_INSTANCE_CAP)
-            }),
-        ),
-    ];
-
-    for (name, plan, leaf_op, build) in models {
-        let global_hdg = build(&(0..n as VertexId).collect::<Vec<_>>());
-        let pulp = lp_partition(&ds.graph, k, 15, 0.35, 7);
-        let hash = hash_partition(&ds.graph, k);
-        // ADB runs on top of the offline partitioner (§6: PulP or Hash
-        // offline, then online rebalancing from a measured epoch).
-        let adb = adb_rebalance(&ds, &pulp, &global_hdg, plan, leaf_op, &*build);
-        let t_pulp = epoch_secs(&ds, &pulp, plan, leaf_op, &*build);
-        let t_hash = epoch_secs(&ds, &hash, plan, leaf_op, &*build);
-        let t_adb = epoch_secs(&ds, &adb, plan, leaf_op, &*build);
-        println!("{name:<8} {t_pulp:>9} {t_hash:>9} {t_adb:>9}");
-    }
-    println!(
-        "\nexpected shapes: ADB fastest (paper: beats Hash by ~23%, PuLP by ~33% — PuLP's \
-         partitions are more skewed on power-law graphs)."
+    print!(
+        "{}",
+        flexgraph_bench::paper::fig15a(flexgraph_bench::bench_scale())
     );
 }

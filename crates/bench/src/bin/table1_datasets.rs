@@ -1,20 +1,9 @@
 //! Table 1 — dataset statistics.
-//!
-//! Prints the statistics of the four synthetic stand-ins (see DESIGN.md
-//! §2 for the substitution mapping) at the current benchmark scale.
-
-use flexgraph_bench::all_datasets;
+//! Prints [`flexgraph_bench::paper::table1`] at `FLEXGRAPH_BENCH_SCALE`.
 
 fn main() {
-    println!("Table 1: datasets used in evaluation (synthetic stand-ins)\n");
-    println!(
-        "{:<14} {:>9} {:>11} {:>9} {:>7}",
-        "Dataset", "#vertices", "#edges", "#features", "#labels"
-    );
-    for ds in all_datasets() {
-        println!("{}", ds.stats_row());
-    }
-    println!(
-        "\npaper originals: Reddit 233K/11.6M, FB91 16M/1.3B, Twitter 42M/1.5B, IMDB 11.6K/34K"
+    print!(
+        "{}",
+        flexgraph_bench::paper::table1(flexgraph_bench::bench_scale())
     );
 }

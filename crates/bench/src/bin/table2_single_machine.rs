@@ -1,43 +1,10 @@
 //! Table 2 — single-machine epoch time for GCN / PinSage / MAGNN across
-//! the five systems. "X" = the system cannot express the model; "OOM" =
-//! the execution exceeded the transient-memory budget (a fixed multiple
-//! of the fused working set, standing in for the paper's 512 GB boxes —
-//! see `flexgraph_bench::table_budget`).
-
-use flexgraph_bench::workloads::{run_epoch, ModelKind, System};
-use flexgraph_bench::{all_datasets, table_budget, Cell};
+//! the five systems.
+//! Prints [`flexgraph_bench::paper::table2`] at `FLEXGRAPH_BENCH_SCALE`.
 
 fn main() {
-    let datasets = all_datasets();
-    println!("Table 2: runtime in seconds for 1 epoch on a single machine\n");
-    println!(
-        "{:<8} {:<13} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "Model", "Dataset", "PyT.", "DGL", "DistD.", "Euler", "FlexG."
-    );
-
-    for model in [ModelKind::Gcn, ModelKind::PinSage, ModelKind::Magnn] {
-        for ds in &datasets {
-            // The paper runs MAGNN on IMDB plus the three big graphs and
-            // the other models on the three big graphs only.
-            let is_imdb = ds.name.contains("imdb");
-            if model != ModelKind::Magnn && is_imdb {
-                continue;
-            }
-            let budget = table_budget(ds);
-            let cells: Vec<Cell> = System::all()
-                .into_iter()
-                .map(|s| Cell::from_result(run_epoch(s, model, ds, &budget).map(|d| (d, ()))))
-                .collect();
-            print!("{:<8} {:<13}", model.name(), ds.name);
-            for c in &cells {
-                print!(" {c}");
-            }
-            println!();
-        }
-    }
-    println!(
-        "\nexpected shapes: FlexGraph fastest everywhere; mini-batch GCN catastrophic on \
-         dense/skewed graphs (Euler OOM); only FlexGraph expresses MAGNN; walk simulation \
-         dominates GAS-like PinSage."
+    print!(
+        "{}",
+        flexgraph_bench::paper::table2(flexgraph_bench::bench_scale())
     );
 }

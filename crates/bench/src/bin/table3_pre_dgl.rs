@@ -1,85 +1,10 @@
 //! Table 3 — simulating INFA/INHA in existing systems: DGL vs Pre+DGL
-//! vs FlexGraph on PinSage and MAGNN. Pre+DGL pre-materializes an
-//! expanded graph (offline cost excluded, as in the paper) and runs GAS
-//! operations on it at epoch time.
-
-use flexgraph::engine::expanded::{
-    magnn_pre_dgl_epoch, pinsage_pre_dgl_epoch, precompute_importance,
-};
-use flexgraph::engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
-use flexgraph_bench::workloads::{
-    magnn_hdg, magnn_plan, pinsage_walk, run_epoch, ModelKind, System,
-};
-use flexgraph_bench::{homogeneous_datasets, secs, table_budget, time};
+//! vs FlexGraph on PinSage and MAGNN.
+//! Prints [`flexgraph_bench::paper::table3`] at `FLEXGRAPH_BENCH_SCALE`.
 
 fn main() {
-    println!("Table 3: runtime in seconds of PinSage and MAGNN (Pre+DGL comparison)\n");
-    println!(
-        "{:<8} {:<13} {:>9} {:>9} {:>9}",
-        "Model", "Dataset", "DGL", "Pre+DGL", "FlexG."
-    );
-
-    for ds in homogeneous_datasets() {
-        let budget = table_budget(&ds);
-
-        // PinSage row: DGL column reuses the Table 2 DGL-like runner.
-        let dgl = run_epoch(System::DglLike, ModelKind::PinSage, &ds, &budget)
-            .map(secs)
-            .unwrap_or_else(|_| "OOM".into());
-        // Pre+DGL: offline walk table (excluded), runtime = weighted
-        // sampling + sparse aggregation, two layers.
-        // "Lots of random walks" offline (§7.2) — enough that runtime
-        // weighted sampling is qualitatively equivalent; the candidate
-        // tables this builds are the "perhaps larger expanded graph" the
-        // runtime sampling then pays for.
-        let table = precompute_importance(&ds.graph, &pinsage_walk(), 12, 11);
-        let (pre_t, _) = time(|| {
-            let a = pinsage_pre_dgl_epoch(&table, &ds.features, 10, 3, &budget).unwrap();
-            let h = a.features.relu();
-            pinsage_pre_dgl_epoch(&table, &h, 10, 4, &budget).unwrap()
-        });
-        let flex = run_epoch(System::FlexGraph, ModelKind::PinSage, &ds, &budget)
-            .map(secs)
-            .unwrap_or_else(|_| "OOM".into());
-        println!(
-            "{:<8} {:<13} {:>9} {:>9} {:>9}",
-            "PinSage",
-            ds.name,
-            dgl,
-            secs(pre_t),
-            flex
-        );
-    }
-
-    for ds in homogeneous_datasets() {
-        // Both systems complete in the paper (Table 3 is a speed comparison),
-        // so no transient budget is applied here.
-        let budget = flexgraph::engine::MemoryBudget::unlimited();
-        // MAGNN: HDGs never change, so both columns exclude
-        // NeighborSelection (the paper reports only Aggregation + Update
-        // here). Pre+DGL = GAS (SA) rounds over the materialized HDG;
-        // FlexGraph = hybrid execution over the same HDG.
-        let hdg = magnn_hdg(&ds);
-        let plan = magnn_plan();
-        let (pre_t, pre_res) = time(|| magnn_pre_dgl_epoch(&hdg, &ds.features, &plan, &budget));
-        let pre = match pre_res {
-            Ok(_) => secs(pre_t),
-            Err(_) => "OOM".into(),
-        };
-        let (flex_t, flex_res) =
-            time(|| hierarchical_aggregate(&hdg, &ds.features, &plan, Strategy::Ha, &budget));
-        let flex = match flex_res {
-            Ok(_) => secs(flex_t),
-            Err(_) => "OOM".into(),
-        };
-        let _ = AggrPlan::flat(AggrOp::Sum);
-        println!(
-            "{:<8} {:<13} {:>9} {:>9} {:>9}",
-            "MAGNN", ds.name, "X", pre, flex
-        );
-    }
-    println!(
-        "\nexpected shapes: Pre+DGL between DGL and FlexGraph on PinSage; FlexGraph ahead of \
-         Pre+DGL on MAGNN (hybrid aggregation + parallel fusion)."
+    print!(
+        "{}",
+        flexgraph_bench::paper::table3(flexgraph_bench::bench_scale())
     );
 }

@@ -1,41 +1,9 @@
-//! Table 4 — stage-level breakdown (NeighborSelection / Aggregation /
-//! Update) of the three models on the Twitter stand-in, single machine,
-//! FlexGraph execution.
-
-use flexgraph::graph::gen::twitter_like;
-use flexgraph_bench::workloads::{run_epoch_timed, ModelKind, System};
-use flexgraph_bench::{bench_scale, secs, table_budget};
+//! Table 4 — stage-level breakdown of FlexGraph's single-machine epoch.
+//! Prints [`flexgraph_bench::paper::table4`] at `FLEXGRAPH_BENCH_SCALE`.
 
 fn main() {
-    let ds = twitter_like(bench_scale());
-    let budget = table_budget(&ds);
-    println!(
-        "Table 4: breakdown of 3 stages on {} (|V|={}, |E|={})\n",
-        ds.name,
-        ds.graph.num_vertices(),
-        ds.graph.num_edges()
-    );
-    println!(
-        "{:<8} {:>16} {:>16} {:>16}",
-        "Model", "Nbr.Selection", "Aggregation", "Update"
-    );
-    for model in [ModelKind::Gcn, ModelKind::PinSage, ModelKind::Magnn] {
-        let t = run_epoch_timed(System::FlexGraph, model, &ds, &budget)
-            .expect("FlexGraph supports all models");
-        let (s, a, u) = t.shares();
-        println!(
-            "{:<8} {:>9} ({:>4.1}%) {:>9} ({:>4.1}%) {:>9} ({:>4.1}%)",
-            model.name(),
-            secs(t.selection),
-            s,
-            secs(t.aggregation),
-            a,
-            secs(t.update),
-            u
-        );
-    }
-    println!(
-        "\nexpected shapes: GCN ≈ 0% selection; PinSage and MAGNN spend a large share \
-         (paper: >40%) selecting neighbors; Update is small everywhere."
+    print!(
+        "{}",
+        flexgraph_bench::paper::table4(flexgraph_bench::bench_scale())
     );
 }

@@ -1,51 +1,9 @@
-//! Table 5 — memory footprint of HDGs relative to the input graph, for
-//! PinSage and MAGNN on the three homogeneous datasets. GCN builds no
-//! HDGs (the input graph serves directly).
-
-use flexgraph::hdg::build::from_importance_walks;
-use flexgraph::hdg::HdgStats;
-use flexgraph_bench::homogeneous_datasets;
-use flexgraph_bench::workloads::{magnn_hdg, pinsage_walk};
+//! Table 5 — memory footprint of HDGs relative to the input graph.
+//! Prints [`flexgraph_bench::paper::table5`] at `FLEXGRAPH_BENCH_SCALE`.
 
 fn main() {
-    println!("Table 5: memory footprint of HDGs w.r.t. input graphs\n");
-    println!(
-        "{:<8} {:>13} {:>13} {:>13}",
-        "Model", "reddit-like", "fb-like", "twitter-like"
-    );
-
-    let datasets = homogeneous_datasets();
-    for model in ["PinSage", "MAGNN"] {
-        print!("{model:<8}");
-        for ds in &datasets {
-            let n = ds.graph.num_vertices() as u32;
-            let (stats, savings) = if model == "PinSage" {
-                let hdg = from_importance_walks(&ds.graph, (0..n).collect(), &pinsage_walk(), 5);
-                let s = HdgStats::measure(&hdg, &ds.graph);
-                (s.ratio_to_graph(), s.savings_ratio())
-            } else {
-                let hdg = magnn_hdg(ds);
-                let s = HdgStats::measure(&hdg, &ds.graph);
-                (s.ratio_to_graph(), s.savings_ratio())
-            };
-            print!(" {:>11.2}%", stats * 100.0);
-            let _ = savings;
-        }
-        println!();
-    }
-
-    println!("\ncompact-storage savings vs naive encoding (Dst arrays + per-root schema):");
-    for ds in &datasets {
-        let hdg = magnn_hdg(ds);
-        let s = HdgStats::measure(&hdg, &ds.graph);
-        println!(
-            "  MAGNN on {:<13} saves {:>5.1}% of the naive bytes",
-            ds.name,
-            s.savings_ratio() * 100.0
-        );
-    }
-    println!(
-        "\nexpected shapes: PinSage HDGs are a few %-tens of % of the graph; MAGNN HDGs are \
-         much larger (multi-vertex instances), paper max 1.28×."
+    print!(
+        "{}",
+        flexgraph_bench::paper::table5(flexgraph_bench::bench_scale())
     );
 }

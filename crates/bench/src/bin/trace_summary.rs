@@ -265,10 +265,10 @@ fn main() {
     }
 }
 
-/// Runs a tiny 2-epoch distributed training with tracing on and returns
-/// the trace path.
+/// Runs a tiny 2-epoch distributed training on the virtual-time runtime
+/// with tracing on and returns the trace path.
 fn demo_trace() -> String {
-    use flexgraph::dist::{distributed_epoch, make_shards, DistConfig};
+    use flexgraph::dist::{make_shards, DistConfig, EpochRuntime, VirtualRuntime};
     use flexgraph::graph::partition::hash_partition;
     use flexgraph::hdg::build::from_direct_neighbors;
 
@@ -286,7 +286,7 @@ fn demo_trace() -> String {
     });
     let cfg = DistConfig::default();
     for _ in 0..2 {
-        distributed_epoch(&ds.graph, &shards, &cfg);
+        VirtualRuntime::default().epoch(&ds.graph, &shards, &cfg);
     }
     obs::finish_trace();
     println!("(no trace given — generated a demo trace from a 2-epoch run)");

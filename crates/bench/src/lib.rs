@@ -1,19 +1,23 @@
 #![warn(missing_docs)]
 
-//! Shared utilities for the experiment harnesses.
+//! The experiment harness of the paper's evaluation (§7).
 //!
-//! Every table and figure of the paper's evaluation (§7) has a binary in
-//! `src/bin/` that regenerates it; this library holds what they share:
-//! dataset presets, the synthetic vertex typing that lets MAGNN run on
+//! Every table and figure is one function of [`paper`] returning a
+//! [`Table`]; the binary in `src/bin/` named after it prints that table
+//! at [`bench_scale`]. This library holds what they share: dataset
+//! presets, the synthetic vertex typing that lets MAGNN run on
 //! homogeneous graphs (the paper does the same on Reddit/FB91/Twitter:
 //! "the input graph consists of 3 types of vertices, and we define 6
-//! metapath types"), timing helpers, and table formatting.
+//! metapath types"), the model list and per-system epochs of
+//! [`workloads`], timing helpers, and the table type.
 
+pub mod paper;
 pub mod workloads;
 
 use flexgraph::graph::gen::{fb_like, imdb_like, reddit_like, twitter_like, Dataset, ScaleFactor};
 use flexgraph::graph::metapath::Metapath;
 use flexgraph::prelude::*;
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// The benchmark scale factor: 0.25 unless `FLEXGRAPH_BENCH_SCALE`
@@ -46,16 +50,15 @@ pub fn parse_bench_scale(raw: Option<&str>) -> Result<ScaleFactor, String> {
 }
 
 /// The three homogeneous evaluation datasets (Reddit / FB91 / Twitter
-/// stand-ins) at the benchmark scale.
-pub fn homogeneous_datasets() -> Vec<Dataset> {
-    let s = bench_scale();
+/// stand-ins) at scale `s`.
+pub fn homogeneous_datasets(s: ScaleFactor) -> Vec<Dataset> {
     vec![reddit_like(s), fb_like(s), twitter_like(s)]
 }
 
 /// All four datasets, including the heterogeneous IMDB stand-in.
-pub fn all_datasets() -> Vec<Dataset> {
-    let mut v = homogeneous_datasets();
-    v.push(imdb_like(bench_scale()));
+pub fn all_datasets(s: ScaleFactor) -> Vec<Dataset> {
+    let mut v = homogeneous_datasets(s);
+    v.push(imdb_like(s));
     v
 }
 
@@ -108,40 +111,197 @@ pub fn time_mean<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
     t0.elapsed() / reps as u32
 }
 
-/// Formats a duration as seconds with 3 decimals.
-pub fn secs(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
-}
-
-/// An outcome cell of a comparison table: a time, an OOM, or
-/// "unsupported" (the paper's ✗).
+/// One cell of a [`Table`].
+#[derive(Clone, Debug, PartialEq)]
 pub enum Cell {
-    /// Measured seconds.
+    /// Seconds, wall-clock or virtual; printed in milliseconds.
     Time(Duration),
     /// Exceeded the transient-memory budget.
     Oom,
-    /// The system cannot express the model.
+    /// The system cannot express the model (the paper's ✗).
     Unsupported,
+    /// A share, in percent.
+    Percent(f64),
+    /// A ratio of two like quantities.
+    Factor(f64),
+    /// An exact count (bytes, vertices, moved roots).
+    Count(usize),
+    /// Anything else, printed as is.
+    Text(String),
 }
 
 impl Cell {
-    /// Builds a cell from an engine result.
-    pub fn from_result<T>(r: Result<(Duration, T), EngineError>) -> Self {
+    /// Builds a cell from an engine outcome.
+    pub fn from_result(r: Result<Duration, EngineError>) -> Self {
         match r {
-            Ok((d, _)) => Cell::Time(d),
+            Ok(d) => Cell::Time(d),
             Err(EngineError::Oom { .. }) => Cell::Oom,
             Err(EngineError::Unsupported(_)) => Cell::Unsupported,
         }
     }
+
+    /// The cell's number — seconds, percent, factor or count — or `None`
+    /// for an OOM, ✗ or text cell.
+    pub fn value(&self) -> Option<f64> {
+        match self {
+            Cell::Time(d) => Some(d.as_secs_f64()),
+            Cell::Percent(x) | Cell::Factor(x) => Some(*x),
+            Cell::Count(n) => Some(*n as f64),
+            Cell::Oom | Cell::Unsupported | Cell::Text(_) => None,
+        }
+    }
 }
 
-impl std::fmt::Display for Cell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Cell::Time(d) => write!(f, "{:>9}", secs(*d)),
-            Cell::Oom => write!(f, "{:>9}", "OOM"),
-            Cell::Unsupported => write!(f, "{:>9}", "X"),
+            Cell::Time(d) => write!(f, "{:.3}", d.as_nanos() as f64 / 1e6),
+            Cell::Oom => f.write_str("OOM"),
+            Cell::Unsupported => f.write_str("X"),
+            Cell::Percent(x) => write!(f, "{x:.1}%"),
+            Cell::Factor(x) => write!(f, "{x:.3}x"),
+            Cell::Count(n) => write!(f, "{n}"),
+            Cell::Text(t) => f.write_str(t),
         }
+    }
+}
+
+/// A table of the paper's evaluation as data: what a harness binary
+/// prints, and what a test reads.
+pub struct Table {
+    /// The first line.
+    pub title: String,
+    /// The body, one block per section.
+    pub sections: Vec<Section>,
+    /// The closing lines: the shapes the paper reports.
+    pub note: &'static str,
+}
+
+/// One block of a [`Table`]: labelled rows under named columns.
+pub struct Section {
+    /// Printed above the header unless empty.
+    pub name: String,
+    /// Column names; the first heads the row labels.
+    pub columns: Vec<&'static str>,
+    /// `(label, cells)`, one cell per column after the first.
+    pub rows: Vec<(String, Vec<Cell>)>,
+}
+
+impl Section {
+    /// An empty section.
+    pub fn new(name: impl Into<String>, columns: &[&'static str]) -> Self {
+        Self {
+            name: name.into(),
+            columns: columns.to_vec(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one cell per data column.
+    pub fn push(&mut self, label: impl ToString, cells: Vec<Cell>) {
+        assert_eq!(cells.len() + 1, self.columns.len(), "one cell per column");
+        self.rows.push((label.to_string(), cells));
+    }
+
+    /// Column `col`'s numbers, top to bottom.
+    ///
+    /// # Panics
+    ///
+    /// Panics when there is no such column or one of its cells holds no
+    /// number.
+    pub fn column(&self, col: &str) -> Vec<f64> {
+        self.rows
+            .iter()
+            .map(|(label, _)| self.value(label, col))
+            .collect()
+    }
+
+    /// The number in row `row`, column `col`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when there is no such row or column, or the cell holds no
+    /// number.
+    pub fn value(&self, row: &str, col: &str) -> f64 {
+        let c = self.columns[1..]
+            .iter()
+            .position(|name| *name == col)
+            .unwrap_or_else(|| panic!("no column {col:?} in {:?}", self.columns));
+        let (_, cells) = self
+            .rows
+            .iter()
+            .find(|(label, _)| label == row)
+            .unwrap_or_else(|| panic!("no row {row:?}"));
+        cells[c]
+            .value()
+            .unwrap_or_else(|| panic!("{row} / {col} holds no number"))
+    }
+}
+
+impl Table {
+    /// The section named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when there is none.
+    pub fn section(&self, name: &str) -> &Section {
+        self.sections
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no section {name:?}"))
+    }
+}
+
+impl fmt::Display for Section {
+    /// The label column left-aligned, every other column right-aligned,
+    /// each as wide as its widest entry, two spaces apart.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if !self.name.is_empty() {
+            writeln!(f, "{}", self.name)?;
+        }
+        let mut lines: Vec<Vec<String>> =
+            vec![self.columns.iter().map(|c| c.to_string()).collect()];
+        for (label, cells) in &self.rows {
+            let mut line = vec![label.clone()];
+            line.extend(cells.iter().map(Cell::to_string));
+            lines.push(line);
+        }
+        let widths: Vec<usize> = (0..self.columns.len())
+            .map(|i| {
+                lines
+                    .iter()
+                    .map(|l| l[i].chars().count())
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        for line in &lines {
+            write!(f, "{:<w$}", line[0], w = widths[0])?;
+            for (text, w) in line[1..].iter().zip(&widths[1..]) {
+                write!(f, "  {text:>w$}")?;
+            }
+            writeln!(f)?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "{}", self.title)?;
+        for s in &self.sections {
+            writeln!(f)?;
+            write!(f, "{s}")?;
+        }
+        if !self.note.is_empty() {
+            writeln!(f)?;
+            writeln!(f, "{}", self.note)?;
+        }
+        Ok(())
     }
 }
 
@@ -164,7 +324,7 @@ mod tests {
 
     #[test]
     fn synthetic_types_cover_three_classes() {
-        let ds = &homogeneous_datasets()[0];
+        let ds = &homogeneous_datasets(ScaleFactor(0.0625))[0];
         let t = with_synthetic_types(ds);
         assert_eq!(t.num_types(), 3);
     }
@@ -185,8 +345,40 @@ mod tests {
 
     #[test]
     fn cells_format() {
-        assert_eq!(format!("{}", Cell::Oom).trim(), "OOM");
-        assert_eq!(format!("{}", Cell::Unsupported).trim(), "X");
+        assert_eq!(format!("{}", Cell::Oom), "OOM");
+        assert_eq!(format!("{}", Cell::Unsupported), "X");
+        assert_eq!(
+            Cell::Time(Duration::from_nanos(1_234_567)).to_string(),
+            "1.235"
+        );
+        assert_eq!(Cell::Percent(12.34).to_string(), "12.3%");
+        assert_eq!(Cell::Factor(1.9556).to_string(), "1.956x");
+        assert_eq!(Cell::Oom.value(), None);
+        assert_eq!(Cell::Count(7).value(), Some(7.0));
+    }
+
+    #[test]
+    fn tables_align_and_read_back() {
+        let mut s = Section::new("fb-like", &["Model", "w/ PP", "gain"]);
+        s.push(
+            "GCN",
+            vec![
+                Cell::Time(Duration::from_micros(1_500)),
+                Cell::Percent(20.9),
+            ],
+        );
+        s.push("PinSage", vec![Cell::Oom, Cell::Percent(6.2)]);
+        let t = Table {
+            title: "Figure".into(),
+            sections: vec![s],
+            note: "shape",
+        };
+        assert_eq!(
+            t.to_string(),
+            "Figure\n\nfb-like\nModel    w/ PP   gain\nGCN      1.500  20.9%\nPinSage    OOM   6.2%\n\nshape\n"
+        );
+        assert_eq!(t.section("fb-like").column("gain"), [20.9, 6.2]);
+        assert_eq!(t.section("fb-like").value("GCN", "w/ PP"), 0.0015);
     }
 
     #[test]

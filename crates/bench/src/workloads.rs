@@ -1,5 +1,5 @@
-//! Shared model workloads and the per-system epoch runner used by the
-//! Table 2 / Table 3 harnesses.
+//! The model list, and the per-system single-machine epoch of Tables
+//! 2–4.
 //!
 //! Every "system" row of the paper's tables is an *execution strategy*
 //! reimplemented inside this runtime (DESIGN.md §2), run over identical
@@ -24,8 +24,9 @@ use flexgraph::engine::minibatch::{minibatch_epoch, MiniBatchConfig};
 use flexgraph::engine::{EngineError, MemoryBudget};
 use flexgraph::graph::gen::Dataset;
 use flexgraph::graph::walk::WalkConfig;
+use flexgraph::graph::{TypedGraph, VertexId};
 use flexgraph::hdg::build::{
-    from_importance_walks, from_metapaths, from_neighbor_lists, HdgBuilder,
+    from_direct_neighbors, from_importance_walks, from_metapaths, from_neighbor_lists, HdgBuilder,
 };
 use flexgraph::hdg::{Hdg, SchemaTree};
 use flexgraph::prelude::StageTimes;
@@ -47,6 +48,9 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
+    /// The three models, in the paper's row order.
+    pub const ALL: [ModelKind; 3] = [Self::Gcn, Self::PinSage, Self::Magnn];
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -55,6 +59,33 @@ impl ModelKind {
             Self::Magnn => "MAGNN",
         }
     }
+
+    /// The aggregation plan; its `leaf_op` is also the distributed
+    /// epoch's leaf reduction.
+    pub fn plan(self) -> AggrPlan {
+        match self {
+            Self::Gcn | Self::PinSage => AggrPlan::flat(AggrOp::Sum),
+            Self::Magnn => magnn_plan(),
+        }
+    }
+
+    /// NeighborSelection over `roots`: direct in-neighbors (GCN), the
+    /// top importance-walk neighbors of walks seeded by `walk_seed`
+    /// (PinSage), or capped metapath instances (MAGNN).
+    pub fn hdg(self, typed: &TypedGraph, roots: Vec<VertexId>, walk_seed: u64) -> Hdg {
+        let g = typed.graph();
+        match self {
+            Self::Gcn => from_direct_neighbors(g, roots),
+            Self::PinSage => from_importance_walks(g, roots, &pinsage_walk(), walk_seed),
+            Self::Magnn => from_metapaths(typed, roots, &magnn_metapaths(), MAGNN_INSTANCE_CAP),
+        }
+    }
+}
+
+/// Every vertex of `ds`, in id order: the roots of a whole-graph
+/// selection.
+pub(crate) fn all_roots(ds: &Dataset) -> Vec<VertexId> {
+    (0..ds.graph.num_vertices() as VertexId).collect()
 }
 
 /// The five systems of Table 2.
@@ -101,15 +132,9 @@ pub fn pinsage_walk() -> WalkConfig {
     WalkConfig::default()
 }
 
-/// MAGNN HDG over the (possibly synthetic) typing.
+/// MAGNN HDG of every vertex over the (possibly synthetic) typing.
 pub fn magnn_hdg(ds: &Dataset) -> Hdg {
-    let typed = with_synthetic_types(ds);
-    from_metapaths(
-        &typed,
-        (0..ds.graph.num_vertices() as u32).collect(),
-        &magnn_metapaths(),
-        MAGNN_INSTANCE_CAP,
-    )
+    ModelKind::Magnn.hdg(&with_synthetic_types(ds), all_roots(ds), 0)
 }
 
 /// MAGNN aggregation plan (mean at every level, per Figure 7's spirit).
@@ -157,7 +182,7 @@ fn naive_find_magnn_instances(ds: &Dataset) -> Hdg {
                 .map(|i| format!("MP{i}"))
                 .collect::<Vec<_>>(),
         ),
-        (0..g.num_vertices() as u32).collect(),
+        all_roots(ds),
     );
     let mut per_root_counts = vec![0usize; metapaths.len()];
     for v in 0..g.num_vertices() as u32 {
@@ -303,53 +328,28 @@ pub fn run_epoch_timed(
             // Selection: random walks simulated through propagation
             // stages — the ≥95 % cost of §7.1.
             let walk = gas_walk_neighbors(g, &pinsage_walk(), 7, budget)?;
-            let hdg = from_neighbor_lists((0..g.num_vertices() as u32).collect(), &walk.neighbors);
+            let hdg = from_neighbor_lists(all_roots(ds), &walk.neighbors);
             let selection = t0.elapsed();
-            let plan = AggrPlan::flat(AggrOp::Sum);
             let strategy = if system == System::PyTorchLike {
                 Strategy::Sa
             } else {
                 Strategy::SaFa
             };
-            layered_flat(&hdg, ds, &w, plan, strategy, budget, selection)
+            layers(&hdg, ds, &w, model, strategy, budget, selection)
         }
-        (System::EulerLike, ModelKind::PinSage) => {
-            // Euler's sampling engine walks the graph directly (its
-            // Gremlin query engine), then aggregates with sparse ops.
-            let hdg = from_importance_walks(
-                g,
-                (0..g.num_vertices() as u32).collect(),
-                &pinsage_walk(),
-                7,
-            );
+        (System::EulerLike | System::FlexGraph, ModelKind::PinSage) => {
+            // Euler's sampling engine (its Gremlin query engine) walks
+            // the graph directly, as FlexGraph's graph engine does; Euler
+            // then aggregates with sparse ops, FlexGraph with hybrid
+            // execution.
+            let hdg = from_importance_walks(g, all_roots(ds), &pinsage_walk(), 7);
             let selection = t0.elapsed();
-            layered_flat(
-                &hdg,
-                ds,
-                &w,
-                AggrPlan::flat(AggrOp::Sum),
-                Strategy::Sa,
-                budget,
-                selection,
-            )
-        }
-        (System::FlexGraph, ModelKind::PinSage) => {
-            let hdg = from_importance_walks(
-                g,
-                (0..g.num_vertices() as u32).collect(),
-                &pinsage_walk(),
-                7,
-            );
-            let selection = t0.elapsed();
-            layered_flat(
-                &hdg,
-                ds,
-                &w,
-                AggrPlan::flat(AggrOp::Sum),
-                Strategy::Ha,
-                budget,
-                selection,
-            )
+            let strategy = if system == System::EulerLike {
+                Strategy::Sa
+            } else {
+                Strategy::Ha
+            };
+            layers(&hdg, ds, &w, model, strategy, budget, selection)
         }
 
         // ---------------- MAGNN ----------------
@@ -360,7 +360,7 @@ pub fn run_epoch_timed(
             budget.check(naive_magnn_bytes(ds))?;
             let hdg = naive_find_magnn_instances(ds);
             let selection = t0.elapsed();
-            layered_hier(&hdg, ds, &w, magnn_plan(), Strategy::Sa, budget, selection)
+            layers(&hdg, ds, &w, model, Strategy::Sa, budget, selection)
         }
         (System::DglLike | System::DistDglLike | System::EulerLike, ModelKind::Magnn) => {
             Err(EngineError::Unsupported(
@@ -370,21 +370,22 @@ pub fn run_epoch_timed(
         (System::FlexGraph, ModelKind::Magnn) => {
             let hdg = magnn_hdg(ds);
             let selection = t0.elapsed();
-            layered_hier(&hdg, ds, &w, magnn_plan(), Strategy::Ha, budget, selection)
+            layers(&hdg, ds, &w, model, Strategy::Ha, budget, selection)
         }
     }
 }
 
-/// Two flat-aggregation layers over an HDG plus updates.
-fn layered_flat(
+/// Two layers of `model`'s aggregation over an HDG plus updates.
+fn layers(
     hdg: &Hdg,
     ds: &Dataset,
     w: &Tensor,
-    plan: AggrPlan,
+    model: ModelKind,
     strategy: Strategy,
     budget: &MemoryBudget,
     selection: Duration,
 ) -> Result<StageTimes, EngineError> {
+    let plan = model.plan();
     let mut h = ds.features.clone();
     let mut agg = Duration::ZERO;
     let mut upd = Duration::ZERO;
@@ -401,20 +402,6 @@ fn layered_flat(
         aggregation: agg,
         update: upd,
     })
-}
-
-/// Two hierarchical-aggregation layers plus updates (same shape as
-/// [`layered_flat`], separated for readability at call sites).
-fn layered_hier(
-    hdg: &Hdg,
-    ds: &Dataset,
-    w: &Tensor,
-    plan: AggrPlan,
-    strategy: Strategy,
-    budget: &MemoryBudget,
-    selection: Duration,
-) -> Result<StageTimes, EngineError> {
-    layered_flat(hdg, ds, w, plan, strategy, budget, selection)
 }
 
 #[cfg(test)]
@@ -450,6 +437,27 @@ mod tests {
         let pruned = magnn_hdg(&ds);
         // Same instance multiset size (both capped identically).
         assert_eq!(naive.num_instances(), pruned.num_instances());
+    }
+
+    /// §7.1's walk-simulation overhead, on the bytes it is budgeted on:
+    /// GAS-style selection materializes one walker message per edge and
+    /// trace, so a budget one byte short of that fails the DGL-like
+    /// PinSage epoch, while FlexGraph's direct walks run under it.
+    #[test]
+    fn gas_walks_materialize_edge_messages_that_direct_walks_do_not() {
+        let ds = community(300, 3, 6, 2, 16, 5);
+        let cfg = pinsage_walk();
+        let messages = ds.graph.num_edges() * cfg.num_traces * std::mem::size_of::<f32>();
+        let gas = gas_walk_neighbors(&ds.graph, &cfg, 7, &MemoryBudget::unlimited()).unwrap();
+        assert_eq!(gas.peak_transient_bytes, messages);
+        let short = MemoryBudget {
+            bytes: messages - 1,
+        };
+        assert!(matches!(
+            run_epoch(System::DglLike, ModelKind::PinSage, &ds, &short),
+            Err(EngineError::Oom { .. })
+        ));
+        assert!(run_epoch(System::FlexGraph, ModelKind::PinSage, &ds, &short).is_ok());
     }
 
     /// The fusion argument (§4.2) is about bytes, not a stopwatch: the

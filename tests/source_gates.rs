@@ -40,6 +40,11 @@ const CHANNEL_FREE: &[&str] = &[
     "crates/engine/Cargo.toml",
 ];
 const NO_CROSSBEAM: &str = "only comm, dist and core use crossbeam; tensor::par has its own pool";
+const MANIFESTS_AND_SOURCES: &[&str] = &["Cargo.toml", "crates"];
+const ONE_TIMER: &str = "the ledger is the one timing system; criterion is gone";
+const BENCH: &[&str] = &["crates/bench"];
+const VIRTUAL_TABLES: &str =
+    "the paper tables run on the virtual runtime, the same at any FLEXGRAPH_THREADS";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(FABRIC), "thread::sleep", 0, ONE_WAIT),
@@ -59,6 +64,16 @@ const GATES: &[(Count, &str, usize, &str)] = &[
         ONE_BENCH,
     ),
     (Text(CHANNEL_FREE), "crossbeam", 0, NO_CROSSBEAM),
+    (Names("third_party"), "criterion", 0, ONE_TIMER),
+    (Text(MANIFESTS_AND_SOURCES), "criterion", 0, ONE_TIMER),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("cargo ", "bench"),
+        0,
+        ONE_TIMER,
+    ),
+    (Text(BENCH), "distributed_epoch", 0, VIRTUAL_TABLES),
+    (Text(BENCH), "set_var(", 0, VIRTUAL_TABLES),
 ];
 
 /// Every file under `path` (or `path` itself).
