@@ -237,12 +237,14 @@ impl Worker<'_> {
 
         let factor = ctx.compute_factor();
         let types = hdg.num_types() as u64;
-        for (r, &v) in shard.roots.iter().enumerate() {
-            let segment = &sync.slot_counts[sync.root_slot_off[r]..sync.root_slot_off[r + 1]];
-            let leaf_entries: u64 = segment.iter().map(|&c| c as u64).sum();
-            let units = 5 + (leaf_entries + hdg.instances_of_root(r) as u64 + types) * d;
-            self.rec.add_root_cost(v, (units as f64 * factor) as u64);
-        }
+        // `shard.roots` ascends, so the map is built in one pass.
+        self.rec
+            .set_root_costs(shard.roots.iter().enumerate().map(|(r, &v)| {
+                let segment = &sync.slot_counts[sync.root_slot_off[r]..sync.root_slot_off[r + 1]];
+                let leaf_entries: u64 = segment.iter().map(|&c| c as u64).sum();
+                let units = 5 + (leaf_entries + hdg.instances_of_root(r) as u64 + types) * d;
+                (v, (units as f64 * factor) as u64)
+            }));
         self.out = Some(Ok(out));
         TaskStep::Done
     }
@@ -449,26 +451,21 @@ impl MiniTask {
     }
 
     /// One batch's root range and the remote leaf edges in its slot
-    /// range.
+    /// range — a sub-slice, since `remote_edges` is sorted by slot.
     fn batch<'s>(
         &self,
         w: &Worker<'s>,
         round: usize,
-    ) -> (
-        std::ops::Range<usize>,
-        impl Iterator<Item = (u32, VertexId)> + 's,
-    ) {
-        let sync = w.sync;
+    ) -> (std::ops::Range<usize>, &'s [(u32, VertexId)]) {
+        let edges = &w.sync.remote_edges;
         let n_roots = w.shard.roots.len();
         let lo = (round * self.batch_size).min(n_roots);
         let hi = ((round + 1) * self.batch_size).min(n_roots);
-        let slots = sync.root_slot_off[lo]..sync.root_slot_off[hi];
-        let edges = sync
-            .remote_edges
-            .iter()
-            .copied()
-            .filter(move |&(i, _)| slots.contains(&(i as usize)));
-        (lo..hi, edges)
+        let slot_bound = |r: usize| {
+            let s = w.sync.root_slot_off[r];
+            edges.partition_point(|&(i, _)| (i as usize) < s)
+        };
+        (lo..hi, &edges[slot_bound(lo)..slot_bound(hi)])
     }
 
     fn step<C: WorkerCtx>(&mut self, w: &mut Worker<'_>, ctx: &mut C) -> TaskStep {
@@ -531,7 +528,7 @@ impl MiniTask {
                     self.responses.clear();
                     // Which remote vertices does this batch need?
                     let (roots, edges) = self.batch(w, round);
-                    let mut needed: Vec<VertexId> = edges.map(|(_, v)| v).collect();
+                    let mut needed: Vec<VertexId> = edges.iter().map(|&(_, v)| v).collect();
                     if let Some(h) = self.hops {
                         // Full closure expansion — the DistDGL blow-up —
                         // on top of the leaf dependencies: selected
@@ -596,7 +593,7 @@ impl MiniTask {
                     // Sparse (materializing) aggregation of the batch's
                     // remote edges — the baseline execution shape: one
                     // message row per edge, then scatter.
-                    let edges: Vec<(u32, VertexId)> = self.batch(w, round).1.collect();
+                    let edges = self.batch(w, round).1;
                     if !edges.is_empty() {
                         let mut messages = Tensor::zeros(edges.len(), d);
                         let mut dst = Vec::with_capacity(edges.len());

@@ -413,6 +413,23 @@ impl PartitionRecord {
         *self.roots.entry(v).or_insert(0) += units;
     }
 
+    /// Sets the per-root costs from `(v, units)` pairs with strictly
+    /// ascending `v`, in one bulk build of the map — the same map as an
+    /// [`PartitionRecord::add_root_cost`] fold over them, without a tree
+    /// descent per root. Debug builds check that the map was empty and
+    /// the ids ascend.
+    pub fn set_root_costs(&mut self, costs: impl IntoIterator<Item = (u32, u64)>) {
+        debug_assert!(self.roots.is_empty(), "root costs already set");
+        let mut prev = None;
+        self.roots = costs
+            .into_iter()
+            .inspect(|&(v, _)| {
+                debug_assert!(prev < Some(v), "root ids must ascend strictly");
+                prev = Some(v);
+            })
+            .collect();
+    }
+
     /// Total work units across stages.
     pub fn work_total(&self) -> u64 {
         self.stages.iter().map(|s| s.work).sum()

@@ -163,6 +163,24 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
+    /// The bulk root-cost setter builds the same map as an
+    /// `add_root_cost` fold over distinct ascending ids.
+    #[test]
+    fn set_root_costs_equals_add_root_cost_fold(
+        costs in proptest::collection::vec((0u32..4096, 0u64..1_000_000), 0..200),
+    ) {
+        let mut costs = costs;
+        costs.sort_unstable_by_key(|&(v, _)| v);
+        costs.dedup_by_key(|&mut (v, _)| v);
+        let mut folded = PartitionRecord::new(2, 5);
+        for &(v, c) in &costs {
+            folded.add_root_cost(v, c);
+        }
+        let mut bulk = PartitionRecord::new(2, 5);
+        bulk.set_root_costs(costs.iter().copied());
+        prop_assert_eq!(bulk, folded);
+    }
+
     /// Digest + totals are stable across merge order (what the trace
     /// writer actually serializes).
     #[test]

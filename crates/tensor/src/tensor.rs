@@ -399,11 +399,12 @@ impl Tensor {
                 for nt in 0..tiles_n {
                     let ncs = nt * NC;
                     let nb = NC.min(n - ncs);
-                    let stripe = &bpack[k * ncs..k * ncs + k * nb];
+                    let ldb = packed_width(nb);
+                    let stripe = &bpack[k * ncs..k * ncs + k * ldb];
                     for kt in 0..tiles_k {
                         let kcs = kt * KC;
                         let kb = KC.min(k - kcs);
-                        let tile = &stripe[kcs * nb..kcs * nb + kb * nb];
+                        let tile = &stripe[kcs * ldb..kcs * ldb + kb * ldb];
                         for grp in live.chunks(MR) {
                             // SAFETY: each row belongs to exactly one
                             // dispatched range and appears once in
@@ -695,23 +696,35 @@ fn matmul_rows_serial(
     }
 }
 
+/// Row stride of a packed stripe holding `nb` real columns: `nb` rounded
+/// up to the register-tile width, so the micro-kernels can run a
+/// ragged last chunk through full `NR`-wide accumulators.
+#[inline]
+fn packed_width(nb: usize) -> usize {
+    nb.next_multiple_of(NR)
+}
+
 /// Packs a `k×n` row-major B into tile-blocked layout: column stripes of
 /// width `NC` stored contiguously (stripe `nt` starts at `k * nt*NC`),
 /// each stripe holding its `KC`-deep tiles in ascending K order (tile
-/// `kt` at offset `kt*KC * nb` within the stripe, row-major `kb×nb`).
-/// Total size is exactly `k*n`; edge tiles are narrower, never padded.
+/// `kt` at offset `kt*KC * ldb` within the stripe, row-major `kb×ldb`
+/// with `ldb = packed_width(nb)`). Only the last stripe can be narrower
+/// than `NC`; its rows are zero-padded to a multiple of `NR`, so the
+/// total size is `k * packed_width(n)` and earlier stripes' offsets are
+/// those of an unpadded layout (`NC` is a multiple of `NR`).
 fn pack_b_tiles(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut packed = vec![0.0f32; k * n];
+    let mut packed = vec![0.0f32; k * packed_width(n)];
     let tiles_n = n.div_ceil(NC);
     let ptr = SendPtr::new(packed.as_mut_ptr());
     parallel_ranges(tiles_n, 1, |stripes| {
         for nt in stripes {
             let ncs = nt * NC;
             let nb = NC.min(n - ncs);
+            let ldb = packed_width(nb);
             // SAFETY: stripe `nt` is written by exactly one range.
-            let stripe = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(k * ncs), k * nb) };
-            for (kk, dst) in stripe.chunks_exact_mut(nb).enumerate() {
-                dst.copy_from_slice(&b[kk * n + ncs..kk * n + ncs + nb]);
+            let stripe = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(k * ncs), k * ldb) };
+            for (kk, dst) in stripe.chunks_exact_mut(ldb).enumerate() {
+                dst[..nb].copy_from_slice(&b[kk * n + ncs..kk * n + ncs + nb]);
             }
         }
     });
@@ -719,31 +732,38 @@ fn pack_b_tiles(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 }
 
 /// Micro-kernel: accumulate one row's contribution from one packed
-/// `kb×nb` B-tile into `ostripe`. `NR` accumulators live in registers
-/// across the whole K-tile; the ragged tail runs the same ascending-K,
-/// one-product-at-a-time order, so the accumulation chain per output
-/// element is identical to [`matmul_rows_serial`]'s. The per-K
+/// `kb×ldb` B-tile into the `nb` columns of `ostripe`. `NR` accumulators
+/// live in registers across the whole K-tile. A ragged last chunk of
+/// `w < NR` columns runs the same `NR`-wide loop over the tile's
+/// zero-padded rows, loading and storing only its `w` real columns: the
+/// padded lanes compute `a·0` (NaN when `a` is ±∞) and are dropped.
+/// Every real column accumulates in ascending K, so the chain per
+/// output element is identical to [`matmul_rows_serial`]'s. The per-K
 /// multiply-accumulate is the SIMD backend's [`simd::mul_add_assign`]
 /// — separate mul and add (never FMA), lanes over independent columns,
 /// so it is bitwise-equal to the scalar chain.
 #[inline]
 fn matmul_micro(atile: &[f32], tile: &[f32], ostripe: &mut [f32], nb: usize) {
+    let ldb = packed_width(nb);
     let mut j = 0;
     while j + NR <= nb {
         let mut acc = [0.0f32; NR];
         acc.copy_from_slice(&ostripe[j..j + NR]);
         for (kk, &av) in atile.iter().enumerate() {
-            let brow = &tile[kk * nb + j..kk * nb + j + NR];
+            let brow = &tile[kk * ldb + j..kk * ldb + j + NR];
             simd::mul_add_assign(&mut acc, av, brow);
         }
         ostripe[j..j + NR].copy_from_slice(&acc);
         j += NR;
     }
     if j < nb {
+        let mut acc = [0.0f32; NR];
+        acc[..nb - j].copy_from_slice(&ostripe[j..nb]);
         for (kk, &av) in atile.iter().enumerate() {
-            let brow = &tile[kk * nb + j..(kk + 1) * nb];
-            simd::mul_add_assign(&mut ostripe[j..], av, brow);
+            let brow = &tile[kk * ldb + j..kk * ldb + j + NR];
+            simd::mul_add_assign(&mut acc, av, brow);
         }
+        ostripe[j..nb].copy_from_slice(&acc[..nb - j]);
     }
 }
 
@@ -761,6 +781,7 @@ fn matmul_micro_m<const M: usize>(
     nb: usize,
 ) {
     let kb = at[0].len();
+    let ldb = packed_width(nb);
     let mut j = 0;
     while j + NR <= nb {
         let mut acc = [[0.0f32; NR]; M];
@@ -768,7 +789,7 @@ fn matmul_micro_m<const M: usize>(
             a.copy_from_slice(&o[j..j + NR]);
         }
         for kk in 0..kb {
-            let brow = &tile[kk * nb + j..kk * nb + j + NR];
+            let brow = &tile[kk * ldb + j..kk * ldb + j + NR];
             for (arow, a) in at.iter().zip(acc.iter_mut()) {
                 simd::mul_add_assign(a, arow[kk], brow);
             }
@@ -779,11 +800,19 @@ fn matmul_micro_m<const M: usize>(
         j += NR;
     }
     if j < nb {
-        for (arow, o) in at.iter().zip(os.iter_mut()) {
-            for (kk, &av) in arow.iter().enumerate() {
-                let brow = &tile[kk * nb + j..(kk + 1) * nb];
-                simd::mul_add_assign(&mut o[j..], av, brow);
+        let w = nb - j;
+        let mut acc = [[0.0f32; NR]; M];
+        for (a, o) in acc.iter_mut().zip(os.iter()) {
+            a[..w].copy_from_slice(&o[j..nb]);
+        }
+        for kk in 0..kb {
+            let brow = &tile[kk * ldb + j..kk * ldb + j + NR];
+            for (arow, a) in at.iter().zip(acc.iter_mut()) {
+                simd::mul_add_assign(a, arow[kk], brow);
             }
+        }
+        for (a, o) in acc.iter().zip(os.iter_mut()) {
+            o[j..nb].copy_from_slice(&a[..w]);
         }
     }
 }
@@ -949,11 +978,39 @@ mod tests {
         let mut b = Tensor::zeros(k, n);
         fill(&mut a, 0x5eed);
         fill(&mut b, 0xfeed);
-        // Zero rows exercise the hoist; -0.0 rows must NOT be hoisted
-        // (they change output sign bits) and must match naive exactly.
+        // A 0.0 row and a -0.0 row: both kernels hoist both (`-0.0 !=
+        // 0.0` is false), so each leaves its output row at +0.0 rather
+        // than summing `±0·b` products — the tiled kernel must skip
+        // exactly the rows the naive one skips.
         a.data_mut()[3 * k..4 * k].fill(0.0);
         a.data_mut()[65 * k..66 * k].fill(-0.0);
         assert_bits_eq(&a.matmul(&b), &a.matmul_naive(&b));
+    }
+
+    #[test]
+    fn tiled_matmul_bitwise_matches_naive_at_narrow_widths() {
+        // Every column count around the register-tile and stripe edges,
+        // each just past the tiling cutoff, with `m % MR != 0`, two row
+        // blocks and two K-tiles. ±∞ in A turns the padded lanes of a
+        // ragged chunk into NaN (never stored); ±∞ and -0.0 in B's last
+        // real column must still come out as naive's.
+        let k = KC + 37;
+        for n in [1, 3, 4, 6, 15, 16, 17, 50, 63, 64, 65, 80, 127, 129] {
+            let mut m = MATMUL_TILE_CUTOFF.div_ceil(2 * k * n).max(MC + 3);
+            if m.is_multiple_of(MR) {
+                m += 1;
+            }
+            let mut a = Tensor::zeros(m, k);
+            fill(&mut a, 0xa11 ^ n as u64);
+            a.data_mut()[5 * k + 3] = f32::INFINITY;
+            a.data_mut()[(m - 2) * k + KC + 1] = f32::NEG_INFINITY;
+            let mut b = Tensor::zeros(k, n);
+            fill(&mut b, n as u64);
+            b.data_mut()[2 * n - 1] = f32::INFINITY;
+            b.data_mut()[(KC + 5) * n - 1] = f32::NEG_INFINITY;
+            b.data_mut()[9 * n - 1] = -0.0;
+            assert_bits_eq(&a.matmul(&b), &a.matmul_naive(&b));
+        }
     }
 
     #[test]

@@ -218,6 +218,25 @@ fn tiled_matmul_is_bitwise_deterministic_across_threads() {
 }
 
 #[test]
+fn narrow_tiled_matmul_is_bitwise_deterministic_across_threads() {
+    let _guard = sweep_guard();
+    // A 6-column output: one ragged register-tile chunk over the
+    // zero-padded stripe, past the tiling cutoff, three K-tiles.
+    let (m, k, n) = (331, 269, 6);
+    let mut a = Tensor::from_vec(m, k, fill(m * k, 53));
+    let b = Tensor::from_vec(k, n, fill(k * n, 54));
+    a.row_mut(100).fill(0.0);
+    a.row_mut(7)[200] = f32::INFINITY;
+    set_thread_override(Some(1));
+    let want = a.matmul_naive(&b);
+    for threads in THREAD_SWEEP {
+        set_thread_override(Some(threads));
+        assert_bitwise_eq(&a.matmul(&b), &want, "narrow matmul", threads);
+    }
+    set_thread_override(None);
+}
+
+#[test]
 fn blocked_transpose_is_bitwise_deterministic_across_threads() {
     let _guard = sweep_guard();
     // Past the blocked-transpose cutoff (487 × 277 > 128 Ki elements),

@@ -45,6 +45,8 @@ const ONE_TIMER: &str = "the ledger is the one timing system; criterion is gone"
 const BENCH: &[&str] = &["crates/bench"];
 const VIRTUAL_TABLES: &str =
     "the paper tables run on the virtual runtime, the same at any FLEXGRAPH_THREADS";
+const DIST_SOURCES: &[&str] = &["crates/dist/src"];
+const BULK_ROOT_COSTS: &str = "a worker builds its per-root cost map in one set_root_costs call";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(FABRIC), "thread::sleep", 0, ONE_WAIT),
@@ -74,6 +76,7 @@ const GATES: &[(Count, &str, usize, &str)] = &[
     ),
     (Text(BENCH), "distributed_epoch", 0, VIRTUAL_TABLES),
     (Text(BENCH), "set_var(", 0, VIRTUAL_TABLES),
+    (Text(DIST_SOURCES), "add_root_cost(", 0, BULK_ROOT_COSTS),
 ];
 
 /// Every file under `path` (or `path` itself).
