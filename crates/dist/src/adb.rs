@@ -8,8 +8,7 @@
 //! that loop; the Figure 15a harness and tests drive it.
 
 use crate::balance::{
-    choose_plan, fit_cost_function, generate_plans, induced_graph, merged_dependency_estimates,
-    root_dependency_sketches, root_products, CostSample,
+    choose_plan, fit_cost_function, generate_plans, induced_graph, root_products, CostSample,
 };
 use flexgraph_graph::{Graph, Partitioning};
 use flexgraph_hdg::Hdg;
@@ -24,13 +23,6 @@ pub struct AdbController {
     pub plans_per_step: usize,
     /// Maximum rebalancing steps per call (keeps one call bounded).
     pub max_steps: usize,
-    /// Replication guard: a rebalancing step is rejected when it would
-    /// grow the largest per-partition *distinct-leaf dependency count*
-    /// (the sync-volume proxy, estimated by HyperLogLog sketches — see
-    /// [`crate::balance::partition_dependency_estimates`]) beyond
-    /// `baseline_max × this factor`. `f64::INFINITY` (the default)
-    /// disables the guard, leaving plan choice purely minimum-cut.
-    pub max_replication_growth: f64,
     samples: Vec<CostSample>,
 }
 
@@ -40,18 +32,12 @@ impl Default for AdbController {
             balance_threshold: 1.1,
             plans_per_step: 5,
             max_steps: 10,
-            max_replication_growth: f64::INFINITY,
             samples: Vec::new(),
         }
     }
 }
 
 impl AdbController {
-    /// HLL precision of the replication-guard sketches: `2^10`
-    /// registers (1 KiB per root) keep partition-scale counts
-    /// near-exact while the per-root sketches stay cheap to build.
-    pub const SKETCH_PRECISION: u32 = 10;
-
     /// Creates a controller with default thresholds.
     pub fn new() -> Self {
         Self::default()
@@ -132,17 +118,6 @@ impl AdbController {
             return None;
         }
         let ind = induced_graph(graph.num_vertices(), &[hdg]);
-        // Replication guard: price the baseline's per-partition
-        // distinct-leaf dependencies from per-root sketches, built once;
-        // each candidate step is then a register merge, not a dedup.
-        let guard = if self.max_replication_growth.is_finite() {
-            let sketches = root_dependency_sketches(hdg, Self::SKETCH_PRECISION);
-            let base = merged_dependency_estimates(&sketches, hdg, part);
-            let limit = base.iter().cloned().fold(0.0, f64::max) * self.max_replication_growth;
-            Some((sketches, limit))
-        } else {
-            None
-        };
         let mut current = part.clone();
         let mut moved = false;
         for _ in 0..self.max_steps {
@@ -151,14 +126,7 @@ impl AdbController {
                 break;
             }
             if let Some(plan) = choose_plan(&ind, &current, &plans) {
-                let candidate = plan.apply(&current);
-                if let Some((sketches, limit)) = &guard {
-                    let after = merged_dependency_estimates(sketches, hdg, &candidate);
-                    if after.iter().cloned().fold(0.0, f64::max) > *limit {
-                        break; // the min-cut plan replicates too much
-                    }
-                }
-                current = candidate;
+                current = plan.apply(&current);
                 moved = true;
             } else {
                 break;
@@ -235,34 +203,6 @@ mod tests {
         if let Some(after) = ctl.maybe_rebalance(&ds.graph, &hdg, 4, &part) {
             assert!(ctl.balance_factor(&after, &costs) <= factor);
         }
-    }
-
-    #[test]
-    fn tight_replication_guard_vetoes_migration() {
-        // Same skewed setup as controller_rebalances_skewed_partitions,
-        // but with a replication-growth budget so tight (any growth at
-        // all is over) that every migration plan must be vetoed — the
-        // controller reports "nothing moved" instead of trading balance
-        // for replication.
-        let ds = rmat(10, 10, 4, 8, 81, "adb-ctl");
-        let n = ds.graph.num_vertices();
-        let hdg = from_direct_neighbors(&ds.graph, (0..n as u32).collect());
-        let costs = default_cost_proxy(&hdg, 8);
-        let mut ctl = AdbController::new();
-        ctl.record_epoch(&hdg, 8, &costs);
-        let part = lp_partition(&ds.graph, 4, 10, 0.3, 5);
-        if ctl.balance_factor(&part, &costs) <= ctl.balance_threshold {
-            return; // this seed is balanced; nothing to veto
-        }
-        assert!(
-            ctl.maybe_rebalance(&ds.graph, &hdg, 8, &part).is_some(),
-            "without the guard the controller must act"
-        );
-        ctl.max_replication_growth = 0.0;
-        assert!(
-            ctl.maybe_rebalance(&ds.graph, &hdg, 8, &part).is_none(),
-            "a zero-growth budget must veto every plan"
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    graph* connecting each root to its HDG leaves.
 
 use flexgraph_graph::bfs::bfs_order;
-use flexgraph_graph::{Graph, HyperLogLog, Partitioning, VertexId};
+use flexgraph_graph::{Graph, Partitioning, VertexId};
 use flexgraph_hdg::Hdg;
 
 /// One running-log sample: the per-type metric products for a root and
@@ -149,55 +149,6 @@ pub fn root_products(hdg: &Hdg, dim: usize) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
-}
-
-/// One HyperLogLog sketch per root over that root's distinct leaf
-/// dependencies — the per-root building block of sketch-based
-/// replication sizing. Building them is a single pass over the flat
-/// leaf array; any partitioning of the roots can then be priced by
-/// register merges alone ([`merged_dependency_estimates`]), without
-/// re-walking the HDG per candidate plan.
-pub fn root_dependency_sketches(hdg: &Hdg, precision: u32) -> Vec<HyperLogLog> {
-    (0..hdg.num_roots())
-        .map(|r| {
-            let mut h = HyperLogLog::new(precision);
-            for &v in hdg.root_leaf_sources(r) {
-                h.insert_vertex(v);
-            }
-            h
-        })
-        .collect()
-}
-
-/// Estimated distinct-leaf dependency count per partition under `part`:
-/// the cardinality of the union of each member root's leaf set, from
-/// per-root sketches alone. This is the sync-volume proxy of a
-/// candidate plan — how many distinct feature rows each partition must
-/// hold or fetch — estimated where the exact answer would need one
-/// sort+dedup over the full leaf array per candidate.
-pub fn merged_dependency_estimates(
-    sketches: &[HyperLogLog],
-    hdg: &Hdg,
-    part: &Partitioning,
-) -> Vec<f64> {
-    assert_eq!(sketches.len(), hdg.num_roots(), "one sketch per root");
-    let precision = sketches
-        .first()
-        .map(|h| h.precision())
-        .unwrap_or(crate::adb::AdbController::SKETCH_PRECISION);
-    let mut merged: Vec<HyperLogLog> = (0..part.k).map(|_| HyperLogLog::new(precision)).collect();
-    for (r, sk) in sketches.iter().enumerate() {
-        let p = part.assignment[hdg.root_id(r) as usize] as usize;
-        merged[p].merge(sk);
-    }
-    merged.iter().map(|h| h.estimate()).collect()
-}
-
-/// Convenience: [`merged_dependency_estimates`] with the per-root
-/// sketches built on the spot. Callers scoring many candidate plans
-/// should build the sketches once and merge per plan instead.
-pub fn partition_dependency_estimates(hdg: &Hdg, part: &Partitioning, precision: u32) -> Vec<f64> {
-    merged_dependency_estimates(&root_dependency_sketches(hdg, precision), hdg, part)
 }
 
 /// Per-partition load from an epoch's *measured* trace: the sum of
@@ -475,56 +426,6 @@ mod tests {
         let part = Partitioning::new(vec![0, 1, 0, 1, 0, 1, 0, 1, 0], 2);
         let cost = vec![1.0; 9];
         assert!(generate_plans(&g, &part, &cost, 5).is_empty());
-    }
-
-    #[test]
-    fn partition_dependency_estimates_track_exact_sets() {
-        use flexgraph_graph::gen::rmat;
-        use flexgraph_graph::partition::hash_partition;
-        use flexgraph_hdg::build::from_direct_neighbors;
-        use std::collections::HashSet;
-
-        let ds = rmat(10, 8, 4, 8, 77, "dep-est");
-        let n = ds.graph.num_vertices();
-        let hdg = from_direct_neighbors(&ds.graph, (0..n as u32).collect());
-        let part = hash_partition(&ds.graph, 4);
-
-        let mut exact: Vec<HashSet<u32>> = vec![HashSet::new(); part.k];
-        for r in 0..hdg.num_roots() {
-            let p = part.assignment[hdg.root_id(r) as usize] as usize;
-            exact[p].extend(hdg.root_leaf_sources(r).iter().copied());
-        }
-        let est = partition_dependency_estimates(
-            &hdg,
-            &part,
-            crate::adb::AdbController::SKETCH_PRECISION,
-        );
-        assert_eq!(est.len(), part.k);
-        for (p, e) in est.iter().enumerate() {
-            let x = exact[p].len() as f64;
-            assert!(
-                (e - x).abs() <= (0.05 * x).max(2.0),
-                "partition {p}: estimated {e} vs exact {x}"
-            );
-        }
-    }
-
-    #[test]
-    fn merged_estimates_are_build_once_merge_many() {
-        use flexgraph_graph::gen::rmat;
-        use flexgraph_graph::partition::hash_partition;
-        use flexgraph_hdg::build::from_direct_neighbors;
-
-        let ds = rmat(9, 6, 2, 4, 78, "dep-merge");
-        let n = ds.graph.num_vertices();
-        let hdg = from_direct_neighbors(&ds.graph, (0..n as u32).collect());
-        let part = hash_partition(&ds.graph, 3);
-        let sketches = root_dependency_sketches(&hdg, 10);
-        assert_eq!(
-            merged_dependency_estimates(&sketches, &hdg, &part),
-            partition_dependency_estimates(&hdg, &part, 10),
-            "pre-built sketches and the convenience path must agree exactly"
-        );
     }
 
     #[test]

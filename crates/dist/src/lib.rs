@@ -43,9 +43,7 @@ mod worker;
 
 pub use adb::AdbController;
 pub use balance::{
-    choose_plan, fit_cost_function, generate_plans, measured_partition_loads,
-    merged_dependency_estimates, partition_dependency_estimates, root_dependency_sketches, CostFn,
-    CostSample,
+    choose_plan, fit_cost_function, generate_plans, measured_partition_loads, CostFn, CostSample,
 };
 pub use pipeline::{build_leaf_sync, LeafSync, SlotLevel};
 pub use runtime::{EpochRuntime, ThreadedRuntime, VirtualRuntime};

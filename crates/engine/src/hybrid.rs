@@ -18,9 +18,7 @@ use flexgraph_graph::Graph;
 use flexgraph_hdg::Hdg;
 use flexgraph_tensor::autograd::reduce_row_blocks;
 use flexgraph_tensor::fusion::{materialized_bytes, segment_reduce, Reduce};
-use flexgraph_tensor::quant::{
-    gather_rows_bf16, gather_rows_q8, segment_reduce_bf16, segment_reduce_q8, Bf16Tensor, QInt8Rows,
-};
+use flexgraph_tensor::quant::FeatureRows;
 use flexgraph_tensor::scatter::{
     gather_rows, scatter_add_with_plan, scatter_max_with_plan, scatter_mean_with_plan,
     scatter_min_with_plan, scatter_softmax_with_plan, ScatterPlan,
@@ -102,57 +100,22 @@ pub struct AggrResult {
 }
 
 /// Runs hierarchical aggregation over `hdg` with features indexed by
-/// input-graph vertex id.
-pub fn hierarchical_aggregate(
-    hdg: &Hdg,
-    feats: &Tensor,
-    plan: &AggrPlan,
-    strategy: Strategy,
-    budget: &MemoryBudget,
-) -> Result<AggrResult, EngineError> {
-    hierarchical_aggregate_quant(hdg, LeafFeats::F32(feats), plan, strategy, budget)
-}
-
-/// Feature storage for the leaf step: only the bottom level of the
-/// hierarchy ever touches the input feature matrix, so quantizing
-/// inference is exactly "swap the leaf gather/reduce for a half-/
-/// quarter-width one" — every level above runs the unchanged f32 code
-/// on the (f32) instance features.
-#[derive(Clone, Copy, Debug)]
-pub enum LeafFeats<'a> {
-    /// Full-precision features.
-    F32(&'a Tensor),
-    /// bf16-stored features, widened to f32 as they stream.
-    Bf16(&'a Bf16Tensor),
-    /// Per-row int8 features, dequantized as they stream.
-    Int8(&'a QInt8Rows),
-}
-
-impl LeafFeats<'_> {
-    fn cols(&self) -> usize {
-        match self {
-            Self::F32(t) => t.cols(),
-            Self::Bf16(t) => t.cols(),
-            Self::Int8(t) => t.cols(),
-        }
-    }
-}
-
-/// [`hierarchical_aggregate`] over any feature storage.
+/// input-graph vertex id, stored at any precision (`&Tensor` converts).
 ///
-/// The leaf step reads rows at their stored width (f32/bf16/int8) and
-/// accumulates in f32 with the same per-destination ascending-edge
-/// chains at every width, so the result is bitwise-deterministic for
-/// any `FLEXGRAPH_THREADS` and bitwise-identical to widening /
-/// dequantizing the whole matrix and calling
-/// [`hierarchical_aggregate`].
-pub fn hierarchical_aggregate_quant(
+/// Only the leaf step reads feature rows: it reads them at their stored
+/// width and accumulates in f32 with the same per-destination
+/// ascending-edge chains at every width, and every level above runs the
+/// f32 code on instance features. So the result is bitwise-deterministic
+/// for any `FLEXGRAPH_THREADS` and, for a narrow store, bitwise-identical
+/// to widening the whole matrix first.
+pub fn hierarchical_aggregate<'a>(
     hdg: &Hdg,
-    feats: LeafFeats<'_>,
+    feats: impl Into<FeatureRows<'a>>,
     plan: &AggrPlan,
     strategy: Strategy,
     budget: &MemoryBudget,
 ) -> Result<AggrResult, EngineError> {
+    let feats = feats.into();
     let mut peak = 0usize;
 
     // Step 1: leaves → instances.
@@ -167,14 +130,9 @@ pub fn hierarchical_aggregate_quant(
             let bytes = materialized_bytes(src.len(), feats.cols());
             peak = peak.max(bytes);
             budget.check(bytes)?;
-            let gathered = match feats {
-                LeafFeats::F32(t) => gather_rows(t, src),
-                LeafFeats::Bf16(t) => gather_rows_bf16(t, src),
-                LeafFeats::Int8(t) => gather_rows_q8(t, src),
-            };
             apply_scatter(
                 plan.leaf_op,
-                &gathered,
+                &feats.gather_rows(src),
                 &hdg.leaf_scatter_plan(),
                 &mut peak,
                 budget,
@@ -185,12 +143,7 @@ pub fn hierarchical_aggregate_quant(
                 .leaf_op
                 .as_reduce()
                 .ok_or(EngineError::Unsupported("attention at the leaf level"))?;
-            let offsets = hdg.inst_offsets();
-            match feats {
-                LeafFeats::F32(t) => segment_reduce(t, offsets, src, reduce),
-                LeafFeats::Bf16(t) => segment_reduce_bf16(t, offsets, src, reduce),
-                LeafFeats::Int8(t) => segment_reduce_q8(t, offsets, src, reduce),
-            }
+            feats.segment_reduce(hdg.inst_offsets(), src, reduce)
         }
     };
 
@@ -350,6 +303,7 @@ mod tests {
     use flexgraph_graph::hetero::sample_typed_graph;
     use flexgraph_graph::metapath::paper_metapaths;
     use flexgraph_hdg::build::{from_direct_neighbors, from_metapaths};
+    use flexgraph_tensor::{Bf16Tensor, QInt8Rows};
 
     fn feats9() -> Tensor {
         Tensor::from_vec(9, 4, (0..36).map(|i| (i % 11) as f32 - 5.0).collect())
@@ -497,31 +451,19 @@ mod tests {
                 // widened/dequantized matrix: every upper level is the
                 // same code, so the whole result must match bitwise.
                 let qb =
-                    hierarchical_aggregate_quant(&hdg, LeafFeats::Bf16(&bf), &plan, strat, &budget)
+                    hierarchical_aggregate(&hdg, FeatureRows::Bf16(&bf), &plan, strat, &budget)
                         .unwrap();
                 let wb =
                     hierarchical_aggregate(&hdg, &bf.to_tensor(), &plan, strat, &budget).unwrap();
                 assert_eq!(qb.features, wb.features, "bf16 {op:?} {strat:?}");
                 let q8r =
-                    hierarchical_aggregate_quant(&hdg, LeafFeats::Int8(&q8), &plan, strat, &budget)
+                    hierarchical_aggregate(&hdg, FeatureRows::Int8(&q8), &plan, strat, &budget)
                         .unwrap();
                 let w8 =
                     hierarchical_aggregate(&hdg, &q8.dequantize(), &plan, strat, &budget).unwrap();
                 assert_eq!(q8r.features, w8.features, "int8 {op:?} {strat:?}");
             }
         }
-        // The F32 arm is exactly the plain path.
-        let plan = AggrPlan::flat(AggrOp::Sum);
-        let qf = hierarchical_aggregate_quant(
-            &hdg,
-            LeafFeats::F32(&feats),
-            &plan,
-            Strategy::Ha,
-            &budget,
-        )
-        .unwrap();
-        let wf = hierarchical_aggregate(&hdg, &feats, &plan, Strategy::Ha, &budget).unwrap();
-        assert_eq!(qf.features, wf.features);
     }
 
     #[test]

@@ -33,10 +33,7 @@ pub mod memory;
 pub mod minibatch;
 pub mod nau;
 
-pub use hybrid::{
-    hierarchical_aggregate, hierarchical_aggregate_quant, AggrOp, AggrPlan, AggrResult, LeafFeats,
-    Strategy,
-};
+pub use hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, AggrResult, Strategy};
 pub use memory::{
     admission_bytes, planned_admission_bytes, segment_residency_bytes, EngineError, MemoryBudget,
 };

@@ -203,25 +203,12 @@ impl Hdg {
     }
 
     /// The flat leaf entries under root `r` (contiguous by the global
-    /// `(root, type)` instance ranking) — the stream a planner sketches
-    /// without materializing per-root sets.
+    /// `(root, type)` instance ranking), without materializing a
+    /// per-root set.
     pub fn root_leaf_sources(&self, r: usize) -> &[VertexId] {
         let t = self.num_types();
         let range = self.group_off[r * t]..self.group_off[(r + 1) * t];
         &self.leaf_src[self.inst_off[range.start]..self.inst_off[range.end]]
-    }
-
-    /// A HyperLogLog sketch of [`Hdg::dependency_leaves`]: streams the
-    /// flat leaf array once, never sorting or materializing the
-    /// distinct set. `estimate()` tracks `dependency_leaves().len()`
-    /// within the sketch error (near-exact at planning scales), which
-    /// is what the ADB planning path sizes replication with.
-    pub fn dependency_sketch(&self, precision: u32) -> flexgraph_graph::HyperLogLog {
-        let mut h = flexgraph_graph::HyperLogLog::new(precision);
-        for &v in &self.leaf_src {
-            h.insert_vertex(v);
-        }
-        h
     }
 
     /// Heap bytes of the compact storage (Table 5's numerator).
@@ -319,17 +306,6 @@ mod tests {
         let h = paper_hdg();
         let deps = h.dependency_leaves();
         assert_eq!(deps, vec![0, 1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn dependency_sketch_tracks_exact_distinct_count() {
-        let h = paper_hdg();
-        let exact = h.dependency_leaves().len() as f64;
-        let est = h.dependency_sketch(12).estimate();
-        assert!(
-            (est - exact).abs() <= (0.05 * exact).max(1.0),
-            "sketch {est} vs exact {exact}"
-        );
     }
 
     #[test]

@@ -55,7 +55,9 @@
 //! which other rows share the batch.
 //!
 //! Quantized serving ([`QuantConfig::Bf16`] / [`QuantConfig::Int8`] on
-//! [`ServerConfig`]) swaps the f32 kernels for bf16/int8 ones and
+//! [`ServerConfig`]) stores features at reduced width — read only by
+//! the leaf step of aggregation, through one [`ServeFeats::as_rows`]
+//! view — runs the dense head on bf16-rounded or int8 operands, and
 //! halves the embedding cache's bytes per row
 //! ([`cache::CacheMode::Bf16`]). The parity invariant then holds **per
 //! config**: within a fixed `QuantConfig`, outputs stay bitwise
@@ -75,9 +77,8 @@ pub use batcher::{BatcherConfig, MicroBatcher, Request};
 pub use cache::{CacheKey, CacheMode, EmbeddingCache};
 pub use flexgraph_tensor::QuantConfig;
 pub use model::{
-    aggregate_roots, aggregate_roots_preadmitted, dense_head, dense_head_quant,
-    selection_admission_bytes, serve_one, serve_one_quant, AdmissionPlanner, ModelSnapshot,
-    ServeFeats, ServeModelConfig,
+    aggregate_roots, dense_head, selection_admission_bytes, serve_one, AdmissionPlanner,
+    ModelSnapshot, ServeFeats, ServeModelConfig,
 };
 pub use replica::{
     run_tier, swap_bytes_for, TierConfig, TierOp, TierResponse, TierRun, TierTenant,

@@ -17,18 +17,16 @@
 //! for a [`flexgraph_models::gcn::Gcn`] is servable as-is.
 
 use crate::ServeError;
-use flexgraph_engine::hybrid::{
-    hierarchical_aggregate_quant, AggrOp, AggrPlan, LeafFeats, Strategy,
-};
+use flexgraph_engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
 use flexgraph_engine::{admission_bytes, planned_admission_bytes, MemoryBudget};
 use flexgraph_graph::hll::ReachSketches;
 use flexgraph_graph::Graph;
 use flexgraph_hdg::build::select_hop_shells;
 use flexgraph_hdg::HdgBuilder;
 use flexgraph_models::checkpoint;
-use flexgraph_tensor::quant::{matmul_bf16, matmul_i8, round_bf16_inplace};
+use flexgraph_tensor::quant::{matmul_i8, round_bf16_inplace};
 use flexgraph_tensor::{
-    xavier_uniform, Bf16Tensor, ParamSet, QInt8Cols, QInt8Rows, QuantConfig, Tensor,
+    xavier_uniform, Bf16Tensor, FeatureRows, ParamSet, QInt8Cols, QInt8Rows, QuantConfig, Tensor,
 };
 use rand::SeedableRng;
 
@@ -94,39 +92,12 @@ impl ServeFeats {
         }
     }
 
-    /// Number of feature rows (vertices).
-    pub fn rows(&self) -> usize {
+    /// The borrowed view [`aggregate_roots`] and [`serve_one`] read.
+    pub fn as_rows(&self) -> FeatureRows<'_> {
         match self {
-            Self::F32(t) => t.rows(),
-            Self::Bf16(t) => t.rows(),
-            Self::Int8(t) => t.rows(),
-        }
-    }
-
-    /// Feature width.
-    pub fn cols(&self) -> usize {
-        match self {
-            Self::F32(t) => t.cols(),
-            Self::Bf16(t) => t.cols(),
-            Self::Int8(t) => t.cols(),
-        }
-    }
-
-    /// Writes the f32 view of row `v` into `out`.
-    pub fn copy_row_into(&self, v: usize, out: &mut [f32]) {
-        match self {
-            Self::F32(t) => out.copy_from_slice(t.row(v)),
-            Self::Bf16(t) => t.widen_row_into(v, out),
-            Self::Int8(t) => t.dequantize_row_into(v, out),
-        }
-    }
-
-    /// The leaf-level view the quantized aggregation entry consumes.
-    pub fn as_leaf(&self) -> LeafFeats<'_> {
-        match self {
-            Self::F32(t) => LeafFeats::F32(t),
-            Self::Bf16(t) => LeafFeats::Bf16(t),
-            Self::Int8(t) => LeafFeats::Int8(t),
+            Self::F32(t) => FeatureRows::F32(t),
+            Self::Bf16(t) => FeatureRows::Bf16(t),
+            Self::Int8(t) => FeatureRows::Int8(t),
         }
     }
 
@@ -147,8 +118,9 @@ impl ServeFeats {
 enum QuantWeights {
     /// Serve straight off the f32 `ParamSet`.
     F32,
-    /// bf16-stored W1/W2, widened into the f32 matmul chain.
-    Bf16 { w1: Bf16Tensor, w2: Bf16Tensor },
+    /// W1/W2 rounded through bf16 and held widened, so the head runs
+    /// the f32 tiled matmul on them.
+    Bf16 { w1: Tensor, w2: Tensor },
     /// Per-column int8 W1/W2 for the i32-accumulating matmul.
     Int8 { w1: QInt8Cols, w2: QInt8Cols },
 }
@@ -158,8 +130,8 @@ impl QuantWeights {
         match quant {
             QuantConfig::F32 => Self::F32,
             QuantConfig::Bf16 => Self::Bf16 {
-                w1: Bf16Tensor::from_tensor(params.value(0)),
-                w2: Bf16Tensor::from_tensor(params.value(1)),
+                w1: Bf16Tensor::from_tensor(params.value(0)).to_tensor(),
+                w2: Bf16Tensor::from_tensor(params.value(1)).to_tensor(),
             },
             QuantConfig::Int8 => Self::Int8 {
                 w1: QInt8Cols::quantize(params.value(0)),
@@ -382,13 +354,15 @@ impl AdmissionPlanner {
     }
 }
 
-/// The one body behind every `aggregate_roots*` entry: select → price →
-/// admit → build HDG → aggregate, over a single selection. `admit`
-/// says whether this call owns the exact admission check or a caller
-/// already admitted the batch.
-fn aggregate_selected(
+/// The body of [`aggregate_roots`]: select → price → admit → build HDG
+/// → aggregate, over a single selection. `admit` says whether this call
+/// owns the exact admission check or a caller already admitted the
+/// batch (the server's [`AdmissionPlanner`] path, which prices the
+/// selection from sketches before anything is walked); the engine's own
+/// per-step budget checks run either way.
+pub(crate) fn aggregate_selected(
     g: &Graph,
-    feats: LeafFeats<'_>,
+    feats: FeatureRows<'_>,
     cfg: &ServeModelConfig,
     roots: &[u32],
     budget: &MemoryBudget,
@@ -400,7 +374,7 @@ fn aggregate_selected(
     }
     let hdg = selection.build();
     let plan = AggrPlan::flat(cfg.op);
-    let res = hierarchical_aggregate_quant(&hdg, feats, &plan, Strategy::Ha, budget)?;
+    let res = hierarchical_aggregate(&hdg, feats, &plan, Strategy::Ha, budget)?;
     Ok(res.features)
 }
 
@@ -411,53 +385,16 @@ fn aggregate_selected(
 /// selection this call builds from — is what actually enforces the
 /// budget). Per-root bitwise independent — see the crate docs — so this
 /// is both the batch path and (with one root) the reference path.
-pub fn aggregate_roots(
+/// `feats` is a `&Tensor` or a [`ServeFeats::as_rows`] view: the leaf
+/// level reads rows at their stored width, every level above is f32.
+pub fn aggregate_roots<'a>(
     g: &Graph,
-    feats: &Tensor,
+    feats: impl Into<FeatureRows<'a>>,
     cfg: &ServeModelConfig,
     roots: &[u32],
     budget: &MemoryBudget,
 ) -> Result<Tensor, ServeError> {
-    aggregate_selected(g, LeafFeats::F32(feats), cfg, roots, budget, true)
-}
-
-/// [`aggregate_roots`] minus the up-front exact selection sizing, for
-/// callers that already admitted the batch (the server's
-/// [`AdmissionPlanner`] path, which prices the selection from sketches
-/// before anything is walked). The engine's own per-step budget checks
-/// still run inside the aggregation.
-pub fn aggregate_roots_preadmitted(
-    g: &Graph,
-    feats: &Tensor,
-    cfg: &ServeModelConfig,
-    roots: &[u32],
-    budget: &MemoryBudget,
-) -> Result<Tensor, ServeError> {
-    aggregate_selected(g, LeafFeats::F32(feats), cfg, roots, budget, false)
-}
-
-/// [`aggregate_roots`] over the serving tier's quantized feature store:
-/// the leaf level streams rows at reduced width, every level above is
-/// the unchanged f32 code. `ServeFeats::F32` is bitwise the f32 path.
-pub fn aggregate_roots_quant(
-    g: &Graph,
-    feats: &ServeFeats,
-    cfg: &ServeModelConfig,
-    roots: &[u32],
-    budget: &MemoryBudget,
-) -> Result<Tensor, ServeError> {
-    aggregate_selected(g, feats.as_leaf(), cfg, roots, budget, true)
-}
-
-/// [`aggregate_roots_preadmitted`] over the quantized feature store.
-pub fn aggregate_roots_preadmitted_quant(
-    g: &Graph,
-    feats: &ServeFeats,
-    cfg: &ServeModelConfig,
-    roots: &[u32],
-    budget: &MemoryBudget,
-) -> Result<Tensor, ServeError> {
-    aggregate_selected(g, feats.as_leaf(), cfg, roots, budget, false)
+    aggregate_selected(g, feats.into(), cfg, roots, budget, true)
 }
 
 /// Rounds every element of `t` through bf16 when `quant` stores rows at
@@ -472,32 +409,26 @@ pub fn cache_round_inplace(quant: QuantConfig, t: &mut Tensor) {
     }
 }
 
-/// The dense head on pre-summed rows: `relu(s · W1) · W2` where row
-/// `i` of `summed` is `x_v + a_v` for some vertex `v`. Row-independent
-/// (tiled matmul accumulates each output element over ascending `k`),
-/// so head-of-batch outputs equal head-of-one outputs bitwise.
-pub fn dense_head(summed: &Tensor, snap: &ModelSnapshot) -> Tensor {
-    summed.matmul(snap.w1()).relu().matmul(snap.w2())
-}
-
-/// The dense head at the snapshot's precision. Under `F32` this is
-/// exactly [`dense_head`]; the quantized arms round activations at
-/// every storage boundary and emit outputs already bf16-rounded (their
+/// The dense head on pre-summed rows, at the snapshot's precision:
+/// `relu(s · W1) · W2` where row `i` of `summed` is `x_v + a_v` for
+/// some vertex `v`. The quantized arms round activations at every
+/// storage boundary and emit outputs already bf16-rounded (their
 /// cache-storage form), so cold computes and warm hits are bitwise
 /// interchangeable. Every step is per-row independent — elementwise
 /// rounding, per-row activation quantization, per-output-row matmul
-/// chains — which preserves the batch-composition parity invariant.
-pub fn dense_head_quant(summed: &Tensor, snap: &ModelSnapshot) -> Tensor {
+/// chains over ascending `k` — so head-of-batch outputs equal
+/// head-of-one outputs bitwise.
+pub fn dense_head(summed: &Tensor, snap: &ModelSnapshot) -> Tensor {
     match &snap.quant {
-        QuantWeights::F32 => dense_head(summed, snap),
+        QuantWeights::F32 => summed.matmul(snap.w1()).relu().matmul(snap.w2()),
         QuantWeights::Bf16 { w1, w2 } => {
-            // Round activations to bf16, then widen into the same
-            // ascending-K f32 chain as the f32 matmul.
-            let s = Bf16Tensor::from_tensor(summed);
-            let mut h = matmul_bf16(&s, w1);
+            // bf16 is storage only: round, then the f32 tiled matmul.
+            let mut s = summed.clone();
+            round_bf16_inplace(&mut s);
+            let mut h = s.matmul(w1);
             h.relu_inplace();
-            let hq = Bf16Tensor::from_tensor(&h);
-            let mut out = matmul_bf16(&hq, w2);
+            round_bf16_inplace(&mut h);
+            let mut out = h.matmul(w2);
             round_bf16_inplace(&mut out);
             out
         }
@@ -516,63 +447,38 @@ pub fn dense_head_quant(summed: &Tensor, snap: &ModelSnapshot) -> Tensor {
 }
 
 /// The reference single-request forward: exactly what a batch of one
-/// computes, with no queue, cache, or batching in the loop. The parity
-/// suite holds every served output bitwise equal to this.
+/// computes, with no queue, cache, or batching in the loop — the exact
+/// sequence [`crate::Server::execute_batch`] performs per row:
+/// aggregation, bf16 rounding of `a_v` under a quantized snapshot (its
+/// cache-storage form), `x_v + a_v` in f32, then [`dense_head`]. The
+/// parity suite holds every served output bitwise equal to this.
 ///
-/// Quant-aware: when `snap` carries a non-f32 [`QuantConfig`], the f32
-/// feature matrix is quantized per-row (a pure per-row function, so
-/// doing it per call changes nothing) and the forward runs the
-/// quantized pipeline via [`serve_one_quant`].
-pub fn serve_one(
+/// `feats` is read in place whatever its precision; an f32 matrix
+/// under a quantized snapshot is first quantized per row to the
+/// snapshot's precision (a pure per-row function, so doing it per call
+/// changes nothing).
+pub fn serve_one<'a>(
     g: &Graph,
-    feats: &Tensor,
+    feats: impl Into<FeatureRows<'a>>,
     snap: &ModelSnapshot,
     cfg: &ServeModelConfig,
     vertex: u32,
     budget: &MemoryBudget,
 ) -> Result<Vec<f32>, ServeError> {
-    match snap.quant_config() {
-        QuantConfig::F32 => {
-            let agg = aggregate_roots(g, feats, cfg, &[vertex], budget)?;
-            let mut summed = Tensor::zeros(1, cfg.in_dim);
-            let x = feats.row(vertex as usize);
-            let a = agg.row(0);
-            for (o, (xv, av)) in summed.row_mut(0).iter_mut().zip(x.iter().zip(a)) {
-                *o = xv + av;
-            }
-            Ok(dense_head(&summed, snap).row(0).to_vec())
-        }
-        q => {
-            let store = ServeFeats::new(feats.clone(), q);
-            serve_one_quant(g, &store, snap, cfg, vertex, budget)
-        }
-    }
-}
-
-/// [`serve_one`] over an already-built quantized feature store — the
-/// reference forward of the quantized determinism contract, and the
-/// exact sequence [`crate::Server::execute_batch`] performs per row:
-/// quantized aggregation, bf16 rounding of `a_v` (its cache-storage
-/// form), `x_v + a_v` in f32, then [`dense_head_quant`].
-pub fn serve_one_quant(
-    g: &Graph,
-    feats: &ServeFeats,
-    snap: &ModelSnapshot,
-    cfg: &ServeModelConfig,
-    vertex: u32,
-    budget: &MemoryBudget,
-) -> Result<Vec<f32>, ServeError> {
+    let feats = feats.into();
     let quant = snap.quant_config();
-    let mut agg = aggregate_roots_quant(g, feats, cfg, &[vertex], budget)?;
+    if let (FeatureRows::F32(t), QuantConfig::Bf16 | QuantConfig::Int8) = (feats, quant) {
+        let store = ServeFeats::new(t.clone(), quant);
+        return serve_one(g, store.as_rows(), snap, cfg, vertex, budget);
+    }
+    let mut agg = aggregate_roots(g, feats, cfg, &[vertex], budget)?;
     cache_round_inplace(quant, &mut agg);
     let mut summed = Tensor::zeros(1, cfg.in_dim);
-    let mut x = vec![0.0f32; cfg.in_dim];
-    feats.copy_row_into(vertex as usize, &mut x);
-    let a = agg.row(0);
-    for (o, (xv, av)) in summed.row_mut(0).iter_mut().zip(x.iter().zip(a)) {
-        *o = xv + av;
+    feats.copy_row_into(vertex as usize, summed.row_mut(0));
+    for (o, a) in summed.row_mut(0).iter_mut().zip(agg.row(0)) {
+        *o += a;
     }
-    Ok(dense_head_quant(&summed, snap).row(0).to_vec())
+    Ok(dense_head(&summed, snap).row(0).to_vec())
 }
 
 #[cfg(test)]
@@ -689,8 +595,15 @@ mod tests {
         let budget = MemoryBudget::unlimited();
         let roots = [3u32, 17, 17, 42];
         let a = aggregate_roots(&ds.graph, &ds.features, &scfg, &roots, &budget).unwrap();
-        let b =
-            aggregate_roots_preadmitted(&ds.graph, &ds.features, &scfg, &roots, &budget).unwrap();
+        let b = aggregate_selected(
+            &ds.graph,
+            (&ds.features).into(),
+            &scfg,
+            &roots,
+            &budget,
+            false,
+        )
+        .unwrap();
         assert_eq!(
             a.data(),
             b.data(),
@@ -745,7 +658,7 @@ mod tests {
                     other => panic!("roots {roots:?}: expected a shed batch, got {other:?}"),
                 }
             } else {
-                let want = aggregate_roots_preadmitted(
+                let want = aggregate_roots(
                     &ds.graph,
                     &ds.features,
                     &scfg,

@@ -235,9 +235,8 @@ impl<'a> Replica<'a> {
             };
             let ctx = PinnedContext {
                 graph: &t.graph,
-                feats,
+                feats: feats.as_rows(),
                 model: &server.model,
-                quant: server.quant,
                 planner: planner.as_ref(),
                 budget: &server.budget,
             };
@@ -716,7 +715,7 @@ pub fn run_tier(tenants: &[TierTenant], ops: &[TierOp], cfg: &TierConfig) -> Tie
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::serve_one_quant;
+    use crate::model::serve_one;
     use crate::BatcherConfig;
 
     fn tenant(id: TenantId, graph_seed: u64) -> TierTenant {
@@ -798,9 +797,9 @@ mod tests {
                     .iter()
                     .find(|s| s.version() == r.model_version)
                     .expect("known version");
-                let want = serve_one_quant(
+                let want = serve_one(
                     &t.graph,
-                    &feats,
+                    feats.as_rows(),
                     snap,
                     &t.server.model,
                     r.vertex,

@@ -14,14 +14,14 @@
 use crate::batcher::{BatcherConfig, MicroBatcher, Request};
 use crate::cache::{CacheKey, CacheMode, EmbeddingCache};
 use crate::model::{
-    aggregate_roots_preadmitted_quant, aggregate_roots_quant, cache_round_inplace,
-    dense_head_quant, AdmissionPlanner, ModelSnapshot, ServeFeats, ServeModelConfig,
+    aggregate_selected, cache_round_inplace, dense_head, AdmissionPlanner, ModelSnapshot,
+    ServeFeats, ServeModelConfig,
 };
 use crate::ServeError;
 use flexgraph_engine::MemoryBudget;
 use flexgraph_graph::Graph;
 use flexgraph_obs::ServeRecord;
-use flexgraph_tensor::{QuantConfig, Tensor};
+use flexgraph_tensor::{FeatureRows, QuantConfig, Tensor};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -35,11 +35,9 @@ pub struct PinnedContext<'a> {
     /// The served graph.
     pub graph: &'a Graph,
     /// Quantized (or f32) feature store.
-    pub feats: &'a ServeFeats,
+    pub feats: FeatureRows<'a>,
     /// Model architecture and NeighborSelection parameters.
     pub model: &'a ServeModelConfig,
-    /// Serving precision.
-    pub quant: QuantConfig,
     /// Sketch-based admission pricing (`None` admits everything).
     pub planner: Option<&'a AdmissionPlanner>,
     /// Admission budget.
@@ -140,47 +138,41 @@ pub fn execute_pinned(
     let execute = || -> Result<Vec<Vec<f32>>, ServeError> {
         let mut fresh = if need_agg.is_empty() {
             Tensor::zeros(0, m.in_dim)
-        } else if let Some(planner) = ctx.planner {
-            ctx.budget.check(planner.planned_bytes(&need_agg))?;
-            aggregate_roots_preadmitted_quant(ctx.graph, ctx.feats, m, &need_agg, ctx.budget)?
         } else {
-            aggregate_roots_quant(ctx.graph, ctx.feats, m, &need_agg, ctx.budget)?
+            if let Some(planner) = ctx.planner {
+                ctx.budget.check(planner.planned_bytes(&need_agg))?;
+            }
+            let exact = ctx.planner.is_none();
+            aggregate_selected(ctx.graph, ctx.feats, m, &need_agg, ctx.budget, exact)?
         };
         // Quantized serving rounds aggregations to their bf16
         // cache-storage form *before* first use, so warm hits and cold
         // computes feed identical bits downstream (identity under f32).
-        cache_round_inplace(ctx.quant, &mut fresh);
+        cache_round_inplace(snap.quant_config(), &mut fresh);
         // Assemble x_v + a_v rows for every pending vertex, cached
-        // aggregations and fresh ones alike.
+        // aggregations and fresh ones (in `need_agg` order) alike.
         let mut summed = Tensor::zeros(pending.len(), m.in_dim);
-        let mut x = vec![0.0f32; m.in_dim];
         let mut fresh_i = 0usize;
-        let mut fresh_by_vertex: Vec<(u32, usize)> = Vec::new();
         for (i, &v) in pending.iter().enumerate() {
-            ctx.feats.copy_row_into(v as usize, &mut x);
-            let row = summed.row_mut(i);
-            match &agg_rows[i] {
-                Some(a) => {
-                    for (o, (xv, av)) in row.iter_mut().zip(x.iter().zip(a.iter())) {
-                        *o = xv + av;
-                    }
-                }
+            let a = match &agg_rows[i] {
+                Some(a) => a.as_slice(),
                 None => {
-                    let a = fresh.row(fresh_i);
-                    fresh_by_vertex.push((v, fresh_i));
                     fresh_i += 1;
-                    for (o, (xv, av)) in row.iter_mut().zip(x.iter().zip(a.iter())) {
-                        *o = xv + av;
-                    }
+                    fresh.row(fresh_i - 1)
                 }
+            };
+            let row = summed.row_mut(i);
+            ctx.feats.copy_row_into(v as usize, row);
+            for (o, av) in row.iter_mut().zip(a) {
+                *o += av;
             }
         }
         // Already bf16-rounded at the output under quant configs — its
         // cache-storage form.
-        let outputs = dense_head_quant(&summed, snap);
+        let outputs = dense_head(&summed, snap);
         // Fill both cache layers for the next batch.
         let mut c = cache.lock().expect("cache lock");
-        for &(v, i) in &fresh_by_vertex {
+        for (i, &v) in need_agg.iter().enumerate() {
             c.insert(
                 CacheKey {
                     version,
@@ -513,9 +505,8 @@ impl Server {
     pub fn pinned_context(&self) -> PinnedContext<'_> {
         PinnedContext {
             graph: &self.graph,
-            feats: &self.feats,
+            feats: self.feats.as_rows(),
             model: &self.cfg.model,
-            quant: self.cfg.quant,
             planner: self.planner.as_ref(),
             budget: &self.cfg.budget,
         }

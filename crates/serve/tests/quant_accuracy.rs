@@ -1,7 +1,7 @@
 //! Quantized-accuracy suite (ISSUE 8): the bf16/int8 serving forward
 //! against f32 on the golden fixtures.
 //!
-//! Two kinds of statement:
+//! Three kinds of statement:
 //!
 //! * **Exactness** — the golden fixtures ([`flexgraph_models::golden`])
 //!   were built so every intermediate value fits in ≤ 8 mantissa bits.
@@ -12,6 +12,8 @@
 //!   multiple of the output magnitude. The bounds are deliberately
 //!   loose (4–8× observed) so they gate against broken kernels, not
 //!   against legitimate rounding.
+//! * **Pinned bits** — with random weights, the served bits of every
+//!   config are digests: a kernel refactor may not move them.
 //!
 //! Plus the per-config determinism leg in unit form: the quantized
 //! `serve_one` is bitwise thread-invariant.
@@ -20,7 +22,9 @@ use flexgraph_engine::hybrid::AggrOp;
 use flexgraph_engine::MemoryBudget;
 use flexgraph_models::checkpoint;
 use flexgraph_models::golden::{gcn_weights, graph_a, graph_cycle};
-use flexgraph_serve::{serve_one, ModelSnapshot, QuantConfig, ServeModelConfig};
+use flexgraph_serve::{
+    serve_one, BatcherConfig, ModelSnapshot, QuantConfig, ServeModelConfig, Server, ServerConfig,
+};
 use flexgraph_tensor::{set_thread_override, ParamSet};
 
 const INIT_SEED: u64 = 21;
@@ -100,6 +104,87 @@ fn quant_error_is_bounded_with_random_weights() {
                 quant.label()
             );
         }
+    }
+}
+
+/// FNV-1a over the little-endian bytes of each output's bits.
+fn bits_digest<'a>(rows: impl IntoIterator<Item = &'a [f32]>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for row in rows {
+        for b in row.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Absolute serving bits under Xavier weights, pinned so a kernel
+/// refactor cannot move them: `serve_one` over 64 vertices and one
+/// 200-row server batch, per config (f32 as the control). The parity
+/// suites compare two paths that would move together; this one
+/// compares against numbers.
+#[test]
+fn quantized_serving_bits_are_pinned() {
+    let ds = flexgraph_graph::gen::community(320, 3, 6, 2, 20, 11);
+    let model = ServeModelConfig {
+        hops: 2,
+        cap: 8,
+        seed: 5,
+        op: AggrOp::Sum,
+        in_dim: ds.feature_dim(),
+        hidden: 24,
+        classes: ds.num_classes,
+    };
+    let budget = MemoryBudget::unlimited();
+    let pinned = [
+        (
+            QuantConfig::Bf16,
+            0x2525_bb5d_5b34_1e18,
+            0xe493_ce5a_065f_b929,
+        ),
+        (
+            QuantConfig::Int8,
+            0xe24a_dfb8_377a_97d9,
+            0x4c42_65b2_88b7_cc1c,
+        ),
+        (
+            QuantConfig::F32,
+            0x15eb_7374_5939_a932,
+            0x6cbc_5b1d_9dd7_7712,
+        ),
+    ];
+    for (quant, want_solo, want_batch) in pinned {
+        let snap = ModelSnapshot::init_quant(&model, INIT_SEED, quant);
+        let solo: Vec<Vec<f32>> = (0..64u32)
+            .map(|i| serve_one(&ds.graph, &ds.features, &snap, &model, i * 5, &budget).unwrap())
+            .collect();
+        let cfg = ServerConfig {
+            batcher: BatcherConfig {
+                max_batch: 256,
+                max_delay: 1 << 20,
+                queue_cap: 256,
+            },
+            model,
+            quant,
+            ..Default::default()
+        };
+        let server = Server::new(ds.graph.clone(), ds.features.clone(), cfg, snap);
+        for v in 0..200u32 {
+            server.submit((v * 7) % 320).unwrap();
+        }
+        let batch = server.flush().unwrap();
+        assert_eq!(batch.len(), 200);
+        assert_eq!(server.window_stats().batches, 1, "one batch");
+        let got = (
+            bits_digest(solo.iter().map(Vec::as_slice)),
+            bits_digest(batch.iter().map(|r| r.output.as_slice())),
+        );
+        assert_eq!(
+            got,
+            (want_solo, want_batch),
+            "{} serving bits moved",
+            quant.label()
+        );
     }
 }
 

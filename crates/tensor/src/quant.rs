@@ -1,35 +1,36 @@
-//! Quantized storage and kernels for the inference path (bf16 + int8).
+//! Quantized storage for the inference path (bf16 + int8).
 //!
-//! GNN inference is bandwidth-bound, not FLOP-bound: aggregation streams
-//! feature rows through a reduction, so halving (bf16) or quartering
-//! (int8) the bytes moved is a direct throughput lever. This module
-//! provides the two storage formats and the kernels the serving tier
-//! builds its quantized forward on:
+//! GNN inference's aggregation is bandwidth-bound: it streams feature
+//! rows through a reduction, so halving (bf16) or quartering (int8) the
+//! bytes a feature store holds is a footprint lever. Only the leaf step
+//! of hierarchical aggregation reads feature rows, so precision is a
+//! property of one borrowed view, [`FeatureRows`], and of nothing
+//! above it:
 //!
 //! * [`Bf16Tensor`] — truncated-mantissa `f32` storage (1 sign, 8
 //!   exponent, 7 mantissa bits) with round-to-nearest-even conversion.
 //!   Compute always **widens to f32**: bf16 is a *storage* format here,
-//!   so every arithmetic chain runs on the exact same scalar/AVX2
-//!   contract as the f32 kernels (no FMA, SIMD lanes carry independent
-//!   columns, ascending-K / ascending-edge accumulation order).
+//!   so every arithmetic chain is an f32 kernel's chain (a bf16 dense
+//!   layer is [`round_bf16_inplace`] then [`Tensor::matmul`]).
 //! * [`QInt8Rows`] / [`QInt8Cols`] — symmetric per-row (activations) and
 //!   per-column (weights) int8 quantization with an i32-accumulating
 //!   matmul micro-kernel ([`matmul_i8`]). Integer sums are exact, so the
-//!   int8 matmul is order-free and trivially bitwise-deterministic.
+//!   int8 matmul is order-free and trivially bitwise-deterministic; no
+//!   widened f32 product reproduces its bits.
 //!
 //! # Determinism contract
 //!
-//! Within a fixed [`QuantConfig`], every kernel in this module is
+//! Within a fixed [`QuantConfig`], every kernel here is
 //! bitwise-deterministic across `FLEXGRAPH_THREADS`: each output row is
 //! produced by exactly one thread running a fixed serial reduction
-//! chain. [`matmul_bf16`] is additionally bitwise-identical to widening
-//! both operands and calling [`Tensor::matmul`], and
-//! [`segment_reduce_bf16`] to widening and calling
+//! chain. [`FeatureRows::segment_reduce`] over a narrow store is
+//! bitwise-identical to widening it and calling
 //! [`crate::fusion::segment_reduce`] — quantization changes *which*
 //! values flow, never the order they combine in.
 
-use crate::fusion::Reduce;
+use crate::fusion::{segment_reduce, Reduce};
 use crate::par::parallel_for;
+use crate::scatter::gather_rows;
 use crate::simd;
 use crate::tensor::Tensor;
 
@@ -44,12 +45,13 @@ pub enum QuantConfig {
     /// bit-for-bit.
     #[default]
     F32,
-    /// bf16 storage for weights, features, and cached embeddings;
-    /// f32 compute with round-to-nearest-even at storage boundaries.
+    /// bf16 storage for features and cached embeddings, bf16-rounded
+    /// weights and activations; f32 compute with round-to-nearest-even
+    /// at storage boundaries.
     Bf16,
-    /// Symmetric per-row int8 for the dense head's activations and
-    /// per-column int8 for its weights (i32 accumulation); bf16 storage
-    /// for features and cached embeddings.
+    /// Symmetric per-row int8 for features and the dense head's
+    /// activations, per-column int8 for its weights (i32
+    /// accumulation); bf16 storage for cached embeddings.
     Int8,
 }
 
@@ -358,48 +360,6 @@ impl QInt8Cols {
 // quantized matmul
 // ---------------------------------------------------------------------
 
-/// bf16 matmul: widens and multiplies with the exact accumulation chain
-/// of [`Tensor::matmul_naive`] (ascending K, no FMA).
-///
-/// Bitwise-identical to `a.to_tensor().matmul(&b.to_tensor())` for any
-/// `FLEXGRAPH_THREADS`: B is widened once (it is small and reused by
-/// every row), while A is widened in bounded row blocks that are each
-/// handed to the tiled f32 kernel. Every output row's accumulation
-/// chain depends only on its own A row, and the tiled kernel is
-/// bitwise-equal to the naive ascending-K chain at any shape — so
-/// blocking cannot change the bits, but it keeps the tiled kernel's
-/// L1 panel reuse (a straight stream-B-per-row loop spills B from L2
-/// on every row) while the big operand still moves at half width and
-/// the f32 transient stays `O(BLOCK · k)` instead of `O(m · k)`.
-pub fn matmul_bf16(a: &Bf16Tensor, b: &Bf16Tensor) -> Tensor {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul inner dims: {}x{} · {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Tensor::zeros(m, n);
-    if m == 0 || k == 0 || n == 0 {
-        return out;
-    }
-    let bw = b.to_tensor();
-    const BLOCK: usize = 128;
-    for r0 in (0..m).step_by(BLOCK) {
-        let rows = BLOCK.min(m - r0);
-        let mut aw = Tensor::zeros(rows, k);
-        for i in 0..rows {
-            a.widen_row_into(r0 + i, aw.row_mut(i));
-        }
-        let prod = aw.matmul(&bw);
-        out.data_mut()[r0 * n..(r0 + rows) * n].copy_from_slice(prod.data());
-    }
-    out
-}
-
 /// int8 matmul micro-kernel: i32-accumulating inner product over
 /// quantized codes, then one f32 rescale per output element:
 /// `out[r][c] = (Σ_k qa[r][k]·qb[k][c]) · (scale_a[r] · scale_b[c])`.
@@ -553,55 +513,80 @@ where
     out
 }
 
-/// Fused segment reduction over bf16 feature storage: reads each source
-/// row at half width, widens into a per-thread scratch, and accumulates
-/// in f32. Bitwise-identical to widening the whole matrix and calling
-/// [`crate::fusion::segment_reduce`].
-pub fn segment_reduce_bf16(
-    feats: &Bf16Tensor,
-    offsets: &[usize],
-    src: &[u32],
-    kind: Reduce,
-) -> Tensor {
-    segment_reduce_decoded(feats.rows(), feats.cols(), offsets, src, kind, |s, row| {
-        feats.widen_row_into(s, row)
-    })
+/// A borrowed feature matrix at its stored precision — the one input of
+/// the leaf step, the only step of hierarchical aggregation that reads
+/// feature rows. Every level above it runs on f32 instance features, so
+/// this view is where serving precision is decided.
+#[derive(Clone, Copy, Debug)]
+pub enum FeatureRows<'a> {
+    /// Full-precision features.
+    F32(&'a Tensor),
+    /// bf16-stored features, widened to f32 as they stream.
+    Bf16(&'a Bf16Tensor),
+    /// Per-row int8 features, dequantized as they stream.
+    Int8(&'a QInt8Rows),
 }
 
-/// Fused segment reduction over per-row int8 feature storage: each
-/// source row is dequantized (`scale · q`) into the scratch and
-/// accumulated in f32. Bitwise-identical to dequantizing the whole
-/// matrix and calling [`crate::fusion::segment_reduce`].
-pub fn segment_reduce_q8(
-    feats: &QInt8Rows,
-    offsets: &[usize],
-    src: &[u32],
-    kind: Reduce,
-) -> Tensor {
-    segment_reduce_decoded(feats.rows(), feats.cols(), offsets, src, kind, |s, row| {
-        feats.dequantize_row_into(s, row)
-    })
-}
-
-/// Gathers `src` rows out of bf16 storage into a widened f32 tensor
-/// (the materializing SA path's quantized gather).
-pub fn gather_rows_bf16(feats: &Bf16Tensor, src: &[u32]) -> Tensor {
-    let d = feats.cols();
-    let mut out = Tensor::zeros(src.len(), d);
-    for (i, &s) in src.iter().enumerate() {
-        feats.widen_row_into(s as usize, out.row_mut(i));
+impl<'a> From<&'a Tensor> for FeatureRows<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        Self::F32(t)
     }
-    out
 }
 
-/// Gathers `src` rows out of int8 storage into a dequantized f32 tensor.
-pub fn gather_rows_q8(feats: &QInt8Rows, src: &[u32]) -> Tensor {
-    let d = feats.cols();
-    let mut out = Tensor::zeros(src.len(), d);
-    for (i, &s) in src.iter().enumerate() {
-        feats.dequantize_row_into(s as usize, out.row_mut(i));
+impl FeatureRows<'_> {
+    /// Number of feature rows.
+    pub fn rows(&self) -> usize {
+        match self {
+            Self::F32(t) => t.rows(),
+            Self::Bf16(t) => t.rows(),
+            Self::Int8(t) => t.rows(),
+        }
     }
-    out
+
+    /// Feature width.
+    pub fn cols(&self) -> usize {
+        match self {
+            Self::F32(t) => t.cols(),
+            Self::Bf16(t) => t.cols(),
+            Self::Int8(t) => t.cols(),
+        }
+    }
+
+    /// Writes the f32 value of row `r` into `out` (`out.len()` must
+    /// equal `cols`).
+    pub fn copy_row_into(&self, r: usize, out: &mut [f32]) {
+        match self {
+            Self::F32(t) => out.copy_from_slice(t.row(r)),
+            Self::Bf16(t) => t.widen_row_into(r, out),
+            Self::Int8(t) => t.dequantize_row_into(r, out),
+        }
+    }
+
+    /// Fused segment reduction over the stored rows. The f32 arm is
+    /// [`crate::fusion::segment_reduce`]; a narrow store decodes each
+    /// source row into a per-thread scratch and accumulates in f32,
+    /// bitwise-identical to widening the whole matrix first.
+    pub fn segment_reduce(&self, offsets: &[usize], src: &[u32], kind: Reduce) -> Tensor {
+        match self {
+            Self::F32(t) => segment_reduce(t, offsets, src, kind),
+            _ => segment_reduce_decoded(self.rows(), self.cols(), offsets, src, kind, |s, row| {
+                self.copy_row_into(s, row)
+            }),
+        }
+    }
+
+    /// Gathers `src` rows into an f32 tensor (the materializing SA
+    /// path). The f32 arm is [`crate::scatter::gather_rows`].
+    pub fn gather_rows(&self, src: &[u32]) -> Tensor {
+        if let Self::F32(t) = self {
+            return gather_rows(t, src);
+        }
+        let mut out = Tensor::zeros(src.len(), self.cols());
+        for (i, &s) in src.iter().enumerate() {
+            self.copy_row_into(s as usize, out.row_mut(i));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -692,24 +677,30 @@ mod tests {
         assert_eq!(q.dequantize(), t);
     }
 
+    /// The bf16 head is "round, then `matmul`": rounding in place gives
+    /// exactly the values a bf16 store widens to, and the tiled kernel
+    /// runs the naive ascending-K chain on them.
+    fn assert_round_then_matmul_is_widened_product(mut a: Tensor, mut b: Tensor) {
+        let want = Bf16Tensor::from_tensor(&a)
+            .to_tensor()
+            .matmul_naive(&Bf16Tensor::from_tensor(&b).to_tensor());
+        round_bf16_inplace(&mut a);
+        round_bf16_inplace(&mut b);
+        assert_eq!(a.matmul(&b), want);
+    }
+
     #[test]
     fn bf16_matmul_matches_widened_f32_bitwise() {
-        let a = Bf16Tensor::from_tensor(&demo(17, 13, 3));
-        let b = Bf16Tensor::from_tensor(&demo(13, 11, 4));
-        let got = matmul_bf16(&a, &b);
-        let want = a.to_tensor().matmul(&b.to_tensor());
-        assert_eq!(got, want);
+        assert_round_then_matmul_is_widened_product(demo(17, 13, 3), demo(13, 11, 4));
     }
 
     #[test]
     fn bf16_matmul_hoists_zero_rows_like_naive() {
-        let mut af = demo(4, 3, 5);
-        for v in af.row_mut(2) {
+        let mut a = demo(4, 3, 5);
+        for v in a.row_mut(2) {
             *v = 0.0;
         }
-        let a = Bf16Tensor::from_tensor(&af);
-        let b = Bf16Tensor::from_tensor(&demo(3, 6, 6));
-        assert_eq!(matmul_bf16(&a, &b), a.to_tensor().matmul(&b.to_tensor()));
+        assert_round_then_matmul_is_widened_product(a, demo(3, 6, 6));
     }
 
     #[test]
@@ -739,10 +730,10 @@ mod tests {
         let bf = Bf16Tensor::from_tensor(&feats);
         let q8 = QInt8Rows::quantize(&feats);
         for kind in [Reduce::Sum, Reduce::Mean, Reduce::Max, Reduce::Min] {
-            let got = segment_reduce_bf16(&bf, &offsets, &src, kind);
+            let got = FeatureRows::Bf16(&bf).segment_reduce(&offsets, &src, kind);
             let want = segment_reduce(&bf.to_tensor(), &offsets, &src, kind);
             assert_eq!(got, want, "bf16 {kind:?}");
-            let got8 = segment_reduce_q8(&q8, &offsets, &src, kind);
+            let got8 = FeatureRows::Int8(&q8).segment_reduce(&offsets, &src, kind);
             let want8 = segment_reduce(&q8.dequantize(), &offsets, &src, kind);
             assert_eq!(got8, want8, "int8 {kind:?}");
         }
@@ -754,8 +745,8 @@ mod tests {
         let src = [9u32, 0, 3, 3];
         let bf = Bf16Tensor::from_tensor(&feats);
         let q8 = QInt8Rows::quantize(&feats);
-        let gb = gather_rows_bf16(&bf, &src);
-        let g8 = gather_rows_q8(&q8, &src);
+        let gb = FeatureRows::Bf16(&bf).gather_rows(&src);
+        let g8 = FeatureRows::Int8(&q8).gather_rows(&src);
         for (i, &s) in src.iter().enumerate() {
             assert_eq!(gb.row(i), bf.to_tensor().row(s as usize));
             assert_eq!(g8.row(i), q8.dequantize().row(s as usize));

@@ -6,16 +6,16 @@
 //! * bf16 rounding is monotone and exact on values with ≤ 8 mantissa
 //!   bits.
 //! * Symmetric per-row int8 round-trips within `scale/2` per element.
-//! * The quantized matmul and segment-reduce kernels are bitwise
-//!   thread-invariant (`FLEXGRAPH_THREADS ∈ {1, 4}`) — the determinism
-//!   contract the serving layer builds on.
+//! * The bf16 head (round, then `matmul`), the int8 matmul and the
+//!   narrow segment reductions are bitwise thread-invariant
+//!   (`FLEXGRAPH_THREADS ∈ {1, 4}`) — the determinism contract the
+//!   serving layer builds on.
 
 use flexgraph_tensor::quant::{
-    matmul_bf16, matmul_i8, matmul_i8_naive, narrow, round_bf16, segment_reduce_bf16,
-    segment_reduce_q8, widen,
+    matmul_i8, matmul_i8_naive, narrow, round_bf16, round_bf16_inplace, widen,
 };
 use flexgraph_tensor::{
-    fusion::Reduce, set_thread_override, Bf16Tensor, QInt8Cols, QInt8Rows, Tensor,
+    fusion::Reduce, set_thread_override, Bf16Tensor, FeatureRows, QInt8Cols, QInt8Rows, Tensor,
 };
 use proptest::prelude::*;
 
@@ -103,8 +103,10 @@ proptest! {
         }
     }
 
-    /// The quantized matmuls are bitwise identical at 1 and 4 threads
-    /// (and the int8 one matches its serial reference at both).
+    /// The bf16 head (round, then `matmul`) equals the widened bf16
+    /// product on the naive chain, and both quantized products are
+    /// bitwise identical at 1 and 4 threads (the int8 one matches its
+    /// serial reference at both).
     #[test]
     fn quant_matmuls_are_thread_invariant(
         vals in proptest::collection::vec(-8.0f32..8.0, 180),
@@ -112,12 +114,18 @@ proptest! {
     ) {
         let a = tensor_from(m, k, &vals);
         let b = tensor_from(k, n, &vals[m * k..]);
-        let (ab, bb) = (Bf16Tensor::from_tensor(&a), Bf16Tensor::from_tensor(&b));
+        let widened = Bf16Tensor::from_tensor(&a)
+            .to_tensor()
+            .matmul_naive(&Bf16Tensor::from_tensor(&b).to_tensor());
+        let (mut ar, mut br) = (a.clone(), b.clone());
+        round_bf16_inplace(&mut ar);
+        round_bf16_inplace(&mut br);
         let (ai, bi) = (QInt8Rows::quantize(&a), QInt8Cols::quantize(&b));
         let mut got: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
         for threads in [1usize, 4] {
             set_thread_override(Some(threads));
-            let hb = matmul_bf16(&ab, &bb);
+            let hb = ar.matmul(&br);
+            prop_assert_eq!(&hb, &widened);
             let hi = matmul_i8(&ai, &bi);
             let serial = matmul_i8_naive(&ai, &bi);
             prop_assert_eq!(
@@ -154,8 +162,8 @@ proptest! {
             let mut got: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
             for threads in [1usize, 4] {
                 set_thread_override(Some(threads));
-                let rb = segment_reduce_bf16(&fb, &offsets, &src, kind);
-                let rq = segment_reduce_q8(&fq, &offsets, &src, kind);
+                let rb = FeatureRows::Bf16(&fb).segment_reduce(&offsets, &src, kind);
+                let rq = FeatureRows::Int8(&fq).segment_reduce(&offsets, &src, kind);
                 got.push((
                     rb.data().iter().map(|x| x.to_bits()).collect(),
                     rq.data().iter().map(|x| x.to_bits()).collect(),

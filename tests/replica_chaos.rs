@@ -198,9 +198,9 @@ fn reference() -> TierRun {
                 .iter()
                 .find(|s| s.version() == r.model_version)
                 .expect("response pinned to an installed version");
-            let want = flexgraph::serve::model::serve_one_quant(
+            let want = flexgraph::serve::model::serve_one(
                 &t.graph,
-                &feats,
+                feats.as_rows(),
                 snap,
                 &t.server.model,
                 r.vertex,

@@ -47,6 +47,9 @@ const VIRTUAL_TABLES: &str =
     "the paper tables run on the virtual runtime, the same at any FLEXGRAPH_THREADS";
 const DIST_SOURCES: &[&str] = &["crates/dist/src"];
 const BULK_ROOT_COSTS: &str = "a worker builds its per-root cost map in one set_root_costs call";
+const ONE_LEAF_STORE: &str =
+    "serving precision is the leaf store's type: one aggregate, one dense head, one serve_one";
+const MIN_CUT_ADB: &str = "ADB applies the minimum-cut plan (paper §6); no replication veto";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(FABRIC), "thread::sleep", 0, ONE_WAIT),
@@ -77,6 +80,23 @@ const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(BENCH), "distributed_epoch", 0, VIRTUAL_TABLES),
     (Text(BENCH), "set_var(", 0, VIRTUAL_TABLES),
     (Text(DIST_SOURCES), "add_root_cost(", 0, BULK_ROOT_COSTS),
+    (Text(SOURCES), "matmul_bf16", 0, ONE_LEAF_STORE),
+    (
+        Text(SOURCES),
+        "hierarchical_aggregate_quant",
+        0,
+        ONE_LEAF_STORE,
+    ),
+    (
+        Text(SOURCES),
+        "aggregate_roots_preadmitted",
+        0,
+        ONE_LEAF_STORE,
+    ),
+    (Text(SOURCES), "aggregate_roots_quant", 0, ONE_LEAF_STORE),
+    (Text(SOURCES), "serve_one_quant", 0, ONE_LEAF_STORE),
+    (Text(SOURCES), "dense_head_quant", 0, ONE_LEAF_STORE),
+    (Text(SOURCES), "max_replication_growth", 0, MIN_CUT_ADB),
 ];
 
 /// Every file under `path` (or `path` itself).
