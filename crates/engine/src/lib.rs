@@ -34,7 +34,5 @@ pub mod minibatch;
 pub mod nau;
 
 pub use hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, AggrResult, Strategy};
-pub use memory::{
-    admission_bytes, planned_admission_bytes, segment_residency_bytes, EngineError, MemoryBudget,
-};
+pub use memory::{admission_bytes, segment_residency_bytes, EngineError, MemoryBudget};
 pub use nau::StageTimes;

@@ -22,20 +22,6 @@ pub fn admission_bytes(vertices: usize, edges: usize, dim: usize) -> usize {
     materialized_bytes(vertices, dim) + materialized_bytes(edges, dim)
 }
 
-/// [`admission_bytes`] over *estimated* (fractional) counts, for
-/// planners that size a closure with a cardinality sketch instead of
-/// materializing it (serve's HyperLogLog admission planner). Estimates
-/// are rounded to the nearest whole vertex/edge so a sketch that is
-/// near-exact (the linear-counting regime) prices identically to the
-/// exact arithmetic.
-pub fn planned_admission_bytes(est_vertices: f64, est_edges: f64, dim: usize) -> usize {
-    admission_bytes(
-        est_vertices.max(0.0).round() as usize,
-        est_edges.max(0.0).round() as usize,
-        dim,
-    )
-}
-
 /// Resident bytes of one decoded CSR/CSC graph segment held by the
 /// paged store's cache: two `u32` offset arrays of `vertices + 1`
 /// entries each, plus the out- and in-adjacency arrays. The store's
@@ -142,15 +128,6 @@ mod tests {
             materialized_bytes(10, 8) + materialized_bytes(40, 8)
         );
         assert_eq!(admission_bytes(0, 0, 16), 0);
-    }
-
-    #[test]
-    fn planned_admission_rounds_to_exact_arithmetic() {
-        assert_eq!(
-            planned_admission_bytes(10.2, 39.7, 8),
-            admission_bytes(10, 40, 8)
-        );
-        assert_eq!(planned_admission_bytes(-1.0, 0.4, 16), 0);
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod bfs;
 pub mod csr;
 pub mod gen;
 pub mod hetero;
-pub mod hll;
 pub mod io;
 pub mod metapath;
 pub mod partition;
@@ -35,5 +34,4 @@ pub mod walk;
 
 pub use csr::{Graph, GraphBuilder, VertexId};
 pub use hetero::TypedGraph;
-pub use hll::{HyperLogLog, ReachSketches};
 pub use partition::Partitioning;

@@ -77,8 +77,8 @@ pub use batcher::{BatcherConfig, MicroBatcher, Request};
 pub use cache::{CacheKey, CacheMode, EmbeddingCache};
 pub use flexgraph_tensor::QuantConfig;
 pub use model::{
-    aggregate_roots, dense_head, selection_admission_bytes, serve_one, AdmissionPlanner,
-    ModelSnapshot, ServeFeats, ServeModelConfig,
+    aggregate_roots, dense_head, selection_admission_bytes, serve_one, ModelSnapshot, ServeFeats,
+    ServeModelConfig,
 };
 pub use replica::{
     run_tier, swap_bytes_for, TierConfig, TierOp, TierResponse, TierRun, TierTenant,

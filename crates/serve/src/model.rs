@@ -18,8 +18,7 @@
 
 use crate::ServeError;
 use flexgraph_engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
-use flexgraph_engine::{admission_bytes, planned_admission_bytes, MemoryBudget};
-use flexgraph_graph::hll::ReachSketches;
+use flexgraph_engine::{admission_bytes, MemoryBudget};
 use flexgraph_graph::Graph;
 use flexgraph_hdg::build::select_hop_shells;
 use flexgraph_hdg::HdgBuilder;
@@ -248,7 +247,7 @@ impl ModelSnapshot {
 
 /// The capped k-hop NeighborSelection of one batch — walked once, then
 /// read twice: [`price`] sizes admission from its leaves and
-/// [`aggregate_selected`] freezes the same builder into the HDG.
+/// [`aggregate_roots`] freezes the same builder into the HDG.
 fn select(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> HdgBuilder {
     select_hop_shells(g, roots.to_vec(), cfg.hops, cfg.cap, cfg.seed).unwrap_or_else(|e| match e {})
 }
@@ -274,119 +273,18 @@ pub fn selection_admission_bytes(g: &Graph, cfg: &ServeModelConfig, roots: &[u32
     price(cfg, roots, select(g, cfg, roots).leaves())
 }
 
-/// HyperLogLog admission planner: prices a batch's capped k-hop
-/// selection **without walking the graph**.
-///
-/// Exact admission ([`selection_admission_bytes`], and the check inside
-/// [`aggregate_roots`]) costs one depth-bounded walk per root — the
-/// walk the HDG build needs anyway and shares, so admitting a batch
-/// that is then served costs nothing extra. What exact admission cannot
-/// do is say no *before* walking: a shell is capped only after it has
-/// been enumerated, so on a power-law graph an over-budget batch is
-/// rejected only once its uncapped `hops`-ball has been visited. This
-/// planner is for that case. It builds per-vertex hop-ball sketches
-/// ([`ReachSketches`]) once at server startup; pricing a batch is then
-/// a handful of register merges, and a rejected batch reads no
-/// adjacency at all.
-///
-/// Shell sizes fall out of ball differences, the per-shell sampling
-/// `cap` is applied to the *estimated* shell exactly as
-/// `select_hop_shells` applies it to the real one, and the
-/// distinct-closure estimate takes the tighter of the per-root capped
-/// sum and the merged-ball union estimate. Counts are near-exact in the
-/// linear-counting regime, so planned prices agree with the exact
-/// arithmetic to within the sketch error (≲ 5% on serving-scale
-/// batches).
-pub struct AdmissionPlanner {
-    sketches: ReachSketches,
-    hops: usize,
-    cap: usize,
-    in_dim: usize,
-}
-
-impl AdmissionPlanner {
-    /// HLL precision of the per-vertex ball sketches: `2^12` registers
-    /// (4 KiB per sketch) keeps serving-scale counts in the
-    /// linear-counting regime, where estimates are near-exact.
-    pub const PRECISION: u32 = 12;
-
-    /// Builds hop-ball sketches for every vertex of `g` (one-time,
-    /// `O(hops · E)` sketch merges).
-    pub fn new(g: &Graph, cfg: &ServeModelConfig) -> Self {
-        Self {
-            sketches: ReachSketches::build(g, cfg.hops.max(1), Self::PRECISION),
-            hops: cfg.hops,
-            cap: cfg.cap,
-            in_dim: cfg.in_dim,
-        }
-    }
-
-    /// Estimated [`selection_admission_bytes`] for `roots`, from the
-    /// sketches alone.
-    pub fn planned_bytes(&self, roots: &[u32]) -> usize {
-        let mut edges = 0.0f64;
-        let mut per_root_vertices = 0.0f64;
-        for &r in roots {
-            per_root_vertices += 1.0; // the root itself
-            for hop in 1..=self.hops {
-                let mut h = self.sketches.shell_estimate(r, hop);
-                if self.cap > 0 {
-                    h = h.min(self.cap as f64);
-                }
-                edges += h;
-                per_root_vertices += h;
-            }
-        }
-        // Distinct closure: the per-root sum ignores overlap between
-        // roots; the merged (uncapped) ball union ignores the caps.
-        // Each bounds the true capped closure from above in the regime
-        // where the other is loose, so take the tighter.
-        let mut vertices = per_root_vertices;
-        if self.hops >= 1 && !roots.is_empty() {
-            vertices = vertices.min(self.sketches.merged_estimate(roots, self.hops));
-        }
-        planned_admission_bytes(vertices, edges, self.in_dim)
-    }
-
-    /// Bytes of heap held by the underlying sketches.
-    pub fn heap_bytes(&self) -> usize {
-        self.sketches.heap_bytes()
-    }
-}
-
-/// The body of [`aggregate_roots`]: select → price → admit → build HDG
-/// → aggregate, over a single selection. `admit` says whether this call
-/// owns the exact admission check or a caller already admitted the
-/// batch (the server's [`AdmissionPlanner`] path, which prices the
-/// selection from sketches before anything is walked); the engine's own
-/// per-step budget checks run either way.
-pub(crate) fn aggregate_selected(
-    g: &Graph,
-    feats: FeatureRows<'_>,
-    cfg: &ServeModelConfig,
-    roots: &[u32],
-    budget: &MemoryBudget,
-    admit: bool,
-) -> Result<Tensor, ServeError> {
-    let selection = select(g, cfg, roots);
-    if admit {
-        budget.check(price(cfg, roots, selection.leaves()))?;
-    }
-    let hdg = selection.build();
-    let plan = AggrPlan::flat(cfg.op);
-    let res = hierarchical_aggregate(&hdg, feats, &plan, Strategy::Ha, budget)?;
-    Ok(res.features)
-}
-
 /// Capped k-hop aggregation for a set of roots: one `(dim)` row per
-/// root, in `roots` order, admission-checked against `budget` up
-/// front (the fused Ha path materializes almost nothing, so the
-/// explicit check — [`selection_admission_bytes`]' arithmetic on the
-/// selection this call builds from — is what actually enforces the
-/// budget). Per-root bitwise independent — see the crate docs — so this
-/// is both the batch path and (with one root) the reference path.
-/// `feats` is a `&Tensor` or a [`ServeFeats::as_rows`] view: the leaf
-/// level reads rows at their stored width, every level above is f32.
+/// root, in `roots` order. This is the only admission path, budget or
+/// not: the batch's selection is walked once, priced with
+/// [`selection_admission_bytes`]' arithmetic and checked against
+/// `budget`, and only an admitted selection is frozen into the HDG and
+/// aggregated (the fused Ha path materializes almost nothing, so this
+/// check is what actually enforces the budget; the engine's per-step
+/// checks run too). Per-root bitwise independent — see the crate docs —
+/// so this is both the batch path and (with one root) the reference
+/// path. `feats` is a `&Tensor` or a [`ServeFeats::as_rows`] view: the
+/// leaf level reads rows at their stored width, every level above is
+/// f32.
 pub fn aggregate_roots<'a>(
     g: &Graph,
     feats: impl Into<FeatureRows<'a>>,
@@ -394,7 +292,12 @@ pub fn aggregate_roots<'a>(
     roots: &[u32],
     budget: &MemoryBudget,
 ) -> Result<Tensor, ServeError> {
-    aggregate_selected(g, feats.into(), cfg, roots, budget, true)
+    let selection = select(g, cfg, roots);
+    budget.check(price(cfg, roots, selection.leaves()))?;
+    let hdg = selection.build();
+    let plan = AggrPlan::flat(cfg.op);
+    let res = hierarchical_aggregate(&hdg, feats.into(), &plan, Strategy::Ha, budget)?;
+    Ok(res.features)
 }
 
 /// Rounds every element of `t` through bf16 when `quant` stores rows at
@@ -544,73 +447,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Planned prices must track the exact arithmetic closely enough
-    /// that sketch-admitted and BFS-admitted servers agree on real
-    /// workloads: within 5% relative, with a small absolute slack for
-    /// tiny closures where one HLL register collision is worth a whole
-    /// vertex row.
-    fn assert_plans_track_exact(ds: &flexgraph_graph::gen::Dataset, cap: usize) {
-        let scfg = ServeModelConfig {
-            cap,
-            in_dim: ds.feature_dim(),
-            ..Default::default()
-        };
-        let planner = AdmissionPlanner::new(&ds.graph, &scfg);
-        let row_bytes = flexgraph_tensor::fusion::materialized_bytes(1, scfg.in_dim) as f64;
-        let check = |roots: &[u32], rel: f64| {
-            let exact = selection_admission_bytes(&ds.graph, &scfg, roots) as f64;
-            let planned = planner.planned_bytes(roots) as f64;
-            let err = (planned - exact).abs();
-            assert!(
-                err <= (rel * exact).max(3.0 * row_bytes),
-                "roots {roots:?} cap {cap}: planned {planned} vs exact {exact}"
-            );
-        };
-        let n = ds.graph.num_vertices() as u32;
-        for r in (0..n).step_by(7) {
-            check(&[r], 0.05);
-        }
-        // Batches: when caps bind, each root samples its shells
-        // independently, so the *overlap among sampled leaves* is
-        // workload-dependent and not recoverable from the sketches —
-        // the planner only brackets it (per-root capped sum vs merged
-        // uncapped union). Allow 10% there; uncapped batches stay at 5%.
-        let batch_rel = if cap == 0 { 0.05 } else { 0.10 };
-        check(&[0, 1, 2, 3], batch_rel); // overlapping neighborhoods
-        check(&[0, n / 3, 2 * n / 3, n - 1], batch_rel); // spread across communities
-    }
-
-    #[test]
-    fn planned_admission_tracks_exact_within_tolerance() {
-        for seed_graph in [community(60, 3, 4, 1, 8, 5), community(80, 3, 5, 1, 8, 3)] {
-            assert_plans_track_exact(&seed_graph, 0);
-            assert_plans_track_exact(&seed_graph, 16);
-        }
-    }
-
-    #[test]
-    fn preadmitted_aggregation_is_bitwise_the_admitted_one() {
-        let ds = community(60, 3, 4, 1, 8, 5);
-        let scfg = cfg(ds.feature_dim(), 4);
-        let budget = MemoryBudget::unlimited();
-        let roots = [3u32, 17, 17, 42];
-        let a = aggregate_roots(&ds.graph, &ds.features, &scfg, &roots, &budget).unwrap();
-        let b = aggregate_selected(
-            &ds.graph,
-            (&ds.features).into(),
-            &scfg,
-            &roots,
-            &budget,
-            false,
-        )
-        .unwrap();
-        assert_eq!(
-            a.data(),
-            b.data(),
-            "admission check must not change outputs"
-        );
-    }
-
     /// `selection_admission_bytes` as it was when it walked each root
     /// on its own and counted the closure in a hash set.
     fn price_root_by_root(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> usize {
@@ -626,8 +462,10 @@ mod tests {
 
     /// The check inside `aggregate_roots` prices the selection it
     /// builds from; the stand-alone probe re-walks it. Under a finite
-    /// budget they must agree batch for batch: the same ones shed, with
-    /// the probe's byte count as `needed`, the rest served.
+    /// budget they must agree batch for batch, and so must a budgeted
+    /// cache-off `Server`: the same batches shed, with the probe's byte
+    /// count as `needed`, the rest served — the server's rows bit-equal
+    /// to `serve_one`.
     #[test]
     fn finite_budget_sheds_exactly_what_the_probe_prices_over() {
         let ds = community(120, 3, 4, 1, 8, 5);
@@ -644,20 +482,50 @@ mod tests {
         let budget = MemoryBudget {
             bytes: prices[prices.len() / 2],
         };
+        let server = crate::Server::new(
+            ds.graph.clone(),
+            ds.features.clone(),
+            crate::ServerConfig {
+                model: scfg,
+                cache_bytes: 0,
+                budget,
+                ..Default::default()
+            },
+            ModelSnapshot::init(&scfg, 9),
+        );
+        let snap = server.snapshot();
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut shed = 0;
         for roots in &batches {
             let price = selection_admission_bytes(&ds.graph, &scfg, roots);
             assert_eq!(price, price_root_by_root(&ds.graph, &scfg, roots));
             let got = aggregate_roots(&ds.graph, &ds.features, &scfg, roots, &budget);
+            let requests: Vec<crate::Request> = (0..)
+                .zip(roots)
+                .map(|(id, &vertex)| crate::Request {
+                    id,
+                    vertex,
+                    submitted_vt: 0,
+                })
+                .collect();
+            let served = server.execute_batch(&requests, &snap);
             if price > budget.bytes {
                 shed += 1;
-                match got {
-                    Err(ServeError::AdmissionDenied { needed, budget: b }) => {
-                        assert_eq!((needed, b), (price, budget.bytes), "roots {roots:?}");
+                for err in [got.err(), served.err()] {
+                    match err {
+                        Some(ServeError::AdmissionDenied { needed, budget: b }) => {
+                            assert_eq!((needed, b), (price, budget.bytes), "roots {roots:?}");
+                        }
+                        other => panic!("roots {roots:?}: expected a shed batch, got {other:?}"),
                     }
-                    other => panic!("roots {roots:?}: expected a shed batch, got {other:?}"),
                 }
             } else {
+                let rows = served.unwrap_or_else(|e| panic!("roots {roots:?}: server shed: {e}"));
+                assert_eq!(rows.len(), roots.len());
+                for (r, &v) in rows.iter().zip(roots) {
+                    let one = serve_one(&ds.graph, &ds.features, &snap, &scfg, v, &budget).unwrap();
+                    assert_eq!(bits(&r.output), bits(&one), "roots {roots:?} vertex {v}");
+                }
                 let want = aggregate_roots(
                     &ds.graph,
                     &ds.features,

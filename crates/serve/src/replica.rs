@@ -68,7 +68,7 @@
 
 use crate::router::{ClosedBatch, Router, TenantId, TenantQuota};
 use crate::server::{execute_pinned, PinnedContext, Server, ServerConfig};
-use crate::{AdmissionPlanner, ModelSnapshot, ServeError, ServeFeats, ShardMap};
+use crate::{ModelSnapshot, ServeError, ServeFeats, ShardMap};
 use bytes::Bytes;
 use flexgraph_comm::{
     decode_serve_frame, ChaosSchedule, CommError, NetProfile, RetryPolicy, ServeFrame, SimConfig,
@@ -206,11 +206,6 @@ pub fn swap_bytes_for(model: &crate::ServeModelConfig, seed: u64) -> Vec<u8> {
     flexgraph_models::checkpoint::save(ModelSnapshot::init(model, seed).params())
 }
 
-/// What all replicas share of one tenant beyond its [`TierTenant`],
-/// derived once per run: the quantized feature store and the admission
-/// planner.
-type TenantShared = (ServeFeats, Option<AdmissionPlanner>);
-
 /// One tenant as a replica holds it: the serving context, the snapshot
 /// chain (every installed version) and the shard-local cache.
 struct ReplicaTenant<'a> {
@@ -224,8 +219,10 @@ struct ReplicaTenant<'a> {
 struct Replica<'a>(BTreeMap<TenantId, ReplicaTenant<'a>>);
 
 impl<'a> Replica<'a> {
-    fn new(tenants: &'a [TierTenant], shared: &'a [TenantShared]) -> Self {
-        let fresh = |(t, (feats, planner)): (&'a TierTenant, &'a TenantShared)| {
+    /// `feats[i]` is `tenants[i]`'s feature store, quantized once per run
+    /// and shared by every replica.
+    fn new(tenants: &'a [TierTenant], feats: &'a [ServeFeats]) -> Self {
+        let fresh = |(t, feats): (&'a TierTenant, &'a ServeFeats)| {
             let server = &t.server;
             let base = ModelSnapshot::init_quant(&server.model, t.init_seed, server.quant);
             let mode = if server.quant == QuantConfig::F32 {
@@ -237,14 +234,13 @@ impl<'a> Replica<'a> {
                 graph: &t.graph,
                 feats: feats.as_rows(),
                 model: &server.model,
-                planner: planner.as_ref(),
                 budget: &server.budget,
             };
             let cache = Mutex::new(crate::EmbeddingCache::with_mode(server.cache_bytes, mode));
             let chain = BTreeMap::from([(base.version(), base)]);
             (t.tenant, ReplicaTenant { ctx, chain, cache })
         };
-        Self(tenants.iter().zip(shared).map(fresh).collect())
+        Self(tenants.iter().zip(feats).map(fresh).collect())
     }
 
     fn step<C: WorkerCtx>(&mut self, ctx: &mut C) -> TaskStep {
@@ -634,7 +630,7 @@ impl SimTask for Node<'_, '_> {
 pub fn run_tier(tenants: &[TierTenant], ops: &[TierOp], cfg: &TierConfig) -> TierRun {
     assert!(cfg.replicas >= 1, "tier needs at least one replica");
     let router = Router::new();
-    let mut shared: Vec<TenantShared> = Vec::new();
+    let mut feats: Vec<ServeFeats> = Vec::new();
     for t in tenants {
         let snapshot = ModelSnapshot::init_quant(&t.server.model, t.init_seed, t.server.quant);
         router
@@ -644,9 +640,7 @@ pub fn run_tier(tenants: &[TierTenant], ops: &[TierOp], cfg: &TierConfig) -> Tie
                 t.quota,
             )
             .expect("unique tenant ids");
-        let planner = (t.server.budget.bytes != usize::MAX)
-            .then(|| AdmissionPlanner::new(&t.graph, &t.server.model));
-        shared.push((ServeFeats::new(t.feats.clone(), t.server.quant), planner));
+        feats.push(ServeFeats::new(t.feats.clone(), t.server.quant));
     }
     let live: Vec<u64> = (1..=cfg.replicas as u64).collect();
     let mut driver = Driver {
@@ -669,7 +663,7 @@ pub fn run_tier(tenants: &[TierTenant], ops: &[TierOp], cfg: &TierConfig) -> Tie
     loop {
         let replicas = driver.live.len();
         let mut nodes = vec![Node::Driver(&mut driver)];
-        nodes.extend((0..replicas).map(|_| Node::Replica(Replica::new(tenants, &shared))));
+        nodes.extend((0..replicas).map(|_| Node::Replica(Replica::new(tenants, &feats))));
         let sim = SimConfig {
             net: NetProfile::default(),
             retry: cfg.retry,

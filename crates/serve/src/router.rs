@@ -185,13 +185,6 @@ impl Router {
         Ok(())
     }
 
-    /// Advances every tenant's virtual clock.
-    pub fn tick_all(&self, ticks: u64) {
-        for state in self.states() {
-            state.1.server.tick(ticks);
-        }
-    }
-
     /// Polls one tenant (executes its next due batch locally),
     /// SLO-accounting the responses.
     pub fn poll(&self, tenant: TenantId) -> Result<Vec<Response>, ServeError> {
@@ -207,19 +200,6 @@ impl Router {
         let responses = state.server.flush()?;
         state.account_latencies(responses.iter().map(|r| r.latency_vt));
         Ok(responses)
-    }
-
-    /// Flushes every tenant in ascending id order, returning labelled
-    /// responses. The first shed batch aborts the sweep (its error
-    /// carries the tenant context in the window counters).
-    pub fn flush_all(&self) -> Result<Vec<(TenantId, Response)>, ServeError> {
-        let mut out = Vec::new();
-        for (tenant, _) in self.states() {
-            for r in self.flush(tenant)? {
-                out.push((tenant, r));
-            }
-        }
-        Ok(out)
     }
 
     /// Hot checkpoint swap for one tenant; returns the new version.

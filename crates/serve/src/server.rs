@@ -14,8 +14,7 @@
 use crate::batcher::{BatcherConfig, MicroBatcher, Request};
 use crate::cache::{CacheKey, CacheMode, EmbeddingCache};
 use crate::model::{
-    aggregate_selected, cache_round_inplace, dense_head, AdmissionPlanner, ModelSnapshot,
-    ServeFeats, ServeModelConfig,
+    aggregate_roots, cache_round_inplace, dense_head, ModelSnapshot, ServeFeats, ServeModelConfig,
 };
 use crate::ServeError;
 use flexgraph_engine::MemoryBudget;
@@ -38,8 +37,6 @@ pub struct PinnedContext<'a> {
     pub feats: FeatureRows<'a>,
     /// Model architecture and NeighborSelection parameters.
     pub model: &'a ServeModelConfig,
-    /// Sketch-based admission pricing (`None` admits everything).
-    pub planner: Option<&'a AdmissionPlanner>,
     /// Admission budget.
     pub budget: &'a MemoryBudget,
 }
@@ -128,22 +125,17 @@ pub fn execute_pinned(
     let (hits1, misses1) = c.stats();
     drop(c);
 
-    // Phase 2 — compute. Admission control: budgeted contexts price the
-    // selection from the HLL planner's sketches (a batch the planner
-    // rejects walks nothing) and then aggregate pre-admitted; unlimited
-    // ones take the exact aggregate_roots path, whose check prices the
-    // very selection the HDG is then built from. Either way a batch is
-    // selected once. The engine's own per-step budget checks run in
-    // both; any rejection sheds the whole batch.
+    // Phase 2 — compute. Admission control is aggregate_roots' one
+    // exact check: it walks the selection of the vertices still needing
+    // an aggregation once, prices it, and builds the HDG from that same
+    // selection only if the price fits the budget. The engine's own
+    // per-step budget checks run too; any rejection sheds the whole
+    // batch.
     let execute = || -> Result<Vec<Vec<f32>>, ServeError> {
         let mut fresh = if need_agg.is_empty() {
             Tensor::zeros(0, m.in_dim)
         } else {
-            if let Some(planner) = ctx.planner {
-                ctx.budget.check(planner.planned_bytes(&need_agg))?;
-            }
-            let exact = ctx.planner.is_none();
-            aggregate_selected(ctx.graph, ctx.feats, m, &need_agg, ctx.budget, exact)?
+            aggregate_roots(ctx.graph, ctx.feats, m, &need_agg, ctx.budget)?
         };
         // Quantized serving rounds aggregations to their bf16
         // cache-storage form *before* first use, so warm hits and cold
@@ -241,7 +233,10 @@ pub struct ServerConfig {
     /// Byte capacity of the embedding cache (0 disables caching).
     pub cache_bytes: usize,
     /// Admission-control budget: a batch whose NeighborSelection would
-    /// materialize more transient bytes is rejected, not executed.
+    /// materialize more transient bytes is rejected, not executed. The
+    /// price is exact — that of the selection the batch is then built
+    /// from ([`crate::model::aggregate_roots`]) — and the path is the
+    /// same whether or not a budget is set.
     pub budget: MemoryBudget,
     /// Serving precision. Non-f32 configs store features, weights, and
     /// cached embeddings at reduced width; the cache switches to bf16
@@ -289,10 +284,6 @@ pub struct Server {
     cache: Mutex<EmbeddingCache>,
     /// Counters of the current trace window.
     window: Mutex<ServeRecord>,
-    /// Sketch-based admission pricing, built only when a budget is
-    /// actually configured — unlimited-budget servers admit everything
-    /// and never consult it.
-    planner: Option<AdmissionPlanner>,
 }
 
 impl Server {
@@ -320,11 +311,6 @@ impl Server {
             cfg.quant,
             "snapshot precision must match the server's QuantConfig"
         );
-        let planner = if cfg.budget.bytes != usize::MAX {
-            Some(AdmissionPlanner::new(&graph, &cfg.model))
-        } else {
-            None
-        };
         // Half-width cache storage rides with quantized serving: the
         // quant pipeline rounds rows through bf16 before they reach the
         // cache, so narrow storage round-trips exactly there (and only
@@ -342,7 +328,6 @@ impl Server {
             batcher: Mutex::new(MicroBatcher::new(cfg.batcher)),
             cache: Mutex::new(EmbeddingCache::with_mode(cfg.cache_bytes, cache_mode)),
             window: Mutex::new(ServeRecord::default()),
-            planner,
         }
     }
 
@@ -507,7 +492,6 @@ impl Server {
             graph: &self.graph,
             feats: self.feats.as_rows(),
             model: &self.cfg.model,
-            planner: self.planner.as_ref(),
             budget: &self.cfg.budget,
         }
     }

@@ -50,6 +50,7 @@ const BULK_ROOT_COSTS: &str = "a worker builds its per-root cost map in one set_
 const ONE_LEAF_STORE: &str =
     "serving precision is the leaf store's type: one aggregate, one dense head, one serve_one";
 const MIN_CUT_ADB: &str = "ADB applies the minimum-cut plan (paper §6); no replication veto";
+const EXACT_ADMISSION: &str = "admission prices the exact selection the batch is built from";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(FABRIC), "thread::sleep", 0, ONE_WAIT),
@@ -97,6 +98,11 @@ const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(SOURCES), "serve_one_quant", 0, ONE_LEAF_STORE),
     (Text(SOURCES), "dense_head_quant", 0, ONE_LEAF_STORE),
     (Text(SOURCES), "max_replication_growth", 0, MIN_CUT_ADB),
+    (Text(SOURCES), "HyperLogLog", 0, EXACT_ADMISSION),
+    (Text(SOURCES), "ReachSketches", 0, EXACT_ADMISSION),
+    (Text(SOURCES), "AdmissionPlanner", 0, EXACT_ADMISSION),
+    (Text(SOURCES), "planned_admission_bytes", 0, EXACT_ADMISSION),
+    (Text(SOURCES), "tick_all", 0, EXACT_ADMISSION),
 ];
 
 /// Every file under `path` (or `path` itself).
