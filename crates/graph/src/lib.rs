@@ -21,13 +21,14 @@
 //! * [`partition`] — hash and label-propagation (PuLP-family) partitioners
 //!   plus edge-cut / balance metrics,
 //! * [`bfs`] — traversal orders and hop-distance shells (JK-Net),
-//! * [`io`] — dataset persistence (the storage layer of Figure 12).
+//! * [`crc`] — the CRC-32 trailer of checkpoints and of the paged store
+//!   (`flexgraph-store`, the storage layer of Figure 12).
 
 pub mod bfs;
+pub mod crc;
 pub mod csr;
 pub mod gen;
 pub mod hetero;
-pub mod io;
 pub mod metapath;
 pub mod partition;
 pub mod walk;

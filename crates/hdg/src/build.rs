@@ -21,11 +21,9 @@
 //!   ranges first; either way instances of one group keep their push
 //!   order, which serve's bitwise batch parity rests on.
 //!
-//! [`NeighborRecord`] and the by-id [`HdgBuilder::push`] are a
-//! convenience over the same storage for tests and benches. Constructors
-//! cover the selection UDFs of the paper's Figure 5 (direct neighbors,
-//! random-walk importance, metapath instances) plus the P-GNN / JK-Net
-//! extensions sketched in §3.2.
+//! Constructors cover the selection UDFs of the paper's Figure 5 (direct
+//! neighbors, random-walk importance, metapath instances) plus the
+//! P-GNN / JK-Net extensions sketched in §3.2.
 
 use crate::schema::SchemaTree;
 use crate::storage::Hdg;
@@ -33,18 +31,6 @@ use flexgraph_graph::bfs::{Adjacency, HopScratch};
 use flexgraph_graph::metapath::{for_each_instance, Metapath};
 use flexgraph_graph::walk::{importance_neighbors_all, WalkConfig};
 use flexgraph_graph::{Graph, TypedGraph, VertexId};
-use std::collections::HashMap;
-
-/// One "neighbor" of one root, as produced by a NeighborSelection UDF.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NeighborRecord {
-    /// The root vertex that owns this neighbor.
-    pub root: VertexId,
-    /// Index of the neighbor type (leaf of the schema tree).
-    pub nei_type: u16,
-    /// The input-graph vertices linked to this neighbor instance.
-    pub leaves: Vec<VertexId>,
-}
 
 /// Accumulates neighbor instances in [`Hdg`]'s own layout and freezes
 /// them into one.
@@ -56,9 +42,6 @@ pub struct HdgBuilder {
     /// Per-instance offsets into `leaf_src`, in push order.
     inst_off: Vec<usize>,
     leaf_src: Vec<VertexId>,
-    /// First rank of each root id; filled by the first by-id
-    /// [`HdgBuilder::push`], never touched by [`HdgBuilder::push_at`].
-    rank_of: HashMap<VertexId, usize>,
 }
 
 impl HdgBuilder {
@@ -82,7 +65,6 @@ impl HdgBuilder {
             keys: Vec::new(),
             inst_off: vec![0],
             leaf_src: Vec::new(),
-            rank_of: HashMap::new(),
         }
     }
 
@@ -113,26 +95,6 @@ impl HdgBuilder {
         );
         self.keys.push((rank * t + nei_type as usize) as u32);
         self.inst_off.push(self.leaf_src.len());
-    }
-
-    /// Adds one neighbor record by root id. With duplicate roots the
-    /// record lands on the id's **first** occurrence; a selection that
-    /// must fill every occurrence uses [`HdgBuilder::push_at`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record's type is outside the schema tree or its root
-    /// is not one of the builder's roots.
-    pub fn push(&mut self, rec: NeighborRecord) {
-        if self.rank_of.is_empty() {
-            for (rank, &v) in self.root_ids.iter().enumerate() {
-                self.rank_of.entry(v).or_insert(rank);
-            }
-        }
-        let Some(&rank) = self.rank_of.get(&rec.root) else {
-            panic!("root {} is not owned by this builder", rec.root);
-        };
-        self.push_at(rank, rec.nei_type, &rec.leaves);
     }
 
     /// Number of instances so far.
@@ -417,26 +379,10 @@ mod tests {
         let schema = SchemaTree::new(vec!["t0", "t1"]);
         let mut b = HdgBuilder::new(schema, vec![0, 1]);
         // Deliberately shuffled push order.
-        b.push(NeighborRecord {
-            root: 1,
-            nei_type: 0,
-            leaves: vec![5],
-        });
-        b.push(NeighborRecord {
-            root: 0,
-            nei_type: 1,
-            leaves: vec![3],
-        });
-        b.push(NeighborRecord {
-            root: 0,
-            nei_type: 0,
-            leaves: vec![2],
-        });
-        b.push(NeighborRecord {
-            root: 1,
-            nei_type: 1,
-            leaves: vec![7, 8],
-        });
+        b.push_at(1, 0, &[5]);
+        b.push_at(0, 1, &[3]);
+        b.push_at(0, 0, &[2]);
+        b.push_at(1, 1, &[7, 8]);
         let h = b.build();
         assert_eq!(h.instance_leaves(0), &[2], "(root0, t0) first");
         assert_eq!(h.instance_leaves(1), &[3], "(root0, t1)");
@@ -595,22 +541,6 @@ mod tests {
         assert_eq!(direct.instances_of_root(1), g.in_degree(3));
     }
 
-    /// A by-id push cannot tell the occurrences apart: first one wins.
-    #[test]
-    fn by_id_push_lands_on_the_first_occurrence() {
-        let mut b = HdgBuilder::new(SchemaTree::flat(), vec![7, 3, 7]);
-        b.push(NeighborRecord {
-            root: 7,
-            nei_type: 0,
-            leaves: vec![1, 2],
-        });
-        b.push_at(2, 0, &[5]);
-        let h = b.build();
-        assert_eq!(h.root_leaf_sources(0), &[1, 2]);
-        assert_eq!(h.instances_of_root(1), 0);
-        assert_eq!(h.root_leaf_sources(2), &[5]);
-    }
-
     #[test]
     #[should_panic(expected = "outside this builder's 1 roots")]
     fn rank_outside_roots_rejected() {
@@ -629,23 +559,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside schema")]
     fn type_outside_schema_rejected() {
-        let mut b = HdgBuilder::new(SchemaTree::flat(), vec![0]);
-        b.push(NeighborRecord {
-            root: 0,
-            nei_type: 1,
-            leaves: vec![1],
-        });
+        HdgBuilder::new(SchemaTree::flat(), vec![0]).push_at(0, 1, &[1]);
     }
 
+    /// A builder with no roots owns no rank at all.
     #[test]
-    #[should_panic(expected = "not owned by this builder")]
+    #[should_panic(expected = "outside this builder's 0 roots")]
     fn foreign_root_rejected() {
-        let mut b = HdgBuilder::new(SchemaTree::flat(), vec![0]);
-        b.push(NeighborRecord {
-            root: 5,
-            nei_type: 0,
-            leaves: vec![1],
-        });
+        HdgBuilder::new(SchemaTree::flat(), vec![]).push_at(0, 0, &[1]);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod schema;
 pub mod stats;
 pub mod storage;
 
-pub use build::{HdgBuilder, NeighborRecord};
+pub use build::HdgBuilder;
 pub use schema::SchemaTree;
 pub use stats::HdgStats;
 pub use storage::Hdg;

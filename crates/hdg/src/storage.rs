@@ -236,7 +236,7 @@ impl Hdg {
 
 #[cfg(test)]
 mod tests {
-    use crate::build::{HdgBuilder, NeighborRecord};
+    use crate::build::HdgBuilder;
     use crate::schema::SchemaTree;
     use std::sync::Arc;
 
@@ -245,31 +245,10 @@ mod tests {
     fn paper_hdg() -> crate::Hdg {
         let schema = SchemaTree::new(vec!["MP1", "MP2"]);
         let mut b = HdgBuilder::new(schema, vec![0]);
-        b.push(NeighborRecord {
-            root: 0,
-            nei_type: 0,
-            leaves: vec![0, 3, 2],
-        });
-        b.push(NeighborRecord {
-            root: 0,
-            nei_type: 1,
-            leaves: vec![0, 4, 1],
-        });
-        b.push(NeighborRecord {
-            root: 0,
-            nei_type: 1,
-            leaves: vec![0, 5, 6],
-        });
-        b.push(NeighborRecord {
-            root: 0,
-            nei_type: 1,
-            leaves: vec![0, 7, 6],
-        });
-        b.push(NeighborRecord {
-            root: 0,
-            nei_type: 1,
-            leaves: vec![0, 7, 8],
-        });
+        b.push_at(0, 0, &[0, 3, 2]);
+        for leaves in [[0, 4, 1], [0, 5, 6], [0, 7, 6], [0, 7, 8]] {
+            b.push_at(0, 1, &leaves);
+        }
         b.build()
     }
 

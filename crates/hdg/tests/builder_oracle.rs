@@ -1,22 +1,30 @@
 //! The flat builder against the record-at-a-time one it replaced.
 //!
 //! [`ReferenceBuilder`] is `HdgBuilder` as it stood before construction
-//! became one pass: a `Vec<NeighborRecord>`, a vertex-id → rank hash map
-//! consulted per record, a counting sort over every record in `build`.
-//! It lives here as the oracle; the flat builder must freeze the same
-//! three arrays from the same pushes, whatever order they arrive in.
+//! became one pass: a `Vec` of heap-allocated records, a vertex-id →
+//! rank hash map consulted per record, a counting sort over every record
+//! in `build`. It lives here as the oracle; the flat builder must freeze
+//! the same three arrays from the same pushes, whatever order they
+//! arrive in.
 
-use flexgraph_hdg::{Hdg, HdgBuilder, NeighborRecord, SchemaTree};
+use flexgraph_hdg::{Hdg, HdgBuilder, SchemaTree};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// `(group_off, inst_off, leaf_src)` — Figure 9's arrays.
 type Arrays = (Vec<usize>, Vec<usize>, Vec<u32>);
 
+/// One neighbor instance as the old builder took it: its root by id.
+struct Record {
+    root: u32,
+    nei_type: u16,
+    leaves: Vec<u32>,
+}
+
 struct ReferenceBuilder {
     num_types: usize,
     root_rank: HashMap<u32, usize>,
-    records: Vec<NeighborRecord>,
+    records: Vec<Record>,
 }
 
 impl ReferenceBuilder {
@@ -29,7 +37,7 @@ impl ReferenceBuilder {
         }
     }
 
-    fn push(&mut self, rec: NeighborRecord) {
+    fn push(&mut self, rec: Record) {
         assert!((rec.nei_type as usize) < self.num_types);
         assert!(self.root_rank.contains_key(&rec.root));
         self.records.push(rec);
@@ -99,9 +107,11 @@ fn pushes_strategy() -> impl Strategy<Value = (usize, usize, Vec<Push>)> {
 }
 
 proptest! {
-    /// Distinct, unordered root ids; records pushed by id, in the drawn
-    /// order (mostly out of group order) and again sorted into it (the
-    /// path that skips the permutation). Ties keep push order both ways.
+    /// Distinct, unordered root ids; the reference takes each record by
+    /// id and resolves it through its hash map, the builder takes the
+    /// rank. Pushes come in the drawn order (mostly out of group order)
+    /// and again sorted into it (the path that skips the permutation).
+    /// Ties keep push order both ways.
     #[test]
     fn by_id_pushes_freeze_the_reference_arrays(
         (n_roots, n_types, pushes) in pushes_strategy(),
@@ -115,9 +125,8 @@ proptest! {
             let mut want = ReferenceBuilder::new(n_types, &root_ids);
             let mut got = HdgBuilder::new(schema(n_types), root_ids.clone());
             for (rank, nei_type, leaves) in pushes {
-                let rec = NeighborRecord { root: root_ids[rank], nei_type, leaves };
-                want.push(rec.clone());
-                got.push(rec);
+                got.push_at(rank, nei_type, &leaves);
+                want.push(Record { root: root_ids[rank], nei_type, leaves });
             }
             prop_assert_eq!(got.len(), want.records.len());
             let hdg = got.build();
@@ -139,7 +148,7 @@ proptest! {
         let mut got = HdgBuilder::new(schema(n_types), root_ids.clone());
         for (rank, nei_type, leaves) in pushes {
             got.push_at(rank, nei_type, &leaves);
-            want.push(NeighborRecord { root: rank as u32, nei_type, leaves });
+            want.push(Record { root: rank as u32, nei_type, leaves });
         }
         let hdg = got.build();
         prop_assert_eq!(hdg.root_ids(), &root_ids[..]);

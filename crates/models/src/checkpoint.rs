@@ -18,7 +18,7 @@
 //! [`CheckpointError::Corrupt`] before a single parameter is touched.
 //! Restores are two-phase: parse and validate everything, then mutate.
 
-use flexgraph_graph::io::crc32;
+use flexgraph_graph::crc::crc32;
 use flexgraph_tensor::{Adam, ParamSet, Tensor};
 
 const MAGIC: u32 = 0x464c_4758; // "FLGX"

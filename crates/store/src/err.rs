@@ -1,9 +1,9 @@
 //! Store error type.
 //!
 //! Every variant that concerns an on-disk artifact names the file and
-//! (where one exists) the byte offset of the first violation, following
-//! the `graph::io::IoError` convention: a corruption report that cannot
-//! be acted on is barely better than a panic.
+//! (where one exists) the byte offset of the first violation: a
+//! corruption report that cannot be acted on is barely better than a
+//! panic.
 
 use flexgraph_engine::EngineError;
 use std::path::PathBuf;

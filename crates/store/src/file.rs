@@ -12,8 +12,8 @@ use crate::err::StoreError;
 use crate::format::{
     decode_segment, encode_segment, CodecError, Segment, HEADER_LEN, MAGIC, TAIL_LEN, VERSION,
 };
+use flexgraph_graph::crc::crc32;
 use flexgraph_graph::csr::{Graph, VertexId};
-use flexgraph_graph::io::crc32;
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;

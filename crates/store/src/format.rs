@@ -11,7 +11,7 @@
 //! segment 0 … segment S−1, back to back:
 //!   body: out-adjacency then in-adjacency, per vertex of the segment:
 //!         varint degree, then zigzag-varint neighbor deltas
-//!   trailer: u32 CRC-32 of the body (graph::io::crc32)
+//!   trailer: u32 CRC-32 of the body (graph::crc::crc32)
 //! footer:
 //!   per segment: offset u64, len u64   (len includes the CRC trailer)
 //!   u32 CRC-32 of the entries          — then, for tail discovery:
@@ -26,9 +26,9 @@
 //! dedup), so a round-trip through the store is bitwise lossless;
 //! zigzag encoding keeps the codec total even for unsorted lists.
 //!
-//! Decoding follows the same validate-before-allocate discipline as
-//! `graph::io`: every declared degree is checked against the bytes that
-//! remain (each neighbor takes ≥ 1 byte) *before* reserving space, so a
+//! Decoding validates before it allocates: every declared degree is
+//! checked against the bytes that remain (each neighbor takes ≥ 1 byte)
+//! *before* reserving space, so a
 //! corrupt degree field produces a [`CodecError`], not a huge
 //! speculative allocation.
 

@@ -10,8 +10,8 @@
 //!
 //! * [`format`] — the FGPS chunked CSR/CSC segment codec: fixed
 //!   vertex-range segments, delta-varint edge compression, per-segment
-//!   CRC-32 trailers (the `graph::io` Dataset-v2 conventions, extended
-//!   with a footer index for random access).
+//!   CRC-32 trailers (`graph::crc::crc32`) and a footer index for random
+//!   access.
 //! * [`file`] — [`StoreWriter`] (streaming, header patched at finish)
 //!   and [`StoreReader`] (footer discovery, validate-before-allocate,
 //!   CRC-checked segment reads).

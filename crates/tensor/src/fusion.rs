@@ -220,21 +220,8 @@ pub fn segment_reduce_serial(feats: &Tensor, offsets: &[usize], src: &[u32]) -> 
     out
 }
 
-/// Adjoint of the Sum/Mean fused reduction: scatters `grad_out[i]` back
-/// to every source row of segment `i` (scaled by `1/len` for Mean).
-pub fn segment_reduce_backward(
-    grad_out: &Tensor,
-    offsets: &[usize],
-    src: &[u32],
-    src_rows: usize,
-    mean: bool,
-) -> Tensor {
-    let mut grad_in = Tensor::zeros(src_rows, grad_out.cols());
-    segment_reduce_backward_into(&mut grad_in, grad_out, offsets, src, mean);
-    grad_in
-}
-
-/// Accumulating form of [`segment_reduce_backward`]: adds into a
+/// Adjoint of the Sum/Mean fused reduction: adds `grad_out[i]` (scaled
+/// by `1/len` for Mean) into every source row of segment `i` of the
 /// caller-provided `src_rows × grad_out.cols()` `grad_in`; `grad_out`
 /// has one row per segment.
 pub fn segment_reduce_backward_into(
@@ -320,7 +307,8 @@ mod tests {
         let offsets = [0usize, 2, 3];
         let src = [0u32, 1, 1];
         let grad_out = Tensor::from_rows(&[&[1.0, 10.0], &[2.0, 20.0]]);
-        let g = segment_reduce_backward(&grad_out, &offsets, &src, 3, false);
+        let mut g = Tensor::zeros(3, 2);
+        segment_reduce_backward_into(&mut g, &grad_out, &offsets, &src, false);
         // Row 0 feeds segment 0 once; row 1 feeds segments 0 and 1.
         assert_eq!(g.row(0), &[1.0, 10.0]);
         assert_eq!(g.row(1), &[3.0, 30.0]);
@@ -332,7 +320,8 @@ mod tests {
         let offsets = [0usize, 2];
         let src = [0u32, 1];
         let grad_out = Tensor::from_rows(&[&[4.0]]);
-        let g = segment_reduce_backward(&grad_out, &offsets, &src, 2, true);
+        let mut g = Tensor::zeros(2, 1);
+        segment_reduce_backward_into(&mut g, &grad_out, &offsets, &src, true);
         assert_eq!(g.row(0), &[2.0]);
         assert_eq!(g.row(1), &[2.0]);
     }
@@ -361,21 +350,24 @@ mod tests {
     #[should_panic(expected = "one gradient row per segment")]
     fn backward_rejects_a_gradient_with_the_wrong_row_count() {
         let grad_out = Tensor::zeros(3, 2);
-        let _ = segment_reduce_backward(&grad_out, &[0, 2, 3], &[0, 1, 1], 3, false);
+        let mut g = Tensor::zeros(3, 2);
+        segment_reduce_backward_into(&mut g, &grad_out, &[0, 2, 3], &[0, 1, 1], false);
     }
 
     #[test]
     #[should_panic(expected = "offsets must cover src")]
     fn backward_rejects_offsets_that_do_not_cover_src() {
         let grad_out = Tensor::zeros(2, 2);
-        let _ = segment_reduce_backward(&grad_out, &[0, 2, 2], &[0, 1, 1], 3, false);
+        let mut g = Tensor::zeros(3, 2);
+        segment_reduce_backward_into(&mut g, &grad_out, &[0, 2, 2], &[0, 1, 1], false);
     }
 
     #[test]
     #[should_panic(expected = "source row 3 out of range")]
     fn backward_rejects_a_source_row_past_grad_in() {
         let grad_out = Tensor::zeros(2, 2);
-        let _ = segment_reduce_backward(&grad_out, &[0, 2, 3], &[0, 3, 1], 3, false);
+        let mut g = Tensor::zeros(3, 2);
+        segment_reduce_backward_into(&mut g, &grad_out, &[0, 2, 3], &[0, 3, 1], false);
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub use optim::{Adam, Optimizer, ParamSet, Sgd};
 pub use par::{num_threads, pool_worker_count, set_thread_override};
 pub use quant::{Bf16Tensor, FeatureRows, QInt8Cols, QInt8Rows, QuantConfig};
 pub use scatter::{
-    gather_rows, scatter_add, scatter_add_gathered_into, scatter_add_with_plan, scatter_max,
-    scatter_max_with_plan, scatter_mean, scatter_mean_with_plan, scatter_min,
-    scatter_min_with_plan, scatter_softmax, scatter_softmax_with_plan, ScatterPlan,
+    gather_rows, scatter_add, scatter_add_gathered_into, scatter_add_with_plan,
+    scatter_max_with_plan, scatter_mean, scatter_mean_with_plan, scatter_min_with_plan,
+    scatter_softmax, scatter_softmax_with_plan, ScatterPlan,
 };
 pub use simd::backend as simd_backend;
 pub use tensor::Tensor;

@@ -277,12 +277,13 @@ fn scatter_checked_with_plan(out: &mut Tensor, values: &Tensor, plan: &ScatterPl
     scatter_reduce_with_plan(out, values, plan, kind);
 }
 
-/// Planned [`scatter_max`].
+/// Per-destination, per-column maximum; empty destinations stay zero
+/// (matching the convention of `pytorch_scatter` with a zero fill).
 pub fn scatter_max_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
     scatter_extreme_with_plan(values, plan, Reduce::Max, f32::NEG_INFINITY)
 }
 
-/// Planned [`scatter_min`].
+/// Per-destination, per-column minimum; empty destinations stay zero.
 pub fn scatter_min_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
     scatter_extreme_with_plan(values, plan, Reduce::Min, f32::INFINITY)
 }
@@ -625,17 +626,6 @@ pub fn scatter_mean(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
     scatter_mean_with_plan(values, &one_shot_plan(values, index, out_rows))
 }
 
-/// Per-destination, per-column maximum; empty destinations stay zero
-/// (matching the convention of `pytorch_scatter` with a zero fill).
-pub fn scatter_max(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
-    scatter_max_with_plan(values, &one_shot_plan(values, index, out_rows))
-}
-
-/// Per-destination, per-column minimum; empty destinations stay zero.
-pub fn scatter_min(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
-    scatter_min_with_plan(values, &one_shot_plan(values, index, out_rows))
-}
-
 /// Softmax over value rows sharing a destination, per column.
 ///
 /// The output has the shape of `values`: row `i`, column `c` becomes
@@ -646,7 +636,7 @@ pub fn scatter_softmax(values: &Tensor, index: &[u32], out_rows: usize) -> Tenso
 }
 
 /// Number of value rows targeting each destination.
-pub fn index_counts(index: &[u32], out_rows: usize) -> Vec<u32> {
+fn index_counts(index: &[u32], out_rows: usize) -> Vec<u32> {
     let mut counts = vec![0u32; out_rows];
     for &i in index {
         counts[i as usize] += 1;
@@ -730,12 +720,12 @@ pub fn scatter_mean_serial(values: &Tensor, index: &[u32], out_rows: usize) -> T
     out
 }
 
-/// Serial reference for [`scatter_max`].
+/// Serial reference for [`scatter_max_with_plan`].
 pub fn scatter_max_serial(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
     scatter_extreme_serial(values, index, out_rows, f32::NEG_INFINITY, f32::max)
 }
 
-/// Serial reference for [`scatter_min`].
+/// Serial reference for [`scatter_min_with_plan`].
 pub fn scatter_min_serial(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
     scatter_extreme_serial(values, index, out_rows, f32::INFINITY, f32::min)
 }
@@ -850,16 +840,17 @@ mod tests {
     #[test]
     fn scatter_max_and_min() {
         let v = Tensor::from_rows(&[&[1.0, -5.0], &[3.0, -1.0], &[2.0, -9.0]]);
-        let mx = scatter_max(&v, &[0, 0, 1], 2);
+        let plan = ScatterPlan::new(&[0, 0, 1], 2);
+        let mx = scatter_max_with_plan(&v, &plan);
         assert_eq!(mx, Tensor::from_rows(&[&[3.0, -1.0], &[2.0, -9.0]]));
-        let mn = scatter_min(&v, &[0, 0, 1], 2);
+        let mn = scatter_min_with_plan(&v, &plan);
         assert_eq!(mn, Tensor::from_rows(&[&[1.0, -5.0], &[2.0, -9.0]]));
     }
 
     #[test]
     fn scatter_max_empty_destination_is_zero_not_neg_inf() {
         let v = Tensor::from_rows(&[&[5.0]]);
-        let mx = scatter_max(&v, &[1], 3);
+        let mx = scatter_max_with_plan(&v, &ScatterPlan::new(&[1], 3));
         assert_eq!(mx, Tensor::from_rows(&[&[0.0], &[5.0], &[0.0]]));
     }
 

@@ -288,14 +288,8 @@ impl Tensor {
         self.map(|x| x * s)
     }
 
-    /// Adds `bias` (a `1×cols` tensor) to every row.
-    pub fn add_row_broadcast(&self, bias: &Self) -> Self {
-        let mut out = Self::zeros(self.rows, self.cols);
-        self.add_row_broadcast_into(bias, &mut out);
-        out
-    }
-
-    /// [`Tensor::add_row_broadcast`] into `out` (same shape as `self`).
+    /// Adds `bias` (a `1×cols` tensor) to every row, into `out` (same
+    /// shape as `self`).
     pub fn add_row_broadcast_into(&self, bias: &Self, out: &mut Self) {
         assert_eq!(bias.rows, 1, "bias must be a single row");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
@@ -540,21 +534,6 @@ impl Tensor {
         }
     }
 
-    /// Vertical concatenation (equal column counts). Allocates the
-    /// exact output size once (the seed cloned `self`'s buffer and then
-    /// grew it, paying a reallocation plus copy on every call).
-    pub fn concat_rows(&self, other: &Self) -> Self {
-        assert_eq!(self.cols, other.cols, "concat_rows needs equal col counts");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Self {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -569,16 +548,8 @@ impl Tensor {
         }
     }
 
-    /// Column-wise sum, producing a `1×cols` tensor (used as the matmul
-    /// bias gradient).
-    pub fn sum_rows(&self) -> Self {
-        let mut out = Tensor::zeros(1, self.cols);
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// Accumulating form of [`Tensor::sum_rows`]: adds every row into
-    /// the caller-provided `1×cols` `out`.
+    /// Column-wise sum, accumulated into the caller-provided `1×cols`
+    /// `out` (the matmul bias gradient).
     pub fn sum_rows_into(&self, out: &mut Self) {
         assert_eq!(out.shape(), (1, self.cols), "sum_rows output shape");
         for r in 0..self.rows {
@@ -636,15 +607,8 @@ impl Tensor {
             .fold(0.0f32, f32::max)
     }
 
-    /// Row-wise softmax into a new tensor (numerically stabilized).
-    pub fn softmax_rows(&self) -> Self {
-        let mut out = Tensor::zeros(self.rows, self.cols);
-        self.softmax_rows_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::softmax_rows`] into a caller-provided `out` of the
-    /// same shape.
+    /// Row-wise softmax (numerically stabilized) into a caller-provided
+    /// `out` of the same shape.
     pub fn softmax_rows_into(&self, out: &mut Self) {
         assert_eq!(self.shape(), out.shape(), "shape mismatch in softmax_rows");
         for r in 0..self.rows {
@@ -880,24 +844,20 @@ mod tests {
     fn broadcast_bias() {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Tensor::from_rows(&[&[10.0, 20.0]]);
-        assert_eq!(
-            a.add_row_broadcast(&b),
-            Tensor::from_rows(&[&[11.0, 22.0], &[13.0, 24.0]])
-        );
+        let mut out = Tensor::zeros(2, 2);
+        a.add_row_broadcast_into(&b, &mut out);
+        assert_eq!(out, Tensor::from_rows(&[&[11.0, 22.0], &[13.0, 24.0]]));
     }
 
     #[test]
-    fn concat_cols_and_rows() {
+    fn concat_cols_and_slice_back() {
         let a = Tensor::from_rows(&[&[1.0], &[2.0]]);
         let b = Tensor::from_rows(&[&[3.0], &[4.0]]);
-        assert_eq!(
-            a.concat_cols(&b),
-            Tensor::from_rows(&[&[1.0, 3.0], &[2.0, 4.0]])
-        );
-        assert_eq!(
-            a.concat_rows(&b),
-            Tensor::from_rows(&[&[1.0], &[2.0], &[3.0], &[4.0]])
-        );
+        let ab = a.concat_cols(&b);
+        assert_eq!(ab, Tensor::from_rows(&[&[1.0, 3.0], &[2.0, 4.0]]));
+        let mut side = Tensor::zeros(2, 1);
+        ab.slice_cols_into(1, &mut side);
+        assert_eq!(side, b);
     }
 
     #[test]
@@ -905,7 +865,9 @@ mod tests {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
-        assert_eq!(a.sum_rows(), Tensor::from_rows(&[&[4.0, 6.0]]));
+        let mut col_sums = Tensor::zeros(1, 2);
+        a.sum_rows_into(&mut col_sums);
+        assert_eq!(col_sums, Tensor::from_rows(&[&[4.0, 6.0]]));
         assert_eq!(a.sum_cols(), Tensor::from_rows(&[&[3.0], &[7.0]]));
         assert_eq!(a.argmax_rows(), vec![1, 1]);
     }
@@ -920,7 +882,8 @@ mod tests {
     #[test]
     fn softmax_rows_is_normalized() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[1000.0, 1000.0, 1000.0]]);
-        let s = a.softmax_rows();
+        let mut s = Tensor::zeros(2, 3);
+        a.softmax_rows_into(&mut s);
         for r in 0..2 {
             let sum: f32 = s.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);

@@ -1,8 +1,8 @@
 //! Property-based tests for the tensor substrate.
 
 use flexgraph_tensor::{
-    gather_rows, scatter_add, scatter_max, scatter_mean, scatter_min, scatter_softmax, Graph,
-    Tensor,
+    gather_rows, scatter_add, scatter_max_with_plan, scatter_mean, scatter_min_with_plan,
+    scatter_softmax, Graph, ScatterPlan, Tensor,
 };
 use proptest::prelude::*;
 
@@ -60,7 +60,7 @@ proptest! {
 
     #[test]
     fn scatter_max_matches_reference((v, idx, out_rows) in tensor_and_index()) {
-        let got = scatter_max(&v, &idx, out_rows);
+        let got = scatter_max_with_plan(&v, &ScatterPlan::new(&idx, out_rows));
         let want = reference_scatter(&v, &idx, out_rows, |g| {
             g.iter().copied().fold(f32::NEG_INFINITY, f32::max)
         });
@@ -69,7 +69,7 @@ proptest! {
 
     #[test]
     fn scatter_min_matches_reference((v, idx, out_rows) in tensor_and_index()) {
-        let got = scatter_min(&v, &idx, out_rows);
+        let got = scatter_min_with_plan(&v, &ScatterPlan::new(&idx, out_rows));
         let want = reference_scatter(&v, &idx, out_rows, |g| {
             g.iter().copied().fold(f32::INFINITY, f32::min)
         });

@@ -12,8 +12,8 @@ use flexgraph_tensor::scatter::{
     scatter_min_serial, scatter_softmax_serial,
 };
 use flexgraph_tensor::{
-    gather_rows, scatter_add, scatter_max, scatter_mean, scatter_min, scatter_softmax,
-    segment_reduce, set_thread_override, Reduce, Tensor,
+    gather_rows, scatter_add, scatter_max_with_plan, scatter_mean, scatter_min_with_plan,
+    scatter_softmax, segment_reduce, set_thread_override, Reduce, ScatterPlan, Tensor,
 };
 use proptest::prelude::*;
 
@@ -55,6 +55,7 @@ fn check_all_kernels(values: &Tensor, index: &[u32], out_rows: usize) {
     let want_max = scatter_max_serial(values, index, out_rows);
     let want_min = scatter_min_serial(values, index, out_rows);
     let want_sm = scatter_softmax_serial(values, index, out_rows);
+    let plan = ScatterPlan::new(index, out_rows);
     for threads in THREAD_SWEEP {
         set_thread_override(Some(threads));
         assert_bitwise_eq(
@@ -70,13 +71,13 @@ fn check_all_kernels(values: &Tensor, index: &[u32], out_rows: usize) {
             threads,
         );
         assert_bitwise_eq(
-            &scatter_max(values, index, out_rows),
+            &scatter_max_with_plan(values, &plan),
             &want_max,
             "max",
             threads,
         );
         assert_bitwise_eq(
-            &scatter_min(values, index, out_rows),
+            &scatter_min_with_plan(values, &plan),
             &want_min,
             "min",
             threads,

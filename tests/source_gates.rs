@@ -51,6 +51,9 @@ const ONE_LEAF_STORE: &str =
     "serving precision is the leaf store's type: one aggregate, one dense head, one serve_one";
 const MIN_CUT_ADB: &str = "ADB applies the minimum-cut plan (paper §6); no replication veto";
 const EXACT_ADMISSION: &str = "admission prices the exact selection the batch is built from";
+const ONE_GRAPH_FORMAT: &str = "FGPS is the one on-disk graph format; graph has no dataset file";
+const HDG_SOURCES: &[&str] = &["crates/hdg/src"];
+const RANK_ONLY: &str = "the HDG builder is keyed by rank (push_at); it has no by-id push";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(FABRIC), "thread::sleep", 0, ONE_WAIT),
@@ -103,6 +106,31 @@ const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(SOURCES), "AdmissionPlanner", 0, EXACT_ADMISSION),
     (Text(SOURCES), "planned_admission_bytes", 0, EXACT_ADMISSION),
     (Text(SOURCES), "tick_all", 0, EXACT_ADMISSION),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("FG", "DS"),
+        0,
+        ONE_GRAPH_FORMAT,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("io_", "corruption"),
+        0,
+        ONE_GRAPH_FORMAT,
+    ),
+    (
+        Names("crates/graph/src"),
+        concat!("io", ".rs"),
+        0,
+        ONE_GRAPH_FORMAT,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("Neighbor", "Record"),
+        0,
+        RANK_ONLY,
+    ),
+    (Text(HDG_SOURCES), concat!("rank", "_of"), 0, RANK_ONLY),
 ];
 
 /// Every file under `path` (or `path` itself).
