@@ -83,7 +83,6 @@ fn scaled_nic() -> NetProfile {
     NetProfile::from_cost_model(&CostModel {
         alpha_us: 100.0,
         bytes_per_us: 100.0,
-        simulate_delay: false,
     })
 }
 

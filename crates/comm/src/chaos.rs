@@ -1,20 +1,21 @@
-//! Seeded, deterministic chaos schedules for the fabric.
+//! Seeded, deterministic chaos schedules for the virtual cluster — the
+//! one fault injector.
 //!
 //! A [`ChaosSchedule`] decides, per packet, whether to drop it, duplicate
 //! it, hold it back for reordering, or delay it. Every decision is a pure
 //! function of the schedule's seed and the packet's coordinates
 //! `(src, dst, seq, attempt)` — hashed through SplitMix64, never drawn
 //! from shared mutable state — so a given seed reproduces the exact same
-//! fault pattern on every run regardless of thread interleaving. That is
-//! what lets `tests/chaos.rs` demand *bitwise* parity with the fault-free
-//! run and lets a failing seed be replayed locally
-//! (`FLEXGRAPH_CHAOS_SEED=<n> cargo test --test chaos`).
+//! fault pattern on every run. That is what lets `tests/chaos.rs` demand
+//! *bitwise* parity with the fault-free run and lets a failing seed be
+//! replayed locally (`FLEXGRAPH_CHAOS_SEED=<n> cargo test --test chaos`).
 //!
 //! Liveness is guaranteed by construction: drop decisions only apply to a
 //! packet's first two transmissions (`attempt <= 1`); from the third
 //! attempt on, the packet always goes through, so
-//! [`crate::link::plan_send`] — where both transports turn a packet's
-//! verdicts into what sending it costs — stops after at most two losses.
+//! [`crate::link::plan_send`] — where the virtual cluster turns a
+//! packet's verdicts into what sending it costs — stops after at most two
+//! losses.
 
 /// Where a simulated worker process dies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,10 +29,10 @@ pub struct CrashPoint {
 
 /// A deterministic, seeded fault schedule applied at send time.
 ///
-/// The zero value (`ChaosSchedule::default()`) injects nothing. Install
-/// a schedule with [`crate::Fabric::set_chaos`]; workers adopt it only at
-/// barrier points (or on their first fabric operation), so a schedule
-/// can never tear across a message batch.
+/// The zero value (`ChaosSchedule::default()`) injects nothing. A
+/// schedule is fixed for a whole [`crate::VirtualCluster`] run
+/// ([`crate::SimConfig::chaos`]), so it can never tear across a message
+/// batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ChaosSchedule {
     /// Seed for every per-packet fault decision.
@@ -103,7 +104,7 @@ impl ChaosSchedule {
     }
 
     /// Whether `rank`, `data_sends` application sends in, dies on its
-    /// next one: the [`CrashPoint`] arming rule of both transports.
+    /// next one: the [`CrashPoint`] arming rule.
     pub fn crashes_at(&self, rank: usize, data_sends: u64) -> bool {
         self.crash
             .is_some_and(|c| c.rank == rank && data_sends + 1 >= c.at_send.max(1))

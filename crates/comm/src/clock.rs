@@ -1,17 +1,14 @@
-//! One timeout code shape for both transports.
+//! The timeout shapes of the modelled link.
 //!
-//! The real-thread fabric ([`crate::fabric`]) and the virtual-time
-//! runtime ([`crate::det`]) must agree on *when* things happen after a
-//! fault: how the retransmission backoff grows
-//! ([`crate::link::plan_send`] sums it into a delivery time for both),
-//! and how long after a crash the survivors learn of it. Keeping those
-//! shapes here — and nowhere else — is what makes a peer failure due at
-//! the same offset on the event wheel (virtual time) and on threads
-//! (wall time), instead of each transport growing its own drift-prone
-//! copy.
+//! How the retransmission backoff grows ([`crate::link::plan_send`] sums
+//! it into a delivery time) and how long after a crash the survivors
+//! learn of it are written here once, in virtual time: the virtual
+//! cluster ([`crate::det`]) schedules retransmissions and peer-failure
+//! events from them. The threaded fabric waits on nothing but its
+//! receive patience.
 
 use crate::fabric::RetryPolicy;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Backoff before retransmission number `attempts` (1 = the first
 /// retransmission): `base_timeout · 2^(attempts-1)`, capped at
@@ -26,10 +23,9 @@ pub fn backoff_for(retry: RetryPolicy, attempts: u32) -> Duration {
 
 /// The span from a message's first transmission to the moment its
 /// sender exhausts [`RetryPolicy::max_attempts`] — the sum of every
-/// inter-attempt backoff, capped by the receive patience. Both
-/// transports make a crash known to the survivors exactly this far
-/// after it: the virtual runtime as peer-failure events, the threaded
-/// fabric as the `Down` frame's delivery time.
+/// inter-attempt backoff, capped by the receive patience. The virtual
+/// cluster makes a crash known to the survivors exactly this far after
+/// it, as peer-failure events.
 pub fn detection_budget(retry: &RetryPolicy) -> Duration {
     let mut total = retry.base_timeout;
     for attempts in 1..retry.max_attempts {
@@ -39,14 +35,6 @@ pub fn detection_budget(retry: &RetryPolicy) -> Duration {
         total += backoff_for(*retry, attempts);
     }
     total.min(retry.patience)
-}
-
-/// Sleeps until `t` (no-op when already past).
-pub fn wait_until(t: Instant) {
-    let now = Instant::now();
-    if t > now {
-        std::thread::sleep(t - now);
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Deterministic virtual-time discrete-event runtime.
 //!
 //! The threaded [`crate::fabric`] caps simulated cluster sizes at the
-//! host's core count and times out in wall-clock terms. This module
+//! host's core count and runs no faults. This module
 //! replaces OS threads with *cooperative state-machine tasks* driven by
 //! a binary-heap event wheel keyed by `(virtual_time, tie_break_seq)`:
 //! a thousand workers run comfortably on one core, every run of the same
@@ -22,8 +22,8 @@
 //!   crashes a cascade of peer-failure events), and appends a
 //!   deterministic event log. Each wire arrival is priced on its own,
 //!   so arrivals can overtake one another; the link's `link::LinkRecv`
-//!   (the receive half shared with [`crate::fabric`]) hands them over
-//!   once each and in send order, an early one when its gap fills.
+//!   hands them over once each and in send order, an early one when its
+//!   gap fills.
 //!
 //! Determinism contract: given the same tasks, profile, retry policy,
 //! and chaos seed, the sequence of scheduler decisions — and therefore
@@ -208,9 +208,9 @@ impl Default for NetProfile {
 }
 
 impl NetProfile {
-    /// A uniform profile with the same alpha-beta numbers as a threaded
-    /// [`crate::CostModel`] (the `simulate_delay` flag is irrelevant —
-    /// virtual waiting is free, so the wire is always modeled).
+    /// A uniform profile with the same alpha-beta numbers as a
+    /// [`crate::CostModel`] (virtual waiting is free, so the wire is
+    /// always modeled).
     pub fn from_cost_model(m: &crate::CostModel) -> Self {
         let link = LinkSpec {
             latency_us: m.alpha_us,
@@ -314,8 +314,8 @@ pub struct VMessage {
 pub struct SimConfig {
     /// Network and compute model.
     pub net: NetProfile,
-    /// Retransmission/detection timing (shared shape with the threaded
-    /// fabric via [`crate::clock`]).
+    /// Retransmission/detection timing (its shapes are in
+    /// [`crate::clock`]).
     pub retry: RetryPolicy,
     /// Seeded fault schedule, applied as events.
     pub chaos: ChaosSchedule,
@@ -655,8 +655,7 @@ impl VirtualCluster {
 
     /// Marks `rank` crashed and schedules the peer-failure cascade: every
     /// other unfinished worker learns of the death one detection budget
-    /// later (the offset the threaded fabric's `Down` frame is due at —
-    /// see [`clock::detection_budget`]).
+    /// later (see [`clock::detection_budget`]).
     fn crash(&mut self, rank: usize) {
         self.crashed[rank] = true;
         let vt = self.local_vt[rank];

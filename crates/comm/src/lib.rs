@@ -3,34 +3,27 @@
 //! Simulated MPI controller for shared-nothing distributed training.
 //!
 //! The paper runs FlexGraph on a 16-machine HPC cluster with a 3.25 GB/s
-//! NIC behind an MPI controller. This crate simulates that fabric on one
-//! machine: each *worker* is an OS thread, all cross-worker traffic goes
-//! through a [`Fabric`] of crossbeam channels, and every message both
-//! moves real bytes and accrues a calibrated wire-time model
-//! ([`CostModel`]). Messages are delivered only after their modeled wire
-//! time has elapsed, so computation genuinely overlaps communication —
-//! which is what makes the pipeline-processing experiment (Figure 15b/c)
-//! produce real speedups rather than bookkeeping ones.
+//! NIC behind an MPI controller. This crate simulates that controller on
+//! one machine, with two drivers for one worker ([`worker`]):
 //!
-//! The fabric is fault-tolerant, standing in for the fault-tolerance
-//! module of the paper's architecture diagram (Figure 12): a seeded
-//! [`ChaosSchedule`] can deterministically inject drops, duplicates,
-//! reorders, delays, and single-worker crashes, and whatever it does
-//! every payload is delivered exactly once and in send order, a crash
-//! becomes a structured [`CommError`] on every survivor, and no blocking
-//! call outlives its patience — the substrate `tests/chaos.rs` uses to
-//! prove bitwise-identical epoch outputs under any fault schedule. The
-//! channels themselves lose nothing, so a drop costs what the schedule
-//! says it costs — a sender's retransmit timers, folded into the
-//! packet's delivery time — with no acknowledgement protocol run
-//! against it.
+//! * [`det`] — the deterministic virtual-time discrete-event runtime.
+//!   Workers are cooperative tasks on an event wheel, wire time is
+//!   modeled per link ([`NetProfile`]), and it is the one place faults
+//!   live, standing in for the fault-tolerance module of the paper's
+//!   architecture diagram (Figure 12): a seeded [`ChaosSchedule`]
+//!   injects drops, duplicates, reorders, delays and single-worker
+//!   crashes, whatever it does every payload is delivered exactly once
+//!   and in send order ([`link`]), and a crash becomes a structured
+//!   [`CommError`] on every survivor — the substrate `tests/chaos.rs`
+//!   uses to prove bitwise-identical epoch outputs under any fault
+//!   schedule. [`clock`] holds its timeout shapes.
+//! * [`Fabric`] — each worker an OS thread, all cross-worker traffic on
+//!   a reliable mesh of crossbeam channels that accounts bytes and a
+//!   calibrated wire-cost model ([`CostModel`]) but injects nothing and
+//!   never sleeps; its one wait, the receive patience, keeps a panicked
+//!   peer from hanging the fleet.
 //!
-//! For cluster sizes beyond the host's core count, [`det`] provides a
-//! deterministic virtual-time discrete-event runtime with the same
-//! send/recv/barrier surface on cooperative tasks instead of threads;
-//! [`link`] is the link model and [`clock`] the timeout shapes both
-//! transports share, and [`worker`] the seam that lets one worker step
-//! machine run on either.
+//! [`codec`] is the row wire format both carry.
 
 pub mod chaos;
 pub mod clock;

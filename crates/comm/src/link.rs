@@ -1,13 +1,13 @@
-//! The link model, written once for both transports: [`plan_send`]
-//! folds a packet's fault verdicts into what sending it costs, and
-//! `LinkRecv` hands arrivals over once each and in send order.
+//! The virtual cluster's link model: [`plan_send`] folds a packet's
+//! fault verdicts into what sending it costs, and `LinkRecv` hands
+//! arrivals over once each and in send order.
 //!
-//! Neither transport loses anything on its own — a channel and an event
-//! wheel deliver what they are given — so the only loss on a link is the
-//! one a [`ChaosSchedule`] injects, as a pure function of `(seed, src,
-//! dst, seq, attempt)`: which transmission gets through, and how long
-//! the sender's timers take to reach it, is known at send time. The send
-//! half is therefore a function, not an ack / retransmit protocol.
+//! The event wheel loses nothing on its own — it delivers what it is
+//! given — so the only loss on a link is the one a [`ChaosSchedule`] (or
+//! a flaky rack) injects, as a pure function of `(seed, src, dst, seq,
+//! attempt)`: which transmission gets through, and how long the sender's
+//! timers take to reach it, is known at send time. The send half is
+//! therefore a function, not an ack / retransmit protocol.
 
 use crate::chaos::{ChaosSchedule, Decision};
 use crate::clock;
@@ -31,8 +31,8 @@ pub struct SendPlan {
 
 /// Walks the verdicts of packet `seq` on `src -> dst` attempt by attempt
 /// until a transmission survives both `chaos` and `also_drops` (the
-/// transport's own loss model, asked per attempt: the virtual cluster's
-/// flaky racks). Terminates because neither drops a third transmission.
+/// cluster's own loss model, asked per attempt: its flaky racks).
+/// Terminates because neither drops a third transmission.
 pub fn plan_send(
     chaos: &ChaosSchedule,
     retry: RetryPolicy,

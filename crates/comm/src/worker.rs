@@ -13,7 +13,8 @@
 //!   park — compute is *measured* nanoseconds.
 //!
 //! Under either, a link delivers its payloads exactly once and in send
-//! order (one receive half, `link::LinkRecv`, serves both transports).
+//! order: the fabric's channels keep each sender's order, and the
+//! virtual cluster's `link::LinkRecv` restores it under injected faults.
 
 use crate::fabric::{CommError, Message, WorkerComm};
 use bytes::Bytes;
@@ -128,12 +129,7 @@ impl WorkerCtx for FabricCtx<'_> {
 /// Runs `task` to completion on the calling thread, blocking in `comm`
 /// wherever the task parks. A fabric error is latched and the task is
 /// stepped once more so it can record the failure and finish; nothing
-/// hangs, because every blocking fabric call is patience-bounded. A
-/// task that finished cleanly then waits at an exit barrier: the
-/// channel is FIFO, so once it has passed, everything the peers sent
-/// this worker before it — injected duplicates included — has been
-/// taken in and counted (its error — a peer died after we finished — is
-/// that peer's failure to report, not ours).
+/// hangs, because every blocking fabric call is patience-bounded.
 ///
 /// Returns the task's wall time up to `Done`, counted from the release
 /// of its first barrier when it has one: workers leave their entry
@@ -167,9 +163,5 @@ pub fn drive_blocking<T: SimTask>(task: &mut T, comm: &mut WorkerComm) -> Durati
         }
         ctx.mark = Instant::now();
     }
-    let wall = started.elapsed();
-    if ctx.failed.is_none() {
-        let _ = ctx.comm.barrier();
-    }
-    wall
+    started.elapsed()
 }

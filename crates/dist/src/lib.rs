@@ -25,10 +25,11 @@
 //! The worker itself — FlexGraph's and the mini-batch baselines' — is
 //! written once, as a step machine over [`flexgraph_comm::WorkerCtx`]
 //! (the private `worker` module), and has two drivers: [`trainer`] runs
-//! one task per OS thread over the [`flexgraph_comm`] fabric and holds
-//! the epoch body both backends share (recovery, assembly, telemetry);
-//! [`sim`] runs a whole cluster of tasks on the deterministic
-//! virtual-time runtime. [`runtime`] names that choice as a trait for
+//! one task per OS thread over the fault-free [`flexgraph_comm`] fabric
+//! and holds the epoch body both backends share (recovery, assembly,
+//! telemetry); [`sim`] runs a whole cluster of tasks on the
+//! deterministic virtual-time runtime, the one place a chaos schedule
+//! injects faults. [`runtime`] names that choice as a trait for
 //! harnesses. Either way an epoch reports time plus traffic, which is
 //! what the Figure 13 / 15 harnesses measure.
 

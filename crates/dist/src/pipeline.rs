@@ -319,7 +319,7 @@ mod tests {
     use crate::shard::{leaf_sync_plans, make_shards};
     use crate::trainer::{threaded_attempt, DistConfig, DistMode};
     use crate::worker::EpochTask;
-    use flexgraph_comm::{try_decode_rows_with, ChaosSchedule};
+    use flexgraph_comm::try_decode_rows_with;
     use flexgraph_graph::csr::sample_graph;
     use flexgraph_graph::partition::hash_partition;
     use flexgraph_hdg::build::from_direct_neighbors;
@@ -349,7 +349,7 @@ mod tests {
                 ..DistConfig::default()
             };
             let mut tasks = EpochTask::fleet(&g, &shards, plans, &cfg, 0);
-            threaded_attempt(&mut tasks, ChaosSchedule::default(), &cfg);
+            threaded_attempt(&mut tasks, &cfg);
 
             for ((shard, plan), task) in shards.iter().zip(plans).zip(&tasks) {
                 // Flat HDG with a single type under a flat Sum plan:

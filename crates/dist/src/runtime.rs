@@ -6,16 +6,16 @@
 //!
 //! * [`ThreadedRuntime`] — one OS thread per worker over the crossbeam
 //!   fabric ([`distributed_epoch`]); wall times are genuine, worker
-//!   count is bounded by the host.
+//!   count is bounded by the host, and nothing is fault-injected.
 //! * [`VirtualRuntime`] — the workers stepped cooperatively by the
 //!   deterministic discrete-event scheduler
 //!   ([`crate::sim::virtual_epoch`]); wall times are virtual (modeled
 //!   from the [`NetProfile`]), worker count is bounded only by memory,
-//!   and runs replay byte-identically.
+//!   runs replay byte-identically, and `DistConfig::chaos` applies.
 //!
-//! Both produce bitwise-identical features and the same deterministic
-//! telemetry — so a sweep can validate at small `k` on threads and
-//! extrapolate at `k = 1024` virtually.
+//! Fault-free, both produce bitwise-identical features and the same
+//! deterministic telemetry — so a sweep can validate at small `k` on
+//! threads and extrapolate at `k = 1024` virtually.
 
 use crate::shard::Shard;
 use crate::sim::virtual_epoch;

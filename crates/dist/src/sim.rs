@@ -17,11 +17,12 @@
 //! * outputs and deterministic telemetry equal the threaded backend's
 //!   bit for bit, because it is one worker under two drivers.
 //!
+//! It is also the one backend that injects faults (`cfg.chaos`).
 //! Recovery is the shared loop of [`crate::trainer`]: a scheduled crash
 //! fails the attempt, the epoch is re-driven crash-free on a fresh
 //! virtual cluster, and the recovered output is bitwise identical to a
-//! fault-free run. For the uniform network a threaded [`CostModel`]
-//! describes, pass `&NetProfile::from_cost_model(&cfg.cost_model)`.
+//! fault-free run. For the uniform network a [`CostModel`] describes,
+//! pass `&NetProfile::from_cost_model(&cfg.cost_model)`.
 //!
 //! [`CostModel`]: flexgraph_comm::CostModel
 
@@ -197,7 +198,6 @@ mod tests {
         let model = CostModel {
             alpha_us: 500.0,
             bytes_per_us: 100.0,
-            simulate_delay: false,
         };
         let piped = DistConfig {
             mode: DistMode::FlexGraph { pipeline: true },

@@ -16,16 +16,18 @@
 //! [`run_epoch`] owns everything that does not depend on how the tasks
 //! are driven — crash recovery, fault-counter accumulation, feature
 //! assembly, telemetry — and asks a backend for one *attempt* at a time.
+//! Only the virtual backend injects faults, so only it ever fails an
+//! attempt on purpose.
 //! What it does **not** own is planning: the leaf-sync plans are the
 //! shard set's ([`crate::shard::leaf_sync_plans`]), built by the first
 //! epoch on a `make_shards` output and read by every later one, so an
 //! epoch pays for the epoch only — and takes the whole set in rank
 //! order, or panics.
 //! [`distributed_epoch`] is the threaded backend: one OS thread per
-//! task over a fresh [`Fabric`]. ([`crate::sim::virtual_epoch`] is the
-//! other.) The report carries wall time (max across workers), fabric
-//! traffic and the assembled per-root features — everything Figures
-//! 13/15 plot.
+//! task over a fresh, fault-free [`Fabric`].
+//! ([`crate::sim::virtual_epoch`] is the other.) The report carries wall
+//! time (max across workers), fabric traffic and the assembled per-root
+//! features — everything Figures 13/15 plot.
 
 use crate::shard::{leaf_sync_plans, Shard};
 use crate::worker::EpochTask;
@@ -69,15 +71,18 @@ pub struct DistConfig {
     pub plan: AggrPlan,
     /// Upper-level strategy (FlexGraph mode only).
     pub strategy: Strategy,
-    /// Wire cost model.
+    /// Wire cost model: accounted on threads; the virtual runtime prices
+    /// deliveries with it via `NetProfile::from_cost_model`.
     pub cost_model: CostModel,
     /// Optional Update-stage weight: `out = relu(agg · w)`.
     pub update_weight: Option<Tensor>,
-    /// Optional seeded fault schedule, installed before the epoch
-    /// barrier. The crash (if any) only applies to the first attempt;
-    /// re-driven epochs run the same schedule crash-free.
+    /// Optional seeded fault schedule, for the virtual runtime
+    /// ([`crate::sim::virtual_epoch`]) only: [`distributed_epoch`]
+    /// panics when it is set. The crash (if any) only applies to the
+    /// first attempt; re-driven epochs run the same schedule crash-free.
     pub chaos: Option<ChaosSchedule>,
-    /// Retransmission / failure-detection policy for the fabric.
+    /// Retransmission / failure-detection timing the virtual cluster
+    /// models; on threads only its receive patience applies.
     pub retry: RetryPolicy,
     /// How many times a failed epoch may be re-driven before the
     /// failure is treated as unrecoverable (panics).
@@ -231,37 +236,38 @@ pub(crate) fn run_epoch(
 /// expansion); `shards` is the whole output of one `make_shards` call
 /// over a partitioning of its vertices.
 ///
-/// Fault tolerance: shards are immutable during an epoch, so the shard
-/// state *is* the epoch-start snapshot. When a worker fails (a scheduled
-/// crash, or a peer declared unreachable), every worker finishes with a
-/// structured [`CommError`], the attempt's partial output and records
-/// are discarded, and the whole epoch is re-driven on a fresh fabric
-/// with the crash removed from the schedule — at most
-/// [`DistConfig::max_recoveries`] times. Because the fabric delivers
-/// exactly-once in deterministic per-link order and the leaf folds run
-/// in rank order, the recovered epoch's output is bitwise identical to a
-/// fault-free run.
+/// Fault tolerance, shared with [`crate::sim::virtual_epoch`] (where
+/// faults are injected): shards are immutable during an epoch, so the
+/// shard state *is* the epoch-start snapshot. When a worker fails (a
+/// scheduled crash, or a peer declared unreachable), every worker
+/// finishes with a structured [`CommError`], the attempt's partial
+/// output and records are discarded, and the whole epoch is re-driven
+/// on a fresh cluster with the crash removed from the schedule — at
+/// most [`DistConfig::max_recoveries`] times. Because each link
+/// delivers exactly once in send order and the leaf folds run in rank
+/// order, the recovered epoch's output is bitwise identical to a
+/// fault-free run. On threads nothing is injected; the fabric's receive
+/// patience only keeps a stuck peer from hanging the fleet.
 ///
 /// # Panics
 ///
-/// Panics when the epoch still fails after `max_recoveries` re-drives,
-/// and when `shards` is not a whole shard set in rank order (see
+/// Panics when `cfg.chaos` is set — faults are injected on the virtual
+/// runtime only, so run such an epoch with `virtual_epoch` — when the
+/// epoch still fails after `max_recoveries` re-drives, and when
+/// `shards` is not a whole shard set in rank order (see
 /// [`leaf_sync_plans`]).
 pub fn distributed_epoch(graph: &Graph, shards: &[Shard], cfg: &DistConfig) -> EpochReport {
-    run_epoch(graph, shards, cfg, |tasks, chaos| {
-        threaded_attempt(tasks, chaos, cfg)
-    })
+    assert!(
+        cfg.chaos.is_none(),
+        "the threaded fabric injects no faults: run a chaos schedule with virtual_epoch"
+    );
+    run_epoch(graph, shards, cfg, |tasks, _| threaded_attempt(tasks, cfg))
 }
 
 /// One attempt on a fresh fabric: a thread per task, each blocking in
 /// its own `WorkerComm` wherever the task parks.
-pub(crate) fn threaded_attempt(
-    tasks: &mut [EpochTask<'_>],
-    chaos: ChaosSchedule,
-    cfg: &DistConfig,
-) -> Attempt {
+pub(crate) fn threaded_attempt(tasks: &mut [EpochTask<'_>], cfg: &DistConfig) -> Attempt {
     let (fabric, comms) = Fabric::with_retry(tasks.len(), cfg.cost_model, cfg.retry);
-    fabric.set_chaos(chaos);
     let wall = crossbeam::thread::scope(|s| {
         let handles: Vec<_> = tasks
             .iter_mut()
@@ -280,9 +286,7 @@ pub(crate) fn threaded_attempt(
         fabric: FabricCounters {
             bytes: stats.bytes(),
             messages: stats.messages(),
-            retries: stats.retries(),
-            drops_injected: stats.drops_injected(),
-            redeliveries: stats.redeliveries(),
+            ..FabricCounters::default()
         },
         modeled_us: stats.modeled_us(),
         wall,
@@ -294,6 +298,8 @@ pub(crate) fn threaded_attempt(
 mod tests {
     use super::*;
     use crate::shard::make_shards;
+    use crate::sim::virtual_epoch;
+    use flexgraph_comm::{NetProfile, SimConfig, VirtualCluster};
     use flexgraph_graph::gen::community;
     use flexgraph_graph::partition::hash_partition;
     use flexgraph_hdg::build::from_direct_neighbors;
@@ -390,9 +396,9 @@ mod tests {
         }
     }
 
-    /// The blocking driver's failure path: the crashed worker and every
-    /// peer finish with an error instead of hanging, and the epoch body
-    /// re-drives exactly once to the fault-free bits.
+    /// The failure path: the crashed worker and every peer finish with
+    /// an error instead of hanging, and the epoch body re-drives exactly
+    /// once to the fault-free bits.
     #[test]
     fn scheduled_crash_fails_every_worker_and_is_redriven_once() {
         let (graph, _f, shards) = setup(3);
@@ -407,9 +413,15 @@ mod tests {
             retry: RetryPolicy::snappy(),
             ..DistConfig::default()
         };
+        let net = NetProfile::from_cost_model(&clean.cost_model);
         let syncs = leaf_sync_plans(&shards);
         let mut tasks = EpochTask::fleet(&graph, &shards, syncs, &clean, 0);
-        threaded_attempt(&mut tasks, crash, &clean);
+        let sim = SimConfig {
+            net: net.clone(),
+            retry: clean.retry,
+            chaos: crash,
+        };
+        VirtualCluster::new(tasks.len(), sim).run(&mut tasks);
         assert_eq!(tasks[1].result(), &Err(CommError::Crashed));
         for (rank, task) in tasks.iter().enumerate() {
             assert!(task.result().is_err(), "rank {rank} must see the failure");
@@ -420,9 +432,20 @@ mod tests {
             ..clean.clone()
         };
         let want = distributed_epoch(&graph, &shards, &clean);
-        let got = distributed_epoch(&graph, &shards, &crashing);
+        let got = virtual_epoch(&graph, &shards, &crashing, &net).report;
         assert_eq!(got.recoveries, 1);
         assert_eq!(got.features, want.features);
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual_epoch")]
+    fn chaos_on_threads_panics_and_names_virtual_epoch() {
+        let (graph, _f, shards) = setup(2);
+        let cfg = DistConfig {
+            chaos: Some(ChaosSchedule::stress(1)),
+            ..DistConfig::default()
+        };
+        distributed_epoch(&graph, &shards, &cfg);
     }
 
     #[test]

@@ -126,12 +126,12 @@ impl CommCounters {
 }
 
 /// Fabric-wide counters for one epoch, snapshotted from
-/// `flexgraph_comm::CommStats`. Application traffic (`bytes`,
-/// `messages`) is deterministic, and so — since drops are folded into
-/// delivery times on both drivers — are the fault-path counters of a
-/// crash-free schedule; a crashed attempt's, on threads, depend on how
-/// far the survivors got before they learnt of it. They stay out of the
-/// byte-stable trace fields until the trace snapshot is next refreshed.
+/// `flexgraph_comm::CommStats` on threads and `VirtualStats` on the
+/// virtual cluster. Application traffic (`bytes`, `messages`) is
+/// deterministic, and so are the fault-path counters, which only the
+/// virtual cluster fills (faults are injected nowhere else). They stay
+/// out of the byte-stable trace fields until the trace snapshot is next
+/// refreshed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricCounters {
     /// Total payload bytes over the fabric.

@@ -1,10 +1,11 @@
 //! Distributed training across simulated shared-nothing workers: scaling
 //! behaviour, pipeline processing, and communication accounting (the
-//! machinery behind the paper's Figures 13 and 15).
+//! machinery behind the paper's Figures 13 and 15). Epoch times are
+//! virtual: the default NIC model priced on the event wheel.
 //!
 //! Run with: `cargo run --release --example distributed_scaling`
 
-use flexgraph::dist::{distributed_epoch, make_shards, DistConfig, DistMode};
+use flexgraph::dist::{make_shards, virtual_epoch, DistConfig, DistMode};
 use flexgraph::graph::gen::{reddit_like, ScaleFactor};
 use flexgraph::graph::partition::hash_partition;
 use flexgraph::hdg::build::from_direct_neighbors;
@@ -18,9 +19,10 @@ fn main() {
         ds.graph.num_edges()
     );
 
+    let net = NetProfile::from_cost_model(&CostModel::default());
     println!(
         "{:>8} {:>12} {:>14} {:>12} {:>10}",
-        "workers", "epoch time", "bytes moved", "messages", "pipeline"
+        "workers", "virtual time", "bytes moved", "messages", "pipeline"
     );
     for k in [1usize, 2, 4, 8] {
         let part = hash_partition(&ds.graph, k);
@@ -30,10 +32,9 @@ fn main() {
         for pipeline in [false, true] {
             let cfg = DistConfig {
                 mode: DistMode::FlexGraph { pipeline },
-                cost_model: CostModel::default(),
                 ..DistConfig::default()
             };
-            let rep = distributed_epoch(&ds.graph, &shards, &cfg);
+            let rep = virtual_epoch(&ds.graph, &shards, &cfg, &net).report;
             println!(
                 "{:>8} {:>12.2?} {:>14} {:>12} {:>10}",
                 k,
@@ -46,7 +47,7 @@ fn main() {
     }
 
     println!(
-        "\nWith the wire model on, pipelined epochs overlap partial aggregation \
-         with in-flight messages — the paper's §7.7 effect."
+        "\nPipelined epochs overlap partial aggregation with in-flight \
+         messages — the paper's §7.7 effect."
     );
 }

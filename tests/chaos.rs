@@ -1,4 +1,5 @@
-//! Chaos-schedule fault-injection suite.
+//! Chaos-schedule fault-injection suite, on the virtual cluster — the
+//! one place faults are injected.
 //!
 //! The headline claim: **any** deterministic schedule of message drops,
 //! duplicates, reorders, delays, and single-worker crashes yields
@@ -15,7 +16,7 @@
 //! `FLEXGRAPH_CHAOS_SEED=<seed> cargo test --test chaos`.
 
 use flexgraph::comm::{ChaosSchedule, CrashPoint, RetryPolicy};
-use flexgraph::dist::{distributed_epoch, make_shards, DistConfig, DistMode};
+use flexgraph::dist::{make_shards, virtual_epoch, DistConfig, DistMode, EpochReport};
 use flexgraph::graph::gen::community;
 use flexgraph::graph::partition::hash_partition;
 use flexgraph::hdg::build::from_direct_neighbors;
@@ -73,8 +74,7 @@ fn schedule_for(seed: u64) -> ChaosSchedule {
             reorder_window: 3,
             ..base
         },
-        // Heavy reordering plus extra latency (applied even under the
-        // accounting-only cost model).
+        // Heavy reordering plus extra latency.
         3 => ChaosSchedule {
             reorder_prob: 0.5,
             reorder_window: 4,
@@ -85,6 +85,17 @@ fn schedule_for(seed: u64) -> ChaosSchedule {
         // Everything at once.
         _ => ChaosSchedule::stress(seed),
     }
+}
+
+/// One virtual epoch over the uniform network `cfg.cost_model` models.
+fn epoch(ds: &Dataset, sh: &[Shard], cfg: &DistConfig) -> EpochReport {
+    virtual_epoch(
+        &ds.graph,
+        sh,
+        cfg,
+        &NetProfile::from_cost_model(&cfg.cost_model),
+    )
+    .report
 }
 
 fn assert_bitwise_eq(got: &Tensor, want: &Tensor, ctx: &str) {
@@ -121,12 +132,12 @@ fn twenty_chaos_seeds_yield_bitwise_identical_epochs() {
             retry: RetryPolicy::snappy(),
             ..DistConfig::default()
         };
-        let want = distributed_epoch(&ds.graph, &sh, &clean);
+        let want = epoch(&ds, &sh, &clean);
         let cfg = DistConfig {
             chaos: Some(schedule_for(seed)),
             ..clean
         };
-        let got = distributed_epoch(&ds.graph, &sh, &cfg);
+        let got = epoch(&ds, &sh, &cfg);
         assert_bitwise_eq(
             &got.features,
             &want.features,
@@ -147,7 +158,7 @@ fn crashed_worker_recovers_to_bitwise_identical_output() {
             retry: RetryPolicy::snappy(),
             ..DistConfig::default()
         };
-        let want = distributed_epoch(&ds.graph, &sh, &clean);
+        let want = epoch(&ds, &sh, &clean);
         let mut chaos = schedule_for(seed);
         // Every worker makes at least k-1 data sends in every mode, so
         // an `at_send` in 1..=k-1 is guaranteed to trigger.
@@ -159,7 +170,7 @@ fn crashed_worker_recovers_to_bitwise_identical_output() {
             chaos: Some(chaos),
             ..clean
         };
-        let got = distributed_epoch(&ds.graph, &sh, &cfg);
+        let got = epoch(&ds, &sh, &cfg);
         assert!(
             got.recoveries >= 1,
             "seed {seed}: the scheduled crash must force a re-drive"
@@ -176,11 +187,15 @@ fn crashed_worker_recovers_to_bitwise_identical_output() {
 fn fault_counters_attribute_injected_faults() {
     let ds = dataset();
     let sh = shards(&ds);
+    // Mini-batch rounds put many packets on every link (the virtual
+    // cluster's barriers are not messages), so the periodic duplicate
+    // fires and the drop rolls are many.
     let clean = DistConfig {
+        mode: DistMode::EulerLike { batch_size: 7 },
         retry: RetryPolicy::snappy(),
         ..DistConfig::default()
     };
-    let want = distributed_epoch(&ds.graph, &sh, &clean);
+    let want = epoch(&ds, &sh, &clean);
     let cfg = DistConfig {
         chaos: Some(ChaosSchedule {
             seed: 99,
@@ -190,7 +205,7 @@ fn fault_counters_attribute_injected_faults() {
         }),
         ..clean
     };
-    let got = distributed_epoch(&ds.graph, &sh, &cfg);
+    let got = epoch(&ds, &sh, &cfg);
     assert!(got.drops_injected > 0, "drops were scheduled");
     assert!(got.retries > 0, "drops force retransmissions");
     assert_eq!(got.retries, got.drops_injected, "one per drop, no more");
@@ -212,8 +227,8 @@ fn chaos_is_reproducible_from_its_seed() {
         retry: RetryPolicy::snappy(),
         ..DistConfig::default()
     };
-    let a = distributed_epoch(&ds.graph, &sh, &cfg);
-    let b = distributed_epoch(&ds.graph, &sh, &cfg);
+    let a = epoch(&ds, &sh, &cfg);
+    let b = epoch(&ds, &sh, &cfg);
     assert_eq!(a.drops_injected, b.drops_injected, "same seed, same faults");
     assert_eq!(a.retries, b.retries);
     assert_eq!(a.redeliveries, b.redeliveries);

@@ -62,24 +62,26 @@ fn distributed_parity_under_duplication_and_delay() {
     let cfg = DistConfig::default();
     let want = distributed_epoch(&ds.graph, &shards, &cfg);
 
-    // Chaos-injected per-message delay plus transport-level duplication:
-    // the reliable-delivery layer dedups redeliveries, so results match
-    // the fault-free run exactly and only timing changes.
+    // Chaos-injected per-message delay plus link-level duplication on
+    // the virtual cluster: the receive half dedups redeliveries, so
+    // results match the fault-free run exactly and only timing changes.
+    // FlexGraph mode puts one packet on each link, so every packet is
+    // duplicated.
     let delayed_cfg = DistConfig {
         cost_model: CostModel {
             alpha_us: 1_000.0,
             bytes_per_us: 1_000.0,
-            simulate_delay: true,
         },
         chaos: Some(ChaosSchedule {
             seed: 5,
-            duplicate_every: 3,
+            duplicate_every: 1,
             extra_delay_us: 500.0,
             ..ChaosSchedule::default()
         }),
         ..DistConfig::default()
     };
-    let got = distributed_epoch(&ds.graph, &shards, &delayed_cfg);
+    let net = NetProfile::from_cost_model(&delayed_cfg.cost_model);
+    let got = virtual_epoch(&ds.graph, &shards, &delayed_cfg, &net).report;
     assert!(got.features.max_abs_diff(&want.features) < 1e-4);
     assert!(got.redeliveries > 0, "duplicates were injected and deduped");
 }

@@ -30,7 +30,11 @@ const DOCS_AND_SOURCES: &[&str] = &[
     "DESIGN.md",
     "EXPERIMENTS.md",
 ];
-const ONE_WAIT: &str = "drops are folded into delivery times; the fabric has one wait";
+const ONE_WAIT: &str = "the fabric's one wait is its receive patience";
+const NO_SLEEP: &str = "wire time is modelled on the virtual cluster; nothing under crates/ sleeps";
+const FAULT_FREE_FABRIC: &str = "faults live on the virtual cluster; the fabric is a plain mesh";
+const ONE_INJECTOR: &str = "one fault injector (the virtual cluster); no chaos setter, no sleeps";
+const NO_MUTEX: &str = "parking_lot's one user was the fabric's chaos mutex";
 const NO_ACKS: &str = "the fabric runs no ack/retransmit protocol";
 const NO_PROBE: &str = "records are written by their owners; the probe went in PR 20";
 const ONE_BENCH: &str = "the ledger is the one benchmark; the legacy bins went in PR 25";
@@ -56,8 +60,25 @@ const HDG_SOURCES: &[&str] = &["crates/hdg/src"];
 const RANK_ONLY: &str = "the HDG builder is keyed by rank (push_at); it has no by-id push";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
-    (Text(FABRIC), "thread::sleep", 0, ONE_WAIT),
+    (Text(SOURCES), "thread::sleep", 0, NO_SLEEP),
     (Text(FABRIC), "recv_timeout(", 1, ONE_WAIT),
+    (Text(FABRIC), "ChaosSchedule", 0, FAULT_FREE_FABRIC),
+    (Text(FABRIC), "LinkRecv", 0, FAULT_FREE_FABRIC),
+    (
+        Text(DOCS_AND_SOURCES),
+        // Split so that this file does not hold the names it bans.
+        concat!("set_", "chaos"),
+        0,
+        ONE_INJECTOR,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("simulate_", "delay"),
+        0,
+        ONE_INJECTOR,
+    ),
+    (Text(MANIFESTS_AND_SOURCES), "parking_lot", 0, NO_MUTEX),
+    (Names("third_party"), "parking_lot", 0, NO_MUTEX),
     (Text(FABRIC), "Ack", 0, NO_ACKS),
     (Text(FABRIC), "Unacked", 0, NO_ACKS),
     (Text(SOURCES), "probe_begin", 0, NO_PROBE),
