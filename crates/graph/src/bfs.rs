@@ -93,10 +93,10 @@ impl Adjacency for Graph {
 /// Reusable state of the hop-shell walk, so that selecting for a batch
 /// of roots allocates and clears nothing of size |V| per root.
 ///
-/// `stamp[v] == epoch` means the current walk has reached `v`; starting
-/// a walk bumps `epoch`, which un-visits every vertex at once. The
-/// array (4·|V| bytes) is allocated on first use and zeroed again only
-/// when the 32-bit epoch wraps.
+/// `stamp[v] == epoch` means the current walk (or distinct count) has
+/// reached `v`; starting one bumps `epoch`, which un-visits every vertex
+/// at once. The array (4·|V| bytes) is allocated on first use and
+/// zeroed again only when the 32-bit epoch wraps.
 #[derive(Default)]
 pub struct HopScratch {
     stamp: Vec<u32>,
@@ -121,10 +121,27 @@ impl HopScratch {
         self.edges_scanned
     }
 
+    /// Starts a new epoch over at least `n` stamps: every vertex reads
+    /// as unvisited again.
+    fn next_epoch(&mut self, n: usize) -> u32 {
+        if self.stamp.len() < n {
+            self.stamp = vec![0; n];
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+
     /// Lends `visit(i, shell)` the vertices at exactly hop distance
-    /// `i + 1` from `seed` for `i` in `0..k`: each shell in ascending id
-    /// order, empty once the reachable set is exhausted. A frontier walk
-    /// that stops after `k` levels, in buffers the scratch keeps.
+    /// `i + 1` from `seed` for `i` in `0..k`, empty once the reachable
+    /// set is exhausted. A frontier walk that stops after `k` levels, in
+    /// buffers the scratch keeps. Every shell the walk expands (all but
+    /// the last) is lent in ascending id order, so a paged store reads
+    /// adjacency in ascending order; the last shell is lent in discovery
+    /// order — callers that need it sorted sort what they keep.
     ///
     /// A seed outside the graph is left to `g` to reject.
     pub fn for_each_shell<A: Adjacency>(
@@ -134,16 +151,7 @@ impl HopScratch {
         k: usize,
         mut visit: impl FnMut(usize, &[VertexId]),
     ) -> Result<(), A::Error> {
-        let n = g.num_vertices();
-        if self.stamp.len() < n {
-            self.stamp = vec![0; n];
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
+        let epoch = self.next_epoch(g.num_vertices());
         if let Some(s) = self.stamp.get_mut(seed as usize) {
             *s = epoch;
         }
@@ -161,15 +169,19 @@ impl HopScratch {
                     }
                 })?;
             }
-            // Each sorted shell is the next level's frontier.
-            self.next.sort_unstable();
+            // A shell the walk expands is the next frontier, sorted; the
+            // last one is never expanded.
+            if depth + 1 < k {
+                self.next.sort_unstable();
+            }
             visit(depth, &self.next);
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
         Ok(())
     }
 
-    /// [`HopScratch::for_each_shell`], collected: `k` owned shells.
+    /// [`HopScratch::for_each_shell`], collected: `k` owned shells, each
+    /// in ascending id order.
     pub fn shells<A: Adjacency>(
         &mut self,
         g: &A,
@@ -178,7 +190,29 @@ impl HopScratch {
     ) -> Result<Vec<Vec<VertexId>>, A::Error> {
         let mut shells = Vec::with_capacity(k);
         self.for_each_shell(g, seed, k, |_, shell| shells.push(shell.to_vec()))?;
+        if let Some(last) = shells.last_mut() {
+            last.sort_unstable();
+        }
         Ok(shells)
+    }
+
+    /// Number of distinct vertices among `ids`, counted on one more
+    /// epoch of the walk's stamps: no sort and no second |V| array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id lies outside every graph this scratch has walked.
+    pub fn count_distinct(&mut self, ids: impl IntoIterator<Item = VertexId>) -> usize {
+        let epoch = self.next_epoch(0);
+        let mut distinct = 0;
+        for v in ids {
+            let s = &mut self.stamp[v as usize];
+            if *s != epoch {
+                *s = epoch;
+                distinct += 1;
+            }
+        }
+        distinct
     }
 }
 
@@ -368,6 +402,35 @@ mod tests {
         scratch.epoch = u32::MAX - 2;
         assert_matches_oracle(&g, &mut scratch);
         assert!(scratch.epoch < u32::MAX - 2, "the epoch wrapped");
+    }
+
+    /// Shells the walk expands come sorted; the last holds the same
+    /// members in discovery order. `count_distinct` agrees with a sort
+    /// and dedup, across the epoch wrap too.
+    #[test]
+    fn walk_sorts_what_it_expands_and_counts_on_its_stamps() {
+        let g = gen::rmat(6, 3, 2, 2, 5, "t").graph;
+        let mut scratch = HopScratch::new();
+        let mut unsorted_last = 0;
+        for seed in 0..g.num_vertices() as VertexId {
+            let want = shells_from_distances(&g, seed, 3);
+            let mut lent = Vec::new();
+            scratch
+                .for_each_shell(&g, seed, 3, |_, s| lent.push(s.to_vec()))
+                .unwrap();
+            assert_eq!(lent[..2], want[..2], "seed {seed}");
+            unsorted_last += usize::from(!lent[2].is_sorted());
+            lent[2].sort_unstable();
+            assert_eq!(lent[2], want[2], "seed {seed}");
+        }
+        assert!(unsorted_last > 0, "some last shell arrives unsorted");
+        scratch.epoch = u32::MAX - 1;
+        for ids in [vec![], vec![3, 3, 3], vec![3, 3, 3], vec![9, 1, 9, 0, 3, 63]] {
+            let mut want = ids.clone();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(scratch.count_distinct(ids.iter().copied()), want.len());
+        }
     }
 
     #[test]

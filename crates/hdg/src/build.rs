@@ -282,7 +282,7 @@ pub fn from_hop_shells_capped(
     cap: usize,
     seed: u64,
 ) -> Hdg {
-    select_hop_shells(g, roots, k, cap, seed)
+    select_hop_shells(g, roots, k, cap, seed, &mut HopScratch::new())
         .unwrap_or_else(|e| match e {})
         .build()
 }
@@ -291,10 +291,11 @@ pub fn from_hop_shells_capped(
 /// adjacency: the filled builder [`from_hop_shells_capped`] freezes
 /// (roots in the given order, shells ascending, empty shells omitted).
 /// One walk scratch serves the whole batch, so the cost is the roots'
-/// k-hop balls, not the graph.
+/// k-hop balls, not the graph; only the leaves a shell keeps are sorted.
 ///
 /// Callers that need the selection for more than the build read
-/// [`HdgBuilder::leaves`] first — serve prices admission from it, the
+/// [`HdgBuilder::leaves`] first — serve prices admission from it (its
+/// closure counted on `scratch`, [`HopScratch::count_distinct`]), the
 /// out-of-core forward renames it onto a partition's rows.
 pub fn select_hop_shells<A: Adjacency>(
     g: &A,
@@ -302,10 +303,11 @@ pub fn select_hop_shells<A: Adjacency>(
     k: usize,
     cap: usize,
     seed: u64,
+    scratch: &mut HopScratch,
 ) -> Result<HdgBuilder, A::Error> {
     let names: Vec<String> = (1..=k).map(|i| format!("hop{i}")).collect();
     let mut b = HdgBuilder::new(SchemaTree::new(names), roots);
-    let (mut scratch, mut keyed) = (HopScratch::new(), Vec::new());
+    let mut keyed = Vec::new();
     for rank in 0..b.root_ids.len() {
         let root = b.root_ids[rank];
         scratch.for_each_shell(g, root, k, |t, shell| {
@@ -331,10 +333,11 @@ fn shell_rank(seed: u64, root: VertexId, u: VertexId) -> u64 {
     mix64(seed ^ mix64((root as u64) << 32 | u as u64))
 }
 
-/// Applies the sampling cap to the hop shell `leaves[start..]` in place:
-/// the `cap` members of smallest `rank` survive (equal ranks fall back
-/// to the id), re-sorted into ascending vertex order. `cap = 0` (or a
-/// shell already within the cap) is a no-op. `keyed` is scratch.
+/// Applies the sampling cap to the hop shell `leaves[start..]`, in any
+/// order, in place: the `cap` members of smallest `rank` survive (equal
+/// ranks fall back to the id), sorted into ascending vertex order. A
+/// shell within the cap (or `cap = 0`) is only sorted. `keyed` is
+/// scratch.
 fn cap_tail_by(
     leaves: &mut Vec<VertexId>,
     start: usize,
@@ -344,15 +347,16 @@ fn cap_tail_by(
 ) {
     if cap > 0 && leaves.len() - start > cap {
         // Each member is ranked once. The `(rank, id)` keys are
-        // distinct, so the `cap` smallest are one well-defined set and
-        // a partial selection finds the survivors a full sort would.
+        // distinct, so the `cap` smallest are one well-defined set,
+        // whatever order the shell came in, and a partial selection
+        // finds the survivors a full sort would.
         keyed.clear();
         keyed.extend(leaves[start..].iter().map(|&u| (rank(u), u)));
         keyed.select_nth_unstable(cap - 1);
         leaves.truncate(start);
         leaves.extend(keyed[..cap].iter().map(|&(_, u)| u));
-        leaves[start..].sort_unstable();
     }
+    leaves[start..].sort_unstable();
 }
 
 #[cfg(test)]
@@ -495,6 +499,10 @@ mod tests {
                 if ties == 0 { hash } else { hash % ties }
             };
             let mut keyed = Vec::new();
+            // The walk lends its last shell in discovery order: the same
+            // members, hash-shuffled.
+            let mut shuffled = shell.clone();
+            shuffled.sort_unstable_by_key(|&u| mix64(seed ^ u as u64));
             for cap in [cap, 0, 1, shell.len(), shell.len() + 1] {
                 let mut want = shell.clone();
                 cap_by_full_sort(&mut want, cap, rank);
@@ -507,6 +515,14 @@ mod tests {
                 cap_tail_by(&mut tail, earlier.len(), cap, &mut keyed, rank);
                 prop_assert_eq!(&tail[..earlier.len()], &earlier);
                 prop_assert_eq!(&tail[earlier.len()..], &want[..], "as a tail, cap {}", cap);
+                let mut got = shuffled.clone();
+                cap_tail_by(&mut got, 0, cap, &mut keyed, rank);
+                prop_assert_eq!(&got, &want, "shuffled, cap {}", cap);
+                let mut tail = earlier.to_vec();
+                tail.extend_from_slice(&shuffled);
+                cap_tail_by(&mut tail, earlier.len(), cap, &mut keyed, rank);
+                prop_assert_eq!(&tail[..earlier.len()], &earlier);
+                prop_assert_eq!(&tail[earlier.len()..], &want[..], "shuffled tail, cap {}", cap);
             }
         }
     }

@@ -5,8 +5,13 @@
 //! rank hash map consulted per record, a counting sort over every record
 //! in `build`. It lives here as the oracle; the flat builder must freeze
 //! the same three arrays from the same pushes, whatever order they
-//! arrive in.
+//! arrive in. The capped hop-shell selection is checked against the
+//! same oracle fed from `bfs::hop_shells` and a full-sort cap.
 
+use flexgraph_graph::bfs::{hop_shells, HopScratch};
+use flexgraph_graph::csr::{Graph, GraphBuilder};
+use flexgraph_graph::gen;
+use flexgraph_hdg::build::{from_hop_shells_capped, select_hop_shells};
 use flexgraph_hdg::{Hdg, HdgBuilder, SchemaTree};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -153,5 +158,112 @@ proptest! {
         let hdg = got.build();
         prop_assert_eq!(hdg.root_ids(), &root_ids[..]);
         prop_assert_eq!(arrays(&hdg), want.build());
+    }
+}
+
+/// SplitMix64 finalizer: the sampling hash's definition, restated.
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The capped hop-shell HDG of every root of `g`, record at a time:
+/// each sorted shell of `hop_shells`, capped by sorting all of it on
+/// `(rank, id)`, keeping the first `cap` and sorting those by id.
+fn reference_hop_shells(g: &Graph, k: usize, cap: usize, seed: u64) -> Arrays {
+    let roots: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    let mut want = ReferenceBuilder::new(k, &roots);
+    for &root in &roots {
+        for (t, mut shell) in hop_shells(g, root, k).into_iter().enumerate() {
+            if shell.is_empty() {
+                continue;
+            }
+            if cap > 0 && shell.len() > cap {
+                let rank = |u: u32| mix64(seed ^ mix64((root as u64) << 32 | u as u64));
+                shell.sort_unstable_by_key(|&u| (rank(u), u));
+                shell.truncate(cap);
+                shell.sort_unstable();
+            }
+            want.push(Record {
+                root,
+                nei_type: t as u16,
+                leaves: shell,
+            });
+        }
+    }
+    want.build()
+}
+
+/// `g` with a self-loop added on every third vertex.
+fn with_self_loops(g: &Graph) -> Graph {
+    let mut b = GraphBuilder::new(g.num_vertices());
+    for (s, d) in g.edges() {
+        b.add_edge(s, d);
+    }
+    for v in (0..g.num_vertices() as u32).step_by(3) {
+        b.add_edge(v, v);
+    }
+    b.build()
+}
+
+/// Every root of `g` as one batch, `k` in 1..=3, caps 0, 1, 8 and past
+/// every shell: the arrays equal the reference's. Each single-root and
+/// one strided batch's closure counted on the walk's stamps equals
+/// `sort + dedup` of `roots ++ leaves`.
+fn assert_hop_shells_match_oracle(g: &Graph, seed: u64) {
+    let n = g.num_vertices();
+    let strided: Vec<u32> = (0..n as u32).step_by(3).chain([0]).collect();
+    for k in 1..=3 {
+        for cap in [0, 1, 8, n + 1] {
+            let got = from_hop_shells_capped(g, (0..n as u32).collect(), k, cap, seed);
+            assert_eq!(
+                arrays(&got),
+                reference_hop_shells(g, k, cap, seed),
+                "k {k} cap {cap}"
+            );
+            let batches = (0..n as u32).map(|r| vec![r]).chain([strided.clone()]);
+            let mut scratch = HopScratch::new();
+            for roots in batches {
+                let b = select_hop_shells(g, roots.clone(), k, cap, seed, &mut scratch).unwrap();
+                let mut closure = [&roots[..], b.leaves()].concat();
+                closure.sort_unstable();
+                closure.dedup();
+                let counted = scratch.count_distinct(roots.iter().chain(b.leaves()).copied());
+                assert_eq!(counted, closure.len(), "roots {roots:?} k {k} cap {cap}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// R-MAT graphs have isolated roots (no shell at all), hubs whose
+    /// last shell is far over any cap, and trailing empty shells.
+    #[test]
+    fn capped_hop_shells_match_sorted_shells_on_rmat(
+        scale in 3u32..7,
+        edge_factor in 1usize..4,
+        graph_seed in 0u64..1000,
+        seed in 0u64..1_000_000,
+    ) {
+        let g = gen::rmat(scale, edge_factor, 2, 2, graph_seed, "t").graph;
+        assert_hop_shells_match_oracle(&g, seed);
+        assert_hop_shells_match_oracle(&with_self_loops(&g), seed);
+    }
+
+    #[test]
+    fn capped_hop_shells_match_sorted_shells_on_community(
+        n in 8usize..60,
+        intra in 1usize..4,
+        inter in 0usize..2,
+        graph_seed in 0u64..1000,
+        seed in 0u64..1_000_000,
+    ) {
+        let g = gen::community(n, 2, intra, inter, 2, graph_seed).graph;
+        assert_hop_shells_match_oracle(&g, seed);
+        assert_hop_shells_match_oracle(&with_self_loops(&g), seed);
     }
 }

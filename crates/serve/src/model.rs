@@ -19,6 +19,7 @@
 use crate::ServeError;
 use flexgraph_engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
 use flexgraph_engine::{admission_bytes, MemoryBudget};
+use flexgraph_graph::bfs::HopScratch;
 use flexgraph_graph::Graph;
 use flexgraph_hdg::build::select_hop_shells;
 use flexgraph_hdg::HdgBuilder;
@@ -245,21 +246,20 @@ impl ModelSnapshot {
     }
 }
 
-/// The capped k-hop NeighborSelection of one batch — walked once, then
-/// read twice: [`price`] sizes admission from its leaves and
-/// [`aggregate_roots`] freezes the same builder into the HDG.
-fn select(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> HdgBuilder {
-    select_hop_shells(g, roots.to_vec(), cfg.hops, cfg.cap, cfg.seed).unwrap_or_else(|e| match e {})
-}
-
-/// Transient bytes a selection materializes: its closure (roots plus
-/// distinct leaves) and its leaf edges, in the engine's own
-/// [`admission_bytes`] arithmetic.
-fn price(cfg: &ServeModelConfig, roots: &[u32], leaves: &[u32]) -> usize {
-    let mut closure = [roots, leaves].concat();
-    closure.sort_unstable();
-    closure.dedup();
-    admission_bytes(closure.len(), leaves.len(), cfg.in_dim)
+/// The capped k-hop NeighborSelection of one batch, priced: the filled
+/// builder and the transient bytes it materializes — its closure (roots
+/// plus distinct leaves, counted on the walk's own stamps) and its leaf
+/// edges, in the engine's own [`admission_bytes`] arithmetic. Walked
+/// once; [`aggregate_roots`] admits on the price and freezes the same
+/// builder into the HDG.
+fn select_priced(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> (HdgBuilder, usize) {
+    let mut scratch = HopScratch::new();
+    let selection = select_hop_shells(g, roots.to_vec(), cfg.hops, cfg.cap, cfg.seed, &mut scratch)
+        .unwrap_or_else(|e| match e {});
+    let leaves = selection.leaves();
+    let closure = scratch.count_distinct(roots.iter().chain(leaves).copied());
+    let price = admission_bytes(closure, leaves.len(), cfg.in_dim);
+    (selection, price)
 }
 
 /// Transient bytes the capped k-hop selection of `roots` would
@@ -269,8 +269,12 @@ fn price(cfg: &ServeModelConfig, roots: &[u32], leaves: &[u32]) -> usize {
 /// (one depth-bounded walk per root, the cost of the roots' k-hop
 /// balls) and prices it exactly as [`aggregate_roots`] prices the
 /// selection it is about to build from.
+///
+/// # Panics
+///
+/// Panics if a root is outside `g` ([`aggregate_roots`] rejects one).
 pub fn selection_admission_bytes(g: &Graph, cfg: &ServeModelConfig, roots: &[u32]) -> usize {
-    price(cfg, roots, select(g, cfg, roots).leaves())
+    select_priced(g, cfg, roots).1
 }
 
 /// Capped k-hop aggregation for a set of roots: one `(dim)` row per
@@ -284,7 +288,7 @@ pub fn selection_admission_bytes(g: &Graph, cfg: &ServeModelConfig, roots: &[u32
 /// so this is both the batch path and (with one root) the reference
 /// path. `feats` is a `&Tensor` or a [`ServeFeats::as_rows`] view: the
 /// leaf level reads rows at their stored width, every level above is
-/// f32.
+/// f32. A root outside `g` is [`ServeError::UnknownVertex`].
 pub fn aggregate_roots<'a>(
     g: &Graph,
     feats: impl Into<FeatureRows<'a>>,
@@ -292,8 +296,15 @@ pub fn aggregate_roots<'a>(
     roots: &[u32],
     budget: &MemoryBudget,
 ) -> Result<Tensor, ServeError> {
-    let selection = select(g, cfg, roots);
-    budget.check(price(cfg, roots, selection.leaves()))?;
+    let num_vertices = g.num_vertices();
+    if let Some(&vertex) = roots.iter().find(|&&v| v as usize >= num_vertices) {
+        return Err(ServeError::UnknownVertex {
+            vertex,
+            num_vertices,
+        });
+    }
+    let (selection, price) = select_priced(g, cfg, roots);
+    budget.check(price)?;
     let hdg = selection.build();
     let plan = AggrPlan::flat(cfg.op);
     let res = hierarchical_aggregate(&hdg, feats.into(), &plan, Strategy::Ha, budget)?;
@@ -558,6 +569,30 @@ mod tests {
         assert_eq!(bits(batch.row(0)), bits(seven.row(0)));
         assert_eq!(bits(batch.row(1)), bits(three.row(0)));
         assert_eq!(bits(batch.row(2)), bits(seven.row(0)));
+    }
+
+    /// Roots reach `aggregate_roots` from `serve_one`, `execute_pinned`
+    /// and a replica's frame, not only through `Server::submit`; one
+    /// outside the graph is a structured error, not an index panic.
+    #[test]
+    fn out_of_graph_roots_are_unknown_vertices() {
+        let ds = community(60, 3, 4, 1, 8, 5);
+        let scfg = cfg(ds.feature_dim(), 4);
+        let snap = ModelSnapshot::init(&scfg, 9);
+        let budget = MemoryBudget::unlimited();
+        let n = ds.graph.num_vertices();
+        let unknown = |vertex: u32| ServeError::UnknownVertex {
+            vertex,
+            num_vertices: n,
+        };
+        for quant in [QuantConfig::F32, QuantConfig::Int8] {
+            let snap = ModelSnapshot::init_quant(&scfg, 9, quant);
+            let got = serve_one(&ds.graph, &ds.features, &snap, &scfg, n as u32, &budget);
+            assert_eq!(got, Err(unknown(n as u32)), "{quant:?}");
+        }
+        let got = aggregate_roots(&ds.graph, &ds.features, &scfg, &[3, 70, 5], &budget);
+        assert_eq!(got.err(), Some(unknown(70)));
+        assert!(serve_one(&ds.graph, &ds.features, &snap, &scfg, n as u32 - 1, &budget).is_ok());
     }
 
     #[test]

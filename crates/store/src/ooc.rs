@@ -64,7 +64,9 @@ fn select(
 ) -> Result<HdgBuilder, StoreError> {
     match *nbr {
         Neighborhood::Direct => select_direct_neighbors(pg, roots),
-        Neighborhood::HopShells { k, cap, seed } => select_hop_shells(pg, roots, k, cap, seed),
+        Neighborhood::HopShells { k, cap, seed } => {
+            select_hop_shells(pg, roots, k, cap, seed, &mut HopScratch::new())
+        }
     }
 }
 
