@@ -407,6 +407,19 @@ impl<'a> FrameReader<'a> {
     fn f32(&mut self) -> Result<f32, ServeFrameError> {
         Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
+    /// `count` if `count` records of `each` bytes (`None`: the width
+    /// overflowed) fit in what is left — checked before anything is
+    /// reserved for them, as [`checked_header`] does for the row codec.
+    fn records(&self, count: usize, each: Option<usize>) -> Result<usize, ServeFrameError> {
+        let have = self.b.len() - self.off;
+        match each.and_then(|e| e.checked_mul(count)) {
+            Some(need) if need <= have => Ok(count),
+            need => Err(ServeFrameError::Truncated {
+                need: need.unwrap_or(usize::MAX),
+                have,
+            }),
+        }
+    }
 }
 
 impl ServeFrame {
@@ -503,7 +516,8 @@ pub fn try_decode_serve_frame(buf: &Bytes) -> Result<ServeFrame, ServeFrameError
             let tenant = r.u64()?;
             let version = r.u64()?;
             let count = r.u32()? as usize;
-            let mut requests = Vec::with_capacity(count.min(1 << 20));
+            let count = r.records(count, Some(12))?;
+            let mut requests = Vec::with_capacity(count);
             for _ in 0..count {
                 let id = r.u64()?;
                 let vertex = r.u32()?;
@@ -533,8 +547,10 @@ pub fn try_decode_serve_frame(buf: &Bytes) -> Result<ServeFrame, ServeFrameError
             let tenant = r.u64()?;
             let version = r.u64()?;
             let dim = r.u32()? as usize;
+            let row_bytes = dim.checked_mul(4).and_then(|b| b.checked_add(9));
             let count = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(count.min(1 << 20));
+            let count = r.records(count, row_bytes)?;
+            let mut rows = Vec::with_capacity(count);
             for _ in 0..count {
                 let id = r.u64()?;
                 let hit = match r.u8()? {

@@ -11,8 +11,8 @@
 //!
 //! Pieces:
 //!
-//! * [`EventWheel`] — the priority queue of pending events, with exact
-//!   cancellation and a monotonic virtual clock,
+//! * [`EventWheel`] — the priority queue of pending events and a
+//!   monotonic virtual clock,
 //! * [`NetProfile`] — per-link latency/bandwidth models with rack
 //!   topology, stragglers, and flaky racks,
 //! * [`VirtualCluster`] — the scheduler + virtual fabric: it implements
@@ -38,30 +38,60 @@ use crate::fabric::{CommError, RetryPolicy};
 use crate::link::{self, LinkRecv};
 use crate::worker::{SimTask, TaskStep, WorkerCtx};
 use bytes::Bytes;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt::Write as _;
 
 /// Virtual time, in nanoseconds since cluster start.
 pub type Vt = u64;
 
-/// Handle to a scheduled event, for exact cancellation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
 /// A binary-heap event wheel keyed by `(virtual_time, tie_break_seq)`.
 ///
 /// Events scheduled for the same instant pop in scheduling order (the
 /// monotone tie-break sequence), so the wheel itself never introduces
 /// nondeterminism. The clock never runs backwards: scheduling into the
-/// past clamps to `now`, and `pop` advances `now` monotonically.
+/// past clamps to the time of the last popped event.
 #[derive(Debug, Default)]
 pub struct EventWheel<E> {
-    heap: BinaryHeap<Reverse<(Vt, u64)>>,
-    /// Payloads of live (non-cancelled) events, keyed by tie-break seq.
-    live: HashMap<u64, E>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
+    /// The time of the last popped event.
     now: Vt,
+}
+
+/// A scheduled event, ordered by `(at, seq)` alone: no two entries
+/// share a `seq`, so the order is total without looking at the event.
+#[derive(Debug)]
+struct Entry<E> {
+    at: Vt,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (Vt, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 impl<E> EventWheel<E> {
@@ -69,54 +99,29 @@ impl<E> EventWheel<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            live: HashMap::new(),
             next_seq: 0,
             now: 0,
         }
     }
 
-    /// Current virtual time (the timestamp of the last popped event).
-    pub fn now(&self) -> Vt {
-        self.now
-    }
-
-    /// Schedules `event` at virtual time `at` (clamped to `now` — the
-    /// clock cannot run backwards). Returns a handle for cancellation.
-    pub fn schedule(&mut self, at: Vt, event: E) -> EventId {
+    /// Schedules `event` at virtual time `at` (clamped to the last popped
+    /// time — the clock cannot run backwards).
+    pub fn schedule(&mut self, at: Vt, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse((at.max(self.now), seq)));
-        self.live.insert(seq, event);
-        EventId(seq)
+        self.heap.push(Reverse(Entry {
+            at: at.max(self.now),
+            seq,
+            event,
+        }));
     }
 
-    /// Cancels a pending event exactly: returns its payload if it had
-    /// neither fired nor been cancelled, `None` otherwise.
-    pub fn cancel(&mut self, id: EventId) -> Option<E> {
-        self.live.remove(&id.0)
-    }
-
-    /// Pops the earliest live event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(Vt, EventId, E)> {
-        while let Some(Reverse((at, seq))) = self.heap.pop() {
-            if let Some(ev) = self.live.remove(&seq) {
-                debug_assert!(at >= self.now, "virtual clock ran backwards");
-                self.now = at;
-                return Some((at, EventId(seq), ev));
-            }
-            // Cancelled: skip the tombstone.
-        }
-        None
-    }
-
-    /// Number of live (pending, non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+    /// Pops the earliest event, advancing the clock to its time.
+    pub fn pop(&mut self) -> Option<(Vt, E)> {
+        let Reverse(Entry { at, event, .. }) = self.heap.pop()?;
+        debug_assert!(at >= self.now, "virtual clock ran backwards");
+        self.now = at;
+        Some((at, event))
     }
 }
 
@@ -441,11 +446,6 @@ impl VirtualCluster {
         &self.stats
     }
 
-    /// Task `rank`'s virtual completion time (valid after [`Self::run`]).
-    pub fn task_vt(&self, rank: usize) -> Vt {
-        self.local_vt[rank]
-    }
-
     /// The slowest task's virtual completion time.
     pub fn epoch_vt(&self) -> Vt {
         self.local_vt.iter().copied().max().unwrap_or(0)
@@ -456,13 +456,9 @@ impl VirtualCluster {
         self.compute_ns.iter().sum()
     }
 
-    /// The event log accumulated so far (one `\n`-terminated line per
-    /// scheduler decision; deterministic byte-for-byte across runs).
-    pub fn log_bytes(&self) -> &[u8] {
-        self.log.as_bytes()
-    }
-
-    /// Takes ownership of the event log, leaving it empty.
+    /// Takes ownership of the event log (one `\n`-terminated line per
+    /// scheduler decision; deterministic byte-for-byte across runs),
+    /// leaving it empty.
     pub fn take_log(&mut self) -> String {
         std::mem::take(&mut self.log)
     }
@@ -516,13 +512,13 @@ impl VirtualCluster {
             if self.state.iter().all(|s| *s == TaskState::Finished) {
                 // Drain in-flight events (late duplicates, failure
                 // notices) so the log and stats cover the whole epoch.
-                while let Some((vt, _, ev)) = self.wheel.pop() {
+                while let Some((vt, ev)) = self.wheel.pop() {
                     self.dispatch(ev, vt);
                 }
                 return;
             }
             match self.wheel.pop() {
-                Some((vt, _, ev)) => self.dispatch(ev, vt),
+                Some((vt, ev)) => self.dispatch(ev, vt),
                 None => {
                     let stuck: Vec<usize> = (0..self.k)
                         .filter(|&r| self.state[r] != TaskState::Finished)
@@ -756,20 +752,8 @@ mod tests {
         w.schedule(10, "a1");
         w.schedule(10, "a2");
         w.schedule(20, "b");
-        let order: Vec<&str> = std::iter::from_fn(|| w.pop().map(|(_, _, e)| e)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["a1", "a2", "b", "c"]);
-    }
-
-    #[test]
-    fn wheel_cancellation_is_exact() {
-        let mut w = EventWheel::new();
-        let a = w.schedule(10, "a");
-        let b = w.schedule(20, "b");
-        assert_eq!(w.cancel(a), Some("a"));
-        assert_eq!(w.cancel(a), None, "double cancel is inert");
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.pop().map(|(_, _, e)| e), Some("b"));
-        assert_eq!(w.cancel(b), None, "cancelling a fired event is inert");
     }
 
     #[test]
@@ -779,9 +763,8 @@ mod tests {
         assert_eq!(w.pop().unwrap().0, 50);
         // Scheduling into the past clamps to now.
         w.schedule(10, "past");
-        let (vt, _, e) = w.pop().unwrap();
-        assert_eq!((vt, e), (50, "past"));
-        assert_eq!(w.now(), 50);
+        assert_eq!(w.pop(), Some((50, "past")));
+        assert_eq!(w.pop(), None);
     }
 
     /// Each worker sends one message to the next rank and receives one
@@ -844,13 +827,13 @@ mod tests {
     #[test]
     fn ring_delivers_and_logs_deterministically() {
         let cfg = SimConfig::default();
-        let (a, tasks) = run_ring(5, cfg.clone());
+        let (mut a, tasks) = run_ring(5, cfg.clone());
         let from: Vec<Option<u8>> = tasks.iter().map(|t| t.got).collect();
         assert_eq!(from, [Some(4), Some(0), Some(1), Some(2), Some(3)]);
         assert_eq!(a.stats().messages, 5);
-        let (b, _) = run_ring(5, cfg);
-        assert_eq!(a.log_bytes(), b.log_bytes());
+        let (mut b, _) = run_ring(5, cfg);
         assert_eq!(a.log_digest(), b.log_digest());
+        assert_eq!(a.take_log(), b.take_log());
         // Wire latency (50 µs default) is visible in virtual time.
         assert!(a.epoch_vt() >= 50_000);
     }
@@ -963,9 +946,21 @@ mod tests {
         let mut tasks: Vec<BarrierTask> = (0..3).map(|_| BarrierTask { state: 0 }).collect();
         let mut cluster = VirtualCluster::new(3, SimConfig::default());
         cluster.run(&mut tasks);
-        let vts: Vec<Vt> = (0..3).map(|r| cluster.task_vt(r)).collect();
-        assert!(vts.iter().all(|&v| v == vts[0]), "common release: {vts:?}");
-        assert!(vts[0] >= 1_000_000, "slowest entry dominates");
+        // Every task finishes at the release: one `E` line per task, all
+        // at the same virtual time.
+        let log = cluster.take_log();
+        let ends: Vec<Vt> = log
+            .lines()
+            .filter_map(|l| l.strip_prefix("E "))
+            .map(|l| l.split(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(ends.len(), 3);
+        assert!(
+            ends.iter().all(|&v| v == ends[0]),
+            "common release: {ends:?}"
+        );
+        assert!(ends[0] >= 1_000_000, "slowest entry dominates");
+        assert_eq!(cluster.epoch_vt(), ends[0]);
     }
 
     #[test]
@@ -991,7 +986,7 @@ mod tests {
         // Rank 1 crashed on its only send, so rank 2 never gets its
         // message and is unparked by the failure cascade instead.
         assert!(tasks[2].got.is_none());
-        let log = String::from_utf8(cluster.log_bytes().to_vec()).unwrap();
+        let log = cluster.take_log();
         assert!(log.contains("\nC "), "crash logged: {log}");
         assert!(log.contains("\nF "), "failure detection logged: {log}");
     }

@@ -2,8 +2,7 @@
 //! the virtual link's ordering contract.
 //!
 //! The wheel is the root of the determinism contract: if events ever pop
-//! out of `(time, seq)` order, if cancellation is inexact, or if the
-//! clock runs backwards, every downstream byte-identity claim collapses.
+//! out of `(time, seq)` order, or if the clock runs backwards, every downstream byte-identity claim collapses.
 //! So the wheel gets adversarial inputs, not just the runtime's. The
 //! link gets the same treatment: whatever a fault schedule does to the
 //! wire, a receiver sees each payload once, in send order.
@@ -41,18 +40,6 @@ impl SimTask for Stream {
     }
 }
 
-/// An arbitrary schedule: event times (possibly far in the past relative
-/// to earlier pops) plus a subset of indices to cancel before draining.
-fn batch() -> impl Strategy<Value = (Vec<u64>, Vec<usize>)> {
-    proptest::collection::vec(0u64..10_000, 1..200).prop_flat_map(|times| {
-        let n = times.len();
-        (
-            Just(times),
-            proptest::collection::vec(0..n, 0..n.div_ceil(2)),
-        )
-    })
-}
-
 proptest! {
     /// Whatever the insertion order, events pop sorted by time, and
     /// equal times pop in scheduling (seq) order.
@@ -63,7 +50,7 @@ proptest! {
             wheel.schedule(t, i);
         }
         let mut popped = Vec::new();
-        while let Some((vt, _, idx)) = wheel.pop() {
+        while let Some((vt, idx)) = wheel.pop() {
             popped.push((vt, idx));
         }
         prop_assert_eq!(popped.len(), times.len());
@@ -74,29 +61,6 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "tie-break order violated: {:?}", w);
             }
         }
-    }
-
-    /// Cancellation is exact: cancelled events never pop, everything
-    /// else pops exactly once, and double-cancel / cancel-after-fire
-    /// return nothing.
-    #[test]
-    fn cancellation_is_exact((times, cancels) in batch()) {
-        let mut wheel = EventWheel::new();
-        let ids: Vec<_> = times.iter().enumerate().map(|(i, &t)| wheel.schedule(t, i)).collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for &c in &cancels {
-            let got = wheel.cancel(ids[c]);
-            prop_assert_eq!(got.is_some(), cancelled.insert(c), "cancel must succeed exactly once");
-        }
-        prop_assert_eq!(wheel.len(), times.len() - cancelled.len());
-        let mut popped = std::collections::HashSet::new();
-        while let Some((_, id, idx)) = wheel.pop() {
-            prop_assert!(!cancelled.contains(&idx), "cancelled event {} popped", idx);
-            prop_assert!(popped.insert(idx), "event {} popped twice", idx);
-            prop_assert!(wheel.cancel(id).is_none(), "cancel after fire must be inert");
-        }
-        prop_assert_eq!(popped.len(), times.len() - cancelled.len());
-        prop_assert!(wheel.is_empty());
     }
 
     /// The virtual clock is monotone even when events are scheduled into
@@ -113,14 +77,14 @@ proptest! {
         // Drain half, then schedule a batch that may point into the past.
         let mut last = 0u64;
         for _ in 0..first.len() / 2 {
-            let (vt, _, _) = wheel.pop().unwrap();
+            let (vt, _) = wheel.pop().unwrap();
             prop_assert!(vt >= last);
             last = vt;
         }
         for (i, &t) in late.iter().enumerate() {
             wheel.schedule(t, first.len() + i);
         }
-        while let Some((vt, _, _)) = wheel.pop() {
+        while let Some((vt, _)) = wheel.pop() {
             prop_assert!(vt >= last, "clock ran backwards: {} < {}", vt, last);
             last = vt;
         }

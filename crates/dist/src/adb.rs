@@ -43,25 +43,12 @@ impl AdbController {
         Self::default()
     }
 
-    /// Records one epoch's running log: per-root observed costs over the
-    /// global HDGs (`costs[r]` pairs with root `r`'s metric products).
-    pub fn record_epoch(&mut self, hdg: &Hdg, dim: usize, costs: &[f64]) {
-        assert_eq!(costs.len(), hdg.num_roots(), "one cost sample per root");
-        let products = root_products(hdg, dim);
-        self.samples
-            .extend(products.into_iter().zip(costs).map(|(p, &c)| CostSample {
-                products: p,
-                cost: c,
-            }));
-    }
-
     /// Records one epoch's *measured* running log — the telemetry the
     /// distributed runtime collected (`EpochReport::telemetry`). Each
     /// root with an attributed cost in the trace contributes one sample
     /// pairing its metric products with the measured cost units; roots
-    /// the epoch never touched are skipped. This is the paper's actual
-    /// §6 loop (sample logs → fit → rebalance), as opposed to
-    /// [`Self::record_epoch`] on costs the caller made up.
+    /// the epoch never touched are skipped. This is the paper's §6 loop
+    /// (sample logs → fit → rebalance).
     ///
     /// Returns how many root samples were ingested.
     pub fn record_measured_epoch(&mut self, hdg: &Hdg, dim: usize, trace: &TraceEpoch) -> usize {
@@ -78,11 +65,6 @@ impl AdbController {
             }
         }
         added
-    }
-
-    /// Number of samples accumulated.
-    pub fn num_samples(&self) -> usize {
-        self.samples.len()
     }
 
     /// The observed balance factor (`max / mean` of per-partition cost)
@@ -154,6 +136,17 @@ mod tests {
             .collect()
     }
 
+    /// Feeds `costs[r]`, paired with root `r`'s metric products, to the
+    /// controller as one epoch's running log.
+    fn record_costs(ctl: &mut AdbController, hdg: &Hdg, dim: usize, costs: &[f64]) {
+        let products = root_products(hdg, dim);
+        ctl.samples
+            .extend(products.into_iter().zip(costs).map(|(p, &c)| CostSample {
+                products: p,
+                cost: c,
+            }));
+    }
+
     #[test]
     fn controller_rebalances_skewed_partitions() {
         let ds = rmat(10, 10, 4, 8, 81, "adb-ctl");
@@ -162,8 +155,8 @@ mod tests {
         let costs = default_cost_proxy(&hdg, 8);
 
         let mut ctl = AdbController::new();
-        ctl.record_epoch(&hdg, 8, &costs);
-        assert_eq!(ctl.num_samples(), n);
+        record_costs(&mut ctl, &hdg, 8, &costs);
+        assert_eq!(ctl.samples.len(), n);
 
         // A locality-skewed partition should trip the threshold.
         let part = lp_partition(&ds.graph, 4, 10, 0.3, 5);
@@ -192,7 +185,7 @@ mod tests {
         let hdg = from_direct_neighbors(&ds.graph, (0..n as u32).collect());
         let mut ctl = AdbController::new();
         let costs = default_cost_proxy(&hdg, 4);
-        ctl.record_epoch(&hdg, 4, &costs);
+        record_costs(&mut ctl, &hdg, 4, &costs);
         let part = flexgraph_graph::partition::hash_partition(&ds.graph, 4);
         let factor = ctl.balance_factor(&part, &costs);
         // Set the threshold just above the observed factor: no action.

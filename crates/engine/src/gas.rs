@@ -1,58 +1,20 @@
-//! The SAGA-NN (GAS-like) baseline abstraction (paper §2.3).
+//! The SAGA-NN (GAS-like) baseline's neighbor selection (paper §2.3).
 //!
 //! NeuGraph's SAGA-NN splits a GNN layer into Scatter / ApplyEdge /
 //! Gather / ApplyVertex. DGL, PyG and Euler all execute aggregation this
-//! way: per-edge messages are *materialized* before reduction. This
-//! module reimplements that execution strategy so Table 2's comparisons
-//! are apples-to-apples inside one runtime, including the part the paper
-//! calls out in §7.1: PinSage's random walks "simulated with several
-//! graph propagation stages", which is where GAS systems spend over 95 %
-//! of their epoch time.
+//! way: per-edge messages are *materialized* before reduction — which is
+//! [`crate::hybrid::direct_aggregate`] with `fused = false`. This module
+//! adds the part the paper calls out in §7.1: PinSage's random walks
+//! "simulated with several graph propagation stages", which is where GAS
+//! systems spend over 95 % of their epoch time.
 
-use crate::hybrid::{AggrOp, AggrResult};
 use crate::memory::{EngineError, MemoryBudget};
 use flexgraph_graph::walk::WalkConfig;
 use flexgraph_graph::{Graph, VertexId};
-use flexgraph_tensor::fusion::materialized_bytes;
-use flexgraph_tensor::scatter::{
-    gather_rows, scatter_add_with_plan, scatter_mean_with_plan, ScatterPlan,
-};
+use flexgraph_tensor::scatter::{scatter_add_with_plan, ScatterPlan};
 use flexgraph_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One GAS aggregation pass over the input graph:
-/// Scatter (materialize source features per edge) → ApplyEdge (`edge_fn`,
-/// identity when `None`) → Gather (reduce into destinations).
-/// ApplyVertex is the caller's Update.
-pub fn saga_aggregate(
-    graph: &Graph,
-    feats: &Tensor,
-    op: AggrOp,
-    edge_fn: Option<&dyn Fn(&mut Tensor)>,
-    budget: &MemoryBudget,
-) -> Result<AggrResult, EngineError> {
-    let (_, src) = graph.coo_in();
-    let bytes = materialized_bytes(src.len(), feats.cols());
-    budget.check(bytes)?;
-    // Scatter: one message row per edge — the defining materialization.
-    let mut messages = gather_rows(feats, &src);
-    // ApplyEdge.
-    if let Some(f) = edge_fn {
-        f(&mut messages);
-    }
-    // Gather, through the graph's cached in-edge scatter plan.
-    let plan = graph.in_scatter_plan();
-    let features = match op {
-        AggrOp::Sum => scatter_add_with_plan(&messages, &plan),
-        AggrOp::Mean => scatter_mean_with_plan(&messages, &plan),
-        _ => return Err(EngineError::Unsupported("GAS gather supports sum/mean")),
-    };
-    Ok(AggrResult {
-        features,
-        peak_transient_bytes: bytes,
-    })
-}
 
 /// Outcome of the GAS-simulated random-walk selection.
 pub struct GasWalkOutcome {
@@ -164,49 +126,8 @@ pub fn gas_walk_neighbors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexgraph_graph::csr::{graph_from_edges, sample_graph};
+    use flexgraph_graph::csr::sample_graph;
     use flexgraph_graph::walk::importance_neighbors_all;
-
-    #[test]
-    fn saga_matches_fused_aggregation() {
-        let g = sample_graph();
-        let feats = Tensor::from_vec(9, 3, (0..27).map(|i| i as f32).collect());
-        let saga =
-            saga_aggregate(&g, &feats, AggrOp::Sum, None, &MemoryBudget::unlimited()).unwrap();
-        let fused = crate::hybrid::direct_aggregate(
-            &g,
-            &feats,
-            AggrOp::Sum,
-            true,
-            &MemoryBudget::unlimited(),
-        )
-        .unwrap();
-        assert!(saga.features.max_abs_diff(&fused.features) < 1e-4);
-        assert!(saga.peak_transient_bytes > fused.peak_transient_bytes);
-    }
-
-    #[test]
-    fn saga_apply_edge_transforms_messages() {
-        let g = graph_from_edges(2, &[(0, 1)]);
-        let feats = Tensor::from_rows(&[&[2.0], &[0.0]]);
-        let doubled = saga_aggregate(
-            &g,
-            &feats,
-            AggrOp::Sum,
-            Some(&|m: &mut Tensor| m.map_inplace(|x| x * 2.0)),
-            &MemoryBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(doubled.features.get(1, 0), 4.0);
-    }
-
-    #[test]
-    fn saga_oom_under_budget() {
-        let g = sample_graph();
-        let feats = Tensor::ones(9, 64);
-        let r = saga_aggregate(&g, &feats, AggrOp::Sum, None, &MemoryBudget { bytes: 64 });
-        assert!(matches!(r, Err(EngineError::Oom { .. })));
-    }
 
     #[test]
     fn gas_walks_produce_valid_neighbor_sets() {

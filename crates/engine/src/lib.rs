@@ -16,9 +16,10 @@
 //!   themselves are `models::Model`,
 //! * [`hybrid`] — hierarchical aggregation under the SA / SA+FA / HA
 //!   strategies of §7.5,
-//! * [`gas`] — the SAGA-NN (GAS-like) abstraction used by DGL/NeuGraph,
-//!   including PinSage's random walks *simulated through graph
-//!   propagation stages* (the ≥95 %-of-epoch cost of §7.1),
+//! * [`gas`] — PinSage's random walks *simulated through graph
+//!   propagation stages*, the way the SAGA-NN (GAS-like) systems of
+//!   DGL/NeuGraph select (the ≥95 %-of-epoch cost of §7.1); their
+//!   materializing aggregation is [`hybrid::direct_aggregate`] unfused,
 //! * [`minibatch`] — the Euler/DistDGL-style mini-batch strategy with
 //!   full k-hop neighborhood expansion, which explodes on dense graphs,
 //! * [`expanded`] — the Pre+DGL baseline of §7.2 (pre-materialized

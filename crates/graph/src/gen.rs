@@ -72,18 +72,6 @@ impl Dataset {
         let val = idx.split_off(cut.min(n));
         (idx, val)
     }
-
-    /// One summary row for the Table 1 harness.
-    pub fn stats_row(&self) -> String {
-        format!(
-            "{:<14} {:>9} {:>11} {:>9} {:>7}",
-            self.name,
-            self.graph.num_vertices(),
-            self.graph.num_edges(),
-            self.feature_dim(),
-            self.num_classes
-        )
-    }
 }
 
 /// Builds noisy class-centroid features: each class gets a random centroid
@@ -421,11 +409,5 @@ mod tests {
             assert_eq!(d.features.rows(), d.graph.num_vertices());
             assert_eq!(d.labels.len(), d.graph.num_vertices());
         }
-    }
-
-    #[test]
-    fn stats_row_mentions_name() {
-        let d = imdb_like(ScaleFactor(0.05));
-        assert!(d.stats_row().contains("imdb-like"));
     }
 }

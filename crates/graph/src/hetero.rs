@@ -52,13 +52,6 @@ impl TypedGraph {
         self.num_types
     }
 
-    /// All vertices of type `t`.
-    pub fn vertices_of_type(&self, t: VertexType) -> Vec<VertexId> {
-        (0..self.graph.num_vertices() as VertexId)
-            .filter(|&v| self.types[v as usize] == t)
-            .collect()
-    }
-
     /// Per-type vertex counts.
     pub fn type_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.num_types];
@@ -94,7 +87,6 @@ mod tests {
         let t = TypedGraph::new(g, vec![0, 1, 0, 2]);
         assert_eq!(t.num_types(), 3);
         assert_eq!(t.vertex_type(1), 1);
-        assert_eq!(t.vertices_of_type(0), vec![0, 2]);
         assert_eq!(t.type_histogram(), vec![2, 1, 1]);
     }
 
@@ -110,6 +102,7 @@ mod tests {
         let t = sample_typed_graph();
         assert_eq!(t.num_types(), 5);
         assert_eq!(t.type_histogram(), vec![1, 3, 1, 1, 3]);
-        assert_eq!(t.vertices_of_type(4), vec![4, 5, 7], "E, F, H");
+        let of_type_4: Vec<VertexId> = (0..9).filter(|&v| t.vertex_type(v) == 4).collect();
+        assert_eq!(of_type_4, vec![4, 5, 7], "E, F, H");
     }
 }

@@ -233,30 +233,6 @@ pub fn from_metapaths(
     b.build()
 }
 
-/// P-GNN-style HDGs: `k` random anchor-sets per root, each an instance of
-/// its own neighbor type (§3.2's sketch: "each vertex has k anchor-sets
-/// as its neighbors").
-pub fn from_anchor_sets(roots: Vec<VertexId>, anchor_sets: &[Vec<VertexId>]) -> Hdg {
-    let names: Vec<String> = (0..anchor_sets.len())
-        .map(|i| format!("anchor{i}"))
-        .collect();
-    let mut b = HdgBuilder::new(SchemaTree::new(names), roots);
-    for rank in 0..b.root_ids.len() {
-        for (t, set) in anchor_sets.iter().enumerate() {
-            if !set.is_empty() {
-                b.push_at(rank, t as u16, set);
-            }
-        }
-    }
-    b.build()
-}
-
-/// JK-Net-style HDGs: the `i`-th neighbor of `v` is the set of vertices
-/// at exact hop distance `i` (§3.2).
-pub fn from_hop_shells(g: &Graph, roots: Vec<VertexId>, k: usize) -> Hdg {
-    from_hop_shells_capped(g, roots, k, 0, 0)
-}
-
 /// SplitMix64 finalizer — the pure hash behind sampled selection.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -265,9 +241,11 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hop-shell HDGs with a per-shell sampling cap — the NeighborSelection
-/// of the online serving path, where unbounded power-law shells would
-/// blow the per-request memory budget. `cap = 0` means uncapped.
+/// JK-Net-style hop-shell HDGs (§3.2: the `i`-th neighbor of `v` is the
+/// set of vertices at exact hop distance `i`) with a per-shell sampling
+/// cap — the NeighborSelection of the online serving path, where
+/// unbounded power-law shells would blow the per-request memory budget.
+/// `cap = 0` means uncapped.
 ///
 /// Sampling is a **pure function of `(seed, root, leaf)`**: each shell
 /// member is ranked by a SplitMix64 hash and the `cap` smallest ranks
@@ -401,8 +379,8 @@ mod tests {
         let h = from_metapaths(&g, (0..9).collect(), &paper_metapaths(), 0);
         // Figure 3c: root A has 5 instances, 1 of MP1 and 4 of MP2.
         assert_eq!(h.instances_of_root(0), 5);
-        assert_eq!(h.instances_of_root_type(0, 0), 1);
-        assert_eq!(h.instances_of_root_type(0, 1), 4);
+        assert_eq!(h.group_instances(0, 0).len(), 1);
+        assert_eq!(h.group_instances(0, 1).len(), 4);
         // Instance leaves include the root itself (Figure 3c links A, C,
         // D to p1).
         let first = h.group_instances(0, 0).start;
@@ -427,10 +405,10 @@ mod tests {
     #[test]
     fn hop_shell_hdg_levels() {
         let g = sample_graph();
-        let h = from_hop_shells(&g, (0..9).collect(), 2);
+        let h = from_hop_shells_capped(&g, (0..9).collect(), 2, 0, 0);
         assert_eq!(h.num_types(), 2);
         // Root A: hop1 shell {D,E,F,H} (4 leaves), hop2 shell {B,C,G,I}.
-        assert_eq!(h.instances_of_root_type(0, 0), 1);
+        assert_eq!(h.group_instances(0, 0).len(), 1);
         let s1 = h.group_instances(0, 0).start;
         assert_eq!(h.instance_leaves(s1).len(), 4);
         let s2 = h.group_instances(0, 1).start;
@@ -462,9 +440,9 @@ mod tests {
         // Different seeds select different subsets somewhere.
         let other = from_hop_shells_capped(&g, (0..9).collect(), 2, 2, 43);
         assert_ne!(all.leaf_sources(), other.leaf_sources());
-        // Cap 0 = uncapped = the plain hop-shell builder.
+        // Cap 0 = uncapped, whatever the seed.
         let uncapped = from_hop_shells_capped(&g, (0..9).collect(), 2, 0, 42);
-        let plain = from_hop_shells(&g, (0..9).collect(), 2);
+        let plain = from_hop_shells_capped(&g, (0..9).collect(), 2, 0, 0);
         assert_eq!(uncapped.leaf_sources(), plain.leaf_sources());
     }
 
@@ -549,7 +527,6 @@ mod tests {
             &paper_metapaths(),
             0,
         ));
-        check(&from_anchor_sets(roots.clone(), &[vec![1, 2], vec![6]]));
         let lists: Vec<Vec<VertexId>> = (0..9).map(|v| vec![v, (v + 1) % 9]).collect();
         check(&from_neighbor_lists(roots.clone(), &lists));
         let direct = from_direct_neighbors(&g, roots.clone());
@@ -561,15 +538,6 @@ mod tests {
     #[should_panic(expected = "outside this builder's 1 roots")]
     fn rank_outside_roots_rejected() {
         HdgBuilder::new(SchemaTree::flat(), vec![0]).push_at(1, 0, &[1]);
-    }
-
-    #[test]
-    fn anchor_set_hdg_shapes() {
-        let sets = vec![vec![1, 2], vec![6, 7, 8]];
-        let h = from_anchor_sets((0..9).collect(), &sets);
-        assert_eq!(h.num_types(), 2);
-        assert_eq!(h.instances_of_root(3), 2);
-        assert_eq!(h.leaves_of_root(3), 5);
     }
 
     #[test]

@@ -44,17 +44,6 @@ impl SchemaTree {
         self.type_names.len()
     }
 
-    /// Whether this is the degenerate single-type schema (the paper's
-    /// "we stipulate T = v when T has a single neighbor type").
-    pub fn is_flat(&self) -> bool {
-        self.type_names.len() == 1
-    }
-
-    /// Name of type `t`.
-    pub fn type_name(&self, t: usize) -> &str {
-        &self.type_names[t]
-    }
-
     /// Heap bytes of the (single, global) schema tree.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -73,17 +62,14 @@ mod tests {
     #[test]
     fn flat_schema_is_flat() {
         let s = SchemaTree::flat();
-        assert!(s.is_flat());
         assert_eq!(s.num_types(), 1);
-        assert_eq!(s.type_name(0), "vertex");
+        assert_eq!(s, SchemaTree::new(vec!["vertex"]));
     }
 
     #[test]
     fn magnn_schema_has_one_leaf_per_metapath() {
         let s = SchemaTree::new(vec!["MP1", "MP2"]);
-        assert!(!s.is_flat());
         assert_eq!(s.num_types(), 2);
-        assert_eq!(s.type_name(1), "MP2");
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl Hdg {
         self.group_off[(r + 1) * t] - self.group_off[r * t]
     }
 
-    /// Number of instances of type `t` owned by root `r`.
-    pub fn instances_of_root_type(&self, r: usize, t: usize) -> usize {
-        self.group_instances(r, t).len()
-    }
-
     /// Total leaf entries under root `r` — proportional to the `m` size
     /// variables of the cost model.
     pub fn leaves_of_root(&self, r: usize) -> usize {
@@ -258,8 +253,8 @@ mod tests {
         assert_eq!(h.num_roots(), 1);
         assert_eq!(h.num_instances(), 5);
         assert_eq!(h.num_groups(), 2);
-        assert_eq!(h.instances_of_root_type(0, 0), 1, "n1 = 1 (§5)");
-        assert_eq!(h.instances_of_root_type(0, 1), 4, "n2 = 4 (§5)");
+        assert_eq!(h.group_instances(0, 0).len(), 1, "n1 = 1 (§5)");
+        assert_eq!(h.group_instances(0, 1).len(), 4, "n2 = 4 (§5)");
         assert_eq!(h.leaves_of_root(0), 15, "5 instances × 3 vertices");
         assert!(!h.is_flat_instances());
     }

@@ -30,6 +30,7 @@ pub mod magnn;
 mod memo;
 pub mod pgnn;
 pub mod pinsage;
+mod set_mean;
 pub mod train;
 
 pub use gcn::Gcn;

@@ -5,8 +5,7 @@
 //! (§3.2). Aggregation is hierarchical: instance features are the mean
 //! of their member vertices (fused), metapath-type features the
 //! attention-weighted sum of their instances — Figure 7's
-//! `scatter_softmax`, recorded as one fused softmax-pool op — or, with
-//! [`Magnn::attention`] off, their plain segment mean, and the
+//! `scatter_softmax`, recorded as one fused softmax-pool op — and the
 //! neighborhood representation the dense block-mean over types (Figure
 //! 10). Update is `ReLU(W · a)` (Figure 7's MAGNNLayer uses only the
 //! neighborhood representation).
@@ -32,21 +31,13 @@ pub struct Magnn {
     hidden: usize,
     metapaths: Vec<Metapath>,
     max_per_path: usize,
-    /// Use attention (scatter-softmax weighting) at the instance →
-    /// type level, as in the paper's Figure 7 UDF list
-    /// `[scatter_mean, scatter_softmax, scatter_mean]`; `false` falls
-    /// back to a plain mean.
-    pub attention: bool,
     built: bool,
     inst_off: Arc<Vec<usize>>,
     leaf_src: Arc<Vec<u32>>,
-    group_off: Arc<Vec<usize>>,
-    inst_ranks: Arc<Vec<u32>>,
     /// Cached scatter plan over the instance → group index (the omitted
     /// `Dst` array), shared by the attention softmax and the weighted
     /// sum of both layers, every epoch.
     group_plan: Option<Arc<ScatterPlan>>,
-    num_groups: usize,
     num_types: usize,
     /// Layer 1's aggregate over the feature leaf.
     pub(crate) input: InputAggregate,
@@ -70,14 +61,10 @@ impl Magnn {
             hidden,
             metapaths,
             max_per_path,
-            attention: true,
             built: false,
             inst_off: Arc::new(Vec::new()),
             leaf_src: Arc::new(Vec::new()),
-            group_off: Arc::new(Vec::new()),
-            inst_ranks: Arc::new(Vec::new()),
             group_plan: None,
-            num_groups: 0,
             num_types,
             input: InputAggregate::default(),
             w1: usize::MAX,
@@ -92,14 +79,9 @@ impl Magnn {
         // Leaves → instances (fused mean)…
         let inst = g.segment_reduce(h, self.inst_off.clone(), self.leaf_src.clone(), true);
         // …instances → metapath types: attention-weighted sum (Figure
-        // 7's scatter_softmax → mul → scatter_add, fused into one op) or
-        // a plain segment mean…
-        let groups = if self.attention {
-            let plan = self.group_plan.clone().expect("selection ran");
-            g.scatter_softmax_pool_with_plan(inst, plan)
-        } else {
-            g.segment_reduce(inst, self.group_off.clone(), self.inst_ranks.clone(), true)
-        };
+        // 7's scatter_softmax → mul → scatter_add, fused into one op)…
+        let plan = self.group_plan.clone().expect("selection ran");
+        let groups = g.scatter_softmax_pool_with_plan(inst, plan);
         // …types → root (dense reshape + block mean, Figure 10).
         g.mean_row_blocks(groups, self.num_types)
     }
@@ -126,10 +108,7 @@ impl Model for Magnn {
         let hdg = from_metapaths(&typed, roots, &self.metapaths, self.max_per_path);
         self.inst_off = Arc::new(hdg.inst_offsets().to_vec());
         self.leaf_src = Arc::new(hdg.leaf_sources().to_vec());
-        self.group_off = Arc::new(hdg.group_offsets().to_vec());
-        self.inst_ranks = Arc::new((0..hdg.num_instances() as u32).collect());
         self.group_plan = Some(hdg.group_scatter_plan());
-        self.num_groups = hdg.num_groups();
         self.input.clear();
         self.built = true;
     }
@@ -198,7 +177,7 @@ mod tests {
     }
 
     /// The instance → type level the way Figure 7's UDF list spells it:
-    /// three tape ops for attention, a sparse `scatter_mean` otherwise.
+    /// three tape ops.
     struct Unfused(Magnn);
 
     impl Unfused {
@@ -206,13 +185,9 @@ mod tests {
             let m = &self.0;
             let inst = g.segment_reduce(h, m.inst_off.clone(), m.leaf_src.clone(), true);
             let plan = m.group_plan.clone().expect("selection ran");
-            let groups = if m.attention {
-                let weights = g.scatter_softmax_with_plan(inst, plan.clone());
-                let weighted = g.mul(weights, inst);
-                g.scatter_add_with_plan(weighted, plan)
-            } else {
-                g.scatter_mean_with_plan(inst, plan)
-            };
+            let weights = g.scatter_softmax_with_plan(inst, plan.clone());
+            let weighted = g.mul(weights, inst);
+            let groups = g.scatter_add_with_plan(weighted, plan);
             let a = g.mean_row_blocks(groups, m.num_types);
             let out = g.matmul(a, w);
             if relu {
@@ -247,25 +222,19 @@ mod tests {
     #[test]
     fn fused_attention_trains_to_the_same_loss_bits_as_the_three_op_chain() {
         let ds = hetero_imdb(200, 3, 3, 16, 4);
-        for attention in [true, false] {
-            let model = || {
-                let mut m = Magnn::new(16, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 12);
-                m.attention = attention;
-                m
-            };
-            let cfg = TrainConfig {
-                epochs: 5,
-                lr: 0.01,
-                seed: 7,
-            };
-            let bits = |stats: Vec<crate::EpochStats>| -> Vec<u32> {
-                stats.iter().map(|s| s.loss.to_bits()).collect()
-            };
-            let fused = bits(Trainer::new(model(), cfg).run(&ds));
-            let unfused = bits(Trainer::new(Unfused(model()), cfg).run(&ds));
-            assert_eq!(fused, unfused, "attention = {attention}");
-            assert!(f32::from_bits(fused[4]) < f32::from_bits(fused[0]));
-        }
+        let model = || Magnn::new(16, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 12);
+        let cfg = TrainConfig {
+            epochs: 5,
+            lr: 0.01,
+            seed: 7,
+        };
+        let bits = |stats: Vec<crate::EpochStats>| -> Vec<u32> {
+            stats.iter().map(|s| s.loss.to_bits()).collect()
+        };
+        let fused = bits(Trainer::new(model(), cfg).run(&ds));
+        let unfused = bits(Trainer::new(Unfused(model()), cfg).run(&ds));
+        assert_eq!(fused, unfused);
+        assert!(f32::from_bits(fused[4]) < f32::from_bits(fused[0]));
     }
 
     #[test]

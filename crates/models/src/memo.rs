@@ -150,16 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn magnn_memo_is_exact_with_and_without_attention() {
+    fn magnn_memo_is_exact() {
         let ds = hetero_imdb(200, 3, 3, 16, 4);
-        for attention in [true, false] {
-            let build = || {
-                let mut m = Magnn::new(16, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 12);
-                m.attention = attention;
-                m
-            };
-            assert_memo_is_exact(&ds, build, |m| &mut m.input);
-        }
+        let build = || Magnn::new(16, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 12);
+        assert_memo_is_exact(&ds, build, |m| &mut m.input);
     }
 
     #[test]
@@ -180,14 +174,14 @@ mod tests {
     fn jknet_memo_is_exact() {
         let ds = community(150, 2, 6, 1, 12, 21);
         let build = || JkNet::new(12, ds.feature_dim(), ds.num_classes, 2);
-        assert_memo_is_exact(&ds, build, |m| &mut m.input);
+        assert_memo_is_exact(&ds, build, |m| &mut m.layers.input);
     }
 
     #[test]
     fn pgnn_memo_is_exact() {
         let ds = community(150, 2, 6, 1, 12, 13);
         let build = || Pgnn::new(12, ds.feature_dim(), ds.num_classes, 4, 8, 3);
-        assert_memo_is_exact(&ds, build, |m| &mut m.input);
+        assert_memo_is_exact(&ds, build, |m| &mut m.layers.input);
     }
 
     #[test]

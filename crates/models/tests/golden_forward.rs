@@ -1,6 +1,6 @@
-//! Golden-value forward fixtures (ISSUE 4 satellite): one model per NAU
-//! category — GCN (DNFA), PinSage (INFA), JK-Net (INHA) — on a fixed
-//! 6-vertex graph with hand-chosen integer features and weights.
+//! Golden-value forward fixtures: one model per NAU category — GCN
+//! (DNFA), PinSage (INFA), JK-Net and P-GNN (INHA) — on a fixed 6-vertex
+//! graph with hand-chosen integer features and weights.
 //!
 //! The fixtures themselves (graphs, features, weights, the
 //! weight-override forward runner) live in [`flexgraph_models::golden`]
@@ -13,11 +13,13 @@
 //! matmuls, shell means) is exactly representable in `f32`. The expected
 //! outputs are therefore *hand-computable* and independent of
 //! accumulation order, tiling, and `FLEXGRAPH_THREADS` — the assertions
-//! compare exact bits, not approximations.
+//! compare exact bits, not approximations. The P-GNN case is the one
+//! exception: its anchor-sets of three make thirds, so its bits were
+//! recorded from a run rather than by hand, and pin the order of its ops.
 
 use flexgraph_models::golden::{concat_weights, gcn_weights, graph_a, graph_cycle, run_forward};
 use flexgraph_models::train::Model;
-use flexgraph_models::{Gcn, JkNet, PinSage};
+use flexgraph_models::{Gcn, JkNet, Pgnn, PinSage};
 use flexgraph_tensor::Tensor;
 
 /// Exact-bits comparison with a readable diff on mismatch.
@@ -136,4 +138,20 @@ fn pinsage_forward_matches_fixture() {
             [12.0, 171.0],
         ],
     );
+}
+
+#[test]
+fn pgnn_forward_bits_are_pinned() {
+    // Two seeded anchor-sets of three vertices, shared by every root.
+    let (w1, w2) = concat_weights();
+    let out = run_forward(Pgnn::new(2, 2, 2, 2, 3, 5), &graph_cycle(), &[w1, w2]);
+    let want: [[u32; 2]; 6] = [
+        [0x40a1_c71d, 0x4151_c71e],
+        [0x4100_e38f, 0x4171_c71e],
+        [0x4081_c71d, 0x4141_c71e],
+        [0x40fc_71c9, 0x4161_c71e],
+        [0x40c1_c71d, 0x4151_c71e],
+        [0x40e1_c71e, 0x4180_e38f],
+    ];
+    assert_bits(&out, &want.map(|row| row.map(f32::from_bits)));
 }

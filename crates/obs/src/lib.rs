@@ -128,14 +128,6 @@ pub fn next_epoch() -> u64 {
     EPOCH_SEQ.fetch_add(1, Ordering::AcqRel)
 }
 
-/// Opens the `FLEXGRAPH_TRACE` session without allocating an epoch —
-/// the entry point for trace producers that are not epoch-shaped, like
-/// the serving subsystem. Idempotent; a no-op when the variable is
-/// unset or a session is already open.
-pub fn init_env_trace() {
-    ensure_env_init();
-}
-
 /// The frame every emitter shares: when a session is open, lock it, let
 /// `write` stamp its lines, flush.
 fn emit(write: impl FnOnce(&mut Session)) {

@@ -387,11 +387,6 @@ impl Server {
         self.batcher.lock().expect("batcher lock").tick(ticks);
     }
 
-    /// Queued requests not yet batched.
-    pub fn queue_depth(&self) -> usize {
-        self.batcher.lock().expect("batcher lock").depth()
-    }
-
     /// Closes and executes the next batch if the size-or-deadline
     /// policy allows one; `Ok(vec![])` when no batch is due.
     pub fn poll(&self) -> Result<Vec<Response>, ServeError> {
@@ -705,7 +700,11 @@ mod tests {
             other => panic!("expected AdmissionDenied, got {other:?}"),
         }
         assert_eq!(s.window_stats().rejected, 1);
-        assert_eq!(s.queue_depth(), 0, "shed requests are not requeued");
+        s.tick(100);
+        assert!(
+            s.poll().unwrap().is_empty(),
+            "shed requests are not requeued"
+        );
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub use ooc::{
     Neighborhood,
 };
 pub use paged::PagedGraph;
-pub use stream::{rmat_label, rmat_to_store, StreamSummary};
+pub use stream::{rmat_to_store, StreamSummary};

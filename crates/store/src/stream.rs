@@ -200,12 +200,6 @@ pub fn rmat_to_store(
     })
 }
 
-/// The label `gen::rmat` assigns vertex `v` — a pure function, so
-/// out-of-core training never needs a materialized label array.
-pub fn rmat_label(scale: u32, num_classes: usize, v: VertexId) -> usize {
-    ((v as usize) >> (scale.saturating_sub(4) as usize)) % num_classes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,15 +245,6 @@ mod tests {
             );
             std::fs::remove_file(&streamed).unwrap();
             std::fs::remove_file(&baseline).unwrap();
-        }
-    }
-
-    #[test]
-    fn labels_match_generator() {
-        let scale = 7u32;
-        let ds = gen::rmat(scale, 4, 5, 2, 3, "labels");
-        for v in 0..ds.graph.num_vertices() as u32 {
-            assert_eq!(rmat_label(scale, 5, v), ds.labels[v as usize]);
         }
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! The operation set is exactly what FlexGraph's models need: dense NN ops
 //! (matmul, bias, relu, concat, elementwise), the sparse aggregation ops
-//! (gather / scatter-add / scatter-mean / scatter-softmax and the fused
-//! softmax pooling of MAGNN's attention level), the dense schema-level
-//! block reductions of the paper's Figure 10, and a fused softmax
-//! cross-entropy loss.
+//! over a cached [`ScatterPlan`] (gather / scatter-add / scatter-softmax
+//! and the fused softmax pooling of MAGNN's attention level), the fused
+//! segment reduction, the dense schema-level block mean of the paper's
+//! Figure 10, and a fused softmax cross-entropy loss.
 //!
 //! # Which nodes get a gradient, and for how long
 //!
@@ -52,9 +52,9 @@
 
 use crate::fusion::{segment_reduce_backward_into, segment_reduce_into, Reduce};
 use crate::scatter::{
-    gather_rows_into, scatter_add_with_plan_into, scatter_mean_with_plan_into,
-    scatter_softmax_backward_into, scatter_softmax_pool_backward_into,
-    scatter_softmax_pool_with_plan_into, scatter_softmax_with_plan_into, ScatterPlan,
+    gather_rows_into, scatter_add_with_plan_into, scatter_softmax_backward_into,
+    scatter_softmax_pool_backward_into, scatter_softmax_pool_with_plan_into,
+    scatter_softmax_with_plan_into, ScatterPlan,
 };
 use crate::simd;
 use crate::tensor::Tensor;
@@ -80,8 +80,6 @@ enum Op {
     AddBias(NodeId, NodeId),
     /// Elementwise `a * b`.
     Mul(NodeId, NodeId),
-    /// `a * s` for scalar `s`.
-    Scale(NodeId, f32),
     /// `max(a, 0)`.
     Relu(NodeId),
     /// Logistic sigmoid `1 / (1 + e^{-a})`.
@@ -95,8 +93,6 @@ enum Op {
     /// Scatter-add of rows; the plan carries the destination grouping
     /// for both directions (backward is a gather by `plan.index()`).
     ScatterAdd(NodeId, Arc<ScatterPlan>),
-    /// Scatter-mean of rows; segment lengths come from the plan.
-    ScatterMean(NodeId, Arc<ScatterPlan>),
     /// Per-group softmax over rows sharing a destination index.
     ScatterSoftmax(NodeId, Arc<ScatterPlan>),
     /// Fused per-group softmax pooling; `weights` are the normalised
@@ -127,8 +123,6 @@ enum Op {
     /// Mean over consecutive row blocks of size `block` (dense
     /// schema-level aggregation, paper Figure 10).
     MeanRowBlocks(NodeId, usize),
-    /// Sum over consecutive row blocks of size `block`.
-    SumRowBlocks(NodeId, usize),
     /// Fused mean softmax cross-entropy against integer class targets;
     /// `probs` are the forward pass's row softmax, which backward turns
     /// into the logits' gradient in place (no second `exp` pass).
@@ -155,17 +149,14 @@ impl Op {
             | Op::AddBias(a, b)
             | Op::Mul(a, b)
             | Op::ConcatCols(a, b) => [Some(*a), Some(*b)],
-            Op::Scale(a, _)
-            | Op::Relu(a)
+            Op::Relu(a)
             | Op::Sigmoid(a)
             | Op::Gather(a, _)
             | Op::ScatterAdd(a, _)
-            | Op::ScatterMean(a, _)
             | Op::ScatterSoftmax(a, _)
             | Op::ScatterSoftmaxPool { a, .. }
             | Op::SegmentReduce { a, .. }
             | Op::MeanRowBlocks(a, _)
-            | Op::SumRowBlocks(a, _)
             | Op::CrossEntropy { logits: a, .. }
             | Op::MeanAll(a) => [Some(*a), None],
         }
@@ -437,13 +428,6 @@ impl Graph {
         self.push(v, Op::Mul(a, b))
     }
 
-    /// Scalar multiple.
-    pub fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
-        let mut v = self.draw_like(a);
-        self.value(a).map_into(&mut v, |x| x * s);
-        self.push(v, Op::Scale(a, s))
-    }
-
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
         let mut v = self.draw_like(a);
@@ -494,12 +478,7 @@ impl Graph {
         self.push(v, Op::Gather(a, plan))
     }
 
-    /// Differentiable scatter-add into `out_rows` destinations.
-    pub fn scatter_add(&mut self, a: NodeId, idx: &[u32], out_rows: usize) -> NodeId {
-        self.scatter_add_with_plan(a, Arc::new(ScatterPlan::new(idx, out_rows)))
-    }
-
-    /// [`Graph::scatter_add`] reusing a cached plan.
+    /// Differentiable scatter-add into the plan's destinations.
     pub fn scatter_add_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
         let cols = self.value(a).cols();
         let mut v = self.pool.draw_zeroed(plan.out_rows(), cols);
@@ -507,28 +486,10 @@ impl Graph {
         self.push(v, Op::ScatterAdd(a, plan))
     }
 
-    /// Differentiable scatter-mean into `out_rows` destinations.
-    pub fn scatter_mean(&mut self, a: NodeId, idx: &[u32], out_rows: usize) -> NodeId {
-        self.scatter_mean_with_plan(a, Arc::new(ScatterPlan::new(idx, out_rows)))
-    }
-
-    /// [`Graph::scatter_mean`] reusing a cached plan.
-    pub fn scatter_mean_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
-        let cols = self.value(a).cols();
-        let mut v = self.pool.draw_zeroed(plan.out_rows(), cols);
-        scatter_mean_with_plan_into(&mut v, self.value(a), &plan);
-        self.push(v, Op::ScatterMean(a, plan))
-    }
-
-    /// Differentiable scatter-softmax: rows sharing a destination index
-    /// are soft-maxed against each other per column (the attention
+    /// Differentiable scatter-softmax: rows sharing a plan segment are
+    /// soft-maxed against each other per column (the attention
     /// normalization of the paper's MAGNN Figure 7, `scatter_softmax`).
     /// Output has the shape of `a`.
-    pub fn scatter_softmax(&mut self, a: NodeId, idx: &[u32], out_rows: usize) -> NodeId {
-        self.scatter_softmax_with_plan(a, Arc::new(ScatterPlan::new(idx, out_rows)))
-    }
-
-    /// [`Graph::scatter_softmax`] reusing a cached plan.
     pub fn scatter_softmax_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
         let mut v = self.draw_like(a);
         scatter_softmax_with_plan_into(&mut v, self.value(a), &plan);
@@ -537,8 +498,9 @@ impl Graph {
 
     /// Differentiable fused attention pooling: destination `d` receives
     /// `Σ softmax_seg(a)_e ⊙ a_e` over the rows `e` of its plan segment.
-    /// Bit-identical, value and gradient, to [`Graph::scatter_softmax`]
-    /// → [`Graph::mul`] by `a` → [`Graph::scatter_add`] on the same
+    /// Bit-identical, value and gradient, to
+    /// [`Graph::scatter_softmax_with_plan`] → [`Graph::mul`] by `a` →
+    /// [`Graph::scatter_add_with_plan`] on the same
     /// plan, in one pass per segment and one edge-shaped intermediate
     /// (the weights) instead of three — kept only if backward will run
     /// through the node, and then rewritten into the input's gradient.
@@ -579,22 +541,11 @@ impl Graph {
     /// Mean over consecutive row blocks of size `block`: `(n·block, d) →
     /// (n, d)`. This is the reshape-then-reduce dense op of Figure 10.
     pub fn mean_row_blocks(&mut self, a: NodeId, block: usize) -> NodeId {
-        let v = self.row_blocks(a, block, true);
-        self.push(v, Op::MeanRowBlocks(a, block))
-    }
-
-    /// Sum over consecutive row blocks of size `block`.
-    pub fn sum_row_blocks(&mut self, a: NodeId, block: usize) -> NodeId {
-        let v = self.row_blocks(a, block, false);
-        self.push(v, Op::SumRowBlocks(a, block))
-    }
-
-    fn row_blocks(&mut self, a: NodeId, block: usize, mean: bool) -> Tensor {
         assert!(block > 0, "block size must be positive");
         let (rows, cols) = self.value(a).shape();
         let mut v = self.pool.draw_zeroed(rows / block, cols);
-        reduce_row_blocks_into(&mut v, self.value(a), block, mean);
-        v
+        reduce_row_blocks_into(&mut v, self.value(a), block, true);
+        self.push(v, Op::MeanRowBlocks(a, block))
     }
 
     /// Fused softmax cross-entropy, averaged over rows. `targets[i]` is the
@@ -704,7 +655,6 @@ impl Graph {
         // `op` is moved out temporarily so we can mutate `self` while
         // reading the recorded inputs.
         let mut op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
-        let block_mean = matches!(op, Op::MeanRowBlocks(..));
         // Each arm yields `grad` back unless it moved it into an input.
         // A one-input op only gets here if that input needs a gradient.
         let leftover = match &mut op {
@@ -769,11 +719,6 @@ impl Graph {
                     Some(grad)
                 }
             }
-            Op::Scale(a, s) => {
-                grad.map_inplace(|g| g * *s);
-                self.give(*a, grad);
-                None
-            }
             Op::Relu(a) => {
                 grad.zip_inplace(self.value(*a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 });
                 self.give(*a, grad);
@@ -813,17 +758,6 @@ impl Graph {
                 self.give(*a, g);
                 Some(grad)
             }
-            Op::ScatterMean(a, plan) => {
-                let mut g = self.draw_like(*a);
-                for (r, &dst) in plan.index().iter().enumerate() {
-                    let c = plan.count(dst as usize).max(1) as f32;
-                    for (o, &x) in g.row_mut(r).iter_mut().zip(grad.row(dst as usize)) {
-                        *o = x / c;
-                    }
-                }
-                self.give(*a, g);
-                Some(grad)
-            }
             Op::ScatterSoftmax(a, plan) => {
                 let mut g = self.draw_like(*a);
                 scatter_softmax_backward_into(&mut g, &grad, &self.nodes[i].value, plan);
@@ -848,10 +782,9 @@ impl Graph {
                 self.give(*a, g);
                 Some(grad)
             }
-            Op::MeanRowBlocks(a, block) | Op::SumRowBlocks(a, block) => {
-                let scale = if block_mean { 1.0 / *block as f32 } else { 1.0 };
+            Op::MeanRowBlocks(a, block) => {
                 let mut g = self.draw_like(*a);
-                expand_row_blocks_into(&mut g, &grad, *block, scale);
+                expand_row_blocks_into(&mut g, &grad, *block, 1.0 / *block as f32);
                 self.give(*a, g);
                 Some(grad)
             }
@@ -1101,25 +1034,17 @@ mod tests {
         );
     }
 
+    fn plan(idx: &[u32], out_rows: usize) -> Arc<ScatterPlan> {
+        Arc::new(ScatterPlan::new(idx, out_rows))
+    }
+
     #[test]
     fn grad_gather_scatter() {
         finite_diff_check(
             sample_input(),
             |g, x| {
                 let gathered = g.gather(x, &[0, 2, 2, 1]);
-                let agg = g.scatter_add(gathered, &[0, 0, 1, 1], 2);
-                g.mean_all(agg)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn grad_scatter_mean() {
-        finite_diff_check(
-            sample_input(),
-            |g, x| {
-                let agg = g.scatter_mean(x, &[0, 0, 1], 2);
+                let agg = g.scatter_add_with_plan(gathered, plan(&[0, 0, 1, 1], 2));
                 g.mean_all(agg)
             },
             1e-2,
@@ -1130,17 +1055,9 @@ mod tests {
     fn grad_row_blocks() {
         let input = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0], &[7.0, 8.0]]);
         finite_diff_check(
-            input.clone(),
-            |g, x| {
-                let y = g.mean_row_blocks(x, 2);
-                g.mean_all(y)
-            },
-            1e-2,
-        );
-        finite_diff_check(
             input,
             |g, x| {
-                let y = g.sum_row_blocks(x, 2);
+                let y = g.mean_row_blocks(x, 2);
                 g.mean_all(y)
             },
             1e-2,
@@ -1181,7 +1098,7 @@ mod tests {
                 )
             } else {
                 let gathered = g.gather(xn, &[0, 1, 1, 2]);
-                g.scatter_add(gathered, &[0, 0, 1, 1], 2)
+                g.scatter_add_with_plan(gathered, plan(&[0, 0, 1, 1], 2))
             };
             let loss = g.mean_all(y);
             g.backward(loss);
@@ -1221,7 +1138,7 @@ mod tests {
         finite_diff_check(
             sample_input(),
             |g, x| {
-                let sm = g.scatter_softmax(x, &[0, 0, 1], 2);
+                let sm = g.scatter_softmax_with_plan(x, plan(&[0, 0, 1], 2));
                 // Weighted-sum readout so the loss depends on all rows.
                 let w = g.leaf(Tensor::from_rows(&[
                     &[1.0, -2.0, 0.5],
@@ -1258,7 +1175,7 @@ mod tests {
         // vanish there.
         let mut g = Graph::new();
         let x = g.param(Tensor::from_rows(&[&[3.0], &[1.0]]), 0);
-        let sm = g.scatter_softmax(x, &[0, 1], 2);
+        let sm = g.scatter_softmax_with_plan(x, plan(&[0, 1], 2));
         let loss = g.mean_all(sm);
         g.backward(loss);
         let grad = g.grad(x).unwrap();
@@ -1460,11 +1377,11 @@ mod tests {
         let x = g.leaf(sample_input());
         let mark = g.len();
         let pooled = g.scatter_softmax_pool_with_plan(x, plan.clone());
-        let scaled = g.scale(pooled, 2.0);
-        let (want_pooled, want) = (bits(g.value(pooled)), bits(g.value(scaled)));
+        let activated = g.relu(pooled);
+        let (want_pooled, want) = (bits(g.value(pooled)), bits(g.value(activated)));
         let misses = g.free_list_misses();
 
-        let leaf = g.collapse_into_leaf(mark, scaled);
+        let leaf = g.collapse_into_leaf(mark, activated);
         assert_eq!((leaf, g.len()), (NodeId(mark), mark + 1));
         assert!(matches!(g.nodes[leaf.0].op, Op::Leaf));
         assert_eq!(bits(g.value(leaf)), want, "the leaf holds the node's value");
@@ -1540,8 +1457,8 @@ mod tests {
         };
 
         let (loss0, grads) = run(&w1, &w2);
-        w1.axpy(-0.5, &grads[0]);
-        w2.axpy(-0.5, &grads[1]);
+        w1.zip_inplace(&grads[0], |w, g| w - 0.5 * g);
+        w2.zip_inplace(&grads[1], |w, g| w - 0.5 * g);
         let (loss1, _) = run(&w1, &w2);
         assert!(loss1 < loss0, "loss must decrease: {loss0} -> {loss1}");
     }

@@ -11,11 +11,11 @@
 //!
 //! * a row-major dense `f32` matrix type ([`Tensor`]),
 //! * sparse *scatter* reductions (`scatter_add`/`mean`/`max`/`min`/
-//!   `softmax`) and row `gather`, the building blocks of GAS-style sparse
+//!   `softmax`, over a cached [`ScatterPlan`]) and row `gather`, the building blocks of GAS-style sparse
 //!   aggregation (paper §3.3, Figure 8),
 //! * a tape-based reverse-mode autograd engine ([`autograd::Graph`]) so
 //!   that GCN / PinSage / MAGNN train end-to-end,
-//! * SGD and Adam optimizers and a softmax cross-entropy loss,
+//! * the Adam optimizer and a softmax cross-entropy loss,
 //! * chunked, auto-vectorizable inner loops and a persistent worker-pool
 //!   `parallel_for` standing in for the paper's AVX-512 feature-fusion
 //!   kernels inside long-lived workers (§6, "Hybrid aggregate
@@ -45,13 +45,13 @@ pub mod tensor;
 pub use autograd::{Graph, NodeId};
 pub use fusion::{segment_reduce, Reduce};
 pub use init::xavier_uniform;
-pub use optim::{Adam, Optimizer, ParamSet, Sgd};
+pub use optim::{Adam, Optimizer, ParamSet};
 pub use par::{num_threads, pool_worker_count, set_thread_override};
 pub use quant::{Bf16Tensor, FeatureRows, QInt8Cols, QInt8Rows, QuantConfig};
 pub use scatter::{
     gather_rows, scatter_add, scatter_add_gathered_into, scatter_add_with_plan,
     scatter_max_with_plan, scatter_mean, scatter_mean_with_plan, scatter_min_with_plan,
-    scatter_softmax, scatter_softmax_with_plan, ScatterPlan,
+    scatter_softmax_with_plan, ScatterPlan,
 };
 pub use simd::backend as simd_backend;
 pub use tensor::Tensor;

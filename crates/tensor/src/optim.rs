@@ -1,4 +1,4 @@
-//! Parameter storage and first-order optimizers.
+//! Parameter storage and the first-order optimizer (Adam).
 //!
 //! Models register parameters into a [`ParamSet`]; a forward pass mirrors
 //! them onto an autograd tape with [`crate::Graph::param`], the backward
@@ -64,72 +64,12 @@ impl ParamSet {
             g.map_inplace(|_| 0.0);
         }
     }
-
-    /// Total number of scalar parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Tensor::len).sum()
-    }
 }
 
 /// A gradient-descent style optimizer.
 pub trait Optimizer {
     /// Applies one update using the gradients accumulated in `params`.
     fn step(&mut self, params: &mut ParamSet);
-}
-
-/// Stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates plain SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Creates SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamSet) {
-        if self.momentum == 0.0 {
-            for i in 0..params.len() {
-                let g = params.grads[i].clone();
-                params.values[i].axpy(-self.lr, &g);
-            }
-            return;
-        }
-        if self.velocity.len() != params.len() {
-            self.velocity = params
-                .values
-                .iter()
-                .map(|v| Tensor::zeros(v.rows(), v.cols()))
-                .collect();
-        }
-        for i in 0..params.len() {
-            let v = &mut self.velocity[i];
-            v.map_inplace(|x| x * self.momentum);
-            v.add_assign(&params.grads[i]);
-            let v = v.clone();
-            params.values[i].axpy(-self.lr, &v);
-        }
-    }
 }
 
 /// Adam (Kingma & Ba) with the standard bias correction.
@@ -251,16 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges() {
-        converges_on_quadratic(Sgd::new(0.1), 100, 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        converges_on_quadratic(Sgd::with_momentum(0.05, 0.9), 200, 1e-2);
-    }
-
-    #[test]
     fn adam_converges() {
         converges_on_quadratic(Adam::new(0.2), 300, 1e-2);
     }
@@ -273,13 +203,5 @@ mod tests {
         assert_eq!(params.grad(slot).sum(), 4.0);
         params.zero_grads();
         assert_eq!(params.grad(slot).sum(), 0.0);
-    }
-
-    #[test]
-    fn num_scalars_counts_all_entries() {
-        let mut params = ParamSet::new();
-        params.register(Tensor::zeros(3, 4));
-        params.register(Tensor::zeros(1, 5));
-        assert_eq!(params.num_scalars(), 17);
     }
 }

@@ -74,16 +74,6 @@ impl QuantConfig {
             Self::Int8 => 2,
         }
     }
-
-    /// Inverse of [`QuantConfig::code`].
-    pub fn from_code(code: u64) -> Option<Self> {
-        match code {
-            0 => Some(Self::F32),
-            1 => Some(Self::Bf16),
-            2 => Some(Self::Int8),
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -755,10 +745,8 @@ mod tests {
 
     #[test]
     fn quant_config_codes_round_trip() {
-        for q in [QuantConfig::F32, QuantConfig::Bf16, QuantConfig::Int8] {
-            assert_eq!(QuantConfig::from_code(q.code()), Some(q));
-        }
-        assert_eq!(QuantConfig::from_code(3), None);
+        let all = [QuantConfig::F32, QuantConfig::Bf16, QuantConfig::Int8];
+        assert_eq!(all.map(QuantConfig::code), [0, 1, 2]);
         assert_eq!(QuantConfig::default(), QuantConfig::F32);
     }
 }

@@ -336,7 +336,11 @@ pub fn scatter_add_gathered_into(
     });
 }
 
-/// Planned [`scatter_softmax`].
+/// Softmax over value rows sharing a destination, per column.
+///
+/// The output has the shape of `values`: row `i`, column `c` becomes
+/// `exp(v[i][c]) / Σ exp(v[j][c])` over all `j` in `i`'s plan segment.
+/// Used by MAGNN-style attention within one HDG level.
 pub fn scatter_softmax_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
     let mut out = Tensor::zeros(values.rows(), values.cols());
     scatter_softmax_with_plan_into(&mut out, values, plan);
@@ -626,15 +630,6 @@ pub fn scatter_mean(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
     scatter_mean_with_plan(values, &one_shot_plan(values, index, out_rows))
 }
 
-/// Softmax over value rows sharing a destination, per column.
-///
-/// The output has the shape of `values`: row `i`, column `c` becomes
-/// `exp(v[i][c]) / Σ exp(v[j][c])` over all `j` with `index[j] ==
-/// index[i]`. Used by MAGNN-style attention within one HDG level.
-pub fn scatter_softmax(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
-    scatter_softmax_with_plan(values, &one_shot_plan(values, index, out_rows))
-}
-
 /// Number of value rows targeting each destination.
 fn index_counts(index: &[u32], out_rows: usize) -> Vec<u32> {
     let mut counts = vec![0u32; out_rows];
@@ -756,7 +751,7 @@ fn scatter_extreme_serial(
     out
 }
 
-/// Serial reference for [`scatter_softmax`].
+/// Serial reference for [`scatter_softmax_with_plan`].
 pub fn scatter_softmax_serial(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
     check_serial(values, index, out_rows);
     let d = values.cols();
@@ -857,7 +852,7 @@ mod tests {
     #[test]
     fn scatter_softmax_sums_to_one_per_group() {
         let v = Tensor::from_rows(&[&[1.0], &[2.0], &[3.0], &[0.0]]);
-        let sm = scatter_softmax(&v, &[0, 0, 0, 1], 2);
+        let sm = scatter_softmax_with_plan(&v, &ScatterPlan::new(&[0, 0, 0, 1], 2));
         let g0: f32 = sm.get(0, 0) + sm.get(1, 0) + sm.get(2, 0);
         assert!((g0 - 1.0).abs() < 1e-5);
         // Singleton group softmax is exactly 1.
@@ -869,7 +864,7 @@ mod tests {
     #[test]
     fn scatter_softmax_is_stable_for_huge_logits() {
         let v = Tensor::from_rows(&[&[1000.0], &[1000.0]]);
-        let sm = scatter_softmax(&v, &[0, 0], 1);
+        let sm = scatter_softmax_with_plan(&v, &ScatterPlan::new(&[0, 0], 1));
         assert!((sm.get(0, 0) - 0.5).abs() < 1e-5);
     }
 

@@ -2,9 +2,9 @@
 //!
 //! All tensors are row-major `f32` matrices. FlexGraph's feature matrices
 //! are `(#vertices, feature_dim)` and its weights are
-//! `(in_dim, out_dim)`, so two dimensions are all the system needs; logical
-//! 3-D reshapes (paper Figure 10) are expressed as row-block views over the
-//! same buffer via [`Tensor::reshape_rows`].
+//! `(in_dim, out_dim)`, so two dimensions are all the system needs; the
+//! logical 3-D reshape of paper Figure 10 is a row-block reduction
+//! (`autograd::reduce_row_blocks_into`) over the same buffer.
 
 use crate::par::{parallel_for, parallel_ranges, SendPtr};
 use crate::simd;
@@ -188,22 +188,6 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Reinterprets the buffer under a new shape with the same element
-    /// count. This is the paper's "reshape" (Figure 10): a logical-layout
-    /// change with no memory copy of substance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element count changes.
-    pub fn reshape_rows(self, rows: usize, cols: usize) -> Self {
-        assert_eq!(rows * cols, self.data.len(), "reshape must preserve length");
-        Self {
-            rows,
-            cols,
-            data: self.data,
-        }
-    }
-
     /// Elementwise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         let mut out = Self::zeros(self.rows, self.cols);
@@ -263,11 +247,6 @@ impl Tensor {
         self.zip(other, |a, b| a + b)
     }
 
-    /// Elementwise difference.
-    pub fn sub(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a - b)
-    }
-
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Self) -> Self {
         self.zip(other, |a, b| a * b)
@@ -276,11 +255,6 @@ impl Tensor {
     /// In-place elementwise accumulate: `self += other`.
     pub fn add_assign(&mut self, other: &Self) {
         self.zip_inplace(other, |a, b| a + b);
-    }
-
-    /// In-place scaled accumulate: `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Self) {
-        self.zip_inplace(other, |a, b| a + alpha * b);
     }
 
     /// Scalar multiply into a new tensor.
@@ -441,7 +415,8 @@ impl Tensor {
         out
     }
 
-    /// Transpose into a new tensor, in `TB×TB` cache blocks.
+    /// Transpose into a caller-provided `cols × rows` `out`, in `TB×TB`
+    /// cache blocks.
     ///
     /// The seed walked the source row-major and the destination with a
     /// `rows`-element stride — one cache line touched per element on
@@ -451,13 +426,6 @@ impl Tensor {
     /// computed independently through the worker pool. Small matrices
     /// (under [`TRANSPOSE_TILE_CUTOFF`] elements) take the unblocked
     /// loop.
-    pub fn transpose(&self) -> Self {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::transpose`] into a caller-provided `cols × rows` `out`.
     pub fn transpose_into(&self, out: &mut Self) {
         let (rows, cols) = (self.rows, self.cols);
         assert_eq!(out.shape(), (cols, rows), "transpose output shape");
@@ -484,7 +452,7 @@ impl Tensor {
     }
 
     /// Reference transpose: the seed's unblocked double loop. Kept as
-    /// the ground truth the blocked [`Tensor::transpose`] is compared
+    /// the ground truth the blocked [`Tensor::transpose_into`] is compared
     /// against.
     pub fn transpose_naive(&self) -> Self {
         let mut out = Tensor::zeros(self.cols, self.rows);
@@ -586,11 +554,6 @@ impl Tensor {
                     .0
             })
             .collect()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Maximum absolute difference against another tensor of equal shape.
@@ -822,11 +785,17 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
+    fn transposed(t: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(t.cols(), t.rows());
+        t.transpose_into(&mut out);
+        out
+    }
+
     #[test]
     fn transpose_round_trip() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
+        assert_eq!(transposed(&transposed(&a)), a);
+        assert_eq!(transposed(&a).get(2, 1), 6.0);
     }
 
     #[test]
@@ -834,7 +803,6 @@ mod tests {
         let a = Tensor::from_rows(&[&[1.0, -2.0]]);
         let b = Tensor::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(a.add(&b), Tensor::from_rows(&[&[4.0, 2.0]]));
-        assert_eq!(a.sub(&b), Tensor::from_rows(&[&[-2.0, -6.0]]));
         assert_eq!(a.mul(&b), Tensor::from_rows(&[&[3.0, -8.0]]));
         assert_eq!(a.relu(), Tensor::from_rows(&[&[1.0, 0.0]]));
         assert_eq!(a.scale(2.0), Tensor::from_rows(&[&[2.0, -4.0]]));
@@ -870,13 +838,6 @@ mod tests {
         assert_eq!(col_sums, Tensor::from_rows(&[&[4.0, 6.0]]));
         assert_eq!(a.sum_cols(), Tensor::from_rows(&[&[3.0], &[7.0]]));
         assert_eq!(a.argmax_rows(), vec![1, 1]);
-    }
-
-    #[test]
-    fn reshape_preserves_buffer() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
-        let b = a.clone().reshape_rows(2, 2);
-        assert_eq!(b, Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
     }
 
     #[test]
@@ -997,12 +958,12 @@ mod tests {
         let mut t = Tensor::zeros(403, 331);
         assert!(t.len() >= TRANSPOSE_TILE_CUTOFF);
         fill(&mut t, 42);
-        assert_bits_eq(&t.transpose(), &t.transpose_naive());
-        assert_bits_eq(&t.transpose().transpose(), &t);
+        assert_bits_eq(&transposed(&t), &t.transpose_naive());
+        assert_bits_eq(&transposed(&transposed(&t)), &t);
         // Below the cutoff both paths are literally the same loop.
         let mut s = Tensor::zeros(67, 129);
         fill(&mut s, 43);
-        assert_bits_eq(&s.transpose(), &s.transpose_naive());
+        assert_bits_eq(&transposed(&s), &s.transpose_naive());
     }
 
     #[test]

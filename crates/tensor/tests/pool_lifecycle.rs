@@ -26,7 +26,8 @@ fn run_kernel() {
     let rows = 1024;
     let cols = 256;
     let t = Tensor::from_vec(rows, cols, (0..rows * cols).map(|i| i as f32).collect());
-    let tt = t.transpose();
+    let mut tt = Tensor::zeros(cols, rows);
+    t.transpose_into(&mut tt);
     for r in (0..rows).step_by(577) {
         for c in (0..cols).step_by(5) {
             assert_eq!(tt.get(c, r), t.get(r, c));

@@ -1,13 +1,16 @@
-//! Names that must stay absent (or stay at one), checked in tier-1 so a
+//! Names that must stay absent (or stay at one), and public functions
+//! that must have a caller outside tests, checked in tier-1 so a
 //! violation shows up in `cargo test`, not only after a push.
 //!
 //! Each row of [`GATES`] is one gate: where to look, the needle, how
 //! many occurrences are allowed, and why. Needles match as plain,
 //! case-sensitive substrings — stricter than a `grep -w`, which is what
-//! an absence gate wants.
+//! an absence gate wants. [`TEST_ONLY_API`] is the other gate's table.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use Count::{Names, Text};
+use Keep::{Documented, Fixture, Oracle};
 
 /// Where a gate counts its needle.
 enum Count {
@@ -58,6 +61,11 @@ const EXACT_ADMISSION: &str = "admission prices the exact selection the batch is
 const ONE_GRAPH_FORMAT: &str = "FGPS is the one on-disk graph format; graph has no dataset file";
 const HDG_SOURCES: &[&str] = &["crates/hdg/src"];
 const RANK_ONLY: &str = "the HDG builder is keyed by rank (push_at); it has no by-id push";
+const ONE_OPTIMIZER: &str = "Adam is the one optimizer; SGD had no caller outside tests";
+const MODELS_SOURCES: &[&str] = &["crates/models/src"];
+const ALWAYS_ATTENTION: &str = "every MAGNN runs with attention; the mean fallback went";
+const COMM_SOURCES: &[&str] = &["crates/comm"];
+const NO_CANCEL: &str = "the event wheel only schedules and pops; nothing cancels";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(SOURCES), "thread::sleep", 0, NO_SLEEP),
@@ -152,6 +160,74 @@ const GATES: &[(Count, &str, usize, &str)] = &[
         RANK_ONLY,
     ),
     (Text(HDG_SOURCES), concat!("rank", "_of"), 0, RANK_ONLY),
+    (Text(SOURCES), "Sgd", 0, ONE_OPTIMIZER),
+    (Text(MODELS_SOURCES), ".attention", 0, ALWAYS_ATTENTION),
+    (Text(COMM_SOURCES), "EventId", 0, NO_CANCEL),
+];
+
+/// Why a `pub fn` that no code outside tests names stays public.
+enum Keep {
+    /// A reference implementation a test compares production against.
+    Oracle,
+    /// A fixture or hook that another crate's tests need.
+    Fixture,
+    /// User API that README or DESIGN documents.
+    Documented,
+}
+
+/// Every `pub fn` under `crates/*/src` that no non-test code names:
+/// `(file, function, kind, detail)`. The gate fails on a function that
+/// is missing here and on a row whose function has since found a caller
+/// or gone, so the table is exactly the public surface only tests reach.
+#[rustfmt::skip]
+const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
+    ("crates/core/src/ft.rs", "train_with_recovery", Documented, "README's recovery loop"),
+    ("crates/dist/src/shard.rs", "make_shards_paged", Documented, "README's out-of-core shards"),
+    ("crates/engine/src/memory.rs", "mib", Documented, "README's PagedGraph example"),
+    ("crates/graph/src/gen.rs", "split_masks", Fixture, "end_to_end_training's split"),
+    ("crates/graph/src/csr.rs", "in_degree", Oracle, "direct selection's instance count"),
+    ("crates/graph/src/csr.rs", "graph_from_edges", Fixture, "small literal graphs"),
+    ("crates/graph/src/hetero.rs", "sample_typed_graph", Fixture, "Figure 2's typing"),
+    ("crates/graph/src/metapath.rs", "paper_metapaths", Fixture, "Figure 2c's metapaths"),
+    ("crates/graph/src/bfs.rs", "hop_distances", Oracle, "the hop-shell walk's BFS"),
+    ("crates/hdg/src/storage.rs", "leaves_of_root", Fixture, "the ADB tests' cost proxy"),
+    ("crates/hdg/src/storage.rs", "dependency_leaves", Oracle, "robustness's leaf closure"),
+    ("crates/hdg/src/storage.rs", "root_leaf_sources", Oracle, "store::ooc's per-root parity"),
+    ("crates/models/src/train.rs", "epoch_masked", Documented, "DESIGN's memo parity contract"),
+    ("crates/models/src/train.rs", "evaluate", Documented, "DESIGN's memo parity contract"),
+    ("crates/models/src/pinsage.rs", "selection_arrays", Fixture, "golden_forward's snapshot"),
+    ("crates/models/src/jknet.rs", "selection_arrays", Fixture, "golden_forward's shells"),
+    ("crates/models/src/golden.rs", "graph_a", Fixture, "golden forward inputs"),
+    ("crates/models/src/golden.rs", "graph_cycle", Fixture, "golden forward inputs"),
+    ("crates/models/src/golden.rs", "gcn_weights", Fixture, "golden forward inputs"),
+    ("crates/models/src/golden.rs", "concat_weights", Fixture, "golden forward inputs"),
+    ("crates/models/src/golden.rs", "run_forward", Fixture, "golden forward runner"),
+    ("crates/obs/src/record.rs", "add_root_cost", Fixture, "golden_lines' hand-built records"),
+    ("crates/obs/src/record.rs", "num_attributed_roots", Fixture, "trace_snapshot's count"),
+    ("crates/obs/src/lib.rs", "reset_epochs", Fixture, "det_sim's epoch ids from zero"),
+    ("crates/serve/src/router.rs", "detach", Documented, "README's hot attach/detach"),
+    ("crates/serve/src/server.rs", "emit_trace_window", Fixture, "trace_snapshot's stream"),
+    ("crates/serve/src/replica.rs", "run_tier", Documented, "README's replicated tier"),
+    ("crates/serve/src/shard.rs", "owner_of_slot", Oracle, "shard_proptests' slot map"),
+    ("crates/serve/src/shard.rs", "add_replica", Documented, "DESIGN's slot stealing"),
+    ("crates/store/src/paged.rs", "drop_cache", Fixture, "paged_store_parity's cold reads"),
+    ("crates/store/src/file.rs", "write_graph", Fixture, "the FGPS files paged tests open"),
+    ("crates/store/src/ooc.rs", "paged_hop_shells", Fixture, "paged_store_parity's walk"),
+    ("crates/store/src/ooc.rs", "hdg_from_direct_neighbors", Fixture, "paged_store_parity"),
+    ("crates/store/src/ooc.rs", "hdg_from_hop_shells_capped", Fixture, "paged_store_parity"),
+    ("crates/tensor/src/par.rs", "pool_worker_count", Fixture, "pool_lifecycle's count"),
+    ("crates/tensor/src/autograd.rs", "mean_all", Fixture, "every gradient check's loss"),
+    ("crates/tensor/src/autograd.rs", "free_list_misses", Fixture, "MAGNN's no-allocation test"),
+    ("crates/tensor/src/scatter.rs", "scatter_mean_serial", Oracle, "planned scatter parity"),
+    ("crates/tensor/src/scatter.rs", "scatter_max_serial", Oracle, "planned scatter parity"),
+    ("crates/tensor/src/scatter.rs", "scatter_min_serial", Oracle, "planned scatter parity"),
+    ("crates/tensor/src/scatter.rs", "scatter_softmax_serial", Oracle, "planned scatter parity"),
+    ("crates/tensor/src/scatter.rs", "gather_rows_serial", Oracle, "parallel gather parity"),
+    ("crates/tensor/src/tensor.rs", "from_rows", Fixture, "literal tensors"),
+    ("crates/tensor/src/tensor.rs", "matmul_naive", Oracle, "tiled matmul parity"),
+    ("crates/tensor/src/tensor.rs", "transpose_naive", Oracle, "blocked transpose parity"),
+    ("crates/tensor/src/quant.rs", "dequantize", Oracle, "quantized kernel parity"),
+    ("crates/tensor/src/quant.rs", "matmul_i8_naive", Oracle, "int8 matmul parity"),
 ];
 
 /// Every file under `path` (or `path` itself).
@@ -209,5 +285,112 @@ fn every_source_gate_holds() {
             ));
         }
     }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The part of a source file before its test module.
+fn non_test(text: &str) -> &str {
+    let mut at = 0;
+    let mut lines = text.split_inclusive('\n').peekable();
+    while let Some(line) = lines.next() {
+        let next_is_mod = lines
+            .peek()
+            .is_some_and(|l| l.trim_start().starts_with("mod "));
+        if line.trim_end() == "#[cfg(test)]" && next_is_mod {
+            return &text[..at];
+        }
+        at += line.len();
+    }
+    text
+}
+
+/// The name of the function a `pub fn` line defines.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let mut rest = line.trim_start().strip_prefix("pub ")?;
+    for qualifier in ["const ", "unsafe "] {
+        rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+    }
+    let rest = rest.strip_prefix("fn ")?;
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
+}
+
+/// Adds every identifier `text` names outside comments, `use`
+/// statements and `fn` definitions.
+fn names_in(text: &str, names: &mut HashSet<String>) {
+    let mut in_use = false;
+    for line in text.lines() {
+        let code = line.split("//").next().unwrap_or("").trim();
+        let starts_use = ["use ", "pub use ", "pub(crate) use "]
+            .iter()
+            .any(|p| code.starts_with(p));
+        if in_use || starts_use {
+            in_use = !code.ends_with(';');
+            continue;
+        }
+        let mut after_fn = false;
+        for word in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            if word.is_empty() {
+                continue;
+            }
+            if !after_fn {
+                names.insert(word.to_string());
+            }
+            after_fn = word == "fn";
+        }
+    }
+}
+
+#[test]
+fn every_pub_fn_has_a_caller_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let rs = |dirs: &[PathBuf]| {
+        let mut all = Vec::new();
+        for d in dirs {
+            files(d, &mut all);
+        }
+        all.retain(|f| f.extension().is_some_and(|e| e == "rs"));
+        all
+    };
+    let crate_srcs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|krate| krate.unwrap().path().join("src"))
+        .collect();
+    let sources = rs(&crate_srcs);
+    let read = |f: &PathBuf| std::fs::read_to_string(f).unwrap();
+
+    let mut named = HashSet::new();
+    for f in &sources {
+        names_in(non_test(&read(f)), &mut named);
+    }
+    for f in rs(&[root.join("examples"), root.join("ledger/src")]) {
+        names_in(&read(&f), &mut named);
+    }
+
+    let mut unnamed = HashSet::new();
+    for f in &sources {
+        let rel = f.strip_prefix(&root).unwrap().to_string_lossy();
+        for name in non_test(&read(f)).lines().filter_map(pub_fn_name) {
+            if !named.contains(name) {
+                unnamed.insert((rel.to_string(), name.to_string()));
+            }
+        }
+    }
+    let listed: HashSet<(String, String)> = TEST_ONLY_API
+        .iter()
+        .map(|(file, name, _, _)| (file.to_string(), name.to_string()))
+        .collect();
+    let mut failures: Vec<String> = unnamed
+        .difference(&listed)
+        .map(|(file, name)| format!("{file}: `{name}` has no caller outside tests"))
+        .chain(
+            listed
+                .difference(&unnamed)
+                .map(|(file, name)| format!("{file}: `{name}` has a caller now: drop its row")),
+        )
+        .collect();
+    failures.sort();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

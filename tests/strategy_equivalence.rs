@@ -4,12 +4,11 @@
 //! materialization.
 
 use flexgraph::engine::expanded::magnn_pre_dgl_epoch;
-use flexgraph::engine::gas::saga_aggregate;
 use flexgraph::engine::hybrid::{
     direct_aggregate, hierarchical_aggregate, AggrOp, AggrPlan, Strategy,
 };
 use flexgraph::engine::minibatch::{minibatch_epoch, MiniBatchConfig};
-use flexgraph::engine::MemoryBudget;
+use flexgraph::engine::{EngineError, MemoryBudget};
 use flexgraph::graph::gen::{community, hetero_imdb, rmat};
 use flexgraph::graph::metapath::Metapath;
 use flexgraph::graph::walk::WalkConfig;
@@ -73,13 +72,20 @@ fn strategies_agree_on_magnn_hdgs() {
 
 #[test]
 fn gas_and_fused_direct_aggregation_agree() {
+    // The GAS execution materializes one message row per edge (Scatter)
+    // before reducing them (Gather): `direct_aggregate` unfused.
     let ds = community(250, 2, 6, 2, 12, 64);
     let budget = MemoryBudget::unlimited();
-    let gas = saga_aggregate(&ds.graph, &ds.features, AggrOp::Sum, None, &budget).unwrap();
+    let gas = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, false, &budget).unwrap();
     let fused = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, true, &budget).unwrap();
     assert!(gas.features.max_abs_diff(&fused.features) < 1e-3);
     assert!(gas.peak_transient_bytes > 0);
     assert_eq!(fused.peak_transient_bytes, 0);
+    // The materialization is what a tight budget refuses.
+    let tight = MemoryBudget { bytes: 64 };
+    let r = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, false, &tight);
+    assert!(matches!(r, Err(EngineError::Oom { .. })));
+    assert!(direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, true, &tight).is_ok());
 }
 
 #[test]
