@@ -5,7 +5,7 @@
 //! forward traversals (random walks, metapath search, BFS). Both views are
 //! materialized once at build time and never mutated.
 
-use flexgraph_tensor::ScatterPlan;
+use flexgraph_tensor::{ScatterPlan, SegmentIndex};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -26,9 +26,10 @@ struct Adjacency {
     /// CSR offsets: out-edges of `v` are `out_dst[out_off[v]..out_off[v+1]]`.
     out_off: Vec<usize>,
     out_dst: Vec<VertexId>,
-    /// CSC offsets: in-edges of `v` are `in_src[in_off[v]..in_off[v+1]]`.
-    in_off: Vec<usize>,
-    in_src: Vec<VertexId>,
+    /// CSC: in-edges of `v` are `src()[offsets()[v]..offsets()[v+1]]`,
+    /// shared as is with every fused aggregation over the graph (which
+    /// is also where the index keeps its transpose).
+    in_csc: Arc<SegmentIndex>,
     /// Lazily built scatter plan over the in-edge COO (destinations =
     /// vertices), shared by every scatter-based aggregation over this
     /// graph. The adjacency is immutable, so the plan never invalidates.
@@ -66,7 +67,7 @@ impl Graph {
     /// In-neighbors of `v`.
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
         let v = v as usize;
-        &self.0.in_src[self.0.in_off[v]..self.0.in_off[v + 1]]
+        &self.in_sources()[self.in_offsets()[v]..self.in_offsets()[v + 1]]
     }
 
     /// Out-degree of `v`.
@@ -109,12 +110,20 @@ impl Graph {
     /// `in_sources()[in_offsets()[v]..in_offsets()[v+1]]`. This is the
     /// destination-major layout feature fusion consumes directly.
     pub fn in_offsets(&self) -> &[usize] {
-        &self.0.in_off
+        self.0.in_csc.offsets()
     }
 
     /// The CSC source array (see [`Graph::in_offsets`]).
     pub fn in_sources(&self) -> &[VertexId] {
-        &self.0.in_src
+        self.0.in_csc.src()
+    }
+
+    /// The CSC as a shared segment index (destinations = vertices): what
+    /// a fused aggregation over the graph records on its tape, without a
+    /// copy. Its transpose, once a backward has built it, is kept with
+    /// the graph.
+    pub fn in_index(&self) -> Arc<SegmentIndex> {
+        self.0.in_csc.clone()
     }
 
     /// Cached scatter plan over the in-edge COO: edge `e` (in
@@ -131,12 +140,13 @@ impl Graph {
             .clone()
     }
 
-    /// Approximate heap bytes of the adjacency arrays (memory harnesses).
+    /// Approximate heap bytes of the adjacency arrays, the CSC's
+    /// transpose included once a backward has built it (memory
+    /// harnesses).
     pub fn heap_bytes(&self) -> usize {
-        self.0.out_off.len() * std::mem::size_of::<usize>()
-            + self.0.in_off.len() * std::mem::size_of::<usize>()
-            + self.0.out_dst.len() * std::mem::size_of::<VertexId>()
-            + self.0.in_src.len() * std::mem::size_of::<VertexId>()
+        std::mem::size_of_val(self.out_offsets())
+            + std::mem::size_of_val(&self.0.out_dst[..])
+            + self.0.in_csc.heap_bytes()
     }
 
     /// Maximum out-degree (skew diagnostics).
@@ -230,8 +240,7 @@ impl GraphBuilder {
         Graph(Arc::new(Adjacency {
             out_off,
             out_dst,
-            in_off,
-            in_src,
+            in_csc: Arc::new(SegmentIndex::new(in_off, in_src)),
             in_plan: OnceLock::new(),
         }))
     }

@@ -9,7 +9,9 @@
 //! tensor every epoch: layer 1's is recorded by the first `forward` and
 //! is a leaf from then on (`crate::memo`). That first recording is
 //! Aggregation-stage work and stays in `forward`; `selection` only
-//! takes the graph's CSC arrays, which is why its share stays at 0 %.
+//! takes a handle on the graph's CSC, which is why its share stays at
+//! 0 %. The CSC's transpose, which the aggregation's backward walks, is
+//! built by the first backward and kept with the graph.
 //!
 //! Past layer 1 the order of the two stages is chosen by width. The sum
 //! is linear, so the linear part of Update commutes with it:
@@ -21,15 +23,14 @@
 use crate::memo::InputAggregate;
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
-use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet};
+use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, SegmentIndex};
 use std::sync::Arc;
 
 /// A two-layer GCN.
 pub struct Gcn {
     hidden: usize,
-    /// CSC of the input graph, shared with the tape per layer.
-    in_off: Arc<Vec<usize>>,
-    in_src: Arc<Vec<u32>>,
+    /// CSC of the input graph, shared with the graph and the tape.
+    in_csc: Option<Arc<SegmentIndex>>,
     /// Layer 1's aggregate over the feature leaf.
     pub(crate) input: InputAggregate,
     w1: usize,
@@ -43,8 +44,7 @@ impl Gcn {
     pub fn new(hidden: usize, in_dim: usize, classes: usize) -> Self {
         Self {
             hidden,
-            in_off: Arc::new(Vec::new()),
-            in_src: Arc::new(Vec::new()),
+            in_csc: None,
             input: InputAggregate::default(),
             w1: usize::MAX,
             w2: usize::MAX,
@@ -54,7 +54,8 @@ impl Gcn {
 
     /// Aggregation: `h` plus the fused flat sum over its in-neighbors.
     fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
-        let a = g.segment_reduce(h, self.in_off.clone(), self.in_src.clone(), false);
+        let csc = self.in_csc.clone().expect("selection ran");
+        let a = g.segment_reduce(h, csc, false);
         g.add(h, a)
     }
 
@@ -85,11 +86,10 @@ impl Gcn {
 
 impl Model for Gcn {
     fn selection(&mut self, ds: &Dataset, _epoch: u64) {
-        // DNFA: the input graph captures the dependencies; just cache its
-        // CSC arrays for the fused kernels.
-        if self.in_off.is_empty() {
-            self.in_off = Arc::new(ds.graph.in_offsets().to_vec());
-            self.in_src = Arc::new(ds.graph.in_sources().to_vec());
+        // DNFA: the input graph captures the dependencies; just take its
+        // CSC for the fused kernels.
+        if self.in_csc.is_none() {
+            self.in_csc = Some(ds.graph.in_index());
             self.input.clear();
         }
     }
@@ -146,19 +146,20 @@ mod tests {
     #[test]
     fn gcn_selection_time_is_negligible() {
         // Table 4's "GCN: 0 % selection", without a clock: selection
-        // takes the graph's CSC arrays, once, and does nothing else — in
-        // particular it does not compute layer 1's aggregate, which is
-        // Aggregation-stage work and belongs to the first `forward`.
+        // takes a handle on the graph's CSC — no copy — once, and does
+        // nothing else. In particular it does not compute layer 1's
+        // aggregate, which is Aggregation-stage work and belongs to the
+        // first `forward`, nor the CSC's transpose, which the first
+        // backward builds (`tests/segment_transpose.rs`).
         let ds = community(200, 2, 6, 1, 8, 1);
         let mut m = Gcn::new(8, ds.feature_dim(), ds.num_classes);
         m.selection(&ds, 0);
-        assert_eq!(m.in_off[..], *ds.graph.in_offsets());
-        assert_eq!(m.in_src[..], *ds.graph.in_sources());
+        let csc = m.in_csc.clone().expect("selected");
+        assert!(Arc::ptr_eq(&csc, &ds.graph.in_index()));
         assert!(!m.input.is_recorded());
-        let (off, src) = (m.in_off.clone(), m.in_src.clone());
         m.selection(&ds, 1);
         m.selection(&ds, 9);
-        assert!(Arc::ptr_eq(&off, &m.in_off) && Arc::ptr_eq(&src, &m.in_src));
+        assert!(Arc::ptr_eq(&csc, m.in_csc.as_ref().unwrap()));
     }
 
     /// Both layers the way Figure 7 spells GCNLayer, sum first then

@@ -19,9 +19,7 @@ use std::sync::Arc;
 /// A two-layer gated GCN.
 pub struct GGcn {
     hidden: usize,
-    in_off: Arc<Vec<usize>>,
-    in_src: Arc<Vec<u32>>,
-    /// Cached plan for the per-edge gathers (index = `in_src`,
+    /// Cached plan for the per-edge gathers (index = the CSC sources,
     /// destinations = vertices); doubles as the backward-scatter plan.
     gather_plan: Option<Arc<ScatterPlan>>,
     /// Cached plan for the destination scatter-add — the input graph's
@@ -37,8 +35,6 @@ impl GGcn {
     pub fn new(hidden: usize, in_dim: usize, classes: usize) -> Self {
         Self {
             hidden,
-            in_off: Arc::new(Vec::new()),
-            in_src: Arc::new(Vec::new()),
             gather_plan: None,
             dst_plan: None,
             slots: Vec::new(),
@@ -79,11 +75,9 @@ impl GGcn {
 
 impl Model for GGcn {
     fn selection(&mut self, ds: &Dataset, _epoch: u64) {
-        if self.in_off.is_empty() {
-            self.in_off = Arc::new(ds.graph.in_offsets().to_vec());
-            self.in_src = Arc::new(ds.graph.in_sources().to_vec());
+        if self.gather_plan.is_none() {
             let n = ds.graph.num_vertices();
-            self.gather_plan = Some(Arc::new(ScatterPlan::new(&self.in_src, n)));
+            self.gather_plan = Some(Arc::new(ScatterPlan::new(ds.graph.in_sources(), n)));
             self.dst_plan = Some(ds.graph.in_scatter_plan());
         }
     }

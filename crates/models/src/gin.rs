@@ -10,14 +10,14 @@
 use crate::memo::InputAggregate;
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
-use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, Tensor};
+use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, SegmentIndex, Tensor};
 use std::sync::Arc;
 
 /// A two-layer GIN.
 pub struct Gin {
     hidden: usize,
-    in_off: Arc<Vec<usize>>,
-    in_src: Arc<Vec<u32>>,
+    /// CSC of the input graph, shared with the graph and the tape.
+    in_csc: Option<Arc<SegmentIndex>>,
     /// Layer 1's aggregate over the feature leaf.
     pub(crate) input: InputAggregate,
     /// Parameter slots: per layer `(eps, w1, w2)`.
@@ -30,8 +30,7 @@ impl Gin {
     pub fn new(hidden: usize, in_dim: usize, classes: usize) -> Self {
         Self {
             hidden,
-            in_off: Arc::new(Vec::new()),
-            in_src: Arc::new(Vec::new()),
+            in_csc: None,
             input: InputAggregate::default(),
             slots: Vec::new(),
             dims: (in_dim, classes),
@@ -40,7 +39,8 @@ impl Gin {
 
     /// Aggregation: flat fused sum over direct neighbors.
     fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
-        g.segment_reduce(h, self.in_off.clone(), self.in_src.clone(), false)
+        let csc = self.in_csc.clone().expect("selection ran");
+        g.segment_reduce(h, csc, false)
     }
 
     /// Update: `MLP((1 + ε) ⊙ h + a)`.
@@ -85,9 +85,8 @@ impl Gin {
 
 impl Model for Gin {
     fn selection(&mut self, ds: &Dataset, _epoch: u64) {
-        if self.in_off.is_empty() {
-            self.in_off = Arc::new(ds.graph.in_offsets().to_vec());
-            self.in_src = Arc::new(ds.graph.in_sources().to_vec());
+        if self.in_csc.is_none() {
+            self.in_csc = Some(ds.graph.in_index());
             self.input.clear();
         }
     }

@@ -23,7 +23,7 @@ use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
 use flexgraph_graph::metapath::Metapath;
 use flexgraph_hdg::build::from_metapaths;
-use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, ScatterPlan};
+use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, ScatterPlan, SegmentIndex};
 use std::sync::Arc;
 
 /// A two-layer MAGNN.
@@ -31,9 +31,9 @@ pub struct Magnn {
     hidden: usize,
     metapaths: Vec<Metapath>,
     max_per_path: usize,
-    built: bool,
-    inst_off: Arc<Vec<usize>>,
-    leaf_src: Arc<Vec<u32>>,
+    /// Leaves → instances: the HDG's instance offsets over its leaf
+    /// sources; `None` until selected.
+    instances: Option<Arc<SegmentIndex>>,
     /// Cached scatter plan over the instance → group index (the omitted
     /// `Dst` array), shared by the attention softmax and the weighted
     /// sum of both layers, every epoch.
@@ -61,9 +61,7 @@ impl Magnn {
             hidden,
             metapaths,
             max_per_path,
-            built: false,
-            inst_off: Arc::new(Vec::new()),
-            leaf_src: Arc::new(Vec::new()),
+            instances: None,
             group_plan: None,
             num_types,
             input: InputAggregate::default(),
@@ -77,7 +75,8 @@ impl Magnn {
     /// and the HDG only.
     fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
         // Leaves → instances (fused mean)…
-        let inst = g.segment_reduce(h, self.inst_off.clone(), self.leaf_src.clone(), true);
+        let instances = self.instances.clone().expect("selection ran");
+        let inst = g.segment_reduce(h, instances, true);
         // …instances → metapath types: attention-weighted sum (Figure
         // 7's scatter_softmax → mul → scatter_add, fused into one op)…
         let plan = self.group_plan.clone().expect("selection ran");
@@ -100,17 +99,16 @@ impl Magnn {
 impl Model for Magnn {
     fn selection(&mut self, ds: &Dataset, _epoch: u64) {
         // Deterministic selection: built once, reused the whole run.
-        if self.built {
+        if self.instances.is_some() {
             return;
         }
         let typed = ds.typed();
         let roots: Vec<u32> = (0..ds.graph.num_vertices() as u32).collect();
         let hdg = from_metapaths(&typed, roots, &self.metapaths, self.max_per_path);
-        self.inst_off = Arc::new(hdg.inst_offsets().to_vec());
-        self.leaf_src = Arc::new(hdg.leaf_sources().to_vec());
+        let (off, src) = (hdg.inst_offsets().to_vec(), hdg.leaf_sources().to_vec());
+        self.instances = Some(Arc::new(SegmentIndex::new(off, src)));
         self.group_plan = Some(hdg.group_scatter_plan());
         self.input.clear();
-        self.built = true;
     }
 
     fn forward(&self, g: &mut Graph, feats: NodeId, params: &ParamSet) -> NodeId {
@@ -183,7 +181,7 @@ mod tests {
     impl Unfused {
         fn layer(&self, g: &mut Graph, h: NodeId, w: NodeId, relu: bool) -> NodeId {
             let m = &self.0;
-            let inst = g.segment_reduce(h, m.inst_off.clone(), m.leaf_src.clone(), true);
+            let inst = g.segment_reduce(h, m.instances.clone().unwrap(), true);
             let plan = m.group_plan.clone().expect("selection ran");
             let weights = g.scatter_softmax_with_plan(inst, plan.clone());
             let weighted = g.mul(weights, inst);
@@ -242,10 +240,13 @@ mod tests {
         let ds = hetero_imdb(100, 2, 2, 8, 1);
         let mut m = Magnn::new(8, 8, 2, imdb_metapaths(), 10);
         m.selection(&ds, 0);
-        let off = m.inst_off.clone();
+        let instances = m.instances.clone().unwrap();
         m.selection(&ds, 1);
         m.selection(&ds, 7);
-        assert!(Arc::ptr_eq(&off, &m.inst_off), "HDGs cached across epochs");
+        assert!(
+            Arc::ptr_eq(&instances, m.instances.as_ref().unwrap()),
+            "HDGs cached across epochs"
+        );
     }
 
     /// One selection + forward + backward, no optimizer step.
@@ -286,7 +287,7 @@ mod tests {
         let (memoised, logits) = tape(&mut tr, &ds);
         let want = memoised.value(logits).clone();
         drop(memoised);
-        tr.model.built = false; // The next selection builds its HDGs anew…
+        tr.model.instances = None; // The next selection builds its HDGs anew…
         tr.model.selection(&ds, 0);
         assert!(!tr.model.input.is_recorded(), "…and forgets the aggregate");
         for pass in ["recorded again", "memoised again"] {
@@ -304,6 +305,7 @@ mod tests {
         let mut capped = Magnn::new(8, 8, 2, imdb_metapaths(), 2);
         uncapped.selection(&ds, 0);
         capped.selection(&ds, 0);
-        assert!(capped.inst_off.len() <= uncapped.inst_off.len());
+        let instances = |m: &Magnn| m.instances.as_ref().unwrap().offsets().len();
+        assert!(instances(&capped) <= instances(&uncapped));
     }
 }

@@ -14,7 +14,7 @@ use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
 use flexgraph_graph::walk::WalkConfig;
 use flexgraph_hdg::build::from_importance_walks;
-use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet};
+use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, SegmentIndex};
 use std::sync::Arc;
 
 /// A two-layer PinSage.
@@ -24,9 +24,9 @@ pub struct PinSage {
     pub walk: WalkConfig,
     seed: u64,
     built_for_epoch: Option<u64>,
-    /// Flat-HDG CSC: per-root neighbor lists (group offsets + leaves).
-    off: Arc<Vec<usize>>,
-    src: Arc<Vec<u32>>,
+    /// Flat-HDG CSC: per-root neighbor lists (group offsets + leaves);
+    /// `None` until selected.
+    neighbors: Option<Arc<SegmentIndex>>,
     w1: usize,
     w2: usize,
     dims: (usize, usize),
@@ -40,8 +40,7 @@ impl PinSage {
             walk: WalkConfig::default(),
             seed,
             built_for_epoch: None,
-            off: Arc::new(Vec::new()),
-            src: Arc::new(Vec::new()),
+            neighbors: None,
             w1: usize::MAX,
             w2: usize::MAX,
             dims: (in_dim, classes),
@@ -51,11 +50,13 @@ impl PinSage {
     /// The selection result as CSC arrays: per-root segment offsets into
     /// the flat selected-neighbor list (golden fixtures, diagnostics).
     pub fn selection_arrays(&self) -> (&[usize], &[u32]) {
-        (&self.off, &self.src)
+        let n = self.neighbors.as_ref().expect("selection ran");
+        (n.offsets(), n.src())
     }
 
     fn layer(&self, g: &mut Graph, h: NodeId, w: NodeId, relu: bool) -> NodeId {
-        let a = g.segment_reduce(h, self.off.clone(), self.src.clone(), false);
+        let neighbors = self.neighbors.clone().expect("selection ran");
+        let a = g.segment_reduce(h, neighbors, false);
         // Update: ReLU(W * CONCAT(h, a)).
         let cat = g.concat_cols(h, a);
         let out = g.matmul(cat, w);
@@ -77,8 +78,8 @@ impl Model for PinSage {
         let roots: Vec<u32> = (0..ds.graph.num_vertices() as u32).collect();
         let hdg = from_importance_walks(&ds.graph, roots, &self.walk, self.seed ^ epoch);
         // Flat HDG: group offsets index straight into the leaf array.
-        self.off = Arc::new(hdg.group_offsets().to_vec());
-        self.src = Arc::new(hdg.leaf_sources().to_vec());
+        let (off, src) = (hdg.group_offsets().to_vec(), hdg.leaf_sources().to_vec());
+        self.neighbors = Some(Arc::new(SegmentIndex::new(off, src)));
         self.built_for_epoch = Some(epoch);
     }
 
@@ -132,13 +133,14 @@ mod tests {
         let ds = community(150, 2, 5, 1, 8, 2);
         let mut m = PinSage::new(8, ds.feature_dim(), ds.num_classes, 1);
         m.selection(&ds, 0);
-        let off0 = m.off.clone();
+        let first = m.neighbors.clone().unwrap();
+        let same = |m: &PinSage| Arc::ptr_eq(&first, m.neighbors.as_ref().unwrap());
         // Same epoch: cached.
         m.selection(&ds, 0);
-        assert!(Arc::ptr_eq(&off0, &m.off), "same-epoch selection is cached");
+        assert!(same(&m), "same-epoch selection is cached");
         // New epoch: rebuilt (stochastic walks differ).
         m.selection(&ds, 1);
-        assert!(!Arc::ptr_eq(&off0, &m.off), "new epoch rebuilds HDGs");
+        assert!(!same(&m), "new epoch rebuilds HDGs");
     }
 
     #[test]
@@ -147,8 +149,9 @@ mod tests {
         let mut m = PinSage::new(4, 4, 2, 3);
         m.walk.top_k = 5;
         m.selection(&ds, 0);
+        let (off, _) = m.selection_arrays();
         for r in 0..100 {
-            let deg = m.off[r + 1] - m.off[r];
+            let deg = off[r + 1] - off[r];
             assert!(deg <= 5, "root {r} has {deg} neighbors");
         }
     }

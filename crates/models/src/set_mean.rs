@@ -6,7 +6,7 @@
 //! `[h ‖ a]·W`, with a ReLU after layer 1.
 
 use crate::memo::InputAggregate;
-use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet};
+use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, SegmentIndex};
 use std::sync::Arc;
 
 /// Two such layers over a selection given as segments: root-major,
@@ -15,9 +15,8 @@ pub(crate) struct SetMeanLayers {
     hidden: usize,
     /// Sets per root.
     k: usize,
-    /// Per-(root, set) segment offsets over `src`; empty until selected.
-    off: Arc<Vec<usize>>,
-    src: Arc<Vec<u32>>,
+    /// Per-(root, set) segments; `None` until selected.
+    sets: Option<Arc<SegmentIndex>>,
     /// Layer 1's aggregate over the feature leaf.
     pub(crate) input: InputAggregate,
     w1: usize,
@@ -30,8 +29,7 @@ impl SetMeanLayers {
         Self {
             hidden,
             k,
-            off: Arc::new(Vec::new()),
-            src: Arc::new(Vec::new()),
+            sets: None,
             input: InputAggregate::default(),
             w1: usize::MAX,
             w2: usize::MAX,
@@ -41,25 +39,25 @@ impl SetMeanLayers {
 
     /// Whether a selection is installed (it is built once).
     pub(crate) fn is_selected(&self) -> bool {
-        !self.off.is_empty()
+        self.sets.is_some()
     }
 
     /// Installs the selection and forgets layer 1's memoised aggregate.
     pub(crate) fn select(&mut self, off: Vec<usize>, src: Vec<u32>) {
-        self.off = Arc::new(off);
-        self.src = Arc::new(src);
+        self.sets = Some(Arc::new(SegmentIndex::new(off, src)));
         self.input.clear();
     }
 
     /// The selection's segment offsets and sources.
     pub(crate) fn segments(&self) -> (&[usize], &[u32]) {
-        (&self.off, &self.src)
+        let sets = self.sets.as_ref().expect("selection ran");
+        (sets.offsets(), sets.src())
     }
 
     /// Aggregation: `[h ‖ a]`, parameter-free — over the feature leaf it
     /// is recorded once (`crate::memo`).
     fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
-        let sets = g.segment_reduce(h, self.off.clone(), self.src.clone(), true);
+        let sets = g.segment_reduce(h, self.sets.clone().expect("selection ran"), true);
         let a = g.mean_row_blocks(sets, self.k);
         g.concat_cols(h, a)
     }

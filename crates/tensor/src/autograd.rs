@@ -50,7 +50,7 @@
 //! accumulating kernels (matmul, the scatter and segment sums) — zeroes
 //! it first, so which buffer a draw returns never shows in a result.
 
-use crate::fusion::{segment_reduce_backward_into, segment_reduce_into, Reduce};
+use crate::fusion::{segment_reduce_backward_into, segment_reduce_into, Reduce, SegmentIndex};
 use crate::scatter::{
     gather_rows_into, scatter_add_with_plan_into, scatter_softmax_backward_into,
     scatter_softmax_pool_backward_into, scatter_softmax_pool_with_plan_into,
@@ -108,15 +108,14 @@ enum Op {
         /// `None` from the start if the node needs no gradient.
         weights: Option<Tensor>,
     },
-    /// Fused segment reduce (feature fusion): `Arc`'d index arrays avoid
-    /// copying edge-scale data onto the tape.
+    /// Fused segment reduce (feature fusion): the `Arc`'d index avoids
+    /// copying edge-scale data onto the tape, and keeps the transpose
+    /// its backward may build for the next tape.
     SegmentReduce {
         /// Input features.
         a: NodeId,
-        /// Per-destination offsets into `src`.
-        offsets: Arc<Vec<usize>>,
-        /// Source row of each edge, destination-major.
-        src: Arc<Vec<u32>>,
+        /// Destination-major segments over `a`'s rows.
+        index: Arc<SegmentIndex>,
         /// Whether the reduction is a mean (else sum).
         mean: bool,
     },
@@ -515,27 +514,14 @@ impl Graph {
 
     /// Differentiable *fused* segment reduction (feature fusion, paper
     /// §4.2): destination `i` reduces `a[src[offsets[i]..offsets[i+1]]]`
-    /// without materializing per-edge rows. `mean` selects mean over sum.
-    pub fn segment_reduce(
-        &mut self,
-        a: NodeId,
-        offsets: Arc<Vec<usize>>,
-        src: Arc<Vec<u32>>,
-        mean: bool,
-    ) -> NodeId {
+    /// without materializing per-edge rows, `offsets` and `src` being the
+    /// index's. `mean` selects mean over sum.
+    pub fn segment_reduce(&mut self, a: NodeId, index: Arc<SegmentIndex>, mean: bool) -> NodeId {
         let kind = if mean { Reduce::Mean } else { Reduce::Sum };
         let cols = self.value(a).cols();
-        let mut v = self.pool.draw_zeroed(offsets.len().saturating_sub(1), cols);
-        segment_reduce_into(&mut v, self.value(a), &offsets, &src, kind);
-        self.push(
-            v,
-            Op::SegmentReduce {
-                a,
-                offsets,
-                src,
-                mean,
-            },
-        )
+        let mut v = self.pool.draw_zeroed(index.offsets().len() - 1, cols);
+        segment_reduce_into(&mut v, self.value(a), &index, kind);
+        self.push(v, Op::SegmentReduce { a, index, mean })
     }
 
     /// Mean over consecutive row blocks of size `block`: `(n·block, d) →
@@ -771,14 +757,9 @@ impl Graph {
                 self.give(*a, g);
                 Some(grad)
             }
-            Op::SegmentReduce {
-                a,
-                offsets,
-                src,
-                mean,
-            } => {
+            Op::SegmentReduce { a, index, mean } => {
                 let mut g = self.zeros_like(*a);
-                segment_reduce_backward_into(&mut g, &grad, offsets, src, *mean);
+                segment_reduce_backward_into(&mut g, &grad, index, *mean);
                 self.give(*a, g);
                 Some(grad)
             }
@@ -1070,9 +1051,8 @@ mod tests {
             finite_diff_check(
                 sample_input(),
                 move |g, x| {
-                    let offsets = Arc::new(vec![0usize, 2, 3]);
-                    let src = Arc::new(vec![0u32, 2, 1]);
-                    let y = g.segment_reduce(x, offsets, src, mean);
+                    let index = SegmentIndex::new(vec![0, 2, 3], vec![0, 2, 1]);
+                    let y = g.segment_reduce(x, Arc::new(index), mean);
                     let y = g.relu(y);
                     g.mean_all(y)
                 },
@@ -1090,12 +1070,8 @@ mod tests {
             let mut g = Graph::new();
             let xn = g.param(x.clone(), 0);
             let y = if fused {
-                g.segment_reduce(
-                    xn,
-                    Arc::new(vec![0usize, 2, 4]),
-                    Arc::new(vec![0u32, 1, 1, 2]),
-                    false,
-                )
+                let index = SegmentIndex::new(vec![0, 2, 4], vec![0, 1, 1, 2]);
+                g.segment_reduce(xn, Arc::new(index), false)
             } else {
                 let gathered = g.gather(xn, &[0, 1, 1, 2]);
                 g.scatter_add_with_plan(gathered, plan(&[0, 0, 1, 1], 2))
@@ -1265,9 +1241,8 @@ mod tests {
         let mut g = Graph::new();
         let xn = if x_is_param { g.param(x, 1) } else { g.leaf(x) };
         let wn = g.param(w, 0);
-        let offsets = Arc::new((0..=rows).collect::<Vec<usize>>());
-        let src = Arc::new((0..rows as u32).rev().collect::<Vec<u32>>());
-        let a = g.segment_reduce(xn, offsets, src, false);
+        let index = SegmentIndex::new((0..=rows).collect(), (0..rows as u32).rev().collect());
+        let a = g.segment_reduce(xn, Arc::new(index), false);
         let s = g.add(xn, a);
         let y = g.matmul(s, wn);
         let targets: Vec<usize> = (0..rows).map(|r| r % 2).collect();

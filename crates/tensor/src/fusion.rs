@@ -15,6 +15,7 @@
 use crate::par::parallel_for;
 use crate::simd;
 use crate::tensor::Tensor;
+use std::sync::OnceLock;
 
 /// Edge-position lookahead for the software prefetch in the fused
 /// segment walk: while reducing edge `e`, the row of edge `e +
@@ -63,22 +64,24 @@ fn check(feats: &Tensor, offsets: &[usize], src: &[u32]) {
     }
 }
 
-/// The shared destination-owned segment kernel behind both the fused
-/// [`segment_reduce`] path and the planned scatter kernels in
+/// The shared destination-owned segment kernel behind the fused
+/// [`segment_reduce`] path, the pull backward of
+/// [`segment_reduce_backward_into`] and the planned scatter kernels in
 /// [`crate::scatter`].
 ///
-/// `out` must have `offsets.len() - 1` rows. Edge positions
+/// `out` holds `offsets.len() - 1` rows of `d` floats. Edge positions
 /// `offsets[i]..offsets[i+1]` feed output row `i`; `idx_of(e)` resolves
 /// edge position `e` to its source row *index* in `values` (the direct
-/// source id for fusion, a permuted edge id for planned scatter, a
-/// gathered row id for the distributed fold). The gather is **fused**
-/// into the walk: each segment streams its permuted rows straight out
-/// of `values` exactly once — no materialized gather — while a
-/// software prefetch ([`PREFETCH_DIST`] edges ahead, clamped to the
-/// thread's chunk) hides the irregular-access latency that dominates
-/// this kernel at scale. The per-row accumulate runs on the
-/// compile-time SIMD backend ([`crate::simd`]), whose lanes carry
-/// independent columns only.
+/// source id for fusion, a segment id for the pull backward, a permuted
+/// edge id for planned scatter, a gathered row id for the distributed
+/// fold). The gather is **fused** into the walk: each segment streams
+/// its rows straight out of `values` exactly once — no materialized
+/// gather — while a software prefetch ([`PREFETCH_DIST`] edges ahead,
+/// clamped to the thread's chunk) hides the irregular-access latency
+/// that dominates this kernel at scale. The walk itself is
+/// [`simd::fold_segments`]: each output row stays in registers across
+/// its segment and is written once, and the lanes carry independent
+/// columns only.
 ///
 /// Each output row is reduced by exactly one thread, in ascending
 /// edge-position order, so the result is race-free and
@@ -87,7 +90,8 @@ fn check(feats: &Tensor, offsets: &[usize], src: &[u32]) {
 /// `Sum` accumulates into `out`'s existing content; `Mean`/`Max`/`Min`
 /// assume a zeroed `out` (empty segments stay zero).
 pub(crate) fn segment_apply_into<F>(
-    out: &mut Tensor,
+    out: &mut [f32],
+    d: usize,
     offsets: &[usize],
     kind: Reduce,
     values: &Tensor,
@@ -96,8 +100,7 @@ pub(crate) fn segment_apply_into<F>(
     F: Fn(usize) -> usize + Sync,
 {
     let n = offsets.len() - 1;
-    let d = out.cols();
-    debug_assert_eq!(out.rows(), n, "one output row per segment");
+    debug_assert_eq!(out.len(), n * d, "one output row per segment");
     assert_eq!(values.cols(), d, "value width must match output width");
     if d == 0 {
         return;
@@ -106,10 +109,11 @@ pub(crate) fn segment_apply_into<F>(
     let idx_of = &idx_of;
     // A cache-resident gather gains nothing from prefetching.
     let prefetch_on = std::mem::size_of_val(vdata) >= PREFETCH_MIN_VALUE_BYTES;
-    parallel_for(n, out.data_mut(), d, |seg0, chunk| {
+    parallel_for(n, out, d, |seg0, chunk| {
+        let segs = &offsets[seg0..=seg0 + chunk.len() / d];
         // Last edge position owned by this thread's chunk: the prefetch
         // lookahead stops here so `idx_of` is never probed out of range.
-        let chunk_end = offsets[seg0 + chunk.len() / d];
+        let chunk_end = segs[segs.len() - 1];
         let prefetch = |e: usize| {
             let pf = e + PREFETCH_DIST;
             if prefetch_on && pf < chunk_end {
@@ -123,76 +127,148 @@ pub(crate) fn segment_apply_into<F>(
         };
         // SAFETY (for the unchecked row reads below): every caller
         // validates its index source before entering the kernel —
-        // `check()` bounds `src`, `ScatterPlan::new` bounds `perm`
-        // against the edge count and `check_values` pins the edge count
-        // to `values.rows()`, and `scatter_add_gathered_into` asserts
-        // its `edge_rows` entries — so `idx_of(e) * d + d` never
-        // exceeds `vdata.len()`.
+        // `SegmentIndex::new` bounds `src` (and its transpose is built
+        // from it), `check()` bounds a bare `src`, `ScatterPlan::new`
+        // bounds `perm` against the edge count and `check_values` pins
+        // the edge count to `values.rows()`, and
+        // `scatter_add_gathered_into` asserts its `edge_rows` entries —
+        // so `idx_of(e) * d + d` never exceeds `vdata.len()`.
         let row = |e: usize| {
             let r = idx_of(e);
             debug_assert!((r + 1) * d <= vdata.len());
             unsafe { vdata.get_unchecked(r * d..r * d + d) }
         };
-        for (si, orow) in chunk.chunks_mut(d).enumerate() {
-            let seg = seg0 + si;
-            let lo = offsets[seg];
-            let hi = offsets[seg + 1];
-            match kind {
-                Reduce::Sum | Reduce::Mean => {
-                    for e in lo..hi {
-                        prefetch(e);
-                        simd::add_assign(orow, row(e));
-                    }
-                    if kind == Reduce::Mean && hi > lo {
-                        simd::scale_assign(orow, 1.0 / (hi - lo) as f32);
-                    }
-                }
-                Reduce::Max | Reduce::Min => {
-                    if lo == hi {
-                        continue; // Empty segment stays zero.
-                    }
-                    let init = if kind == Reduce::Max {
-                        f32::NEG_INFINITY
-                    } else {
-                        f32::INFINITY
-                    };
-                    for o in orow.iter_mut() {
-                        *o = init;
-                    }
-                    for e in lo..hi {
-                        prefetch(e);
-                        if kind == Reduce::Max {
-                            simd::max_assign(orow, row(e));
-                        } else {
-                            simd::min_assign(orow, row(e));
-                        }
-                    }
+        simd::fold_segments(chunk, d, kind, segs, row, prefetch);
+    });
+}
+
+/// A destination-major segment index — `offsets` over destinations,
+/// `src` listing each destination's source rows contiguously — checked
+/// once when built. It keeps its transpose (per source row, the
+/// segments it feeds, ascending) once the first pull backward
+/// ([`segment_reduce_backward_into`]) has built it, so a static index —
+/// a graph's CSC — pays for the transpose once.
+pub struct SegmentIndex {
+    offsets: Vec<usize>,
+    src: Vec<u32>,
+    /// One past the largest source row; 0 without edges.
+    sources: usize,
+    transpose: OnceLock<Transpose>,
+}
+
+/// [`SegmentIndex`] turned around: the segments source row `s` feeds
+/// are `segs[offsets[s]..offsets[s + 1]]`, ascending, a segment listed
+/// once per occurrence of `s` in it.
+struct Transpose {
+    offsets: Vec<usize>,
+    segs: Vec<u32>,
+}
+
+impl SegmentIndex {
+    /// Checks and wraps a destination-major index.
+    ///
+    /// # Panics
+    ///
+    /// If `offsets` is empty, does not end at `src.len()`, or has more
+    /// segments than a `u32` counts.
+    pub fn new(offsets: Vec<usize>, src: Vec<u32>) -> Self {
+        assert!(!offsets.is_empty(), "offsets needs a terminating entry");
+        assert_eq!(
+            *offsets.last().unwrap(),
+            src.len(),
+            "offsets must cover src"
+        );
+        assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must be sorted"
+        );
+        assert!(offsets.len() - 1 <= u32::MAX as usize, "too many segments");
+        let sources = src.iter().max().map_or(0, |&m| m as usize + 1);
+        Self {
+            offsets,
+            src,
+            sources,
+            transpose: OnceLock::new(),
+        }
+    }
+
+    /// Per-segment offsets into [`SegmentIndex::src`].
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Source row of each edge, segment-major.
+    pub fn src(&self) -> &[u32] {
+        &self.src
+    }
+
+    /// Heap bytes of the index, its transpose included once built.
+    pub fn heap_bytes(&self) -> usize {
+        let transpose = self.transpose.get().map_or(0, |t| {
+            std::mem::size_of_val(&t.offsets[..]) + std::mem::size_of_val(&t.segs[..])
+        });
+        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.src[..]) + transpose
+    }
+
+    fn segments(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Panics unless every source row is below `rows`.
+    fn check_rows(&self, rows: usize) {
+        if self.sources > rows {
+            panic!("source row {} out of range", self.sources - 1);
+        }
+    }
+
+    /// The transpose, counting-sorted on first use: one pass counts each
+    /// source's edges, a second drops each segment into its sources'
+    /// buckets in ascending order, using the offsets as cursors (which
+    /// leaves each at the next one's start, so a shift restores them).
+    fn transpose(&self) -> &Transpose {
+        self.transpose.get_or_init(|| {
+            let mut offsets = vec![0usize; self.sources + 1];
+            for &s in &self.src {
+                offsets[s as usize + 1] += 1;
+            }
+            for s in 0..self.sources {
+                offsets[s + 1] += offsets[s];
+            }
+            let mut segs = vec![0u32; self.src.len()];
+            for t in 0..self.segments() {
+                for &s in &self.src[self.offsets[t]..self.offsets[t + 1]] {
+                    let at = &mut offsets[s as usize];
+                    segs[*at] = t as u32;
+                    *at += 1;
                 }
             }
-        }
-    });
+            offsets.copy_within(..self.sources, 1);
+            offsets[0] = 0;
+            Transpose { offsets, segs }
+        })
+    }
 }
 
 /// Fused segment reduction: output row `i` reduces
 /// `feats[src[offsets[i]..offsets[i+1]]]` without materializing them.
 pub fn segment_reduce(feats: &Tensor, offsets: &[usize], src: &[u32], kind: Reduce) -> Tensor {
-    let mut out = Tensor::zeros(offsets.len().saturating_sub(1), feats.cols());
-    segment_reduce_into(&mut out, feats, offsets, src, kind);
+    check(feats, offsets, src);
+    let (n, d) = (offsets.len() - 1, feats.cols());
+    let mut out = Tensor::zeros(n, d);
+    segment_apply_into(out.data_mut(), d, offsets, kind, feats, |e| src[e] as usize);
     out
 }
 
-/// [`segment_reduce`] into a caller-provided, zeroed `(offsets.len() -
-/// 1) × feats.cols()` `out` (`Sum` accumulates into what it holds).
-pub fn segment_reduce_into(
-    out: &mut Tensor,
-    feats: &Tensor,
-    offsets: &[usize],
-    src: &[u32],
-    kind: Reduce,
-) {
-    check(feats, offsets, src);
-    assert_eq!(out.rows(), offsets.len() - 1, "one output row per segment");
-    segment_apply_into(out, offsets, kind, feats, |e| src[e] as usize);
+/// [`segment_reduce`] over a [`SegmentIndex`], into a caller-provided,
+/// zeroed `segments × feats.cols()` `out` (`Sum` accumulates into what
+/// it holds).
+pub fn segment_reduce_into(out: &mut Tensor, feats: &Tensor, index: &SegmentIndex, kind: Reduce) {
+    index.check_rows(feats.rows());
+    assert_eq!(out.rows(), index.segments(), "one output row per segment");
+    let d = out.cols();
+    segment_apply_into(out.data_mut(), d, &index.offsets, kind, feats, |e| {
+        index.src[e] as usize
+    });
 }
 
 /// Single-threaded fused segment reduction (Sum only).
@@ -222,33 +298,50 @@ pub fn segment_reduce_serial(feats: &Tensor, offsets: &[usize], src: &[u32]) -> 
 
 /// Adjoint of the Sum/Mean fused reduction: adds `grad_out[i]` (scaled
 /// by `1/len` for Mean) into every source row of segment `i` of the
-/// caller-provided `src_rows × grad_out.cols()` `grad_in`; `grad_out`
-/// has one row per segment.
+/// caller-provided `grad_in`, `grad_out` having one row per segment.
+///
+/// Two walk orders give the same bits, and the input picks one. A Sum
+/// whose `grad_out` has no more rows than `grad_in` — a graph's CSC, an
+/// HDG with a segment per root — *pulls*: each `grad_in` row is owned
+/// by one thread and folds, in registers, the gradient rows of the
+/// segments it feeds in ascending order (over the index's cached
+/// transpose), as [`segment_reduce`] does forward. Anything else —
+/// many short segments over few sources, as every Mean in the tree
+/// has — *pushes* serially, segment by segment, each edge adding its
+/// segment's (scaled) row into its source's row, so `grad_out` is read
+/// once in order. Either way a `grad_in` row receives the same rows in
+/// the same ascending segment order.
 pub fn segment_reduce_backward_into(
     grad_in: &mut Tensor,
     grad_out: &Tensor,
-    offsets: &[usize],
-    src: &[u32],
+    index: &SegmentIndex,
     mean: bool,
 ) {
-    check(grad_in, offsets, src);
+    index.check_rows(grad_in.rows());
     assert_eq!(
         grad_out.rows(),
-        offsets.len() - 1,
+        index.segments(),
         "one gradient row per segment"
     );
     assert_eq!(grad_in.cols(), grad_out.cols(), "gradient width mismatch");
-    for seg in 0..offsets.len() - 1 {
-        let lo = offsets[seg];
-        let hi = offsets[seg + 1];
-        if lo == hi {
-            continue;
-        }
-        let scale = if mean { 1.0 / (hi - lo) as f32 } else { 1.0 };
-        let grow = grad_out.row(seg);
+    let (d, offsets, src) = (grad_in.cols(), &index.offsets, &index.src);
+    if !mean && grad_out.rows() <= grad_in.rows() {
+        let tr = index.transpose();
+        let rows = &mut grad_in.data_mut()[..index.sources * d];
+        segment_apply_into(rows, d, &tr.offsets, Reduce::Sum, grad_out, |e| {
+            tr.segs[e] as usize
+        });
+        return;
+    }
+    for t in 0..index.segments() {
+        let (lo, hi) = (offsets[t], offsets[t + 1]);
+        let grow = grad_out.row(t);
         for &s in &src[lo..hi] {
-            for (o, &g) in grad_in.row_mut(s as usize).iter_mut().zip(grow) {
-                *o += g * scale;
+            let o = grad_in.row_mut(s as usize);
+            if mean {
+                simd::mul_add_assign(o, 1.0 / (hi - lo) as f32, grow);
+            } else {
+                simd::add_assign(o, grow);
             }
         }
     }
@@ -307,8 +400,9 @@ mod tests {
         let offsets = [0usize, 2, 3];
         let src = [0u32, 1, 1];
         let grad_out = Tensor::from_rows(&[&[1.0, 10.0], &[2.0, 20.0]]);
+        let index = SegmentIndex::new(offsets.to_vec(), src.to_vec());
         let mut g = Tensor::zeros(3, 2);
-        segment_reduce_backward_into(&mut g, &grad_out, &offsets, &src, false);
+        segment_reduce_backward_into(&mut g, &grad_out, &index, false);
         // Row 0 feeds segment 0 once; row 1 feeds segments 0 and 1.
         assert_eq!(g.row(0), &[1.0, 10.0]);
         assert_eq!(g.row(1), &[3.0, 30.0]);
@@ -316,12 +410,25 @@ mod tests {
     }
 
     #[test]
+    fn heap_bytes_count_the_transpose_once_built() {
+        let index = SegmentIndex::new(vec![0, 2, 3], vec![0, 1, 1]);
+        let (offset, id) = (std::mem::size_of::<usize>(), std::mem::size_of::<u32>());
+        let before = index.heap_bytes();
+        assert_eq!(before, 3 * offset + 3 * id);
+        let mut g = Tensor::zeros(2, 1);
+        segment_reduce_backward_into(&mut g, &Tensor::zeros(2, 1), &index, false);
+        // Offsets over the two sources, one segment id per edge.
+        assert_eq!(index.heap_bytes(), before + 3 * offset + 3 * id);
+    }
+
+    #[test]
     fn backward_mean_scales_by_segment_size() {
         let offsets = [0usize, 2];
         let src = [0u32, 1];
         let grad_out = Tensor::from_rows(&[&[4.0]]);
+        let index = SegmentIndex::new(offsets.to_vec(), src.to_vec());
         let mut g = Tensor::zeros(2, 1);
-        segment_reduce_backward_into(&mut g, &grad_out, &offsets, &src, true);
+        segment_reduce_backward_into(&mut g, &grad_out, &index, true);
         assert_eq!(g.row(0), &[2.0]);
         assert_eq!(g.row(1), &[2.0]);
     }
@@ -351,7 +458,8 @@ mod tests {
     fn backward_rejects_a_gradient_with_the_wrong_row_count() {
         let grad_out = Tensor::zeros(3, 2);
         let mut g = Tensor::zeros(3, 2);
-        segment_reduce_backward_into(&mut g, &grad_out, &[0, 2, 3], &[0, 1, 1], false);
+        let index = SegmentIndex::new(vec![0, 2, 3], vec![0, 1, 1]);
+        segment_reduce_backward_into(&mut g, &grad_out, &index, false);
     }
 
     #[test]
@@ -359,7 +467,8 @@ mod tests {
     fn backward_rejects_offsets_that_do_not_cover_src() {
         let grad_out = Tensor::zeros(2, 2);
         let mut g = Tensor::zeros(3, 2);
-        segment_reduce_backward_into(&mut g, &grad_out, &[0, 2, 2], &[0, 1, 1], false);
+        let index = SegmentIndex::new(vec![0, 2, 2], vec![0, 1, 1]);
+        segment_reduce_backward_into(&mut g, &grad_out, &index, false);
     }
 
     #[test]
@@ -367,7 +476,8 @@ mod tests {
     fn backward_rejects_a_source_row_past_grad_in() {
         let grad_out = Tensor::zeros(2, 2);
         let mut g = Tensor::zeros(3, 2);
-        segment_reduce_backward_into(&mut g, &grad_out, &[0, 2, 3], &[0, 3, 1], false);
+        let index = SegmentIndex::new(vec![0, 2, 3], vec![0, 3, 1]);
+        segment_reduce_backward_into(&mut g, &grad_out, &index, false);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod simd;
 pub mod tensor;
 
 pub use autograd::{Graph, NodeId};
-pub use fusion::{segment_reduce, Reduce};
+pub use fusion::{segment_reduce, Reduce, SegmentIndex};
 pub use init::xavier_uniform;
 pub use optim::{Adam, Optimizer, ParamSet};
 pub use par::{num_threads, pool_worker_count, set_thread_override};

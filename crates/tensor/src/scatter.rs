@@ -237,7 +237,10 @@ fn scatter_reduce_with_plan(out: &mut Tensor, values: &Tensor, plan: &ScatterPla
     if edge_scan_profitable(plan.num_edges(), plan.out_rows, values.cols()) {
         scatter_edge_scan_into(out, values, plan, kind);
     } else {
-        segment_apply_into(out, &plan.offsets, kind, values, |e| plan.perm[e] as usize);
+        let d = out.cols();
+        segment_apply_into(out.data_mut(), d, &plan.offsets, kind, values, |e| {
+            plan.perm[e] as usize
+        });
     }
 }
 
@@ -331,7 +334,8 @@ pub fn scatter_add_gathered_into(
     if let Some(&m) = edge_rows.iter().max() {
         assert!((m as usize) < src.rows(), "source row {m} out of range");
     }
-    segment_apply_into(out, &plan.offsets, Reduce::Sum, src, |e| {
+    let d = out.cols();
+    segment_apply_into(out.data_mut(), d, &plan.offsets, Reduce::Sum, src, |e| {
         edge_rows[plan.perm[e] as usize] as usize
     });
 }

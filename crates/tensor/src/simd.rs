@@ -24,6 +24,23 @@
 //!   accumulator on either path, and the accumulator itself never
 //!   becomes NaN from the `±∞` sentinel initialization).
 //!
+//! # Register accumulators
+//!
+//! [`fold_segments`] is the segment walk of every sparse reduction: it
+//! reduces each segment's rows into that segment's output row. The
+//! AVX2 version keeps a block of up to four vectors (32 columns) of the
+//! output row in registers across the whole segment and stores it once,
+//! so a column's chain is a chain of register adds rather than a
+//! load-add-store through memory per row; a ragged tail (`dim % 8`
+//! columns) is one more vector, loaded and stored under a lane mask.
+//! How a row splits into blocks depends on the width alone, so it is
+//! chosen once per call, not per segment — a walk over short segments
+//! would otherwise pay for the choice on every one. The adds and their
+//! order are the per-row chain's — [`scalar::fold_segments`], one
+//! [`add_assign`] per row — so the two return the same bits, which
+//! `tests/segment_walk.rs` checks across widths, kinds and special
+//! values.
+//!
 //! # `exp`
 //!
 //! [`exp`] is the only exponential in the tree: every softmax (the
@@ -112,6 +129,8 @@ pub fn prefetch_read(p: *const f32) {
 /// bit-for-bit; the parity proptests in `tensor/tests/` compare the
 /// exported (possibly AVX2) functions against these on random shapes.
 pub mod scalar {
+    use crate::fusion::Reduce;
+
     /// `acc[i] += x[i]` elementwise.
     #[inline]
     pub fn add_assign(acc: &mut [f32], x: &[f32]) {
@@ -136,6 +155,54 @@ pub mod scalar {
     pub fn scale_assign(o: &mut [f32], s: f32) {
         for x in o.iter_mut() {
             *x *= s;
+        }
+    }
+
+    /// Reduces each segment's rows into its row of `out` (`d` floats a
+    /// segment): segment `t` takes `row(e)` for each `e` of
+    /// `offsets[t]..offsets[t + 1]` in ascending order, calling
+    /// `visit(e)` just before — the per-row chain, one [`add_assign`]
+    /// (or [`max_assign`], [`min_assign`]) per row. `Sum` and `Mean`
+    /// add into what the row holds, and `Mean` then scales it by
+    /// `1/len`; `Max` and `Min` start from `∓∞`. An empty segment's row
+    /// is left as it is.
+    pub fn fold_segments<'a>(
+        out: &mut [f32],
+        d: usize,
+        kind: Reduce,
+        offsets: &[usize],
+        row: impl Fn(usize) -> &'a [f32],
+        mut visit: impl FnMut(usize),
+    ) {
+        assert_eq!(
+            out.len(),
+            (offsets.len() - 1) * d,
+            "one output row per segment"
+        );
+        if d == 0 {
+            return;
+        }
+        for (t, acc) in out.chunks_mut(d).enumerate() {
+            let (lo, hi) = (offsets[t], offsets[t + 1]);
+            if lo == hi {
+                continue;
+            }
+            match kind {
+                Reduce::Max => acc.fill(f32::NEG_INFINITY),
+                Reduce::Min => acc.fill(f32::INFINITY),
+                Reduce::Sum | Reduce::Mean => {}
+            }
+            for e in lo..hi {
+                visit(e);
+                match kind {
+                    Reduce::Sum | Reduce::Mean => add_assign(acc, row(e)),
+                    Reduce::Max => max_assign(acc, row(e)),
+                    Reduce::Min => min_assign(acc, row(e)),
+                }
+            }
+            if kind == Reduce::Mean {
+                scale_assign(acc, 1.0 / (hi - lo) as f32);
+            }
         }
     }
 
@@ -224,7 +291,237 @@ pub mod scalar {
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 mod avx2 {
     use super::LANES;
+    use crate::fusion::Reduce;
     use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// Accumulator vectors one [`fold_segments`] block keeps in
+    /// registers: four accumulators and four loads take half of the
+    /// sixteen AVX2 registers.
+    const BLOCK_VECS: usize = 4;
+    /// Columns of a full block.
+    const BLOCK: usize = BLOCK_VECS * LANES;
+
+    /// One lane operation of [`fold_segments`], with the operand order
+    /// of the matching `*_assign` op.
+    trait Combine {
+        /// What a segment's accumulator starts from: `None` for the
+        /// output row's own content.
+        const START: Option<f32>;
+        /// Folds the row vector `x` into the accumulator vector `acc`.
+        unsafe fn combine(acc: __m256, x: __m256) -> __m256;
+    }
+
+    struct Add;
+    struct Max;
+    struct Min;
+
+    impl Combine for Add {
+        const START: Option<f32> = None;
+        #[inline(always)]
+        unsafe fn combine(acc: __m256, x: __m256) -> __m256 {
+            _mm256_add_ps(acc, x)
+        }
+    }
+
+    impl Combine for Max {
+        const START: Option<f32> = Some(f32::NEG_INFINITY);
+        #[inline(always)]
+        unsafe fn combine(acc: __m256, x: __m256) -> __m256 {
+            _mm256_max_ps(x, acc)
+        }
+    }
+
+    impl Combine for Min {
+        const START: Option<f32> = Some(f32::INFINITY);
+        #[inline(always)]
+        unsafe fn combine(acc: __m256, x: __m256) -> __m256 {
+            _mm256_min_ps(x, acc)
+        }
+    }
+
+    /// Folds columns `c0..c0 + N·8` (the last vector cut to the lanes
+    /// set in `mask` when `MASKED`) of every row of `edges` into the
+    /// output row at `out`, holding the `N` accumulator vectors in
+    /// registers: at most one load before the run, one store after it,
+    /// times `scale` just before the store when given. `visit` runs per
+    /// edge when `first`.
+    ///
+    /// # Safety
+    ///
+    /// `out` and every `row(e)` must hold `c0 + N·8` floats, or — when
+    /// `MASKED` — at least the lanes `mask` selects of the last vector.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn fold_block<'a, C: Combine, const N: usize, const MASKED: bool>(
+        out: *mut f32,
+        c0: usize,
+        mask: __m256i,
+        edges: Range<usize>,
+        row: &impl Fn(usize) -> &'a [f32],
+        visit: &mut impl FnMut(usize),
+        first: bool,
+        scale: Option<__m256>,
+    ) {
+        let load = |p: *const f32, k: usize| {
+            if MASKED && k + 1 == N {
+                _mm256_maskload_ps(p.add(k * LANES), mask)
+            } else {
+                _mm256_loadu_ps(p.add(k * LANES))
+            }
+        };
+        let out = out.add(c0);
+        let mut a = [_mm256_setzero_ps(); N];
+        for (k, a) in a.iter_mut().enumerate() {
+            *a = match C::START {
+                Some(v) => _mm256_set1_ps(v),
+                None => load(out, k),
+            };
+        }
+        for e in edges {
+            if first {
+                visit(e);
+            }
+            let p = row(e).as_ptr().add(c0);
+            for (k, a) in a.iter_mut().enumerate() {
+                *a = C::combine(*a, load(p, k));
+            }
+        }
+        if let Some(s) = scale {
+            for a in a.iter_mut() {
+                *a = _mm256_mul_ps(*a, s);
+            }
+        }
+        for (k, &a) in a.iter().enumerate() {
+            if MASKED && k + 1 == N {
+                _mm256_maskstore_ps(out.add(k * LANES), mask, a);
+            } else {
+                _mm256_storeu_ps(out.add(k * LANES), a);
+            }
+        }
+    }
+
+    /// [`fold_segments`] for one lane operation and one split of the
+    /// row: `d / BLOCK` full blocks, then a block of `R` vectors (the
+    /// last one masked when `MASKED`), each block a full walk of the
+    /// segment's edges.
+    ///
+    /// # Safety
+    ///
+    /// `out` holds `d` floats per segment, every `row(e)` holds `d`
+    /// floats, and `R`, `MASKED` are the split of `d`.
+    #[inline(always)]
+    unsafe fn walk<'a, C: Combine, const R: usize, const MASKED: bool>(
+        out: &mut [f32],
+        d: usize,
+        mean: bool,
+        offsets: &[usize],
+        row: impl Fn(usize) -> &'a [f32],
+        mut visit: impl FnMut(usize),
+    ) {
+        let full = d / BLOCK;
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((d % LANES) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let (row, visit) = (&row, &mut visit);
+        for (t, acc) in out.chunks_mut(d).enumerate() {
+            let (lo, hi) = (offsets[t], offsets[t + 1]);
+            if lo == hi {
+                continue;
+            }
+            let scale = mean.then(|| _mm256_set1_ps(1.0 / (hi - lo) as f32));
+            let acc = acc.as_mut_ptr();
+            for b in 0..full {
+                let first = b == 0;
+                fold_block::<C, BLOCK_VECS, false>(
+                    acc,
+                    b * BLOCK,
+                    mask,
+                    lo..hi,
+                    row,
+                    visit,
+                    first,
+                    scale,
+                );
+            }
+            if R > 0 {
+                let first = full == 0;
+                fold_block::<C, R, MASKED>(
+                    acc,
+                    full * BLOCK,
+                    mask,
+                    lo..hi,
+                    row,
+                    visit,
+                    first,
+                    scale,
+                );
+            }
+        }
+    }
+
+    /// [`walk`] with the split of `d` chosen once.
+    #[inline(always)]
+    fn split<'a, C: Combine>(
+        out: &mut [f32],
+        d: usize,
+        mean: bool,
+        offsets: &[usize],
+        row: impl Fn(usize) -> &'a [f32],
+        visit: impl FnMut(usize),
+    ) {
+        let (r, masked) = ((d % BLOCK).div_ceil(LANES), !d.is_multiple_of(LANES));
+        let (o, m) = (offsets, mean);
+        // SAFETY: `fold_segments` checked `out` against `d` and wraps
+        // `row` in a width check; `(r, masked)` is the split of `d`.
+        unsafe {
+            match (r, masked) {
+                (0, _) => walk::<C, 0, false>(out, d, m, o, row, visit),
+                (1, false) => walk::<C, 1, false>(out, d, m, o, row, visit),
+                (1, true) => walk::<C, 1, true>(out, d, m, o, row, visit),
+                (2, false) => walk::<C, 2, false>(out, d, m, o, row, visit),
+                (2, true) => walk::<C, 2, true>(out, d, m, o, row, visit),
+                (3, false) => walk::<C, 3, false>(out, d, m, o, row, visit),
+                (3, true) => walk::<C, 3, true>(out, d, m, o, row, visit),
+                (4, false) => walk::<C, 4, false>(out, d, m, o, row, visit),
+                _ => walk::<C, 4, true>(out, d, m, o, row, visit),
+            }
+        }
+    }
+
+    /// [`super::scalar::fold_segments`] with each output row in
+    /// registers (see the module docs); `visit(e)` runs once per edge,
+    /// in the first column block. Every `row(e)` must hold `d` floats.
+    #[inline(always)]
+    pub fn fold_segments<'a>(
+        out: &mut [f32],
+        d: usize,
+        kind: Reduce,
+        offsets: &[usize],
+        row: impl Fn(usize) -> &'a [f32],
+        visit: impl FnMut(usize),
+    ) {
+        assert_eq!(
+            out.len(),
+            (offsets.len() - 1) * d,
+            "one output row per segment"
+        );
+        if d == 0 {
+            return;
+        }
+        let row = move |e: usize| {
+            let r = row(e);
+            assert_eq!(r.len(), d, "row width must match the output");
+            r
+        };
+        let mean = kind == Reduce::Mean;
+        match kind {
+            Reduce::Sum | Reduce::Mean => split::<Add>(out, d, mean, offsets, row, visit),
+            Reduce::Max => split::<Max>(out, d, mean, offsets, row, visit),
+            Reduce::Min => split::<Min>(out, d, mean, offsets, row, visit),
+        }
+    }
 
     /// `acc[i] += x[i]` elementwise (8-lane AVX2 body, scalar tail).
     #[inline]
@@ -337,9 +634,9 @@ mod avx2 {
 }
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-pub use avx2::{add_assign, max_assign, min_assign, mul_add_assign, scale_assign};
+pub use avx2::{add_assign, fold_segments, max_assign, min_assign, mul_add_assign, scale_assign};
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-pub use scalar::{add_assign, max_assign, min_assign, mul_add_assign, scale_assign};
+pub use scalar::{add_assign, fold_segments, max_assign, min_assign, mul_add_assign, scale_assign};
 // One definition serves both backends (see the module docs).
 pub use scalar::{exp, exp_sub_into};
 

@@ -571,18 +571,19 @@ impl Tensor {
     }
 
     /// Row-wise softmax (numerically stabilized) into a caller-provided
-    /// `out` of the same shape.
+    /// `out` of the same shape. The exponentials have a loop of their
+    /// own, so [`simd::exp`] vectorises; the row sum `z` is then taken
+    /// in ascending column order.
     pub fn softmax_rows_into(&self, out: &mut Self) {
         assert_eq!(self.shape(), out.shape(), "shape mismatch in softmax_rows");
         for r in 0..self.rows {
             let src = self.row(r);
             let row = out.row_mut(r);
             let m = src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0;
             for (x, &s) in row.iter_mut().zip(src) {
                 *x = simd::exp(s - m);
-                z += *x;
             }
+            let z: f32 = row.iter().fold(0.0, |z, &x| z + x);
             for x in row.iter_mut() {
                 *x /= z;
             }
