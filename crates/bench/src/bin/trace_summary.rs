@@ -47,9 +47,6 @@ fn main() {
     let mut serve_windows: Vec<(u64, obs::ServeRecord, u64, u64)> = Vec::new();
     let mut serve_total = obs::ServeRecord::default();
     let mut serve_bounds = LatBounds::default();
-    // Per-tenant serving windows (multi-tenant tier), keyed by tenant.
-    let mut tenant_windows: BTreeMap<u64, (obs::TenantServeRecord, LatBounds)> = BTreeMap::new();
-    let mut tenant_window_count = 0usize;
     // Page-cache (paged store) records in trace order, plus the merge.
     let mut pgc_lines: Vec<(u64, obs::PageCacheRecord)> = Vec::new();
     let mut pgc_total = obs::PageCacheRecord::default();
@@ -84,18 +81,6 @@ fn main() {
             Ok(TraceLine::PageCache { vt, record }) => {
                 pgc_total.merge(&record);
                 pgc_lines.push((vt, record));
-            }
-            Ok(TraceLine::TenantServe {
-                record, p50, p99, ..
-            }) => {
-                tenant_window_count += 1;
-                tenant_windows
-                    .entry(record.tenant)
-                    .and_modify(|(total, bounds)| {
-                        total.merge(&record);
-                        bounds.merge(p50, p99);
-                    })
-                    .or_insert((record, LatBounds { p50, p99 }));
             }
             Err(e) => panic!("line {}: schema violation: {e}", i + 1),
         }
@@ -204,31 +189,6 @@ fn main() {
         );
     }
 
-    if !tenant_windows.is_empty() {
-        println!(
-            "\nmulti-tenant: {} windows over {} tenants (merged per tenant)",
-            tenant_window_count,
-            tenant_windows.len()
-        );
-        println!(
-            "{:>7} {:>8} {:>8} {:>8} {:>11} {:>8} {:>9} {:>9}",
-            "tenant", "served", "quota_x", "slo_x", "cache(h/m)", "quant", "lat_p50", "lat_p99"
-        );
-        for (tenant, (t, bounds)) in &tenant_windows {
-            println!(
-                "{:>7} {:>8} {:>8} {:>8} {:>11} {:>8} {:>9} {:>9}",
-                tenant,
-                t.serve.served,
-                t.quota_rejected,
-                t.slo_violations,
-                format!("{}/{}", t.serve.cache_hits, t.serve.cache_misses),
-                t.serve.quant,
-                bounds.p50,
-                bounds.p99,
-            );
-        }
-    }
-
     if !pgc_lines.is_empty() {
         println!("\npage cache: {} records", pgc_lines.len());
         println!(
@@ -256,12 +216,8 @@ fn main() {
         );
     }
 
-    if epochs.is_empty()
-        && serve_windows.is_empty()
-        && tenant_windows.is_empty()
-        && pgc_lines.is_empty()
-    {
-        println!("(no epoch, serve, tenant, or page-cache records)");
+    if epochs.is_empty() && serve_windows.is_empty() && pgc_lines.is_empty() {
+        println!("(no epoch, serve, or page-cache records)");
     }
 }
 

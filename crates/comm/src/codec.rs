@@ -11,7 +11,7 @@
 //! [`decode_rows_with`] streams borrowed row slices without per-row
 //! allocation.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Reinterprets an `f32` slice as bytes.
 fn f32_bytes(row: &[f32]) -> &[u8] {
@@ -206,7 +206,9 @@ pub fn try_decode_rows_with(
 ) -> Result<usize, DecodeError> {
     let b = buf.as_ref();
     let (count, dim) = checked_header(b)?;
-    let mut scratch = vec![0.0f32; dim];
+    // Only a frame with rows has its `dim` bounded by the bytes present;
+    // an empty one may promise any width and needs no scratch.
+    let mut scratch = vec![0.0f32; if count == 0 { 0 } else { dim }];
     let mut off = 8usize;
     for _ in 0..count {
         let id = u32::from_le_bytes(b[off..off + 4].try_into().unwrap());
@@ -266,345 +268,10 @@ pub fn decode_rows(buf: Bytes) -> (usize, Vec<(u32, Vec<f32>)>) {
     try_decode_rows(&buf).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Control-plane frames of the replicated serving tier (ISSUE 9). The
-/// router (fabric rank 0) drives replica workers with `Exec` / `Swap` /
-/// `Shutdown`; replicas answer each `Exec` with exactly one `Rows` or
-/// `Shed`. All frames ride the same reliable-fabric tags, so per-link
-/// FIFO ordering guarantees a replica installs a `Swap`ped checkpoint
-/// before any `Exec` pinned to that version reaches it.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ServeFrame {
-    /// Execute a version-pinned sub-batch: `(request id, vertex)` pairs
-    /// for one tenant, all on one checkpoint version.
-    Exec {
-        /// Dispatch round (diagnostic; responses echo it).
-        round: u64,
-        /// Owning tenant.
-        tenant: u64,
-        /// Checkpoint version every request of the sub-batch is pinned
-        /// to.
-        version: u64,
-        /// `(request id, vertex)` pairs.
-        requests: Vec<(u64, u32)>,
-    },
-    /// Install a checkpoint for `tenant` as `version`. Replicas keep
-    /// every installed version, so in-flight batches pinned to older
-    /// versions still execute during a rolling swap.
-    Swap {
-        /// Owning tenant.
-        tenant: u64,
-        /// Version the restored snapshot publishes as.
-        version: u64,
-        /// Checkpoint bytes (v2, CRC-validated by the installer).
-        checkpoint: Vec<u8>,
-    },
-    /// Orderly replica shutdown.
-    Shutdown,
-    /// Response to one `Exec`: per-request output rows, each with its
-    /// shard-local cache-hit flag, plus the replica's cache counter
-    /// deltas for the tenant's trace window.
-    Rows {
-        /// Echo of the `Exec` round.
-        round: u64,
-        /// Echo of the `Exec` tenant.
-        tenant: u64,
-        /// Echo of the pinned version.
-        version: u64,
-        /// Output row width.
-        dim: usize,
-        /// `(request id, cache_hit, output row)` triples.
-        rows: Vec<(u64, bool, Vec<f32>)>,
-        /// Cache hits this execution observed.
-        cache_hits: u64,
-        /// Cache misses this execution observed.
-        cache_misses: u64,
-    },
-    /// Response to one `Exec` whose sub-batch was shed by admission
-    /// control on the replica.
-    Shed {
-        /// Echo of the `Exec` round.
-        round: u64,
-        /// Echo of the `Exec` tenant.
-        tenant: u64,
-        /// Transient bytes the sub-batch would have materialized.
-        needed: u64,
-        /// The replica's configured budget.
-        budget: u64,
-    },
-}
-
-const FRAME_EXEC: u8 = 1;
-const FRAME_SWAP: u8 = 2;
-const FRAME_SHUTDOWN: u8 = 3;
-const FRAME_ROWS: u8 = 4;
-const FRAME_SHED: u8 = 5;
-
-/// A structured serve-frame decode failure — malformed control frames
-/// surface as errors, never panics or out-of-bounds reads.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ServeFrameError {
-    /// The buffer ends before a promised field.
-    Truncated {
-        /// Bytes the frame promises at the point of failure.
-        need: usize,
-        /// Bytes actually available.
-        have: usize,
-    },
-    /// The leading kind byte is not a known frame kind.
-    UnknownKind(u8),
-    /// Well-formed frame followed by garbage.
-    TrailingBytes {
-        /// Unconsumed byte count.
-        extra: usize,
-    },
-    /// A hit flag byte was neither 0 nor 1.
-    BadFlag(u8),
-}
-
-impl std::fmt::Display for ServeFrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Truncated { need, have } => {
-                write!(f, "truncated serve frame: need {need} bytes, have {have}")
-            }
-            Self::UnknownKind(k) => write!(f, "unknown serve frame kind {k}"),
-            Self::TrailingBytes { extra } => {
-                write!(f, "serve frame has {extra} trailing bytes")
-            }
-            Self::BadFlag(b) => write!(f, "serve frame hit flag must be 0/1, got {b}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeFrameError {}
-
-struct FrameReader<'a> {
-    b: &'a [u8],
-    off: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeFrameError> {
-        if self.b.len() - self.off < n {
-            return Err(ServeFrameError::Truncated {
-                need: n,
-                have: self.b.len() - self.off,
-            });
-        }
-        let s = &self.b[self.off..self.off + n];
-        self.off += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ServeFrameError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, ServeFrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, ServeFrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f32(&mut self) -> Result<f32, ServeFrameError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    /// `count` if `count` records of `each` bytes (`None`: the width
-    /// overflowed) fit in what is left — checked before anything is
-    /// reserved for them, as [`checked_header`] does for the row codec.
-    fn records(&self, count: usize, each: Option<usize>) -> Result<usize, ServeFrameError> {
-        let have = self.b.len() - self.off;
-        match each.and_then(|e| e.checked_mul(count)) {
-            Some(need) if need <= have => Ok(count),
-            need => Err(ServeFrameError::Truncated {
-                need: need.unwrap_or(usize::MAX),
-                have,
-            }),
-        }
-    }
-}
-
-impl ServeFrame {
-    /// Serializes the frame (fixed little-endian layout, leading kind
-    /// byte).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        match self {
-            Self::Exec {
-                round,
-                tenant,
-                version,
-                requests,
-            } => {
-                buf.put_u8(FRAME_EXEC);
-                buf.put_u64_le(*round);
-                buf.put_u64_le(*tenant);
-                buf.put_u64_le(*version);
-                buf.put_u32_le(requests.len() as u32);
-                for &(id, vertex) in requests {
-                    buf.put_u64_le(id);
-                    buf.put_u32_le(vertex);
-                }
-            }
-            Self::Swap {
-                tenant,
-                version,
-                checkpoint,
-            } => {
-                buf.put_u8(FRAME_SWAP);
-                buf.put_u64_le(*tenant);
-                buf.put_u64_le(*version);
-                buf.put_u32_le(checkpoint.len() as u32);
-                buf.put_slice(checkpoint);
-            }
-            Self::Shutdown => buf.put_u8(FRAME_SHUTDOWN),
-            Self::Rows {
-                round,
-                tenant,
-                version,
-                dim,
-                rows,
-                cache_hits,
-                cache_misses,
-            } => {
-                buf.put_u8(FRAME_ROWS);
-                buf.put_u64_le(*round);
-                buf.put_u64_le(*tenant);
-                buf.put_u64_le(*version);
-                buf.put_u32_le(*dim as u32);
-                buf.put_u32_le(rows.len() as u32);
-                for (id, hit, row) in rows {
-                    assert_eq!(row.len(), *dim, "row width mismatch in ServeFrame::Rows");
-                    buf.put_u64_le(*id);
-                    buf.put_u8(u8::from(*hit));
-                    if cfg!(target_endian = "little") {
-                        buf.put_slice(f32_bytes(row));
-                    } else {
-                        for &x in row {
-                            buf.put_f32_le(x);
-                        }
-                    }
-                }
-                buf.put_u64_le(*cache_hits);
-                buf.put_u64_le(*cache_misses);
-            }
-            Self::Shed {
-                round,
-                tenant,
-                needed,
-                budget,
-            } => {
-                buf.put_u8(FRAME_SHED);
-                buf.put_u64_le(*round);
-                buf.put_u64_le(*tenant);
-                buf.put_u64_le(*needed);
-                buf.put_u64_le(*budget);
-            }
-        }
-        buf.freeze()
-    }
-}
-
-/// Decodes a [`ServeFrame`], rejecting truncation, unknown kinds, bad
-/// flags, and trailing bytes structurally.
-pub fn try_decode_serve_frame(buf: &Bytes) -> Result<ServeFrame, ServeFrameError> {
-    let mut r = FrameReader {
-        b: buf.as_ref(),
-        off: 0,
-    };
-    let frame = match r.u8()? {
-        FRAME_EXEC => {
-            let round = r.u64()?;
-            let tenant = r.u64()?;
-            let version = r.u64()?;
-            let count = r.u32()? as usize;
-            let count = r.records(count, Some(12))?;
-            let mut requests = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = r.u64()?;
-                let vertex = r.u32()?;
-                requests.push((id, vertex));
-            }
-            ServeFrame::Exec {
-                round,
-                tenant,
-                version,
-                requests,
-            }
-        }
-        FRAME_SWAP => {
-            let tenant = r.u64()?;
-            let version = r.u64()?;
-            let len = r.u32()? as usize;
-            let checkpoint = r.take(len)?.to_vec();
-            ServeFrame::Swap {
-                tenant,
-                version,
-                checkpoint,
-            }
-        }
-        FRAME_SHUTDOWN => ServeFrame::Shutdown,
-        FRAME_ROWS => {
-            let round = r.u64()?;
-            let tenant = r.u64()?;
-            let version = r.u64()?;
-            let dim = r.u32()? as usize;
-            let row_bytes = dim.checked_mul(4).and_then(|b| b.checked_add(9));
-            let count = r.u32()? as usize;
-            let count = r.records(count, row_bytes)?;
-            let mut rows = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = r.u64()?;
-                let hit = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    b => return Err(ServeFrameError::BadFlag(b)),
-                };
-                let mut row = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    row.push(r.f32()?);
-                }
-                rows.push((id, hit, row));
-            }
-            let cache_hits = r.u64()?;
-            let cache_misses = r.u64()?;
-            ServeFrame::Rows {
-                round,
-                tenant,
-                version,
-                dim,
-                rows,
-                cache_hits,
-                cache_misses,
-            }
-        }
-        FRAME_SHED => ServeFrame::Shed {
-            round: r.u64()?,
-            tenant: r.u64()?,
-            needed: r.u64()?,
-            budget: r.u64()?,
-        },
-        k => return Err(ServeFrameError::UnknownKind(k)),
-    };
-    if r.off != r.b.len() {
-        return Err(ServeFrameError::TrailingBytes {
-            extra: r.b.len() - r.off,
-        });
-    }
-    Ok(frame)
-}
-
-/// Panicking decode for trusted (fabric-internal) serve frames.
-///
-/// # Panics
-///
-/// Panics on a malformed buffer; use [`try_decode_serve_frame`] for
-/// untrusted input.
-pub fn decode_serve_frame(buf: &Bytes) -> ServeFrame {
-    try_decode_serve_frame(buf).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn round_trip() {
@@ -694,93 +361,6 @@ mod tests {
             | Err(DecodeError::TruncatedPayload { .. }) => {}
             other => panic!("want structured error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn serve_frames_round_trip() {
-        let frames = [
-            ServeFrame::Exec {
-                round: 3,
-                tenant: 11,
-                version: 2,
-                requests: vec![(100, 7), (101, 9)],
-            },
-            ServeFrame::Swap {
-                tenant: 11,
-                version: 3,
-                checkpoint: vec![0xde, 0xad, 0xbe, 0xef],
-            },
-            ServeFrame::Shutdown,
-            ServeFrame::Rows {
-                round: 3,
-                tenant: 11,
-                version: 2,
-                dim: 2,
-                rows: vec![(100, false, vec![1.5, -2.0]), (101, true, vec![0.0, 8.25])],
-                cache_hits: 1,
-                cache_misses: 4,
-            },
-            ServeFrame::Shed {
-                round: 4,
-                tenant: 11,
-                needed: 4096,
-                budget: 64,
-            },
-        ];
-        for f in frames {
-            let enc = f.encode();
-            assert_eq!(decode_serve_frame(&enc), f);
-        }
-    }
-
-    #[test]
-    fn serve_frame_decode_rejects_malformed_input() {
-        let enc = ServeFrame::Exec {
-            round: 1,
-            tenant: 2,
-            version: 3,
-            requests: vec![(9, 4)],
-        }
-        .encode();
-        // Truncation anywhere inside the frame is structural.
-        for cut in 0..enc.len() {
-            assert!(matches!(
-                try_decode_serve_frame(&enc.slice(0..cut)),
-                Err(ServeFrameError::Truncated { .. })
-            ));
-        }
-        // Trailing garbage is rejected.
-        let mut padded = BytesMut::with_capacity(enc.len() + 1);
-        padded.put_slice(enc.as_ref());
-        padded.put_u8(0);
-        assert_eq!(
-            try_decode_serve_frame(&padded.freeze()),
-            Err(ServeFrameError::TrailingBytes { extra: 1 })
-        );
-        // Unknown kinds are rejected.
-        assert_eq!(
-            try_decode_serve_frame(&Bytes::from_static(&[0x77])),
-            Err(ServeFrameError::UnknownKind(0x77))
-        );
-        // A hit flag outside {0, 1} is rejected.
-        let rows = ServeFrame::Rows {
-            round: 0,
-            tenant: 0,
-            version: 1,
-            dim: 1,
-            rows: vec![(5, true, vec![1.0])],
-            cache_hits: 0,
-            cache_misses: 0,
-        }
-        .encode();
-        let mut corrupt = rows.as_ref().to_vec();
-        // kind(1) + round(8) + tenant(8) + version(8) + dim(4) + count(4)
-        // + id(8) puts the flag byte at offset 41.
-        corrupt[41] = 9;
-        assert_eq!(
-            try_decode_serve_frame(&Bytes::from(corrupt)),
-            Err(ServeFrameError::BadFlag(9))
-        );
     }
 
     #[test]

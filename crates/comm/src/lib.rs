@@ -36,9 +36,8 @@ pub mod worker;
 
 pub use chaos::{ChaosSchedule, CrashPoint};
 pub use codec::{
-    decode_rows, decode_rows_with, decode_serve_frame, encode_flat_rows, encode_rows,
-    try_decode_rows, try_decode_rows_with, try_decode_serve_frame, DecodeError, RowWriter,
-    ServeFrame, ServeFrameError,
+    decode_rows, decode_rows_with, encode_flat_rows, encode_rows, try_decode_rows,
+    try_decode_rows_with, DecodeError, RowWriter,
 };
 pub use det::{
     fnv1a, EventWheel, FlakyRack, LinkSpec, NetProfile, SimConfig, Straggler, TaskCtx, VMessage,

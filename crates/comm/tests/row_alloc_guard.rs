@@ -1,15 +1,15 @@
-//! A hostile serve-frame header cannot make the decoder allocate.
+//! A hostile row-frame header cannot make the decoder allocate.
 //!
-//! `try_decode_serve_frame` reads counts and widths off the wire; it
-//! must compare what they promise with the bytes that are there before
-//! it reserves anything for them. A counting `#[global_allocator]` needs
+//! `try_decode_rows` and `try_decode_rows_with` read a row count and a
+//! width off the wire; they must compare what those promise with the
+//! bytes that are there before they reserve anything sized by them. A counting `#[global_allocator]` needs
 //! its own test binary, which is why this file holds nothing else; the
 //! count is per thread, so the harness's own threads cannot disturb it.
 //! A request past [`REFUSE`] is refused (the process then aborts), so a
 //! regression cannot reserve gigabytes on the machine running the test.
 
 use bytes::Bytes;
-use flexgraph_comm::try_decode_serve_frame;
+use flexgraph_comm::{try_decode_rows, try_decode_rows_with};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -70,38 +70,51 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// A frame of `kind` with zero round, tenant and version, then `rest`.
-fn frame(kind: u8, rest: &[&[u8]]) -> Bytes {
-    let mut b = vec![kind];
-    b.extend_from_slice(&[0; 24]);
-    for part in rest {
-        b.extend_from_slice(part);
-    }
+/// A row frame: the `count` and `dim` header words, then `rest`.
+fn frame(count: u32, dim: u32, rest: &[u8]) -> Bytes {
+    let mut b = count.to_le_bytes().to_vec();
+    b.extend_from_slice(&dim.to_le_bytes());
+    b.extend_from_slice(rest);
     Bytes::from(b)
+}
+
+/// Runs `decode`, returning whether it decoded any row and the bytes it
+/// asked the allocator for meanwhile.
+fn probe(decode: impl FnOnce() -> Option<usize>) -> (Option<usize>, usize) {
+    let before = BYTES.with(Cell::get);
+    let rows = decode();
+    (rows, BYTES.with(Cell::get) - before)
 }
 
 #[test]
 fn hostile_headers_are_refused_before_anything_is_reserved() {
-    let max = u32::MAX.to_le_bytes();
-    let zero = 0u32.to_le_bytes();
-    let one = 1u32.to_le_bytes();
+    let max = u32::MAX;
     let cases = [
-        // Rows: one row of u32::MAX floats, its id and hit flag present
-        // (42 bytes that promised 17 GB).
-        ("rows, huge dim", frame(4, &[&max, &one, &[0; 8], &[1]])),
-        ("rows, huge count", frame(4, &[&zero, &max])),
-        ("rows, count × width overflows", frame(4, &[&max, &max])),
-        ("exec, huge count", frame(1, &[&max])),
-        ("swap, huge checkpoint", frame(2, &[&[0; 4], &max])),
+        // No rows of u32::MAX floats: 8 bytes that promised a 17 GB
+        // scratch row to the streaming decoder.
+        ("count 0, huge dim", frame(0, max, &[])),
+        ("huge count", frame(max, 0, &[])),
+        ("count × width overflows", frame(max, max, &[])),
+        // One row of u32::MAX floats, its id present.
+        ("one row, huge dim", frame(1, max, &[0; 8])),
     ];
     for (what, buf) in cases {
-        let before = BYTES.with(Cell::get);
-        let decoded = try_decode_serve_frame(&buf);
-        let asked = BYTES.with(Cell::get) - before;
-        assert!(decoded.is_err(), "{what}: decoded {decoded:?}");
-        assert!(
-            asked < 64 << 10,
-            "{what}: asked the allocator for {asked} bytes"
-        );
+        let owned = probe(|| try_decode_rows(&buf).ok().map(|(_, rows)| rows.len()));
+        let streamed = probe(|| {
+            let mut rows = 0;
+            try_decode_rows_with(&buf, |_, _| rows += 1)
+                .ok()
+                .map(|_| rows)
+        });
+        for (decoder, (rows, asked)) in [("owned", owned), ("streaming", streamed)] {
+            assert!(
+                matches!(rows, None | Some(0)),
+                "{what}, {decoder}: decoded {rows:?} rows"
+            );
+            assert!(
+                asked < 64 << 10,
+                "{what}, {decoder}: asked the allocator for {asked} bytes"
+            );
+        }
     }
 }

@@ -74,10 +74,9 @@ pub mod prelude {
     pub use flexgraph_models::{
         EpochStats, GGcn, Gcn, Gin, JkNet, Magnn, Model, Pgnn, PinSage, TrainConfig, Trainer,
     };
-    pub use flexgraph_obs::{PartitionRecord, ServeRecord, Stage, TenantServeRecord, TraceEpoch};
+    pub use flexgraph_obs::{PartitionRecord, ServeRecord, Stage, TraceEpoch};
     pub use flexgraph_serve::{
-        ModelSnapshot, Response, Router, ServeError, ServeModelConfig, Server, ServerConfig,
-        ShardMap, TenantQuota, TierConfig, TierTenant,
+        ModelSnapshot, Response, ServeError, ServeModelConfig, Server, ServerConfig,
     };
     pub use flexgraph_store::{
         forward_out_of_core, rmat_to_store, write_graph, Neighborhood, PageCache, PagedGraph,

@@ -425,7 +425,12 @@ mod tests {
         }
         assert!(unsorted_last > 0, "some last shell arrives unsorted");
         scratch.epoch = u32::MAX - 1;
-        for ids in [vec![], vec![3, 3, 3], vec![3, 3, 3], vec![9, 1, 9, 0, 3, 63]] {
+        for ids in [
+            vec![],
+            vec![3, 3, 3],
+            vec![3, 3, 3],
+            vec![9, 1, 9, 0, 3, 63],
+        ] {
             let mut want = ids.clone();
             want.sort_unstable();
             want.dedup();

@@ -16,9 +16,8 @@ pub type VertexId = u32;
 /// An immutable directed graph in dual CSR/CSC representation.
 ///
 /// The arrays sit behind one `Arc`: the adjacency never changes, so a
-/// clone — every server, tenant and replica takes one of the graph it
-/// serves — shares them (and the cached scatter plan) instead of
-/// copying O(V + E) bytes.
+/// clone — every server takes one of the graph it serves — shares them
+/// (and the cached scatter plan) instead of copying O(V + E) bytes.
 #[derive(Clone)]
 pub struct Graph(Arc<Adjacency>);
 

@@ -9,8 +9,8 @@
 //!
 //! * **The worker writes its own record.** A distributed worker owns
 //!   the [`PartitionRecord`] of its partition and fills it as it runs
-//!   (`dist::worker`); the serving tier and the paged store do the same
-//!   with [`ServeRecord`] / [`TenantServeRecord`] / [`PageCacheRecord`].
+//!   (`dist::worker`); the server and the paged store do the same with
+//!   [`ServeRecord`] / [`PageCacheRecord`].
 //!   Nothing is collected behind the caller's back, so code that owns no
 //!   record (`engine`, `models`) is not instrumented and does not depend
 //!   on this crate.
@@ -30,7 +30,7 @@ pub mod trace;
 
 pub use record::{
     CommCounters, FabricCounters, LatencyHistogram, PageCacheRecord, PartitionRecord, ServeRecord,
-    Stage, StageSample, TenantServeRecord, TraceEpoch, LATENCY_BUCKETS,
+    Stage, StageSample, TraceEpoch, LATENCY_BUCKETS,
 };
 pub use trace::{parse_line, TraceLine, TRACE_VERSION};
 
@@ -146,12 +146,6 @@ fn emit(write: impl FnOnce(&mut Session)) {
 /// session is open.
 pub fn emit_serve(rec: &ServeRecord) {
     emit(|s| s.stamped(|vt| trace::render_serve(vt, rec)));
-}
-
-/// Writes one tenant's serving window to the active trace session as a
-/// `tser` line. No-op when no session is open.
-pub fn emit_tenant_serve(rec: &TenantServeRecord) {
-    emit(|s| s.stamped(|vt| trace::render_tenant_serve(vt, rec)));
 }
 
 /// Writes one page-cache window from the paged graph store to the

@@ -282,41 +282,6 @@ impl ServeRecord {
     }
 }
 
-/// One tenant's serving window in a multi-tenant tier (ISSUE 9): the
-/// plain [`ServeRecord`] counters plus the tenant label and the
-/// quota/SLO accounting the router layers on top.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TenantServeRecord {
-    /// Tenant id.
-    pub tenant: u64,
-    /// Configured latency SLO in virtual-time ticks (0 = no SLO).
-    pub slo_vt: u64,
-    /// Responses whose virtual-time latency exceeded `slo_vt`.
-    pub slo_violations: u64,
-    /// Submissions refused by the tenant's admission quota (counted
-    /// here, not in `serve.rejected` — they never reached the server).
-    pub quota_rejected: u64,
-    /// The underlying serving-window counters.
-    pub serve: ServeRecord,
-}
-
-impl TenantServeRecord {
-    /// Merges another window of the **same tenant**; the SLO target
-    /// merges by max (a label, like `quant`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tenant ids differ — merging across tenants is a
-    /// bookkeeping bug, not a degenerate merge.
-    pub fn merge(&mut self, other: &TenantServeRecord) {
-        assert_eq!(self.tenant, other.tenant, "cross-tenant window merge");
-        self.slo_vt = self.slo_vt.max(other.slo_vt);
-        self.slo_violations += other.slo_violations;
-        self.quota_rejected += other.quota_rejected;
-        self.serve.merge(&other.serve);
-    }
-}
-
 /// One page-cache observation window from the paged graph store
 /// (ISSUE 10): segment fetch/hit/miss/eviction counters plus the
 /// residency snapshot at emit time. Counters are deterministic

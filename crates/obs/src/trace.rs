@@ -30,8 +30,7 @@
 //! fixed schema.
 
 use crate::record::{
-    FabricCounters, PageCacheRecord, PartitionRecord, ServeRecord, Stage, TenantServeRecord,
-    TraceEpoch,
+    FabricCounters, PageCacheRecord, PartitionRecord, ServeRecord, Stage, TraceEpoch,
 };
 use std::fmt::Write as _;
 
@@ -131,16 +130,7 @@ pub fn render_epoch(vt: u64, ep: &TraceEpoch, wall: bool) -> String {
 /// across same-seed runs regardless of thread count.
 pub fn render_serve(vt: u64, rec: &ServeRecord) -> String {
     format!(
-        "{{\"k\":\"serve\",\"vt\":{vt},{}}}",
-        render_serve_fields(rec)
-    )
-}
-
-/// The shared `reqs`/`batches`/`cache`/`queue`/`quant`/`lat` tail of
-/// `serve` and `tser` lines.
-fn render_serve_fields(rec: &ServeRecord) -> String {
-    format!(
-        "\"reqs\":[{},{},{}],\"batches\":[{},{}],\"cache\":[{},{}],\"queue\":[{}],\"quant\":{},\"lat\":[{},{},{},{},{}]",
+        "{{\"k\":\"serve\",\"vt\":{vt},\"reqs\":[{},{},{}],\"batches\":[{},{}],\"cache\":[{},{}],\"queue\":[{}],\"quant\":{},\"lat\":[{},{},{},{},{}]}}",
         rec.enqueued,
         rec.served,
         rec.rejected,
@@ -155,27 +145,6 @@ fn render_serve_fields(rec: &ServeRecord) -> String {
         rec.latency.max,
         rec.latency.quantile_bound(50),
         rec.latency.quantile_bound(99),
-    )
-}
-
-/// Renders one tenant's serving window as a `tser` line:
-///
-/// ```text
-/// {"k":"tser","vt":4,"tenant":11,"slo":[target,violations,quota_rejected],
-///  "reqs":[...],"batches":[...],"cache":[...],"queue":[...],
-///  "quant":code,"lat":[...]}
-/// ```
-///
-/// Same byte-stability contract as `serve`: integer counters and
-/// virtual-time quantiles only.
-pub fn render_tenant_serve(vt: u64, rec: &TenantServeRecord) -> String {
-    format!(
-        "{{\"k\":\"tser\",\"vt\":{vt},\"tenant\":{},\"slo\":[{},{},{}],{}}}",
-        rec.tenant,
-        rec.slo_vt,
-        rec.slo_violations,
-        rec.quota_rejected,
-        render_serve_fields(&rec.serve)
     )
 }
 
@@ -238,15 +207,6 @@ pub enum TraceLine {
         p50: u64,
         p99: u64,
     },
-    /// One tenant's serving window in a multi-tenant tier. As with
-    /// `Serve`, `record.serve.latency` holds no buckets after a parse;
-    /// read `p50`/`p99`.
-    TenantServe {
-        vt: u64,
-        record: TenantServeRecord,
-        p50: u64,
-        p99: u64,
-    },
     /// One page-cache window from the paged graph store.
     PageCache { vt: u64, record: PageCacheRecord },
 }
@@ -276,7 +236,6 @@ pub fn parse_line(line: &str) -> Result<TraceLine, String> {
         "part" => parse_part(&mut p),
         "epoch" => parse_epoch(&mut p),
         "serve" => parse_serve(&mut p),
-        "tser" => parse_tenant_serve(&mut p),
         "pgc" => parse_page_cache(&mut p),
         other => Err(format!("unknown record kind {other:?}")),
     }
@@ -408,10 +367,10 @@ fn parse_epoch(p: &mut Parser) -> Result<TraceLine, String> {
     })
 }
 
-/// Parses and validates the shared `reqs`…`lat` tail (from its leading
-/// comma through the closing `}` and end-of-line), returning the record
-/// plus the serialized quantile bounds.
-fn parse_serve_fields(p: &mut Parser) -> Result<(ServeRecord, u64, u64), String> {
+fn parse_serve(p: &mut Parser) -> Result<TraceLine, String> {
+    p.expect(',')?;
+    p.named_key("vt")?;
+    let vt = p.number()?;
     p.expect(',')?;
     p.named_key("reqs")?;
     let r = p.fixed_array(3)?;
@@ -459,47 +418,11 @@ fn parse_serve_fields(p: &mut Parser) -> Result<(ServeRecord, u64, u64), String>
     record.latency.count = l[0];
     record.latency.total = l[1];
     record.latency.max = l[2];
-    Ok((record, l[3], l[4]))
-}
-
-fn parse_serve(p: &mut Parser) -> Result<TraceLine, String> {
-    p.expect(',')?;
-    p.named_key("vt")?;
-    let vt = p.number()?;
-    let (record, p50, p99) = parse_serve_fields(p)?;
     Ok(TraceLine::Serve {
         vt,
         record,
-        p50,
-        p99,
-    })
-}
-
-fn parse_tenant_serve(p: &mut Parser) -> Result<TraceLine, String> {
-    p.expect(',')?;
-    p.named_key("vt")?;
-    let vt = p.number()?;
-    p.expect(',')?;
-    p.named_key("tenant")?;
-    let tenant = p.number()?;
-    p.expect(',')?;
-    p.named_key("slo")?;
-    let s = p.fixed_array(3)?;
-    let (serve, p50, p99) = parse_serve_fields(p)?;
-    if s[1] > serve.latency.count {
-        return Err("slo violations > measured latencies".into());
-    }
-    Ok(TraceLine::TenantServe {
-        vt,
-        record: TenantServeRecord {
-            tenant,
-            slo_vt: s[0],
-            slo_violations: s[1],
-            quota_rejected: s[2],
-            serve,
-        },
-        p50,
-        p99,
+        p50: l[3],
+        p99: l[4],
     })
 }
 
@@ -821,63 +744,6 @@ mod tests {
                 assert!(p50 <= p99);
             }
             other => panic!("wrong kind: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn tenant_serve_round_trip() {
-        let mut r = TenantServeRecord {
-            tenant: 42,
-            slo_vt: 16,
-            slo_violations: 3,
-            quota_rejected: 5,
-            ..Default::default()
-        };
-        r.serve.enqueued = 20;
-        r.serve.served = 18;
-        r.serve.rejected = 2;
-        r.serve.batches = 4;
-        r.serve.batch_max = 6;
-        r.serve.quant = 1;
-        for lat in [2, 4, 17, 30] {
-            r.serve.latency.record(lat);
-        }
-        let line = render_tenant_serve(9, &r);
-        match parse_line(&line).unwrap() {
-            TraceLine::TenantServe {
-                vt,
-                record,
-                p50,
-                p99,
-            } => {
-                assert_eq!(vt, 9);
-                assert_eq!(record.tenant, 42);
-                assert_eq!(record.slo_vt, 16);
-                assert_eq!(record.slo_violations, 3);
-                assert_eq!(record.quota_rejected, 5);
-                assert_eq!(record.serve.enqueued, 20);
-                assert_eq!(record.serve.served, 18);
-                assert_eq!(record.serve.quant, 1);
-                assert_eq!(record.serve.latency.count, 4);
-                assert!(p50 <= p99);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_tenant_serve_lines_are_rejected() {
-        for bad in [
-            // More SLO violations than measured latencies.
-            "{\"k\":\"tser\",\"vt\":1,\"tenant\":7,\"slo\":[4,3,0],\"reqs\":[2,2,0],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"quant\":0,\"lat\":[2,5,4,1,3]}",
-            // Wrong slo arity.
-            "{\"k\":\"tser\",\"vt\":1,\"tenant\":7,\"slo\":[4,0],\"reqs\":[2,2,0],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"quant\":0,\"lat\":[0,0,0,0,0]}",
-            // Missing tenant key.
-            "{\"k\":\"tser\",\"vt\":1,\"slo\":[0,0,0],\"reqs\":[2,2,0],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"quant\":0,\"lat\":[0,0,0,0,0]}",
-            // The shared tail's validations still apply.
-            "{\"k\":\"tser\",\"vt\":1,\"tenant\":7,\"slo\":[0,0,0],\"reqs\":[1,2,0],\"batches\":[1,1],\"cache\":[0,0],\"queue\":[0],\"quant\":0,\"lat\":[0,0,0,0,0]}",
-        ] {
-            assert!(parse_line(bad).is_err(), "accepted: {bad}");
         }
     }
 

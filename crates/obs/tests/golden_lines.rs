@@ -6,11 +6,11 @@
 //! its renderer's output and fed back through the strict parser.
 
 use flexgraph_obs::trace::{
-    render_epoch, render_meta, render_page_cache, render_part, render_serve, render_tenant_serve,
+    render_epoch, render_meta, render_page_cache, render_part, render_serve,
 };
 use flexgraph_obs::{
     parse_line, CommCounters, FabricCounters, PageCacheRecord, PartitionRecord, ServeRecord, Stage,
-    StageSample, TenantServeRecord, TraceEpoch,
+    StageSample, TraceEpoch,
 };
 
 fn part() -> PartitionRecord {
@@ -74,13 +74,6 @@ fn serve() -> ServeRecord {
 
 #[test]
 fn every_kind_renders_its_pinned_bytes_and_parses_back() {
-    let tenant = TenantServeRecord {
-        tenant: 42,
-        slo_vt: 16,
-        slo_violations: 1,
-        quota_rejected: 5,
-        serve: serve(),
-    };
     let page_cache = PageCacheRecord {
         fetches: 120,
         hits: 90,
@@ -124,10 +117,6 @@ fn every_kind_renders_its_pinned_bytes_and_parses_back() {
         (
             render_serve(11, &serve()),
             r#"{"k":"serve","vt":11,"reqs":[40,38,2],"batches":[5,8],"cache":[13,25],"queue":[9],"quant":2,"lat":[6,34,20,3,20]}"#,
-        ),
-        (
-            render_tenant_serve(12, &tenant),
-            r#"{"k":"tser","vt":12,"tenant":42,"slo":[16,1,5],"reqs":[40,38,2],"batches":[5,8],"cache":[13,25],"queue":[9],"quant":2,"lat":[6,34,20,3,20]}"#,
         ),
         (
             render_page_cache(5, &page_cache),

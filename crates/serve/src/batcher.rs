@@ -81,11 +81,6 @@ impl MicroBatcher {
         self.queue.len()
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BatcherConfig {
-        &self.cfg
-    }
-
     /// Advances virtual time by `ticks` (idle time between arrivals —
     /// what makes deadlines fire without further submissions).
     pub fn tick(&mut self, ticks: u64) {

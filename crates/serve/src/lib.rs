@@ -5,7 +5,7 @@
 //! The training stack (PRs 1–4) takes a dataset to a trained
 //! [`flexgraph_models::checkpoint`]; this crate is the path from that
 //! checkpoint to answering per-vertex embedding/prediction requests
-//! online. Seven pieces, each its own module:
+//! online. Four pieces, each its own module:
 //!
 //! * [`batcher`] — a request queue plus a deterministic micro-batcher
 //!   that coalesces per-vertex requests into batches by size and
@@ -30,19 +30,6 @@
 //!   [`flexgraph_engine::hybrid`], admission control via
 //!   [`flexgraph_engine::MemoryBudget`] with structured [`ServeError`]
 //!   rejections, and `obs` serve-trace emission.
-//! * [`router`] — the multi-tenant front-end: many (tenant → model ×
-//!   graph) pairs behind one [`Router`] with hot attach/detach,
-//!   per-window admission quotas, and virtual-time latency SLOs.
-//!   Tenants are fully isolated; `tests/serve_multi_tenant.rs` proves
-//!   any interleaving equals each tenant running alone, bitwise.
-//! * [`shard`] — deterministic fixed-slot consistent hashing of the
-//!   embedding cache across replica workers, with provably minimal
-//!   key movement on replica add/remove.
-//! * [`replica`] — the replicated tier: a router-driving rank 0 plus
-//!   replica workers, step machines on `flexgraph_comm`'s virtual
-//!   cluster, with version-pinned request routing, crash recovery by a
-//!   fresh cluster over the survivors, and a chaos-proven exactly-once
-//!   response guarantee (`tests/replica_chaos.rs`).
 //!
 //! The load-bearing invariant, asserted by
 //! `tests/serve_parity.rs`: a served batch's outputs are **bitwise
@@ -68,10 +55,7 @@
 pub mod batcher;
 pub mod cache;
 pub mod model;
-pub mod replica;
-pub mod router;
 pub mod server;
-pub mod shard;
 
 pub use batcher::{BatcherConfig, MicroBatcher, Request};
 pub use cache::{CacheKey, CacheMode, EmbeddingCache};
@@ -80,14 +64,7 @@ pub use model::{
     aggregate_roots, dense_head, selection_admission_bytes, serve_one, ModelSnapshot, ServeFeats,
     ServeModelConfig,
 };
-pub use replica::{
-    run_tier, swap_bytes_for, TierConfig, TierOp, TierResponse, TierRun, TierTenant,
-};
-pub use router::{ClosedBatch, Router, TenantId, TenantQuota};
-pub use server::{
-    execute_pinned, PinnedContext, PinnedExecution, PinnedRows, Response, Server, ServerConfig,
-};
-pub use shard::ShardMap;
+pub use server::{Response, Server, ServerConfig};
 
 use flexgraph_engine::EngineError;
 use flexgraph_models::checkpoint::CheckpointError;
@@ -123,24 +100,6 @@ pub enum ServeError {
     /// The execution engine rejected the batch (e.g. an unsupported
     /// aggregation for the configured strategy).
     Engine(EngineError),
-    /// A router operation named a tenant that is not attached.
-    UnknownTenant {
-        /// The missing tenant id.
-        tenant: u64,
-    },
-    /// A tenant attach collided with an already-attached id.
-    TenantExists {
-        /// The colliding tenant id.
-        tenant: u64,
-    },
-    /// The tenant's per-window admission quota is exhausted; the
-    /// request was refused before it reached the server's queue.
-    QuotaExceeded {
-        /// The refusing tenant.
-        tenant: u64,
-        /// The configured per-window quota.
-        quota: u64,
-    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -159,11 +118,6 @@ impl std::fmt::Display for ServeError {
             } => write!(f, "vertex {vertex} outside served graph of {num_vertices}"),
             Self::BadCheckpoint(e) => write!(f, "checkpoint rejected: {e}"),
             Self::Engine(e) => write!(f, "engine error: {e}"),
-            Self::UnknownTenant { tenant } => write!(f, "tenant {tenant} not attached"),
-            Self::TenantExists { tenant } => write!(f, "tenant {tenant} already attached"),
-            Self::QuotaExceeded { tenant, quota } => {
-                write!(f, "tenant {tenant} window quota {quota} exhausted")
-            }
         }
     }
 }

@@ -571,8 +571,8 @@ mod tests {
         assert_eq!(bits(batch.row(2)), bits(seven.row(0)));
     }
 
-    /// Roots reach `aggregate_roots` from `serve_one`, `execute_pinned`
-    /// and a replica's frame, not only through `Server::submit`; one
+    /// Roots reach `aggregate_roots` from `serve_one` and
+    /// `Server::execute_batch`, not only through `Server::submit`; one
     /// outside the graph is a structured error, not an index panic.
     #[test]
     fn out_of_graph_roots_are_unknown_vertices() {

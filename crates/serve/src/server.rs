@@ -20,208 +20,9 @@ use crate::ServeError;
 use flexgraph_engine::MemoryBudget;
 use flexgraph_graph::Graph;
 use flexgraph_obs::ServeRecord;
-use flexgraph_tensor::{FeatureRows, QuantConfig, Tensor};
+use flexgraph_tensor::{QuantConfig, Tensor};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// Everything [`execute_pinned`] needs besides the snapshot, cache, and
-/// batch: the immutable serving context of one (tenant → model × graph)
-/// pair. A [`Server`] builds one from its own fields; replica workers
-/// in the replicated tier build one per hosted tenant and drive the
-/// same code path — which is what keeps remote execution bitwise equal
-/// to local serving.
-pub struct PinnedContext<'a> {
-    /// The served graph.
-    pub graph: &'a Graph,
-    /// Quantized (or f32) feature store.
-    pub feats: FeatureRows<'a>,
-    /// Model architecture and NeighborSelection parameters.
-    pub model: &'a ServeModelConfig,
-    /// Admission budget.
-    pub budget: &'a MemoryBudget,
-}
-
-/// Per-vertex results of one pinned execution, in input order
-/// (duplicates included).
-pub struct PinnedRows {
-    /// One `classes`-wide output row per input vertex.
-    pub outputs: Vec<Vec<f32>>,
-    /// Whether the final output came straight from the cache.
-    pub cache_hit: Vec<bool>,
-}
-
-/// Outcome of [`execute_pinned`]. Cache counters are reported even when
-/// the execution itself was shed — the probes happened either way, and
-/// trace windows must say so.
-pub struct PinnedExecution {
-    /// The rows, or the structured rejection that shed the batch.
-    pub outcome: Result<PinnedRows, ServeError>,
-    /// Cache hits this execution observed (both layers).
-    pub cache_hits: u64,
-    /// Cache misses this execution observed (both layers).
-    pub cache_misses: u64,
-}
-
-/// Executes one version-pinned vertex batch against a cache: probe the
-/// output layer per vertex, the aggregation layer per unique miss,
-/// aggregate + dense-head the remainder, and fill both cache layers.
-/// Per-vertex outputs are bitwise identical to
-/// [`crate::model::serve_one`] on the same snapshot regardless of batch
-/// composition, thread count, or cache state.
-///
-/// Locking is two-phase by design: the cache is locked for the probes,
-/// released during compute, and re-locked for the fills — a concurrent
-/// swap or poll never waits on an aggregation.
-pub fn execute_pinned(
-    ctx: &PinnedContext<'_>,
-    snap: &ModelSnapshot,
-    cache: &Mutex<EmbeddingCache>,
-    vertices: &[u32],
-) -> PinnedExecution {
-    let m = ctx.model;
-    let version = snap.version();
-
-    // Phase 1 — cache probe, per vertex (duplicates in one batch probe,
-    // and miss, independently until the first fill).
-    let mut c = cache.lock().expect("cache lock");
-    let (hits0, misses0) = c.stats();
-    // vertex → cached output row, for vertices answerable now.
-    let mut out_rows: Vec<Option<Vec<f32>>> = Vec::with_capacity(vertices.len());
-    let mut pending: Vec<u32> = Vec::new(); // unique, first-appearance order
-    let mut pending_set: HashSet<u32> = HashSet::new();
-    for &v in vertices {
-        let key = CacheKey {
-            version,
-            vertex: v,
-            layer: 1,
-        };
-        match c.get(key) {
-            Some(row) => out_rows.push(Some(row)),
-            None => {
-                out_rows.push(None);
-                if pending_set.insert(v) {
-                    pending.push(v);
-                }
-            }
-        }
-    }
-    // Of the pending vertices, which have a cached aggregation?
-    let mut agg_rows: Vec<Option<Vec<f32>>> = Vec::with_capacity(pending.len());
-    let mut need_agg: Vec<u32> = Vec::new();
-    for &v in &pending {
-        let key = CacheKey {
-            version,
-            vertex: v,
-            layer: 0,
-        };
-        match c.get(key) {
-            Some(row) => agg_rows.push(Some(row)),
-            None => {
-                agg_rows.push(None);
-                need_agg.push(v);
-            }
-        }
-    }
-    let (hits1, misses1) = c.stats();
-    drop(c);
-
-    // Phase 2 — compute. Admission control is aggregate_roots' one
-    // exact check: it walks the selection of the vertices still needing
-    // an aggregation once, prices it, and builds the HDG from that same
-    // selection only if the price fits the budget. The engine's own
-    // per-step budget checks run too; any rejection sheds the whole
-    // batch.
-    let execute = || -> Result<Vec<Vec<f32>>, ServeError> {
-        let mut fresh = if need_agg.is_empty() {
-            Tensor::zeros(0, m.in_dim)
-        } else {
-            aggregate_roots(ctx.graph, ctx.feats, m, &need_agg, ctx.budget)?
-        };
-        // Quantized serving rounds aggregations to their bf16
-        // cache-storage form *before* first use, so warm hits and cold
-        // computes feed identical bits downstream (identity under f32).
-        cache_round_inplace(snap.quant_config(), &mut fresh);
-        // Assemble x_v + a_v rows for every pending vertex, cached
-        // aggregations and fresh ones (in `need_agg` order) alike.
-        let mut summed = Tensor::zeros(pending.len(), m.in_dim);
-        let mut fresh_i = 0usize;
-        for (i, &v) in pending.iter().enumerate() {
-            let a = match &agg_rows[i] {
-                Some(a) => a.as_slice(),
-                None => {
-                    fresh_i += 1;
-                    fresh.row(fresh_i - 1)
-                }
-            };
-            let row = summed.row_mut(i);
-            ctx.feats.copy_row_into(v as usize, row);
-            for (o, av) in row.iter_mut().zip(a) {
-                *o += av;
-            }
-        }
-        // Already bf16-rounded at the output under quant configs — its
-        // cache-storage form.
-        let outputs = dense_head(&summed, snap);
-        // Fill both cache layers for the next batch.
-        let mut c = cache.lock().expect("cache lock");
-        for (i, &v) in need_agg.iter().enumerate() {
-            c.insert(
-                CacheKey {
-                    version,
-                    vertex: v,
-                    layer: 0,
-                },
-                fresh.row(i).to_vec(),
-            );
-        }
-        for (i, &v) in pending.iter().enumerate() {
-            c.insert(
-                CacheKey {
-                    version,
-                    vertex: v,
-                    layer: 1,
-                },
-                outputs.row(i).to_vec(),
-            );
-        }
-        Ok((0..pending.len())
-            .map(|i| outputs.row(i).to_vec())
-            .collect())
-    };
-
-    let cache_hits = hits1 - hits0;
-    let cache_misses = misses1 - misses0;
-    let computed = match execute() {
-        Ok(c) => c,
-        Err(e) => {
-            return PinnedExecution {
-                outcome: Err(e),
-                cache_hits,
-                cache_misses,
-            }
-        }
-    };
-    let index_of: HashMap<u32, usize> = pending.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let mut outputs = Vec::with_capacity(vertices.len());
-    let mut cache_hit = Vec::with_capacity(vertices.len());
-    for (&v, cached) in vertices.iter().zip(out_rows) {
-        match cached {
-            Some(row) => {
-                outputs.push(row);
-                cache_hit.push(true);
-            }
-            None => {
-                outputs.push(computed[index_of[&v]].clone());
-                cache_hit.push(false);
-            }
-        }
-    }
-    PinnedExecution {
-        outcome: Ok(PinnedRows { outputs, cache_hit }),
-        cache_hits,
-        cache_misses,
-    }
-}
 
 /// Everything static about a server instance.
 #[derive(Clone, Copy, Debug)]
@@ -336,11 +137,6 @@ impl Server {
         &self.graph
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.cfg
-    }
-
     /// The currently published model snapshot. Batches clone this once
     /// at execution start and never re-read it.
     pub fn snapshot(&self) -> Arc<ModelSnapshot> {
@@ -442,16 +238,127 @@ impl Server {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
+        let m = &self.cfg.model;
+        let feats = self.feats.as_rows();
         let version = snap.version();
         let now = self.batcher.lock().expect("batcher lock").now();
-        let vertices: Vec<u32> = batch.iter().map(|r| r.vertex).collect();
-        let exec = execute_pinned(&self.pinned_context(), snap, &self.cache, &vertices);
 
+        // Phase 1 — cache probe, per request (duplicates in one batch
+        // probe, and miss, independently until the first fill). The
+        // cache is locked for the probes, released during compute, and
+        // re-locked for the fills — a concurrent swap or poll never
+        // waits on an aggregation.
+        let mut c = self.cache.lock().expect("cache lock");
+        let (hits0, misses0) = c.stats();
+        // Request → cached output row, for requests answerable now.
+        let mut out_rows: Vec<Option<Vec<f32>>> = Vec::with_capacity(batch.len());
+        let mut pending: Vec<u32> = Vec::new(); // unique, first-appearance order
+        let mut pending_set: HashSet<u32> = HashSet::new();
+        for r in batch {
+            let key = CacheKey {
+                version,
+                vertex: r.vertex,
+                layer: 1,
+            };
+            match c.get(key) {
+                Some(row) => out_rows.push(Some(row)),
+                None => {
+                    out_rows.push(None);
+                    if pending_set.insert(r.vertex) {
+                        pending.push(r.vertex);
+                    }
+                }
+            }
+        }
+        // Of the pending vertices, which have a cached aggregation?
+        let mut agg_rows: Vec<Option<Vec<f32>>> = Vec::with_capacity(pending.len());
+        let mut need_agg: Vec<u32> = Vec::new();
+        for &v in &pending {
+            let key = CacheKey {
+                version,
+                vertex: v,
+                layer: 0,
+            };
+            match c.get(key) {
+                Some(row) => agg_rows.push(Some(row)),
+                None => {
+                    agg_rows.push(None);
+                    need_agg.push(v);
+                }
+            }
+        }
+        let (hits1, misses1) = c.stats();
+        drop(c);
+
+        // Phase 2 — compute. Admission control is aggregate_roots' one
+        // exact check: it walks the selection of the vertices still needing
+        // an aggregation once, prices it, and builds the HDG from that same
+        // selection only if the price fits the budget. The engine's own
+        // per-step budget checks run too; any rejection sheds the whole
+        // batch.
+        let computed = (|| -> Result<Tensor, ServeError> {
+            let mut fresh = if need_agg.is_empty() {
+                Tensor::zeros(0, m.in_dim)
+            } else {
+                aggregate_roots(&self.graph, feats, m, &need_agg, &self.cfg.budget)?
+            };
+            // Quantized serving rounds aggregations to their bf16
+            // cache-storage form *before* first use, so warm hits and cold
+            // computes feed identical bits downstream (identity under f32).
+            cache_round_inplace(snap.quant_config(), &mut fresh);
+            // Assemble x_v + a_v rows for every pending vertex, cached
+            // aggregations and fresh ones (in `need_agg` order) alike.
+            let mut summed = Tensor::zeros(pending.len(), m.in_dim);
+            let mut fresh_i = 0usize;
+            for (i, &v) in pending.iter().enumerate() {
+                let a = match &agg_rows[i] {
+                    Some(a) => a.as_slice(),
+                    None => {
+                        fresh_i += 1;
+                        fresh.row(fresh_i - 1)
+                    }
+                };
+                let row = summed.row_mut(i);
+                feats.copy_row_into(v as usize, row);
+                for (o, av) in row.iter_mut().zip(a) {
+                    *o += av;
+                }
+            }
+            // Already bf16-rounded at the output under quant configs — its
+            // cache-storage form.
+            let outputs = dense_head(&summed, snap);
+            // Fill both cache layers for the next batch.
+            let mut c = self.cache.lock().expect("cache lock");
+            for (i, &v) in need_agg.iter().enumerate() {
+                c.insert(
+                    CacheKey {
+                        version,
+                        vertex: v,
+                        layer: 0,
+                    },
+                    fresh.row(i).to_vec(),
+                );
+            }
+            for (i, &v) in pending.iter().enumerate() {
+                c.insert(
+                    CacheKey {
+                        version,
+                        vertex: v,
+                        layer: 1,
+                    },
+                    outputs.row(i).to_vec(),
+                );
+            }
+            Ok(outputs)
+        })();
+
+        // Cache counters are reported even when the batch was shed — the
+        // probes happened either way, and trace windows must say so.
         let mut w = self.window.lock().expect("window lock");
-        w.cache_hits += exec.cache_hits;
-        w.cache_misses += exec.cache_misses;
-        let rows = match exec.outcome {
-            Ok(rows) => rows,
+        w.cache_hits += hits1 - hits0;
+        w.cache_misses += misses1 - misses0;
+        let outputs = match computed {
+            Ok(outputs) => outputs,
             Err(e) => {
                 w.rejected += batch.len() as u64;
                 return Err(e);
@@ -461,11 +368,14 @@ impl Server {
         w.batches += 1;
         w.batch_max = w.batch_max.max(batch.len() as u64);
 
+        let index_of: HashMap<u32, usize> =
+            pending.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         let mut responses = Vec::with_capacity(batch.len());
-        for (r, (output, cache_hit)) in batch
-            .iter()
-            .zip(rows.outputs.into_iter().zip(rows.cache_hit))
-        {
+        for (r, cached) in batch.iter().zip(out_rows) {
+            let (output, cache_hit) = match cached {
+                Some(row) => (row, true),
+                None => (outputs.row(index_of[&r.vertex]).to_vec(), false),
+            };
             let latency_vt = now.saturating_sub(r.submitted_vt);
             w.latency.record(latency_vt);
             responses.push(Response {
@@ -480,56 +390,15 @@ impl Server {
         Ok(responses)
     }
 
-    /// The server's immutable serving context, for driving
-    /// [`execute_pinned`] directly.
-    pub fn pinned_context(&self) -> PinnedContext<'_> {
-        PinnedContext {
-            graph: &self.graph,
-            feats: self.feats.as_rows(),
-            model: &self.cfg.model,
-            budget: &self.cfg.budget,
-        }
-    }
-
     /// Closes the next due batch **without executing it**, returning the
-    /// requests and the close-time virtual tick — the replicated tier's
-    /// entry point, which ships the batch to remote workers instead of
-    /// computing locally. `None` when no batch is due.
+    /// requests and the close-time virtual tick, so a caller can time
+    /// closing and [`Server::execute_batch`] apart. `None` when no batch
+    /// is due.
     pub fn next_batch(&self) -> Option<(Vec<Request>, u64)> {
         let mut b = self.batcher.lock().expect("batcher lock");
         let batch = b.poll()?;
         let now = b.now();
         Some((batch, now))
-    }
-
-    /// Unconditionally closes one queued batch without executing it (the
-    /// remote-execution analogue of [`Server::flush`], one batch at a
-    /// time). `None` when the queue is empty.
-    pub fn drain_batch(&self) -> Option<(Vec<Request>, u64)> {
-        let mut b = self.batcher.lock().expect("batcher lock");
-        let batch = b.flush()?;
-        let now = b.now();
-        Some((batch, now))
-    }
-
-    /// Window accounting for a batch that executed remotely: the driver
-    /// feeds back the batch size, the remote worker's cache counter
-    /// deltas, and the per-request virtual-time latencies.
-    pub fn note_remote_batch(&self, batch_len: usize, hits: u64, misses: u64, latencies: &[u64]) {
-        let mut w = self.window.lock().expect("window lock");
-        w.cache_hits += hits;
-        w.cache_misses += misses;
-        w.served += batch_len as u64;
-        w.batches += 1;
-        w.batch_max = w.batch_max.max(batch_len as u64);
-        for &l in latencies {
-            w.latency.record(l);
-        }
-    }
-
-    /// Window accounting for a batch shed by remote admission control.
-    pub fn note_remote_shed(&self, batch_len: usize) {
-        self.window.lock().expect("window lock").rejected += batch_len as u64;
     }
 
     /// Emits the current window's counters as one `serve` trace line
@@ -543,9 +412,8 @@ impl Server {
         rec
     }
 
-    /// Takes the current window (resetting it) without emitting — for
-    /// callers like the multi-tenant router that wrap the counters in a
-    /// labelled record before emission. The quant label is stamped.
+    /// Takes the current window (resetting it) without emitting. The
+    /// quant label is stamped.
     pub fn take_window(&self) -> ServeRecord {
         let mut rec = {
             let mut w = self.window.lock().expect("window lock");
@@ -751,7 +619,7 @@ mod tests {
         // Swap in a differently-initialized checkpoint; the snapshot
         // must re-derive int8 weights (same precision as the server),
         // and serving continues at version 2 with different outputs.
-        let other = ModelSnapshot::init(&s.config().model, 43);
+        let other = ModelSnapshot::init(&s.cfg.model, 43);
         let bytes = flexgraph_models::checkpoint::save(other.params());
         assert_eq!(s.swap_checkpoint(&bytes).unwrap(), 2);
         assert_eq!(s.snapshot().quant_config(), QuantConfig::Int8);

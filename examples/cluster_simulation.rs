@@ -105,8 +105,10 @@ fn main() {
     println!("outputs bitwise identical to the fault-free run: {same}");
 
     // 4. A crash mid-epoch fails the attempt; the runtime re-drives the
-    // epoch and converges to the same bits.
+    // epoch and converges to the same bits. Tight retry timeouts make
+    // the survivors detect the crash within a few modelled milliseconds.
     let crash_cfg = DistConfig {
+        retry: RetryPolicy::snappy(),
         chaos: Some(ChaosSchedule {
             crash: Some(CrashPoint {
                 rank: 3,

@@ -66,6 +66,8 @@ const MODELS_SOURCES: &[&str] = &["crates/models/src"];
 const ALWAYS_ATTENTION: &str = "every MAGNN runs with attention; the mean fallback went";
 const COMM_SOURCES: &[&str] = &["crates/comm"];
 const NO_CANCEL: &str = "the event wheel only schedules and pops; nothing cancels";
+const NO_TIER: &str = "the paper stops at training; the replicated serving tier is gone";
+const SERVE_MANIFEST: &[&str] = &["crates/serve/Cargo.toml"];
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(SOURCES), "thread::sleep", 0, NO_SLEEP),
@@ -163,6 +165,30 @@ const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(SOURCES), "Sgd", 0, ONE_OPTIMIZER),
     (Text(MODELS_SOURCES), ".attention", 0, ALWAYS_ATTENTION),
     (Text(COMM_SOURCES), "EventId", 0, NO_CANCEL),
+    // Split so that this file does not hold the names it bans.
+    (Text(DOCS_AND_SOURCES), concat!("Rou", "ter"), 0, NO_TIER),
+    (Text(DOCS_AND_SOURCES), concat!("run_", "tier"), 0, NO_TIER),
+    (Text(DOCS_AND_SOURCES), concat!("Shard", "Map"), 0, NO_TIER),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("Tier", "Config"),
+        0,
+        NO_TIER,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("Serve", "Frame"),
+        0,
+        NO_TIER,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("Tenant", "Serve"),
+        0,
+        NO_TIER,
+    ),
+    (Text(SERVE_MANIFEST), "flexgraph-comm", 0, NO_TIER),
+    (Text(SERVE_MANIFEST), "bytes", 0, NO_TIER),
 ];
 
 /// Why a `pub fn` that no code outside tests names stays public.
@@ -205,11 +231,7 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/obs/src/record.rs", "add_root_cost", Fixture, "golden_lines' hand-built records"),
     ("crates/obs/src/record.rs", "num_attributed_roots", Fixture, "trace_snapshot's count"),
     ("crates/obs/src/lib.rs", "reset_epochs", Fixture, "det_sim's epoch ids from zero"),
-    ("crates/serve/src/router.rs", "detach", Documented, "README's hot attach/detach"),
     ("crates/serve/src/server.rs", "emit_trace_window", Fixture, "trace_snapshot's stream"),
-    ("crates/serve/src/replica.rs", "run_tier", Documented, "README's replicated tier"),
-    ("crates/serve/src/shard.rs", "owner_of_slot", Oracle, "shard_proptests' slot map"),
-    ("crates/serve/src/shard.rs", "add_replica", Documented, "DESIGN's slot stealing"),
     ("crates/store/src/paged.rs", "drop_cache", Fixture, "paged_store_parity's cold reads"),
     ("crates/store/src/file.rs", "write_graph", Fixture, "the FGPS files paged tests open"),
     ("crates/store/src/ooc.rs", "paged_hop_shells", Fixture, "paged_store_parity's walk"),

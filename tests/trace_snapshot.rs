@@ -165,7 +165,7 @@ fn every_trace_record_parses_against_the_schema() {
                 assert_eq!(fabric.retries, 0, "fault counters excluded by default");
                 assert_eq!(virtual_ns, 0, "threaded epochs carry no virtual clock");
             }
-            TraceLine::Serve { .. } | TraceLine::TenantServe { .. } => {
+            TraceLine::Serve { .. } => {
                 panic!("a training trace must not contain serve records");
             }
             TraceLine::PageCache { .. } => {
