@@ -18,7 +18,6 @@ use flexgraph_graph::Graph;
 use flexgraph_hdg::Hdg;
 use flexgraph_tensor::autograd::reduce_row_blocks;
 use flexgraph_tensor::fusion::{materialized_bytes, segment_reduce, Reduce};
-use flexgraph_tensor::quant::FeatureRows;
 use flexgraph_tensor::scatter::{
     gather_rows, scatter_add_with_plan, scatter_max_with_plan, scatter_mean_with_plan,
     scatter_min_with_plan, scatter_softmax_with_plan, ScatterPlan,
@@ -100,22 +99,19 @@ pub struct AggrResult {
 }
 
 /// Runs hierarchical aggregation over `hdg` with features indexed by
-/// input-graph vertex id, stored at any precision (`&Tensor` converts).
+/// input-graph vertex id.
 ///
-/// Only the leaf step reads feature rows: it reads them at their stored
-/// width and accumulates in f32 with the same per-destination
-/// ascending-edge chains at every width, and every level above runs the
-/// f32 code on instance features. So the result is bitwise-deterministic
-/// for any `FLEXGRAPH_THREADS` and, for a narrow store, bitwise-identical
-/// to widening the whole matrix first.
-pub fn hierarchical_aggregate<'a>(
+/// Only the leaf step reads feature rows; it accumulates each
+/// destination over its edges in ascending order, and every level above
+/// runs on instance features. So the result is bitwise-deterministic
+/// for any `FLEXGRAPH_THREADS`.
+pub fn hierarchical_aggregate(
     hdg: &Hdg,
-    feats: impl Into<FeatureRows<'a>>,
+    feats: &Tensor,
     plan: &AggrPlan,
     strategy: Strategy,
     budget: &MemoryBudget,
 ) -> Result<AggrResult, EngineError> {
-    let feats = feats.into();
     let mut peak = 0usize;
 
     // Step 1: leaves → instances.
@@ -124,15 +120,13 @@ pub fn hierarchical_aggregate<'a>(
         Strategy::Sa => {
             // Materialize one row per (leaf, instance) edge, then scatter
             // — the memory-explosion path of §4.2(1). The scatter plan is
-            // cached on the HDG; only the gathered rows are transient,
-            // accounted at f32 width because that is what every gather
-            // materializes.
+            // cached on the HDG; only the gathered rows are transient.
             let bytes = materialized_bytes(src.len(), feats.cols());
             peak = peak.max(bytes);
             budget.check(bytes)?;
             apply_scatter(
                 plan.leaf_op,
-                &feats.gather_rows(src),
+                &gather_rows(feats, src),
                 &hdg.leaf_scatter_plan(),
                 &mut peak,
                 budget,
@@ -143,7 +137,7 @@ pub fn hierarchical_aggregate<'a>(
                 .leaf_op
                 .as_reduce()
                 .ok_or(EngineError::Unsupported("attention at the leaf level"))?;
-            feats.segment_reduce(hdg.inst_offsets(), src, reduce)
+            segment_reduce(feats, hdg.inst_offsets(), src, reduce)
         }
     };
 
@@ -303,7 +297,6 @@ mod tests {
     use flexgraph_graph::hetero::sample_typed_graph;
     use flexgraph_graph::metapath::paper_metapaths;
     use flexgraph_hdg::build::{from_direct_neighbors, from_metapaths};
-    use flexgraph_tensor::{Bf16Tensor, QInt8Rows};
 
     fn feats9() -> Tensor {
         Tensor::from_vec(9, 4, (0..36).map(|i| (i % 11) as f32 - 5.0).collect())
@@ -435,35 +428,6 @@ mod tests {
             &MemoryBudget::unlimited(),
         );
         assert!(matches!(r, Err(EngineError::Unsupported(_))));
-    }
-
-    #[test]
-    fn quant_leaf_aggregation_matches_widened_f32_bitwise() {
-        let hdg = magnn_hdg();
-        let feats = feats9();
-        let bf = Bf16Tensor::from_tensor(&feats);
-        let q8 = QInt8Rows::quantize(&feats);
-        let budget = MemoryBudget::unlimited();
-        for op in [AggrOp::Sum, AggrOp::Mean, AggrOp::Max, AggrOp::Min] {
-            let plan = AggrPlan::flat(op);
-            for strat in [Strategy::Sa, Strategy::SaFa, Strategy::Ha] {
-                // Quantized leaf vs running the plain f32 path on the
-                // widened/dequantized matrix: every upper level is the
-                // same code, so the whole result must match bitwise.
-                let qb =
-                    hierarchical_aggregate(&hdg, FeatureRows::Bf16(&bf), &plan, strat, &budget)
-                        .unwrap();
-                let wb =
-                    hierarchical_aggregate(&hdg, &bf.to_tensor(), &plan, strat, &budget).unwrap();
-                assert_eq!(qb.features, wb.features, "bf16 {op:?} {strat:?}");
-                let q8r =
-                    hierarchical_aggregate(&hdg, FeatureRows::Int8(&q8), &plan, strat, &budget)
-                        .unwrap();
-                let w8 =
-                    hierarchical_aggregate(&hdg, &q8.dequantize(), &plan, strat, &budget).unwrap();
-                assert_eq!(q8r.features, w8.features, "int8 {op:?} {strat:?}");
-            }
-        }
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Golden forward fixtures, shared across crates.
+//! Golden forward fixtures.
 //!
 //! The fixed 6-vertex datasets and hand-chosen integer weights that the
 //! golden forward suite (`tests/golden_forward.rs`) pins GCN, PinSage,
 //! and JK-Net against. Every value is an exact multiple of a small
 //! power of two and far below 2^24, so every partial sum in every
-//! kernel is exactly representable in `f32` — and, with ≤ 8 mantissa
-//! bits in play, in **bf16** too. That second property is why the
-//! serving crate's quantized-accuracy suite reuses these fixtures: on
-//! them, a correct bf16 pipeline is not merely close to f32, it is
-//! *bit-identical*, so any drift is a kernel bug rather than rounding.
+//! kernel is exactly representable in `f32`: the expected outputs are
+//! hand-computable, whatever the accumulation order.
 
 use crate::train::Model;
 use flexgraph_graph::csr::GraphBuilder;
@@ -67,7 +64,7 @@ pub fn graph_cycle() -> Dataset {
 }
 
 /// The hand-chosen 2×2 GCN weights `(W1, W2)` — small integers, exact
-/// at every precision down to bf16.
+/// in `f32`.
 pub fn gcn_weights() -> (Tensor, Tensor) {
     (
         Tensor::from_vec(2, 2, vec![1.0, -1.0, 2.0, 1.0]),

@@ -257,17 +257,12 @@ pub struct ServeRecord {
     pub cache_misses: u64,
     /// Deepest queue observed.
     pub queue_depth_max: u64,
-    /// Serving precision label (`QuantConfig::code()`: 0 = f32,
-    /// 1 = bf16, 2 = int8). A label, not a counter — merges take the
-    /// max so a mixed-precision merge surfaces the most-quantized
-    /// window rather than silently reading as f32.
-    pub quant: u64,
     /// Virtual-time request latencies.
     pub latency: LatencyHistogram,
 }
 
 impl ServeRecord {
-    /// Field-wise sum; maxima (and the quant label) merge by max.
+    /// Field-wise sum; maxima merge by max.
     pub fn merge(&mut self, other: &ServeRecord) {
         self.enqueued += other.enqueued;
         self.served += other.served;
@@ -277,7 +272,6 @@ impl ServeRecord {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
-        self.quant = self.quant.max(other.quant);
         self.latency.merge(&other.latency);
     }
 }
@@ -303,7 +297,7 @@ pub struct PageCacheRecord {
     /// Decoded bytes resident when the record was emitted.
     pub resident_bytes: u64,
     /// The configured residency budget in bytes (a label; merges by
-    /// max, like `quant`).
+    /// max).
     pub budget_bytes: u64,
 }
 

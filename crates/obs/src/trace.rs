@@ -3,7 +3,7 @@
 //! One trace session is a sequence of JSON objects, one per line:
 //!
 //! ```text
-//! {"k":"meta","v":1,"wall":0}
+//! {"k":"meta","v":2,"wall":0}
 //! {"k":"part","vt":1,"epoch":0,"part":0,"pipelined":1,
 //!  "stages":{"upper":[1,1234],...},"comm":[3,4096,2,1],
 //!  "roots":[128,51200,900]}
@@ -34,8 +34,9 @@ use crate::record::{
 };
 use std::fmt::Write as _;
 
-/// Trace format version emitted in the `meta` line.
-pub const TRACE_VERSION: u64 = 1;
+/// Trace format version emitted in the `meta` line. Version 2 dropped
+/// the `serve` line's `quant` label.
+pub const TRACE_VERSION: u64 = 2;
 
 /// Renders the session-opening `meta` line.
 pub fn render_meta(wall: bool) -> String {
@@ -121,16 +122,15 @@ pub fn render_epoch(vt: u64, ep: &TraceEpoch, wall: bool) -> String {
 /// ```text
 /// {"k":"serve","vt":4,"reqs":[enqueued,served,rejected],
 ///  "batches":[count,max],"cache":[hits,misses],"queue":[depth_max],
-///  "quant":code,"lat":[count,total,max,p50,p99]}
+///  "lat":[count,total,max,p50,p99]}
 /// ```
 ///
-/// Every field is an integer counter, a precision label
-/// (`quant`: 0 = f32, 1 = bf16, 2 = int8), or a bucketed virtual-time
+/// Every field is an integer counter or a bucketed virtual-time
 /// quantile — no wall clocks — so serve traces stay byte-identical
 /// across same-seed runs regardless of thread count.
 pub fn render_serve(vt: u64, rec: &ServeRecord) -> String {
     format!(
-        "{{\"k\":\"serve\",\"vt\":{vt},\"reqs\":[{},{},{}],\"batches\":[{},{}],\"cache\":[{},{}],\"queue\":[{}],\"quant\":{},\"lat\":[{},{},{},{},{}]}}",
+        "{{\"k\":\"serve\",\"vt\":{vt},\"reqs\":[{},{},{}],\"batches\":[{},{}],\"cache\":[{},{}],\"queue\":[{}],\"lat\":[{},{},{},{},{}]}}",
         rec.enqueued,
         rec.served,
         rec.rejected,
@@ -139,7 +139,6 @@ pub fn render_serve(vt: u64, rec: &ServeRecord) -> String {
         rec.cache_hits,
         rec.cache_misses,
         rec.queue_depth_max,
-        rec.quant,
         rec.latency.count,
         rec.latency.total,
         rec.latency.max,
@@ -384,18 +383,12 @@ fn parse_serve(p: &mut Parser) -> Result<TraceLine, String> {
     p.named_key("queue")?;
     let q = p.fixed_array(1)?;
     p.expect(',')?;
-    p.named_key("quant")?;
-    let quant = p.number()?;
-    p.expect(',')?;
     p.named_key("lat")?;
     let l = p.fixed_array(5)?;
     p.expect('}')?;
     p.end()?;
     if r[1] > r[0] {
         return Err("served > enqueued".into());
-    }
-    if quant > 2 {
-        return Err("unknown quant code".into());
     }
     if l[2] > l[1] && l[0] > 0 {
         return Err("latency max > total".into());
@@ -412,7 +405,6 @@ fn parse_serve(p: &mut Parser) -> Result<TraceLine, String> {
         cache_hits: c[0],
         cache_misses: c[1],
         queue_depth_max: q[0],
-        quant,
         ..Default::default()
     };
     record.latency.count = l[0];
@@ -714,7 +706,6 @@ mod tests {
             cache_hits: 13,
             cache_misses: 25,
             queue_depth_max: 9,
-            quant: 2,
             ..Default::default()
         };
         for lat in [0, 1, 3, 3, 7, 20] {
@@ -735,7 +726,6 @@ mod tests {
                 assert_eq!((record.batches, record.batch_max), (5, 8));
                 assert_eq!((record.cache_hits, record.cache_misses), (13, 25));
                 assert_eq!(record.queue_depth_max, 9);
-                assert_eq!(record.quant, 2);
                 assert_eq!(record.latency.count, 6);
                 assert_eq!(record.latency.total, 34);
                 assert_eq!(record.latency.max, 20);
@@ -751,15 +741,13 @@ mod tests {
     fn malformed_serve_lines_are_rejected() {
         for bad in [
             // served > enqueued is impossible.
-            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[1,2,0],\"batches\":[1,1],\"cache\":[0,0],\"queue\":[0],\"quant\":0,\"lat\":[0,0,0,0,0]}",
+            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[1,2,0],\"batches\":[1,1],\"cache\":[0,0],\"queue\":[0],\"lat\":[0,0,0,0,0]}",
             // p50 > p99 is impossible.
-            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[2,2,0],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"quant\":0,\"lat\":[2,5,4,7,3]}",
-            // Unknown precision label.
-            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[2,2,0],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"quant\":3,\"lat\":[0,0,0,0,0]}",
+            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[2,2,0],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"lat\":[2,5,4,7,3]}",
             // Wrong arity.
-            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[2,2],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"quant\":0,\"lat\":[0,0,0,0,0]}",
-            // Pre-quant schema (missing the label).
-            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[2,2,0],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"lat\":[0,0,0,0,0]}",
+            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[2,2],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"lat\":[0,0,0,0,0]}",
+            // Version 1 schema (still carrying the precision label).
+            "{\"k\":\"serve\",\"vt\":1,\"reqs\":[2,2,0],\"batches\":[1,2],\"cache\":[0,0],\"queue\":[0],\"quant\":0,\"lat\":[0,0,0,0,0]}",
             "{\"k\":\"serve\",\"vt\":1}",
         ] {
             assert!(parse_line(bad).is_err(), "accepted: {bad}");

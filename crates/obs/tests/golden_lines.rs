@@ -63,7 +63,6 @@ fn serve() -> ServeRecord {
         cache_hits: 13,
         cache_misses: 25,
         queue_depth_max: 9,
-        quant: 2,
         ..Default::default()
     };
     for lat in [0, 1, 3, 3, 7, 20] {
@@ -84,8 +83,8 @@ fn every_kind_renders_its_pinned_bytes_and_parses_back() {
         budget_bytes: 64 << 20,
     };
     let cases = [
-        (render_meta(false), r#"{"k":"meta","v":1,"wall":0}"#),
-        (render_meta(true), r#"{"k":"meta","v":1,"wall":1}"#),
+        (render_meta(false), r#"{"k":"meta","v":2,"wall":0}"#),
+        (render_meta(true), r#"{"k":"meta","v":2,"wall":1}"#),
         (
             render_part(7, &part(), false),
             r#"{"k":"part","vt":7,"epoch":3,"part":1,"pipelined":1,"stages":{"leaf_send":[1,64],"leaf_local":[1,2048],"upper":[2,512],"update":[1,4096]},"comm":[3,4096,2,1],"roots":[2,128,100]}"#,
@@ -116,7 +115,7 @@ fn every_kind_renders_its_pinned_bytes_and_parses_back() {
         ),
         (
             render_serve(11, &serve()),
-            r#"{"k":"serve","vt":11,"reqs":[40,38,2],"batches":[5,8],"cache":[13,25],"queue":[9],"quant":2,"lat":[6,34,20,3,20]}"#,
+            r#"{"k":"serve","vt":11,"reqs":[40,38,2],"batches":[5,8],"cache":[13,25],"queue":[9],"lat":[6,34,20,3,20]}"#,
         ),
         (
             render_page_cache(5, &page_cache),

@@ -12,18 +12,7 @@
 //! unique), so cache contents after any fixed operation sequence are
 //! identical across runs and thread counts — the serve trace's cache
 //! hit/miss counters stay byte-reproducible.
-//!
-//! # Storage modes
-//!
-//! The cache stores rows at full width ([`CacheMode::F32`]) or half
-//! width ([`CacheMode::Bf16`], 2 bytes per element), so the same byte
-//! budget holds ~2× the embeddings. Quantized serving pipelines round
-//! every row through bf16 *before* it reaches the cache (the
-//! rounding-at-cache-boundaries contract), so the narrow→widen round
-//! trip is exact and a warm hit returns bitwise what a cold compute
-//! produced.
 
-use flexgraph_tensor::quant::{narrow, widen};
 use std::collections::{BTreeMap, HashMap};
 
 /// Cache key: an entry is only visible to the model version that wrote
@@ -38,48 +27,12 @@ pub struct CacheKey {
     pub layer: u8,
 }
 
-/// Row storage width.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheMode {
-    /// 4 bytes per element — rows round-trip exactly for any value.
-    #[default]
-    F32,
-    /// 2 bytes per element — rows are narrowed to bf16 on insert and
-    /// widened on lookup. Exact iff the inserted values are already
-    /// bf16-rounded, which the quantized serving pipeline guarantees.
-    Bf16,
-}
-
-/// One resident row, at the cache's storage width.
-#[derive(Debug)]
-enum CacheRow {
-    F32(Vec<f32>),
-    Bf16(Vec<u16>),
-}
-
-impl CacheRow {
-    fn bytes(&self) -> usize {
-        match self {
-            Self::F32(r) => std::mem::size_of_val(r.as_slice()),
-            Self::Bf16(r) => std::mem::size_of_val(r.as_slice()),
-        }
-    }
-
-    fn widen(&self) -> Vec<f32> {
-        match self {
-            Self::F32(r) => r.clone(),
-            Self::Bf16(r) => r.iter().map(|&b| widen(b)).collect(),
-        }
-    }
-}
-
 /// A byte-budgeted, versioned LRU cache of per-vertex feature rows.
 #[derive(Debug, Default)]
 pub struct EmbeddingCache {
     capacity_bytes: usize,
     used_bytes: usize,
-    mode: CacheMode,
-    entries: HashMap<CacheKey, (CacheRow, u64)>,
+    entries: HashMap<CacheKey, (Vec<f32>, u64)>,
     /// Recency index: touch tick → key. Ticks are unique, so the
     /// smallest tick is always the exact LRU victim.
     lru: BTreeMap<u64, CacheKey>,
@@ -89,24 +42,13 @@ pub struct EmbeddingCache {
 }
 
 impl EmbeddingCache {
-    /// An empty f32 cache holding at most `capacity_bytes` of row data.
+    /// An empty cache holding at most `capacity_bytes` of row data.
     /// A zero capacity disables caching (every insert is dropped).
     pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_mode(capacity_bytes, CacheMode::F32)
-    }
-
-    /// An empty cache with an explicit storage width.
-    pub fn with_mode(capacity_bytes: usize, mode: CacheMode) -> Self {
         Self {
             capacity_bytes,
-            mode,
             ..Self::default()
         }
-    }
-
-    /// The storage width rows are held at.
-    pub fn mode(&self) -> CacheMode {
-        self.mode
     }
 
     /// Rows currently resident.
@@ -129,8 +71,8 @@ impl EmbeddingCache {
         (self.hits, self.misses)
     }
 
-    /// Looks up a row (widened to f32), counting a hit or miss and
-    /// refreshing recency on hit.
+    /// Looks up a row, counting a hit or miss and refreshing recency on
+    /// hit.
     pub fn get(&mut self, key: CacheKey) -> Option<Vec<f32>> {
         self.tick += 1;
         match self.entries.get_mut(&key) {
@@ -139,7 +81,7 @@ impl EmbeddingCache {
                 *touched = self.tick;
                 self.lru.insert(self.tick, key);
                 self.hits += 1;
-                Some(row.widen())
+                Some(row.clone())
             }
             None => {
                 self.misses += 1;
@@ -153,29 +95,24 @@ impl EmbeddingCache {
         self.entries.contains_key(&key)
     }
 
-    /// Inserts a row (narrowed to the cache's storage width), evicting
-    /// least-recently-used entries until it fits. Rows wider than the
-    /// whole capacity are silently dropped — caching is an
-    /// optimization, never an obligation.
+    /// Inserts a row, evicting least-recently-used entries until it
+    /// fits. Rows wider than the whole capacity are silently dropped —
+    /// caching is an optimization, never an obligation.
     pub fn insert(&mut self, key: CacheKey, row: Vec<f32>) {
-        let row = match self.mode {
-            CacheMode::F32 => CacheRow::F32(row),
-            CacheMode::Bf16 => CacheRow::Bf16(row.iter().map(|&v| narrow(v)).collect()),
-        };
-        let bytes = row.bytes();
+        let bytes = row_bytes(&row);
         if bytes > self.capacity_bytes {
             return;
         }
         self.tick += 1;
         if let Some((old, touched)) = self.entries.remove(&key) {
-            self.used_bytes -= old.bytes();
+            self.used_bytes -= row_bytes(&old);
             self.lru.remove(&touched);
         }
         while self.used_bytes + bytes > self.capacity_bytes {
             let (&t, &victim) = self.lru.iter().next().expect("used > 0 implies entries");
             self.lru.remove(&t);
             let (row, _) = self.entries.remove(&victim).expect("lru and map agree");
-            self.used_bytes -= row.bytes();
+            self.used_bytes -= row_bytes(&row);
         }
         self.entries.insert(key, (row, self.tick));
         self.lru.insert(self.tick, key);
@@ -194,16 +131,19 @@ impl EmbeddingCache {
             .collect();
         for key in stale {
             let (row, touched) = self.entries.remove(&key).expect("key just listed");
-            self.used_bytes -= row.bytes();
+            self.used_bytes -= row_bytes(&row);
             self.lru.remove(&touched);
         }
     }
 }
 
+fn row_bytes(row: &[f32]) -> usize {
+    std::mem::size_of_val(row)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexgraph_tensor::quant::round_bf16;
 
     fn key(version: u64, vertex: u32, layer: u8) -> CacheKey {
         CacheKey {
@@ -273,41 +213,5 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.used_bytes(), 32);
         assert_eq!(c.get(key(1, 0, 0)).unwrap(), vec![2.0; 8]);
-    }
-
-    #[test]
-    fn bf16_mode_halves_bytes_per_entry() {
-        let mut f = EmbeddingCache::new(1024);
-        let mut b = EmbeddingCache::with_mode(1024, CacheMode::Bf16);
-        f.insert(key(1, 0, 0), vec![1.5; 8]);
-        b.insert(key(1, 0, 0), vec![1.5; 8]);
-        assert_eq!(f.used_bytes(), 32);
-        assert_eq!(b.used_bytes(), 16);
-        // Same byte budget, twice the rows: 32 bytes hold two 8-wide
-        // bf16 rows but only one f32 row.
-        let mut tight = EmbeddingCache::with_mode(32, CacheMode::Bf16);
-        tight.insert(key(1, 0, 0), vec![1.0; 8]);
-        tight.insert(key(1, 1, 0), vec![2.0; 8]);
-        assert_eq!(tight.len(), 2);
-    }
-
-    #[test]
-    fn bf16_mode_round_trips_rounded_rows_exactly() {
-        let mut c = EmbeddingCache::with_mode(1024, CacheMode::Bf16);
-        // The serving pipeline inserts rows already rounded through
-        // bf16; those must come back bitwise.
-        let row: Vec<f32> = [1.0f32, -0.375, 3.0e-3, 7.25e4, -0.0]
-            .iter()
-            .map(|&v| round_bf16(v))
-            .collect();
-        c.insert(key(1, 0, 0), row.clone());
-        let got = c.get(key(1, 0, 0)).unwrap();
-        assert_eq!(
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            row.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        // Unrounded values are narrowed on insert (lossy, bounded).
-        c.insert(key(1, 1, 0), vec![1.0 + 2f32.powi(-12); 2]);
-        assert_eq!(c.get(key(1, 1, 0)).unwrap(), vec![1.0; 2]);
     }
 }

@@ -39,18 +39,8 @@
 //! a pure hash of `(seed, root, leaf)`, hierarchical aggregation
 //! reduces per-destination segments in a fixed order, and the dense
 //! head accumulates each output row over ascending `k` regardless of
-//! which other rows share the batch.
-//!
-//! Quantized serving ([`QuantConfig::Bf16`] / [`QuantConfig::Int8`] on
-//! [`ServerConfig`]) stores features at reduced width — read only by
-//! the leaf step of aggregation, through one [`ServeFeats::as_rows`]
-//! view — runs the dense head on bf16-rounded or int8 operands, and
-//! halves the embedding cache's bytes per row
-//! ([`cache::CacheMode::Bf16`]). The parity invariant then holds **per
-//! config**: within a fixed `QuantConfig`, outputs stay bitwise
-//! identical across thread counts, batch compositions, and cache
-//! states — they differ from f32 only by a bounded rounding error
-//! (see `tests/quant_accuracy.rs`).
+//! which other rows share the batch. Serving runs in f32 end to end,
+//! like training; `tests/served_bits.rs` pins the absolute bits.
 
 pub mod batcher;
 pub mod cache;
@@ -58,16 +48,24 @@ pub mod model;
 pub mod server;
 
 pub use batcher::{BatcherConfig, MicroBatcher, Request};
-pub use cache::{CacheKey, CacheMode, EmbeddingCache};
-pub use flexgraph_tensor::QuantConfig;
+pub use cache::{CacheKey, EmbeddingCache};
 pub use model::{
-    aggregate_roots, dense_head, selection_admission_bytes, serve_one, ModelSnapshot, ServeFeats,
+    aggregate_roots, dense_head, selection_admission_bytes, serve_one, ModelSnapshot,
     ServeModelConfig,
 };
 pub use server::{Response, Server, ServerConfig};
 
 use flexgraph_engine::EngineError;
 use flexgraph_models::checkpoint::CheckpointError;
+
+/// Serving precision: f32, the only one. `ledger/src/workloads/serve.rs`
+/// names this enum; it goes with ROADMAP 1(g).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum QuantConfig {
+    /// Full-precision f32 everywhere.
+    #[default]
+    F32,
+}
 
 /// Errors surfaced by the serving layer. Every rejection is structured
 /// — the serving loop never panics and never OOMs; it sheds load.

@@ -16,7 +16,7 @@
 //! so any checkpoint written by [`flexgraph_models::checkpoint::save`]
 //! for a [`flexgraph_models::gcn::Gcn`] is servable as-is.
 
-use crate::ServeError;
+use crate::{QuantConfig, ServeError};
 use flexgraph_engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
 use flexgraph_engine::{admission_bytes, MemoryBudget};
 use flexgraph_graph::bfs::HopScratch;
@@ -24,10 +24,7 @@ use flexgraph_graph::Graph;
 use flexgraph_hdg::build::select_hop_shells;
 use flexgraph_hdg::HdgBuilder;
 use flexgraph_models::checkpoint;
-use flexgraph_tensor::quant::{matmul_i8, round_bf16_inplace};
-use flexgraph_tensor::{
-    xavier_uniform, Bf16Tensor, FeatureRows, ParamSet, QInt8Cols, QInt8Rows, QuantConfig, Tensor,
-};
+use flexgraph_tensor::{xavier_uniform, ParamSet, Tensor};
 use rand::SeedableRng;
 
 /// Static configuration of the served model and its NeighborSelection.
@@ -64,99 +61,12 @@ impl Default for ServeModelConfig {
     }
 }
 
-/// The feature matrix at the serving tier's configured precision.
-///
-/// Quantization is per-row (bf16 is elementwise; int8 scales depend
-/// only on the row itself), so a vertex's stored feature row is a pure
-/// function of its f32 row — batch composition can never change the
-/// `x_v` any request reads, which is what keeps the parity invariant
-/// alive under quantization.
-#[derive(Clone, Debug)]
-pub enum ServeFeats {
-    /// Full-width features (4 bytes/element).
-    F32(Tensor),
-    /// bf16 storage (2 bytes/element), widened as rows stream.
-    Bf16(Bf16Tensor),
-    /// Symmetric per-row int8 (≈1 byte/element), dequantized as rows
-    /// stream.
-    Int8(QInt8Rows),
-}
-
-impl ServeFeats {
-    /// Quantizes (or wraps) an f32 feature matrix per `quant`.
-    pub fn new(feats: Tensor, quant: QuantConfig) -> Self {
-        match quant {
-            QuantConfig::F32 => Self::F32(feats),
-            QuantConfig::Bf16 => Self::Bf16(Bf16Tensor::from_tensor(&feats)),
-            QuantConfig::Int8 => Self::Int8(QInt8Rows::quantize(&feats)),
-        }
-    }
-
-    /// The borrowed view [`aggregate_roots`] and [`serve_one`] read.
-    pub fn as_rows(&self) -> FeatureRows<'_> {
-        match self {
-            Self::F32(t) => FeatureRows::F32(t),
-            Self::Bf16(t) => FeatureRows::Bf16(t),
-            Self::Int8(t) => FeatureRows::Int8(t),
-        }
-    }
-
-    /// Heap bytes of the stored matrix — the bandwidth/footprint lever
-    /// quantized serving exists for.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            Self::F32(t) => t.heap_bytes(),
-            Self::Bf16(t) => t.heap_bytes(),
-            Self::Int8(t) => t.heap_bytes(),
-        }
-    }
-}
-
-/// The dense head's weights at the snapshot's precision, derived once
-/// from the f32 parameters at snapshot construction (never per batch).
-#[derive(Clone, Debug)]
-enum QuantWeights {
-    /// Serve straight off the f32 `ParamSet`.
-    F32,
-    /// W1/W2 rounded through bf16 and held widened, so the head runs
-    /// the f32 tiled matmul on them.
-    Bf16 { w1: Tensor, w2: Tensor },
-    /// Per-column int8 W1/W2 for the i32-accumulating matmul.
-    Int8 { w1: QInt8Cols, w2: QInt8Cols },
-}
-
-impl QuantWeights {
-    fn derive(params: &ParamSet, quant: QuantConfig) -> Self {
-        match quant {
-            QuantConfig::F32 => Self::F32,
-            QuantConfig::Bf16 => Self::Bf16 {
-                w1: Bf16Tensor::from_tensor(params.value(0)).to_tensor(),
-                w2: Bf16Tensor::from_tensor(params.value(1)).to_tensor(),
-            },
-            QuantConfig::Int8 => Self::Int8 {
-                w1: QInt8Cols::quantize(params.value(0)),
-                w2: QInt8Cols::quantize(params.value(1)),
-            },
-        }
-    }
-}
-
 /// An immutable, versioned parameter snapshot. Slot 0 is W1, slot 1 is
 /// W2 — the exact layout [`flexgraph_models::gcn::Gcn`] registers, so
 /// GCN checkpoints restore directly.
-///
-/// A snapshot carries its [`QuantConfig`] and the weights *already
-/// quantized* under it: quantization happens exactly once, at snapshot
-/// construction (initial load or hot swap), never on the request path.
-/// Because a hot swap builds a whole new snapshot
-/// ([`ModelSnapshot::with_checkpoint`] re-quantizes the restored
-/// parameters under the same config), pinned in-flight batches keep
-/// serving their old snapshot's quantized weights untouched.
 pub struct ModelSnapshot {
     version: u64,
     params: ParamSet,
-    quant_cfg: QuantConfig,
-    quant: QuantWeights,
 }
 
 impl std::fmt::Debug for ModelSnapshot {
@@ -183,33 +93,22 @@ impl ModelSnapshot {
     /// Version 1: Xavier-initialized f32 parameters (pre-first-swap
     /// serving, tests).
     pub fn init(cfg: &ServeModelConfig, init_seed: u64) -> Self {
-        Self::init_quant(cfg, init_seed, QuantConfig::F32)
-    }
-
-    /// Version 1 at an explicit serving precision: the same f32
-    /// initialization, with the weights quantized once up front.
-    pub fn init_quant(cfg: &ServeModelConfig, init_seed: u64, quant: QuantConfig) -> Self {
         let mut rng = rand::rngs::StdRng::seed_from_u64(init_seed);
         let mut params = ParamSet::new();
         params.register(xavier_uniform(&mut rng, cfg.in_dim, cfg.hidden));
         params.register(xavier_uniform(&mut rng, cfg.hidden, cfg.classes));
-        let quant_w = QuantWeights::derive(&params, quant);
-        Self {
-            version: 1,
-            params,
-            quant_cfg: quant,
-            quant: quant_w,
-        }
+        Self { version: 1, params }
+    }
+
+    /// [`ModelSnapshot::init`]; `ledger/src/workloads/serve.rs` names
+    /// it, and it goes with ROADMAP 1(g).
+    pub fn init_quant(cfg: &ServeModelConfig, init_seed: u64, _: QuantConfig) -> Self {
+        Self::init(cfg, init_seed)
     }
 
     /// This snapshot's version — the cache-key component.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The precision this snapshot serves at.
-    pub fn quant_config(&self) -> QuantConfig {
-        self.quant_cfg
     }
 
     /// The parameter set.
@@ -229,19 +128,15 @@ impl ModelSnapshot {
 
     /// Builds the successor snapshot from a checkpoint v2 buffer:
     /// restore into a **clone** of the current parameters (`self` is
-    /// never touched), re-quantize the restored weights under this
-    /// snapshot's [`QuantConfig`], bump the version. Any validation
+    /// never touched), bump the version. Any validation
     /// failure — corrupt CRC, shape mismatch — leaves the caller's
     /// snapshot the serving truth.
     pub fn with_checkpoint(&self, bytes: &[u8]) -> Result<Self, ServeError> {
         let mut params = clone_params(&self.params);
         checkpoint::restore(&mut params, bytes)?;
-        let quant = QuantWeights::derive(&params, self.quant_cfg);
         Ok(Self {
             version: self.version + 1,
             params,
-            quant_cfg: self.quant_cfg,
-            quant,
         })
     }
 }
@@ -286,12 +181,10 @@ pub fn selection_admission_bytes(g: &Graph, cfg: &ServeModelConfig, roots: &[u32
 /// check is what actually enforces the budget; the engine's per-step
 /// checks run too). Per-root bitwise independent — see the crate docs —
 /// so this is both the batch path and (with one root) the reference
-/// path. `feats` is a `&Tensor` or a [`ServeFeats::as_rows`] view: the
-/// leaf level reads rows at their stored width, every level above is
-/// f32. A root outside `g` is [`ServeError::UnknownVertex`].
-pub fn aggregate_roots<'a>(
+/// path. A root outside `g` is [`ServeError::UnknownVertex`].
+pub fn aggregate_roots(
     g: &Graph,
-    feats: impl Into<FeatureRows<'a>>,
+    feats: &Tensor,
     cfg: &ServeModelConfig,
     roots: &[u32],
     budget: &MemoryBudget,
@@ -307,88 +200,36 @@ pub fn aggregate_roots<'a>(
     budget.check(price)?;
     let hdg = selection.build();
     let plan = AggrPlan::flat(cfg.op);
-    let res = hierarchical_aggregate(&hdg, feats.into(), &plan, Strategy::Ha, budget)?;
+    let res = hierarchical_aggregate(&hdg, feats, &plan, Strategy::Ha, budget)?;
     Ok(res.features)
 }
 
-/// Rounds every element of `t` through bf16 when `quant` stores rows at
-/// half width; identity under `F32`. This is the
-/// **rounding-at-cache-boundaries** rule: any row that *may* enter the
-/// half-width [`crate::cache::EmbeddingCache`] (aggregations, final
-/// outputs) is rounded before first use, so a warm hit returns bitwise
-/// what the cold compute produced.
-pub fn cache_round_inplace(quant: QuantConfig, t: &mut Tensor) {
-    if quant != QuantConfig::F32 {
-        round_bf16_inplace(t);
-    }
-}
-
-/// The dense head on pre-summed rows, at the snapshot's precision:
-/// `relu(s · W1) · W2` where row `i` of `summed` is `x_v + a_v` for
-/// some vertex `v`. The quantized arms round activations at every
-/// storage boundary and emit outputs already bf16-rounded (their
-/// cache-storage form), so cold computes and warm hits are bitwise
-/// interchangeable. Every step is per-row independent — elementwise
-/// rounding, per-row activation quantization, per-output-row matmul
-/// chains over ascending `k` — so head-of-batch outputs equal
-/// head-of-one outputs bitwise.
+/// The dense head on pre-summed rows: `relu(s · W1) · W2` where row
+/// `i` of `summed` is `x_v + a_v` for some vertex `v`. Every output row
+/// is its own matmul chain over ascending `k`, so head-of-batch outputs
+/// equal head-of-one outputs bitwise.
 pub fn dense_head(summed: &Tensor, snap: &ModelSnapshot) -> Tensor {
-    match &snap.quant {
-        QuantWeights::F32 => summed.matmul(snap.w1()).relu().matmul(snap.w2()),
-        QuantWeights::Bf16 { w1, w2 } => {
-            // bf16 is storage only: round, then the f32 tiled matmul.
-            let mut s = summed.clone();
-            round_bf16_inplace(&mut s);
-            let mut h = s.matmul(w1);
-            h.relu_inplace();
-            round_bf16_inplace(&mut h);
-            let mut out = h.matmul(w2);
-            round_bf16_inplace(&mut out);
-            out
-        }
-        QuantWeights::Int8 { w1, w2 } => {
-            // Per-row symmetric activation quant + i32-accumulating
-            // matmul; relu between layers runs on the dequantized f32.
-            let qs = QInt8Rows::quantize(summed);
-            let mut h = matmul_i8(&qs, w1);
-            h.relu_inplace();
-            let qh = QInt8Rows::quantize(&h);
-            let mut out = matmul_i8(&qh, w2);
-            round_bf16_inplace(&mut out);
-            out
-        }
-    }
+    summed.matmul(snap.w1()).relu().matmul(snap.w2())
 }
 
 /// The reference single-request forward: exactly what a batch of one
 /// computes, with no queue, cache, or batching in the loop — the exact
 /// sequence [`crate::Server::execute_batch`] performs per row:
-/// aggregation, bf16 rounding of `a_v` under a quantized snapshot (its
-/// cache-storage form), `x_v + a_v` in f32, then [`dense_head`]. The
-/// parity suite holds every served output bitwise equal to this.
-///
-/// `feats` is read in place whatever its precision; an f32 matrix
-/// under a quantized snapshot is first quantized per row to the
-/// snapshot's precision (a pure per-row function, so doing it per call
-/// changes nothing).
-pub fn serve_one<'a>(
+/// aggregation, `x_v + a_v`, then [`dense_head`]. The parity suite
+/// holds every served output bitwise equal to this.
+pub fn serve_one(
     g: &Graph,
-    feats: impl Into<FeatureRows<'a>>,
+    feats: &Tensor,
     snap: &ModelSnapshot,
     cfg: &ServeModelConfig,
     vertex: u32,
     budget: &MemoryBudget,
 ) -> Result<Vec<f32>, ServeError> {
-    let feats = feats.into();
-    let quant = snap.quant_config();
-    if let (FeatureRows::F32(t), QuantConfig::Bf16 | QuantConfig::Int8) = (feats, quant) {
-        let store = ServeFeats::new(t.clone(), quant);
-        return serve_one(g, store.as_rows(), snap, cfg, vertex, budget);
-    }
-    let mut agg = aggregate_roots(g, feats, cfg, &[vertex], budget)?;
-    cache_round_inplace(quant, &mut agg);
+    let agg = aggregate_roots(g, feats, cfg, &[vertex], budget)?;
     let mut summed = Tensor::zeros(1, cfg.in_dim);
-    feats.copy_row_into(vertex as usize, summed.row_mut(0));
+    summed
+        .row_mut(0)
+        .copy_from_slice(feats.row(vertex as usize));
     for (o, a) in summed.row_mut(0).iter_mut().zip(agg.row(0)) {
         *o += a;
     }
@@ -585,11 +426,8 @@ mod tests {
             vertex,
             num_vertices: n,
         };
-        for quant in [QuantConfig::F32, QuantConfig::Int8] {
-            let snap = ModelSnapshot::init_quant(&scfg, 9, quant);
-            let got = serve_one(&ds.graph, &ds.features, &snap, &scfg, n as u32, &budget);
-            assert_eq!(got, Err(unknown(n as u32)), "{quant:?}");
-        }
+        let got = serve_one(&ds.graph, &ds.features, &snap, &scfg, n as u32, &budget);
+        assert_eq!(got, Err(unknown(n as u32)));
         let got = aggregate_roots(&ds.graph, &ds.features, &scfg, &[3, 70, 5], &budget);
         assert_eq!(got.err(), Some(unknown(70)));
         assert!(serve_one(&ds.graph, &ds.features, &snap, &scfg, n as u32 - 1, &budget).is_ok());

@@ -12,15 +12,13 @@
 //! down.
 
 use crate::batcher::{BatcherConfig, MicroBatcher, Request};
-use crate::cache::{CacheKey, CacheMode, EmbeddingCache};
-use crate::model::{
-    aggregate_roots, cache_round_inplace, dense_head, ModelSnapshot, ServeFeats, ServeModelConfig,
-};
-use crate::ServeError;
+use crate::cache::{CacheKey, EmbeddingCache};
+use crate::model::{aggregate_roots, dense_head, ModelSnapshot, ServeModelConfig};
+use crate::{QuantConfig, ServeError};
 use flexgraph_engine::MemoryBudget;
 use flexgraph_graph::Graph;
 use flexgraph_obs::ServeRecord;
-use flexgraph_tensor::{QuantConfig, Tensor};
+use flexgraph_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -39,9 +37,8 @@ pub struct ServerConfig {
     /// from ([`crate::model::aggregate_roots`]) — and the path is the
     /// same whether or not a budget is set.
     pub budget: MemoryBudget,
-    /// Serving precision. Non-f32 configs store features, weights, and
-    /// cached embeddings at reduced width; the cache switches to bf16
-    /// storage so the same byte budget holds ~2× the rows.
+    /// Serving precision; f32 is the only one. `ledger/src/workloads/serve.rs`
+    /// names this field; it goes with ROADMAP 1(g).
     pub quant: QuantConfig,
 }
 
@@ -78,7 +75,7 @@ pub struct Response {
 /// The online inference server.
 pub struct Server {
     graph: Graph,
-    feats: ServeFeats,
+    feats: Tensor,
     cfg: ServerConfig,
     model: RwLock<Arc<ModelSnapshot>>,
     batcher: Mutex<MicroBatcher>,
@@ -88,14 +85,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server over `graph`/`feats` starting at `snapshot`. Features
-    /// are quantized once, here, when `cfg.quant` is not f32 (the f32
-    /// matrix is dropped — the reduced-width store is the serving
-    /// truth).
+    /// A server over `graph`/`feats` starting at `snapshot`.
     ///
-    /// Panics if the feature width disagrees with the model config or
-    /// the snapshot's precision disagrees with the server's — both are
-    /// wiring bugs, not runtime conditions to shed.
+    /// Panics if the feature matrix disagrees with the model config or
+    /// the graph — both are wiring bugs, not runtime conditions to shed.
     pub fn new(graph: Graph, feats: Tensor, cfg: ServerConfig, snapshot: ModelSnapshot) -> Self {
         assert_eq!(
             feats.cols(),
@@ -107,27 +100,13 @@ impl Server {
             feats.rows(),
             "one feature row per vertex"
         );
-        assert_eq!(
-            snapshot.quant_config(),
-            cfg.quant,
-            "snapshot precision must match the server's QuantConfig"
-        );
-        // Half-width cache storage rides with quantized serving: the
-        // quant pipeline rounds rows through bf16 before they reach the
-        // cache, so narrow storage round-trips exactly there (and only
-        // there — f32 serving keeps f32 rows).
-        let cache_mode = if cfg.quant == QuantConfig::F32 {
-            CacheMode::F32
-        } else {
-            CacheMode::Bf16
-        };
         Self {
             graph,
-            feats: ServeFeats::new(feats, cfg.quant),
+            feats,
             cfg,
             model: RwLock::new(Arc::new(snapshot)),
             batcher: Mutex::new(MicroBatcher::new(cfg.batcher)),
-            cache: Mutex::new(EmbeddingCache::with_mode(cfg.cache_bytes, cache_mode)),
+            cache: Mutex::new(EmbeddingCache::new(cfg.cache_bytes)),
             window: Mutex::new(ServeRecord::default()),
         }
     }
@@ -239,7 +218,7 @@ impl Server {
             return Ok(Vec::new());
         }
         let m = &self.cfg.model;
-        let feats = self.feats.as_rows();
+        let feats = &self.feats;
         let version = snap.version();
         let now = self.batcher.lock().expect("batcher lock").now();
 
@@ -297,15 +276,11 @@ impl Server {
         // per-step budget checks run too; any rejection sheds the whole
         // batch.
         let computed = (|| -> Result<Tensor, ServeError> {
-            let mut fresh = if need_agg.is_empty() {
+            let fresh = if need_agg.is_empty() {
                 Tensor::zeros(0, m.in_dim)
             } else {
                 aggregate_roots(&self.graph, feats, m, &need_agg, &self.cfg.budget)?
             };
-            // Quantized serving rounds aggregations to their bf16
-            // cache-storage form *before* first use, so warm hits and cold
-            // computes feed identical bits downstream (identity under f32).
-            cache_round_inplace(snap.quant_config(), &mut fresh);
             // Assemble x_v + a_v rows for every pending vertex, cached
             // aggregations and fresh ones (in `need_agg` order) alike.
             let mut summed = Tensor::zeros(pending.len(), m.in_dim);
@@ -319,13 +294,11 @@ impl Server {
                     }
                 };
                 let row = summed.row_mut(i);
-                feats.copy_row_into(v as usize, row);
+                row.copy_from_slice(feats.row(v as usize));
                 for (o, av) in row.iter_mut().zip(a) {
                     *o += av;
                 }
             }
-            // Already bf16-rounded at the output under quant configs — its
-            // cache-storage form.
             let outputs = dense_head(&summed, snap);
             // Fill both cache layers for the next batch.
             let mut c = self.cache.lock().expect("cache lock");
@@ -403,24 +376,16 @@ impl Server {
 
     /// Emits the current window's counters as one `serve` trace line
     /// (no-op without an active `FLEXGRAPH_TRACE` session) and starts a
-    /// fresh window. The record carries the server's quant label so
-    /// mixed-precision fleets stay distinguishable in merged traces.
-    /// Returns the emitted record.
+    /// fresh window. Returns the emitted record.
     pub fn emit_trace_window(&self) -> ServeRecord {
         let rec = self.take_window();
         flexgraph_obs::emit_serve(&rec);
         rec
     }
 
-    /// Takes the current window (resetting it) without emitting. The
-    /// quant label is stamped.
+    /// Takes the current window (resetting it) without emitting.
     pub fn take_window(&self) -> ServeRecord {
-        let mut rec = {
-            let mut w = self.window.lock().expect("window lock");
-            std::mem::take(&mut *w)
-        };
-        rec.quant = self.cfg.quant.code();
-        rec
+        std::mem::take(&mut *self.window.lock().expect("window lock"))
     }
 
     /// A copy of the current (un-emitted) window counters.
@@ -452,26 +417,6 @@ mod tests {
             quant: QuantConfig::F32,
         };
         let snap = ModelSnapshot::init(&cfg.model, 42);
-        Server::new(ds.graph, ds.features, cfg, snap)
-    }
-
-    fn make_quant_server(quant: QuantConfig) -> Server {
-        let ds = community(80, 3, 5, 1, 8, 3);
-        let cfg = ServerConfig {
-            batcher: BatcherConfig {
-                max_batch: 4,
-                max_delay: 8,
-                queue_cap: 64,
-            },
-            model: ServeModelConfig {
-                in_dim: ds.feature_dim(),
-                classes: ds.num_classes,
-                ..Default::default()
-            },
-            quant,
-            ..Default::default()
-        };
-        let snap = ModelSnapshot::init_quant(&cfg.model, 42, quant);
         Server::new(ds.graph, ds.features, cfg, snap)
     }
 
@@ -510,7 +455,8 @@ mod tests {
         s.submit(6).unwrap();
         let second = s.flush().unwrap();
         assert!(second.iter().all(|r| r.cache_hit));
-        assert_eq!(second[0].output, first[0].output, "cache returns the truth");
+        let bits = |r: &Response| r.output.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&second[0]), bits(&first[0]), "cache returns the truth");
 
         // A swap makes the warm rows invisible.
         let bytes = flexgraph_models::checkpoint::save(s.snapshot().params());
@@ -573,61 +519,6 @@ mod tests {
             s.poll().unwrap().is_empty(),
             "shed requests are not requeued"
         );
-    }
-
-    #[test]
-    fn quant_servers_use_bf16_cache_and_stay_warm_cold_bitwise() {
-        for quant in [QuantConfig::Bf16, QuantConfig::Int8] {
-            let s = make_quant_server(quant);
-            for _ in 0..2 {
-                s.submit(5).unwrap();
-                s.submit(6).unwrap();
-            }
-            let first = s.flush().unwrap();
-            assert!(first.iter().take(2).all(|r| !r.cache_hit));
-            s.submit(5).unwrap();
-            s.submit(6).unwrap();
-            let second = s.flush().unwrap();
-            assert!(second.iter().all(|r| r.cache_hit));
-            // A warm hit returns exactly the bits the cold compute
-            // produced: outputs are bf16-rounded before caching, so the
-            // half-width store is lossless for them.
-            assert_eq!(
-                second[0]
-                    .output
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                first[0]
-                    .output
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            );
-            // Trace windows carry the precision label.
-            s.submit(5).unwrap();
-            s.flush().unwrap();
-            assert_eq!(s.emit_trace_window().quant, quant.code());
-        }
-    }
-
-    #[test]
-    fn swap_requantizes_checkpoint_under_server_precision() {
-        let s = make_quant_server(QuantConfig::Int8);
-        s.submit(7).unwrap();
-        let before = s.flush().unwrap();
-        // Swap in a differently-initialized checkpoint; the snapshot
-        // must re-derive int8 weights (same precision as the server),
-        // and serving continues at version 2 with different outputs.
-        let other = ModelSnapshot::init(&s.cfg.model, 43);
-        let bytes = flexgraph_models::checkpoint::save(other.params());
-        assert_eq!(s.swap_checkpoint(&bytes).unwrap(), 2);
-        assert_eq!(s.snapshot().quant_config(), QuantConfig::Int8);
-        s.submit(7).unwrap();
-        let after = s.flush().unwrap();
-        assert_eq!(after[0].model_version, 2);
-        assert!(!after[0].cache_hit, "version flip invalidates warm rows");
-        assert_ne!(after[0].output, before[0].output);
     }
 
     #[test]

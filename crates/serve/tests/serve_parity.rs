@@ -8,19 +8,10 @@
 //! under `FLEXGRAPH_THREADS ∈ {1, 4}`. On top of per-request parity,
 //! the whole serving transcript (batch compositions, ids, virtual-time
 //! latencies) must be identical across runs and thread counts.
-//!
-//! The invariant is **per [`QuantConfig`]** (ISSUE 8): a bf16 or int8
-//! server must satisfy exactly the same contract against its own
-//! reference forward (`serve_one` under the matching precision) — the
-//! quantized kernels, the bf16 cache storage, and the
-//! rounding-at-cache-boundaries step may change *which* bits are
-//! served, but never let them depend on threads, batching, or cache
-//! state.
 
 use flexgraph_engine::MemoryBudget;
 use flexgraph_serve::{
-    serve_one, BatcherConfig, ModelSnapshot, QuantConfig, Response, ServeModelConfig, Server,
-    ServerConfig,
+    serve_one, BatcherConfig, ModelSnapshot, Response, ServeModelConfig, Server, ServerConfig,
 };
 use flexgraph_tensor::set_thread_override;
 use proptest::prelude::*;
@@ -72,7 +63,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         )
 }
 
-fn build_server(sc: &Scenario, quant: QuantConfig) -> (Server, ServeModelConfig) {
+fn build_server(sc: &Scenario) -> (Server, ServeModelConfig) {
     let ds =
         flexgraph_graph::gen::community(sc.n, sc.communities, sc.degree, 1, sc.dim, sc.graph_seed);
     let model = ServeModelConfig {
@@ -92,17 +83,17 @@ fn build_server(sc: &Scenario, quant: QuantConfig) -> (Server, ServeModelConfig)
         model,
         cache_bytes: 1 << 20,
         budget: MemoryBudget::unlimited(),
-        quant,
+        ..Default::default()
     };
-    let snap = ModelSnapshot::init_quant(&model, INIT_SEED, quant);
+    let snap = ModelSnapshot::init(&model, INIT_SEED);
     (Server::new(ds.graph, ds.features, cfg, snap), model)
 }
 
 /// Drives the full request sequence through a server **twice** (second
 /// pass fully warm), polling after every submission and flushing at the
 /// end of each pass. Returns the two passes' transcripts.
-fn run_server(sc: &Scenario, quant: QuantConfig) -> (Vec<Response>, Vec<Response>) {
-    let (server, _) = build_server(sc, quant);
+fn run_server(sc: &Scenario) -> (Vec<Response>, Vec<Response>) {
+    let (server, _) = build_server(sc);
     let n = server.graph().num_vertices() as u32;
     let mut passes = Vec::new();
     for _ in 0..2 {
@@ -132,7 +123,7 @@ proptest! {
         let ds = flexgraph_graph::gen::community(
             sc.n, sc.communities, sc.degree, 1, sc.dim, sc.graph_seed,
         );
-        let (_, model) = build_server(&sc, QuantConfig::F32);
+        let (_, model) = build_server(&sc);
         let snap = ModelSnapshot::init(&model, INIT_SEED);
         let budget = MemoryBudget::unlimited();
         let n = ds.graph.num_vertices() as u32;
@@ -143,7 +134,7 @@ proptest! {
         let mut transcripts = Vec::new();
         for threads in [1usize, 4] {
             set_thread_override(Some(threads));
-            let (cold, warm) = run_server(&sc, QuantConfig::F32);
+            let (cold, warm) = run_server(&sc);
             prop_assert_eq!(cold.len(), sc.requests.len());
             prop_assert_eq!(warm.len(), sc.requests.len());
             for r in cold.iter().chain(&warm) {
@@ -174,56 +165,8 @@ proptest! {
     #[test]
     fn serving_is_run_deterministic(sc in arb_scenario()) {
         set_thread_override(None);
-        let a = run_server(&sc, QuantConfig::F32);
-        let b = run_server(&sc, QuantConfig::F32);
+        let a = run_server(&sc);
+        let b = run_server(&sc);
         prop_assert_eq!(a, b);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The full parity contract, replayed under each quantized config:
-    /// served == solo (same-precision `serve_one`) bitwise, cold and
-    /// warm, threads 1 and 4, and transcripts are thread-invariant.
-    #[test]
-    fn quantized_serving_keeps_per_config_parity(sc in arb_scenario()) {
-        let ds = flexgraph_graph::gen::community(
-            sc.n, sc.communities, sc.degree, 1, sc.dim, sc.graph_seed,
-        );
-        let n = ds.graph.num_vertices() as u32;
-        let budget = MemoryBudget::unlimited();
-        for quant in [QuantConfig::Bf16, QuantConfig::Int8] {
-            set_thread_override(Some(1));
-            let (_, model) = build_server(&sc, quant);
-            let snap = ModelSnapshot::init_quant(&model, INIT_SEED, quant);
-            let solo = |v: u32| {
-                serve_one(&ds.graph, &ds.features, &snap, &model, v, &budget).unwrap()
-            };
-
-            let mut transcripts = Vec::new();
-            for threads in [1usize, 4] {
-                set_thread_override(Some(threads));
-                let (cold, warm) = run_server(&sc, quant);
-                prop_assert_eq!(cold.len(), sc.requests.len());
-                prop_assert_eq!(warm.len(), sc.requests.len());
-                for r in cold.iter().chain(&warm) {
-                    let reference = solo(r.vertex);
-                    prop_assert_eq!(
-                        &r.output, &reference,
-                        "vertex {} served != solo ({}, threads={}, hit={})",
-                        r.vertex, quant.label(), threads, r.cache_hit
-                    );
-                }
-                for (c, w) in cold.iter().zip(&warm) {
-                    prop_assert_eq!(&c.output, &w.output);
-                    prop_assert_eq!(c.vertex % n, w.vertex % n);
-                }
-                transcripts.push((cold, warm));
-            }
-            set_thread_override(None);
-            let (t4, t1) = (transcripts.pop().unwrap(), transcripts.pop().unwrap());
-            prop_assert_eq!(t1, t4);
-        }
     }
 }

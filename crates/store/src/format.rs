@@ -230,7 +230,12 @@ fn decode_adj(
         let mut prev = 0i64;
         for _ in 0..deg {
             let at = *pos;
-            let v = prev + unzigzag(read_varint(buf, pos)?);
+            let v = prev
+                .checked_add(unzigzag(read_varint(buf, pos)?))
+                .ok_or(CodecError {
+                    offset: at,
+                    what: "neighbor delta overflows",
+                })?;
             if v < 0 || v as u64 >= n {
                 return Err(CodecError {
                     offset: at,
@@ -347,6 +352,14 @@ mod tests {
             decode_segment(&body, 0, 4, 2).is_err(),
             "neighbors ≥ 2 must be out of range"
         );
+        // A delta that overflows the running neighbor id is rejected:
+        // out-degree 2, neighbor 1, delta i64::MAX, in-degree 0.
+        let mut overflow = Vec::new();
+        for x in [2, zigzag(1), zigzag(i64::MAX), 0] {
+            write_varint(&mut overflow, x);
+        }
+        let err = decode_segment(&overflow, 0, 1, 10).unwrap_err();
+        assert_eq!((err.what, err.offset), ("neighbor delta overflows", 2));
         // Trailing garbage is rejected.
         let mut padded = body.clone();
         padded.push(0);

@@ -37,7 +37,6 @@ pub mod fusion;
 pub mod init;
 pub mod optim;
 pub mod par;
-pub mod quant;
 pub mod scatter;
 pub mod simd;
 pub mod tensor;
@@ -47,7 +46,6 @@ pub use fusion::{segment_reduce, Reduce, SegmentIndex};
 pub use init::xavier_uniform;
 pub use optim::{Adam, Optimizer, ParamSet};
 pub use par::{num_threads, pool_worker_count, set_thread_override};
-pub use quant::{Bf16Tensor, FeatureRows, QInt8Cols, QInt8Rows, QuantConfig};
 pub use scatter::{
     gather_rows, scatter_add, scatter_add_gathered_into, scatter_add_with_plan,
     scatter_max_with_plan, scatter_mean, scatter_mean_with_plan, scatter_min_with_plan,
