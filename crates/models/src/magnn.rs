@@ -3,27 +3,28 @@
 //! NeighborSelection finds metapath instances (Figure 5's `magann_nbr`)
 //! once for the whole training run — the HDGs never change across epochs
 //! (§3.2). Aggregation is hierarchical: instance features are the mean
-//! of their member vertices (fused), metapath-type features the
-//! attention-weighted sum of their instances — Figure 7's
-//! `scatter_softmax`, recorded as one fused softmax-pool op — and the
-//! neighborhood representation the dense block-mean over types (Figure
-//! 10). Update is `ReLU(W · a)` (Figure 7's MAGNNLayer uses only the
-//! neighborhood representation).
+//! of their member vertices, metapath-type features the
+//! attention-weighted sum of their instances (Figure 7's
+//! `scatter_softmax`), and the neighborhood representation the mean over
+//! types (Figure 10). All three levels are one tape op over the HDG's own
+//! offset arrays (`Graph::hierarchical_attention_pool`): no instance or
+//! group tensor is written, and selection builds no scatter plan. Update
+//! is `ReLU(W · a)` (Figure 7's MAGNNLayer uses only the neighborhood
+//! representation).
 //!
-//! The Aggregation stage has no parameter, so layer 1's — leaves →
-//! instances → types → root over the feature matrix — is the same every
-//! epoch: the first `forward` after selection runs it and collapses it
-//! into a leaf, and it is a leaf copy from then on (`crate::memo`). Every
-//! pass, the first included, then holds the two instance-sized tensors
-//! of the epoch, both layer 2's: the instance means, and the pool's
-//! softmax weights, which backward rewrites into the means' gradient.
+//! The Aggregation stage has no parameter, so layer 1's — over the
+//! feature matrix — is the same every epoch: the first `forward` after
+//! selection runs it and collapses it into a leaf, and it is a leaf copy
+//! from then on (`crate::memo`). Every pass then holds one
+//! instance-sized tensor, layer 2's: the attention weights its backward
+//! reads.
 
 use crate::memo::InputAggregate;
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
 use flexgraph_graph::metapath::Metapath;
 use flexgraph_hdg::build::from_metapaths;
-use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, ScatterPlan, SegmentIndex};
+use flexgraph_tensor::{xavier_uniform, Graph, HierarchyIndex, NodeId, ParamSet, SegmentIndex};
 use std::sync::Arc;
 
 /// A two-layer MAGNN.
@@ -31,14 +32,9 @@ pub struct Magnn {
     hidden: usize,
     metapaths: Vec<Metapath>,
     max_per_path: usize,
-    /// Leaves → instances: the HDG's instance offsets over its leaf
-    /// sources; `None` until selected.
-    instances: Option<Arc<SegmentIndex>>,
-    /// Cached scatter plan over the instance → group index (the omitted
-    /// `Dst` array), shared by the attention softmax and the weighted
-    /// sum of both layers, every epoch.
-    group_plan: Option<Arc<ScatterPlan>>,
-    num_types: usize,
+    /// Leaves → instances → (root, type) groups → roots: the HDG's
+    /// instance and group offsets; `None` until selected.
+    hierarchy: Option<Arc<HierarchyIndex>>,
     /// Layer 1's aggregate over the feature leaf.
     pub(crate) input: InputAggregate,
     w1: usize,
@@ -56,14 +52,11 @@ impl Magnn {
         metapaths: Vec<Metapath>,
         max_per_path: usize,
     ) -> Self {
-        let num_types = metapaths.len();
         Self {
             hidden,
             metapaths,
             max_per_path,
-            instances: None,
-            group_plan: None,
-            num_types,
+            hierarchy: None,
             input: InputAggregate::default(),
             w1: usize::MAX,
             w2: usize::MAX,
@@ -74,15 +67,8 @@ impl Magnn {
     /// Hierarchical aggregation, bottom-up (§3.2 Figure 6); reads `h`
     /// and the HDG only.
     fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {
-        // Leaves → instances (fused mean)…
-        let instances = self.instances.clone().expect("selection ran");
-        let inst = g.segment_reduce(h, instances, true);
-        // …instances → metapath types: attention-weighted sum (Figure
-        // 7's scatter_softmax → mul → scatter_add, fused into one op)…
-        let plan = self.group_plan.clone().expect("selection ran");
-        let groups = g.scatter_softmax_pool_with_plan(inst, plan);
-        // …types → root (dense reshape + block mean, Figure 10).
-        g.mean_row_blocks(groups, self.num_types)
+        let hierarchy = self.hierarchy.clone().expect("selection ran");
+        g.hierarchical_attention_pool(h, hierarchy)
     }
 
     /// Update: ReLU(W * a).
@@ -99,15 +85,16 @@ impl Magnn {
 impl Model for Magnn {
     fn selection(&mut self, ds: &Dataset, _epoch: u64) {
         // Deterministic selection: built once, reused the whole run.
-        if self.instances.is_some() {
+        if self.hierarchy.is_some() {
             return;
         }
         let typed = ds.typed();
         let roots: Vec<u32> = (0..ds.graph.num_vertices() as u32).collect();
         let hdg = from_metapaths(&typed, roots, &self.metapaths, self.max_per_path);
-        let (off, src) = (hdg.inst_offsets().to_vec(), hdg.leaf_sources().to_vec());
-        self.instances = Some(Arc::new(SegmentIndex::new(off, src)));
-        self.group_plan = Some(hdg.group_scatter_plan());
+        let instances = SegmentIndex::new(hdg.inst_offsets().to_vec(), hdg.leaf_sources().to_vec());
+        let groups = hdg.group_offsets().to_vec();
+        let hierarchy = HierarchyIndex::new(groups, instances, hdg.num_types());
+        self.hierarchy = Some(Arc::new(hierarchy));
         self.input.clear();
     }
 
@@ -150,6 +137,7 @@ mod tests {
     use super::*;
     use crate::train::{TrainConfig, Trainer};
     use flexgraph_graph::gen::hetero_imdb;
+    use flexgraph_tensor::ScatterPlan;
 
     #[test]
     fn magnn_trains_on_imdb_like_graph() {
@@ -174,19 +162,25 @@ mod tests {
         );
     }
 
-    /// The instance → type level the way Figure 7's UDF list spells it:
-    /// three tape ops.
+    /// The aggregation the way Figure 7's UDF list spells it: five tape
+    /// ops, over a segment index and a group scatter plan rebuilt from
+    /// the model's levels.
     struct Unfused(Magnn);
 
     impl Unfused {
         fn layer(&self, g: &mut Graph, h: NodeId, w: NodeId, relu: bool) -> NodeId {
-            let m = &self.0;
-            let inst = g.segment_reduce(h, m.instances.clone().unwrap(), true);
-            let plan = m.group_plan.clone().expect("selection ran");
+            let hierarchy = self.0.hierarchy.as_ref().expect("selection ran");
+            let (groups, instances, types) = hierarchy.levels();
+            let (off, src) = (instances.offsets().to_vec(), instances.src().to_vec());
+            let group_of: Vec<u32> = (0..groups.len() - 1)
+                .flat_map(|k| (groups[k]..groups[k + 1]).map(move |_| k as u32))
+                .collect();
+            let plan = Arc::new(ScatterPlan::new(&group_of, groups.len() - 1));
+            let inst = g.segment_reduce(h, Arc::new(SegmentIndex::new(off, src)), true);
             let weights = g.scatter_softmax_with_plan(inst, plan.clone());
             let weighted = g.mul(weights, inst);
             let groups = g.scatter_add_with_plan(weighted, plan);
-            let a = g.mean_row_blocks(groups, m.num_types);
+            let a = g.mean_row_blocks(groups, types);
             let out = g.matmul(a, w);
             if relu {
                 g.relu(out)
@@ -240,11 +234,11 @@ mod tests {
         let ds = hetero_imdb(100, 2, 2, 8, 1);
         let mut m = Magnn::new(8, 8, 2, imdb_metapaths(), 10);
         m.selection(&ds, 0);
-        let instances = m.instances.clone().unwrap();
+        let hierarchy = m.hierarchy.clone().unwrap();
         m.selection(&ds, 1);
         m.selection(&ds, 7);
         assert!(
-            Arc::ptr_eq(&instances, m.instances.as_ref().unwrap()),
+            Arc::ptr_eq(&hierarchy, m.hierarchy.as_ref().unwrap()),
             "HDGs cached across epochs"
         );
     }
@@ -287,7 +281,7 @@ mod tests {
         let (memoised, logits) = tape(&mut tr, &ds);
         let want = memoised.value(logits).clone();
         drop(memoised);
-        tr.model.instances = None; // The next selection builds its HDGs anew…
+        tr.model.hierarchy = None; // The next selection builds its HDGs anew…
         tr.model.selection(&ds, 0);
         assert!(!tr.model.input.is_recorded(), "…and forgets the aggregate");
         for pass in ["recorded again", "memoised again"] {
@@ -305,7 +299,7 @@ mod tests {
         let mut capped = Magnn::new(8, 8, 2, imdb_metapaths(), 2);
         uncapped.selection(&ds, 0);
         capped.selection(&ds, 0);
-        let instances = |m: &Magnn| m.instances.as_ref().unwrap().offsets().len();
+        let instances = |m: &Magnn| m.hierarchy.as_ref().unwrap().num_instances();
         assert!(instances(&capped) <= instances(&uncapped));
     }
 }

@@ -100,7 +100,7 @@ impl<M: Model> Trainer<M> {
         let selection = t0.elapsed();
 
         let mut g = Graph::new();
-        let feats = g.leaf(ds.features.clone());
+        let feats = g.leaf_copy(&ds.features);
         let logits = self.model.forward(&mut g, feats, &self.params);
         (g, logits, selection)
     }

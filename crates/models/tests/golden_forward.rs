@@ -3,10 +3,8 @@
 //! graph with hand-chosen integer features and weights.
 //!
 //! The fixtures themselves (graphs, features, weights, the
-//! weight-override forward runner) live in [`flexgraph_models::golden`]
-//! so the serving crate's quantized-accuracy suite can replay the same
-//! exact-arithmetic inputs; this file owns the hand-computed expected
-//! outputs.
+//! weight-override forward runner) live in [`flexgraph_models::golden`];
+//! this file owns the hand-computed expected outputs.
 //!
 //! Every value is an exact multiple of a small power of two and far below
 //! 2^24, so each partial sum in every kernel (segment reductions, dense

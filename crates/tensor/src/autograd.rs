@@ -8,10 +8,10 @@
 //!
 //! The operation set is exactly what FlexGraph's models need: dense NN ops
 //! (matmul, bias, relu, concat, elementwise), the sparse aggregation ops
-//! over a cached [`ScatterPlan`] (gather / scatter-add / scatter-softmax
-//! and the fused softmax pooling of MAGNN's attention level), the fused
-//! segment reduction, the dense schema-level block mean of the paper's
-//! Figure 10, and a fused softmax cross-entropy loss.
+//! over a cached [`ScatterPlan`] (gather / scatter-add / scatter-softmax),
+//! the fused segment reduction, the dense schema-level block mean of the
+//! paper's Figure 10, MAGNN's whole hierarchical aggregation as one fused
+//! op over a [`HierarchyIndex`], and a fused softmax cross-entropy loss.
 //!
 //! # Which nodes get a gradient, and for how long
 //!
@@ -27,14 +27,13 @@
 //!
 //! # Buffer reuse
 //!
-//! Every value, gradient and transpose the tape creates — and the two
-//! tensors an op keeps for its own backward, the softmax-pool weights and
-//! the cross-entropy's probabilities — is drawn from an exact-length free
-//! list the tape owns, and goes back to it when released or when the tape
-//! drops. So is the copy [`Graph::leaf_copy`] makes of a tensor that
-//! outlives the tape. The two kept tensors are kept only by a node that
-//! needs a gradient, and backward rewrites each into its input's gradient
-//! in place, so neither op draws a second input-sized buffer. A suffix
+//! Every value, gradient, transpose and kernel scratch the tape creates —
+//! and the two tensors an op keeps for its own backward (only in a node
+//! that needs a gradient), the attention pool's weights and the
+//! cross-entropy's probabilities — is drawn from an exact-length free list
+//! the tape owns, and goes back to it when released or when the tape drops.
+//! So is the copy [`Graph::leaf_copy`] makes of a tensor that outlives
+//! the tape. A suffix
 //! of the tape that needs no gradient can be collapsed into one leaf
 //! ([`Graph::collapse_into_leaf`]): its other buffers return to the list
 //! mid-pass, for the nodes recorded next.
@@ -50,10 +49,13 @@
 //! accumulating kernels (matmul, the scatter and segment sums) — zeroes
 //! it first, so which buffer a draw returns never shows in a result.
 
-use crate::fusion::{segment_reduce_backward_into, segment_reduce_into, Reduce, SegmentIndex};
+use crate::fusion::{
+    hierarchical_attention_pool_backward_into, hierarchical_attention_pool_into,
+    segment_reduce_backward_into, segment_reduce_into, HierarchyIndex, Reduce, SegmentIndex,
+};
+use crate::par::num_threads;
 use crate::scatter::{
     gather_rows_into, scatter_add_with_plan_into, scatter_softmax_backward_into,
-    scatter_softmax_pool_backward_into, scatter_softmax_pool_with_plan_into,
     scatter_softmax_with_plan_into, ScatterPlan,
 };
 use crate::simd;
@@ -95,17 +97,15 @@ enum Op {
     ScatterAdd(NodeId, Arc<ScatterPlan>),
     /// Per-group softmax over rows sharing a destination index.
     ScatterSoftmax(NodeId, Arc<ScatterPlan>),
-    /// Fused per-group softmax pooling; `weights` are the normalised
-    /// softmax weights of the forward pass, the only edge-shaped
-    /// intermediate the op keeps, which backward turns into the input's
-    /// gradient in place (no `exp`, no second edge-shaped buffer).
-    ScatterSoftmaxPool {
-        /// Edge-shaped input rows.
-        a: NodeId,
-        /// Destination grouping of the rows.
-        plan: Arc<ScatterPlan>,
-        /// `softmax_seg(a)`, shaped like `a`, until backward takes it;
-        /// `None` from the start if the node needs no gradient.
+    /// Fused hierarchical attention pool, leaves → roots; its backward
+    /// reads the forward's softmax weights, and runs no `exp`.
+    HierarchicalAttentionPool {
+        /// Leaf rows.
+        h: NodeId,
+        /// The three levels over them.
+        index: Arc<HierarchyIndex>,
+        /// One row per instance, until backward takes them; `None` from
+        /// the start if the node needs no gradient.
         weights: Option<Tensor>,
     },
     /// Fused segment reduce (feature fusion): the `Arc`'d index avoids
@@ -153,7 +153,7 @@ impl Op {
             | Op::Gather(a, _)
             | Op::ScatterAdd(a, _)
             | Op::ScatterSoftmax(a, _)
-            | Op::ScatterSoftmaxPool { a, .. }
+            | Op::HierarchicalAttentionPool { h: a, .. }
             | Op::SegmentReduce { a, .. }
             | Op::MeanRowBlocks(a, _)
             | Op::CrossEntropy { logits: a, .. }
@@ -176,9 +176,8 @@ impl Node {
     /// tensor its op keeps for backward.
     fn into_buffers(self) -> impl Iterator<Item = Tensor> {
         let kept = match self.op {
-            Op::ScatterSoftmaxPool { weights: kept, .. } | Op::CrossEntropy { probs: kept, .. } => {
-                kept
-            }
+            Op::HierarchicalAttentionPool { weights: kept, .. }
+            | Op::CrossEntropy { probs: kept, .. } => kept,
             _ => None,
         };
         std::iter::once(self.value).chain(self.grad).chain(kept)
@@ -495,21 +494,20 @@ impl Graph {
         self.push(v, Op::ScatterSoftmax(a, plan))
     }
 
-    /// Differentiable fused attention pooling: destination `d` receives
-    /// `Σ softmax_seg(a)_e ⊙ a_e` over the rows `e` of its plan segment.
-    /// Bit-identical, value and gradient, to
-    /// [`Graph::scatter_softmax_with_plan`] → [`Graph::mul`] by `a` →
-    /// [`Graph::scatter_add_with_plan`] on the same
-    /// plan, in one pass per segment and one edge-shaped intermediate
-    /// (the weights) instead of three — kept only if backward will run
-    /// through the node, and then rewritten into the input's gradient.
-    pub fn scatter_softmax_pool_with_plan(&mut self, a: NodeId, plan: Arc<ScatterPlan>) -> NodeId {
-        let cols = self.value(a).cols();
-        let mut v = self.pool.draw(plan.out_rows(), cols);
-        let mut weights = self.draw_like(a);
-        scatter_softmax_pool_with_plan_into(&mut v, &mut weights, self.value(a), &plan);
-        let weights = self.keep_for_backward(a, weights);
-        self.push(v, Op::ScatterSoftmaxPool { a, plan, weights })
+    /// MAGNN's aggregation (paper Figure 7), bit-identical, value and
+    /// gradient, to [`Graph::segment_reduce`] (mean) →
+    /// [`Graph::scatter_softmax_with_plan`] → [`Graph::mul`] →
+    /// [`Graph::scatter_add_with_plan`] → [`Graph::mean_row_blocks`]; it
+    /// keeps only the softmax weights, and only for a backward.
+    pub fn hierarchical_attention_pool(&mut self, h: NodeId, index: Arc<HierarchyIndex>) -> NodeId {
+        let d = self.value(h).cols();
+        let mut v = self.pool.draw(index.num_roots(), d);
+        let mut weights = self.pool.draw(index.num_instances(), d);
+        let mut scratch = self.pool.draw(num_threads(), index.scratch_len(d));
+        hierarchical_attention_pool_into(&mut v, &mut weights, &mut scratch, self.value(h), &index);
+        self.pool.release(scratch);
+        let weights = self.keep_for_backward(h, weights);
+        self.push(v, Op::HierarchicalAttentionPool { h, index, weights })
     }
 
     /// Differentiable *fused* segment reduction (feature fusion, paper
@@ -750,11 +748,15 @@ impl Graph {
                 self.give(*a, g);
                 Some(grad)
             }
-            Op::ScatterSoftmaxPool { a, plan, weights } => {
-                // The forward's weights become `a`'s gradient in place.
-                let mut g = weights.take().expect("backward runs once per tape");
-                scatter_softmax_pool_backward_into(&mut g, &grad, self.value(*a), plan);
-                self.give(*a, g);
+            Op::HierarchicalAttentionPool { h, index, weights } => {
+                let s = weights.take().expect("backward runs once per tape");
+                let mut g = self.zeros_like(*h);
+                let mut scratch = self.pool.draw(1, index.scratch_len(s.cols()));
+                let (lent, x) = (scratch.data_mut(), self.value(*h));
+                hierarchical_attention_pool_backward_into(&mut g, &grad, &s, lent, x, index);
+                self.pool.release(scratch);
+                self.pool.release(s);
+                self.give(*h, g);
                 Some(grad)
             }
             Op::SegmentReduce { a, index, mean } => {
@@ -1128,15 +1130,22 @@ mod tests {
         );
     }
 
+    /// Two roots of two types over [`sample_input`]'s three rows: root 0
+    /// has two instances of type 0 and none of type 1, root 1 one of
+    /// each.
+    fn hierarchy() -> Arc<HierarchyIndex> {
+        let instances = SegmentIndex::new(vec![0, 2, 3, 5, 6], vec![0, 1, 2, 0, 2, 1]);
+        Arc::new(HierarchyIndex::new(vec![0, 2, 2, 3, 4], instances, 2))
+    }
+
     #[test]
-    fn grad_scatter_softmax_pool() {
-        let plan = Arc::new(ScatterPlan::new(&[0, 0, 1], 2));
+    fn grad_hierarchical_attention_pool() {
         finite_diff_check(
             sample_input(),
             move |g, x| {
-                let pooled = g.scatter_softmax_pool_with_plan(x, plan.clone());
+                let pooled = g.hierarchical_attention_pool(x, hierarchy());
                 // Weighted read-out so the loss depends on every column
-                // of both groups differently.
+                // of both roots differently.
                 let w = g.leaf(Tensor::from_rows(&[&[1.0, -2.0, 0.5], &[0.3, 1.1, -0.7]]));
                 let m = g.mul(pooled, w);
                 g.mean_all(m)
@@ -1347,11 +1356,10 @@ mod tests {
 
     #[test]
     fn a_collapsed_suffix_is_one_leaf_and_its_buffers_serve_the_next_draws() {
-        let plan = Arc::new(ScatterPlan::new(&[0, 0, 1], 2));
         let mut g = Graph::new();
         let x = g.leaf(sample_input());
         let mark = g.len();
-        let pooled = g.scatter_softmax_pool_with_plan(x, plan.clone());
+        let pooled = g.hierarchical_attention_pool(x, hierarchy());
         let activated = g.relu(pooled);
         let (want_pooled, want) = (bits(g.value(pooled)), bits(g.value(activated)));
         let misses = g.free_list_misses();
@@ -1361,21 +1369,20 @@ mod tests {
         assert!(matches!(g.nodes[leaf.0].op, Op::Leaf));
         assert_eq!(bits(g.value(leaf)), want, "the leaf holds the node's value");
 
-        // The pooled value and the released weights are on the list: the
+        // The pooled value and the released scratch are on the list: the
         // same op again draws both from it.
-        let again = g.scatter_softmax_pool_with_plan(x, plan);
+        let again = g.hierarchical_attention_pool(x, hierarchy());
         assert_eq!(g.free_list_misses(), misses);
         assert_eq!(bits(g.value(again)), want_pooled);
     }
 
     #[test]
     fn backward_state_is_kept_only_for_a_backward_that_will_run() {
-        let plan = Arc::new(ScatterPlan::new(&[0, 0, 1], 2));
         let record = |g: &mut Graph, x: NodeId| {
-            let pooled = g.scatter_softmax_pool_with_plan(x, plan.clone());
+            let pooled = g.hierarchical_attention_pool(x, hierarchy());
             let loss = g.cross_entropy(pooled, &[2, 0]);
             let kept = |op: &Op| match op {
-                Op::ScatterSoftmaxPool { weights, .. } => weights.is_some(),
+                Op::HierarchicalAttentionPool { weights, .. } => weights.is_some(),
                 Op::CrossEntropy { probs, .. } => probs.is_some(),
                 _ => unreachable!(),
             };
@@ -1385,23 +1392,25 @@ mod tests {
         let x = over_leaf.leaf(sample_input());
         let (pool_kept, probs_kept, _) = record(&mut over_leaf, x);
         assert!(!pool_kept && !probs_kept);
-        // Weights (3×3) and probabilities (2×3) went straight back.
+        // Weights (4×3) and probabilities (2×3) went straight back.
         let released: Vec<usize> = over_leaf.pool.released.iter().map(Vec::len).collect();
-        assert!(released.contains(&9) && released.contains(&6));
+        assert!(released.contains(&12) && released.contains(&6));
 
         let mut over_param = Graph::new();
         let x = over_param.param(sample_input(), 0);
         let (pool_kept, probs_kept, loss) = record(&mut over_param, x);
         assert!(pool_kept && probs_kept);
         over_param.backward(loss);
-        // Backward took both, as the gradients of their inputs.
+        // Backward took both, and the weights went back to the list.
         assert!(over_param.nodes.iter().all(|n| !matches!(
             n.op,
-            Op::ScatterSoftmaxPool {
+            Op::HierarchicalAttentionPool {
                 weights: Some(_),
                 ..
             } | Op::CrossEntropy { probs: Some(_), .. }
         )));
+        let released: Vec<usize> = over_param.pool.released.iter().map(Vec::len).collect();
+        assert!(released.contains(&12));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! per-feature loop a straight-line multiply-accumulate the compiler can
 //! vectorize (standing in for the paper's AVX-512 kernels).
 
-use crate::par::parallel_for;
+use crate::par::{parallel_for, parallel_for_scratch};
+use crate::scatter::{softmax_segment, SharedRows};
 use crate::simd;
 use crate::tensor::Tensor;
 use std::sync::OnceLock;
@@ -342,6 +343,167 @@ pub fn segment_reduce_backward_into(
                 simd::mul_add_assign(o, 1.0 / (hi - lo) as f32, grow);
             } else {
                 simd::add_assign(o, grow);
+            }
+        }
+    }
+}
+
+/// An HDG collection's three levels (paper Figure 9): `types` groups per
+/// root, group `g = root·types + t` holding instances `groups[g]..
+/// groups[g + 1]` (Figure 9's `Offset2`), and `instances` over leaf rows.
+pub struct HierarchyIndex {
+    groups: Vec<usize>,
+    instances: SegmentIndex,
+    types: usize,
+    /// Instances in the largest group; sizes the kernels' scratch.
+    widest: usize,
+}
+
+impl HierarchyIndex {
+    /// Panics unless `groups` runs, sorted, from 0 to the instance count
+    /// over a whole number of roots of `types > 0` groups.
+    pub fn new(groups: Vec<usize>, instances: SegmentIndex, types: usize) -> Self {
+        let spans = groups.first() == Some(&0) && groups.last() == Some(&instances.segments());
+        let whole = types > 0 && groups.len() % types == 1 % types;
+        let sorted = groups.windows(2).all(|w| w[0] <= w[1]);
+        assert!(spans && whole && sorted, "malformed hierarchy index");
+        let widest = groups.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        Self {
+            groups,
+            instances,
+            types,
+            widest,
+        }
+    }
+
+    /// Group offsets over instances, the instances over leaf rows, and
+    /// groups per root.
+    pub fn levels(&self) -> (&[usize], &SegmentIndex, usize) {
+        (&self.groups, &self.instances, self.types)
+    }
+
+    /// Number of roots (one output row each).
+    pub fn num_roots(&self) -> usize {
+        (self.groups.len() - 1) / self.types
+    }
+
+    /// Number of instances (one kept weight row each).
+    pub fn num_instances(&self) -> usize {
+        self.instances.segments()
+    }
+
+    /// Floats of scratch one thread of either kernel needs: the largest
+    /// group's instance means and three `d`-rows.
+    pub(crate) fn scratch_len(&self, d: usize) -> usize {
+        (self.widest + 3) * d
+    }
+
+    /// The non-empty groups of root `r`, as instance ranges.
+    fn groups_of(&self, r: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let groups = self.groups[r * self.types..=(r + 1) * self.types].windows(2);
+        groups.map(|w| (w[0], w[1])).filter(|(lo, hi)| lo < hi)
+    }
+
+    /// The means of instances `lo..hi` over `h`'s rows, into `xs`: the
+    /// fold [`segment_reduce_into`] runs, from zero.
+    fn means<'s>(&self, h: &Tensor, (lo, hi): (usize, usize), xs: &'s mut [f32]) -> &'s [f32] {
+        let (d, offsets) = (h.cols(), &self.instances.offsets[lo..=hi]);
+        let xs = &mut xs[..(hi - lo) * d];
+        xs.fill(0.0);
+        let row = |e: usize| h.row(self.instances.src[e] as usize);
+        simd::fold_segments(xs, d, Reduce::Mean, offsets, row, |_| {});
+        xs
+    }
+}
+
+/// MAGNN's aggregation (paper Figure 7), root-owned: per non-empty group
+/// of a root, the instance means are folded into scratch, soft-maxed
+/// ([`softmax_segment`]) and pooled as `Σ s ⊙ x` from zero, and the row
+/// is added into the root's, finally scaled by `1/types` — the element
+/// operations and order of `segment_reduce` (Mean) → scatter softmax →
+/// `mul` → scatter-add → block mean; a skipped empty group is exact, as
+/// a sum from `+0.0` never becomes `−0.0`. Overwrites `out` and `weights`
+/// (the softmax's); each thread borrows a row of `scratch`.
+pub(crate) fn hierarchical_attention_pool_into(
+    out: &mut Tensor,
+    weights: &mut Tensor,
+    scratch: &mut Tensor,
+    h: &Tensor,
+    index: &HierarchyIndex,
+) {
+    let (d, roots, inv_types) = (h.cols(), index.num_roots(), 1.0 / index.types as f32);
+    assert_eq!(out.shape(), (roots, d), "one row per root");
+    assert_eq!(weights.shape(), (index.num_instances(), d), "weights");
+    let (weights, wide) = (SharedRows::new(weights.data_mut(), d), index.widest * d);
+    parallel_for_scratch(roots, out.data_mut(), d, scratch, |r0, rows, lent| {
+        let (xs, rest) = lent.split_at_mut(wide);
+        let (maxes, rest) = rest.split_at_mut(d);
+        let (sums, acc) = rest.split_at_mut(d);
+        for (r, root) in (r0..).zip(rows.chunks_mut(d)) {
+            root.fill(0.0);
+            for (lo, hi) in index.groups_of(r) {
+                let x = index.means(h, (lo, hi), xs);
+                // SAFETY: instances are ranked by root, so the weight rows
+                // of this root's groups are this chunk's alone.
+                let w = |i: usize| unsafe { weights.row(lo + i) };
+                softmax_segment(hi - lo, |i| &x[i * d..(i + 1) * d], w, maxes, sums);
+                acc.fill(0.0);
+                for (i, x) in x.chunks(d).enumerate() {
+                    for ((a, &s), &x) in acc.iter_mut().zip(w(i).iter()).zip(x) {
+                        *a += s * x;
+                    }
+                }
+                simd::add_assign(root, acc);
+            }
+            simd::scale_assign(root, inv_types);
+        }
+    });
+}
+
+/// Adjoint of [`hierarchical_attention_pool_into`], added into a zeroed
+/// `grad_h` serially: per group, with the means `x` recomputed and `g =
+/// grad_out[root] / types`, each instance's `g⊙s + s⊙(g⊙x − Σ_j
+/// (g⊙x_j)⊙s_j)` (the unfused chain's association) is pushed times
+/// `1/len` into its leaves' rows ([`segment_reduce_backward_into`]'s).
+pub(crate) fn hierarchical_attention_pool_backward_into(
+    grad_h: &mut Tensor,
+    grad_out: &Tensor,
+    weights: &Tensor,
+    scratch: &mut [f32],
+    h: &Tensor,
+    index: &HierarchyIndex,
+) {
+    let (d, inv_types) = (h.cols(), 1.0 / index.types as f32);
+    assert_eq!(grad_h.shape(), h.shape(), "one gradient row per input row");
+    assert_eq!(grad_out.shape(), (index.num_roots(), d), "one row per root");
+    assert_eq!(weights.shape(), (index.num_instances(), d), "weights");
+    let (xs, rest) = scratch.split_at_mut(index.widest * d);
+    let (g, rest) = rest.split_at_mut(d);
+    let (z, rest) = rest.split_at_mut(d);
+    let o = &mut rest[..d];
+    let (offsets, src) = (&index.instances.offsets, &index.instances.src);
+    for r in 0..index.num_roots() {
+        for (g, &y) in g.iter_mut().zip(grad_out.row(r)) {
+            *g = y * inv_types;
+        }
+        for (lo, hi) in index.groups_of(r) {
+            let x = index.means(h, (lo, hi), xs);
+            let s = &weights.data()[lo * d..hi * d];
+            z.fill(0.0);
+            for (s, x) in s.chunks(d).zip(x.chunks(d)) {
+                for (((z, &g), &x), &s) in z.iter_mut().zip(&*g).zip(x).zip(s) {
+                    *z += (g * x) * s;
+                }
+            }
+            for (inst, (s, x)) in (lo..hi).zip(s.chunks(d).zip(x.chunks(d))) {
+                for ((((o, &g), &x), &s), &z) in o.iter_mut().zip(&*g).zip(x).zip(s).zip(&*z) {
+                    *o = g * s + s * (g * x - z);
+                }
+                let leaves = &src[offsets[inst]..offsets[inst + 1]];
+                for &leaf in leaves {
+                    let row = grad_h.row_mut(leaf as usize);
+                    simd::mul_add_assign(row, 1.0 / leaves.len() as f32, o);
+                }
             }
         }
     }

@@ -42,7 +42,7 @@ pub mod simd;
 pub mod tensor;
 
 pub use autograd::{Graph, NodeId};
-pub use fusion::{segment_reduce, Reduce, SegmentIndex};
+pub use fusion::{segment_reduce, HierarchyIndex, Reduce, SegmentIndex};
 pub use init::xavier_uniform;
 pub use optim::{Adam, Optimizer, ParamSet};
 pub use par::{num_threads, pool_worker_count, set_thread_override};

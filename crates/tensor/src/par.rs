@@ -25,6 +25,7 @@
 //! is currently dispatching) runs its chunks inline on the caller, which
 //! is equivalent by the chunk-invariance contract and cannot deadlock.
 
+use crate::tensor::Tensor;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -330,25 +331,46 @@ pub fn parallel_for<F>(n_rows: usize, out: &mut [f32], row_width: usize, body: F
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    let no_scratch = &mut Tensor::zeros(num_threads(), 0);
+    parallel_for_scratch(n_rows, out, row_width, no_scratch, |r0, chunk, _| {
+        body(r0, chunk)
+    });
+}
+
+/// [`parallel_for`] that also lends each chunk its own row of `scratch`,
+/// so it runs no more chunks than `scratch` has rows.
+pub(crate) fn parallel_for_scratch<F>(
+    n_rows: usize,
+    out: &mut [f32],
+    row_width: usize,
+    scratch: &mut Tensor,
+    body: F,
+) where
+    F: Fn(usize, &mut [f32], &mut [f32]) + Sync,
+{
     debug_assert_eq!(out.len(), n_rows * row_width);
-    let threads = num_threads();
+    let (slots, width) = scratch.shape();
+    let threads = num_threads().min(slots);
     // Small-work cutoff: measured crossover for dispatch overhead.
     if threads <= 1 || n_rows * row_width < 16 * 1024 {
-        body(0, out);
+        body(0, out, &mut scratch.data_mut()[..width]);
         return;
     }
     let rows_per = n_rows.div_ceil(threads);
     let chunks = n_rows.div_ceil(rows_per);
     let base = SendPtr::new(out.as_mut_ptr());
+    let lent = SendPtr::new(scratch.data_mut().as_mut_ptr());
     let total = out.len();
     let body = &body;
     pool_run(chunks, threads, &move |i| {
         let start = i * rows_per * row_width;
         let take = (rows_per * row_width).min(total - start);
-        // SAFETY: chunk `i` covers elements `start..start + take`;
-        // chunks are disjoint and within bounds by construction.
+        // SAFETY: chunk `i` covers elements `start..start + take` of
+        // `out` and row `i` of `scratch`: disjoint, and in bounds as
+        // `chunks ≤ threads ≤ slots`.
         let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), take) };
-        body(i * rows_per, chunk);
+        let slot = unsafe { std::slice::from_raw_parts_mut(lent.get().add(i * width), width) };
+        body(i * rows_per, chunk, slot);
     });
 }
 

@@ -353,115 +353,74 @@ pub fn scatter_softmax_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor 
 
 /// [`scatter_softmax_with_plan`] into a caller-provided `out` shaped
 /// like `values`, which is overwritten.
+///
+/// `out` is edge-shaped, so the kernel parallelizes over destination
+/// segments and writes each edge row through a shared pointer: safe
+/// because `perm` partitions the edge set — exactly one destination
+/// (hence one thread) owns each edge row.
 pub fn scatter_softmax_with_plan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan) {
-    softmax_segments(out, None, values, plan);
-}
-
-/// Fused attention pooling (the instance → metapath-type level of the
-/// paper's MAGNN, Figure 7): `pooled[d] = Σ_{e ∈ seg(d)} softmax_seg(x)_e
-/// ⊙ x_e`, together with the normalised weights the backward needs.
-///
-/// One destination-owned pass per segment performs exactly the
-/// operations, in exactly the order, of [`scatter_softmax_with_plan`] →
-/// elementwise product → [`scatter_add_with_plan`], so `pooled` is
-/// bit-identical to that chain — without writing and re-reading the
-/// edge-shaped product, and with each group's rows still in cache when
-/// they are weighted.
-///
-/// Writes into caller-provided `pooled` (`out_rows × d`) and `weights`
-/// (shaped like `values`); both are overwritten.
-pub fn scatter_softmax_pool_with_plan_into(
-    pooled: &mut Tensor,
-    weights: &mut Tensor,
-    values: &Tensor,
-    plan: &ScatterPlan,
-) {
-    assert_eq!(
-        pooled.shape(),
-        (plan.out_rows, values.cols()),
-        "pooled output shape"
-    );
-    softmax_segments(weights, Some(pooled), values, plan);
-}
-
-/// The per-segment softmax behind both kernels above; with `pooled`
-/// it also accumulates each segment's weighted rows, from zero, in
-/// plan (= original edge) order.
-///
-/// `weights` is edge-shaped, so the kernel parallelizes over
-/// destination segments and writes each edge row through a shared
-/// pointer: safe because `perm` partitions the edge set — exactly one
-/// destination (hence one thread) owns each edge row.
-fn softmax_segments(
-    weights: &mut Tensor,
-    mut pooled: Option<&mut Tensor>,
-    values: &Tensor,
-    plan: &ScatterPlan,
-) {
     plan.check_values(values);
-    assert_eq!(weights.shape(), values.shape(), "softmax output shape");
+    assert_eq!(out.shape(), values.shape(), "softmax output shape");
     let d = values.cols();
-    if let Some(p) = pooled.as_deref_mut() {
-        p.data_mut().fill(0.0); // Empty destinations stay zero.
-    }
     if d == 0 || values.rows() == 0 {
         return;
     }
-    let shared = SharedRows::new(weights);
-    let pooled = pooled.map(SharedRows::new);
+    let shared = SharedRows::new(out.data_mut(), d);
     for_destination_ranges(plan, d, |range| {
-        let mut maxes = vec![0.0f32; d];
-        let mut sums = vec![0.0f32; d];
+        let (mut maxes, mut sums) = (vec![0.0f32; d], vec![0.0f32; d]);
         for dst in range {
             let seg = plan.segment(dst);
-            if seg.is_empty() {
-                continue;
-            }
-            // Column max over the segment, in edge order, from the same
-            // -∞ sentinel (rewritten to 0 if it survives) as the serial
-            // reference — keeps elementwise parity on infinite inputs.
-            maxes.fill(f32::NEG_INFINITY);
-            for &e in seg {
-                for (m, &s) in maxes.iter_mut().zip(values.row(e as usize)) {
-                    *m = m.max(s);
-                }
-            }
-            for m in maxes.iter_mut() {
-                if *m == f32::NEG_INFINITY {
-                    *m = 0.0;
-                }
-            }
-            // Stabilized exponentials and their segment sums.
-            sums.fill(0.0);
-            for &e in seg {
-                // SAFETY: each edge row belongs to exactly one
-                // destination segment, and destinations are partitioned
-                // across threads, so this row is written by this thread
-                // only.
-                let row = unsafe { shared.row(e as usize) };
-                simd::exp_sub_into(row, values.row(e as usize), &maxes);
-                simd::add_assign(&mut sums, row);
-            }
-            // SAFETY: destination row `dst` is in this thread's range.
-            let mut acc = pooled.as_ref().map(|p| unsafe { p.row(dst) });
-            // Normalize, and pool the weighted rows while they are hot.
-            for &e in seg {
-                // SAFETY: as for the exponentials above.
-                let row = unsafe { shared.row(e as usize) };
-                for (x, &z) in row.iter_mut().zip(sums.iter()) {
-                    if z > 0.0 {
-                        *x /= z;
-                    }
-                }
-                if let Some(acc) = acc.as_deref_mut() {
-                    for ((a, &w), &v) in acc.iter_mut().zip(row.iter()).zip(values.row(e as usize))
-                    {
-                        *a += w * v;
-                    }
-                }
-            }
+            let edge = |i: usize| seg[i] as usize;
+            // SAFETY: this thread owns every edge row of `seg`.
+            let out = |i| unsafe { shared.row(edge(i)) };
+            softmax_segment(
+                seg.len(),
+                |i| values.row(edge(i)),
+                out,
+                &mut maxes,
+                &mut sums,
+            );
         }
     });
+}
+
+/// The softmax of one segment of `n` rows, shared by
+/// [`scatter_softmax_with_plan_into`] and the hierarchical attention
+/// pool: `out(i) = exp(x(i) − max) / Σ` per column, `max` taken in row
+/// order from a `−∞` sentinel (0 if it survives, as the serial reference
+/// does), `Σ` from zero (a column whose `Σ` is not positive keeps its
+/// exponentials). `maxes`, `sums`: `d`-float scratch.
+pub(crate) fn softmax_segment<'a, 'b>(
+    n: usize,
+    x: impl Fn(usize) -> &'a [f32],
+    out: impl Fn(usize) -> &'b mut [f32],
+    maxes: &mut [f32],
+    sums: &mut [f32],
+) {
+    maxes.fill(f32::NEG_INFINITY);
+    for i in 0..n {
+        for (m, &s) in maxes.iter_mut().zip(x(i)) {
+            *m = m.max(s);
+        }
+    }
+    for m in maxes.iter_mut() {
+        if *m == f32::NEG_INFINITY {
+            *m = 0.0;
+        }
+    }
+    sums.fill(0.0);
+    for i in 0..n {
+        let row = out(i);
+        simd::exp_sub_into(row, x(i), maxes);
+        simd::add_assign(sums, row);
+    }
+    for i in 0..n {
+        for (w, &z) in out(i).iter_mut().zip(sums.iter()) {
+            if z > 0.0 {
+                *w /= z;
+            }
+        }
+    }
 }
 
 /// Adjoint of [`scatter_softmax_with_plan`]: with `s` the forward
@@ -481,7 +440,7 @@ pub fn scatter_softmax_backward_into(
     if d == 0 || s.rows() == 0 {
         return;
     }
-    let shared = SharedRows::new(grad_in);
+    let shared = SharedRows::new(grad_in.data_mut(), d);
     for_destination_ranges(plan, d, |range| {
         let mut sums = vec![0.0f32; d];
         for dst in range {
@@ -507,62 +466,6 @@ pub fn scatter_softmax_backward_into(
     });
 }
 
-/// Adjoint of [`scatter_softmax_pool_with_plan_into`] with respect to
-/// `values`, computed in place over the forward weights: with `g =
-/// grad_out[d]` the gradient of destination `d`, `x` its segment's input
-/// rows and `s` their forward weights, `weights[e]` becomes
-/// `g ⊙ s_e + s_e ⊙ (g ⊙ x_e − Σ_j (g ⊙ x_j) ⊙ s_j)` — the association
-/// of the unfused chain's `Mul`-then-softmax backward, so the result is
-/// bit-identical to it, with no `exp`. In place is exact: the segment's
-/// sum reads every `s_j` before any row is rewritten, and each element
-/// then reads only its own `s_e`.
-pub fn scatter_softmax_pool_backward_into(
-    weights: &mut Tensor,
-    grad_out: &Tensor,
-    values: &Tensor,
-    plan: &ScatterPlan,
-) {
-    plan.check_values(values);
-    assert_eq!(weights.shape(), values.shape(), "pool weights shape");
-    assert_eq!(
-        grad_out.shape(),
-        (plan.out_rows, values.cols()),
-        "pool gradient shape"
-    );
-    let d = values.cols();
-    if d == 0 || values.rows() == 0 {
-        return;
-    }
-    let shared = SharedRows::new(weights);
-    for_destination_ranges(plan, d, |range| {
-        let mut sums = vec![0.0f32; d];
-        for dst in range {
-            let seg = plan.segment(dst);
-            let g = grad_out.row(dst);
-            sums.fill(0.0);
-            for &e in seg {
-                // SAFETY: `perm` partitions the edge rows among
-                // destinations and destinations among threads, so this
-                // row is read and written by this thread only.
-                let s = unsafe { shared.row(e as usize) };
-                let x = values.row(e as usize);
-                for (((z, &g), &x), &s) in sums.iter_mut().zip(g).zip(x).zip(s.iter()) {
-                    *z += (g * x) * s;
-                }
-            }
-            for &e in seg {
-                // SAFETY: as for the sums above.
-                let row = unsafe { shared.row(e as usize) };
-                let x = values.row(e as usize);
-                for (((o, &g), &x), &z) in row.iter_mut().zip(g).zip(x).zip(sums.iter()) {
-                    let s = *o;
-                    *o = g * s + s * (g * x - z);
-                }
-            }
-        }
-    });
-}
-
 /// Runs `process` over destination ranges of `plan`: the whole range
 /// inline for small work or one thread, disjoint sub-ranges on the pool
 /// otherwise.
@@ -579,8 +482,9 @@ fn for_destination_ranges(
 }
 
 /// Shared mutable row view for kernels whose write pattern is a
-/// partition of rows proven disjoint by a [`ScatterPlan`].
-struct SharedRows {
+/// partition of rows proven disjoint (by a [`ScatterPlan`], or by the
+/// roots a thread owns).
+pub(crate) struct SharedRows {
     ptr: *mut f32,
     cols: usize,
 }
@@ -590,19 +494,20 @@ struct SharedRows {
 unsafe impl Sync for SharedRows {}
 
 impl SharedRows {
-    /// Borrows `t` exclusively for the lifetime of the kernel call that
-    /// creates the view.
-    fn new(t: &mut Tensor) -> Self {
+    /// Borrows `data`, rows of `cols` floats, exclusively for the
+    /// lifetime of the kernel call that creates the view.
+    pub(crate) fn new(data: &mut [f32], cols: usize) -> Self {
         SharedRows {
-            cols: t.cols(),
-            ptr: t.data_mut().as_mut_ptr(),
+            cols,
+            ptr: data.as_mut_ptr(),
         }
     }
 
     /// # Safety
-    /// The caller must guarantee no two threads touch the same `r`.
+    /// `r` must be a row of the borrowed data, and no two live borrows
+    /// (on any thread) may be of the same `r`.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row(&self, r: usize) -> &mut [f32] {
+    pub(crate) unsafe fn row(&self, r: usize) -> &mut [f32] {
         std::slice::from_raw_parts_mut(self.ptr.add(r * self.cols), self.cols)
     }
 }
