@@ -65,15 +65,25 @@ pub fn all_datasets(s: ScaleFactor) -> Vec<Dataset> {
 /// Attaches the paper's synthetic 3-type coloring to a homogeneous
 /// dataset so MAGNN can run on it (vertex id modulo 3).
 pub fn with_synthetic_types(ds: &Dataset) -> TypedGraph {
-    match &ds.types {
-        Some(t) => TypedGraph::new(ds.graph.clone(), t.clone()),
-        None => {
-            let types = (0..ds.graph.num_vertices())
-                .map(|v| (v % 3) as u8)
-                .collect();
-            TypedGraph::new(ds.graph.clone(), types)
-        }
+    TypedGraph::new(ds.graph.clone(), vertex_types(ds))
+}
+
+/// `ds` itself if it has vertex types, else a copy with the synthetic
+/// coloring of [`with_synthetic_types`]: what a MAGNN model trains on.
+pub fn typed_dataset(ds: &Dataset) -> Dataset {
+    Dataset {
+        types: Some(vertex_types(ds)),
+        ..ds.clone()
     }
+}
+
+fn vertex_types(ds: &Dataset) -> Vec<u8> {
+    let synthetic = || {
+        (0..ds.graph.num_vertices())
+            .map(|v| (v % 3) as u8)
+            .collect()
+    };
+    ds.types.clone().unwrap_or_else(synthetic)
 }
 
 /// The 6 three-vertex metapaths of the paper's MAGNN setup, over the
@@ -93,13 +103,6 @@ pub fn magnn_metapaths() -> Vec<Metapath> {
 /// laptop-scale stand-in for the paper's fixed metapath workload. The
 /// cap applies identically to FlexGraph and every baseline.
 pub const MAGNN_INSTANCE_CAP: usize = 30;
-
-/// Times a closure.
-pub fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let t0 = Instant::now();
-    let r = f();
-    (t0.elapsed(), r)
-}
 
 /// Times a closure, repeating `reps` times and reporting the mean.
 pub fn time_mean<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -220,13 +223,12 @@ impl Section {
             .collect()
     }
 
-    /// The number in row `row`, column `col`.
+    /// The cell in row `row`, column `col`.
     ///
     /// # Panics
     ///
-    /// Panics when there is no such row or column, or the cell holds no
-    /// number.
-    pub fn value(&self, row: &str, col: &str) -> f64 {
+    /// Panics when there is no such row or column.
+    pub fn cell(&self, row: &str, col: &str) -> &Cell {
         let c = self.columns[1..]
             .iter()
             .position(|name| *name == col)
@@ -236,7 +238,17 @@ impl Section {
             .iter()
             .find(|(label, _)| label == row)
             .unwrap_or_else(|| panic!("no row {row:?}"));
-        cells[c]
+        &cells[c]
+    }
+
+    /// The number in row `row`, column `col`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when there is no such row or column, or the cell holds no
+    /// number.
+    pub fn value(&self, row: &str, col: &str) -> f64 {
+        self.cell(row, col)
             .value()
             .unwrap_or_else(|| panic!("{row} / {col} holds no number"))
     }
@@ -383,7 +395,9 @@ mod tests {
 
     #[test]
     fn time_mean_requires_reps() {
-        let d = time_mean(3, || std::hint::black_box(1 + 1));
-        assert!(d < Duration::from_millis(10));
+        let mut calls = 0;
+        time_mean(3, || calls += 1);
+        assert_eq!(calls, 3);
+        assert!(std::panic::catch_unwind(|| time_mean(0, || ())).is_err());
     }
 }

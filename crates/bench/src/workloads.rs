@@ -3,23 +3,26 @@
 //!
 //! Every "system" row of the paper's tables is an *execution strategy*
 //! reimplemented inside this runtime (DESIGN.md §2), run over identical
-//! model workloads:
+//! models: a cell trains one epoch of `flexgraph::models`' GCN, PinSage
+//! or MAGNN, its tape recording aggregation under the system's
+//! [`Strategy`].
 //!
-//! * **PyTorch-like** — all-sparse tensor ops: materializing gather +
-//!   scatter; MAGNN instance search without graph-side type pruning.
-//! * **DGL-like** — GAS abstraction with kernel fusion but without
-//!   FlexGraph's parallel SIMD sweep; PinSage walks simulated through
-//!   propagation stages (§7.1).
-//! * **DistDGL-like** — mini-batch with full k-hop expansion.
+//! * **PyTorch-like** — all-sparse tensor ops (SA); MAGNN instance
+//!   search without graph-side type pruning; PinSage walks simulated
+//!   through propagation stages (§7.1).
+//! * **DGL-like** — GAS abstraction with kernel fusion (SA+FA), and the
+//!   same simulated walks.
+//! * **DistDGL-like** — mini-batch with full k-hop expansion: a
+//!   forward-only engine run on GCN; PinSage as DGL-like.
 //! * **Euler-like** — mini-batch sampling with a prefetch pipeline
-//!   (higher concurrent memory) but an efficient walk engine.
-//! * **FlexGraph** — graph-engine NeighborSelection + hybrid execution.
+//!   (higher concurrent memory) on GCN, forward only; on PinSage an
+//!   efficient walk engine and sparse aggregation (SA).
+//! * **FlexGraph** — graph-engine NeighborSelection + hybrid execution
+//!   (HA).
 
-use crate::{magnn_metapaths, with_synthetic_types, MAGNN_INSTANCE_CAP};
+use crate::{magnn_metapaths, typed_dataset, with_synthetic_types, MAGNN_INSTANCE_CAP};
 use flexgraph::engine::gas::gas_walk_neighbors;
-use flexgraph::engine::hybrid::{
-    direct_aggregate, hierarchical_aggregate, AggrOp, AggrPlan, Strategy,
-};
+use flexgraph::engine::hybrid::{AggrOp, AggrPlan, Strategy};
 use flexgraph::engine::minibatch::{minibatch_epoch, MiniBatchConfig};
 use flexgraph::engine::{EngineError, MemoryBudget};
 use flexgraph::graph::gen::Dataset;
@@ -29,12 +32,17 @@ use flexgraph::hdg::build::{
     from_direct_neighbors, from_importance_walks, from_metapaths, from_neighbor_lists, HdgBuilder,
 };
 use flexgraph::hdg::{Hdg, SchemaTree};
+use flexgraph::models::{EpochStats, Gcn, Magnn, Model, PinSage, TrainConfig, Trainer};
 use flexgraph::prelude::StageTimes;
-use flexgraph::tensor::fusion::{
-    materialized_bytes, segment_reduce, segment_reduce_serial, Reduce,
-};
+use flexgraph::tensor::fusion::materialized_bytes;
 use flexgraph::tensor::Tensor;
 use std::time::{Duration, Instant};
+
+/// Hidden width of every trained model.
+pub const HIDDEN: usize = 64;
+
+/// Seed of PinSage's walks, in the model and in the GAS simulation.
+const WALK_SEED: u64 = 7;
 
 /// The three models of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,7 +51,7 @@ pub enum ModelKind {
     Gcn,
     /// INFA: walk-importance neighbors, flat sum.
     PinSage,
-    /// INHA: metapath instances, hierarchical mean.
+    /// INHA: metapath instances, hierarchical attention.
     Magnn,
 }
 
@@ -60,12 +68,14 @@ impl ModelKind {
         }
     }
 
-    /// The aggregation plan; its `leaf_op` is also the distributed
-    /// epoch's leaf reduction.
+    /// The engine's aggregation plan for the distributed epoch and
+    /// Pre+DGL, which do not run the models: a flat sum, or a mean at
+    /// every MAGNN level. Its `leaf_op` is also the distributed epoch's
+    /// leaf reduction.
     pub fn plan(self) -> AggrPlan {
         match self {
             Self::Gcn | Self::PinSage => AggrPlan::flat(AggrOp::Sum),
-            Self::Magnn => magnn_plan(),
+            Self::Magnn => AggrPlan::flat(AggrOp::Mean),
         }
     }
 
@@ -80,6 +90,52 @@ impl ModelKind {
             Self::Magnn => from_metapaths(typed, roots, &magnn_metapaths(), MAGNN_INSTANCE_CAP),
         }
     }
+
+    /// A trainer of this model for `ds`, recording under `strategy`.
+    /// MAGNN reads vertex types: give it a [`typed_dataset`].
+    pub fn trainer(self, ds: &Dataset, strategy: Strategy) -> Box<dyn Epochs> {
+        let (d, c) = (ds.feature_dim(), ds.num_classes);
+        match self {
+            Self::Gcn => Box::new(trained(Gcn::new(HIDDEN, d, c), strategy)),
+            Self::PinSage => Box::new(trained(PinSage::new(HIDDEN, d, c, WALK_SEED), strategy)),
+            Self::Magnn => {
+                let paths = magnn_metapaths();
+                Box::new(trained(
+                    Magnn::new(HIDDEN, d, c, paths, MAGNN_INSTANCE_CAP),
+                    strategy,
+                ))
+            }
+        }
+    }
+}
+
+fn trained<M: Model + Send>(model: M, strategy: Strategy) -> Trainer<M> {
+    let cfg = TrainConfig {
+        epochs: 0,
+        lr: 0.01,
+        seed: 7,
+    };
+    Trainer::new(model, cfg).with_strategy(strategy)
+}
+
+/// A [`Trainer`] of any model, as the harness drives it.
+pub trait Epochs: Send {
+    /// One training epoch; see [`Trainer::epoch`].
+    fn epoch(&mut self, ds: &Dataset, epoch: u64) -> EpochStats;
+}
+
+impl<M: Model + Send> Epochs for Trainer<M> {
+    fn epoch(&mut self, ds: &Dataset, epoch: u64) -> EpochStats {
+        Trainer::epoch(self, ds, epoch)
+    }
+}
+
+/// `epoch` on a thread of its own, so its tape adopts no buffer an
+/// earlier tape parked: every cell draws its whole footprint, and
+/// [`EpochStats::tape_bytes`] reports it.
+pub fn isolated_epoch(tr: &mut dyn Epochs, ds: &Dataset, epoch: u64) -> EpochStats {
+    std::thread::scope(|s| s.spawn(|| tr.epoch(ds, epoch)).join())
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Every vertex of `ds`, in id order: the roots of a whole-graph
@@ -93,7 +149,7 @@ pub(crate) fn all_roots(ds: &Dataset) -> Vec<VertexId> {
 pub enum System {
     /// All-sparse tensor execution.
     PyTorchLike,
-    /// GAS with kernel fusion, single-threaded.
+    /// GAS with kernel fusion.
     DglLike,
     /// Mini-batch full k-hop expansion.
     DistDglLike,
@@ -116,14 +172,21 @@ impl System {
     }
 
     /// All systems in the paper's column order.
-    pub fn all() -> [System; 5] {
-        [
-            Self::PyTorchLike,
-            Self::DglLike,
-            Self::DistDglLike,
-            Self::EulerLike,
-            Self::FlexGraph,
-        ]
+    pub const ALL: [System; 5] = [
+        Self::PyTorchLike,
+        Self::DglLike,
+        Self::DistDglLike,
+        Self::EulerLike,
+        Self::FlexGraph,
+    ];
+
+    /// How the system's training epoch records aggregation.
+    pub fn strategy(self) -> Strategy {
+        match self {
+            Self::PyTorchLike | Self::EulerLike => Strategy::Sa,
+            Self::DglLike | Self::DistDglLike => Strategy::SaFa,
+            Self::FlexGraph => Strategy::Ha,
+        }
     }
 }
 
@@ -135,23 +198,6 @@ pub fn pinsage_walk() -> WalkConfig {
 /// MAGNN HDG of every vertex over the (possibly synthetic) typing.
 pub fn magnn_hdg(ds: &Dataset) -> Hdg {
     ModelKind::Magnn.hdg(&with_synthetic_types(ds), all_roots(ds), 0)
-}
-
-/// MAGNN aggregation plan (mean at every level, per Figure 7's spirit).
-pub fn magnn_plan() -> AggrPlan {
-    AggrPlan {
-        leaf_op: AggrOp::Mean,
-        instance_op: AggrOp::Mean,
-        schema_op: AggrOp::Mean,
-    }
-}
-
-/// Dense Update stage shared by every system: `relu(h · w)`, with a
-/// square weight so layers compose.
-fn update(h: &Tensor, w: &Tensor) -> Tensor {
-    let mut out = h.matmul(w);
-    out.relu_inplace();
-    out
 }
 
 /// Estimated transient bytes of a *naive* (unpruned) metapath search:
@@ -218,195 +264,91 @@ fn naive_find_magnn_instances(ds: &Dataset) -> Hdg {
     b.build()
 }
 
-/// One single-machine training-epoch equivalent (NeighborSelection +
-/// two layers of Aggregation + Update) for a (system, model) pair.
-///
-/// Returns the wall time, or the structured OOM / unsupported outcome —
-/// exactly the cells of Table 2.
-pub fn run_epoch(
+/// The selection a baseline runs in place of the model's own, timed, if
+/// it has one: GAS-simulated walks for PinSage on PyTorch-, DGL- and
+/// DistDGL-like, the naive metapath search for PyTorch-like MAGNN.
+fn baseline_selection(
     system: System,
     model: ModelKind,
     ds: &Dataset,
     budget: &MemoryBudget,
-) -> Result<Duration, EngineError> {
-    Ok(run_epoch_timed(system, model, ds, budget)?.total())
-}
-
-/// As [`run_epoch`], with the per-stage breakdown (Table 4).
-pub fn run_epoch_timed(
-    system: System,
-    model: ModelKind,
-    ds: &Dataset,
-    budget: &MemoryBudget,
-) -> Result<StageTimes, EngineError> {
-    let d = ds.feature_dim();
-    let w = Tensor::eye(d).scale(0.1);
-    let g = &ds.graph;
+) -> Result<Option<Duration>, EngineError> {
     let t0 = Instant::now();
-
     match (system, model) {
-        // ---------------- GCN ----------------
-        (System::PyTorchLike, ModelKind::Gcn) => {
-            let selection = t0.elapsed();
-            let mut h = ds.features.clone();
-            let mut agg = Duration::ZERO;
-            let mut upd = Duration::ZERO;
-            for _ in 0..2 {
-                let ta = Instant::now();
-                let a = direct_aggregate(g, &h, AggrOp::Sum, false, budget)?;
-                agg += ta.elapsed();
-                let tu = Instant::now();
-                h = update(&a.features, &w);
-                upd += tu.elapsed();
-            }
-            Ok(StageTimes {
-                selection,
-                aggregation: agg,
-                update: upd,
-            })
-        }
-        (System::DglLike, ModelKind::Gcn) => {
-            let selection = t0.elapsed();
-            let mut h = ds.features.clone();
-            let mut agg = Duration::ZERO;
-            let mut upd = Duration::ZERO;
-            for _ in 0..2 {
-                let ta = Instant::now();
-                let a = segment_reduce_serial(&h, g.in_offsets(), g.in_sources());
-                agg += ta.elapsed();
-                let tu = Instant::now();
-                h = update(&a, &w);
-                upd += tu.elapsed();
-            }
-            Ok(StageTimes {
-                selection,
-                aggregation: agg,
-                update: upd,
-            })
-        }
-        (System::DistDglLike, ModelKind::Gcn) | (System::EulerLike, ModelKind::Gcn) => {
-            let concurrent = if system == System::EulerLike { 8 } else { 1 };
-            let selection = t0.elapsed();
-            let ta = Instant::now();
-            let cfg = MiniBatchConfig {
-                batch_size: 512,
-                layers: 2,
-                concurrent_batches: concurrent,
-            };
-            let out = minibatch_epoch(g, &ds.features, AggrOp::Sum, &cfg, budget)?;
-            let agg = ta.elapsed();
-            let tu = Instant::now();
-            let _ = update(&out.result.features, &w);
-            Ok(StageTimes {
-                selection,
-                aggregation: agg,
-                update: tu.elapsed(),
-            })
-        }
-        (System::FlexGraph, ModelKind::Gcn) => {
-            let selection = t0.elapsed();
-            let mut h = ds.features.clone();
-            let mut agg = Duration::ZERO;
-            let mut upd = Duration::ZERO;
-            for _ in 0..2 {
-                let ta = Instant::now();
-                let a = segment_reduce(&h, g.in_offsets(), g.in_sources(), Reduce::Sum);
-                agg += ta.elapsed();
-                let tu = Instant::now();
-                h = update(&a, &w);
-                upd += tu.elapsed();
-            }
-            Ok(StageTimes {
-                selection,
-                aggregation: agg,
-                update: upd,
-            })
-        }
-
-        // ---------------- PinSage ----------------
         (System::PyTorchLike | System::DglLike | System::DistDglLike, ModelKind::PinSage) => {
-            // Selection: random walks simulated through propagation
-            // stages — the ≥95 % cost of §7.1.
-            let walk = gas_walk_neighbors(g, &pinsage_walk(), 7, budget)?;
-            let hdg = from_neighbor_lists(all_roots(ds), &walk.neighbors);
-            let selection = t0.elapsed();
-            let strategy = if system == System::PyTorchLike {
-                Strategy::Sa
-            } else {
-                Strategy::SaFa
-            };
-            layers(&hdg, ds, &w, model, strategy, budget, selection)
+            // Random walks simulated through propagation stages — the
+            // ≥95 % cost of §7.1.
+            let walk = gas_walk_neighbors(&ds.graph, &pinsage_walk(), WALK_SEED, budget)?;
+            from_neighbor_lists(all_roots(ds), &walk.neighbors);
         }
-        (System::EulerLike | System::FlexGraph, ModelKind::PinSage) => {
-            // Euler's sampling engine (its Gremlin query engine) walks
-            // the graph directly, as FlexGraph's graph engine does; Euler
-            // then aggregates with sparse ops, FlexGraph with hybrid
-            // execution.
-            let hdg = from_importance_walks(g, all_roots(ds), &pinsage_walk(), 7);
-            let selection = t0.elapsed();
-            let strategy = if system == System::EulerLike {
-                Strategy::Sa
-            } else {
-                Strategy::Ha
-            };
-            layers(&hdg, ds, &w, model, strategy, budget, selection)
-        }
-
-        // ---------------- MAGNN ----------------
         (System::PyTorchLike, ModelKind::Magnn) => {
             // The naive expansion materializes every 2-hop path before
             // filtering; check its tensor against the budget first (the
             // paper's OOM cells on Reddit/FB91/Twitter).
             budget.check(naive_magnn_bytes(ds))?;
-            let hdg = naive_find_magnn_instances(ds);
-            let selection = t0.elapsed();
-            layers(&hdg, ds, &w, model, Strategy::Sa, budget, selection)
+            naive_find_magnn_instances(ds);
         }
         (System::DglLike | System::DistDglLike | System::EulerLike, ModelKind::Magnn) => {
-            Err(EngineError::Unsupported(
+            return Err(EngineError::Unsupported(
                 "GAS-like abstractions cannot express hierarchical aggregation",
-            ))
+            ));
         }
-        (System::FlexGraph, ModelKind::Magnn) => {
-            let hdg = magnn_hdg(ds);
-            let selection = t0.elapsed();
-            layers(&hdg, ds, &w, model, Strategy::Ha, budget, selection)
-        }
+        _ => return Ok(None),
     }
+    Ok(Some(t0.elapsed()))
 }
 
-/// Two layers of `model`'s aggregation over an HDG plus updates.
-fn layers(
-    hdg: &Hdg,
-    ds: &Dataset,
-    w: &Tensor,
+/// One single-machine epoch of a (system, model) pair: its stage
+/// times, or the structured OOM / unsupported outcome — the cells of
+/// Tables 2 and 4.
+///
+/// The mini-batch systems run GCN as a forward-only engine pass
+/// (NeighborSelection-free k-hop batches, two layers, then a dense
+/// update). Every other cell is the first epoch of a fresh
+/// [`Trainer`] — selection, forward, backward and Adam, on a thread of
+/// its own — recorded under [`System::strategy`], with the baseline's
+/// own selection time in place of the model's where it has one.
+pub fn run_epoch(
+    system: System,
     model: ModelKind,
-    strategy: Strategy,
+    ds: &Dataset,
     budget: &MemoryBudget,
-    selection: Duration,
 ) -> Result<StageTimes, EngineError> {
-    let plan = model.plan();
-    let mut h = ds.features.clone();
-    let mut agg = Duration::ZERO;
-    let mut upd = Duration::ZERO;
-    for _ in 0..2 {
+    if model == ModelKind::Gcn && matches!(system, System::DistDglLike | System::EulerLike) {
+        let concurrent = if system == System::EulerLike { 8 } else { 1 };
+        let cfg = MiniBatchConfig {
+            batch_size: 512,
+            layers: 2,
+            concurrent_batches: concurrent,
+        };
         let ta = Instant::now();
-        let a = hierarchical_aggregate(hdg, &h, &plan, strategy, budget)?;
-        agg += ta.elapsed();
+        let out = minibatch_epoch(&ds.graph, &ds.features, AggrOp::Sum, &cfg, budget)?;
+        let aggregation = ta.elapsed();
+        let w = Tensor::eye(ds.feature_dim()).scale(0.1);
         let tu = Instant::now();
-        h = update(&a.features, w);
-        upd += tu.elapsed();
+        let mut h = out.result.features.matmul(&w);
+        h.relu_inplace();
+        return Ok(StageTimes {
+            selection: Duration::ZERO,
+            aggregation,
+            update: tu.elapsed(),
+        });
     }
-    Ok(StageTimes {
-        selection,
-        aggregation: agg,
-        update: upd,
-    })
+    let selection = baseline_selection(system, model, ds, budget)?;
+    let typed = (model == ModelKind::Magnn).then(|| typed_dataset(ds));
+    let ds = typed.as_ref().unwrap_or(ds);
+    let mut tr = model.trainer(ds, system.strategy());
+    let mut times = isolated_epoch(tr.as_mut(), ds, 0).times;
+    if let Some(selection) = selection {
+        times.selection = selection;
+    }
+    Ok(times)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexgraph::engine::hybrid::hierarchical_aggregate;
     use flexgraph::graph::gen::{community, hetero_imdb};
 
     #[test]
@@ -467,9 +409,12 @@ mod tests {
     #[test]
     fn fusion_materializes_no_per_edge_rows_on_gcn() {
         let ds = community(2_000, 4, 16, 4, 64, 8);
-        let b = MemoryBudget::unlimited();
-        let sparse = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, false, &b).unwrap();
-        let fused = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, true, &b).unwrap();
+        let hdg = from_direct_neighbors(&ds.graph, all_roots(&ds));
+        let aggregate = |strategy| {
+            let (plan, b) = (AggrPlan::flat(AggrOp::Sum), MemoryBudget::unlimited());
+            hierarchical_aggregate(&hdg, &ds.features, &plan, strategy, &b).unwrap()
+        };
+        let (sparse, fused) = (aggregate(Strategy::Sa), aggregate(Strategy::Ha));
         assert_eq!(
             sparse.peak_transient_bytes,
             materialized_bytes(ds.graph.num_edges(), ds.feature_dim())

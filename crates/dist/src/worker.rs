@@ -33,7 +33,7 @@ use flexgraph_comm::{
     decode_rows, decode_rows_with, encode_rows, CommError, SimTask, TaskStep, WorkerCtx,
 };
 use flexgraph_engine::hybrid::{aggregate_from_groups, aggregate_from_instances, Strategy};
-use flexgraph_engine::{AggrOp, MemoryBudget};
+use flexgraph_engine::AggrOp;
 use flexgraph_graph::bfs::k_hop_closure;
 use flexgraph_graph::{Graph, VertexId};
 use flexgraph_obs::{PartitionRecord, Stage};
@@ -210,15 +210,10 @@ impl Worker<'_> {
         if cfg.leaf_op == AggrOp::Mean {
             finalize_mean(&mut slots, &sync.slot_counts);
         }
-        let budget = MemoryBudget::unlimited();
         let upper = match sync.level {
-            SlotLevel::Instances => {
-                aggregate_from_instances(hdg, &slots, &cfg.plan, strategy, &budget)
-            }
-            SlotLevel::Groups => aggregate_from_groups(hdg, slots, &cfg.plan, strategy, &budget),
-        }
-        .expect("unbudgeted upper-level aggregation cannot fail")
-        .features;
+            SlotLevel::Instances => aggregate_from_instances(hdg, &slots, &cfg.plan, strategy),
+            SlotLevel::Groups => aggregate_from_groups(hdg, slots, &cfg.plan, strategy),
+        };
         let work = (sync.num_slots + hdg.num_instances() + hdg.num_roots()) as u64 * d;
         let ns = ctx.charge(work);
         self.stage(Stage::Upper, work, ns);

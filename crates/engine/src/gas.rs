@@ -3,7 +3,7 @@
 //! NeuGraph's SAGA-NN splits a GNN layer into Scatter / ApplyEdge /
 //! Gather / ApplyVertex. DGL, PyG and Euler all execute aggregation this
 //! way: per-edge messages are *materialized* before reduction — which is
-//! [`crate::hybrid::direct_aggregate`] with `fused = false`. This module
+//! [`crate::hybrid`]'s SA strategy over the direct neighbors. This module
 //! adds the part the paper calls out in §7.1: PinSage's random walks
 //! "simulated with several graph propagation stages", which is where GAS
 //! systems spend over 95 % of their epoch time.

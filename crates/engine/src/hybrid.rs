@@ -10,23 +10,24 @@
 //!
 //! `SA` is the PyTorch/PyG-style all-sparse execution, `SA+FA` adds
 //! fusion at the expensive bottom level, `HA` is FlexGraph's full hybrid
-//! strategy. Every path reports its peak transient allocation so the
-//! memory budget can reproduce the paper's OOM cells.
+//! strategy. [`Strategy`] is the autograd tape's: a trained model's tape
+//! records the same table (`flexgraph_tensor::autograd`), and this
+//! module is its no-grad executor for the distributed, serving and
+//! out-of-core paths. Every path reports its peak transient allocation
+//! so the memory budget can reproduce the paper's OOM cells.
 
 use crate::memory::{EngineError, MemoryBudget};
-use flexgraph_graph::Graph;
 use flexgraph_hdg::Hdg;
 use flexgraph_tensor::autograd::reduce_row_blocks;
 use flexgraph_tensor::fusion::{materialized_bytes, segment_reduce, Reduce};
 use flexgraph_tensor::scatter::{
     gather_rows, scatter_add_with_plan, scatter_max_with_plan, scatter_mean_with_plan,
-    scatter_min_with_plan, scatter_softmax_with_plan, ScatterPlan,
+    scatter_min_with_plan, ScatterPlan,
 };
+pub use flexgraph_tensor::Strategy;
 use flexgraph_tensor::Tensor;
 
-/// Built-in aggregation UDFs (§6 lists sum / average / max / min;
-/// `AttnSoftmax` is the softmax-weighted sum MAGNN's intermediate level
-/// uses in Figure 7).
+/// Built-in aggregation UDFs (§6 lists sum / average / max / min).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AggrOp {
     /// Sum of inputs.
@@ -37,19 +38,15 @@ pub enum AggrOp {
     Max,
     /// Per-column minimum.
     Min,
-    /// Softmax-attention over group members (score = row sum), then a
-    /// weighted sum.
-    AttnSoftmax,
 }
 
 impl AggrOp {
-    fn as_reduce(self) -> Option<Reduce> {
+    fn as_reduce(self) -> Reduce {
         match self {
-            Self::Sum => Some(Reduce::Sum),
-            Self::Mean => Some(Reduce::Mean),
-            Self::Max => Some(Reduce::Max),
-            Self::Min => Some(Reduce::Min),
-            Self::AttnSoftmax => None,
+            Self::Sum => Reduce::Sum,
+            Self::Mean => Reduce::Mean,
+            Self::Max => Reduce::Max,
+            Self::Min => Reduce::Min,
         }
     }
 }
@@ -78,17 +75,6 @@ impl AggrPlan {
     }
 }
 
-/// Aggregation execution strategy (§7.5's SA / SA+FA / HA).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strategy {
-    /// Sparse scatter operations only.
-    Sa,
-    /// Feature fusion at the bottom level, sparse elsewhere.
-    SaFa,
-    /// Feature fusion + sparse + dense (FlexGraph's hybrid strategy).
-    Ha,
-}
-
 /// Result of one aggregation pass.
 #[derive(Clone, Debug)]
 pub struct AggrResult {
@@ -112,39 +98,28 @@ pub fn hierarchical_aggregate(
     strategy: Strategy,
     budget: &MemoryBudget,
 ) -> Result<AggrResult, EngineError> {
-    let mut peak = 0usize;
-
     // Step 1: leaves → instances.
     let src = hdg.leaf_sources();
-    let inst_feats = match strategy {
+    let (inst_feats, peak) = match strategy {
         Strategy::Sa => {
             // Materialize one row per (leaf, instance) edge, then scatter
             // — the memory-explosion path of §4.2(1). The scatter plan is
             // cached on the HDG; only the gathered rows are transient.
             let bytes = materialized_bytes(src.len(), feats.cols());
-            peak = peak.max(bytes);
             budget.check(bytes)?;
-            apply_scatter(
-                plan.leaf_op,
-                &gather_rows(feats, src),
-                &hdg.leaf_scatter_plan(),
-                &mut peak,
-                budget,
-            )?
+            let gathered = gather_rows(feats, src);
+            let inst = apply_scatter(plan.leaf_op, &gathered, &hdg.leaf_scatter_plan());
+            (inst, bytes)
         }
         Strategy::SaFa | Strategy::Ha => {
-            let reduce = plan
-                .leaf_op
-                .as_reduce()
-                .ok_or(EngineError::Unsupported("attention at the leaf level"))?;
-            segment_reduce(feats, hdg.inst_offsets(), src, reduce)
+            let reduce = plan.leaf_op.as_reduce();
+            (segment_reduce(feats, hdg.inst_offsets(), src, reduce), 0)
         }
     };
 
-    let upper = aggregate_from_instances(hdg, &inst_feats, plan, strategy, budget)?;
     Ok(AggrResult {
-        features: upper.features,
-        peak_transient_bytes: peak.max(upper.peak_transient_bytes),
+        features: aggregate_from_instances(hdg, &inst_feats, plan, strategy),
+        peak_transient_bytes: peak,
     })
 }
 
@@ -158,27 +133,13 @@ pub fn aggregate_from_instances(
     inst_feats: &Tensor,
     plan: &AggrPlan,
     strategy: Strategy,
-    budget: &MemoryBudget,
-) -> Result<AggrResult, EngineError> {
-    let mut peak = 0usize;
-
+) -> Tensor {
     // Instances → (root, type) groups — sparse NN ops in every strategy
     // (§4.2(2)). The group index the compact storage omits lives inside
     // the HDG's cached scatter plan, materialized once for all layers
     // and epochs rather than per pass.
-    let group_feats = apply_scatter(
-        plan.instance_op,
-        inst_feats,
-        &hdg.group_scatter_plan(),
-        &mut peak,
-        budget,
-    )?;
-
-    let upper = aggregate_from_groups(hdg, group_feats, plan, strategy, budget)?;
-    Ok(AggrResult {
-        features: upper.features,
-        peak_transient_bytes: peak.max(upper.peak_transient_bytes),
-    })
+    let group_feats = apply_scatter(plan.instance_op, inst_feats, &hdg.group_scatter_plan());
+    aggregate_from_groups(hdg, group_feats, plan, strategy)
 }
 
 /// Completes only the schema level from already-computed *group*
@@ -190,12 +151,10 @@ pub fn aggregate_from_groups(
     group_feats: Tensor,
     plan: &AggrPlan,
     strategy: Strategy,
-    budget: &MemoryBudget,
-) -> Result<AggrResult, EngineError> {
-    let mut peak = 0usize;
+) -> Tensor {
     // Types → root.
     let t = hdg.num_types();
-    let features = if t == 1 {
+    if t == 1 {
         // Flat schema tree: groups ARE the roots (GCN / PinSage shape).
         group_feats
     } else {
@@ -203,91 +162,24 @@ pub fn aggregate_from_groups(
             Strategy::Ha => {
                 // Dense path: groups are (root-major, type-minor)
                 // contiguous, so a logical reshape + block reduce suffices
-                // (Figure 10). Attention degrades to mean here — the
-                // schema level of every paper model uses sum/mean.
-                let mean = matches!(plan.schema_op, AggrOp::Mean | AggrOp::AttnSoftmax);
-                reduce_row_blocks(&group_feats, t, mean)
+                // (Figure 10). The schema level of every paper model is a
+                // sum or a mean.
+                reduce_row_blocks(&group_feats, t, plan.schema_op == AggrOp::Mean)
             }
-            Strategy::Sa | Strategy::SaFa => apply_scatter(
-                plan.schema_op,
-                &group_feats,
-                &hdg.root_scatter_plan(),
-                &mut peak,
-                budget,
-            )?,
+            Strategy::Sa | Strategy::SaFa => {
+                apply_scatter(plan.schema_op, &group_feats, &hdg.root_scatter_plan())
+            }
         }
-    };
-
-    Ok(AggrResult {
-        features,
-        peak_transient_bytes: peak,
-    })
-}
-
-/// Flat aggregation straight over the input graph's CSC — the DNFA fast
-/// path (§7.4: "for GCN the input graph structure can capture the
-/// dependencies, and we do not need to build HDGs explicitly").
-pub fn direct_aggregate(
-    graph: &Graph,
-    feats: &Tensor,
-    op: AggrOp,
-    fused: bool,
-    budget: &MemoryBudget,
-) -> Result<AggrResult, EngineError> {
-    if fused {
-        let reduce = op
-            .as_reduce()
-            .ok_or(EngineError::Unsupported("attention in direct aggregation"))?;
-        let features = segment_reduce(feats, graph.in_offsets(), graph.in_sources(), reduce);
-        Ok(AggrResult {
-            features,
-            peak_transient_bytes: 0,
-        })
-    } else {
-        let (_, src) = graph.coo_in();
-        let bytes = materialized_bytes(src.len(), feats.cols());
-        budget.check(bytes)?;
-        let gathered = gather_rows(feats, &src);
-        let mut peak = bytes;
-        let features = apply_scatter(op, &gathered, &graph.in_scatter_plan(), &mut peak, budget)?;
-        Ok(AggrResult {
-            features,
-            peak_transient_bytes: peak,
-        })
     }
 }
 
-fn apply_scatter(
-    op: AggrOp,
-    values: &Tensor,
-    plan: &ScatterPlan,
-    peak: &mut usize,
-    budget: &MemoryBudget,
-) -> Result<Tensor, EngineError> {
-    Ok(match op {
+fn apply_scatter(op: AggrOp, values: &Tensor, plan: &ScatterPlan) -> Tensor {
+    match op {
         AggrOp::Sum => scatter_add_with_plan(values, plan),
         AggrOp::Mean => scatter_mean_with_plan(values, plan),
         AggrOp::Max => scatter_max_with_plan(values, plan),
         AggrOp::Min => scatter_min_with_plan(values, plan),
-        AggrOp::AttnSoftmax => {
-            // score_i = Σ_c values[i][c]; weights = group softmax; output
-            // = Σ w_i · values[i]. The weighted copy is a transient; both
-            // scatters reuse the same cached plan.
-            let scores = values.sum_cols();
-            let w = scatter_softmax_with_plan(&scores, plan);
-            let bytes = values.len() * std::mem::size_of::<f32>();
-            *peak = (*peak).max(bytes);
-            budget.check(bytes)?;
-            let mut weighted = values.clone();
-            for r in 0..weighted.rows() {
-                let wv = w.get(r, 0);
-                for x in weighted.row_mut(r) {
-                    *x *= wv;
-                }
-            }
-            scatter_add_with_plan(&weighted, plan)
-        }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -376,58 +268,15 @@ mod tests {
         let hdg = from_direct_neighbors(&g, (0..9).collect());
         let plan = AggrPlan::flat(AggrOp::Sum);
         let budget = MemoryBudget::unlimited();
-        let via_hdg = hierarchical_aggregate(&hdg, &feats, &plan, Strategy::Ha, &budget).unwrap();
-        let direct = direct_aggregate(&g, &feats, AggrOp::Sum, true, &budget).unwrap();
-        let direct_sparse = direct_aggregate(&g, &feats, AggrOp::Sum, false, &budget).unwrap();
-        assert!(via_hdg.features.max_abs_diff(&direct.features) < 1e-4);
-        assert!(direct.features.max_abs_diff(&direct_sparse.features) < 1e-4);
-    }
-
-    #[test]
-    fn attention_op_runs_and_normalizes() {
-        let hdg = magnn_hdg();
-        let feats = feats9();
-        let plan = AggrPlan {
-            leaf_op: AggrOp::Mean,
-            instance_op: AggrOp::AttnSoftmax,
-            schema_op: AggrOp::Mean,
-        };
-        let r = hierarchical_aggregate(
-            &hdg,
-            &feats,
-            &plan,
-            Strategy::Ha,
-            &MemoryBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(r.features.shape(), (9, 4));
-        // Attention weights sum to 1 per group, so a group of identical
-        // instance rows must reproduce that row. Feed constant features.
-        let ones = Tensor::ones(9, 2);
-        let r1 =
-            hierarchical_aggregate(&hdg, &ones, &plan, Strategy::Ha, &MemoryBudget::unlimited())
-                .unwrap();
-        // Root A: instances all aggregate to 1.0 (mean of ones), both
-        // groups attention-sum to 1.0, schema mean = 1.0.
-        assert!((r1.features.get(0, 0) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn attention_at_leaf_level_is_unsupported_in_fused_paths() {
-        let hdg = magnn_hdg();
-        let plan = AggrPlan {
-            leaf_op: AggrOp::AttnSoftmax,
-            instance_op: AggrOp::Mean,
-            schema_op: AggrOp::Mean,
-        };
-        let r = hierarchical_aggregate(
-            &hdg,
-            &feats9(),
-            &plan,
-            Strategy::Ha,
-            &MemoryBudget::unlimited(),
-        );
-        assert!(matches!(r, Err(EngineError::Unsupported(_))));
+        // The input graph's CSC, fused, is GCN's aggregation (§7.4).
+        let direct = segment_reduce(&feats, g.in_offsets(), g.in_sources(), Reduce::Sum);
+        for strategy in [Strategy::Sa, Strategy::SaFa, Strategy::Ha] {
+            let via_hdg = hierarchical_aggregate(&hdg, &feats, &plan, strategy, &budget).unwrap();
+            assert!(
+                via_hdg.features.max_abs_diff(&direct) < 1e-4,
+                "{strategy:?}"
+            );
+        }
     }
 
     #[test]

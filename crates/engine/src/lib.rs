@@ -19,7 +19,7 @@
 //! * [`gas`] — PinSage's random walks *simulated through graph
 //!   propagation stages*, the way the SAGA-NN (GAS-like) systems of
 //!   DGL/NeuGraph select (the ≥95 %-of-epoch cost of §7.1); their
-//!   materializing aggregation is [`hybrid::direct_aggregate`] unfused,
+//!   materializing aggregation is [`hybrid`]'s SA,
 //! * [`minibatch`] — the Euler/DistDGL-style mini-batch strategy with
 //!   full k-hop neighborhood expansion, which explodes on dense graphs,
 //! * [`expanded`] — the Pre+DGL baseline of §7.2 (pre-materialized

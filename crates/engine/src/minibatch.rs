@@ -135,9 +135,11 @@ pub fn minibatch_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::direct_aggregate;
+    use crate::hybrid::{hierarchical_aggregate, AggrPlan, Strategy};
     use flexgraph_graph::csr::sample_graph;
     use flexgraph_graph::gen::community;
+    use flexgraph_hdg::build::from_direct_neighbors;
+    use flexgraph_tensor::fusion::{segment_reduce, Reduce};
 
     #[test]
     fn single_layer_minibatch_matches_full_graph_aggregation() {
@@ -150,9 +152,8 @@ mod tests {
         };
         let mb =
             minibatch_epoch(&g, &feats, AggrOp::Sum, &cfg, &MemoryBudget::unlimited()).unwrap();
-        let full =
-            direct_aggregate(&g, &feats, AggrOp::Sum, true, &MemoryBudget::unlimited()).unwrap();
-        assert!(mb.result.features.max_abs_diff(&full.features) < 1e-4);
+        let full = segment_reduce(&feats, g.in_offsets(), g.in_sources(), Reduce::Sum);
+        assert!(mb.result.features.max_abs_diff(&full) < 1e-4);
     }
 
     #[test]
@@ -189,7 +190,9 @@ mod tests {
         let mb = minibatch_epoch(&d.graph, &d.features, AggrOp::Sum, &cfg, &tight);
         assert!(matches!(mb, Err(EngineError::Oom { .. })));
         // FlexGraph's fused path has no materialization at all.
-        let fused = direct_aggregate(&d.graph, &d.features, AggrOp::Sum, true, &tight);
+        let hdg = from_direct_neighbors(&d.graph, (0..400).collect());
+        let plan = AggrPlan::flat(AggrOp::Sum);
+        let fused = hierarchical_aggregate(&hdg, &d.features, &plan, Strategy::Ha, &tight);
         assert!(fused.is_ok());
     }
 

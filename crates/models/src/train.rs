@@ -2,7 +2,7 @@
 
 use flexgraph_engine::StageTimes;
 use flexgraph_graph::gen::Dataset;
-use flexgraph_tensor::{Adam, Graph, NodeId, Optimizer, ParamSet, Tensor};
+use flexgraph_tensor::{Adam, Graph, NodeId, Optimizer, ParamSet, Strategy, Tensor};
 use std::time::{Duration, Instant};
 
 /// A NAU-expressed GNN model, trainable end-to-end.
@@ -64,6 +64,11 @@ pub struct EpochStats {
     /// covers the recorded forward + backward; update covers the
     /// optimizer step).
     pub times: StageTimes,
+    /// Bytes the epoch's tape drew from the allocator
+    /// ([`Graph::allocated_bytes`]): its footprint on a thread with no
+    /// tape's buffers parked, 0 when the previous epoch's tape on the
+    /// same thread had the same shapes.
+    pub tape_bytes: usize,
 }
 
 /// Owns the parameters and optimizer for one model.
@@ -74,6 +79,7 @@ pub struct Trainer<M: Model> {
     pub params: ParamSet,
     opt: Adam,
     cfg: TrainConfig,
+    strategy: Strategy,
 }
 
 impl<M: Model> Trainer<M> {
@@ -88,7 +94,15 @@ impl<M: Model> Trainer<M> {
             params,
             opt: Adam::new(cfg.lr),
             cfg,
+            strategy: Strategy::Ha,
         }
+    }
+
+    /// Records every later epoch's aggregation under `strategy` (HA
+    /// unless set): the same model and bits, other tensors on the tape.
+    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
+        self
     }
 
     /// NeighborSelection for `epoch`, then the forward pass on a fresh
@@ -99,7 +113,7 @@ impl<M: Model> Trainer<M> {
         self.model.selection(ds, epoch);
         let selection = t0.elapsed();
 
-        let mut g = Graph::new();
+        let mut g = Graph::with_strategy(self.strategy);
         let feats = g.leaf_copy(&ds.features);
         let logits = self.model.forward(&mut g, feats, &self.params);
         (g, logits, selection)
@@ -130,6 +144,7 @@ impl<M: Model> Trainer<M> {
                 aggregation,
                 update,
             },
+            tape_bytes: g.allocated_bytes(),
         }
     }
 
@@ -167,6 +182,7 @@ impl<M: Model> Trainer<M> {
                 aggregation,
                 update,
             },
+            tape_bytes: g.allocated_bytes(),
         }
     }
 

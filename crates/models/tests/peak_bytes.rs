@@ -11,6 +11,9 @@
 //! bound is one instance-sized tensor plus a measured `|V| × hidden`
 //! slack.
 //!
+//! The first epoch's `EpochStats::tape_bytes` is checked against the
+//! same count: it may not claim more than was live.
+//!
 //! A counting `#[global_allocator]` needs its own test binary, which is
 //! why this file holds nothing else. Live and peak bytes are counted per
 //! thread: the tape's buffers are all drawn on the training thread, and
@@ -126,13 +129,23 @@ fn every_magnn_epoch_holds_one_instance_sized_tensor() {
     // the tape, plus the one `|V| × hidden` aggregate the memo keeps.
     tr.model.selection(&ds, 0);
     let base = live();
+    let mut tape_bytes = Vec::new();
     let peaks: Vec<i64> = (0..4)
         .map(|epoch| {
             reset_peak();
-            tr.epoch(&ds, epoch);
+            tape_bytes.push(tr.epoch(&ds, epoch).tape_bytes as i64);
             peak() - base
         })
         .collect();
+
+    // The first tape, on a thread with nothing parked, reports every
+    // buffer it drew; all of them are live until it drops.
+    assert!(
+        0 < tape_bytes[0] && tape_bytes[0] <= peaks[0],
+        "first epoch's tape reports {} bytes against a counted peak of {}",
+        tape_bytes[0],
+        peaks[0]
+    );
 
     // The warm-up epoch allocates what every later one adopts, plus the
     // memo's `|V| × hidden` copy.

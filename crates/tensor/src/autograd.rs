@@ -13,6 +13,19 @@
 //! paper's Figure 10, MAGNN's whole hierarchical aggregation as one fused
 //! op over a [`HierarchyIndex`], and a fused softmax cross-entropy loss.
 //!
+//! # Three recordings of one aggregation
+//!
+//! A tape records the two aggregation calls under one of §7.5's
+//! [`Strategy`]s, with no op kind of its own: HA ([`Graph::new`]) as the
+//! fused ops above; SA+FA with MAGNN's pool spelled out as five ops —
+//! instance means, scatter softmax, `mul`, planned scatter-add into the
+//! groups and into the roots, `mul` by `1/types`; SA as that chain with
+//! every segment reduction recorded sparse — a gather of one row per
+//! edge, a planned scatter-add, and for a mean a `mul` by a constant
+//! leaf of reciprocal segment lengths. Each recording accumulates every
+//! output in the same order, so the three give the same bits; what they
+//! differ in is the tensors they write.
+//!
 //! # Which nodes get a gradient, and for how long
 //!
 //! A node *needs a gradient* if it is a [`Graph::param`], or an operation
@@ -184,6 +197,19 @@ impl Node {
     }
 }
 
+/// How a tape records its aggregation (paper §7.5; see the module
+/// docs): the sparse scatter ops only, feature fusion at the leaves, or
+/// FlexGraph's hybrid of fusion and dense schema-level ops.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Strategy {
+    /// Sparse scatter operations only.
+    Sa,
+    /// Feature fusion at the bottom level, sparse elsewhere.
+    SaFa,
+    /// Feature fusion + sparse + dense (FlexGraph's hybrid strategy).
+    Ha,
+}
+
 thread_local! {
     /// The buffers of the last tape dropped on this thread, waiting for
     /// the next [`Graph::new`] to adopt them.
@@ -198,8 +224,8 @@ struct FreeList {
     /// Buffers adopted from the previous pass and not drawn so far;
     /// whatever is still here when the tape drops is freed.
     inherited: Vec<Vec<f32>>,
-    /// Draws the list could not serve (the allocator did).
-    misses: usize,
+    /// Bytes of the draws the list could not serve (the allocator did).
+    allocated: usize,
 }
 
 impl FreeList {
@@ -213,7 +239,7 @@ impl FreeList {
         let buf = take(&mut self.released)
             .or_else(|| take(&mut self.inherited))
             .unwrap_or_else(|| {
-                self.misses += 1;
+                self.allocated += len * std::mem::size_of::<f32>();
                 vec![0.0; len]
             });
         Tensor::from_vec(rows, cols, buf)
@@ -258,6 +284,7 @@ pub struct Graph {
     nodes: Vec<Node>,
     tcache: TransposeSlots,
     pool: FreeList,
+    strategy: Strategy,
 }
 
 impl Default for Graph {
@@ -284,9 +311,15 @@ impl Drop for Graph {
 }
 
 impl Graph {
-    /// Creates an empty tape, adopting the free list the previous tape
-    /// on this thread left behind.
+    /// Creates an empty tape that records aggregation under HA,
+    /// adopting the free list the previous tape on this thread left
+    /// behind.
     pub fn new() -> Self {
+        Self::with_strategy(Strategy::Ha)
+    }
+
+    /// [`Graph::new`], recording aggregation under `strategy`.
+    pub fn with_strategy(strategy: Strategy) -> Self {
         Graph {
             nodes: Vec::new(),
             tcache: TransposeSlots::default(),
@@ -294,6 +327,7 @@ impl Graph {
                 inherited: PARKED.try_with(RefCell::take).unwrap_or_default(),
                 ..FreeList::default()
             },
+            strategy,
         }
     }
 
@@ -498,8 +532,20 @@ impl Graph {
     /// gradient, to [`Graph::segment_reduce`] (mean) →
     /// [`Graph::scatter_softmax_with_plan`] → [`Graph::mul`] →
     /// [`Graph::scatter_add_with_plan`] → [`Graph::mean_row_blocks`]; it
-    /// keeps only the softmax weights, and only for a backward.
+    /// keeps only the softmax weights, and only for a backward. Under SA
+    /// and SA+FA the tape records that chain instead, the block mean as
+    /// a planned scatter-add and a `mul` by `1/types`.
     pub fn hierarchical_attention_pool(&mut self, h: NodeId, index: Arc<HierarchyIndex>) -> NodeId {
+        if self.strategy != Strategy::Ha {
+            let (_, instances, types) = index.levels();
+            let (to_group, to_root) = index.upper_plans();
+            let inst = self.segment_reduce(h, Arc::clone(instances), true);
+            let weights = self.scatter_softmax_with_plan(inst, Arc::clone(&to_group));
+            let weighted = self.mul(weights, inst);
+            let groups = self.scatter_add_with_plan(weighted, to_group);
+            let roots = self.scatter_add_with_plan(groups, to_root);
+            return self.times_reciprocal(roots, |_| types);
+        }
         let d = self.value(h).cols();
         let mut v = self.pool.draw(index.num_roots(), d);
         let mut weights = self.pool.draw(index.num_instances(), d);
@@ -513,13 +559,41 @@ impl Graph {
     /// Differentiable *fused* segment reduction (feature fusion, paper
     /// §4.2): destination `i` reduces `a[src[offsets[i]..offsets[i+1]]]`
     /// without materializing per-edge rows, `offsets` and `src` being the
-    /// index's. `mean` selects mean over sum.
+    /// index's. `mean` selects mean over sum. Under SA the tape records
+    /// a gather of one row per edge and a planned scatter-add instead
+    /// (the plans cached on the index), a mean as that sum times the
+    /// reciprocal segment lengths.
     pub fn segment_reduce(&mut self, a: NodeId, index: Arc<SegmentIndex>, mean: bool) -> NodeId {
+        if self.strategy == Strategy::Sa {
+            let (gather, scatter) = index.sparse_plans(self.value(a).rows());
+            let edges = self.gather_with_plan(a, gather);
+            let sum = self.scatter_add_with_plan(edges, scatter);
+            let offsets = index.offsets();
+            return match mean {
+                true => self.times_reciprocal(sum, |t| offsets[t + 1] - offsets[t]),
+                false => sum,
+            };
+        }
         let kind = if mean { Reduce::Mean } else { Reduce::Sum };
         let cols = self.value(a).cols();
         let mut v = self.pool.draw_zeroed(index.offsets().len() - 1, cols);
         segment_reduce_into(&mut v, self.value(a), &index, kind);
         self.push(v, Op::SegmentReduce { a, index, mean })
+    }
+
+    /// `sum` times a constant leaf whose row `t` is `1 / len(t)` (zero for
+    /// an empty segment): a mean recorded as a sum and a [`Graph::mul`],
+    /// with the fused reductions' bits.
+    fn times_reciprocal(&mut self, sum: NodeId, len: impl Fn(usize) -> usize) -> NodeId {
+        let (rows, cols) = self.value(sum).shape();
+        let mut inv = self.pool.draw(rows, cols);
+        for t in 0..rows {
+            let n = len(t);
+            inv.row_mut(t)
+                .fill(if n == 0 { 0.0 } else { 1.0 / n as f32 });
+        }
+        let inv = self.leaf(inv);
+        self.mul(sum, inv)
     }
 
     /// Mean over consecutive row blocks of size `block`: `(n·block, d) →
@@ -828,11 +902,12 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Buffers this tape had to get from the allocator because its free
-    /// list held none of the right length (diagnostics): zero for a tape
-    /// whose shapes the previous tape on this thread already drew.
-    pub fn free_list_misses(&self) -> usize {
-        self.pool.misses
+    /// Bytes this tape had to get from the allocator because its free
+    /// list held no buffer of the right length: zero for a tape whose
+    /// shapes the previous tape on this thread already drew, and the
+    /// tape's whole footprint on a thread with nothing parked.
+    pub fn allocated_bytes(&self) -> usize {
+        self.pool.allocated
     }
 }
 
@@ -1287,10 +1362,13 @@ mod tests {
         PARKED.with(|p| p.borrow_mut().clear());
         let (first, _, w) = gcn_like_tape(sample_input(), weights(), false);
         let want = bits(first.grad(w).unwrap());
-        assert!(first.pool.misses > 0);
+        assert!(first.pool.allocated > 0);
         drop(first);
         let (second, _, w) = gcn_like_tape(sample_input(), weights(), false);
-        assert_eq!(second.pool.misses, 0, "every draw came off the free list");
+        assert_eq!(
+            second.pool.allocated, 0,
+            "every draw came off the free list"
+        );
         assert_eq!(bits(second.grad(w).unwrap()), want);
         drop(second);
 
@@ -1308,7 +1386,7 @@ mod tests {
             .expect("reference tape")
         });
         let (third, _, w) = gcn_like_tape(x, w4, false);
-        assert!(third.pool.misses > 0);
+        assert!(third.pool.allocated > 0);
         assert_eq!(bits(third.grad(w).unwrap()), fresh);
         drop(third);
         let parked: Vec<usize> = PARKED.with(|p| p.borrow().iter().map(Vec::len).collect());
@@ -1329,7 +1407,7 @@ mod tests {
         // not see any of it.
         let (a, _, wa) = gcn_like_tape(sample_input(), weights(), false);
         let (b, _, wb) = gcn_like_tape(sample_input().scale(2.0), weights(), false);
-        assert_eq!(a.pool.misses, 0);
+        assert_eq!(a.pool.allocated, 0);
         let ptrs = |g: &Graph| -> Vec<*const f32> {
             g.nodes
                 .iter()
@@ -1362,7 +1440,7 @@ mod tests {
         let pooled = g.hierarchical_attention_pool(x, hierarchy());
         let activated = g.relu(pooled);
         let (want_pooled, want) = (bits(g.value(pooled)), bits(g.value(activated)));
-        let misses = g.free_list_misses();
+        let allocated = g.allocated_bytes();
 
         let leaf = g.collapse_into_leaf(mark, activated);
         assert_eq!((leaf, g.len()), (NodeId(mark), mark + 1));
@@ -1372,7 +1450,7 @@ mod tests {
         // The pooled value and the released scratch are on the list: the
         // same op again draws both from it.
         let again = g.hierarchical_attention_pool(x, hierarchy());
-        assert_eq!(g.free_list_misses(), misses);
+        assert_eq!(g.allocated_bytes(), allocated);
         assert_eq!(bits(g.value(again)), want_pooled);
     }
 
@@ -1411,6 +1489,58 @@ mod tests {
         )));
         let released: Vec<usize> = over_param.pool.released.iter().map(Vec::len).collect();
         assert!(released.contains(&12));
+    }
+
+    /// Sum, mean (with an empty segment) and the attention pool, each
+    /// recorded under SA, SA+FA and HA over a parameter: the same value
+    /// and gradient bits, from tapes that differ in what they write.
+    #[test]
+    fn the_three_strategies_record_the_same_bits() {
+        let x: Vec<f32> = (0..57)
+            .map(|i| ((i * 37) % 23) as f32 * 0.37 - 4.0)
+            .collect();
+        let segments = Arc::new(SegmentIndex::new(vec![0, 2, 2, 5], vec![0, 2, 1, 1, 0]));
+        for op in ["sum", "mean", "pool"] {
+            let run = |strategy| {
+                let mut g = Graph::with_strategy(strategy);
+                let xn = g.param(Tensor::from_vec(3, 19, x.clone()), 0);
+                let y = match op {
+                    "pool" => g.hierarchical_attention_pool(xn, hierarchy()),
+                    _ => g.segment_reduce(xn, Arc::clone(&segments), op == "mean"),
+                };
+                let rows = g.value(y).rows();
+                let w = g.leaf(Tensor::from_vec(rows, 19, x[..rows * 19].to_vec()));
+                let m = g.mul(y, w);
+                let loss = g.mean_all(m);
+                g.backward(loss);
+                (bits(g.value(y)), bits(g.grad(xn).unwrap()), g.len())
+            };
+            let [sa, safa, ha] = [Strategy::Sa, Strategy::SaFa, Strategy::Ha].map(run);
+            assert_eq!((&sa.0, &sa.1), (&ha.0, &ha.1), "{op}: SA");
+            assert_eq!((&safa.0, &safa.1), (&ha.0, &ha.1), "{op}: SA+FA");
+            assert!(sa.2 > safa.2, "{op}: SA records the sparse ops");
+            let pool = op == "pool";
+            assert_eq!(safa.2 > ha.2, pool, "{op}: SA+FA records the pool's chain");
+        }
+    }
+
+    /// HA reads the fused kernels only: recording it builds none of the
+    /// plans an SA tape caches on the index.
+    #[test]
+    fn ha_builds_no_scatter_plan() {
+        let index = Arc::new(SegmentIndex::new(vec![0, 2, 3], vec![0, 2, 1]));
+        let bytes = index.heap_bytes();
+        let mut g = Graph::new();
+        let x = g.leaf(sample_input());
+        g.segment_reduce(x, Arc::clone(&index), true);
+        assert_eq!(index.heap_bytes(), bytes);
+        let mut g = Graph::with_strategy(Strategy::Sa);
+        let x = g.leaf(sample_input());
+        g.segment_reduce(x, Arc::clone(&index), true);
+        assert!(
+            index.heap_bytes() > bytes,
+            "SA caches its plans on the index"
+        );
     }
 
     #[test]

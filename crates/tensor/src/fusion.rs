@@ -13,10 +13,10 @@
 //! vectorize (standing in for the paper's AVX-512 kernels).
 
 use crate::par::{parallel_for, parallel_for_scratch};
-use crate::scatter::{softmax_segment, SharedRows};
+use crate::scatter::{softmax_segment, ScatterPlan, SharedRows};
 use crate::simd;
 use crate::tensor::Tensor;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Edge-position lookahead for the software prefetch in the fused
 /// segment walk: while reducing edge `e`, the row of edge `e +
@@ -148,13 +148,17 @@ pub(crate) fn segment_apply_into<F>(
 /// once when built. It keeps its transpose (per source row, the
 /// segments it feeds, ascending) once the first pull backward
 /// ([`segment_reduce_backward_into`]) has built it, so a static index —
-/// a graph's CSC — pays for the transpose once.
+/// a graph's CSC — pays for the transpose once. The scatter plans a
+/// sparse (SA) tape records it with are kept the same way.
 pub struct SegmentIndex {
     offsets: Vec<usize>,
     src: Vec<u32>,
     /// One past the largest source row; 0 without edges.
     sources: usize,
     transpose: OnceLock<Transpose>,
+    /// The gather over `src` (destinations: the input's rows) and the
+    /// scatter of each edge into its segment.
+    sparse: OnceLock<(Arc<ScatterPlan>, Arc<ScatterPlan>)>,
 }
 
 /// [`SegmentIndex`] turned around: the segments source row `s` feeds
@@ -190,6 +194,7 @@ impl SegmentIndex {
             src,
             sources,
             transpose: OnceLock::new(),
+            sparse: OnceLock::new(),
         }
     }
 
@@ -203,12 +208,37 @@ impl SegmentIndex {
         &self.src
     }
 
-    /// Heap bytes of the index, its transpose included once built.
+    /// Heap bytes of the index, its transpose and plans included once
+    /// built.
     pub fn heap_bytes(&self) -> usize {
         let transpose = self.transpose.get().map_or(0, |t| {
             std::mem::size_of_val(&t.offsets[..]) + std::mem::size_of_val(&t.segs[..])
         });
-        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.src[..]) + transpose
+        let plans = self
+            .sparse
+            .get()
+            .map_or(0, |(g, s)| g.heap_bytes() + s.heap_bytes());
+        std::mem::size_of_val(&self.offsets[..])
+            + std::mem::size_of_val(&self.src[..])
+            + transpose
+            + plans
+    }
+
+    /// The plans that record this reduction as a gather of one row per
+    /// edge out of `rows` input rows and a scatter-add into the
+    /// segments, built on first use. An input of another row count gets
+    /// a gather plan of its own, uncached.
+    pub(crate) fn sparse_plans(&self, rows: usize) -> (Arc<ScatterPlan>, Arc<ScatterPlan>) {
+        let (gather, scatter) = self.sparse.get_or_init(|| {
+            let gather = Arc::new(ScatterPlan::new(&self.src, rows));
+            (gather, owner_plan(&self.offsets))
+        });
+        let gather = if gather.out_rows() == rows {
+            Arc::clone(gather)
+        } else {
+            Arc::new(ScatterPlan::new(&self.src, rows))
+        };
+        (gather, Arc::clone(scatter))
     }
 
     fn segments(&self) -> usize {
@@ -250,6 +280,15 @@ impl SegmentIndex {
     }
 }
 
+/// The scatter plan sending position `e` of `offsets[t]..offsets[t + 1]`
+/// to row `t`.
+fn owner_plan(offsets: &[usize]) -> Arc<ScatterPlan> {
+    let owner: Vec<u32> = (0..offsets.len() - 1)
+        .flat_map(|t| (offsets[t]..offsets[t + 1]).map(move |_| t as u32))
+        .collect();
+    Arc::new(ScatterPlan::new(&owner, offsets.len() - 1))
+}
+
 /// Fused segment reduction: output row `i` reduces
 /// `feats[src[offsets[i]..offsets[i+1]]]` without materializing them.
 pub fn segment_reduce(feats: &Tensor, offsets: &[usize], src: &[u32], kind: Reduce) -> Tensor {
@@ -272,11 +311,9 @@ pub fn segment_reduce_into(out: &mut Tensor, feats: &Tensor, index: &SegmentInde
     });
 }
 
-/// Single-threaded fused segment reduction (Sum only).
-///
-/// Models the kernel-fusion execution of DGL (§7.1): the same
-/// no-materialization algorithm as [`segment_reduce`], but without the
-/// SIMD-friendly parallel sweep FlexGraph adds on top.
+/// Single-threaded fused segment reduction (Sum only): the same
+/// no-materialization algorithm as [`segment_reduce`], without the
+/// parallel register walk — its reference in the parity tests.
 pub fn segment_reduce_serial(feats: &Tensor, offsets: &[usize], src: &[u32]) -> Tensor {
     check(feats, offsets, src);
     let n = offsets.len() - 1;
@@ -351,12 +388,16 @@ pub fn segment_reduce_backward_into(
 /// An HDG collection's three levels (paper Figure 9): `types` groups per
 /// root, group `g = root·types + t` holding instances `groups[g]..
 /// groups[g + 1]` (Figure 9's `Offset2`), and `instances` over leaf rows.
+/// The scatter plans of the two upper levels, which only an unfused
+/// (SA / SA+FA) tape reads, are built on first use and kept.
 pub struct HierarchyIndex {
     groups: Vec<usize>,
-    instances: SegmentIndex,
+    instances: Arc<SegmentIndex>,
     types: usize,
     /// Instances in the largest group; sizes the kernels' scratch.
     widest: usize,
+    /// Instance → group, and group → root.
+    plans: OnceLock<(Arc<ScatterPlan>, Arc<ScatterPlan>)>,
 }
 
 impl HierarchyIndex {
@@ -370,16 +411,27 @@ impl HierarchyIndex {
         let widest = groups.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         Self {
             groups,
-            instances,
+            instances: Arc::new(instances),
             types,
             widest,
+            plans: OnceLock::new(),
         }
     }
 
     /// Group offsets over instances, the instances over leaf rows, and
     /// groups per root.
-    pub fn levels(&self) -> (&[usize], &SegmentIndex, usize) {
+    pub fn levels(&self) -> (&[usize], &Arc<SegmentIndex>, usize) {
         (&self.groups, &self.instances, self.types)
+    }
+
+    /// The scatter plans of instances into their groups and of groups
+    /// into their roots, built on first use.
+    pub(crate) fn upper_plans(&self) -> (Arc<ScatterPlan>, Arc<ScatterPlan>) {
+        let (to_group, to_root) = self.plans.get_or_init(|| {
+            let roots: Vec<usize> = (0..=self.num_roots()).map(|r| r * self.types).collect();
+            (owner_plan(&self.groups), owner_plan(&roots))
+        });
+        (Arc::clone(to_group), Arc::clone(to_root))
     }
 
     /// Number of roots (one output row each).

@@ -41,7 +41,7 @@ pub mod scatter;
 pub mod simd;
 pub mod tensor;
 
-pub use autograd::{Graph, NodeId};
+pub use autograd::{Graph, NodeId, Strategy};
 pub use fusion::{segment_reduce, HierarchyIndex, Reduce, SegmentIndex};
 pub use init::xavier_uniform;
 pub use optim::{Adam, Optimizer, ParamSet};

@@ -527,16 +527,6 @@ impl Tensor {
         }
     }
 
-    /// Row-wise sum, producing an `rows×1` tensor (used as an attention
-    /// score).
-    pub fn sum_cols(&self) -> Self {
-        let mut out = Tensor::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.row(r).iter().sum();
-        }
-        out
-    }
-
     /// Per-row index of the maximum element (ties resolve to the first).
     pub fn argmax_rows(&self) -> Vec<usize> {
         (0..self.rows)
@@ -837,7 +827,6 @@ mod tests {
         let mut col_sums = Tensor::zeros(1, 2);
         a.sum_rows_into(&mut col_sums);
         assert_eq!(col_sums, Tensor::from_rows(&[&[4.0, 6.0]]));
-        assert_eq!(a.sum_cols(), Tensor::from_rows(&[&[3.0], &[7.0]]));
         assert_eq!(a.argmax_rows(), vec![1, 1]);
     }
 

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example heterogeneous_magnn`
 
-use flexgraph::engine::MemoryBudget;
 use flexgraph::graph::gen::{imdb_like, ScaleFactor};
 use flexgraph::hdg::build::from_metapaths;
 use flexgraph::hdg::HdgStats;
@@ -38,28 +37,9 @@ fn main() {
         stats.savings_ratio() * 100.0
     );
 
-    // One hybrid aggregation pass (feature fusion → sparse → dense).
-    let plan = AggrPlan {
-        leaf_op: AggrOp::Mean,
-        instance_op: AggrOp::Mean,
-        schema_op: AggrOp::Mean,
-    };
-    let agg = hierarchical_aggregate(
-        &hdg,
-        &ds.features,
-        &plan,
-        Strategy::Ha,
-        &MemoryBudget::unlimited(),
-    )
-    .expect("hybrid aggregation");
-    println!(
-        "hybrid aggregation: {} neighborhood features, {} transient bytes",
-        agg.features.rows(),
-        agg.peak_transient_bytes
-    );
-
     // End-to-end training. The HDGs are built once and reused for the
-    // whole run (deterministic metapath selection).
+    // whole run (deterministic metapath selection); each epoch's
+    // aggregation is one fused tape op over them (hybrid execution).
     let model = Magnn::new(32, ds.feature_dim(), ds.num_classes, metapaths, 40);
     let mut trainer = Trainer::new(
         model,

@@ -318,8 +318,7 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/store/src/ooc.rs", "hdg_from_hop_shells_capped", Fixture, "paged_store_parity"),
     ("crates/tensor/src/par.rs", "pool_worker_count", Fixture, "pool_lifecycle's count"),
     ("crates/tensor/src/autograd.rs", "mean_all", Fixture, "every gradient check's loss"),
-    ("crates/tensor/src/fusion.rs", "levels", Oracle, "MAGNN's five-op aggregation chain"),
-    ("crates/tensor/src/autograd.rs", "free_list_misses", Fixture, "MAGNN's no-allocation test"),
+    ("crates/tensor/src/fusion.rs", "segment_reduce_serial", Oracle, "fused segment sum parity"),
     ("crates/tensor/src/scatter.rs", "scatter_mean_serial", Oracle, "planned scatter parity"),
     ("crates/tensor/src/scatter.rs", "scatter_max_serial", Oracle, "planned scatter parity"),
     ("crates/tensor/src/scatter.rs", "scatter_min_serial", Oracle, "planned scatter parity"),
@@ -493,6 +492,36 @@ fn every_pub_fn_has_a_caller_outside_tests() {
         .collect();
     failures.sort();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The longest CHANGES.md entry [`the_newest_changes_entry_keeps_the_short_form`] allows,
+/// in lines and in columns.
+const ENTRY_LINES: usize = 12;
+const ENTRY_COLUMNS: usize = 130;
+
+/// CHANGES.md's newest entry — from the last line that opens with `PR `
+/// to the end of the file — keeps the form of PRs 31–35: a `PR <n>:
+/// [<archetype>]` header and at most [`ENTRY_LINES`] lines of at most
+/// [`ENTRY_COLUMNS`] characters. Older entries are not checked.
+#[test]
+fn the_newest_changes_entry_keeps_the_short_form() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let changes = std::fs::read_to_string(root.join("CHANGES.md")).unwrap();
+    let lines: Vec<&str> = changes.lines().collect();
+    let start = lines
+        .iter()
+        .rposition(|l| l.starts_with("PR "))
+        .expect("a PR entry");
+    let entry = &lines[start..];
+    let header = entry[0].strip_prefix("PR ").unwrap();
+    let (number, rest) = header.split_once(": [").expect("`PR <n>: [<archetype>]`");
+    assert!(number.chars().all(|c| c.is_ascii_digit()), "{}", entry[0]);
+    assert!(rest.contains("] "), "{}", entry[0]);
+    assert!(entry.len() <= ENTRY_LINES, "{} lines", entry.len());
+    for line in entry {
+        let width = line.chars().count();
+        assert!(width <= ENTRY_COLUMNS, "{width} columns: {line}");
+    }
 }
 
 /// README's install section lists the vendored crates; the list must be

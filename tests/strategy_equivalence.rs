@@ -4,15 +4,14 @@
 //! materialization.
 
 use flexgraph::engine::expanded::magnn_pre_dgl_epoch;
-use flexgraph::engine::hybrid::{
-    direct_aggregate, hierarchical_aggregate, AggrOp, AggrPlan, Strategy,
-};
+use flexgraph::engine::hybrid::{hierarchical_aggregate, AggrOp, AggrPlan, Strategy};
 use flexgraph::engine::minibatch::{minibatch_epoch, MiniBatchConfig};
 use flexgraph::engine::{EngineError, MemoryBudget};
 use flexgraph::graph::gen::{community, hetero_imdb, rmat};
 use flexgraph::graph::metapath::Metapath;
 use flexgraph::graph::walk::WalkConfig;
 use flexgraph::hdg::build::{from_direct_neighbors, from_importance_walks, from_metapaths};
+use flexgraph::tensor::fusion::{segment_reduce, Reduce};
 
 #[test]
 fn strategies_agree_on_flat_hdgs_across_datasets() {
@@ -73,19 +72,26 @@ fn strategies_agree_on_magnn_hdgs() {
 #[test]
 fn gas_and_fused_direct_aggregation_agree() {
     // The GAS execution materializes one message row per edge (Scatter)
-    // before reducing them (Gather): `direct_aggregate` unfused.
+    // before reducing them (Gather): SA over the direct neighbors.
     let ds = community(250, 2, 6, 2, 12, 64);
+    let hdg = from_direct_neighbors(&ds.graph, (0..250).collect());
+    let plan = AggrPlan::flat(AggrOp::Sum);
+    let run = |strategy, budget: &MemoryBudget| {
+        hierarchical_aggregate(&hdg, &ds.features, &plan, strategy, budget)
+    };
     let budget = MemoryBudget::unlimited();
-    let gas = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, false, &budget).unwrap();
-    let fused = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, true, &budget).unwrap();
+    let gas = run(Strategy::Sa, &budget).unwrap();
+    let fused = run(Strategy::Ha, &budget).unwrap();
     assert!(gas.features.max_abs_diff(&fused.features) < 1e-3);
     assert!(gas.peak_transient_bytes > 0);
     assert_eq!(fused.peak_transient_bytes, 0);
     // The materialization is what a tight budget refuses.
     let tight = MemoryBudget { bytes: 64 };
-    let r = direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, false, &tight);
-    assert!(matches!(r, Err(EngineError::Oom { .. })));
-    assert!(direct_aggregate(&ds.graph, &ds.features, AggrOp::Sum, true, &tight).is_ok());
+    assert!(matches!(
+        run(Strategy::Sa, &tight),
+        Err(EngineError::Oom { .. })
+    ));
+    assert!(run(Strategy::Ha, &tight).is_ok());
 }
 
 #[test]
@@ -98,8 +104,13 @@ fn minibatch_matches_full_graph_for_one_layer() {
         concurrent_batches: 1,
     };
     let mb = minibatch_epoch(&ds.graph, &ds.features, AggrOp::Mean, &cfg, &budget).unwrap();
-    let full = direct_aggregate(&ds.graph, &ds.features, AggrOp::Mean, true, &budget).unwrap();
-    assert!(mb.result.features.max_abs_diff(&full.features) < 1e-3);
+    let full = segment_reduce(
+        &ds.features,
+        ds.graph.in_offsets(),
+        ds.graph.in_sources(),
+        Reduce::Mean,
+    );
+    assert!(mb.result.features.max_abs_diff(&full) < 1e-3);
 }
 
 #[test]
