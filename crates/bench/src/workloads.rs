@@ -39,7 +39,7 @@ use flexgraph::tensor::Tensor;
 use std::time::{Duration, Instant};
 
 /// Hidden width of every trained model.
-pub const HIDDEN: usize = 64;
+const HIDDEN: usize = 64;
 
 /// Seed of PinSage's walks, in the model and in the GAS simulation.
 const WALK_SEED: u64 = 7;
@@ -96,26 +96,26 @@ impl ModelKind {
     pub fn trainer(self, ds: &Dataset, strategy: Strategy) -> Box<dyn Epochs> {
         let (d, c) = (ds.feature_dim(), ds.num_classes);
         match self {
-            Self::Gcn => Box::new(trained(Gcn::new(HIDDEN, d, c), strategy)),
-            Self::PinSage => Box::new(trained(PinSage::new(HIDDEN, d, c, WALK_SEED), strategy)),
+            Self::Gcn => trained(Gcn::new(HIDDEN, d, c), strategy),
+            Self::PinSage => trained(PinSage::new(HIDDEN, d, c, WALK_SEED), strategy),
             Self::Magnn => {
                 let paths = magnn_metapaths();
-                Box::new(trained(
+                trained(
                     Magnn::new(HIDDEN, d, c, paths, MAGNN_INSTANCE_CAP),
                     strategy,
-                ))
+                )
             }
         }
     }
 }
 
-fn trained<M: Model + Send>(model: M, strategy: Strategy) -> Trainer<M> {
+fn trained<M: Model + Send + 'static>(model: M, strategy: Strategy) -> Box<dyn Epochs> {
     let cfg = TrainConfig {
         epochs: 0,
         lr: 0.01,
         seed: 7,
     };
-    Trainer::new(model, cfg).with_strategy(strategy)
+    Box::new(Trainer::new(model, cfg).with_strategy(strategy))
 }
 
 /// A [`Trainer`] of any model, as the harness drives it.
