@@ -3,8 +3,10 @@
 //! `Trainer::with_strategy` changes which tensors an epoch's tape writes
 //! — one gathered row per edge under SA, MAGNN's instance and group
 //! tensors under SA and SA+FA — but not the order in which any output
-//! row or gradient row is accumulated. So every epoch's loss has the
-//! same bits under all three strategies, at 1 and at 4 threads. The SA
+//! row or gradient row is accumulated. So every epoch's loss, and the
+//! trained parameters and last gradients, have the same bits under all
+//! three strategies, at 1 and at 4 threads (a loss alone can round a
+//! one-ulp difference away). The SA
 //! and SA+FA legs run the planned scatter kernels; the scalar-backend CI
 //! job runs this file too, so their scalar twins are held to the same
 //! bits.
@@ -19,7 +21,8 @@ use std::sync::Mutex;
 static THREADS: Mutex<()> = Mutex::new(());
 
 /// Trains `epochs` epochs under each strategy at 1 and 4 threads and
-/// asserts one sequence of loss bits.
+/// asserts one sequence of bits: every epoch's loss, then each
+/// parameter and its last gradient.
 fn assert_strategies_agree<M: Model>(ds: &Dataset, model: impl Fn() -> M, epochs: u64) {
     let _turn = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = TrainConfig {
@@ -32,12 +35,17 @@ fn assert_strategies_agree<M: Model>(ds: &Dataset, model: impl Fn() -> M, epochs
         set_thread_override(Some(threads));
         for strategy in [Strategy::Sa, Strategy::SaFa, Strategy::Ha] {
             let mut tr = Trainer::new(model(), cfg).with_strategy(strategy);
-            let got: Vec<u32> = (0..epochs)
+            let mut got: Vec<u32> = (0..epochs)
                 .map(|epoch| tr.epoch(ds, epoch).loss.to_bits())
                 .collect();
-            let name = tr.model.name();
+            for i in 0..tr.params.len() {
+                let (value, grad) = (tr.params.value(i).data(), tr.params.grad(i).data());
+                got.extend(value.iter().chain(grad).map(|x| x.to_bits()));
+            }
             let want = want.get_or_insert_with(|| got.clone());
-            assert_eq!(&got, want, "{name} under {strategy:?}, {threads} threads");
+            let first = got.iter().zip(want.iter()).position(|(g, w)| g != w);
+            let name = tr.model.name();
+            assert_eq!(first, None, "{name} under {strategy:?}, {threads} threads");
         }
     }
     set_thread_override(None);

@@ -590,8 +590,8 @@ impl Graph {
         let mut inv = self.pool.draw(rows, cols);
         for t in 0..rows {
             let n = len(t);
-            inv.row_mut(t)
-                .fill(if n == 0 { 0.0 } else { 1.0 / n as f32 });
+            let r = if n == 0 { 0.0 } else { 1.0 / n as f32 };
+            inv.row_mut(t).fill(r);
         }
         let inv = self.leaf(inv);
         self.mul(sum, inv)
