@@ -51,9 +51,10 @@ impl AggrOp {
     }
 }
 
-/// One aggregation UDF per HDG level (bottom-up), mirroring the
+/// One aggregation UDF per HDG level (bottom-up), in the shape of the
 /// `udf = [scatter_mean, scatter_softmax, scatter_mean]` list of the
-/// paper's MAGNN example (Figure 7).
+/// paper's MAGNN example (Figure 7); the softmax level is the trained
+/// model's alone (`Graph::hierarchical_attention_pool`).
 #[derive(Clone, Copy, Debug)]
 pub struct AggrPlan {
     /// Leaves → neighbor instances.
