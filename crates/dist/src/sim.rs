@@ -3,7 +3,7 @@
 //! The threaded backend ([`crate::trainer::distributed_epoch`]) gives
 //! every worker an OS thread, which caps cluster sizes at the host's
 //! core count and makes every timing curve hostage to the OS scheduler.
-//! [`virtual_epoch`] drives the *same* [`crate::worker`] tasks from the
+//! [`virtual_epoch`] drives the *same* `worker` tasks from the
 //! deterministic discrete-event runtime ([`flexgraph_comm::det`])
 //! instead:
 //!

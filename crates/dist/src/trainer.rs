@@ -1,7 +1,7 @@
 //! Distributed aggregation epochs: the shared epoch body and its
 //! threaded backend.
 //!
-//! An epoch runs one [`crate::worker`] task per shard under one of three
+//! An epoch runs one `worker` task per shard under one of three
 //! execution modes:
 //!
 //! * [`DistMode::FlexGraph`] — leaf-level partial aggregation (pipelined
@@ -13,7 +13,7 @@
 //!   features of each batch's full *k-hop closure* (DistDGL's
 //!   neighborhood expansion), then aggregate with sparse ops.
 //!
-//! [`run_epoch`] owns everything that does not depend on how the tasks
+//! `run_epoch` owns everything that does not depend on how the tasks
 //! are driven — crash recovery, fault-counter accumulation, feature
 //! assembly, telemetry — and asks a backend for one *attempt* at a time.
 //! Only the virtual backend injects faults, so only it ever fails an

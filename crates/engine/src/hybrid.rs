@@ -21,23 +21,19 @@ use flexgraph_hdg::Hdg;
 use flexgraph_tensor::autograd::reduce_row_blocks;
 use flexgraph_tensor::fusion::{materialized_bytes, segment_reduce, Reduce};
 use flexgraph_tensor::scatter::{
-    gather_rows, scatter_add_with_plan, scatter_max_with_plan, scatter_mean_with_plan,
-    scatter_min_with_plan, ScatterPlan,
+    gather_rows, scatter_add_with_plan, scatter_mean_with_plan, ScatterPlan,
 };
 pub use flexgraph_tensor::Strategy;
 use flexgraph_tensor::Tensor;
 
-/// Built-in aggregation UDFs (§6 lists sum / average / max / min).
+/// Built-in aggregation UDFs: the sum and average of §6's list, the two
+/// the paper's models run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AggrOp {
     /// Sum of inputs.
     Sum,
     /// Arithmetic mean.
     Mean,
-    /// Per-column maximum.
-    Max,
-    /// Per-column minimum.
-    Min,
 }
 
 impl AggrOp {
@@ -45,8 +41,6 @@ impl AggrOp {
         match self {
             Self::Sum => Reduce::Sum,
             Self::Mean => Reduce::Mean,
-            Self::Max => Reduce::Max,
-            Self::Min => Reduce::Min,
         }
     }
 }
@@ -105,11 +99,13 @@ pub fn hierarchical_aggregate(
         Strategy::Sa => {
             // Materialize one row per (leaf, instance) edge, then scatter
             // — the memory-explosion path of §4.2(1). The scatter plan is
-            // cached on the HDG; only the gathered rows are transient.
+            // cached on the HDG's index; only the gathered rows are
+            // transient.
             let bytes = materialized_bytes(src.len(), feats.cols());
             budget.check(bytes)?;
             let gathered = gather_rows(feats, src);
-            let inst = apply_scatter(plan.leaf_op, &gathered, &hdg.leaf_scatter_plan());
+            let leaf_plan = hdg.hierarchy().instances().scatter_plan();
+            let inst = apply_scatter(plan.leaf_op, &gathered, &leaf_plan);
             (inst, bytes)
         }
         Strategy::SaFa | Strategy::Ha => {
@@ -137,9 +133,10 @@ pub fn aggregate_from_instances(
 ) -> Tensor {
     // Instances → (root, type) groups — sparse NN ops in every strategy
     // (§4.2(2)). The group index the compact storage omits lives inside
-    // the HDG's cached scatter plan, materialized once for all layers
-    // and epochs rather than per pass.
-    let group_feats = apply_scatter(plan.instance_op, inst_feats, &hdg.group_scatter_plan());
+    // the HDG index's cached scatter plan, materialized once for all
+    // layers and epochs rather than per pass.
+    let group_plan = hdg.hierarchy().group_plan();
+    let group_feats = apply_scatter(plan.instance_op, inst_feats, &group_plan);
     aggregate_from_groups(hdg, group_feats, plan, strategy)
 }
 
@@ -168,7 +165,7 @@ pub fn aggregate_from_groups(
                 reduce_row_blocks(&group_feats, t, plan.schema_op == AggrOp::Mean)
             }
             Strategy::Sa | Strategy::SaFa => {
-                apply_scatter(plan.schema_op, &group_feats, &hdg.root_scatter_plan())
+                apply_scatter(plan.schema_op, &group_feats, &hdg.hierarchy().root_plan())
             }
         }
     }
@@ -178,8 +175,6 @@ fn apply_scatter(op: AggrOp, values: &Tensor, plan: &ScatterPlan) -> Tensor {
     match op {
         AggrOp::Sum => scatter_add_with_plan(values, plan),
         AggrOp::Mean => scatter_mean_with_plan(values, plan),
-        AggrOp::Max => scatter_max_with_plan(values, plan),
-        AggrOp::Min => scatter_min_with_plan(values, plan),
     }
 }
 

@@ -113,7 +113,6 @@ pub fn minibatch_epoch(
             sub_feats = match op {
                 AggrOp::Sum => scatter_add(&messages, &sub_dst, closure.len()),
                 AggrOp::Mean => scatter_mean(&messages, &sub_dst, closure.len()),
-                _ => return Err(EngineError::Unsupported("mini-batch supports sum/mean")),
             };
         }
 

@@ -42,7 +42,7 @@ fn run(hdg: &Hdg, feats: &Tensor, op: AggrOp, strategy: Strategy) -> Tensor {
 
 fn check_sa_safa_identity(hdg: &Hdg, feats: &Tensor) {
     let _guard = SWEEP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for op in [AggrOp::Sum, AggrOp::Mean, AggrOp::Max, AggrOp::Min] {
+    for op in [AggrOp::Sum, AggrOp::Mean] {
         set_thread_override(Some(1));
         let reference = run(hdg, feats, op, Strategy::Sa);
         for threads in [1usize, 2, 7, 16] {

@@ -5,9 +5,9 @@
 //! forward traversals (random walks, metapath search, BFS). Both views are
 //! materialized once at build time and never mutated.
 
-use flexgraph_tensor::{ScatterPlan, SegmentIndex};
+use flexgraph_tensor::SegmentIndex;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Vertex identifier. `u32` matches the paper's billion-edge ambitions
 /// while halving index memory relative to `usize`.
@@ -17,7 +17,8 @@ pub type VertexId = u32;
 ///
 /// The arrays sit behind one `Arc`: the adjacency never changes, so a
 /// clone — every server takes one of the graph it serves — shares them
-/// (and the cached scatter plan) instead of copying O(V + E) bytes.
+/// (and the CSC's cached transpose and plans) instead of copying O(V + E)
+/// bytes.
 #[derive(Clone)]
 pub struct Graph(Arc<Adjacency>);
 
@@ -26,13 +27,9 @@ struct Adjacency {
     out_off: Vec<usize>,
     out_dst: Vec<VertexId>,
     /// CSC: in-edges of `v` are `src()[offsets()[v]..offsets()[v+1]]`,
-    /// shared as is with every fused aggregation over the graph (which
-    /// is also where the index keeps its transpose).
+    /// shared as is with every fused or sparse aggregation over the graph
+    /// (which is also where the index keeps its transpose and plans).
     in_csc: Arc<SegmentIndex>,
-    /// Lazily built scatter plan over the in-edge COO (destinations =
-    /// vertices), shared by every scatter-based aggregation over this
-    /// graph. The adjacency is immutable, so the plan never invalidates.
-    in_plan: OnceLock<Arc<ScatterPlan>>,
 }
 
 impl fmt::Debug for Graph {
@@ -85,20 +82,6 @@ impl Graph {
             .flat_map(move |v| self.out_neighbors(v).iter().map(move |&d| (v, d)))
     }
 
-    /// The full edge list as a COO pair `(dst_ids, src_ids)`, the encoding
-    /// GAS-like frameworks feed to scatter ops (paper §3.3).
-    pub fn coo_in(&self) -> (Vec<VertexId>, Vec<VertexId>) {
-        let mut dst = Vec::with_capacity(self.num_edges());
-        let mut src = Vec::with_capacity(self.num_edges());
-        for v in 0..self.num_vertices() as VertexId {
-            for &s in self.in_neighbors(v) {
-                dst.push(v);
-                src.push(s);
-            }
-        }
-        (dst, src)
-    }
-
     /// The CSR offset array: out-edges of `v` occupy edge indices
     /// `out_offsets()[v]..out_offsets()[v+1]` in CSR order.
     pub fn out_offsets(&self) -> &[usize] {
@@ -119,24 +102,10 @@ impl Graph {
 
     /// The CSC as a shared segment index (destinations = vertices): what
     /// a fused aggregation over the graph records on its tape, without a
-    /// copy. Its transpose, once a backward has built it, is kept with
+    /// copy. Its transpose and scatter plans, once built, are kept with
     /// the graph.
     pub fn in_index(&self) -> Arc<SegmentIndex> {
         self.0.in_csc.clone()
-    }
-
-    /// Cached scatter plan over the in-edge COO: edge `e` (in
-    /// [`Graph::coo_in`] order) feeds destination `coo_in().0[e]`. Built
-    /// once on first use and reused by every layer/epoch of sparse
-    /// scatter aggregation over this graph.
-    pub fn in_scatter_plan(&self) -> Arc<ScatterPlan> {
-        self.0
-            .in_plan
-            .get_or_init(|| {
-                let (dst, _) = self.coo_in();
-                Arc::new(ScatterPlan::new(&dst, self.num_vertices()))
-            })
-            .clone()
     }
 
     /// Approximate heap bytes of the adjacency arrays, the CSC's
@@ -240,7 +209,6 @@ impl GraphBuilder {
             out_off,
             out_dst,
             in_csc: Arc::new(SegmentIndex::new(in_off, in_src)),
-            in_plan: OnceLock::new(),
         }))
     }
 }
@@ -343,24 +311,6 @@ mod tests {
     fn out_of_range_edge_panics() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 5);
-    }
-
-    #[test]
-    fn coo_matches_in_neighbors() {
-        let g = graph_from_edges(3, &[(0, 2), (1, 2), (2, 0)]);
-        let (dst, src) = g.coo_in();
-        assert_eq!(dst, vec![0, 2, 2]);
-        assert_eq!(src, vec![2, 0, 1]);
-    }
-
-    #[test]
-    fn in_scatter_plan_is_cached_and_covers_edges() {
-        let g = graph_from_edges(3, &[(0, 2), (1, 2), (2, 0)]);
-        let p = g.in_scatter_plan();
-        assert_eq!(p.out_rows(), 3);
-        assert_eq!(p.num_edges(), 3);
-        assert_eq!(p.index(), &g.coo_in().0[..]);
-        assert!(Arc::ptr_eq(&p, &g.in_scatter_plan()));
     }
 
     #[test]

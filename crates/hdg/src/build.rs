@@ -31,6 +31,8 @@ use flexgraph_graph::bfs::{Adjacency, HopScratch};
 use flexgraph_graph::metapath::{for_each_instance, Metapath};
 use flexgraph_graph::walk::{importance_neighbors_all, WalkConfig};
 use flexgraph_graph::{Graph, TypedGraph, VertexId};
+use flexgraph_tensor::{HierarchyIndex, SegmentIndex};
+use std::sync::Arc;
 
 /// Accumulates neighbor instances in [`Hdg`]'s own layout and freezes
 /// them into one.
@@ -157,16 +159,12 @@ impl HdgBuilder {
             (inst_off, leaf_src) = (sorted_off, sorted_src);
         }
 
+        let instances = SegmentIndex::new(inst_off, leaf_src);
+        let index = HierarchyIndex::new(group_off, instances, self.schema.num_types());
         Hdg {
             schema: self.schema,
-            num_roots: n,
             root_ids: self.root_ids,
-            group_off,
-            inst_off,
-            leaf_src,
-            leaf_plan: Default::default(),
-            group_plan: Default::default(),
-            root_plan: Default::default(),
+            index: Arc::new(index),
         }
     }
 }

@@ -24,6 +24,12 @@
 //! The same structure covers all three model categories: DNFA/INFA HDGs
 //! are "flat" (every instance holds exactly one leaf), INHA HDGs carry
 //! multi-vertex instances.
+//!
+//! The two offset arrays and the leaf array are one
+//! `flexgraph_tensor::HierarchyIndex` ([`Hdg::hierarchy`]), the index the
+//! fused kernels and the autograd tape walk as it is. It also caches the
+//! levels' scatter plans, so an HDG, its clones and a model trained on it
+//! share one copy of the arrays and one of each plan.
 
 pub mod build;
 pub mod schema;

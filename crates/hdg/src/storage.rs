@@ -2,37 +2,29 @@
 
 use crate::schema::SchemaTree;
 use flexgraph_graph::VertexId;
-use flexgraph_tensor::ScatterPlan;
-use std::sync::{Arc, OnceLock};
+use flexgraph_tensor::{HierarchyIndex, ScatterPlan};
+use std::sync::Arc;
 
 /// The frozen, compactly stored HDGs for all roots of one partition.
 ///
 /// Instances are globally ranked in `(root, type)` order, so the
 /// instance→type edges need no destination array (storage optimization
-/// (2) of §4.1): `group_off` alone recovers them. Leaves are stored as
-/// one offset array plus one flat vertex array (optimization (1)); the
-/// schema tree is a single shared object (optimization (3)).
+/// (2) of §4.1): the group offsets alone recover them. Leaves are stored
+/// as one offset array plus one flat vertex array (optimization (1)); the
+/// schema tree is a single shared object (optimization (3)). The three
+/// arrays live in one [`HierarchyIndex`] — the structure every strategy
+/// of §4.2 walks, which also caches the levels' scatter plans — shared
+/// by every clone of the HDG and by the models that train on it.
 #[derive(Clone, Debug)]
 pub struct Hdg {
     pub(crate) schema: SchemaTree,
-    pub(crate) num_roots: usize,
     /// Root vertex ids, `root_ids[local_root]` = input-graph vertex. In
     /// the single-machine case this is simply `0..n`.
     pub(crate) root_ids: Vec<VertexId>,
-    /// Per-(root, type) group offsets into the instance ranks:
-    /// instances of group `g = root·T + t` are `group_off[g]..group_off[g+1]`.
-    pub(crate) group_off: Vec<usize>,
-    /// Per-instance offsets into `leaf_src`.
-    pub(crate) inst_off: Vec<usize>,
-    /// Leaf (input-graph) vertex ids, concatenated per instance.
-    pub(crate) leaf_src: Vec<VertexId>,
-    /// Lazily built scatter plans for the three aggregation levels
-    /// (leaf→instance, instance→group, group→root). Built on first use
-    /// by a plan-based execution strategy and reused across layers and
-    /// epochs; fused strategies that never scatter pay nothing.
-    pub(crate) leaf_plan: OnceLock<Arc<ScatterPlan>>,
-    pub(crate) group_plan: OnceLock<Arc<ScatterPlan>>,
-    pub(crate) root_plan: OnceLock<Arc<ScatterPlan>>,
+    /// Group offsets over instance ranks (group `g = root·T + t` holds
+    /// instances `groups()[g]..groups()[g + 1]`), instance offsets into
+    /// the flat leaf array, and the leaves.
+    pub(crate) index: Arc<HierarchyIndex>,
 }
 
 impl Hdg {
@@ -41,9 +33,14 @@ impl Hdg {
         &self.schema
     }
 
+    /// The HDG's levels and their cached scatter plans.
+    pub fn hierarchy(&self) -> &Arc<HierarchyIndex> {
+        &self.index
+    }
+
     /// Number of root vertices in this HDG collection.
     pub fn num_roots(&self) -> usize {
-        self.num_roots
+        self.root_ids.len()
     }
 
     /// Input-graph vertex id of local root `r`.
@@ -63,64 +60,60 @@ impl Hdg {
 
     /// Total number of neighbor instances across all roots.
     pub fn num_instances(&self) -> usize {
-        self.inst_off.len() - 1
+        self.index.num_instances()
     }
 
     /// Number of `(root, type)` groups (= level-1 vertices of the HDGs).
     pub fn num_groups(&self) -> usize {
-        self.num_roots * self.num_types()
+        self.num_roots() * self.num_types()
     }
 
     /// The instance-rank range of group `(root, type)`.
     pub fn group_instances(&self, root: usize, t: usize) -> std::ops::Range<usize> {
         let g = root * self.num_types() + t;
-        self.group_off[g]..self.group_off[g + 1]
+        self.group_offsets()[g]..self.group_offsets()[g + 1]
     }
 
     /// Leaves of instance `i` (input-graph vertex ids).
     pub fn instance_leaves(&self, i: usize) -> &[VertexId] {
-        &self.leaf_src[self.inst_off[i]..self.inst_off[i + 1]]
+        &self.leaf_sources()[self.inst_offsets()[i]..self.inst_offsets()[i + 1]]
     }
 
     /// Number of instances owned by root `r` across all types — the
     /// `n_1..n_k` variables of the ADB cost model (§5).
     pub fn instances_of_root(&self, r: usize) -> usize {
         let t = self.num_types();
-        self.group_off[(r + 1) * t] - self.group_off[r * t]
+        self.group_offsets()[(r + 1) * t] - self.group_offsets()[r * t]
     }
 
     /// Total leaf entries under root `r` — proportional to the `m` size
     /// variables of the cost model.
     pub fn leaves_of_root(&self, r: usize) -> usize {
-        let range = {
-            let t = self.num_types();
-            self.group_off[r * t]..self.group_off[(r + 1) * t]
-        };
-        self.inst_off[range.end] - self.inst_off[range.start]
+        self.root_leaf_sources(r).len()
     }
 
     /// The per-instance leaf offset array (destination-major CSC of the
     /// bottom subgraph; Figure 9's `Offset3`).
     pub fn inst_offsets(&self) -> &[usize] {
-        &self.inst_off
+        self.index.instances().offsets()
     }
 
     /// The flat leaf vertex array (Figure 9's `Dst3` counterpart).
     pub fn leaf_sources(&self) -> &[VertexId] {
-        &self.leaf_src
+        self.index.instances().src()
     }
 
     /// The per-(root, type) group offset array over instance ranks — the
     /// only array kept for the in-between level (Figure 9's `Offset2`;
     /// the `Dst2` array is omitted by construction).
     pub fn group_offsets(&self) -> &[usize] {
-        &self.group_off
+        self.index.groups()
     }
 
     /// Whether every instance holds exactly one leaf (DNFA/INFA shape);
     /// the engine uses this to collapse leaf→instance into a no-op.
     pub fn is_flat_instances(&self) -> bool {
-        self.inst_off.windows(2).all(|w| w[1] - w[0] == 1)
+        self.inst_offsets().windows(2).all(|w| w[1] - w[0] == 1)
     }
 
     /// Reconstructs the per-instance group index that the omitted `Dst`
@@ -129,69 +122,25 @@ impl Hdg {
     pub fn instance_group_index(&self) -> Vec<u32> {
         let mut idx = vec![0u32; self.num_instances()];
         for g in 0..self.num_groups() {
-            for r in self.group_off[g]..self.group_off[g + 1] {
+            for r in self.group_offsets()[g]..self.group_offsets()[g + 1] {
                 idx[r] = g as u32;
             }
         }
         idx
     }
 
-    /// The COO pair `(dst_instance_rank, leaf_vertex)` of the bottom
-    /// subgraph — what sparse scatter aggregation consumes.
-    pub fn leaf_coo(&self) -> (Vec<u32>, Vec<VertexId>) {
-        let mut dst = Vec::with_capacity(self.leaf_src.len());
-        for i in 0..self.num_instances() {
-            for _ in self.inst_off[i]..self.inst_off[i + 1] {
-                dst.push(i as u32);
-            }
-        }
-        (dst, self.leaf_src.clone())
-    }
-
-    /// Cached scatter plan of the leaf→instance level: one edge per
-    /// entry of [`Hdg::leaf_sources`], destinations = instance ranks.
-    /// Built once on first use (the COO destination index is exactly
-    /// `leaf_coo().0`) and shared by every layer and epoch of a
-    /// scatter-based execution.
-    pub fn leaf_scatter_plan(&self) -> Arc<ScatterPlan> {
-        self.leaf_plan
-            .get_or_init(|| {
-                let (dst, _) = self.leaf_coo();
-                Arc::new(ScatterPlan::new(&dst, self.num_instances()))
-            })
-            .clone()
-    }
-
-    /// Cached scatter plan of the instance→group level (destinations =
-    /// `(root, type)` groups, index = [`Hdg::instance_group_index`]).
+    /// Scatter plan of the instance→group level (destinations =
+    /// `(root, type)` groups, index = [`Hdg::instance_group_index`]),
+    /// the index's own: built on first use, then shared.
     pub fn group_scatter_plan(&self) -> Arc<ScatterPlan> {
-        self.group_plan
-            .get_or_init(|| {
-                Arc::new(ScatterPlan::new(
-                    &self.instance_group_index(),
-                    self.num_groups(),
-                ))
-            })
-            .clone()
-    }
-
-    /// Cached scatter plan of the group→root level (group `g` feeds root
-    /// `g / num_types`).
-    pub fn root_scatter_plan(&self) -> Arc<ScatterPlan> {
-        self.root_plan
-            .get_or_init(|| {
-                let t = self.num_types();
-                let idx: Vec<u32> = (0..self.num_groups()).map(|g| (g / t) as u32).collect();
-                Arc::new(ScatterPlan::new(&idx, self.num_roots))
-            })
-            .clone()
+        self.index.group_plan()
     }
 
     /// The distinct leaf vertices this HDG collection depends on — the
     /// vertices whose features must be present (locally or via sync)
     /// before aggregation (used by the distributed runtime).
     pub fn dependency_leaves(&self) -> Vec<VertexId> {
-        let mut v = self.leaf_src.clone();
+        let mut v = self.leaf_sources().to_vec();
         v.sort_unstable();
         v.dedup();
         v
@@ -202,18 +151,18 @@ impl Hdg {
     /// per-root set.
     pub fn root_leaf_sources(&self, r: usize) -> &[VertexId] {
         let t = self.num_types();
-        let range = self.group_off[r * t]..self.group_off[(r + 1) * t];
-        &self.leaf_src[self.inst_off[range.start]..self.inst_off[range.end]]
+        let (groups, offsets) = (self.group_offsets(), self.inst_offsets());
+        &self.leaf_sources()[offsets[groups[r * t]]..offsets[groups[(r + 1) * t]]]
     }
 
     /// Heap bytes of the compact storage (Table 5's numerator).
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
+        use std::mem::{size_of, size_of_val};
         self.schema.heap_bytes()
             + self.root_ids.capacity() * size_of::<VertexId>()
-            + self.group_off.capacity() * size_of::<usize>()
-            + self.inst_off.capacity() * size_of::<usize>()
-            + self.leaf_src.capacity() * size_of::<VertexId>()
+            + size_of_val(self.group_offsets())
+            + size_of_val(self.inst_offsets())
+            + size_of_val(self.leaf_sources())
     }
 
     /// Heap bytes a naive (non-optimized) encoding would take: CSC with
@@ -224,7 +173,7 @@ impl Hdg {
         use std::mem::size_of;
         let inst = self.num_instances();
         let with_dst2 = inst * size_of::<u32>(); // the omitted Dst array
-        let per_root_schema = self.num_roots * self.schema.heap_bytes();
+        let per_root_schema = self.num_roots() * self.schema.heap_bytes();
         self.heap_bytes() + with_dst2 + per_root_schema
     }
 }
@@ -266,16 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_coo_expands_offsets() {
-        let h = paper_hdg();
-        let (dst, src) = h.leaf_coo();
-        assert_eq!(dst.len(), 15);
-        assert_eq!(src.len(), 15);
-        assert_eq!(&dst[..3], &[0, 0, 0]);
-        assert_eq!(&src[..3], &[0, 3, 2]);
-    }
-
-    #[test]
     fn dependency_leaves_are_sorted_unique() {
         let h = paper_hdg();
         let deps = h.dependency_leaves();
@@ -298,19 +237,29 @@ mod tests {
     #[test]
     fn level_plans_cover_each_level_once() {
         let h = paper_hdg();
-        let leaf = h.leaf_scatter_plan();
+        let (index, clone) = (h.hierarchy(), h.clone());
+        assert!(
+            Arc::ptr_eq(index, clone.hierarchy()),
+            "a clone shares the index"
+        );
+        let leaf = index.instances().scatter_plan();
         assert_eq!(leaf.out_rows(), h.num_instances());
         assert_eq!(leaf.num_edges(), h.leaf_sources().len());
         let group = h.group_scatter_plan();
         assert_eq!(group.out_rows(), h.num_groups());
         assert_eq!(group.num_edges(), h.num_instances());
         assert_eq!(group.index(), &h.instance_group_index()[..]);
-        let root = h.root_scatter_plan();
+        let root = index.root_plan();
         assert_eq!(root.out_rows(), h.num_roots());
         assert_eq!(root.num_edges(), h.num_groups());
-        // Cached: the same Arc comes back on every call.
-        assert!(Arc::ptr_eq(&leaf, &h.leaf_scatter_plan()));
-        assert!(Arc::ptr_eq(&group, &h.group_scatter_plan()));
-        assert!(Arc::ptr_eq(&root, &h.root_scatter_plan()));
+        // Built once: every call, on the HDG or a clone, returns the
+        // index's own Arc.
+        assert!(Arc::ptr_eq(
+            &leaf,
+            &clone.hierarchy().instances().scatter_plan()
+        ));
+        assert!(Arc::ptr_eq(&group, &index.group_plan()));
+        assert!(Arc::ptr_eq(&group, &clone.group_scatter_plan()));
+        assert!(Arc::ptr_eq(&root, &clone.hierarchy().root_plan()));
     }
 }

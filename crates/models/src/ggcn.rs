@@ -19,12 +19,10 @@ use std::sync::Arc;
 /// A two-layer gated GCN.
 pub struct GGcn {
     hidden: usize,
-    /// Cached plan for the per-edge gathers (index = the CSC sources,
-    /// destinations = vertices); doubles as the backward-scatter plan.
-    gather_plan: Option<Arc<ScatterPlan>>,
-    /// Cached plan for the destination scatter-add — the input graph's
-    /// in-edge plan, shared across both layers and every epoch.
-    dst_plan: Option<Arc<ScatterPlan>>,
+    /// The input graph's CSC plans, cached on its index: the per-edge
+    /// gather (index = the CSC sources, destinations = vertices; doubles
+    /// as the backward-scatter plan) and the destination scatter-add.
+    plans: Option<(Arc<ScatterPlan>, Arc<ScatterPlan>)>,
     /// Parameter slots per layer: `(w_gate, w)`.
     slots: Vec<(usize, usize)>,
     dims: (usize, usize),
@@ -35,16 +33,14 @@ impl GGcn {
     pub fn new(hidden: usize, in_dim: usize, classes: usize) -> Self {
         Self {
             hidden,
-            gather_plan: None,
-            dst_plan: None,
+            plans: None,
             slots: Vec::new(),
             dims: (in_dim, classes),
         }
     }
 
     fn layer(&self, g: &mut Graph, h: NodeId, w_gate: NodeId, w: NodeId, relu_out: bool) -> NodeId {
-        let gather_plan = self.gather_plan.clone().expect("selection ran");
-        let dst_plan = self.dst_plan.clone().expect("selection ran");
+        let (gather_plan, dst_plan) = self.plans.clone().expect("selection ran");
         // Per-vertex scalar gates g_u = σ(h_u · w_gate) ∈ (0, 1)^{n×1}.
         let scores = g.matmul(h, w_gate);
         let gates = g.sigmoid(scores);
@@ -75,10 +71,8 @@ impl GGcn {
 
 impl Model for GGcn {
     fn selection(&mut self, ds: &Dataset, _epoch: u64) {
-        if self.gather_plan.is_none() {
-            let n = ds.graph.num_vertices();
-            self.gather_plan = Some(Arc::new(ScatterPlan::new(ds.graph.in_sources(), n)));
-            self.dst_plan = Some(ds.graph.in_scatter_plan());
+        if self.plans.is_none() {
+            self.plans = Some(ds.graph.in_index().sparse_plans(ds.graph.num_vertices()));
         }
     }
 

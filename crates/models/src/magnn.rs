@@ -7,8 +7,9 @@
 //! attention-weighted sum of their instances (Figure 7's
 //! `scatter_softmax`), and the neighborhood representation the mean over
 //! types (Figure 10). All three levels are one tape op over the HDG's own
-//! offset arrays (`Graph::hierarchical_attention_pool`): no instance or
-//! group tensor is written, and selection builds no scatter plan. Update
+//! index (`Hdg::hierarchy`, `Graph::hierarchical_attention_pool`): no
+//! array is copied, no instance or group tensor is written, and selection
+//! builds no scatter plan. Update
 //! is `ReLU(W · a)` (Figure 7's MAGNNLayer uses only the neighborhood
 //! representation).
 //!
@@ -24,7 +25,7 @@ use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
 use flexgraph_graph::metapath::Metapath;
 use flexgraph_hdg::build::from_metapaths;
-use flexgraph_tensor::{xavier_uniform, Graph, HierarchyIndex, NodeId, ParamSet, SegmentIndex};
+use flexgraph_tensor::{xavier_uniform, Graph, HierarchyIndex, NodeId, ParamSet};
 use std::sync::Arc;
 
 /// A two-layer MAGNN.
@@ -32,8 +33,8 @@ pub struct Magnn {
     hidden: usize,
     metapaths: Vec<Metapath>,
     max_per_path: usize,
-    /// Leaves → instances → (root, type) groups → roots: the HDG's
-    /// instance and group offsets; `None` until selected.
+    /// Leaves → instances → (root, type) groups → roots: the HDG's own
+    /// index; `None` until selected.
     hierarchy: Option<Arc<HierarchyIndex>>,
     /// Layer 1's aggregate over the feature leaf.
     pub(crate) input: InputAggregate,
@@ -91,10 +92,7 @@ impl Model for Magnn {
         let typed = ds.typed();
         let roots: Vec<u32> = (0..ds.graph.num_vertices() as u32).collect();
         let hdg = from_metapaths(&typed, roots, &self.metapaths, self.max_per_path);
-        let instances = SegmentIndex::new(hdg.inst_offsets().to_vec(), hdg.leaf_sources().to_vec());
-        let groups = hdg.group_offsets().to_vec();
-        let hierarchy = HierarchyIndex::new(groups, instances, hdg.num_types());
-        self.hierarchy = Some(Arc::new(hierarchy));
+        self.hierarchy = Some(Arc::clone(hdg.hierarchy()));
         self.input.clear();
     }
 

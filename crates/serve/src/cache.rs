@@ -23,7 +23,8 @@ pub struct CacheKey {
     pub version: u64,
     /// Input-graph vertex.
     pub vertex: u32,
-    /// Pipeline layer (0 = aggregated neighborhood, 1 = final output).
+    /// Pipeline layer. The server caches final outputs only, as layer
+    /// 1; the ledger's cache probe keys its rows as layer 0.
     pub layer: u8,
 }
 

@@ -87,14 +87,18 @@ pub struct Server {
 impl Server {
     /// A server over `graph`/`feats` starting at `snapshot`.
     ///
-    /// Panics if the feature matrix disagrees with the model config or
-    /// the graph — both are wiring bugs, not runtime conditions to shed.
+    /// # Panics
+    ///
+    /// If the feature matrix disagrees with the model config or the
+    /// graph, or the model selects no hop (`hops == 0`) — all wiring
+    /// bugs, not runtime conditions to shed.
     pub fn new(graph: Graph, feats: Tensor, cfg: ServerConfig, snapshot: ModelSnapshot) -> Self {
         assert_eq!(
             feats.cols(),
             cfg.model.in_dim,
             "feature width must match model in_dim"
         );
+        assert!(cfg.model.hops > 0, "the model must select at least one hop");
         assert_eq!(
             graph.num_vertices(),
             feats.rows(),
@@ -222,11 +226,11 @@ impl Server {
         let version = snap.version();
         let now = self.batcher.lock().expect("batcher lock").now();
 
-        // Phase 1 — cache probe, per request (duplicates in one batch
-        // probe, and miss, independently until the first fill). The
-        // cache is locked for the probes, released during compute, and
-        // re-locked for the fills — a concurrent swap or poll never
-        // waits on an aggregation.
+        // Phase 1 — cache probe of each request's output row
+        // (duplicates in one batch probe, and miss, independently until
+        // the first fill). The cache is locked for the probes, released
+        // during compute, and re-locked for the fills — a concurrent swap
+        // or poll never waits on an aggregation.
         let mut c = self.cache.lock().expect("cache lock");
         let (hits0, misses0) = c.stats();
         // Request → cached output row, for requests answerable now.
@@ -249,69 +253,30 @@ impl Server {
                 }
             }
         }
-        // Of the pending vertices, which have a cached aggregation?
-        let mut agg_rows: Vec<Option<Vec<f32>>> = Vec::with_capacity(pending.len());
-        let mut need_agg: Vec<u32> = Vec::new();
-        for &v in &pending {
-            let key = CacheKey {
-                version,
-                vertex: v,
-                layer: 0,
-            };
-            match c.get(key) {
-                Some(row) => agg_rows.push(Some(row)),
-                None => {
-                    agg_rows.push(None);
-                    need_agg.push(v);
-                }
-            }
-        }
         let (hits1, misses1) = c.stats();
         drop(c);
 
-        // Phase 2 — compute. Admission control is aggregate_roots' one
-        // exact check: it walks the selection of the vertices still needing
-        // an aggregation once, prices it, and builds the HDG from that same
-        // selection only if the price fits the budget. The engine's own
-        // per-step budget checks run too; any rejection sheds the whole
-        // batch.
+        // Phase 2 — compute the pending vertices. Admission control is
+        // aggregate_roots' one exact check: it walks their selection once,
+        // prices it, and builds the HDG from that same selection only if
+        // the price fits the budget. The engine's own per-step budget
+        // checks run too; any rejection sheds the whole batch.
         let computed = (|| -> Result<Tensor, ServeError> {
-            let fresh = if need_agg.is_empty() {
+            let mut summed = if pending.is_empty() {
                 Tensor::zeros(0, m.in_dim)
             } else {
-                aggregate_roots(&self.graph, feats, m, &need_agg, &self.cfg.budget)?
+                aggregate_roots(&self.graph, feats, m, &pending, &self.cfg.budget)?
             };
-            // Assemble x_v + a_v rows for every pending vertex, cached
-            // aggregations and fresh ones (in `need_agg` order) alike.
-            let mut summed = Tensor::zeros(pending.len(), m.in_dim);
-            let mut fresh_i = 0usize;
+            // x_v + a_v, in place over the aggregation.
             for (i, &v) in pending.iter().enumerate() {
-                let a = match &agg_rows[i] {
-                    Some(a) => a.as_slice(),
-                    None => {
-                        fresh_i += 1;
-                        fresh.row(fresh_i - 1)
-                    }
-                };
                 let row = summed.row_mut(i);
-                row.copy_from_slice(feats.row(v as usize));
-                for (o, av) in row.iter_mut().zip(a) {
-                    *o += av;
+                for (o, &x) in row.iter_mut().zip(feats.row(v as usize)) {
+                    *o += x;
                 }
             }
             let outputs = dense_head(&summed, snap);
-            // Fill both cache layers for the next batch.
+            // Fill the output rows for the next batch.
             let mut c = self.cache.lock().expect("cache lock");
-            for (i, &v) in need_agg.iter().enumerate() {
-                c.insert(
-                    CacheKey {
-                        version,
-                        vertex: v,
-                        layer: 0,
-                    },
-                    fresh.row(i).to_vec(),
-                );
-            }
             for (i, &v) in pending.iter().enumerate() {
                 c.insert(
                     CacheKey {
@@ -466,6 +431,44 @@ mod tests {
         let third = s.flush().unwrap();
         assert!(!third[0].cache_hit, "version flip invalidates");
         assert_eq!(third[0].model_version, 2);
+    }
+
+    #[test]
+    fn a_window_misses_once_per_vertex_it_computes() {
+        let s = make_server(1 << 20);
+        for v in [3, 9, 12] {
+            s.submit(v).unwrap();
+        }
+        s.flush().unwrap();
+        let w = s.take_window();
+        assert_eq!((w.cache_hits, w.cache_misses), (0, 3));
+        for v in [3, 9, 20] {
+            s.submit(v).unwrap();
+        }
+        s.flush().unwrap();
+        let w = s.take_window();
+        assert_eq!(
+            (w.cache_hits, w.cache_misses),
+            (2, 1),
+            "only vertex 20 is computed"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one hop")]
+    fn a_model_without_hops_is_rejected_at_construction() {
+        let ds = community(80, 3, 5, 1, 8, 3);
+        let model = ServeModelConfig {
+            in_dim: ds.feature_dim(),
+            classes: ds.num_classes,
+            hops: 0,
+            ..Default::default()
+        };
+        let cfg = ServerConfig {
+            model,
+            ..Default::default()
+        };
+        Server::new(ds.graph, ds.features, cfg, ModelSnapshot::init(&model, 42));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! This crate removes that cap without disturbing a single computed
 //! bit:
 //!
-//! * [`format`] — the FGPS chunked CSR/CSC segment codec: fixed
+//! * [`format`](mod@format) — the FGPS chunked CSR/CSC segment codec: fixed
 //!   vertex-range segments, delta-varint edge compression, per-segment
 //!   CRC-32 trailers (`graph::crc::crc32`) and a footer index for random
 //!   access.
-//! * [`file`] — [`StoreWriter`] (streaming, header patched at finish)
+//! * [`file`](mod@file) — [`StoreWriter`] (streaming, header patched at finish)
 //!   and [`StoreReader`] (footer discovery, validate-before-allocate,
 //!   CRC-checked segment reads).
 //! * [`cache`] — [`PageCache`]: decoded segments under an explicit

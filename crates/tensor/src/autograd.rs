@@ -538,13 +538,12 @@ impl Graph {
     /// a planned scatter-add and a `mul` by `1/types`.
     pub fn hierarchical_attention_pool(&mut self, h: NodeId, index: Arc<HierarchyIndex>) -> NodeId {
         if self.strategy != Strategy::Ha {
-            let (_, instances, types) = index.levels();
-            let (to_group, to_root) = index.upper_plans();
-            let inst = self.segment_reduce(h, Arc::clone(instances), true);
+            let (to_group, types) = (index.group_plan(), index.types());
+            let inst = self.segment_reduce(h, Arc::clone(index.instances()), true);
             let weights = self.scatter_softmax_with_plan(inst, Arc::clone(&to_group));
             let weighted = self.mul(weights, inst);
             let groups = self.scatter_add_with_plan(weighted, to_group);
-            let roots = self.scatter_add_with_plan(groups, to_root);
+            let roots = self.scatter_add_with_plan(groups, index.root_plan());
             return self.times_reciprocal(roots, |_| types);
         }
         let d = self.value(h).cols();

@@ -11,6 +11,11 @@
 //! destinations with zero synchronization, and keeps the inner
 //! per-feature loop a straight-line multiply-accumulate the compiler can
 //! vectorize (standing in for the paper's AVX-512 kernels).
+//!
+//! The kernels walk two indexes, each the one copy of its arrays and the
+//! one cache of their scatter plans: a [`SegmentIndex`] (a graph's CSC,
+//! an HDG's instances) and a [`HierarchyIndex`] (an HDG's three levels,
+//! which `hdg::Hdg` holds as its storage).
 
 use crate::par::{parallel_for, parallel_for_scratch};
 use crate::scatter::{softmax_segment, ScatterPlan, SharedRows};
@@ -35,18 +40,14 @@ const FLOATS_PER_LINE: usize = 16;
 /// (and the extra `idx_of` probe per edge) are pure overhead.
 const PREFETCH_MIN_VALUE_BYTES: usize = 2 << 20;
 
-/// Built-in reduction kinds (the paper's built-in aggregation functions:
-/// sum, average, max, min — §6).
+/// Built-in reduction kinds: the sum and average of the paper's built-in
+/// aggregation functions (§6), the two its models run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reduce {
     /// Sum of source rows.
     Sum,
     /// Arithmetic mean of source rows (empty segments stay zero).
     Mean,
-    /// Per-column maximum (empty segments stay zero).
-    Max,
-    /// Per-column minimum (empty segments stay zero).
-    Min,
 }
 
 fn check(feats: &Tensor, offsets: &[usize], src: &[u32]) {
@@ -88,8 +89,8 @@ fn check(feats: &Tensor, offsets: &[usize], src: &[u32]) {
 /// edge-position order, so the result is race-free and
 /// bitwise-deterministic for any thread count.
 ///
-/// `Sum` accumulates into `out`'s existing content; `Mean`/`Max`/`Min`
-/// assume a zeroed `out` (empty segments stay zero).
+/// `Sum` accumulates into `out`'s existing content; `Mean` assumes a
+/// zeroed `out` (empty segments stay zero).
 pub(crate) fn segment_apply_into<F>(
     out: &mut [f32],
     d: usize,
@@ -148,22 +149,26 @@ pub(crate) fn segment_apply_into<F>(
 /// once when built. It keeps its transpose (per source row, the
 /// segments it feeds, ascending) once the first pull backward
 /// ([`segment_reduce_backward_into`]) has built it, so a static index —
-/// a graph's CSC — pays for the transpose once. The scatter plans a
-/// sparse (SA) tape records it with are kept the same way.
+/// a graph's CSC — pays for the transpose once. The two scatter plans a
+/// sparse (SA) execution reads are kept the same way, each built only
+/// when first asked for.
+#[derive(Debug)]
 pub struct SegmentIndex {
     offsets: Vec<usize>,
     src: Vec<u32>,
     /// One past the largest source row; 0 without edges.
     sources: usize,
     transpose: OnceLock<Transpose>,
-    /// The gather over `src` (destinations: the input's rows) and the
-    /// scatter of each edge into its segment.
-    sparse: OnceLock<(Arc<ScatterPlan>, Arc<ScatterPlan>)>,
+    /// The gather over `src` (destinations: the input's rows).
+    gather: OnceLock<Arc<ScatterPlan>>,
+    /// The scatter of each edge into its segment.
+    scatter: OnceLock<Arc<ScatterPlan>>,
 }
 
 /// [`SegmentIndex`] turned around: the segments source row `s` feeds
 /// are `segs[offsets[s]..offsets[s + 1]]`, ascending, a segment listed
 /// once per occurrence of `s` in it.
+#[derive(Debug)]
 struct Transpose {
     offsets: Vec<usize>,
     segs: Vec<u32>,
@@ -194,7 +199,8 @@ impl SegmentIndex {
             src,
             sources,
             transpose: OnceLock::new(),
-            sparse: OnceLock::new(),
+            gather: OnceLock::new(),
+            scatter: OnceLock::new(),
         }
     }
 
@@ -214,31 +220,37 @@ impl SegmentIndex {
         let transpose = self.transpose.get().map_or(0, |t| {
             std::mem::size_of_val(&t.offsets[..]) + std::mem::size_of_val(&t.segs[..])
         });
-        let plans = self
-            .sparse
-            .get()
-            .map_or(0, |(g, s)| g.heap_bytes() + s.heap_bytes());
+        let plans = [&self.gather, &self.scatter]
+            .iter()
+            .filter_map(|plan| plan.get())
+            .map(|plan| plan.heap_bytes())
+            .sum::<usize>();
         std::mem::size_of_val(&self.offsets[..])
             + std::mem::size_of_val(&self.src[..])
             + transpose
             + plans
     }
 
+    /// The plan scattering edge position `e` into the segment that holds
+    /// it, built on first use.
+    pub fn scatter_plan(&self) -> Arc<ScatterPlan> {
+        Arc::clone(self.scatter.get_or_init(|| owner_plan(&self.offsets)))
+    }
+
     /// The plans that record this reduction as a gather of one row per
     /// edge out of `rows` input rows and a scatter-add into the
-    /// segments, built on first use. An input of another row count gets
-    /// a gather plan of its own, uncached.
-    pub(crate) fn sparse_plans(&self, rows: usize) -> (Arc<ScatterPlan>, Arc<ScatterPlan>) {
-        let (gather, scatter) = self.sparse.get_or_init(|| {
-            let gather = Arc::new(ScatterPlan::new(&self.src, rows));
-            (gather, owner_plan(&self.offsets))
-        });
+    /// segments, built on first use. The gather plan is kept for the
+    /// row count first asked for; another gets one of its own, uncached.
+    pub fn sparse_plans(&self, rows: usize) -> (Arc<ScatterPlan>, Arc<ScatterPlan>) {
+        let gather = self
+            .gather
+            .get_or_init(|| Arc::new(ScatterPlan::new(&self.src, rows)));
         let gather = if gather.out_rows() == rows {
             Arc::clone(gather)
         } else {
             Arc::new(ScatterPlan::new(&self.src, rows))
         };
-        (gather, Arc::clone(scatter))
+        (gather, self.scatter_plan())
     }
 
     fn segments(&self) -> usize {
@@ -388,16 +400,20 @@ pub fn segment_reduce_backward_into(
 /// An HDG collection's three levels (paper Figure 9): `types` groups per
 /// root, group `g = root·types + t` holding instances `groups[g]..
 /// groups[g + 1]` (Figure 9's `Offset2`), and `instances` over leaf rows.
-/// The scatter plans of the two upper levels, which only an unfused
-/// (SA / SA+FA) tape reads, are built on first use and kept.
+/// This is the HDG's one copy of its arrays (`hdg::Hdg` holds it). The
+/// scatter plans of the two upper levels, which only an unfused
+/// (SA / SA+FA) execution reads, are each built on first use and kept.
+#[derive(Debug)]
 pub struct HierarchyIndex {
     groups: Vec<usize>,
     instances: Arc<SegmentIndex>,
     types: usize,
     /// Instances in the largest group; sizes the kernels' scratch.
     widest: usize,
-    /// Instance → group, and group → root.
-    plans: OnceLock<(Arc<ScatterPlan>, Arc<ScatterPlan>)>,
+    /// Instance → group.
+    group_plan: OnceLock<Arc<ScatterPlan>>,
+    /// Group → root.
+    root_plan: OnceLock<Arc<ScatterPlan>>,
 }
 
 impl HierarchyIndex {
@@ -414,24 +430,39 @@ impl HierarchyIndex {
             instances: Arc::new(instances),
             types,
             widest,
-            plans: OnceLock::new(),
+            group_plan: OnceLock::new(),
+            root_plan: OnceLock::new(),
         }
     }
 
-    /// Group offsets over instances, the instances over leaf rows, and
-    /// groups per root.
-    pub fn levels(&self) -> (&[usize], &Arc<SegmentIndex>, usize) {
-        (&self.groups, &self.instances, self.types)
+    /// Group offsets over instances.
+    pub fn groups(&self) -> &[usize] {
+        &self.groups
     }
 
-    /// The scatter plans of instances into their groups and of groups
-    /// into their roots, built on first use.
-    pub(crate) fn upper_plans(&self) -> (Arc<ScatterPlan>, Arc<ScatterPlan>) {
-        let (to_group, to_root) = self.plans.get_or_init(|| {
+    /// The instances over leaf rows.
+    pub fn instances(&self) -> &Arc<SegmentIndex> {
+        &self.instances
+    }
+
+    /// Groups per root.
+    pub fn types(&self) -> usize {
+        self.types
+    }
+
+    /// The scatter plan of instances into their groups, built on first
+    /// use.
+    pub fn group_plan(&self) -> Arc<ScatterPlan> {
+        Arc::clone(self.group_plan.get_or_init(|| owner_plan(&self.groups)))
+    }
+
+    /// The scatter plan of groups into their roots, built on first use.
+    pub fn root_plan(&self) -> Arc<ScatterPlan> {
+        let plan = self.root_plan.get_or_init(|| {
             let roots: Vec<usize> = (0..=self.num_roots()).map(|r| r * self.types).collect();
-            (owner_plan(&self.groups), owner_plan(&roots))
+            owner_plan(&roots)
         });
-        (Arc::clone(to_group), Arc::clone(to_root))
+        Arc::clone(plan)
     }
 
     /// Number of roots (one output row each).
@@ -599,17 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_max_min_and_empty_segment() {
-        let offsets = [0usize, 0, 3];
-        let src = [0u32, 3, 1];
-        let mx = segment_reduce(&feats(), &offsets, &src, Reduce::Max);
-        assert_eq!(mx.row(0), &[0.0, 0.0], "empty segment stays zero");
-        assert_eq!(mx.row(1), &[7.0, 8.0]);
-        let mn = segment_reduce(&feats(), &offsets, &src, Reduce::Min);
-        assert_eq!(mn.row(1), &[1.0, 2.0]);
-    }
-
-    #[test]
     fn backward_matches_scatter_semantics() {
         let offsets = [0usize, 2, 3];
         let src = [0u32, 1, 1];
@@ -633,6 +653,29 @@ mod tests {
         segment_reduce_backward_into(&mut g, &Tensor::zeros(2, 1), &index, false);
         // Offsets over the two sources, one segment id per edge.
         assert_eq!(index.heap_bytes(), before + 3 * offset + 3 * id);
+    }
+
+    #[test]
+    fn plans_are_built_one_at_a_time_and_kept() {
+        // The CSC of edges 0→2, 1→2, 2→0.
+        let index = SegmentIndex::new(vec![0, 1, 1, 3], vec![2, 0, 1]);
+        let bare = index.heap_bytes();
+        let scatter = index.scatter_plan();
+        assert_eq!((scatter.out_rows(), scatter.index()), (3, &[0, 2, 2][..]));
+        let with_scatter = index.heap_bytes();
+        assert_eq!(
+            with_scatter,
+            bare + scatter.heap_bytes(),
+            "no gather plan yet"
+        );
+        let (gather, again) = index.sparse_plans(3);
+        assert_eq!((gather.out_rows(), gather.index()), (3, &[2, 0, 1][..]));
+        assert!(Arc::ptr_eq(&scatter, &again));
+        assert!(Arc::ptr_eq(&gather, &index.sparse_plans(3).0));
+        assert_eq!(index.heap_bytes(), with_scatter + gather.heap_bytes());
+        // Another row count gets a gather plan of its own, uncached.
+        assert_eq!(index.sparse_plans(5).0.out_rows(), 5);
+        assert_eq!(index.heap_bytes(), with_scatter + gather.heap_bytes());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! implements the subset FlexGraph actually needs, from scratch:
 //!
 //! * a row-major dense `f32` matrix type ([`Tensor`]),
-//! * sparse *scatter* reductions (`scatter_add`/`mean`/`max`/`min`/
-//!   `softmax`, over a cached [`ScatterPlan`]) and row `gather`, the building blocks of GAS-style sparse
-//!   aggregation (paper §3.3, Figure 8),
+//! * sparse *scatter* reductions (`scatter_add`/`mean`/`softmax`, over a
+//!   cached [`ScatterPlan`]) and row `gather`, the building blocks of
+//!   GAS-style sparse aggregation (paper §3.3, Figure 8),
 //! * a tape-based reverse-mode autograd engine ([`autograd::Graph`]) so
 //!   that GCN / PinSage / MAGNN train end-to-end,
 //! * the Adam optimizer and a softmax cross-entropy loss,
@@ -47,9 +47,8 @@ pub use init::xavier_uniform;
 pub use optim::{Adam, Optimizer, ParamSet};
 pub use par::{num_threads, pool_worker_count, set_thread_override};
 pub use scatter::{
-    gather_rows, scatter_add, scatter_add_gathered_into, scatter_add_with_plan,
-    scatter_max_with_plan, scatter_mean, scatter_mean_with_plan, scatter_min_with_plan,
-    scatter_softmax_with_plan, ScatterPlan,
+    gather_rows, scatter_add, scatter_add_gathered_into, scatter_add_with_plan, scatter_mean,
+    scatter_mean_with_plan, scatter_softmax_with_plan, ScatterPlan,
 };
 pub use simd::backend as simd_backend;
 pub use tensor::Tensor;

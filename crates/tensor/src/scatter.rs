@@ -68,10 +68,6 @@ fn edge_scan_profitable(edges: usize, out_rows: usize, d: usize) -> bool {
 /// [`edge_scan_profitable`] precondition. Per destination the
 /// accumulation order is ascending edge order — exactly the segment
 /// walk's order — so the two walks are bitwise interchangeable.
-///
-/// For `Max`/`Min` the chunk is first filled with the `±∞` sentinel;
-/// callers rewrite surviving sentinels to zero (the serial reference's
-/// convention, which also zeroes empty destinations).
 fn scatter_edge_scan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan, kind: Reduce) {
     let d = out.cols();
     let index: &[u32] = &plan.index;
@@ -81,14 +77,6 @@ fn scatter_edge_scan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan,
         let rows = chunk.len() / d;
         // With one chunk every destination is owned: skip the test.
         let full = rows == plan.out_rows;
-        if matches!(kind, Reduce::Max | Reduce::Min) {
-            let init = if kind == Reduce::Max {
-                f32::NEG_INFINITY
-            } else {
-                f32::INFINITY
-            };
-            chunk.fill(init);
-        }
         for (e, &dst) in index.iter().enumerate() {
             let dst = dst as usize;
             if !full && (dst < r0 || dst >= r0 + rows) {
@@ -100,11 +88,7 @@ fn scatter_edge_scan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan,
             // has one `d`-wide row per edge (checked by the caller).
             let orow = unsafe { chunk.get_unchecked_mut(lo..lo + d) };
             let srow = unsafe { vdata.get_unchecked(e * d..e * d + d) };
-            match kind {
-                Reduce::Sum | Reduce::Mean => simd::add_assign(orow, srow),
-                Reduce::Max => simd::max_assign(orow, srow),
-                Reduce::Min => simd::min_assign(orow, srow),
-            }
+            simd::add_assign(orow, srow);
         }
         if kind == Reduce::Mean {
             for (r, orow) in chunk.chunks_mut(d).enumerate() {
@@ -278,38 +262,6 @@ fn scatter_checked_with_plan(out: &mut Tensor, values: &Tensor, plan: &ScatterPl
         "scatter output shape"
     );
     scatter_reduce_with_plan(out, values, plan, kind);
-}
-
-/// Per-destination, per-column maximum; empty destinations stay zero
-/// (matching the convention of `pytorch_scatter` with a zero fill).
-pub fn scatter_max_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
-    scatter_extreme_with_plan(values, plan, Reduce::Max, f32::NEG_INFINITY)
-}
-
-/// Per-destination, per-column minimum; empty destinations stay zero.
-pub fn scatter_min_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
-    scatter_extreme_with_plan(values, plan, Reduce::Min, f32::INFINITY)
-}
-
-fn scatter_extreme_with_plan(
-    values: &Tensor,
-    plan: &ScatterPlan,
-    kind: Reduce,
-    init: f32,
-) -> Tensor {
-    let mut out = Tensor::zeros(plan.out_rows, values.cols());
-    scatter_checked_with_plan(&mut out, values, plan, kind);
-    // The serial reference folds from a ±∞ sentinel and rewrites any
-    // surviving sentinel to zero; replicate that so results match
-    // elementwise even for infinite inputs. (Empty destinations are
-    // zero after the segment walk and sentinel-valued after the edge
-    // scan — the rewrite normalizes both.)
-    for x in out.data_mut() {
-        if *x == init {
-            *x = 0.0;
-        }
-    }
-    out
 }
 
 /// Fused gather+scatter-add: `out[d] += Σ src[edge_rows[e]]` over the
@@ -624,48 +576,23 @@ pub fn scatter_mean_serial(values: &Tensor, index: &[u32], out_rows: usize) -> T
     out
 }
 
-/// Serial reference for [`scatter_max_with_plan`].
-pub fn scatter_max_serial(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
-    scatter_extreme_serial(values, index, out_rows, f32::NEG_INFINITY, f32::max)
-}
-
-/// Serial reference for [`scatter_min_with_plan`].
-pub fn scatter_min_serial(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
-    scatter_extreme_serial(values, index, out_rows, f32::INFINITY, f32::min)
-}
-
-fn scatter_extreme_serial(
-    values: &Tensor,
-    index: &[u32],
-    out_rows: usize,
-    init: f32,
-    pick: impl Fn(f32, f32) -> f32,
-) -> Tensor {
-    check_serial(values, index, out_rows);
-    let d = values.cols();
-    let mut out = Tensor::full(out_rows, d, init);
-    for (i, &dst) in index.iter().enumerate() {
-        let src = values.row(i);
-        let o = out.row_mut(dst as usize);
-        for (o, &s) in o.iter_mut().zip(src) {
-            *o = pick(*o, s);
-        }
-    }
-    // Untouched destinations revert to zero.
-    for x in out.data_mut() {
-        if *x == init {
-            *x = 0.0;
-        }
-    }
-    out
-}
-
 /// Serial reference for [`scatter_softmax_with_plan`].
 pub fn scatter_softmax_serial(values: &Tensor, index: &[u32], out_rows: usize) -> Tensor {
     check_serial(values, index, out_rows);
     let d = values.cols();
-    // Stabilize per destination group with the column max.
-    let maxes = scatter_extreme_serial(values, index, out_rows, f32::NEG_INFINITY, f32::max);
+    // Stabilize per destination group with the column max, taken from a
+    // −∞ sentinel that an empty column turns back into zero.
+    let mut maxes = Tensor::full(out_rows, d, f32::NEG_INFINITY);
+    for (i, &dst) in index.iter().enumerate() {
+        for (m, &s) in maxes.row_mut(dst as usize).iter_mut().zip(values.row(i)) {
+            *m = m.max(s);
+        }
+    }
+    for m in maxes.data_mut() {
+        if *m == f32::NEG_INFINITY {
+            *m = 0.0;
+        }
+    }
     let mut exp = Tensor::zeros(values.rows(), d);
     for (i, &dst) in index.iter().enumerate() {
         let m = maxes.row(dst as usize);
@@ -742,23 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_max_and_min() {
-        let v = Tensor::from_rows(&[&[1.0, -5.0], &[3.0, -1.0], &[2.0, -9.0]]);
-        let plan = ScatterPlan::new(&[0, 0, 1], 2);
-        let mx = scatter_max_with_plan(&v, &plan);
-        assert_eq!(mx, Tensor::from_rows(&[&[3.0, -1.0], &[2.0, -9.0]]));
-        let mn = scatter_min_with_plan(&v, &plan);
-        assert_eq!(mn, Tensor::from_rows(&[&[1.0, -5.0], &[2.0, -9.0]]));
-    }
-
-    #[test]
-    fn scatter_max_empty_destination_is_zero_not_neg_inf() {
-        let v = Tensor::from_rows(&[&[5.0]]);
-        let mx = scatter_max_with_plan(&v, &ScatterPlan::new(&[1], 3));
-        assert_eq!(mx, Tensor::from_rows(&[&[0.0], &[5.0], &[0.0]]));
-    }
-
-    #[test]
     fn scatter_softmax_sums_to_one_per_group() {
         let v = Tensor::from_rows(&[&[1.0], &[2.0], &[3.0], &[0.0]]);
         let sm = scatter_softmax_with_plan(&v, &ScatterPlan::new(&[0, 0, 0, 1], 2));
@@ -819,7 +729,7 @@ mod tests {
         let index: Vec<u32> = (0..rows as u32).map(|i| (i * i) % 13).collect();
         let out_rows = 17; // destinations 13..17 are empty
         let plan = ScatterPlan::new(&index, out_rows);
-        let pairs: [(Tensor, Tensor); 4] = [
+        let pairs: [(Tensor, Tensor); 2] = [
             (
                 scatter_add_with_plan(&values, &plan),
                 scatter_add_serial(&values, &index, out_rows),
@@ -827,14 +737,6 @@ mod tests {
             (
                 scatter_mean_with_plan(&values, &plan),
                 scatter_mean_serial(&values, &index, out_rows),
-            ),
-            (
-                scatter_max_with_plan(&values, &plan),
-                scatter_max_serial(&values, &index, out_rows),
-            ),
-            (
-                scatter_min_with_plan(&values, &plan),
-                scatter_min_serial(&values, &index, out_rows),
             ),
         ];
         for (planned, serial) in &pairs {

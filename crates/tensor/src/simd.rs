@@ -11,18 +11,10 @@
 //! the chain the scalar code produces, so results are bit-identical to
 //! the scalar fallback and to the serial reference kernels.
 //!
-//! Two rules keep that true:
-//!
-//! * [`mul_add_assign`] uses a separate multiply then add
-//!   (`_mm256_mul_ps` + `_mm256_add_ps`), **never** FMA: fused
-//!   multiply-add rounds once where the scalar `acc += a * x` rounds
-//!   twice, which would break bitwise parity with the serial matmul.
-//! * [`max_assign`]/[`min_assign`] are compare-and-keep (`x > acc ? x :
-//!   acc`), matching `vmaxps`/`vminps` hardware semantics exactly in
-//!   both backends. This agrees with `f32::max`/`f32::min` for every
-//!   input free of `±0.0` ties (a NaN candidate never displaces the
-//!   accumulator on either path, and the accumulator itself never
-//!   becomes NaN from the `±∞` sentinel initialization).
+//! One rule keeps that true: [`mul_add_assign`] uses a separate
+//! multiply then add (`_mm256_mul_ps` + `_mm256_add_ps`), **never** FMA:
+//! fused multiply-add rounds once where the scalar `acc += a * x` rounds
+//! twice, which would break bitwise parity with the serial matmul.
 //!
 //! # Register accumulators
 //!
@@ -38,8 +30,8 @@
 //! would otherwise pay for the choice on every one. The adds and their
 //! order are the per-row chain's — [`scalar::fold_segments`], one
 //! [`add_assign`] per row — so the two return the same bits, which
-//! `tests/segment_walk.rs` checks across widths, kinds and special
-//! values.
+//! `tests/segment_walk.rs` checks across widths, sum and mean, and
+//! special values.
 //!
 //! # `exp`
 //!
@@ -162,10 +154,8 @@ pub mod scalar {
     /// segment): segment `t` takes `row(e)` for each `e` of
     /// `offsets[t]..offsets[t + 1]` in ascending order, calling
     /// `visit(e)` just before — the per-row chain, one [`add_assign`]
-    /// (or [`max_assign`], [`min_assign`]) per row. `Sum` and `Mean`
-    /// add into what the row holds, and `Mean` then scales it by
-    /// `1/len`; `Max` and `Min` start from `∓∞`. An empty segment's row
-    /// is left as it is.
+    /// per row, into what the row holds; `Mean` then scales it by
+    /// `1/len`. An empty segment's row is left as it is.
     pub fn fold_segments<'a>(
         out: &mut [f32],
         d: usize,
@@ -187,45 +177,12 @@ pub mod scalar {
             if lo == hi {
                 continue;
             }
-            match kind {
-                Reduce::Max => acc.fill(f32::NEG_INFINITY),
-                Reduce::Min => acc.fill(f32::INFINITY),
-                Reduce::Sum | Reduce::Mean => {}
-            }
             for e in lo..hi {
                 visit(e);
-                match kind {
-                    Reduce::Sum | Reduce::Mean => add_assign(acc, row(e)),
-                    Reduce::Max => max_assign(acc, row(e)),
-                    Reduce::Min => min_assign(acc, row(e)),
-                }
+                add_assign(acc, row(e));
             }
             if kind == Reduce::Mean {
                 scale_assign(acc, 1.0 / (hi - lo) as f32);
-            }
-        }
-    }
-
-    /// `acc[i] = if x[i] > acc[i] { x[i] } else { acc[i] }` — the
-    /// `vmaxps` semantic (ties and NaN candidates keep the accumulator).
-    #[inline]
-    pub fn max_assign(acc: &mut [f32], x: &[f32]) {
-        debug_assert_eq!(acc.len(), x.len());
-        for (o, &v) in acc.iter_mut().zip(x) {
-            if v > *o {
-                *o = v;
-            }
-        }
-    }
-
-    /// `acc[i] = if x[i] < acc[i] { x[i] } else { acc[i] }` — the
-    /// `vminps` semantic.
-    #[inline]
-    pub fn min_assign(acc: &mut [f32], x: &[f32]) {
-        debug_assert_eq!(acc.len(), x.len());
-        for (o, &v) in acc.iter_mut().zip(x) {
-            if v < *o {
-                *o = v;
             }
         }
     }
@@ -302,48 +259,10 @@ mod avx2 {
     /// Columns of a full block.
     const BLOCK: usize = BLOCK_VECS * LANES;
 
-    /// One lane operation of [`fold_segments`], with the operand order
-    /// of the matching `*_assign` op.
-    trait Combine {
-        /// What a segment's accumulator starts from: `None` for the
-        /// output row's own content.
-        const START: Option<f32>;
-        /// Folds the row vector `x` into the accumulator vector `acc`.
-        unsafe fn combine(acc: __m256, x: __m256) -> __m256;
-    }
-
-    struct Add;
-    struct Max;
-    struct Min;
-
-    impl Combine for Add {
-        const START: Option<f32> = None;
-        #[inline(always)]
-        unsafe fn combine(acc: __m256, x: __m256) -> __m256 {
-            _mm256_add_ps(acc, x)
-        }
-    }
-
-    impl Combine for Max {
-        const START: Option<f32> = Some(f32::NEG_INFINITY);
-        #[inline(always)]
-        unsafe fn combine(acc: __m256, x: __m256) -> __m256 {
-            _mm256_max_ps(x, acc)
-        }
-    }
-
-    impl Combine for Min {
-        const START: Option<f32> = Some(f32::INFINITY);
-        #[inline(always)]
-        unsafe fn combine(acc: __m256, x: __m256) -> __m256 {
-            _mm256_min_ps(x, acc)
-        }
-    }
-
     /// Folds columns `c0..c0 + N·8` (the last vector cut to the lanes
     /// set in `mask` when `MASKED`) of every row of `edges` into the
     /// output row at `out`, holding the `N` accumulator vectors in
-    /// registers: at most one load before the run, one store after it,
+    /// registers: one load before the run, one store after it,
     /// times `scale` just before the store when given. `visit` runs per
     /// edge when `first`.
     ///
@@ -353,7 +272,7 @@ mod avx2 {
     /// `MASKED` — at least the lanes `mask` selects of the last vector.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn fold_block<'a, C: Combine, const N: usize, const MASKED: bool>(
+    unsafe fn fold_block<'a, const N: usize, const MASKED: bool>(
         out: *mut f32,
         c0: usize,
         mask: __m256i,
@@ -373,10 +292,7 @@ mod avx2 {
         let out = out.add(c0);
         let mut a = [_mm256_setzero_ps(); N];
         for (k, a) in a.iter_mut().enumerate() {
-            *a = match C::START {
-                Some(v) => _mm256_set1_ps(v),
-                None => load(out, k),
-            };
+            *a = load(out, k);
         }
         for e in edges {
             if first {
@@ -384,7 +300,7 @@ mod avx2 {
             }
             let p = row(e).as_ptr().add(c0);
             for (k, a) in a.iter_mut().enumerate() {
-                *a = C::combine(*a, load(p, k));
+                *a = _mm256_add_ps(*a, load(p, k));
             }
         }
         if let Some(s) = scale {
@@ -401,8 +317,7 @@ mod avx2 {
         }
     }
 
-    /// [`fold_segments`] for one lane operation and one split of the
-    /// row: `d / BLOCK` full blocks, then a block of `R` vectors (the
+    /// [`fold_segments`] for one split of the row: `d / BLOCK` full blocks, then a block of `R` vectors (the
     /// last one masked when `MASKED`), each block a full walk of the
     /// segment's edges.
     ///
@@ -411,7 +326,7 @@ mod avx2 {
     /// `out` holds `d` floats per segment, every `row(e)` holds `d`
     /// floats, and `R`, `MASKED` are the split of `d`.
     #[inline(always)]
-    unsafe fn walk<'a, C: Combine, const R: usize, const MASKED: bool>(
+    unsafe fn walk<'a, const R: usize, const MASKED: bool>(
         out: &mut [f32],
         d: usize,
         mean: bool,
@@ -434,7 +349,7 @@ mod avx2 {
             let acc = acc.as_mut_ptr();
             for b in 0..full {
                 let first = b == 0;
-                fold_block::<C, BLOCK_VECS, false>(
+                fold_block::<BLOCK_VECS, false>(
                     acc,
                     b * BLOCK,
                     mask,
@@ -447,23 +362,14 @@ mod avx2 {
             }
             if R > 0 {
                 let first = full == 0;
-                fold_block::<C, R, MASKED>(
-                    acc,
-                    full * BLOCK,
-                    mask,
-                    lo..hi,
-                    row,
-                    visit,
-                    first,
-                    scale,
-                );
+                fold_block::<R, MASKED>(acc, full * BLOCK, mask, lo..hi, row, visit, first, scale);
             }
         }
     }
 
     /// [`walk`] with the split of `d` chosen once.
     #[inline(always)]
-    fn split<'a, C: Combine>(
+    fn split<'a>(
         out: &mut [f32],
         d: usize,
         mean: bool,
@@ -477,15 +383,15 @@ mod avx2 {
         // `row` in a width check; `(r, masked)` is the split of `d`.
         unsafe {
             match (r, masked) {
-                (0, _) => walk::<C, 0, false>(out, d, m, o, row, visit),
-                (1, false) => walk::<C, 1, false>(out, d, m, o, row, visit),
-                (1, true) => walk::<C, 1, true>(out, d, m, o, row, visit),
-                (2, false) => walk::<C, 2, false>(out, d, m, o, row, visit),
-                (2, true) => walk::<C, 2, true>(out, d, m, o, row, visit),
-                (3, false) => walk::<C, 3, false>(out, d, m, o, row, visit),
-                (3, true) => walk::<C, 3, true>(out, d, m, o, row, visit),
-                (4, false) => walk::<C, 4, false>(out, d, m, o, row, visit),
-                _ => walk::<C, 4, true>(out, d, m, o, row, visit),
+                (0, _) => walk::<0, false>(out, d, m, o, row, visit),
+                (1, false) => walk::<1, false>(out, d, m, o, row, visit),
+                (1, true) => walk::<1, true>(out, d, m, o, row, visit),
+                (2, false) => walk::<2, false>(out, d, m, o, row, visit),
+                (2, true) => walk::<2, true>(out, d, m, o, row, visit),
+                (3, false) => walk::<3, false>(out, d, m, o, row, visit),
+                (3, true) => walk::<3, true>(out, d, m, o, row, visit),
+                (4, false) => walk::<4, false>(out, d, m, o, row, visit),
+                _ => walk::<4, true>(out, d, m, o, row, visit),
             }
         }
     }
@@ -515,12 +421,7 @@ mod avx2 {
             assert_eq!(r.len(), d, "row width must match the output");
             r
         };
-        let mean = kind == Reduce::Mean;
-        match kind {
-            Reduce::Sum | Reduce::Mean => split::<Add>(out, d, mean, offsets, row, visit),
-            Reduce::Max => split::<Max>(out, d, mean, offsets, row, visit),
-            Reduce::Min => split::<Min>(out, d, mean, offsets, row, visit),
-        }
+        split(out, d, kind == Reduce::Mean, offsets, row, visit);
     }
 
     /// `acc[i] += x[i]` elementwise (8-lane AVX2 body, scalar tail).
@@ -584,59 +485,12 @@ mod avx2 {
             o[j] *= s;
         }
     }
-
-    /// `acc = vmaxps(x, acc)`: keeps the accumulator on ties and NaN
-    /// candidates, exactly like the scalar reference.
-    #[inline]
-    pub fn max_assign(acc: &mut [f32], x: &[f32]) {
-        debug_assert_eq!(acc.len(), x.len());
-        let n = acc.len();
-        let mut i = 0;
-        // SAFETY: bounds as in `add_assign`. `_mm256_max_ps(a, b)`
-        // returns `a > b ? a : b` (second operand on ties/NaN), so the
-        // candidate goes in the first slot and the accumulator second.
-        unsafe {
-            while i + LANES <= n {
-                let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-                let vo = _mm256_loadu_ps(acc.as_ptr().add(i));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_max_ps(vx, vo));
-                i += LANES;
-            }
-        }
-        for j in i..n {
-            if x[j] > acc[j] {
-                acc[j] = x[j];
-            }
-        }
-    }
-
-    /// `acc = vminps(x, acc)`: mirror of [`max_assign`].
-    #[inline]
-    pub fn min_assign(acc: &mut [f32], x: &[f32]) {
-        debug_assert_eq!(acc.len(), x.len());
-        let n = acc.len();
-        let mut i = 0;
-        // SAFETY: bounds and operand order as in `max_assign`.
-        unsafe {
-            while i + LANES <= n {
-                let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-                let vo = _mm256_loadu_ps(acc.as_ptr().add(i));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_min_ps(vx, vo));
-                i += LANES;
-            }
-        }
-        for j in i..n {
-            if x[j] < acc[j] {
-                acc[j] = x[j];
-            }
-        }
-    }
 }
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-pub use avx2::{add_assign, fold_segments, max_assign, min_assign, mul_add_assign, scale_assign};
+pub use avx2::{add_assign, fold_segments, mul_add_assign, scale_assign};
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-pub use scalar::{add_assign, fold_segments, max_assign, min_assign, mul_add_assign, scale_assign};
+pub use scalar::{add_assign, fold_segments, mul_add_assign, scale_assign};
 // One definition serves both backends (see the module docs).
 pub use scalar::{exp, exp_sub_into};
 
@@ -672,7 +526,7 @@ mod tests {
         // Lengths straddle the lane width: sub-lane, exact, and ragged.
         for n in [0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
             let (a, b) = vecs(n, 7 + n as u32);
-            for op in 0..4 {
+            for op in 0..2 {
                 let mut got = a.clone();
                 let mut want = a.clone();
                 match op {
@@ -680,17 +534,9 @@ mod tests {
                         add_assign(&mut got, &b);
                         scalar::add_assign(&mut want, &b);
                     }
-                    1 => {
+                    _ => {
                         mul_add_assign(&mut got, 1.7, &b);
                         scalar::mul_add_assign(&mut want, 1.7, &b);
-                    }
-                    2 => {
-                        max_assign(&mut got, &b);
-                        scalar::max_assign(&mut want, &b);
-                    }
-                    _ => {
-                        min_assign(&mut got, &b);
-                        scalar::min_assign(&mut want, &b);
                     }
                 }
                 for (g, w) in got.iter().zip(&want) {

@@ -308,7 +308,7 @@ impl Tensor {
     /// products accumulate in exactly the naive kernel's order: the
     /// result is **bitwise identical** to [`Tensor::matmul_naive`] for
     /// any `FLEXGRAPH_THREADS`. Small products (under
-    /// [`MATMUL_TILE_CUTOFF`] flops) skip tiling entirely.
+    /// `MATMUL_TILE_CUTOFF` flops) skip tiling entirely.
     ///
     /// # Panics
     ///
@@ -424,7 +424,7 @@ impl Tensor {
     /// both sides stay within L1; the output is identical (a transpose
     /// is pure data movement), and row-chunks of the output are
     /// computed independently through the worker pool. Small matrices
-    /// (under [`TRANSPOSE_TILE_CUTOFF`] elements) take the unblocked
+    /// (under `TRANSPOSE_TILE_CUTOFF` elements) take the unblocked
     /// loop.
     pub fn transpose_into(&self, out: &mut Self) {
         let (rows, cols) = (self.rows, self.cols);

@@ -1,8 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use flexgraph_tensor::{
-    gather_rows, scatter_add, scatter_max_with_plan, scatter_mean, scatter_min_with_plan,
-    scatter_softmax_with_plan, Graph, ScatterPlan, Tensor,
+    gather_rows, scatter_add, scatter_mean, scatter_softmax_with_plan, Graph, ScatterPlan, Tensor,
 };
 use proptest::prelude::*;
 
@@ -54,24 +53,6 @@ proptest! {
         let got = scatter_mean(&v, &idx, out_rows);
         let want = reference_scatter(&v, &idx, out_rows, |g| {
             g.iter().sum::<f32>() / g.len() as f32
-        });
-        prop_assert!(got.max_abs_diff(&want) < 1e-4);
-    }
-
-    #[test]
-    fn scatter_max_matches_reference((v, idx, out_rows) in tensor_and_index()) {
-        let got = scatter_max_with_plan(&v, &ScatterPlan::new(&idx, out_rows));
-        let want = reference_scatter(&v, &idx, out_rows, |g| {
-            g.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-        });
-        prop_assert!(got.max_abs_diff(&want) < 1e-4);
-    }
-
-    #[test]
-    fn scatter_min_matches_reference((v, idx, out_rows) in tensor_and_index()) {
-        let got = scatter_min_with_plan(&v, &ScatterPlan::new(&idx, out_rows));
-        let want = reference_scatter(&v, &idx, out_rows, |g| {
-            g.iter().copied().fold(f32::INFINITY, f32::min)
         });
         prop_assert!(got.max_abs_diff(&want) < 1e-4);
     }

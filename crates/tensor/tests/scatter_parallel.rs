@@ -8,12 +8,11 @@
 
 use flexgraph_tensor::fusion::segment_reduce_serial;
 use flexgraph_tensor::scatter::{
-    gather_rows_serial, scatter_add_serial, scatter_max_serial, scatter_mean_serial,
-    scatter_min_serial, scatter_softmax_serial,
+    gather_rows_serial, scatter_add_serial, scatter_mean_serial, scatter_softmax_serial,
 };
 use flexgraph_tensor::{
-    gather_rows, scatter_add, scatter_max_with_plan, scatter_mean, scatter_min_with_plan,
-    scatter_softmax_with_plan, segment_reduce, set_thread_override, Reduce, ScatterPlan, Tensor,
+    gather_rows, scatter_add, scatter_mean, scatter_softmax_with_plan, segment_reduce,
+    set_thread_override, Reduce, ScatterPlan, Tensor,
 };
 use proptest::prelude::*;
 
@@ -52,8 +51,6 @@ fn check_all_kernels(values: &Tensor, index: &[u32], out_rows: usize) {
     set_thread_override(Some(1));
     let want_add = scatter_add_serial(values, index, out_rows);
     let want_mean = scatter_mean_serial(values, index, out_rows);
-    let want_max = scatter_max_serial(values, index, out_rows);
-    let want_min = scatter_min_serial(values, index, out_rows);
     let want_sm = scatter_softmax_serial(values, index, out_rows);
     let plan = ScatterPlan::new(index, out_rows);
     for threads in THREAD_SWEEP {
@@ -68,18 +65,6 @@ fn check_all_kernels(values: &Tensor, index: &[u32], out_rows: usize) {
             &scatter_mean(values, index, out_rows),
             &want_mean,
             "mean",
-            threads,
-        );
-        assert_bitwise_eq(
-            &scatter_max_with_plan(values, &plan),
-            &want_max,
-            "max",
-            threads,
-        );
-        assert_bitwise_eq(
-            &scatter_min_with_plan(values, &plan),
-            &want_min,
-            "min",
             threads,
         );
         assert_bitwise_eq(
@@ -280,7 +265,7 @@ fn segment_reduce_is_bitwise_deterministic_across_threads() {
     let offsets = &offsets[..];
 
     set_thread_override(Some(1));
-    let wants: Vec<Tensor> = [Reduce::Sum, Reduce::Mean, Reduce::Max, Reduce::Min]
+    let wants: Vec<Tensor> = [Reduce::Sum, Reduce::Mean]
         .iter()
         .map(|&k| segment_reduce(&feats, offsets, src, k))
         .collect();
@@ -294,10 +279,7 @@ fn segment_reduce_is_bitwise_deterministic_across_threads() {
     );
     for threads in THREAD_SWEEP {
         set_thread_override(Some(threads));
-        for (kind, want) in [Reduce::Sum, Reduce::Mean, Reduce::Max, Reduce::Min]
-            .into_iter()
-            .zip(&wants)
-        {
+        for (kind, want) in [Reduce::Sum, Reduce::Mean].into_iter().zip(&wants) {
             assert_bitwise_eq(
                 &segment_reduce(&feats, offsets, src, kind),
                 want,

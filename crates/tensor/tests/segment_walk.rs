@@ -2,7 +2,7 @@
 //!
 //! `simd::fold_segments` keeps each segment's output row in registers
 //! and writes it once; `simd::scalar::fold_segments` is the chain it
-//! replaces, one `add_assign` (or max / min) per row through memory. Both run the
+//! replaces, one `add_assign` per row through memory. Both run the
 //! same operations in the same order, so every kernel built on the walk
 //! — the fused `segment_reduce`, and the pull backward of
 //! `segment_reduce_backward_into` — must return exactly what the chain
@@ -23,7 +23,7 @@ use flexgraph_tensor::simd::{self, scalar};
 use flexgraph_tensor::{segment_reduce, set_thread_override, Reduce, Tensor};
 
 const WIDTHS: [usize; 13] = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 50, 64, 65];
-const KINDS: [Reduce; 4] = [Reduce::Sum, Reduce::Mean, Reduce::Max, Reduce::Min];
+const KINDS: [Reduce; 2] = [Reduce::Sum, Reduce::Mean];
 
 /// The thread override is process-wide; tests that set it run one at a
 /// time.
@@ -93,18 +93,8 @@ fn chain(feats: &Tensor, offsets: &[usize], src: &[u32], kind: Reduce) -> Tensor
         if lo == hi {
             continue;
         }
-        match kind {
-            Reduce::Max => acc.fill(f32::NEG_INFINITY),
-            Reduce::Min => acc.fill(f32::INFINITY),
-            Reduce::Sum | Reduce::Mean => {}
-        }
         for &s in &src[lo..hi] {
-            let x = feats.row(s as usize);
-            match kind {
-                Reduce::Sum | Reduce::Mean => scalar::add_assign(acc, x),
-                Reduce::Max => scalar::max_assign(acc, x),
-                Reduce::Min => scalar::min_assign(acc, x),
-            }
+            scalar::add_assign(acc, feats.row(s as usize));
         }
         if kind == Reduce::Mean {
             scalar::scale_assign(acc, 1.0 / (hi - lo) as f32);
@@ -127,8 +117,7 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
 #[test]
 fn fold_segments_is_the_per_row_chain() {
     // Both walks start from the same non-zero output, which `Sum` and
-    // `Mean` add into and `Max`, `Min` overwrite, and which an empty
-    // segment keeps.
+    // `Mean` add into and which an empty segment keeps.
     let mut rng = Lcg(7);
     for d in WIDTHS {
         let rows = values(&mut rng, 40, d, true);

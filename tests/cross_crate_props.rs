@@ -89,13 +89,15 @@ proptest! {
     fn hdg_compact_storage_round_trips_dependencies((g, _f) in graph_and_feats()) {
         let n = g.num_vertices() as u32;
         let hdg = from_direct_neighbors(&g, (0..n).collect());
-        // The COO expansion of the compact storage must list exactly the
-        // graph's edges (dst = instance's root via group index).
-        let (inst_dst, leaf_src) = hdg.leaf_coo();
+        // The COO expansion of the compact storage (the leaf level's
+        // scatter plan) must list exactly the graph's edges (dst =
+        // instance's root via group index).
+        let inst_dst = hdg.hierarchy().instances().scatter_plan();
         let group_of = hdg.instance_group_index();
         let mut got: Vec<(u32, u32)> = inst_dst
+            .index()
             .iter()
-            .zip(&leaf_src)
+            .zip(hdg.leaf_sources())
             .map(|(&i, &s)| (group_of[i as usize], s))
             .collect();
         got.sort_unstable();

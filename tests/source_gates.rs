@@ -73,6 +73,9 @@ const ONE_POOL_OP: &str =
     "MAGNN's aggregation is one tape op over the HDG's arrays; no group tensor or plan";
 const ONE_STRATEGY: &str =
     "SA / SA+FA / HA are one enum, the tape's; the §7 harness trains the models it names";
+const ONE_HDG_INDEX: &str =
+    "an HDG's arrays and level plans live once, in its HierarchyIndex; a CSC's plans in its index";
+const SUM_AND_MEAN: &str = "sum and mean are the reductions the models run; max and min went";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(SOURCES), "thread::sleep", 0, NO_SLEEP),
@@ -290,6 +293,62 @@ const GATES: &[(Count, &str, usize, &str)] = &[
         0,
         ONE_STRATEGY,
     ),
+    // Split so that this file does not hold the names it bans.
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("leaf_scatter", "_plan"),
+        0,
+        ONE_HDG_INDEX,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("root_scatter", "_plan"),
+        0,
+        ONE_HDG_INDEX,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("leaf", "_coo"),
+        0,
+        ONE_HDG_INDEX,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("in_scatter", "_plan"),
+        0,
+        ONE_HDG_INDEX,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("coo", "_in"),
+        0,
+        ONE_HDG_INDEX,
+    ),
+    (Text(HDG_SOURCES), "OnceLock", 0, ONE_HDG_INDEX),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("scatter", "_max"),
+        0,
+        SUM_AND_MEAN,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("scatter", "_min"),
+        0,
+        SUM_AND_MEAN,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("max", "_assign"),
+        0,
+        SUM_AND_MEAN,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("min", "_assign"),
+        0,
+        SUM_AND_MEAN,
+    ),
 ];
 
 /// Why a `pub fn` that no code outside tests names stays public.
@@ -319,7 +378,6 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/graph/src/bfs.rs", "hop_distances", Oracle, "the hop-shell walk's BFS"),
     ("crates/hdg/src/storage.rs", "leaves_of_root", Fixture, "the ADB tests' cost proxy"),
     ("crates/hdg/src/storage.rs", "dependency_leaves", Oracle, "robustness's leaf closure"),
-    ("crates/hdg/src/storage.rs", "root_leaf_sources", Oracle, "store::ooc's per-root parity"),
     ("crates/models/src/train.rs", "epoch_masked", Documented, "DESIGN's memo parity contract"),
     ("crates/models/src/train.rs", "evaluate", Documented, "DESIGN's memo parity contract"),
     ("crates/models/src/pinsage.rs", "selection_arrays", Fixture, "golden_forward's snapshot"),
@@ -342,8 +400,6 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/tensor/src/autograd.rs", "mean_all", Fixture, "every gradient check's loss"),
     ("crates/tensor/src/fusion.rs", "segment_reduce_serial", Oracle, "fused segment sum parity"),
     ("crates/tensor/src/scatter.rs", "scatter_mean_serial", Oracle, "planned scatter parity"),
-    ("crates/tensor/src/scatter.rs", "scatter_max_serial", Oracle, "planned scatter parity"),
-    ("crates/tensor/src/scatter.rs", "scatter_min_serial", Oracle, "planned scatter parity"),
     ("crates/tensor/src/scatter.rs", "scatter_softmax_serial", Oracle, "planned scatter parity"),
     ("crates/tensor/src/scatter.rs", "gather_rows_serial", Oracle, "parallel gather parity"),
     ("crates/tensor/src/tensor.rs", "from_rows", Fixture, "literal tensors"),

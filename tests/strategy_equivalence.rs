@@ -55,7 +55,7 @@ fn strategies_agree_on_magnn_hdgs() {
             schema_op: AggrOp::Sum,
         },
         AggrPlan {
-            leaf_op: AggrOp::Max,
+            leaf_op: AggrOp::Sum,
             instance_op: AggrOp::Mean,
             schema_op: AggrOp::Mean,
         },
