@@ -49,6 +49,25 @@ pub fn parse_bench_scale(raw: Option<&str>) -> Result<ScaleFactor, String> {
     }
 }
 
+/// `FLEXGRAPH_CLUSTER_WORKERS`' value (`None` when unset: `64,256,1024`)
+/// as the cluster sizes `fig15_cluster` sweeps. Only a non-empty list of
+/// comma-separated counts above zero is one: a token that is no count
+/// would silently shrink the sweep, and a cluster of 0 workers has no
+/// part to put a vertex in.
+pub fn parse_cluster_workers(raw: Option<&str>) -> Result<Vec<usize>, String> {
+    let Some(raw) = raw else {
+        return Ok(vec![64, 256, 1024]);
+    };
+    raw.split(',')
+        .map(|s| s.trim().parse().ok().filter(|&k: &usize| k > 0))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| {
+            format!(
+                "FLEXGRAPH_CLUSTER_WORKERS={raw:?} is not a comma-separated list of counts above 0"
+            )
+        })
+}
+
 /// The three homogeneous evaluation datasets (Reddit / FB91 / Twitter
 /// stand-ins) at scale `s`.
 pub fn homogeneous_datasets(s: ScaleFactor) -> Vec<Dataset> {
@@ -350,6 +369,20 @@ mod tests {
             let e = parse_bench_scale(Some(bad)).unwrap_err();
             assert!(
                 e.contains("FLEXGRAPH_BENCH_SCALE") && e.contains(&format!("{bad:?}")),
+                "{bad:?}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_workers_are_counts_above_zero() {
+        assert_eq!(parse_cluster_workers(None).unwrap(), [64, 256, 1024]);
+        assert_eq!(parse_cluster_workers(Some("64")).unwrap(), [64]);
+        assert_eq!(parse_cluster_workers(Some(" 2, 8 ")).unwrap(), [2, 8]);
+        for bad in ["", " ", "64,abc", "0", "64,0", "64,", "-1", "1.5"] {
+            let e = parse_cluster_workers(Some(bad)).unwrap_err();
+            assert!(
+                e.contains("FLEXGRAPH_CLUSTER_WORKERS") && e.contains(&format!("{bad:?}")),
                 "{bad:?}: {e}"
             );
         }

@@ -463,12 +463,6 @@ impl VirtualCluster {
         std::mem::take(&mut self.log)
     }
 
-    /// FNV-1a digest of the event log (length-extended: `(len, fnv)`
-    /// collisions would need identical lengths too).
-    pub fn log_digest(&self) -> (u64, u64) {
-        (self.log.len() as u64, fnv1a(self.log.as_bytes()))
-    }
-
     /// Drives every task to completion. Tasks are stepped in rank order
     /// among runnable ones; when none is runnable the wheel advances to
     /// the next event. Returns when all tasks report [`TaskStep::Done`].
@@ -832,7 +826,6 @@ mod tests {
         assert_eq!(from, [Some(4), Some(0), Some(1), Some(2), Some(3)]);
         assert_eq!(a.stats().messages, 5);
         let (mut b, _) = run_ring(5, cfg);
-        assert_eq!(a.log_digest(), b.log_digest());
         assert_eq!(a.take_log(), b.take_log());
         // Wire latency (50 µs default) is visible in virtual time.
         assert!(a.epoch_vt() >= 50_000);

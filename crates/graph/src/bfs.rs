@@ -101,6 +101,9 @@ impl Adjacency for Graph {
 pub struct HopScratch {
     stamp: Vec<u32>,
     epoch: u32,
+    /// Adjacency entries read by every walk so far — the walk's work,
+    /// which is bounded by the degrees inside the `(k-1)`-hop ball of
+    /// the seed, not by the graph.
     edges_scanned: u64,
     /// The level being expanded and the one being filled; both keep
     /// their capacity from walk to walk.
@@ -112,13 +115,6 @@ impl HopScratch {
     /// An empty scratch; it sizes itself to the first graph it walks.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adjacency entries read by every walk so far — the walk's work,
-    /// which is bounded by the degrees inside the `(k-1)`-hop ball of
-    /// the seed, not by the graph.
-    pub fn edges_scanned(&self) -> u64 {
-        self.edges_scanned
     }
 
     /// Starts a new epoch over at least `n` stamps: every vertex reads
@@ -459,8 +455,8 @@ mod tests {
             .chain(shells[..k - 1].iter().flatten().copied())
             .map(|v| g.out_degree(v))
             .sum();
-        assert!(scratch.edges_scanned() <= ball_degrees as u64);
-        assert_eq!(scratch.edges_scanned(), 6);
+        assert!(scratch.edges_scanned <= ball_degrees as u64);
+        assert_eq!(scratch.edges_scanned, 6);
     }
 
     #[test]

@@ -47,15 +47,6 @@ impl Partitioning {
         m
     }
 
-    /// Per-part vertex counts.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut s = vec![0usize; self.k];
-        for &p in &self.assignment {
-            s[p as usize] += 1;
-        }
-        s
-    }
-
     /// Number of edges crossing parts.
     pub fn edge_cut(&self, g: &Graph) -> usize {
         g.edges()
@@ -153,7 +144,7 @@ mod tests {
     fn hash_partition_covers_all_parts_roughly_evenly() {
         let d = rmat(10, 4, 2, 4, 1, "t");
         let p = hash_partition(&d.graph, 8);
-        let sizes = p.sizes();
+        let sizes: Vec<usize> = p.members().iter().map(Vec::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 1024);
         let imb = Partitioning::imbalance(&sizes.iter().map(|&s| s as f64).collect::<Vec<_>>());
         assert!(imb < 1.3, "hash should be near-balanced, got {imb}");
@@ -179,7 +170,7 @@ mod tests {
         let cap = ((500.0f64 / 5.0) * 1.1).ceil() as usize;
         // Capacity may be exceeded only by the initial random imbalance;
         // moves never push a part past cap. Allow the initial slack.
-        for s in p.sizes() {
+        for s in p.members().iter().map(Vec::len) {
             assert!(s <= cap + 25, "size {s} exceeds cap {cap} by too much");
         }
     }
@@ -198,7 +189,7 @@ mod tests {
         assert_eq!(m[0], vec![0, 3]);
         assert_eq!(m[1], vec![1, 2]);
         assert_eq!(m[2], vec![4]);
-        assert_eq!(p.sizes(), vec![2, 2, 1]);
+        assert_eq!(m.iter().map(Vec::len).sum::<usize>(), 5);
     }
 
     #[test]

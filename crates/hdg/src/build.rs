@@ -29,7 +29,7 @@ use crate::schema::SchemaTree;
 use crate::storage::Hdg;
 use flexgraph_graph::bfs::{Adjacency, HopScratch};
 use flexgraph_graph::metapath::{for_each_instance, Metapath};
-use flexgraph_graph::walk::{importance_neighbors_all, WalkConfig};
+use flexgraph_graph::walk::{importance_selection, WalkConfig};
 use flexgraph_graph::{Graph, TypedGraph, VertexId};
 use flexgraph_tensor::{HierarchyIndex, SegmentIndex};
 use std::sync::Arc;
@@ -193,9 +193,18 @@ pub fn select_direct_neighbors<A: Adjacency>(
 }
 
 /// PinSage-style HDGs: top-k random-walk-visited vertices, one flat
-/// instance each (the `pinsage_nbr` UDF of Figure 5).
+/// instance each (the `pinsage_nbr` UDF of Figure 5). Only `roots` are
+/// walked; with one type, the per-root offsets of their lists are the
+/// group offsets, and the lists are the leaves.
 pub fn from_importance_walks(g: &Graph, roots: Vec<VertexId>, cfg: &WalkConfig, seed: u64) -> Hdg {
-    from_neighbor_lists(roots, &importance_neighbors_all(g, cfg, seed))
+    let (groups, mut leaves) = importance_selection(g, roots.iter().copied(), cfg, seed);
+    leaves.shrink_to_fit();
+    let instances = SegmentIndex::new((0..=leaves.len()).collect(), leaves);
+    Hdg {
+        schema: SchemaTree::flat(),
+        root_ids: roots,
+        index: Arc::new(HierarchyIndex::new(groups, instances, 1)),
+    }
 }
 
 /// Flat HDGs from precomputed selections: root `v`'s neighbors are

@@ -28,11 +28,6 @@ pub struct Hdg {
 }
 
 impl Hdg {
-    /// The shared schema tree.
-    pub fn schema(&self) -> &SchemaTree {
-        &self.schema
-    }
-
     /// The HDG's levels and their cached scatter plans.
     pub fn hierarchy(&self) -> &Arc<HierarchyIndex> {
         &self.index

@@ -1,7 +1,8 @@
 //! NeighborSelection allocates per *array*, not per *record*.
 //!
 //! Each constructor runs on two graphs over the same vertices, the
-//! second with about four times the edges. The second run produces
+//! second with about four times the edges (the importance walk: on one
+//! graph, over its roots once and four times). The second run produces
 //! thousands more records; its allocator calls may exceed the first
 //! run's only by the few extra doublings of the builder's (and the walk
 //! scratch's) `Vec`s. A counting `#[global_allocator]` needs its own
@@ -10,8 +11,10 @@
 
 use flexgraph_graph::gen::{community, hetero_imdb};
 use flexgraph_graph::metapath::Metapath;
+use flexgraph_graph::walk::WalkConfig;
 use flexgraph_hdg::build::{
-    from_direct_neighbors, from_hop_shells_capped, from_metapaths, from_neighbor_lists,
+    from_direct_neighbors, from_hop_shells_capped, from_importance_walks, from_metapaths,
+    from_neighbor_lists,
 };
 use flexgraph_hdg::Hdg;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -70,9 +73,10 @@ fn measure(build: impl FnOnce() -> Hdg) -> (usize, u64) {
     (hdg.num_instances(), calls)
 }
 
-/// Extra calls four times the edges may cost: every growing `Vec` on
-/// the path (three in the builder, three in the hop-shell walk) doubles
-/// a couple more times (measured: 6, 0 and 10 extra calls below).
+/// Extra calls four times the edges (or roots) may cost: every growing
+/// `Vec` on the path (three in the builder, three in the hop-shell walk,
+/// two in the importance walk) doubles a couple more times (measured, in
+/// order below: 6, 2, 6, 0 and 10 extra calls).
 const GROWTH_SLACK: u64 = 24;
 
 fn assert_per_array(name: &str, sparse: (usize, u64), dense: (usize, u64)) {
@@ -100,8 +104,20 @@ fn allocator_calls_do_not_grow_with_the_record_count() {
         measure(|| from_direct_neighbors(&dense, roots())),
     );
 
-    // `from_importance_walks`' builder half: the walk's per-vertex lists
-    // exist before the count starts.
+    // The walker writes its lists once, into two arrays; its visit
+    // buffers are reused from root to root. The 600 vertices four times
+    // over add records, not allocator calls, and one root costs what a
+    // handful of arrays cost, not a walk of the graph.
+    let walk = WalkConfig::default();
+    let walked = |roots: Vec<u32>| measure(|| from_importance_walks(&sparse, roots, &walk, 5));
+    let (once, four_times) = (walked(roots()), walked(roots().repeat(4)));
+    assert_per_array("from_importance_walks", once, four_times);
+    let (_, one_root) = walked(vec![17]);
+    assert!(
+        once.1 < 100 && four_times.1 < 100 && one_root < 100,
+        "from_importance_walks: {once:?} / {four_times:?} (records, calls), one root {one_root} calls"
+    );
+
     let [lists_1x, lists_4x] = [&sparse, &dense].map(|g| {
         (0..600u32)
             .map(|v| g.in_neighbors(v).to_vec())

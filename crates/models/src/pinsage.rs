@@ -12,8 +12,7 @@
 
 use crate::train::Model;
 use flexgraph_graph::gen::Dataset;
-use flexgraph_graph::walk::WalkConfig;
-use flexgraph_hdg::build::from_importance_walks;
+use flexgraph_graph::walk::{importance_selection, WalkConfig};
 use flexgraph_tensor::{xavier_uniform, Graph, NodeId, ParamSet, SegmentIndex};
 use std::sync::Arc;
 
@@ -24,8 +23,8 @@ pub struct PinSage {
     pub walk: WalkConfig,
     seed: u64,
     built_for_epoch: Option<u64>,
-    /// Flat-HDG CSC: per-root neighbor lists (group offsets + leaves);
-    /// `None` until selected.
+    /// The flat HDG as CSC: every vertex's neighbor list, as the walker
+    /// wrote it; `None` until selected.
     neighbors: Option<Arc<SegmentIndex>>,
     w1: usize,
     w2: usize,
@@ -75,10 +74,8 @@ impl Model for PinSage {
         if self.built_for_epoch == Some(epoch) {
             return;
         }
-        let roots: Vec<u32> = (0..ds.graph.num_vertices() as u32).collect();
-        let hdg = from_importance_walks(&ds.graph, roots, &self.walk, self.seed ^ epoch);
-        // Flat HDG: group offsets index straight into the leaf array.
-        let (off, src) = (hdg.group_offsets().to_vec(), hdg.leaf_sources().to_vec());
+        let roots = 0..ds.graph.num_vertices() as u32;
+        let (off, src) = importance_selection(&ds.graph, roots, &self.walk, self.seed ^ epoch);
         self.neighbors = Some(Arc::new(SegmentIndex::new(off, src)));
         self.built_for_epoch = Some(epoch);
     }

@@ -62,11 +62,6 @@ impl EmbeddingCache {
         self.entries.is_empty()
     }
 
-    /// Bytes of row data currently resident.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
     /// Lifetime `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -177,7 +172,7 @@ mod tests {
         assert!(c.contains(key(1, 0, 0)), "recently touched survives");
         assert!(!c.contains(key(1, 1, 0)), "LRU evicted");
         assert!(c.contains(key(1, 2, 0)));
-        assert_eq!(c.used_bytes(), 32);
+        assert_eq!(c.used_bytes, 32);
     }
 
     #[test]
@@ -189,10 +184,10 @@ mod tests {
         // New-version lookups never see version-1 rows.
         assert!(c.get(key(2, 8, 1)).is_none());
         assert_eq!(c.get(key(2, 7, 0)).unwrap(), vec![3.0; 8]);
-        let before = c.used_bytes();
+        let before = c.used_bytes;
         c.invalidate_below(2);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.used_bytes(), before - 2 * 32);
+        assert_eq!(c.used_bytes, before - 2 * 32);
         assert!(c.contains(key(2, 7, 0)));
     }
 
@@ -212,7 +207,7 @@ mod tests {
         c.insert(key(1, 0, 0), vec![1.0; 4]);
         c.insert(key(1, 0, 0), vec![2.0; 8]);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.used_bytes(), 32);
+        assert_eq!(c.used_bytes, 32);
         assert_eq!(c.get(key(1, 0, 0)).unwrap(), vec![2.0; 8]);
     }
 }

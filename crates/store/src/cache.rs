@@ -55,11 +55,6 @@ impl PageCache {
         }
     }
 
-    /// The configured residency budget.
-    pub fn budget(&self) -> MemoryBudget {
-        self.budget
-    }
-
     /// Fetches segment `sid`, consulting the cache first. On a miss,
     /// `fetch` supplies `(segment, compressed_bytes_read)`; the decoded
     /// segment is admitted under the budget, evicting least-recently-
@@ -150,11 +145,6 @@ impl PageCache {
         s
     }
 
-    /// Decoded bytes currently resident.
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().unwrap().resident
-    }
-
     /// Drops every unpinned segment (keeps counters).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
@@ -178,13 +168,6 @@ pub struct PinnedSegment<'a> {
     cache: &'a PageCache,
     sid: u32,
     seg: Arc<Segment>,
-}
-
-impl PinnedSegment<'_> {
-    /// The segment id this guard pins.
-    pub fn sid(&self) -> u32 {
-        self.sid
-    }
 }
 
 impl std::ops::Deref for PinnedSegment<'_> {
@@ -237,7 +220,7 @@ mod tests {
         cache
             .get(3, || Ok((seg(3), 10)))
             .expect("3 was the eviction victim");
-        assert!(cache.stats().resident_bytes <= cache.budget().bytes as u64);
+        assert!(cache.stats().resident_bytes <= cache.budget.bytes as u64);
     }
 
     #[test]
@@ -269,7 +252,7 @@ mod tests {
                 assert!(needed > budget);
                 assert_eq!(budget, r0);
             }
-            other => panic!("expected Budget error, got {:?}", other.map(|p| p.sid())),
+            other => panic!("expected Budget error, got {:?}", other.map(|p| p.sid)),
         }
         // A single segment larger than the whole budget also fails.
         let tiny = PageCache::new(MemoryBudget { bytes: r0 - 1 });
@@ -285,10 +268,13 @@ mod tests {
         let pin = cache.get(0, || Ok((seg(0), 1))).unwrap();
         drop(cache.get(3, || Ok((seg(3), 1))).unwrap());
         cache.clear();
-        assert_eq!(cache.resident_bytes(), seg(0).residency_bytes());
+        assert_eq!(
+            cache.stats().resident_bytes,
+            seg(0).residency_bytes() as u64
+        );
         drop(pin);
         cache.clear();
-        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(cache.stats().resident_bytes, 0);
         // Unlimited budgets render as 0 in the trace snapshot.
         assert_eq!(cache.stats().budget_bytes, 0);
     }

@@ -56,14 +56,6 @@ pub enum StoreError {
 }
 
 impl StoreError {
-    /// Byte offset of the violation, for variants that carry one.
-    pub fn offset(&self) -> Option<u64> {
-        match self {
-            Self::BadMagic { offset, .. } | Self::Corrupt { offset, .. } => Some(*offset),
-            _ => None,
-        }
-    }
-
     /// The file the error concerns, for variants that carry one.
     pub fn path(&self) -> Option<&std::path::Path> {
         match self {
@@ -131,7 +123,6 @@ mod tests {
             offset: 1234,
             what: "segment CRC mismatch",
         };
-        assert_eq!(e.offset(), Some(1234));
         assert!(e.path().unwrap().ends_with("g.fgps"));
         let s = e.to_string();
         assert!(s.contains("g.fgps") && s.contains("1234") && s.contains("CRC"));
@@ -140,7 +131,6 @@ mod tests {
             needed: 10,
             budget: 5,
         };
-        assert_eq!(b.offset(), None);
         assert!(b.path().is_none());
         assert!(b.to_string().contains("budget"));
 

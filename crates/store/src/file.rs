@@ -196,7 +196,6 @@ pub struct StoreReader {
     num_arcs: u64,
     seg_vertices: u32,
     segs: Vec<(u64, u64)>,
-    file_len: u64,
 }
 
 impl StoreReader {
@@ -284,7 +283,6 @@ impl StoreReader {
             num_arcs,
             seg_vertices,
             segs,
-            file_len,
         })
     }
 
@@ -311,11 +309,6 @@ impl StoreReader {
     /// The file this reader serves.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Total file size in bytes.
-    pub fn file_len(&self) -> u64 {
-        self.file_len
     }
 
     /// The segment holding vertex `v`.

@@ -50,5 +50,4 @@ pub use scatter::{
     gather_rows, scatter_add, scatter_add_gathered_into, scatter_add_with_plan, scatter_mean,
     scatter_mean_with_plan, scatter_softmax_with_plan, ScatterPlan,
 };
-pub use simd::backend as simd_backend;
 pub use tensor::Tensor;

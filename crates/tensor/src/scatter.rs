@@ -170,12 +170,6 @@ impl ScatterPlan {
         &self.offsets
     }
 
-    /// Edge ids grouped by destination, original edge order within each
-    /// destination.
-    pub fn perm(&self) -> &[u32] {
-        &self.perm
-    }
-
     /// Edge ids targeting destination `dst`, in original edge order.
     pub fn segment(&self, dst: usize) -> &[u32] {
         &self.perm[self.offsets[dst]..self.offsets[dst + 1]]

@@ -79,7 +79,7 @@ proptest! {
     ) {
         for part in [hash_partition(&g, k), lp_partition(&g, k, 4, 0.3, 7)] {
             prop_assert_eq!(part.assignment.len(), g.num_vertices());
-            let total: usize = part.sizes().iter().sum();
+            let total: usize = part.members().iter().map(Vec::len).sum();
             prop_assert_eq!(total, g.num_vertices());
             prop_assert!(part.assignment.iter().all(|&p| (p as usize) < k));
         }

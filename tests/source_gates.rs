@@ -76,6 +76,7 @@ const ONE_STRATEGY: &str =
 const ONE_HDG_INDEX: &str =
     "an HDG's arrays and level plans live once, in its HierarchyIndex; a CSC's plans in its index";
 const SUM_AND_MEAN: &str = "sum and mean are the reductions the models run; max and min went";
+const ONE_WALKER: &str = "one importance walker walks only its roots and writes each list once";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(SOURCES), "thread::sleep", 0, NO_SLEEP),
@@ -349,13 +350,19 @@ const GATES: &[(Count, &str, usize, &str)] = &[
         0,
         SUM_AND_MEAN,
     ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("importance_", "neighbors("),
+        0,
+        ONE_WALKER,
+    ),
 ];
 
 /// Why a `pub fn` that no code outside tests names stays public.
 enum Keep {
     /// A reference implementation a test compares production against.
     Oracle,
-    /// A fixture or hook that another crate's tests need.
+    /// A fixture or hook that tests in another module or crate need.
     Fixture,
     /// User API that README or DESIGN documents.
     Documented,
@@ -370,12 +377,16 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/core/src/ft.rs", "train_with_recovery", Documented, "README's recovery loop"),
     ("crates/dist/src/shard.rs", "make_shards_paged", Documented, "README's out-of-core shards"),
     ("crates/engine/src/memory.rs", "mib", Documented, "README's PagedGraph example"),
+    ("crates/bench/src/lib.rs", "section", Fixture, "paper.rs's shape assertions"),
+    ("crates/bench/src/lib.rs", "column", Fixture, "paper.rs's shape assertions"),
     ("crates/graph/src/gen.rs", "split_masks", Fixture, "end_to_end_training's split"),
     ("crates/graph/src/csr.rs", "in_degree", Oracle, "direct selection's instance count"),
     ("crates/graph/src/csr.rs", "graph_from_edges", Fixture, "small literal graphs"),
     ("crates/graph/src/hetero.rs", "sample_typed_graph", Fixture, "Figure 2's typing"),
     ("crates/graph/src/metapath.rs", "paper_metapaths", Fixture, "Figure 2c's metapaths"),
     ("crates/graph/src/bfs.rs", "hop_distances", Oracle, "the hop-shell walk's BFS"),
+    ("crates/graph/src/walk.rs", "visit_counts", Oracle, "the importance walker's counts"),
+    ("crates/hdg/src/storage.rs", "root_ids", Fixture, "builder_oracle's root order"),
     ("crates/hdg/src/storage.rs", "leaves_of_root", Fixture, "the ADB tests' cost proxy"),
     ("crates/hdg/src/storage.rs", "dependency_leaves", Oracle, "robustness's leaf closure"),
     ("crates/models/src/train.rs", "epoch_masked", Documented, "DESIGN's memo parity contract"),
@@ -398,11 +409,15 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/store/src/ooc.rs", "hdg_from_hop_shells_capped", Fixture, "paged_store_parity"),
     ("crates/tensor/src/par.rs", "pool_worker_count", Fixture, "pool_lifecycle's count"),
     ("crates/tensor/src/autograd.rs", "mean_all", Fixture, "every gradient check's loss"),
+    ("crates/tensor/src/autograd.rs", "grad", Fixture, "every gradient check's gradient"),
+    ("crates/tensor/src/optim.rs", "grad", Fixture, "strategy_bits' gradient bits"),
+    ("crates/tensor/src/simd.rs", "backend", Fixture, "simd_parity's backend report"),
     ("crates/tensor/src/fusion.rs", "segment_reduce_serial", Oracle, "fused segment sum parity"),
     ("crates/tensor/src/scatter.rs", "scatter_mean_serial", Oracle, "planned scatter parity"),
     ("crates/tensor/src/scatter.rs", "scatter_softmax_serial", Oracle, "planned scatter parity"),
     ("crates/tensor/src/scatter.rs", "gather_rows_serial", Oracle, "parallel gather parity"),
     ("crates/tensor/src/tensor.rs", "from_rows", Fixture, "literal tensors"),
+    ("crates/tensor/src/tensor.rs", "max_abs_diff", Fixture, "every tolerance check's distance"),
     ("crates/tensor/src/tensor.rs", "matmul_naive", Oracle, "tiled matmul parity"),
     ("crates/tensor/src/tensor.rs", "transpose_naive", Oracle, "blocked transpose parity"),
 ];
@@ -494,9 +509,12 @@ fn pub_fn_name(line: &str) -> Option<&str> {
     Some(&rest[..end])
 }
 
-/// Adds every identifier `text` names outside comments, `use`
-/// statements and `fn` definitions.
+/// Adds every identifier `text` calls (`name(`, `name::<`) or names as
+/// a path (`owner::name`, called or passed as a value), outside
+/// comments, `use` statements and `fn` definitions. A local, a field or
+/// a word in a string that shares a function's name is no caller.
 fn names_in(text: &str, names: &mut HashSet<String>) {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut in_use = false;
     for line in text.lines() {
         let code = line.split("//").next().unwrap_or("").trim();
@@ -507,15 +525,23 @@ fn names_in(text: &str, names: &mut HashSet<String>) {
             in_use = !code.ends_with(';');
             continue;
         }
-        let mut after_fn = false;
-        for word in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
-            if word.is_empty() {
-                continue;
-            }
-            if !after_fn {
+        let (mut rest, mut after_fn) = (code, false);
+        while let Some(start) = rest.find(is_ident) {
+            let len = rest[start..]
+                .find(|c| !is_ident(c))
+                .unwrap_or(rest.len() - start);
+            let (before, word, after) = (
+                &rest[..start],
+                &rest[start..start + len],
+                &rest[start + len..],
+            );
+            let named =
+                after.starts_with('(') || after.starts_with("::<") || before.ends_with("::");
+            if named && !after_fn {
                 names.insert(word.to_string());
             }
             after_fn = word == "fn";
+            rest = after;
         }
     }
 }
