@@ -16,9 +16,9 @@
 //! The Aggregation stage has no parameter, so layer 1's — over the
 //! feature matrix — is the same every epoch: the first `forward` after
 //! selection runs it and collapses it into a leaf, and it is a leaf copy
-//! from then on (`crate::memo`). Every pass then holds one
-//! instance-sized tensor, layer 2's: the attention weights its backward
-//! reads.
+//! from then on (`crate::memo`). No pass holds an instance-sized
+//! tensor: the pool's backward recomputes each group's means and
+//! attention weights in scratch instead of keeping them.
 
 use crate::memo::InputAggregate;
 use crate::train::Model;

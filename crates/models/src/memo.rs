@@ -6,12 +6,10 @@
 //! first `forward` after a (re)build runs the stage on the tape, keeps a
 //! copy of its value, and collapses the sub-tape into a leaf of that
 //! value (`Graph::collapse_into_leaf`), so its buffers go back to the
-//! free list for layer 2 before the pass draws any more (MAGNN's
-//! attention pool has already returned its instance-sized weights: over
-//! the feature leaf, no backward keeps them); every later `forward`
-//! records the copy as a leaf and goes straight to Update. Every pass's
-//! tape therefore has the same shape, and the first peaks where the
-//! others do. Exact by construction: it is the tensor the same ops would
+//! free list for layer 2 before the pass draws any more; every later
+//! `forward` records the copy as a leaf and goes straight to Update.
+//! Every pass's tape therefore has the same shape, and the first peaks
+//! where the others do. Exact by construction: it is the tensor the same ops would
 //! produce again, and no node of the collapsed or skipped sub-tape ever
 //! needed a gradient. PinSage (re-selects every epoch) and G-GCN
 //! (parameterised gates) do not use it.

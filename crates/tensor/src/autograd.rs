@@ -111,16 +111,14 @@ enum Op {
     ScatterAdd(NodeId, Arc<ScatterPlan>),
     /// Per-group softmax over rows sharing a destination index.
     ScatterSoftmax(NodeId, Arc<ScatterPlan>),
-    /// Fused hierarchical attention pool, leaves → roots; its backward
-    /// reads the forward's softmax weights, and runs no `exp`.
+    /// Fused hierarchical attention pool, leaves → roots; it keeps no
+    /// tensor, as its backward recomputes each group's means and softmax
+    /// weights in scratch.
     HierarchicalAttentionPool {
         /// Leaf rows.
         h: NodeId,
         /// The three levels over them.
         index: Arc<HierarchyIndex>,
-        /// One row per instance, until backward takes them; `None` from
-        /// the start if the node needs no gradient.
-        weights: Option<Tensor>,
     },
     /// Fused segment reduce (feature fusion): the `Arc`'d index avoids
     /// copying edge-scale data onto the tape, and keeps the transpose
@@ -190,8 +188,7 @@ impl Node {
     /// tensor its op keeps for backward.
     fn into_buffers(self) -> impl Iterator<Item = Tensor> {
         let kept = match self.op {
-            Op::HierarchicalAttentionPool { weights: kept, .. }
-            | Op::CrossEntropy { probs: kept, .. } => kept,
+            Op::CrossEntropy { probs: kept, .. } => kept,
             _ => None,
         };
         std::iter::once(self.value).chain(self.grad).chain(kept)
@@ -533,7 +530,8 @@ impl Graph {
     /// gradient, to [`Graph::segment_reduce`] (mean) →
     /// [`Graph::scatter_softmax_with_plan`] → [`Graph::mul`] →
     /// [`Graph::scatter_add_with_plan`] → [`Graph::mean_row_blocks`]; it
-    /// keeps only the softmax weights, and only for a backward. Under SA
+    /// writes and keeps no instance-sized tensor (the backward recomputes
+    /// the softmax weights). Under SA
     /// and SA+FA the tape records that chain instead, the block mean as
     /// a planned scatter-add and a `mul` by `1/types`.
     pub fn hierarchical_attention_pool(&mut self, h: NodeId, index: Arc<HierarchyIndex>) -> NodeId {
@@ -548,12 +546,10 @@ impl Graph {
         }
         let d = self.value(h).cols();
         let mut v = self.pool.draw(index.num_roots(), d);
-        let mut weights = self.pool.draw(index.num_instances(), d);
         let mut scratch = self.pool.draw(num_threads(), index.scratch_len(d));
-        hierarchical_attention_pool_into(&mut v, &mut weights, &mut scratch, self.value(h), &index);
+        hierarchical_attention_pool_into(&mut v, &mut scratch, self.value(h), &index);
         self.pool.release(scratch);
-        let weights = self.keep_for_backward(h, weights);
-        self.push(v, Op::HierarchicalAttentionPool { h, index, weights })
+        self.push(v, Op::HierarchicalAttentionPool { h, index })
     }
 
     /// Differentiable *fused* segment reduction (feature fusion, paper
@@ -621,7 +617,13 @@ impl Graph {
             loss -= (probs.get(r, t).max(1e-12) as f64).ln();
         }
         let v = self.scalar((loss / targets.len() as f64) as f32);
-        let probs = self.keep_for_backward(logits, probs);
+        // Kept only if backward will run through this node.
+        let probs = if self.needs(logits) {
+            Some(probs)
+        } else {
+            self.pool.release(probs);
+            None
+        };
         self.push(
             v,
             Op::CrossEntropy {
@@ -630,17 +632,6 @@ impl Graph {
                 probs,
             },
         )
-    }
-
-    /// `kept` if backward will run through a one-input op over `input`;
-    /// otherwise it goes straight back to the free list.
-    fn keep_for_backward(&mut self, input: NodeId, kept: Tensor) -> Option<Tensor> {
-        if self.needs(input) {
-            Some(kept)
-        } else {
-            self.pool.release(kept);
-            None
-        }
     }
 
     /// Mean of all elements, as a `1×1` scalar node.
@@ -822,14 +813,12 @@ impl Graph {
                 self.give(*a, g);
                 Some(grad)
             }
-            Op::HierarchicalAttentionPool { h, index, weights } => {
-                let s = weights.take().expect("backward runs once per tape");
+            Op::HierarchicalAttentionPool { h, index } => {
                 let mut g = self.zeros_like(*h);
-                let mut scratch = self.pool.draw(1, index.scratch_len(s.cols()));
+                let mut scratch = self.pool.draw(1, index.scratch_len(grad.cols()));
                 let (lent, x) = (scratch.data_mut(), self.value(*h));
-                hierarchical_attention_pool_backward_into(&mut g, &grad, &s, lent, x, index);
+                hierarchical_attention_pool_backward_into(&mut g, &grad, lent, x, index);
                 self.pool.release(scratch);
-                self.pool.release(s);
                 self.give(*h, g);
                 Some(grad)
             }
@@ -1459,36 +1448,37 @@ mod tests {
         let record = |g: &mut Graph, x: NodeId| {
             let pooled = g.hierarchical_attention_pool(x, hierarchy());
             let loss = g.cross_entropy(pooled, &[2, 0]);
-            let kept = |op: &Op| match op {
-                Op::HierarchicalAttentionPool { weights, .. } => weights.is_some(),
-                Op::CrossEntropy { probs, .. } => probs.is_some(),
-                _ => unreachable!(),
-            };
-            (kept(&g.nodes[pooled.0].op), kept(&g.nodes[loss.0].op), loss)
+            let kept = matches!(g.nodes[loss.0].op, Op::CrossEntropy { probs: Some(_), .. });
+            (kept, loss)
+        };
+        // No buffer of the tape is instance-sized (4 instances × 3): the
+        // pool keeps nothing and draws only its output and scratch.
+        let instance_sized = |g: &Graph| {
+            let values = g.nodes.iter().map(|n| n.value.len());
+            values
+                .chain(g.pool.released.iter().map(Vec::len))
+                .any(|len| len == 12)
         };
         let mut over_leaf = Graph::new();
         let x = over_leaf.leaf(sample_input());
-        let (pool_kept, probs_kept, _) = record(&mut over_leaf, x);
-        assert!(!pool_kept && !probs_kept);
-        // Weights (4×3) and probabilities (2×3) went straight back.
+        let (probs_kept, _) = record(&mut over_leaf, x);
+        assert!(!probs_kept);
+        // The probabilities (2×3) went straight back.
         let released: Vec<usize> = over_leaf.pool.released.iter().map(Vec::len).collect();
-        assert!(released.contains(&12) && released.contains(&6));
+        assert!(released.contains(&6));
+        assert!(!instance_sized(&over_leaf));
 
         let mut over_param = Graph::new();
         let x = over_param.param(sample_input(), 0);
-        let (pool_kept, probs_kept, loss) = record(&mut over_param, x);
-        assert!(pool_kept && probs_kept);
+        let (probs_kept, loss) = record(&mut over_param, x);
+        assert!(probs_kept);
         over_param.backward(loss);
-        // Backward took both, and the weights went back to the list.
-        assert!(over_param.nodes.iter().all(|n| !matches!(
-            n.op,
-            Op::HierarchicalAttentionPool {
-                weights: Some(_),
-                ..
-            } | Op::CrossEntropy { probs: Some(_), .. }
-        )));
-        let released: Vec<usize> = over_param.pool.released.iter().map(Vec::len).collect();
-        assert!(released.contains(&12));
+        // Backward took them.
+        assert!(over_param
+            .nodes
+            .iter()
+            .all(|n| !matches!(n.op, Op::CrossEntropy { probs: Some(_), .. })));
+        assert!(!instance_sized(&over_param));
     }
 
     /// Sum, mean (with an empty segment) and the attention pool, each

@@ -57,7 +57,7 @@ fn check(feats: &Tensor, offsets: &[usize], src: &[u32]) {
         src.len(),
         "offsets must cover src"
     );
-    debug_assert!(
+    assert!(
         offsets.windows(2).all(|w| w[0] <= w[1]),
         "offsets must be sorted"
     );
@@ -72,15 +72,15 @@ fn check(feats: &Tensor, offsets: &[usize], src: &[u32]) {
 /// [`crate::scatter`].
 ///
 /// `out` holds `offsets.len() - 1` rows of `d` floats. Edge positions
-/// `offsets[i]..offsets[i+1]` feed output row `i`; `idx_of(e)` resolves
-/// edge position `e` to its source row *index* in `values` (the direct
-/// source id for fusion, a segment id for the pull backward, a permuted
-/// edge id for planned scatter, a gathered row id for the distributed
-/// fold). The gather is **fused** into the walk: each segment streams
-/// its rows straight out of `values` exactly once — no materialized
-/// gather — while a software prefetch ([`PREFETCH_DIST`] edges ahead,
-/// clamped to the thread's chunk) hides the irregular-access latency
-/// that dominates this kernel at scale. The walk itself is
+/// `offsets[i]..offsets[i+1]` feed output row `i`; `row_of(idx[e])`
+/// resolves edge position `e` to its source row *index* in `values`
+/// (the direct source id for fusion, a segment id for the pull backward,
+/// a permuted edge id for planned scatter, a gathered row id for the
+/// distributed fold). The gather is **fused** into the walk: each
+/// segment streams its rows straight out of `values` exactly once — no
+/// materialized gather — while a software prefetch ([`PREFETCH_DIST`]
+/// edges ahead, clamped to the thread's chunk) hides the
+/// irregular-access latency that dominates this kernel at scale. The walk itself is
 /// [`simd::fold_segments`]: each output row stays in registers across
 /// its segment and is written once, and the lanes carry independent
 /// columns only.
@@ -91,23 +91,32 @@ fn check(feats: &Tensor, offsets: &[usize], src: &[u32]) {
 ///
 /// `Sum` accumulates into `out`'s existing content; `Mean` assumes a
 /// zeroed `out` (empty segments stay zero).
-pub(crate) fn segment_apply_into<F>(
+pub(crate) fn segment_apply_into(
     out: &mut [f32],
     d: usize,
     offsets: &[usize],
     kind: Reduce,
     values: &Tensor,
-    idx_of: F,
-) where
-    F: Fn(usize) -> usize + Sync,
-{
+    idx: &[u32],
+    row_of: impl Fn(u32) -> usize + Sync,
+) {
     let n = offsets.len() - 1;
     debug_assert_eq!(out.len(), n * d, "one output row per segment");
     assert_eq!(values.cols(), d, "value width must match output width");
+    assert_eq!(offsets[n], idx.len(), "offsets must cover the index");
+    debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
     if d == 0 {
         return;
     }
     let vdata = values.data();
+    // SAFETY (both unchecked reads): `offsets` is sorted (asserted by
+    // `SegmentIndex::new` and `check()`, built so by a plan) and ends at
+    // `idx.len()`, so every walked `e` indexes `idx`. Every caller bounds
+    // the rows `row_of` names by `values.rows()` — `check_rows` or
+    // `check()` a `src` (and the transpose built from it),
+    // `check_values` a plan's `perm`, `scatter_add_gathered_into` its
+    // `edge_rows` — so `row * d + d` never exceeds `vdata.len()`.
+    let idx_of = |e: usize| row_of(unsafe { *idx.get_unchecked(e) });
     let idx_of = &idx_of;
     // A cache-resident gather gains nothing from prefetching.
     let prefetch_on = std::mem::size_of_val(vdata) >= PREFETCH_MIN_VALUE_BYTES;
@@ -127,17 +136,10 @@ pub(crate) fn segment_apply_into<F>(
                 }
             }
         };
-        // SAFETY (for the unchecked row reads below): every caller
-        // validates its index source before entering the kernel —
-        // `SegmentIndex::new` bounds `src` (and its transpose is built
-        // from it), `check()` bounds a bare `src`, `ScatterPlan::new`
-        // bounds `perm` against the edge count and `check_values` pins
-        // the edge count to `values.rows()`, and
-        // `scatter_add_gathered_into` asserts its `edge_rows` entries —
-        // so `idx_of(e) * d + d` never exceeds `vdata.len()`.
         let row = |e: usize| {
             let r = idx_of(e);
             debug_assert!((r + 1) * d <= vdata.len());
+            // SAFETY: see above.
             unsafe { vdata.get_unchecked(r * d..r * d + d) }
         };
         simd::fold_segments(chunk, d, kind, segs, row, prefetch);
@@ -307,7 +309,7 @@ pub fn segment_reduce(feats: &Tensor, offsets: &[usize], src: &[u32], kind: Redu
     check(feats, offsets, src);
     let (n, d) = (offsets.len() - 1, feats.cols());
     let mut out = Tensor::zeros(n, d);
-    segment_apply_into(out.data_mut(), d, offsets, kind, feats, |e| src[e] as usize);
+    segment_apply_into(out.data_mut(), d, offsets, kind, feats, src, |s| s as usize);
     out
 }
 
@@ -318,9 +320,8 @@ pub fn segment_reduce_into(out: &mut Tensor, feats: &Tensor, index: &SegmentInde
     index.check_rows(feats.rows());
     assert_eq!(out.rows(), index.segments(), "one output row per segment");
     let d = out.cols();
-    segment_apply_into(out.data_mut(), d, &index.offsets, kind, feats, |e| {
-        index.src[e] as usize
-    });
+    let (offsets, src) = (&index.offsets, &index.src);
+    segment_apply_into(out.data_mut(), d, offsets, kind, feats, src, |s| s as usize);
 }
 
 /// Single-threaded fused segment reduction (Sum only): the same
@@ -378,8 +379,8 @@ pub fn segment_reduce_backward_into(
     if !mean && grad_out.rows() <= grad_in.rows() {
         let tr = index.transpose();
         let rows = &mut grad_in.data_mut()[..index.sources * d];
-        segment_apply_into(rows, d, &tr.offsets, Reduce::Sum, grad_out, |e| {
-            tr.segs[e] as usize
+        segment_apply_into(rows, d, &tr.offsets, Reduce::Sum, grad_out, &tr.segs, |t| {
+            t as usize
         });
         return;
     }
@@ -470,15 +471,15 @@ impl HierarchyIndex {
         (self.groups.len() - 1) / self.types
     }
 
-    /// Number of instances (one kept weight row each).
+    /// Number of instances.
     pub fn num_instances(&self) -> usize {
         self.instances.segments()
     }
 
     /// Floats of scratch one thread of either kernel needs: the largest
-    /// group's instance means and three `d`-rows.
+    /// group's instance means and softmax weights, and five `d`-rows.
     pub(crate) fn scratch_len(&self, d: usize) -> usize {
-        (self.widest + 3) * d
+        (2 * self.widest + 5) * d
     }
 
     /// The non-empty groups of root `r`, as instance ranges.
@@ -487,55 +488,73 @@ impl HierarchyIndex {
         groups.map(|w| (w[0], w[1])).filter(|(lo, hi)| lo < hi)
     }
 
-    /// The means of instances `lo..hi` over `h`'s rows, into `xs`: the
-    /// fold [`segment_reduce_into`] runs, from zero.
-    fn means<'s>(&self, h: &Tensor, (lo, hi): (usize, usize), xs: &'s mut [f32]) -> &'s [f32] {
-        let (d, offsets) = (h.cols(), &self.instances.offsets[lo..=hi]);
-        let xs = &mut xs[..(hi - lo) * d];
+    /// Group `lo..hi`'s instance means over `h`'s rows, into `xs` — the
+    /// fold [`segment_reduce_into`] runs, from zero — and their weights,
+    /// into `ws` — the [`softmax_segment`] the unfused chain runs per
+    /// group, handing each instance's mean and weight rows to `weighed`.
+    /// The caller has run `self.instances.check_rows(h.rows())`.
+    fn attend<'s>(
+        &self,
+        h: &Tensor,
+        (lo, hi): (usize, usize),
+        [xs, ws, maxes, sums]: [&'s mut [f32]; 4],
+        mut weighed: impl FnMut(&[f32], &[f32]),
+    ) -> (&'s [f32], &'s [f32]) {
+        let (n, d, offsets) = (hi - lo, h.cols(), &self.instances.offsets[lo..=hi]);
+        let (src, data) = (&self.instances.src, h.data());
+        let (xs, ws) = (&mut xs[..n * d], &mut ws[..n * d]);
         xs.fill(0.0);
-        let row = |e: usize| h.row(self.instances.src[e] as usize);
+        // SAFETY: `SegmentIndex::new` checked that its sorted offsets end
+        // at `src.len()`, so the walk's edge positions index `src`; and
+        // `check_rows` bounds every source row below `h.rows()`.
+        let row = |e: usize| unsafe {
+            let r = *src.get_unchecked(e) as usize;
+            data.get_unchecked(r * d..r * d + d)
+        };
         simd::fold_segments(xs, d, Reduce::Mean, offsets, row, |_| {});
-        xs
+        let rows = SharedRows::new(ws, d);
+        // SAFETY: `softmax_segment` holds one row of `ws` at a time.
+        let w = |i: usize| unsafe { rows.row(i) };
+        let x = |i: usize| &xs[i * d..(i + 1) * d];
+        softmax_segment(n, x, w, maxes, sums, |i, s| weighed(x(i), s));
+        (xs, ws)
     }
 }
 
 /// MAGNN's aggregation (paper Figure 7), root-owned: per non-empty group
 /// of a root, the instance means are folded into scratch, soft-maxed
-/// ([`softmax_segment`]) and pooled as `Σ s ⊙ x` from zero, and the row
-/// is added into the root's, finally scaled by `1/types` — the element
-/// operations and order of `segment_reduce` (Mean) → scatter softmax →
-/// `mul` → scatter-add → block mean; a skipped empty group is exact, as
-/// a sum from `+0.0` never becomes `−0.0`. Overwrites `out` and `weights`
-/// (the softmax's); each thread borrows a row of `scratch`.
+/// ([`softmax_segment`]) into scratch and pooled as `Σ s ⊙ x` from zero,
+/// and the row is added into the root's, finally scaled by `1/types` —
+/// the element operations and order of `segment_reduce` (Mean) → scatter
+/// softmax → `mul` → scatter-add → block mean; a skipped empty group is
+/// exact, as a sum from `+0.0` never becomes `−0.0`. Overwrites `out`;
+/// each thread borrows a row of `scratch`. No instance-sized tensor is
+/// written.
 pub(crate) fn hierarchical_attention_pool_into(
     out: &mut Tensor,
-    weights: &mut Tensor,
     scratch: &mut Tensor,
     h: &Tensor,
     index: &HierarchyIndex,
 ) {
+    index.instances.check_rows(h.rows());
     let (d, roots, inv_types) = (h.cols(), index.num_roots(), 1.0 / index.types as f32);
     assert_eq!(out.shape(), (roots, d), "one row per root");
-    assert_eq!(weights.shape(), (index.num_instances(), d), "weights");
-    let (weights, wide) = (SharedRows::new(weights.data_mut(), d), index.widest * d);
+    let wide = index.widest * d;
     parallel_for_scratch(roots, out.data_mut(), d, scratch, |r0, rows, lent| {
         let (xs, rest) = lent.split_at_mut(wide);
+        let (ws, rest) = rest.split_at_mut(wide);
         let (maxes, rest) = rest.split_at_mut(d);
-        let (sums, acc) = rest.split_at_mut(d);
+        let (sums, rest) = rest.split_at_mut(d);
+        let acc = &mut rest[..d];
         for (r, root) in (r0..).zip(rows.chunks_mut(d)) {
             root.fill(0.0);
             for (lo, hi) in index.groups_of(r) {
-                let x = index.means(h, (lo, hi), xs);
-                // SAFETY: instances are ranked by root, so the weight rows
-                // of this root's groups are this chunk's alone.
-                let w = |i: usize| unsafe { weights.row(lo + i) };
-                softmax_segment(hi - lo, |i| &x[i * d..(i + 1) * d], w, maxes, sums);
                 acc.fill(0.0);
-                for (i, x) in x.chunks(d).enumerate() {
-                    for ((a, &s), &x) in acc.iter_mut().zip(w(i).iter()).zip(x) {
+                index.attend(h, (lo, hi), [xs, ws, maxes, sums], |x, s| {
+                    for ((a, &s), &x) in acc.iter_mut().zip(s).zip(x) {
                         *a += s * x;
                     }
-                }
+                });
                 simd::add_assign(root, acc);
             }
             simd::scale_assign(root, inv_types);
@@ -544,23 +563,26 @@ pub(crate) fn hierarchical_attention_pool_into(
 }
 
 /// Adjoint of [`hierarchical_attention_pool_into`], added into a zeroed
-/// `grad_h` serially: per group, with the means `x` recomputed and `g =
+/// `grad_h` serially: per group, with the means `x` and the weights `s`
+/// recomputed by the forward's own calls (so with its bits) and `g =
 /// grad_out[root] / types`, each instance's `g⊙s + s⊙(g⊙x − Σ_j
-/// (g⊙x_j)⊙s_j)` (the unfused chain's association) is pushed times
-/// `1/len` into its leaves' rows ([`segment_reduce_backward_into`]'s).
+/// (g⊙x_j)⊙s_j)` (the unfused chain's association), times `1/len`, is
+/// added into its leaves' rows ([`segment_reduce_backward_into`]'s push).
 pub(crate) fn hierarchical_attention_pool_backward_into(
     grad_h: &mut Tensor,
     grad_out: &Tensor,
-    weights: &Tensor,
     scratch: &mut [f32],
     h: &Tensor,
     index: &HierarchyIndex,
 ) {
+    index.instances.check_rows(h.rows());
     let (d, inv_types) = (h.cols(), 1.0 / index.types as f32);
     assert_eq!(grad_h.shape(), h.shape(), "one gradient row per input row");
     assert_eq!(grad_out.shape(), (index.num_roots(), d), "one row per root");
-    assert_eq!(weights.shape(), (index.num_instances(), d), "weights");
     let (xs, rest) = scratch.split_at_mut(index.widest * d);
+    let (ws, rest) = rest.split_at_mut(index.widest * d);
+    let (maxes, rest) = rest.split_at_mut(d);
+    let (sums, rest) = rest.split_at_mut(d);
     let (g, rest) = rest.split_at_mut(d);
     let (z, rest) = rest.split_at_mut(d);
     let o = &mut rest[..d];
@@ -570,22 +592,22 @@ pub(crate) fn hierarchical_attention_pool_backward_into(
             *g = y * inv_types;
         }
         for (lo, hi) in index.groups_of(r) {
-            let x = index.means(h, (lo, hi), xs);
-            let s = &weights.data()[lo * d..hi * d];
             z.fill(0.0);
-            for (s, x) in s.chunks(d).zip(x.chunks(d)) {
+            let (x, s) = index.attend(h, (lo, hi), [xs, ws, maxes, sums], |x, s| {
                 for (((z, &g), &x), &s) in z.iter_mut().zip(&*g).zip(x).zip(s) {
                     *z += (g * x) * s;
                 }
-            }
+            });
             for (inst, (s, x)) in (lo..hi).zip(s.chunks(d).zip(x.chunks(d))) {
-                for ((((o, &g), &x), &s), &z) in o.iter_mut().zip(&*g).zip(x).zip(s).zip(&*z) {
-                    *o = g * s + s * (g * x - z);
-                }
                 let leaves = &src[offsets[inst]..offsets[inst + 1]];
+                let inv_len = 1.0 / leaves.len() as f32;
+                // The Mean push's `row += (1/len) · o`, its product taken
+                // once for all of the instance's leaves.
+                for ((((o, &g), &x), &s), &z) in o.iter_mut().zip(&*g).zip(x).zip(s).zip(&*z) {
+                    *o = inv_len * (g * s + s * (g * x - z));
+                }
                 for &leaf in leaves {
-                    let row = grad_h.row_mut(leaf as usize);
-                    simd::mul_add_assign(row, 1.0 / leaves.len() as f32, o);
+                    simd::add_assign(grad_h.row_mut(leaf as usize), o);
                 }
             }
         }
@@ -735,6 +757,20 @@ mod tests {
         let mut g = Tensor::zeros(3, 2);
         let index = SegmentIndex::new(vec![0, 2, 3], vec![0, 3, 1]);
         segment_reduce_backward_into(&mut g, &grad_out, &index, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "source row 3 out of range")]
+    fn pool_backward_rejects_a_leaf_row_past_h() {
+        // `tests/segment_walk.rs` has the forward's twin.
+        let instances = SegmentIndex::new(vec![0, 2], vec![0, 3]);
+        let (h, index) = (
+            Tensor::zeros(3, 2),
+            HierarchyIndex::new(vec![0, 1], instances, 1),
+        );
+        let mut scratch = vec![0.0; index.scratch_len(2)];
+        let (mut grad_h, grad_out) = (Tensor::zeros(3, 2), Tensor::zeros(1, 2));
+        hierarchical_attention_pool_backward_into(&mut grad_h, &grad_out, &mut scratch, &h, &index);
     }
 
     #[test]

@@ -215,9 +215,9 @@ fn scatter_reduce_with_plan(out: &mut Tensor, values: &Tensor, plan: &ScatterPla
     if edge_scan_profitable(plan.num_edges(), plan.out_rows, values.cols()) {
         scatter_edge_scan_into(out, values, plan, kind);
     } else {
-        let d = out.cols();
-        segment_apply_into(out.data_mut(), d, &plan.offsets, kind, values, |e| {
-            plan.perm[e] as usize
+        let (d, offsets, perm) = (out.cols(), &plan.offsets, &plan.perm);
+        segment_apply_into(out.data_mut(), d, offsets, kind, values, perm, |e| {
+            e as usize
         });
     }
 }
@@ -280,10 +280,9 @@ pub fn scatter_add_gathered_into(
     if let Some(&m) = edge_rows.iter().max() {
         assert!((m as usize) < src.rows(), "source row {m} out of range");
     }
-    let d = out.cols();
-    segment_apply_into(out.data_mut(), d, &plan.offsets, Reduce::Sum, src, |e| {
-        edge_rows[plan.perm[e] as usize] as usize
-    });
+    let (d, offsets, perm) = (out.cols(), &plan.offsets, &plan.perm);
+    let row = |e: u32| edge_rows[e as usize] as usize;
+    segment_apply_into(out.data_mut(), d, offsets, Reduce::Sum, src, perm, row);
 }
 
 /// Softmax over value rows sharing a destination, per column.
@@ -325,6 +324,7 @@ pub fn scatter_softmax_with_plan_into(out: &mut Tensor, values: &Tensor, plan: &
                 out,
                 &mut maxes,
                 &mut sums,
+                |_, _| {},
             );
         }
     });
@@ -335,13 +335,15 @@ pub fn scatter_softmax_with_plan_into(out: &mut Tensor, values: &Tensor, plan: &
 /// pool: `out(i) = exp(x(i) − max) / Σ` per column, `max` taken in row
 /// order from a `−∞` sentinel (0 if it survives, as the serial reference
 /// does), `Σ` from zero (a column whose `Σ` is not positive keeps its
-/// exponentials). `maxes`, `sums`: `d`-float scratch.
+/// exponentials). `maxes`, `sums`: `d`-float scratch. `weighed(i, w)`
+/// sees each finished row, in order.
 pub(crate) fn softmax_segment<'a, 'b>(
     n: usize,
     x: impl Fn(usize) -> &'a [f32],
     out: impl Fn(usize) -> &'b mut [f32],
     maxes: &mut [f32],
     sums: &mut [f32],
+    mut weighed: impl FnMut(usize, &[f32]),
 ) {
     maxes.fill(f32::NEG_INFINITY);
     for i in 0..n {
@@ -356,16 +358,16 @@ pub(crate) fn softmax_segment<'a, 'b>(
     }
     sums.fill(0.0);
     for i in 0..n {
-        let row = out(i);
-        simd::exp_sub_into(row, x(i), maxes);
-        simd::add_assign(sums, row);
+        simd::exp_sub_into(out(i), sums, x(i), maxes);
     }
     for i in 0..n {
-        for (w, &z) in out(i).iter_mut().zip(sums.iter()) {
+        let row = out(i);
+        for (w, &z) in row.iter_mut().zip(sums.iter()) {
             if z > 0.0 {
                 *w /= z;
             }
         }
+        weighed(i, row);
     }
 }
 

@@ -20,11 +20,13 @@
 //!
 //! [`fold_segments`] is the segment walk of every sparse reduction: it
 //! reduces each segment's rows into that segment's output row. The
-//! AVX2 version keeps a block of up to four vectors (32 columns) of the
+//! AVX2 version keeps a block of up to eight vectors (64 columns) of the
 //! output row in registers across the whole segment and stores it once,
 //! so a column's chain is a chain of register adds rather than a
-//! load-add-store through memory per row; a ragged tail (`dim % 8`
-//! columns) is one more vector, loaded and stored under a lane mask.
+//! load-add-store through memory per row, and a row of up to 64 columns
+//! is one pass over the segment's edges; a ragged tail (`dim % 8`
+//! columns) is the block's last vector, loaded and stored under a lane
+//! mask.
 //! How a row splits into blocks depends on the width alone, so it is
 //! chosen once per call, not per segment — a walk over short segments
 //! would otherwise pay for the choice on every one. The adds and their
@@ -233,14 +235,17 @@ pub mod scalar {
         }
     }
 
-    /// `out[i] = exp(x[i] - m[i])` elementwise — the stabilised
-    /// exponentials of one softmax row against its column maxima.
+    /// `out[i] = exp(x[i] - m[i])` elementwise, each added into
+    /// `sums[i]` — the stabilised exponentials of one softmax row against
+    /// its column maxima, and the running column sums, in one pass.
     #[inline]
-    pub fn exp_sub_into(out: &mut [f32], x: &[f32], m: &[f32]) {
+    pub fn exp_sub_into(out: &mut [f32], sums: &mut [f32], x: &[f32], m: &[f32]) {
         debug_assert_eq!(out.len(), x.len());
         debug_assert_eq!(out.len(), m.len());
-        for ((o, &v), &m) in out.iter_mut().zip(x).zip(m) {
+        debug_assert_eq!(out.len(), sums.len());
+        for (((o, z), &v), &m) in out.iter_mut().zip(sums).zip(x).zip(m) {
             *o = exp(v - m);
+            *z += *o;
         }
     }
 }
@@ -253,9 +258,9 @@ mod avx2 {
     use std::ops::Range;
 
     /// Accumulator vectors one [`fold_segments`] block keeps in
-    /// registers: four accumulators and four loads take half of the
-    /// sixteen AVX2 registers.
-    const BLOCK_VECS: usize = 4;
+    /// registers: eight accumulators take half of the sixteen AVX2
+    /// registers, and each add reads its row straight from memory.
+    const BLOCK_VECS: usize = 8;
     /// Columns of a full block.
     const BLOCK: usize = BLOCK_VECS * LANES;
 
@@ -378,22 +383,20 @@ mod avx2 {
         visit: impl FnMut(usize),
     ) {
         let (r, masked) = ((d % BLOCK).div_ceil(LANES), !d.is_multiple_of(LANES));
-        let (o, m) = (offsets, mean);
+        // One arm per split: `R` vectors past the full blocks, the last
+        // of them masked or not.
+        macro_rules! by_split {
+            ($($r:literal)*) => {
+                match (r, masked) {
+                    $(($r, false) => walk::<$r, false>(out, d, mean, offsets, row, visit),
+                      ($r, true) => walk::<$r, true>(out, d, mean, offsets, row, visit),)*
+                    _ => unreachable!("a split has at most {BLOCK_VECS} vectors"),
+                }
+            };
+        }
         // SAFETY: `fold_segments` checked `out` against `d` and wraps
         // `row` in a width check; `(r, masked)` is the split of `d`.
-        unsafe {
-            match (r, masked) {
-                (0, _) => walk::<0, false>(out, d, m, o, row, visit),
-                (1, false) => walk::<1, false>(out, d, m, o, row, visit),
-                (1, true) => walk::<1, true>(out, d, m, o, row, visit),
-                (2, false) => walk::<2, false>(out, d, m, o, row, visit),
-                (2, true) => walk::<2, true>(out, d, m, o, row, visit),
-                (3, false) => walk::<3, false>(out, d, m, o, row, visit),
-                (3, true) => walk::<3, true>(out, d, m, o, row, visit),
-                (4, false) => walk::<4, false>(out, d, m, o, row, visit),
-                _ => walk::<4, true>(out, d, m, o, row, visit),
-            }
-        }
+        unsafe { by_split!(0 1 2 3 4 5 6 7 8) }
     }
 
     /// [`super::scalar::fold_segments`] with each output row in

@@ -346,7 +346,10 @@ impl Tensor {
         let nonzero: Vec<bool> = (0..m)
             .map(|r| a[r * k..(r + 1) * k].iter().any(|&v| v != 0.0))
             .collect();
-        let bpack = pack_b_tiles(&other.data, k, n);
+        // A B of at most `NC` columns in whole `NR` tiles is already its
+        // own packed stripe, so it is read in place.
+        let packed = (n > NC || !n.is_multiple_of(NR)).then(|| pack_b_tiles(&other.data, k, n));
+        let bpack = packed.as_deref().unwrap_or(&other.data);
 
         let out_ptr = SendPtr::new(out.data.as_mut_ptr());
         let tiles_n = n.div_ceil(NC);
@@ -909,7 +912,7 @@ mod tests {
         // ragged chunk into NaN (never stored); ±∞ and -0.0 in B's last
         // real column must still come out as naive's.
         let k = KC + 37;
-        for n in [1, 3, 4, 6, 15, 16, 17, 50, 63, 64, 65, 80, 127, 129] {
+        for n in [1, 3, 4, 6, 15, 16, 17, 32, 48, 50, 63, 64, 65, 80, 127, 129] {
             let mut m = MATMUL_TILE_CUTOFF.div_ceil(2 * k * n).max(MC + 3);
             if m.is_multiple_of(MR) {
                 m += 1;

@@ -7,9 +7,9 @@
 //! — the fused `segment_reduce`, and the pull backward of
 //! `segment_reduce_backward_into` — must return exactly what the chain
 //! returns: at widths below, at and across the 8-lane vector and the
-//! 32-column register block, over empty segments, repeated sources,
-//! signed zeros, infinities and NaN, and with the value tensor below
-//! and above the 2 MiB prefetch cutoff. The backward's two walk orders
+//! 64-column register block, over empty and short segments, repeated
+//! sources, signed zeros, infinities and NaN, and with the value tensor
+//! below and above the 2 MiB prefetch cutoff. The backward's two walk orders
 //! (a Sum's pull over the cached transpose, the push per segment) must
 //! each agree with a serial push, at any thread count.
 //!
@@ -18,11 +18,15 @@
 //! carries, and x86 takes the first operand's — an order the code
 //! generator may swap in the scalar chain, where addition commutes.
 
-use flexgraph_tensor::fusion::{segment_reduce_backward_into, SegmentIndex};
+use flexgraph_tensor::fusion::{segment_reduce_backward_into, HierarchyIndex, SegmentIndex};
 use flexgraph_tensor::simd::{self, scalar};
-use flexgraph_tensor::{segment_reduce, set_thread_override, Reduce, Tensor};
+use flexgraph_tensor::{segment_reduce, set_thread_override, Graph, Reduce, Tensor};
+use std::sync::Arc;
 
 const WIDTHS: [usize; 13] = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 50, 64, 65];
+/// Widths either side of each split of the 64-column register block:
+/// its last vector full or masked, one block or two.
+const BLOCK_WIDTHS: [usize; 7] = [56, 63, 64, 65, 72, 128, 129];
 const KINDS: [Reduce; 2] = [Reduce::Sum, Reduce::Mean];
 
 /// The thread override is process-wide; tests that set it run one at a
@@ -143,6 +147,72 @@ fn fold_segments_is_the_per_row_chain() {
             );
         }
     }
+}
+
+#[test]
+fn short_segments_are_the_chain_at_every_block_split() {
+    // One segment of each length 0..=4, twice over, in shuffled order.
+    let mut rng = Lcg(19);
+    let lens = [3, 0, 4, 1, 2, 2, 4, 0, 1, 3];
+    for d in BLOCK_WIDTHS {
+        let rows = values(&mut rng, 9, d, true);
+        let mut offsets = vec![0];
+        let mut src = Vec::new();
+        for len in lens {
+            src.extend((0..len).map(|_| rng.below(9) as u32));
+            offsets.push(src.len());
+        }
+        let row = |e: usize| rows.row(src[e] as usize);
+        for kind in KINDS {
+            let init: Vec<f32> = (0..lens.len() * d).map(|_| rng.unit()).collect();
+            let (mut got, mut want) = (init.clone(), init);
+            let (mut seen, mut visited) = (Vec::new(), Vec::new());
+            simd::fold_segments(&mut got, d, kind, &offsets, row, |e| seen.push(e));
+            scalar::fold_segments(&mut want, d, kind, &offsets, row, |e| visited.push(e));
+            let what = format!("{kind:?}, d = {d}");
+            let n = lens.len();
+            let (got, want) = (Tensor::from_vec(n, d, got), Tensor::from_vec(n, d, want));
+            assert_bits_eq(&got, &want, &what);
+            assert_eq!(seen, visited, "{what}: each edge visited once, in order");
+            assert_bits_eq(
+                &segment_reduce(&rows, &offsets, &src, kind),
+                &chain(&rows, &offsets, &src, kind),
+                &format!("segment_reduce, {what}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn a_segment_of_negative_zeros_sums_to_positive_zero() {
+    // The sum starts from the zeroed output's `+0.0`, and `+0.0 + −0.0`
+    // is `+0.0`: a walk that started from its first row would give `−0.0`.
+    for d in WIDTHS.into_iter().chain(BLOCK_WIDTHS) {
+        let rows = Tensor::from_vec(2, d, vec![-0.0; 2 * d]);
+        for (offsets, src) in [(vec![0, 1], vec![0]), (vec![0, 3], vec![1, 0, 1])] {
+            for kind in KINDS {
+                let out = segment_reduce(&rows, &offsets, &src, kind);
+                let what = format!("{kind:?}, d = {d}, {} rows", src.len());
+                assert!(out.data().iter().all(|x| x.to_bits() == 0), "{what}");
+                let mut folded = vec![0.0; d];
+                let row = |e: usize| rows.row(src[e] as usize);
+                simd::fold_segments(&mut folded, d, kind, &offsets, row, |_| {});
+                assert!(folded.iter().all(|x| x.to_bits() == 0), "fold, {what}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "source row 3 out of range")]
+fn the_attention_pool_rejects_a_leaf_row_past_h() {
+    // One root of one type, one instance over leaf rows 0 and 3 of a
+    // three-row `h`.
+    let instances = SegmentIndex::new(vec![0, 2], vec![0, 3]);
+    let index = Arc::new(HierarchyIndex::new(vec![0, 1], instances, 1));
+    let mut g = Graph::new();
+    let h = g.leaf(Tensor::zeros(3, 8));
+    g.hierarchical_attention_pool(h, index);
 }
 
 #[test]

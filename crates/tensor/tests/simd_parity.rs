@@ -78,14 +78,16 @@ proptest! {
         seedm in proptest::collection::vec(-10.0f32..10.0, 70),
     ) {
         let (x, m) = (&seedx[..len], &seedm[..len]);
-        let mut got = vec![f32::NAN; len];
-        simd::exp_sub_into(&mut got, x, m);
+        let (mut got, mut sums) = (vec![f32::NAN; len], vec![0.0; len]);
+        simd::exp_sub_into(&mut got, &mut sums, x, m);
         let want: Vec<f32> = x
             .iter()
             .zip(m)
             .map(|(&x, &m)| scalar::exp(std::hint::black_box(x - m)))
             .collect();
         assert_bits_eq(&got, &want, "exp_sub_into");
+        // `0 + e` is `e`: the running sums took each exponential once.
+        assert_bits_eq(&sums, &want, "exp_sub_into sums");
     }
 
     /// Planned reductions over random shapes stay bitwise equal to the
@@ -265,8 +267,8 @@ fn exp_bits_are_pinned() {
         (88.0, 0x7ef8_82b7),
     ];
     let x: Vec<f32> = table.iter().map(|&(x, _)| x).collect();
-    let mut got = vec![0.0f32; x.len()];
-    simd::exp_sub_into(&mut got, &x, &vec![0.0; x.len()]);
+    let (mut got, mut sums) = (vec![0.0f32; x.len()], vec![0.0; x.len()]);
+    simd::exp_sub_into(&mut got, &mut sums, &x, &vec![0.0; x.len()]);
     for (&(x, bits), got) in table.iter().zip(got) {
         assert_eq!(simd::exp(x).to_bits(), bits, "exp({x:e})");
         assert_eq!(got.to_bits(), bits, "exp_sub_into at {x:e}");
