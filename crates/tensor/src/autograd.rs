@@ -41,11 +41,13 @@
 //!
 //! # Buffer reuse
 //!
-//! Every value, gradient, transpose and kernel scratch the tape creates —
-//! and the two tensors an op keeps for its own backward (only in a node
-//! that needs a gradient), the attention pool's weights and the
-//! cross-entropy's probabilities — is drawn from an exact-length free list
-//! the tape owns, and goes back to it when released or when the tape drops.
+//! Every value, gradient and kernel scratch the tape creates — and the
+//! tensor an op keeps for its own backward (only in a node that needs a
+//! gradient), the cross-entropy's probabilities — is drawn from an
+//! exact-length free list the tape owns, and goes back to it when
+//! released or when the tape drops. A matmul's backward forms no
+//! transpose: the tiled driver reads `dC·Bᵀ` and `Aᵀ·dC`'s operands in
+//! place ([`Tensor::matmul_nt_into`], [`Tensor::matmul_tn_into`]).
 //! So is the copy [`Graph::leaf_copy`] makes of a tensor that outlives
 //! the tape. A suffix
 //! of the tape that needs no gradient can be collapsed into one leaf
@@ -262,25 +264,9 @@ impl FreeList {
     }
 }
 
-/// Transposes computed during backward, one slot per node. A node
-/// feeding several matmuls (shared weights, multi-head inputs) is
-/// transposed once per pass instead of once per consumer; values on the
-/// tape are immutable after [`Graph::push`], so a filled slot never
-/// goes stale within the pass.
-#[derive(Default)]
-struct TransposeSlots(Vec<Option<Tensor>>);
-
-impl TransposeSlots {
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.0.iter().flatten().count()
-    }
-}
-
 /// A single forward/backward tape.
 pub struct Graph {
     nodes: Vec<Node>,
-    tcache: TransposeSlots,
     pool: FreeList,
     strategy: Strategy,
 }
@@ -297,11 +283,7 @@ impl Drop for Graph {
     fn drop(&mut self) {
         let mut parked = std::mem::take(&mut self.pool.released);
         let buffers = self.nodes.drain(..).flat_map(Node::into_buffers);
-        parked.extend(
-            buffers
-                .chain(self.tcache.0.drain(..).flatten())
-                .map(Tensor::into_vec),
-        );
+        parked.extend(buffers.map(Tensor::into_vec));
         // The thread-local is gone while the thread itself is exiting;
         // the buffers are then simply freed.
         let _ = PARKED.try_with(|p| p.replace(parked));
@@ -320,7 +302,6 @@ impl Graph {
     pub fn with_strategy(strategy: Strategy) -> Self {
         Graph {
             nodes: Vec::new(),
-            tcache: TransposeSlots::default(),
             pool: FreeList {
                 inherited: PARKED.try_with(RefCell::take).unwrap_or_default(),
                 ..FreeList::default()
@@ -405,9 +386,6 @@ impl Graph {
         for buf in kept.chain(suffix.into_iter().flat_map(Node::into_buffers)) {
             self.pool.release(buf);
         }
-        // Backward fills transpose slots only for the operands of a matmul
-        // that needs a gradient, so no slot past `mark` holds a buffer.
-        self.tcache.0.truncate(mark);
         self.leaf(value)
     }
 
@@ -662,19 +640,6 @@ impl Graph {
         }
     }
 
-    /// Fills node `id`'s transpose slot, at most once per pass.
-    fn ensure_transpose(&mut self, id: NodeId) {
-        if self.tcache.0.len() < self.nodes.len() {
-            self.tcache.0.resize_with(self.nodes.len(), || None);
-        }
-        if self.tcache.0[id.0].is_none() {
-            let (rows, cols) = self.value(id).shape();
-            let mut t = self.pool.draw(cols, rows);
-            self.value(id).transpose_into(&mut t);
-            self.tcache.0[id.0] = Some(t);
-        }
-    }
-
     /// Adds the owned contribution `g` to the pending gradient of `id`:
     /// moved into an empty slot, else accumulated and released.
     fn give(&mut self, id: NodeId, g: Tensor) {
@@ -709,20 +674,15 @@ impl Graph {
         let leftover = match &mut op {
             Op::Leaf | Op::Param { .. } => Some(grad),
             Op::MatMul(a, b) => {
-                // dA = dC·Bᵀ, dB = Aᵀ·dC, with both transposes cached
-                // across the pass (see `TransposeSlots`).
+                // dA = dC·Bᵀ, dB = Aᵀ·dC, each operand read in place.
                 if self.needs(*a) {
-                    self.ensure_transpose(*b);
                     let mut ga = self.zeros_like(*a);
-                    let bt = self.tcache.0[b.0].as_ref().expect("slot just filled");
-                    grad.matmul_into(bt, &mut ga);
+                    grad.matmul_nt_into(self.value(*b), &mut ga);
                     self.give(*a, ga);
                 }
                 if self.needs(*b) {
-                    self.ensure_transpose(*a);
                     let mut gb = self.zeros_like(*b);
-                    let at = self.tcache.0[a.0].as_ref().expect("slot just filled");
-                    at.matmul_into(&grad, &mut gb);
+                    self.value(*a).matmul_tn_into(&grad, &mut gb);
                     self.give(*b, gb);
                 }
                 Some(grad)
@@ -1271,26 +1231,49 @@ mod tests {
     }
 
     #[test]
-    fn matmul_backward_caches_shared_transposes() {
-        // x feeds two matmuls; backward must transpose it once, not per
-        // consumer — and the cached-path gradients must still be exact.
-        let x = sample_input();
+    fn a_node_feeding_two_matmuls_gets_exact_gradients_without_transposes() {
+        // x feeds two matmuls; each backward reads x and its weight in
+        // place, so the pass draws the gradients and nothing else.
         let w = Tensor::from_rows(&[&[0.2, -0.5], &[1.0, 0.3], &[-0.8, 0.6]]);
-        let mut g = Graph::new();
-        let xn = g.param(x, 0);
-        let w1 = g.param(w.clone(), 1);
-        let w2 = g.param(w.scale(0.5), 2);
-        let y1 = g.matmul(xn, w1);
-        let y2 = g.matmul(xn, w2);
-        let s = g.add(y1, y2);
-        let loss = g.mean_all(s);
-        g.backward(loss);
-        // One entry per distinct matmul operand: xn, w1, w2.
-        assert_eq!(g.tcache.len(), 3);
-        assert!(g.grad(xn).is_some() && g.grad(w1).is_some() && g.grad(w2).is_some());
+        let x = Tensor::from_rows(&[
+            &[0.5, -1.2, 2.0],
+            &[1.5, 0.3, -0.7],
+            &[-0.4, 0.9, 1.1],
+            &[0.8, -0.1, 0.6],
+            &[-1.3, 0.2, 0.4],
+        ]);
+        let (wv, xv) = (w.clone(), x.clone());
+        // A new thread has nothing parked, so every draw is counted.
+        let (forward, pass, grads) = std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut g = Graph::new();
+                let xn = g.param(xv, 0);
+                let w1 = g.param(wv.clone(), 1);
+                let w2 = g.param(wv.scale(0.5), 2);
+                let y1 = g.matmul(xn, w1);
+                let y2 = g.matmul(xn, w2);
+                let s = g.add(y1, y2);
+                let loss = g.mean_all(s);
+                let forward = g.pool.allocated;
+                g.backward(loss);
+                let grads = [xn, w1, w2].map(|n| g.grad(n).map(bits));
+                (forward, g.pool.allocated, grads)
+            })
+            .join()
+            .expect("tape thread")
+        });
+        assert!(grads.iter().all(Option::is_some));
+        // The seed scalar, the sum's gradient and its copy for `y1`, and
+        // per matmul one gradient per operand.
+        let floats = 1 + 2 * 5 * 2 + 2 * (x.len() + w.len());
+        assert_eq!(
+            pass - forward,
+            floats * 4,
+            "backward drew a buffer beyond the gradients"
+        );
 
         finite_diff_check(
-            sample_input(),
+            x,
             move |g, x| {
                 let w1 = g.leaf(w.clone());
                 let w2 = g.leaf(w.scale(0.5));
@@ -1380,7 +1363,7 @@ mod tests {
         drop(third);
         let parked: Vec<usize> = PARKED.with(|p| p.borrow().iter().map(Vec::len).collect());
         // Lengths the 4×2 / 2×5 tape holds: x and its sums (8), w and
-        // its transpose-side products (10), logits (20), scalars (1).
+        // its gradient (10), logits (20), scalars (1).
         assert!(
             parked.iter().all(|len| [8, 10, 20, 1].contains(len)),
             "stale buffers survived: {parked:?}"

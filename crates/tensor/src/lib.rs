@@ -19,8 +19,8 @@
 //! * chunked, auto-vectorizable inner loops and a persistent worker-pool
 //!   `parallel_for` standing in for the paper's AVX-512 feature-fusion
 //!   kernels inside long-lived workers (§6, "Hybrid aggregate
-//!   executions"), plus cache-blocked matmul/transpose for the dense
-//!   update stage.
+//!   executions"), plus a cache-blocked matmul for the dense update
+//!   stage that reads either operand transposed in place.
 //!
 //! # Examples
 //!

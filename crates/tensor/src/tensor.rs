@@ -6,7 +6,7 @@
 //! logical 3-D reshape of paper Figure 10 is a row-block reduction
 //! (`autograd::reduce_row_blocks_into`) over the same buffer.
 
-use crate::par::{parallel_for, parallel_ranges, SendPtr};
+use crate::par::{parallel_ranges, SendPtr};
 use crate::simd;
 use std::fmt;
 
@@ -40,13 +40,6 @@ const MR: usize = 3;
 /// and dispatch overheads dominate on the small weight matrices of the
 /// model layers, and the naive order is bitwise identical anyway.
 const MATMUL_TILE_CUTOFF: usize = 2 * 64 * 64 * 64;
-/// Transpose block edge: a `32×32` tile touches 32 cache lines on each
-/// side, small enough to keep both in L1 while the tile turns.
-const TB: usize = 32;
-/// Element count below which transpose takes the unblocked loop: the
-/// whole matrix sits in L2 anyway and the blocked loop's bookkeeping
-/// buys nothing there (measured at parity on a 362×181 transpose).
-const TRANSPOSE_TILE_CUTOFF: usize = 128 * 1024;
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -337,67 +330,44 @@ impl Tensor {
             matmul_rows_serial(&self.data, &other.data, &mut out.data, k, n, 0..m);
             return;
         }
+        matmul_tiled::<false>(self, other, false, out);
+    }
 
-        let a = &self.data;
-        // All-zero rows (isolated vertices, padded batches) are common
-        // enough to test for, but the test must cover the *whole* row —
-        // skipping per K-tile would elide `0.0 * x` additions the naive
-        // kernel performs (visible through -0.0 and non-finite values).
-        let nonzero: Vec<bool> = (0..m)
-            .map(|r| a[r * k..(r + 1) * k].iter().any(|&v| v != 0.0))
-            .collect();
-        // A B of at most `NC` columns in whole `NR` tiles is already its
-        // own packed stripe, so it is read in place.
-        let packed = (n > NC || !n.is_multiple_of(NR)).then(|| pack_b_tiles(&other.data, k, n));
-        let bpack = packed.as_deref().unwrap_or(&other.data);
+    /// `out += selfᵀ · other`, reading `self` in place: bitwise equal to
+    /// [`Tensor::matmul_naive`] on `self`'s materialised transpose (the
+    /// weight gradient `Aᵀ·dC` of a matmul's backward).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != other.rows` or `out` is not `self.cols ×
+    /// other.cols`.
+    pub fn matmul_tn_into(&self, other: &Self, out: &mut Self) {
+        assert_eq!(
+            self.rows, other.rows,
+            "matmul inner dims: ({}x{})ᵀ · {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        assert_eq!(out.shape(), (self.cols, other.cols), "matmul output shape");
+        matmul_tiled::<true>(self, other, false, out);
+    }
 
-        let out_ptr = SendPtr::new(out.data.as_mut_ptr());
-        let tiles_n = n.div_ceil(NC);
-        let tiles_k = k.div_ceil(KC);
-        parallel_ranges(m, MC, |range| {
-            let mut live = Vec::with_capacity(MC);
-            let mut b0 = range.start;
-            while b0 < range.end {
-                let b1 = (b0 + MC).min(range.end);
-                // The micro-kernel wants `MR` rows at a time so each
-                // B-tile row it loads is reused `MR`-fold; zero rows are
-                // filtered out up front so groups are always full of
-                // live rows (they need not be adjacent in A).
-                live.clear();
-                live.extend((b0..b1).filter(|&r| nonzero[r]));
-                // Tile loops outside the row loop: one `KC×NC` panel
-                // stays L1-hot while all rows of the block consume it.
-                for nt in 0..tiles_n {
-                    let ncs = nt * NC;
-                    let nb = NC.min(n - ncs);
-                    let ldb = packed_width(nb);
-                    let stripe = &bpack[k * ncs..k * ncs + k * ldb];
-                    for kt in 0..tiles_k {
-                        let kcs = kt * KC;
-                        let kb = KC.min(k - kcs);
-                        let tile = &stripe[kcs * ldb..kcs * ldb + kb * ldb];
-                        for grp in live.chunks(MR) {
-                            // SAFETY: each row belongs to exactly one
-                            // dispatched range and appears once in
-                            // `live`; ranges are disjoint.
-                            let orow = |r: usize| unsafe {
-                                std::slice::from_raw_parts_mut(out_ptr.get().add(r * n + ncs), nb)
-                            };
-                            if let Ok(rs) = <[usize; MR]>::try_from(grp) {
-                                let at = rs.map(|r| &a[r * k + kcs..r * k + kcs + kb]);
-                                matmul_micro_m(at, tile, rs.map(orow), nb);
-                            } else {
-                                for &r in grp {
-                                    let atile = &a[r * k + kcs..r * k + kcs + kb];
-                                    matmul_micro(atile, tile, orow(r), nb);
-                                }
-                            }
-                        }
-                    }
-                }
-                b0 = b1;
-            }
-        });
+    /// `out += self · otherᵀ`, reading `other` through the packed panel:
+    /// bitwise equal to [`Tensor::matmul_naive`] on `other`'s
+    /// materialised transpose (the input gradient `dC·Bᵀ` of a matmul's
+    /// backward).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != other.cols` or `out` is not `self.rows ×
+    /// other.rows`.
+    pub fn matmul_nt_into(&self, other: &Self, out: &mut Self) {
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul inner dims: {}x{} · ({}x{})ᵀ",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        assert_eq!(out.shape(), (self.rows, other.rows), "matmul output shape");
+        matmul_tiled::<false>(self, other, true, out);
     }
 
     /// Reference matrix product: the seed's single-threaded triple loop
@@ -418,57 +388,18 @@ impl Tensor {
         out
     }
 
-    /// Transpose into a caller-provided `cols × rows` `out`, in `TB×TB`
-    /// cache blocks.
-    ///
-    /// The seed walked the source row-major and the destination with a
-    /// `rows`-element stride — one cache line touched per element on
-    /// the write side. Blocking turns one `TB×TB` tile at a time so
-    /// both sides stay within L1; the output is identical (a transpose
-    /// is pure data movement), and row-chunks of the output are
-    /// computed independently through the worker pool. Small matrices
-    /// (under `TRANSPOSE_TILE_CUTOFF` elements) take the unblocked
-    /// loop.
-    pub fn transpose_into(&self, out: &mut Self) {
-        let (rows, cols) = (self.rows, self.cols);
-        assert_eq!(out.shape(), (cols, rows), "transpose output shape");
-        if rows * cols < TRANSPOSE_TILE_CUTOFF {
-            return self.transpose_naive_into(out);
-        }
-        let src = &self.data;
-        parallel_for(cols, out.data.as_mut_slice(), rows, |c0, chunk| {
-            let ncols = chunk.len() / rows;
-            for cb in (0..ncols).step_by(TB) {
-                let cbe = (cb + TB).min(ncols);
-                for rb in (0..rows).step_by(TB) {
-                    let rbe = (rb + TB).min(rows);
-                    for ci in cb..cbe {
-                        let orow = &mut chunk[ci * rows..(ci + 1) * rows];
-                        let c = c0 + ci;
-                        for r in rb..rbe {
-                            orow[r] = src[r * cols + c];
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// Reference transpose: the seed's unblocked double loop. Kept as
-    /// the ground truth the blocked [`Tensor::transpose_into`] is compared
-    /// against.
+    /// Reference transpose: the seed's unblocked double loop. Kept as the
+    /// ground truth that [`Tensor::matmul_tn_into`] and
+    /// [`Tensor::matmul_nt_into`] are compared against, through
+    /// [`Tensor::matmul_naive`] on the transposed operand.
     pub fn transpose_naive(&self) -> Self {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        self.transpose_naive_into(&mut out);
-        out
-    }
-
-    fn transpose_naive_into(&self, out: &mut Self) {
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
+        out
     }
 
     /// Horizontal concatenation `[self | other]` (equal row counts).
@@ -617,6 +548,127 @@ fn matmul_rows_serial(
     }
 }
 
+/// The tiled driver: `out += A · B` for an `m × k` A and a `k × n` B,
+/// each stored as is or as its transpose: A stored `k × m` when `TA`
+/// (a type parameter, so each layout of A gets its own loop nest), B
+/// stored `n × k` when `tb`.
+///
+/// B is packed once into L1-sized `KC×NC` panels (from the transposed
+/// view when `tb`); each `MC`-row block of the output (the unit of pool
+/// parallelism) then re-reads a hot panel, and the micro-kernel's
+/// register tile keeps `MR × NR` output accumulators out of memory
+/// across each K-tile. A transposed A is read in place: the
+/// micro-kernel's `MR` A-scalars per K step sit in one stored row. The
+/// K loop is tiled in fixed ascending order independent of threading,
+/// so every output element accumulates its products in the naive
+/// kernel's order, whatever the layouts.
+fn matmul_tiled<const TA: bool>(a: &Tensor, b: &Tensor, tb: bool, out: &mut Tensor) {
+    let (m, n) = out.shape();
+    let k = if TA { a.rows } else { a.cols };
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let a = &a.data;
+    // All-zero rows of A (isolated vertices, padded batches, dead
+    // units) are common enough to test for, but the test must cover the
+    // *whole* row — skipping per K-tile would elide `0.0 * x` additions
+    // the naive kernel performs (visible through -0.0 and non-finite
+    // values). A transposed A's rows are its stored columns: one pass
+    // over stored rows, which stops once every column has shown a value.
+    let nonzero: Vec<bool> = if TA {
+        let (mut nonzero, mut zero) = (vec![false; m], m);
+        for row in a.chunks_exact(m) {
+            for (z, &v) in nonzero.iter_mut().zip(row) {
+                if !*z && v != 0.0 {
+                    *z = true;
+                    zero -= 1;
+                }
+            }
+            if zero == 0 {
+                break;
+            }
+        }
+        nonzero
+    } else {
+        (0..m)
+            .map(|r| a[r * k..(r + 1) * k].iter().any(|&v| v != 0.0))
+            .collect()
+    };
+    // A row-major B of at most `NC` columns in whole `NR` tiles is
+    // already its own packed stripe, so it is read in place.
+    let in_place = !tb && n <= NC && n.is_multiple_of(NR);
+    let packed = (!in_place).then(|| pack_b_tiles(&b.data, tb, k, n));
+    let bpack = packed.as_deref().unwrap_or(&b.data);
+
+    let out_ptr = SendPtr::new(out.data.as_mut_ptr());
+    let tiles_n = n.div_ceil(NC);
+    let tiles_k = k.div_ceil(KC);
+    parallel_ranges(m, MC, |range| {
+        let mut live = Vec::with_capacity(MC);
+        let mut b0 = range.start;
+        while b0 < range.end {
+            let b1 = (b0 + MC).min(range.end);
+            // The micro-kernel wants `MR` rows at a time so each B-tile
+            // row it loads is reused `MR`-fold; zero rows are filtered
+            // out up front so groups are always full of live rows (they
+            // need not be adjacent in A).
+            live.clear();
+            live.extend((b0..b1).filter(|&r| nonzero[r]));
+            // Tile loops outside the row loop: one `KC×NC` panel stays
+            // L1-hot while all rows of the block consume it.
+            for nt in 0..tiles_n {
+                let ncs = nt * NC;
+                let nb = NC.min(n - ncs);
+                let ldb = packed_width(nb);
+                let stripe = &bpack[k * ncs..k * ncs + k * ldb];
+                for kt in 0..tiles_k {
+                    let kcs = kt * KC;
+                    let kb = KC.min(k - kcs);
+                    let tile = &stripe[kcs * ldb..kcs * ldb + kb * ldb];
+                    // Row `r` of a transposed A is column `r` of its
+                    // stored rows: a K step's `MR` scalars sit in one
+                    // stored row, adjacent when the output rows are.
+                    // (A holds `m·k` floats in either layout, so the
+                    // slice is in bounds, and unused, for a row-major A.)
+                    let at = &a[kcs * m..(kcs + kb) * m];
+                    // SAFETY: output rows are below `m` and the
+                    // micro-kernel's K steps below `kb`, so `kk·m + r <
+                    // kb·m = at.len()`.
+                    let at_k = |kk: usize, r: usize| unsafe { *at.get_unchecked(kk * m + r) };
+                    for grp in live.chunks(MR) {
+                        // SAFETY: each row belongs to exactly one
+                        // dispatched range and appears once in `live`;
+                        // ranges are disjoint.
+                        let orow = |r: usize| unsafe {
+                            std::slice::from_raw_parts_mut(out_ptr.get().add(r * n + ncs), nb)
+                        };
+                        let arow = |r: usize| &a[r * k + kcs..r * k + kcs + kb];
+                        if let Ok(rs) = <[usize; MR]>::try_from(grp) {
+                            let os = rs.map(orow);
+                            if TA {
+                                matmul_micro(|kk| rs.map(|r| at_k(kk, r)), kb, tile, os, nb);
+                            } else {
+                                let ar = rs.map(arow);
+                                matmul_micro(|kk| ar.map(|row| row[kk]), ar[0].len(), tile, os, nb);
+                            }
+                        } else {
+                            for &r in grp {
+                                if TA {
+                                    matmul_micro(|kk| [at_k(kk, r)], kb, tile, [orow(r)], nb);
+                                } else {
+                                    let ar = arow(r);
+                                    matmul_micro(|kk| [ar[kk]], ar.len(), tile, [orow(r)], nb);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            b0 = b1;
+        }
+    });
+}
+
 /// Row stride of a packed stripe holding `nb` real columns: `nb` rounded
 /// up to the register-tile width, so the micro-kernels can run a
 /// ragged last chunk through full `NR`-wide accumulators.
@@ -625,15 +677,16 @@ fn packed_width(nb: usize) -> usize {
     nb.next_multiple_of(NR)
 }
 
-/// Packs a `k×n` row-major B into tile-blocked layout: column stripes of
-/// width `NC` stored contiguously (stripe `nt` starts at `k * nt*NC`),
-/// each stripe holding its `KC`-deep tiles in ascending K order (tile
-/// `kt` at offset `kt*KC * ldb` within the stripe, row-major `kb×ldb`
-/// with `ldb = packed_width(nb)`). Only the last stripe can be narrower
-/// than `NC`; its rows are zero-padded to a multiple of `NR`, so the
-/// total size is `k * packed_width(n)` and earlier stripes' offsets are
-/// those of an unpadded layout (`NC` is a multiple of `NR`).
-fn pack_b_tiles(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+/// Packs the `k×n` B into tile-blocked layout: column stripes of width
+/// `NC` stored contiguously (stripe `nt` starts at `k * nt*NC`), each
+/// stripe holding its `KC`-deep tiles in ascending K order (tile `kt` at
+/// offset `kt*KC * ldb` within the stripe, row-major `kb×ldb` with `ldb
+/// = packed_width(nb)`). Only the last stripe can be narrower than `NC`;
+/// its rows are zero-padded to a multiple of `NR`, so the total size is
+/// `k * packed_width(n)` and earlier stripes' offsets are those of an
+/// unpadded layout (`NC` is a multiple of `NR`). A transposed B (`tb`)
+/// is stored `n×k`: element `(kk, j)` is `b[j*k + kk]`.
+fn pack_b_tiles(b: &[f32], tb: bool, k: usize, n: usize) -> Vec<f32> {
     let mut packed = vec![0.0f32; k * packed_width(n)];
     let tiles_n = n.div_ceil(NC);
     let ptr = SendPtr::new(packed.as_mut_ptr());
@@ -645,63 +698,42 @@ fn pack_b_tiles(b: &[f32], k: usize, n: usize) -> Vec<f32> {
             // SAFETY: stripe `nt` is written by exactly one range.
             let stripe = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(k * ncs), k * ldb) };
             for (kk, dst) in stripe.chunks_exact_mut(ldb).enumerate() {
-                dst[..nb].copy_from_slice(&b[kk * n + ncs..kk * n + ncs + nb]);
+                if tb {
+                    for (j, d) in dst[..nb].iter_mut().enumerate() {
+                        *d = b[(ncs + j) * k + kk];
+                    }
+                } else {
+                    dst[..nb].copy_from_slice(&b[kk * n + ncs..kk * n + ncs + nb]);
+                }
             }
         }
     });
     packed
 }
 
-/// Micro-kernel: accumulate one row's contribution from one packed
-/// `kb×ldb` B-tile into the `nb` columns of `ostripe`. `NR` accumulators
-/// live in registers across the whole K-tile. A ragged last chunk of
-/// `w < NR` columns runs the same `NR`-wide loop over the tile's
-/// zero-padded rows, loading and storing only its `w` real columns: the
-/// padded lanes compute `a·0` (NaN when `a` is ±∞) and are dropped.
-/// Every real column accumulates in ascending K, so the chain per
-/// output element is identical to [`matmul_rows_serial`]'s. The per-K
-/// multiply-accumulate is the SIMD backend's [`simd::mul_add_assign`]
-/// — separate mul and add (never FMA), lanes over independent columns,
-/// so it is bitwise-equal to the scalar chain.
+/// Micro-kernel: accumulate `M` output rows' contributions from one
+/// packed `kb×ldb` B-tile into the `nb` columns of each of `os`, where
+/// `a_at(kk)` gives the rows' A-scalars at K step `kk`. Each B row
+/// loaded from the L1-resident tile feeds all `M` rows' `NR`
+/// accumulators, which live in registers across the whole K-tile. A
+/// ragged last chunk of `w < NR` columns runs the same `NR`-wide loop
+/// over the tile's zero-padded rows, loading and storing only its `w`
+/// real columns: the padded lanes compute `a·0` (NaN when `a` is ±∞)
+/// and are dropped. Rows are independent and every real column
+/// accumulates in ascending K, so the chain per output element is
+/// identical to [`matmul_rows_serial`]'s. The per-K multiply-accumulate
+/// is the SIMD backend's [`simd::mul_add_assign`] — separate mul and
+/// add (never FMA), lanes over independent columns, so it is
+/// bitwise-equal to the scalar chain. `a_at` is called for `kk < kb`
+/// only. Instantiated at `M = MR` and `M = 1` (a block's leftover rows).
 #[inline]
-fn matmul_micro(atile: &[f32], tile: &[f32], ostripe: &mut [f32], nb: usize) {
-    let ldb = packed_width(nb);
-    let mut j = 0;
-    while j + NR <= nb {
-        let mut acc = [0.0f32; NR];
-        acc.copy_from_slice(&ostripe[j..j + NR]);
-        for (kk, &av) in atile.iter().enumerate() {
-            let brow = &tile[kk * ldb + j..kk * ldb + j + NR];
-            simd::mul_add_assign(&mut acc, av, brow);
-        }
-        ostripe[j..j + NR].copy_from_slice(&acc);
-        j += NR;
-    }
-    if j < nb {
-        let mut acc = [0.0f32; NR];
-        acc[..nb - j].copy_from_slice(&ostripe[j..nb]);
-        for (kk, &av) in atile.iter().enumerate() {
-            let brow = &tile[kk * ldb + j..kk * ldb + j + NR];
-            simd::mul_add_assign(&mut acc, av, brow);
-        }
-        ostripe[j..nb].copy_from_slice(&acc[..nb - j]);
-    }
-}
-
-/// Multi-row micro-kernel: identical per-row semantics to
-/// [`matmul_micro`], but each B row loaded from the L1-resident tile
-/// feeds `M` output rows' accumulators before the next load. Rows are
-/// independent, so interleaving them changes no accumulation chain.
-/// Instantiated at `M = MR`; generic so the register-tile height is one
-/// constant away from retuning.
-#[inline]
-fn matmul_micro_m<const M: usize>(
-    at: [&[f32]; M],
+fn matmul_micro<const M: usize>(
+    a_at: impl Fn(usize) -> [f32; M],
+    kb: usize,
     tile: &[f32],
     mut os: [&mut [f32]; M],
     nb: usize,
 ) {
-    let kb = at[0].len();
     let ldb = packed_width(nb);
     let mut j = 0;
     while j + NR <= nb {
@@ -711,8 +743,8 @@ fn matmul_micro_m<const M: usize>(
         }
         for kk in 0..kb {
             let brow = &tile[kk * ldb + j..kk * ldb + j + NR];
-            for (arow, a) in at.iter().zip(acc.iter_mut()) {
-                simd::mul_add_assign(a, arow[kk], brow);
+            for (av, a) in a_at(kk).into_iter().zip(acc.iter_mut()) {
+                simd::mul_add_assign(a, av, brow);
             }
         }
         for (a, o) in acc.iter().zip(os.iter_mut()) {
@@ -728,8 +760,8 @@ fn matmul_micro_m<const M: usize>(
         }
         for kk in 0..kb {
             let brow = &tile[kk * ldb + j..kk * ldb + j + NR];
-            for (arow, a) in at.iter().zip(acc.iter_mut()) {
-                simd::mul_add_assign(a, arow[kk], brow);
+            for (av, a) in a_at(kk).into_iter().zip(acc.iter_mut()) {
+                simd::mul_add_assign(a, av, brow);
             }
         }
         for (a, o) in acc.iter().zip(os.iter_mut()) {
@@ -779,17 +811,11 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    fn transposed(t: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(t.cols(), t.rows());
-        t.transpose_into(&mut out);
-        out
-    }
-
     #[test]
     fn transpose_round_trip() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(transposed(&transposed(&a)), a);
-        assert_eq!(transposed(&a).get(2, 1), 6.0);
+        assert_eq!(a.transpose_naive().transpose_naive(), a);
+        assert_eq!(a.transpose_naive().get(2, 1), 6.0);
     }
 
     #[test]
@@ -942,21 +968,6 @@ mod tests {
         a.data_mut()[40 * k + 128] = f32::NEG_INFINITY;
         b.data_mut()[12 * n + 79] = f32::INFINITY;
         assert_bits_eq(&a.matmul(&b), &a.matmul_naive(&b));
-    }
-
-    #[test]
-    fn blocked_transpose_matches_naive() {
-        // Above TRANSPOSE_TILE_CUTOFF so the blocked path actually
-        // runs, ragged against the 32-element block edge on both sides.
-        let mut t = Tensor::zeros(403, 331);
-        assert!(t.len() >= TRANSPOSE_TILE_CUTOFF);
-        fill(&mut t, 42);
-        assert_bits_eq(&transposed(&t), &t.transpose_naive());
-        assert_bits_eq(&transposed(&transposed(&t)), &t);
-        // Below the cutoff both paths are literally the same loop.
-        let mut s = Tensor::zeros(67, 129);
-        fill(&mut s, 43);
-        assert_bits_eq(&transposed(&s), &s.transpose_naive());
     }
 
     #[test]

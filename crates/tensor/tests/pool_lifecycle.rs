@@ -18,21 +18,15 @@
 
 use flexgraph_tensor::{num_threads, pool_worker_count, set_thread_override, Tensor};
 
-/// A dispatch big enough to clear every serial cutoff (1024×256 is past
-/// both the parallel_for grain and the blocked-transpose threshold),
-/// checked for correctness so the sweep also proves the kernels stay
-/// right while the pool grows under them.
+/// A dispatch big enough to clear every serial cutoff (1024 output rows
+/// are sixteen matmul row blocks, past the tiling cutoff), checked for
+/// correctness so the sweep also proves the kernels stay right while
+/// the pool grows under them: `t · I` is `t`, bit for bit.
 fn run_kernel() {
     let rows = 1024;
-    let cols = 256;
+    let cols = 64;
     let t = Tensor::from_vec(rows, cols, (0..rows * cols).map(|i| i as f32).collect());
-    let mut tt = Tensor::zeros(cols, rows);
-    t.transpose_into(&mut tt);
-    for r in (0..rows).step_by(577) {
-        for c in (0..cols).step_by(5) {
-            assert_eq!(tt.get(c, r), t.get(r, c));
-        }
-    }
+    assert_eq!(t.matmul(&Tensor::eye(cols)), t);
 }
 
 #[test]

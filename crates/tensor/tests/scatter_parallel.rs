@@ -223,23 +223,6 @@ fn narrow_tiled_matmul_is_bitwise_deterministic_across_threads() {
 }
 
 #[test]
-fn blocked_transpose_is_bitwise_deterministic_across_threads() {
-    let _guard = sweep_guard();
-    // Past the blocked-transpose cutoff (487 × 277 > 128 Ki elements),
-    // ragged against the 32-element block edge on both sides.
-    let t = Tensor::from_vec(487, 277, fill(487 * 277, 61));
-    set_thread_override(Some(1));
-    let want = t.transpose_naive();
-    for threads in THREAD_SWEEP {
-        set_thread_override(Some(threads));
-        let mut got = Tensor::zeros(277, 487);
-        t.transpose_into(&mut got);
-        assert_bitwise_eq(&got, &want, "transpose", threads);
-    }
-    set_thread_override(None);
-}
-
-#[test]
 fn segment_reduce_is_bitwise_deterministic_across_threads() {
     let _guard = sweep_guard();
     // 4096 destination-major edges over 300 skewed segments (segment 0

@@ -58,6 +58,8 @@ const ONE_LEAF_STORE: &str =
     "serving has one precision, f32: one aggregate, one dense head, one serve_one";
 const MIN_CUT_ADB: &str = "ADB applies the minimum-cut plan (paper §6); no replication veto";
 const EXACT_ADMISSION: &str = "admission prices the exact selection the batch is built from";
+const IN_PLACE_OPERANDS: &str =
+    "the matmul backward reads its operands in place; the tape keeps no transpose";
 const ONE_GRAPH_FORMAT: &str = "FGPS is the one on-disk graph format; graph has no dataset file";
 const HDG_SOURCES: &[&str] = &["crates/hdg/src"];
 const RANK_ONLY: &str = "the HDG builder is keyed by rank (push_at); it has no by-id push";
@@ -125,6 +127,10 @@ const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(BENCH), "set_var(", 0, VIRTUAL_TABLES),
     (Text(DIST_SOURCES), "add_root_cost(", 0, BULK_ROOT_COSTS),
     (Text(SOURCES), "matmul_bf16", 0, ONE_LEAF_STORE),
+    (Text(SOURCES), "transpose_into", 0, IN_PLACE_OPERANDS),
+    (Text(SOURCES), "TransposeSlots", 0, IN_PLACE_OPERANDS),
+    (Text(SOURCES), "ensure_transpose", 0, IN_PLACE_OPERANDS),
+    (Text(SOURCES), "tcache", 0, IN_PLACE_OPERANDS),
     (
         Text(SOURCES),
         "hierarchical_aggregate_quant",
@@ -419,7 +425,7 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/tensor/src/tensor.rs", "from_rows", Fixture, "literal tensors"),
     ("crates/tensor/src/tensor.rs", "max_abs_diff", Fixture, "every tolerance check's distance"),
     ("crates/tensor/src/tensor.rs", "matmul_naive", Oracle, "tiled matmul parity"),
-    ("crates/tensor/src/tensor.rs", "transpose_naive", Oracle, "blocked transpose parity"),
+    ("crates/tensor/src/tensor.rs", "transpose_naive", Oracle, "transposed-layout matmul parity"),
 ];
 
 /// Every file under `path` (or `path` itself).
