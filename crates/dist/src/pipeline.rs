@@ -31,8 +31,7 @@
 use crate::shard::Shard;
 use flexgraph_comm::{decode_rows_with, RowWriter};
 use flexgraph_graph::VertexId;
-use flexgraph_tensor::{ScatterPlan, Tensor};
-use std::sync::Arc;
+use flexgraph_tensor::{SegmentIndex, Tensor};
 
 /// The granularity of the first reduction level.
 ///
@@ -55,7 +54,7 @@ pub enum SlotLevel {
 /// NeighborSelection — a shard set carries its plans
 /// ([`crate::shard::leaf_sync_plans`]) — and read by every layer and
 /// epoch.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct LeafSync {
     /// What the slots of the output tensor represent.
     pub level: SlotLevel,
@@ -81,15 +80,11 @@ pub struct LeafSync {
     /// Whether each *incoming* peer message carries slot-keyed partials
     /// (`true`) or vertex-keyed raw rows (`false`) in pipelined mode.
     pub partial_from: Vec<bool>,
-    /// `(slot, local_feature_row)` pairs for locally-owned leaves.
-    pub local_edges: Vec<(u32, u32)>,
-    /// Scatter plan over the slot indices of `local_edges` — the
-    /// slot-owned parallel fold both sync modes use for the local
-    /// aggregation step.
-    pub local_plan: Arc<ScatterPlan>,
-    /// Feature row per `local_edges` position (the gather side of the
-    /// planned fold).
-    pub local_rows: Vec<u32>,
+    /// The locally owned leaves: one segment per slot, listing the
+    /// local feature rows of its leaves in instance order. Every mode's
+    /// local aggregation step is the fused fold over it
+    /// (`fusion::segment_reduce_into`).
+    pub local: SegmentIndex,
     /// `(slot, leaf_vertex)` pairs whose leaf lives remotely (consumed by
     /// the unpipelined receiver), sorted by slot.
     pub remote_edges: Vec<(u32, VertexId)>,
@@ -174,7 +169,8 @@ fn receive_side(s: &Shard, k: usize) -> LeafSync {
         from_owner[s.owner[leaf as usize] as usize] += 1;
     }
     let n_local = std::mem::take(&mut from_owner[w]);
-    let mut local_edges = Vec::with_capacity(n_local);
+    let mut local_offsets = vec![0usize; num_slots + 1];
+    let mut local_src = Vec::with_capacity(n_local);
     let mut remote_edges = Vec::with_capacity(from_owner.iter().sum());
     let mut remote_edges_by_owner: Vec<Vec<(u32, VertexId)>> =
         from_owner.iter().map(|&n| Vec::with_capacity(n)).collect();
@@ -191,7 +187,8 @@ fn receive_side(s: &Shard, k: usize) -> LeafSync {
         for &leaf in leaves {
             let owner = s.owner[leaf as usize] as usize;
             if owner == w {
-                local_edges.push((slot, s.row_on_owner(leaf)));
+                local_offsets[slot as usize + 1] += 1;
+                local_src.push(s.row_on_owner(leaf));
             } else {
                 remote_edges.push((slot, leaf));
                 remote_edges_by_owner[owner].push((slot, leaf));
@@ -199,12 +196,15 @@ fn receive_side(s: &Shard, k: usize) -> LeafSync {
         }
     }
     // Instances ascend by slot, so the lists are already grouped by
-    // slot: ordering the leaves within each slot's run sorts them.
+    // slot: ordering the leaves within each slot's run sorts them, and
+    // the local rows are segmented by counting each slot's.
     sort_within_slots(&mut remote_edges);
     for r in &mut remote_edges_by_owner {
         sort_within_slots(r);
     }
-    let slot_idx: Vec<u32> = local_edges.iter().map(|&(slot, _)| slot).collect();
+    for slot in 0..num_slots {
+        local_offsets[slot + 1] += local_offsets[slot];
+    }
     LeafSync {
         level,
         num_slots,
@@ -213,9 +213,7 @@ fn receive_side(s: &Shard, k: usize) -> LeafSync {
         raw_rows: vec![Vec::new(); k],
         partial_to: vec![true; k],
         partial_from: vec![true; k],
-        local_plan: Arc::new(ScatterPlan::new(&slot_idx, num_slots)),
-        local_rows: local_edges.iter().map(|&(_, row)| row).collect(),
-        local_edges,
+        local: SegmentIndex::new(local_offsets, local_src),
         remote_edges,
         remote_edges_by_owner,
         slot_counts,
@@ -323,7 +321,9 @@ mod tests {
     use flexgraph_graph::csr::sample_graph;
     use flexgraph_graph::partition::hash_partition;
     use flexgraph_hdg::build::from_direct_neighbors;
-    use flexgraph_tensor::fusion::{segment_reduce, Reduce};
+    use flexgraph_tensor::fusion::{segment_reduce, segment_reduce_into, Reduce};
+    use flexgraph_tensor::scatter::{gather_rows_serial, scatter_add_serial};
+    use flexgraph_tensor::ScatterPlan;
     use proptest::prelude::*;
 
     /// Drives the worker task over a fabric in both leaf-sync modes on
@@ -390,9 +390,7 @@ mod tests {
             raw_rows: vec![Vec::new(); k],
             partial_to: vec![true; k],
             partial_from: vec![true; k],
-            local_edges: Vec::new(),
-            local_plan: Arc::new(ScatterPlan::new(&[], num_slots)),
-            local_rows: Vec::new(),
+            local: SegmentIndex::new(vec![0; num_slots + 1], Vec::new()),
             remote_edges: Vec::new(),
             remote_edges_by_owner: vec![Vec::new(); k],
             slot_counts: vec![0; num_slots],
@@ -400,12 +398,50 @@ mod tests {
         }
     }
 
+    /// The locally owned leaves of each shard as `(slot, local feature
+    /// row)` pairs, leaf edge by leaf edge in instance order.
+    fn local_edges(shards: &[Shard]) -> Vec<Vec<(u32, u32)>> {
+        let local = |shard: &Shard| {
+            let hdg = &shard.hdg;
+            let group_of = hdg.instance_group_index();
+            let mut edges = Vec::new();
+            for i in 0..hdg.num_instances() {
+                let slot = if hdg.is_flat_instances() {
+                    group_of[i]
+                } else {
+                    i as u32
+                };
+                for &leaf in hdg.instance_leaves(i) {
+                    if shard.owner[leaf as usize] as usize == shard.rank {
+                        let row = shard.roots.binary_search(&leaf).expect("owned");
+                        edges.push((slot, row as u32));
+                    }
+                }
+            }
+            edges
+        };
+        shards.iter().map(local).collect()
+    }
+
+    /// The index the local fold walked through a scatter plan over the
+    /// slots of `edges`: the plan's offsets, and its permutation mapped
+    /// to the rows — each slot's rows in edge order.
+    fn planned_index(edges: &[(u32, u32)], num_slots: usize) -> SegmentIndex {
+        let slots: Vec<u32> = edges.iter().map(|&(slot, _)| slot).collect();
+        let plan = ScatterPlan::new(&slots, num_slots);
+        let rows = (0..num_slots).flat_map(|t| plan.segment(t));
+        let rows = rows.map(|&e| edges[e as usize].1).collect();
+        SegmentIndex::new(plan.offsets().to_vec(), rows)
+    }
+
     /// `build_leaf_sync` as it was first written — every leaf edge
     /// pushed to its lists one by one, every list sorted whole, rows
-    /// deduplicated by sorting — kept as the oracle for the counted,
-    /// run-sorted, transposed construction.
+    /// deduplicated by sorting, the local leaves grouped by a scatter
+    /// plan — kept as the oracle for the counted, run-sorted,
+    /// transposed construction.
     fn edge_by_edge_reference(shards: &[Shard]) -> Vec<LeafSync> {
         let k = shards.len();
+        let local = local_edges(shards);
         let mut plans: Vec<LeafSync> = shards
             .iter()
             .map(|s| {
@@ -442,9 +478,7 @@ mod tests {
                     plans[w].slot_counts[slot as usize] += 1;
                     let owner = shard.owner[leaf as usize] as usize;
                     let row = shards[owner].roots.binary_search(&leaf).expect("owned") as u32;
-                    if owner == w {
-                        plans[w].local_edges.push((slot, row));
-                    } else {
+                    if owner != w {
                         plans[w].remote_edges.push((slot, leaf));
                         plans[w].remote_edges_by_owner[owner].push((slot, leaf));
                         plans[owner].serve[w].push((slot, row));
@@ -452,15 +486,13 @@ mod tests {
                 }
             }
         }
-        for p in &mut plans {
+        for (p, local) in plans.iter_mut().zip(&local) {
             p.serve.iter_mut().for_each(|s| s.sort_unstable());
             p.remote_edges.sort_unstable();
             p.remote_edges_by_owner
                 .iter_mut()
                 .for_each(|r| r.sort_unstable());
-            let slot_idx: Vec<u32> = p.local_edges.iter().map(|&(s, _)| s).collect();
-            p.local_rows = p.local_edges.iter().map(|&(_, r)| r).collect();
-            p.local_plan = Arc::new(ScatterPlan::new(&slot_idx, p.num_slots));
+            p.local = planned_index(local, p.num_slots);
         }
         for w in 0..k {
             for p in (0..k).filter(|&p| p != w) {
@@ -479,35 +511,64 @@ mod tests {
         plans
     }
 
-    #[test]
-    fn plans_equal_the_edge_by_edge_reference() {
+    /// The shard sets of a flat HDG (slots are groups, partial
+    /// aggregates usually win) and of multi-leaf instances (slots are
+    /// instances, raw rows often win), `k` shards each.
+    fn flat_and_hetero_shards(k: usize) -> [Vec<Shard>; 2] {
         use flexgraph_graph::gen::{community, hetero_imdb};
         use flexgraph_graph::metapath::Metapath;
         use flexgraph_hdg::build::from_metapaths;
-        // Flat HDGs: slots are groups, partial aggregates usually win.
         let flat = community(150, 3, 5, 2, 6, 77);
-        // Multi-leaf instances: slots are instances, raw rows often win.
         let hetero = hetero_imdb(120, 2, 3, 6, 52);
         let typed = hetero.typed();
         let metapaths = vec![Metapath::new(vec![0, 1, 0]), Metapath::new(vec![0, 2, 0])];
-        for k in [1, 2, 3, 5] {
-            let g = &flat.graph;
-            let part = hash_partition(g, k);
-            let shards = make_shards(g.num_vertices(), &flat.features, &part, |r| {
-                from_direct_neighbors(g, r.to_vec())
-            });
-            assert_eq!(build_leaf_sync(&shards), edge_by_edge_reference(&shards));
+        let g = &flat.graph;
+        let part = hash_partition(g, k);
+        let flat = make_shards(g.num_vertices(), &flat.features, &part, |r| {
+            from_direct_neighbors(g, r.to_vec())
+        });
+        let g = &hetero.graph;
+        let part = hash_partition(g, k);
+        let hetero = make_shards(g.num_vertices(), &hetero.features, &part, |r| {
+            from_metapaths(&typed, r.to_vec(), &metapaths, 0)
+        });
+        [flat, hetero]
+    }
 
-            let g = &hetero.graph;
-            let part = hash_partition(g, k);
-            let shards = make_shards(g.num_vertices(), &hetero.features, &part, |r| {
-                from_metapaths(&typed, r.to_vec(), &metapaths, 0)
-            });
-            let plans = build_leaf_sync(&shards);
-            assert_eq!(plans, edge_by_edge_reference(&shards));
+    #[test]
+    fn plans_equal_the_edge_by_edge_reference() {
+        for k in [1, 2, 3, 5] {
+            let [flat, hetero] = flat_and_hetero_shards(k);
+            assert_eq!(build_leaf_sync(&flat), edge_by_edge_reference(&flat));
+            let plans = build_leaf_sync(&hetero);
+            assert_eq!(plans, edge_by_edge_reference(&hetero));
             if k > 1 {
                 let raw = plans.iter().flat_map(|p| &p.partial_to).filter(|&&x| !x);
                 assert!(raw.count() > 0, "k={k}: the raw wire form is exercised");
+            }
+        }
+    }
+
+    #[test]
+    fn the_local_fold_matches_gather_then_scatter() {
+        // Each local leaf edge reads its feature row and lands in its
+        // slot: the fused fold over the plan's index must give the bits
+        // of gathering one row per edge and scatter-adding them, and a
+        // second fold adds into the first, as a second pass over the
+        // edges would.
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for shards in flat_and_hetero_shards(3) {
+            let plans = build_leaf_sync(&shards);
+            for ((shard, plan), edges) in shards.iter().zip(&plans).zip(local_edges(&shards)) {
+                let mut out = Tensor::zeros(plan.num_slots, shard.feats.cols());
+                for passes in 1..=2 {
+                    let (slots, rows): (Vec<u32>, Vec<u32>) =
+                        edges.repeat(passes).into_iter().unzip();
+                    let gathered = gather_rows_serial(&shard.feats, &rows);
+                    segment_reduce_into(&mut out, &shard.feats, &plan.local, Reduce::Sum);
+                    let reference = scatter_add_serial(&gathered, &slots, plan.num_slots);
+                    assert_eq!(bits(&out), bits(&reference), "{passes} folds");
+                }
             }
         }
     }

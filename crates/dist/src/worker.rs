@@ -37,8 +37,9 @@ use flexgraph_engine::AggrOp;
 use flexgraph_graph::bfs::k_hop_closure;
 use flexgraph_graph::{Graph, VertexId};
 use flexgraph_obs::{PartitionRecord, Stage};
+use flexgraph_tensor::fusion::segment_reduce_into;
 use flexgraph_tensor::scatter::scatter_add;
-use flexgraph_tensor::{scatter_add_gathered_into, Tensor};
+use flexgraph_tensor::{Reduce, Tensor};
 use std::collections::HashMap;
 
 /// Tag of the leaf-level messages.
@@ -181,12 +182,13 @@ impl Worker<'_> {
         ctx.send(to, tag, payload)
     }
 
-    /// The local planned fold: `local_rows × d` work units of `LeafLocal`.
+    /// The local fold into fresh slots, one thread per slot range:
+    /// `local leaves × d` work units of `LeafLocal`.
     fn local_fold<C: WorkerCtx>(&mut self, ctx: &mut C) -> Tensor {
-        let (sync, feats) = (self.sync, &self.shard.feats);
-        let mut slots = Tensor::zeros(sync.num_slots, feats.cols());
-        scatter_add_gathered_into(&mut slots, feats, &sync.local_rows, &sync.local_plan);
-        let work = (sync.local_rows.len() * feats.cols()) as u64;
+        let (local, feats) = (&self.sync.local, &self.shard.feats);
+        let mut slots = Tensor::zeros(self.sync.num_slots, feats.cols());
+        segment_reduce_into(&mut slots, feats, local, Reduce::Sum);
+        let work = (local.src().len() * feats.cols()) as u64;
         let ns = ctx.charge(work);
         self.stage(Stage::LeafLocal, work, ns);
         slots
@@ -487,19 +489,8 @@ impl MiniTask {
                     self.state = MiniState::SyncRecv { p: 0 };
                 }
                 MiniState::SyncRecv { p } if p >= k => {
-                    // Local leaf edges need no fetch: aggregate up
-                    // front, serially (`local_edges × d` units).
-                    let mut slots = Tensor::zeros(sync.num_slots, d);
-                    for &(i, row) in &sync.local_edges {
-                        let src = shard.feats.row(row as usize);
-                        for (o, &x) in slots.row_mut(i as usize).iter_mut().zip(src) {
-                            *o += x;
-                        }
-                    }
-                    let work = (sync.local_edges.len() * d) as u64;
-                    let ns = ctx.charge(work);
-                    w.stage(Stage::LeafLocal, work, ns);
-                    self.slots = Some(slots);
+                    // Local leaf edges need no fetch: aggregate up front.
+                    self.slots = Some(w.local_fold(ctx));
                     self.state = MiniState::RoundStart { round: 0 };
                 }
                 MiniState::SyncRecv { p } if p == me => {

@@ -23,21 +23,14 @@ use crate::simd;
 use crate::tensor::Tensor;
 use std::sync::{Arc, OnceLock};
 
-/// Edge-position lookahead for the software prefetch in the fused
-/// segment walk: while reducing edge `e`, the row of edge `e +
-/// PREFETCH_DIST` is pulled toward L1. Segments average a handful of
-/// edges, so the prefetch deliberately reaches across segment
-/// boundaries (within the thread's chunk) to stay ahead of the
-/// permuted-gather misses.
-const PREFETCH_DIST: usize = 16;
-
-/// `f32`s per cache line; the prefetch walks the whole row in
-/// line-sized strides so multi-line rows (dim > 16) are fully covered.
-const FLOATS_PER_LINE: usize = 16;
-
 /// Value-tensor footprint below which the fused walk skips prefetching:
 /// a cache-resident gather never misses, so the prefetch instructions
-/// (and the extra `idx_of` probe per edge) are pure overhead.
+/// (and the extra index probe per edge) are pure overhead. With the
+/// cutoff at 0 (alternating 8 s ledger pairs on a 2-CPU Xeon, `op_cpu_ms`
+/// median, cutoff → none): `serve_cold` 0.133 → 0.136 ms (3 of 6 pairs
+/// lower), `train_gcn_reddit` 11.3 → 10.5 ms (7 of 12), and
+/// `train_magnn_imdb`, whose walks all sit below it, 24.4 → 34.9 ms (1 of
+/// 6). `dist_virtual_k16`'s local fold is above it.
 const PREFETCH_MIN_VALUE_BYTES: usize = 2 << 20;
 
 /// Built-in reduction kinds: the sum and average of the paper's built-in
@@ -72,18 +65,16 @@ fn check(feats: &Tensor, offsets: &[usize], src: &[u32]) {
 /// [`crate::scatter`].
 ///
 /// `out` holds `offsets.len() - 1` rows of `d` floats. Edge positions
-/// `offsets[i]..offsets[i+1]` feed output row `i`; `row_of(idx[e])`
-/// resolves edge position `e` to its source row *index* in `values`
-/// (the direct source id for fusion, a segment id for the pull backward,
-/// a permuted edge id for planned scatter, a gathered row id for the
-/// distributed fold). The gather is **fused** into the walk: each
-/// segment streams its rows straight out of `values` exactly once — no
-/// materialized gather — while a software prefetch ([`PREFETCH_DIST`]
-/// edges ahead, clamped to the thread's chunk) hides the
-/// irregular-access latency that dominates this kernel at scale. The walk itself is
-/// [`simd::fold_segments`]: each output row stays in registers across
-/// its segment and is written once, and the lanes carry independent
-/// columns only.
+/// `offsets[i]..offsets[i+1]` feed output row `i`, edge `e` reading row
+/// `idx[e]` of `values` (a source id for fusion, a segment id for the
+/// pull backward, an edge id for planned scatter). The gather is
+/// **fused** into the walk: each segment streams its rows straight out
+/// of `values` exactly once — no materialized gather — while a software
+/// prefetch (a fixed lookahead of edges, clamped to the thread's chunk)
+/// hides the irregular-access latency that dominates this kernel at
+/// scale. The walk itself is [`simd::fold_segments`]: each output row
+/// stays in registers across its segment and is written once, and the
+/// lanes carry independent columns only.
 ///
 /// Each output row is reduced by exactly one thread, in ascending
 /// edge-position order, so the result is race-free and
@@ -98,7 +89,6 @@ pub(crate) fn segment_apply_into(
     kind: Reduce,
     values: &Tensor,
     idx: &[u32],
-    row_of: impl Fn(u32) -> usize + Sync,
 ) {
     let n = offsets.len() - 1;
     debug_assert_eq!(out.len(), n * d, "one output row per segment");
@@ -109,40 +99,17 @@ pub(crate) fn segment_apply_into(
         return;
     }
     let vdata = values.data();
-    // SAFETY (both unchecked reads): `offsets` is sorted (asserted by
-    // `SegmentIndex::new` and `check()`, built so by a plan) and ends at
-    // `idx.len()`, so every walked `e` indexes `idx`. Every caller bounds
-    // the rows `row_of` names by `values.rows()` — `check_rows` or
-    // `check()` a `src` (and the transpose built from it),
-    // `check_values` a plan's `perm`, `scatter_add_gathered_into` its
-    // `edge_rows` — so `row * d + d` never exceeds `vdata.len()`.
-    let idx_of = |e: usize| row_of(unsafe { *idx.get_unchecked(e) });
-    let idx_of = &idx_of;
     // A cache-resident gather gains nothing from prefetching.
-    let prefetch_on = std::mem::size_of_val(vdata) >= PREFETCH_MIN_VALUE_BYTES;
+    let prefetch = std::mem::size_of_val(vdata) >= PREFETCH_MIN_VALUE_BYTES;
     parallel_for(n, out, d, |seg0, chunk| {
         let segs = &offsets[seg0..=seg0 + chunk.len() / d];
-        // Last edge position owned by this thread's chunk: the prefetch
-        // lookahead stops here so `idx_of` is never probed out of range.
-        let chunk_end = segs[segs.len() - 1];
-        let prefetch = |e: usize| {
-            let pf = e + PREFETCH_DIST;
-            if prefetch_on && pf < chunk_end {
-                let row = &vdata[idx_of(pf) * d..];
-                let mut c = 0;
-                while c < d {
-                    simd::prefetch_read(row[c..].as_ptr());
-                    c += FLOATS_PER_LINE;
-                }
-            }
-        };
-        let row = |e: usize| {
-            let r = idx_of(e);
-            debug_assert!((r + 1) * d <= vdata.len());
-            // SAFETY: see above.
-            unsafe { vdata.get_unchecked(r * d..r * d + d) }
-        };
-        simd::fold_segments(chunk, d, kind, segs, row, prefetch);
+        // SAFETY: `offsets` is sorted (asserted by `SegmentIndex::new`
+        // and `check()`, built so by a plan) and ends at `idx.len()`, so
+        // no offset exceeds it. Every caller bounds the rows `idx` names
+        // by `values.rows()` — `check_rows` or `check()` a `src` (and the
+        // transpose built from it), `check_values` a plan's `perm` — so
+        // every row is a whole `d`-float row of `vdata`.
+        unsafe { simd::fold_segments(chunk, d, kind, segs, vdata, idx, prefetch) };
     });
 }
 
@@ -165,6 +132,14 @@ pub struct SegmentIndex {
     gather: OnceLock<Arc<ScatterPlan>>,
     /// The scatter of each edge into its segment.
     scatter: OnceLock<Arc<ScatterPlan>>,
+}
+
+/// Equal when the arrays are: the transpose and the plans are functions
+/// of them.
+impl PartialEq for SegmentIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.src == other.src
+    }
 }
 
 /// [`SegmentIndex`] turned around: the segments source row `s` feeds
@@ -309,7 +284,7 @@ pub fn segment_reduce(feats: &Tensor, offsets: &[usize], src: &[u32], kind: Redu
     check(feats, offsets, src);
     let (n, d) = (offsets.len() - 1, feats.cols());
     let mut out = Tensor::zeros(n, d);
-    segment_apply_into(out.data_mut(), d, offsets, kind, feats, src, |s| s as usize);
+    segment_apply_into(out.data_mut(), d, offsets, kind, feats, src);
     out
 }
 
@@ -321,7 +296,7 @@ pub fn segment_reduce_into(out: &mut Tensor, feats: &Tensor, index: &SegmentInde
     assert_eq!(out.rows(), index.segments(), "one output row per segment");
     let d = out.cols();
     let (offsets, src) = (&index.offsets, &index.src);
-    segment_apply_into(out.data_mut(), d, offsets, kind, feats, src, |s| s as usize);
+    segment_apply_into(out.data_mut(), d, offsets, kind, feats, src);
 }
 
 /// Single-threaded fused segment reduction (Sum only): the same
@@ -379,9 +354,7 @@ pub fn segment_reduce_backward_into(
     if !mean && grad_out.rows() <= grad_in.rows() {
         let tr = index.transpose();
         let rows = &mut grad_in.data_mut()[..index.sources * d];
-        segment_apply_into(rows, d, &tr.offsets, Reduce::Sum, grad_out, &tr.segs, |t| {
-            t as usize
-        });
+        segment_apply_into(rows, d, &tr.offsets, Reduce::Sum, grad_out, &tr.segs);
         return;
     }
     for t in 0..index.segments() {
@@ -501,17 +474,15 @@ impl HierarchyIndex {
         mut weighed: impl FnMut(&[f32], &[f32]),
     ) -> (&'s [f32], &'s [f32]) {
         let (n, d, offsets) = (hi - lo, h.cols(), &self.instances.offsets[lo..=hi]);
-        let (src, data) = (&self.instances.src, h.data());
         let (xs, ws) = (&mut xs[..n * d], &mut ws[..n * d]);
         xs.fill(0.0);
         // SAFETY: `SegmentIndex::new` checked that its sorted offsets end
-        // at `src.len()`, so the walk's edge positions index `src`; and
-        // `check_rows` bounds every source row below `h.rows()`.
-        let row = |e: usize| unsafe {
-            let r = *src.get_unchecked(e) as usize;
-            data.get_unchecked(r * d..r * d + d)
-        };
-        simd::fold_segments(xs, d, Reduce::Mean, offsets, row, |_| {});
+        // at `src.len()`, so no offset exceeds it; and `check_rows`
+        // bounds every source row below `h.rows()`.
+        unsafe {
+            let src = &self.instances.src;
+            simd::fold_segments(xs, d, Reduce::Mean, offsets, h.data(), src, false);
+        }
         let rows = SharedRows::new(ws, d);
         // SAFETY: `softmax_segment` holds one row of `ws` at a time.
         let w = |i: usize| unsafe { rows.row(i) };

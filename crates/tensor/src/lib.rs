@@ -47,7 +47,7 @@ pub use init::xavier_uniform;
 pub use optim::{Adam, Optimizer, ParamSet};
 pub use par::{num_threads, pool_worker_count, set_thread_override};
 pub use scatter::{
-    gather_rows, scatter_add, scatter_add_gathered_into, scatter_add_with_plan, scatter_mean,
-    scatter_mean_with_plan, scatter_softmax_with_plan, ScatterPlan,
+    gather_rows, scatter_add, scatter_add_with_plan, scatter_mean, scatter_mean_with_plan,
+    scatter_softmax_with_plan, ScatterPlan,
 };
 pub use tensor::Tensor;

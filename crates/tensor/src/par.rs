@@ -320,6 +320,11 @@ impl SendPtr {
     }
 }
 
+/// Work (in `f32` elements touched) below which a kernel stays serial:
+/// the measured crossover for pool-dispatch overhead, shared by
+/// [`parallel_for`] and the planned scatter kernels.
+pub(crate) const PAR_CUTOFF: usize = 16 * 1024;
+
 /// Runs `body(first_row, chunk)` over disjoint row chunks of `out`.
 ///
 /// `out` is treated as `n_rows` logical rows of `row_width` elements; each
@@ -351,8 +356,7 @@ pub(crate) fn parallel_for_scratch<F>(
     debug_assert_eq!(out.len(), n_rows * row_width);
     let (slots, width) = scratch.shape();
     let threads = num_threads().min(slots);
-    // Small-work cutoff: measured crossover for dispatch overhead.
-    if threads <= 1 || n_rows * row_width < 16 * 1024 {
+    if threads <= 1 || n_rows * row_width < PAR_CUTOFF {
         body(0, out, &mut scratch.data_mut()[..width]);
         return;
     }

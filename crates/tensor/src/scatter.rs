@@ -23,83 +23,13 @@
 //! serial kernel for any `FLEXGRAPH_THREADS`. Plans are cached by the
 //! HDG/graph layers and reused across layers and epochs.
 //!
-//! The serial seed kernels are kept as `*_serial` references for tests
-//! and benchmarks.
+//! The serial seed kernels are kept as `*_serial` references: the test
+//! oracles the planned kernels are bitwise-compared against.
 
 use crate::fusion::{segment_apply_into, Reduce};
-use crate::par::{num_threads, parallel_for, parallel_ranges};
+use crate::par::{num_threads, parallel_for, parallel_ranges, PAR_CUTOFF};
 use crate::simd;
 use crate::tensor::Tensor;
-
-/// Work threshold (in `f32` elements touched) below which kernels stay
-/// serial; mirrors the cutoff in [`crate::par::parallel_for`].
-const PAR_CUTOFF: usize = 16 * 1024;
-
-/// Value-tensor footprint above which the permuted gather of the
-/// segment walk stops being cache-resident and an edge-order scan
-/// (sequential value reads) wins. Tuned on the scatter baseline;
-/// roughly "larger than a per-core L2".
-const EDGE_SCAN_MIN_VALUE_BYTES: usize = 4 << 20;
-
-/// Output footprint below which the edge-order scan's random
-/// destination writes stay cache-resident. Above this, random writes
-/// cost as much as the random reads they replace and the segment walk
-/// (sequential writes, prefetched gather) wins again.
-const EDGE_SCAN_MAX_OUT_BYTES: usize = 2 << 20;
-
-/// Chooses between the two bitwise-identical walk orders of a planned
-/// scatter: `true` selects the destination-owned *edge-order scan*
-/// (stream `values`, write into a cache-resident output), `false` the
-/// fused *segment walk* (gather `values` through `perm`, stream the
-/// output). Purely a planning decision — both walks reduce every
-/// destination in ascending original-edge order, so the result is
-/// bit-identical either way.
-fn edge_scan_profitable(edges: usize, out_rows: usize, d: usize) -> bool {
-    let value_bytes = edges * d * std::mem::size_of::<f32>();
-    let out_bytes = out_rows * d * std::mem::size_of::<f32>();
-    value_bytes >= EDGE_SCAN_MIN_VALUE_BYTES && out_bytes <= EDGE_SCAN_MAX_OUT_BYTES
-}
-
-/// Destination-owned edge-order scan: every thread walks the full COO
-/// `index` in original edge order and accumulates only the rows whose
-/// destination falls in its chunk. Value rows are read *sequentially*
-/// (the access pattern the serial reference enjoys), destination rows
-/// are written randomly but stay cache-resident by the
-/// [`edge_scan_profitable`] precondition. Per destination the
-/// accumulation order is ascending edge order — exactly the segment
-/// walk's order — so the two walks are bitwise interchangeable.
-fn scatter_edge_scan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan, kind: Reduce) {
-    let d = out.cols();
-    let index: &[u32] = &plan.index;
-    let offsets: &[usize] = &plan.offsets;
-    let vdata = values.data();
-    parallel_for(plan.out_rows, out.data_mut(), d, |r0, chunk| {
-        let rows = chunk.len() / d;
-        // With one chunk every destination is owned: skip the test.
-        let full = rows == plan.out_rows;
-        for (e, &dst) in index.iter().enumerate() {
-            let dst = dst as usize;
-            if !full && (dst < r0 || dst >= r0 + rows) {
-                continue;
-            }
-            let lo = (dst - r0) * d;
-            // SAFETY: the plan validated every `dst < out_rows` at build
-            // time and this chunk owns rows `r0..r0 + rows`; `values`
-            // has one `d`-wide row per edge (checked by the caller).
-            let orow = unsafe { chunk.get_unchecked_mut(lo..lo + d) };
-            let srow = unsafe { vdata.get_unchecked(e * d..e * d + d) };
-            simd::add_assign(orow, srow);
-        }
-        if kind == Reduce::Mean {
-            for (r, orow) in chunk.chunks_mut(d).enumerate() {
-                let c = offsets[r0 + r + 1] - offsets[r0 + r];
-                if c > 0 {
-                    simd::scale_assign(orow, 1.0 / c as f32);
-                }
-            }
-        }
-    });
-}
 
 /// A reusable execution plan for scatter kernels over one COO index.
 ///
@@ -107,8 +37,8 @@ fn scatter_edge_scan_into(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan,
 /// per-destination segment `offsets` (CSC-style), and the stable
 /// permutation `perm` grouping edge ids by destination while preserving
 /// original edge order within each destination. Building is `O(E +
-/// out_rows)`; once built, a plan serves every scatter kernel, the
-/// autograd backward, and the distributed partial-aggregation fold.
+/// out_rows)`; once built, a plan serves every scatter kernel and the
+/// autograd backward.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ScatterPlan {
     out_rows: usize,
@@ -209,19 +139,6 @@ impl std::fmt::Debug for ScatterPlan {
 // Planned kernels (parallel, destination-owned, bitwise-deterministic).
 // ---------------------------------------------------------------------
 
-/// Runs one planned reduction through whichever walk order the shape
-/// heuristic prefers; both orders are bitwise-identical by contract.
-fn scatter_reduce_with_plan(out: &mut Tensor, values: &Tensor, plan: &ScatterPlan, kind: Reduce) {
-    if edge_scan_profitable(plan.num_edges(), plan.out_rows, values.cols()) {
-        scatter_edge_scan_into(out, values, plan, kind);
-    } else {
-        let (d, offsets, perm) = (out.cols(), &plan.offsets, &plan.perm);
-        segment_apply_into(out.data_mut(), d, offsets, kind, values, perm, |e| {
-            e as usize
-        });
-    }
-}
-
 /// Planned [`scatter_add`]: sums value rows per destination segment.
 pub fn scatter_add_with_plan(values: &Tensor, plan: &ScatterPlan) -> Tensor {
     let mut out = Tensor::zeros(plan.out_rows, values.cols());
@@ -255,34 +172,8 @@ fn scatter_checked_with_plan(out: &mut Tensor, values: &Tensor, plan: &ScatterPl
         (plan.out_rows, values.cols()),
         "scatter output shape"
     );
-    scatter_reduce_with_plan(out, values, plan, kind);
-}
-
-/// Fused gather+scatter-add: `out[d] += Σ src[edge_rows[e]]` over the
-/// plan's segment of `d`, without materializing the gathered rows.
-///
-/// This is the same destination-owned primitive the distributed
-/// pipeline's partial-aggregation fold uses: `plan` groups edges by
-/// destination slot and `edge_rows[e]` names the source row of edge `e`.
-/// Accumulates into `out` (callers zero it or fold into running sums).
-pub fn scatter_add_gathered_into(
-    out: &mut Tensor,
-    src: &Tensor,
-    edge_rows: &[u32],
-    plan: &ScatterPlan,
-) {
-    assert_eq!(
-        edge_rows.len(),
-        plan.num_edges(),
-        "scatter needs one source row per edge"
-    );
-    assert_eq!(out.rows(), plan.out_rows, "output rows must match plan");
-    if let Some(&m) = edge_rows.iter().max() {
-        assert!((m as usize) < src.rows(), "source row {m} out of range");
-    }
     let (d, offsets, perm) = (out.cols(), &plan.offsets, &plan.perm);
-    let row = |e: u32| edge_rows[e as usize] as usize;
-    segment_apply_into(out.data_mut(), d, offsets, Reduce::Sum, src, perm, row);
+    segment_apply_into(out.data_mut(), d, offsets, kind, values, perm);
 }
 
 /// Softmax over value rows sharing a destination, per column.
@@ -524,8 +415,7 @@ pub fn gather_rows_into(out: &mut Tensor, src: &Tensor, idx: &[u32]) {
 // ---------------------------------------------------------------------
 // Serial reference kernels (the seed implementations, edge-order COO
 // walks). Kept as the ground truth that the planned parallel kernels
-// are bitwise-compared against, and as the baseline the scatter bench
-// measures speedups over.
+// are bitwise-compared against.
 // ---------------------------------------------------------------------
 
 fn check_serial(values: &Tensor, index: &[u32], out_rows: usize) {
@@ -740,25 +630,5 @@ mod tests {
         }
         let sm = scatter_softmax_with_plan(&values, &plan);
         assert_eq!(&sm, &scatter_softmax_serial(&values, &index, out_rows));
-    }
-
-    #[test]
-    fn gathered_fold_matches_gather_then_scatter() {
-        let src = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        // Edge e reads src[edge_rows[e]] and lands in slot index[e].
-        let edge_rows = [2u32, 0, 1, 2];
-        let index = [1u32, 0, 1, 1];
-        let plan = ScatterPlan::new(&index, 2);
-        let mut out = Tensor::zeros(2, 2);
-        scatter_add_gathered_into(&mut out, &src, &edge_rows, &plan);
-        let reference = scatter_add_serial(&gather_rows_serial(&src, &edge_rows), &index, 2);
-        assert_eq!(out, reference);
-        // Accumulation semantics: a second fold doubles the result.
-        scatter_add_gathered_into(&mut out, &src, &edge_rows, &plan);
-        let mut doubled = reference.clone();
-        for x in doubled.data_mut() {
-            *x *= 2.0;
-        }
-        assert_eq!(out, doubled);
     }
 }

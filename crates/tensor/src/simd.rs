@@ -117,6 +117,36 @@ pub fn prefetch_read(p: *const f32) {
     let _ = p;
 }
 
+/// Edge-position lookahead of the walk's software prefetch: while
+/// reducing edge `e`, the row of edge `e + PREFETCH_DIST` is pulled
+/// toward L1. Segments average a handful of edges, so the prefetch
+/// deliberately reaches across segment boundaries (up to the walk's last
+/// edge) to stay ahead of the permuted-gather misses.
+const PREFETCH_DIST: usize = 16;
+
+/// `f32`s per cache line; the prefetch walks the whole row in
+/// line-sized strides so multi-line rows (dim > 16) are fully covered.
+const FLOATS_PER_LINE: usize = 16;
+
+/// Prefetches the row of edge `e + PREFETCH_DIST` of a [`fold_segments`]
+/// walk when that edge is one the walk reaches (below `end`).
+///
+/// # Safety
+///
+/// `end <= idx.len()`.
+#[inline(always)]
+unsafe fn prefetch_ahead(values: &[f32], d: usize, idx: &[u32], e: usize, end: usize) {
+    let pf = e + PREFETCH_DIST;
+    if pf < end {
+        let row = *idx.get_unchecked(pf) as usize * d;
+        let mut c = 0;
+        while c < d {
+            prefetch_read(values.as_ptr().wrapping_add(row + c));
+            c += FLOATS_PER_LINE;
+        }
+    }
+}
+
 /// Reference (scalar) implementations, compiled unconditionally.
 ///
 /// These define the semantics the vector backend must reproduce
@@ -153,18 +183,28 @@ pub mod scalar {
     }
 
     /// Reduces each segment's rows into its row of `out` (`d` floats a
-    /// segment): segment `t` takes `row(e)` for each `e` of
-    /// `offsets[t]..offsets[t + 1]` in ascending order, calling
-    /// `visit(e)` just before — the per-row chain, one [`add_assign`]
-    /// per row, into what the row holds; `Mean` then scales it by
-    /// `1/len`. An empty segment's row is left as it is.
-    pub fn fold_segments<'a>(
+    /// segment): segment `t` takes row `idx[e]` of `values` for each `e`
+    /// of `offsets[t]..offsets[t + 1]` in ascending order — the per-row
+    /// chain, one [`add_assign`] per row, into what the row holds;
+    /// `Mean` then scales it by `1/len`. An empty segment's row is left
+    /// as it is. With `prefetch`, each edge first pulls the row
+    /// `PREFETCH_DIST` edges ahead toward L1: a hint, so no bit depends
+    /// on it. This chain reads its rows checked; it is `unsafe` only to
+    /// share the register walk's contract.
+    ///
+    /// # Safety
+    ///
+    /// Every offset is at most `idx.len()`, and every `idx[e]` the walk
+    /// reaches names a whole row of `values`: `(idx[e] + 1) · d ≤
+    /// values.len()`.
+    pub unsafe fn fold_segments(
         out: &mut [f32],
         d: usize,
         kind: Reduce,
         offsets: &[usize],
-        row: impl Fn(usize) -> &'a [f32],
-        mut visit: impl FnMut(usize),
+        values: &[f32],
+        idx: &[u32],
+        prefetch: bool,
     ) {
         assert_eq!(
             out.len(),
@@ -174,14 +214,18 @@ pub mod scalar {
         if d == 0 {
             return;
         }
+        let end = offsets[offsets.len() - 1];
         for (t, acc) in out.chunks_mut(d).enumerate() {
             let (lo, hi) = (offsets[t], offsets[t + 1]);
             if lo == hi {
                 continue;
             }
             for e in lo..hi {
-                visit(e);
-                add_assign(acc, row(e));
+                if prefetch {
+                    super::prefetch_ahead(values, d, idx, e, end);
+                }
+                let r = idx[e] as usize * d;
+                add_assign(acc, &values[r..r + d]);
             }
             if kind == Reduce::Mean {
                 scale_assign(acc, 1.0 / (hi - lo) as f32);
@@ -265,26 +309,26 @@ mod avx2 {
     const BLOCK: usize = BLOCK_VECS * LANES;
 
     /// Folds columns `c0..c0 + N·8` (the last vector cut to the lanes
-    /// set in `mask` when `MASKED`) of every row of `edges` into the
-    /// output row at `out`, holding the `N` accumulator vectors in
-    /// registers: one load before the run, one store after it,
-    /// times `scale` just before the store when given. `visit` runs per
-    /// edge when `first`.
+    /// set in `mask` when `MASKED`) of row `idx[e]` of `values`, for
+    /// every `e` of `edges`, into the output row at `out`, holding the
+    /// `N` accumulator vectors in registers: one load before the run,
+    /// one store after it, times `scale` just before the store when
+    /// given. With `ahead = Some(end)`, each edge first prefetches the
+    /// row `PREFETCH_DIST` edges on, below `end`.
     ///
     /// # Safety
     ///
-    /// `out` and every `row(e)` must hold `c0 + N·8` floats, or — when
-    /// `MASKED` — at least the lanes `mask` selects of the last vector.
+    /// `out` and every row `idx[e]` names (`d` floats) must hold `c0 +
+    /// N·8` floats, or — when `MASKED` — at least the lanes `mask`
+    /// selects of the last vector; `edges` and `end` lie within `idx`.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn fold_block<'a, const N: usize, const MASKED: bool>(
+    unsafe fn fold_block<const N: usize, const MASKED: bool>(
         out: *mut f32,
         c0: usize,
         mask: __m256i,
         edges: Range<usize>,
-        row: &impl Fn(usize) -> &'a [f32],
-        visit: &mut impl FnMut(usize),
-        first: bool,
+        (values, d, idx): (&[f32], usize, &[u32]),
+        ahead: Option<usize>,
         scale: Option<__m256>,
     ) {
         let load = |p: *const f32, k: usize| {
@@ -300,10 +344,10 @@ mod avx2 {
             *a = load(out, k);
         }
         for e in edges {
-            if first {
-                visit(e);
+            if let Some(end) = ahead {
+                super::prefetch_ahead(values, d, idx, e, end);
             }
-            let p = row(e).as_ptr().add(c0);
+            let p = values.as_ptr().add(*idx.get_unchecked(e) as usize * d + c0);
             for (k, a) in a.iter_mut().enumerate() {
                 *a = _mm256_add_ps(*a, load(p, k));
             }
@@ -322,29 +366,28 @@ mod avx2 {
         }
     }
 
-    /// [`fold_segments`] for one split of the row: `d / BLOCK` full blocks, then a block of `R` vectors (the
-    /// last one masked when `MASKED`), each block a full walk of the
-    /// segment's edges.
+    /// [`fold_segments`] for one split of the row: `d / BLOCK` full
+    /// blocks, then a block of `R` vectors (the last one masked when
+    /// `MASKED`), each block a full walk of the segment's edges; the
+    /// first block prefetches.
     ///
     /// # Safety
     ///
-    /// `out` holds `d` floats per segment, every `row(e)` holds `d`
-    /// floats, and `R`, `MASKED` are the split of `d`.
+    /// [`fold_segments`]'s, with `out` holding `d` floats per segment,
+    /// and `R`, `MASKED` the split of `d`.
     #[inline(always)]
-    unsafe fn walk<'a, const R: usize, const MASKED: bool>(
+    unsafe fn walk<const R: usize, const MASKED: bool>(
         out: &mut [f32],
-        d: usize,
-        mean: bool,
+        (d, mean, prefetch): (usize, bool, bool),
         offsets: &[usize],
-        row: impl Fn(usize) -> &'a [f32],
-        mut visit: impl FnMut(usize),
+        rows: (&[f32], usize, &[u32]),
     ) {
         let full = d / BLOCK;
         let mask = _mm256_cmpgt_epi32(
             _mm256_set1_epi32((d % LANES) as i32),
             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
         );
-        let (row, visit) = (&row, &mut visit);
+        let ahead = prefetch.then(|| offsets[offsets.len() - 1]);
         for (t, acc) in out.chunks_mut(d).enumerate() {
             let (lo, hi) = (offsets[t], offsets[t + 1]);
             if lo == hi {
@@ -353,63 +396,32 @@ mod avx2 {
             let scale = mean.then(|| _mm256_set1_ps(1.0 / (hi - lo) as f32));
             let acc = acc.as_mut_ptr();
             for b in 0..full {
-                let first = b == 0;
-                fold_block::<BLOCK_VECS, false>(
-                    acc,
-                    b * BLOCK,
-                    mask,
-                    lo..hi,
-                    row,
-                    visit,
-                    first,
-                    scale,
-                );
+                let ahead = if b == 0 { ahead } else { None };
+                fold_block::<BLOCK_VECS, false>(acc, b * BLOCK, mask, lo..hi, rows, ahead, scale);
             }
             if R > 0 {
-                let first = full == 0;
-                fold_block::<R, MASKED>(acc, full * BLOCK, mask, lo..hi, row, visit, first, scale);
+                let ahead = if full == 0 { ahead } else { None };
+                fold_block::<R, MASKED>(acc, full * BLOCK, mask, lo..hi, rows, ahead, scale);
             }
         }
-    }
-
-    /// [`walk`] with the split of `d` chosen once.
-    #[inline(always)]
-    fn split<'a>(
-        out: &mut [f32],
-        d: usize,
-        mean: bool,
-        offsets: &[usize],
-        row: impl Fn(usize) -> &'a [f32],
-        visit: impl FnMut(usize),
-    ) {
-        let (r, masked) = ((d % BLOCK).div_ceil(LANES), !d.is_multiple_of(LANES));
-        // One arm per split: `R` vectors past the full blocks, the last
-        // of them masked or not.
-        macro_rules! by_split {
-            ($($r:literal)*) => {
-                match (r, masked) {
-                    $(($r, false) => walk::<$r, false>(out, d, mean, offsets, row, visit),
-                      ($r, true) => walk::<$r, true>(out, d, mean, offsets, row, visit),)*
-                    _ => unreachable!("a split has at most {BLOCK_VECS} vectors"),
-                }
-            };
-        }
-        // SAFETY: `fold_segments` checked `out` against `d` and wraps
-        // `row` in a width check; `(r, masked)` is the split of `d`.
-        unsafe { by_split!(0 1 2 3 4 5 6 7 8) }
     }
 
     /// [`super::scalar::fold_segments`] with each output row in
-    /// registers (see the module docs); `visit(e)` runs once per edge,
-    /// in the first column block. Every `row(e)` must hold `d` floats.
-    #[inline(always)]
-    pub fn fold_segments<'a>(
+    /// registers (see the module docs). The split of `d` is chosen once
+    /// per call, and this is the one body of the walk: it takes no
+    /// closure, so every caller runs the same machine code.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::scalar::fold_segments`].
+    pub unsafe fn fold_segments(
         out: &mut [f32],
         d: usize,
         kind: Reduce,
         offsets: &[usize],
-        row: impl Fn(usize) -> &'a [f32],
-        visit: impl FnMut(usize),
+        values: &[f32],
+        idx: &[u32],
+        prefetch: bool,
     ) {
         assert_eq!(
             out.len(),
@@ -419,12 +431,23 @@ mod avx2 {
         if d == 0 {
             return;
         }
-        let row = move |e: usize| {
-            let r = row(e);
-            assert_eq!(r.len(), d, "row width must match the output");
-            r
-        };
-        split(out, d, kind == Reduce::Mean, offsets, row, visit);
+        let (r, masked) = ((d % BLOCK).div_ceil(LANES), !d.is_multiple_of(LANES));
+        let how = (d, kind == Reduce::Mean, prefetch);
+        let rows = (values, d, idx);
+        // One arm per split: `R` vectors past the full blocks, the last
+        // of them masked or not.
+        macro_rules! by_split {
+            ($($r:literal)*) => {
+                match (r, masked) {
+                    $(($r, false) => walk::<$r, false>(out, how, offsets, rows),
+                      ($r, true) => walk::<$r, true>(out, how, offsets, rows),)*
+                    _ => unreachable!("a split has at most {BLOCK_VECS} vectors"),
+                }
+            };
+        }
+        // SAFETY: the caller's contract, `out` checked against `d`
+        // above, and `(r, masked)` is the split of `d`.
+        by_split!(0 1 2 3 4 5 6 7 8)
     }
 
     /// `acc[i] += x[i]` elementwise (8-lane AVX2 body, scalar tail).

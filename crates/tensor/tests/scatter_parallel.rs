@@ -140,12 +140,11 @@ fn single_segment_takes_whole_input() {
 }
 
 #[test]
-fn edge_scan_walk_order_is_bitwise_deterministic_across_threads() {
+fn segment_walk_over_4_mib_of_values_is_bitwise_deterministic_across_threads() {
     // 32768 edges × 32 columns = 4 MiB of values into a 128 KiB output:
-    // exactly the footprint where the planned path switches from the
-    // fused segment walk to the destination-owned edge-order scan. Both
-    // walk orders accumulate each destination in ascending original
-    // edge order, so the switch must be invisible bit-for-bit.
+    // a prefetching walk whose gather leaves the cache while its output
+    // stays in it, each destination's 32 edges scattered over the whole
+    // value tensor. Every thread count must give the serial bits.
     let rows = 32_768;
     let cols = 32;
     let out_rows = 1024;

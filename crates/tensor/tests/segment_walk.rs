@@ -3,8 +3,9 @@
 //! `simd::fold_segments` keeps each segment's output row in registers
 //! and writes it once; `simd::scalar::fold_segments` is the chain it
 //! replaces, one `add_assign` per row through memory. Both run the
-//! same operations in the same order, so every kernel built on the walk
-//! — the fused `segment_reduce`, and the pull backward of
+//! same operations in the same order, and the prefetch either can run
+//! is only a hint, so both — prefetching or not — and every kernel built
+//! on the walk — the fused `segment_reduce`, and the pull backward of
 //! `segment_reduce_backward_into` — must return exactly what the chain
 //! returns: at widths below, at and across the 8-lane vector and the
 //! 64-column register block, over empty and short segments, repeated
@@ -107,6 +108,56 @@ fn chain(feats: &Tensor, offsets: &[usize], src: &[u32], kind: Reduce) -> Tensor
     out
 }
 
+/// `simd::fold_segments` and `simd::scalar::fold_segments` of rows
+/// `src[e]` of `rows` into `init`, each with the prefetch off and on.
+fn folds(
+    init: &[f32],
+    d: usize,
+    kind: Reduce,
+    offsets: &[usize],
+    rows: &Tensor,
+    src: &[u32],
+) -> [(&'static str, Vec<f32>); 4] {
+    assert!(offsets.iter().all(|&o| o <= src.len()));
+    assert!(src.iter().all(|&s| (s as usize) < rows.rows()) && rows.cols() == d);
+    let fold = |register: bool, prefetch: bool| {
+        let walk = if register {
+            simd::fold_segments
+        } else {
+            scalar::fold_segments
+        };
+        let mut out = init.to_vec();
+        // SAFETY: checked above — every offset within `src`, every
+        // source a whole row of `rows`.
+        unsafe { walk(&mut out, d, kind, offsets, rows.data(), src, prefetch) };
+        out
+    };
+    [
+        ("chain", fold(false, false)),
+        ("prefetching chain", fold(false, true)),
+        ("walk", fold(true, false)),
+        ("prefetching walk", fold(true, true)),
+    ]
+}
+
+/// Every fold of [`folds`] gives the chain's bits.
+fn assert_folds_agree(
+    init: &[f32],
+    d: usize,
+    kind: Reduce,
+    offsets: &[usize],
+    rows: &Tensor,
+    src: &[u32],
+) {
+    let n = offsets.len() - 1;
+    let [(_, chain), rest @ ..] = folds(init, d, kind, offsets, rows, src);
+    let chain = Tensor::from_vec(n, d, chain);
+    for (what, got) in rest {
+        let what = format!("{what}, {kind:?}, d = {d}");
+        assert_bits_eq(&Tensor::from_vec(n, d, got), &chain, &what);
+    }
+}
+
 /// Bit-equal, or both NaN (see the module docs).
 fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
     assert_eq!(got.shape(), want.shape(), "{what}: shape");
@@ -121,30 +172,15 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
 #[test]
 fn fold_segments_is_the_per_row_chain() {
     // Both walks start from the same non-zero output, which `Sum` and
-    // `Mean` add into and which an empty segment keeps.
+    // `Mean` add into and which an empty segment keeps; the prefetch is
+    // a hint, so switching it changes no bit.
     let mut rng = Lcg(7);
     for d in WIDTHS {
         let rows = values(&mut rng, 40, d, true);
         let (offsets, src) = index(&mut rng, 12, 40);
-        let row = |e: usize| rows.row(src[e] as usize);
         for kind in KINDS {
             let init: Vec<f32> = (0..12 * d).map(|_| rng.unit()).collect();
-            let (mut got, mut want) = (init.clone(), init);
-            let (mut seen, mut visited) = (Vec::new(), Vec::new());
-            simd::fold_segments(&mut got, d, kind, &offsets, row, |e| seen.push(e));
-            scalar::fold_segments(&mut want, d, kind, &offsets, row, |e| visited.push(e));
-            let what = format!("{kind:?}, d = {d}");
-            assert_bits_eq(
-                &Tensor::from_vec(12, d, got),
-                &Tensor::from_vec(12, d, want),
-                &what,
-            );
-            assert_eq!(seen, visited, "{what}: each edge visited once, in order");
-            assert_eq!(
-                seen,
-                (0..src.len()).collect::<Vec<_>>(),
-                "{what}: every edge"
-            );
+            assert_folds_agree(&init, d, kind, &offsets, &rows, &src);
         }
     }
 }
@@ -162,22 +198,13 @@ fn short_segments_are_the_chain_at_every_block_split() {
             src.extend((0..len).map(|_| rng.below(9) as u32));
             offsets.push(src.len());
         }
-        let row = |e: usize| rows.row(src[e] as usize);
         for kind in KINDS {
             let init: Vec<f32> = (0..lens.len() * d).map(|_| rng.unit()).collect();
-            let (mut got, mut want) = (init.clone(), init);
-            let (mut seen, mut visited) = (Vec::new(), Vec::new());
-            simd::fold_segments(&mut got, d, kind, &offsets, row, |e| seen.push(e));
-            scalar::fold_segments(&mut want, d, kind, &offsets, row, |e| visited.push(e));
-            let what = format!("{kind:?}, d = {d}");
-            let n = lens.len();
-            let (got, want) = (Tensor::from_vec(n, d, got), Tensor::from_vec(n, d, want));
-            assert_bits_eq(&got, &want, &what);
-            assert_eq!(seen, visited, "{what}: each edge visited once, in order");
+            assert_folds_agree(&init, d, kind, &offsets, &rows, &src);
             assert_bits_eq(
                 &segment_reduce(&rows, &offsets, &src, kind),
                 &chain(&rows, &offsets, &src, kind),
-                &format!("segment_reduce, {what}"),
+                &format!("segment_reduce, {kind:?}, d = {d}"),
             );
         }
     }
@@ -194,10 +221,9 @@ fn a_segment_of_negative_zeros_sums_to_positive_zero() {
                 let out = segment_reduce(&rows, &offsets, &src, kind);
                 let what = format!("{kind:?}, d = {d}, {} rows", src.len());
                 assert!(out.data().iter().all(|x| x.to_bits() == 0), "{what}");
-                let mut folded = vec![0.0; d];
-                let row = |e: usize| rows.row(src[e] as usize);
-                simd::fold_segments(&mut folded, d, kind, &offsets, row, |_| {});
-                assert!(folded.iter().all(|x| x.to_bits() == 0), "fold, {what}");
+                for (fold, folded) in folds(&vec![0.0; d], d, kind, &offsets, &rows, &src) {
+                    assert!(folded.iter().all(|x| x.to_bits() == 0), "{fold}, {what}");
+                }
             }
         }
     }

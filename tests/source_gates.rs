@@ -78,6 +78,10 @@ const ONE_STRATEGY: &str =
 const ONE_HDG_INDEX: &str =
     "an HDG's arrays and level plans live once, in its HierarchyIndex; a CSC's plans in its index";
 const SUM_AND_MEAN: &str = "sum and mean are the reductions the models run; max and min went";
+const ONE_SEGMENT_WALK: &str =
+    "one segment walk reads every sparse reduction's rows through an index; no edge-order twin";
+const TENSOR_SOURCES: &[&str] = &["crates/tensor/src"];
+const ONE_CUTOFF: &str = "one small-work cutoff, par::PAR_CUTOFF, serves every parallel kernel";
 const ONE_WALKER: &str = "one importance walker walks only its roots and writes each list once";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
@@ -362,6 +366,37 @@ const GATES: &[(Count, &str, usize, &str)] = &[
         0,
         ONE_WALKER,
     ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("edge", "_scan"),
+        0,
+        ONE_SEGMENT_WALK,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("EDGE", "_SCAN_"),
+        0,
+        ONE_SEGMENT_WALK,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("scatter_add", "_gathered_into"),
+        0,
+        ONE_SEGMENT_WALK,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("local", "_plan"),
+        0,
+        ONE_SEGMENT_WALK,
+    ),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("local", "_rows"),
+        0,
+        ONE_SEGMENT_WALK,
+    ),
+    (Text(TENSOR_SOURCES), "16 * 1024", 1, ONE_CUTOFF),
 ];
 
 /// Why a `pub fn` that no code outside tests names stays public.
