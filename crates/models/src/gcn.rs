@@ -61,11 +61,10 @@ impl Gcn {
 
     /// Update: ReLU(W * (h + a)) — Figure 7's GCNLayer.
     fn update(&self, g: &mut Graph, s: NodeId, w: NodeId, relu: bool) -> NodeId {
-        let out = g.matmul(s, w);
         if relu {
-            g.relu(out)
+            g.matmul_relu(s, w)
         } else {
-            out
+            g.matmul(s, w)
         }
     }
 
@@ -238,12 +237,12 @@ mod tests {
         let shapes = |tape: Vec<Tensor>| -> Vec<_> { tape.iter().map(Tensor::shape).collect() };
         let reordered = shapes(tape_values(build(), &ds));
         // feats, w1, w2, layer 1's aggregate (collapsed into one leaf),
-        // its matmul and ReLU, then h1·W, its edge sum and the add:
+        // its matmul with the ReLU, then h1·W, its edge sum and the add:
         // nothing `V × hidden` after the ReLU.
-        assert_eq!(reordered[5], (v, 32));
-        assert_eq!(reordered[6..], [(v, classes); 3]);
+        assert_eq!(reordered[4], (v, 32));
+        assert_eq!(reordered[5..], [(v, classes); 3]);
         let first = shapes(tape_values(AggregateFirst(build()), &ds));
-        assert_eq!(first[6..], [(v, 32), (v, 32), (v, classes)]);
+        assert_eq!(first[5..], [(v, 32), (v, 32), (v, classes)]);
 
         // Equal widths: node for node the aggregate-first tape.
         let ds = community(120, 8, 6, 1, 8, 3);

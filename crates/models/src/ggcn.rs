@@ -60,11 +60,10 @@ impl GGcn {
         let agg = g.scatter_add_with_plan(gated, dst_plan);
         // Update: ReLU(W · (h + agg)).
         let s = g.add(h, agg);
-        let out = g.matmul(s, w);
         if relu_out {
-            g.relu(out)
+            g.matmul_relu(s, w)
         } else {
-            out
+            g.matmul(s, w)
         }
     }
 }
@@ -138,7 +137,7 @@ mod tests {
         model.init_params(&mut params, &mut rng);
         model.selection(&ds, 0);
         let mut g = Tape::new();
-        let feats = g.leaf(ds.features.clone());
+        let feats = g.leaf(&ds.features);
         let wg = g.param(params.value(model.slots[0].0).clone(), model.slots[0].0);
         let scores = g.matmul(feats, wg);
         let gates = g.sigmoid(scores);

@@ -64,13 +64,11 @@ impl Gin {
         let s = g.add(h, eps_h);
         let s = g.add(s, a);
         // Two-layer MLP.
-        let m = g.matmul(s, w1);
-        let m = g.relu(m);
-        let out = g.matmul(m, w2);
+        let m = g.matmul_relu(s, w1);
         if relu_out {
-            g.relu(out)
+            g.matmul_relu(m, w2)
         } else {
-            out
+            g.matmul(m, w2)
         }
     }
 

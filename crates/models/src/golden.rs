@@ -94,7 +94,7 @@ pub fn run_forward<M: Model>(mut model: M, ds: &Dataset, weights: &[Tensor]) -> 
     }
     model.selection(ds, 0);
     let mut g = Graph::new();
-    let feats = g.leaf(ds.features.clone());
+    let feats = g.leaf(&ds.features);
     let out = model.forward(&mut g, feats, &params);
     g.value(out).clone()
 }

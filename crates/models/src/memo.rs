@@ -3,24 +3,25 @@
 //! A static-selection model's Aggregation stage has no parameter, so over
 //! the feature leaf it yields the same tensor every epoch — §3.2's "paid
 //! once, reused every epoch", one stage after NeighborSelection. The
-//! first `forward` after a (re)build runs the stage on the tape, keeps a
-//! copy of its value, and collapses the sub-tape into a leaf of that
-//! value (`Graph::collapse_into_leaf`), so its buffers go back to the
-//! free list for layer 2 before the pass draws any more; every later
-//! `forward` records the copy as a leaf and goes straight to Update.
-//! Every pass's tape therefore has the same shape, and the first peaks
-//! where the others do. Exact by construction: it is the tensor the same ops would
-//! produce again, and no node of the collapsed or skipped sub-tape ever
-//! needed a gradient. PinSage (re-selects every epoch) and G-GCN
-//! (parameterised gates) do not use it.
+//! first `forward` after a (re)build runs the stage on the tape and
+//! collapses the sub-tape into one leaf (`Graph::collapse_into_leaf`):
+//! its other buffers go back to the free list for layer 2 before the
+//! pass draws any more, and its value moves into an `Arc` the memo keeps.
+//! Every later `forward` records a leaf sharing that `Arc` — no copy —
+//! and goes straight to Update. Every pass's tape therefore has the same
+//! shape, and the first peaks where the others do. Exact by
+//! construction: it is the tensor the same ops would produce again, and
+//! no node of the collapsed or skipped sub-tape ever needed a gradient.
+//! PinSage (re-selects every epoch) and G-GCN (parameterised gates) do
+//! not use it.
 
 use flexgraph_tensor::{Graph, NodeId, Tensor};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The memo of one model: the shape of the feature leaf it was recorded
 /// from, and the aggregate's value.
 #[derive(Default)]
-pub(crate) struct InputAggregate(OnceLock<((usize, usize), Tensor)>);
+pub(crate) struct InputAggregate(OnceLock<((usize, usize), Arc<Tensor>)>);
 
 impl InputAggregate {
     /// Forgets the value; `selection` calls this whenever it (re)builds.
@@ -33,10 +34,9 @@ impl InputAggregate {
         self.0.get().is_some()
     }
 
-    /// The node holding `aggregate(g, feats)`, always a leaf: the first
-    /// time, `aggregate`'s recording collapsed into one (its other
-    /// buffers back on the free list); afterwards a copy of that value,
-    /// in a buffer off the tape's free list.
+    /// The node holding `aggregate(g, feats)`, always a leaf sharing the
+    /// memo's value: the first time, `aggregate`'s recording collapsed
+    /// into it (its other buffers back on the free list).
     ///
     /// # Panics
     ///
@@ -56,14 +56,15 @@ impl InputAggregate {
                     shape, *recorded_from,
                     "feature leaf shape differs from the one layer 1's aggregate was memoised from"
                 );
-                g.leaf_copy(value)
+                g.leaf(Arc::clone(value))
             }
             None => {
                 let mark = g.len();
                 let a = aggregate(g, feats);
+                let (leaf, value) = g.collapse_into_leaf(mark, a);
                 // A racing recorder computed the same tensor.
-                let _ = self.0.set((shape, g.value(a).clone()));
-                g.collapse_into_leaf(mark, a)
+                let _ = self.0.set((shape, value));
+                leaf
             }
         }
     }
@@ -74,7 +75,7 @@ mod tests {
     use super::*;
     use crate::magnn::imdb_metapaths;
     use crate::train::{Model, TrainConfig, Trainer};
-    use crate::{Gcn, Gin, JkNet, Magnn, Pgnn};
+    use crate::{Gcn, Gin, JkNet, Magnn, Pgnn, PinSage};
     use flexgraph_graph::gen::{community, hetero_imdb, Dataset};
     use flexgraph_tensor::ParamSet;
 
@@ -182,6 +183,49 @@ mod tests {
         let ds = community(150, 2, 6, 1, 12, 13);
         let build = || Pgnn::new(12, ds.feature_dim(), ds.num_classes, 4, 8, 3);
         assert_memo_is_exact(&ds, build, |m| &mut m.layers.input);
+    }
+
+    /// After a warm-up epoch, a pass's feature leaf is `ds.features`
+    /// itself and its layer-1 leaf the memo's value: neither is a copy.
+    fn assert_leaves_are_not_copies<M: Model>(
+        ds: &Dataset,
+        model: M,
+        memo: Option<fn(&mut M) -> &mut InputAggregate>,
+    ) {
+        let mut tr = Trainer::new(model, TrainConfig::default());
+        let name = tr.model.name();
+        tr.epoch(ds, 0);
+        let (g, _, _) = tr.forward_pass(ds, 1);
+        // A `NodeId` is a position, so a scratch tape of as many leaves
+        // mints them.
+        let mut mint = Graph::new();
+        let ptrs: Vec<*const f32> = (0..g.len())
+            .map(|_| g.value(mint.leaf(Tensor::zeros(0, 0))).data().as_ptr())
+            .collect();
+        assert_eq!(ptrs[0], ds.features.data().as_ptr(), "{name}: feature leaf");
+        if let Some(memo) = memo {
+            let (_, value) = memo(&mut tr.model).0.get().expect("recorded");
+            assert!(
+                ptrs.contains(&value.data().as_ptr()),
+                "{name}: layer-1 leaf"
+            );
+        }
+    }
+
+    #[test]
+    fn passes_lend_the_features_and_share_the_memo() {
+        let ds = community(150, 3, 6, 1, 12, 5);
+        let (d, c) = (ds.feature_dim(), ds.num_classes);
+        assert_leaves_are_not_copies(&ds, Gcn::new(12, d, c), Some(|m| &mut m.input));
+        assert_leaves_are_not_copies(&ds, Gin::new(12, d, c), Some(|m| &mut m.input));
+        let jknet = JkNet::new(12, d, c, 2);
+        assert_leaves_are_not_copies(&ds, jknet, Some(|m| &mut m.layers.input));
+        let pgnn = Pgnn::new(12, d, c, 4, 8, 3);
+        assert_leaves_are_not_copies(&ds, pgnn, Some(|m| &mut m.layers.input));
+        assert_leaves_are_not_copies(&ds, PinSage::new(12, d, c, 3), None);
+        let ds = hetero_imdb(120, 3, 3, 16, 4);
+        let magnn = Magnn::new(16, ds.feature_dim(), ds.num_classes, imdb_metapaths(), 12);
+        assert_leaves_are_not_copies(&ds, magnn, Some(|m| &mut m.input));
     }
 
     #[test]

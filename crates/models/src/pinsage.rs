@@ -58,11 +58,10 @@ impl PinSage {
         let a = g.segment_reduce(h, neighbors, false);
         // Update: ReLU(W * CONCAT(h, a)).
         let cat = g.concat_cols(h, a);
-        let out = g.matmul(cat, w);
         if relu {
-            g.relu(out)
+            g.matmul_relu(cat, w)
         } else {
-            out
+            g.matmul(cat, w)
         }
     }
 }

@@ -66,8 +66,7 @@ impl SetMeanLayers {
         let w1 = g.param(params.value(self.w1).clone(), self.w1);
         let w2 = g.param(params.value(self.w2).clone(), self.w2);
         let c1 = self.input.record(g, feats, |g, h| self.aggregate(g, h));
-        let h1 = g.matmul(c1, w1);
-        let h1 = g.relu(h1);
+        let h1 = g.matmul_relu(c1, w1);
         let c2 = self.aggregate(g, h1);
         g.matmul(c2, w2)
     }

@@ -67,7 +67,9 @@ pub struct EpochStats {
     /// Bytes the epoch's tape drew from the allocator
     /// ([`Graph::allocated_bytes`]): its footprint on a thread with no
     /// tape's buffers parked, 0 when the previous epoch's tape on the
-    /// same thread had the same shapes.
+    /// same thread had the same shapes. A static-selection model's first
+    /// pass draws one `|V| × d` buffer more than the later ones: layer
+    /// 1's aggregate, which the memo then keeps (`crate::memo`).
     pub tape_bytes: usize,
 }
 
@@ -106,15 +108,19 @@ impl<M: Model> Trainer<M> {
     }
 
     /// NeighborSelection for `epoch`, then the forward pass on a fresh
-    /// tape over the feature leaf: the tape, its logits node, and the
-    /// selection's wall time.
-    pub(crate) fn forward_pass(&mut self, ds: &Dataset, epoch: u64) -> (Graph, NodeId, Duration) {
+    /// tape over a leaf that lends `ds.features` (no copy): the tape, its
+    /// logits node, and the selection's wall time.
+    pub(crate) fn forward_pass<'d>(
+        &mut self,
+        ds: &'d Dataset,
+        epoch: u64,
+    ) -> (Graph<'d>, NodeId, Duration) {
         let t0 = Instant::now();
         self.model.selection(ds, epoch);
         let selection = t0.elapsed();
 
         let mut g = Graph::with_strategy(self.strategy);
-        let feats = g.leaf_copy(&ds.features);
+        let feats = g.leaf(&ds.features);
         let logits = self.model.forward(&mut g, feats, &self.params);
         (g, logits, selection)
     }

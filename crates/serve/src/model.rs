@@ -209,7 +209,9 @@ pub fn aggregate_roots(
 /// is its own matmul chain over ascending `k`, so head-of-batch outputs
 /// equal head-of-one outputs bitwise.
 pub fn dense_head(summed: &Tensor, snap: &ModelSnapshot) -> Tensor {
-    summed.matmul(snap.w1()).relu().matmul(snap.w2())
+    let mut hidden = summed.matmul(snap.w1());
+    hidden.relu_inplace();
+    hidden.matmul(snap.w2())
 }
 
 /// The reference single-request forward: exactly what a batch of one

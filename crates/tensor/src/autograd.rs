@@ -7,7 +7,8 @@
 //! [`Graph::collect_grads`], and let the optimizer apply them.
 //!
 //! The operation set is exactly what FlexGraph's models need: dense NN ops
-//! (matmul, bias, relu, concat, elementwise), the sparse aggregation ops
+//! (matmul, with or without a ReLU on its output, bias, concat,
+//! elementwise), the sparse aggregation ops
 //! over a cached [`ScatterPlan`] (gather / scatter-add / scatter-softmax),
 //! the fused segment reduction, the dense schema-level block mean of the
 //! paper's Figure 10, MAGNN's whole hierarchical aggregation as one fused
@@ -45,14 +46,15 @@
 //! tensor an op keeps for its own backward (only in a node that needs a
 //! gradient), the cross-entropy's probabilities — is drawn from an
 //! exact-length free list the tape owns, and goes back to it when
-//! released or when the tape drops. A matmul's backward forms no
-//! transpose: the tiled driver reads `dC·Bᵀ` and `Aᵀ·dC`'s operands in
-//! place ([`Tensor::matmul_nt_into`], [`Tensor::matmul_tn_into`]).
-//! So is the copy [`Graph::leaf_copy`] makes of a tensor that outlives
-//! the tape. A suffix
-//! of the tape that needs no gradient can be collapsed into one leaf
-//! ([`Graph::collapse_into_leaf`]): its other buffers return to the list
-//! mid-pass, for the nodes recorded next.
+//! released or when the tape drops. It keeps only what backward reads: a
+//! matmul's backward reads `dC·Bᵀ` and `Aᵀ·dC`'s operands in place
+//! ([`Tensor::matmul_nt_into`], [`Tensor::matmul_tn_into`]); a ReLU
+//! rides on its matmul ([`Graph::matmul_relu`]) and masks by its output;
+//! a tensor that outlives the tape is a leaf [`Value`] lent for the
+//! tape's lifetime or shared through an `Arc`, never copied, and never
+//! returned to the list. A suffix of the tape that needs no gradient can
+//! be collapsed into one shared leaf ([`Graph::collapse_into_leaf`]): its
+//! other buffers return to the list mid-pass, for the nodes recorded next.
 //!
 //! A static HDG makes every epoch's tape the same sequence of shapes, so
 //! the list is handed from one tape to the next: a dropping tape parks it
@@ -90,16 +92,15 @@ enum Op {
     /// Trainable parameter; `slot` is its index in the external
     /// [`crate::optim::ParamSet`].
     Param { slot: usize },
-    /// `a · b`.
-    MatMul(NodeId, NodeId),
+    /// `a · b`, or `max(a · b, 0)` if the flag is set: the ReLU's
+    /// backward reads its mask off the output.
+    MatMul(NodeId, NodeId, bool),
     /// Elementwise `a + b`.
     Add(NodeId, NodeId),
     /// `a + bias` with `bias` broadcast over rows.
     AddBias(NodeId, NodeId),
     /// Elementwise `a * b`.
     Mul(NodeId, NodeId),
-    /// `max(a, 0)`.
-    Relu(NodeId),
     /// Logistic sigmoid `1 / (1 + e^{-a})`.
     Sigmoid(NodeId),
     /// `[a | b]` horizontal concatenation.
@@ -157,13 +158,12 @@ impl Op {
     fn inputs(&self) -> [Option<NodeId>; 2] {
         match self {
             Op::Leaf | Op::Param { .. } => [None, None],
-            Op::MatMul(a, b)
+            Op::MatMul(a, b, _)
             | Op::Add(a, b)
             | Op::AddBias(a, b)
             | Op::Mul(a, b)
             | Op::ConcatCols(a, b) => [Some(*a), Some(*b)],
-            Op::Relu(a)
-            | Op::Sigmoid(a)
+            Op::Sigmoid(a)
             | Op::Gather(a, _)
             | Op::ScatterAdd(a, _)
             | Op::ScatterSoftmax(a, _)
@@ -176,8 +176,38 @@ impl Op {
     }
 }
 
-struct Node {
-    value: Tensor,
+/// A node's value. An op's output is the tape's own; a leaf's may also
+/// be lent for the tape's lifetime or shared through an `Arc`, and is
+/// then neither copied onto the tape nor reused when the tape drops.
+pub enum Value<'a> {
+    /// The tape's own buffer.
+    Owned(Tensor),
+    /// A tensor that outlives the tape (the feature matrix).
+    Lent(&'a Tensor),
+    /// A tensor shared across tapes (an aggregate memoised across epochs).
+    Shared(Arc<Tensor>),
+}
+
+impl From<Tensor> for Value<'_> {
+    fn from(t: Tensor) -> Self {
+        Value::Owned(t)
+    }
+}
+
+impl<'a> From<&'a Tensor> for Value<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        Value::Lent(t)
+    }
+}
+
+impl From<Arc<Tensor>> for Value<'_> {
+    fn from(t: Arc<Tensor>) -> Self {
+        Value::Shared(t)
+    }
+}
+
+struct Node<'a> {
+    value: Value<'a>,
     grad: Option<Tensor>,
     op: Op,
     /// Whether backward must produce a gradient for this node: it is a
@@ -185,15 +215,19 @@ struct Node {
     needs_grad: bool,
 }
 
-impl Node {
-    /// Every buffer the node holds: its value, its gradient, and the
-    /// tensor its op keeps for backward.
+impl Node<'_> {
+    /// Every buffer the node owns: its value unless lent or shared, its
+    /// gradient, and the tensor its op keeps for backward.
     fn into_buffers(self) -> impl Iterator<Item = Tensor> {
         let kept = match self.op {
             Op::CrossEntropy { probs: kept, .. } => kept,
             _ => None,
         };
-        std::iter::once(self.value).chain(self.grad).chain(kept)
+        let value = match self.value {
+            Value::Owned(t) => Some(t),
+            Value::Lent(_) | Value::Shared(_) => None,
+        };
+        value.into_iter().chain(self.grad).chain(kept)
     }
 }
 
@@ -252,33 +286,26 @@ impl FreeList {
         t
     }
 
-    /// A pooled copy of `t`.
-    fn copy_of(&mut self, t: &Tensor) -> Tensor {
-        let mut copy = self.draw(t.rows(), t.cols());
-        copy.data_mut().copy_from_slice(t.data());
-        copy
-    }
-
     fn release(&mut self, t: Tensor) {
         self.released.push(t.into_vec());
     }
 }
 
-/// A single forward/backward tape.
-pub struct Graph {
-    nodes: Vec<Node>,
+/// A single forward/backward tape; `'a` is how long a lent leaf lives.
+pub struct Graph<'a> {
+    nodes: Vec<Node<'a>>,
     pool: FreeList,
     strategy: Strategy,
 }
 
-impl Default for Graph {
+impl Default for Graph<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Drop for Graph {
-    /// Parks every buffer this tape holds for the next tape on this
+impl Drop for Graph<'_> {
+    /// Parks every buffer this tape owns for the next tape on this
     /// thread; adopted buffers it never drew are freed with it.
     fn drop(&mut self) {
         let mut parked = std::mem::take(&mut self.pool.released);
@@ -290,7 +317,7 @@ impl Drop for Graph {
     }
 }
 
-impl Graph {
+impl<'a> Graph<'a> {
     /// Creates an empty tape that records aggregation under HA,
     /// adopting the free list the previous tape on this thread left
     /// behind.
@@ -310,11 +337,11 @@ impl Graph {
         }
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> NodeId {
+    fn push(&mut self, value: impl Into<Value<'a>>, op: Op) -> NodeId {
         let needs_grad = matches!(op, Op::Param { .. })
             || op.inputs().into_iter().flatten().any(|id| self.needs(id));
         self.nodes.push(Node {
-            value,
+            value: value.into(),
             grad: None,
             op,
             needs_grad,
@@ -346,32 +373,27 @@ impl Graph {
         t
     }
 
-    /// Registers an input tensor that does not require gradients.
-    pub fn leaf(&mut self, value: Tensor) -> NodeId {
+    /// Registers an input that does not require gradients: an owned
+    /// tensor, one lent for the tape's lifetime, or one shared through an
+    /// `Arc`. Only an owned one is the tape's to reuse.
+    pub fn leaf(&mut self, value: impl Into<Value<'a>>) -> NodeId {
         self.push(value, Op::Leaf)
-    }
-
-    /// [`Graph::leaf`] of a copy of `value`, made in a buffer off the
-    /// free list: how a tensor that outlives the tape (an aggregate
-    /// memoised across epochs) gets onto it without an allocation.
-    pub fn leaf_copy(&mut self, value: &Tensor) -> NodeId {
-        let copy = self.pool.copy_of(value);
-        self.push(copy, Op::Leaf)
     }
 
     /// Collapses everything recorded since `mark` (a [`Graph::len`]
     /// taken earlier) into one leaf holding `node`'s value, and returns
-    /// that leaf. Backward would have skipped the whole suffix, so the
-    /// tape computes the same gradients without it; every other buffer
-    /// the suffix held — values, and what its ops kept — goes back to the
-    /// free list for the nodes recorded next. Ids of the suffix's nodes
-    /// other than the returned one are invalid afterwards.
+    /// that leaf with the value, shared: a caller keeps it for later
+    /// tapes without a copy. Backward would have skipped the whole
+    /// suffix, so the tape computes the same gradients without it; every
+    /// other buffer the suffix held — values, and what its ops kept —
+    /// goes back to the free list for the nodes recorded next. Ids of the
+    /// suffix's nodes other than the returned one are invalid afterwards.
     ///
     /// # Panics
     ///
     /// Panics if `node` was not recorded after `mark`, or if any node
     /// after `mark` needs a gradient.
-    pub fn collapse_into_leaf(&mut self, mark: usize, node: NodeId) -> NodeId {
+    pub fn collapse_into_leaf(&mut self, mark: usize, node: NodeId) -> (NodeId, Arc<Tensor>) {
         assert!(
             (mark..self.nodes.len()).contains(&node.0),
             "the collapsed node must be recorded after the mark"
@@ -381,12 +403,16 @@ impl Graph {
             "a collapsed suffix must need no gradient"
         );
         let mut suffix = self.nodes.split_off(mark);
-        let mut kept = suffix.swap_remove(node.0 - mark).into_buffers();
-        let value = kept.next().expect("a node's first buffer is its value");
-        for buf in kept.chain(suffix.into_iter().flat_map(Node::into_buffers)) {
+        // Needing no gradient, the node holds nothing but its value.
+        let value = match suffix.swap_remove(node.0 - mark).value {
+            Value::Owned(t) => Arc::new(t),
+            Value::Lent(t) => Arc::new(t.clone()),
+            Value::Shared(t) => t,
+        };
+        for buf in suffix.into_iter().flat_map(Node::into_buffers) {
             self.pool.release(buf);
         }
-        self.leaf(value)
+        (self.leaf(Arc::clone(&value)), value)
     }
 
     /// Registers a trainable parameter living in external `slot`.
@@ -396,7 +422,11 @@ impl Graph {
 
     /// The forward value of a node.
     pub fn value(&self, id: NodeId) -> &Tensor {
-        &self.nodes[id.0].value
+        match &self.nodes[id.0].value {
+            Value::Owned(t) => t,
+            Value::Lent(t) => t,
+            Value::Shared(t) => t,
+        }
     }
 
     /// The gradient of a parameter node, once backward has reached it.
@@ -408,10 +438,24 @@ impl Graph {
 
     /// Matrix product.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.matmul_op(a, b, false)
+    }
+
+    /// `max(a · b, 0)`, one node: the ReLU runs in place on the product,
+    /// and its backward masks by the output (`y > 0` exactly where
+    /// `x > 0`, NaN and `±0` included), so no pre-activation is kept.
+    pub fn matmul_relu(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.matmul_op(a, b, true)
+    }
+
+    fn matmul_op(&mut self, a: NodeId, b: NodeId, relu: bool) -> NodeId {
         let (rows, cols) = (self.value(a).rows(), self.value(b).cols());
         let mut v = self.pool.draw_zeroed(rows, cols);
         self.value(a).matmul_into(self.value(b), &mut v);
-        self.push(v, Op::MatMul(a, b))
+        if relu {
+            v.relu_inplace();
+        }
+        self.push(v, Op::MatMul(a, b, relu))
     }
 
     /// Elementwise sum.
@@ -434,13 +478,6 @@ impl Graph {
         let mut v = self.draw_like(a);
         self.value(a).zip_into(self.value(b), &mut v, |x, y| x * y);
         self.push(v, Op::Mul(a, b))
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.draw_like(a);
-        self.value(a).map_into(&mut v, |x| x.max(0.0));
-        self.push(v, Op::Relu(a))
     }
 
     /// Logistic sigmoid (used by gated aggregations, e.g. G-GCN's edge
@@ -658,7 +695,8 @@ impl Graph {
         if let Some(acc) = &mut self.nodes[id.0].grad {
             acc.add_assign(g);
         } else {
-            let copy = self.pool.copy_of(g);
+            let mut copy = self.pool.draw(g.rows(), g.cols());
+            copy.data_mut().copy_from_slice(g.data());
             self.give(id, copy);
         }
     }
@@ -673,7 +711,11 @@ impl Graph {
         // A one-input op only gets here if that input needs a gradient.
         let leftover = match &mut op {
             Op::Leaf | Op::Param { .. } => Some(grad),
-            Op::MatMul(a, b) => {
+            Op::MatMul(a, b, relu) => {
+                if *relu {
+                    let y = self.value(NodeId(i));
+                    grad.zip_inplace(y, |g, y| g * if y > 0.0 { 1.0 } else { 0.0 });
+                }
                 // dA = dC·Bᵀ, dB = Aᵀ·dC, each operand read in place.
                 if self.needs(*a) {
                     let mut ga = self.zeros_like(*a);
@@ -728,14 +770,9 @@ impl Graph {
                     Some(grad)
                 }
             }
-            Op::Relu(a) => {
-                grad.zip_inplace(self.value(*a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 });
-                self.give(*a, grad);
-                None
-            }
             Op::Sigmoid(a) => {
                 // d/dx σ(x) = σ(x)·(1 − σ(x)), read from the forward value.
-                grad.zip_inplace(&self.nodes[i].value, |g, y| g * (y * (1.0 - y)));
+                grad.zip_inplace(self.value(NodeId(i)), |g, y| g * (y * (1.0 - y)));
                 self.give(*a, grad);
                 None
             }
@@ -769,7 +806,7 @@ impl Graph {
             }
             Op::ScatterSoftmax(a, plan) => {
                 let mut g = self.draw_like(*a);
-                scatter_softmax_backward_into(&mut g, &grad, &self.nodes[i].value, plan);
+                scatter_softmax_backward_into(&mut g, &grad, self.value(NodeId(i)), plan);
                 self.give(*a, g);
                 Some(grad)
             }
@@ -987,14 +1024,76 @@ mod tests {
 
     #[test]
     fn grad_relu() {
+        // Pre-activations of both signs, none within a step of the kink;
+        // the gradient reaches the input and the weight through the mask.
+        let w = Tensor::from_rows(&[&[0.7, -0.4], &[-0.3, 0.9], &[0.8, 0.6]]);
+        let wv = w.clone();
         finite_diff_check(
             sample_input(),
-            |g, x| {
-                let y = g.relu(x);
+            move |g, x| {
+                let w = g.leaf(wv.clone());
+                let y = g.matmul_relu(x, w);
                 g.mean_all(y)
             },
             1e-2,
         );
+        finite_diff_check(
+            w,
+            |g, w| {
+                let x = g.leaf(sample_input());
+                let y = g.matmul_relu(x, w);
+                g.mean_all(y)
+            },
+            1e-2,
+        );
+    }
+
+    /// `matmul_relu` against a hand-built `matmul` → `max(0)` → mask
+    /// chain over the same kernels, with pre-activations of `0.0`, NaN
+    /// and negatives: the same value and gradient bits, though the node
+    /// masks by its output and the chain by the pre-activation.
+    #[test]
+    fn matmul_relu_masks_by_its_output_with_the_pre_activations_bits() {
+        // The two masks agree on every class of pre-activation, `-0.0`
+        // included (an accumulating kernel over a zeroed output cannot
+        // produce it: `0.0 + -0.0` is `0.0`).
+        for x in [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -2.0,
+            1.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ] {
+            assert_eq!(x.max(0.0) > 0.0, x > 0.0, "{x}");
+        }
+        // One NaN in `a`, so no gradient sum adds two NaNs.
+        let a = Tensor::from_rows(&[&[0.0], &[-0.0], &[f32::NAN], &[-2.0], &[1.5], &[-0.5]]);
+        let b = Tensor::from_rows(&[&[1.0, -1.0, 0.0]]);
+        let r = Tensor::from_vec(6, 3, (0..18).map(|i| i as f32 * 0.25 - 2.0).collect());
+
+        let mut g = Graph::new();
+        let (an, bn) = (g.param(a.clone(), 0), g.param(b.clone(), 1));
+        let y = g.matmul_relu(an, bn);
+        let rn = g.leaf(&r);
+        let m = g.mul(y, rn);
+        let loss = g.mean_all(m);
+        g.backward(loss);
+
+        let pre = a.matmul(&b);
+        let pre_bits = bits(&pre);
+        assert!(pre.data().iter().any(|x| x.is_nan()));
+        assert!(pre.data().iter().any(|&x| x < 0.0));
+        assert!(pre_bits.contains(&0.0f32.to_bits()));
+        let mut mask_grad = r.scale(1.0 / 18.0);
+        mask_grad.zip_inplace(&pre, |g, x| g * if x > 0.0 { 1.0 } else { 0.0 });
+        let (mut ga, mut gb) = (Tensor::zeros(6, 1), Tensor::zeros(1, 3));
+        mask_grad.matmul_nt_into(&b, &mut ga);
+        a.matmul_tn_into(&mask_grad, &mut gb);
+        assert_eq!(bits(g.value(y)), bits(&pre.relu()));
+        assert_eq!(bits(g.grad(an).unwrap()), bits(&ga));
+        assert_eq!(bits(g.grad(bn).unwrap()), bits(&gb));
     }
 
     #[test]
@@ -1034,7 +1133,7 @@ mod tests {
             move |g, x| {
                 let o = g.leaf(other.clone());
                 let y = g.concat_cols(x, o);
-                let y = g.relu(y);
+                let y = g.sigmoid(y);
                 g.mean_all(y)
             },
             1e-2,
@@ -1079,7 +1178,7 @@ mod tests {
                 move |g, x| {
                     let index = SegmentIndex::new(vec![0, 2, 3], vec![0, 2, 1]);
                     let y = g.segment_reduce(x, Arc::new(index), mean);
-                    let y = g.relu(y);
+                    let y = g.sigmoid(y);
                     g.mean_all(y)
                 },
                 1e-2,
@@ -1292,7 +1391,7 @@ mod tests {
 
     /// `x → segment_reduce → add → matmul(w)` with `x` a leaf or a
     /// parameter; returns the tape and its `(x, w)` nodes after backward.
-    fn gcn_like_tape(x: Tensor, w: Tensor, x_is_param: bool) -> (Graph, NodeId, NodeId) {
+    fn gcn_like_tape(x: Tensor, w: Tensor, x_is_param: bool) -> (Graph<'static>, NodeId, NodeId) {
         let rows = x.rows();
         let mut g = Graph::new();
         let xn = if x_is_param { g.param(x, 1) } else { g.leaf(x) };
@@ -1381,16 +1480,49 @@ mod tests {
         let (b, _, wb) = gcn_like_tape(sample_input().scale(2.0), weights(), false);
         assert_eq!(a.pool.allocated, 0);
         let ptrs = |g: &Graph| -> Vec<*const f32> {
-            g.nodes
-                .iter()
-                .flat_map(|n| std::iter::once(&n.value).chain(n.grad.as_ref()))
-                .map(|t| t.data().as_ptr())
-                .collect()
+            let values = (0..g.len()).map(|i| g.value(NodeId(i)));
+            let grads = g.nodes.iter().filter_map(|n| n.grad.as_ref());
+            values.chain(grads).map(|t| t.data().as_ptr()).collect()
         };
         let (pa, pb) = (ptrs(&a), ptrs(&b));
         assert!(pa.iter().all(|p| !pb.contains(p)));
         assert_eq!(bits(a.grad(wa).unwrap()), want);
         assert_ne!(bits(b.grad(wb).unwrap()), want);
+    }
+
+    #[test]
+    fn lent_and_shared_leaves_are_read_in_place_and_never_parked() {
+        let (lent, shared) = (sample_input(), Arc::new(sample_input().scale(2.0)));
+        let want = {
+            let (with_copies, _, w) = gcn_like_tape(sample_input(), weights(), false);
+            bits(with_copies.grad(w).unwrap())
+        };
+        PARKED.with(|p| p.borrow_mut().clear());
+        let mut g = Graph::new();
+        let (x, s) = (g.leaf(&lent), g.leaf(Arc::clone(&shared)));
+        assert_eq!(g.value(x).data().as_ptr(), lent.data().as_ptr());
+        assert_eq!(g.value(s).data().as_ptr(), shared.data().as_ptr());
+        let wn = g.param(weights(), 0);
+        let index = SegmentIndex::new(vec![0, 1, 2, 3], vec![2, 1, 0]);
+        let a = g.segment_reduce(x, Arc::new(index), false);
+        let sum = g.add(x, a);
+        let y = g.matmul(sum, wn);
+        let loss = g.cross_entropy(y, &[0, 1, 0]);
+        g.backward(loss);
+        assert_eq!(
+            bits(g.grad(wn).unwrap()),
+            want,
+            "a lent leaf gives a copy's bits"
+        );
+        drop(g);
+        let parked = PARKED.with(|p| p.borrow().iter().map(|b| b.as_ptr()).collect::<Vec<_>>());
+        assert!(!parked.contains(&lent.data().as_ptr()));
+        assert!(!parked.contains(&shared.data().as_ptr()));
+        assert_eq!(
+            Arc::strong_count(&shared),
+            1,
+            "the tape let go of its share"
+        );
     }
 
     #[test]
@@ -1410,14 +1542,15 @@ mod tests {
         let x = g.leaf(sample_input());
         let mark = g.len();
         let pooled = g.hierarchical_attention_pool(x, hierarchy());
-        let activated = g.relu(pooled);
+        let activated = g.sigmoid(pooled);
         let (want_pooled, want) = (bits(g.value(pooled)), bits(g.value(activated)));
         let allocated = g.allocated_bytes();
 
-        let leaf = g.collapse_into_leaf(mark, activated);
+        let (leaf, shared) = g.collapse_into_leaf(mark, activated);
         assert_eq!((leaf, g.len()), (NodeId(mark), mark + 1));
         assert!(matches!(g.nodes[leaf.0].op, Op::Leaf));
         assert_eq!(bits(g.value(leaf)), want, "the leaf holds the node's value");
+        assert_eq!(g.value(leaf).data().as_ptr(), shared.data().as_ptr());
 
         // The pooled value and the released scratch are on the list: the
         // same op again draws both from it.
@@ -1437,7 +1570,7 @@ mod tests {
         // No buffer of the tape is instance-sized (4 instances × 3): the
         // pool keeps nothing and draws only its output and scratch.
         let instance_sized = |g: &Graph| {
-            let values = g.nodes.iter().map(|n| n.value.len());
+            let values = (0..g.len()).map(|i| g.value(NodeId(i)).len());
             values
                 .chain(g.pool.released.iter().map(Vec::len))
                 .any(|len| len == 12)
@@ -1533,8 +1666,7 @@ mod tests {
             let x = g.leaf(x.clone());
             let w1n = g.param(w1.clone(), 0);
             let w2n = g.param(w2.clone(), 1);
-            let h = g.matmul(x, w1n);
-            let h = g.relu(h);
+            let h = g.matmul_relu(x, w1n);
             let logits = g.matmul(h, w2n);
             let loss = g.cross_entropy(logits, &targets);
             g.backward(loss);

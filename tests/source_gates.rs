@@ -83,6 +83,9 @@ const ONE_SEGMENT_WALK: &str =
 const TENSOR_SOURCES: &[&str] = &["crates/tensor/src"];
 const ONE_CUTOFF: &str = "one small-work cutoff, par::PAR_CUTOFF, serves every parallel kernel";
 const ONE_WALKER: &str = "one importance walker walks only its roots and writes each list once";
+const LENT_LEAVES: &str = "a tensor that outlives the tape is lent or shared onto it, never copied";
+const RELU_ON_MATMUL: &str =
+    "a ReLU rides on its matmul and masks by its output; no pre-activation";
 
 const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(SOURCES), "thread::sleep", 0, NO_SLEEP),
@@ -397,6 +400,19 @@ const GATES: &[(Count, &str, usize, &str)] = &[
         ONE_SEGMENT_WALK,
     ),
     (Text(TENSOR_SOURCES), "16 * 1024", 1, ONE_CUTOFF),
+    (
+        Text(DOCS_AND_SOURCES),
+        concat!("leaf", "_copy"),
+        0,
+        LENT_LEAVES,
+    ),
+    (Text(SOURCES), concat!("Op::", "Relu"), 0, RELU_ON_MATMUL),
+    (
+        Text(MODELS_SOURCES),
+        concat!("g.", "relu("),
+        0,
+        RELU_ON_MATMUL,
+    ),
 ];
 
 /// Why a `pub fn` that no code outside tests names stays public.
