@@ -732,17 +732,38 @@ mod tests {
         assert_documented(&t);
     }
 
+    /// Bytes of `hdg`'s instances in the flat encoding: `HdgBuilder`'s
+    /// group and instance offsets and every leaf, pushed from its view.
+    fn flat_encoding_bytes(hdg: &Hdg, roots: Vec<VertexId>) -> usize {
+        let names: Vec<String> = (1..=hdg.num_types()).map(|t| format!("MP{t}")).collect();
+        let mut b = HdgBuilder::new(SchemaTree::new(names), roots);
+        for r in 0..hdg.num_roots() {
+            for t in 0..hdg.num_types() {
+                for i in hdg.group_instances(r, t) {
+                    b.push_at(r, t as u16, hdg.instance_leaves(i));
+                }
+            }
+        }
+        b.build().heap_bytes()
+    }
+
     #[test]
     fn table5_orders_pinsage_graph_magnn_and_compact_beats_naive() {
         let t = table5(TEST_SCALE);
         let sec = &t.sections[0];
-        for (ds, _) in &sec.rows {
+        let datasets = homogeneous_datasets(TEST_SCALE);
+        assert_eq!(sec.rows.len(), datasets.len());
+        for ((ds, _), data) in sec.rows.iter().zip(&datasets) {
             let b = |col| sec.value(ds, col);
             assert!(
                 b("PinSage B") < b("graph B") && b("graph B") < b("MAGNN B"),
                 "{ds}"
             );
             assert!(b("MAGNN B") < b("MAGNN naive B"), "{ds}");
+            // The prefix tree stores MAGNN's paths in at most half the
+            // flat encoding's bytes.
+            let flat = flat_encoding_bytes(&magnn_hdg(data), all_roots(data));
+            assert!(2.0 * b("MAGNN B") <= flat as f64, "{ds}: flat {flat}");
         }
         assert_documented(&t);
     }

@@ -21,6 +21,10 @@
 //!   ranges first; either way instances of one group keep their push
 //!   order, which serve's bitwise batch parity rests on.
 //!
+//! MAGNN's metapath instances bypass the builder: [`from_metapaths`]
+//! writes them as the index's prefix tree, each shared `[root, mid]`
+//! prefix once.
+//!
 //! Constructors cover the selection UDFs of the paper's Figure 5 (direct
 //! neighbors, random-walk importance, metapath instances) plus the
 //! P-GNN / JK-Net extensions sketched in §3.2.
@@ -222,22 +226,68 @@ pub fn from_neighbor_lists(roots: Vec<VertexId>, lists: &[Vec<VertexId>]) -> Hdg
 /// MAGNN-style HDGs: one neighbor type per metapath, one instance per
 /// matched path, leaves = the path's vertices (the `magnn_nbr` UDF of
 /// Figure 5). `max_per_path` caps instances per (root, metapath).
+/// Three-vertex paths are written straight into the index's prefix tree
+/// ([`HierarchyIndex::from_prefix_tree`]): the search emits each `(root,
+/// metapath, mid)` prefix's instances as one run. Other lengths go
+/// through [`HdgBuilder`].
 pub fn from_metapaths(
     g: &TypedGraph,
     roots: Vec<VertexId>,
     metapaths: &[Metapath],
     max_per_path: usize,
 ) -> Hdg {
-    let names: Vec<String> = (0..metapaths.len())
-        .map(|i| format!("MP{}", i + 1))
-        .collect();
-    let mut b = HdgBuilder::new(SchemaTree::new(names), roots);
-    for rank in 0..b.root_ids.len() {
-        for_each_instance(g, b.root_ids[rank], metapaths, max_per_path, |mi, path| {
-            b.push_at(rank, mi as u16, path)
+    let names: Vec<String> = (1..=metapaths.len()).map(|i| format!("MP{i}")).collect();
+    let (schema, types) = (SchemaTree::new(names), metapaths.len());
+    if metapaths.iter().any(|mp| mp.len() != 3) {
+        let mut b = HdgBuilder::new(schema, roots);
+        for rank in 0..b.root_ids.len() {
+            for_each_instance(g, b.root_ids[rank], metapaths, max_per_path, |mi, path| {
+                b.push_at(rank, mi as u16, path)
+            });
+        }
+        return b.build();
+    }
+    let groups = roots.len() * types;
+    assert!(groups < u32::MAX as usize, "{groups} groups overflow u32");
+    let (mut group_runs, mut runs, mut ends) = (vec![0u32; groups + 1], Vec::new(), Vec::new());
+    let mut open = None; // The group and mid of the last run.
+    for (rank, &root) in roots.iter().enumerate() {
+        for_each_instance(g, root, metapaths, max_per_path, |mi, path| {
+            let (group, &[_, mid, end]) = (rank * types + mi, path) else {
+                unreachable!("a three-vertex path")
+            };
+            if open != Some((group, mid)) {
+                push_grown(&mut runs, [mid, ends.len() as u32]);
+                open = Some((group, mid));
+            }
+            push_grown(&mut ends, end);
+            group_runs[group + 1] = runs.len() as u32;
         });
     }
-    b.build()
+    // Groups fill in order; an empty one ends where the one before does.
+    for g in 0..groups {
+        group_runs[g + 1] = group_runs[g + 1].max(group_runs[g]);
+    }
+    // The casts above were exact if the totals fit.
+    assert!(u32::try_from(ends.len()).is_ok(), "instances overflow u32");
+    push_grown(&mut runs, [0, ends.len() as u32]); // Closes the last run.
+    runs.shrink_to_fit();
+    ends.shrink_to_fit();
+    let index = HierarchyIndex::from_prefix_tree(roots, types, group_runs, runs, ends);
+    Hdg {
+        schema,
+        root_ids: Vec::new(),
+        index: Arc::new(index),
+    }
+}
+
+/// `v.push(x)`, growing a full `v` by a quarter, not doubling it: the
+/// spare half of a doubled array would be the selection's peak.
+fn push_grown<T>(v: &mut Vec<T>, x: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact((v.len() / 4).max(1024));
+    }
+    v.push(x);
 }
 
 /// SplitMix64 finalizer — the pure hash behind sampled selection.

@@ -1,4 +1,4 @@
-//! Compact HDG storage (the paper's Figure 9).
+//! Compact HDG storage (the paper's Figure 9; MAGNN's as a prefix tree).
 
 use crate::schema::SchemaTree;
 use flexgraph_graph::VertexId;
@@ -11,19 +11,23 @@ use std::sync::Arc;
 /// instance→type edges need no destination array (storage optimization
 /// (2) of §4.1): the group offsets alone recover them. Leaves are stored
 /// as one offset array plus one flat vertex array (optimization (1)); the
-/// schema tree is a single shared object (optimization (3)). The three
-/// arrays live in one [`HierarchyIndex`] — the structure every strategy
-/// of §4.2 walks, which also caches the levels' scatter plans — shared
-/// by every clone of the HDG and by the models that train on it.
+/// schema tree is a single shared object (optimization (3)). The arrays
+/// live in one [`HierarchyIndex`] — the structure every strategy of §4.2
+/// walks, which also caches the levels' scatter plans — shared by every
+/// clone of the HDG and by the models that train on it.
+/// MAGNN's HDGs ([`crate::build::from_metapaths`]) keep their
+/// `[root, mid, end]` instances as the index's prefix tree, which holds
+/// the root ids too; the flat arrays below are then a view built on
+/// first use.
 #[derive(Clone, Debug)]
 pub struct Hdg {
     pub(crate) schema: SchemaTree,
-    /// Root vertex ids, `root_ids[local_root]` = input-graph vertex. In
-    /// the single-machine case this is simply `0..n`.
+    /// Root vertex ids, `root_ids[local_root]` = input-graph vertex (in
+    /// the single-machine case simply `0..n`); empty when the index
+    /// holds them ([`HierarchyIndex::root_rows`]).
     pub(crate) root_ids: Vec<VertexId>,
-    /// Group offsets over instance ranks (group `g = root·T + t` holds
-    /// instances `groups()[g]..groups()[g + 1]`), instance offsets into
-    /// the flat leaf array, and the leaves.
+    /// The levels: group `g = root·T + t` holds instances
+    /// `groups()[g]..groups()[g + 1]`, each instance its leaves.
     pub(crate) index: Arc<HierarchyIndex>,
 }
 
@@ -35,17 +39,17 @@ impl Hdg {
 
     /// Number of root vertices in this HDG collection.
     pub fn num_roots(&self) -> usize {
-        self.root_ids.len()
+        self.root_ids().len()
     }
 
     /// Input-graph vertex id of local root `r`.
     pub fn root_id(&self, r: usize) -> VertexId {
-        self.root_ids[r]
+        self.root_ids()[r]
     }
 
     /// All root ids, in local order.
     pub fn root_ids(&self) -> &[VertexId] {
-        &self.root_ids
+        self.index.root_rows().unwrap_or(&self.root_ids)
     }
 
     /// Number of neighbor types.
@@ -150,26 +154,28 @@ impl Hdg {
         &self.leaf_sources()[offsets[groups[r * t]]..offsets[groups[(r + 1) * t]]]
     }
 
-    /// Heap bytes of the compact storage (Table 5's numerator).
+    /// Heap bytes of the compact storage (Table 5's numerator), a flat
+    /// view included once a reader has built one.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
+        use std::mem::size_of;
         self.schema.heap_bytes()
             + self.root_ids.capacity() * size_of::<VertexId>()
-            + size_of_val(self.group_offsets())
-            + size_of_val(self.inst_offsets())
-            + size_of_val(self.leaf_sources())
+            + self.index.heap_bytes()
     }
 
-    /// Heap bytes a naive (non-optimized) encoding would take: CSC with
-    /// explicit destination arrays at *both* levels plus a per-root schema
-    /// tree copy. Used by tests and the Table 5 harness to show the
-    /// optimization's effect.
+    /// Heap bytes a naive (non-optimized) encoding of the same instances
+    /// would take, counted from their sizes: CSC with explicit
+    /// destination arrays at *both* levels — `usize` offsets, `u32`
+    /// ids — plus the root ids and a schema tree per root. Used by tests
+    /// and the Table 5 harness to show the optimization's effect.
     pub fn naive_bytes(&self) -> usize {
         use std::mem::size_of;
-        let inst = self.num_instances();
-        let with_dst2 = inst * size_of::<u32>(); // the omitted Dst array
-        let per_root_schema = self.num_roots() * self.schema.heap_bytes();
-        self.heap_bytes() + with_dst2 + per_root_schema
+        let (roots, inst) = (self.num_roots(), self.num_instances());
+        let offsets = (self.num_groups() + 1) + (inst + 1);
+        let ids = roots + inst + self.index.num_leaves();
+        offsets * size_of::<usize>()
+            + ids * size_of::<u32>()
+            + (roots + 1) * self.schema.heap_bytes()
     }
 }
 

@@ -1,4 +1,5 @@
-//! The flat builder against the record-at-a-time one it replaced.
+//! The flat builder against the record-at-a-time one it replaced, and
+//! the metapath prefix tree against the flat builder.
 //!
 //! [`ReferenceBuilder`] is `HdgBuilder` as it stood before construction
 //! became one pass: a `Vec` of heap-allocated records, a vertex-id →
@@ -7,12 +8,20 @@
 //! the same three arrays from the same pushes, whatever order they
 //! arrive in. The capped hop-shell selection is checked against the
 //! same oracle fed from `bfs::hop_shells` and a full-sort cap.
+//!
+//! `from_metapaths` writes MAGNN's HDG as a prefix tree; its flat view
+//! must equal the arrays `HdgBuilder::push_at` freezes from the same
+//! search, and the hierarchical attention pool must return the same
+//! value and gradient bits over the tree as over those flat arrays.
 
 use flexgraph_graph::bfs::{hop_shells, HopScratch};
 use flexgraph_graph::csr::{Graph, GraphBuilder};
 use flexgraph_graph::gen;
-use flexgraph_hdg::build::{from_hop_shells_capped, select_hop_shells};
+use flexgraph_graph::hetero::{sample_typed_graph, TypedGraph};
+use flexgraph_graph::metapath::{for_each_instance, paper_metapaths, Metapath};
+use flexgraph_hdg::build::{from_hop_shells_capped, from_metapaths, select_hop_shells};
 use flexgraph_hdg::{Hdg, HdgBuilder, SchemaTree};
+use flexgraph_tensor::{set_thread_override, Tensor};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -265,5 +274,166 @@ proptest! {
         let g = gen::community(n, 2, intra, inter, 2, graph_seed).graph;
         assert_hop_shells_match_oracle(&g, seed);
         assert_hop_shells_match_oracle(&with_self_loops(&g), seed);
+    }
+}
+
+/// MAGNN's HDG the flat way: every instance of the search pushed whole.
+fn flat_metapaths(g: &TypedGraph, roots: &[u32], paths: &[Metapath], cap: usize) -> Hdg {
+    let names: Vec<String> = (1..=paths.len()).map(|i| format!("MP{i}")).collect();
+    let mut b = HdgBuilder::new(SchemaTree::new(names), roots.to_vec());
+    for (rank, &root) in roots.iter().enumerate() {
+        for_each_instance(g, root, paths, cap, |mi, path| {
+            b.push_at(rank, mi as u16, path)
+        });
+    }
+    b.build()
+}
+
+/// The prefix tree's counts, bytes and flat view against the flat
+/// builder's HDG of the same search; returns both.
+fn assert_prefix_tree_matches_builder(
+    g: &TypedGraph,
+    roots: &[u32],
+    paths: &[Metapath],
+    cap: usize,
+) -> (Hdg, Hdg) {
+    let got = from_metapaths(g, roots.to_vec(), paths, cap);
+    let want = flat_metapaths(g, roots, paths, cap);
+    assert_eq!(got.root_ids(), roots);
+    assert_eq!(got.num_instances(), want.num_instances());
+    assert_eq!(got.naive_bytes(), want.naive_bytes());
+    let stored = got.heap_bytes();
+    assert!(
+        stored < want.heap_bytes(),
+        "{stored} vs flat {}",
+        want.heap_bytes()
+    );
+    assert_eq!(arrays(&got), arrays(&want), "cap {cap}");
+    // The flat view is built on first use, once, and counted from then.
+    let view = want.hierarchy().heap_bytes();
+    assert_eq!(got.heap_bytes(), stored + view);
+    (got, want)
+}
+
+/// `n` vertices of `k` types; each vertex draws up to four out-edges
+/// in random order, repeats and self-loops included.
+fn typed_graph(n: usize, k: u8, seed: u64) -> TypedGraph {
+    let mut rng = seed;
+    let mut next = |below: usize| {
+        rng = mix64(rng);
+        (rng % below as u64) as usize
+    };
+    let mut b = GraphBuilder::new(n);
+    for v in 0..n as u32 {
+        for _ in 0..next(5) {
+            let u = next(n) as u32;
+            b.add_edge(v, u);
+            if next(4) == 0 {
+                b.add_edge(v, u);
+            }
+        }
+    }
+    let types = (0..n).map(|_| next(k as usize) as u8).collect();
+    TypedGraph::new(b.build(), types)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random typings and metapaths over one more type than the graph
+    /// has (so some roots start no metapath and some metapaths match
+    /// nothing), out-edges that repeat a mid outside its run, caps that
+    /// cut runs, and roots repeated and out of order.
+    #[test]
+    fn prefix_tree_views_equal_the_flat_builder(
+        n in 1usize..40,
+        k in 1u8..4,
+        graph_seed in 0u64..1_000_000,
+        raw_paths in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4), 1..5),
+        cap in prop_oneof![Just(0usize), Just(1usize), Just(2usize), Just(3usize)],
+    ) {
+        let g = typed_graph(n, k, graph_seed);
+        let paths: Vec<Metapath> = raw_paths
+            .iter()
+            .map(|&(a, b, c)| Metapath::new(vec![a % (k + 1), b % (k + 1), c % (k + 1)]))
+            .collect();
+        let all: Vec<u32> = (0..n as u32).collect();
+        let shuffled: Vec<u32> = (0..n as u32).rev().chain((0..n as u32).step_by(2)).collect();
+        for roots in [all, shuffled] {
+            assert_prefix_tree_matches_builder(&g, &roots, &paths, cap);
+        }
+    }
+}
+
+#[test]
+fn paper_metapaths_prefix_tree_equals_the_flat_builder() {
+    let g = sample_typed_graph();
+    for cap in [0, 1, 2, 3] {
+        let roots: Vec<u32> = (0..9).chain([0, 4, 0]).collect();
+        let (got, _) = assert_prefix_tree_matches_builder(&g, &roots, &paper_metapaths(), cap);
+        // Figure 3c's root A: the mids D, E, F, H, H are four runs.
+        assert!(cap != 0 || got.group_instances(0, 1).len() == 4);
+    }
+}
+
+/// Value and `d loss / d h` bits of the pool over `index`, at `threads`.
+fn pool_bits(
+    h: &Tensor,
+    index: &std::sync::Arc<flexgraph_tensor::HierarchyIndex>,
+    threads: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    set_thread_override(Some(threads));
+    let mut tape = flexgraph_tensor::Graph::new();
+    let hn = tape.param(h.clone(), 0);
+    let pooled = tape.hierarchical_attention_pool(hn, index.clone());
+    let (roots, d) = (index.num_roots(), h.cols());
+    let readout = (0..roots * d).map(|i| (i % 7) as f32 - 3.0).collect();
+    let r = tape.leaf(Tensor::from_vec(roots, d, readout));
+    let m = tape.mul(pooled, r);
+    let loss = tape.mean_all(m);
+    tape.backward(loss);
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect();
+    let grad = tape.grad(hn).expect("h is a parameter");
+    let out = (bits(tape.value(pooled)), bits(grad));
+    set_thread_override(None);
+    out
+}
+
+/// The pool walks the prefix tree as it is: the same bits as over the
+/// flat builder's arrays, at 1, 2 and 4 threads, and no flat view built.
+/// Feature rows carry a few infinities and huge negatives.
+#[test]
+fn pool_over_the_prefix_tree_equals_the_flat_walk() {
+    let mut rng = 7u64;
+    for (n, k, seed) in [(40, 3, 1), (120, 2, 2), (300, 3, 3)] {
+        let g = typed_graph(n, k, seed);
+        let paths: Vec<Metapath> = [[0, 1, 0], [0, 2, 0], [1, 0, 2], [2, 2, 2], [1, 1, 0]]
+            .iter()
+            .map(|t| Metapath::new(t.to_vec()))
+            .collect();
+        let roots: Vec<u32> = (0..n as u32).collect();
+        for cap in [0, 2] {
+            let prefix = from_metapaths(&g, roots.clone(), &paths, cap);
+            let flat = flat_metapaths(&g, &roots, &paths, cap);
+            for d in [1, 9, 16] {
+                let mut data: Vec<f32> = (0..n * d)
+                    .map(|_| {
+                        rng = mix64(rng);
+                        (rng % 2001) as f32 / 250.0 - 4.0
+                    })
+                    .collect();
+                data[(seed as usize * 13) % (n * d)] = f32::INFINITY;
+                data[(seed as usize * 29) % (n * d)] = -1.0e30;
+                let h = Tensor::from_vec(n, d, data);
+                let stored = prefix.heap_bytes();
+                let want = pool_bits(&h, flat.hierarchy(), 1);
+                for threads in [1, 2, 4] {
+                    let got = pool_bits(&h, prefix.hierarchy(), threads);
+                    assert_eq!(got.0, want.0, "value: n {n} cap {cap} d {d} @ {threads}");
+                    assert_eq!(got.1, want.1, "grad: n {n} cap {cap} d {d} @ {threads}");
+                }
+                assert_eq!(prefix.heap_bytes(), stored, "the pool built no flat view");
+            }
+        }
     }
 }

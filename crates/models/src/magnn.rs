@@ -65,6 +65,11 @@ impl Magnn {
         }
     }
 
+    /// The HDG's index the model trains on; `None` until selected.
+    pub fn hierarchy(&self) -> Option<&Arc<HierarchyIndex>> {
+        self.hierarchy.as_ref()
+    }
+
     /// Hierarchical aggregation, bottom-up (§3.2 Figure 6); reads `h`
     /// and the HDG only.
     fn aggregate(&self, g: &mut Graph, h: NodeId) -> NodeId {

@@ -24,6 +24,11 @@
 //! tensors below what a tape with those copies and that pre-activation
 //! holds.
 //!
+//! MAGNN's selection writes its HDG in the form the model keeps — a
+//! prefix tree grown a quarter at a time, with no per-instance key or
+//! offset on the side — so its peak stays near the HDG's own bytes, and
+//! the HA epochs read that tree as it is, never building a flat view.
+//!
 //! A counting `#[global_allocator]` needs its own test binary, which is
 //! why this file holds nothing else. Live and peak bytes are counted per
 //! thread: the tape's buffers are all drawn on the training thread, and
@@ -36,6 +41,7 @@ use flexgraph_models::{Gcn, Magnn, Model, TrainConfig, Trainer};
 use flexgraph_tensor::num_threads;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Bytes this thread has allocated and not freed, and the most that
@@ -189,6 +195,47 @@ fn no_magnn_epoch_holds_an_instance_sized_tensor() {
             p as f64 / inst as f64,
         );
     }
+}
+
+/// The counted peak while `Magnn::selection` runs, over the
+/// `heap_bytes` of the HDG it builds (measured 1.10; 1.84 while the
+/// flat builder grew doubling `Vec`s and kept a group key per
+/// instance).
+const SELECTION_PEAK_OVER_HDG: f64 = 1.25;
+
+#[test]
+fn magnn_selection_peaks_near_its_hdg_and_ha_epochs_build_no_flat_view() {
+    // The benchmark's IMDB stand-in, at the test's hidden width.
+    let ds = hetero_imdb(2000, 3, 4, HIDDEN, 1);
+    let paths = imdb_metapaths();
+    let roots = (0..ds.graph.num_vertices() as u32).collect();
+    let hdg_bytes = from_metapaths(&ds.typed(), roots, &paths, CAP).heap_bytes();
+    let model = Magnn::new(HIDDEN, HIDDEN, ds.num_classes, paths, CAP);
+    let cfg = TrainConfig {
+        epochs: 0,
+        lr: 0.01,
+        seed: 3,
+    };
+    let mut tr = Trainer::new(model, cfg);
+    let base = live();
+    reset_peak();
+    tr.model.selection(&ds, 0);
+    let ratio = (peak() - base) as f64 / hdg_bytes as f64;
+    assert!(
+        ratio <= SELECTION_PEAK_OVER_HDG,
+        "selection peaked at {ratio:.2} × the HDG's {hdg_bytes} bytes"
+    );
+
+    let index = Arc::clone(tr.model.hierarchy().expect("selection ran"));
+    let index_bytes = index.heap_bytes();
+    for epoch in 0..4 {
+        tr.epoch(&ds, epoch);
+    }
+    assert_eq!(
+        index.heap_bytes(),
+        index_bytes,
+        "an HA epoch built the index's flat view"
+    );
 }
 
 /// `|V| × hidden` tensors a GCN pass may hold beyond the CSC transpose

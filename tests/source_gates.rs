@@ -443,7 +443,6 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/graph/src/metapath.rs", "paper_metapaths", Fixture, "Figure 2c's metapaths"),
     ("crates/graph/src/bfs.rs", "hop_distances", Oracle, "the hop-shell walk's BFS"),
     ("crates/graph/src/walk.rs", "visit_counts", Oracle, "the importance walker's counts"),
-    ("crates/hdg/src/storage.rs", "root_ids", Fixture, "builder_oracle's root order"),
     ("crates/hdg/src/storage.rs", "leaves_of_root", Fixture, "the ADB tests' cost proxy"),
     ("crates/hdg/src/storage.rs", "dependency_leaves", Oracle, "robustness's leaf closure"),
     ("crates/models/src/train.rs", "epoch_masked", Documented, "DESIGN's memo parity contract"),
