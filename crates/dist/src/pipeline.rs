@@ -22,16 +22,20 @@
 //! The plan is a function of the HDGs and the ownership map and of
 //! nothing else, so it is not an epoch's business: [`build_leaf_sync`]
 //! is pure, a shard set caches its result
-//! ([`crate::shard::leaf_sync_plans`]), and epochs read it. The plan
-//! also knows how many rows each message will carry, which lets the
-//! encoders write every leaf message in one pass into a buffer sized
-//! once ([`flexgraph_comm::RowWriter`]), partial sums accumulated in
-//! place.
+//! ([`crate::shard::leaf_sync_plans`]), and epochs read it. Each remote
+//! leaf edge is stored once, in the receiver's list from its owner
+//! ([`LeafSync::remote_by_owner`]): the owner encodes its partial sums
+//! for that receiver from the receiver's list, so a worker's epoch reads
+//! the whole set's plans. The plan also knows how many rows each message
+//! will carry, which lets the encoders write every leaf message in one
+//! pass into a buffer sized once ([`flexgraph_comm::RowWriter`]),
+//! partial sums accumulated in place.
 
 use crate::shard::Shard;
 use flexgraph_comm::{decode_rows_with, RowWriter};
 use flexgraph_graph::VertexId;
 use flexgraph_tensor::{SegmentIndex, Tensor};
+use std::ops::Range;
 
 /// The granularity of the first reduction level.
 ///
@@ -60,14 +64,11 @@ pub struct LeafSync {
     pub level: SlotLevel,
     /// Number of slots (instances or groups).
     pub num_slots: usize,
-    /// Per peer: `(slot, local_feature_row)` pairs this worker must
-    /// serve, sorted by slot.
-    pub serve: Vec<Vec<(u32, u32)>>,
-    /// Per peer: distinct slots in `serve` — the row count of the
-    /// partial-aggregate message to that peer.
+    /// Per peer: the distinct slots of that peer's list from this worker
+    /// — the row count of the partial-aggregate message to that peer.
     pub partial_rows: Vec<usize>,
-    /// Per peer: the distinct local feature rows in `serve`, ascending —
-    /// the rows of the raw message to that peer.
+    /// Per peer: the distinct local feature rows in that peer's list
+    /// from this worker, ascending — the rows of the raw message to it.
     pub raw_rows: Vec<Vec<u32>>,
     /// Per peer: whether sender-side *partial aggregation* compresses
     /// this worker's traffic to that peer. Partials win when several
@@ -85,12 +86,12 @@ pub struct LeafSync {
     /// local aggregation step is the fused fold over it
     /// (`fusion::segment_reduce_into`).
     pub local: SegmentIndex,
-    /// `(slot, leaf_vertex)` pairs whose leaf lives remotely (consumed by
-    /// the unpipelined receiver), sorted by slot.
-    pub remote_edges: Vec<(u32, VertexId)>,
-    /// `remote_edges` split by owning peer (consumed when folding raw
-    /// rows in pipelined mode).
-    pub remote_edges_by_owner: Vec<Vec<(u32, VertexId)>>,
+    /// Per owning peer: the leaf edges whose leaf that peer owns, as
+    /// `(slot, feature row on the owner)` pairs sorted by slot, then row
+    /// (rows ascend with vertex ids). The one copy of each remote leaf
+    /// edge: the owner encodes its partial sums for this worker from it,
+    /// and this worker folds the owner's raw rows through it.
+    pub remote_by_owner: Vec<Vec<(u32, u32)>>,
     /// Total leaf count per slot (local + remote), for Mean.
     pub slot_counts: Vec<u32>,
     /// Per local root: starting slot; length `num_roots + 1`. Lets batch
@@ -103,34 +104,21 @@ pub struct LeafSync {
 pub fn build_leaf_sync(shards: &[Shard]) -> Vec<LeafSync> {
     let k = shards.len();
     let mut plans: Vec<LeafSync> = shards.iter().map(|s| receive_side(s, k)).collect();
-    // What `w` needs from `owner` is what `owner` serves to `w`, re-keyed
-    // to the owner's feature rows. Rows ascend with vertex ids, so the
-    // lists stay sorted.
-    for (w, shard) in shards.iter().enumerate() {
-        for owner in (0..k).filter(|&o| o != w) {
-            let serve = plans[w].remote_edges_by_owner[owner]
-                .iter()
-                .map(|&(slot, leaf)| (slot, shard.row_on_owner(leaf)))
-                .collect();
-            plans[owner].serve[w] = serve;
-        }
-    }
-    // Size both wire forms per (sender, receiver) pair and choose the
-    // smaller.
+    // What `w` serves `p` is `p`'s list from `w`: size both wire forms
+    // per (sender, receiver) pair and choose the smaller.
     for (w, shard) in shards.iter().enumerate() {
         let mut served = vec![false; shard.roots.len()];
         for p in (0..k).filter(|&p| p != w) {
-            let serve = &plans[w].serve[p];
-            let partial_rows = serve.chunk_by(|a, b| a.0 == b.0).count();
-            for &(_, row) in serve {
-                served[row as usize] = true;
-            }
-            let mut raw_rows = Vec::new();
-            for (row, hit) in served.iter_mut().enumerate() {
-                if std::mem::take(hit) {
-                    raw_rows.push(row as u32);
-                }
-            }
+            let list = &plans[p].remote_by_owner[w];
+            let partial_rows = list.chunk_by(|a, b| a.0 == b.0).count();
+            // Mark the rows the list reads, counting each once, then take
+            // them in ascending order: the rows of the raw message.
+            let mut mark =
+                |&(_, row): &(u32, u32)| !std::mem::replace(&mut served[row as usize], true);
+            let mut raw_rows = Vec::with_capacity(list.iter().filter(|e| mark(e)).count());
+            raw_rows.extend(
+                (0..served.len() as u32).filter(|&r| std::mem::take(&mut served[r as usize])),
+            );
             let use_partial = partial_rows <= raw_rows.len();
             plans[w].partial_rows[p] = partial_rows;
             plans[w].raw_rows[p] = raw_rows;
@@ -141,7 +129,7 @@ pub fn build_leaf_sync(shards: &[Shard]) -> Vec<LeafSync> {
     plans
 }
 
-/// One shard's plan up to what depends on its peers' HDGs: slots, the
+/// One shard's plan up to what depends on its peers' lists: slots, the
 /// local fold and the remote leaf edges it must receive. Every list is
 /// allocated once, at its final size.
 fn receive_side(s: &Shard, k: usize) -> LeafSync {
@@ -171,36 +159,36 @@ fn receive_side(s: &Shard, k: usize) -> LeafSync {
     let n_local = std::mem::take(&mut from_owner[w]);
     let mut local_offsets = vec![0usize; num_slots + 1];
     let mut local_src = Vec::with_capacity(n_local);
-    let mut remote_edges = Vec::with_capacity(from_owner.iter().sum());
-    let mut remote_edges_by_owner: Vec<Vec<(u32, VertexId)>> =
+    let mut remote_by_owner: Vec<Vec<(u32, u32)>> =
         from_owner.iter().map(|&n| Vec::with_capacity(n)).collect();
     let mut slot_counts = vec![0u32; num_slots];
 
-    let group_of = hdg.instance_group_index();
-    for i in 0..hdg.num_instances() {
-        let slot = match level {
-            SlotLevel::Groups => group_of[i],
-            SlotLevel::Instances => i as u32,
-        };
-        let leaves = hdg.instance_leaves(i);
-        slot_counts[slot as usize] += leaves.len() as u32;
-        for &leaf in leaves {
-            let owner = s.owner[leaf as usize] as usize;
-            if owner == w {
-                local_offsets[slot as usize + 1] += 1;
-                local_src.push(s.row_on_owner(leaf));
-            } else {
-                remote_edges.push((slot, leaf));
-                remote_edges_by_owner[owner].push((slot, leaf));
+    for (g, range) in hdg.group_offsets().windows(2).enumerate() {
+        for i in range[0]..range[1] {
+            let slot = match level {
+                SlotLevel::Groups => g as u32,
+                SlotLevel::Instances => i as u32,
+            };
+            let leaves = hdg.instance_leaves(i);
+            slot_counts[slot as usize] += leaves.len() as u32;
+            for &leaf in leaves {
+                let owner = s.owner[leaf as usize] as usize;
+                let row = s.row_on_owner(leaf);
+                if owner == w {
+                    local_offsets[slot as usize + 1] += 1;
+                    local_src.push(row);
+                } else {
+                    remote_by_owner[owner].push((slot, row));
+                }
             }
         }
     }
     // Instances ascend by slot, so the lists are already grouped by
-    // slot: ordering the leaves within each slot's run sorts them, and
+    // slot: ordering the rows within each slot's run sorts them, and
     // the local rows are segmented by counting each slot's.
-    sort_within_slots(&mut remote_edges);
-    for r in &mut remote_edges_by_owner {
-        sort_within_slots(r);
+    for list in &mut remote_by_owner {
+        list.chunk_by_mut(|a, b| a.0 == b.0)
+            .for_each(<[_]>::sort_unstable);
     }
     for slot in 0..num_slots {
         local_offsets[slot + 1] += local_offsets[slot];
@@ -208,38 +196,50 @@ fn receive_side(s: &Shard, k: usize) -> LeafSync {
     LeafSync {
         level,
         num_slots,
-        serve: vec![Vec::new(); k],
         partial_rows: vec![0; k],
         raw_rows: vec![Vec::new(); k],
         partial_to: vec![true; k],
         partial_from: vec![true; k],
         local: SegmentIndex::new(local_offsets, local_src),
-        remote_edges,
-        remote_edges_by_owner,
+        remote_by_owner,
         slot_counts,
         root_slot_off,
     }
 }
 
-/// Sorts a `(slot, x)` list whose slots already ascend.
-fn sort_within_slots(list: &mut [(u32, u32)]) {
-    debug_assert!(list.windows(2).all(|w| w[0].0 <= w[1].0));
-    for run in list.chunk_by_mut(|a, b| a.0 == b.0) {
-        run.sort_unstable();
+/// The remote leaf edges of a slot range as `(slot, leaf vertex)`
+/// pairs: every owner's list merged, each row mapped to its vertex, and
+/// sorted by slot, then leaf — the order the unpipelined and mini-batch
+/// folds add them in.
+pub(crate) fn remote_edges_in(
+    sync: &LeafSync,
+    shards: &[Shard],
+    slots: Range<usize>,
+) -> Vec<(u32, VertexId)> {
+    let mut edges = Vec::new();
+    for (list, owner) in sync.remote_by_owner.iter().zip(shards) {
+        let bound = |s: usize| list.partition_point(|&(i, _)| (i as usize) < s);
+        let run = &list[bound(slots.start)..bound(slots.end)];
+        let vertex = |&(slot, row): &(u32, u32)| (slot, owner.roots[row as usize]);
+        edges.extend(run.iter().map(vertex));
     }
+    edges.sort_unstable();
+    edges
 }
 
-/// Encodes per-slot partial sums for peer `p` into one message, each
-/// sum accumulated where it lies in the wire buffer.
+/// Encodes worker `me`'s per-slot partial sums for peer `p` into one
+/// message, reading `p`'s list from `me` in place; each sum accumulates
+/// where it lies in the wire buffer.
 pub(crate) fn encode_partials(
-    sync: &LeafSync,
-    local_feats: &Tensor,
+    syncs: &[LeafSync],
+    me: usize,
     p: usize,
+    local_feats: &Tensor,
     d: usize,
 ) -> bytes::Bytes {
-    let mut w = RowWriter::with_rows(d, sync.partial_rows[p]);
+    let mut w = RowWriter::with_rows(d, syncs[me].partial_rows[p]);
     let mut last = None;
-    for &(slot, row) in &sync.serve[p] {
+    for &(slot, row) in &syncs[p].remote_by_owner[me] {
         let src = local_feats.row(row as usize);
         if last == Some(slot) {
             w.add_to_last(src);
@@ -268,28 +268,30 @@ pub(crate) fn encode_raw_rows(
     w.finish()
 }
 
-/// Folds a vertex-keyed raw message from `from` into the slot buffer,
-/// resolving slots through the per-owner remote-edge list. `offset_of`
-/// (dense vertex → payload offset) and `flat` are the worker task's
-/// scratch: the table is sized on first use and never cleared, since
-/// owners are disjoint and a message rewrites every entry its fold reads.
+/// Folds a vertex-keyed raw message from `owner` into the slot buffer
+/// through the per-owner list. `offset_of` (row on the owner → payload
+/// offset) and `flat` are the worker task's scratch: the table grows to
+/// the largest owner's row count and is never cleared, since a message
+/// rewrites every entry its fold reads.
 pub(crate) fn fold_raw_rows(
     sync: &LeafSync,
     slots: &mut Tensor,
     payload: &bytes::Bytes,
-    from: usize,
+    owner: &Shard,
     offset_of: &mut Vec<u32>,
     flat: &mut Vec<f32>,
-    num_vertices: usize,
 ) {
-    offset_of.resize(num_vertices, u32::MAX);
+    offset_of.resize(offset_of.len().max(owner.roots.len()), u32::MAX);
+    if cfg!(debug_assertions) {
+        offset_of.fill(u32::MAX); // rows alias across owners: forget the last one's
+    }
     flat.clear();
     let d = decode_rows_with(payload, |v, row| {
-        offset_of[v as usize] = flat.len() as u32;
+        offset_of[owner.row_on_owner(v) as usize] = flat.len() as u32;
         flat.extend_from_slice(row);
     });
-    for &(slot, leaf) in &sync.remote_edges_by_owner[from] {
-        let off = offset_of[leaf as usize] as usize;
+    for &(slot, row) in &sync.remote_by_owner[owner.rank] {
+        let off = offset_of[row as usize] as usize;
         debug_assert_ne!(off, u32::MAX as usize, "peer shipped every depended-on row");
         let dst = slots.row_mut(slot as usize);
         for (o, &x) in dst.iter_mut().zip(&flat[off..off + d]) {
@@ -385,40 +387,54 @@ mod tests {
         LeafSync {
             level,
             num_slots,
-            serve: vec![Vec::new(); k],
             partial_rows: vec![0; k],
             raw_rows: vec![Vec::new(); k],
             partial_to: vec![true; k],
             partial_from: vec![true; k],
             local: SegmentIndex::new(vec![0; num_slots + 1], Vec::new()),
-            remote_edges: Vec::new(),
-            remote_edges_by_owner: vec![Vec::new(); k],
+            remote_by_owner: vec![Vec::new(); k],
             slot_counts: vec![0; num_slots],
             root_slot_off: vec![0],
         }
+    }
+
+    /// Each leaf edge of a shard as `(slot, leaf vertex)`, in instance
+    /// order; the group of an instance is reconstructed from the group
+    /// offsets.
+    fn leaf_edges(shard: &Shard) -> Vec<(u32, VertexId)> {
+        let hdg = &shard.hdg;
+        let mut group_of = vec![0u32; hdg.num_instances()];
+        for (g, w) in hdg.group_offsets().windows(2).enumerate() {
+            group_of[w[0]..w[1]].fill(g as u32);
+        }
+        let mut edges = Vec::new();
+        for i in 0..hdg.num_instances() {
+            let slot = if hdg.is_flat_instances() {
+                group_of[i]
+            } else {
+                i as u32
+            };
+            edges.extend(hdg.instance_leaves(i).iter().map(|&leaf| (slot, leaf)));
+        }
+        edges
+    }
+
+    /// The feature row of `leaf` on its owner, found by search.
+    fn row_of(shards: &[Shard], leaf: VertexId) -> u32 {
+        let owner = &shards[shards[0].owner[leaf as usize] as usize];
+        owner.roots.binary_search(&leaf).expect("owned") as u32
     }
 
     /// The locally owned leaves of each shard as `(slot, local feature
     /// row)` pairs, leaf edge by leaf edge in instance order.
     fn local_edges(shards: &[Shard]) -> Vec<Vec<(u32, u32)>> {
         let local = |shard: &Shard| {
-            let hdg = &shard.hdg;
-            let group_of = hdg.instance_group_index();
-            let mut edges = Vec::new();
-            for i in 0..hdg.num_instances() {
-                let slot = if hdg.is_flat_instances() {
-                    group_of[i]
-                } else {
-                    i as u32
-                };
-                for &leaf in hdg.instance_leaves(i) {
-                    if shard.owner[leaf as usize] as usize == shard.rank {
-                        let row = shard.roots.binary_search(&leaf).expect("owned");
-                        edges.push((slot, row as u32));
-                    }
-                }
-            }
-            edges
+            let edges = leaf_edges(shard).into_iter();
+            let owned =
+                edges.filter(|&(_, leaf)| shard.owner[leaf as usize] as usize == shard.rank);
+            owned
+                .map(|(slot, leaf)| (slot, row_of(shards, leaf)))
+                .collect()
         };
         shards.iter().map(local).collect()
     }
@@ -434,14 +450,32 @@ mod tests {
         SegmentIndex::new(plan.offsets().to_vec(), rows)
     }
 
+    /// The three lists a plan once kept for each remote leaf edge: the
+    /// receiver's `(slot, leaf)` pairs in slot order, the same pairs
+    /// split by owner, and the owner's `(slot, row)` pairs per receiver.
+    #[derive(Default)]
+    struct OldLists {
+        slot_order: Vec<(u32, VertexId)>,
+        by_owner: Vec<Vec<(u32, VertexId)>>,
+        served: Vec<Vec<(u32, u32)>>,
+    }
+
     /// `build_leaf_sync` as it was first written — every leaf edge
-    /// pushed to its lists one by one, every list sorted whole, rows
+    /// pushed to three lists one by one, every list sorted whole, rows
     /// deduplicated by sorting, the local leaves grouped by a scatter
     /// plan — kept as the oracle for the counted, run-sorted,
-    /// transposed construction.
-    fn edge_by_edge_reference(shards: &[Shard]) -> Vec<LeafSync> {
+    /// one-list construction. Returns the plans it implies and the old
+    /// lists they were derived from.
+    fn edge_by_edge_reference(shards: &[Shard]) -> (Vec<LeafSync>, Vec<OldLists>) {
         let k = shards.len();
         let local = local_edges(shards);
+        let mut old: Vec<OldLists> = (0..k)
+            .map(|_| OldLists {
+                by_owner: vec![Vec::new(); k],
+                served: vec![Vec::new(); k],
+                ..OldLists::default()
+            })
+            .collect();
         let mut plans: Vec<LeafSync> = shards
             .iter()
             .map(|s| {
@@ -468,37 +502,34 @@ mod tests {
             .collect();
         for shard in shards {
             let w = shard.rank;
-            let group_of = shard.hdg.instance_group_index();
-            for i in 0..shard.hdg.num_instances() {
-                let slot = match plans[w].level {
-                    SlotLevel::Groups => group_of[i],
-                    SlotLevel::Instances => i as u32,
-                };
-                for &leaf in shard.hdg.instance_leaves(i) {
-                    plans[w].slot_counts[slot as usize] += 1;
-                    let owner = shard.owner[leaf as usize] as usize;
-                    let row = shards[owner].roots.binary_search(&leaf).expect("owned") as u32;
-                    if owner != w {
-                        plans[w].remote_edges.push((slot, leaf));
-                        plans[w].remote_edges_by_owner[owner].push((slot, leaf));
-                        plans[owner].serve[w].push((slot, row));
-                    }
+            for (slot, leaf) in leaf_edges(shard) {
+                plans[w].slot_counts[slot as usize] += 1;
+                let owner = shard.owner[leaf as usize] as usize;
+                if owner != w {
+                    old[w].slot_order.push((slot, leaf));
+                    old[w].by_owner[owner].push((slot, leaf));
+                    old[owner].served[w].push((slot, row_of(shards, leaf)));
                 }
             }
         }
-        for (p, local) in plans.iter_mut().zip(&local) {
-            p.serve.iter_mut().for_each(|s| s.sort_unstable());
-            p.remote_edges.sort_unstable();
-            p.remote_edges_by_owner
-                .iter_mut()
-                .for_each(|r| r.sort_unstable());
+        for ((p, old), local) in plans.iter_mut().zip(&mut old).zip(&local) {
+            old.served.iter_mut().for_each(|s| s.sort_unstable());
+            old.slot_order.sort_unstable();
+            for (owner, list) in old.by_owner.iter_mut().enumerate() {
+                list.sort_unstable();
+                p.remote_by_owner[owner] = list
+                    .iter()
+                    .map(|&(slot, leaf)| (slot, row_of(shards, leaf)))
+                    .collect();
+            }
             p.local = planned_index(local, p.num_slots);
         }
         for w in 0..k {
             for p in (0..k).filter(|&p| p != w) {
-                let mut slots: Vec<u32> = plans[w].serve[p].iter().map(|&(s, _)| s).collect();
+                let serve = &old[w].served[p];
+                let mut slots: Vec<u32> = serve.iter().map(|&(s, _)| s).collect();
                 slots.dedup();
-                let mut rows: Vec<u32> = plans[w].serve[p].iter().map(|&(_, r)| r).collect();
+                let mut rows: Vec<u32> = serve.iter().map(|&(_, r)| r).collect();
                 rows.sort_unstable();
                 rows.dedup();
                 let use_partial = slots.len() <= rows.len();
@@ -508,7 +539,7 @@ mod tests {
                 plans[p].partial_from[w] = use_partial;
             }
         }
-        plans
+        (plans, old)
     }
 
     /// The shard sets of a flat HDG (slots are groups, partial
@@ -538,13 +569,37 @@ mod tests {
     #[test]
     fn plans_equal_the_edge_by_edge_reference() {
         for k in [1, 2, 3, 5] {
-            let [flat, hetero] = flat_and_hetero_shards(k);
-            assert_eq!(build_leaf_sync(&flat), edge_by_edge_reference(&flat));
-            let plans = build_leaf_sync(&hetero);
-            assert_eq!(plans, edge_by_edge_reference(&hetero));
-            if k > 1 {
-                let raw = plans.iter().flat_map(|p| &p.partial_to).filter(|&&x| !x);
-                assert!(raw.count() > 0, "k={k}: the raw wire form is exercised");
+            for (case, shards) in ["flat", "hetero"].iter().zip(flat_and_hetero_shards(k)) {
+                let plans = build_leaf_sync(&shards);
+                let (reference, old) = edge_by_edge_reference(&shards);
+                assert_eq!(plans, reference, "{case} k={k}");
+                for (w, (plan, mine)) in plans.iter().zip(&old).enumerate() {
+                    for (owner, list) in plan.remote_by_owner.iter().enumerate() {
+                        // The old per-owner list, re-keyed to rows, and
+                        // what the owner used to serve this worker.
+                        let rekeyed: Vec<(u32, u32)> = mine.by_owner[owner]
+                            .iter()
+                            .map(|&(slot, leaf)| (slot, row_of(&shards, leaf)))
+                            .collect();
+                        assert_eq!(list, &rekeyed, "{case} k={k} {w} from {owner}");
+                        assert_eq!(list, &old[owner].served[w], "{case} k={k}");
+                    }
+                    // The merged walk is the old slot-ordered list, over
+                    // every slot and over each root batch.
+                    let all = remote_edges_in(plan, &shards, 0..plan.num_slots);
+                    assert_eq!(all, mine.slot_order, "{case} k={k} rank {w}");
+                    let offs = &plan.root_slot_off;
+                    for lo in (0..offs.len() - 1).step_by(7) {
+                        let hi = (lo + 7).min(offs.len() - 1);
+                        let batch = remote_edges_in(plan, &shards, offs[lo]..offs[hi]);
+                        let bound = |s: usize| all.partition_point(|&(i, _)| (i as usize) < s);
+                        assert_eq!(batch, &all[bound(offs[lo])..bound(offs[hi])]);
+                    }
+                }
+                if *case == "hetero" && k > 1 {
+                    let raw = plans.iter().flat_map(|p| &p.partial_to).filter(|&&x| !x);
+                    assert!(raw.count() > 0, "k={k}: the raw wire form is exercised");
+                }
             }
         }
     }
@@ -573,26 +628,28 @@ mod tests {
         }
     }
 
-    /// A plan that serves `serve` and nothing else.
-    fn serving(serve: Vec<Vec<(u32, u32)>>) -> LeafSync {
-        let k = serve.len();
+    /// A set whose rank 0 serves `lists[i]` to rank `i + 1` and nothing
+    /// else: that is rank `i + 1`'s list from rank 0, and rank 0 sizes
+    /// both wire forms from it.
+    fn serving(lists: Vec<Vec<(u32, u32)>>) -> Vec<LeafSync> {
+        let k = lists.len() + 1;
         let distinct = |mut xs: Vec<u32>| {
             xs.sort_unstable();
             xs.dedup();
             xs
         };
-        LeafSync {
-            partial_rows: serve
-                .iter()
-                .map(|s| distinct(s.iter().map(|&(slot, _)| slot).collect()).len())
-                .collect(),
-            raw_rows: serve
-                .iter()
-                .map(|s| distinct(s.iter().map(|&(_, row)| row).collect()))
-                .collect(),
-            serve,
-            ..blank(k, SlotLevel::Groups, 0)
+        let mut sender = blank(k, SlotLevel::Groups, 0);
+        for (p, list) in lists.iter().enumerate() {
+            sender.partial_rows[p + 1] =
+                distinct(list.iter().map(|&(slot, _)| slot).collect()).len();
+            sender.raw_rows[p + 1] = distinct(list.iter().map(|&(_, row)| row).collect());
         }
+        let peers = lists.into_iter().map(|list| {
+            let mut peer = blank(k, SlotLevel::Groups, 0);
+            peer.remote_by_owner[0] = list;
+            peer
+        });
+        std::iter::once(sender).chain(peers).collect()
     }
 
     /// The wire format written out longhand.
@@ -610,11 +667,11 @@ mod tests {
     }
 
     /// The two-step senders the one-pass encoders replaced: stage ids
-    /// and an f32 matrix, then encode.
-    fn two_step_partials(sync: &LeafSync, feats: &Tensor, p: usize, d: usize) -> Vec<u8> {
+    /// and an f32 matrix from the `(slot, row)` list served, then encode.
+    fn two_step_partials(serve: &[(u32, u32)], feats: &Tensor, d: usize) -> Vec<u8> {
         let mut ids: Vec<u32> = Vec::new();
         let mut flat: Vec<f32> = Vec::new();
-        for &(slot, row) in &sync.serve[p] {
+        for &(slot, row) in serve {
             let src = feats.row(row as usize);
             if ids.last() == Some(&slot) {
                 let base = flat.len() - d;
@@ -630,13 +687,12 @@ mod tests {
     }
 
     fn two_step_raw_rows(
-        sync: &LeafSync,
+        serve: &[(u32, u32)],
         feats: &Tensor,
         roots: &[VertexId],
-        p: usize,
         d: usize,
     ) -> Vec<u8> {
-        let mut rows: Vec<u32> = sync.serve[p].iter().map(|&(_, r)| r).collect();
+        let mut rows: Vec<u32> = serve.iter().map(|&(_, r)| r).collect();
         rows.sort_unstable();
         rows.dedup();
         let ids: Vec<u32> = rows.iter().map(|&r| roots[r as usize]).collect();
@@ -680,13 +736,16 @@ mod tests {
         fn one_pass_encoders_write_the_two_step_bytes((n, d, feats, serve) in serve_lists()) {
             let feats = Tensor::from_vec(n, d, feats);
             let roots: Vec<VertexId> = (0..n as u32).map(|r| 7 + 3 * r).collect();
-            let sync = serving(serve);
-            for p in 0..sync.serve.len() {
-                let partials = encode_partials(&sync, &feats, p, d);
-                prop_assert_eq!(partials.as_ref(), &two_step_partials(&sync, &feats, p, d)[..]);
-                let raw = encode_raw_rows(&sync, &feats, &roots, p, d);
-                prop_assert_eq!(raw.as_ref(), &two_step_raw_rows(&sync, &feats, &roots, p, d)[..]);
-                for (msg, rows) in [(&partials, sync.partial_rows[p]), (&raw, sync.raw_rows[p].len())] {
+            let syncs = serving(serve.clone());
+            for (i, list) in serve.iter().enumerate() {
+                let p = i + 1;
+                // The sender reads the peer's list from it in place.
+                let partials = encode_partials(&syncs, 0, p, &feats, d);
+                prop_assert_eq!(partials.as_ref(), &two_step_partials(list, &feats, d)[..]);
+                let raw = encode_raw_rows(&syncs[0], &feats, &roots, p, d);
+                prop_assert_eq!(raw.as_ref(), &two_step_raw_rows(list, &feats, &roots, d)[..]);
+                let rows = [syncs[0].partial_rows[p], syncs[0].raw_rows[p].len()];
+                for (msg, rows) in [&partials, &raw].into_iter().zip(rows) {
                     let mut seen = 0;
                     prop_assert_eq!(try_decode_rows_with(msg, |_, _| seen += 1), Ok(d));
                     prop_assert_eq!(seen, rows);

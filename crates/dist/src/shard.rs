@@ -11,8 +11,9 @@
 //! and one cell holding the set's [`LeafSync`] plans. The plans depend
 //! only on the HDGs and the ownership map, so they are built once — by
 //! the first epoch that runs on the set ([`leaf_sync_plans`]) — and every
-//! later layer and epoch reads them. A new NeighborSelection or an ADB
-//! migration carves a new set, which is the only invalidation there is.
+//! later layer and epoch reads them, a worker's epoch the whole set's (it
+//! encodes for a peer from the peer's plan). A new NeighborSelection or
+//! an ADB migration carves a new set, which is the only invalidation.
 
 use crate::pipeline::{build_leaf_sync, LeafSync};
 use flexgraph_graph::{Partitioning, VertexId};

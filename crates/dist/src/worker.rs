@@ -16,7 +16,7 @@
 //! construction. Every receive is directed and rank-ordered: leaf folds
 //! need that for bitwise reproducibility (f32 addition is not
 //! associative); the table-filling receives do not — their tables are
-//! keyed by vertex and folded in `remote_edges` order — but take the
+//! keyed by vertex and folded in slot, then leaf order — but take the
 //! same shape so a worker parks on exactly one `(from, tag)`.
 //!
 //! Each stage is recorded once, in the deterministic work units of
@@ -24,7 +24,8 @@
 //! them (modeled or measured, depending on the driver).
 
 use crate::pipeline::{
-    encode_partials, encode_raw_rows, finalize_mean, fold_raw_rows, LeafSync, SlotLevel,
+    encode_partials, encode_raw_rows, finalize_mean, fold_raw_rows, remote_edges_in, LeafSync,
+    SlotLevel,
 };
 use crate::shard::Shard;
 use crate::trainer::{DistConfig, DistMode};
@@ -74,39 +75,33 @@ impl<'a> EpochTask<'a> {
         cfg: &'a DistConfig,
         epoch_id: u64,
     ) -> Vec<Self> {
-        let task = |(shard, sync)| Self::new(graph, shard, sync, cfg, epoch_id);
-        shards.iter().zip(syncs).map(task).collect()
-    }
-
-    fn new(
-        graph: &'a Graph,
-        shard: &'a Shard,
-        sync: &'a LeafSync,
-        cfg: &'a DistConfig,
-        epoch_id: u64,
-    ) -> Self {
-        let mut rec = PartitionRecord::new(epoch_id, shard.rank as u32);
-        let machine = match cfg.mode {
-            DistMode::FlexGraph { pipeline } => {
-                rec.pipelined = pipeline;
-                Machine::Flex(FlexTask::new(pipeline))
-            }
-            DistMode::EulerLike { batch_size } => Machine::Mini(MiniTask::new(batch_size, None)),
-            DistMode::DistDglLike { batch_size, hops } => {
-                Machine::Mini(MiniTask::new(batch_size, Some(hops)))
-            }
-        };
-        Self {
-            w: Worker {
+        let task = |(shard, sync): (&'a Shard, &'a LeafSync)| {
+            let mut rec = PartitionRecord::new(epoch_id, shard.rank as u32);
+            let machine = match cfg.mode {
+                DistMode::FlexGraph { pipeline } => {
+                    rec.pipelined = pipeline;
+                    Machine::Flex(FlexTask::new(pipeline))
+                }
+                DistMode::EulerLike { batch_size } => {
+                    Machine::Mini(MiniTask::new(batch_size, None))
+                }
+                DistMode::DistDglLike { batch_size, hops } => {
+                    Machine::Mini(MiniTask::new(batch_size, Some(hops)))
+                }
+            };
+            let w = Worker {
                 graph,
                 shard,
                 sync,
+                shards,
+                syncs,
                 cfg,
                 rec,
                 out: None,
-            },
-            machine,
-        }
+            };
+            Self { w, machine }
+        };
+        shards.iter().zip(syncs).map(task).collect()
     }
 
     /// The finished task's outcome (valid once a driver has run it).
@@ -142,6 +137,9 @@ struct Worker<'a> {
     graph: &'a Graph,
     shard: &'a Shard,
     sync: &'a LeafSync,
+    /// The whole set: a peer's list from this worker is in its plan.
+    shards: &'a [Shard],
+    syncs: &'a [LeafSync],
     cfg: &'a DistConfig,
     rec: PartitionRecord,
     out: Option<Result<Tensor, CommError>>,
@@ -261,9 +259,10 @@ struct FlexTask {
     pipeline: bool,
     state: FlexState,
     slots: Option<Tensor>,
-    /// Receive table for raw rows: dense vertex → offset in
-    /// `remote_flat`. Unpipelined, it collects every peer's rows for the
-    /// fold after the last arrival; pipelined, it is per-message scratch.
+    /// Receive table for raw rows → offset in `remote_flat`.
+    /// Unpipelined, it is keyed by vertex and collects every peer's rows
+    /// for the fold after the last arrival; pipelined, it is per-message
+    /// scratch keyed by row on the sender.
     remote_off: Vec<u32>,
     remote_flat: Vec<f32>,
     fold_entries: u64,
@@ -304,7 +303,7 @@ impl FlexTask {
                     for p in (0..k).filter(|&p| p != me) {
                         let partial = self.pipeline && sync.partial_to[p];
                         let payload = if partial {
-                            encode_partials(sync, &shard.feats, p, d)
+                            encode_partials(w.syncs, me, p, &shard.feats, d)
                         } else {
                             encode_raw_rows(sync, &shard.feats, &shard.roots, p, d)
                         };
@@ -333,7 +332,8 @@ impl FlexTask {
                         // Dataflow semantics: aggregate only after every
                         // remote row has arrived.
                         let mut slots = w.local_fold(ctx);
-                        for &(i, leaf) in &sync.remote_edges {
+                        let edges = remote_edges_in(sync, w.shards, 0..sync.num_slots);
+                        for &(i, leaf) in &edges {
                             let off = self.remote_off[leaf as usize] as usize;
                             debug_assert_ne!(off, u32::MAX as usize, "peer shipped every row");
                             let src = &self.remote_flat[off..off + d as usize];
@@ -341,7 +341,7 @@ impl FlexTask {
                                 *o += x;
                             }
                         }
-                        let work = sync.remote_edges.len() as u64 * d;
+                        let work = edges.len() as u64 * d;
                         let ns = ctx.charge(work);
                         w.stage(Stage::LeafFold, work, ns);
                         self.slots = Some(slots);
@@ -378,12 +378,11 @@ impl FlexTask {
                                 sync,
                                 slots,
                                 &payload,
-                                p,
+                                &w.shards[p],
                                 &mut self.remote_off,
                                 &mut self.remote_flat,
-                                shard.owner.len(),
                             );
-                            sync.remote_edges_by_owner[p].len() as u64
+                            sync.remote_by_owner[p].len() as u64
                         };
                         self.fold_entries += entries;
                         self.fold_ns += ctx.charge(entries * d as u64);
@@ -428,6 +427,8 @@ struct MiniTask {
     state: MiniState,
     rounds: usize,
     slots: Option<Tensor>,
+    /// The current round's remote leaf edges, merged once at its start.
+    edges: Vec<(u32, VertexId)>,
     responses: HashMap<u32, Vec<f32>>,
     served_bytes: u64,
     serve_ns: u64,
@@ -441,6 +442,7 @@ impl MiniTask {
             state: MiniState::Entry,
             rounds: 0,
             slots: None,
+            edges: Vec::new(),
             responses: HashMap::new(),
             served_bytes: 0,
             serve_ns: 0,
@@ -448,21 +450,13 @@ impl MiniTask {
     }
 
     /// One batch's root range and the remote leaf edges in its slot
-    /// range — a sub-slice, since `remote_edges` is sorted by slot.
-    fn batch<'s>(
-        &self,
-        w: &Worker<'s>,
-        round: usize,
-    ) -> (std::ops::Range<usize>, &'s [(u32, VertexId)]) {
-        let edges = &w.sync.remote_edges;
+    /// range, in fold order.
+    fn batch(&self, w: &Worker, round: usize) -> (std::ops::Range<usize>, Vec<(u32, VertexId)>) {
         let n_roots = w.shard.roots.len();
         let lo = (round * self.batch_size).min(n_roots);
         let hi = ((round + 1) * self.batch_size).min(n_roots);
-        let slot_bound = |r: usize| {
-            let s = w.sync.root_slot_off[r];
-            edges.partition_point(|&(i, _)| (i as usize) < s)
-        };
-        (lo..hi, &edges[slot_bound(lo)..slot_bound(hi)])
+        let slots = w.sync.root_slot_off[lo]..w.sync.root_slot_off[hi];
+        (lo..hi, remote_edges_in(w.sync, w.shards, slots))
     }
 
     fn step<C: WorkerCtx>(&mut self, w: &mut Worker<'_>, ctx: &mut C) -> TaskStep {
@@ -515,6 +509,7 @@ impl MiniTask {
                     // Which remote vertices does this batch need?
                     let (roots, edges) = self.batch(w, round);
                     let mut needed: Vec<VertexId> = edges.iter().map(|&(_, v)| v).collect();
+                    self.edges = edges;
                     if let Some(h) = self.hops {
                         // Full closure expansion — the DistDGL blow-up —
                         // on top of the leaf dependencies: selected
@@ -579,7 +574,7 @@ impl MiniTask {
                     // Sparse (materializing) aggregation of the batch's
                     // remote edges — the baseline execution shape: one
                     // message row per edge, then scatter.
-                    let edges = self.batch(w, round).1;
+                    let edges = &self.edges;
                     if !edges.is_empty() {
                         let mut messages = Tensor::zeros(edges.len(), d);
                         let mut dst = Vec::with_capacity(edges.len());

@@ -37,9 +37,15 @@ fn distdgl_like_fetches_walk_leaves_outside_the_closure() {
             .zip(leaf_sync_plans(&shards))
             .any(|(s, plan)| {
                 let closure = k_hop_closure(g, &s.roots, HOPS);
-                plan.remote_edges
-                    .iter()
-                    .any(|(_, leaf)| closure.binary_search(leaf).is_err())
+                // Each remote leaf edge's row on its owner, as a vertex.
+                let mut leaves =
+                    plan.remote_by_owner
+                        .iter()
+                        .zip(&shards)
+                        .flat_map(|(list, owner)| {
+                            list.iter().map(|&(_, row)| owner.roots[row as usize])
+                        });
+                leaves.any(|leaf| closure.binary_search(&leaf).is_err())
             });
         assert!(escapes, "k={k}: no walk leaf escapes the closure");
 

@@ -2,15 +2,16 @@
 //! the set's first epoch, the same allocation for every later epoch on
 //! either driver and through clones, equal to a fresh `build_leaf_sync`,
 //! and refused — not rebuilt — for anything that is not the whole set in
-//! rank order. No clocks.
+//! rank order; and each remote leaf edge is held once, in the receiver's
+//! list from its owner. No clocks.
 
 use flexgraph_comm::NetProfile;
 use flexgraph_dist::{
     build_leaf_sync, distributed_epoch, leaf_sync_plans, make_shards, virtual_epoch, DistConfig,
-    DistMode, Shard,
+    DistMode, LeafSync, Shard,
 };
 use flexgraph_engine::hybrid::AggrOp;
-use flexgraph_graph::gen::{community, Dataset};
+use flexgraph_graph::gen::{community, rmat, Dataset};
 use flexgraph_graph::partition::hash_partition;
 use flexgraph_hdg::build::from_direct_neighbors;
 use flexgraph_tensor::Tensor;
@@ -134,4 +135,70 @@ fn a_reordered_slice_is_not_a_set() {
     let mut shards = shards_of(&ds, 3);
     shards.swap(0, 2);
     distributed_epoch(&ds.graph, &shards, &DistConfig::default());
+}
+
+/// Heap bytes of a plan, summed from its public fields: every vector's
+/// capacity, the local index's arrays.
+fn plan_bytes(p: &LeafSync) -> usize {
+    use std::mem::size_of;
+    let lists = |v: &Vec<Vec<(u32, u32)>>| {
+        v.capacity() * size_of::<Vec<(u32, u32)>>()
+            + v.iter().map(|l| l.capacity() * 8).sum::<usize>()
+    };
+    let raw = p.raw_rows.capacity() * size_of::<Vec<u32>>()
+        + p.raw_rows.iter().map(|r| r.capacity() * 4).sum::<usize>();
+    p.partial_rows.capacity() * size_of::<usize>()
+        + raw
+        + p.partial_to.capacity()
+        + p.partial_from.capacity()
+        + p.local.heap_bytes()
+        + lists(&p.remote_by_owner)
+        + p.slot_counts.capacity() * 4
+        + p.root_slot_off.capacity() * size_of::<usize>()
+}
+
+#[test]
+fn each_remote_leaf_edge_is_held_once() {
+    let ds = rmat(12, 8, 4, 4, 5, "footprint");
+    let g = &ds.graph;
+    for k in [4, 16] {
+        let shards = make_shards(g.num_vertices(), &ds.features, &hash_partition(g, k), |r| {
+            from_direct_neighbors(g, r.to_vec())
+        });
+        for (shard, plan) in shards.iter().zip(leaf_sync_plans(&shards)) {
+            // Per owner: the remote leaves of the HDG, one per leaf edge,
+            // against the list's rows mapped back to vertices.
+            for (o, (list, owner)) in plan.remote_by_owner.iter().zip(&shards).enumerate() {
+                let of_owner = |&&leaf: &&u32| shard.owner[leaf as usize] as usize == o;
+                let mut want: Vec<u32> = shard
+                    .hdg
+                    .leaf_sources()
+                    .iter()
+                    .filter(of_owner)
+                    .copied()
+                    .collect();
+                if o == shard.rank {
+                    want.clear();
+                }
+                let mut got: Vec<u32> = list
+                    .iter()
+                    .map(|&(_, row)| owner.roots[row as usize])
+                    .collect();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "k={k}: rank {} from {o}", shard.rank);
+            }
+            let remote: usize = plan.remote_by_owner.iter().map(Vec::len).sum();
+            let raw: usize = plan.raw_rows.iter().map(Vec::len).sum();
+            let local = plan.local.src().len();
+            let (slots, roots) = (plan.num_slots, shard.roots.len());
+            let bound = 8 * remote + 4 * (local + raw) + 16 * (slots + roots);
+            let bytes = plan_bytes(plan);
+            assert!(
+                bytes <= bound,
+                "k={k} rank {}: {bytes} B > {bound} B",
+                shard.rank
+            );
+        }
+    }
 }

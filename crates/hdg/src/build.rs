@@ -427,7 +427,7 @@ mod tests {
         assert_eq!(h.instance_leaves(1), &[3], "(root0, t1)");
         assert_eq!(h.instance_leaves(2), &[5], "(root1, t0)");
         assert_eq!(h.instance_leaves(3), &[7, 8], "(root1, t1)");
-        assert_eq!(h.instance_group_index(), vec![0, 1, 2, 3]);
+        assert_eq!(h.group_scatter_plan().index(), [0, 1, 2, 3]);
     }
 
     #[test]

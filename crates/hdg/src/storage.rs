@@ -115,22 +115,10 @@ impl Hdg {
         self.inst_offsets().windows(2).all(|w| w[1] - w[0] == 1)
     }
 
-    /// Reconstructs the per-instance group index that the omitted `Dst`
-    /// array would have held. Baseline (SA) execution materializes this;
-    /// FlexGraph's fused path never does.
-    pub fn instance_group_index(&self) -> Vec<u32> {
-        let mut idx = vec![0u32; self.num_instances()];
-        for g in 0..self.num_groups() {
-            for r in self.group_offsets()[g]..self.group_offsets()[g + 1] {
-                idx[r] = g as u32;
-            }
-        }
-        idx
-    }
-
     /// Scatter plan of the instance→group level (destinations =
-    /// `(root, type)` groups, index = [`Hdg::instance_group_index`]),
-    /// the index's own: built on first use, then shared.
+    /// `(root, type)` groups; its index is the per-instance group the
+    /// omitted `Dst` array would have held), the index's own: built on
+    /// first use, then shared.
     pub fn group_scatter_plan(&self) -> Arc<ScatterPlan> {
         self.index.group_plan()
     }
@@ -197,6 +185,15 @@ mod tests {
         b.build()
     }
 
+    /// The per-instance group index that the omitted `Dst` array would
+    /// have held, reconstructed from the group offsets.
+    fn group_index(h: &crate::Hdg) -> Vec<u32> {
+        let offsets = h.group_offsets().windows(2).enumerate();
+        offsets
+            .flat_map(|(g, w)| std::iter::repeat_n(g as u32, w[1] - w[0]))
+            .collect()
+    }
+
     #[test]
     fn paper_example_counts() {
         let h = paper_hdg();
@@ -212,7 +209,7 @@ mod tests {
     #[test]
     fn group_index_reconstruction_matches_ranges() {
         let h = paper_hdg();
-        assert_eq!(h.instance_group_index(), vec![0, 1, 1, 1, 1]);
+        assert_eq!(group_index(&h), vec![0, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -249,7 +246,7 @@ mod tests {
         let group = h.group_scatter_plan();
         assert_eq!(group.out_rows(), h.num_groups());
         assert_eq!(group.num_edges(), h.num_instances());
-        assert_eq!(group.index(), &h.instance_group_index()[..]);
+        assert_eq!(group.index(), &group_index(&h)[..]);
         let root = index.root_plan();
         assert_eq!(root.out_rows(), h.num_roots());
         assert_eq!(root.num_edges(), h.num_groups());

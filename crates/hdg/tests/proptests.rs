@@ -62,8 +62,9 @@ proptest! {
         let total: usize = (0..n_roots).map(|r| hdg.leaves_of_root(r)).sum();
         let want: usize = records.iter().map(|(_, _, leaves)| leaves.len()).sum();
         prop_assert_eq!(total, want);
-        // Group index round-trips through the omitted-Dst reconstruction.
-        let idx = hdg.instance_group_index();
+        // The group plan's index is the omitted Dst array.
+        let plan = hdg.group_scatter_plan();
+        let idx = plan.index();
         for g in 0..hdg.num_groups() {
             let root = g / n_types;
             let t = g % n_types;

@@ -93,7 +93,8 @@ proptest! {
         // scatter plan) must list exactly the graph's edges (dst =
         // instance's root via group index).
         let inst_dst = hdg.hierarchy().instances().scatter_plan();
-        let group_of = hdg.instance_group_index();
+        let group_plan = hdg.group_scatter_plan();
+        let group_of = group_plan.index();
         let mut got: Vec<(u32, u32)> = inst_dst
             .index()
             .iter()

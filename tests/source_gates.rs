@@ -54,6 +54,8 @@ const VIRTUAL_TABLES: &str =
     "the paper tables run on the virtual runtime, the same at any FLEXGRAPH_THREADS";
 const DIST_SOURCES: &[&str] = &["crates/dist/src"];
 const BULK_ROOT_COSTS: &str = "a worker builds its per-root cost map in one set_root_costs call";
+const ONE_EDGE_LIST: &str =
+    "a leaf-sync plan holds each remote leaf edge once, in the receiver's list from its owner";
 const ONE_LEAF_STORE: &str =
     "serving has one precision, f32: one aggregate, one dense head, one serve_one";
 const MIN_CUT_ADB: &str = "ADB applies the minimum-cut plan (paper §6); no replication veto";
@@ -133,6 +135,8 @@ const GATES: &[(Count, &str, usize, &str)] = &[
     (Text(BENCH), "distributed_epoch", 0, VIRTUAL_TABLES),
     (Text(BENCH), "set_var(", 0, VIRTUAL_TABLES),
     (Text(DIST_SOURCES), "add_root_cost(", 0, BULK_ROOT_COSTS),
+    (Text(DIST_SOURCES), "remote_edges:", 0, ONE_EDGE_LIST),
+    (Text(DIST_SOURCES), "serve: Vec<", 0, ONE_EDGE_LIST),
     (Text(SOURCES), "matmul_bf16", 0, ONE_LEAF_STORE),
     (Text(SOURCES), "transpose_into", 0, IN_PLACE_OPERANDS),
     (Text(SOURCES), "TransposeSlots", 0, IN_PLACE_OPERANDS),
