@@ -132,22 +132,22 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
 /// The metric products of every root of an HDG shard, in the shape the
 /// cost function consumes: `n_t · (total leaf entries of type t) · dim`.
 pub fn root_products(hdg: &Hdg, dim: usize) -> Vec<Vec<f64>> {
-    let t = hdg.num_types();
-    (0..hdg.num_roots())
-        .map(|r| {
-            (0..t)
-                .map(|ty| {
-                    let range = hdg.group_instances(r, ty);
-                    let n = range.len() as f64;
-                    if n == 0.0 {
-                        return 0.0;
-                    }
-                    let leaves: usize = range.clone().map(|i| hdg.instance_leaves(i).len()).sum();
-                    let m = leaves as f64 / n * dim as f64;
-                    n * m
-                })
-                .collect()
-        })
+    // Per group: its instances, and their leaf entries.
+    let mut sizes = vec![(0usize, 0usize); hdg.num_groups()];
+    hdg.for_each_instance(|g, leaves| {
+        sizes[g].0 += 1;
+        sizes[g].1 += leaves.len();
+    });
+    let product = |&(n, leaves): &(usize, usize)| {
+        if n == 0 {
+            return 0.0;
+        }
+        let (n, m) = (n as f64, leaves as f64 / n as f64 * dim as f64);
+        n * m
+    };
+    let roots = sizes.chunks(hdg.num_types());
+    roots
+        .map(|groups| groups.iter().map(product).collect())
         .collect()
 }
 
@@ -194,19 +194,12 @@ impl Plan {
 pub fn induced_graph(n: usize, hdgs: &[&Hdg]) -> Graph {
     let mut b = flexgraph_graph::GraphBuilder::new(n).dedup();
     for hdg in hdgs {
-        for r in 0..hdg.num_roots() {
-            let root = hdg.root_id(r);
-            let t = hdg.num_types();
-            for g in 0..t {
-                for i in hdg.group_instances(r, g) {
-                    for &leaf in hdg.instance_leaves(i) {
-                        if leaf != root {
-                            b.add_edge(root, leaf);
-                        }
-                    }
-                }
+        hdg.for_each_instance(|g, leaves| {
+            let root = hdg.root_id(g / hdg.num_types());
+            for &leaf in leaves.iter().filter(|&&leaf| leaf != root) {
+                b.add_edge(root, leaf);
             }
-        }
+        });
     }
     b.build()
 }

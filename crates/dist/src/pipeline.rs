@@ -148,14 +148,17 @@ fn receive_side(s: &Shard, k: usize) -> LeafSync {
     let root_slot_off: Vec<usize> = (0..=hdg.num_roots())
         .map(|r| match level {
             SlotLevel::Groups => r * t,
-            SlotLevel::Instances => hdg.group_offsets()[r * t],
+            SlotLevel::Instances => hdg.hierarchy().group_start(r * t),
         })
         .collect();
 
+    // Every walk is `for_each_instance`'s: no layout builds a flat view.
     let mut from_owner = vec![0usize; k];
-    for &leaf in hdg.leaf_sources() {
-        from_owner[s.owner[leaf as usize] as usize] += 1;
-    }
+    hdg.for_each_instance(|_, leaves| {
+        for &leaf in leaves {
+            from_owner[s.owner[leaf as usize] as usize] += 1;
+        }
+    });
     let n_local = std::mem::take(&mut from_owner[w]);
     let mut local_offsets = vec![0usize; num_slots + 1];
     let mut local_src = Vec::with_capacity(n_local);
@@ -163,26 +166,25 @@ fn receive_side(s: &Shard, k: usize) -> LeafSync {
         from_owner.iter().map(|&n| Vec::with_capacity(n)).collect();
     let mut slot_counts = vec![0u32; num_slots];
 
-    for (g, range) in hdg.group_offsets().windows(2).enumerate() {
-        for i in range[0]..range[1] {
-            let slot = match level {
-                SlotLevel::Groups => g as u32,
-                SlotLevel::Instances => i as u32,
-            };
-            let leaves = hdg.instance_leaves(i);
-            slot_counts[slot as usize] += leaves.len() as u32;
-            for &leaf in leaves {
-                let owner = s.owner[leaf as usize] as usize;
-                let row = s.row_on_owner(leaf);
-                if owner == w {
-                    local_offsets[slot as usize + 1] += 1;
-                    local_src.push(row);
-                } else {
-                    remote_by_owner[owner].push((slot, row));
-                }
+    let mut i = 0;
+    hdg.for_each_instance(|g, leaves| {
+        let slot = match level {
+            SlotLevel::Groups => g as u32,
+            SlotLevel::Instances => i as u32,
+        };
+        i += 1;
+        slot_counts[slot as usize] += leaves.len() as u32;
+        for &leaf in leaves {
+            let owner = s.owner[leaf as usize] as usize;
+            let row = s.row_on_owner(leaf);
+            if owner == w {
+                local_offsets[slot as usize + 1] += 1;
+                local_src.push(row);
+            } else {
+                remote_by_owner[owner].push((slot, row));
             }
         }
-    }
+    });
     // Instances ascend by slot, so the lists are already grouped by
     // slot: ordering the rows within each slot's run sorts them, and
     // the local rows are segmented by counting each slot's.

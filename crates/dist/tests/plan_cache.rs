@@ -3,18 +3,23 @@
 //! either driver and through clones, equal to a fresh `build_leaf_sync`,
 //! and refused — not rebuilt — for anything that is not the whole set in
 //! rank order; and each remote leaf edge is held once, in the receiver's
-//! list from its owner. No clocks.
+//! list from its owner. Planning reads every HDG layout as it is: no
+//! reader makes a shard build its flat view. No clocks.
 
 use flexgraph_comm::NetProfile;
+use flexgraph_dist::balance::{induced_graph, root_products};
 use flexgraph_dist::{
     build_leaf_sync, distributed_epoch, leaf_sync_plans, make_shards, virtual_epoch, DistConfig,
-    DistMode, LeafSync, Shard,
+    DistMode, LeafSync, Shard, SlotLevel,
 };
 use flexgraph_engine::hybrid::AggrOp;
-use flexgraph_graph::gen::{community, rmat, Dataset};
+use flexgraph_graph::gen::{community, hetero_imdb, rmat, Dataset};
+use flexgraph_graph::metapath::Metapath;
 use flexgraph_graph::partition::hash_partition;
-use flexgraph_hdg::build::from_direct_neighbors;
-use flexgraph_tensor::Tensor;
+use flexgraph_hdg::build::{from_direct_neighbors, from_metapaths};
+use flexgraph_hdg::SchemaTree;
+use flexgraph_tensor::{SegmentIndex, Tensor};
+use std::collections::BTreeSet;
 
 fn dataset() -> Dataset {
     community(150, 3, 5, 2, 6, 77)
@@ -201,4 +206,170 @@ fn each_remote_leaf_edge_is_held_once() {
             );
         }
     }
+}
+
+/// `build_leaf_sync` edge by edge over each HDG's flat view: every leaf
+/// edge pushed to its slot's local segment or its owner's list, lists
+/// sorted whole, each message's rows deduplicated by sorting.
+fn edge_by_edge_plans(shards: &[Shard]) -> Vec<LeafSync> {
+    let k = shards.len();
+    let row_of = |leaf: u32| {
+        let owner = &shards[shards[0].owner[leaf as usize] as usize];
+        owner.roots.binary_search(&leaf).expect("owned") as u32
+    };
+    let mut plans: Vec<LeafSync> = shards
+        .iter()
+        .map(|s| {
+            let (hdg, t) = (&s.hdg, s.hdg.num_types());
+            let flat = hdg.is_flat_instances();
+            let num_slots = if flat {
+                hdg.num_groups()
+            } else {
+                hdg.num_instances()
+            };
+            let (mut counts, mut local) = (vec![0u32; num_slots], vec![Vec::new(); num_slots]);
+            let mut remote_by_owner = vec![Vec::new(); k];
+            for g in 0..hdg.num_groups() {
+                for i in hdg.group_instances(g / t, g % t) {
+                    let slot = if flat { g } else { i };
+                    for &leaf in hdg.instance_leaves(i) {
+                        counts[slot] += 1;
+                        match s.owner[leaf as usize] as usize {
+                            o if o == s.rank => local[slot].push(row_of(leaf)),
+                            o => remote_by_owner[o].push((slot as u32, row_of(leaf))),
+                        }
+                    }
+                }
+            }
+            remote_by_owner.iter_mut().for_each(|l| l.sort_unstable());
+            let mut offsets = vec![0];
+            offsets.extend(local.iter().scan(0, |n, rows| {
+                *n += rows.len();
+                Some(*n)
+            }));
+            let roots = 0..=hdg.num_roots();
+            LeafSync {
+                level: if flat {
+                    SlotLevel::Groups
+                } else {
+                    SlotLevel::Instances
+                },
+                num_slots,
+                partial_rows: vec![0; k],
+                raw_rows: vec![Vec::new(); k],
+                partial_to: vec![true; k],
+                partial_from: vec![true; k],
+                local: SegmentIndex::new(offsets, local.concat()),
+                remote_by_owner,
+                slot_counts: counts,
+                root_slot_off: roots
+                    .map(|r| {
+                        if flat {
+                            r * t
+                        } else {
+                            hdg.group_offsets()[r * t]
+                        }
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    for w in 0..k {
+        for p in (0..k).filter(|&p| p != w) {
+            let list = &plans[p].remote_by_owner[w];
+            let mut slots: Vec<u32> = list.iter().map(|&(slot, _)| slot).collect();
+            slots.dedup();
+            let mut rows: Vec<u32> = list.iter().map(|&(_, row)| row).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            let use_partial = slots.len() <= rows.len();
+            plans[w].partial_rows[p] = slots.len();
+            plans[w].raw_rows[p] = rows;
+            plans[w].partial_to[p] = use_partial;
+            plans[p].partial_from[w] = use_partial;
+        }
+    }
+    plans
+}
+
+/// Every shard's HDG heap bytes, in rank order.
+fn hdg_bytes(shards: &[Shard]) -> Vec<usize> {
+    shards.iter().map(|s| s.hdg.heap_bytes()).collect()
+}
+
+#[test]
+fn prefix_tree_shards_plan_and_balance_without_a_flat_view() {
+    let ds = hetero_imdb(120, 2, 3, 6, 52);
+    let (typed, g) = (ds.typed(), &ds.graph);
+    let metapaths = [Metapath::new(vec![0, 1, 0]), Metapath::new(vec![0, 2, 0])];
+    let shards = make_shards(g.num_vertices(), &ds.features, &hash_partition(g, 4), |r| {
+        from_metapaths(&typed, r.to_vec(), &metapaths, 0)
+    });
+    assert!(shards
+        .iter()
+        .all(|s| s.hdg.hierarchy().root_rows().is_some()));
+    let before = hdg_bytes(&shards);
+    let plans = leaf_sync_plans(&shards);
+    let products: Vec<_> = shards.iter().map(|s| root_products(&s.hdg, 8)).collect();
+    let hdgs: Vec<_> = shards.iter().map(|s| &*s.hdg).collect();
+    let induced = induced_graph(g.num_vertices(), &hdgs);
+    assert_eq!(hdg_bytes(&shards), before, "no reader built a flat view");
+
+    // The oracles read the flat view, which these shards now build.
+    assert_eq!(plans, &edge_by_edge_plans(&shards)[..]);
+    assert!(hdg_bytes(&shards)
+        .iter()
+        .zip(&before)
+        .all(|(view, tree)| view > tree));
+    for (s, products) in shards.iter().zip(&products) {
+        let t = s.hdg.num_types();
+        for (r, row) in products.iter().enumerate() {
+            for (ty, &p) in row.iter().enumerate() {
+                let range = s.hdg.group_instances(r, ty);
+                let leaves: usize = range.clone().map(|i| s.hdg.instance_leaves(i).len()).sum();
+                let (n, m) = (range.len() as f64, leaves as f64 / range.len() as f64 * 8.0);
+                assert_eq!(p, if range.is_empty() { 0.0 } else { n * m }, "{r} {ty}");
+            }
+            assert_eq!(row.len(), t);
+        }
+    }
+    let mut want = BTreeSet::new();
+    for s in &shards {
+        for r in 0..s.hdg.num_roots() {
+            let root = s.hdg.root_id(r);
+            let leaves = s.hdg.root_leaf_sources(r).iter().filter(|&&l| l != root);
+            want.extend(leaves.map(|&leaf| (root, leaf)));
+        }
+    }
+    let got = (0..g.num_vertices() as u32)
+        .flat_map(|v| induced.out_neighbors(v).iter().map(move |&u| (v, u)))
+        .collect::<BTreeSet<_>>();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn a_direct_neighbor_hdg_holds_no_instance_offsets() {
+    let ds = dataset();
+    let shards = shards_of(&ds, 4);
+    let schema = SchemaTree::flat().heap_bytes();
+    let counted = |s: &Shard| {
+        let h = &s.hdg;
+        4 * h.num_roots() + 8 * (h.num_groups() + 1) + 4 * h.leaf_sources().len() + schema
+    };
+    let held = |shards: &[Shard]| shards.iter().map(counted).collect::<Vec<_>>();
+    assert_eq!(hdg_bytes(&shards), held(&shards));
+    leaf_sync_plans(&shards);
+    for _ in 0..2 {
+        virtual_epoch(
+            &ds.graph,
+            &shards,
+            &DistConfig::default(),
+            &NetProfile::default(),
+        );
+    }
+    assert_eq!(
+        hdg_bytes(&shards),
+        held(&shards),
+        "after the plans and two epochs"
+    );
 }

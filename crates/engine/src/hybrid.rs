@@ -86,6 +86,10 @@ pub struct AggrResult {
 /// destination over its edges in ascending order, and every level above
 /// runs on instance features. So the result is bitwise-deterministic
 /// for any `FLEXGRAPH_THREADS`.
+///
+/// HA and SA+FA fold a unit HDG's leaves straight into its groups with
+/// the instance op: the two steps' bits, as a sum from `+0.0` takes
+/// `0 + x` as it takes `x`, and both scale a Mean by `1/n` once.
 pub fn hierarchical_aggregate(
     hdg: &Hdg,
     feats: &Tensor,
@@ -93,6 +97,15 @@ pub fn hierarchical_aggregate(
     strategy: Strategy,
     budget: &MemoryBudget,
 ) -> Result<AggrResult, EngineError> {
+    if let (Some(groups), Strategy::SaFa | Strategy::Ha) = (hdg.hierarchy().leaf_groups(), strategy)
+    {
+        let reduce = plan.instance_op.as_reduce();
+        let group_feats = segment_reduce(feats, groups.offsets(), groups.src(), reduce);
+        return Ok(AggrResult {
+            features: aggregate_from_groups(hdg, group_feats, plan, strategy),
+            peak_transient_bytes: 0,
+        });
+    }
     // Step 1: leaves → instances.
     let src = hdg.leaf_sources();
     let (inst_feats, peak) = match strategy {

@@ -7,6 +7,12 @@
 //! `inst_off`, plus one `u32` group key `rank · T + type` per instance —
 //! so a record is a slice appended to an array, never a heap object.
 //!
+//! * **Single-leaf instances are implied.** `inst_off` is written only
+//!   from the first instance that does not hold exactly one leaf. Until
+//!   then it stays empty, and [`HdgBuilder::build`] freezes the index's
+//!   unit layout ([`HierarchyIndex::unit`]): the groups as one CSC over
+//!   the leaves. Every flat selection (direct neighbors, importance
+//!   walks, neighbor lists) lands there.
 //! * **Rank comes from the caller.** [`HdgBuilder::push_at`] takes the
 //!   root's position in `roots`, which every selection knows because it
 //!   iterates `roots` in order; nothing on the path hashes a vertex id.
@@ -45,7 +51,8 @@ pub struct HdgBuilder {
     root_ids: Vec<VertexId>,
     /// Group key `rank · T + type` of each instance, in push order.
     keys: Vec<u32>,
-    /// Per-instance offsets into `leaf_src`, in push order.
+    /// Per-instance offsets into `leaf_src`, in push order; empty while
+    /// every instance holds one leaf.
     inst_off: Vec<usize>,
     leaf_src: Vec<VertexId>,
 }
@@ -69,7 +76,7 @@ impl HdgBuilder {
             schema,
             root_ids,
             keys: Vec::new(),
-            inst_off: vec![0],
+            inst_off: Vec::new(),
             leaf_src: Vec::new(),
         }
     }
@@ -100,7 +107,14 @@ impl HdgBuilder {
             self.root_ids.len()
         );
         self.keys.push((rank * t + nei_type as usize) as u32);
-        self.inst_off.push(self.leaf_src.len());
+        let n = self.keys.len();
+        if self.inst_off.is_empty() && self.leaf_src.len() != n {
+            // The first instance that is not one leaf: those before it were.
+            self.inst_off.extend(0..n);
+        }
+        if !self.inst_off.is_empty() {
+            self.inst_off.push(self.leaf_src.len());
+        }
     }
 
     /// Number of instances so far.
@@ -126,7 +140,8 @@ impl HdgBuilder {
 
     /// Freezes into the compact storage: counts the group keys into the
     /// group offsets (top-down construction of §4.1) and hands over the
-    /// arrays. Only if instances arrived out of `(root, type)` order does
+    /// arrays — with no instance offsets if every instance holds one
+    /// leaf. Only if instances arrived out of `(root, type)` order does
     /// a stable counting sort first move their leaf ranges into it; both
     /// ways are linear — the NeighborSelection stage runs every epoch for
     /// stochastic models.
@@ -141,30 +156,38 @@ impl HdgBuilder {
             group_off[i + 1] += group_off[i];
         }
 
+        let unit = self.inst_off.is_empty();
         let (mut inst_off, mut leaf_src) = (self.inst_off, self.leaf_src);
-        if self.keys.is_sorted() {
-            inst_off.shrink_to_fit();
-            leaf_src.shrink_to_fit();
-        } else {
+        if !self.keys.is_sorted() {
             let mut cursor = group_off.clone();
             let mut order = vec![0u32; self.keys.len()];
             for (i, &g) in self.keys.iter().enumerate() {
                 order[cursor[g as usize]] = i as u32;
                 cursor[g as usize] += 1;
             }
-            let mut sorted_off = Vec::with_capacity(inst_off.len());
-            sorted_off.push(0usize);
-            let mut sorted_src = Vec::with_capacity(leaf_src.len());
-            for &i in &order {
-                let i = i as usize;
-                sorted_src.extend_from_slice(&leaf_src[inst_off[i]..inst_off[i + 1]]);
-                sorted_off.push(sorted_src.len());
+            if unit {
+                leaf_src = order.iter().map(|&i| leaf_src[i as usize]).collect();
+            } else {
+                let mut sorted_off = Vec::with_capacity(inst_off.len());
+                sorted_off.push(0usize);
+                let mut sorted_src = Vec::with_capacity(leaf_src.len());
+                for &i in &order {
+                    let i = i as usize;
+                    sorted_src.extend_from_slice(&leaf_src[inst_off[i]..inst_off[i + 1]]);
+                    sorted_off.push(sorted_src.len());
+                }
+                (inst_off, leaf_src) = (sorted_off, sorted_src);
             }
-            (inst_off, leaf_src) = (sorted_off, sorted_src);
         }
+        inst_off.shrink_to_fit();
+        leaf_src.shrink_to_fit();
 
-        let instances = SegmentIndex::new(inst_off, leaf_src);
-        let index = HierarchyIndex::new(group_off, instances, self.schema.num_types());
+        let types = self.schema.num_types();
+        let index = if unit {
+            HierarchyIndex::unit(SegmentIndex::new(group_off, leaf_src), types)
+        } else {
+            HierarchyIndex::new(group_off, SegmentIndex::new(inst_off, leaf_src), types)
+        };
         Hdg {
             schema: self.schema,
             root_ids: self.root_ids,
@@ -199,15 +222,14 @@ pub fn select_direct_neighbors<A: Adjacency>(
 /// PinSage-style HDGs: top-k random-walk-visited vertices, one flat
 /// instance each (the `pinsage_nbr` UDF of Figure 5). Only `roots` are
 /// walked; with one type, the per-root offsets of their lists are the
-/// group offsets, and the lists are the leaves.
+/// group offsets, and the lists are the leaves: the unit layout.
 pub fn from_importance_walks(g: &Graph, roots: Vec<VertexId>, cfg: &WalkConfig, seed: u64) -> Hdg {
     let (groups, mut leaves) = importance_selection(g, roots.iter().copied(), cfg, seed);
     leaves.shrink_to_fit();
-    let instances = SegmentIndex::new((0..=leaves.len()).collect(), leaves);
     Hdg {
         schema: SchemaTree::flat(),
         root_ids: roots,
-        index: Arc::new(HierarchyIndex::new(groups, instances, 1)),
+        index: Arc::new(HierarchyIndex::unit(SegmentIndex::new(groups, leaves), 1)),
     }
 }
 

@@ -22,7 +22,8 @@
 //!   root; no per-root copies exist.
 //!
 //! The same structure covers all three model categories: DNFA/INFA HDGs
-//! are "flat" (every instance holds exactly one leaf), INHA HDGs carry
+//! are "flat" (every instance holds exactly one leaf, so the instances
+//! are implied and the groups index the leaves directly), INHA HDGs carry
 //! multi-vertex instances.
 //!
 //! The two offset arrays and the leaf array are one

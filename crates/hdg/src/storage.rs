@@ -1,8 +1,10 @@
-//! Compact HDG storage (the paper's Figure 9; MAGNN's as a prefix tree).
+//! Compact HDG storage: the paper's Figure 9, with single-leaf instances
+//! implied, and MAGNN's as a prefix tree.
 
 use crate::schema::SchemaTree;
 use flexgraph_graph::VertexId;
 use flexgraph_tensor::{HierarchyIndex, ScatterPlan};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The frozen, compactly stored HDGs for all roots of one partition.
@@ -14,11 +16,21 @@ use std::sync::Arc;
 /// schema tree is a single shared object (optimization (3)). The arrays
 /// live in one [`HierarchyIndex`] — the structure every strategy of §4.2
 /// walks, which also caches the levels' scatter plans — shared by every
-/// clone of the HDG and by the models that train on it.
-/// MAGNN's HDGs ([`crate::build::from_metapaths`]) keep their
-/// `[root, mid, end]` instances as the index's prefix tree, which holds
-/// the root ids too; the flat arrays below are then a view built on
-/// first use.
+/// clone of the HDG and by the models that train on it. The index has
+/// three layouts, and which one an HDG gets depends on its builder:
+/// - [`HdgBuilder::build`](crate::HdgBuilder::build) writes the **unit**
+///   layout when every instance holds one leaf (the flat selections:
+///   direct neighbors, importance walks, neighbor lists): group offsets
+///   over the leaves, with no instance offsets;
+/// - it writes Figure 9's **flat** layout otherwise (hop shells,
+///   metapaths of other lengths than three);
+/// - [`crate::build::from_metapaths`] writes MAGNN's three-vertex
+///   instances as a **prefix tree**, which holds the root ids too.
+///
+/// Of a unit layout and a prefix tree, the flat arrays below
+/// ([`Hdg::inst_offsets`], and a tree's [`Hdg::leaf_sources`] and
+/// [`Hdg::group_offsets`]) are a view built on first use. The counts, [`Hdg::group_instances`] and
+/// [`Hdg::for_each_instance`] read every layout as it is.
 #[derive(Clone, Debug)]
 pub struct Hdg {
     pub(crate) schema: SchemaTree,
@@ -68,21 +80,41 @@ impl Hdg {
     }
 
     /// The instance-rank range of group `(root, type)`.
-    pub fn group_instances(&self, root: usize, t: usize) -> std::ops::Range<usize> {
+    pub fn group_instances(&self, root: usize, t: usize) -> Range<usize> {
         let g = root * self.num_types() + t;
-        self.group_offsets()[g]..self.group_offsets()[g + 1]
+        self.index.group_start(g)..self.index.group_start(g + 1)
+    }
+
+    /// Hands each instance, in rank order, to `visit` as its `(root,
+    /// type)` group and its leaves, whatever the layout: no view is built.
+    pub fn for_each_instance(&self, visit: impl FnMut(usize, &[VertexId])) {
+        self.index.for_each_instance(visit)
     }
 
     /// Leaves of instance `i` (input-graph vertex ids).
     pub fn instance_leaves(&self, i: usize) -> &[VertexId] {
-        &self.leaf_sources()[self.inst_offsets()[i]..self.inst_offsets()[i + 1]]
+        &self.leaf_sources()[self.leaf_range(i..i + 1)]
+    }
+
+    /// The instance-rank range of root `r`.
+    fn root_instances(&self, r: usize) -> Range<usize> {
+        let t = self.num_types();
+        self.index.group_start(r * t)..self.index.group_start((r + 1) * t)
+    }
+
+    /// The leaf entries of instances `i`: the same range when each holds
+    /// one leaf.
+    fn leaf_range(&self, i: Range<usize>) -> Range<usize> {
+        if self.index.leaf_groups().is_some() {
+            return i;
+        }
+        self.inst_offsets()[i.start]..self.inst_offsets()[i.end]
     }
 
     /// Number of instances owned by root `r` across all types — the
     /// `n_1..n_k` variables of the ADB cost model (§5).
     pub fn instances_of_root(&self, r: usize) -> usize {
-        let t = self.num_types();
-        self.group_offsets()[(r + 1) * t] - self.group_offsets()[r * t]
+        self.root_instances(r).len()
     }
 
     /// Total leaf entries under root `r` — proportional to the `m` size
@@ -92,14 +124,17 @@ impl Hdg {
     }
 
     /// The per-instance leaf offset array (destination-major CSC of the
-    /// bottom subgraph; Figure 9's `Offset3`).
+    /// bottom subgraph; Figure 9's `Offset3`); a view unless the layout
+    /// is flat.
     pub fn inst_offsets(&self) -> &[usize] {
         self.index.instances().offsets()
     }
 
-    /// The flat leaf vertex array (Figure 9's `Dst3` counterpart).
+    /// The flat leaf vertex array (Figure 9's `Dst3` counterpart); a view
+    /// of a prefix tree.
     pub fn leaf_sources(&self) -> &[VertexId] {
-        self.index.instances().src()
+        let groups = self.index.leaf_groups();
+        groups.map_or_else(|| self.index.instances().src(), |g| g.src())
     }
 
     /// The per-(root, type) group offset array over instance ranks — the
@@ -109,10 +144,11 @@ impl Hdg {
         self.index.groups()
     }
 
-    /// Whether every instance holds exactly one leaf (DNFA/INFA shape);
-    /// the engine uses this to collapse leaf→instance into a no-op.
+    /// Whether every instance holds exactly one leaf (DNFA/INFA shape):
+    /// the unit layout, which every builder writes for such an HDG. The
+    /// engine then folds leaves straight into groups.
     pub fn is_flat_instances(&self) -> bool {
-        self.inst_offsets().windows(2).all(|w| w[1] - w[0] == 1)
+        self.index.leaf_groups().is_some()
     }
 
     /// Scatter plan of the instance→group level (destinations =
@@ -137,9 +173,7 @@ impl Hdg {
     /// `(root, type)` instance ranking), without materializing a
     /// per-root set.
     pub fn root_leaf_sources(&self, r: usize) -> &[VertexId] {
-        let t = self.num_types();
-        let (groups, offsets) = (self.group_offsets(), self.inst_offsets());
-        &self.leaf_sources()[offsets[groups[r * t]]..offsets[groups[(r + 1) * t]]]
+        &self.leaf_sources()[self.leaf_range(self.root_instances(r))]
     }
 
     /// Heap bytes of the compact storage (Table 5's numerator), a flat

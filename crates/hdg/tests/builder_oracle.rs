@@ -9,6 +9,9 @@
 //! arrive in. The capped hop-shell selection is checked against the
 //! same oracle fed from `bfs::hop_shells` and a full-sort cap.
 //!
+//! Single-leaf instances freeze the unit layout, whose view must be the
+//! reference's arrays; one other instance keeps the flat layout.
+//!
 //! `from_metapaths` writes MAGNN's HDG as a prefix tree; its flat view
 //! must equal the arrays `HdgBuilder::push_at` freezes from the same
 //! search, and the hierarchical attention pool must return the same
@@ -167,6 +170,87 @@ proptest! {
         let hdg = got.build();
         prop_assert_eq!(hdg.root_ids(), &root_ids[..]);
         prop_assert_eq!(arrays(&hdg), want.build());
+    }
+}
+
+/// `(n_roots, n_types, pushes)` of single-leaf instances, and one
+/// instance that is not: empty or of two to four leaves.
+fn unit_pushes_strategy() -> impl Strategy<Value = (usize, usize, Vec<Push>, Vec<u32>)> {
+    let odd = prop_oneof![Just(vec![]), proptest::collection::vec(0u32..100, 2..5)];
+    (pushes_strategy(), odd).prop_map(|((n_roots, n_types, pushes), odd)| {
+        let unit = pushes
+            .into_iter()
+            .map(|(r, t, l)| (r, t, vec![l.first().copied().unwrap_or(7)]));
+        (n_roots, n_types, unit.collect(), odd)
+    })
+}
+
+/// Freezes `pushes` in the builder and in the reference.
+fn freeze(n_roots: usize, n_types: usize, pushes: &[Push]) -> (Hdg, Arrays) {
+    let root_ids: Vec<u32> = (0..n_roots as u32).collect();
+    let mut want = ReferenceBuilder::new(n_types, &root_ids);
+    let mut got = HdgBuilder::new(schema(n_types), root_ids.clone());
+    for (rank, nei_type, leaves) in pushes.iter().cloned() {
+        got.push_at(rank, nei_type, &leaves);
+        want.push(Record {
+            root: rank as u32,
+            nei_type,
+            leaves,
+        });
+    }
+    (got.build(), want.build())
+}
+
+proptest! {
+    /// Single-leaf pushes, in the drawn order and in group order, freeze
+    /// the unit layout: group offsets over the leaves and no instance
+    /// offsets, until a reader asks for the view, which is the
+    /// reference's arrays. `for_each_instance` walks the same leaves
+    /// without building it.
+    #[test]
+    fn single_leaf_pushes_freeze_the_unit_layout(
+        (n_roots, n_types, pushes, _) in unit_pushes_strategy(),
+    ) {
+        let mut in_group_order = pushes.clone();
+        in_group_order.sort_by_key(|&(rank, t, _)| (rank, t));
+        for pushes in [pushes, in_group_order] {
+            let (hdg, want) = freeze(n_roots, n_types, &pushes);
+            prop_assert!(hdg.hierarchy().leaf_groups().is_some());
+            prop_assert!(hdg.is_flat_instances());
+            let stored = hdg.heap_bytes();
+            let schema = schema(n_types).heap_bytes();
+            let leaves = pushes.len();
+            prop_assert_eq!(stored, 4 * n_roots + 8 * (n_roots * n_types + 1) + 4 * leaves + schema);
+            let mut walked = (vec![0usize; n_roots * n_types], Vec::<u32>::new());
+            hdg.for_each_instance(|g, l| {
+                walked.0[g] += 1;
+                walked.1.extend(l);
+            });
+            prop_assert_eq!(hdg.num_instances(), leaves);
+            prop_assert_eq!(hdg.heap_bytes(), stored, "no view built yet");
+            prop_assert_eq!(&walked.1, &want.2);
+            let sizes: Vec<usize> = want.0.windows(2).map(|w| w[1] - w[0]).collect();
+            prop_assert_eq!(walked.0, sizes);
+            prop_assert_eq!(arrays(&hdg), want);
+            prop_assert_eq!(hdg.heap_bytes(), stored + 8 * (leaves + 1) + 4 * leaves, "the view");
+        }
+    }
+
+    /// One empty or multi-leaf instance among single-leaf ones, wherever
+    /// it is pushed, keeps Figure 9's flat layout.
+    #[test]
+    fn one_other_instance_keeps_the_flat_layout(
+        (n_roots, n_types, mut pushes, odd) in unit_pushes_strategy(),
+        at in 0usize..64,
+    ) {
+        let at = at % (pushes.len() + 1);
+        pushes.insert(at, (at % n_roots, (at % n_types) as u16, odd));
+        let (hdg, want) = freeze(n_roots, n_types, &pushes);
+        prop_assert!(hdg.hierarchy().leaf_groups().is_none());
+        prop_assert!(!hdg.is_flat_instances());
+        let stored = hdg.heap_bytes();
+        prop_assert_eq!(arrays(&hdg), want);
+        prop_assert_eq!(hdg.heap_bytes(), stored, "the flat layout is its own view");
     }
 }
 

@@ -15,7 +15,8 @@
 //! The kernels walk two indexes, each the one copy of its arrays and the
 //! one cache of their scatter plans: a [`SegmentIndex`] (a graph's CSC,
 //! an HDG's instances) and a [`HierarchyIndex`] (an HDG's three levels,
-//! flat or as MAGNN's prefix tree, which `hdg::Hdg` holds as its storage).
+//! flat, as unit groups over the leaves or as MAGNN's prefix tree, which
+//! `hdg::Hdg` holds as its storage).
 
 use crate::par::{parallel_for, parallel_for_scratch};
 use crate::scatter::{softmax_segment, ScatterPlan, SharedRows};
@@ -373,17 +374,27 @@ pub fn segment_reduce_backward_into(
 
 /// An HDG collection's three levels (paper Figure 9): `types` groups per
 /// root, group `g = root·types + t` holding instances over leaf rows —
-/// the HDG's one copy of its arrays (`hdg::Hdg` holds it). Built from
-/// Figure 9's arrays, or from a prefix tree of `[root, mid, end]`
-/// instances that the pool walks as it is; readers of the flat arrays
-/// then get a view built on first use. The upper levels' scatter plans,
-/// which only an unfused (SA / SA+FA) execution reads, are built on first
-/// use too. All are kept.
+/// the HDG's one copy of its arrays (`hdg::Hdg` holds it), in one of three
+/// layouts:
+/// - **flat** ([`HierarchyIndex::new`]): Figure 9's arrays, group offsets
+///   over instances and the instances over leaf rows;
+/// - **unit** ([`HierarchyIndex::unit`]): every instance holds one leaf,
+///   so the groups are one CSC straight over the leaves and the instances
+///   are implied;
+/// - **prefix tree** ([`HierarchyIndex::from_prefix_tree`]): MAGNN's
+///   `[root, mid, end]` instances, each shared prefix once.
+///
+/// [`HierarchyIndex::for_each_instance`] walks each layout as it is, and
+/// the pool a prefix tree; readers of the flat arrays get, from the last
+/// two, a view built on first use. The upper levels' scatter plans, which
+/// only an unfused (SA / SA+FA) execution reads, are built on first use
+/// too. All are kept.
 #[derive(Debug)]
 pub struct HierarchyIndex {
-    /// Group offsets over instances, and the instances.
-    flat: OnceLock<Flat>,
-    tree: Option<PrefixTree>,
+    layout: Layout,
+    /// The flat view of a unit layout or a prefix tree: a tree's group
+    /// offsets, and the instances.
+    view: (OnceLock<Vec<usize>>, OnceLock<Arc<SegmentIndex>>),
     types: usize,
     /// Instances in the largest group; sizes the kernels' scratch.
     widest: usize,
@@ -393,7 +404,14 @@ pub struct HierarchyIndex {
     plans: [OnceLock<Arc<ScatterPlan>>; 2],
 }
 
-type Flat = (Vec<usize>, Arc<SegmentIndex>);
+#[derive(Debug)]
+enum Layout {
+    /// Group offsets over instances, and the instances.
+    Flat(Vec<usize>, Arc<SegmentIndex>),
+    /// The groups over their leaves, one instance each.
+    Unit(Arc<SegmentIndex>),
+    Tree(PrefixTree),
+}
 
 /// §4.1's revised CSC without what it implies (see
 /// [`HierarchyIndex::from_prefix_tree`]).
@@ -415,8 +433,19 @@ impl HierarchyIndex {
         assert!(spans && whole && sorted, "malformed hierarchy index");
         let widest = groups.windows(2).map(|w| w[1] - w[0]).max();
         let sources = instances.sources;
-        let flat = OnceLock::from((groups, Arc::new(instances)));
-        Self::from_levels(flat, None, types, widest, sources)
+        let layout = Layout::Flat(groups, Arc::new(instances));
+        Self::from_layout(layout, types, widest, sources)
+    }
+
+    /// The unit layout: group `g` holds one single-leaf instance per
+    /// entry of `groups`' segment `g`, that entry's row its leaf. Panics
+    /// unless the groups make a whole number of roots of `types > 0`.
+    pub fn unit(groups: SegmentIndex, types: usize) -> Self {
+        let whole = types > 0 && groups.offsets.len() % types == 1 % types;
+        assert!(whole, "malformed hierarchy index");
+        let widest = groups.offsets.windows(2).map(|w| w[1] - w[0]).max();
+        let sources = groups.sources;
+        Self::from_layout(Layout::Unit(Arc::new(groups)), types, widest, sources)
     }
 
     /// The prefix tree of `roots.len() × types` groups: group `g` holds
@@ -451,20 +480,14 @@ impl HierarchyIndex {
             runs,
             ends,
         };
-        Self::from_levels(OnceLock::new(), Some(tree), types, widest, sources)
+        Self::from_layout(Layout::Tree(tree), types, widest, sources)
     }
 
-    fn from_levels(
-        flat: OnceLock<Flat>,
-        tree: Option<PrefixTree>,
-        types: usize,
-        widest: Option<usize>,
-        sources: usize,
-    ) -> Self {
-        let (widest, plans) = (widest.unwrap_or(0), Default::default());
+    fn from_layout(layout: Layout, types: usize, widest: Option<usize>, sources: usize) -> Self {
+        let (widest, view, plans) = (widest.unwrap_or(0), Default::default(), Default::default());
         Self {
-            flat,
-            tree,
+            layout,
+            view,
             types,
             widest,
             sources,
@@ -472,28 +495,41 @@ impl HierarchyIndex {
         }
     }
 
-    /// The flat arrays; a prefix tree's instances, in order, on first use.
-    fn flat(&self) -> &Flat {
-        self.flat.get_or_init(|| {
-            let t = self.tree.as_ref().expect("a flat index is built flat");
-            let mut src = Vec::with_capacity(3 * t.ends.len());
-            for g in 0..t.group_runs.len() - 1 {
-                self.for_each_instance(g / self.types, self.span(g), |l| src.extend(l));
-            }
-            let groups = t.group_runs.iter().map(|&k| t.runs[k as usize][1] as usize);
-            let offsets = (0..=t.ends.len()).map(|i| 3 * i).collect();
-            (groups.collect(), Arc::new(SegmentIndex::new(offsets, src)))
+    /// Group offsets over instances; a prefix tree's built on first use.
+    pub fn groups(&self) -> &[usize] {
+        match &self.layout {
+            Layout::Flat(groups, _) => groups,
+            Layout::Unit(groups) => groups.offsets(),
+            Layout::Tree(t) => self.view.0.get_or_init(|| {
+                (0..t.group_runs.len())
+                    .map(|g| self.group_start(g))
+                    .collect()
+            }),
+        }
+    }
+
+    /// The instances over leaf rows; a unit layout's or a prefix tree's,
+    /// in order, built on first use.
+    pub fn instances(&self) -> &Arc<SegmentIndex> {
+        if let Layout::Flat(_, instances) = &self.layout {
+            return instances;
+        }
+        self.view.1.get_or_init(|| {
+            let (mut offsets, mut src) = (vec![0], Vec::with_capacity(self.num_leaves()));
+            self.for_each_instance(|_, leaves| {
+                src.extend(leaves);
+                offsets.push(src.len());
+            });
+            Arc::new(SegmentIndex::new(offsets, src))
         })
     }
 
-    /// Group offsets over instances.
-    pub fn groups(&self) -> &[usize] {
-        &self.flat().0
-    }
-
-    /// The instances over leaf rows.
-    pub fn instances(&self) -> &Arc<SegmentIndex> {
-        &self.flat().1
+    /// A unit layout's groups, each over its leaf rows.
+    pub fn leaf_groups(&self) -> Option<&Arc<SegmentIndex>> {
+        match &self.layout {
+            Layout::Unit(groups) => Some(groups),
+            _ => None,
+        }
     }
 
     /// Groups per root.
@@ -503,19 +539,43 @@ impl HierarchyIndex {
 
     /// A prefix tree's root rows, which all its instances start at.
     pub fn root_rows(&self) -> Option<&[u32]> {
-        self.tree.as_ref().map(|t| &t.roots[..])
+        match &self.layout {
+            Layout::Tree(t) => Some(&t.roots),
+            _ => None,
+        }
+    }
+
+    /// The rank of group `g`'s first instance (`g` up to the group
+    /// count), read off the layout: no view is built.
+    pub fn group_start(&self, g: usize) -> usize {
+        match &self.layout {
+            Layout::Tree(t) => t.runs[t.group_runs[g] as usize][1] as usize,
+            _ => self.groups()[g],
+        }
+    }
+
+    /// Hands each instance, in rank order, to `visit` as its group and its
+    /// leaf rows, walking the layout as it is: no view is built.
+    pub fn for_each_instance(&self, mut visit: impl FnMut(usize, &[u32])) {
+        for g in 0..self.num_roots() * self.types {
+            self.walk(g / self.types, self.span(g), |leaves| visit(g, leaves));
+        }
     }
 
     /// Heap bytes of the arrays, a flat view's once built (plans and
     /// transposes not counted).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val as size;
-        let flat = self.flat.get().map_or(0, |(groups, i)| {
-            size(&groups[..]) + size(&i.offsets[..]) + size(&i.src[..])
-        });
-        flat + self.tree.as_ref().map_or(0, |t| {
-            size(&t.roots[..]) + size(&t.group_runs[..]) + size(&t.runs[..]) + size(&t.ends[..])
-        })
+        let csc = |i: &SegmentIndex| size(&i.offsets[..]) + size(&i.src[..]);
+        let view =
+            self.view.0.get().map_or(0, |g| size(&g[..])) + self.view.1.get().map_or(0, |i| csc(i));
+        view + match &self.layout {
+            Layout::Flat(groups, instances) => size(&groups[..]) + csc(instances),
+            Layout::Unit(groups) => csc(groups),
+            Layout::Tree(t) => {
+                size(&t.roots[..]) + size(&t.group_runs[..]) + size(&t.runs[..]) + size(&t.ends[..])
+            }
+        }
     }
 
     /// The scatter plan of instances into their groups, built on first
@@ -536,19 +596,20 @@ impl HierarchyIndex {
     /// Number of roots (one output row each).
     pub fn num_roots(&self) -> usize {
         let flat = || (self.groups().len() - 1) / self.types;
-        self.tree.as_ref().map_or_else(flat, |t| t.roots.len())
+        self.root_rows().map_or_else(flat, <[u32]>::len)
     }
 
     /// Number of instances.
     pub fn num_instances(&self) -> usize {
-        let flat = || self.instances().segments();
-        self.tree.as_ref().map_or_else(flat, |t| t.ends.len())
+        self.group_start(self.num_roots() * self.types)
     }
 
     /// Number of leaf entries over all instances.
     pub fn num_leaves(&self) -> usize {
-        let flat = || self.instances().src.len();
-        self.tree.as_ref().map_or_else(flat, |t| 3 * t.ends.len())
+        match &self.layout {
+            Layout::Flat(_, index) | Layout::Unit(index) => index.src.len(),
+            Layout::Tree(t) => 3 * t.ends.len(),
+        }
     }
 
     /// Floats of scratch one thread of either kernel needs: the largest
@@ -566,9 +627,9 @@ impl HierarchyIndex {
 
     /// Group `g` as a range of the level below: instances, or runs.
     fn span(&self, g: usize) -> (usize, usize) {
-        match &self.tree {
-            Some(t) => (t.group_runs[g] as usize, t.group_runs[g + 1] as usize),
-            None => (self.groups()[g], self.groups()[g + 1]),
+        match &self.layout {
+            Layout::Tree(t) => (t.group_runs[g] as usize, t.group_runs[g + 1] as usize),
+            _ => (self.groups()[g], self.groups()[g + 1]),
         }
     }
 
@@ -580,15 +641,19 @@ impl HierarchyIndex {
 
     /// Hands each instance of root `r`'s group `span` to `visit` as its
     /// leaf rows, in order.
-    fn for_each_instance(&self, r: usize, span: (usize, usize), mut visit: impl FnMut(&[u32])) {
-        let Some(t) = &self.tree else {
-            let (offsets, src) = (&self.instances().offsets, &self.instances().src);
-            return (span.0..span.1).for_each(|i| visit(&src[offsets[i]..offsets[i + 1]]));
-        };
-        for k in span.0..span.1 {
-            let ([mid, lo], hi) = (t.runs[k], t.runs[k + 1][1]);
-            for &end in &t.ends[lo as usize..hi as usize] {
-                visit(&[t.roots[r], mid, end]);
+    fn walk(&self, r: usize, (lo, hi): (usize, usize), mut visit: impl FnMut(&[u32])) {
+        match &self.layout {
+            Layout::Flat(_, i) => i.offsets[lo..=hi]
+                .windows(2)
+                .for_each(|w| visit(&i.src[w[0]..w[1]])),
+            Layout::Unit(groups) => groups.src[lo..hi].chunks(1).for_each(visit),
+            Layout::Tree(t) => {
+                for k in lo..hi {
+                    let ([mid, first], last) = (t.runs[k], t.runs[k + 1][1]);
+                    for &end in &t.ends[first as usize..last as usize] {
+                        visit(&[t.roots[r], mid, end]);
+                    }
+                }
             }
         }
     }
@@ -606,7 +671,7 @@ impl HierarchyIndex {
         [prefix, run]: [&mut [f32]; 2],
     ) -> usize {
         let (d, rows) = (h.cols(), h.data());
-        let Some(t) = &self.tree else {
+        let Layout::Tree(t) = &self.layout else {
             let (xs, index) = (&mut xs[..(hi - lo) * d], self.instances());
             xs.fill(0.0);
             // SAFETY: `SegmentIndex::new` checked that its sorted offsets
@@ -752,7 +817,7 @@ pub(crate) fn hierarchical_attention_pool_backward_into(
                 }
             });
             let mut rows = s.chunks(d).zip(x.chunks(d));
-            index.for_each_instance(r, span, |leaves| {
+            index.walk(r, span, |leaves| {
                 let (s, x) = rows.next().expect("one mean per instance");
                 let inv_len = 1.0 / leaves.len() as f32;
                 // The Mean push's `row += (1/len) · o`, its product taken

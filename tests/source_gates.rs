@@ -449,6 +449,8 @@ const TEST_ONLY_API: &[(&str, &str, Keep, &str)] = &[
     ("crates/graph/src/walk.rs", "visit_counts", Oracle, "the importance walker's counts"),
     ("crates/hdg/src/storage.rs", "leaves_of_root", Fixture, "the ADB tests' cost proxy"),
     ("crates/hdg/src/storage.rs", "dependency_leaves", Oracle, "robustness's leaf closure"),
+    ("crates/hdg/src/storage.rs", "group_instances", Fixture, "builder tests read records back"),
+    ("crates/hdg/src/storage.rs", "instance_leaves", Oracle, "the flat view for_each_instance meets"),
     ("crates/models/src/train.rs", "epoch_masked", Documented, "DESIGN's memo parity contract"),
     ("crates/models/src/train.rs", "evaluate", Documented, "DESIGN's memo parity contract"),
     ("crates/models/src/pinsage.rs", "selection_arrays", Fixture, "golden_forward's snapshot"),
